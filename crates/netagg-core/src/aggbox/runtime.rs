@@ -1,30 +1,35 @@
-//! The agg box runtime: network layer, per-request local aggregation
-//! trees, duplicate suppression, straggler bypass and redirect handling.
+//! The agg box runtime: the threaded I/O shell around [`BoxCore`].
 //!
-//! One `AggBox` hosts the aggregation functions of many applications. Data
-//! messages are demultiplexed per `(app, request, tree)` into a
-//! [`LocalAggTree`] whose combine tasks run on the box's cooperative
-//! [`TaskScheduler`]; the finished aggregate is forwarded to the tree
-//! parent (next box or master) by a dedicated egress thread over
-//! persistent connections.
+//! One `AggBox` hosts the aggregation functions of many applications. Its
+//! reader threads decode messages and feed them to the box's protocol
+//! state — one plain struct behind the single `agg.core` lock, which
+//! demultiplexes data per `(app, request, tree)` into a [`LocalAggTree`]
+//! whose combine tasks run on the box's cooperative [`TaskScheduler`] —
+//! and perform what each transition returns after releasing the lock:
+//! closing a request's input, events, and sends, which a dedicated egress
+//! thread carries to the tree parent (next box or master) over persistent
+//! connections.
 
+use crate::aggbox::core::{BoxCore, Emit, PartialSink, Point, ReqKey, Resend};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use crate::aggbox::tree::{LocalAggTree, TraceTarget};
-use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
+use crate::conn_cache::ConnCache;
+use crate::fanin::{Repoint, Route, TraceAnchor};
 use crate::lifecycle::{
-    CancelToken, JoinScope, Mailbox, OrderedMutex, OrderedRwLock, OverflowPolicy,
+    accept_loop, CancelToken, JoinScope, Mailbox, OrderedMutex, OverflowPolicy,
     DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
+use crate::spans::Spans;
+use crate::straggler::StragglerPolicy;
 use crate::DynAggregator;
 use bytes::Bytes;
 use netagg_net::lock_order;
 use netagg_net::{Connection, NetError, NodeId, Transport};
-use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
+use netagg_obs::trace;
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Depth of the egress mailbox. Completion callbacks run on scheduler pool
@@ -43,19 +48,18 @@ pub struct AggBoxConfig {
     pub scheduler: SchedulerConfig,
     /// Local aggregation tree fan-in.
     pub fanin: usize,
-    /// How long a request may go without data from an expected source
-    /// (after its first data arrived) before the box bypasses that source's
-    /// box (straggler handling). `None` disables.
-    pub straggler_threshold: Option<Duration>,
-    /// After this many straggler events, a child box is treated as failed.
-    pub straggler_repeat_limit: u32,
+    /// Bypass a child box that contributes nothing to a request within the
+    /// policy's threshold of its first data, and treat it as failed after
+    /// `repeat_limit` such events (straggler handling). `None` disables.
+    pub straggler: Option<StragglerPolicy>,
     /// Stream partial aggregates downstream once a request has buffered
     /// this many bytes, instead of holding the whole request in memory
     /// (`None` = emit only the final aggregate).
     pub flush_bytes: Option<usize>,
     /// Metrics registry the box (and its scheduler) publishes to
-    /// (`aggbox.*`, `straggler.*`). `None` disables metrics.
-    pub obs: Option<MetricsRegistry>,
+    /// (`aggbox.*`, `straggler.*`); a private one unless the deployment
+    /// hands in its own.
+    pub obs: MetricsRegistry,
 }
 
 impl AggBoxConfig {
@@ -66,148 +70,34 @@ impl AggBoxConfig {
             addr,
             scheduler: SchedulerConfig::default(),
             fanin: 8,
-            straggler_threshold: None,
-            straggler_repeat_limit: 3,
+            straggler: None,
             flush_bytes: None,
-            obs: None,
+            obs: MetricsRegistry::new(),
         }
     }
 }
 
-/// Information about one child box of this box within a tree, used by the
-/// straggler/failure machinery. The structure is recursive: when a child
-/// box fails, its parent *adopts* the grandchild box infos so a later
-/// failure of one of those can be re-pointed too (chained failures).
-#[derive(Debug, Clone, Default)]
-pub struct ChildBoxInfo {
-    /// The logical sources feeding that child (its direct children:
-    /// workers and boxes). On failure these move into the parent's owed
-    /// set (see `crate::ledger::FanInLedger::repoint`).
-    pub behind_sources: Vec<SourceId>,
-    /// Transport addresses of its children (workers and boxes).
-    pub children_addrs: Vec<NodeId>,
-    /// The child's own child boxes, adopted on its failure.
-    pub child_boxes: HashMap<u32, ChildBoxInfo>,
-}
-
-impl ChildBoxInfo {
-    /// Build the recursive info for `box_id` within `spec`, resolving
-    /// worker addresses for one application.
-    pub fn from_spec(spec: &crate::tree::TreeSpec, app: AppId, box_id: u32) -> Self {
-        let child_boxes = spec
-            .tree_box(box_id)
-            .map(|tb| {
-                tb.box_children
-                    .iter()
-                    .map(|c| (*c, ChildBoxInfo::from_spec(spec, app, *c)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Self {
-            behind_sources: spec.children_sources(box_id),
-            children_addrs: spec.children_addrs(app, box_id),
-            child_boxes,
-        }
-    }
-}
-
-/// Per-(app, tree) routing state installed at deployment time.
-#[derive(Debug, Clone)]
-pub struct RouteInstall {
-    /// Application the route belongs to.
-    pub app: AppId,
-    /// Tree the route belongs to.
-    pub tree: TreeId,
-    /// Where this box's output goes (next box or master shim address).
-    pub parent: NodeId,
-    /// The distinct sources expected per request (workers and child
-    /// boxes). Requests seed their fan-in ledger from this set.
-    pub owed: Vec<SourceId>,
-    /// Child boxes by global box id.
-    pub child_boxes: HashMap<u32, ChildBoxInfo>,
-    /// Addresses of this box's direct children (workers and boxes), used
-    /// to replicate broadcasts down the tree.
-    pub children_addrs: Vec<NodeId>,
-}
-
-struct Route {
-    parent: NodeId,
-    owed: HashSet<SourceId>,
-    child_boxes: HashMap<u32, ChildBoxInfo>,
-    children_addrs: Vec<NodeId>,
-}
-
-/// Trace anchor of one sampled request at this box: the per-request span
-/// every local span (queue wait, combine, forward, repoint) parents to.
-#[derive(Debug, Clone, Copy)]
-struct ReqTrace {
-    trace_id: u64,
-    /// The `span.box.request` span id (recorded at completion).
-    span_id: u64,
-    /// First-data arrival on the shared monotonic axis.
-    start_ns: u64,
-}
-
-struct ReqState {
+/// A request's local aggregation tree as the core sees it: somewhere to
+/// push accepted partials, and (a clone of it) what the shell closes the
+/// input on after releasing the lock — completion may fire the forwarding
+/// callback, which re-locks the core.
+#[derive(Clone)]
+struct TreeSink {
     tree: Arc<LocalAggTree>,
-    /// Sequence number of the next outgoing chunk (streaming flushes).
-    out_seq: u32,
-    first_data: Instant,
-    /// Set-based accounting of which sources are still owed (replaces the
-    /// old counter + `expected_extra` arithmetic; see DESIGN.md §8).
-    ledger: FanInLedger<SourceId>,
-    input_closed: bool,
-    /// `Some` when the request is trace-sampled (DESIGN.md §11).
-    trace: Option<ReqTrace>,
+    sched: Arc<TaskScheduler>,
+    app: AppId,
 }
 
-/// Bounded FIFO of recently emitted request output chunks (kept so a late
-/// per-request redirect can resend everything that went to a slow or dead
-/// parent).
-struct OutReplay {
-    map: HashMap<(AppId, RequestId, TreeId), Vec<Bytes>>,
-    order: std::collections::VecDeque<(AppId, RequestId, TreeId)>,
-    capacity: usize,
+impl PartialSink for TreeSink {
+    fn push(&mut self, payload: Bytes) {
+        // LocalAggTree has its own fine-grained lock; push never blocks.
+        self.tree.push(&self.sched, self.app, payload);
+    }
 }
 
-impl OutReplay {
-    fn new(capacity: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            capacity,
-        }
-    }
-
-    fn record(&mut self, key: (AppId, RequestId, TreeId), payload: Bytes) {
-        use std::collections::hash_map::Entry;
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().push(payload),
-            Entry::Vacant(v) => {
-                v.insert(vec![payload]);
-                self.order.push_back(key);
-                while self.order.len() > self.capacity {
-                    if let Some(old) = self.order.pop_front() {
-                        self.map.remove(&old);
-                    }
-                }
-            }
-        }
-    }
-
-    fn get(&self, key: &(AppId, RequestId, TreeId)) -> Option<Vec<Bytes>> {
-        self.map.get(key).cloned()
-    }
-
-    /// Every retained entry for `(app, tree)`, in emission order — the
-    /// resend set for a permanent re-point (the old parent died and may
-    /// have taken any of these with it).
-    fn matching(&self, app: AppId, tree: TreeId) -> Vec<(RequestId, Vec<Bytes>)> {
-        self.order
-            .iter()
-            .filter(|(a, _, t)| *a == app && *t == tree)
-            .filter_map(|k| self.map.get(k).map(|c| (k.1, c.clone())))
-            .collect()
+impl TreeSink {
+    fn end_input(&self) {
+        self.tree.end_input(&self.sched, self.app);
     }
 }
 
@@ -215,18 +105,17 @@ impl OutReplay {
 /// [`MetricsRegistry`] (plus latency and event streams the legacy counters
 /// do not carry).
 struct BoxObs {
-    messages_in: std::sync::Arc<Counter>,
-    bytes_in: std::sync::Arc<Counter>,
-    requests_completed: std::sync::Arc<Counter>,
-    duplicates_dropped: std::sync::Arc<Counter>,
-    send_errors: std::sync::Arc<Counter>,
-    request_agg_us: std::sync::Arc<Histogram>,
-    straggler_redirects: std::sync::Arc<Counter>,
-    straggler_escalations: std::sync::Arc<Counter>,
-    repoints: std::sync::Arc<Counter>,
-    tracer: Arc<TraceRecorder>,
-    /// Component label for box-side spans, e.g. `aggbox-2`.
-    component: Arc<str>,
+    messages_in: Arc<Counter>,
+    bytes_in: Arc<Counter>,
+    requests_completed: Arc<Counter>,
+    duplicates_dropped: Arc<Counter>,
+    send_errors: Arc<Counter>,
+    request_agg_us: Arc<Histogram>,
+    straggler_redirects: Arc<Counter>,
+    straggler_escalations: Arc<Counter>,
+    repoints: Arc<Counter>,
+    /// Box-side spans, under the component label `aggbox-<b>`.
+    spans: Spans,
     /// Component label for scheduler-task spans, e.g. `aggbox-2-sched`.
     component_sched: Arc<str>,
     registry: MetricsRegistry,
@@ -244,11 +133,19 @@ impl BoxObs {
             straggler_redirects: registry.counter(names::STRAGGLER_REDIRECTS),
             straggler_escalations: registry.counter(names::STRAGGLER_ESCALATIONS),
             repoints: registry.counter(names::AGGBOX_REPOINTS),
-            tracer: registry.tracer(),
-            component: format!("aggbox-{box_id}").into(),
+            spans: Spans::new(&registry, format!("aggbox-{box_id}")),
             component_sched: format!("aggbox-{box_id}-sched").into(),
             registry,
         }
+    }
+
+    /// The box's whole residency for a request: first data in → now. Every
+    /// local span (queue wait, combine, forward, repoint) parents to it.
+    fn request_span(&self, request: RequestId, t: TraceAnchor) {
+        let (name, now) = (names::spans::BOX_REQUEST, trace::now_ns());
+        let (tid, start) = (t.trace_id, t.start_ns);
+        self.spans
+            .record(name, tid, t.span_id, tid, request, start, now);
     }
 }
 
@@ -298,24 +195,16 @@ pub struct BoxSnapshot {
 
 struct Inner {
     cfg: AggBoxConfig,
-    transport: Arc<dyn Transport>,
     scheduler: Arc<TaskScheduler>,
-    apps: OrderedRwLock<HashMap<AppId, Arc<dyn DynAggregator>>>,
-    routes: OrderedRwLock<HashMap<(AppId, TreeId), Route>>,
-    states: OrderedMutex<HashMap<(AppId, RequestId, TreeId), ReqState>>,
-    /// Per-request output redirections (straggler bypass upstream of us).
-    out_redirects: OrderedMutex<HashMap<(AppId, RequestId, TreeId), NodeId>>,
-    /// Recently completed outputs, kept so a late per-request redirect can
-    /// resend an aggregate that already went to the (slow or dead) parent.
-    out_replay: OrderedMutex<OutReplay>,
-    /// Straggler event counts per child box.
-    straggler_counts: OrderedMutex<HashMap<u32, u32>>,
+    core: OrderedMutex<BoxCore<TreeSink>>,
     /// Bounded hand-off to the egress thread (`DropOldest`: completion
     /// callbacks run on scheduler threads and must never block here).
     egress: Mailbox<(NodeId, Message)>,
+    /// The egress thread's connections.
+    conns: ConnCache,
     cancel: CancelToken,
     stats: BoxStats,
-    obs: Option<BoxObs>,
+    obs: BoxObs,
 }
 
 /// A running agg box.
@@ -328,49 +217,32 @@ impl AggBox {
     /// Bind the box's address and start its listener, egress and straggler
     /// threads.
     pub fn start(transport: Arc<dyn Transport>, cfg: AggBoxConfig) -> Result<Arc<Self>, NetError> {
-        let mut listener = transport.bind(cfg.addr)?;
+        let listener = transport.bind(cfg.addr)?;
         let cancel = CancelToken::new();
         let box_id = cfg.box_id;
         let scope = JoinScope::with_obs(
             format!("aggbox-{box_id}"),
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
-            cfg.obs.as_ref(),
+            Some(&cfg.obs),
         );
-        let egress = match &cfg.obs {
-            Some(reg) => Mailbox::with_obs(
-                format!("aggbox{box_id}.egress"),
-                EGRESS_DEPTH,
-                OverflowPolicy::DropOldest,
-                cancel.clone(),
-                reg,
-            ),
-            None => Mailbox::new(
-                format!("aggbox{box_id}.egress"),
-                EGRESS_DEPTH,
-                OverflowPolicy::DropOldest,
-                cancel.clone(),
-            ),
-        };
-        let scheduler = Arc::new(TaskScheduler::new_with_obs(
-            cfg.scheduler.clone(),
-            cfg.obs.clone(),
-        ));
-        let obs = cfg.obs.clone().map(|reg| BoxObs::new(reg, box_id));
+        let egress = Mailbox::with_obs(
+            format!("aggbox{box_id}.egress"),
+            EGRESS_DEPTH,
+            OverflowPolicy::DropOldest,
+            cancel.clone(),
+            &cfg.obs,
+        );
+        let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), cfg.obs.clone());
         let inner = Arc::new(Inner {
-            cfg,
-            transport: transport.clone(),
-            scheduler,
-            apps: OrderedRwLock::new(lock_order::AGG_APPS, HashMap::new()),
-            routes: OrderedRwLock::new(lock_order::AGG_ROUTES, HashMap::new()),
-            states: OrderedMutex::new(lock_order::AGG_STATES, HashMap::new()),
-            out_redirects: OrderedMutex::new(lock_order::AGG_OUT_REDIRECTS, HashMap::new()),
-            out_replay: OrderedMutex::new(lock_order::AGG_OUT_REPLAY, OutReplay::new(64)),
-            straggler_counts: OrderedMutex::new(lock_order::AGG_STRAGGLER, HashMap::new()),
+            scheduler: Arc::new(scheduler),
+            core: OrderedMutex::new(lock_order::AGG_CORE, BoxCore::default()),
             egress,
+            conns: ConnCache::new(transport, cfg.addr),
             cancel,
             stats: BoxStats::default(),
-            obs,
+            obs: BoxObs::new(cfg.obs.clone(), box_id),
+            cfg,
         });
         let boxed = Arc::new(Self {
             inner: inner.clone(),
@@ -379,49 +251,31 @@ impl AggBox {
         // Listener thread: accepts connections and spawns a reader each.
         {
             let this = Arc::downgrade(&boxed);
-            let inner = inner.clone();
+            let cancel = inner.cancel.clone();
             boxed
                 .scope
-                .spawn(format!("aggbox-{box_id}-listen"), move || loop {
-                    match listener.accept_cancellable(&inner.cancel) {
-                        Ok(conn) => {
-                            if let Some(strong) = this.upgrade() {
-                                strong.spawn_reader(conn);
-                            }
+                .spawn(format!("aggbox-{box_id}-listen"), move || {
+                    accept_loop(listener, &cancel, |conn| {
+                        if let Some(strong) = this.upgrade() {
+                            strong.spawn_reader(conn);
                         }
-                        Err(NetError::Timeout) => continue,
-                        Err(_) => return, // cancelled or listener torn down
-                    }
+                    })
                 })
                 .map_err(|e| NetError::Io(e.to_string()))?;
         }
-        // Egress thread.
-        {
+        // The egress thread, and the streaming flusher and straggler
+        // monitor when configured.
+        let spawn = |name: String, body: fn(&Arc<Inner>)| {
             let inner = inner.clone();
-            boxed
-                .scope
-                .spawn(format!("aggbox-{box_id}-egress"), move || {
-                    egress_loop(&inner)
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
-        }
-        // Streaming flusher.
+            let spawned = boxed.scope.spawn(name, move || body(&inner));
+            spawned.map_err(|e| NetError::Io(e.to_string()))
+        };
+        spawn(format!("aggbox-{box_id}-egress"), egress_loop)?;
         if inner.cfg.flush_bytes.is_some() {
-            let inner = inner.clone();
-            boxed
-                .scope
-                .spawn(format!("aggbox-{box_id}-flush"), move || flush_loop(&inner))
-                .map_err(|e| NetError::Io(e.to_string()))?;
+            spawn(format!("aggbox-{box_id}-flush"), flush_loop)?;
         }
-        // Straggler monitor.
-        if inner.cfg.straggler_threshold.is_some() {
-            let inner = inner.clone();
-            boxed
-                .scope
-                .spawn(format!("aggbox-{box_id}-straggler"), move || {
-                    straggler_loop(&inner)
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
+        if inner.cfg.straggler.is_some() {
+            spawn(format!("aggbox-{box_id}-straggler"), straggler_loop)?;
         }
         Ok(boxed)
     }
@@ -430,20 +284,13 @@ impl AggBox {
     /// resource share.
     pub fn register_app(&self, app: AppId, agg: Arc<dyn DynAggregator>, share: f64) {
         self.inner.scheduler.register_app(app, share);
-        self.inner.apps.write().insert(app, agg);
+        self.inner.core.lock().add_app(app, agg);
     }
 
-    /// Install routing for one (application, tree).
-    pub fn install_route(&self, route: RouteInstall) {
-        self.inner.routes.write().insert(
-            (route.app, route.tree),
-            Route {
-                parent: route.parent,
-                owed: route.owed.into_iter().collect(),
-                child_boxes: route.child_boxes,
-                children_addrs: route.children_addrs,
-            },
-        );
+    /// Install routing for one (application, tree): where this box's
+    /// output goes (next box or master shim address) and what it owes.
+    pub fn install_route(&self, app: AppId, tree: TreeId, parent: NodeId, route: Route) {
+        self.inner.core.lock().add_route(app, tree, parent, route);
     }
 
     /// React to a confirmed failure of a child box: future requests expect
@@ -452,7 +299,17 @@ impl AggBox {
     /// the box's obligations onto its behind-sources. Idempotent under
     /// repeated detector firings.
     pub fn on_child_box_failed(&self, app: AppId, tree: TreeId, failed_box: u32) {
-        child_box_failed(&self.inner, app, tree, failed_box);
+        let inner = &self.inner;
+        let (repoint, close) = {
+            let mut core = inner.core.lock();
+            let Some(r) = core.fanin.child_box_failed((app, tree), failed_box) else {
+                return;
+            };
+            let close = core.sinks(&r.closed);
+            (r, close)
+        };
+        report_repoint(inner, (app, tree), failed_box, &repoint);
+        close.iter().for_each(TreeSink::end_input);
     }
 
     /// Counters exposed for the harness and tests.
@@ -464,10 +321,12 @@ impl AggBox {
     /// state, scheduler accounting — what a production middlebox would
     /// export to its metrics endpoint.
     pub fn snapshot(&self) -> BoxSnapshot {
-        let states = self.inner.states.lock();
-        let active_requests = states.len();
-        let buffered_bytes: usize = states.values().map(|s| s.tree.pending_bytes()).sum();
-        drop(states);
+        let (active_requests, buffered_bytes) = {
+            let core = self.inner.core.lock();
+            let open = core.fanin.requests.values();
+            let sizes = open.map(|q| q.ext.sink.tree.pending_bytes());
+            sizes.fold((0, 0), |(n, bytes), b| (n + 1, bytes + b))
+        };
         BoxSnapshot {
             box_id: self.inner.cfg.box_id,
             bytes_in: self.inner.stats.bytes_in.load(Ordering::Relaxed),
@@ -504,27 +363,19 @@ impl AggBox {
     pub fn shutdown(&self) {
         self.inner.cancel.cancel();
         self.scope.finish();
-        // Requests still open at teardown never reach `on_complete`, so
+        // Requests still open at teardown never reach `completed`, so
         // their box request span would never be recorded — and the
         // queue-wait / combine spans parented beneath it would be orphans.
         // Close them start → now, so a box killed mid-request still leaves
         // one connected trace tree (DESIGN.md §11).
-        if let Some(o) = &self.inner.obs {
-            let mut states = self.inner.states.lock();
-            for ((_, request, _), st) in states.drain() {
-                if let Some(rt) = st.trace {
-                    o.tracer.record_span(
-                        names::spans::BOX_REQUEST,
-                        &o.component,
-                        rt.trace_id,
-                        rt.span_id,
-                        rt.trace_id,
-                        request.0,
-                        rt.start_ns,
-                        trace::now_ns(),
-                    );
-                }
-            }
+        let mut core = self.inner.core.lock();
+        for (key, t) in core
+            .fanin
+            .requests
+            .drain()
+            .filter_map(|(k, q)| Some((k, q.trace?)))
+        {
+            self.inner.obs.request_span(key.1, t);
         }
     }
 
@@ -568,9 +419,34 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 ctx,
                 sent_ns,
                 payload,
-            } => handle_data(
-                inner, app, request, tree, source, seq, last, ctx, sent_ns, payload,
-            ),
+            } => {
+                let (o, key) = (&inner.obs, (app, request, tree));
+                let bytes = payload.len() as u64;
+                inner.stats.messages_in.fetch_add(1, Ordering::Relaxed);
+                inner.stats.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+                o.messages_in.inc();
+                o.bytes_in.add(bytes);
+                // Stitch the hop; the ingest work below hangs off its wire span.
+                let hop = o.spans.wire(ctx, request, sent_ns);
+                let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
+                let now = Instant::now();
+                let accepted = inner
+                    .core
+                    .lock()
+                    .accept_data(key, source, seq, last, payload, now, new);
+                let Some(close) = accepted else {
+                    // Unknown route, replayed sequence number, re-pointed-away source
+                    // or already-closed request: the core dropped it.
+                    inner
+                        .stats
+                        .duplicates_dropped
+                        .fetch_add(1, Ordering::Relaxed);
+                    o.duplicates_dropped.inc();
+                    continue;
+                };
+                close.iter().for_each(TreeSink::end_input);
+                o.spans.ingest(names::spans::BOX_RECV, ctx, hop, request);
+            }
             Message::RequestMeta {
                 app,
                 request,
@@ -581,18 +457,10 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 ctx: _,
                 sources,
             } => {
-                let to_close = {
-                    let mut states = inner.states.lock();
-                    let st = get_or_create(inner, &mut states, app, request, tree);
-                    match st {
-                        Some(st) => {
-                            st.ledger.set_requirement(sources);
-                            maybe_close_input(&mut states, app, request, tree)
-                        }
-                        None => None,
-                    }
-                };
-                close_input(inner, to_close, app);
+                let key = (app, request, tree);
+                let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
+                let close = inner.core.lock().request_meta(key, sources, new);
+                close.iter().for_each(TreeSink::end_input);
             }
             Message::Redirect {
                 app,
@@ -601,59 +469,12 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 tree,
                 new_parent,
             } => {
-                if permanent {
-                    {
-                        let mut routes = inner.routes.write();
-                        if let Some(r) = routes.get_mut(&(app, tree)) {
-                            r.parent = new_parent;
-                        }
-                    }
-                    // The old parent is dead (this is the detector's
-                    // re-point): any output this box already forwarded to
-                    // it died with it, and the workers behind this box will
-                    // not replay those chunks — the box absorbed and acked
-                    // their partials. Resend the retained replay window.
-                    // Held states lock: a request with live state is still
-                    // open here (its completion resolves its destination
-                    // only after removing the state, so it will see the
-                    // route update above) — resend only its flushed chunks,
-                    // keeping their original seqs and never `last`, or the
-                    // real final chunk would be suppressed as a duplicate
-                    // seq upstream. A request without state (or whose final
-                    // chunk is already recorded past `out_seq`) is fully in
-                    // the window and replays with `last` intact; delivered
-                    // requests are deduped upstream by per-source seqs and
-                    // the master's delivered-id memory.
-                    let resend: Vec<(RequestId, Vec<Bytes>, bool)> = {
-                        let states = inner.states.lock();
-                        inner
-                            .out_replay
-                            .lock()
-                            .matching(app, tree)
-                            .into_iter()
-                            .map(|(rid, chunks)| {
-                                let finished = match states.get(&(app, rid, tree)) {
-                                    Some(st) => chunks.len() as u32 > st.out_seq,
-                                    None => true,
-                                };
-                                (rid, chunks, finished)
-                            })
-                            .collect()
-                    };
-                    for (rid, chunks, finished) in resend {
-                        resend_replay(inner, app, rid, tree, new_parent, chunks, finished);
-                    }
-                } else {
-                    inner
-                        .out_redirects
-                        .lock()
-                        .insert((app, request, tree), new_parent);
-                    // If the request already completed here, resend its
-                    // aggregate to the new parent (the old parent was slow
-                    // or dead and the output may be lost with it).
-                    if let Some(chunks) = inner.out_replay.lock().get(&(app, request, tree)) {
-                        resend_replay(inner, app, request, tree, new_parent, chunks, true);
-                    }
+                let resends = inner
+                    .core
+                    .lock()
+                    .redirect(app, permanent, request, tree, new_parent);
+                for r in resends {
+                    resend(inner, app, tree, new_parent, r);
                 }
             }
             Message::Broadcast {
@@ -666,11 +487,9 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 // replication happens over the box's high-bandwidth link,
                 // which is the point of on-path distribution.
                 let children = {
-                    let routes = inner.routes.read();
-                    routes
-                        .get(&(app, tree))
-                        .map(|r| r.children_addrs.clone())
-                        .unwrap_or_default()
+                    let core = inner.core.lock();
+                    let route = core.fanin.route(&(app, tree));
+                    route.map(|r| r.children_addrs.clone()).unwrap_or_default()
                 };
                 for child in children {
                     let _ = inner.egress.send((
@@ -696,446 +515,158 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_data(
+/// Build a request's local aggregation tree and wire its completion to
+/// [`completed`]. Runs inside the core transition that first sees the
+/// request.
+fn new_request(
     inner: &Arc<Inner>,
-    app: AppId,
-    request: RequestId,
-    tree: TreeId,
-    source: SourceId,
-    seq: u32,
-    last: bool,
-    ctx: TraceCtx,
-    sent_ns: u64,
-    payload: Bytes,
-) {
-    inner.stats.messages_in.fetch_add(1, Ordering::Relaxed);
-    inner
-        .stats
-        .bytes_in
-        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-    let mut recv_span: Option<(u64, u64)> = None; // (wire/recv parent chain tail, start_ns)
-    if let Some(o) = &inner.obs {
-        o.messages_in.inc();
-        o.bytes_in.add(payload.len() as u64);
-        // Stitch the hop: the sender's ctx parents a wire-transfer span
-        // (sender stamp → arrival) and the ingest work below hangs off it.
-        if ctx.is_active() && o.tracer.enabled() {
-            let now = trace::now_ns();
-            let wire = o.tracer.next_span_id();
-            o.tracer.record_span(
-                names::spans::WIRE_TRANSFER,
-                &o.component,
-                ctx.trace_id,
-                wire,
-                ctx.parent_span_id,
-                request.0,
-                sent_ns.min(now),
-                now,
-            );
-            recv_span = Some((wire, now));
-        }
-    }
-    let to_close = {
-        let mut states = inner.states.lock();
-        let Some(st) = get_or_create(inner, &mut states, app, request, tree) else {
-            return; // unknown app or route
+    key: ReqKey,
+    agg: &Arc<dyn DynAggregator>,
+) -> (TreeSink, Option<TraceAnchor>) {
+    let (o, (app, request, _)) = (&inner.obs, key);
+    let tree = LocalAggTree::new(agg.clone(), inner.cfg.fanin);
+    // Trace anchor: one `span.box.request` per sampled request, parented
+    // directly to the trace root (RequestMeta — and hence the master's
+    // root span id — may arrive after the first data).
+    let tracer = &o.spans.tracer;
+    let anchor = tracer.sampled(request.0).then(|| {
+        let t = TraceAnchor {
+            trace_id: trace::trace_id(app.0, request.0),
+            span_id: tracer.next_span_id(),
+            start_ns: trace::now_ns(),
         };
-        // Ledger-side duplicate suppression: re-pointed-away sources and
-        // replayed sequence numbers are both dropped here.
-        match st.ledger.accept_chunk(source, seq) {
-            ChunkDisposition::Ignored | ChunkDisposition::Duplicate => {
-                inner
-                    .stats
-                    .duplicates_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &inner.obs {
-                    o.duplicates_dropped.inc();
-                }
-                return;
-            }
-            ChunkDisposition::Fresh { .. } => {}
+        tree.set_trace(TraceTarget {
+            tracer: tracer.clone(),
+            trace_id: t.trace_id,
+            parent_span_id: t.span_id,
+            request: request.0,
+            component: o.component_sched.clone(),
+        });
+        t
+    });
+    let weak = Arc::downgrade(inner);
+    tree.on_complete(Box::new(move |result| {
+        if let (Some(inner), Ok(payload)) = (weak.upgrade(), result) {
+            completed(&inner, key, payload);
         }
-        if !payload.is_empty() {
-            let tree_ref = st.tree.clone();
-            // LocalAggTree has its own fine-grained lock; push never blocks.
-            tree_ref.push(&inner.scheduler, app, payload);
-        }
-        if last {
-            st.ledger.note_end(source);
-            maybe_close_input(&mut states, app, request, tree)
-        } else {
-            None
-        }
+    }));
+    let sink = TreeSink {
+        tree,
+        sched: inner.scheduler.clone(),
+        app,
     };
-    close_input(inner, to_close, app);
-    // Ingest span for accepted chunks: arrival → ledger/tree hand-off done
-    // (duplicates and unknown routes keep only the wire-transfer span).
-    if let (Some((wire, start)), Some(o)) = (recv_span, &inner.obs) {
-        o.tracer.record_span(
-            names::spans::BOX_RECV,
-            &o.component,
-            ctx.trace_id,
-            o.tracer.next_span_id(),
-            wire,
-            request.0,
-            start,
-            trace::now_ns(),
-        );
-    }
+    (sink, anchor)
 }
 
-/// Run `end_input` outside the states lock: completion may fire the
-/// forwarding callback, which re-locks `states` for cleanup.
-fn close_input(inner: &Arc<Inner>, tree: Option<Arc<LocalAggTree>>, app: AppId) {
-    if let Some(t) = tree {
-        t.end_input(&inner.scheduler, app);
+/// A request's local aggregation finished: one core transition retains
+/// the aggregate, drops the request's state and resolves the destination;
+/// the final chunk then goes to the egress thread.
+fn completed(inner: &Arc<Inner>, key: ReqKey, payload: Bytes) {
+    let emit = inner.core.lock().complete(key, payload.clone());
+    // Count the completion before handing the aggregate to the egress
+    // thread: observers polling after the master saw the result must find
+    // the counter already incremented.
+    inner
+        .stats
+        .requests_completed
+        .fetch_add(1, Ordering::Relaxed);
+    inner.obs.requests_completed.inc();
+    if let Some(t0) = emit.started {
+        // First data byte in → final aggregate out.
+        inner.obs.request_agg_us.record_duration(t0.elapsed());
+    }
+    forward(inner, emit, payload, true);
+}
+
+/// Hand one output chunk (a streamed partial, or the final aggregate when
+/// `last`) to the egress thread, with its forward span under the box's
+/// request span.
+fn forward(inner: &Arc<Inner>, emit: Emit, payload: Bytes, last: bool) {
+    let (o, (app, request, tree)) = (&inner.obs, emit.key);
+    // Outgoing hop ctx: the chunk's wire span parents to this box's
+    // forward span.
+    let (ctx, sent_ns) = o.spans.outbound(emit.trace.map(|t| t.trace_id));
+    let msg = Message::Data {
+        app,
+        request,
+        tree,
+        source: SourceId::Box(inner.cfg.box_id),
+        seq: emit.seq,
+        last,
+        ctx,
+        sent_ns,
+        payload,
+    };
+    if let Some(t) = emit.trace {
+        if last {
+            o.request_span(request, t);
+        }
+        let name = names::spans::BOX_FORWARD;
+        o.spans.sent(name, ctx, t.span_id, request, sent_ns);
+    }
+    if let Some(dest) = emit.dest {
+        let _ = inner.egress.send((dest, msg));
     }
 }
 
 /// Resend one request's retained output chunks to `new_parent` after a
-/// redirect (per-request straggler redirect or permanent failure
-/// re-point). The replayed chunks re-attach at the trace root (the
+/// redirect. The replayed chunks re-attach at the trace root (the
 /// deterministic trace id); the adopting parent's wire/recv spans hang off
-/// that fresh ctx. `finished` marks whether the retained chunks include
-/// the request's final output: only then may the resend carry `last` —
-/// for a still-open request the real final chunk follows under the next
-/// seq, and a premature `last` here would close the source early.
-fn resend_replay(
-    inner: &Arc<Inner>,
-    app: AppId,
-    request: RequestId,
-    tree: TreeId,
-    new_parent: NodeId,
-    chunks: Vec<Bytes>,
-    finished: bool,
-) {
-    let ctx = match &inner.obs {
-        Some(o) if o.tracer.sampled(request.0) => {
-            let tid = trace::trace_id(app.0, request.0);
-            TraceCtx {
-                trace_id: tid,
-                parent_span_id: tid,
-            }
-        }
-        _ => TraceCtx::NONE,
-    };
+/// that fresh ctx.
+fn resend(inner: &Arc<Inner>, app: AppId, tree: TreeId, new_parent: NodeId, r: Resend) {
+    let ctx = inner.obs.spans.root_ctx(app, r.request);
     let sent_ns = if ctx.is_active() { trace::now_ns() } else { 0 };
-    let n = chunks.len();
-    for (i, payload) in chunks.into_iter().enumerate() {
-        let _ = inner.egress.send((
-            new_parent,
-            Message::Data {
-                app,
-                request,
-                tree,
-                source: SourceId::Box(inner.cfg.box_id),
-                seq: i as u32,
-                last: finished && i + 1 == n,
-                ctx,
-                sent_ns,
-                payload,
-            },
-        ));
-    }
-}
-
-/// Check whether all owed sources have delivered; if so, mark the input
-/// closed and return the tree so the caller can call `end_input` *after
-/// releasing the states lock* (completion may re-lock `states`).
-#[must_use]
-fn maybe_close_input(
-    states: &mut HashMap<(AppId, RequestId, TreeId), ReqState>,
-    app: AppId,
-    request: RequestId,
-    tree: TreeId,
-) -> Option<Arc<LocalAggTree>> {
-    let st = states.get_mut(&(app, request, tree))?;
-    if st.input_closed {
-        return None;
-    }
-    if st.ledger.is_complete() {
-        st.input_closed = true;
-        Some(st.tree.clone())
-    } else {
-        None
-    }
-}
-
-/// Shared failure re-point path: update the steady-state route (future
-/// requests owe the failed box's children directly, and its grandchild
-/// boxes are adopted for chained failures), then move the obligations of
-/// every in-flight request's ledger. Lock order: states before routes
-/// (matches `straggler_loop`).
-fn child_box_failed(inner: &Arc<Inner>, app: AppId, tree: TreeId, failed_box: u32) {
-    let mut to_close = Vec::new();
-    let mut repointed = 0u64;
-    {
-        let mut states = inner.states.lock();
-        let info = {
-            let mut routes = inner.routes.write();
-            let Some(r) = routes.get_mut(&(app, tree)) else {
-                return;
-            };
-            // Absent entry = already handled (repeated detector firing or a
-            // straggler escalation that raced the failure detector).
-            let Some(info) = r.child_boxes.remove(&failed_box) else {
-                return;
-            };
-            r.owed.remove(&SourceId::Box(failed_box));
-            for s in &info.behind_sources {
-                r.owed.insert(*s);
-            }
-            for (id, gi) in &info.child_boxes {
-                r.child_boxes.insert(*id, gi.clone());
-            }
-            info
+    let n = r.chunks.len();
+    for (i, payload) in r.chunks.into_iter().enumerate() {
+        let msg = Message::Data {
+            app,
+            request: r.request,
+            tree,
+            source: SourceId::Box(inner.cfg.box_id),
+            seq: i as u32,
+            last: r.finished && i + 1 == n,
+            ctx,
+            sent_ns,
+            payload,
         };
-        for ((a, req, t), st) in states.iter_mut() {
-            if *a != app || *t != tree || st.input_closed {
-                continue;
-            }
-            match st
-                .ledger
-                .repoint(SourceId::Box(failed_box), &info.behind_sources)
-            {
-                RepointOutcome::Moved { .. } | RepointOutcome::DuplicateSuppressed => {
-                    repointed += 1;
-                    // Mark the adoption inside the request's trace so the
-                    // stitched tree shows where obligations moved.
-                    if let (Some(o), Some(rt)) = (&inner.obs, st.trace) {
-                        let now = trace::now_ns();
-                        o.tracer.record_span(
-                            names::spans::BOX_REPOINT,
-                            &o.component,
-                            rt.trace_id,
-                            o.tracer.next_span_id(),
-                            rt.span_id,
-                            req.0,
-                            now,
-                            now,
-                        );
-                    }
-                }
-                RepointOutcome::AlreadyRepointed | RepointOutcome::NotOwed => {}
-            }
-            if st.ledger.is_complete() {
-                st.input_closed = true;
-                to_close.push((*req, st.tree.clone()));
-            }
-        }
-    }
-    if let Some(o) = &inner.obs {
-        o.repoints.add(repointed.max(1));
-        o.registry.emit(
-            names::EVENT_REPOINT,
-            format!(
-                "box {} re-pointed failed child box {failed_box} for app {} tree {} \
-                 ({repointed} in-flight requests moved)",
-                inner.cfg.box_id, app.0, tree.0
-            ),
-        );
-    }
-    for (_, t) in to_close {
-        close_input(inner, Some(t), app);
+        let _ = inner.egress.send((new_parent, msg));
     }
 }
 
-/// Create the request state (and its completion forwarding) on first data.
-fn get_or_create<'a>(
-    inner: &Arc<Inner>,
-    states: &'a mut HashMap<(AppId, RequestId, TreeId), ReqState>,
-    app: AppId,
-    request: RequestId,
-    tree: TreeId,
-) -> Option<&'a mut ReqState> {
-    use std::collections::hash_map::Entry;
-    match states.entry((app, request, tree)) {
-        Entry::Occupied(e) => Some(e.into_mut()),
-        Entry::Vacant(v) => {
-            let agg = inner.apps.read().get(&app)?.clone();
-            // Seed the fan-in ledger from the route's current owed set (a
-            // box that already failed permanently is no longer owed; its
-            // children are).
-            let owed: Vec<SourceId> = {
-                let routes = inner.routes.read();
-                routes.get(&(app, tree))?.owed.iter().copied().collect()
-            };
-            let ltree = LocalAggTree::new(agg, inner.cfg.fanin);
-            // Trace anchor: one `span.box.request` per sampled request,
-            // parented directly to the trace root (RequestMeta — and hence
-            // the master's root span id — may arrive after the first data).
-            let req_trace = inner.obs.as_ref().and_then(|o| {
-                o.tracer.sampled(request.0).then(|| {
-                    let rt = ReqTrace {
-                        trace_id: trace::trace_id(app.0, request.0),
-                        span_id: o.tracer.next_span_id(),
-                        start_ns: trace::now_ns(),
-                    };
-                    ltree.set_trace(TraceTarget {
-                        tracer: o.tracer.clone(),
-                        trace_id: rt.trace_id,
-                        parent_span_id: rt.span_id,
-                        request: request.0,
-                        component: o.component_sched.clone(),
-                    });
-                    rt
-                })
-            });
-            let weak: Weak<Inner> = Arc::downgrade(inner);
-            ltree.on_complete(Box::new(move |result| {
-                let Some(inner) = weak.upgrade() else { return };
-                let Ok(payload) = result else { return };
-                let (seq, first_data, req_trace) = inner
-                    .states
-                    .lock()
-                    .get(&(app, request, tree))
-                    .map(|st| (st.out_seq, Some(st.first_data), st.trace))
-                    .unwrap_or((0, None, None));
-                // Outgoing hop ctx: the chunk's wire span parents to this
-                // box's forward span. `sent_ns` is stamped here, at message
-                // construction, so the receiver's wire-transfer span also
-                // covers time spent queued behind the egress thread.
-                let (ctx, sent_ns, forward_span) = match (&inner.obs, req_trace) {
-                    (Some(o), Some(rt)) => {
-                        let fs = o.tracer.next_span_id();
-                        (
-                            TraceCtx {
-                                trace_id: rt.trace_id,
-                                parent_span_id: fs,
-                            },
-                            trace::now_ns(),
-                            Some((rt, fs)),
-                        )
-                    }
-                    _ => (TraceCtx::NONE, 0, None),
-                };
-                let msg = Message::Data {
-                    app,
-                    request,
-                    tree,
-                    source: SourceId::Box(inner.cfg.box_id),
-                    seq,
-                    last: true,
-                    ctx,
-                    sent_ns,
-                    payload: payload.clone(),
-                };
-                // Count the completion before handing the aggregate to the
-                // egress thread: observers polling after the master saw the
-                // result must find the counter already incremented.
-                inner
-                    .stats
-                    .requests_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &inner.obs {
-                    o.requests_completed.inc();
-                    if let Some(t0) = first_data {
-                        // First data byte in → final aggregate out.
-                        o.request_agg_us.record_duration(t0.elapsed());
-                    }
-                    if let Some((rt, fs)) = forward_span {
-                        let now = trace::now_ns();
-                        // The box's whole residency for this request:
-                        // first data in → final aggregate handed to egress.
-                        o.tracer.record_span(
-                            names::spans::BOX_REQUEST,
-                            &o.component,
-                            rt.trace_id,
-                            rt.span_id,
-                            rt.trace_id,
-                            request.0,
-                            rt.start_ns,
-                            now,
-                        );
-                        o.tracer.record_span(
-                            names::spans::BOX_FORWARD,
-                            &o.component,
-                            rt.trace_id,
-                            fs,
-                            rt.span_id,
-                            request.0,
-                            sent_ns,
-                            now,
-                        );
-                    }
-                }
-                inner
-                    .out_replay
-                    .lock()
-                    .record((app, request, tree), payload);
-                // Clean up the request state (also before the egress
-                // hand-off, for the same observer-visibility reason).
-                inner.states.lock().remove(&(app, request, tree));
-                // Resolve the destination only AFTER the final chunk is in
-                // the replay window and the state is gone: the permanent
-                // re-point handler treats a state-less request as fully
-                // recorded, and conversely a completion that still had
-                // state while the re-point snapshotted is guaranteed to
-                // read the updated route here — either way exactly one
-                // `last` chunk reaches a live parent.
-                let dest = {
-                    let redirects = inner.out_redirects.lock();
-                    redirects.get(&(app, request, tree)).copied()
-                }
-                .or_else(|| inner.routes.read().get(&(app, tree)).map(|r| r.parent));
-                inner.out_redirects.lock().remove(&(app, request, tree));
-                let Some(dest) = dest else { return };
-                let _ = inner.egress.send((dest, msg));
-            }));
-            Some(v.insert(ReqState {
-                tree: ltree,
-                out_seq: 0,
-                first_data: Instant::now(),
-                ledger: FanInLedger::new(owed),
-                input_closed: false,
-                trace: req_trace,
-            }))
-        }
+/// Audit one child-box failure: mark the adoption inside every moved
+/// request's trace (so the stitched tree shows where obligations moved),
+/// count it and emit the `repoint` event.
+fn report_repoint(inner: &Inner, (app, tree): Point, failed_box: u32, repoint: &Repoint<ReqKey>) {
+    let o = &inner.obs;
+    let now = trace::now_ns();
+    for (key, t) in repoint
+        .repointed
+        .iter()
+        .filter_map(|(k, t)| Some((k, (*t)?)))
+    {
+        let (name, id) = (names::spans::BOX_REPOINT, o.spans.tracer.next_span_id());
+        o.spans
+            .record(name, t.trace_id, id, t.span_id, key.1, now, now);
     }
+    let repointed = repoint.repointed.len();
+    o.repoints.add((repointed as u64).max(1));
+    o.registry.emit(
+        names::EVENT_REPOINT,
+        format!(
+            "box {} re-pointed failed child box {failed_box} for app {} tree {} \
+             ({repointed} in-flight requests moved)",
+            inner.cfg.box_id, app.0, tree.0
+        ),
+    );
 }
 
 fn egress_loop(inner: &Arc<Inner>) {
-    let mut conns: HashMap<NodeId, Box<dyn Connection>> = HashMap::new();
-    loop {
-        // Blocks until a message arrives; cancellation wakes it immediately
-        // (the mailbox is bound to the box's token).
-        let Ok((dest, msg)) = inner.egress.recv() else {
-            return; // cancelled or closed
-        };
-        let frame = msg.encode();
-        let mut sent = false;
-        for attempt in 0..2 {
-            let conn = match conns.entry(dest) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    match inner.transport.connect(inner.cfg.addr, dest) {
-                        Ok(c) => v.insert(c),
-                        Err(_) => {
-                            if attempt == 1 {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                            continue;
-                        }
-                    }
-                }
-            };
-            match conn.send(frame.clone()) {
-                Ok(()) => {
-                    sent = true;
-                    break;
-                }
-                Err(_) => {
-                    conns.remove(&dest); // stale connection: redial once
-                }
-            }
-        }
-        if !sent {
+    // Blocks until a message arrives; cancellation wakes it immediately
+    // (the mailbox is bound to the box's token).
+    while let Ok((dest, msg)) = inner.egress.recv() {
+        if inner.conns.send_to(dest, msg.encode()).is_err() {
             inner.stats.send_errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &inner.obs {
-                o.send_errors.inc();
-            }
+            inner.obs.send_errors.inc();
         }
     }
 }
@@ -1145,88 +676,17 @@ fn egress_loop(inner: &Arc<Inner>) {
 /// executes in a pipelined fashion and "little data is buffered").
 fn flush_loop(inner: &Arc<Inner>) {
     let threshold = inner.cfg.flush_bytes.expect("flusher enabled");
-    loop {
-        // Interruptible tick: cancellation ends the sleep (and the loop)
-        // immediately.
-        if inner.cancel.wait_timeout(Duration::from_millis(10)) {
-            return;
-        }
-        // Collect candidates without holding the states lock across the
-        // tree operations.
-        let candidates: Vec<((AppId, RequestId, TreeId), Arc<LocalAggTree>)> = {
-            let states = inner.states.lock();
-            states
-                .iter()
-                .filter(|(_, st)| !st.input_closed)
-                .filter(|(_, st)| st.tree.pending_bytes() >= threshold)
-                .map(|(k, st)| (*k, st.tree.clone()))
-                .collect()
-        };
-        for ((app, request, tree_id), tree) in candidates {
-            let Some(chunk) = tree.take_partial(&inner.scheduler, app) else {
-                continue;
-            };
-            let dest = {
-                let redirects = inner.out_redirects.lock();
-                redirects.get(&(app, request, tree_id)).copied()
-            }
-            .or_else(|| inner.routes.read().get(&(app, tree_id)).map(|r| r.parent));
-            let Some(dest) = dest else { continue };
-            let (seq, req_trace) = {
-                let mut states = inner.states.lock();
-                match states.get_mut(&(app, request, tree_id)) {
-                    Some(st) => {
-                        let s = st.out_seq;
-                        st.out_seq += 1;
-                        (s, st.trace)
-                    }
-                    None => continue,
-                }
-            };
-            // Streamed partials are forward hops too: each gets its own
-            // forward span under the box's request span.
-            let (ctx, sent_ns, forward_span) = match (&inner.obs, req_trace) {
-                (Some(o), Some(rt)) => {
-                    let fs = o.tracer.next_span_id();
-                    (
-                        TraceCtx {
-                            trace_id: rt.trace_id,
-                            parent_span_id: fs,
-                        },
-                        trace::now_ns(),
-                        Some((rt, fs)),
-                    )
-                }
-                _ => (TraceCtx::NONE, 0, None),
-            };
-            let msg = Message::Data {
-                app,
-                request,
-                tree: tree_id,
-                source: SourceId::Box(inner.cfg.box_id),
-                seq,
-                last: false,
-                ctx,
-                sent_ns,
-                payload: chunk.clone(),
-            };
-            if let (Some(o), Some((rt, fs))) = (&inner.obs, forward_span) {
-                o.tracer.record_span(
-                    names::spans::BOX_FORWARD,
-                    &o.component,
-                    rt.trace_id,
-                    fs,
-                    rt.span_id,
-                    request.0,
-                    sent_ns,
-                    trace::now_ns(),
-                );
-            }
-            inner
-                .out_replay
-                .lock()
-                .record((app, request, tree_id), chunk);
-            let _ = inner.egress.send((dest, msg));
+    // Interruptible tick: cancellation ends the sleep (and the loop)
+    // immediately.
+    while !inner.cancel.wait_timeout(Duration::from_millis(10)) {
+        let flushed = inner.core.lock().flush(|sink| {
+            let due = sink.tree.pending_bytes() >= threshold;
+            due.then(|| sink.tree.take_partial(&sink.sched, sink.app))?
+        });
+        // Streamed partials are forward hops too: each gets its own
+        // forward span under the box's request span.
+        for (emit, chunk) in flushed {
+            forward(inner, emit, chunk, false);
         }
     }
 }
@@ -1237,103 +697,54 @@ fn flush_loop(inner: &Arc<Inner>) {
 /// directly here, and stop expecting the box (Section 3.1, "Handling
 /// stragglers").
 fn straggler_loop(inner: &Arc<Inner>) {
-    let threshold = inner.cfg.straggler_threshold.expect("monitor enabled");
-    loop {
-        if inner.cancel.wait_timeout(threshold / 4) {
-            return;
-        }
-        let mut redirects: Vec<(AppId, RequestId, TreeId, u32, Vec<NodeId>)> = Vec::new();
-        {
-            // Lock order: states before routes (matches child_box_failed).
-            let mut states = inner.states.lock();
-            let routes = inner.routes.read();
-            for ((app, request, tree), st) in states.iter_mut() {
-                if st.input_closed
-                    || st.first_data.elapsed() < threshold
-                    || st.ledger.seen_len() == 0
-                {
-                    continue;
-                }
-                let Some(route) = routes.get(&(*app, *tree)) else {
-                    continue;
-                };
-                for (box_id, info) in &route.child_boxes {
-                    let src = SourceId::Box(*box_id);
-                    if st.ledger.has_seen(&src) || st.ledger.was_repointed(&src) {
-                        continue; // it has delivered something, or already bypassed
-                    }
-                    // Move the straggling box's obligations to its children
-                    // for this request only; redirect only when the ledger
-                    // actually owed the box (subset requests may not).
-                    if let RepointOutcome::Moved { .. } =
-                        st.ledger.repoint(src, &info.behind_sources)
-                    {
-                        redirects.push((
-                            *app,
-                            *request,
-                            *tree,
-                            *box_id,
-                            info.children_addrs.clone(),
-                        ));
-                    }
-                }
-            }
-        }
-        for (app, request, tree, box_id, children) in redirects {
+    let policy = inner.cfg.straggler.expect("monitor enabled");
+    let o = &inner.obs;
+    while !inner.cancel.wait_timeout(policy.threshold / 4) {
+        let (scan, close) = {
+            let mut core = inner.core.lock();
+            let (threshold, limit) = (policy.threshold, policy.repeat_limit);
+            let scan = core.fanin.scan_stragglers(Instant::now(), threshold, limit);
+            let close = core.sinks(&scan.closed);
+            (scan, close)
+        };
+        for b in scan.bypasses {
+            let (app, request, tree) = b.request;
             inner
                 .stats
                 .straggler_redirects
                 .fetch_add(1, Ordering::Relaxed);
-            let mut counts = inner.straggler_counts.lock();
-            *counts.entry(box_id).or_insert(0) += 1;
-            let escalate = counts[&box_id] >= inner.cfg.straggler_repeat_limit;
-            drop(counts);
-            if let Some(o) = &inner.obs {
-                o.straggler_redirects.inc();
-                o.registry.emit(
-                    names::EVENT_STRAGGLER,
-                    format!(
-                        "box {} bypassed child box {box_id} for app {} request {} tree {}{}",
-                        inner.cfg.box_id,
-                        app.0,
-                        request.0,
-                        tree.0,
-                        if escalate {
-                            " (escalated to permanent)"
-                        } else {
-                            ""
-                        },
-                    ),
-                );
-                if escalate {
-                    o.straggler_escalations.inc();
-                }
-            }
-            if escalate {
-                // Repeated slowness across requests: treat the box as
+            o.straggler_redirects.inc();
+            let note = if b.permanent {
+                // Repeated slowness across requests: the box is treated as
                 // permanently failed (Section 3.1) — its children re-point
-                // here, future requests no longer expect it, and in-flight
-                // ledgers move its obligations (idempotent with the failure
-                // detector firing for the same box).
-                child_box_failed(inner, app, tree, box_id);
-            }
+                // here and future requests no longer expect it.
+                o.straggler_escalations.inc();
+                " (escalated to permanent)"
+            } else {
+                ""
+            };
+            o.registry.emit(
+                names::EVENT_STRAGGLER,
+                format!(
+                    "box {} bypassed child box {} for app {} request {} tree {}{note}",
+                    inner.cfg.box_id, b.box_id, app.0, request.0, tree.0,
+                ),
+            );
             let msg = Message::Redirect {
                 app,
-                permanent: escalate,
+                permanent: b.permanent,
                 request,
                 tree,
                 new_parent: inner.cfg.addr,
             };
-            for child in children {
+            for child in b.children {
                 let _ = inner.egress.send((child, msg.clone()));
             }
-            // Re-check whether the bypass completes the request (the owed
-            // set changed).
-            let to_close = {
-                let mut states = inner.states.lock();
-                maybe_close_input(&mut states, app, request, tree)
-            };
-            close_input(inner, to_close, app);
         }
+        for (point, failed_box, repoint) in &scan.escalated {
+            report_repoint(inner, *point, *failed_box, repoint);
+        }
+        // The bypass may have completed requests (the owed set changed).
+        close.iter().for_each(TreeSink::end_input);
     }
 }

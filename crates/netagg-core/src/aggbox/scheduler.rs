@@ -66,7 +66,7 @@ struct AppQueue {
     /// Tasks that panicked (isolated; the pool thread survives).
     tasks_panicked: u64,
     /// Published effective WFQ weight (`aggbox.wfq_weight.app<N>`).
-    wfq_weight: Option<Arc<Gauge>>,
+    wfq_weight: Arc<Gauge>,
 }
 
 /// Pre-resolved metric handles so the hot worker loop never does a name
@@ -106,7 +106,7 @@ struct Inner {
     idle_cv: Condvar,
     cancel: CancelToken,
     cfg: SchedulerConfig,
-    obs: Option<SchedObs>,
+    obs: SchedObs,
 }
 
 /// Per-application CPU accounting snapshot.
@@ -136,15 +136,16 @@ pub struct TaskScheduler {
 }
 
 impl TaskScheduler {
-    /// Start a pool of `cfg.threads` worker threads.
+    /// Start a pool of `cfg.threads` worker threads publishing to a
+    /// registry of its own.
     pub fn new(cfg: SchedulerConfig) -> Self {
-        Self::new_with_obs(cfg, None)
+        Self::new_with_obs(cfg, MetricsRegistry::new())
     }
 
-    /// Like [`TaskScheduler::new`], but additionally publishing scheduler
-    /// metrics (`aggbox.tasks_*`, `aggbox.task_exec_us`,
-    /// `aggbox.queue_depth`, `aggbox.wfq_weight.app<N>`) to `obs`.
-    pub fn new_with_obs(cfg: SchedulerConfig, obs: Option<MetricsRegistry>) -> Self {
+    /// Like [`TaskScheduler::new`], but publishing the scheduler metrics
+    /// (`aggbox.tasks_*`, `aggbox.task_exec_us`, `aggbox.queue_depth`,
+    /// `aggbox.wfq_weight.app<N>`) to the caller's `obs`.
+    pub fn new_with_obs(cfg: SchedulerConfig, obs: MetricsRegistry) -> Self {
         assert!(cfg.threads > 0);
         assert!(cfg.ema_alpha > 0.0 && cfg.ema_alpha <= 1.0);
         let cancel = CancelToken::new();
@@ -152,7 +153,7 @@ impl TaskScheduler {
             "aggbox-sched",
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
-            obs.as_ref(),
+            Some(&obs),
         );
         let inner = Arc::new(Inner {
             state: OrderedMutex::new(
@@ -168,7 +169,7 @@ impl TaskScheduler {
             idle_cv: Condvar::new(),
             cancel,
             cfg: cfg.clone(),
-            obs: obs.map(SchedObs::new),
+            obs: SchedObs::new(obs),
         });
         let wake = inner.clone();
         let waker = inner.cancel.register_waker(move || {
@@ -195,13 +196,10 @@ impl TaskScheduler {
     /// relative (they need not sum to 1).
     pub fn register_app(&self, app: AppId, share: f64) {
         assert!(share > 0.0);
-        let wfq_weight = self.inner.obs.as_ref().map(|o| {
-            let g = o.registry.gauge(&names::wfq_weight(app.0));
-            // Before the first measurement the effective weight equals the
-            // configured share (see `weight`'s unmeasured-app handling).
-            g.set(share);
-            g
-        });
+        let wfq_weight = self.inner.obs.registry.gauge(&names::wfq_weight(app.0));
+        // Before the first measurement the effective weight equals the
+        // configured share (see `weight`'s unmeasured-app handling).
+        wfq_weight.set(share);
         let mut s = self.inner.state.lock();
         s.apps.entry(app).or_insert(AppQueue {
             queue: VecDeque::new(),
@@ -223,9 +221,7 @@ impl TaskScheduler {
             .unwrap_or_else(|| panic!("app {app:?} not registered"));
         q.queue.push_back(task);
         s.queued += 1;
-        if let Some(o) = &self.inner.obs {
-            o.queue_depth.set(s.queued as f64);
-        }
+        self.inner.obs.queue_depth.set(s.queued as f64);
         drop(s);
         self.inner.work_cv.notify_one();
     }
@@ -276,10 +272,8 @@ impl TaskScheduler {
             let mut s = self.inner.state.lock();
             let dropped: usize = s.apps.values_mut().map(|q| q.queue.drain(..).count()).sum();
             s.queued = 0;
-            if let Some(o) = &self.inner.obs {
-                o.tasks_dropped.add(dropped as u64);
-                o.queue_depth.set(0.0);
-            }
+            self.inner.obs.tasks_dropped.add(dropped as u64);
+            self.inner.obs.queue_depth.set(0.0);
         }
         self.workers.finish();
     }
@@ -358,9 +352,7 @@ fn worker_loop(inner: &Inner) {
             let task = q.queue.pop_front().expect("non-empty queue");
             s.queued -= 1;
             s.running += 1;
-            if let Some(o) = &inner.obs {
-                o.queue_depth.set(s.queued as f64);
-            }
+            inner.obs.queue_depth.set(s.queued as f64);
             (app, task)
         };
         let (app, task) = task;
@@ -371,13 +363,11 @@ fn worker_loop(inner: &Inner) {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err();
         let elapsed = t0.elapsed();
         let dt = elapsed.as_secs_f64();
-        if let Some(o) = &inner.obs {
-            o.tasks_executed.inc();
-            if panicked {
-                o.tasks_panicked.inc();
-            }
-            o.task_exec_us.record_duration(elapsed);
+        inner.obs.tasks_executed.inc();
+        if panicked {
+            inner.obs.tasks_panicked.inc();
         }
+        inner.obs.task_exec_us.record_duration(elapsed);
         let mut s = inner.state.lock();
         s.running -= 1;
         if let Some(q) = s.apps.get_mut(&app) {
@@ -389,9 +379,7 @@ fn worker_loop(inner: &Inner) {
             } else {
                 (1.0 - inner.cfg.ema_alpha) * q.ema_task_time + inner.cfg.ema_alpha * dt
             };
-            if let Some(g) = &q.wfq_weight {
-                g.set(weight(&inner.cfg, q));
-            }
+            q.wfq_weight.set(weight(&inner.cfg, q));
         }
         if s.queued == 0 && s.running == 0 {
             inner.idle_cv.notify_all();
@@ -575,7 +563,7 @@ mod tests {
     #[test]
     fn obs_counts_tasks_and_weights() {
         let obs = netagg_obs::MetricsRegistry::new();
-        let mut s = TaskScheduler::new_with_obs(cfg(2, true), Some(obs.clone()));
+        let mut s = TaskScheduler::new_with_obs(cfg(2, true), obs.clone());
         s.register_app(AppId(3), 2.0);
         for _ in 0..10 {
             s.submit(

@@ -9,14 +9,15 @@
 //! Duplicate suppression at the new parent (sequence numbers per source)
 //! keeps resent results from being double-counted.
 
+use crate::conn_cache::ConnCache;
 use crate::lifecycle::{CancelToken, JoinScope, DEFAULT_JOIN_DEADLINE};
-use crate::protocol::{AppId, Message, TreeId};
+use crate::protocol::{AppId, Message, RequestId, TreeId};
 use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::{names, MetricsRegistry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Detector timing parameters.
 #[derive(Debug, Clone)]
@@ -63,16 +64,6 @@ pub struct WatchSet {
 }
 
 impl WatchSet {
-    /// A watch set with the given initial children (merged via
-    /// [`WatchSet::add`]).
-    pub fn new(children: Vec<WatchedChild>) -> Self {
-        let s = Self::default();
-        for c in children {
-            s.add(c);
-        }
-        s
-    }
-
     /// Add a watched child. Entries for an already-watched box merge
     /// their (app, tree) pairs and child addresses instead of
     /// duplicating: the detector tracks liveness per box id, and a
@@ -112,86 +103,33 @@ pub struct FailureDetector {
 }
 
 impl FailureDetector {
-    /// Start probing `children` from `self_addr`. On a confirmed failure,
-    /// redirect messages (permanent) are sent to the failed box's children
-    /// pointing them at `redirect_to`, and `on_failed(box_id)` is invoked
-    /// once so the owner can adjust its expected sources.
+    /// Start probing the live set `children` from `self_addr`; children
+    /// added to the set while the detector runs are picked up on the next
+    /// probe round (recovery logic uses this to adopt the children of a
+    /// failed box). On a confirmed failure, `on_failed(box_id)` is invoked
+    /// once so the owner can adjust its expected sources, then permanent
+    /// redirects point the failed box's children at `self_addr`.
+    /// `failure.detections` / `failure.repoints` metrics and `failure`
+    /// events go to `obs`.
     pub fn start(
         transport: Arc<dyn Transport>,
         self_addr: NodeId,
-        redirect_to: NodeId,
-        children: Vec<WatchedChild>,
-        cfg: DetectorConfig,
-        on_failed: Box<dyn Fn(u32) + Send>,
-    ) -> Self {
-        Self::start_with_obs(
-            transport,
-            self_addr,
-            redirect_to,
-            children,
-            cfg,
-            on_failed,
-            None,
-        )
-    }
-
-    /// Like [`FailureDetector::start`], but additionally publishing
-    /// `failure.detections` / `failure.repoints` metrics (and `failure`
-    /// events) to `obs`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_obs(
-        transport: Arc<dyn Transport>,
-        self_addr: NodeId,
-        redirect_to: NodeId,
-        children: Vec<WatchedChild>,
-        cfg: DetectorConfig,
-        on_failed: Box<dyn Fn(u32) + Send>,
-        obs: Option<MetricsRegistry>,
-    ) -> Self {
-        Self::start_watching(
-            transport,
-            self_addr,
-            redirect_to,
-            WatchSet::new(children),
-            cfg,
-            on_failed,
-            obs,
-        )
-    }
-
-    /// Like [`FailureDetector::start_with_obs`], but probing a live
-    /// [`WatchSet`]: children added to the set while the detector runs
-    /// are picked up on the next probe round (recovery logic uses this
-    /// to adopt the children of a failed box).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_watching(
-        transport: Arc<dyn Transport>,
-        self_addr: NodeId,
-        redirect_to: NodeId,
         children: WatchSet,
         cfg: DetectorConfig,
         on_failed: Box<dyn Fn(u32) + Send>,
-        obs: Option<MetricsRegistry>,
+        obs: MetricsRegistry,
     ) -> Self {
         let cancel = CancelToken::new();
         let scope = JoinScope::with_obs(
             format!("failure-detector-{self_addr}"),
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
-            obs.as_ref(),
+            Some(&obs),
         );
         scope
             .spawn(format!("failure-detector-{self_addr}"), move || {
-                detector_loop(
-                    &transport,
-                    self_addr,
-                    redirect_to,
-                    children,
-                    &cfg,
-                    on_failed,
-                    &cancel,
-                    &obs,
-                )
+                let conns = ConnCache::new(transport, self_addr);
+                detector_loop(&conns, self_addr, children, &cfg, on_failed, &cancel, &obs)
             })
             .expect("spawn failure detector");
         Self { scope }
@@ -210,43 +148,28 @@ impl Drop for FailureDetector {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn detector_loop(
-    transport: &Arc<dyn Transport>,
+    conns: &ConnCache,
     self_addr: NodeId,
-    redirect_to: NodeId,
     children: WatchSet,
     cfg: &DetectorConfig,
     on_failed: Box<dyn Fn(u32) + Send>,
     cancel: &CancelToken,
-    obs: &Option<MetricsRegistry>,
+    obs: &MetricsRegistry,
 ) {
-    let mut conns: HashMap<u32, Box<dyn netagg_net::Connection>> = HashMap::new();
     let mut miss_count: HashMap<u32, u32> = HashMap::new();
-    let mut failed: HashMap<u32, bool> = HashMap::new();
+    let mut failed: HashSet<u32> = HashSet::new();
     let mut nonce = 0u64;
-    loop {
-        // Interruptible inter-probe sleep: stop() ends it immediately.
-        if cancel.wait_timeout(cfg.interval) {
-            return;
-        }
+    // Interruptible inter-probe sleep: stop() ends it immediately.
+    while !cancel.wait_timeout(cfg.interval) {
         // Snapshot per round: `on_failed` may adopt the failed box's
         // children into the set mid-round.
         for child in children.snapshot() {
-            if failed.get(&child.box_id).copied().unwrap_or(false) {
+            if failed.contains(&child.box_id) {
                 continue;
             }
             nonce += 1;
-            let ok = probe(
-                transport,
-                self_addr,
-                child.addr,
-                nonce,
-                cfg,
-                &mut conns,
-                child.box_id,
-            );
-            if ok {
+            if probe(conns, self_addr, child.addr, nonce, cfg.timeout) {
                 miss_count.insert(child.box_id, 0);
                 continue;
             }
@@ -259,32 +182,27 @@ fn detector_loop(
             // `on_failed` re-points the owner's fan-in ledgers *before*
             // the redirects trigger worker replays, so a replayed chunk
             // can never race the expected-source update (the seed bug).
-            failed.insert(child.box_id, true);
-            if let Some(o) = obs {
-                o.counter(names::FAILURE_DETECTIONS).inc();
-                o.emit(
-                    names::EVENT_FAILURE,
-                    format!(
-                        "detector at {self_addr} declared box {} (addr {}) failed after {} missed probes",
-                        child.box_id, child.addr, cfg.misses
-                    ),
-                );
-            }
+            failed.insert(child.box_id);
+            obs.counter(names::FAILURE_DETECTIONS).inc();
+            obs.emit(
+                names::EVENT_FAILURE,
+                format!(
+                    "detector at {} declared box {} (addr {}) failed after {} missed probes",
+                    self_addr, child.box_id, child.addr, cfg.misses
+                ),
+            );
             on_failed(child.box_id);
             for &(app, tree) in &child.apps_trees {
                 let msg = Message::Redirect {
                     app,
                     permanent: true,
-                    request: crate::protocol::RequestId(0),
+                    request: RequestId(0),
                     tree,
-                    new_parent: redirect_to,
+                    new_parent: self_addr,
                 };
                 for &grandchild in &child.children_addrs {
-                    if let Ok(mut c) = transport.connect(self_addr, grandchild) {
-                        let _ = c.send(msg.encode());
-                        if let Some(o) = obs {
-                            o.counter(names::FAILURE_REPOINTS).inc();
-                        }
+                    if conns.send_to(grandchild, msg.encode()).is_ok() {
+                        obs.counter(names::FAILURE_REPOINTS).inc();
                     }
                 }
             }
@@ -292,58 +210,26 @@ fn detector_loop(
     }
 }
 
-fn probe(
-    transport: &Arc<dyn Transport>,
-    self_addr: NodeId,
-    child_addr: NodeId,
-    nonce: u64,
-    cfg: &DetectorConfig,
-    conns: &mut HashMap<u32, Box<dyn netagg_net::Connection>>,
-    box_id: u32,
-) -> bool {
-    let conn = match conns.entry(box_id) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            match transport.connect(self_addr, child_addr) {
-                Ok(c) => v.insert(c),
-                Err(_) => return false,
+/// One heartbeat round trip: send, then wait on the same connection for
+/// the matching ack (tolerating unrelated frames) until `timeout`. The
+/// cache is this thread's own, so holding it across the wait stalls nobody;
+/// any failure evicts the connection and the next probe redials.
+fn probe(conns: &ConnCache, from: NodeId, child: NodeId, nonce: u64, timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout;
+    let hb = Message::Heartbeat { from, nonce }.encode();
+    let acked = conns.send_then(child, hb, |conn| loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(NetError::Timeout);
+        }
+        let frame = conn.recv_timeout(left)?;
+        if let Ok(Message::HeartbeatAck { nonce: n, .. }) = Message::decode(frame) {
+            if n == nonce {
+                return Ok(());
             }
         }
-    };
-    let hb = Message::Heartbeat {
-        from: self_addr,
-        nonce,
-    };
-    if conn.send(hb.encode()).is_err() {
-        conns.remove(&box_id);
-        return false;
-    }
-    // Wait for the matching ack (tolerate unrelated frames).
-    let deadline = std::time::Instant::now() + cfg.timeout;
-    loop {
-        let now = std::time::Instant::now();
-        if now >= deadline {
-            conns.remove(&box_id);
-            return false;
-        }
-        match conn.recv_timeout(deadline - now) {
-            Ok(frame) => {
-                if let Ok(Message::HeartbeatAck { nonce: n, .. }) = Message::decode(frame) {
-                    if n == nonce {
-                        return true;
-                    }
-                }
-            }
-            Err(NetError::Timeout) => {
-                conns.remove(&box_id);
-                return false;
-            }
-            Err(_) => {
-                conns.remove(&box_id);
-                return false;
-            }
-        }
-    }
+    });
+    acked.is_ok()
 }
 
 #[cfg(test)]
@@ -352,6 +238,18 @@ mod tests {
     use crate::aggbox::{AggBox, AggBoxConfig};
     use netagg_net::{ChannelTransport, FaultController, FaultTransport};
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// A watch set holding box 0 at `addr`, with nothing behind it.
+    fn watching(addr: NodeId) -> WatchSet {
+        let set = WatchSet::default();
+        set.add(WatchedChild {
+            box_id: 0,
+            addr,
+            children_addrs: vec![],
+            apps_trees: vec![],
+        });
+        set
+    }
 
     #[test]
     fn healthy_child_is_not_declared_failed() {
@@ -366,13 +264,7 @@ mod tests {
         let mut det = FailureDetector::start(
             transport,
             999,
-            999,
-            vec![WatchedChild {
-                box_id: 0,
-                addr: b.addr(),
-                children_addrs: vec![],
-                apps_trees: vec![],
-            }],
+            watching(b.addr()),
             DetectorConfig {
                 interval: Duration::from_millis(20),
                 timeout: Duration::from_millis(100),
@@ -381,6 +273,7 @@ mod tests {
             Box::new(move |_| {
                 f2.fetch_add(1, Ordering::SeqCst);
             }),
+            MetricsRegistry::new(),
         );
         std::thread::sleep(Duration::from_millis(300));
         det.stop();
@@ -403,13 +296,7 @@ mod tests {
         let mut det = FailureDetector::start(
             transport,
             999,
-            999,
-            vec![WatchedChild {
-                box_id: 0,
-                addr: b.addr(),
-                children_addrs: vec![],
-                apps_trees: vec![],
-            }],
+            watching(b.addr()),
             DetectorConfig {
                 interval: Duration::from_millis(20),
                 timeout: Duration::from_millis(60),
@@ -419,6 +306,7 @@ mod tests {
                 assert_eq!(id, 0);
                 f2.fetch_add(1, Ordering::SeqCst);
             }),
+            MetricsRegistry::new(),
         );
         std::thread::sleep(Duration::from_millis(150));
         ctl.kill(b.addr());

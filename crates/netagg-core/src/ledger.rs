@@ -11,7 +11,7 @@
 //! never satisfy a `Box(b)` entry, so completion is immune to the
 //! ordering of redirects, replays and failure notifications.
 //!
-//! Invariants (see DESIGN.md "Fan-in ledger"):
+//! Invariants (see DESIGN.md §8):
 //!
 //! * `owed` and `ignored` are disjoint; a key moves from `owed` to
 //!   `ignored` exactly once (via [`FanInLedger::repoint`]).
@@ -174,11 +174,6 @@ impl<K: Eq + Hash + Copy> FanInLedger<K> {
         self.owed.len()
     }
 
-    /// Number of contributors that delivered a final chunk.
-    pub fn ended_len(&self) -> usize {
-        self.ended.len()
-    }
-
     /// Whether `key` is currently owed.
     pub fn is_owed(&self, key: &K) -> bool {
         self.owed.contains(key)
@@ -189,24 +184,9 @@ impl<K: Eq + Hash + Copy> FanInLedger<K> {
         self.ignored.contains(key)
     }
 
-    /// Whether `key` delivered its final chunk.
-    pub fn has_ended(&self, key: &K) -> bool {
-        self.ended.contains(key)
-    }
-
     /// Whether any chunk has been accepted from `key`.
     pub fn has_seen(&self, key: &K) -> bool {
         self.seen.contains(key)
-    }
-
-    /// Number of distinct contributors a chunk has been accepted from.
-    pub fn seen_len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Whether `key` was already re-pointed.
-    pub fn was_repointed(&self, key: &K) -> bool {
-        self.repointed.contains(key)
     }
 }
 

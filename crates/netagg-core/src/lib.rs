@@ -73,15 +73,19 @@
 #![warn(missing_docs)]
 
 pub mod aggbox;
+pub mod conn_cache;
 pub mod failure;
+pub mod fanin;
 pub mod laws;
 pub mod ledger;
 pub mod lifecycle;
 pub mod protocol;
 pub mod runtime;
 pub mod shim;
+mod spans;
 pub mod straggler;
 pub mod tree;
+pub mod window;
 
 use bytes::Bytes;
 use std::fmt;

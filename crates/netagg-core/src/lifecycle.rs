@@ -11,6 +11,23 @@
 
 pub use netagg_net::lifecycle::{
     CancelToken, JoinScope, Mailbox, MailboxRecvError, MailboxRecvTimeoutError, MailboxSendError,
-    MailboxTryRecvError, OrderedMutex, OrderedMutexGuard, OrderedRwLock, OrderedRwLockReadGuard,
-    OrderedRwLockWriteGuard, OverflowPolicy, ScopeError, WakerGuard, DEFAULT_JOIN_DEADLINE,
+    MailboxTryRecvError, OrderedMutex, OrderedMutexGuard, OverflowPolicy, ScopeError, WakerGuard,
+    DEFAULT_JOIN_DEADLINE,
 };
+use netagg_net::{Connection, Listener, NetError};
+
+/// The body of every listener thread: hand each accepted connection to
+/// `on_conn` until `cancel` fires or the listener is torn down.
+pub(crate) fn accept_loop(
+    mut listener: Box<dyn Listener>,
+    cancel: &CancelToken,
+    mut on_conn: impl FnMut(Box<dyn Connection>),
+) {
+    loop {
+        match listener.accept_cancellable(cancel) {
+            Ok(conn) => on_conn(conn),
+            Err(NetError::Timeout) => continue,
+            Err(_) => return,
+        }
+    }
+}

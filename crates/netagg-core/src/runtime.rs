@@ -1,8 +1,8 @@
 //! Deployment wiring: launch agg boxes over a transport, register
 //! applications, hand out shims, and (optionally) arm failure detection.
 
-use crate::aggbox::runtime::{ChildBoxInfo, RouteInstall};
 use crate::aggbox::scheduler::SchedulerConfig;
+use crate::aggbox::Route;
 use crate::aggbox::{AggBox, AggBoxConfig};
 use crate::failure::{DetectorConfig, FailureDetector, WatchSet, WatchedChild};
 use crate::protocol::AppId;
@@ -45,8 +45,6 @@ impl Default for DeploymentConfig {
 
 struct AppRecord {
     id: AppId,
-    #[allow(dead_code)]
-    name: String,
     agg: Arc<dyn DynAggregator>,
 }
 
@@ -100,12 +98,9 @@ impl NetAggDeployment {
             let mut bc = AggBoxConfig::new(b, crate::tree::box_addr(b));
             bc.scheduler = cfg.scheduler.clone();
             bc.fanin = cfg.fanin;
-            if let Some(p) = cfg.straggler {
-                bc.straggler_threshold = Some(p.threshold);
-                bc.straggler_repeat_limit = p.repeat_limit;
-            }
+            bc.straggler = cfg.straggler;
             bc.flush_bytes = cfg.flush_bytes;
-            bc.obs = Some(obs.clone());
+            bc.obs = obs.clone();
             boxes.push(AggBox::start(transport.clone(), bc)?);
         }
         Ok(Self {
@@ -123,7 +118,7 @@ impl NetAggDeployment {
 
     /// Register an application: installs its aggregation function and the
     /// per-tree routes on every box. Returns the application id.
-    pub fn register_app(&mut self, name: &str, agg: Arc<dyn DynAggregator>, share: f64) -> AppId {
+    pub fn register_app(&mut self, _name: &str, agg: Arc<dyn DynAggregator>, share: f64) -> AppId {
         let app = AppId(self.next_app);
         self.next_app += 1;
         for b in &self.boxes {
@@ -134,26 +129,11 @@ impl NetAggDeployment {
                 let Some(aggbox) = self.boxes.iter().find(|b| b.box_id() == tb.box_id) else {
                     continue;
                 };
-                let child_boxes: HashMap<u32, ChildBoxInfo> = tb
-                    .box_children
-                    .iter()
-                    .map(|c| (*c, ChildBoxInfo::from_spec(spec, app, *c)))
-                    .collect();
-                aggbox.install_route(RouteInstall {
-                    app,
-                    tree: spec.tree,
-                    parent: spec.parent_addr(app, tb.box_id),
-                    owed: spec.children_sources(tb.box_id),
-                    child_boxes,
-                    children_addrs: spec.children_addrs(app, tb.box_id),
-                });
+                let route = Route::of_box(spec, app, tb.box_id);
+                aggbox.install_route(app, spec.tree, spec.parent_addr(app, tb.box_id), route);
             }
         }
-        self.apps.push(AppRecord {
-            id: app,
-            name: name.to_string(),
-            agg,
-        });
+        self.apps.push(AppRecord { id: app, agg });
         app
     }
 
@@ -172,7 +152,7 @@ impl NetAggDeployment {
         let cfg = MasterShimConfig {
             selection: self.cfg.selection,
             straggler_threshold: self.cfg.straggler.map(|p| p.threshold),
-            obs: Some(self.obs.clone()),
+            obs: self.obs.clone(),
             ..MasterShimConfig::default()
         };
         let shim = MasterShim::start(self.transport.clone(), app, agg, &self.specs, cfg)
@@ -183,13 +163,13 @@ impl NetAggDeployment {
 
     /// A worker shim for one application worker.
     pub fn worker_shim(&mut self, app: AppId, worker: u32) -> Arc<WorkerShim> {
-        WorkerShim::start_with_obs(
+        WorkerShim::start(
             self.transport.clone(),
             app,
             worker,
             &self.specs,
             self.cfg.selection,
-            Some(self.obs.clone()),
+            self.obs.clone(),
         )
         .expect("start worker shim")
     }
@@ -198,119 +178,88 @@ impl NetAggDeployment {
     /// boxes) probes its child boxes and re-routes around failures. Call
     /// after registering all applications and creating master shims.
     pub fn enable_failure_detection(&mut self, cfg: DetectorConfig) {
-        let apps: Vec<AppId> = self.apps.iter().map(|a| a.id).collect();
-        // Master-side detectors (watch root boxes).
-        for (&app, shim) in &self.master_shims {
-            let watch = WatchSet::default();
-            for spec in &self.specs {
-                for tb in spec.boxes.iter().filter(|b| b.parent == Parent::Master) {
-                    watch.add(WatchedChild {
-                        box_id: tb.box_id,
-                        addr: tb.addr,
-                        children_addrs: spec.children_addrs(app, tb.box_id),
-                        apps_trees: vec![(app, spec.tree)],
-                    });
-                }
-            }
-            if watch.is_empty() {
-                continue;
-            }
-            let shim2 = shim.clone();
-            let specs = self.specs.clone();
-            let adopt = watch.clone();
-            self.detectors.push(FailureDetector::start_watching(
-                self.transport.clone(),
-                master_addr(app),
-                master_addr(app),
-                watch,
-                cfg.clone(),
-                Box::new(move |box_id| {
-                    for spec in &specs {
-                        let Some(tb) = spec.tree_box(box_id) else {
-                            continue;
-                        };
-                        shim2.on_child_box_failed(spec.tree, box_id);
-                        // Adopt the failed box's child boxes: the master
-                        // is their parent now, so it must watch them too
-                        // (double-kill chains).
-                        for c in &tb.box_children {
-                            if let Some(cb) = spec.tree_box(*c) {
-                                adopt.add(WatchedChild {
-                                    box_id: cb.box_id,
-                                    addr: cb.addr,
-                                    children_addrs: spec.children_addrs(app, cb.box_id),
-                                    apps_trees: vec![(app, spec.tree)],
-                                });
-                            }
-                        }
-                    }
-                }),
-                Some(self.obs.clone()),
-            ));
+        // The master is just the root: it watches the root boxes of its
+        // application's trees exactly as a box watches its child boxes.
+        for (app, shim) in self.master_shims.clone() {
+            let roots = |spec: &TreeSpec| {
+                let roots = spec.boxes.iter().filter(|b| b.parent == Parent::Master);
+                roots.map(|b| b.box_id).collect()
+            };
+            let failed = move |_, tree, box_id| shim.on_child_box_failed(tree, box_id);
+            self.arm_detector(&cfg, master_addr(app), vec![app], roots, failed);
         }
-        // Box-side detectors (watch child boxes). Box liveness is
-        // app-independent, so each box runs one detector covering all apps
-        // (the watch set merges per-app entries by box id).
-        for aggbox in &self.boxes {
-            let watch = WatchSet::default();
-            for spec in &self.specs {
-                let Some(tb) = spec.tree_box(aggbox.box_id()) else {
+        // Box liveness is app-independent, so each box runs one detector
+        // covering all apps (the watch set merges per-app entries by box id).
+        let apps: Vec<AppId> = self.apps.iter().map(|a| a.id).collect();
+        for owner in self.boxes.clone() {
+            let id = owner.box_id();
+            let children = move |spec: &TreeSpec| {
+                let own = spec.tree_box(id);
+                own.map(|tb| tb.box_children.clone()).unwrap_or_default()
+            };
+            let addr = owner.addr();
+            let failed = move |app, tree, box_id| owner.on_child_box_failed(app, tree, box_id);
+            self.arm_detector(&cfg, addr, apps.clone(), children, failed);
+        }
+    }
+
+    /// Start the detector of one parent of boxes at `addr`: it watches
+    /// `children(spec)` on every tree for `apps`, reports a failure through
+    /// `failed(app, tree, box)` and then adopts the failed box's own child
+    /// boxes — the parent is their parent now, so a chained failure below
+    /// is detected as well (double-kill chains).
+    fn arm_detector(
+        &mut self,
+        cfg: &DetectorConfig,
+        addr: netagg_net::NodeId,
+        apps: Vec<AppId>,
+        children: impl Fn(&TreeSpec) -> Vec<u32>,
+        failed: impl Fn(AppId, crate::protocol::TreeId, u32) + Send + 'static,
+    ) {
+        // A redirect must be issued per app; children_addrs are per app
+        // for workers.
+        fn watch(set: &WatchSet, spec: &TreeSpec, apps: &[AppId], box_id: u32) {
+            let Some(tb) = spec.tree_box(box_id) else {
+                return;
+            };
+            for &app in apps {
+                set.add(WatchedChild {
+                    box_id,
+                    addr: tb.addr,
+                    children_addrs: spec.children_addrs(app, box_id),
+                    apps_trees: vec![(app, spec.tree)],
+                });
+            }
+        }
+        let watched = WatchSet::default();
+        for spec in &self.specs {
+            for box_id in children(spec) {
+                watch(&watched, spec, &apps, box_id);
+            }
+        }
+        if watched.is_empty() {
+            return;
+        }
+        let (specs, adopt) = (self.specs.clone(), watched.clone());
+        let on_failed = move |box_id| {
+            for spec in &specs {
+                let Some(tb) = spec.tree_box(box_id) else {
                     continue;
                 };
+                apps.iter().for_each(|app| failed(*app, spec.tree, box_id));
                 for c in &tb.box_children {
-                    let cb = spec.tree_box(*c).expect("child box in spec");
-                    // A redirect must be issued per app; children_addrs are
-                    // per app for workers.
-                    for &app in &apps {
-                        watch.add(WatchedChild {
-                            box_id: cb.box_id,
-                            addr: cb.addr,
-                            children_addrs: spec.children_addrs(app, cb.box_id),
-                            apps_trees: vec![(app, spec.tree)],
-                        });
-                    }
+                    watch(&adopt, spec, &apps, *c);
                 }
             }
-            if watch.is_empty() {
-                continue;
-            }
-            let owner = aggbox.clone();
-            let specs = self.specs.clone();
-            let apps2 = apps.clone();
-            let adopt = watch.clone();
-            self.detectors.push(FailureDetector::start_watching(
-                self.transport.clone(),
-                aggbox.addr(),
-                aggbox.addr(),
-                watch,
-                cfg.clone(),
-                Box::new(move |box_id| {
-                    for spec in &specs {
-                        let Some(tb) = spec.tree_box(box_id) else {
-                            continue;
-                        };
-                        for &app in &apps2 {
-                            owner.on_child_box_failed(app, spec.tree, box_id);
-                        }
-                        // Adopt the failed box's own child boxes so a
-                        // chained failure below it is detected as well.
-                        for c in &tb.box_children {
-                            if let Some(cb) = spec.tree_box(*c) {
-                                for &app in &apps2 {
-                                    adopt.add(WatchedChild {
-                                        box_id: cb.box_id,
-                                        addr: cb.addr,
-                                        children_addrs: spec.children_addrs(app, cb.box_id),
-                                        apps_trees: vec![(app, spec.tree)],
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }),
-                Some(self.obs.clone()),
-            ));
-        }
+        };
+        self.detectors.push(FailureDetector::start(
+            self.transport.clone(),
+            addr,
+            watched,
+            cfg.clone(),
+            Box::new(on_failed),
+            self.obs.clone(),
+        ));
     }
 
     /// The running agg boxes, indexed by global box id.

@@ -6,21 +6,24 @@
 //! empty per-worker results. It is also the parent of the root boxes, so
 //! it runs the same straggler bypass the boxes do.
 
-use crate::aggbox::runtime::ChildBoxInfo;
-use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
-use crate::lifecycle::{CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE};
+use crate::conn_cache::ConnCache;
+use crate::fanin::TraceAnchor;
+use crate::lifecycle::{
+    accept_loop, CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE,
+};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
-use crate::shim::worker::per_request_tree;
+use crate::shim::master_core::{MasterCore, MasterKey, Taken};
 use crate::shim::TreeSelection;
+use crate::spans::Spans;
 use crate::tree::{master_addr, Parent, TreeSpec};
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::lock_order;
 use netagg_net::{Connection, NetError, NodeId, Transport};
-use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
+use netagg_obs::trace;
 use netagg_obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::Condvar;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,8 +68,9 @@ pub struct MasterShimConfig {
     /// (abandoned requests would otherwise accumulate forever).
     pub pending_ttl: Duration,
     /// Metrics registry the shim publishes to (`shim.master.*`,
-    /// `straggler.master_bypasses`). `None` disables metrics.
-    pub obs: Option<MetricsRegistry>,
+    /// `straggler.master_bypasses`); a private one unless the deployment
+    /// hands in its own.
+    pub obs: MetricsRegistry,
 }
 
 impl Default for MasterShimConfig {
@@ -75,7 +79,7 @@ impl Default for MasterShimConfig {
             selection: TreeSelection::PerRequest,
             straggler_threshold: None,
             pending_ttl: Duration::from_secs(600),
-            obs: None,
+            obs: MetricsRegistry::new(),
         }
     }
 }
@@ -93,9 +97,8 @@ struct MasterObs {
     sources_outstanding: Arc<Gauge>,
     request_wait_us: Arc<Histogram>,
     master_bypasses: Arc<Counter>,
-    tracer: Arc<TraceRecorder>,
-    /// Component label for master-side spans, e.g. `master-1`.
-    component: Arc<str>,
+    /// Master-side spans, under the component label `master-<a>`.
+    spans: Spans,
     registry: MetricsRegistry,
 }
 
@@ -113,89 +116,68 @@ impl MasterObs {
             sources_outstanding: registry.gauge(names::SHIM_MASTER_SOURCES_OUTSTANDING),
             request_wait_us: registry.histogram(names::SHIM_MASTER_REQUEST_WAIT_US),
             master_bypasses: registry.counter(names::STRAGGLER_MASTER_BYPASSES),
-            tracer: registry.tracer(),
-            component: format!("master-{}", app.0).into(),
+            spans: Spans::new(&registry, format!("master-{}", app.0)),
             registry,
         }
     }
 
-    /// Refresh the per-request ledger gauges. Called with the pending map
-    /// locked after any transition that changes owed/ended accounting.
-    fn update_ledger_gauges(&self, pending: &HashMap<RequestId, Pending>) {
-        let inflight = pending.values().filter(|p| !p.complete).count();
-        let outstanding: usize = pending
-            .values()
-            .filter(|p| !p.complete)
-            .map(|p| p.ledger.outstanding())
-            .sum();
+    /// Refresh the per-request ledger gauges. Called with the core locked
+    /// after any transition that changes owed/ended accounting.
+    fn update_ledger_gauges(&self, core: &MasterCore) {
+        let open = core.fanin.requests.values().filter(|q| !q.closed);
+        let (inflight, outstanding) = open.fold((0, 0), |(n, owed), q| {
+            (n + 1, owed + q.ledger.outstanding())
+        });
         self.requests_inflight.set(inflight as f64);
         self.sources_outstanding.set(outstanding as f64);
     }
-}
 
-struct TreeRoute {
-    /// The logical contributors the master is owed per request on this
-    /// tree (root boxes and direct workers). Updated when a root box
-    /// fails; new requests seed their ledger from it.
-    owed: std::collections::HashSet<SourceId>,
-    child_boxes: HashMap<u32, ChildBoxInfo>,
-}
+    /// The trace anchor of a new request, if it is sampled: the root
+    /// span's id is the trace id itself (DESIGN.md §11).
+    fn anchor(&self, app: AppId, request: RequestId) -> Option<TraceAnchor> {
+        self.spans.tracer.sampled(request.0).then(|| {
+            let trace_id = trace::trace_id(app.0, request.0);
+            TraceAnchor {
+                trace_id,
+                span_id: trace_id,
+                start_ns: trace::now_ns(),
+            }
+        })
+    }
 
-/// Trace anchor of one sampled request at the master: the root span's id
-/// is the trace id itself (DESIGN.md §11), so only the start is kept.
-#[derive(Debug, Clone, Copy)]
-struct PendingTrace {
-    trace_id: u64,
-    /// Registration (or first-data) time on the shared monotonic axis.
-    start_ns: u64,
-}
+    /// Mark re-point adoptions inside the moved requests' traces: the span
+    /// tree stays connected across the failure because the replayed
+    /// chunks' fresh ctx re-attaches at the root.
+    fn repoint_spans(&self, repointed: &[(RequestId, Option<TraceAnchor>)]) {
+        let (name, now) = (names::spans::MASTER_REPOINT, trace::now_ns());
+        for (rid, t) in repointed.iter().filter_map(|(r, t)| Some((r, (*t)?))) {
+            let (tid, id) = (t.trace_id, self.spans.tracer.next_span_id());
+            self.spans.record(name, tid, id, tid, *rid, now, now);
+        }
+    }
 
-struct Pending {
-    expected_workers: usize,
-    /// Set-based fan-in accounting, keyed by (tree, source): completion
-    /// means every owed contributor has delivered its final chunk.
-    /// Replaces the old `expected`/`expected_extra` counters, which were
-    /// racy under failure re-points (see DESIGN.md §8).
-    ledger: FanInLedger<(TreeId, SourceId)>,
-    /// Received chunks tagged by contributor, so the final merge can drop
-    /// everything from contributors the ledger ignored (exact duplicate
-    /// suppression when a box streamed partial chunks and then failed).
-    inputs: Vec<((TreeId, SourceId), Bytes)>,
-    registered_at: Instant,
-    first_data: Option<Instant>,
-    complete: bool,
-    /// `Some` when the request is trace-sampled (DESIGN.md §11).
-    trace: Option<PendingTrace>,
+    /// Record a request's root span, start → now. Its span id is the
+    /// trace id itself, so every hop recorded anywhere hangs below it.
+    fn root_span(&self, request: RequestId, t: TraceAnchor) {
+        let (name, now) = (names::spans::MASTER_REQUEST, trace::now_ns());
+        self.spans
+            .record(name, t.trace_id, t.trace_id, 0, request, t.start_ns, now);
+    }
 }
-
-/// How many delivered request ids the shim remembers for duplicate
-/// suppression of late replays. Replays trail the failure they recover
-/// from by at most the in-flight window, so a few thousand ids is far
-/// more history than any redelivery can span.
-const DELIVERED_MEMORY: usize = 4096;
 
 struct Inner {
     app: AppId,
     addr: NodeId,
     agg: Arc<dyn DynAggregator>,
-    transport: Arc<dyn Transport>,
     cfg: MasterShimConfig,
     specs: Vec<TreeSpec>,
-    routes: OrderedMutex<HashMap<TreeId, TreeRoute>>,
-    pending: OrderedMutex<HashMap<RequestId, Pending>>,
-    /// Recently delivered request ids (reaped from `pending` by `wait`).
-    /// Late replayed chunks for these are duplicates and must not
-    /// resurrect a fresh ledger entry — that would complete the request
-    /// a second time and leak the resurrected entry. Bounded FIFO.
-    delivered: OrderedMutex<(VecDeque<RequestId>, HashSet<RequestId>)>,
+    core: OrderedMutex<MasterCore>,
     cv: Condvar,
-    num_trees: u32,
     cancel: CancelToken,
-    /// Cached control-plane connections (RequestMeta, Broadcast, straggler
-    /// redirects), one per destination. Persistent connections keep
-    /// control traffic ordered per peer and avoid a dial per message.
-    ctrl_conns: OrderedMutex<HashMap<NodeId, Box<dyn Connection>>>,
-    obs: Option<MasterObs>,
+    /// Control-plane connections (RequestMeta, Broadcast, straggler
+    /// redirects).
+    ctrl: ConnCache,
+    obs: MasterObs,
 }
 
 /// A handle to one registered request.
@@ -223,57 +205,34 @@ impl MasterShim {
         cfg: MasterShimConfig,
     ) -> Result<Arc<Self>, NetError> {
         let addr = master_addr(app);
-        let mut listener = transport.bind(addr)?;
-        let mut routes = HashMap::new();
-        for spec in specs {
-            let mut child_boxes = HashMap::new();
-            for b in &spec.boxes {
-                if b.parent == crate::tree::Parent::Master && b.expected_sources() > 0 {
-                    child_boxes.insert(b.box_id, ChildBoxInfo::from_spec(spec, app, b.box_id));
-                }
-            }
-            routes.insert(
-                spec.tree,
-                TreeRoute {
-                    owed: spec.master_sources().into_iter().collect(),
-                    child_boxes,
-                },
-            );
-        }
-        let obs = cfg.obs.clone().map(|reg| MasterObs::new(reg, app));
+        let listener = transport.bind(addr)?;
         let cancel = CancelToken::new();
         let scope = JoinScope::with_obs(
             format!("master-shim-{}", app.0),
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
-            cfg.obs.as_ref(),
+            Some(&cfg.obs),
         );
+        let core = MasterCore::new(app, specs, cfg.selection);
         let inner = Arc::new(Inner {
             app,
             addr,
             agg,
-            transport,
+            obs: MasterObs::new(cfg.obs.clone(), app),
             cfg,
             specs: specs.to_vec(),
-            routes: OrderedMutex::new(lock_order::MASTER_ROUTES, routes),
-            pending: OrderedMutex::new(lock_order::MASTER_PENDING, HashMap::new()),
-            delivered: OrderedMutex::new(
-                lock_order::MASTER_DELIVERED,
-                (VecDeque::new(), HashSet::new()),
-            ),
+            core: OrderedMutex::new(lock_order::MASTER_CORE, core),
             cv: Condvar::new(),
-            num_trees: specs.len() as u32,
             cancel: cancel.clone(),
-            ctrl_conns: OrderedMutex::new(lock_order::MASTER_CTRL_CONNS, HashMap::new()),
-            obs,
+            ctrl: ConnCache::new(transport, addr),
         });
-        // Wake condvar waiters on cancellation (takes the pending lock so a
+        // Wake condvar waiters on cancellation (takes the core lock so a
         // waiter between its cancel check and its park cannot miss the
         // notify). Weak: a strong ref here would cycle through the token.
         let weak = Arc::downgrade(&inner);
         let cv_waker = cancel.register_waker(move || {
             if let Some(i) = weak.upgrade() {
-                drop(i.pending.lock());
+                drop(i.core.lock());
                 i.cv.notify_all();
             }
         });
@@ -286,22 +245,18 @@ impl MasterShim {
             let inner = inner.clone();
             let shim2 = Arc::downgrade(&shim);
             shim.scope
-                .spawn(format!("master-shim-{}", app.0), move || loop {
-                    match listener.accept_cancellable(&inner.cancel) {
-                        Ok(conn) => {
-                            if let Some(s) = shim2.upgrade() {
-                                let inner = inner.clone();
-                                s.scope
-                                    .spawn(
-                                        format!("master-shim-{}-reader", inner.app.0),
-                                        move || reader_loop(&inner, conn),
-                                    )
-                                    .expect("spawn master shim reader");
-                            }
-                        }
-                        Err(NetError::Timeout) => continue,
-                        Err(_) => return, // cancelled or listener torn down
-                    }
+                .spawn(format!("master-shim-{}", app.0), move || {
+                    accept_loop(listener, &inner.cancel, |conn| {
+                        let Some(s) = shim2.upgrade() else {
+                            return;
+                        };
+                        let inner = inner.clone();
+                        s.scope
+                            .spawn(format!("master-shim-{}-reader", app.0), move || {
+                                reader_loop(&inner, conn)
+                            })
+                            .expect("spawn master shim reader");
+                    })
                 })
                 .map_err(|e| NetError::Io(e.to_string()))?;
         }
@@ -320,25 +275,27 @@ impl MasterShim {
     /// `expected_workers` is the number of workers participating; the shim
     /// uses it to emulate that many minus one empty results.
     pub fn register_request(&self, request: u64, expected_workers: usize) -> PendingRequest {
-        let request = RequestId(request);
-        if let Some(o) = &self.inner.obs {
-            o.requests_registered.inc();
+        self.register_with(RequestId(request), expected_workers, None)
+    }
+
+    fn register_with(
+        &self,
+        request: RequestId,
+        expected_workers: usize,
+        subset: Option<Vec<MasterKey>>,
+    ) -> PendingRequest {
+        let inner = &self.inner;
+        inner.obs.requests_registered.inc();
+        let (now, ttl) = (Instant::now(), inner.cfg.pending_ttl);
+        let anchor = || inner.obs.anchor(inner.app, request);
+        let mut core = inner.core.lock();
+        if core.register(request, expected_workers, subset, now, ttl, anchor) {
+            inner.obs.requests_completed.inc();
+            inner.cv.notify_all();
         }
-        let mut pending = self.inner.pending.lock();
-        // Opportunistic GC: drop abandoned request state older than the TTL
-        // (completed results nobody waited for, or requests that never
-        // finished).
-        let ttl = self.inner.cfg.pending_ttl;
-        pending.retain(|_, p| p.registered_at.elapsed() < ttl);
-        let p = pending
-            .entry(request)
-            .or_insert_with(|| fresh_pending(&self.inner, request));
-        p.expected_workers = expected_workers;
-        if let Some(o) = &self.inner.obs {
-            o.update_ledger_gauges(&pending);
-        }
+        inner.obs.update_ledger_gauges(&core);
         PendingRequest {
-            inner: self.inner.clone(),
+            inner: inner.clone(),
             request,
         }
     }
@@ -350,66 +307,23 @@ impl MasterShim {
     /// records request information and forwards it to the agg boxes).
     pub fn register_request_subset(&self, request: u64, workers: &[u32]) -> PendingRequest {
         let rid = RequestId(request);
-        if let Some(o) = &self.inner.obs {
-            o.requests_registered.inc();
-        }
-        let subset: std::collections::HashSet<u32> = workers.iter().copied().collect();
+        let subset: HashSet<u32> = workers.iter().copied().collect();
         // Root-span ctx rides down with the metadata so box-side views can
         // reference the master's root span (root span id == trace id).
-        let meta_ctx = self.inner.obs.as_ref().map_or(TraceCtx::NONE, |o| {
-            if o.tracer.sampled(request) {
-                let tid = trace::trace_id(self.inner.app.0, request);
-                TraceCtx {
-                    trace_id: tid,
-                    parent_span_id: tid,
-                }
-            } else {
-                TraceCtx::NONE
-            }
-        });
-        let mut master_owed: Vec<(TreeId, SourceId)> = Vec::new();
-        for tree_id in trees_for_request(&self.inner, rid) {
+        let meta_ctx = self.inner.obs.spans.root_ctx(self.inner.app, rid);
+        let mut master_owed: Vec<MasterKey> = Vec::new();
+        let trees: Vec<TreeId> = self.inner.core.lock().trees_for(rid).collect();
+        for tree_id in trees {
             let Some(spec) = self.inner.specs.iter().find(|s| s.tree == tree_id) else {
                 continue;
             };
-            // Compute each box's participating source *set* bottom-up:
-            // direct workers in the subset plus child boxes with non-empty
-            // participating subtrees.
+            let roots = spec.boxes.iter().filter(|b| b.parent == Parent::Master);
             let mut part: HashMap<u32, Vec<SourceId>> = HashMap::new();
-            let mut order: Vec<&crate::tree::TreeBox> = spec.boxes.iter().collect();
-            // Children before parents: sort by depth (walk to master).
-            let depth = |mut b: u32| -> usize {
-                let mut d = 0;
-                while let Some(Parent::Box(p)) = spec.tree_box(b).map(|t| t.parent) {
-                    d += 1;
-                    b = p;
-                }
-                d
-            };
-            order.sort_by_key(|tb| std::cmp::Reverse(depth(tb.box_id)));
-            for tb in order {
-                let mut sources: Vec<SourceId> = tb
-                    .worker_children
-                    .iter()
-                    .filter(|w| subset.contains(w))
-                    .map(|w| SourceId::Worker(*w))
-                    .collect();
-                sources.extend(
-                    tb.box_children
-                        .iter()
-                        .filter(|c| part.get(c).map(|v| !v.is_empty()).unwrap_or(false))
-                        .map(|c| SourceId::Box(*c)),
-                );
-                part.insert(tb.box_id, sources);
+            for tb in roots.clone() {
+                participants(spec, &subset, tb.box_id, &mut part);
             }
             // Tell every participating box exactly which sources to expect.
-            for tb in &spec.boxes {
-                let Some(sources) = part.get(&tb.box_id) else {
-                    continue;
-                };
-                if sources.is_empty() {
-                    continue;
-                }
+            for (box_id, sources) in &part {
                 let msg = Message::RequestMeta {
                     app: self.inner.app,
                     request: rid,
@@ -417,28 +331,18 @@ impl MasterShim {
                     ctx: meta_ctx,
                     sources: sources.clone(),
                 };
-                let _ = send_ctrl(&self.inner, tb.addr, msg.encode());
+                let _ = self
+                    .inner
+                    .ctrl
+                    .send_to(crate::tree::box_addr(*box_id), msg.encode());
             }
             // Master-facing owed entries for this tree. A root box that
             // already failed (dropped from the route's owed set) is
             // substituted by its participating children directly.
             {
-                let routes = self.inner.routes.lock();
-                let route = routes.get(&tree_id);
-                for tb in &spec.boxes {
-                    if tb.parent != Parent::Master {
-                        continue;
-                    }
-                    let Some(sources) = part.get(&tb.box_id) else {
-                        continue;
-                    };
-                    if sources.is_empty() {
-                        continue;
-                    }
-                    let still_routed = route
-                        .map(|r| r.owed.contains(&SourceId::Box(tb.box_id)))
-                        .unwrap_or(true);
-                    if still_routed {
+                let core = self.inner.core.lock();
+                for (tb, sources) in roots.filter_map(|tb| Some((tb, part.get(&tb.box_id)?))) {
+                    if core.still_owed(tree_id, SourceId::Box(tb.box_id)) {
                         master_owed.push((tree_id, SourceId::Box(tb.box_id)));
                     } else {
                         master_owed.extend(sources.iter().map(|s| (tree_id, *s)));
@@ -452,19 +356,7 @@ impl MasterShim {
                     .map(|w| (tree_id, SourceId::Worker(*w))),
             );
         }
-        let mut pending = self.inner.pending.lock();
-        let p = pending
-            .entry(rid)
-            .or_insert_with(|| fresh_pending(&self.inner, rid));
-        p.expected_workers = workers.len();
-        p.ledger.set_requirement(master_owed);
-        if let Some(o) = &self.inner.obs {
-            o.update_ledger_gauges(&pending);
-        }
-        PendingRequest {
-            inner: self.inner.clone(),
-            request: rid,
-        }
+        self.register_with(rid, workers.len(), Some(master_owed))
     }
 
     /// Distribute `payload` to every worker down the request's aggregation
@@ -474,7 +366,8 @@ impl MasterShim {
     /// high-bandwidth links.
     pub fn broadcast(&self, request: u64, payload: Bytes) -> Result<(), AggError> {
         let rid = RequestId(request);
-        for tree_id in trees_for_request(&self.inner, rid) {
+        let trees: Vec<TreeId> = self.inner.core.lock().trees_for(rid).collect();
+        for tree_id in trees {
             let Some(spec) = self.inner.specs.iter().find(|s| s.tree == tree_id) else {
                 continue;
             };
@@ -496,7 +389,7 @@ impl MasterShim {
                     .map(|w| crate::tree::worker_addr(self.inner.app, *w)),
             );
             for t in targets {
-                send_ctrl(&self.inner, t, msg.encode()).map_err(AggError::from)?;
+                self.inner.ctrl.send_to(t, msg.encode())?;
             }
         }
         Ok(())
@@ -508,76 +401,29 @@ impl MasterShim {
     /// in-flight request. Idempotent under repeated detector firings,
     /// straggler redirects racing the detector, and replayed duplicates.
     pub fn on_child_box_failed(&self, tree: TreeId, failed_box: u32) {
-        // Lock order: pending before routes (matches the reader path).
-        let mut pending = self.inner.pending.lock();
-        let mut routes = self.inner.routes.lock();
-        let Some(r) = routes.get_mut(&tree) else {
-            return;
+        let o = &self.inner.obs;
+        let repoint = {
+            let mut core = self.inner.core.lock();
+            let Some(r) = core.fanin.child_box_failed(tree, failed_box) else {
+                return;
+            };
+            o.update_ledger_gauges(&core);
+            r
         };
-        // Route-level idempotency: only the first firing finds the entry.
-        let Some(info) = r.child_boxes.remove(&failed_box) else {
-            return;
-        };
-        r.owed.remove(&SourceId::Box(failed_box));
-        for s in &info.behind_sources {
-            r.owed.insert(*s);
-        }
-        // Adopt the failed box's child boxes so a later failure of one
-        // of them re-points as well (double-kill chains).
-        for (id, child) in &info.child_boxes {
-            r.child_boxes.entry(*id).or_insert_with(|| child.clone());
-        }
-        drop(routes);
-        let behind: Vec<(TreeId, SourceId)> =
-            info.behind_sources.iter().map(|s| (tree, *s)).collect();
-        let mut repointed = 0u64;
-        let mut completed = 0u64;
-        for (rid, p) in pending.iter_mut() {
-            if p.complete {
-                continue;
-            }
-            match p.ledger.repoint((tree, SourceId::Box(failed_box)), &behind) {
-                RepointOutcome::Moved { .. } | RepointOutcome::DuplicateSuppressed => {
-                    repointed += 1;
-                    // Mark the adoption in the request's trace: the span
-                    // tree stays connected across the failure because the
-                    // replayed chunks' fresh ctx re-attaches here.
-                    if let (Some(o), Some(t)) = (&self.inner.obs, p.trace) {
-                        let now = trace::now_ns();
-                        o.tracer.record_span(
-                            names::spans::MASTER_REPOINT,
-                            &o.component,
-                            t.trace_id,
-                            o.tracer.next_span_id(),
-                            t.trace_id,
-                            rid.0,
-                            now,
-                            now,
-                        );
-                    }
-                }
-                RepointOutcome::AlreadyRepointed | RepointOutcome::NotOwed => {}
-            }
-            if p.ledger.is_complete() {
-                p.complete = true;
-                completed += 1;
-            }
-        }
-        if let Some(o) = &self.inner.obs {
-            // Count the route transition even when no request was in
-            // flight, so the audit trail always records the failure.
-            o.repoints.add(repointed.max(1));
-            o.requests_completed.add(completed);
-            o.registry.emit(
-                names::EVENT_REPOINT,
-                format!(
-                    "master shim (app {}) re-pointed failed box {} on tree {} \
-                     across {} in-flight requests",
-                    self.inner.app.0, failed_box, tree.0, repointed
-                ),
-            );
-            o.update_ledger_gauges(&pending);
-        }
+        let (repointed, completed) = (repoint.repointed.len(), repoint.closed.len());
+        o.repoint_spans(&repoint.repointed);
+        // Count the route transition even when no request was in flight,
+        // so the audit trail always records the failure.
+        o.repoints.add((repointed as u64).max(1));
+        o.requests_completed.add(completed as u64);
+        o.registry.emit(
+            names::EVENT_REPOINT,
+            format!(
+                "master shim (app {}) re-pointed failed box {} on tree {} \
+                 across {} in-flight requests",
+                self.inner.app.0, failed_box, tree.0, repointed
+            ),
+        );
         if completed > 0 {
             self.inner.cv.notify_all();
         }
@@ -599,55 +445,12 @@ impl MasterShim {
         // the trace would dangle. Close them start → now so partial traces
         // still form one connected tree (DESIGN.md §11). Completed entries
         // already recorded their root in `wait`.
-        if let Some(o) = &self.inner.obs {
-            let mut pending = self.inner.pending.lock();
-            for (rid, p) in pending.drain() {
-                if let Some(t) = p.trace.filter(|_| !p.complete) {
-                    o.tracer.record_span(
-                        names::spans::MASTER_REQUEST,
-                        &o.component,
-                        t.trace_id,
-                        t.trace_id,
-                        0,
-                        rid.0,
-                        t.start_ns,
-                        trace::now_ns(),
-                    );
-                }
-            }
+        let mut core = self.inner.core.lock();
+        let open = core.fanin.requests.drain().filter(|(_, q)| !q.closed);
+        for (rid, t) in open.filter_map(|(r, q)| Some((r, q.trace?))) {
+            self.inner.obs.root_span(rid, t);
         }
     }
-}
-
-/// Send a control frame over a cached per-destination connection,
-/// redialling once on a stale connection (the agg-box egress idiom).
-fn send_ctrl(inner: &Inner, dest: NodeId, frame: Bytes) -> Result<(), NetError> {
-    let mut conns = inner.ctrl_conns.lock();
-    let mut last = NetError::NotFound(dest);
-    for _ in 0..2 {
-        let conn = match conns.entry(dest) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the cache lock serializes racing dials to one per destination
-                match inner.transport.connect(inner.addr, dest) {
-                    Ok(c) => v.insert(c),
-                    Err(e) => {
-                        last = e;
-                        continue;
-                    }
-                }
-            }
-        };
-        // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the first send must precede any racing redial that would replace the cached conn
-        match conn.send(frame.clone()) {
-            Ok(()) => return Ok(()),
-            Err(e) => {
-                conns.remove(&dest); // stale connection: redial once
-                last = e;
-            }
-        }
-    }
-    Err(last)
 }
 
 impl Drop for MasterShim {
@@ -659,82 +462,47 @@ impl Drop for MasterShim {
 impl PendingRequest {
     /// Block until the fully aggregated result is available.
     pub fn wait(&self, timeout: Duration) -> Result<AggregatedResult, AggError> {
+        let inner = &self.inner;
         let deadline = Instant::now() + timeout;
-        let mut pending = self.inner.pending.lock();
-        loop {
-            if self.inner.cancel.is_cancelled() {
+        let mut core = inner.core.lock();
+        let done = loop {
+            if inner.cancel.is_cancelled() {
                 return Err(AggError::Shutdown);
             }
-            let p = pending
-                .get(&self.request)
-                .ok_or_else(|| AggError::Net("request not registered".into()))?;
-            if p.complete {
-                let p = pending.remove(&self.request).unwrap();
-                // Remember the delivery (bounded memory) so late replayed
-                // chunks cannot resurrect the request. Lock order:
-                // pending before delivered, matching the reader path.
-                {
-                    let mut delivered = self.inner.delivered.lock();
-                    delivered.0.push_back(self.request);
-                    delivered.1.insert(self.request);
-                    if delivered.0.len() > DELIVERED_MEMORY {
-                        if let Some(old) = delivered.0.pop_front() {
-                            delivered.1.remove(&old);
-                        }
-                    }
-                }
-                drop(pending);
-                if let Some(o) = &self.inner.obs {
-                    // Registration → fully merged result, as the unmodified
-                    // master logic experiences it.
-                    o.request_wait_us.record_duration(p.registered_at.elapsed());
-                    o.emulated_empties
-                        .add(p.expected_workers.saturating_sub(1) as u64);
-                }
-                // Final aggregation step across tree roots / direct workers
-                // (Section 3.1: with multiple trees the master merges the
-                // roots' results). Chunks from contributors the ledger
-                // ignored (a box that streamed partials and then failed,
-                // with its workers replaying) are dropped here: exact
-                // duplicate suppression.
-                let kept: Vec<Bytes> = p
-                    .inputs
-                    .iter()
-                    .filter(|(k, _)| !p.ledger.is_ignored(k))
-                    .map(|(_, b)| b.clone())
-                    .collect();
-                let master_inputs = kept.len();
-                let master_input_bytes = kept.iter().map(Bytes::len).sum();
-                let combined = self.inner.agg.aggregate_serialized(kept)?;
-                // Close the request's root span: registration → fully
-                // merged result. Its span id is the trace id itself, so
-                // every hop recorded anywhere hangs below this one.
-                if let (Some(o), Some(t)) = (&self.inner.obs, p.trace) {
-                    o.tracer.record_span(
-                        names::spans::MASTER_REQUEST,
-                        &o.component,
-                        t.trace_id,
-                        t.trace_id,
-                        0,
-                        self.request.0,
-                        t.start_ns,
-                        trace::now_ns(),
-                    );
-                }
-                return Ok(AggregatedResult {
-                    combined,
-                    emulated_empty: p.expected_workers.saturating_sub(1),
-                    empty_payload: self.inner.agg.empty_serialized(),
-                    master_inputs,
-                    master_input_bytes,
-                });
+            match core.take_completed(self.request) {
+                Taken::NotRegistered => return Err(AggError::Net("request not registered".into())),
+                Taken::Done(done) => break done,
+                Taken::Pending => {}
             }
             let now = Instant::now();
             if now >= deadline {
                 return Err(AggError::Timeout);
             }
-            self.inner.cv.wait_for(pending.inner(), deadline - now);
+            inner.cv.wait_for(core.inner(), deadline - now);
+        };
+        drop(core);
+        // Registration → fully merged result, as the unmodified master
+        // logic experiences it.
+        let o = &inner.obs;
+        o.request_wait_us.record_duration(done.registered.elapsed());
+        let emulated_empty = done.expected_workers.saturating_sub(1);
+        o.emulated_empties.add(emulated_empty as u64);
+        // Final aggregation step across tree roots / direct workers
+        // (Section 3.1: with multiple trees the master merges the roots'
+        // results).
+        let master_inputs = done.inputs.len();
+        let master_input_bytes = done.inputs.iter().map(Bytes::len).sum();
+        let combined = inner.agg.aggregate_serialized(done.inputs)?;
+        if let Some(t) = done.trace {
+            o.root_span(self.request, t);
         }
+        Ok(AggregatedResult {
+            combined,
+            emulated_empty,
+            empty_payload: inner.agg.empty_serialized(),
+            master_inputs,
+            master_input_bytes,
+        })
     }
 
     /// The request this handle tracks.
@@ -743,44 +511,34 @@ impl PendingRequest {
     }
 }
 
-/// Trees that carry data for a request under the configured selection.
-fn trees_for_request(inner: &Inner, request: RequestId) -> Vec<TreeId> {
-    match inner.cfg.selection {
-        TreeSelection::PerRequest => vec![per_request_tree(request, inner.num_trees)],
-        TreeSelection::Keyed => (0..inner.num_trees).map(TreeId).collect(),
-    }
-}
-
-/// Provision per-request state with a fan-in ledger seeded from the
-/// current routing table (the owed contributor set of every tree the
-/// request uses). Callers hold the pending lock; this takes routes
-/// (lock order: pending before routes).
-fn fresh_pending(inner: &Inner, request: RequestId) -> Pending {
-    let routes = inner.routes.lock();
-    let mut owed: Vec<(TreeId, SourceId)> = Vec::new();
-    for tree in trees_for_request(inner, request) {
-        if let Some(r) = routes.get(&tree) {
-            owed.extend(r.owed.iter().map(|s| (tree, *s)));
+/// Record in `part` which sources each box of `box_id`'s subtree is owed
+/// for a request only `subset` takes part in: its workers in the subset
+/// plus its child boxes with a participating subtree. Boxes nobody
+/// participates under get no entry.
+fn participants(
+    spec: &TreeSpec,
+    subset: &HashSet<u32>,
+    box_id: u32,
+    part: &mut HashMap<u32, Vec<SourceId>>,
+) {
+    let Some(tb) = spec.tree_box(box_id) else {
+        return;
+    };
+    let workers = tb.worker_children.iter().filter(|w| subset.contains(w));
+    let mut sources: Vec<SourceId> = workers.map(|w| SourceId::Worker(*w)).collect();
+    for c in &tb.box_children {
+        participants(spec, subset, *c, part);
+        if part.contains_key(c) {
+            sources.push(SourceId::Box(*c));
         }
     }
-    let trace = inner.obs.as_ref().and_then(|o| {
-        o.tracer.sampled(request.0).then(|| PendingTrace {
-            trace_id: trace::trace_id(inner.app.0, request.0),
-            start_ns: trace::now_ns(),
-        })
-    });
-    Pending {
-        expected_workers: 0,
-        ledger: FanInLedger::new(owed),
-        inputs: Vec::new(),
-        registered_at: Instant::now(),
-        first_data: None,
-        complete: false,
-        trace,
+    if !sources.is_empty() {
+        part.insert(box_id, sources);
     }
 }
 
 fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
+    let o = &inner.obs;
     loop {
         let frame = match conn.recv_cancellable(&inner.cancel) {
             Ok(f) => f,
@@ -805,89 +563,33 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 if app != inner.app {
                     continue;
                 }
-                let mut recv_span: Option<(u64, u64)> = None;
-                if let Some(o) = &inner.obs {
-                    o.messages_in.inc();
-                    o.bytes_in.add(payload.len() as u64);
-                    // Stitch the final hop: sender stamp → arrival here.
-                    if ctx.is_active() && o.tracer.enabled() {
-                        let now = trace::now_ns();
-                        let wire = o.tracer.next_span_id();
-                        o.tracer.record_span(
-                            names::spans::WIRE_TRANSFER,
-                            &o.component,
-                            ctx.trace_id,
-                            wire,
-                            ctx.parent_span_id,
-                            request.0,
-                            sent_ns.min(now),
-                            now,
-                        );
-                        recv_span = Some((wire, now));
-                    }
-                }
-                let mut pending = inner.pending.lock();
-                // A chunk for an already-delivered request (a worker
-                // replaying after the waiter reaped the result) is a
-                // duplicate; seeding a fresh ledger for it would complete
-                // the request a second time. Lock order: pending before
-                // delivered, matching the reap in `PendingRequest::wait`.
-                if inner.delivered.lock().1.contains(&request) {
-                    if let Some(o) = &inner.obs {
-                        o.duplicates_dropped.inc();
-                    }
+                o.messages_in.inc();
+                o.bytes_in.add(payload.len() as u64);
+                // Stitch the final hop: sender stamp → arrival here.
+                let hop = o.spans.wire(ctx, request, sent_ns);
+                let anchor = || o.anchor(inner.app, request);
+                let mut core = inner.core.lock();
+                let accepted = core.accept_data(
+                    request,
+                    tree,
+                    source,
+                    seq,
+                    last,
+                    payload,
+                    Instant::now(),
+                    anchor,
+                );
+                let Some(completed) = accepted else {
+                    o.duplicates_dropped.inc();
                     continue;
+                };
+                if completed {
+                    o.requests_completed.inc();
+                    inner.cv.notify_all();
                 }
-                // Unregistered requests are recorded (the data may arrive
-                // before register_request on another thread); the ledger
-                // is seeded from the routing table either way.
-                let p = pending
-                    .entry(request)
-                    .or_insert_with(|| fresh_pending(inner, request));
-                if p.complete {
-                    continue;
-                }
-                let key = (tree, source);
-                match p.ledger.accept_chunk(key, seq) {
-                    ChunkDisposition::Ignored | ChunkDisposition::Duplicate => {
-                        if let Some(o) = &inner.obs {
-                            o.duplicates_dropped.inc();
-                        }
-                        continue;
-                    }
-                    ChunkDisposition::Fresh { .. } => {}
-                }
-                p.first_data.get_or_insert_with(Instant::now);
-                if !payload.is_empty() {
-                    p.inputs.push((key, payload));
-                }
-                if last {
-                    p.ledger.note_end(key);
-                    if p.ledger.is_complete() {
-                        p.complete = true;
-                        if let Some(o) = &inner.obs {
-                            o.requests_completed.inc();
-                        }
-                        inner.cv.notify_all();
-                    }
-                }
-                if let Some(o) = &inner.obs {
-                    o.update_ledger_gauges(&pending);
-                    // Ingest span for accepted chunks (duplicates keep only
-                    // the wire-transfer span above).
-                    if let Some((wire, start)) = recv_span {
-                        o.tracer.record_span(
-                            names::spans::MASTER_RECV,
-                            &o.component,
-                            ctx.trace_id,
-                            o.tracer.next_span_id(),
-                            wire,
-                            request.0,
-                            start,
-                            trace::now_ns(),
-                        );
-                    }
-                }
+                o.update_ledger_gauges(&core);
+                drop(core);
+                o.spans.ingest(names::spans::MASTER_RECV, ctx, hop, request);
             }
             Message::Heartbeat { nonce, .. } => {
                 let _ = conn.send(
@@ -903,89 +605,53 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
     }
 }
 
-/// Straggler bypass at the master, mirroring the agg-box logic: a root box
-/// that contributed nothing within the threshold (while other data flowed)
-/// is bypassed for that request.
+/// Straggler bypass at the master: a root box that contributed nothing
+/// within the threshold is bypassed for that request — the same scan the
+/// boxes run, on the root's routes.
 fn straggler_loop(inner: &Arc<Inner>) {
     // Hierarchical thresholds: the master waits longer than the boxes so
     // box-level bypass (closer to the data) resolves stragglers first.
     let threshold = inner.cfg.straggler_threshold.expect("monitor enabled") * 4;
+    let o = &inner.obs;
     loop {
         if inner.cancel.wait_timeout(threshold / 4) {
             return;
         }
-        let mut redirects: Vec<(RequestId, TreeId, Vec<NodeId>)> = Vec::new();
-        {
-            // Lock order: pending before routes (matches fresh_pending).
-            let mut pending = inner.pending.lock();
-            let routes = inner.routes.lock();
-            for (request, p) in pending.iter_mut() {
-                if p.complete || p.registered_at.elapsed() < threshold {
-                    continue;
-                }
-                for tree in trees_for_request(inner, *request) {
-                    let Some(route) = routes.get(&tree) else {
-                        continue;
-                    };
-                    for (box_id, info) in &route.child_boxes {
-                        let key = (tree, SourceId::Box(*box_id));
-                        if p.ledger.has_seen(&key) || p.ledger.was_repointed(&key) {
-                            continue;
-                        }
-                        let behind: Vec<(TreeId, SourceId)> =
-                            info.behind_sources.iter().map(|s| (tree, *s)).collect();
-                        // Per-request bypass shares the re-point transition
-                        // (and its idempotency) with the failure path.
-                        if let RepointOutcome::Moved { .. } = p.ledger.repoint(key, &behind) {
-                            redirects.push((*request, tree, info.children_addrs.clone()));
-                        }
-                    }
-                }
-            }
+        let scan = {
+            let mut core = inner.core.lock();
+            // The root never escalates: declaring a root box dead for good
+            // is the failure detector's call.
+            let scan = core
+                .fanin
+                .scan_stragglers(Instant::now(), threshold, u32::MAX);
+            o.update_ledger_gauges(&core);
+            scan
+        };
+        // Bypass may complete requests whose other sources already ended.
+        if !scan.closed.is_empty() {
+            o.requests_completed.add(scan.closed.len() as u64);
+            inner.cv.notify_all();
         }
-        for (request, tree, children) in redirects {
-            if let Some(o) = &inner.obs {
-                o.master_bypasses.inc();
-                o.registry.emit_for_request(
-                    names::EVENT_STRAGGLER,
-                    format!(
-                        "master shim (app {}) bypassed a root box for request {} tree {}",
-                        inner.app.0, request.0, tree.0
-                    ),
-                    request.0,
-                );
-            }
+        for b in scan.bypasses {
+            o.master_bypasses.inc();
+            o.registry.emit_for_request(
+                names::EVENT_STRAGGLER,
+                format!(
+                    "master shim (app {}) bypassed a root box for request {} tree {}",
+                    inner.app.0, b.request.0, b.point.0
+                ),
+                b.request.0,
+            );
             let msg = Message::Redirect {
                 app: inner.app,
                 permanent: false,
-                request,
-                tree,
+                request: b.request,
+                tree: b.point,
                 new_parent: inner.addr,
             };
-            for child in children {
-                let _ = send_ctrl(inner, child, msg.encode());
+            for child in b.children {
+                let _ = inner.ctrl.send_to(child, msg.encode());
             }
-        }
-        // Bypass may complete requests whose other sources already ended.
-        let mut pending = inner.pending.lock();
-        let mut completed = false;
-        for p in pending.values_mut() {
-            if p.complete {
-                continue;
-            }
-            if p.ledger.is_complete() {
-                p.complete = true;
-                completed = true;
-                if let Some(o) = &inner.obs {
-                    o.requests_completed.inc();
-                }
-            }
-        }
-        if let Some(o) = &inner.obs {
-            o.update_ledger_gauges(&pending);
-        }
-        if completed {
-            inner.cv.notify_all();
         }
     }
 }

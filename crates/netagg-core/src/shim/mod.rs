@@ -11,7 +11,10 @@
 //! master application logic expects.
 
 mod master;
+pub mod master_core;
 mod worker;
+pub mod worker_core;
 
 pub use master::{AggregatedResult, MasterShim, MasterShimConfig, PendingRequest};
-pub use worker::{TreeSelection, WorkerShim, WorkerStats};
+pub use worker::{WorkerShim, WorkerStats};
+pub use worker_core::TreeSelection;

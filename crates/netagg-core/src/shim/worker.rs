@@ -1,18 +1,21 @@
 //! Worker-side shim layer.
 
+use crate::conn_cache::ConnCache;
 use crate::lifecycle::{
-    CancelToken, JoinScope, Mailbox, MailboxRecvTimeoutError, OrderedMutex, OrderedRwLock,
+    accept_loop, CancelToken, JoinScope, Mailbox, MailboxRecvTimeoutError, OrderedMutex,
     OverflowPolicy, DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
+use crate::shim::worker_core::{per_request_tree, SentChunk, TreeSelection, WorkerCore};
+use crate::spans::Spans;
 use crate::tree::{box_addr, master_addr, worker_addr, TreeSpec};
 use crate::AggError;
 use bytes::Bytes;
 use netagg_net::lock_order;
 use netagg_net::{Connection, NetError, NodeId, Transport};
-use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
+use netagg_obs::trace;
 use netagg_obs::{names, Counter, MetricsRegistry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,18 +24,6 @@ use std::time::Duration;
 /// consume broadcasts keeps only the newest `BROADCAST_DEPTH` payloads
 /// (`DropOldest`); delivery never blocks the control reader.
 const BROADCAST_DEPTH: usize = 256;
-
-/// How partial results are spread over multiple aggregation trees
-/// (Section 3.1, "Multiple aggregation trees per application").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeSelection {
-    /// The whole request uses one tree chosen by hashing the request id
-    /// (online services such as search).
-    PerRequest,
-    /// Each chunk picks its tree from a caller-provided key hash (batch
-    /// applications partition by key); `finish_request` closes every tree.
-    Keyed,
-}
 
 /// Worker-shim counters.
 #[derive(Debug, Default)]
@@ -57,9 +48,8 @@ struct WorkerObs {
     bytes_sent: Arc<Counter>,
     chunks_resent: Arc<Counter>,
     redirects_applied: Arc<Counter>,
-    tracer: Arc<TraceRecorder>,
-    /// Component label for recorded spans, e.g. `worker-0-2`.
-    component: String,
+    /// Send spans, under the component label `worker-<a>-<w>`.
+    spans: Spans,
 }
 
 impl WorkerObs {
@@ -69,60 +59,25 @@ impl WorkerObs {
             bytes_sent: registry.counter(names::SHIM_WORKER_BYTES_SENT),
             chunks_resent: registry.counter(names::SHIM_WORKER_CHUNKS_RESENT),
             redirects_applied: registry.counter(names::SHIM_WORKER_REDIRECTS_APPLIED),
-            tracer: registry.tracer(),
-            component: format!("worker-{}-{}", app.0, worker),
+            spans: Spans::new(registry, format!("worker-{}-{}", app.0, worker)),
         }
     }
-}
-
-/// Replay entries kept for straggler/failure resends.
-#[derive(Clone)]
-struct SentChunk {
-    tree: TreeId,
-    seq: u32,
-    last: bool,
-    payload: Bytes,
 }
 
 struct Inner {
     app: AppId,
     worker: u32,
-    addr: NodeId,
-    transport: Arc<dyn Transport>,
     selection: TreeSelection,
     num_trees: u32,
-    /// Destination per tree: the worker's first on-path box, or the master.
-    assignments: OrderedRwLock<HashMap<TreeId, NodeId>>,
-    conns: OrderedMutex<HashMap<NodeId, Box<dyn Connection>>>,
-    seqs: OrderedMutex<HashMap<RequestId, u32>>,
-    replay: OrderedMutex<ReplayBuffer>,
+    core: OrderedMutex<WorkerCore>,
+    conns: ConnCache,
     /// Broadcasts received down the tree, delivered to the application
     /// through a bounded `DropOldest` mailbox (a non-consuming application
     /// keeps the newest [`BROADCAST_DEPTH`] payloads).
     broadcasts: Mailbox<(u64, Bytes)>,
     stats: WorkerStats,
-    obs: Option<WorkerObs>,
+    obs: WorkerObs,
     cancel: CancelToken,
-}
-
-struct ReplayBuffer {
-    per_request: HashMap<RequestId, Vec<SentChunk>>,
-    order: VecDeque<RequestId>,
-    capacity: usize,
-}
-
-impl ReplayBuffer {
-    fn record(&mut self, request: RequestId, chunk: SentChunk) {
-        if !self.per_request.contains_key(&request) {
-            self.order.push_back(request);
-            while self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.per_request.remove(&old);
-                }
-            }
-        }
-        self.per_request.entry(request).or_default().push(chunk);
-    }
 }
 
 /// The worker-side shim: intercepts outgoing partial results and redirects
@@ -134,26 +89,15 @@ pub struct WorkerShim {
 
 impl WorkerShim {
     /// Start a worker shim: binds the worker's address (to receive
-    /// redirects) and derives tree assignments from the specs.
+    /// redirects), derives tree assignments from the specs and publishes
+    /// `shim.worker.*` metrics to `obs`.
     pub fn start(
         transport: Arc<dyn Transport>,
         app: AppId,
         worker: u32,
         specs: &[TreeSpec],
         selection: TreeSelection,
-    ) -> Result<Arc<Self>, NetError> {
-        Self::start_with_obs(transport, app, worker, specs, selection, None)
-    }
-
-    /// Like [`WorkerShim::start`], but additionally publishing
-    /// `shim.worker.*` metrics to `obs`.
-    pub fn start_with_obs(
-        transport: Arc<dyn Transport>,
-        app: AppId,
-        worker: u32,
-        specs: &[TreeSpec],
-        selection: TreeSelection,
-        obs: Option<MetricsRegistry>,
+        obs: MetricsRegistry,
     ) -> Result<Arc<Self>, NetError> {
         let addr = worker_addr(app, worker);
         let mut assignments = HashMap::new();
@@ -164,51 +108,31 @@ impl WorkerShim {
             };
             assignments.insert(spec.tree, dest);
         }
-        let mut listener = transport.bind(addr)?;
+        let listener = transport.bind(addr)?;
         let cancel = CancelToken::new();
         let scope = JoinScope::with_obs(
             format!("worker-shim-{}-{}", app.0, worker),
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
-            obs.as_ref(),
+            Some(&obs),
         );
-        let mailbox_name = format!("worker{}-{}.broadcast", app.0, worker);
-        let broadcasts = match &obs {
-            Some(reg) => Mailbox::with_obs(
-                mailbox_name,
-                BROADCAST_DEPTH,
-                OverflowPolicy::DropOldest,
-                cancel.clone(),
-                reg,
-            ),
-            None => Mailbox::new(
-                mailbox_name,
-                BROADCAST_DEPTH,
-                OverflowPolicy::DropOldest,
-                cancel.clone(),
-            ),
-        };
+        let broadcasts = Mailbox::with_obs(
+            format!("worker{}-{}.broadcast", app.0, worker),
+            BROADCAST_DEPTH,
+            OverflowPolicy::DropOldest,
+            cancel.clone(),
+            &obs,
+        );
         let inner = Arc::new(Inner {
             app,
             worker,
-            addr,
-            transport,
             selection,
             num_trees: specs.len() as u32,
-            assignments: OrderedRwLock::new(lock_order::WORKER_ASSIGNMENTS, assignments),
-            conns: OrderedMutex::new(lock_order::WORKER_CONNS, HashMap::new()),
-            seqs: OrderedMutex::new(lock_order::WORKER_SEQS, HashMap::new()),
-            replay: OrderedMutex::new(
-                lock_order::WORKER_REPLAY,
-                ReplayBuffer {
-                    per_request: HashMap::new(),
-                    order: VecDeque::new(),
-                    capacity: 64,
-                },
-            ),
+            core: OrderedMutex::new(lock_order::WORKER_CORE, WorkerCore::new(assignments)),
+            conns: ConnCache::new(transport, addr),
             broadcasts,
             stats: WorkerStats::default(),
-            obs: obs.as_ref().map(|reg| WorkerObs::new(reg, app, worker)),
+            obs: WorkerObs::new(&obs, app, worker),
             cancel,
         });
         let shim = Arc::new(Self {
@@ -221,25 +145,19 @@ impl WorkerShim {
             let shim2 = Arc::downgrade(&shim);
             let inner = inner.clone();
             shim.scope
-                .spawn(format!("worker-shim-{}-{}", app.0, worker), move || loop {
-                    match listener.accept_cancellable(&inner.cancel) {
-                        Ok(conn) => {
-                            if let Some(s) = shim2.upgrade() {
-                                let inner = inner.clone();
-                                s.scope
-                                    .spawn(
-                                        format!(
-                                            "worker-shim-{}-{}-ctrl",
-                                            inner.app.0, inner.worker
-                                        ),
-                                        move || control_loop(&inner, conn),
-                                    )
-                                    .expect("spawn worker shim control reader");
-                            }
-                        }
-                        Err(NetError::Timeout) => continue,
-                        Err(_) => return, // cancelled or listener torn down
-                    }
+                .spawn(format!("worker-shim-{}-{}", app.0, worker), move || {
+                    accept_loop(listener, &inner.cancel, |conn| {
+                        let Some(s) = shim2.upgrade() else {
+                            return;
+                        };
+                        let inner = inner.clone();
+                        s.scope
+                            .spawn(
+                                format!("worker-shim-{}-{}-ctrl", app.0, worker),
+                                move || control_loop(&inner, conn),
+                            )
+                            .expect("spawn worker shim control reader");
+                    })
                 })
                 .map_err(|e| NetError::Io(e.to_string()))?;
         }
@@ -322,18 +240,20 @@ impl WorkerShim {
         Ok(())
     }
 
-    /// Drop replay state for a completed request.
+    /// Drop replay and sequence state for a completed request.
     pub fn complete_request(&self, request: u64) {
-        let request = RequestId(request);
-        let mut replay = self.inner.replay.lock();
-        replay.per_request.remove(&request);
-        replay.order.retain(|r| *r != request);
-        self.inner.seqs.lock().remove(&request);
+        self.inner.core.lock().forget(RequestId(request));
+    }
+
+    /// Requests this shim still holds sequence state for (sent on, not
+    /// yet completed).
+    pub fn tracked_requests(&self) -> usize {
+        self.inner.core.lock().tracked()
     }
 
     /// Current destination for a tree (exposed for tests).
     pub fn assignment(&self, tree: TreeId) -> Option<NodeId> {
-        self.inner.assignments.read().get(&tree).copied()
+        self.inner.core.lock().dest(tree)
     }
 
     /// Re-send a request's buffered chunks to the current assignments with
@@ -342,16 +262,9 @@ impl WorkerShim {
     /// per-source duplicate suppression drops the copies (Section 3.1,
     /// "Handling stragglers"/Hadoop speculative execution).
     pub fn resend_request(&self, request: u64) {
-        let request = RequestId(request);
-        let trees: Vec<(TreeId, NodeId)> = self
-            .inner
-            .assignments
-            .read()
-            .iter()
-            .map(|(t, d)| (*t, *d))
-            .collect();
-        for (tree, dest) in trees {
-            self.inner.resend(Some(request), tree, dest);
+        let chunks = self.inner.core.lock().retained(RequestId(request));
+        for (dest, chunk) in chunks {
+            self.inner.resend(dest, chunk);
         }
     }
 
@@ -380,12 +293,6 @@ impl Drop for WorkerShim {
     }
 }
 
-/// Tree used by a whole request under per-request selection. Master and
-/// workers must agree, so this tiny hash is shared.
-pub(crate) fn per_request_tree(request: RequestId, num_trees: u32) -> TreeId {
-    TreeId((crate::protocol_hash(request.0) % num_trees.max(1) as u64) as u32)
-}
-
 impl Inner {
     fn send_on_tree(
         &self,
@@ -394,156 +301,49 @@ impl Inner {
         payload: Bytes,
         last: bool,
     ) -> Result<(), AggError> {
-        let dest = self
-            .assignments
-            .read()
-            .get(&tree)
-            .copied()
-            .ok_or_else(|| AggError::Net(format!("no assignment for tree {}", tree.0)))?;
-        let seq = {
-            let mut seqs = self.seqs.lock();
-            let s = seqs.entry(request).or_insert(0);
-            *s += 1;
-            *s
-        };
-        let chunk = SentChunk {
-            tree,
-            seq,
-            last,
-            payload: payload.clone(),
-        };
-        self.replay.lock().record(request, chunk);
-        self.stats
-            .bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        let (dest, chunk) = self.core.lock().next_chunk(request, tree, payload, last)?;
+        let bytes = chunk.payload.len() as u64;
+        self.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
         self.stats.chunks_sent.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.bytes_sent.add(payload.len() as u64);
-            o.chunks_sent.inc();
-        }
-        self.send_data(
-            dest,
-            request,
-            tree,
-            seq,
-            last,
-            payload,
-            names::spans::WORKER_SEND,
-        )
+        self.obs.bytes_sent.add(bytes);
+        self.obs.chunks_sent.inc();
+        self.send_data(dest, chunk, names::spans::WORKER_SEND)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn send_data(
         &self,
         dest: NodeId,
-        request: RequestId,
-        tree: TreeId,
-        seq: u32,
-        last: bool,
-        payload: Bytes,
+        chunk: SentChunk,
         span_name: &'static str,
     ) -> Result<(), AggError> {
         // Per-chunk trace context: the worker is the leaf of the causal
         // tree, so the chunk's parent on the wire is this send span and the
         // send span's own parent is the request root (trace id).
-        let span = self.obs.as_ref().and_then(|o| {
-            o.tracer.sampled(request.0).then(|| {
-                let tid = trace::trace_id(self.app.0, request.0);
-                (tid, o.tracer.next_span_id(), trace::now_ns())
-            })
-        });
-        let (ctx, sent_ns) = match span {
-            Some((tid, span_id, start_ns)) => (
-                TraceCtx {
-                    trace_id: tid,
-                    parent_span_id: span_id,
-                },
-                start_ns,
-            ),
-            None => (TraceCtx::NONE, 0),
-        };
+        let (request, spans) = (chunk.request, &self.obs.spans);
+        let sampled = spans.tracer.sampled(request.0);
+        let tid = sampled.then(|| trace::trace_id(self.app.0, request.0));
+        let (ctx, sent_ns) = spans.outbound(tid);
         let msg = Message::Data {
             app: self.app,
             request,
-            tree,
+            tree: chunk.tree,
             source: SourceId::Worker(self.worker),
-            seq,
-            last,
+            seq: chunk.seq,
+            last: chunk.last,
             ctx,
             sent_ns,
-            payload,
+            payload: chunk.payload,
         };
-        let frame = msg.encode();
-        let result = (|| {
-            let mut conns = self.conns.lock();
-            for attempt in 0..2 {
-                let conn = match conns.entry(dest) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the cache lock serializes racing dials to one per destination
-                        match self.transport.connect(self.addr, dest) {
-                            Ok(c) => v.insert(c),
-                            Err(e) => {
-                                if attempt == 1 {
-                                    return Err(e.into());
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                };
-                // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the first send must precede any racing redial that would replace the cached conn
-                match conn.send(frame.clone()) {
-                    Ok(()) => return Ok(()),
-                    Err(_) => {
-                        conns.remove(&dest);
-                    }
-                }
-            }
-            Err(AggError::Net(format!("send to {dest} failed")))
-        })();
-        if let (Some((tid, span_id, start_ns)), Some(o)) = (span, &self.obs) {
-            o.tracer.record_span(
-                span_name,
-                &o.component,
-                tid,
-                span_id,
-                tid,
-                request.0,
-                start_ns,
-                trace::now_ns(),
-            );
-        }
-        result
+        let result = self.conns.send_to(dest, msg.encode());
+        spans.sent(span_name, ctx, ctx.trace_id, request, sent_ns);
+        result.map_err(AggError::from)
     }
 
-    /// Resend the replay buffer for one request (or all) to a new parent.
-    fn resend(&self, request: Option<RequestId>, tree: TreeId, dest: NodeId) {
-        let replay = self.replay.lock();
-        let targets: Vec<(RequestId, Vec<SentChunk>)> = replay
-            .per_request
-            .iter()
-            .filter(|(r, _)| request.map(|want| **r == want).unwrap_or(true))
-            .map(|(r, cs)| (*r, cs.clone()))
-            .collect();
-        drop(replay);
-        for (req, chunks) in targets {
-            for c in chunks.into_iter().filter(|c| c.tree == tree) {
-                self.stats.chunks_resent.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &self.obs {
-                    o.chunks_resent.inc();
-                }
-                let _ = self.send_data(
-                    dest,
-                    req,
-                    c.tree,
-                    c.seq,
-                    c.last,
-                    c.payload,
-                    names::spans::WORKER_RESEND,
-                );
-            }
-        }
+    /// Put a retained chunk on the wire again, to `dest`.
+    fn resend(&self, dest: NodeId, chunk: SentChunk) {
+        self.stats.chunks_resent.fetch_add(1, Ordering::Relaxed);
+        self.obs.chunks_resent.inc();
+        let _ = self.send_data(dest, chunk, names::spans::WORKER_RESEND);
     }
 }
 
@@ -569,16 +369,13 @@ fn control_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                     continue;
                 }
                 inner.stats.redirects.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &inner.obs {
-                    o.redirects_applied.inc();
-                }
-                if permanent {
-                    inner.assignments.write().insert(tree, new_parent);
-                    // Resend everything still buffered on that tree so
-                    // requests in flight at the failed box recover.
-                    inner.resend(None, tree, new_parent);
-                } else {
-                    inner.resend(Some(request), tree, new_parent);
+                inner.obs.redirects_applied.inc();
+                let chunks = inner
+                    .core
+                    .lock()
+                    .redirect(permanent, request, tree, new_parent);
+                for chunk in chunks {
+                    inner.resend(new_parent, chunk);
                 }
             }
             Message::Heartbeat { nonce, .. } => {

@@ -617,8 +617,8 @@ const RAW_LOCK_CALLS: &[&str] = &["lock", "read", "write", "try_lock"];
 
 /// `.lock().unwrap()` / `.read().unwrap()` (and `.expect(...)`) mean raw
 /// `std::sync` locks whose poison `Result` is being crashed through.
-/// Poisoning is handled by the lifecycle layer: `OrderedMutex` /
-/// `OrderedRwLock` (and the `parking_lot` shim underneath) never poison —
+/// Poisoning is handled by the lifecycle layer: `OrderedMutex` (and the
+/// `parking_lot` shim underneath) never poisons —
 /// a guard dropped during unwind surfaces as a `lock_poison` event
 /// instead (DESIGN.md §15).
 pub fn no_lock_unwrap(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
@@ -649,8 +649,8 @@ pub fn no_lock_unwrap(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
             t,
             format!(
                 "`.{}().{}()` crashes through a poison `Result` — use the \
-                 lifecycle `OrderedMutex`/`OrderedRwLock` wrappers (their \
-                 locks never poison; unwind is surfaced as a `lock_poison` \
+                 lifecycle `OrderedMutex` wrapper (its lock never \
+                 poisons; unwind is surfaced as a `lock_poison` \
                  event, DESIGN.md §15)",
                 t.text, m.text
             ),

@@ -29,8 +29,8 @@
 //! * [`lifecycle`] — the unified lifecycle & backpressure runtime:
 //!   [`CancelToken`], bounded [`Mailbox`]es with overflow policies,
 //!   deadline-joining [`JoinScope`]s (DESIGN.md §9), and the rank-checked
-//!   [`lifecycle::OrderedMutex`] / [`lifecycle::OrderedRwLock`] wrappers
-//!   with their debug-build acquisition witness (§15).
+//!   [`lifecycle::OrderedMutex`] wrapper with its debug-build acquisition
+//!   witness (§15).
 //! * [`lock_order`] — the static lock-rank registry backing §15's
 //!   acquisition order, single-sourced for the wrappers and `netagg-lint`.
 //! * [`metered`] — [`metered::MeteredTransport`]: a decorator that counts

@@ -901,8 +901,7 @@ impl Drop for JoinScope {
 /// Debug-build runtime witness backing the static lock-acquisition graph
 /// (DESIGN.md §15).
 ///
-/// Every [`OrderedMutex`] / [`OrderedRwLock`] acquisition consults a
-/// thread-local stack of held ranks: acquiring a lock whose rank is not
+/// Every [`OrderedMutex`] acquisition consults a thread-local stack of held ranks: acquiring a lock whose rank is not
 /// strictly greater than every rank already held panics immediately —
 /// *before* blocking, so the offending stack is the one reported — and
 /// every `(held, acquired)` pair is recorded into a process-wide edge set
@@ -1066,8 +1065,8 @@ mod witness {
     }
 }
 
-/// Release-build witness: zero-cost no-ops so [`OrderedMutex`] and
-/// [`OrderedRwLock`] are exactly the `parking_lot` shims.
+/// Release-build witness: zero-cost no-ops so [`OrderedMutex`] is exactly
+/// the `parking_lot` shim.
 #[cfg(not(debug_assertions))]
 mod witness {
     use crate::lock_order::LockRank;
@@ -1226,100 +1225,6 @@ impl<T: ?Sized> std::ops::Deref for OrderedMutexGuard<'_, T> {
 }
 
 impl<T: ?Sized> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-/// An [`RwLock`](parking_lot::RwLock) with a static position in the
-/// global acquisition order (DESIGN.md §15). Readers and writers share
-/// one rank: even a shared read must respect the global order, because a
-/// blocked writer makes readers wait on each other transitively.
-pub struct OrderedRwLock<T: ?Sized> {
-    rank: LockRank,
-    inner: parking_lot::RwLock<T>,
-}
-
-impl<T> OrderedRwLock<T> {
-    /// Create an ordered rwlock at `rank` protecting `value`.
-    pub const fn new(rank: LockRank, value: T) -> Self {
-        Self {
-            rank,
-            inner: parking_lot::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-}
-
-impl<T: ?Sized> OrderedRwLock<T> {
-    /// Acquire a shared read guard (rank-checked like a write).
-    pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
-        witness::check(self.rank, false);
-        let guard = self.inner.read();
-        OrderedRwLockReadGuard {
-            guard,
-            _held: witness::acquired(self.rank),
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
-        witness::check(self.rank, false);
-        let guard = self.inner.write();
-        OrderedRwLockWriteGuard {
-            guard,
-            _held: witness::acquired(self.rank),
-        }
-    }
-
-    /// This lock's static rank.
-    pub fn rank(&self) -> LockRank {
-        self.rank
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for OrderedRwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-/// RAII shared-read guard returned by [`OrderedRwLock::read`].
-pub struct OrderedRwLockReadGuard<'a, T: ?Sized> {
-    guard: parking_lot::RwLockReadGuard<'a, T>,
-    _held: witness::HeldToken,
-}
-
-impl<T: ?Sized> std::ops::Deref for OrderedRwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-/// RAII exclusive-write guard returned by [`OrderedRwLock::write`].
-pub struct OrderedRwLockWriteGuard<'a, T: ?Sized> {
-    guard: parking_lot::RwLockWriteGuard<'a, T>,
-    _held: witness::HeldToken,
-}
-
-impl<T: ?Sized> std::ops::Deref for OrderedRwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for OrderedRwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
     }

@@ -2,8 +2,7 @@
 //! (DESIGN.md §15).
 //!
 //! Every hot lock in the runtime is an
-//! [`OrderedMutex`](crate::lifecycle::OrderedMutex) /
-//! [`OrderedRwLock`](crate::lifecycle::OrderedRwLock) constructed from one
+//! [`OrderedMutex`](crate::lifecycle::OrderedMutex) constructed from one
 //! of the [`LockRank`] constants below. The rank encodes the only legal
 //! acquisition order: a thread may acquire a lock only while every lock it
 //! already holds has a *strictly smaller* rank. Outermost locks therefore
@@ -25,7 +24,8 @@
 //! * 20–29 master shim (`netagg-core/src/shim/master.rs`)
 //! * 30–39 worker shim (`netagg-core/src/shim/worker.rs`)
 //! * 40–59 agg-box runtime (`netagg-core/src/aggbox/runtime.rs`)
-//! * 60–69 agg-box scheduler (`netagg-core/src/aggbox/scheduler.rs`)
+//! * 60–64 agg-box scheduler (`netagg-core/src/aggbox/scheduler.rs`)
+//! * 65–69 connection caches (`netagg-core/src/conn_cache.rs`)
 //! * 70–89 TCP reactor (`netagg-net/src/tcp.rs`)
 
 /// A static lock rank: the position of one named lock in the global
@@ -61,45 +61,35 @@ pub const SCN_APP_STATS: LockRank = LockRank::new(16, "scn.app_stats");
 
 // --- master shim (20–29) ---------------------------------------------------
 
-/// Per-request pending table; the master's outermost lock.
-pub const MASTER_PENDING: LockRank = LockRank::new(20, "master.pending");
-/// Routing table (taken under `master.pending` by ledger seeding).
-pub const MASTER_ROUTES: LockRank = LockRank::new(22, "master.routes");
-/// Delivered-request ring (taken under `master.pending` by the reaper).
-pub const MASTER_DELIVERED: LockRank = LockRank::new(24, "master.delivered");
-/// Cached control connections; held across control-plane sends.
-pub const MASTER_CTRL_CONNS: LockRank = LockRank::new(26, "master.ctrl_conns");
+/// The master shim's whole protocol state (`MasterCore`: routes,
+/// per-request ledgers and inputs, delivered-id window); its condvar
+/// waits on this lock.
+pub const MASTER_CORE: LockRank = LockRank::new(20, "master.core");
 
 // --- worker shim (30–39) ---------------------------------------------------
 
-/// Tree-to-parent assignment map.
-pub const WORKER_ASSIGNMENTS: LockRank = LockRank::new(30, "worker.assignments");
-/// Replay buffer of sent chunks (held while clearing sequence state).
-pub const WORKER_REPLAY: LockRank = LockRank::new(32, "worker.replay");
-/// Per-request next-sequence counters.
-pub const WORKER_SEQS: LockRank = LockRank::new(34, "worker.seqs");
-/// Cached data connections; held across data-plane sends.
-pub const WORKER_CONNS: LockRank = LockRank::new(36, "worker.conns");
+/// The worker shim's whole protocol state (`WorkerCore`: assignments,
+/// per-request sequence numbers, replay window).
+pub const WORKER_CORE: LockRank = LockRank::new(30, "worker.core");
 
 // --- agg-box runtime (40–59) -----------------------------------------------
 
-/// Per-request aggregation states; the box's outermost lock.
-pub const AGG_STATES: LockRank = LockRank::new(40, "agg.states");
-/// Registered application combiners (read under `agg.states`).
-pub const AGG_APPS: LockRank = LockRank::new(42, "agg.apps");
-/// Per-tree routing entries (read/written under `agg.states`).
-pub const AGG_ROUTES: LockRank = LockRank::new(44, "agg.routes");
-/// Per-request upstream redirect overrides.
-pub const AGG_OUT_REDIRECTS: LockRank = LockRank::new(46, "agg.out_redirects");
-/// Upward replay buffer (taken under `agg.states` on completion).
-pub const AGG_OUT_REPLAY: LockRank = LockRank::new(48, "agg.out_replay");
-/// Straggler bypass counters per (request, child box).
-pub const AGG_STRAGGLER: LockRank = LockRank::new(50, "agg.straggler");
+/// The agg box's whole protocol state (`BoxCore`: apps, routes,
+/// per-request ledgers and sinks, upstream redirects, emitted window).
+pub const AGG_CORE: LockRank = LockRank::new(40, "agg.core");
 
 // --- agg-box scheduler (60–69) ---------------------------------------------
 
-/// WFQ scheduler state (taken under `agg.states` by combine submission).
+/// WFQ scheduler state (taken under `agg.core` by combine submission).
 pub const SCHED_STATE: LockRank = LockRank::new(60, "sched.state");
+
+// --- connection caches (65) --------------------------------------------------
+
+/// A `ConnCache`'s destination → connection map (`netagg-core/src/conn_cache.rs`):
+/// worker data plane, master control plane, box egress and failure
+/// detector each own one. Held across a dial plus first send, so it ranks
+/// below every protocol lock and above the whole transport band.
+pub const CONN_CACHE: LockRank = LockRank::new(65, "conn.cache");
 
 // --- TCP reactor (70–89) ---------------------------------------------------
 

@@ -26,9 +26,12 @@
 //!   sweeps its links and parks on its command [`Mailbox`]; senders
 //!   *kick* a parked shard through that mailbox, making wakeups explicit
 //!   and edge-triggered. The reactor owns accepts, write-backlog and
-//!   stall retries, and all out-of-process reads (re-armed by a short
-//!   park tick); the data path only falls back to it when a read half is
-//!   busy.
+//!   stall retries, and reads on links whose twin is not in the directory
+//!   yet (re-armed by a short park tick); the data path only falls back
+//!   to it when a read half is busy. Every peer lives in this process:
+//!   addresses resolve through the transport's own `NodeId → SocketAddr`
+//!   registry of listeners bound on `127.0.0.1:0`, so there is no way to
+//!   name a socket another process owns.
 //! * **Zero-copy batching.** Outbound records from every connection on a
 //!   link coalesce into one staging buffer per flush (large payloads are
 //!   appended as their own [`Bytes`] chunk without copying); inbound
@@ -128,9 +131,9 @@ fn be_u32(b: &[u8]) -> u32 {
 /// *reversed* pair to find the in-process twin of the socket it just fed
 /// and marks that link readable — so the read sweep touches exactly the
 /// links with data instead of `read(2)`-polling every socket. The map is
-/// global, not per transport, because loopback pairs may span transport
-/// instances; sockets whose twin lives in another process simply never
-/// get hints and are re-armed by the park tick instead.
+/// global, not per transport, so both ends of a loopback pair find each
+/// other whichever handle touched them first; a socket whose twin has not
+/// registered yet gets no hints and is re-armed by the park tick instead.
 // netagg-lint: lock-binding(link_dir = net.link_dir)
 fn link_dir() -> &'static LinkDir {
     static DIR: OnceLock<LinkDir> = OnceLock::new();
@@ -360,7 +363,8 @@ struct LinkState {
     next_ch: AtomicU32,
     /// Read hint (§12): set by whoever wrote to this socket's in-process
     /// twin (when the twin's read half was busy), by the park tick
-    /// (out-of-process backstop), and at install; cleared by the reactor
+    /// (backstop for a twin not yet in the directory), and at install;
+    /// cleared by the reactor
     /// right before it reads the socket.
     readable: AtomicBool,
     /// Mirrors `ReadHalf::stalled` for lock-free park decisions.
@@ -778,9 +782,9 @@ impl ShardRunner {
                 }
                 Err(MailboxRecvTimeoutError::Timeout) => {
                     self.obs.wakeup();
-                    // Out-of-process peers cannot send read hints; a park
-                    // tick re-arms every link so their data is picked up
-                    // on the next sweep (§12 backstop).
+                    // A twin not yet in the directory cannot send read
+                    // hints; a park tick re-arms every link so such data
+                    // is picked up on the next sweep (§12 backstop).
                     for io in &self.links {
                         io.link.readable.store(true, Ordering::SeqCst);
                     }
@@ -884,7 +888,7 @@ struct InboundCtx {
 
 /// Reactor-side registration of one link. The I/O state itself lives in
 /// [`LinkState`]; the shard is merely its reader and writer of last
-/// resort (backlog retries, stall retries, out-of-process data).
+/// resort (backlog retries, stall retries, data on unhinted links).
 struct LinkIo {
     link: Arc<LinkState>,
 }
@@ -1378,16 +1382,10 @@ impl TcpShared {
     }
 }
 
-/// Default shard count: `NETAGG_TCP_SHARDS` when set, else half the
-/// available cores, clamped to 1..=4 (loopback sweeps are cheap; more
-/// shards only pay off when senders genuinely run in parallel).
+/// Default shard count: half the available cores, clamped to 1..=4
+/// (loopback sweeps are cheap; more shards only pay off when senders
+/// genuinely run in parallel).
 fn default_shards() -> usize {
-    if let Some(n) = std::env::var("NETAGG_TCP_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        return n.clamp(1, 16);
-    }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -868,6 +868,9 @@ fn drive_synthetic(
             }
             Err(_) => stat.lock().failures += 1,
         }
+        // Settled either way: the workers can drop the request's sequence
+        // and replay state, or it grows with the request count.
+        workers.iter().for_each(|w| w.complete_request(rid));
     };
     for i in 0..requests {
         let rid = base + i;
@@ -937,7 +940,14 @@ mod tests {
             .synthetic("sum", SyntheticKind::Sum, 40, 1.0)
             .synthetic("topk", SyntheticKind::TopK { k: 3 }, 40, 1.0)
             .with_inflight(4);
-        let report = run_scenario(&spec, &ChannelProvider).unwrap();
+        let mut harness = ScenarioHarness::build(&spec, &ChannelProvider).unwrap();
+        harness.drive();
+        for app in 0..2 {
+            let (_, workers) = harness.synthetic_shims(app).unwrap();
+            let tracked: usize = workers.iter().map(|w| w.tracked_requests()).sum();
+            assert_eq!(tracked, 0, "app {app}: settled requests must be forgotten");
+        }
+        let report = harness.finish();
         assert!(report.passed(), "{report:?}");
         assert_eq!(report.requests_completed, 80);
     }
