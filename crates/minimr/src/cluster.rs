@@ -131,128 +131,37 @@ impl MRCluster {
         self.shims.len()
     }
 
+    /// Map one input split, combining at the mapper when configured.
+    fn map_split(&self, split: &[Bytes], cfg: &JobConfig) -> Vec<Pair> {
+        let mut pairs = Vec::new();
+        for record in split {
+            self.job.map(record, &mut |p| pairs.push(p));
+        }
+        if cfg.map_side_combine {
+            pairs = combine_pairs(self.job.as_ref(), pairs);
+        }
+        pairs
+    }
+
     /// Run one job over per-mapper input records. `inputs.len()` must equal
     /// [`Self::num_mappers`] (idle mappers still close their streams).
     pub fn run(&self, inputs: Vec<Vec<Bytes>>, cfg: &JobConfig) -> Result<JobResult, AggError> {
         assert_eq!(inputs.len(), self.shims.len(), "one input split per mapper");
-        let request = cfg.request_id;
-
-        // ------- Map phase (excluded from the paper's measurements).
+        // Map phase (excluded from the paper's measurements).
         let t_map = Instant::now();
         let mapped: Vec<Vec<Pair>> = std::thread::scope(|s| {
             let handles: Vec<_> = inputs
                 .iter()
-                .map(|split| {
-                    let job = self.job.clone();
-                    s.spawn(move || {
-                        let mut pairs = Vec::new();
-                        for record in split {
-                            job.map(record, &mut |p| pairs.push(p));
-                        }
-                        if cfg.map_side_combine {
-                            combine_pairs(job.as_ref(), pairs)
-                        } else {
-                            pairs
-                        }
-                    })
-                })
+                .map(|split| s.spawn(move || self.map_split(split, cfg)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let map_time = t_map.elapsed();
-
-        // ------- Shuffle + reduce (the measured phase).
-        let pending = self.master.register_request(request, self.shims.len());
-        let t0 = Instant::now();
-        let intermediate_bytes: u64 = std::thread::scope(|s| {
-            let handles: Vec<_> = mapped
-                .into_iter()
-                .zip(&self.shims)
-                .map(|(pairs, shim)| {
-                    let selection = self.selection;
-                    let num_trees = self.num_trees;
-                    s.spawn(move || -> Result<u64, AggError> {
-                        let mut sent = 0u64;
-                        match selection {
-                            TreeSelection::PerRequest => {
-                                let chunks = seqfile::chunk_pairs(&pairs, cfg.chunk_bytes);
-                                if chunks.is_empty() {
-                                    shim.send_chunk(request, Bytes::new(), true)?;
-                                } else {
-                                    let n = chunks.len();
-                                    for (i, c) in chunks.into_iter().enumerate() {
-                                        sent += c.len() as u64;
-                                        shim.send_chunk(request, c, i + 1 == n)?;
-                                    }
-                                }
-                            }
-                            TreeSelection::Keyed => {
-                                // Partition pairs over the trees by key, so
-                                // each tree's boxes see a disjoint key range.
-                                let mut per_tree: Vec<Vec<Pair>> =
-                                    vec![Vec::new(); num_trees as usize];
-                                for p in pairs {
-                                    let t = (key_hash(&p.key) % num_trees as u64) as usize;
-                                    per_tree[t].push(p);
-                                }
-                                for (t, tp) in per_tree.into_iter().enumerate() {
-                                    for c in seqfile::chunk_pairs(&tp, cfg.chunk_bytes) {
-                                        sent += c.len() as u64;
-                                        shim.send_chunk_keyed(request, t as u64, c)?;
-                                    }
-                                }
-                                shim.finish_request(request)?;
-                            }
-                        }
-                        Ok(sent)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum::<Result<u64, AggError>>()
-        })?;
-
-        // Speculative backups: duplicate some mappers' output verbatim; the
-        // boxes must deduplicate it.
-        if cfg.speculate_every > 0 {
-            for (i, shim) in self.shims.iter().enumerate() {
-                if i % cfg.speculate_every == 0 {
-                    shim.resend_request(request);
-                }
-            }
-        }
-
-        let agg_result = pending.wait(cfg.timeout)?;
-        // Final reduce at the reducer. As in the paper, the reducer always
-        // re-reads and reduces the (possibly already final) data it
-        // received — a deliberate design decision keeping boxes transparent.
-        let merged = seqfile::decode(&agg_result.combined)?;
-        let mut output = Vec::new();
-        for (key, values) in group_by_key(merged) {
-            for p in self.job.reduce(&key, values) {
-                output.push(p);
-            }
-        }
-        output.sort();
-        let shuffle_reduce_time = t0.elapsed();
-        for shim in &self.shims {
-            shim.complete_request(request);
-        }
-        let output_bytes = output.iter().map(|p| p.wire_size() as u64).sum();
-        Ok(JobResult {
-            output,
-            map_time,
-            shuffle_reduce_time,
-            intermediate_bytes,
-            reducer_input_bytes: agg_result.master_input_bytes as u64,
-            output_bytes,
-        })
+        let mut result = self.shuffle_reduce(mapped, cfg)?;
+        result.map_time = map_time;
+        Ok(result)
     }
-}
 
-impl MRCluster {
     /// Run one job with `reducers` reduce partitions: mappers hash-partition
     /// their intermediate pairs (Hadoop's hash partitioner) and each
     /// partition is shuffled, aggregated on-path and reduced as its own
@@ -280,17 +189,7 @@ impl MRCluster {
             let handles: Vec<_> = inputs
                 .iter()
                 .map(|split| {
-                    let job = self.job.clone();
-                    s.spawn(move || {
-                        let mut pairs = Vec::new();
-                        for record in split {
-                            job.map(record, &mut |p| pairs.push(p));
-                        }
-                        if cfg.map_side_combine {
-                            pairs = combine_pairs(job.as_ref(), pairs);
-                        }
-                        crate::shuffle::partition(pairs, reducers)
-                    })
+                    s.spawn(move || crate::shuffle::partition(self.map_split(split, cfg), reducers))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -298,7 +197,6 @@ impl MRCluster {
         let map_time = t_map.elapsed();
 
         // Shuffle + reduce each partition concurrently as its own request.
-        let t0 = Instant::now();
         let results: Vec<Result<JobResult, AggError>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..reducers)
                 .map(|r| {
@@ -310,7 +208,6 @@ impl MRCluster {
                             partition_inputs,
                             &JobConfig {
                                 request_id: cfg.request_id.wrapping_mul(1_000) + r as u64,
-                                map_side_combine: false,
                                 ..cfg.clone()
                             },
                         )
@@ -331,7 +228,6 @@ impl MRCluster {
             slowest = slowest.max(r.shuffle_reduce_time);
         }
         output.sort();
-        let _ = t0;
         let output_bytes = output.iter().map(|p| p.wire_size() as u64).sum();
         Ok(JobResult {
             output,
@@ -343,7 +239,8 @@ impl MRCluster {
         })
     }
 
-    /// Shuffle pre-mapped pairs and reduce (shared by `run_partitioned`).
+    /// Shuffle mapped pairs through the shims and reduce what arrives —
+    /// the measured phase. `map_time` is left zero for the caller to fill.
     fn shuffle_reduce(
         &self,
         mapped: Vec<Vec<Pair>>,
@@ -359,14 +256,35 @@ impl MRCluster {
                 .map(|(pairs, shim)| {
                     s.spawn(move || -> Result<u64, AggError> {
                         let mut sent = 0u64;
-                        let chunks = seqfile::chunk_pairs(&pairs, cfg.chunk_bytes);
-                        if chunks.is_empty() {
-                            shim.send_chunk(request, Bytes::new(), true)?;
-                        } else {
-                            let n = chunks.len();
-                            for (i, c) in chunks.into_iter().enumerate() {
-                                sent += c.len() as u64;
-                                shim.send_chunk(request, c, i + 1 == n)?;
+                        match self.selection {
+                            TreeSelection::PerRequest => {
+                                let chunks = seqfile::chunk_pairs(&pairs, cfg.chunk_bytes);
+                                if chunks.is_empty() {
+                                    shim.send_chunk(request, Bytes::new(), true)?;
+                                } else {
+                                    let n = chunks.len();
+                                    for (i, c) in chunks.into_iter().enumerate() {
+                                        sent += c.len() as u64;
+                                        shim.send_chunk(request, c, i + 1 == n)?;
+                                    }
+                                }
+                            }
+                            TreeSelection::Keyed => {
+                                // Partition pairs over the trees by key, so
+                                // each tree's boxes see a disjoint key range.
+                                let mut per_tree: Vec<Vec<Pair>> =
+                                    vec![Vec::new(); self.num_trees as usize];
+                                for p in pairs {
+                                    let t = (key_hash(&p.key) % self.num_trees as u64) as usize;
+                                    per_tree[t].push(p);
+                                }
+                                for (t, tp) in per_tree.into_iter().enumerate() {
+                                    for c in seqfile::chunk_pairs(&tp, cfg.chunk_bytes) {
+                                        sent += c.len() as u64;
+                                        shim.send_chunk_keyed(request, t as u64, c)?;
+                                    }
+                                }
+                                shim.finish_request(request)?;
                             }
                         }
                         Ok(sent)
@@ -378,7 +296,19 @@ impl MRCluster {
                 .map(|h| h.join().unwrap())
                 .sum::<Result<u64, AggError>>()
         })?;
+
+        // Speculative backups: duplicate some mappers' output verbatim; the
+        // boxes must deduplicate it.
+        if cfg.speculate_every > 0 {
+            for shim in self.shims.iter().step_by(cfg.speculate_every) {
+                shim.resend_request(request);
+            }
+        }
+
         let agg_result = pending.wait(cfg.timeout)?;
+        // Final reduce at the reducer. As in the paper, the reducer always
+        // re-reads and reduces the (possibly already final) data it
+        // received — a deliberate design decision keeping boxes transparent.
         let merged = seqfile::decode(&agg_result.combined)?;
         let mut output = Vec::new();
         for (key, values) in group_by_key(merged) {

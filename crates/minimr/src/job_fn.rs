@@ -4,29 +4,24 @@
 //! ```
 //! use bytes::Bytes;
 //! use minimr::job_fn::FnJob;
-//! use minimr::types::{parse_u64, u64_value, Pair};
+//! use minimr::types::{sum_u64, u64_value, Pair};
 //!
 //! let line_count = FnJob::new("line-count")
 //!     .with_map(|_record, emit| emit(Pair::new("lines", u64_value(1))))
-//!     .with_combine(|_key, values| {
-//!         vec![u64_value(values.iter().filter_map(|v| parse_u64(v)).sum())]
-//!     })
-//!     .with_reduce(|key, values| {
-//!         let total: u64 = values.iter().filter_map(|v| parse_u64(v)).sum();
-//!         vec![Pair::new(key.to_vec(), u64_value(total))]
-//!     });
+//!     .with_combine(|_key, values, out| out.emit(&sum_u64(values).to_be_bytes()))
+//!     .with_reduce(|key, values| vec![Pair::new(key.to_vec(), u64_value(sum_u64(&values)))]);
 //! let mut pairs = Vec::new();
 //! use minimr::job::Job;
 //! line_count.map(b"hello", &mut |p| pairs.push(p));
 //! assert_eq!(pairs.len(), 1);
 //! ```
 
-use crate::job::Job;
+use crate::job::{Emit, Job};
 use crate::types::Pair;
 use bytes::Bytes;
 
 type MapFn = dyn Fn(&[u8], &mut dyn FnMut(Pair)) + Send + Sync;
-type CombineFn = dyn Fn(&[u8], Vec<Bytes>) -> Vec<Bytes> + Send + Sync;
+type CombineFn = dyn Fn(&[u8], &[&[u8]], &mut Emit<'_>) + Send + Sync;
 type ReduceFn = dyn Fn(&[u8], Vec<Bytes>) -> Vec<Pair> + Send + Sync;
 
 /// A [`Job`] assembled from closures.
@@ -62,7 +57,7 @@ impl FnJob {
     /// Set the (associative, commutative) combiner.
     pub fn with_combine(
         mut self,
-        f: impl Fn(&[u8], Vec<Bytes>) -> Vec<Bytes> + Send + Sync + 'static,
+        f: impl Fn(&[u8], &[&[u8]], &mut Emit<'_>) + Send + Sync + 'static,
     ) -> Self {
         self.combine_fn = Some(Box::new(f));
         self
@@ -87,10 +82,10 @@ impl Job for FnJob {
         (self.map_fn)(record, emit)
     }
 
-    fn combine(&self, key: &[u8], values: Vec<Bytes>) -> Vec<Bytes> {
+    fn combine(&self, key: &[u8], values: &[&[u8]], out: &mut Emit<'_>) {
         match &self.combine_fn {
-            Some(f) => f(key, values),
-            None => values,
+            Some(f) => f(key, values, out),
+            None => values.iter().for_each(|v| out.emit(v)),
         }
     }
 
@@ -109,7 +104,8 @@ impl Job for FnJob {
 mod tests {
     use super::*;
     use crate::cluster::{JobConfig, MRCluster};
-    use crate::types::{parse_u64, u64_value};
+    use crate::job::combine_pairs;
+    use crate::types::{parse_u64, sum_u64, u64_value};
     use netagg_core::prelude::*;
     use netagg_core::runtime::NetAggDeployment;
     use netagg_core::shim::TreeSelection;
@@ -121,13 +117,8 @@ mod tests {
             .with_map(|record, emit| {
                 emit(Pair::new("chars", u64_value(record.len() as u64)));
             })
-            .with_combine(|_k, values| {
-                vec![u64_value(values.iter().filter_map(|v| parse_u64(v)).sum())]
-            })
-            .with_reduce(|k, values| {
-                let total: u64 = values.iter().filter_map(|v| parse_u64(v)).sum();
-                vec![Pair::new(k.to_vec(), u64_value(total))]
-            })
+            .with_combine(|_k, values, out| out.emit(&sum_u64(values).to_be_bytes()))
+            .with_reduce(|k, values| vec![Pair::new(k.to_vec(), u64_value(sum_u64(&values)))])
     }
 
     #[test]
@@ -154,13 +145,9 @@ mod tests {
     #[test]
     fn defaults_are_identity() {
         let j = FnJob::new("noop").with_map(|r, emit| emit(Pair::new(r.to_vec(), "v")));
-        let combined = Job::combine(
-            &j,
-            b"k",
-            vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")],
-        );
+        let combined = combine_pairs(&j, vec![Pair::new("k", "a"), Pair::new("k", "b")]);
         assert_eq!(combined.len(), 2);
-        let reduced = Job::reduce(&j, b"k", combined);
+        let reduced = Job::reduce(&j, b"k", combined.into_iter().map(|p| p.value).collect());
         assert_eq!(reduced.len(), 2);
         assert_eq!(reduced[0].key.as_ref(), b"k");
     }

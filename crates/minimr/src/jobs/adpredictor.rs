@@ -5,20 +5,34 @@
 //! reduce step performs the compute-heavy posterior update (the paper
 //! notes AP gains least from NetAgg because it is compute-bound).
 
-use crate::job::Job;
+use crate::job::{Emit, Job};
 use crate::types::Pair;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Value payload: (impressions u64, clicks u64, mean f64, variance f64).
+fn stats_bytes(imps: u64, clicks: u64, mean: f64, var: f64) -> [u8; 32] {
+    let mut b = [0u8; 32];
+    b[..8].copy_from_slice(&imps.to_be_bytes());
+    b[8..16].copy_from_slice(&clicks.to_be_bytes());
+    b[16..24].copy_from_slice(&mean.to_be_bytes());
+    b[24..].copy_from_slice(&var.to_be_bytes());
+    b
+}
+
 fn stats_value(imps: u64, clicks: u64, mean: f64, var: f64) -> Bytes {
-    let mut b = BytesMut::with_capacity(32);
-    b.put_u64(imps);
-    b.put_u64(clicks);
-    b.put_f64(mean);
-    b.put_f64(var);
-    b.freeze()
+    Bytes::copy_from_slice(&stats_bytes(imps, clicks, mean, var))
+}
+
+/// Total impressions and clicks over the values that parse.
+fn count_stats<V: AsRef<[u8]>>(values: &[V]) -> (u64, u64) {
+    let (mut imps, mut clicks) = (0u64, 0u64);
+    for (i, c, _, _) in values.iter().filter_map(|v| parse_stats(v.as_ref())) {
+        imps += i;
+        clicks += c;
+    }
+    (imps, clicks)
 }
 
 fn parse_stats(mut b: &[u8]) -> Option<(u64, u64, f64, f64)> {
@@ -59,24 +73,15 @@ impl Job for AdPredictor {
         ));
     }
 
-    fn combine(&self, _key: &[u8], values: Vec<Bytes>) -> Vec<Bytes> {
-        let (mut imps, mut clicks) = (0u64, 0u64);
-        for v in &values {
-            if let Some((i, c, _, _)) = parse_stats(v) {
-                imps += i;
-                clicks += c;
-            }
-        }
-        vec![stats_value(imps, clicks, 0.0, 1.0)]
+    fn combine(&self, _key: &[u8], values: &[&[u8]], out: &mut Emit<'_>) {
+        let (imps, clicks) = count_stats(values);
+        out.emit(&stats_bytes(imps, clicks, 0.0, 1.0));
     }
 
     /// Gaussian posterior update via fixed-point iteration (message-passing
     /// flavoured): deliberately CPU-heavy, like the real AP trainer.
     fn reduce(&self, key: &[u8], values: Vec<Bytes>) -> Vec<Pair> {
-        let combined = self.combine(key, values);
-        let Some((imps, clicks, _, _)) = parse_stats(&combined[0]) else {
-            return Vec::new();
-        };
+        let (imps, clicks) = count_stats(&values);
         let ctr_obs = if imps > 0 {
             clicks as f64 / imps as f64
         } else {

@@ -1,8 +1,8 @@
 //! PageRank: one rank-propagation iteration over a synthetic power-law
 //! graph.
 
-use crate::job::Job;
-use crate::types::{f64_value, parse_f64, Pair};
+use crate::job::{Emit, Job};
+use crate::types::{f64_value, sum_f64, Pair};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,13 +40,12 @@ impl Job for PageRank {
         }
     }
 
-    fn combine(&self, _key: &[u8], values: Vec<Bytes>) -> Vec<Bytes> {
-        vec![f64_value(values.iter().filter_map(|v| parse_f64(v)).sum())]
+    fn combine(&self, _key: &[u8], values: &[&[u8]], out: &mut Emit<'_>) {
+        out.emit(&sum_f64(values).to_be_bytes());
     }
 
     fn reduce(&self, key: &[u8], values: Vec<Bytes>) -> Vec<Pair> {
-        let mass: f64 = values.iter().filter_map(|v| parse_f64(v)).sum();
-        let new_rank = (1.0 - DAMPING) + DAMPING * mass;
+        let new_rank = (1.0 - DAMPING) + DAMPING * sum_f64(&values);
         vec![Pair::new(key.to_vec(), f64_value(new_rank))]
     }
 }
@@ -85,6 +84,7 @@ pub fn pagerank_input(mappers: usize, bytes_per_mapper: usize, seed: u64) -> Vec
 mod tests {
     use super::*;
     use crate::job::combine_pairs;
+    use crate::types::parse_f64;
 
     #[test]
     fn map_splits_rank_across_destinations() {

@@ -1,8 +1,8 @@
 //! UserVisits: ad revenue per source-IP prefix from web logs (the HiBench
 //! / CALDA-style UV benchmark the paper runs).
 
-use crate::job::Job;
-use crate::types::{f64_value, parse_f64, Pair};
+use crate::job::{Emit, Job};
+use crate::types::{f64_value, sum_f64, Pair};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,15 +34,12 @@ impl Job for UserVisits {
         emit(Pair::new(prefix.to_string(), f64_value(revenue)));
     }
 
-    fn combine(&self, _key: &[u8], values: Vec<Bytes>) -> Vec<Bytes> {
-        vec![f64_value(values.iter().filter_map(|v| parse_f64(v)).sum())]
+    fn combine(&self, _key: &[u8], values: &[&[u8]], out: &mut Emit<'_>) {
+        out.emit(&sum_f64(values).to_be_bytes());
     }
 
     fn reduce(&self, key: &[u8], values: Vec<Bytes>) -> Vec<Pair> {
-        self.combine(key, values)
-            .into_iter()
-            .map(|v| Pair::new(key.to_vec(), v))
-            .collect()
+        vec![Pair::new(key.to_vec(), f64_value(sum_f64(&values)))]
     }
 }
 
@@ -80,6 +77,7 @@ pub fn uservisits_input(
 mod tests {
     use super::*;
     use crate::job::combine_pairs;
+    use crate::types::parse_f64;
 
     #[test]
     fn map_keys_by_prefix() {

@@ -1,8 +1,8 @@
 //! WordCount: count distinct words in text. The benchmark whose input
 //! repetition the paper varies to control the output ratio (Fig. 23).
 
-use crate::job::Job;
-use crate::types::{parse_u64, u64_value, Pair};
+use crate::job::{Emit, Job};
+use crate::types::{sum_u64, u64_value, Pair};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,15 +24,12 @@ impl Job for WordCount {
         }
     }
 
-    fn combine(&self, _key: &[u8], values: Vec<Bytes>) -> Vec<Bytes> {
-        vec![u64_value(values.iter().filter_map(|v| parse_u64(v)).sum())]
+    fn combine(&self, _key: &[u8], values: &[&[u8]], out: &mut Emit<'_>) {
+        out.emit(&sum_u64(values).to_be_bytes());
     }
 
     fn reduce(&self, key: &[u8], values: Vec<Bytes>) -> Vec<Pair> {
-        self.combine(key, values)
-            .into_iter()
-            .map(|v| Pair::new(key.to_vec(), v))
-            .collect()
+        vec![Pair::new(key.to_vec(), u64_value(sum_u64(&values)))]
     }
 }
 
@@ -67,6 +64,7 @@ pub fn wordcount_input(
 mod tests {
     use super::*;
     use crate::job::combine_pairs;
+    use crate::types::parse_u64;
 
     #[test]
     fn counts_words() {

@@ -4,9 +4,9 @@
 //! * [`job::Job`] — user code: `map`, an associative/commutative `combine`
 //!   (Hadoop's combiner interface, which is exactly what agg boxes
 //!   execute), and the final `reduce`.
-//! * [`seqfile`] — the sequence-file-style binary key/value codec,
-//!   including the chunk decoder that handles records split across chunk
-//!   boundaries (the paper's Hadoop deserialiser concern).
+//! * [`seqfile`] — the sequence-file-style binary key/value codec: one
+//!   borrowed record reader, and the validated [`seqfile::Batch`] that agg
+//!   boxes merge without decoding it into pairs.
 //! * [`cluster`] — the job driver: mappers run in parallel, their
 //!   intermediate pairs stream through worker shims (and, when deployed,
 //!   through on-path agg boxes running the combiner) to the reducer at the

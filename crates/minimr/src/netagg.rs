@@ -3,15 +3,17 @@
 //! `Combiner.reduce(Key, List<Value>)` — plus the sequence-file
 //! serialiser; together the Hadoop-specific code of Table 1).
 
-use crate::job::{combine_pairs, Job};
-use crate::seqfile;
-use crate::types::Pair;
+use crate::job::{combine_records, Job};
+use crate::seqfile::Batch;
 use bytes::Bytes;
 use netagg_core::{AggError, AggregationFunction};
 use std::sync::Arc;
 
 /// Wraps a job's combiner as a platform aggregation function over
-/// sequence-file-encoded pair batches.
+/// sequence-file-encoded pair batches. The item is the encoded batch
+/// itself, checked once on the way in: merging reads the peers' bytes in
+/// place and writes the result in wire form, so `serialize` copies nothing
+/// and `aggregate` has no error to report.
 pub struct CombinerAgg {
     job: Arc<dyn Job>,
 }
@@ -24,57 +26,48 @@ impl CombinerAgg {
 }
 
 impl AggregationFunction for CombinerAgg {
-    type Item = Vec<Pair>;
+    type Item = Batch;
 
-    fn deserialize(&self, payload: &Bytes) -> Result<Vec<Pair>, AggError> {
-        seqfile::decode(payload)
+    fn deserialize(&self, payload: &Bytes) -> Result<Batch, AggError> {
+        Batch::parse(payload.clone())
     }
 
-    fn serialize(&self, item: &Vec<Pair>) -> Bytes {
-        seqfile::encode(item)
+    fn serialize(&self, item: &Batch) -> Bytes {
+        item.as_bytes().clone()
     }
 
-    fn aggregate(&self, items: Vec<Vec<Pair>>) -> Vec<Pair> {
-        let flat: Vec<Pair> = items.into_iter().flatten().collect();
-        combine_pairs(self.job.as_ref(), flat)
+    fn aggregate(&self, items: Vec<Batch>) -> Batch {
+        let mut records = Vec::with_capacity(items.iter().map(Batch::len).sum());
+        for batch in &items {
+            records.extend(batch.iter());
+        }
+        let bytes = items.iter().map(|b| b.as_bytes().len()).sum();
+        combine_records(self.job.as_ref(), records, bytes)
     }
 
-    fn empty(&self) -> Vec<Pair> {
-        Vec::new()
+    fn empty(&self) -> Batch {
+        Batch::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{parse_u64, u64_value};
+    use crate::jobs::WordCount;
+    use crate::seqfile;
+    use crate::types::{parse_u64, u64_value, Pair};
     use netagg_core::DynAggregator;
 
-    struct Count;
-    impl Job for Count {
-        fn name(&self) -> &'static str {
-            "count"
-        }
-        fn map(&self, record: &[u8], emit: &mut dyn FnMut(Pair)) {
-            emit(Pair::new(record.to_vec(), u64_value(1)));
-        }
-        fn combine(&self, _key: &[u8], values: Vec<Bytes>) -> Vec<Bytes> {
-            vec![u64_value(values.iter().filter_map(|v| parse_u64(v)).sum())]
-        }
-        fn reduce(&self, key: &[u8], values: Vec<Bytes>) -> Vec<Pair> {
-            self.combine(key, values)
-                .into_iter()
-                .map(|v| Pair::new(key.to_vec(), v))
-                .collect()
-        }
+    fn batch(pairs: &[Pair]) -> Batch {
+        Batch::parse(seqfile::encode(pairs)).unwrap()
     }
 
     #[test]
     fn combiner_agg_sums_across_batches() {
-        let agg = CombinerAgg::new(Arc::new(Count));
-        let a = vec![Pair::new("w", u64_value(2)), Pair::new("x", u64_value(1))];
-        let b = vec![Pair::new("w", u64_value(3))];
-        let out = agg.aggregate(vec![a, b]);
+        let agg = CombinerAgg::new(Arc::new(WordCount));
+        let a = batch(&[Pair::new("w", u64_value(2)), Pair::new("x", u64_value(1))]);
+        let b = batch(&[Pair::new("w", u64_value(3))]);
+        let out = agg.aggregate(vec![a, b]).pairs();
         assert_eq!(out.len(), 2);
         let w = out.iter().find(|p| p.key.as_ref() == b"w").unwrap();
         assert_eq!(parse_u64(&w.value).unwrap(), 5);
@@ -82,7 +75,7 @@ mod tests {
 
     #[test]
     fn serialization_roundtrips_through_dyn_interface() {
-        let agg = netagg_core::AggWrapper::new(CombinerAgg::new(Arc::new(Count)));
+        let agg = netagg_core::AggWrapper::new(CombinerAgg::new(Arc::new(WordCount)));
         let batch = seqfile::encode(&[Pair::new("k", u64_value(1)), Pair::new("k", u64_value(4))]);
         let out = agg
             .aggregate_serialized(vec![batch.clone(), batch])
@@ -94,7 +87,7 @@ mod tests {
 
     #[test]
     fn combiner_agg_satisfies_the_platform_laws() {
-        let agg = CombinerAgg::new(Arc::new(Count));
+        let agg = CombinerAgg::new(Arc::new(WordCount));
         let batches: Vec<Bytes> = [
             vec![Pair::new("w", u64_value(2)), Pair::new("x", u64_value(1))],
             vec![Pair::new("w", u64_value(3)), Pair::new("a", u64_value(9))],
@@ -109,8 +102,8 @@ mod tests {
 
     #[test]
     fn aggregation_is_associative() {
-        let agg = CombinerAgg::new(Arc::new(Count));
-        let mk = |n: u64| vec![Pair::new("k", u64_value(n))];
+        let agg = CombinerAgg::new(Arc::new(WordCount));
+        let mk = |n: u64| batch(&[Pair::new("k", u64_value(n))]);
         let left = agg.aggregate(vec![agg.aggregate(vec![mk(1), mk(2)]), mk(3)]);
         let right = agg.aggregate(vec![mk(1), agg.aggregate(vec![mk(2), mk(3)])]);
         assert_eq!(left, right);

@@ -1,124 +1,169 @@
 //! Sequence-file-style binary key/value serialisation.
 //!
-//! Records are `[key_len u32][key][val_len u32][val]`, concatenated. Two
-//! readers are provided:
-//!
-//! * [`decode`] — strict: the buffer must contain whole records (what agg
-//!   boxes use, since shims cut chunks at record boundaries);
-//! * [`SeqChunkDecoder`] — incremental: tolerates records split across
-//!   arbitrary chunk boundaries by carrying the partial tail to the next
-//!   chunk, the situation the paper's Hadoop deserialiser must handle when
-//!   chunks are cut at byte granularity.
+//! Records are `[key_len u32][key][val_len u32][val]`, concatenated; a
+//! payload must contain whole records (shims cut chunks at record
+//! boundaries). [`Records`] is the only parser: [`decode`], [`Batch`]
+//! validation and the combine kernel all read through it, and it borrows —
+//! a hostile length field is compared with the bytes that remain, never
+//! allocated for.
 
 use crate::types::Pair;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use netagg_core::AggError;
+use std::ops::Range;
 
-/// Append one record.
-pub fn encode_record(dst: &mut BytesMut, pair: &Pair) {
-    dst.put_u32(pair.key.len() as u32);
-    dst.put_slice(&pair.key);
-    dst.put_u32(pair.value.len() as u32);
-    dst.put_slice(&pair.value);
+fn put_record(dst: &mut impl BufMut, key: &[u8], value: &[u8]) {
+    dst.put_u32(key.len() as u32);
+    dst.put_slice(key);
+    dst.put_u32(value.len() as u32);
+    dst.put_slice(value);
 }
 
 /// Serialise a batch of pairs.
 pub fn encode(pairs: &[Pair]) -> Bytes {
-    let size: usize = pairs.iter().map(Pair::wire_size).sum();
-    let mut b = BytesMut::with_capacity(size);
+    let mut w = BatchWriter::with_capacity(pairs.iter().map(Pair::wire_size).sum());
     for p in pairs {
-        encode_record(&mut b, p);
+        w.push(&p.key, &p.value);
     }
-    b.freeze()
+    w.finish().bytes
 }
 
-/// Strict decode: the payload must contain exactly whole records.
+/// Strict decode: the payload must contain exactly whole records. The
+/// pairs are windows onto `payload`, not copies.
 pub fn decode(payload: &Bytes) -> Result<Vec<Pair>, AggError> {
-    let mut src = payload.clone();
-    let mut out = Vec::new();
-    while src.has_remaining() {
-        out.push(decode_one(&mut src)?);
-    }
-    Ok(out)
+    Ok(Batch::parse(payload.clone())?.pairs())
 }
 
-fn decode_one(src: &mut Bytes) -> Result<Pair, AggError> {
-    if src.remaining() < 4 {
-        return Err(AggError::Corrupt("truncated key length".into()));
-    }
-    let klen = src.get_u32() as usize;
-    if src.remaining() < klen + 4 {
-        return Err(AggError::Corrupt("truncated key/value length".into()));
-    }
-    let key = src.split_to(klen);
-    let vlen = src.get_u32() as usize;
-    if src.remaining() < vlen {
-        return Err(AggError::Corrupt("truncated value".into()));
-    }
-    let value = src.split_to(vlen);
-    Ok(Pair { key, value })
+/// Borrowed record reader: yields the key and value ranges of each whole
+/// record in `buf`, then one `Corrupt` if the bytes end inside a record.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
-/// Incremental decoder tolerating records split across chunks.
-#[derive(Debug, Default)]
-pub struct SeqChunkDecoder {
-    carry: BytesMut,
-}
-
-impl SeqChunkDecoder {
-    /// Create an empty decoder.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> Records<'a> {
+    /// Read `buf` from its first byte.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
     }
 
-    /// Feed one chunk; returns the whole records now available. A record
-    /// straddling the chunk end is buffered until the next feed.
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<Pair>, AggError> {
-        self.carry.extend_from_slice(chunk);
-        let mut out = Vec::new();
-        loop {
-            let avail = self.carry.len();
-            if avail < 4 {
-                break;
-            }
-            let klen =
-                u32::from_be_bytes([self.carry[0], self.carry[1], self.carry[2], self.carry[3]])
-                    as usize;
-            if avail < 4 + klen + 4 {
-                break;
-            }
-            let vlen = u32::from_be_bytes([
-                self.carry[4 + klen],
-                self.carry[5 + klen],
-                self.carry[6 + klen],
-                self.carry[7 + klen],
-            ]) as usize;
-            if avail < 8 + klen + vlen {
-                break;
-            }
-            self.carry.advance(4);
-            let key = self.carry.split_to(klen).freeze();
-            self.carry.advance(4);
-            let value = self.carry.split_to(vlen).freeze();
-            out.push(Pair { key, value });
+    /// One length-prefixed field starting at `pos`.
+    fn field(&mut self, what: &str) -> Result<Range<usize>, AggError> {
+        let rest = &self.buf[self.pos..];
+        let len = rest
+            .first_chunk::<4>()
+            .map(|len| u32::from_be_bytes(*len) as usize)
+            .filter(|len| *len <= rest.len() - 4)
+            .ok_or_else(|| AggError::Corrupt(format!("truncated {what} at byte {}", self.pos)))?;
+        let start = self.pos + 4;
+        self.pos = start + len;
+        Ok(start..self.pos)
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Result<(Range<usize>, Range<usize>), AggError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos == self.buf.len() {
+            return None;
         }
-        Ok(out)
+        let record = self
+            .field("key")
+            .and_then(|key| Ok((key, self.field("value")?)));
+        if record.is_err() {
+            self.pos = self.buf.len();
+        }
+        Some(record)
+    }
+}
+
+/// An encoded batch whose framing has been checked end to end: it holds
+/// whole records only, so reading it cannot fail. This is what agg boxes
+/// merge — peer bytes become a `Batch` once, in [`Batch::parse`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Batch {
+    bytes: Bytes,
+    records: usize,
+}
+
+impl Batch {
+    /// Check `bytes` record by record.
+    pub fn parse(bytes: Bytes) -> Result<Self, AggError> {
+        let mut records = 0;
+        for record in Records::new(&bytes) {
+            record?;
+            records += 1;
+        }
+        Ok(Self { bytes, records })
     }
 
-    /// Bytes of the incomplete trailing record still buffered.
-    pub fn pending(&self) -> usize {
-        self.carry.len()
+    /// The encoded form.
+    pub fn as_bytes(&self) -> &Bytes {
+        &self.bytes
     }
 
-    /// The stream is finished; error if a partial record remains.
-    pub fn finish(&self) -> Result<(), AggError> {
-        if self.carry.is_empty() {
-            Ok(())
-        } else {
-            Err(AggError::Corrupt(format!(
-                "{} bytes of partial record at end of stream",
-                self.carry.len()
-            )))
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    /// Whether the batch holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    fn ranges(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        Records::new(&self.bytes).map_while(Result::ok)
+    }
+
+    /// Each record's key and value, in order, borrowed from the batch.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.ranges().map(|(k, v)| (&self.bytes[k], &self.bytes[v]))
+    }
+
+    /// The records as pairs sharing the batch's buffer.
+    pub fn pairs(&self) -> Vec<Pair> {
+        let mut pairs = Vec::with_capacity(self.records);
+        pairs.extend(self.ranges().map(|(k, v)| Pair {
+            key: self.bytes.slice(k),
+            value: self.bytes.slice(v),
+        }));
+        pairs
+    }
+}
+
+/// Builds a [`Batch`] record by record — valid by construction.
+#[derive(Debug)]
+pub struct BatchWriter {
+    buf: Vec<u8>,
+    records: usize,
+}
+
+impl BatchWriter {
+    /// A writer with `bytes` of encoded output reserved.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+            records: 0,
+        }
+    }
+
+    /// Append one record.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        put_record(&mut self.buf, key, value);
+        self.records += 1;
+    }
+
+    /// The batch written so far. The reservation was for the worst case
+    /// (nothing combines); what combining saved goes back to the allocator
+    /// now, because the batch outlives this call by a whole request.
+    pub fn finish(mut self) -> Batch {
+        self.buf.shrink_to_fit();
+        Batch {
+            bytes: Bytes::from(self.buf),
+            records: self.records,
         }
     }
 }
@@ -132,7 +177,7 @@ pub fn chunk_pairs(pairs: &[Pair], target: usize) -> Vec<Bytes> {
         if !current.is_empty() && current.len() + p.wire_size() > target {
             chunks.push(current.split().freeze());
         }
-        encode_record(&mut current, p);
+        put_record(&mut current, &p.key, &p.value);
     }
     if !current.is_empty() {
         chunks.push(current.freeze());
@@ -166,30 +211,34 @@ mod tests {
     }
 
     #[test]
-    fn chunk_decoder_handles_arbitrary_splits() {
-        let pairs: Vec<Pair> = (0..50)
-            .map(|i| pair(&format!("key{i}"), &format!("value-{i}")))
-            .collect();
-        let enc = encode(&pairs);
-        // Feed in awkward 7-byte slices.
-        let mut dec = SeqChunkDecoder::new();
-        let mut got = Vec::new();
-        for chunk in enc.chunks(7) {
-            got.extend(dec.feed(chunk).unwrap());
-        }
-        dec.finish().unwrap();
-        assert_eq!(got, pairs);
+    fn reader_yields_ranges_then_one_error() {
+        let enc = encode(&[pair("ab", "1"), pair("", "xyz")]);
+        let whole: Vec<_> = Records::new(&enc).map(Result::unwrap).collect();
+        assert_eq!(whole, vec![(4..6, 10..11), (15..15, 19..22)]);
+        let mut cut = Records::new(&enc[..enc.len() - 1]);
+        assert!(cut.next().unwrap().is_ok());
+        assert!(matches!(cut.next(), Some(Err(AggError::Corrupt(_)))));
+        assert!(cut.next().is_none());
     }
 
     #[test]
-    fn chunk_decoder_reports_dangling_tail() {
-        let enc = encode(&[pair("k", "v")]);
-        let mut dec = SeqChunkDecoder::new();
-        dec.feed(&enc[..enc.len() - 1]).unwrap();
-        assert!(dec.pending() > 0);
-        assert!(dec.finish().is_err());
-        dec.feed(&enc[enc.len() - 1..]).unwrap();
-        assert!(dec.finish().is_ok());
+    fn hostile_length_is_rejected_not_allocated() {
+        let huge = Bytes::from(vec![0xff, 0xff, 0xff, 0xff, b'k']);
+        assert!(matches!(Batch::parse(huge), Err(AggError::Corrupt(_))));
+    }
+
+    #[test]
+    fn batch_counts_and_shares_its_records() {
+        let pairs = vec![pair("a", "1"), pair("bb", "")];
+        let batch = Batch::parse(encode(&pairs)).unwrap();
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.pairs(), pairs);
+        let borrowed: Vec<_> = batch.iter().collect();
+        assert_eq!(
+            borrowed,
+            vec![(&b"a"[..], &b"1"[..]), (&b"bb"[..], &b""[..])]
+        );
+        assert!(Batch::default().is_empty());
     }
 
     #[test]
@@ -230,29 +279,6 @@ mod tests {
                 .map(|(k, v)| Pair::new(k, v))
                 .collect();
             prop_assert_eq!(decode(&encode(&pairs)).unwrap(), pairs);
-        }
-
-        #[test]
-        fn prop_chunk_decoder_any_split(
-            pairs in proptest::collection::vec(
-                (proptest::collection::vec(any::<u8>(), 0..10),
-                 proptest::collection::vec(any::<u8>(), 0..10)),
-                1..20
-            ),
-            split in 1usize..32
-        ) {
-            let pairs: Vec<Pair> = pairs
-                .into_iter()
-                .map(|(k, v)| Pair::new(k, v))
-                .collect();
-            let enc = encode(&pairs);
-            let mut dec = SeqChunkDecoder::new();
-            let mut got = Vec::new();
-            for chunk in enc.chunks(split) {
-                got.extend(dec.feed(chunk).unwrap());
-            }
-            dec.finish().unwrap();
-            prop_assert_eq!(got, pairs);
         }
 
         #[test]

@@ -37,6 +37,11 @@ pub fn parse_u64(b: &[u8]) -> Option<u64> {
     Some(u64::from_be_bytes(arr))
 }
 
+/// Sum the values that parse as `u64`, in order.
+pub fn sum_u64<V: AsRef<[u8]>>(values: &[V]) -> u64 {
+    values.iter().filter_map(|v| parse_u64(v.as_ref())).sum()
+}
+
 /// Encode / decode f64 values (sums of revenue, rank mass).
 pub fn f64_value(v: f64) -> Bytes {
     Bytes::copy_from_slice(&v.to_be_bytes())
@@ -46,6 +51,12 @@ pub fn f64_value(v: f64) -> Bytes {
 pub fn parse_f64(b: &[u8]) -> Option<f64> {
     let arr: [u8; 8] = b.try_into().ok()?;
     Some(f64::from_be_bytes(arr))
+}
+
+/// Sum the values that parse as `f64`, in order (float addition does not
+/// reassociate, so the order is part of the result).
+pub fn sum_f64<V: AsRef<[u8]>>(values: &[V]) -> f64 {
+    values.iter().filter_map(|v| parse_f64(v.as_ref())).sum()
 }
 
 /// Compare two job outputs for equivalence: identical keys in identical

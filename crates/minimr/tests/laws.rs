@@ -3,13 +3,13 @@
 //! sequence-file payloads — the byte path agg boxes execute for jobs.
 //!
 //! `CombinerAgg` over WordCount satisfies every law byte-exactly because
-//! `combine_pairs` groups through a `BTreeMap` (canonical key order) and
-//! per-key sums are associative and commutative. A deliberately
+//! the kernel emits keys in sorted (canonical) order and per-key sums are
+//! associative and commutative. A deliberately
 //! non-associative job is included to prove the harness actually rejects
 //! broken combiners.
 
 use bytes::Bytes;
-use minimr::job::Job;
+use minimr::job::{Emit, Job};
 use minimr::jobs::WordCount;
 use minimr::netagg::CombinerAgg;
 use minimr::seqfile;
@@ -76,16 +76,13 @@ fn laws_checker_rejects_a_non_associative_combiner() {
             "mean"
         }
         fn map(&self, _record: &[u8], _emit: &mut dyn FnMut(Pair)) {}
-        fn combine(&self, _key: &[u8], values: Vec<Bytes>) -> Vec<Bytes> {
+        fn combine(&self, _key: &[u8], values: &[&[u8]], out: &mut Emit<'_>) {
             let nums: Vec<u64> = values.iter().filter_map(|v| parse_u64(v)).collect();
             let n = nums.len().max(1) as u64;
-            vec![u64_value(nums.iter().sum::<u64>() / n)]
+            out.emit(&(nums.iter().sum::<u64>() / n).to_be_bytes());
         }
-        fn reduce(&self, key: &[u8], values: Vec<Bytes>) -> Vec<Pair> {
-            self.combine(key, values)
-                .into_iter()
-                .map(|v| Pair::new(key.to_vec(), v))
-                .collect()
+        fn reduce(&self, _key: &[u8], _values: Vec<Bytes>) -> Vec<Pair> {
+            Vec::new()
         }
     }
     // Asymmetric batch sizes: the mean of per-batch means differs from

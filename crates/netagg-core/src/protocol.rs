@@ -156,7 +156,15 @@ const TAG_BCAST: u8 = 6;
 impl Message {
     /// Serialise to the wire format.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(64);
+        // Every fixed header fits in 64 bytes (Data's is 53); the variable
+        // part (a payload, or 5 bytes per encoded source) is reserved with
+        // it so the buffer never regrows.
+        let variable = match self {
+            Message::Data { payload, .. } | Message::Broadcast { payload, .. } => payload.len(),
+            Message::RequestMeta { sources, .. } => 5 * sources.len(),
+            _ => 0,
+        };
+        let mut b = BytesMut::with_capacity(64 + variable);
         match self {
             Message::Data {
                 app,
