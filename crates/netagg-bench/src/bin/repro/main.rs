@@ -8,8 +8,9 @@
 //!          fig24 fig25 fig26
 //!          ablate-trees ablate-placement ablate-arrivals
 //!          ablate-backpressure ablate-fanin ext-broadcast
-//!          quick (trace-friendly smoke drive)   perf (BENCH_perf.json)
-//!          sim-perf (BENCH_sim.json — 10,240-server simulator scaling)
+//!          quick (trace-friendly smoke drive)
+//!          sim-perf (10,240-server simulator scaling sweep; exits 1 if
+//!                    the incremental engine is < 10x the naive one)
 //!          soak (BENCH_soak.json — §7-contract scenario soak; --quick
 //!                runs the CI-sized section only)
 //!          sim (fig2..fig14)   testbed (fig15..fig26)   all
@@ -22,7 +23,8 @@
 //! Absolute numbers differ from the paper (our substrate is an emulator on
 //! one machine); the *shape* of each exhibit — who wins, by what factor,
 //! where the crossovers fall — is the reproduction target. See
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! EXPERIMENTS.md for the paper-vs-measured record. Performance numbers
+//! are not produced here: `bash benchmark/run.sh` is their only source.
 
 mod micro_figs;
 mod mr_figs;
@@ -164,7 +166,6 @@ fn main() {
         "fig25" => micro_figs::fig25(&opts),
         "fig26" => micro_figs::fig26(&opts),
         "quick" => perf_figs::quick(&opts),
-        "perf" => perf_figs::perf(&opts),
         "sim-perf" => sim_perf::sim_perf(&opts),
         "soak" => soak::soak(&opts),
         other => usage(&format!("unknown target {other}")),
@@ -196,19 +197,14 @@ fn main() {
     }
 
     if let Some(path) = &opts.trace {
-        // `perf` drives private per-transport registries and exports its
-        // own merged spans; every other target publishes into the global
-        // registry, whose tracer we drain here.
-        if target != "perf" {
-            let tracer = netagg_bench::obs::global().tracer();
-            perf_figs::write_trace(path, &tracer.spans());
-            if tracer.dropped() > 0 {
-                eprintln!(
-                    "note: {} spans dropped at the {}-span buffer cap",
-                    tracer.dropped(),
-                    tracer.capacity()
-                );
-            }
+        let tracer = netagg_bench::obs::global().tracer();
+        perf_figs::write_trace(path, &tracer.spans());
+        if tracer.dropped() > 0 {
+            eprintln!(
+                "note: {} spans dropped at the {}-span buffer cap",
+                tracer.dropped(),
+                tracer.capacity()
+            );
         }
     }
 }
@@ -216,7 +212,7 @@ fn main() {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: repro <fig2..fig26|tab1|ablate-*|quick|perf|sim-perf|soak|sim|testbed|all> [--quick|--paper] [--seeds N] [--drive-secs S] [--metrics] [--trace OUT.json]"
+        "usage: repro <fig2..fig26|tab1|ablate-*|quick|sim-perf|soak|sim|testbed|all> [--quick|--paper] [--seeds N] [--drive-secs S] [--metrics] [--trace OUT.json]"
     );
     std::process::exit(2);
 }

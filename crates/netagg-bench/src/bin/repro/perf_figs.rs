@@ -1,19 +1,17 @@
-//! `repro quick` / `repro perf` — the cross-transport trace drive and the
-//! first workspace perf baseline (`BENCH_perf.json`).
+//! `repro quick` — the cross-transport trace drive.
 //!
-//! Both targets run the same closed-loop drive — the crate-level quick
-//! topology (one rack, four workers, one box, max aggregation) — once per
-//! transport: the in-process `ChannelTransport` and the loopback
-//! `TcpTransport`. `quick` publishes into the process-global registry so
-//! `--trace` exports a stitched causal tree per request (DESIGN.md §11);
-//! `perf` runs each transport against its *own* registry so the reported
-//! percentiles never mix transports, then writes `BENCH_perf.json`.
+//! A short closed-loop drive of the crate-level quick topology (one rack,
+//! four workers, one box, max aggregation), once per transport: the
+//! in-process `ChannelTransport` and the loopback `TcpTransport`. Both
+//! legs publish into the process-global registry so `--trace` exports a
+//! stitched causal tree per request (DESIGN.md §11) and `--metrics` sees
+//! everything. It times nothing: performance numbers come from
+//! `bash benchmark/run.sh` only.
 
 use crate::Options;
 use netagg_bench::sim::SimScale;
 use netagg_core::prelude::*;
 use netagg_obs::trace::{self, SpanRecord};
-use netagg_obs::MetricsRegistry;
 use netagg_scenarios::{
     builtin_providers, ScenarioHarness, ScenarioSpec, SyntheticKind, TopologySpec,
     TransportProvider,
@@ -24,24 +22,20 @@ const WORKERS: u32 = 4;
 
 /// One closed-loop drive: `requests` max-aggregations of `WORKERS`
 /// partials each, through a single-rack deployment on a fresh transport
-/// from `provider`, publishing into `registry`. Request ids start at
-/// `base` so legs sharing one registry (the `quick` target) keep disjoint
-/// trace ids. Returns the wall-clock elapsed time of the drive phase.
-fn drive(
-    provider: &dyn TransportProvider,
-    registry: MetricsRegistry,
-    base: u64,
-    requests: u64,
-) -> Result<Duration, AggError> {
-    let spec = ScenarioSpec::new("perf-closed-loop", TopologySpec::single_rack(WORKERS, 1))
+/// from `provider`, publishing into the process-global registry. Request
+/// ids start at `base` so the legs keep disjoint trace ids. Returns the
+/// wall-clock elapsed time of the drive phase.
+fn drive(provider: &dyn TransportProvider, base: u64, requests: u64) -> Result<Duration, AggError> {
+    let spec = ScenarioSpec::new("quick-closed-loop", TopologySpec::single_rack(WORKERS, 1))
         .synthetic("max", SyntheticKind::Max, requests, 1.0)
         .with_request_base(base);
+    let registry = netagg_bench::obs::global().clone();
     let mut harness = ScenarioHarness::build_with_obs(&spec, provider, registry)?;
     harness.drive();
     let report = harness.finish();
     if !report.passed() {
         return Err(AggError::Corrupt(format!(
-            "perf drive: {} failures, {} mismatches, violations {:?}",
+            "quick drive: {} failures, {} mismatches, violations {:?}",
             report.failures, report.mismatches, report.violations
         )));
     }
@@ -58,154 +52,13 @@ pub fn quick(opts: &Options) {
     println!("# quick: {requests} aggregated requests per transport (quick topology)");
     for (i, provider) in builtin_providers().iter().enumerate() {
         let label = provider.label();
-        let registry = netagg_bench::obs::global().clone();
-        match drive(provider.as_ref(), registry, i as u64 * 1_000_000, requests) {
+        match drive(provider.as_ref(), i as u64 * 1_000_000, requests) {
             Ok(elapsed) => println!(
                 "  {label:<8} {requests} requests in {:.1} ms",
                 elapsed.as_secs_f64() * 1e3
             ),
             Err(e) => println!("  {label:<8} FAILED: {e}"),
         }
-    }
-}
-
-/// p-th percentile of an unsorted duration sample, in microseconds.
-fn pctile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
-}
-
-/// Per-transport measurements of one `perf` leg.
-struct PerfLeg {
-    label: &'static str,
-    requests: u64,
-    elapsed: Duration,
-    frames_per_sec: f64,
-    /// End-to-end request wait percentiles (µs), from
-    /// `shim.master.request_wait_us`.
-    e2e_us: (u64, u64, u64),
-    /// Traced per-stage p99 (stage name → µs), sorted by name.
-    stage_p99_us: Vec<(&'static str, f64)>,
-}
-
-fn run_leg(
-    label: &'static str,
-    provider: &dyn TransportProvider,
-    base: u64,
-    requests: u64,
-) -> Result<(PerfLeg, Vec<SpanRecord>), AggError> {
-    // A private registry per leg: percentiles and frame counts must not
-    // bleed across transports (or in from other figures).
-    let registry = MetricsRegistry::new();
-    registry.tracer().enable(1);
-    let elapsed = drive(provider, registry.clone(), base, requests)?;
-    let snap = registry.snapshot();
-    let wait = snap
-        .histogram(netagg_obs::names::SHIM_MASTER_REQUEST_WAIT_US)
-        .map(|h| (h.p50, h.p95, h.p99))
-        .unwrap_or((0, 0, 0));
-    let frames = snap
-        .counter(netagg_obs::names::NET_FRAMES_SENT)
-        .unwrap_or(0);
-    let spans = registry.tracer().spans();
-    let mut by_stage: std::collections::BTreeMap<&'static str, Vec<u64>> = Default::default();
-    for s in &spans {
-        by_stage.entry(s.name).or_default().push(s.dur_ns);
-    }
-    let stage_p99_us = by_stage
-        .into_iter()
-        .map(|(name, mut durs)| {
-            durs.sort_unstable();
-            (name, pctile_us(&durs, 0.99))
-        })
-        .collect();
-    Ok((
-        PerfLeg {
-            label,
-            requests,
-            elapsed,
-            frames_per_sec: frames as f64 / elapsed.as_secs_f64().max(1e-9),
-            e2e_us: wait,
-            stage_p99_us,
-        },
-        spans,
-    ))
-}
-
-/// One transport leg of the `BENCH_perf.json` object.
-fn leg_json(out: &mut String, leg: &PerfLeg) {
-    out.push_str(&format!(
-        "    \"{}\": {{\n      \"requests\": {},\n      \"elapsed_secs\": {:.6},\n      \
-         \"frames_per_sec\": {:.1},\n      \"e2e_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n      \
-         \"stage_p99_us\": {{",
-        leg.label,
-        leg.requests,
-        leg.elapsed.as_secs_f64(),
-        leg.frames_per_sec,
-        leg.e2e_us.0,
-        leg.e2e_us.1,
-        leg.e2e_us.2,
-    ));
-    for (i, (name, us)) in leg.stage_p99_us.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{name}\": {us:.3}"));
-    }
-    out.push_str("}\n    }");
-}
-
-/// `repro perf` — the perf baseline: the quick topology driven closed-loop
-/// on both transports, written to `BENCH_perf.json` (and stdout).
-pub fn perf(opts: &Options) {
-    let requests = match opts.scale {
-        SimScale::Quick => 100,
-        SimScale::Default => 500,
-        SimScale::Paper => 2000,
-    };
-    println!("# perf: {requests} requests per transport, quick topology, {WORKERS} workers");
-    let mut legs: Vec<PerfLeg> = Vec::new();
-    let mut traced: Vec<SpanRecord> = Vec::new();
-    for (i, provider) in builtin_providers().iter().enumerate() {
-        let label = provider.label();
-        match run_leg(label, provider.as_ref(), i as u64 * 1_000_000, requests) {
-            Ok((leg, spans)) => {
-                println!(
-                    "  {:<8} {:>8.0} frames/s   e2e µs p50 {:>6} p95 {:>6} p99 {:>6}",
-                    leg.label, leg.frames_per_sec, leg.e2e_us.0, leg.e2e_us.1, leg.e2e_us.2
-                );
-                for (name, us) in &leg.stage_p99_us {
-                    println!("    {name:<24} p99 {us:>10.1} µs");
-                }
-                legs.push(leg);
-                traced.extend(spans);
-            }
-            Err(e) => println!("  {label:<8} FAILED: {e}"),
-        }
-    }
-    let mut json =
-        String::from("{\n  \"bench\": \"perf\",\n  \"topology\": \"single_rack(4,1)\",\n");
-    json.push_str(&format!("  \"requests_per_transport\": {requests},\n"));
-    json.push_str("  \"transports\": {\n");
-    for (i, leg) in legs.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        leg_json(&mut json, leg);
-    }
-    json.push_str("\n  }\n}\n");
-    let path = "BENCH_perf.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("error: writing {path}: {e}"),
-    }
-    // `--trace` on the perf target exports the legs' private recorders
-    // (main.rs skips its global-registry export for this target).
-    if let Some(trace_path) = &opts.trace {
-        write_trace(trace_path, &traced);
     }
 }
 

@@ -35,12 +35,16 @@ fn fig25_and_fig26_print_share_series() {
 
 #[test]
 fn unknown_target_exits_with_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("fig999")
-        .output()
-        .expect("repro runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    // `perf` was a target once; performance numbers now come from
+    // `benchmark/run.sh` only, and the name must not quietly do something.
+    for target in ["fig999", "perf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(target)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "{target}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    }
 }
 
 #[test]

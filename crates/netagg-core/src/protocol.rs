@@ -32,6 +32,9 @@ pub enum SourceId {
 }
 
 impl SourceId {
+    /// Bytes one source takes on the wire: a tag and a `u32` id.
+    const WIRE_LEN: usize = 5;
+
     fn encode(&self, dst: &mut BytesMut) {
         match self {
             SourceId::Worker(w) => {
@@ -157,11 +160,11 @@ impl Message {
     /// Serialise to the wire format.
     pub fn encode(&self) -> Bytes {
         // Every fixed header fits in 64 bytes (Data's is 53); the variable
-        // part (a payload, or 5 bytes per encoded source) is reserved with
-        // it so the buffer never regrows.
+        // part (a payload, or `WIRE_LEN` bytes per encoded source) is
+        // reserved with it so the buffer never regrows.
         let variable = match self {
             Message::Data { payload, .. } | Message::Broadcast { payload, .. } => payload.len(),
-            Message::RequestMeta { sources, .. } => 5 * sources.len(),
+            Message::RequestMeta { sources, .. } => SourceId::WIRE_LEN * sources.len(),
             _ => 0,
         };
         let mut b = BytesMut::with_capacity(64 + variable);
@@ -276,7 +279,10 @@ impl Message {
                 let tree = TreeId(wire::get_u32(&mut src)?);
                 let ctx = wire::get_trace(&mut src)?;
                 let n = wire::get_u32(&mut src)? as usize;
-                if n > src.len() {
+                // Bound the count by what the frame can hold before
+                // reserving for it: a hostile count never allocates more
+                // than the frame it arrived in.
+                if n.saturating_mul(SourceId::WIRE_LEN) > src.len() {
                     return Err(NetError::Corrupt("meta source count too large".into()));
                 }
                 let mut sources = Vec::with_capacity(n);
@@ -384,6 +390,41 @@ mod tests {
             sources: Vec::new(),
             ctx: TraceCtx::NONE,
         });
+    }
+
+    /// A source count one past what the remaining bytes can hold is
+    /// rejected before anything is reserved for it.
+    #[test]
+    fn meta_source_count_is_bounded_by_the_frame() {
+        let header = Message::RequestMeta {
+            app: AppId(7),
+            request: RequestId(1),
+            tree: TreeId(0),
+            sources: Vec::new(),
+            ctx: TraceCtx::NONE,
+        }
+        .encode();
+        // 23 bytes of sources: room for four whole ones (and for 23 under
+        // the old one-byte-per-source bound).
+        let tail = [0u8; 23];
+        let frame = |count: u32| {
+            let mut b = BytesMut::new();
+            b.extend_from_slice(&header[..header.len() - 4]);
+            b.put_u32(count);
+            b.extend_from_slice(&tail);
+            b.freeze()
+        };
+        let fits = (tail.len() / SourceId::WIRE_LEN) as u32;
+        match Message::decode(frame(fits)) {
+            Ok(Message::RequestMeta { sources, .. }) => assert_eq!(sources.len(), fits as usize),
+            other => panic!("{fits} sources fit: {other:?}"),
+        }
+        for count in [fits + 1, tail.len() as u32, u32::MAX] {
+            match Message::decode(frame(count)) {
+                Err(NetError::Corrupt(why)) => assert!(why.contains("count too large"), "{why}"),
+                other => panic!("count {count}: {other:?}"),
+            }
+        }
     }
 
     #[test]

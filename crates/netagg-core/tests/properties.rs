@@ -97,10 +97,33 @@ proptest! {
         prop_assert_eq!(Message::decode(m.encode()).unwrap(), m);
     }
 
-    /// Random byte strings never panic the decoder (they error or decode).
+    /// Random byte strings never panic the decoder (they error or decode),
+    /// neither on their own nor as the tail of a `RequestMeta` frame that
+    /// claims `count` sources; a count the tail cannot hold is an error.
     #[test]
-    fn protocol_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::decode(Bytes::from(bytes));
+    fn protocol_decoder_is_total(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        count in any::<u32>(),
+    ) {
+        let _ = Message::decode(Bytes::from(bytes.clone()));
+
+        let header = Message::RequestMeta {
+            app: AppId(1),
+            request: RequestId(2),
+            tree: TreeId(3),
+            sources: Vec::new(),
+            ctx: netagg_obs::trace::TraceCtx::NONE,
+        }
+        .encode();
+        // The header ends in its (zero) source count: swap in `count`.
+        let mut frame = header[..header.len() - 4].to_vec();
+        frame.extend_from_slice(&count.to_be_bytes());
+        frame.extend_from_slice(&bytes);
+        let decoded = Message::decode(Bytes::from(frame));
+        // A source is five bytes on the wire (tag + u32 id).
+        if count as usize * 5 > bytes.len() {
+            prop_assert!(decoded.is_err());
+        }
     }
 
     /// Tree-spec construction assigns every worker exactly once and wires

@@ -50,14 +50,11 @@ impl LockRank {
 
 // --- scenario engine (10–19) -----------------------------------------------
 
-/// Armed impairments not yet due; held while applying due actions.
-pub const SCN_PENDING: LockRank = LockRank::new(10, "scn.pending");
-/// Labels of impairments already applied (taken under `scn.pending`).
-pub const SCN_APPLIED: LockRank = LockRank::new(12, "scn.applied");
-/// High-water mailbox depths sampled from registry snapshots.
-pub const SCN_DEPTHS: LockRank = LockRank::new(14, "scn.depths");
-/// Per-application issued/completed/failure counters.
-pub const SCN_APP_STATS: LockRank = LockRank::new(16, "scn.app_stats");
+/// The scenario engine's whole mutable state: armed impairments not yet
+/// due (held while applying due actions), labels of those applied,
+/// high-water mailbox depths, and the per-app counters each driver hands
+/// back when it is done.
+pub const SCN_ENGINE: LockRank = LockRank::new(10, "scn.engine");
 
 // --- master shim (20–29) ---------------------------------------------------
 
@@ -95,8 +92,6 @@ pub const CONN_CACHE: LockRank = LockRank::new(65, "conn.cache");
 
 /// Reactor join scope; held only at startup, before shard threads exist.
 pub const NET_SCOPE: LockRank = LockRank::new(70, "net.scope");
-/// Attached metrics registry (read under `net.scope` at startup).
-pub const NET_OBS: LockRank = LockRank::new(71, "net.obs");
 /// NodeId → socket address registry.
 pub const NET_REGISTRY: LockRank = LockRank::new(72, "net.registry");
 /// Address → physical link map; held while dialling a new link.

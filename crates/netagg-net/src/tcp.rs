@@ -166,71 +166,54 @@ fn dir_mark_twin(key: Option<(SocketAddr, SocketAddr)>) {
 
 // --- reactor metrics (§7 `net.tcp.*`) --------------------------------------
 
-/// Counter/gauge handles for the §7 `net.tcp.*` rows; all `None` until a
-/// registry is attached (raw transports in unit tests run unmetered).
-#[derive(Clone, Default)]
+/// Counter/gauge handles for the §7 `net.tcp.*` rows, in the reactor's
+/// registry (the attached one, or a private one for a raw transport).
+#[derive(Clone)]
 struct ReactorObs {
-    wakeups: Option<Arc<Counter>>,
-    batches: Option<Arc<Counter>>,
-    coalesced: Option<Arc<Counter>>,
-    links: Option<Arc<Gauge>>,
-    channels: Option<Arc<Gauge>>,
+    wakeups: Arc<Counter>,
+    batches: Arc<Counter>,
+    coalesced: Arc<Counter>,
+    links: Arc<Gauge>,
+    channels: Arc<Gauge>,
 }
 
 impl ReactorObs {
-    fn new(obs: Option<&MetricsRegistry>) -> Self {
-        let Some(o) = obs else {
-            return Self::default();
-        };
+    fn new(o: &MetricsRegistry) -> Self {
         Self {
-            wakeups: Some(o.counter(names::NET_TCP_REACTOR_WAKEUPS)),
-            batches: Some(o.counter(names::NET_TCP_BATCHES_WRITTEN)),
-            coalesced: Some(o.counter(names::NET_TCP_FRAMES_COALESCED)),
-            links: Some(o.gauge(names::NET_TCP_LINKS_ACTIVE)),
-            channels: Some(o.gauge(names::NET_TCP_CHANNELS_ACTIVE)),
+            wakeups: o.counter(names::NET_TCP_REACTOR_WAKEUPS),
+            batches: o.counter(names::NET_TCP_BATCHES_WRITTEN),
+            coalesced: o.counter(names::NET_TCP_FRAMES_COALESCED),
+            links: o.gauge(names::NET_TCP_LINKS_ACTIVE),
+            channels: o.gauge(names::NET_TCP_CHANNELS_ACTIVE),
         }
     }
 
     fn wakeup(&self) {
-        if let Some(c) = &self.wakeups {
-            c.inc();
-        }
+        self.wakeups.inc();
     }
 
     fn batch(&self) {
-        if let Some(c) = &self.batches {
-            c.inc();
-        }
+        self.batches.inc();
     }
 
     fn coalesce(&self, n: u64) {
-        if let Some(c) = &self.coalesced {
-            c.add(n);
-        }
+        self.coalesced.add(n);
     }
 
     fn link_up(&self) {
-        if let Some(g) = &self.links {
-            g.add(1.0);
-        }
+        self.links.add(1.0);
     }
 
     fn link_down(&self) {
-        if let Some(g) = &self.links {
-            g.add(-1.0);
-        }
+        self.links.add(-1.0);
     }
 
     fn chan_up(&self) {
-        if let Some(g) = &self.channels {
-            g.add(1.0);
-        }
+        self.channels.add(1.0);
     }
 
     fn chan_down(&self) {
-        if let Some(g) = &self.channels {
-            g.add(-1.0);
-        }
+        self.channels.add(-1.0);
     }
 }
 
@@ -561,9 +544,9 @@ struct Reactor {
     cancel: CancelToken,
     shards: Vec<Arc<Shard>>,
     scope: OrderedMutex<Option<JoinScope>>,
-    obs: OrderedMutex<Option<MetricsRegistry>>,
-    /// Metric handles shared with every link (set at first start).
-    robs: OnceLock<ReactorObs>,
+    /// The attached registry; a private one if the first `bind`/`connect`
+    /// comes with none attached (a raw transport in a unit test).
+    obs: OnceLock<MetricsRegistry>,
     next: AtomicUsize,
 }
 
@@ -589,19 +572,24 @@ impl Reactor {
             cancel,
             shards,
             scope: OrderedMutex::new(lock_order::NET_SCOPE, None),
-            obs: OrderedMutex::new(lock_order::NET_OBS, None),
-            robs: OnceLock::new(),
+            obs: OnceLock::new(),
             next: AtomicUsize::new(0),
         }
     }
 
-    /// Metric handles for link I/O; default (unmetered) before start.
-    fn link_obs(&self) -> ReactorObs {
-        self.robs.get().cloned().unwrap_or_default()
+    fn registry(&self) -> &MetricsRegistry {
+        self.obs.get_or_init(MetricsRegistry::new)
     }
 
+    /// Metric handles for link I/O.
+    fn link_obs(&self) -> ReactorObs {
+        ReactorObs::new(self.registry())
+    }
+
+    /// First registry wins: the runtime attaches once, before the first
+    /// `bind`/`connect` (see [`Transport::attach_obs`]).
     fn attach(&self, obs: &MetricsRegistry) {
-        *self.obs.lock() = Some(obs.clone());
+        let _ = self.obs.set(obs.clone());
     }
 
     fn pick_shard(&self) -> Arc<Shard> {
@@ -610,26 +598,21 @@ impl Reactor {
     }
 
     /// Spawn the shard threads on first use (after any `attach_obs`), so
-    /// the reactor participates in `runtime.threads_active` when a
-    /// registry exists.
+    /// the reactor participates in the attached registry's
+    /// `runtime.threads_active`.
     fn ensure_started(&self) {
         let mut scope = self.scope.lock();
         if scope.is_some() || self.cancel.is_cancelled() {
             return;
         }
-        let obs = self.obs.lock().clone();
-        let robs = self
-            .robs
-            .get_or_init(|| ReactorObs::new(obs.as_ref()))
-            .clone();
         let s = JoinScope::with_obs(
             "tcp-reactor",
             self.cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
-            obs.as_ref(),
+            Some(self.registry()),
         );
         for shard in &self.shards {
-            let runner = ShardRunner::new(shard.clone(), self.cancel.clone(), robs.clone());
+            let runner = ShardRunner::new(shard.clone(), self.cancel.clone(), self.link_obs());
             let _ = s.spawn(format!("net-reactor-{}", shard.idx), move || runner.run());
         }
         *scope = Some(s);

@@ -197,10 +197,23 @@ struct Engine {
     /// `at` of the earliest still-pending action (`u64::MAX` when none);
     /// keeps the per-tick fast path to one atomic load.
     next_due: AtomicU64,
-    pending: OrderedMutex<Vec<Armed>>,
-    applied: OrderedMutex<Vec<String>>,
-    max_depths: OrderedMutex<HashMap<String, f64>>,
+    state: OrderedMutex<EngineState>,
     sample_every: u64,
+}
+
+/// Everything the engine mutates, behind the one `scn.engine` lock.
+#[derive(Default)]
+struct EngineState {
+    /// Armed impairments not yet due, sorted by `at`.
+    pending: Vec<Armed>,
+    /// Labels of impairments already applied.
+    applied: Vec<String>,
+    /// High-water mailbox depths sampled from registry snapshots.
+    max_depths: HashMap<String, f64>,
+    /// Per-app counters, one slot per spec app; empty until `drive`.
+    /// Each driver counts into a local `AppStats` (it is the only writer)
+    /// and stores it here once, when it is done.
+    per_app: Vec<AppStats>,
 }
 
 impl Engine {
@@ -212,9 +225,13 @@ impl Engine {
             obs,
             issued: AtomicU64::new(0),
             next_due: AtomicU64::new(next),
-            pending: OrderedMutex::new(lock_order::SCN_PENDING, pending),
-            applied: OrderedMutex::new(lock_order::SCN_APPLIED, Vec::new()),
-            max_depths: OrderedMutex::new(lock_order::SCN_DEPTHS, HashMap::new()),
+            state: OrderedMutex::new(
+                lock_order::SCN_ENGINE,
+                EngineState {
+                    pending,
+                    ..EngineState::default()
+                },
+            ),
             sample_every: 8192,
         }
     }
@@ -231,26 +248,26 @@ impl Engine {
     }
 
     fn apply_due(&self, n: u64) {
-        let mut pending = self.pending.lock();
-        while pending.first().map(|a| a.at <= n).unwrap_or(false) {
-            let armed = pending.remove(0);
+        let mut state = self.state.lock();
+        while state.pending.first().map(|a| a.at <= n).unwrap_or(false) {
+            let armed = state.pending.remove(0);
             match &armed.action {
                 Action::Kill(nodes) => nodes.iter().for_each(|&x| self.ctl.kill(x)),
                 Action::Revive(nodes) => nodes.iter().for_each(|&x| self.ctl.revive(x)),
                 Action::Delay(nodes, d) => nodes.iter().for_each(|&x| self.ctl.delay(x, *d)),
                 Action::ClearDelay(nodes) => nodes.iter().for_each(|&x| self.ctl.clear_delay(x)),
             }
-            self.applied
-                .lock()
+            state
+                .applied
                 .push(format!("{} (at request {n})", armed.label));
         }
-        let next = pending.first().map_or(u64::MAX, |a| a.at);
+        let next = state.pending.first().map_or(u64::MAX, |a| a.at);
         self.next_due.store(next, Ordering::Relaxed);
     }
 
     fn sample(&self) {
         let snap = self.obs.snapshot();
-        contract::sample_depths(&snap, &mut self.max_depths.lock());
+        contract::sample_depths(&snap, &mut self.state.lock().max_depths);
     }
 }
 
@@ -378,7 +395,6 @@ pub struct ScenarioHarness {
     deployment: Option<NetAggDeployment>,
     apps: Vec<LaunchedApp>,
     engine: Arc<Engine>,
-    stats: Vec<AppStats>,
     elapsed: Duration,
 }
 
@@ -551,7 +567,6 @@ impl ScenarioHarness {
             deployment: Some(deployment),
             apps,
             engine,
-            stats: Vec::new(),
             elapsed: Duration::ZERO,
         })
     }
@@ -606,7 +621,7 @@ impl ScenarioHarness {
     /// interleaved on the calling thread. Idempotent per harness — the
     /// second call is a no-op.
     pub fn drive(&mut self) {
-        if !self.stats.is_empty() {
+        if !self.engine.state.lock().per_app.is_empty() {
             return;
         }
         // Seeded frame-indexed kills arm against the frame counters as
@@ -628,27 +643,25 @@ impl ScenarioHarness {
                     kill_target: addr,
                 });
                 self.engine
-                    .applied
+                    .state
                     .lock()
+                    .applied
                     .push(format!("seeded kill of box {slot} armed +{draw} frames"));
             }
         }
 
         let total_workers = self.spec.topology.total_workers();
-        let stats: Vec<Arc<OrderedMutex<AppStats>>> = self
+        // Zeroed, named counters: every driver counts into its own copy.
+        let fresh: Vec<AppStats> = self
             .spec
             .apps
             .iter()
-            .map(|a| {
-                Arc::new(OrderedMutex::new(
-                    lock_order::SCN_APP_STATS,
-                    AppStats {
-                        name: a.name.clone(),
-                        ..AppStats::default()
-                    },
-                ))
+            .map(|a| AppStats {
+                name: a.name.clone(),
+                ..AppStats::default()
             })
             .collect();
+        self.engine.state.lock().per_app = fresh.clone();
 
         let started = Instant::now();
         {
@@ -675,14 +688,14 @@ impl ScenarioHarness {
                     let master = master.clone();
                     let workers = workers.clone();
                     let engine = self.engine.clone();
-                    let stat = stats[idx].clone();
+                    let stat = fresh[idx].clone();
                     let seed = self.spec.seed.wrapping_add(idx as u64);
                     let base = self.spec.request_base + (idx as u64 + 1) * (1 << 32);
                     let inflight = self.spec.inflight;
                     let timeout = self.spec.wait_timeout;
                     scope
                         .spawn(format!("scenario-drive-{idx}"), move || {
-                            drive_synthetic(
+                            let stat = drive_synthetic(
                                 kind,
                                 requests,
                                 &master,
@@ -693,22 +706,24 @@ impl ScenarioHarness {
                                 inflight,
                                 timeout,
                                 &engine,
-                                &stat,
+                                stat,
                             );
+                            engine.state.lock().per_app[idx] = stat;
                         })
                         .expect("spawn scenario driver");
                 }
             }
             // Search and map-reduce are interactive workloads; drive them
             // interleaved on this thread while the synthetic drivers run.
-            self.drive_interactive(&stats);
+            self.drive_interactive(fresh);
             scope.finish();
         }
         self.elapsed = started.elapsed();
-        self.stats = stats.iter().map(|s| s.lock().clone()).collect();
     }
 
-    fn drive_interactive(&self, stats: &[Arc<OrderedMutex<AppStats>>]) {
+    /// Drive the search and map-reduce apps, counting into `stats` (one
+    /// slot per app; the synthetic apps' slots are not used).
+    fn drive_interactive(&self, mut stats: Vec<AppStats>) {
         let mut cursors: Vec<u64> = vec![0; self.apps.len()];
         loop {
             let mut progressed = false;
@@ -726,13 +741,11 @@ impl ScenarioHarness {
                             (mix(self.spec.seed, q, 0x5EA7C4) % cluster.corpus_vocabulary as u64)
                                 as usize,
                         );
-                        let mut stat = stats[idx].lock();
-                        stat.issued += 1;
-                        drop(stat);
+                        stats[idx].issued += 1;
                         self.engine.tick();
                         match cluster.frontend.query(&[term]) {
-                            Ok(_) => stats[idx].lock().completed += 1,
-                            Err(_) => stats[idx].lock().failures += 1,
+                            Ok(_) => stats[idx].completed += 1,
+                            Err(_) => stats[idx].failures += 1,
                         }
                     }
                     LaunchedApp::MapReduce { jobs, cluster } => {
@@ -750,9 +763,7 @@ impl ScenarioHarness {
                             request_id: self.spec.request_base + j,
                             ..JobConfig::default()
                         };
-                        let mut stat = stats[idx].lock();
-                        stat.issued += 1;
-                        drop(stat);
+                        stats[idx].issued += 1;
                         self.engine.tick();
                         match cluster.run(inputs, &cfg) {
                             Ok(result) => {
@@ -761,19 +772,24 @@ impl ScenarioHarness {
                                     .iter()
                                     .find(|p| p.key.as_ref() == b"common")
                                     .and_then(|p| minimr::types::parse_u64(&p.value));
-                                let mut stat = stats[idx].lock();
-                                stat.completed += 1;
+                                stats[idx].completed += 1;
                                 if common != Some(mappers as u64) {
-                                    stat.mismatches += 1;
+                                    stats[idx].mismatches += 1;
                                 }
                             }
-                            Err(_) => stats[idx].lock().failures += 1,
+                            Err(_) => stats[idx].failures += 1,
                         }
                     }
                 }
             }
             if !progressed {
                 break;
+            }
+        }
+        let mut state = self.engine.state.lock();
+        for (idx, stat) in stats.into_iter().enumerate() {
+            if !matches!(self.apps[idx], LaunchedApp::Synthetic { .. }) {
+                state.per_app[idx] = stat;
             }
         }
     }
@@ -807,18 +823,19 @@ impl ScenarioHarness {
         let snapshot = obs.snapshot();
 
         let mut violations = contract::teardown_violations(&snapshot);
-        violations.extend(contract::depth_violations(&self.engine.max_depths.lock()));
+        let state = self.engine.state.lock();
+        violations.extend(contract::depth_violations(&state.max_depths));
         let wait = snapshot.histogram(names::SHIM_MASTER_REQUEST_WAIT_US);
-        let issued: u64 = self.stats.iter().map(|s| s.issued).sum();
-        let completed: u64 = self.stats.iter().map(|s| s.completed).sum();
+        let issued: u64 = state.per_app.iter().map(|s| s.issued).sum();
+        let completed: u64 = state.per_app.iter().map(|s| s.completed).sum();
         let elapsed = self.elapsed;
         ScenarioReport {
             scenario: self.spec.name.clone(),
             provider: self.provider.to_string(),
             requests_issued: issued,
             requests_completed: completed,
-            failures: self.stats.iter().map(|s| s.failures).sum(),
-            mismatches: self.stats.iter().map(|s| s.mismatches).sum(),
+            failures: state.per_app.iter().map(|s| s.failures).sum(),
+            mismatches: state.per_app.iter().map(|s| s.mismatches).sum(),
             elapsed,
             requests_per_sec: if elapsed.as_secs_f64() > 0.0 {
                 completed as f64 / elapsed.as_secs_f64()
@@ -829,9 +846,9 @@ impl ScenarioHarness {
             p99_wait_us: wait.map(|h| h.p99).unwrap_or(0),
             detections: snapshot.counter(names::FAILURE_DETECTIONS).unwrap_or(0),
             repoints: snapshot.counter(names::FAILURE_REPOINTS).unwrap_or(0),
-            impairments_applied: self.engine.applied.lock().clone(),
+            impairments_applied: state.applied.clone(),
             violations,
-            per_app: self.stats.clone(),
+            per_app: state.per_app.clone(),
             snapshot,
         }
     }
@@ -839,6 +856,7 @@ impl ScenarioHarness {
 
 /// Closed-loop (windowed) driver for one synthetic app: register, fan
 /// the partials out, wait, verify exactness against the closed form.
+/// Counts into `stat` and hands it back.
 #[allow(clippy::too_many_arguments)]
 fn drive_synthetic(
     kind: SyntheticKind,
@@ -851,22 +869,22 @@ fn drive_synthetic(
     inflight: usize,
     timeout: Duration,
     engine: &Engine,
-    stat: &OrderedMutex<AppStats>,
-) {
+    mut stat: AppStats,
+) -> AppStats {
     let mut window: VecDeque<(u64, netagg_core::shim::PendingRequest)> = VecDeque::new();
-    let settle = |window: &mut VecDeque<(u64, netagg_core::shim::PendingRequest)>| {
+    let settle = |window: &mut VecDeque<(u64, netagg_core::shim::PendingRequest)>,
+                  stat: &mut AppStats| {
         let Some((rid, pending)) = window.pop_front() else {
             return;
         };
         match pending.wait(timeout) {
             Ok(result) => {
-                let mut s = stat.lock();
-                s.completed += 1;
+                stat.completed += 1;
                 if result.combined != expected_result(kind, seed, rid, total_workers) {
-                    s.mismatches += 1;
+                    stat.mismatches += 1;
                 }
             }
-            Err(_) => stat.lock().failures += 1,
+            Err(_) => stat.failures += 1,
         }
         // Settled either way: the workers can drop the request's sequence
         // and replay state, or it grows with the request count.
@@ -875,7 +893,7 @@ fn drive_synthetic(
     for i in 0..requests {
         let rid = base + i;
         let pending = master.register_request(rid, workers.len());
-        stat.lock().issued += 1;
+        stat.issued += 1;
         engine.tick();
         for (w, shim) in workers.iter().enumerate() {
             // A send into a just-killed box is expected to fail; the
@@ -887,12 +905,13 @@ fn drive_synthetic(
         }
         window.push_back((rid, pending));
         while window.len() >= inflight {
-            settle(&mut window);
+            settle(&mut window, &mut stat);
         }
     }
     while !window.is_empty() {
-        settle(&mut window);
+        settle(&mut window, &mut stat);
     }
+    stat
 }
 
 /// Build, drive and tear down one scenario against one provider.

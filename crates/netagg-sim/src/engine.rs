@@ -617,8 +617,9 @@ mod tests {
     use crate::workload::WorkloadConfig;
     use crate::{Strategy, GBPS};
 
-    fn engine_for(topo: &Topology) -> Engine {
-        let cfg = ExperimentConfig {
+    /// No boxes deployed: flows cross links only.
+    fn direct_cfg(topo: &Topology) -> ExperimentConfig {
+        ExperimentConfig {
             topology: topo.config.clone(),
             workload: WorkloadConfig::default(),
             strategy: Strategy::Direct,
@@ -626,31 +627,44 @@ mod tests {
             box_rate: 9.2 * GBPS,
             box_link: 10.0 * GBPS,
             engine: crate::EngineKind::Reference,
-        };
+        }
+    }
+
+    /// Run `flows` through the oracle and through the production
+    /// `IncrementalEngine` (both built directly, so `cfg.engine` is not
+    /// consulted). The closed forms below are asserted on each result: the
+    /// parity suites compare the engines on random workloads, which cannot
+    /// catch a semantics bug the two share.
+    fn run_both(
+        topo: &Topology,
+        cfg: &ExperimentConfig,
+        flows: Vec<FlowSpec>,
+    ) -> [(&'static str, SimResult); 2] {
         let placement = BoxPlacement::new(topo, &cfg.deployment);
-        Engine::new(topo, &placement, &cfg)
+        let reference = Engine::new(topo, &placement, cfg).run(flows.clone());
+        let incremental = crate::IncrementalEngine::new(topo, &placement, cfg).run(flows);
+        [("reference", reference), ("incremental", incremental)]
     }
 
     #[test]
     fn single_flow_runs_at_edge_capacity() {
         let topo = Topology::build(&TopologyConfig::quick());
-        let mut eng = engine_for(&topo);
         let route = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
         let size = 1e6;
         let flows = vec![FlowSpec::background(size, route.links, 0.0)];
-        let res = eng.run(flows);
         let expected = size / GBPS;
-        let fct = res.records[0].fct();
-        assert!(
-            (fct - expected).abs() < 1e-6 * expected.max(1.0) + 1e-9,
-            "fct {fct} expected {expected}"
-        );
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), flows) {
+            let fct = res.records[0].fct();
+            assert!(
+                (fct - expected).abs() < 1e-6 * expected.max(1.0) + 1e-9,
+                "{engine}: fct {fct} expected {expected}"
+            );
+        }
     }
 
     #[test]
     fn two_flows_share_a_link_fairly() {
         let topo = Topology::build(&TopologyConfig::quick());
-        let mut eng = engine_for(&topo);
         // Both flows target server 1: its downlink is shared.
         let r1 = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
         let r2 = crate::routing::server_route(&topo, topo.server(2), topo.server(1), 0);
@@ -659,54 +673,63 @@ mod tests {
             FlowSpec::background(size, r1.links, 0.0),
             FlowSpec::background(size, r2.links, 0.0),
         ];
-        let res = eng.run(flows);
         // Equal flows sharing one bottleneck: both finish at 2x the solo
         // time.
         let expected = 2.0 * size / GBPS;
-        for r in &res.records {
-            assert!(
-                (r.fct() - expected).abs() < 1e-6 * expected,
-                "fct {}",
-                r.fct()
-            );
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), flows) {
+            for r in &res.records {
+                assert!(
+                    (r.fct() - expected).abs() < 1e-6 * expected,
+                    "{engine}: fct {}",
+                    r.fct()
+                );
+            }
         }
     }
 
     #[test]
     fn unequal_flows_complete_in_staggered_fashion() {
         let topo = Topology::build(&TopologyConfig::quick());
-        let mut eng = engine_for(&topo);
         let r1 = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
         let r2 = crate::routing::server_route(&topo, topo.server(2), topo.server(1), 0);
         let flows = vec![
             FlowSpec::background(1e6, r1.links, 0.0),
             FlowSpec::background(3e6, r2.links, 0.0),
         ];
-        let res = eng.run(flows);
         // Short flow shares the 1 Gbps downlink until it finishes at 2e6
         // bytes total crossing; long flow then runs alone: 4e6 bytes total.
         let t_short = 2e6 / GBPS;
         let t_long = 4e6 / GBPS;
-        assert!((res.records[0].fct() - t_short).abs() < 1e-6 * t_short);
-        assert!((res.records[1].fct() - t_long).abs() < 1e-6 * t_long);
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), flows) {
+            let (short, long) = (res.records[0].fct(), res.records[1].fct());
+            assert!(
+                (short - t_short).abs() < 1e-6 * t_short,
+                "{engine}: {short}"
+            );
+            assert!((long - t_long).abs() < 1e-6 * t_long, "{engine}: {long}");
+        }
     }
 
     #[test]
     fn late_start_is_respected() {
         let topo = Topology::build(&TopologyConfig::quick());
-        let mut eng = engine_for(&topo);
         let r1 = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
         let flows = vec![FlowSpec::background(1e6, r1.links, 5.0)];
-        let res = eng.run(flows);
-        assert!(res.records[0].start == 5.0);
-        assert!((res.records[0].finish - (5.0 + 1e6 / GBPS)).abs() < 1e-6);
-        assert!((res.records[0].fct() - 1e6 / GBPS).abs() < 1e-6);
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), flows) {
+            let r = &res.records[0];
+            assert!(r.start == 5.0, "{engine}: start {}", r.start);
+            assert!(
+                (r.finish - (5.0 + 1e6 / GBPS)).abs() < 1e-6,
+                "{engine}: finish {}",
+                r.finish
+            );
+            assert!((r.fct() - 1e6 / GBPS).abs() < 1e-6, "{engine}");
+        }
     }
 
     #[test]
     fn completion_gating_delays_aggregation_output() {
         let topo = Topology::build(&TopologyConfig::quick());
-        let mut eng = engine_for(&topo);
         // Worker 0 -> aggregator (server 1), aggregator -> master
         // (server 2). The output is half the input, so the output flow
         // drains early but must wait for the inbound flow to finish.
@@ -736,21 +759,26 @@ mod tests {
             kind: SegmentKind::AggregatedOutput,
             request: Some(0),
         };
-        let res = eng.run(vec![child, parent]);
         let t_child = 2e6 / GBPS;
-        assert!((res.records[0].fct() - t_child).abs() < 1e-6 * t_child);
-        // The parent cannot finish before the child feeds it its last byte.
-        assert!(
-            (res.records[1].finish - t_child).abs() < 1e-6 * t_child,
-            "parent finish {} expected {t_child}",
-            res.records[1].finish,
-        );
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), vec![child, parent]) {
+            assert!(
+                (res.records[0].fct() - t_child).abs() < 1e-6 * t_child,
+                "{engine}: child fct {}",
+                res.records[0].fct()
+            );
+            // The parent cannot finish before the child feeds it its last
+            // byte.
+            assert!(
+                (res.records[1].finish - t_child).abs() < 1e-6 * t_child,
+                "{engine}: parent finish {} expected {t_child}",
+                res.records[1].finish,
+            );
+        }
     }
 
     #[test]
     fn gating_cascades_through_deep_chains() {
         let topo = Topology::build(&TopologyConfig::quick());
-        let mut eng = engine_for(&topo);
         // w0 -> w1 -> w2 -> w3: a three-hop chain where every downstream
         // flow is smaller; all must finish when the first (largest) does.
         let mut flows = Vec::new();
@@ -778,14 +806,15 @@ mod tests {
             prev = Some(flows.len() as u32);
             flows.push(f);
         }
-        let res = eng.run(flows);
         let t_first = 4e6 / GBPS;
-        for r in &res.records {
-            assert!(
-                r.finish >= t_first - 1e-9,
-                "downstream hop finished {} before its input {t_first}",
-                r.finish
-            );
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), flows) {
+            for r in &res.records {
+                assert!(
+                    r.finish >= t_first - 1e-9,
+                    "{engine}: downstream hop finished {} before its input {t_first}",
+                    r.finish
+                );
+            }
         }
     }
 
@@ -802,7 +831,6 @@ mod tests {
             engine: crate::EngineKind::Reference,
         };
         let placement = BoxPlacement::new(&topo, &cfg.deployment);
-        let mut eng = Engine::new(&topo, &placement, &cfg);
         let route = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
         let b = placement.box_for(route.switches[0], 0).unwrap();
         let res_list = vec![
@@ -811,13 +839,14 @@ mod tests {
             crate::flow::Resource::BoxProc(b),
         ];
         let f = FlowSpec::leaf(1e6, res_list, 0.0, SegmentKind::WorkerPartial, 0);
-        let res = eng.run(vec![f]);
         let expected = 1e6 / (0.5 * GBPS);
-        assert!(
-            (res.records[0].fct() - expected).abs() < 1e-6 * expected,
-            "fct {}",
-            res.records[0].fct()
-        );
+        for (engine, res) in run_both(&topo, &cfg, vec![f]) {
+            assert!(
+                (res.records[0].fct() - expected).abs() < 1e-6 * expected,
+                "{engine}: fct {}",
+                res.records[0].fct()
+            );
+        }
     }
 
     #[test]
@@ -901,27 +930,17 @@ mod tests {
             kind: SegmentKind::AggregatedOutput,
             request: Some(0),
         };
-        let mut eng = engine_for(&topo);
-        let res = eng.run(vec![child.clone(), parent.clone()]);
-        assert_eq!(res.records[0].finish, 0.0, "boundary residual is delivered");
         let expected = 1e6 / GBPS;
-        assert!((res.records[1].fct() - expected).abs() < 1e-6 * expected);
-
-        // Same boundary classification in the incremental engine.
-        let cfg = ExperimentConfig {
-            topology: topo.config.clone(),
-            workload: WorkloadConfig::default(),
-            strategy: Strategy::Direct,
-            deployment: Deployment::None,
-            box_rate: 9.2 * GBPS,
-            box_link: 10.0 * GBPS,
-            engine: crate::EngineKind::Incremental,
-        };
-        let placement = BoxPlacement::new(&topo, &cfg.deployment);
-        let mut inc = crate::IncrementalEngine::new(&topo, &placement, &cfg);
-        let res = inc.run(vec![child, parent]);
-        assert_eq!(res.records[0].finish, 0.0);
-        assert!((res.records[1].fct() - expected).abs() < 1e-6 * expected);
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), vec![child, parent]) {
+            assert_eq!(
+                res.records[0].finish, 0.0,
+                "{engine}: boundary residual is delivered"
+            );
+            assert!(
+                (res.records[1].fct() - expected).abs() < 1e-6 * expected,
+                "{engine}"
+            );
+        }
     }
 
     #[test]
@@ -932,23 +951,12 @@ mod tests {
         let route = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
         let size = flow::EPS_BYTES * 1.001;
         let flows = vec![FlowSpec::background(size, route.links, 0.0)];
-        let mut eng = engine_for(&topo);
-        let res = eng.run(flows.clone());
-        assert!(res.records[0].finish > 0.0, "flow above the boundary ran");
-
-        let cfg = ExperimentConfig {
-            topology: topo.config.clone(),
-            workload: WorkloadConfig::default(),
-            strategy: Strategy::Direct,
-            deployment: Deployment::None,
-            box_rate: 9.2 * GBPS,
-            box_link: 10.0 * GBPS,
-            engine: crate::EngineKind::Incremental,
-        };
-        let placement = BoxPlacement::new(&topo, &cfg.deployment);
-        let mut inc = crate::IncrementalEngine::new(&topo, &placement, &cfg);
-        let res = inc.run(flows);
-        assert!(res.records[0].finish > 0.0);
+        for (engine, res) in run_both(&topo, &direct_cfg(&topo), flows) {
+            assert!(
+                res.records[0].finish > 0.0,
+                "{engine}: flow above the boundary ran"
+            );
+        }
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //!
 //! If certificates keep failing after [`MAX_EXPANSIONS`] rounds the engine
 //! falls back to one global waterfill over all active flows, which is
-//! exact by construction. In practice (see `BENCH_sim.json`) the first
-//! scope — the bottleneck cohort of the event — verifies almost always,
+//! exact by construction. In practice (the benchmark's `sim.expansions`
+//! and `sim.fallbacks` ledger rows) the first scope — the bottleneck
+//! cohort of the event — verifies almost always,
 //! so per-event work is proportional to the flows whose rates actually
 //! change, not to the number of active flows.
 //!
@@ -91,7 +92,7 @@ pub const MAX_EXPANSIONS: u32 = 4;
 const CERT_TOL: f64 = 1e-9;
 
 /// Counters describing how much work one incremental run did; the basis of
-/// the `events/sec` figure tracked in `BENCH_sim.json`.
+/// the benchmark's `events_per_s` metric and its `sim.*` ledger rows.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
 pub struct EngineStats {
     /// Flow starts admitted.
