@@ -11,8 +11,8 @@
 //!          quick (trace-friendly smoke drive)
 //!          sim-perf (10,240-server simulator scaling sweep; exits 1 if
 //!                    the incremental engine is < 10x the naive one)
-//!          soak (BENCH_soak.json — §7-contract scenario soak; --quick
-//!                runs the CI-sized section only)
+//!          soak (§7-contract scenario soak → BENCH_soak.json; --quick
+//!                runs the CI-sized section only → target/soak-quick.json)
 //!          sim (fig2..fig14)   testbed (fig15..fig26)   all
 //! ```
 //!

@@ -9,10 +9,12 @@
 //! drained fan-in ledgers, and zero duplicate deliveries. Any violation,
 //! failure or exactness mismatch is fatal.
 //!
-//! Scale selects the section(s) written to `BENCH_soak.json`:
-//! `--quick` runs only the quick soak (the CI configuration); the default
-//! and `--paper` scales run the quick soak *and* the million-request full
-//! soak, producing the complete committed record. The file is a record of
+//! Scale selects what runs and where the record goes: `--quick` runs only
+//! the quick soak (the CI configuration) and writes
+//! `target/soak-quick.json`; the default and `--paper` scales run the
+//! quick soak *and* the million-request full soak and rewrite the
+//! committed `BENCH_soak.json` with both sections — so a quick run can
+//! never drop the committed `full` section. Either file is a record of
 //! what the contract run saw (waits, detections, re-points), not a
 //! throughput baseline: no timing in it is gated.
 
@@ -85,7 +87,7 @@ fn section_json(out: &mut String, name: &str, spec: &ScenarioSpec, reports: &[Sc
 }
 
 /// `repro soak` — run the soak scenario(s) for the selected scale and
-/// write `BENCH_soak.json`.
+/// write the record (`BENCH_soak.json` only when the full section ran).
 pub fn soak(opts: &Options) {
     let quick_spec = netagg_scenarios::quick_soak_spec();
     let quick_reports = run_section(&quick_spec);
@@ -108,7 +110,12 @@ pub fn soak(opts: &Options) {
         section_json(&mut json, "full", spec, reports);
     }
     json.push_str("\n  }\n}\n");
-    let path = "BENCH_soak.json";
+    let path = if full.is_some() {
+        "BENCH_soak.json"
+    } else {
+        let _ = std::fs::create_dir_all("target");
+        "target/soak-quick.json"
+    };
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("error: writing {path}: {e}"),

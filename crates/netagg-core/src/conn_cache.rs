@@ -37,8 +37,11 @@ impl ConnCache {
 
     /// Send `frame` to `dest`, then run `then` on the connection it went
     /// out on (a heartbeat waits for its ack there). The cache lock is
-    /// held throughout, so concurrent senders to one destination stay
-    /// ordered; an error from `then` evicts the connection.
+    /// held throughout (`conn.cache` is declared blocking-tolerant, §15):
+    /// racing dials end in one connection per destination, the first send
+    /// precedes any redial that would replace it, and concurrent senders
+    /// to one destination stay ordered. An error from `then` evicts the
+    /// connection.
     pub fn send_then<R>(
         &self,
         dest: NodeId,
@@ -52,11 +55,9 @@ impl ConnCache {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(v) => {
                     dialled = true;
-                    // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the cache lock serializes racing dials to one per destination
                     v.insert(self.transport.connect(self.from, dest)?)
                 }
             };
-            // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the first send must precede any racing redial that would replace the cached conn
             match conn.send(frame.clone()) {
                 Ok(()) => break,
                 Err(e) => {

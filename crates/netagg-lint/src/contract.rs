@@ -1,10 +1,11 @@
-//! Parsers for the two halves of the observability contract:
+//! Parsers for the two halves of each contract:
 //!
 //! * DESIGN.md — §7 metric table + structured-event kinds, the §9
-//!   thread inventory, the §11 span/stage name table and the §12
-//!   reactor-thread table,
-//! * `netagg-obs/src/names.rs` — the constants runtime code compiles
-//!   against.
+//!   thread inventory, the §11 span/stage name table, the §12
+//!   reactor-thread table and the §15 lock-rank and acquisition-edge
+//!   tables,
+//! * `netagg-obs/src/names.rs` and `netagg-net/src/lock_order.rs` — the
+//!   constants runtime code compiles against.
 //!
 //! Both sides keep source line numbers so contract-drift diagnostics point
 //! at the exact row or constant to edit.
@@ -43,6 +44,8 @@ pub struct RankEntry {
     pub rank: u16,
     /// The registry name, e.g. `master.pending`.
     pub name: String,
+    /// Declared `.blocking_tolerant()`.
+    pub may_block: bool,
     /// 1-based line in `lock_order.rs`.
     pub line: u32,
 }
@@ -54,21 +57,21 @@ pub struct RankRow {
     pub rank: u16,
     /// The registry name (second column, backticked).
     pub name: String,
+    /// The name carries the blocking-tolerant mark `†`.
+    pub may_block: bool,
     /// 1-based line in DESIGN.md.
     pub line: u32,
 }
 
-/// One declared acquisition edge from the §15 "Declared cross-layer
-/// edges" table — a `held → acquired` pair the lexical analysis cannot
-/// see because the acquisition happens across a crate or file boundary.
+/// One row of the §15 "Acquisition edges" table: a `held → acquired` pair
+/// the runtime witness is expected to observe (`tests/lock_witness.rs`
+/// compares the table with the witness in both directions).
 #[derive(Debug, Clone)]
 pub struct EdgeEntry {
     /// Registry name of the held lock.
     pub from: String,
     /// Registry name of the lock acquired while `from` is held.
     pub to: String,
-    /// 1-based line in DESIGN.md.
-    pub line: u32,
 }
 
 /// The full parsed contract.
@@ -90,8 +93,8 @@ pub struct Contract {
     pub lock_ranks: Vec<RankEntry>,
     /// §15 "Lock ranks" table rows (diffed against [`Self::lock_ranks`]).
     pub rank_rows: Vec<RankRow>,
-    /// §15 declared cross-layer acquisition edges.
-    pub declared_edges: Vec<EdgeEntry>,
+    /// §15 "Acquisition edges" table.
+    pub edges: Vec<EdgeEntry>,
 }
 
 impl Contract {
@@ -117,7 +120,7 @@ impl Contract {
             consts: parse_consts(names),
             lock_ranks: Vec::new(),
             rank_rows: parse_rank_rows(design),
-            declared_edges: parse_declared_edges(design),
+            edges: parse_edges(design),
         };
         // Event kinds double as `emit()` call-site names; keep them out of
         // the metric set (no overlap today, but be explicit).
@@ -255,6 +258,7 @@ pub fn parse_rank_consts(src: &str) -> Vec<RankEntry> {
             ident,
             rank,
             name: after[q1 + 1..q1 + 1 + q2_rel].to_string(),
+            may_block: decl.contains(".blocking_tolerant()"),
             line: lineno,
         });
     }
@@ -319,7 +323,7 @@ fn table_rows(doc: &str, heading: &str) -> Vec<(Vec<String>, u32)> {
     out
 }
 
-/// Parse the §15 "Lock ranks" table: `| <rank> | `name` | protects |`.
+/// Parse the §15 "Lock ranks" table: `| <rank> | `name` [†] | protects |`.
 fn parse_rank_rows(doc: &str) -> Vec<RankRow> {
     let mut out = Vec::new();
     for (cells, line) in table_rows(doc, "### Lock ranks") {
@@ -329,32 +333,26 @@ fn parse_rank_rows(doc: &str) -> Vec<RankRow> {
         let Ok(rank) = rank_cell.parse::<u16>() else {
             continue; // header row
         };
-        let Some(name) = cells.get(1).map(|c| backticked(c)).and_then(|mut v| {
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.remove(0))
-            }
-        }) else {
+        let Some(cell) = cells.get(1) else { continue };
+        let Some(name) = backticked(cell).into_iter().next() else {
             continue;
         };
-        out.push(RankRow { rank, name, line });
+        out.push(RankRow {
+            rank,
+            name,
+            may_block: cell.contains('†'),
+            line,
+        });
     }
     out
 }
 
-/// Parse the §15 "Declared cross-layer edges" table:
+/// Parse the §15 "Acquisition edges" table:
 /// `| `from` | `to-a`, `to-b` | why |` — one [`EdgeEntry`] per `to` name.
-fn parse_declared_edges(doc: &str) -> Vec<EdgeEntry> {
+fn parse_edges(doc: &str) -> Vec<EdgeEntry> {
     let mut out = Vec::new();
-    for (cells, line) in table_rows(doc, "### Declared cross-layer edges") {
-        let Some(from) = cells.first().map(|c| backticked(c)).and_then(|mut v| {
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.remove(0))
-            }
-        }) else {
+    for (cells, _) in table_rows(doc, "### Acquisition edges") {
+        let Some(from) = cells.first().and_then(|c| backticked(c).into_iter().next()) else {
             continue; // header row
         };
         let Some(tos) = cells.get(1).map(|c| backticked(c)) else {
@@ -364,7 +362,6 @@ fn parse_declared_edges(doc: &str) -> Vec<EdgeEntry> {
             out.push(EdgeEntry {
                 from: from.clone(),
                 to,
-                line,
             });
         }
     }
@@ -462,9 +459,9 @@ pub fn expand(template: &str, args: &[&str]) -> String { String::new() }
 | Rank | Lock | Protects |
 |---|---|---|
 | 10 | `scn.pending` | armed impairments |
-| 20 | `master.pending` | in-flight requests |
+| 20 | `master.pending` † | in-flight requests |
 
-### Declared cross-layer edges
+### Acquisition edges
 
 | From | To | Via |
 |---|---|---|
@@ -479,10 +476,11 @@ pub fn expand(template: &str, args: &[&str]) -> String { String::new() }
         assert_eq!(c.rank_rows[0].name, "scn.pending");
         assert_eq!(c.rank_rows[1].rank, 20);
         assert_eq!(c.rank_rows[1].name, "master.pending");
-        assert_eq!(c.declared_edges.len(), 2);
-        assert_eq!(c.declared_edges[0].from, "master.pending");
-        assert_eq!(c.declared_edges[0].to, "scn.pending");
-        assert_eq!(c.declared_edges[1].to, "master.pending");
+        assert!(!c.rank_rows[0].may_block && c.rank_rows[1].may_block);
+        assert_eq!(c.edges.len(), 2);
+        assert_eq!(c.edges[0].from, "master.pending");
+        assert_eq!(c.edges[0].to, "scn.pending");
+        assert_eq!(c.edges[1].to, "master.pending");
     }
 
     #[test]
@@ -490,7 +488,7 @@ pub fn expand(template: &str, args: &[&str]) -> String { String::new() }
         let src = "\
 pub const SCN_PENDING: LockRank = LockRank::new(10, \"scn.pending\");
 pub const MASTER_PENDING: LockRank =
-    LockRank::new(20, \"master.pending\");
+    LockRank::new(20, \"master.pending\").blocking_tolerant();
 pub const NOT_A_RANK: &str = \"x\";
 ";
         let ranks = parse_rank_consts(src);
@@ -502,6 +500,7 @@ pub const NOT_A_RANK: &str = \"x\";
         assert_eq!(ranks[1].ident, "MASTER_PENDING");
         assert_eq!(ranks[1].rank, 20);
         assert_eq!(ranks[1].name, "master.pending");
+        assert!(!ranks[0].may_block && ranks[1].may_block);
     }
 
     #[test]
@@ -510,8 +509,8 @@ pub const NOT_A_RANK: &str = \"x\";
         let c = Contract::load(&root).unwrap();
         assert!(c.lock_ranks.len() >= 10, "ranks: {}", c.lock_ranks.len());
         assert!(
-            !c.declared_edges.is_empty(),
-            "DESIGN.md §15 must declare the cross-layer edges"
+            !c.edges.is_empty(),
+            "DESIGN.md §15 must list the acquisition edges"
         );
     }
 

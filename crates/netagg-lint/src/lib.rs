@@ -15,15 +15,13 @@
 //! * **thread-inventory** — inline `JoinScope::spawn` names match the
 //!   DESIGN.md §9 thread table, and the §12 reactor-thread table stays a
 //!   subset of §9.
-//! * **lock-order** — the workspace-wide lock-acquisition graph (§15):
-//!   every blocking acquisition made while a lock is held must ascend
-//!   the `lock_order.rs` rank registry, the graph (including the §15
-//!   declared cross-layer edges) must be acyclic, and the registry stays
-//!   in exact bidirectional sync with the §15 "Lock ranks" table.
-//! * **no-block-while-locked** — no Mailbox send/recv, `Condvar` wait,
-//!   `JoinScope` join, sleep or socket I/O inside a lock scope (§15).
 //! * **no-lock-unwrap** — no `.lock().unwrap()`: poison is handled by
 //!   the lifecycle wrappers, not crashed through (§15).
+//! * **lock-order** — the `lock_order.rs` rank registry stays in exact
+//!   bidirectional sync with the §15 "Lock ranks" table (rank, name,
+//!   blocking-tolerant mark). The order itself, and blocking while
+//!   locked, are enforced at runtime by the debug-build witness in
+//!   `netagg-net/src/lifecycle.rs`; this crate does no lock analysis.
 //!
 //! Suppress a finding with a comment on (or immediately above) the line:
 //!
@@ -39,7 +37,6 @@
 
 pub mod contract;
 pub mod lexer;
-pub mod lockgraph;
 pub mod rules;
 
 use contract::Contract;
@@ -167,20 +164,6 @@ fn parse_suppressions(lexed: &lexer::Lexed) -> Vec<Suppression> {
 /// path used both for reporting and for per-rule scoping (the lifecycle
 /// exemption, test-directory handling).
 pub fn lint_source(path: &str, src: &str, contract: &Contract) -> Vec<Diagnostic> {
-    let reg = lockgraph::Registry::from_contract(contract);
-    lint_file(path, src, contract, &reg).0
-}
-
-/// Per-file pass shared by [`lint_source`] and [`lint_workspace`]: run
-/// every per-file rule, apply suppressions, and return the surviving
-/// diagnostics together with the file's lock-acquisition edges (the
-/// workspace pass feeds those into [`lockgraph::graph_checks`]).
-fn lint_file(
-    path: &str,
-    src: &str,
-    contract: &Contract,
-    reg: &lockgraph::Registry,
-) -> (Vec<Diagnostic>, Vec<lockgraph::Edge>) {
     let lexed = lexer::lex(src);
     let mut found = Vec::new();
 
@@ -203,9 +186,6 @@ fn lint_file(
         }
         rules::thread_inventory(path, &lexed, contract, &mut found);
     }
-
-    let fa = lockgraph::analyze_file(path, &lexed, reg);
-    found.extend(fa.diags);
 
     // Apply suppressions.
     let mut sups = parse_suppressions(&lexed);
@@ -250,7 +230,7 @@ fn lint_file(
             });
         }
     }
-    (kept, fa.edges)
+    kept
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -272,8 +252,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Lint every `.rs` file in the workspace rooted at `root` (excluding
-/// `vendor/`, `target/` and lint fixtures), plus the global §7 ⇄
-/// `names.rs` sync check. Results are sorted by file, then line.
+/// `vendor/`, `target/` and lint fixtures), plus the global contract-sync
+/// checks (§7/§11 ⇄ `names.rs`, §12 ⊆ §9, §15 ⇄ `lock_order.rs`). Results
+/// are sorted by file, then line.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let contract = Contract::load(root).map_err(|e| {
         io::Error::new(
@@ -288,9 +269,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut diags = Vec::new();
     rules::metrics_contract_sync(&contract, &mut diags);
     rules::thread_inventory_sync(&contract, &mut diags);
-    lockgraph::sync_checks(&contract, &mut diags);
-    let reg = lockgraph::Registry::from_contract(&contract);
-    let mut edges = Vec::new();
+    rules::lock_order_sync(&contract, &mut diags);
     for file in &files {
         let src = fs::read_to_string(file)?;
         let rel = file
@@ -298,45 +277,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        let (d, e) = lint_file(&rel, &src, &contract, &reg);
-        diags.extend(d);
-        edges.extend(e);
+        diags.extend(lint_source(&rel, &src, &contract));
     }
-    // Graph-level checks run over the merged edge set; their findings are
-    // global properties, not per-line ones, so they bypass suppressions.
-    lockgraph::graph_checks(&edges, &contract, &reg, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
     Ok(diags)
-}
-
-/// The workspace's static lock-acquisition graph as a set of
-/// `(held, acquired)` registry-name pairs: every lexical edge (including
-/// `try_*` acquisitions and same-file indirect edges) plus the §15
-/// declared cross-layer edges. The runtime witness's observed edges must
-/// be a subset of this (`tests/lock_witness.rs`).
-pub fn lock_graph_names(root: &Path) -> io::Result<std::collections::BTreeSet<(String, String)>> {
-    let contract = Contract::load(root)?;
-    let reg = lockgraph::Registry::from_contract(&contract);
-    let mut files = Vec::new();
-    walk(root, &mut files)?;
-    files.sort();
-    let mut out = std::collections::BTreeSet::new();
-    for file in &files {
-        let src = fs::read_to_string(file)?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let lexed = lexer::lex(&src);
-        for e in lockgraph::analyze_file(&rel, &lexed, &reg).edges {
-            out.insert((e.from, e.to));
-        }
-    }
-    for de in &contract.declared_edges {
-        out.insert((de.from.clone(), de.to.clone()));
-    }
-    Ok(out)
 }
 
 /// Whether a diagnostic set should fail the run.

@@ -15,14 +15,11 @@ pub const NO_POLL_SHUTDOWN: &str = "no-poll-shutdown";
 pub const METRICS_CONTRACT: &str = "metrics-contract";
 /// See [`NO_RAW_SPAWN`].
 pub const THREAD_INVENTORY: &str = "thread-inventory";
-/// See [`NO_RAW_SPAWN`]. Graph-level findings (rank inversions, cycles,
-/// §15 table drift) are global and cannot be suppressed; only the
-/// per-file binding diagnostics honour `allow(lock-order)`.
-pub const LOCK_ORDER: &str = "lock-order";
-/// See [`NO_RAW_SPAWN`].
-pub const NO_BLOCK_WHILE_LOCKED: &str = "no-block-while-locked";
 /// See [`NO_RAW_SPAWN`].
 pub const NO_LOCK_UNWRAP: &str = "no-lock-unwrap";
+/// §15 rank table ⇄ `lock_order.rs` drift. Its findings are properties of
+/// the two documents, not of a source line, so it is not suppressible.
+pub const LOCK_ORDER: &str = "lock-order";
 
 /// All suppressible rule names (for validating `allow(...)` arguments).
 pub const ALL_RULES: &[&str] = &[
@@ -31,8 +28,6 @@ pub const ALL_RULES: &[&str] = &[
     NO_POLL_SHUTDOWN,
     METRICS_CONTRACT,
     THREAD_INVENTORY,
-    LOCK_ORDER,
-    NO_BLOCK_WHILE_LOCKED,
     NO_LOCK_UNWRAP,
 ];
 
@@ -140,7 +135,7 @@ fn matches_template(template: &str, site: &[Frag]) -> bool {
 
 /// Whether the token at `i` is called: followed by `(`, optionally with a
 /// turbofish (`::<...>`) in between.
-pub(crate) fn is_called(toks: &[Tok], i: usize) -> bool {
+fn is_called(toks: &[Tok], i: usize) -> bool {
     let mut j = i + 1;
     if toks.get(j).map(|t| t.is_punct(':')).unwrap_or(false)
         && toks.get(j + 1).map(|t| t.is_punct(':')).unwrap_or(false)
@@ -164,7 +159,7 @@ pub(crate) fn is_called(toks: &[Tok], i: usize) -> bool {
     toks.get(j).map(|t| t.is_punct('(')).unwrap_or(false)
 }
 
-pub(crate) fn diag(rule: &str, path: &str, t: &Tok, message: String) -> Diagnostic {
+fn diag(rule: &str, path: &str, t: &Tok, message: String) -> Diagnostic {
     Diagnostic {
         rule: rule.to_string(),
         file: path.to_string(),
@@ -203,7 +198,7 @@ fn first_string_arg(toks: &[Tok], i: usize) -> Option<(Vec<Frag>, &Tok, bool)> {
 
 /// Find the index of the `}` matching the `{` at `open` (which must point
 /// at a `{`). Returns `toks.len()` when unbalanced.
-pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> usize {
+fn matching_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i32;
     let mut i = open;
     while i < toks.len() {
@@ -658,6 +653,92 @@ pub fn no_lock_unwrap(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Rule 7: lock-order (DESIGN.md §15 "Lock ranks" ⇄ lock_order.rs sync)
+// ---------------------------------------------------------------------------
+
+/// Bidirectional sync between the `lock_order.rs` constants and the §15
+/// "Lock ranks" table — rank, name and the blocking-tolerant mark — plus
+/// registry sanity (unique ranks, unique names). The order itself is
+/// enforced at runtime by the debug-build witness, which reads the same
+/// constants; this keeps the document the witness is described by honest.
+pub fn lock_order_sync(contract: &Contract, out: &mut Vec<Diagnostic>) {
+    let registry = "crates/netagg-net/src/lock_order.rs";
+    let mut err = |file: &str, line: u32, message: String| {
+        out.push(Diagnostic {
+            rule: LOCK_ORDER.into(),
+            file: file.into(),
+            line,
+            col: 1,
+            level: Level::Error,
+            message,
+        })
+    };
+    for r in &contract.lock_ranks {
+        match contract.rank_rows.iter().find(|row| row.name == r.name) {
+            None => err(
+                registry,
+                r.line,
+                format!(
+                    "lock `{}` (rank {}) has no row in the DESIGN.md §15 \
+                     Lock ranks table — the registry and the table have \
+                     drifted",
+                    r.name, r.rank
+                ),
+            ),
+            Some(row) if row.rank != r.rank => err(
+                "DESIGN.md",
+                row.line,
+                format!(
+                    "§15 lists `{}` at rank {} but lock_order.rs declares \
+                     rank {}",
+                    r.name, row.rank, r.rank
+                ),
+            ),
+            Some(row) if row.may_block != r.may_block => err(
+                "DESIGN.md",
+                row.line,
+                format!(
+                    "§15 and lock_order.rs disagree on whether `{}` is \
+                     blocking-tolerant (table †: {}, constant: {})",
+                    r.name, row.may_block, r.may_block
+                ),
+            ),
+            Some(_) => {}
+        }
+    }
+    for row in &contract.rank_rows {
+        if !contract.lock_ranks.iter().any(|r| r.name == row.name) {
+            err(
+                "DESIGN.md",
+                row.line,
+                format!(
+                    "§15 row `{}` has no LockRank constant in lock_order.rs \
+                     — the table and the registry have drifted",
+                    row.name
+                ),
+            );
+        }
+    }
+    // Ranks and names must be unique, or the witness's strict ordering
+    // cannot distinguish the locks.
+    for (i, a) in contract.lock_ranks.iter().enumerate() {
+        for b in &contract.lock_ranks[i + 1..] {
+            if a.rank == b.rank || a.name == b.name {
+                err(
+                    registry,
+                    b.line,
+                    format!(
+                        "`{}` and `{}` collide (rank {} vs {}, name `{}` vs \
+                         `{}`) — ranks and names must be unique",
+                        a.ident, b.ident, a.rank, b.rank, a.name, b.name
+                    ),
+                );
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,6 +759,46 @@ mod tests {
         assert_eq!(out.len(), 2, "{out:?}");
         assert_eq!(out[0].line, 1);
         assert_eq!(out[1].line, 3);
+    }
+
+    #[test]
+    fn lock_order_sync_catches_drift_both_ways() {
+        let mut c = Contract::from_sources(
+            "### Lock ranks\n\n\
+             | Rank | Lock | Protects |\n|---|---|---|\n\
+             | 1 | `fx.alpha` | a |\n\
+             | 2 | `fx.beta` † | b |\n",
+            "",
+        );
+        c.lock_ranks = crate::contract::parse_rank_consts(
+            "pub const ALPHA: LockRank = LockRank::new(1, \"fx.alpha\");\n\
+             pub const BETA: LockRank = LockRank::new(2, \"fx.beta\").blocking_tolerant();\n",
+        );
+        let mut out = Vec::new();
+        lock_order_sync(&c, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // Registry gains a lock the table lacks; the table gains a row the
+        // registry lacks, a rank mismatch and a dropped † mark.
+        c.lock_ranks.push(crate::contract::RankEntry {
+            ident: "DELTA".into(),
+            rank: 4,
+            name: "fx.delta".into(),
+            may_block: false,
+            line: 9,
+        });
+        c.rank_rows.push(crate::contract::RankRow {
+            rank: 9,
+            name: "fx.ghost".into(),
+            may_block: false,
+            line: 30,
+        });
+        c.rank_rows[0].rank = 7;
+        c.rank_rows[1].may_block = false;
+        lock_order_sync(&c, &mut out);
+        for needle in ["fx.delta", "fx.ghost", "at rank 7", "blocking-tolerant"] {
+            assert!(out.iter().any(|d| d.message.contains(needle)), "{out:?}");
+        }
+        assert_eq!(out.len(), 4, "{out:?}");
     }
 
     #[test]

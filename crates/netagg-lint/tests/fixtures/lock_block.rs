@@ -1,25 +1,4 @@
-// Blocking while locked, and guard-poison unwraps.
-struct Fx {
-    alpha: OrderedMutex<u32>,
-}
-
-impl Fx {
-    fn build() -> Self {
-        Self {
-            alpha: OrderedMutex::new(lock_order::FX_ALPHA, 0),
-        }
-    }
-
-    fn send_under_guard(&self, tx: &Mailbox<u32>) {
-        let a = self.alpha.lock();
-        let _ = tx.send(*a);
-    }
-
-    fn sleep_under_guard(&self) {
-        let _a = self.alpha.lock();
-        thread::sleep(Duration::from_millis(5));
-    }
-}
+// Guard-poison unwraps: raw `std::sync` locks crashed through.
 
 fn raw_unwrap(m: &std::sync::Mutex<u32>) -> u32 {
     *m.lock().unwrap()

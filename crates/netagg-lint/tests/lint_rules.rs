@@ -3,7 +3,7 @@
 //! `names.rs` sync check fails on either direction of drift.
 
 use netagg_lint::contract::Contract;
-use netagg_lint::{lint_source, lint_workspace, lockgraph, Diagnostic, Level};
+use netagg_lint::{lint_source, lint_workspace, Diagnostic, Level};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -299,89 +299,51 @@ fn workspace_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-order, blocking-while-locked, and guard-unwrap rules (§15)
+// Guard-unwrap rule and the §15 rank-table sync
 // ---------------------------------------------------------------------------
 
-/// A two-lock registry matching the `fx.*` fixtures.
-fn lock_contract() -> Contract {
-    let mut c = Contract::from_sources(
-        "### Lock ranks\n\
-         | Rank | Lock | Protects |\n|---|---|---|\n\
-         | 1 | `fx.alpha` | fixture |\n\
-         | 2 | `fx.beta` | fixture |\n",
-        "",
-    );
-    c.lock_ranks = netagg_lint::contract::parse_rank_consts(
-        "pub const FX_ALPHA: LockRank = LockRank::new(1, \"fx.alpha\");\n\
-         pub const FX_BETA: LockRank = LockRank::new(2, \"fx.beta\");\n",
-    );
-    c
+#[test]
+fn lock_block_fixture_flags_guard_unwraps() {
+    let diags = run("lock_block.rs");
+    assert_eq!(spans(&diags, "no-lock-unwrap"), vec![4, 8], "{diags:?}");
+    assert!(diags.iter().all(|d| d.rule == "no-lock-unwrap"));
 }
 
 #[test]
-fn lock_block_fixture_flags_blocking_calls_and_guard_unwraps() {
-    let c = lock_contract();
-    let diags = lint_source("crates/x/src/lock_block.rs", &fixture("lock_block.rs"), &c);
-    assert_eq!(
-        spans(&diags, "no-block-while-locked"),
-        vec![15, 20],
-        "{diags:?}"
-    );
-    assert_eq!(spans(&diags, "no-lock-unwrap"), vec![25, 29], "{diags:?}");
-}
-
-#[test]
-fn seeded_lock_cycle_fixture_fails_the_gate() {
-    let c = lock_contract();
-    let reg = lockgraph::Registry::from_contract(&c);
-    let lexed = netagg_lint::lexer::lex(&fixture("lock_cycle.rs"));
-    let fa = lockgraph::analyze_file("crates/x/src/lock_cycle.rs", &lexed, &reg);
-    assert!(fa.diags.is_empty(), "per-file noise: {:?}", fa.diags);
-    let mut diags = Vec::new();
-    lockgraph::graph_checks(&fa.edges, &c, &reg, &mut diags);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "lock-order" && d.message.contains("cycle")),
-        "{diags:?}"
-    );
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "lock-order" && d.message.contains("must ascend")),
-        "{diags:?}"
-    );
-    assert!(diags.iter().all(|d| d.level == Level::Error), "{diags:?}");
-}
-
-#[test]
-fn clean_lock_fixture_is_silent() {
-    let c = lock_contract();
-    let src = fixture("lock_clean.rs");
-    let diags = lint_source("crates/x/src/lock_clean.rs", &src, &c);
-    assert!(diags.is_empty(), "false positives: {diags:?}");
-    let reg = lockgraph::Registry::from_contract(&c);
-    let lexed = netagg_lint::lexer::lex(&src);
-    let fa = lockgraph::analyze_file("crates/x/src/lock_clean.rs", &lexed, &reg);
-    let mut out = Vec::new();
-    lockgraph::graph_checks(&fa.edges, &c, &reg, &mut out);
-    assert!(out.is_empty(), "{out:?}");
+fn deleting_any_lock_rank_row_fails_the_gate() {
+    let root = workspace_root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let locks = fs::read_to_string(root.join("crates/netagg-net/src/lock_order.rs")).unwrap();
+    let ranks = netagg_lint::contract::parse_rank_consts(&locks);
+    assert!(!ranks.is_empty(), "lock_order.rs declares no LockRank");
+    for r in &ranks {
+        let row_marker = format!("| {} | `{}`", r.rank, r.name);
+        let pruned: String = design
+            .lines()
+            .filter(|l| !l.starts_with(&row_marker))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_ne!(pruned.len(), design.len(), "no §15 row for `{}`", r.name);
+        let mut c = Contract::from_sources(&pruned, "");
+        c.lock_ranks = ranks.clone();
+        let mut errs = Vec::new();
+        netagg_lint::rules::lock_order_sync(&c, &mut errs);
+        assert!(
+            errs.iter()
+                .any(|e| e.rule == "lock-order" && e.message.contains(&r.name)),
+            "deleting the `{}` row went unnoticed",
+            r.name
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Vendored code is out of scope, end to end
 // ---------------------------------------------------------------------------
 
-/// One file that violates three rules at once: a raw spawn, a guard
-/// unwrap, and a rank-inverted acquisition against the real registry.
+/// One file that violates two rules at once: a raw spawn and a guard
+/// unwrap.
 const PLANTED: &str = "use std::thread;\n\
-    // netagg-lint: lock-binding(pending = scn.pending)\n\
-    // netagg-lint: lock-binding(applied = scn.applied)\n\
-    fn inverted(pending: &OrderedMutex<u32>, applied: &OrderedMutex<u32>) -> u32 {\n\
-        let b = applied.lock();\n\
-        let a = pending.lock();\n\
-        *a + *b\n\
-    }\n\
     fn spawned() {\n\
         thread::spawn(|| {});\n\
     }\n\
@@ -422,7 +384,7 @@ fn planted_violation_under_vendor_does_not_fire() {
 fn planted_violation_under_crates_fails_the_gate() {
     let root = planted_root("crates", "crates/x/src/evil.rs");
     let diags = lint_workspace(&root).unwrap();
-    for rule in ["no-raw-spawn", "no-lock-unwrap", "lock-order"] {
+    for rule in ["no-raw-spawn", "no-lock-unwrap"] {
         assert!(
             diags
                 .iter()

@@ -15,7 +15,7 @@
 //! frames make progress instead of deadlocking — the window bounds
 //! *queued* bytes, it does not reject frames.
 
-use crate::lifecycle::CancelToken;
+use crate::lifecycle::{may_block, CancelToken};
 use crate::transport::NetError;
 use crate::units::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -61,6 +61,7 @@ impl FlowWindow {
     /// the module docs). Wakes with [`NetError::Cancelled`] when `cancel`
     /// fires and [`NetError::Closed`] once the window is closed.
     pub fn acquire(&self, n: Bytes, cancel: &CancelToken) -> Result<(), NetError> {
+        may_block("FlowWindow::acquire");
         let wake = self.shared.clone();
         let _guard = cancel.register_waker(move || {
             // Take the lock so a waiter between its cancel check and its

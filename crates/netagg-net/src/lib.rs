@@ -17,9 +17,8 @@
 //!   prototype).
 //! * [`flow`] — [`FlowWindow`]: byte-counted per-connection send windows,
 //!   the TCP reactor's sender-side backpressure (§12).
-//! * [`units`] — typed [`units::Bytes`] / [`units::BitsPerSec`] /
-//!   [`units::Nanosecs`] quantities used by flow control and the link
-//!   emulator.
+//! * [`units`] — the typed [`units::Bytes`] quantity flow control counts
+//!   in.
 //! * [`ratelimit`] — token-bucket rate limiting used to emulate link
 //!   capacities (1 Gbps edge vs 10 Gbps box links).
 //! * [`emu`] — [`emu::EmuNet`]: a transport whose endpoints have emulated
@@ -32,7 +31,9 @@
 //!   [`lifecycle::OrderedMutex`] wrapper with its debug-build acquisition
 //!   witness (§15).
 //! * [`lock_order`] — the static lock-rank registry backing §15's
-//!   acquisition order, single-sourced for the wrappers and `netagg-lint`.
+//!   acquisition order (and which ranks tolerate a blocked holder), read
+//!   by the wrappers' witness and kept in sync with DESIGN.md by
+//!   `netagg-lint`.
 //! * [`metered`] — [`metered::MeteredTransport`]: a decorator that counts
 //!   frames and bytes per link into a metrics registry.
 //! * [`wire`] — small binary (de)serialisation helpers over [`bytes`].

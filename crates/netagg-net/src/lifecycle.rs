@@ -18,6 +18,12 @@
 //!   (`std::thread::Builder`) that joins with a deadline and propagates
 //!   worker panics, so a hung thread becomes a loud error instead of a
 //!   silent futex park.
+//! * [`OrderedMutex`] — a mutex with a static rank in the one global
+//!   acquisition order. Its debug-build witness is the only enforcement
+//!   of DESIGN.md §15: it panics on a rank inversion, records every
+//!   `(held, acquired)` edge, and makes the blocking operations above
+//!   (and [`crate::FlowWindow::acquire`]) panic when entered under a lock
+//!   `lock_order.rs` does not declare blocking-tolerant.
 //!
 //! [`cancel`]: CancelToken::cancel
 //!
@@ -129,6 +135,7 @@ impl CancelToken {
     /// when the token is cancelled (the interruptible-sleep idiom:
     /// `if cancel.wait_timeout(tick) { return; }`).
     pub fn wait_timeout(&self, d: Duration) -> bool {
+        may_block("CancelToken::wait_timeout");
         let deadline = Instant::now() + d;
         let mut g = self.inner.wait_lock.lock();
         loop {
@@ -462,6 +469,9 @@ impl<T> Mailbox<T> {
     /// Enqueue `v`, applying the overflow policy when full. `Block`
     /// senders wake on space, close or cancellation.
     pub fn send(&self, v: T) -> Result<(), MailboxSendError<T>> {
+        if self.inner.policy == OverflowPolicy::Block {
+            may_block("Mailbox::send");
+        }
         let sh = &self.inner.shared;
         let mut s = sh.state.lock();
         loop {
@@ -529,6 +539,7 @@ impl<T> Mailbox<T> {
         deadline: Option<Instant>,
         extra: Option<&CancelToken>,
     ) -> Result<T, MailboxRecvTimeoutError> {
+        may_block("Mailbox::recv");
         let sh = &self.inner.shared;
         let mut s = sh.state.lock();
         loop {
@@ -845,6 +856,7 @@ impl JoinScope {
         if slots.is_empty() {
             return Ok(());
         }
+        may_block("JoinScope::join_all");
         let deadline = Instant::now() + self.deadline;
         let current = std::thread::current().id();
         let mut hung = Vec::new();
@@ -898,16 +910,20 @@ impl Drop for JoinScope {
 // Ordered locks & the lock-order witness (DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-/// Debug-build runtime witness backing the static lock-acquisition graph
-/// (DESIGN.md §15).
+/// Debug-build runtime witness: the one enforcement of DESIGN.md §15.
 ///
-/// Every [`OrderedMutex`] acquisition consults a thread-local stack of held ranks: acquiring a lock whose rank is not
-/// strictly greater than every rank already held panics immediately —
-/// *before* blocking, so the offending stack is the one reported — and
-/// every `(held, acquired)` pair is recorded into a process-wide edge set
-/// that the soak test diffs against `netagg-lint`'s static graph. In
-/// release builds the wrappers compile down to the plain `parking_lot`
-/// shims: no thread-local, no edge set, no rank check.
+/// Every [`OrderedMutex`] acquisition consults a thread-local stack of
+/// held ranks: acquiring a lock whose rank is not strictly greater than
+/// every rank already held panics immediately — *before* blocking, so the
+/// offending stack is the one reported — and every `(held, acquired)`
+/// pair is recorded into a process-wide edge set that
+/// `tests/lock_witness.rs` compares with the §15 "Acquisition edges"
+/// table. The blocking primitives of this crate call [`may_block`] on
+/// entry, which panics if the stack holds a lock not declared
+/// blocking-tolerant in `lock_order.rs`. In release builds all of it
+/// compiles to nothing: no thread-local, no edge set, no check.
+///
+/// [`may_block`]: witness::may_block
 #[cfg(debug_assertions)]
 mod witness {
     use crate::lock_order::LockRank;
@@ -917,8 +933,7 @@ mod witness {
     use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
     struct Held {
-        rank: u16,
-        name: &'static str,
+        rank: LockRank,
         token: u64,
     }
 
@@ -959,15 +974,15 @@ mod witness {
             {
                 let mut e = edges().lock().unwrap_or_else(PoisonError::into_inner);
                 for held in h.iter() {
-                    e.insert((held.name, rank.name));
+                    e.insert((held.rank.name, rank.name));
                 }
             }
             if non_blocking || std::thread::panicking() {
                 return;
             }
-            if let Some(max) = h.iter().max_by_key(|x| x.rank) {
+            if let Some(max) = h.iter().map(|x| x.rank).max_by_key(|r| r.rank) {
                 if rank.rank <= max.rank {
-                    let stack: Vec<&str> = h.iter().map(|x| x.name).collect();
+                    let stack: Vec<&str> = h.iter().map(|x| x.rank.name).collect();
                     panic!(
                         "lock-order violation: acquiring '{}' (rank {}) while \
                          holding '{}' (rank {}); held stack: {:?} — the \
@@ -979,18 +994,32 @@ mod witness {
         });
     }
 
+    /// Entry check of a blocking primitive (`what`): a holder parked on a
+    /// queue, a sleep or a join stalls every other acquirer for the whole
+    /// block, so only the locks `lock_order.rs` declares blocking-tolerant
+    /// may be held here (§15 "Blocking while locked").
+    pub(crate) fn may_block(what: &str) {
+        if std::thread::panicking() {
+            return;
+        }
+        HELD.with(|h| {
+            if let Some(x) = h.borrow().iter().find(|x| !x.rank.may_block) {
+                panic!(
+                    "blocking while locked: {what} entered while holding '{}' \
+                     (rank {}) — move the call outside the lock scope \
+                     (DESIGN.md §15)",
+                    x.rank.name, x.rank.rank
+                );
+            }
+        });
+    }
+
     /// Push a successfully acquired lock onto the held stack; the
     /// returned token pops it (in any order — guards may outlive
     /// later-acquired ones) when dropped.
     pub(super) fn acquired(rank: LockRank) -> HeldToken {
         let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-        HELD.with(|h| {
-            h.borrow_mut().push(Held {
-                rank: rank.rank,
-                name: rank.name,
-                token,
-            })
-        });
+        HELD.with(|h| h.borrow_mut().push(Held { rank, token }));
         HeldToken {
             token,
             name: rank.name,
@@ -1066,13 +1095,16 @@ mod witness {
 }
 
 /// Release-build witness: zero-cost no-ops so [`OrderedMutex`] is exactly
-/// the `parking_lot` shim.
+/// the `parking_lot` shim and the blocking primitives carry no check.
 #[cfg(not(debug_assertions))]
 mod witness {
     use crate::lock_order::LockRank;
 
     #[inline(always)]
     pub(super) fn check(_rank: LockRank, _non_blocking: bool) {}
+
+    #[inline(always)]
+    pub(crate) fn may_block(_what: &str) {}
 
     pub(super) struct HeldToken;
 
@@ -1081,6 +1113,8 @@ mod witness {
         HeldToken
     }
 }
+
+pub(crate) use witness::may_block;
 
 /// Every `(held, acquired)` lock pair observed by the witness since
 /// process start (or the last [`witness_reset`]). Debug builds only;
@@ -1450,6 +1484,31 @@ mod tests {
         cancel.cancel();
         scope.spawn("late", || {}).unwrap();
         assert!(scope.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn blocking_under_a_ranked_lock_panics_unless_the_rank_tolerates_it() {
+        let mb: Mailbox<u32> = Mailbox::new("t", 1, OverflowPolicy::Block, CancelToken::new());
+        let strict = OrderedMutex::new(LockRank::new(900, "test.strict"), ());
+        let tolerant = LockRank::new(901, "test.tolerant").blocking_tolerant();
+        let tolerant = OrderedMutex::new(tolerant, ());
+        let tick = Duration::from_millis(1);
+        {
+            let _g = tolerant.lock();
+            assert_eq!(mb.recv_timeout(tick), Err(MailboxRecvTimeoutError::Timeout));
+        }
+        let _g = strict.lock();
+        // Operations that never park are legal under any lock.
+        mb.try_send(1).unwrap();
+        assert_eq!(mb.try_recv(), Ok(1));
+        let blocked = std::panic::AssertUnwindSafe(|| mb.recv_timeout(tick));
+        let panic = std::panic::catch_unwind(blocked).expect_err("recv under test.strict");
+        let msg = panic_message(panic.as_ref());
+        assert!(
+            msg.contains("blocking while locked") && msg.contains("test.strict"),
+            "{msg}"
+        );
     }
 
     #[test]

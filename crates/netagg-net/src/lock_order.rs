@@ -9,14 +9,15 @@
 //! carry the lowest ranks; the transport layer — always acquired last, at
 //! the bottom of every call chain — carries the highest.
 //!
-//! `netagg-lint`'s `lock-order` rule parses this file, diffs the constants
-//! bidirectionally against the §15 "Lock ranks" table (the same pattern as
-//! the §7 metrics contract), infers the static acquisition graph from the
-//! construction and acquisition sites, and fails CI on any edge that
-//! violates rank monotonicity. The debug-only runtime witness
-//! (`lifecycle::witness`) enforces the identical invariant at runtime and
-//! records every observed edge so the soak test can prove containment in
-//! the static graph.
+//! The debug-build witness (`lifecycle::witness`) is the enforcement: it
+//! panics on a rank inversion before the acquisition blocks, records every
+//! `(held, acquired)` pair for `tests/lock_witness.rs` to compare with the
+//! §15 "Acquisition edges" table, and panics when a blocking primitive
+//! (`Mailbox` send/recv, `CancelToken::wait_timeout`, `JoinScope` join,
+//! `FlowWindow::acquire`) is entered under a lock not declared
+//! [`blocking_tolerant`](LockRank::blocking_tolerant) here. `netagg-lint`
+//! only keeps this file and the §15 "Lock ranks" table in bidirectional
+//! sync (rank, name and the blocking-tolerant mark).
 //!
 //! Rank bands (gaps left for future locks):
 //!
@@ -35,16 +36,32 @@ pub struct LockRank {
     /// Position in the global order; strictly increasing along every
     /// legal acquisition chain.
     pub rank: u16,
-    /// Registry name, `<band>.<lock>`; the key used by the static graph,
-    /// the runtime witness and the §15 table.
+    /// Registry name, `<band>.<lock>`; the key used by the runtime
+    /// witness and the §15 tables.
     pub name: &'static str,
+    /// Whether a holder may enter a blocking primitive (§15 "Blocking
+    /// while locked"); `false` unless declared otherwise.
+    pub may_block: bool,
 }
 
 impl LockRank {
     /// Declare a rank (used by the registry constants below and by tests
     /// that need ad-hoc locks outside the global order).
     pub const fn new(rank: u16, name: &'static str) -> Self {
-        Self { rank, name }
+        Self {
+            rank,
+            name,
+            may_block: false,
+        }
+    }
+
+    /// Declare the lock one of §15's deliberate exceptions: it is held
+    /// across a dial plus first send, so its holder may block.
+    pub const fn blocking_tolerant(self) -> Self {
+        Self {
+            may_block: true,
+            ..self
+        }
     }
 }
 
@@ -84,9 +101,10 @@ pub const SCHED_STATE: LockRank = LockRank::new(60, "sched.state");
 
 /// A `ConnCache`'s destination → connection map (`netagg-core/src/conn_cache.rs`):
 /// worker data plane, master control plane, box egress and failure
-/// detector each own one. Held across a dial plus first send, so it ranks
-/// below every protocol lock and above the whole transport band.
-pub const CONN_CACHE: LockRank = LockRank::new(65, "conn.cache");
+/// detector each own one. Held across a dial plus first send (the lock is
+/// what serializes racing dials to one connection per destination), so it
+/// ranks below every protocol lock and above the whole transport band.
+pub const CONN_CACHE: LockRank = LockRank::new(65, "conn.cache").blocking_tolerant();
 
 // --- TCP reactor (70–89) ---------------------------------------------------
 
@@ -94,8 +112,9 @@ pub const CONN_CACHE: LockRank = LockRank::new(65, "conn.cache");
 pub const NET_SCOPE: LockRank = LockRank::new(70, "net.scope");
 /// NodeId → socket address registry.
 pub const NET_REGISTRY: LockRank = LockRank::new(72, "net.registry");
-/// Address → physical link map; held while dialling a new link.
-pub const NET_LINKS: LockRank = LockRank::new(73, "net.links");
+/// Address → physical link map; held while dialling a new link and handing
+/// it to its reactor shard, so racing dials end in one link per address.
+pub const NET_LINKS: LockRank = LockRank::new(73, "net.links").blocking_tolerant();
 /// A link's read half (decoder + channel routing); pumping the read half
 /// flushes the write half, so `net.rin` orders before `net.out`.
 pub const NET_RIN: LockRank = LockRank::new(74, "net.rin");

@@ -10,7 +10,6 @@
 //! `n` far exceeds the burst size — a 1 MB message on a 1 MB/s link takes
 //! one second, not one burst.
 
-use crate::units::{BitsPerSec, Bytes};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
@@ -50,13 +49,6 @@ impl TokenBucket {
         Self::new(rate_bytes_per_sec, burst)
     }
 
-    /// [`TokenBucket::for_link`] from a typed link rate — the natural
-    /// spelling for the paper's topologies:
-    /// `TokenBucket::for_link_rate(BitsPerSec::gbps(10))`.
-    pub fn for_link_rate(rate: BitsPerSec) -> Self {
-        Self::for_link(rate.bytes_per_sec())
-    }
-
     /// Refill rate in bytes/s.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -85,11 +77,6 @@ impl TokenBucket {
         }
     }
 
-    /// [`TokenBucket::acquire`] of a typed byte quantity.
-    pub fn acquire_bytes(&self, n: Bytes) {
-        self.acquire(n.into_u64() as f64);
-    }
-
     /// Acquire `n` tokens, sleeping as needed. Blocks for the full
     /// serialisation time of `n` bytes: amounts above the burst are taken
     /// in burst-sized instalments.
@@ -111,13 +98,6 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn typed_constructors_match_raw_rates() {
-        let b = TokenBucket::for_link_rate(BitsPerSec::mbps(800));
-        assert_eq!(b.rate(), 100e6, "800 Mbps is 100 MB/s");
-        b.acquire_bytes(Bytes::kib(1)); // within burst: immediate
-    }
 
     #[test]
     fn burst_is_free_then_rate_limits() {

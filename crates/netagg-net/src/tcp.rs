@@ -134,7 +134,6 @@ fn be_u32(b: &[u8]) -> u32 {
 /// global, not per transport, so both ends of a loopback pair find each
 /// other whichever handle touched them first; a socket whose twin has not
 /// registered yet gets no hints and is re-armed by the park tick instead.
-// netagg-lint: lock-binding(link_dir = net.link_dir)
 fn link_dir() -> &'static LinkDir {
     static DIR: OnceLock<LinkDir> = OnceLock::new();
     DIR.get_or_init(|| OrderedMutex::new(lock_order::NET_LINK_DIR, HashMap::new()))
@@ -1340,7 +1339,10 @@ struct TcpShared {
 }
 
 impl TcpShared {
-    /// Get or dial the shared physical link to `addr`.
+    /// Get or dial the shared physical link to `addr`. `net.links` stays
+    /// held across the dial and the `AddLink` hand-off (it is declared
+    /// blocking-tolerant, §15), so racing dials end in one link per address
+    /// and no second dial can observe a link its reactor has not seen.
     fn link_to(&self, addr: SocketAddr) -> Result<Arc<LinkState>, NetError> {
         let mut links = self.links.lock();
         if let Some(l) = links.get(&addr) {
@@ -1348,7 +1350,6 @@ impl TcpShared {
                 return Ok(l.clone());
             }
         }
-        // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the link table lock serializes racing dials to one physical link per address
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
@@ -1356,7 +1357,6 @@ impl TcpShared {
         let link = LinkState::register(&shard, stream, None, self.reactor.link_obs())?;
         shard
             .cmds
-            // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: AddLink must reach the reactor before a second dial can observe the link
             .send(Cmd::AddLink { link: link.clone() })
             .map_err(|_| NetError::Closed)?;
         shard.notify();

@@ -1,20 +1,12 @@
-//! Typed units for flow control and link emulation.
+//! The typed byte quantity for flow control.
 //!
-//! Byte counts, line rates and durations stop being bare `u64`/`f64`
-//! values that can be mixed up silently: [`Bytes`] × [`BitsPerSec`] →
-//! [`Nanosecs`] is the only way to turn a window into a wait, so a rate
-//! can never be added to a byte count by accident. The newtypes follow
-//! minim's flow state (SNIPPETS.md §2), which models windows, rates and
-//! delays the same way.
-//!
-//! The [`crate::flow::FlowWindow`] used by the TCP reactor's outbound path
-//! (DESIGN.md §12) and the [`crate::ratelimit::TokenBucket`] used by the
-//! link emulator are both written against these types.
+//! A byte *count* stops being a bare `u64` that can be mixed up with a
+//! frame count or a buffer: [`Bytes`] is what a
+//! [`crate::flow::FlowWindow`] (the TCP reactor's outbound window,
+//! DESIGN.md §12) is limited by, acquires and releases. The newtype
+//! follows minim's flow state (SNIPPETS.md §2).
 
-use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
-use std::time::Duration;
+use std::ops::{Add, AddAssign};
 
 /// A count of bytes (payload sizes, window limits, in-flight totals).
 ///
@@ -51,25 +43,9 @@ impl Bytes {
         self.0
     }
 
-    /// The raw count as a `usize` (buffer sizing).
-    pub const fn into_usize(self) -> usize {
-        self.0 as usize
-    }
-
     /// `self - other`, floored at zero.
     pub const fn saturating_sub(self, other: Self) -> Self {
         Bytes(self.0.saturating_sub(other.0))
-    }
-
-    /// Serialisation delay of this many bytes at `rate`
-    /// (`8·bytes / rate`, in nanoseconds; u128 intermediate, no overflow
-    /// for any realistic window × rate).
-    pub fn transfer_time(self, rate: BitsPerSec) -> Nanosecs {
-        if rate.0 == 0 {
-            return Nanosecs(u64::MAX);
-        }
-        let ns = (self.0 as u128 * 8 * 1_000_000_000) / rate.0 as u128;
-        Nanosecs(ns.min(u64::MAX as u128) as u64)
     }
 }
 
@@ -86,155 +62,17 @@ impl AddAssign for Bytes {
     }
 }
 
-impl Sub for Bytes {
-    type Output = Bytes;
-    fn sub(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for Bytes {
-    fn sub_assign(&mut self, rhs: Bytes) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Sum for Bytes {
-    fn sum<I: Iterator<Item = Bytes>>(iter: I) -> Bytes {
-        Bytes(iter.map(|b| b.0).sum())
-    }
-}
-
-impl fmt::Display for Bytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} B", self.0)
-    }
-}
-
-/// A line rate in bits per second (link capacities, pacing rates).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BitsPerSec(u64);
-
-impl BitsPerSec {
-    /// Exactly `n` bits per second.
-    pub const fn new(n: u64) -> Self {
-        BitsPerSec(n)
-    }
-
-    /// `n` Mbit/s (decimal, as link rates are quoted).
-    pub const fn mbps(n: u64) -> Self {
-        BitsPerSec(n * 1_000_000)
-    }
-
-    /// `n` Gbit/s (decimal; the paper's 1 Gbps edge / 10 Gbps box links).
-    pub const fn gbps(n: u64) -> Self {
-        BitsPerSec(n * 1_000_000_000)
-    }
-
-    /// The raw rate.
-    pub const fn into_u64(self) -> u64 {
-        self.0
-    }
-
-    /// The rate in bytes per second (token-bucket arithmetic).
-    pub fn bytes_per_sec(self) -> f64 {
-        self.0 as f64 / 8.0
-    }
-}
-
-impl fmt::Display for BitsPerSec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} bit/s", self.0)
-    }
-}
-
-/// A duration in nanoseconds (transfer times, pacing delays).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Nanosecs(u64);
-
-impl Nanosecs {
-    /// Zero nanoseconds.
-    pub const ZERO: Nanosecs = Nanosecs(0);
-
-    /// Exactly `n` nanoseconds.
-    pub const fn new(n: u64) -> Self {
-        Nanosecs(n)
-    }
-
-    /// The raw count.
-    pub const fn into_u64(self) -> u64 {
-        self.0
-    }
-
-    /// As a `std::time::Duration` (for sleeps and deadlines).
-    pub const fn to_duration(self) -> Duration {
-        Duration::from_nanos(self.0)
-    }
-
-    /// As fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-}
-
-impl Add for Nanosecs {
-    type Output = Nanosecs;
-    fn add(self, rhs: Nanosecs) -> Nanosecs {
-        Nanosecs(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Nanosecs {
-    fn add_assign(&mut self, rhs: Nanosecs) {
-        self.0 += rhs.0;
-    }
-}
-
-impl From<Duration> for Nanosecs {
-    fn from(d: Duration) -> Self {
-        Nanosecs(d.as_nanos().min(u64::MAX as u128) as u64)
-    }
-}
-
-impl fmt::Display for Nanosecs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ns", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transfer_time_matches_hand_arithmetic() {
-        // 125 bytes = 1000 bits at 1 Gbps = 1 µs.
-        assert_eq!(
-            Bytes::new(125).transfer_time(BitsPerSec::gbps(1)),
-            Nanosecs::new(1_000)
-        );
-        // 1 MiB at 10 Gbps ≈ 838.9 µs.
-        let t = Bytes::mib(1).transfer_time(BitsPerSec::gbps(10));
-        assert_eq!(t.into_u64(), 1024 * 1024 * 8 / 10);
-        // Zero rate never divides by zero.
-        assert_eq!(
-            Bytes::new(1).transfer_time(BitsPerSec::new(0)).into_u64(),
-            u64::MAX
-        );
-    }
 
     #[test]
     fn byte_arithmetic_is_typed() {
         let mut w = Bytes::kib(64);
         w += Bytes::new(100);
         assert_eq!(w.into_u64(), 64 * 1024 + 100);
+        assert_eq!(Bytes::of_len(3) + Bytes::new(2), Bytes::new(5));
         assert_eq!(Bytes::new(5).saturating_sub(Bytes::new(9)), Bytes::ZERO);
-        let total: Bytes = [Bytes::new(1), Bytes::new(2)].into_iter().sum();
-        assert_eq!(total, Bytes::new(3));
-        assert_eq!(BitsPerSec::gbps(1).bytes_per_sec(), 125_000_000.0);
-        assert_eq!(
-            Nanosecs::new(1500).to_duration(),
-            Duration::from_nanos(1500)
-        );
+        assert!(Bytes::mib(1) > Bytes::kib(1023));
     }
 }

@@ -9,7 +9,7 @@
 //!   impairment vocabulary (seeded kill, failover kill, partition + heal,
 //!   straggler storm); bounded enough for CI's `--quick` gate.
 //! * [`full_soak_spec`] — the million-request run behind the committed
-//!   `BENCH_soak.json` baseline.
+//!   `BENCH_soak.json` record.
 //!
 //! Both run the *same* spec shape on both built-in providers; only the
 //! request counts differ.

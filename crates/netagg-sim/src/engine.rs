@@ -16,8 +16,9 @@
 //! does. This captures pipelined streaming aggregation end-to-end timing
 //! while keeping each event's rate allocation a pure max-min problem.
 
+use crate::bookkeeping::{starts_descending, Lifecycle, ResourceTable, State};
 use crate::deployment::BoxPlacement;
-use crate::flow::{self, FlowSpec, Resource, SegmentKind};
+use crate::flow::{self, FlowSpec, SegmentKind};
 use crate::topology::Topology;
 use crate::ExperimentConfig;
 use std::cmp::Ordering;
@@ -53,42 +54,6 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-/// Validate a resource capacity table: every entry finite and > 0.
-pub(crate) fn validate_caps(caps: &[f64]) -> Result<(), EngineError> {
-    for (resource, &capacity) in caps.iter().enumerate() {
-        if !(capacity.is_finite() && capacity > 0.0) {
-            return Err(EngineError::InvalidCapacity { resource, capacity });
-        }
-    }
-    Ok(())
-}
-
-/// Build the shared resource capacity table for a topology and deployment:
-/// fabric links first, then `[in, out, proc]` per agg box.
-pub(crate) fn capacity_table(
-    topo: &Topology,
-    placement: &BoxPlacement,
-    cfg: &ExperimentConfig,
-) -> Vec<f64> {
-    let mut caps: Vec<f64> = topo.links.iter().map(|l| l.capacity).collect();
-    for _ in 0..placement.num_boxes() {
-        caps.push(cfg.box_link); // in
-        caps.push(cfg.box_link); // out
-        caps.push(cfg.box_rate); // proc
-    }
-    caps
-}
-
-/// Map a flow resource to its index in the capacity table.
-pub(crate) fn resource_index(num_links: usize, r: Resource) -> usize {
-    match r {
-        Resource::Link(l) => l.0 as usize,
-        Resource::BoxIn(b) => num_links + 3 * b.0 as usize,
-        Resource::BoxOut(b) => num_links + 3 * b.0 as usize + 1,
-        Resource::BoxProc(b) => num_links + 3 * b.0 as usize + 2,
-    }
-}
 
 /// Completion record of one flow.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -178,20 +143,7 @@ impl SimResult {
 /// [`crate::EngineKind::Reference`].
 #[derive(Debug)]
 pub struct Engine {
-    /// Capacity of every resource, bytes/s. Layout: fabric links first,
-    /// then `[in, out, proc]` per agg box.
-    caps: Vec<f64>,
-    num_links: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Pending,
-    /// Transferring bytes.
-    Active,
-    /// All bytes pushed, waiting for children to complete.
-    Drained,
-    Done,
+    table: ResourceTable,
 }
 
 impl Engine {
@@ -210,125 +162,38 @@ impl Engine {
         placement: &BoxPlacement,
         cfg: &ExperimentConfig,
     ) -> Result<Self, EngineError> {
-        let caps = capacity_table(topo, placement, cfg);
-        validate_caps(&caps)?;
         Ok(Self {
-            caps,
-            num_links: topo.num_links(),
+            table: ResourceTable::try_new(topo, placement, cfg)?,
         })
-    }
-
-    fn resource_index(&self, r: Resource) -> usize {
-        resource_index(self.num_links, r)
     }
 
     /// Run all flows to completion and return per-flow records plus link
     /// traffic totals.
     pub fn run(&mut self, flows: Vec<FlowSpec>) -> SimResult {
         let n = flows.len();
-        let res_lists: Vec<Vec<u32>> = flows
-            .iter()
-            .map(|f| {
-                f.resources
-                    .iter()
-                    .map(|r| self.resource_index(*r) as u32)
-                    .collect()
-            })
-            .collect();
-        // Parent lookup (a flow has at most one parent in an aggregation
-        // tree; assert that to catch malformed inputs).
-        let mut parent: Vec<Option<u32>> = vec![None; n];
-        for (i, f) in flows.iter().enumerate() {
-            for &c in &f.children {
-                assert!(
-                    parent[c as usize].is_none(),
-                    "flow {c} has more than one parent"
-                );
-                parent[c as usize] = Some(i as u32);
-            }
-        }
-
+        let caps = &self.table.caps;
+        let res_lists = self.table.index_lists(&flows);
+        let mut life = Lifecycle::new(&flows);
         let mut remaining: Vec<f64> = flows.iter().map(|f| f.size).collect();
-        let mut state: Vec<State> = vec![State::Pending; n];
-        let mut finish: Vec<f64> = vec![0.0; n];
-        let mut open_children: Vec<u32> = flows.iter().map(|f| f.children.len() as u32).collect();
-
-        // Starts sorted descending so we can pop the earliest.
-        let mut starts: Vec<(f64, u32)> = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.start, i as u32))
-            .collect();
-        starts.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut starts = starts_descending(&flows);
 
         let mut t = 0.0f64;
         let mut active: Vec<u32> = Vec::new();
         let mut rates: Vec<f64> = vec![0.0; n];
-        let mut alloc = Allocator::new(self.caps.len());
-        let mut open = n; // flows not yet Done
+        let mut alloc = Allocator::new(caps.len());
 
-        // Completes `f` at time `t`, cascading to drained parents whose last
-        // child just finished.
-        fn complete(
-            mut f: u32,
-            t: f64,
-            state: &mut [State],
-            finish: &mut [f64],
-            open_children: &mut [u32],
-            parent: &[Option<u32>],
-            open: &mut usize,
-        ) {
-            loop {
-                // Completion is idempotent: a flow already recorded as done
-                // (e.g. a residual that sat exactly on the epsilon boundary
-                // and was classified delivered on two paths) must not be
-                // counted twice — that would underflow `open` and corrupt
-                // parent accounting.
-                if state[f as usize] == State::Done {
-                    debug_assert!(false, "flow {f} completed twice");
-                    break;
-                }
-                state[f as usize] = State::Done;
-                finish[f as usize] = t;
-                *open -= 1;
-                match parent[f as usize] {
-                    Some(p) => {
-                        open_children[p as usize] -= 1;
-                        if open_children[p as usize] == 0 && state[p as usize] == State::Drained {
-                            f = p;
-                        } else {
-                            break;
-                        }
-                    }
-                    None => break,
-                }
-            }
-        }
-
-        while open > 0 {
+        while life.open > 0 {
             // Admit flows starting now.
             while let Some(&(s, i)) = starts.last() {
                 if s <= t + 1e-12 {
                     starts.pop();
                     let i = i as usize;
-                    debug_assert_eq!(state[i], State::Pending);
+                    debug_assert_eq!(life.state[i], State::Pending);
                     if flow::delivered(remaining[i]) {
                         // Zero-byte flow: treat as immediately drained.
-                        if open_children[i] == 0 {
-                            complete(
-                                i as u32,
-                                t,
-                                &mut state,
-                                &mut finish,
-                                &mut open_children,
-                                &parent,
-                                &mut open,
-                            );
-                        } else {
-                            state[i] = State::Drained;
-                        }
+                        life.delivered(i as u32, t);
                     } else {
-                        state[i] = State::Active;
+                        life.state[i] = State::Active;
                         active.push(i as u32);
                     }
                 } else {
@@ -346,13 +211,13 @@ impl Engine {
                         // done (otherwise a child would be active/pending),
                         // which the cascade would have completed. Nothing
                         // left to do.
-                        debug_assert_eq!(open, 0, "drained flows stuck with open children");
+                        debug_assert_eq!(life.open, 0, "drained flows stuck with open children");
                         break;
                     }
                 }
             }
 
-            alloc.waterfill(&active, &res_lists, &self.caps, &mut rates);
+            alloc.waterfill(&active, &res_lists, caps, &mut rates);
 
             // Earliest event: a completion or the next start.
             let mut dt = f64::INFINITY;
@@ -379,49 +244,12 @@ impl Engine {
                 if flow::delivered(remaining[f]) {
                     remaining[f] = 0.0;
                     active.swap_remove(idx);
-                    if open_children[f] == 0 {
-                        complete(
-                            fi,
-                            t,
-                            &mut state,
-                            &mut finish,
-                            &mut open_children,
-                            &parent,
-                            &mut open,
-                        );
-                    } else {
-                        state[f] = State::Drained;
-                    }
+                    life.delivered(fi, t);
                 }
             }
         }
 
-        // Link traffic: every flow pushed all its bytes over each traversed
-        // link.
-        let mut link_bytes = vec![0.0; self.num_links];
-        for f in &flows {
-            for r in &f.resources {
-                if let Resource::Link(l) = r {
-                    link_bytes[l.0 as usize] += f.size;
-                }
-            }
-        }
-        let records = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| FlowRecord {
-                size: f.size,
-                start: f.start,
-                finish: finish[i],
-                kind: f.kind,
-                request: f.request,
-            })
-            .collect();
-        SimResult {
-            records,
-            link_bytes,
-            makespan: t,
-        }
+        self.table.result(&flows, &life.finish, t)
     }
 }
 

@@ -72,12 +72,11 @@
 //! [`SimResult`]s: the engine iterates only `Vec`s, never hash maps, in
 //! event order.
 
+use crate::bookkeeping::{starts_descending, Lifecycle, ResourceTable, State};
 use crate::deployment::BoxPlacement;
-use crate::engine::{
-    capacity_table, resource_index, validate_caps, Allocator, EngineError, FlowRecord, SimResult,
-};
+use crate::engine::{Allocator, EngineError, SimResult};
 use crate::events::{CalendarQueue, Event};
-use crate::flow::{self, FlowSpec, Resource};
+use crate::flow::{self, FlowSpec};
 use crate::topology::Topology;
 use crate::ExperimentConfig;
 
@@ -122,19 +121,10 @@ impl EngineStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Pending,
-    Active,
-    /// All bytes pushed, waiting for children to complete.
-    Drained,
-    Done,
-}
-
 /// Per-flow state, lazily settled: `remaining` is exact only at
 /// `settled_at`; the live residual is `remaining - rate * (t - settled_at)`.
 struct Flows {
-    /// Flow -> resource ids (dense, see [`resource_index`]).
+    /// Flow -> resource ids (dense, see [`ResourceTable::index_lists`]).
     res: Vec<Vec<u32>>,
     /// Parallel to `res`: this flow's slot in `crossers[r]`.
     slot: Vec<Vec<u32>>,
@@ -456,8 +446,7 @@ fn resolve(
 /// [`crate::EngineKind::Incremental`] (the default).
 #[derive(Debug)]
 pub struct IncrementalEngine {
-    caps: Vec<f64>,
-    num_links: usize,
+    table: ResourceTable,
 }
 
 impl IncrementalEngine {
@@ -475,11 +464,8 @@ impl IncrementalEngine {
         placement: &BoxPlacement,
         cfg: &ExperimentConfig,
     ) -> Result<Self, EngineError> {
-        let caps = capacity_table(topo, placement, cfg);
-        validate_caps(&caps)?;
         Ok(Self {
-            caps,
-            num_links: topo.num_links(),
+            table: ResourceTable::try_new(topo, placement, cfg)?,
         })
     }
 
@@ -491,25 +477,8 @@ impl IncrementalEngine {
     /// Run all flows to completion, also returning event/re-solve counters.
     pub fn run_stats(&mut self, flows: Vec<FlowSpec>) -> (SimResult, EngineStats) {
         let n = flows.len();
-        let res_lists: Vec<Vec<u32>> = flows
-            .iter()
-            .map(|f| {
-                f.resources
-                    .iter()
-                    .map(|r| resource_index(self.num_links, *r) as u32)
-                    .collect()
-            })
-            .collect();
-        let mut parent: Vec<Option<u32>> = vec![None; n];
-        for (i, f) in flows.iter().enumerate() {
-            for &c in &f.children {
-                assert!(
-                    parent[c as usize].is_none(),
-                    "flow {c} has more than one parent"
-                );
-                parent[c as usize] = Some(i as u32);
-            }
-        }
+        let res_lists = self.table.index_lists(&flows);
+        let mut life = Lifecycle::new(&flows);
 
         let mut fl = Flows {
             slot: res_lists.iter().map(|l| vec![0; l.len()]).collect(),
@@ -522,11 +491,7 @@ impl IncrementalEngine {
             in_scope: vec![0; n],
             checked: vec![0; n],
         };
-        let mut rt = Resources::new(self.caps.clone());
-        let mut state: Vec<State> = vec![State::Pending; n];
-        let mut finish: Vec<f64> = vec![0.0; n];
-        let mut open_children: Vec<u32> = flows.iter().map(|f| f.children.len() as u32).collect();
-        let mut open = n;
+        let mut rt = Resources::new(self.table.caps.clone());
 
         let mut active_list: Vec<u32> = Vec::new();
         let mut active_pos: Vec<u32> = vec![u32::MAX; n];
@@ -543,49 +508,10 @@ impl IncrementalEngine {
 
         let mut stats = EngineStats::default();
 
-        // Starts sorted descending so the earliest pops from the back.
-        let mut starts: Vec<(f64, u32)> = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.start, i as u32))
-            .collect();
-        starts.sort_by(|a, b| b.0.total_cmp(&a.0));
-
-        // Completes `f` at `t`, cascading to drained parents whose last
-        // child just finished (same semantics as the reference engine).
-        fn complete(
-            mut f: u32,
-            t: f64,
-            state: &mut [State],
-            finish: &mut [f64],
-            open_children: &mut [u32],
-            parent: &[Option<u32>],
-            open: &mut usize,
-        ) {
-            loop {
-                if state[f as usize] == State::Done {
-                    debug_assert!(false, "flow {f} completed twice");
-                    break;
-                }
-                state[f as usize] = State::Done;
-                finish[f as usize] = t;
-                *open -= 1;
-                match parent[f as usize] {
-                    Some(p) => {
-                        open_children[p as usize] -= 1;
-                        if open_children[p as usize] == 0 && state[p as usize] == State::Drained {
-                            f = p;
-                        } else {
-                            break;
-                        }
-                    }
-                    None => break,
-                }
-            }
-        }
+        let mut starts = starts_descending(&flows);
 
         let mut t = 0.0f64;
-        while open > 0 {
+        while life.open > 0 {
             // Admit every flow starting now (same 1e-12 slack as the
             // reference engine's event batching).
             seeds.clear();
@@ -596,24 +522,12 @@ impl IncrementalEngine {
                 starts.pop();
                 stats.starts += 1;
                 let iu = i as usize;
-                debug_assert_eq!(state[iu], State::Pending);
+                debug_assert_eq!(life.state[iu], State::Pending);
                 if flow::delivered(fl.remaining[iu]) {
                     // Zero-byte flow: immediately drained.
-                    if open_children[iu] == 0 {
-                        complete(
-                            i,
-                            t,
-                            &mut state,
-                            &mut finish,
-                            &mut open_children,
-                            &parent,
-                            &mut open,
-                        );
-                    } else {
-                        state[iu] = State::Drained;
-                    }
+                    life.delivered(i, t);
                 } else {
-                    state[iu] = State::Active;
+                    life.state[iu] = State::Active;
                     fl.settled_at[iu] = t;
                     for (j, &r) in fl.res[iu].iter().enumerate() {
                         fl.slot[iu][j] = rt.crossers[r as usize].len() as u32;
@@ -651,7 +565,7 @@ impl IncrementalEngine {
                 (None, None) => {
                     // Only drained flows could remain, and the cascade has
                     // already completed them (their children are all done).
-                    debug_assert_eq!(open, 0, "drained flows stuck with open children");
+                    debug_assert_eq!(life.open, 0, "drained flows stuck with open children");
                     break;
                 }
                 (None, Some(s)) => {
@@ -671,7 +585,7 @@ impl IncrementalEngine {
             stats.completions += 1;
             t = t.max(ev.time);
             let f = ev.flow as usize;
-            debug_assert_eq!(state[f], State::Active);
+            debug_assert_eq!(life.state[f], State::Active);
             fl.settle(f, t);
             if !flow::delivered(fl.remaining[f]) {
                 // Settlement rounding left residual bytes: reschedule.
@@ -705,19 +619,7 @@ impl IncrementalEngine {
             active_pos[f] = u32::MAX;
             fl.rate[f] = 0.0;
             fl.version[f] += 1;
-            if open_children[f] == 0 {
-                complete(
-                    ev.flow,
-                    t,
-                    &mut state,
-                    &mut finish,
-                    &mut open_children,
-                    &parent,
-                    &mut open,
-                );
-            } else {
-                state[f] = State::Drained;
-            }
+            life.delivered(ev.flow, t);
 
             // Re-solve around the freed capacity: the departed flow's path.
             seeds.clear();
@@ -742,33 +644,7 @@ impl IncrementalEngine {
             stats.stale_discards = q.stale_discards();
         }
 
-        let mut link_bytes = vec![0.0; self.num_links];
-        for f in &flows {
-            for r in &f.resources {
-                if let Resource::Link(l) = r {
-                    link_bytes[l.0 as usize] += f.size;
-                }
-            }
-        }
-        let records = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| FlowRecord {
-                size: f.size,
-                start: f.start,
-                finish: finish[i],
-                kind: f.kind,
-                request: f.request,
-            })
-            .collect();
-        (
-            SimResult {
-                records,
-                link_bytes,
-                makespan: t,
-            },
-            stats,
-        )
+        (self.table.result(&flows, &life.finish, t), stats)
     }
 }
 
@@ -776,7 +652,7 @@ impl IncrementalEngine {
 mod tests {
     use super::*;
     use crate::deployment::Deployment;
-    use crate::flow::SegmentKind;
+    use crate::flow::{Resource, SegmentKind};
     use crate::topology::TopologyConfig;
     use crate::{EngineKind, Strategy, GBPS};
 

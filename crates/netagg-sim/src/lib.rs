@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregation;
+mod bookkeeping;
 pub mod cost;
 pub mod deployment;
 pub mod engine;
