@@ -120,14 +120,6 @@ impl Corpus {
         }
         out
     }
-
-    /// `count` random query terms drawn from the same Zipf vocabulary, so
-    /// queries hit realistic posting lists (the paper's clients query three
-    /// random words).
-    pub fn random_query(&self, rng: &mut StdRng, vocabulary: usize, count: usize) -> Vec<String> {
-        let zipf = ZipfSampler::new(vocabulary, 1.07);
-        (0..count).map(|_| word(zipf.sample(rng))).collect()
-    }
 }
 
 /// Deterministic word spelling for vocabulary index `i`. The digit suffix

@@ -89,11 +89,6 @@ impl InvertedIndex {
         self.snippets.get(&doc).map(String::as_str).unwrap_or("")
     }
 
-    /// Distinct indexed terms.
-    pub fn vocabulary_size(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Document frequency of a term within this shard.
     pub fn doc_freq(&self, term: &str) -> usize {
         self.postings.get(term).map(Vec::len).unwrap_or(0)

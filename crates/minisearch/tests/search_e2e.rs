@@ -115,10 +115,13 @@ fn clients_get_replies_over_the_wire() {
 fn concurrent_clients_are_served() {
     let (mut dep, mut cluster, transport) = launch(1, SearchFunction::TopK { k: 10 });
     let app = cluster.app;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "e2e client threads live outside any runtime JoinScope"
+    )]
     let handles: Vec<_> = (0..8)
         .map(|c| {
             let transport = transport.clone();
-            // netagg-lint: allow(no-raw-spawn) e2e client threads live outside any runtime JoinScope
             std::thread::spawn(move || {
                 let mut client = Client::connect(&transport, app, c, 2_000).unwrap();
                 for _ in 0..5 {

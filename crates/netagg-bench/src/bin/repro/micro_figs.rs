@@ -67,6 +67,10 @@ fn tree_rate_fanin(
     let batch = wc_batch(batch_bytes_hint / 16, 0.10, 7);
     let total_bytes = (batch.len() * leaves * batches_per_leaf) as f64;
     let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "scoped leaf feeders borrow the tree and are joined by construction inside the timed window"
+    )]
     std::thread::scope(|s| {
         for _ in 0..leaves {
             let tree = tree.clone();
@@ -343,6 +347,10 @@ pub fn ext_broadcast(opts: &Options) {
         let t0 = Instant::now();
         master.broadcast(1, payload.clone()).expect("broadcast");
         // Wall time until every worker holds the payload.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "scoped broadcast receivers borrow the shims and are joined by construction before the clock stops"
+        )]
         std::thread::scope(|s| {
             for shim in &shims {
                 s.spawn(move || {

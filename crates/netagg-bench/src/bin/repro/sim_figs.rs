@@ -2,7 +2,7 @@
 //! ablations.
 
 use crate::Options;
-use netagg_bench::sim::{mean_p99, single_run, SimScale};
+use netagg_bench::sim::{mean_p99, single_run};
 use netagg_bench::table::{f, Table};
 use netagg_sim::aggregation::TreePolicy;
 use netagg_sim::deployment::BudgetSpread;
@@ -388,9 +388,4 @@ pub fn ablate_arrivals(opts: &Options) {
         t.row(vec![label.to_string(), f(rel)]);
     }
     t.print();
-}
-
-#[allow(dead_code)]
-pub fn scale_of(opts: &Options) -> SimScale {
-    opts.scale
 }

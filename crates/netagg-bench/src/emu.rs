@@ -162,6 +162,10 @@ pub fn drive_search(testbed: &SearchTestbed, clients: u32, duration: Duration) -
     let vocab = testbed.cluster.corpus_vocabulary;
     let deadline = Instant::now() + duration;
     let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "scoped load-generator clients, joined by construction when the drive window closes"
+    )]
     let latencies: Vec<Vec<Duration>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {

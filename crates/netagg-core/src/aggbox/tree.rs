@@ -135,11 +135,6 @@ impl LocalAggTree {
         }
     }
 
-    /// Non-blocking completion check.
-    pub fn try_complete(&self) -> Option<Result<Bytes, AggError>> {
-        self.state.lock().done.clone()
-    }
-
     /// Items buffered and tasks in flight (for back-pressure decisions).
     pub fn load(&self) -> (usize, usize) {
         let s = self.state.lock();

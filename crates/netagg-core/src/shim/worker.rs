@@ -48,6 +48,7 @@ struct WorkerObs {
     bytes_sent: Arc<Counter>,
     chunks_resent: Arc<Counter>,
     redirects_applied: Arc<Counter>,
+    send_errors: Arc<Counter>,
     /// Send spans, under the component label `worker-<a>-<w>`.
     spans: Spans,
 }
@@ -59,6 +60,7 @@ impl WorkerObs {
             bytes_sent: registry.counter(names::SHIM_WORKER_BYTES_SENT),
             chunks_resent: registry.counter(names::SHIM_WORKER_CHUNKS_RESENT),
             redirects_applied: registry.counter(names::SHIM_WORKER_REDIRECTS_APPLIED),
+            send_errors: registry.counter(names::SHIM_WORKER_SEND_ERRORS),
             spans: Spans::new(registry, format!("worker-{}-{}", app.0, worker)),
         }
     }
@@ -294,6 +296,14 @@ impl Drop for WorkerShim {
 }
 
 impl Inner {
+    /// Number, retain and send one chunk. `Err` means nothing was retained
+    /// (no assignment for the tree). Once `next_chunk` has retained the
+    /// chunk a transport error is recoverable — the destination box is
+    /// dead or dying, and the detector's permanent `Redirect` replays the
+    /// retained chunk to its successor (§8) — so it is counted in
+    /// `shim.worker.send_errors` and the send still returns `Ok`: callers
+    /// keep numbering the rest of their stream instead of each deciding
+    /// what a failed send means.
     fn send_on_tree(
         &self,
         request: RequestId,
@@ -307,7 +317,13 @@ impl Inner {
         self.stats.chunks_sent.fetch_add(1, Ordering::Relaxed);
         self.obs.bytes_sent.add(bytes);
         self.obs.chunks_sent.inc();
-        self.send_data(dest, chunk, names::spans::WORKER_SEND)
+        if self
+            .send_data(dest, chunk, names::spans::WORKER_SEND)
+            .is_err()
+        {
+            self.obs.send_errors.inc();
+        }
+        Ok(())
     }
 
     fn send_data(

@@ -1,10 +1,9 @@
-//! A minimal Rust lexer: just enough token structure for the lint rules.
+//! A minimal Rust lexer: just enough token structure for the lint rule.
 //!
 //! Produces identifiers, string literals and punctuation with line/column
-//! spans, and separately collects comments (for suppression parsing) and
-//! `#[cfg(test)]` item spans (so rules can scope themselves to runtime
-//! code). Deliberately not a parser: the rules match token *sequences*,
-//! which is robust to formatting and needs no `syn`.
+//! spans, and separately collects comments (for suppression parsing).
+//! Deliberately not a parser: the rule matches token *sequences*, which is
+//! robust to formatting and needs no `syn`.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,17 +59,6 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// All comments in source order.
     pub comments: Vec<Comment>,
-    /// Inclusive line ranges covered by `#[cfg(test)]` items.
-    pub test_regions: Vec<(u32, u32)>,
-}
-
-impl Lexed {
-    /// Whether `line` falls inside a `#[cfg(test)]` item.
-    pub fn in_test_region(&self, line: u32) -> bool {
-        self.test_regions
-            .iter()
-            .any(|&(a, b)| line >= a && line <= b)
-    }
 }
 
 struct Cursor<'a> {
@@ -106,7 +94,7 @@ fn is_ident_cont(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Lex `src` into tokens, comments and test-region spans.
+/// Lex `src` into tokens and comments.
 pub fn lex(src: &str) -> Lexed {
     let mut cur = Cursor {
         src: src.as_bytes(),
@@ -282,12 +270,7 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
 
-    let test_regions = find_test_regions(&toks);
-    Lexed {
-        toks,
-        comments,
-        test_regions,
-    }
+    Lexed { toks, comments }
 }
 
 fn lex_ident(cur: &mut Cursor<'_>, toks: &mut Vec<Tok>, line: u32, col: u32) {
@@ -301,80 +284,6 @@ fn lex_ident(cur: &mut Cursor<'_>, toks: &mut Vec<Tok>, line: u32, col: u32) {
         line,
         col,
     });
-}
-
-/// Find line spans of items annotated `#[cfg(test)]` (or any `cfg`
-/// attribute mentioning `test`): from the attribute to the closing brace
-/// of the item it decorates.
-fn find_test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
-    let mut regions = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_punct('#') && i + 1 < toks.len() && toks[i + 1].is_punct('[') {
-            // Scan the attribute's bracket span.
-            let start_line = toks[i].line;
-            let mut j = i + 2;
-            let mut depth = 1i32;
-            let mut is_cfg = false;
-            let mut has_test = false;
-            while j < toks.len() && depth > 0 {
-                if toks[j].is_punct('[') {
-                    depth += 1;
-                } else if toks[j].is_punct(']') {
-                    depth -= 1;
-                } else if toks[j].is_ident("cfg") {
-                    is_cfg = true;
-                } else if toks[j].is_ident("test") {
-                    has_test = true;
-                }
-                j += 1;
-            }
-            if is_cfg && has_test {
-                // Skip any further attributes, then find the item body.
-                let mut k = j;
-                while k + 1 < toks.len() && toks[k].is_punct('#') && toks[k + 1].is_punct('[') {
-                    let mut d = 1i32;
-                    k += 2;
-                    while k < toks.len() && d > 0 {
-                        if toks[k].is_punct('[') {
-                            d += 1;
-                        } else if toks[k].is_punct(']') {
-                            d -= 1;
-                        }
-                        k += 1;
-                    }
-                }
-                // Advance to the first `{` (item body) or `;` (e.g.
-                // `#[cfg(test)] mod tests;` — no inline span).
-                while k < toks.len() && !toks[k].is_punct('{') && !toks[k].is_punct(';') {
-                    k += 1;
-                }
-                if k < toks.len() && toks[k].is_punct('{') {
-                    let mut d = 1i32;
-                    let mut m = k + 1;
-                    while m < toks.len() && d > 0 {
-                        if toks[m].is_punct('{') {
-                            d += 1;
-                        } else if toks[m].is_punct('}') {
-                            d -= 1;
-                        }
-                        m += 1;
-                    }
-                    let end_line = toks
-                        .get(m.saturating_sub(1))
-                        .map(|t| t.line)
-                        .unwrap_or(u32::MAX);
-                    regions.push((start_line, end_line));
-                    i = m;
-                    continue;
-                }
-            }
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    regions
 }
 
 #[cfg(test)]
@@ -424,16 +333,6 @@ mod tests {
             .iter()
             .any(|t| t.kind == TokKind::StrLit && t.text.contains("quotes")));
         assert!(l.toks.iter().any(|t| t.is_ident("after")));
-    }
-
-    #[test]
-    fn cfg_test_region_covers_the_module() {
-        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn tail() {}\n";
-        let l = lex(src);
-        assert_eq!(l.test_regions.len(), 1);
-        assert!(l.in_test_region(4));
-        assert!(!l.in_test_region(1));
-        assert!(!l.in_test_region(6));
     }
 
     #[test]

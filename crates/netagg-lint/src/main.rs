@@ -1,21 +1,19 @@
-//! CLI entry point: `cargo run -p netagg-lint -- --workspace [--json]`.
+//! CLI entry point: `cargo run -p netagg-lint -- --workspace`.
 //!
-//! Exit codes: `0` clean (warnings allowed), `1` violations found, `2`
-//! usage or I/O error.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
-use netagg_lint::{has_errors, lint_workspace, Level};
+use netagg_lint::lint_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-netagg-lint: workspace invariant checker (DESIGN.md §7–§10)
+netagg-lint: the no-poll-shutdown check (DESIGN.md §10)
 
 USAGE:
-    netagg-lint [--workspace] [--json] [--root <dir>]
+    netagg-lint [--workspace] [--root <dir>]
 
 OPTIONS:
     --workspace    Lint the whole workspace (default; kept explicit for CI)
-    --json         Emit diagnostics as a JSON array instead of text
     --root <dir>   Workspace root (default: ascend from cwd to DESIGN.md)
     -h, --help     Show this help
 ";
@@ -36,13 +34,11 @@ fn find_root(explicit: Option<PathBuf>) -> Option<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut root = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => {}
-            "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -74,24 +70,17 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
-        let items: Vec<String> = diags.iter().map(|d| d.to_json()).collect();
-        println!("[{}]", items.join(","));
-    } else {
-        for d in &diags {
-            println!("{}", d.render());
-        }
-        let errors = diags.iter().filter(|d| d.level == Level::Error).count();
-        let warnings = diags.len() - errors;
-        println!(
-            "netagg-lint: {errors} error(s), {warnings} warning(s) in {}",
-            root.display()
-        );
+    for d in &diags {
+        println!("{}", d.render());
     }
-
-    if has_errors(&diags) {
-        ExitCode::from(1)
-    } else {
+    println!(
+        "netagg-lint: {} error(s) in {}",
+        diags.len(),
+        root.display()
+    );
+    if diags.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

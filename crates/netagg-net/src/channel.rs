@@ -220,7 +220,10 @@ mod tests {
     fn connect_send_recv() {
         let t = ChannelTransport::new();
         let mut l = t.bind(1).unwrap();
-        // netagg-lint: allow(no-raw-spawn) test harness thread; the transport under test is not a scope
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness thread; the transport under test is not a scope"
+        )]
         let handle = thread::spawn({
             let t = t.clone();
             move || {
@@ -298,7 +301,10 @@ mod tests {
         for _ in 0..CHANNEL_DEPTH {
             c.send(Bytes::from_static(b"x")).unwrap();
         }
-        // netagg-lint: allow(no-raw-spawn) test needs a deliberately blocked sender to observe backpressure
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test needs a deliberately blocked sender to observe backpressure"
+        )]
         let blocked = thread::spawn(move || {
             let mut c = c;
             c.send(Bytes::from_static(b"y")).unwrap();
@@ -319,13 +325,19 @@ mod tests {
         let mut server = l.accept().unwrap();
         let cancel = CancelToken::new();
         let c2 = cancel.clone();
-        // netagg-lint: allow(no-raw-spawn) test parks a receiver to time the cancel wakeup
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test parks a receiver to time the cancel wakeup"
+        )]
         let recv_thread = thread::spawn(move || {
             let r = c.recv_cancellable(&c2);
             (r, std::time::Instant::now(), c)
         });
         let c3 = cancel.clone();
-        // netagg-lint: allow(no-raw-spawn) test parks an acceptor to time the cancel wakeup
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test parks an acceptor to time the cancel wakeup"
+        )]
         let accept_thread = thread::spawn(move || l.accept_cancellable(&c3));
         thread::sleep(Duration::from_millis(40));
         let t0 = std::time::Instant::now();
@@ -354,7 +366,10 @@ mod tests {
         for _ in 0..CHANNEL_DEPTH {
             c.send(Bytes::from_static(b"x")).unwrap();
         }
-        // netagg-lint: allow(no-raw-spawn) test needs a deliberately blocked sender to observe cancel-beats-data
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test needs a deliberately blocked sender to observe cancel-beats-data"
+        )]
         let blocked = thread::spawn(move || {
             let mut c = c;
             c.send(Bytes::from_static(b"y"))

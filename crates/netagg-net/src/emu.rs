@@ -10,17 +10,11 @@ use crate::channel::ChannelTransport;
 use crate::lifecycle::CancelToken;
 use crate::ratelimit::TokenBucket;
 use crate::transport::{Connection, Listener, NetError, NodeId, Transport};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Shared epoch for in-flight latency timestamps.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
+use std::sync::Arc;
+use std::time::Duration;
 
 #[derive(Clone)]
 struct Nic {
@@ -32,7 +26,6 @@ struct Nic {
 pub struct EmuNetBuilder {
     endpoints: HashMap<NodeId, (f64, f64)>,
     scale: f64,
-    latency: Duration,
 }
 
 impl Default for EmuNetBuilder {
@@ -47,15 +40,7 @@ impl EmuNetBuilder {
         Self {
             endpoints: HashMap::new(),
             scale: 1.0,
-            latency: Duration::ZERO,
         }
-    }
-
-    /// One-way propagation latency added to every message (in addition to
-    /// serialisation through the token buckets). Zero by default.
-    pub fn latency(mut self, latency: Duration) -> Self {
-        self.latency = latency;
-        self
     }
 
     /// Scale every configured rate by `s` (e.g. `1e-2` to emulate a 1 Gbps
@@ -72,13 +57,6 @@ impl EmuNetBuilder {
         self
     }
 
-    /// Add an endpoint with distinct egress/ingress capacities in bytes/s.
-    pub fn endpoint_asym(mut self, node: NodeId, egress: f64, ingress: f64) -> Self {
-        self.endpoints.insert(node, (egress, ingress));
-        self
-    }
-
-    /// Materialise the emulated network.
     /// Materialise the emulated network over the in-process transport.
     pub fn build(self) -> EmuNet {
         self.build_over(Arc::new(ChannelTransport::new()))
@@ -103,7 +81,6 @@ impl EmuNetBuilder {
         EmuNet {
             inner,
             nics: Arc::new(RwLock::new(nics)),
-            latency: self.latency,
         }
     }
 }
@@ -113,7 +90,6 @@ impl EmuNetBuilder {
 pub struct EmuNet {
     inner: Arc<dyn Transport>,
     nics: Arc<RwLock<HashMap<NodeId, Nic>>>,
-    latency: Duration,
 }
 
 impl EmuNet {
@@ -128,17 +104,6 @@ impl EmuNet {
         let nic = self.nic(existing)?;
         self.nics.write().insert(node, nic);
         Ok(())
-    }
-
-    /// Register or replace an endpoint after construction.
-    pub fn add_endpoint(&self, node: NodeId, egress: f64, ingress: f64) {
-        self.nics.write().insert(
-            node,
-            Nic {
-                egress: Arc::new(TokenBucket::for_link(egress)),
-                ingress: Arc::new(TokenBucket::for_link(ingress)),
-            },
-        );
     }
 
     fn nic(&self, node: NodeId) -> Result<Nic, NetError> {
@@ -169,7 +134,6 @@ impl Transport for EmuNet {
             inner,
             egress: local_nic.egress,
             peer_ingress: peer_nic.ingress,
-            latency: self.latency,
         }))
     }
 
@@ -193,7 +157,6 @@ impl EmuListener {
             inner: conn,
             egress: local_nic.egress,
             peer_ingress: peer_nic.ingress,
-            latency: self.net.latency,
         }))
     }
 }
@@ -222,25 +185,6 @@ struct EmuConnection {
     inner: Box<dyn Connection>,
     egress: Arc<TokenBucket>,
     peer_ingress: Arc<TokenBucket>,
-    latency: Duration,
-}
-
-impl EmuConnection {
-    /// With latency enabled, payloads carry an 8-byte departure timestamp
-    /// (nanos since the shared epoch); the receiver sleeps out the
-    /// remaining propagation time without throttling the sender.
-    fn unwrap_latency(&self, mut b: Bytes) -> Bytes {
-        if self.latency.is_zero() || b.len() < 8 {
-            return b;
-        }
-        let sent_nanos = b.get_u64();
-        let deliver_at = epoch() + Duration::from_nanos(sent_nanos) + self.latency;
-        let now = Instant::now();
-        if deliver_at > now {
-            std::thread::sleep(deliver_at - now);
-        }
-        b
-    }
 }
 
 impl Connection for EmuConnection {
@@ -251,28 +195,19 @@ impl Connection for EmuConnection {
         let n = payload.len() as f64;
         self.egress.acquire(n);
         self.peer_ingress.acquire(n);
-        if self.latency.is_zero() {
-            return self.inner.send(payload);
-        }
-        let mut framed = BytesMut::with_capacity(payload.len() + 8);
-        framed.put_u64(epoch().elapsed().as_nanos() as u64);
-        framed.extend_from_slice(&payload);
-        self.inner.send(framed.freeze())
+        self.inner.send(payload)
     }
 
     fn recv(&mut self) -> Result<Bytes, NetError> {
-        let b = self.inner.recv()?;
-        Ok(self.unwrap_latency(b))
+        self.inner.recv()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        let b = self.inner.recv_timeout(timeout)?;
-        Ok(self.unwrap_latency(b))
+        self.inner.recv_timeout(timeout)
     }
 
     fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError> {
-        let b = self.inner.recv_cancellable(cancel)?;
-        Ok(self.unwrap_latency(b))
+        self.inner.recv_cancellable(cancel)
     }
 
     fn peer(&self) -> NodeId {
@@ -303,7 +238,10 @@ mod tests {
     fn transfer_takes_link_serialisation_time() {
         let net = two_node_net();
         let mut l = net.bind(1).unwrap();
-        // netagg-lint: allow(no-raw-spawn) test harness thread; the emulated link is what is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness thread; the emulated link is what is under test"
+        )]
         let h = thread::spawn({
             let net = net.clone();
             move || {
@@ -334,11 +272,14 @@ mod tests {
         // sender's egress only, so two senders together get ~2x throughput.
         let net = two_node_net();
         let mut l = net.bind(3).unwrap();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fan-in senders; plain threads keep the timing honest"
+        )]
         let senders: Vec<_> = [1u32, 2u32]
             .into_iter()
             .map(|id| {
                 let net = net.clone();
-                // netagg-lint: allow(no-raw-spawn) test fan-in senders; plain threads keep the timing honest
                 thread::spawn(move || {
                     let mut c = net.connect(id, 3).unwrap();
                     let chunk = Bytes::from(vec![0u8; 64 * 1024]);
@@ -356,7 +297,10 @@ mod tests {
         }
         let mut handles = Vec::new();
         for mut c in conns {
-            // netagg-lint: allow(no-raw-spawn) test fan-in receivers; plain threads keep the timing honest
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test fan-in receivers; plain threads keep the timing honest"
+            )]
             handles.push(thread::spawn(move || {
                 for _ in 0..8 {
                     c.recv().unwrap();
@@ -386,11 +330,14 @@ mod tests {
             .build();
         let mut l = net.bind(9).unwrap();
         let t0 = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fan-in senders; plain threads keep the timing honest"
+        )]
         let senders: Vec<_> = [1u32, 2]
             .into_iter()
             .map(|id| {
                 let net = net.clone();
-                // netagg-lint: allow(no-raw-spawn) test fan-in senders; plain threads keep the timing honest
                 thread::spawn(move || {
                     let mut c = net.connect(id, 9).unwrap();
                     let chunk = Bytes::from(vec![0u8; 64 * 1024]);
@@ -406,7 +353,10 @@ mod tests {
         }
         let mut handles = Vec::new();
         for mut c in conns {
-            // netagg-lint: allow(no-raw-spawn) test fan-in receivers; plain threads keep the timing honest
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test fan-in receivers; plain threads keep the timing honest"
+            )]
             handles.push(thread::spawn(move || {
                 for _ in 0..8 {
                     c.recv().unwrap();
@@ -425,7 +375,10 @@ mod tests {
         let net = two_node_net();
         net.alias(100, 1).unwrap();
         let mut l = net.bind(100).unwrap();
-        // netagg-lint: allow(no-raw-spawn) test harness thread; the alias routing is what is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness thread; the alias routing is what is under test"
+        )]
         let h = thread::spawn({
             let net = net.clone();
             move || {
@@ -457,7 +410,10 @@ mod tests {
             .endpoint(2, EDGE)
             .build_over(tcp);
         let mut l = net.bind(1).unwrap();
-        // netagg-lint: allow(no-raw-spawn) test harness thread; the TCP-backed emulation is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness thread; the TCP-backed emulation is under test"
+        )]
         let h = thread::spawn({
             let net = net.clone();
             move || {
@@ -476,52 +432,6 @@ mod tests {
         }
         // 512 KB over 1.25 MB/s: rate limiting applies on top of TCP.
         assert!(h.join().unwrap().as_secs_f64() > 0.25);
-    }
-
-    #[test]
-    fn latency_adds_one_way_delay_without_throttling() {
-        let net = EmuNet::builder()
-            .bandwidth_scale(1.0) // fast links: isolate propagation delay
-            .latency(Duration::from_millis(25))
-            .endpoint(1, EDGE)
-            .endpoint(2, EDGE)
-            .build();
-        let mut l = net.bind(1).unwrap();
-        // netagg-lint: allow(no-raw-spawn) test harness thread; the serialisation model is under test
-        let h = thread::spawn({
-            let net = net.clone();
-            move || {
-                let mut c = net.connect(2, 1).unwrap();
-                // Two back-to-back sends: latency is per-message pipeline
-                // delay, not per-message serialisation.
-                let t0 = Instant::now();
-                c.send(Bytes::from_static(b"a")).unwrap();
-                c.send(Bytes::from_static(b"b")).unwrap();
-                assert!(
-                    t0.elapsed() < Duration::from_millis(20),
-                    "send not throttled"
-                );
-                c.recv().unwrap();
-            }
-        });
-        let mut server = l.accept().unwrap();
-        let t0 = Instant::now();
-        server.recv().unwrap();
-        let first = t0.elapsed();
-        assert!(
-            first >= Duration::from_millis(20),
-            "one-way delay applied: {first:?}"
-        );
-        // The second message was in flight concurrently: it arrives
-        // almost immediately after the first.
-        let t1 = Instant::now();
-        server.recv().unwrap();
-        assert!(
-            t1.elapsed() < Duration::from_millis(20),
-            "pipelined delivery"
-        );
-        server.send(Bytes::from_static(b"ok")).unwrap();
-        h.join().unwrap();
     }
 
     #[test]

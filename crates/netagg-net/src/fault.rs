@@ -357,7 +357,10 @@ mod tests {
         let mut l = t.bind(1).unwrap();
         let _c = t.connect(2, 1).unwrap();
         let mut server = l.accept().unwrap();
-        // netagg-lint: allow(no-raw-spawn) test parks a receiver to observe the injected kill
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test parks a receiver to observe the injected kill"
+        )]
         let h = thread::spawn(move || server.recv());
         thread::sleep(Duration::from_millis(30));
         ctl.kill(2);

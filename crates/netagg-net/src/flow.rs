@@ -131,7 +131,10 @@ mod tests {
         w.acquire(Bytes::new(80), &cancel).unwrap();
         let w2 = w.clone();
         let c2 = cancel.clone();
-        // netagg-lint: allow(no-raw-spawn) test contention thread; the window, not a scope, is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test contention thread; the window, not a scope, is under test"
+        )]
         let h = std::thread::spawn(move || {
             let t0 = Instant::now();
             w2.acquire(Bytes::new(50), &c2).unwrap();
@@ -164,7 +167,10 @@ mod tests {
         let cancel = CancelToken::new();
         w.acquire(Bytes::new(10), &cancel).unwrap();
         let (w2, c2) = (w.clone(), cancel.clone());
-        // netagg-lint: allow(no-raw-spawn) test contention thread; the window, not a scope, is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test contention thread; the window, not a scope, is under test"
+        )]
         let h = std::thread::spawn(move || w2.acquire(Bytes::new(5), &c2));
         std::thread::sleep(Duration::from_millis(20));
         cancel.cancel();
@@ -174,7 +180,10 @@ mod tests {
         let fresh = CancelToken::new();
         w.acquire(Bytes::new(10), &fresh).unwrap();
         let (w2, c2) = (w.clone(), fresh.clone());
-        // netagg-lint: allow(no-raw-spawn) test contention thread; the window, not a scope, is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test contention thread; the window, not a scope, is under test"
+        )]
         let h = std::thread::spawn(move || w2.acquire(Bytes::new(5), &c2));
         std::thread::sleep(Duration::from_millis(20));
         w.close();

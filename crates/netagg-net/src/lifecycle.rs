@@ -613,11 +613,6 @@ impl<T> Mailbox<T> {
         sh.not_full.notify_all();
     }
 
-    /// Whether [`Mailbox::close`] has been called on any handle.
-    pub fn is_closed(&self) -> bool {
-        self.inner.shared.state.lock().closed
-    }
-
     /// Items currently queued.
     pub fn len(&self) -> usize {
         self.inner.shared.state.lock().queue.len()
@@ -822,6 +817,11 @@ impl JoinScope {
             g.add(1.0);
         }
         let done2 = done.clone();
+        witness::spawned(&name);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one place threads are built: named, counted, deadline-joined (§9)"
+        )]
         let handle = std::thread::Builder::new()
             .name(name.clone())
             .spawn(move || {
@@ -920,17 +920,19 @@ impl Drop for JoinScope {
 /// `tests/lock_witness.rs` compares with the §15 "Acquisition edges"
 /// table. The blocking primitives of this crate call [`may_block`] on
 /// entry, which panics if the stack holds a lock not declared
-/// blocking-tolerant in `lock_order.rs`. In release builds all of it
-/// compiles to nothing: no thread-local, no edge set, no check.
+/// blocking-tolerant in `lock_order.rs`. [`JoinScope::spawn`] reports
+/// each thread name, so the same test compares the thread kinds that ran
+/// with the §9 inventory. In release builds all of it compiles to
+/// nothing: no thread-local, no edge set, no check.
 ///
 /// [`may_block`]: witness::may_block
 #[cfg(debug_assertions)]
 mod witness {
     use crate::lock_order::LockRank;
+    use parking_lot::Mutex;
     use std::cell::RefCell;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
     struct Held {
         rank: LockRank,
@@ -943,22 +945,12 @@ mod witness {
 
     static NEXT_TOKEN: AtomicU64 = AtomicU64::new(0);
 
-    type EdgeSet = BTreeSet<(&'static str, &'static str)>;
-
-    fn edges() -> &'static StdMutex<EdgeSet> {
-        static EDGES: OnceLock<StdMutex<EdgeSet>> = OnceLock::new();
-        EDGES.get_or_init(|| StdMutex::new(BTreeSet::new()))
-    }
-
-    fn poisoned() -> &'static StdMutex<Vec<&'static str>> {
-        static POISONED: OnceLock<StdMutex<Vec<&'static str>>> = OnceLock::new();
-        POISONED.get_or_init(|| StdMutex::new(Vec::new()))
-    }
-
-    pub(super) fn sink() -> &'static StdMutex<Option<netagg_obs::MetricsRegistry>> {
-        static SINK: OnceLock<StdMutex<Option<netagg_obs::MetricsRegistry>>> = OnceLock::new();
-        SINK.get_or_init(|| StdMutex::new(None))
-    }
+    // The witness's own tables sit outside the order they police: plain
+    // shim mutexes (never poisoned), each held for one insert or copy.
+    static EDGES: Mutex<BTreeSet<(&'static str, &'static str)>> = Mutex::new(BTreeSet::new());
+    static THREAD_KINDS: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+    static POISONED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    pub(super) static SINK: Mutex<Option<netagg_obs::MetricsRegistry>> = Mutex::new(None);
 
     /// Record the acquisition edges `held → rank` and enforce rank
     /// monotonicity. Runs *before* the real lock operation so a would-be
@@ -972,7 +964,7 @@ mod witness {
                 return;
             }
             {
-                let mut e = edges().lock().unwrap_or_else(PoisonError::into_inner);
+                let mut e = EDGES.lock();
                 for held in h.iter() {
                     e.insert((held.rank.name, rank.name));
                 }
@@ -1045,12 +1037,8 @@ mod witness {
                 // The holder is unwinding: the shim lock never poisons
                 // (§15 witness protocol), so surface the event for the
                 // observability plane instead of cascading the panic.
-                poisoned()
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(self.name);
-                let sink = sink().lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(obs) = sink.as_ref() {
+                POISONED.lock().push(self.name);
+                if let Some(obs) = SINK.lock().as_ref() {
                     obs.emit(
                         netagg_obs::names::EVENT_LOCK_POISON,
                         format!(
@@ -1064,33 +1052,40 @@ mod witness {
         }
     }
 
+    /// Record the §9 kind of a thread a `JoinScope` spawned: its name with
+    /// every digit run (box, app, worker, shard id) collapsed to `#`.
+    pub(super) fn spawned(name: &str) {
+        let mut kind = String::with_capacity(name.len());
+        for c in name.chars() {
+            if !c.is_ascii_digit() {
+                kind.push(c);
+            } else if !kind.ends_with('#') {
+                kind.push('#');
+            }
+        }
+        THREAD_KINDS.lock().insert(kind);
+    }
+
     pub(super) fn snapshot_edges() -> Vec<(String, String)> {
-        edges()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        let edges = EDGES.lock();
+        edges
             .iter()
             .map(|(a, b)| (a.to_string(), b.to_string()))
             .collect()
     }
 
+    pub(super) fn snapshot_thread_kinds() -> Vec<String> {
+        THREAD_KINDS.lock().iter().cloned().collect()
+    }
+
     pub(super) fn reset() {
-        edges()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        poisoned()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        EDGES.lock().clear();
+        THREAD_KINDS.lock().clear();
+        POISONED.lock().clear();
     }
 
     pub(super) fn snapshot_poisoned() -> Vec<String> {
-        poisoned()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+        POISONED.lock().iter().map(|s| s.to_string()).collect()
     }
 }
 
@@ -1105,6 +1100,9 @@ mod witness {
 
     #[inline(always)]
     pub(crate) fn may_block(_what: &str) {}
+
+    #[inline(always)]
+    pub(super) fn spawned(_name: &str) {}
 
     pub(super) struct HeldToken;
 
@@ -1130,7 +1128,23 @@ pub fn witness_edges() -> Vec<(String, String)> {
     }
 }
 
-/// Clear the witness edge set and poison log (test isolation).
+/// The §9 kind of every thread a [`JoinScope`] spawned since process
+/// start (or the last [`witness_reset`]): the thread name with each digit
+/// run collapsed to `#`, e.g. `aggbox-#-reader`. `tests/lock_witness.rs`
+/// compares the set with the DESIGN.md §9 thread inventory. Debug builds
+/// only; release builds return an empty set.
+pub fn witness_thread_kinds() -> Vec<String> {
+    #[cfg(debug_assertions)]
+    {
+        witness::snapshot_thread_kinds()
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        Vec::new()
+    }
+}
+
+/// Clear the witness edge set, thread kinds and poison log (test isolation).
 pub fn witness_reset() {
     #[cfg(debug_assertions)]
     witness::reset();
@@ -1155,10 +1169,7 @@ pub fn poisoned_locks() -> Vec<String> {
 pub fn set_poison_sink(obs: &MetricsRegistry) {
     #[cfg(debug_assertions)]
     {
-        use std::sync::PoisonError;
-        *witness::sink()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(obs.clone());
+        *witness::SINK.lock() = Some(obs.clone());
     }
     #[cfg(not(debug_assertions))]
     {
@@ -1278,6 +1289,10 @@ mod tests {
         let cancel = CancelToken::new();
         let mb: Mailbox<u32> = Mailbox::new("t", 4, OverflowPolicy::Block, cancel.clone());
         let mb2 = mb.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test parks a receiver to time the cancel wakeup; the mailbox, not a scope, is under test"
+        )]
         let h = std::thread::spawn(move || {
             let t0 = Instant::now();
             let r = mb2.recv();
@@ -1353,6 +1368,10 @@ mod tests {
         outer.send(inner).unwrap();
         let done = Arc::new(AtomicBool::new(false));
         let flag = done.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test drops the last mailbox handle on a plain thread to catch a drop-order deadlock"
+        )]
         let h = std::thread::spawn(move || {
             drop(outer); // last handle: queue (and inner mailbox) drop here
             flag.store(true, Ordering::SeqCst);
@@ -1370,12 +1389,20 @@ mod tests {
         let mb: Mailbox<u32> = Mailbox::new("t", 1, OverflowPolicy::Block, CancelToken::new());
         mb.send(1).unwrap();
         let mb2 = mb.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test needs a deliberately blocked sender to observe backpressure"
+        )]
         let h = std::thread::spawn(move || mb2.send(2));
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(mb.recv(), Ok(1));
         assert_eq!(h.join().unwrap(), Ok(()));
         // A sender blocked on a full mailbox observes close promptly.
         let mb3 = mb.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test needs a deliberately blocked sender to observe close"
+        )]
         let h = std::thread::spawn(move || mb3.send(3));
         std::thread::sleep(Duration::from_millis(30));
         mb.close();
@@ -1400,6 +1427,10 @@ mod tests {
         let conn_cancel = CancelToken::new();
         let mb2 = mb.clone();
         let c2 = conn_cancel.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test parks a receiver to time the foreign-token wakeup"
+        )]
         let h = std::thread::spawn(move || mb2.recv_cancellable(&c2));
         std::thread::sleep(Duration::from_millis(30));
         let t0 = Instant::now();
@@ -1412,6 +1443,10 @@ mod tests {
     fn wait_timeout_wakes_early_on_cancel() {
         let cancel = CancelToken::new();
         let c2 = cancel.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test parks a sleeper to time the cancel wakeup"
+        )]
         let h = std::thread::spawn(move || {
             let t0 = Instant::now();
             let cancelled = c2.wait_timeout(Duration::from_secs(10));

@@ -15,9 +15,9 @@
 //! §15 "Acquisition edges" table, and panics when a blocking primitive
 //! (`Mailbox` send/recv, `CancelToken::wait_timeout`, `JoinScope` join,
 //! `FlowWindow::acquire`) is entered under a lock not declared
-//! [`blocking_tolerant`](LockRank::blocking_tolerant) here. `netagg-lint`
-//! only keeps this file and the §15 "Lock ranks" table in bidirectional
-//! sync (rank, name and the blocking-tolerant mark).
+//! [`blocking_tolerant`](LockRank::blocking_tolerant) here.
+//! `tests/design_contract.rs` keeps [`ALL`] and the §15 "Lock ranks" table
+//! in bidirectional sync (rank, name and the blocking-tolerant mark).
 //!
 //! Rank bands (gaps left for future locks):
 //!
@@ -65,37 +65,49 @@ impl LockRank {
     }
 }
 
+/// Declares each `NAME = rank;` as a documented `pub const NAME: LockRank`
+/// and, beside them, `ALL`, so a rank cannot exist without being in the
+/// list the §15 table is checked against.
+macro_rules! lock_ranks {
+    ($($(#[$doc:meta])* $ident:ident = $rank:expr;)*) => {
+        $($(#[$doc])* pub const $ident: LockRank = $rank;)*
+        /// Every registered rank, in declaration (= rank) order.
+        pub const ALL: &[LockRank] = &[$($ident),*];
+    };
+}
+
+lock_ranks! {
 // --- scenario engine (10–19) -----------------------------------------------
 
 /// The scenario engine's whole mutable state: armed impairments not yet
 /// due (held while applying due actions), labels of those applied,
 /// high-water mailbox depths, and the per-app counters each driver hands
 /// back when it is done.
-pub const SCN_ENGINE: LockRank = LockRank::new(10, "scn.engine");
+SCN_ENGINE = LockRank::new(10, "scn.engine");
 
 // --- master shim (20–29) ---------------------------------------------------
 
 /// The master shim's whole protocol state (`MasterCore`: routes,
 /// per-request ledgers and inputs, delivered-id window); its condvar
 /// waits on this lock.
-pub const MASTER_CORE: LockRank = LockRank::new(20, "master.core");
+MASTER_CORE = LockRank::new(20, "master.core");
 
 // --- worker shim (30–39) ---------------------------------------------------
 
 /// The worker shim's whole protocol state (`WorkerCore`: assignments,
 /// per-request sequence numbers, replay window).
-pub const WORKER_CORE: LockRank = LockRank::new(30, "worker.core");
+WORKER_CORE = LockRank::new(30, "worker.core");
 
 // --- agg-box runtime (40–59) -----------------------------------------------
 
 /// The agg box's whole protocol state (`BoxCore`: apps, routes,
 /// per-request ledgers and sinks, upstream redirects, emitted window).
-pub const AGG_CORE: LockRank = LockRank::new(40, "agg.core");
+AGG_CORE = LockRank::new(40, "agg.core");
 
 // --- agg-box scheduler (60–69) ---------------------------------------------
 
 /// WFQ scheduler state (taken under `agg.core` by combine submission).
-pub const SCHED_STATE: LockRank = LockRank::new(60, "sched.state");
+SCHED_STATE = LockRank::new(60, "sched.state");
 
 // --- connection caches (65) --------------------------------------------------
 
@@ -104,24 +116,25 @@ pub const SCHED_STATE: LockRank = LockRank::new(60, "sched.state");
 /// detector each own one. Held across a dial plus first send (the lock is
 /// what serializes racing dials to one connection per destination), so it
 /// ranks below every protocol lock and above the whole transport band.
-pub const CONN_CACHE: LockRank = LockRank::new(65, "conn.cache").blocking_tolerant();
+CONN_CACHE = LockRank::new(65, "conn.cache").blocking_tolerant();
 
 // --- TCP reactor (70–89) ---------------------------------------------------
 
 /// Reactor join scope; held only at startup, before shard threads exist.
-pub const NET_SCOPE: LockRank = LockRank::new(70, "net.scope");
+NET_SCOPE = LockRank::new(70, "net.scope");
 /// NodeId → socket address registry.
-pub const NET_REGISTRY: LockRank = LockRank::new(72, "net.registry");
+NET_REGISTRY = LockRank::new(72, "net.registry");
 /// Address → physical link map; held while dialling a new link and handing
 /// it to its reactor shard, so racing dials end in one link per address.
-pub const NET_LINKS: LockRank = LockRank::new(73, "net.links").blocking_tolerant();
+NET_LINKS = LockRank::new(73, "net.links").blocking_tolerant();
 /// A link's read half (decoder + channel routing); pumping the read half
 /// flushes the write half, so `net.rin` orders before `net.out`.
-pub const NET_RIN: LockRank = LockRank::new(74, "net.rin");
+NET_RIN = LockRank::new(74, "net.rin");
 /// A link's write half (encoder + wire queue).
-pub const NET_OUT: LockRank = LockRank::new(76, "net.out");
+NET_OUT = LockRank::new(76, "net.out");
 /// A link's direct-delivery inject queue (fed under the *twin's*
 /// `net.out` by the flush path).
-pub const NET_INJ: LockRank = LockRank::new(78, "net.inj");
+NET_INJ = LockRank::new(78, "net.inj");
 /// The process-wide read-hint directory (§12); the innermost lock.
-pub const NET_LINK_DIR: LockRank = LockRank::new(79, "net.link_dir");
+NET_LINK_DIR = LockRank::new(79, "net.link_dir");
+}

@@ -152,10 +152,13 @@ mod tests {
         use std::sync::Arc;
         let b = Arc::new(TokenBucket::new(20e6, 1e4));
         let t0 = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test contention threads; the bucket, not a scope, is under test"
+        )]
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let b = b.clone();
-                // netagg-lint: allow(no-raw-spawn) test contention threads; the bucket, not a scope, is under test
                 std::thread::spawn(move || {
                     let mut sent = 0.0;
                     while sent < 250e3 {

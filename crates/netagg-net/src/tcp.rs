@@ -1611,7 +1611,10 @@ mod tests {
     fn tcp_roundtrip() {
         let t = TcpTransport::new();
         let mut l = t.bind(1).unwrap();
-        // netagg-lint: allow(no-raw-spawn) test harness thread; the TCP framing is what is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness thread; the TCP framing is what is under test"
+        )]
         let h = thread::spawn({
             let t = t.clone();
             move || {
@@ -1633,7 +1636,10 @@ mod tests {
         let mut l = t.bind(1).unwrap();
         let payload = Bytes::from((0..2_000_000u32).map(|i| i as u8).collect::<Vec<u8>>());
         let expect = payload.clone();
-        // netagg-lint: allow(no-raw-spawn) test harness thread; the TCP framing is what is under test
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness thread; the TCP framing is what is under test"
+        )]
         let h = thread::spawn({
             let t = t.clone();
             move || {
@@ -1770,7 +1776,7 @@ mod tests {
         let mut l = t.bind(1).unwrap();
         let _c = t.connect(2, 1).unwrap();
         let mut server = l.accept().unwrap();
-        // netagg-lint: allow(no-raw-spawn) test harness thread
+        #[expect(clippy::disallowed_methods, reason = "test harness thread")]
         let h = thread::spawn(move || server.recv());
         thread::sleep(Duration::from_millis(30));
         drop(l);

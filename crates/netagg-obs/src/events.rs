@@ -165,10 +165,13 @@ mod tests {
     #[test]
     fn concurrent_emitters_never_exceed_capacity() {
         let ring = std::sync::Arc::new(EventRing::new(16));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "concurrency smoke test hammers the ring from plain threads"
+        )]
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let ring = ring.clone();
-                // netagg-lint: allow(no-raw-spawn) concurrency smoke test hammers the ring from plain threads
                 std::thread::spawn(move || {
                     for i in 0..100 {
                         ring.emit("t", format!("{t}:{i}"));

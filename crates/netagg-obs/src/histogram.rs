@@ -276,10 +276,13 @@ mod tests {
     #[test]
     fn concurrent_recording_loses_nothing() {
         let h = std::sync::Arc::new(Histogram::new());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "concurrency smoke test hammers the histogram from plain threads"
+        )]
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let h = h.clone();
-                // netagg-lint: allow(no-raw-spawn) concurrency smoke test hammers the histogram from plain threads
                 std::thread::spawn(move || {
                     for i in 0..1_000u64 {
                         h.record(t * 1_000 + i);

@@ -4,9 +4,10 @@
 //! Every runtime layer resolves its handles through these constants (or
 //! the template helpers below) instead of scattering string literals, so
 //! a rename is one edit here plus the matching row in DESIGN.md §7 —
-//! `netagg-lint`'s `metrics-contract` rule diffs the two bidirectionally
-//! and fails CI on any drift, including a deleted table row or a renamed
-//! constant.
+//! `tests/design_contract.rs` diffs [`ALL`] (and [`spans::ALL`]) against
+//! the tables bidirectionally, so a deleted row or a renamed constant
+//! fails `cargo test`, and every scenario run checks the names its final
+//! snapshot carries against the same list ([`matches()`]).
 //!
 //! Templated names keep their `<placeholder>` segments verbatim in the
 //! constant (e.g. [`MAILBOX_DEPTH`] is `"mailbox.depth.<name>"`), exactly
@@ -15,189 +16,207 @@
 
 use std::fmt::Display;
 
+/// Declares each `NAME = "value";` as a documented `pub const NAME: &str`
+/// and, beside them, `ALL` — the values in declaration order — so a
+/// constant cannot exist without being in the list the contract checks
+/// read.
+macro_rules! contract_names {
+    ($($(#[$doc:meta])* $ident:ident = $value:literal;)*) => {
+        $($(#[$doc])* pub const $ident: &str = $value;)*
+        /// Every name declared in this module, templates verbatim.
+        pub const ALL: &[&str] = &[$($ident),*];
+    };
+}
+
+contract_names! {
 // --- agg box: scheduler ----------------------------------------------------
 
 /// Tasks run to completion by the scheduler's worker pool.
-pub const AGGBOX_TASKS_EXECUTED: &str = "aggbox.tasks_executed";
+AGGBOX_TASKS_EXECUTED = "aggbox.tasks_executed";
 /// Tasks whose closure panicked (caught by the worker loop).
-pub const AGGBOX_TASKS_PANICKED: &str = "aggbox.tasks_panicked";
+AGGBOX_TASKS_PANICKED = "aggbox.tasks_panicked";
 /// Tasks drained unrun at scheduler shutdown.
-pub const AGGBOX_TASKS_DROPPED: &str = "aggbox.tasks_dropped";
+AGGBOX_TASKS_DROPPED = "aggbox.tasks_dropped";
 /// Per-task execution latency histogram (µs).
-pub const AGGBOX_TASK_EXEC_US: &str = "aggbox.task_exec_us";
+AGGBOX_TASK_EXEC_US = "aggbox.task_exec_us";
 /// Queued tasks across all applications.
-pub const AGGBOX_QUEUE_DEPTH: &str = "aggbox.queue_depth";
+AGGBOX_QUEUE_DEPTH = "aggbox.queue_depth";
 /// Effective WFQ weight per application (template: `<N>` = app id).
-pub const AGGBOX_WFQ_WEIGHT: &str = "aggbox.wfq_weight.app<N>";
+AGGBOX_WFQ_WEIGHT = "aggbox.wfq_weight.app<N>";
 
 // --- agg box: data path ----------------------------------------------------
 
 /// Data messages into the agg-box runtime.
-pub const AGGBOX_MESSAGES_IN: &str = "aggbox.messages_in";
+AGGBOX_MESSAGES_IN = "aggbox.messages_in";
 /// Payload bytes into the agg-box runtime.
-pub const AGGBOX_BYTES_IN: &str = "aggbox.bytes_in";
+AGGBOX_BYTES_IN = "aggbox.bytes_in";
 /// Requests whose final aggregate was emitted.
-pub const AGGBOX_REQUESTS_COMPLETED: &str = "aggbox.requests_completed";
+AGGBOX_REQUESTS_COMPLETED = "aggbox.requests_completed";
 /// First data byte in → final aggregate out, per request (µs).
-pub const AGGBOX_REQUEST_AGG_US: &str = "aggbox.request_agg_us";
+AGGBOX_REQUEST_AGG_US = "aggbox.request_agg_us";
 /// Chunks suppressed by per-source sequence tracking.
-pub const AGGBOX_DUPLICATES_DROPPED: &str = "aggbox.duplicates_dropped";
+AGGBOX_DUPLICATES_DROPPED = "aggbox.duplicates_dropped";
 /// Failed upstream sends from the egress loop.
-pub const AGGBOX_SEND_ERRORS: &str = "aggbox.send_errors";
+AGGBOX_SEND_ERRORS = "aggbox.send_errors";
 /// A parent box adopting a failed child box's subtree.
-pub const AGGBOX_REPOINTS: &str = "aggbox.repoints";
+AGGBOX_REPOINTS = "aggbox.repoints";
 
 // --- straggler handling ----------------------------------------------------
 
 /// Child box bypassed by a box's straggler loop.
-pub const STRAGGLER_REDIRECTS: &str = "straggler.redirects";
+STRAGGLER_REDIRECTS = "straggler.redirects";
 /// Repeat-limit escalations to permanent failure.
-pub const STRAGGLER_ESCALATIONS: &str = "straggler.escalations";
+STRAGGLER_ESCALATIONS = "straggler.escalations";
 /// Root box bypassed by the master shim's straggler loop.
-pub const STRAGGLER_MASTER_BYPASSES: &str = "straggler.master_bypasses";
+STRAGGLER_MASTER_BYPASSES = "straggler.master_bypasses";
 
 // --- master shim -----------------------------------------------------------
 
 /// Requests registered (`register_request[_subset]`).
-pub const SHIM_MASTER_REQUESTS_REGISTERED: &str = "shim.master.requests_registered";
+SHIM_MASTER_REQUESTS_REGISTERED = "shim.master.requests_registered";
 /// Results delivered to the application.
-pub const SHIM_MASTER_REQUESTS_COMPLETED: &str = "shim.master.requests_completed";
+SHIM_MASTER_REQUESTS_COMPLETED = "shim.master.requests_completed";
 /// Messages into the master shim reader loop.
-pub const SHIM_MASTER_MESSAGES_IN: &str = "shim.master.messages_in";
+SHIM_MASTER_MESSAGES_IN = "shim.master.messages_in";
 /// Payload bytes into the master shim reader loop.
-pub const SHIM_MASTER_BYTES_IN: &str = "shim.master.bytes_in";
+SHIM_MASTER_BYTES_IN = "shim.master.bytes_in";
 /// Empty per-worker results synthesised per request.
-pub const SHIM_MASTER_EMULATED_EMPTIES: &str = "shim.master.emulated_empties";
+SHIM_MASTER_EMULATED_EMPTIES = "shim.master.emulated_empties";
 /// Register → result available, per request (µs).
-pub const SHIM_MASTER_REQUEST_WAIT_US: &str = "shim.master.request_wait_us";
+SHIM_MASTER_REQUEST_WAIT_US = "shim.master.request_wait_us";
 /// Chunks suppressed by the fan-in ledger (§8).
-pub const SHIM_MASTER_DUPLICATES_DROPPED: &str = "shim.master.duplicates_dropped";
+SHIM_MASTER_DUPLICATES_DROPPED = "shim.master.duplicates_dropped";
 /// Failed-box re-points applied by the master shim.
-pub const SHIM_MASTER_REPOINTS: &str = "shim.master.repoints";
+SHIM_MASTER_REPOINTS = "shim.master.repoints";
 /// Non-complete entries in the pending table.
-pub const SHIM_MASTER_REQUESTS_INFLIGHT: &str = "shim.master.requests_inflight";
+SHIM_MASTER_REQUESTS_INFLIGHT = "shim.master.requests_inflight";
 /// Sum of ledger entries still owed across in-flight requests (§8).
-pub const SHIM_MASTER_SOURCES_OUTSTANDING: &str = "shim.master.sources_outstanding";
+SHIM_MASTER_SOURCES_OUTSTANDING = "shim.master.sources_outstanding";
 
 // --- worker shim -----------------------------------------------------------
 
 /// Data chunks sent via `send_partial`.
-pub const SHIM_WORKER_CHUNKS_SENT: &str = "shim.worker.chunks_sent";
+SHIM_WORKER_CHUNKS_SENT = "shim.worker.chunks_sent";
 /// Payload bytes sent via `send_partial`.
-pub const SHIM_WORKER_BYTES_SENT: &str = "shim.worker.bytes_sent";
+SHIM_WORKER_BYTES_SENT = "shim.worker.bytes_sent";
 /// Chunks replayed after a re-point.
-pub const SHIM_WORKER_CHUNKS_RESENT: &str = "shim.worker.chunks_resent";
+SHIM_WORKER_CHUNKS_RESENT = "shim.worker.chunks_resent";
 /// Redirect commands accepted by the control loop.
-pub const SHIM_WORKER_REDIRECTS_APPLIED: &str = "shim.worker.redirects_applied";
+SHIM_WORKER_REDIRECTS_APPLIED = "shim.worker.redirects_applied";
+/// Sends that failed on the wire after the chunk was retained for replay.
+SHIM_WORKER_SEND_ERRORS = "shim.worker.send_errors";
 
 // --- lifecycle (§9) --------------------------------------------------------
 
 /// Live threads across every `JoinScope` in a deployment; 0 after teardown.
-pub const RUNTIME_THREADS_ACTIVE: &str = "runtime.threads_active";
+RUNTIME_THREADS_ACTIVE = "runtime.threads_active";
 /// Queued items per named mailbox (template: `<name>` = §9 mailbox name).
-pub const MAILBOX_DEPTH: &str = "mailbox.depth.<name>";
+MAILBOX_DEPTH = "mailbox.depth.<name>";
 /// Items evicted or refused per named mailbox (template).
-pub const MAILBOX_DROPPED: &str = "mailbox.dropped.<name>";
+MAILBOX_DROPPED = "mailbox.dropped.<name>";
 /// The same drops aggregated by overflow-policy label (template:
 /// `<policy>` = `drop_oldest` | `reject`).
-pub const MAILBOX_DROPPED_POLICY: &str = "mailbox.dropped.<policy>";
+MAILBOX_DROPPED_POLICY = "mailbox.dropped.<policy>";
 
 // --- failure detection -----------------------------------------------------
 
 /// Boxes declared failed by a detector.
-pub const FAILURE_DETECTIONS: &str = "failure.detections";
+FAILURE_DETECTIONS = "failure.detections";
 /// Grandchildren re-pointed around a dead box.
-pub const FAILURE_REPOINTS: &str = "failure.repoints";
+FAILURE_REPOINTS = "failure.repoints";
 
 // --- metered transport -----------------------------------------------------
 
 /// Frames through any metered send.
-pub const NET_FRAMES_SENT: &str = "net.frames_sent";
+NET_FRAMES_SENT = "net.frames_sent";
 /// Payload bytes through any metered send.
-pub const NET_BYTES_SENT: &str = "net.bytes_sent";
+NET_BYTES_SENT = "net.bytes_sent";
 /// Frames through any metered receive.
-pub const NET_FRAMES_RECV: &str = "net.frames_recv";
+NET_FRAMES_RECV = "net.frames_recv";
 /// Payload bytes through any metered receive.
-pub const NET_BYTES_RECV: &str = "net.bytes_recv";
+NET_BYTES_RECV = "net.bytes_recv";
 /// Frames per directed link (template: `<from>`, `<to>` = node ids).
-pub const NET_LINK_FRAMES: &str = "net.link.<from>-><to>.frames";
+NET_LINK_FRAMES = "net.link.<from>-><to>.frames";
 /// Payload bytes per directed link (template).
-pub const NET_LINK_BYTES: &str = "net.link.<from>-><to>.bytes";
+NET_LINK_BYTES = "net.link.<from>-><to>.bytes";
 
 // --- tcp reactor (§12) -----------------------------------------------------
 
 /// Reactor shard wakeups out of a park (kick, registration or tick).
-pub const NET_TCP_REACTOR_WAKEUPS: &str = "net.tcp.reactor_wakeups";
+NET_TCP_REACTOR_WAKEUPS = "net.tcp.reactor_wakeups";
 /// Socket write syscalls issued by the reactor; each may carry many
 /// coalesced mux records, so `frames_sent / batches_written` is the
 /// effective batching factor.
-pub const NET_TCP_BATCHES_WRITTEN: &str = "net.tcp.batches_written";
+NET_TCP_BATCHES_WRITTEN = "net.tcp.batches_written";
 /// Mux records written in a batch that carried at least one other record.
-pub const NET_TCP_FRAMES_COALESCED: &str = "net.tcp.frames_coalesced";
+NET_TCP_FRAMES_COALESCED = "net.tcp.frames_coalesced";
 /// Physical links (multiplexed sockets) currently registered.
-pub const NET_TCP_LINKS_ACTIVE: &str = "net.tcp.links_active";
+NET_TCP_LINKS_ACTIVE = "net.tcp.links_active";
 /// Virtual connections (mux channels) currently open.
-pub const NET_TCP_CHANNELS_ACTIVE: &str = "net.tcp.channels_active";
+NET_TCP_CHANNELS_ACTIVE = "net.tcp.channels_active";
 
 // --- simulator -------------------------------------------------------------
 
 /// Flows completed by a simulation run.
-pub const SIM_FLOWS_COMPLETED: &str = "sim.flows_completed";
+SIM_FLOWS_COMPLETED = "sim.flows_completed";
 /// Requests completed by a simulation run.
-pub const SIM_REQUESTS_COMPLETED: &str = "sim.requests_completed";
+SIM_REQUESTS_COMPLETED = "sim.requests_completed";
 /// Bytes delivered by a simulation run.
-pub const SIM_BYTES_DELIVERED: &str = "sim.bytes_delivered";
+SIM_BYTES_DELIVERED = "sim.bytes_delivered";
 /// Per-flow completion time (µs).
-pub const SIM_FCT_US: &str = "sim.fct_us";
+SIM_FCT_US = "sim.fct_us";
 /// Per-request span, first start → last finish (µs).
-pub const SIM_REQUEST_COMPLETION_US: &str = "sim.request_completion_us";
+SIM_REQUEST_COMPLETION_US = "sim.request_completion_us";
 
 // --- structured event kinds ------------------------------------------------
 
 /// A detector declared a box failed.
-pub const EVENT_FAILURE: &str = "failure";
+EVENT_FAILURE = "failure";
 /// A box or master shim bypassed a straggling child box.
-pub const EVENT_STRAGGLER: &str = "straggler";
+EVENT_STRAGGLER = "straggler";
 /// Behind-sources of a failed box moved into direct fan-in entries (§8).
-pub const EVENT_REPOINT: &str = "repoint";
+EVENT_REPOINT = "repoint";
 /// An ordered lock's guard was dropped during a panic unwind (§15).
-pub const EVENT_LOCK_POISON: &str = "lock_poison";
+EVENT_LOCK_POISON = "lock_poison";
+}
 
 /// The span and stage names of the DESIGN.md §11 tracing contract.
 ///
 /// Like the metric names above, every [`crate::trace::TraceRecorder`]
-/// call site spells its span name through these constants; `netagg-lint`
-/// diffs this module against the §11 "Span and stage names" table
-/// bidirectionally.
+/// call site spells its span name through these constants;
+/// `tests/design_contract.rs` diffs [`spans::ALL`] against the §11 "Span
+/// and stage names" table bidirectionally.
 pub mod spans {
-    /// Master root span: request registered → result delivered.
-    pub const MASTER_REQUEST: &str = "span.master.request";
-    /// Master shim processing one arriving data frame.
-    pub const MASTER_RECV: &str = "span.master.recv";
-    /// Master shim re-pointing one in-flight request around a dead box.
-    pub const MASTER_REPOINT: &str = "span.master.repoint";
-    /// Box-side span of one request: first data in → final aggregate out.
-    pub const BOX_REQUEST: &str = "span.box.request";
-    /// Box runtime processing one arriving data frame.
-    pub const BOX_RECV: &str = "span.box.recv";
-    /// Scheduler queue wait: combine submitted → combine started.
-    pub const BOX_QUEUE_WAIT: &str = "span.box.queue_wait";
-    /// One combine executed by a scheduler task.
-    pub const BOX_COMBINE: &str = "span.box.combine";
-    /// Box building + enqueueing an upward result frame.
-    pub const BOX_FORWARD: &str = "span.box.forward";
-    /// Box adopting a failed child box's subtree for one request.
-    pub const BOX_REPOINT: &str = "span.box.repoint";
-    /// Worker shim serialising + sending one partial.
-    pub const WORKER_SEND: &str = "span.worker.send";
-    /// Worker shim replaying buffered chunks after a re-point.
-    pub const WORKER_RESEND: &str = "span.worker.resend";
-    /// Frame in flight: sender stamp → receiver decode.
-    pub const WIRE_TRANSFER: &str = "span.wire.transfer";
-    /// Simulator: one flow of a simulated request.
-    pub const SIM_FLOW: &str = "span.sim.flow";
-    /// Simulator: whole-request envelope (first start → last finish).
-    pub const SIM_REQUEST: &str = "span.sim.request";
+    contract_names! {
+        /// Master root span: request registered → result delivered.
+        MASTER_REQUEST = "span.master.request";
+        /// Master shim processing one arriving data frame.
+        MASTER_RECV = "span.master.recv";
+        /// Master shim re-pointing one in-flight request around a dead box.
+        MASTER_REPOINT = "span.master.repoint";
+        /// Box-side span of one request: first data in → final aggregate out.
+        BOX_REQUEST = "span.box.request";
+        /// Box runtime processing one arriving data frame.
+        BOX_RECV = "span.box.recv";
+        /// Scheduler queue wait: combine submitted → combine started.
+        BOX_QUEUE_WAIT = "span.box.queue_wait";
+        /// One combine executed by a scheduler task.
+        BOX_COMBINE = "span.box.combine";
+        /// Box building + enqueueing an upward result frame.
+        BOX_FORWARD = "span.box.forward";
+        /// Box adopting a failed child box's subtree for one request.
+        BOX_REPOINT = "span.box.repoint";
+        /// Worker shim serialising + sending one partial.
+        WORKER_SEND = "span.worker.send";
+        /// Worker shim replaying buffered chunks after a re-point.
+        WORKER_RESEND = "span.worker.resend";
+        /// Frame in flight: sender stamp → receiver decode.
+        WIRE_TRANSFER = "span.wire.transfer";
+        /// Simulator: one flow of a simulated request.
+        SIM_FLOW = "span.sim.flow";
+        /// Simulator: whole-request envelope (first start → last finish).
+        SIM_REQUEST = "span.sim.request";
+    }
 }
 
 /// Substitute the `<placeholder>` segments of a template name, in order,
@@ -216,22 +235,58 @@ pub mod spans {
 /// Panics when `args` has fewer or more entries than the template has
 /// placeholders — a template misuse, not a runtime condition.
 pub fn expand(template: &str, args: &[&str]) -> String {
-    let mut out = String::with_capacity(template.len());
+    let lits = literals(template);
+    assert!(args.len() + 1 >= lits.len(), "too few template args");
+    assert!(args.len() < lits.len(), "too many template args");
+    let mut out = String::from(lits[0]);
+    for (arg, lit) in args.iter().zip(&lits[1..]) {
+        out.push_str(arg);
+        out.push_str(lit);
+    }
+    out
+}
+
+/// The literal pieces of a template, split at its `<placeholder>`s: `n`
+/// placeholders give `n + 1` pieces (possibly empty).
+fn literals(template: &str) -> Vec<&str> {
+    let mut out = Vec::new();
     let mut rest = template;
-    let mut used = 0;
     while let Some(open) = rest.find('<') {
         let close = rest[open..]
             .find('>')
-            .map(|i| open + i)
             .expect("unterminated template placeholder");
-        out.push_str(&rest[..open]);
-        out.push_str(args.get(used).expect("too few template args"));
-        used += 1;
-        rest = &rest[close + 1..];
+        out.push(&rest[..open]);
+        rest = &rest[open + close + 1..];
     }
-    assert_eq!(used, args.len(), "too many template args");
-    out.push_str(rest);
+    out.push(rest);
     out
+}
+
+/// Whether the concrete `name` is an instance of `template`: the literal
+/// pieces match in order and every `<placeholder>` stands for one or more
+/// characters. A plain name matches only itself.
+///
+/// ```
+/// use netagg_obs::names;
+/// assert!(names::matches(names::NET_LINK_BYTES, "net.link.3->9.bytes"));
+/// assert!(!names::matches(names::MAILBOX_DEPTH, "mailbox.depth."));
+/// ```
+pub fn matches(template: &str, name: &str) -> bool {
+    let lits = literals(template);
+    let Some(mut rest) = name.strip_prefix(lits[0]) else {
+        return false;
+    };
+    let Some((last, mids)) = lits[1..].split_last() else {
+        return rest.is_empty();
+    };
+    for lit in mids {
+        // Leftmost fit after at least one placeholder character.
+        let mut chars = rest.chars();
+        let found = chars.next().and_then(|_| chars.as_str().find(lit));
+        let Some(at) = found else { return false };
+        rest = &chars.as_str()[at + lit.len()..];
+    }
+    rest.len() > last.len() && rest.ends_with(last)
 }
 
 /// Concrete `aggbox.wfq_weight.app<N>` name for one application.
@@ -276,6 +331,19 @@ mod tests {
         assert_eq!(mailbox_depth("egress"), "mailbox.depth.egress");
         assert_eq!(mailbox_dropped("egress"), "mailbox.dropped.egress");
         assert_eq!(mailbox_dropped_policy("reject"), "mailbox.dropped.reject");
+    }
+
+    #[test]
+    fn matches_is_the_inverse_of_expand() {
+        assert!(matches(NET_LINK_FRAMES, &net_link_frames(3, 9)));
+        assert!(!matches(NET_LINK_FRAMES, "net.link.3->9.bytes"));
+        assert!(!matches(NET_LINK_FRAMES, "net.link.3.9.frames"));
+        assert!(matches(AGGBOX_WFQ_WEIGHT, "aggbox.wfq_weight.app4"));
+        assert!(matches(MAILBOX_DEPTH, "mailbox.depth.chan.data.1-2"));
+        assert!(!matches(MAILBOX_DEPTH, "mailbox.depth."));
+        assert!(matches(AGGBOX_TASKS_EXECUTED, AGGBOX_TASKS_EXECUTED));
+        assert!(!matches(AGGBOX_TASKS_EXECUTED, "aggbox.tasks_execute"));
+        assert!(ALL.contains(&EVENT_LOCK_POISON) && spans::ALL.contains(&spans::SIM_REQUEST));
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! The DESIGN.md §7/§9 metrics-contract checker the scenario runner and
 //! the soak harness assert against.
 //!
-//! Three families of checks (DESIGN.md §14, "Soak invariants"):
+//! Four families of checks (DESIGN.md §14, "Soak invariants"):
 //!
+//! * **Names** — every metric and event name in the final snapshot is an
+//!   instance of a `netagg_obs::names::ALL` entry, i.e. of a §7 table row
+//!   (`tests/design_contract.rs` ties the two). Checked here rather than
+//!   inside `MetricsRegistry`, which stays a generic substrate: a private
+//!   registry may carry any name (the benchmark's `bench.*` handles do).
 //! * **Teardown** — after `NetAggDeployment::shutdown`, the runtime must
 //!   have joined every thread (`runtime.threads_active == 0`) and drained
 //!   every fan-in ledger (`shim.master.requests_inflight == 0`,
@@ -41,6 +46,22 @@ pub fn mailbox_bound(name: &str) -> Option<f64> {
     } else {
         None
     }
+}
+
+/// Every metric series and event kind in `snap` that no §7 contract name
+/// (`names::ALL`, templates included) accounts for.
+pub fn name_violations(snap: &MetricsSnapshot) -> Vec<String> {
+    let metrics = snap.counters.iter().map(|(n, _)| n);
+    let metrics = metrics.chain(snap.gauges.iter().map(|(n, _)| n));
+    let metrics = metrics.chain(snap.histograms.iter().map(|(n, _)| n));
+    let found = metrics.chain(snap.events.iter().map(|e| &e.kind));
+    let unknown = found.filter(|n| !names::ALL.iter().any(|t| names::matches(t, n)));
+    let mut v: Vec<String> = unknown
+        .map(|n| format!("`{n}` is not a DESIGN.md §7 name (netagg_obs::names)"))
+        .collect();
+    v.sort();
+    v.dedup();
+    v
 }
 
 /// Check the post-teardown §7 invariants on a final snapshot.
@@ -144,6 +165,24 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|m| m.contains("chan.data.5-9")));
         assert!(v.iter().any(|m| m.contains("rogue")));
+    }
+
+    #[test]
+    fn name_checker_flags_what_the_contract_does_not_list() {
+        let reg = netagg_obs::MetricsRegistry::new();
+        reg.counter(names::AGGBOX_MESSAGES_IN).inc();
+        reg.gauge(&names::mailbox_depth("chan.data.1-2")).set(1.0);
+        reg.histogram(names::SIM_FCT_US).record(3);
+        reg.emit(names::EVENT_REPOINT, "listed");
+        assert!(name_violations(&reg.snapshot()).is_empty());
+        reg.counter("foo.bar").inc();
+        reg.emit("surprise", "unlisted");
+        let v = name_violations(&reg.snapshot());
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(
+            v[0].contains("`foo.bar`") && v[1].contains("`surprise`"),
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -823,6 +823,7 @@ impl ScenarioHarness {
         let snapshot = obs.snapshot();
 
         let mut violations = contract::teardown_violations(&snapshot);
+        violations.extend(contract::name_violations(&snapshot));
         let state = self.engine.state.lock();
         violations.extend(contract::depth_violations(&state.max_depths));
         let wait = snapshot.histogram(names::SHIM_MASTER_REQUEST_WAIT_US);
@@ -896,12 +897,14 @@ fn drive_synthetic(
         stat.issued += 1;
         engine.tick();
         for (w, shim) in workers.iter().enumerate() {
-            // A send into a just-killed box is expected to fail; the
-            // detector re-points and the shim replays.
-            let _ = shim.send_partial(
+            // A send into a just-killed box is the shim's business (it
+            // retains the chunk, counts the error and replays after the
+            // re-point); `Err` would mean a worker without an assignment.
+            shim.send_partial(
                 rid,
                 worker_payload(kind, seed, rid, w as u32, total_workers),
-            );
+            )
+            .expect("every scenario worker has a tree assignment");
         }
         window.push_back((rid, pending));
         while window.len() >= inflight {

@@ -141,11 +141,6 @@ impl BoxPlacement {
             Some(slots[(hash % slots.len() as u64) as usize])
         }
     }
-
-    /// The switch box `b` attaches to.
-    pub fn switch_of(&self, b: BoxId) -> NodeId {
-        self.boxes[b.0 as usize]
-    }
 }
 
 #[cfg(test)]

@@ -88,16 +88,6 @@ pub enum Endpoint {
     },
 }
 
-impl Endpoint {
-    /// The switch this endpoint ultimately hangs off (the ToR for a server).
-    pub fn attachment_switch(&self, topo: &Topology) -> NodeId {
-        match *self {
-            Endpoint::Server(s) => topo.tor_of_server(s),
-            Endpoint::AggBox { switch, .. } => switch,
-        }
-    }
-}
-
 impl fmt::Display for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -355,12 +345,6 @@ impl Topology {
     pub fn server(&self, idx: u32) -> NodeId {
         debug_assert!(idx < self.config.num_servers());
         NodeId(self.server_base + idx)
-    }
-
-    /// 0-based index of a server node.
-    pub fn server_index(&self, n: NodeId) -> u32 {
-        debug_assert!(self.is_server(n));
-        n.0 - self.server_base
     }
 
     /// Node id of the ToR switch of `rack`.

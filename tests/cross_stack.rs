@@ -5,6 +5,7 @@
 use bytes::Bytes;
 use minimr::cluster::JobConfig;
 use minisearch::corpus::CorpusConfig;
+use netagg_net::FaultStep;
 use netagg_repro::netagg_scenarios::{
     ChannelProvider, ScenarioHarness, ScenarioSpec, TopologySpec,
 };
@@ -268,4 +269,51 @@ fn mapreduce_speculative_duplicates_are_exact() {
     // harness's teardown contract re-checks that from the metrics.
     let report = harness.finish();
     assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+/// A box dying mid-shuffle is recoverable, not a failed job: the worker
+/// shim numbers and retains a chunk before putting it on the wire, so a
+/// mapper whose send hits the dead box keeps streaming and the detector's
+/// permanent redirect replays everything to the box's successor (§8).
+/// The `FaultStep` lets exactly one more frame into the mappers' box —
+/// some mapper's first chunk — and kills it before any second chunk.
+#[test]
+fn mapreduce_survives_its_box_dying_between_two_chunks() {
+    let spec = ScenarioSpec::new("mr-box-kill", TopologySpec::multi_rack(2, 3, 1))
+        .mapreduce(0, 1.0)
+        .with_fast_detector();
+    let harness = ScenarioHarness::build(&spec, &ChannelProvider).unwrap();
+    let mr = harness.mapreduce(0).unwrap();
+    let box0 = harness.deployment().boxes()[0].addr();
+    harness.fault().schedule(FaultStep {
+        watch: box0,
+        after_frames: harness.fault().frames_delivered(box0) + 1,
+        kill_target: box0,
+    });
+    // Three distinct keys per mapper, one record per chunk: every mapper
+    // streams three chunks, the last one closing its contribution.
+    let inputs: Vec<Vec<Bytes>> = (0..mr.num_mappers())
+        .map(|m| vec![Bytes::from(format!("common w{m} w{m} x{m}"))])
+        .collect();
+    let cfg = JobConfig {
+        chunk_bytes: 1,
+        ..JobConfig::default()
+    };
+    let result = mr.run(inputs, &cfg).expect("a box kill mid-stream");
+    assert!(harness.fault().is_dead(box0), "the step never fired");
+    let mut expected = vec![("common".to_string(), 6)];
+    for m in 0..6 {
+        expected.extend([(format!("w{m}"), 2), (format!("x{m}"), 1)]);
+    }
+    expected.sort();
+    let counted = |p: &minimr::types::Pair| {
+        let key = String::from_utf8(p.key.to_vec()).unwrap();
+        (key, minimr::types::parse_u64(&p.value).unwrap())
+    };
+    let output: Vec<(String, u64)> = result.output.iter().map(counted).collect();
+    assert_eq!(output, expected);
+    let report = harness.finish();
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    let failed_sends = report.snapshot.counter("shim.worker.send_errors");
+    assert!(failed_sends > Some(0), "no send hit the dead box");
 }

@@ -6,19 +6,29 @@
 //! nesting, a row the witness never sees is stale documentation (or a
 //! drive that no longer reaches it). The same bidirectional discipline as
 //! the §7 metrics contract.
+//!
+//! The same drive closes §9 the same way: the kinds of thread the
+//! `JoinScope`s actually spawned are exactly the rows of the §9 "Thread
+//! inventory" — an unlisted `JoinScope::spawn` name fails here, and so
+//! does a row no thread carries any more.
+
+mod common;
 
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::time::Duration;
 
-use netagg_lint::contract::Contract;
-use netagg_net::lifecycle::{witness_edges, witness_reset};
+use minisearch::corpus::CorpusConfig;
+use minisearch::frontend::Client;
+use netagg_core::runtime::DeploymentConfig;
+use netagg_core::straggler::StragglerPolicy;
+use netagg_net::lifecycle::{witness_edges, witness_reset, witness_thread_kinds};
 use netagg_scenarios::{
-    builtin_providers, run_scenario, Impairment, ScenarioSpec, SyntheticKind, TopologySpec,
+    builtin_providers, run_scenario, Impairment, ScenarioHarness, ScenarioSpec, SyntheticKind,
+    TopologySpec,
 };
 
 #[test]
-fn witnessed_edges_are_exactly_the_documented_table() {
+fn witnessed_edges_and_thread_kinds_are_exactly_the_documented_tables() {
     if !cfg!(debug_assertions) {
         // Release builds compile the witness out; nothing to check.
         return;
@@ -54,20 +64,52 @@ fn witnessed_edges_are_exactly_the_documented_table() {
         .synthetic("sum", SyntheticKind::Sum, 12, 1.0)
         .with_inflight(4)
         .with_wait_timeout(Duration::from_secs(2));
+    // The threads only a configuration starts: the boxes' flush and
+    // straggler monitors and the master's (thresholds far above anything
+    // this run reaches, so they only tick), the search backends, and the
+    // frontend's per-client thread (one `Client` query).
+    let tuned = ScenarioSpec::new("lock-witness-tuned", TopologySpec::single_rack(3, 1))
+        .search(
+            4,
+            CorpusConfig {
+                num_docs: 60,
+                ..CorpusConfig::default()
+            },
+            5,
+            1.0,
+        )
+        .with_tuning(DeploymentConfig {
+            straggler: Some(StragglerPolicy::new(Duration::from_secs(30))),
+            flush_bytes: Some(1 << 20),
+            ..DeploymentConfig::default()
+        });
     for provider in builtin_providers() {
         for spec in [&wide, &mix] {
             let report = run_scenario(spec, provider.as_ref()).unwrap();
             assert!(report.passed(), "{}", report.summary());
         }
+        let harness = ScenarioHarness::build(&tuned, provider.as_ref()).unwrap();
+        let search = harness.search(0).expect("app 0 is the search cluster");
+        let transport = harness.deployment().transport();
+        let mut client =
+            Client::connect(transport, search.app, 0, search.corpus_vocabulary).unwrap();
+        client.query_once(Duration::from_secs(10)).unwrap();
+        drop(client);
+        let report = harness.finish();
+        assert!(report.passed(), "{}", report.summary());
     }
 
+    let doc = common::design();
     let observed: BTreeSet<(String, String)> = witness_edges().into_iter().collect();
-    let table: BTreeSet<(String, String)> = Contract::load(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .unwrap()
-        .edges
-        .into_iter()
-        .map(|e| (e.from, e.to))
-        .collect();
+    let mut table = BTreeSet::new();
+    for row in common::rows(&doc, "### Acquisition edges") {
+        let from = common::ticked(&row[0]).remove(0);
+        table.extend(
+            common::ticked(&row[1])
+                .into_iter()
+                .map(|to| (from.clone(), to)),
+        );
+    }
     let undocumented: Vec<_> = observed.difference(&table).collect();
     let unwitnessed: Vec<_> = table.difference(&observed).collect();
     assert!(
@@ -75,5 +117,22 @@ fn witnessed_edges_are_exactly_the_documented_table() {
         "DESIGN.md §15 \"Acquisition edges\" and the runtime witness disagree — \
          observed but not in the table: {undocumented:?}; \
          in the table but never observed: {unwitnessed:?}"
+    );
+
+    // §9: a row's kind is its name with every `<id>` placeholder as `#`;
+    // a witnessed kind is the thread name with every digit run as `#`.
+    let ran: BTreeSet<String> = witness_thread_kinds().into_iter().collect();
+    let mut inventory = BTreeSet::new();
+    for name in common::names(&doc, "### Thread inventory") {
+        let pieces = name.split('<').map(|p| p.rsplit('>').next().unwrap());
+        inventory.insert(pieces.collect::<Vec<_>>().join("#"));
+    }
+    let unlisted: Vec<_> = ran.difference(&inventory).collect();
+    let never_ran: Vec<_> = inventory.difference(&ran).collect();
+    assert!(
+        unlisted.is_empty() && never_ran.is_empty(),
+        "DESIGN.md §9 \"Thread inventory\" and the threads JoinScopes spawned disagree — \
+         spawned but not in the table: {unlisted:?}; \
+         in the table but never spawned: {never_ran:?}"
     );
 }

@@ -111,6 +111,11 @@ fn quick_example_flow_publishes_metrics() {
     // The WFQ weight gauge exists for the registered app.
     assert!(snap.gauge("aggbox.wfq_weight.app0").is_some());
 
+    // Everything the flow published is a §7 contract name (§10): a name
+    // spelled outside `netagg_obs::names` would show up here.
+    let unlisted = netagg_scenarios::contract::name_violations(&snap);
+    assert!(unlisted.is_empty(), "{unlisted:?}");
+
     // The snapshot serialises; JSON carries the same counter values.
     let json = snap.to_json();
     assert!(json.contains("\"aggbox.tasks_executed\""));
