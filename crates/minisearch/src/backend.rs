@@ -144,7 +144,7 @@ impl Backend {
         global: Option<Arc<GlobalStats>>,
         shim: Arc<WorkerShim>,
     ) -> Result<Self, NetError> {
-        let mut listener = transport.bind(backend_service_addr(app, worker))?;
+        let listener = transport.bind(backend_service_addr(app, worker))?;
         let stats = Arc::new(BackendStats::default());
         let cancel = CancelToken::new();
         let scope = Arc::new(JoinScope::new(
@@ -152,32 +152,14 @@ impl Backend {
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
         ));
-        let st = stats.clone();
-        let accept_cancel = cancel.clone();
-        let accept_scope = scope.clone();
-        scope
-            .spawn(format!("backend-{}-{}", app.0, worker), move || loop {
-                match listener.accept_cancellable(&accept_cancel) {
-                    Ok(conn) => {
-                        let index = index.clone();
-                        let global = global.clone();
-                        let shim = shim.clone();
-                        let cancel = accept_cancel.clone();
-                        let st2 = st.clone();
-                        // After cancellation the scope drops the closure
-                        // instead of spawning: a connection accepted during
-                        // teardown is simply closed.
-                        accept_scope
-                            .spawn(format!("backend-{}-{}-serve", app.0, worker), move || {
-                                serve(conn, &index, global.as_deref(), &shim, &cancel, &st2)
-                            })
-                            .expect("spawn backend serve");
-                    }
-                    Err(NetError::Timeout) => continue,
-                    Err(_) => return, // cancelled or listener torn down
-                }
-            })
-            .map_err(|e| NetError::Io(e.to_string()))?;
+        let (st, serve_cancel) = (stats.clone(), cancel.clone());
+        netagg_core::lifecycle::serve(
+            &scope,
+            listener,
+            format!("backend-{}-{}", app.0, worker),
+            format!("backend-{}-{}-serve", app.0, worker),
+            move |conn| serve(conn, &index, global.as_deref(), &shim, &serve_cancel, &st),
+        )?;
         Ok(Self {
             stats,
             cancel,
@@ -212,12 +194,8 @@ fn serve(
     cancel: &CancelToken,
     stats: &BackendStats,
 ) {
-    loop {
-        let frame = match conn.recv_cancellable(cancel) {
-            Ok(f) => f,
-            Err(NetError::Timeout) => continue,
-            Err(_) => return, // cancelled or peer gone
-        };
+    // Until cancelled or the peer is gone.
+    while let Ok(frame) = conn.recv_cancellable(cancel) {
         let Ok(SearchMsg::Query {
             request,
             terms,

@@ -5,7 +5,7 @@
 use crate::backend::{backend_service_addr, SearchMsg};
 use crate::score::{QueryMode, SearchResults};
 use bytes::Bytes;
-use netagg_core::lifecycle::{CancelToken, JoinScope, DEFAULT_JOIN_DEADLINE};
+use netagg_core::lifecycle::{serve, CancelToken, JoinScope, DEFAULT_JOIN_DEADLINE};
 use netagg_core::protocol::AppId;
 use netagg_core::shim::MasterShim;
 use netagg_core::tree::service_addr;
@@ -86,7 +86,7 @@ impl Frontend {
         backend_workers: Vec<u32>,
         cfg: FrontendConfig,
     ) -> Result<Arc<Self>, NetError> {
-        let mut listener = transport.bind(frontend_service_addr(app))?;
+        let listener = transport.bind(frontend_service_addr(app))?;
         let cancel = CancelToken::new();
         let inner = Arc::new(Inner {
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
@@ -104,31 +104,17 @@ impl Frontend {
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
         ));
-        let fe = Arc::new(Self {
-            inner: inner.clone(),
-            scope: scope.clone(),
-        });
-        let accept_scope = scope.clone();
-        scope
-            .spawn(format!("frontend-{}", app.0), move || loop {
-                match listener.accept_cancellable(&cancel) {
-                    Ok(conn) => {
-                        let inner = inner.clone();
-                        // After cancellation the scope drops the closure
-                        // instead of spawning: a connection accepted during
-                        // teardown is simply closed.
-                        accept_scope
-                            .spawn(format!("frontend-{}-client", inner.app.0), move || {
-                                serve_client(&inner, conn)
-                            })
-                            .expect("spawn frontend client");
-                    }
-                    Err(NetError::Timeout) => continue,
-                    Err(_) => return, // cancelled or listener torn down
-                }
-            })
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        Ok(fe)
+        {
+            let inner = inner.clone();
+            serve(
+                &scope,
+                listener,
+                format!("frontend-{}", app.0),
+                format!("frontend-{}-client", app.0),
+                move |conn| serve_client(&inner, conn),
+            )?;
+        }
+        Ok(Arc::new(Self { inner, scope }))
     }
 
     /// Counters exposed for the harness and tests.
@@ -240,12 +226,8 @@ thread_local! {
 }
 
 fn serve_client(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
-    loop {
-        let frame = match conn.recv_cancellable(&inner.cancel) {
-            Ok(f) => f,
-            Err(NetError::Timeout) => continue,
-            Err(_) => return, // cancelled or client gone
-        };
+    // Until cancelled or the client is gone.
+    while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
         let Ok(SearchMsg::Query {
             request,
             terms,

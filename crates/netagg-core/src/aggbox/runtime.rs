@@ -16,8 +16,7 @@ use crate::aggbox::tree::{LocalAggTree, TraceTarget};
 use crate::conn_cache::ConnCache;
 use crate::fanin::{Repoint, Route, TraceAnchor};
 use crate::lifecycle::{
-    accept_loop, CancelToken, JoinScope, Mailbox, OrderedMutex, OverflowPolicy,
-    DEFAULT_JOIN_DEADLINE,
+    serve, CancelToken, JoinScope, Mailbox, OrderedMutex, OverflowPolicy, DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::spans::Spans;
@@ -210,7 +209,7 @@ struct Inner {
 /// A running agg box.
 pub struct AggBox {
     inner: Arc<Inner>,
-    scope: JoinScope,
+    scope: Arc<JoinScope>,
 }
 
 impl AggBox {
@@ -220,12 +219,12 @@ impl AggBox {
         let listener = transport.bind(cfg.addr)?;
         let cancel = CancelToken::new();
         let box_id = cfg.box_id;
-        let scope = JoinScope::with_obs(
+        let scope = Arc::new(JoinScope::with_obs(
             format!("aggbox-{box_id}"),
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
             Some(&cfg.obs),
-        );
+        ));
         let egress = Mailbox::with_obs(
             format!("aggbox{box_id}.egress"),
             EGRESS_DEPTH,
@@ -248,20 +247,16 @@ impl AggBox {
             inner: inner.clone(),
             scope,
         });
-        // Listener thread: accepts connections and spawns a reader each.
+        // Listener thread, and a reader thread per accepted connection.
         {
-            let this = Arc::downgrade(&boxed);
-            let cancel = inner.cancel.clone();
-            boxed
-                .scope
-                .spawn(format!("aggbox-{box_id}-listen"), move || {
-                    accept_loop(listener, &cancel, |conn| {
-                        if let Some(strong) = this.upgrade() {
-                            strong.spawn_reader(conn);
-                        }
-                    })
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
+            let inner = inner.clone();
+            serve(
+                &boxed.scope,
+                listener,
+                format!("aggbox-{box_id}-listen"),
+                format!("aggbox-{box_id}-reader"),
+                move |conn| reader_loop(&inner, conn),
+            )?;
         }
         // The egress thread, and the streaming flusher and straggler
         // monitor when configured.
@@ -378,17 +373,6 @@ impl AggBox {
             self.inner.obs.request_span(key.1, t);
         }
     }
-
-    fn spawn_reader(self: &Arc<Self>, conn: Box<dyn Connection>) {
-        let inner = self.inner.clone();
-        // After cancellation the scope drops the closure instead of
-        // spawning: a connection accepted during teardown is simply closed.
-        self.scope
-            .spawn(format!("aggbox-{}-reader", inner.cfg.box_id), move || {
-                reader_loop(&inner, conn)
-            })
-            .expect("spawn reader");
-    }
 }
 
 impl Drop for AggBox {
@@ -398,12 +382,8 @@ impl Drop for AggBox {
 }
 
 fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
-    loop {
-        let frame = match conn.recv_cancellable(&inner.cancel) {
-            Ok(f) => f,
-            Err(NetError::Timeout) => continue,
-            Err(_) => return, // cancelled, peer closed, or transport error
-        };
+    // Until cancelled, the peer closes, or the transport fails.
+    while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
         let msg = match Message::decode(frame) {
             Ok(m) => m,
             Err(_) => continue, // corrupt frame: drop

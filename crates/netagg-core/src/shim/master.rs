@@ -9,7 +9,7 @@
 use crate::conn_cache::ConnCache;
 use crate::fanin::TraceAnchor;
 use crate::lifecycle::{
-    accept_loop, CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE,
+    serve, CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::master_core::{MasterCore, MasterKey, Taken};
@@ -189,7 +189,7 @@ pub struct PendingRequest {
 /// The master-side shim.
 pub struct MasterShim {
     inner: Arc<Inner>,
-    scope: JoinScope,
+    scope: Arc<JoinScope>,
     /// Wakes `PendingRequest::wait` condvar sleepers on cancellation.
     _cv_waker: WakerGuard,
 }
@@ -207,12 +207,12 @@ impl MasterShim {
         let addr = master_addr(app);
         let listener = transport.bind(addr)?;
         let cancel = CancelToken::new();
-        let scope = JoinScope::with_obs(
+        let scope = Arc::new(JoinScope::with_obs(
             format!("master-shim-{}", app.0),
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
             Some(&cfg.obs),
-        );
+        ));
         let core = MasterCore::new(app, specs, cfg.selection);
         let inner = Arc::new(Inner {
             app,
@@ -243,22 +243,13 @@ impl MasterShim {
         });
         {
             let inner = inner.clone();
-            let shim2 = Arc::downgrade(&shim);
-            shim.scope
-                .spawn(format!("master-shim-{}", app.0), move || {
-                    accept_loop(listener, &inner.cancel, |conn| {
-                        let Some(s) = shim2.upgrade() else {
-                            return;
-                        };
-                        let inner = inner.clone();
-                        s.scope
-                            .spawn(format!("master-shim-{}-reader", app.0), move || {
-                                reader_loop(&inner, conn)
-                            })
-                            .expect("spawn master shim reader");
-                    })
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
+            serve(
+                &shim.scope,
+                listener,
+                format!("master-shim-{}", app.0),
+                format!("master-shim-{}-reader", app.0),
+                move |conn| reader_loop(&inner, conn),
+            )?;
         }
         if inner.cfg.straggler_threshold.is_some() {
             let inner = inner.clone();
@@ -539,12 +530,8 @@ fn participants(
 
 fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
     let o = &inner.obs;
-    loop {
-        let frame = match conn.recv_cancellable(&inner.cancel) {
-            Ok(f) => f,
-            Err(NetError::Timeout) => continue,
-            Err(_) => return, // cancelled, peer closed, or transport error
-        };
+    // Until cancelled, the peer closes, or the transport fails.
+    while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
         let Ok(msg) = Message::decode(frame) else {
             continue;
         };

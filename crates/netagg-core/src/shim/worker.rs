@@ -2,8 +2,8 @@
 
 use crate::conn_cache::ConnCache;
 use crate::lifecycle::{
-    accept_loop, CancelToken, JoinScope, Mailbox, MailboxRecvTimeoutError, OrderedMutex,
-    OverflowPolicy, DEFAULT_JOIN_DEADLINE,
+    serve, CancelToken, JoinScope, Mailbox, MailboxRecvError, OrderedMutex, OverflowPolicy,
+    DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::worker_core::{per_request_tree, SentChunk, TreeSelection, WorkerCore};
@@ -86,7 +86,7 @@ struct Inner {
 /// them to the assigned agg box.
 pub struct WorkerShim {
     inner: Arc<Inner>,
-    scope: JoinScope,
+    scope: Arc<JoinScope>,
 }
 
 impl WorkerShim {
@@ -112,12 +112,12 @@ impl WorkerShim {
         }
         let listener = transport.bind(addr)?;
         let cancel = CancelToken::new();
-        let scope = JoinScope::with_obs(
+        let scope = Arc::new(JoinScope::with_obs(
             format!("worker-shim-{}-{}", app.0, worker),
             cancel.clone(),
             DEFAULT_JOIN_DEADLINE,
             Some(&obs),
-        );
+        ));
         let broadcasts = Mailbox::with_obs(
             format!("worker{}-{}.broadcast", app.0, worker),
             BROADCAST_DEPTH,
@@ -142,26 +142,15 @@ impl WorkerShim {
             scope,
         });
         {
-            // Accept control connections (redirects, broadcasts) and spawn
-            // a named reader per connection into the scope.
-            let shim2 = Arc::downgrade(&shim);
+            // Control connections: redirects, heartbeats, broadcasts.
             let inner = inner.clone();
-            shim.scope
-                .spawn(format!("worker-shim-{}-{}", app.0, worker), move || {
-                    accept_loop(listener, &inner.cancel, |conn| {
-                        let Some(s) = shim2.upgrade() else {
-                            return;
-                        };
-                        let inner = inner.clone();
-                        s.scope
-                            .spawn(
-                                format!("worker-shim-{}-{}-ctrl", app.0, worker),
-                                move || control_loop(&inner, conn),
-                            )
-                            .expect("spawn worker shim control reader");
-                    })
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
+            serve(
+                &shim.scope,
+                listener,
+                format!("worker-shim-{}-{}", app.0, worker),
+                format!("worker-shim-{}-{}-ctrl", app.0, worker),
+                move |conn| control_loop(&inner, conn),
+            )?;
         }
         Ok(shim)
     }
@@ -275,7 +264,7 @@ impl WorkerShim {
     pub fn recv_broadcast(&self, timeout: Duration) -> Result<(u64, Bytes), AggError> {
         match self.inner.broadcasts.recv_timeout(timeout) {
             Ok(v) => Ok(v),
-            Err(MailboxRecvTimeoutError::Timeout) => Err(AggError::Timeout),
+            Err(MailboxRecvError::Timeout) => Err(AggError::Timeout),
             Err(_) => Err(AggError::Shutdown), // cancelled or closed
         }
     }
@@ -364,12 +353,8 @@ impl Inner {
 }
 
 fn control_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
-    loop {
-        let frame = match conn.recv_cancellable(&inner.cancel) {
-            Ok(f) => f,
-            Err(NetError::Timeout) => continue,
-            Err(_) => return, // cancelled, peer closed, or transport error
-        };
+    // Until cancelled, the peer closes, or the transport fails.
+    while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
         let Ok(msg) = Message::decode(frame) else {
             continue;
         };

@@ -8,10 +8,8 @@
 //! mailboxes, `recv_cancellable`/`accept_cancellable` wake instantly on
 //! cancellation — no poll loop.
 
-use crate::lifecycle::{
-    CancelToken, Mailbox, MailboxRecvError, MailboxRecvTimeoutError, OverflowPolicy,
-};
-use crate::transport::{Connection, Listener, NetError, NodeId, Transport};
+use crate::lifecycle::{CancelToken, Mailbox, OverflowPolicy, Wait};
+use crate::transport::{recv_on, Connection, Listener, NetError, NodeId, Transport};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -128,29 +126,18 @@ fn conn_from(p: Pending) -> Box<dyn Connection> {
 
 impl Listener for ChannelListener {
     fn accept(&mut self) -> Result<Box<dyn Connection>, NetError> {
-        self.inbox
-            .recv()
-            .map(conn_from)
-            .map_err(|_| NetError::Closed)
+        recv_on(&self.inbox, Wait::Forever).map(conn_from)
     }
 
     fn accept_timeout(&mut self, timeout: Duration) -> Result<Box<dyn Connection>, NetError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(p) => Ok(conn_from(p)),
-            Err(MailboxRecvTimeoutError::Timeout) => Err(NetError::Timeout),
-            Err(_) => Err(NetError::Closed),
-        }
+        recv_on(&self.inbox, Wait::For(timeout)).map(conn_from)
     }
 
     fn accept_cancellable(
         &mut self,
         cancel: &CancelToken,
     ) -> Result<Box<dyn Connection>, NetError> {
-        match self.inbox.recv_cancellable(cancel) {
-            Ok(p) => Ok(conn_from(p)),
-            Err(MailboxRecvError::Closed) => Err(NetError::Closed),
-            Err(MailboxRecvError::Cancelled) => Err(NetError::Cancelled),
-        }
+        recv_on(&self.inbox, Wait::Cancel(cancel)).map(conn_from)
     }
 }
 
@@ -174,24 +161,15 @@ impl Connection for ChannelConnection {
     }
 
     fn recv(&mut self) -> Result<Bytes, NetError> {
-        self.rx.recv().map_err(|_| NetError::Closed)
+        recv_on(&self.rx, Wait::Forever)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(b) => Ok(b),
-            Err(MailboxRecvTimeoutError::Timeout) => Err(NetError::Timeout),
-            Err(_) => Err(NetError::Closed),
-        }
+        recv_on(&self.rx, Wait::For(timeout))
     }
 
     fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError> {
-        // True wakeup: cancellation notifies the mailbox condvar directly.
-        match self.rx.recv_cancellable(cancel) {
-            Ok(b) => Ok(b),
-            Err(MailboxRecvError::Closed) => Err(NetError::Closed),
-            Err(MailboxRecvError::Cancelled) => Err(NetError::Cancelled),
-        }
+        recv_on(&self.rx, Wait::Cancel(cancel))
     }
 
     fn peer(&self) -> NodeId {
@@ -213,7 +191,7 @@ impl Drop for ChannelConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::MailboxTryRecvError;
+    use crate::lifecycle::MailboxRecvError;
     use std::thread;
 
     #[test]
@@ -381,11 +359,11 @@ mod tests {
 
     #[test]
     fn try_recv_error_covers_empty_and_closed() {
-        // Exercise the MailboxTryRecvError mapping used by downstream
-        // consumers of the raw mailboxes.
+        // What downstream consumers of the raw mailboxes tell apart: an
+        // empty queue (`Timeout`: nothing within no wait) from a closed one.
         let mb: Mailbox<u8> = Mailbox::new("t", 1, OverflowPolicy::Block, CancelToken::new());
-        assert_eq!(mb.try_recv(), Err(MailboxTryRecvError::Empty));
+        assert_eq!(mb.try_recv(), Err(MailboxRecvError::Timeout));
         mb.close();
-        assert_eq!(mb.try_recv(), Err(MailboxTryRecvError::Closed));
+        assert_eq!(mb.try_recv(), Err(MailboxRecvError::Closed));
     }
 }

@@ -7,14 +7,13 @@
 //! quickly on CI hardware.
 
 use crate::channel::ChannelTransport;
-use crate::lifecycle::CancelToken;
+use crate::interpose::{Interposed, Interposer};
 use crate::ratelimit::TokenBucket;
-use crate::transport::{Connection, Listener, NetError, NodeId, Transport};
+use crate::transport::{NetError, NodeId, Transport};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 #[derive(Clone)]
 struct Nic {
@@ -78,19 +77,16 @@ impl EmuNetBuilder {
                 )
             })
             .collect();
-        EmuNet {
-            inner,
-            nics: Arc::new(RwLock::new(nics)),
-        }
+        EmuNet::over(inner, Nics(Arc::new(RwLock::new(nics))))
     }
 }
 
-/// A transport with emulated per-endpoint link capacities. Cheap to clone.
+/// The NIC table of an [`EmuNet`], shared by its clones.
 #[derive(Clone)]
-pub struct EmuNet {
-    inner: Arc<dyn Transport>,
-    nics: Arc<RwLock<HashMap<NodeId, Nic>>>,
-}
+pub struct Nics(Arc<RwLock<HashMap<NodeId, Nic>>>);
+
+/// A transport with emulated per-endpoint link capacities. Cheap to clone.
+pub type EmuNet = Interposed<Nics>;
 
 impl EmuNet {
     /// Builder for a new emulated network.
@@ -101,129 +97,63 @@ impl EmuNet {
     /// Make `node` share the NIC (both token buckets) of `existing`,
     /// modelling several logical listeners on one physical server.
     pub fn alias(&self, node: NodeId, existing: NodeId) -> Result<(), NetError> {
-        let nic = self.nic(existing)?;
-        self.nics.write().insert(node, nic);
+        let nic = self.hook().nic(existing)?;
+        self.hook().0.write().insert(node, nic);
         Ok(())
     }
+}
 
+impl Nics {
     fn nic(&self, node: NodeId) -> Result<Nic, NetError> {
-        self.nics
-            .read()
-            .get(&node)
-            .cloned()
-            .ok_or(NetError::NotFound(node))
+        let nics = self.0.read();
+        nics.get(&node).cloned().ok_or(NetError::NotFound(node))
     }
 }
 
-impl Transport for EmuNet {
-    fn bind(&self, local: NodeId) -> Result<Box<dyn Listener>, NetError> {
-        self.nic(local)?; // endpoints must be declared
-        let inner = self.inner.bind(local)?;
-        Ok(Box::new(EmuListener {
-            inner,
-            net: self.clone(),
-            local,
-        }))
-    }
-
-    fn connect(&self, local: NodeId, peer: NodeId) -> Result<Box<dyn Connection>, NetError> {
-        let local_nic = self.nic(local)?;
-        let peer_nic = self.nic(peer)?;
-        let inner = self.inner.connect(local, peer)?;
-        Ok(Box::new(EmuConnection {
-            inner,
-            egress: local_nic.egress,
-            peer_ingress: peer_nic.ingress,
-        }))
-    }
-
-    fn attach_obs(&self, obs: &netagg_obs::MetricsRegistry) {
-        self.inner.attach_obs(obs);
-    }
-}
-
-struct EmuListener {
-    inner: Box<dyn Listener>,
-    net: EmuNet,
-    local: NodeId,
-}
-
-impl EmuListener {
-    fn wrap(&self, conn: Box<dyn Connection>) -> Result<Box<dyn Connection>, NetError> {
-        let peer = conn.peer();
-        let peer_nic = self.net.nic(peer)?;
-        let local_nic = self.net.nic(self.local)?;
-        Ok(Box::new(EmuConnection {
-            inner: conn,
-            egress: local_nic.egress,
-            peer_ingress: peer_nic.ingress,
-        }))
-    }
-}
-
-impl Listener for EmuListener {
-    fn accept(&mut self) -> Result<Box<dyn Connection>, NetError> {
-        let c = self.inner.accept()?;
-        self.wrap(c)
-    }
-
-    fn accept_timeout(&mut self, timeout: Duration) -> Result<Box<dyn Connection>, NetError> {
-        let c = self.inner.accept_timeout(timeout)?;
-        self.wrap(c)
-    }
-
-    fn accept_cancellable(
-        &mut self,
-        cancel: &CancelToken,
-    ) -> Result<Box<dyn Connection>, NetError> {
-        let c = self.inner.accept_cancellable(cancel)?;
-        self.wrap(c)
-    }
-}
-
-struct EmuConnection {
-    inner: Box<dyn Connection>,
+/// The two links a connection's sends are charged to.
+pub struct EmuLink {
     egress: Arc<TokenBucket>,
     peer_ingress: Arc<TokenBucket>,
 }
 
-impl Connection for EmuConnection {
-    fn send(&mut self, payload: Bytes) -> Result<(), NetError> {
-        // Sending a message serialises it through the local egress link and
-        // the peer's ingress link; both charge before delivery, so
-        // many-to-one senders contend on the receiver's NIC (incast).
+impl Interposer for Nics {
+    type Link = EmuLink;
+
+    /// Endpoints must be declared.
+    fn admit(&self, local: NodeId, peer: Option<NodeId>) -> Result<(), NetError> {
+        self.nic(local)?;
+        peer.map_or(Ok(()), |p| self.nic(p).map(drop))
+    }
+
+    fn link(&self, local: NodeId, peer: NodeId) -> Result<EmuLink, NetError> {
+        Ok(EmuLink {
+            egress: self.nic(local)?.egress,
+            peer_ingress: self.nic(peer)?.ingress,
+        })
+    }
+
+    /// Sending a message serialises it through the local egress link and
+    /// the peer's ingress link; both charge before delivery, so
+    /// many-to-one senders contend on the receiver's NIC (incast).
+    fn before_send(link: &mut EmuLink, payload: &Bytes) -> Result<(), NetError> {
         let n = payload.len() as f64;
-        self.egress.acquire(n);
-        self.peer_ingress.acquire(n);
-        self.inner.send(payload)
-    }
-
-    fn recv(&mut self) -> Result<Bytes, NetError> {
-        self.inner.recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError> {
-        self.inner.recv_cancellable(cancel)
-    }
-
-    fn peer(&self) -> NodeId {
-        self.inner.peer()
+        link.egress.acquire(n);
+        link.peer_ingress.acquire(n);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Instant;
+    use crate::transport::Listener;
+    use std::thread::{self, JoinHandle};
+    use std::time::{Duration, Instant};
 
     /// 1 "Gbps" scaled down for test speed: 1 MB/s.
     const EDGE: f64 = 125e6;
     const SCALE: f64 = 1e-2; // -> 1.25 MB/s
+    const CHUNK: usize = 64 * 1024;
 
     fn two_node_net() -> EmuNet {
         EmuNet::builder()
@@ -234,31 +164,52 @@ mod tests {
             .build()
     }
 
+    /// Send `chunks` 64 KiB chunks from `from` to `to` on a thread of its
+    /// own; the time the sends took.
+    fn sender(net: &EmuNet, from: NodeId, to: NodeId, chunks: usize) -> JoinHandle<Duration> {
+        let net = net.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test sender; a plain thread keeps the timing honest"
+        )]
+        let h = thread::spawn(move || {
+            let mut c = net.connect(from, to).unwrap();
+            let chunk = Bytes::from(vec![0u8; CHUNK]);
+            let t0 = Instant::now();
+            for _ in 0..chunks {
+                c.send(chunk.clone()).unwrap();
+            }
+            t0.elapsed()
+        });
+        h
+    }
+
+    /// Accept `conns` connections, then drain `chunks` chunks from each,
+    /// all at once.
+    fn drain(l: &mut dyn Listener, conns: usize, chunks: usize) {
+        let accepted: Vec<_> = (0..conns).map(|_| l.accept().unwrap()).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fan-in receivers; scoped threads, joined before the asserts"
+        )]
+        thread::scope(|s| {
+            for mut c in accepted {
+                s.spawn(move || {
+                    for _ in 0..chunks {
+                        assert_eq!(c.recv().unwrap().len(), CHUNK);
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn transfer_takes_link_serialisation_time() {
         let net = two_node_net();
         let mut l = net.bind(1).unwrap();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "test harness thread; the emulated link is what is under test"
-        )]
-        let h = thread::spawn({
-            let net = net.clone();
-            move || {
-                let mut c = net.connect(2, 1).unwrap();
-                let t0 = Instant::now();
-                let chunk = Bytes::from(vec![0u8; 64 * 1024]);
-                // 1 MB total over a 1.25 MB/s link: ~0.8 s.
-                for _ in 0..16 {
-                    c.send(chunk.clone()).unwrap();
-                }
-                t0.elapsed()
-            }
-        });
-        let mut server = l.accept().unwrap();
-        for _ in 0..16 {
-            server.recv().unwrap();
-        }
+        // 1 MB total over a 1.25 MB/s link: ~0.8 s.
+        let h = sender(&net, 2, 1, 16);
+        drain(&mut *l, 1, 16);
         let elapsed = h.join().unwrap();
         assert!(
             elapsed.as_secs_f64() > 0.4,
@@ -272,44 +223,8 @@ mod tests {
         // sender's egress only, so two senders together get ~2x throughput.
         let net = two_node_net();
         let mut l = net.bind(3).unwrap();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "test fan-in senders; plain threads keep the timing honest"
-        )]
-        let senders: Vec<_> = [1u32, 2u32]
-            .into_iter()
-            .map(|id| {
-                let net = net.clone();
-                thread::spawn(move || {
-                    let mut c = net.connect(id, 3).unwrap();
-                    let chunk = Bytes::from(vec![0u8; 64 * 1024]);
-                    let t0 = Instant::now();
-                    for _ in 0..8 {
-                        c.send(chunk.clone()).unwrap();
-                    }
-                    t0.elapsed()
-                })
-            })
-            .collect();
-        let mut conns = Vec::new();
-        for _ in 0..2 {
-            conns.push(l.accept().unwrap());
-        }
-        let mut handles = Vec::new();
-        for mut c in conns {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "test fan-in receivers; plain threads keep the timing honest"
-            )]
-            handles.push(thread::spawn(move || {
-                for _ in 0..8 {
-                    c.recv().unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let senders = [sender(&net, 1, 3, 8), sender(&net, 2, 3, 8)];
+        drain(&mut *l, 2, 8);
         for s in senders {
             let elapsed = s.join().unwrap().as_secs_f64();
             // 512 KB over 1.25 MB/s ~ 0.41 s; allow slack but require that
@@ -330,41 +245,10 @@ mod tests {
             .build();
         let mut l = net.bind(9).unwrap();
         let t0 = Instant::now();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "test fan-in senders; plain threads keep the timing honest"
-        )]
-        let senders: Vec<_> = [1u32, 2]
-            .into_iter()
-            .map(|id| {
-                let net = net.clone();
-                thread::spawn(move || {
-                    let mut c = net.connect(id, 9).unwrap();
-                    let chunk = Bytes::from(vec![0u8; 64 * 1024]);
-                    for _ in 0..8 {
-                        c.send(chunk.clone()).unwrap();
-                    }
-                })
-            })
-            .collect();
-        let mut conns = Vec::new();
-        for _ in 0..2 {
-            conns.push(l.accept().unwrap());
-        }
-        let mut handles = Vec::new();
-        for mut c in conns {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "test fan-in receivers; plain threads keep the timing honest"
-            )]
-            handles.push(thread::spawn(move || {
-                for _ in 0..8 {
-                    c.recv().unwrap();
-                }
-            }));
-        }
-        for h in senders.into_iter().chain(handles) {
-            h.join().unwrap();
+        let senders = [sender(&net, 1, 9, 8), sender(&net, 2, 9, 8)];
+        drain(&mut *l, 2, 8);
+        for s in senders {
+            s.join().unwrap();
         }
         // 1 MB total into a 1.25 MB/s ingress: >= ~0.6 s.
         assert!(t0.elapsed().as_secs_f64() > 0.5, "{:?}", t0.elapsed());
@@ -375,26 +259,8 @@ mod tests {
         let net = two_node_net();
         net.alias(100, 1).unwrap();
         let mut l = net.bind(100).unwrap();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "test harness thread; the alias routing is what is under test"
-        )]
-        let h = thread::spawn({
-            let net = net.clone();
-            move || {
-                let mut c = net.connect(2, 100).unwrap();
-                let t0 = Instant::now();
-                let chunk = Bytes::from(vec![0u8; 64 * 1024]);
-                for _ in 0..8 {
-                    c.send(chunk.clone()).unwrap();
-                }
-                t0.elapsed()
-            }
-        });
-        let mut server = l.accept().unwrap();
-        for _ in 0..8 {
-            server.recv().unwrap();
-        }
+        let h = sender(&net, 2, 100, 8);
+        drain(&mut *l, 1, 8);
         // 512 KB over endpoint 1's shared 1.25 MB/s ingress: not instant.
         assert!(h.join().unwrap().as_secs_f64() > 0.2);
         assert!(net.alias(101, 999).is_err());
@@ -410,26 +276,8 @@ mod tests {
             .endpoint(2, EDGE)
             .build_over(tcp);
         let mut l = net.bind(1).unwrap();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "test harness thread; the TCP-backed emulation is under test"
-        )]
-        let h = thread::spawn({
-            let net = net.clone();
-            move || {
-                let mut c = net.connect(2, 1).unwrap();
-                let t0 = Instant::now();
-                let chunk = Bytes::from(vec![0u8; 64 * 1024]);
-                for _ in 0..8 {
-                    c.send(chunk.clone()).unwrap();
-                }
-                t0.elapsed()
-            }
-        });
-        let mut server = l.accept().unwrap();
-        for _ in 0..8 {
-            assert_eq!(server.recv().unwrap().len(), 64 * 1024);
-        }
+        let h = sender(&net, 2, 1, 8);
+        drain(&mut *l, 1, 8);
         // 512 KB over 1.25 MB/s: rate limiting applies on top of TCP.
         assert!(h.join().unwrap().as_secs_f64() > 0.25);
     }

@@ -9,13 +9,17 @@
 //! recovery tests can reproduce precise kill timings from a seed instead
 //! of relying on sleeps.
 
-use crate::lifecycle::CancelToken;
-use crate::transport::{Connection, Listener, NetError, NodeId, Transport};
+use crate::interpose::{Interposed, Interposer};
+use crate::lifecycle::Wait;
+use crate::transport::{Connection, NetError, NodeId, Transport};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How often a blocked receive and a delayed send look for a kill.
+const KILL_POLL: Duration = Duration::from_millis(20);
 
 /// One step of a deterministic fault schedule: once `after_frames` frames
 /// have been delivered to `watch` (across all connections of the wrapping
@@ -36,13 +40,18 @@ pub struct FaultStep {
     pub kill_target: NodeId,
 }
 
+#[derive(Default)]
+struct FaultState {
+    dead: HashSet<NodeId>,
+    delay: HashMap<NodeId, Duration>,
+    frames: HashMap<NodeId, u64>,
+    schedule: Vec<FaultStep>,
+}
+
 /// Shared controller used to inject faults at runtime.
 #[derive(Clone, Default)]
 pub struct FaultController {
-    dead: Arc<RwLock<HashSet<NodeId>>>,
-    delay: Arc<RwLock<HashMap<NodeId, Duration>>>,
-    frames: Arc<RwLock<HashMap<NodeId, u64>>>,
-    schedule: Arc<RwLock<Vec<FaultStep>>>,
+    state: Arc<RwLock<FaultState>>,
 }
 
 impl FaultController {
@@ -53,236 +62,163 @@ impl FaultController {
 
     /// Kill a node: all of its present and future traffic fails.
     pub fn kill(&self, node: NodeId) {
-        self.dead.write().insert(node);
+        self.state.write().dead.insert(node);
     }
 
     /// Revive a previously killed node (new connections succeed again).
     pub fn revive(&self, node: NodeId) {
-        self.dead.write().remove(&node);
+        self.state.write().dead.remove(&node);
     }
 
     /// Whether `node` is currently killed.
     pub fn is_dead(&self, node: NodeId) -> bool {
-        self.dead.read().contains(&node)
+        self.state.read().dead.contains(&node)
     }
 
     /// Add a fixed per-message send delay for a node (straggler injection).
     pub fn delay(&self, node: NodeId, d: Duration) {
-        self.delay.write().insert(node, d);
+        self.state.write().delay.insert(node, d);
     }
 
     /// Remove a node's send delay.
     pub fn clear_delay(&self, node: NodeId) {
-        self.delay.write().remove(&node);
-    }
-
-    fn delay_of(&self, node: NodeId) -> Option<Duration> {
-        self.delay.read().get(&node).copied()
+        self.state.write().delay.remove(&node);
     }
 
     /// Arm a deterministic fault step (see [`FaultStep`]). Steps are
     /// independent; several can watch the same node.
     pub fn schedule(&self, step: FaultStep) {
-        self.schedule.write().push(step);
+        self.state.write().schedule.push(step);
     }
 
     /// Drop all armed fault steps (delivered-frame counts are kept).
     pub fn clear_schedule(&self) {
-        self.schedule.write().clear();
+        self.state.write().schedule.clear();
     }
 
     /// Total frames successfully delivered to `node` so far.
     pub fn frames_delivered(&self, node: NodeId) -> u64 {
-        self.frames.read().get(&node).copied().unwrap_or(0)
-    }
-
-    /// Record a successful delivery to `peer` and fire any armed fault
-    /// steps it satisfies.
-    fn note_delivery(&self, peer: NodeId) {
-        let count = {
-            let mut frames = self.frames.write();
-            let c = frames.entry(peer).or_insert(0);
-            *c += 1;
-            *c
-        };
-        let fired: Vec<NodeId> = {
-            let mut sched = self.schedule.write();
-            let mut fired = Vec::new();
-            sched.retain(|s| {
-                if s.watch == peer && count >= s.after_frames {
-                    fired.push(s.kill_target);
-                    false
-                } else {
-                    true
-                }
-            });
-            fired
-        };
-        for target in fired {
-            self.kill(target);
-        }
+        self.state.read().frames.get(&node).copied().unwrap_or(0)
     }
 }
 
-/// A transport wrapper that consults a [`FaultController`].
-pub struct FaultTransport<T: Transport> {
-    inner: T,
-    ctl: FaultController,
-}
+/// A transport that consults a [`FaultController`] on every operation.
+pub type FaultTransport<T> = Interposed<FaultController, T>;
 
 impl<T: Transport> FaultTransport<T> {
     /// Wrap `inner` so it consults `ctl` on every operation.
     pub fn new(inner: T, ctl: FaultController) -> Self {
-        Self { inner, ctl }
+        Self::over(inner, ctl)
     }
 
     /// Handle for injecting faults at runtime.
     pub fn controller(&self) -> FaultController {
-        self.ctl.clone()
+        self.hook().clone()
     }
 }
 
-impl<T: Transport> Transport for FaultTransport<T> {
-    fn bind(&self, local: NodeId) -> Result<Box<dyn Listener>, NetError> {
-        if self.ctl.is_dead(local) {
-            return Err(NetError::Injected("bind on dead node"));
-        }
-        let inner = self.inner.bind(local)?;
-        Ok(Box::new(FaultListener {
-            inner,
-            local,
-            ctl: self.ctl.clone(),
-        }))
-    }
-
-    fn connect(&self, local: NodeId, peer: NodeId) -> Result<Box<dyn Connection>, NetError> {
-        if self.ctl.is_dead(local) || self.ctl.is_dead(peer) {
-            return Err(NetError::Injected("connect to/from dead node"));
-        }
-        let inner = self.inner.connect(local, peer)?;
-        Ok(Box::new(FaultConnection {
-            inner,
-            local,
-            ctl: self.ctl.clone(),
-        }))
-    }
-
-    fn attach_obs(&self, obs: &netagg_obs::MetricsRegistry) {
-        self.inner.attach_obs(obs);
-    }
-}
-
-struct FaultListener {
-    inner: Box<dyn Listener>,
-    local: NodeId,
+/// One connection's endpoints and the controller that can kill them.
+pub struct FaultLink {
     ctl: FaultController,
+    local: NodeId,
+    peer: NodeId,
 }
 
-impl FaultListener {
-    fn wrap(&self, c: Box<dyn Connection>) -> Result<Box<dyn Connection>, NetError> {
-        if self.ctl.is_dead(self.local) {
+impl FaultLink {
+    /// Fails once either endpoint is dead; else the local node's send delay.
+    fn check(&self) -> Result<Option<Duration>, NetError> {
+        let s = self.ctl.state.read();
+        if s.dead.contains(&self.local) || s.dead.contains(&self.peer) {
+            return Err(NetError::Injected("endpoint dead"));
+        }
+        Ok(s.delay.get(&self.local).copied())
+    }
+}
+
+impl Interposer for FaultController {
+    type Link = FaultLink;
+
+    fn admit(&self, local: NodeId, peer: Option<NodeId>) -> Result<(), NetError> {
+        let s = self.state.read();
+        match peer {
+            None if s.dead.contains(&local) => Err(NetError::Injected("bind on dead node")),
+            Some(p) if s.dead.contains(&local) || s.dead.contains(&p) => {
+                Err(NetError::Injected("connect to/from dead node"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn link(&self, local: NodeId, peer: NodeId) -> Result<FaultLink, NetError> {
+        // A dialled connection was admitted a moment ago; an accepted one
+        // is vetted here.
+        if self.is_dead(local) {
             return Err(NetError::Injected("accept on dead node"));
         }
-        Ok(Box::new(FaultConnection {
-            inner: c,
-            local: self.local,
-            ctl: self.ctl.clone(),
-        }))
-    }
-}
-
-impl Listener for FaultListener {
-    fn accept(&mut self) -> Result<Box<dyn Connection>, NetError> {
-        let c = self.inner.accept()?;
-        self.wrap(c)
+        let ctl = self.clone();
+        Ok(FaultLink { ctl, local, peer })
     }
 
-    fn accept_timeout(&mut self, timeout: Duration) -> Result<Box<dyn Connection>, NetError> {
-        let c = self.inner.accept_timeout(timeout)?;
-        self.wrap(c)
-    }
-
-    fn accept_cancellable(
-        &mut self,
-        cancel: &CancelToken,
-    ) -> Result<Box<dyn Connection>, NetError> {
-        let c = self.inner.accept_cancellable(cancel)?;
-        self.wrap(c)
-    }
-}
-
-struct FaultConnection {
-    inner: Box<dyn Connection>,
-    local: NodeId,
-    ctl: FaultController,
-}
-
-impl FaultConnection {
-    fn check(&self) -> Result<(), NetError> {
-        if self.ctl.is_dead(self.local) || self.ctl.is_dead(self.inner.peer()) {
-            Err(NetError::Injected("endpoint dead"))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Connection for FaultConnection {
-    fn send(&mut self, payload: Bytes) -> Result<(), NetError> {
-        self.check()?;
-        // Sleep out the configured delay in slices, re-reading it each
-        // slice so `clear_delay` releases an in-flight delayed send
-        // promptly (a 30 s straggler delay must not pin a shutdown).
-        let t0 = std::time::Instant::now();
-        while let Some(d) = self.ctl.delay_of(self.local) {
-            let elapsed = t0.elapsed();
+    /// Sleep out the configured delay in slices, re-reading it and the
+    /// kill set each slice: `clear_delay` releases an in-flight delayed
+    /// send promptly (a 30 s straggler delay must not pin a shutdown), and
+    /// a kill that lands during the sleep fails the send instead of
+    /// delivering to — and counting a frame for — a dead node. The check
+    /// that ends the loop is the last thing before the send.
+    fn before_send(link: &mut FaultLink, _payload: &Bytes) -> Result<(), NetError> {
+        let mut t0 = None;
+        while let Some(d) = link.check()? {
+            let elapsed = t0.get_or_insert_with(Instant::now).elapsed();
             if elapsed >= d {
                 break;
             }
-            std::thread::sleep((d - elapsed).min(Duration::from_millis(20)));
+            std::thread::sleep((d - elapsed).min(KILL_POLL));
         }
-        self.inner.send(payload)?;
-        self.ctl.note_delivery(self.inner.peer());
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Bytes, NetError> {
-        // Poll so a node killed mid-recv unblocks promptly.
-        loop {
-            self.check()?;
-            match self.inner.recv_timeout(Duration::from_millis(20)) {
-                Err(NetError::Timeout) => continue,
-                other => return other,
+    /// Record the delivery to the peer and fire the armed fault steps it
+    /// satisfies.
+    fn after_send(link: &mut FaultLink, _len: usize) {
+        let peer = link.peer;
+        let mut s = link.ctl.state.write();
+        let s = &mut *s;
+        let count = s.frames.entry(peer).or_insert(0);
+        *count += 1;
+        let (count, dead) = (*count, &mut s.dead);
+        s.schedule.retain(|step| {
+            let fires = step.watch == peer && count >= step.after_frames;
+            if fires {
+                dead.insert(step.kill_target);
             }
+            !fires
+        });
+    }
+
+    /// Poll, so that a node killed mid-receive unblocks promptly: a kill is
+    /// not a cancel, and the inner transport's wake-up does not cover it.
+    fn recv(
+        link: &mut FaultLink,
+        inner: &mut dyn Connection,
+        wait: Wait<'_>,
+    ) -> Result<Bytes, NetError> {
+        if let Wait::For(timeout) = wait {
+            link.check()?;
+            let r = inner.recv_timeout(timeout);
+            link.check()?;
+            return r;
         }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        self.check()?;
-        let r = self.inner.recv_timeout(timeout);
-        self.check()?;
-        r
-    }
-
-    fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError> {
-        // Poll so both cancellation and a node killed mid-recv unblock
-        // promptly (a kill is not a cancel, so the inner transport's
-        // wakeup alone does not cover it).
         loop {
-            self.check()?;
-            if cancel.is_cancelled() {
+            link.check()?;
+            if matches!(wait, Wait::Cancel(c) if c.is_cancelled()) {
                 return Err(NetError::Cancelled);
             }
             // netagg-lint: allow(no-poll-shutdown) a kill must interrupt a blocked recv even when the inner transport never wakes; documented carve-out of §9 invariant 1
-            match self.inner.recv_timeout(Duration::from_millis(20)) {
+            match inner.recv_timeout(KILL_POLL) {
                 Err(NetError::Timeout) => continue,
                 other => return other,
             }
         }
-    }
-
-    fn peer(&self) -> NodeId {
-        self.inner.peer()
     }
 }
 
@@ -366,6 +302,33 @@ mod tests {
         ctl.kill(2);
         let r = h.join().unwrap();
         assert!(matches!(r, Err(NetError::Injected(_))), "{r:?}");
+    }
+
+    #[test]
+    fn kill_during_a_delayed_send_fails_it_and_delivers_nothing() {
+        let (t, ctl) = setup();
+        let mut l = t.bind(1).unwrap();
+        let mut c = t.connect(2, 1).unwrap();
+        let _server = l.accept().unwrap();
+        ctl.delay(2, Duration::from_secs(5));
+        let killer = ctl.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test kills the peer while the send below sits out its delay"
+        )]
+        let h = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(50));
+            killer.kill(1);
+        });
+        let t0 = Instant::now();
+        let sent = c.send(Bytes::from_static(b"late"));
+        assert!(matches!(sent, Err(NetError::Injected(_))), "{sent:?}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "the kill must end the sleep, not wait out the delay"
+        );
+        assert_eq!(ctl.frames_delivered(1), 0);
+        h.join().unwrap();
     }
 
     #[test]

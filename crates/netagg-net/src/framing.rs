@@ -96,6 +96,10 @@ impl FrameDecoder {
         if len > self.max_frame {
             return Err(NetError::FrameTooLarge(len));
         }
+        // The guard `discard` and `take` rely on: with `buffered` the sum
+        // of `chunks` (private, kept by `feed_bytes` and those two), the
+        // bytes they walk are present, so no length a peer writes reaches
+        // their `expect`s.
         if self.buffered < 4 + len {
             return Ok(None);
         }

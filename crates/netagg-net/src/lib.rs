@@ -5,7 +5,8 @@
 //! machine:
 //!
 //! * [`transport`] — blocking, message-oriented [`Transport`] /
-//!   [`Connection`] traits with logical node addresses.
+//!   [`Listener`] / [`Connection`] traits with logical node addresses, and
+//!   [`serve`]: the one listener-thread-plus-reader-per-connection loop.
 //! * [`channel`] — in-process transport over bounded [`Mailbox`]es (the
 //!   bound provides natural back-pressure, mirroring the paper's
 //!   back-pressure mechanism).
@@ -19,23 +20,20 @@
 //!   the TCP reactor's sender-side backpressure (§12).
 //! * [`units`] — the typed [`units::Bytes`] quantity flow control counts
 //!   in.
-//! * [`ratelimit`] — token-bucket rate limiting used to emulate link
-//!   capacities (1 Gbps edge vs 10 Gbps box links).
-//! * [`emu`] — [`emu::EmuNet`]: a transport whose endpoints have emulated
-//!   ingress/egress link capacities.
-//! * [`fault`] — fault injection (killing endpoints, delaying messages) for
-//!   failure-recovery and straggler experiments.
+//! * [`interpose`] — [`Interposed`]: the one wrapper that sits on a
+//!   transport, over a small [`Interposer`] hook per concern: [`metered`]
+//!   (frames and bytes per link into a registry, §7), [`fault`] (killed
+//!   endpoints, delayed sends, seeded kill schedules) and [`emu`] with
+//!   [`ratelimit`] (token-bucket link capacities: 1 Gbps edge, 10 Gbps box).
 //! * [`lifecycle`] — the unified lifecycle & backpressure runtime:
-//!   [`CancelToken`], bounded [`Mailbox`]es with overflow policies,
-//!   deadline-joining [`JoinScope`]s (DESIGN.md §9), and the rank-checked
-//!   [`lifecycle::OrderedMutex`] wrapper with its debug-build acquisition
-//!   witness (§15).
+//!   [`CancelToken`], bounded [`Mailbox`]es with overflow policies and one
+//!   blocking receive, deadline-joining [`JoinScope`]s (DESIGN.md §9), and
+//!   the rank-checked [`lifecycle::OrderedMutex`] with its debug-build
+//!   acquisition witness (§15).
 //! * [`lock_order`] — the static lock-rank registry backing §15's
 //!   acquisition order (and which ranks tolerate a blocked holder), read
-//!   by the wrappers' witness and kept in sync with DESIGN.md by
-//!   `netagg-lint`.
-//! * [`metered`] — [`metered::MeteredTransport`]: a decorator that counts
-//!   frames and bytes per link into a metrics registry.
+//!   by the witness and checked against DESIGN.md by
+//!   `tests/design_contract.rs`.
 //! * [`wire`] — small binary (de)serialisation helpers over [`bytes`].
 
 #![warn(missing_docs)]
@@ -45,6 +43,7 @@ pub mod emu;
 pub mod fault;
 pub mod flow;
 pub mod framing;
+pub mod interpose;
 pub mod lifecycle;
 pub mod lock_order;
 pub mod metered;
@@ -59,8 +58,9 @@ pub use emu::{EmuNet, EmuNetBuilder};
 pub use fault::{DetRng, FaultController, FaultStep, FaultTransport};
 pub use flow::FlowWindow;
 pub use framing::{encode_frame, FrameDecoder, MAX_FRAME};
+pub use interpose::{Interposed, Interposer};
 pub use lifecycle::{CancelToken, JoinScope, Mailbox, OverflowPolicy};
 pub use metered::MeteredTransport;
 pub use ratelimit::TokenBucket;
 pub use tcp::TcpTransport;
-pub use transport::{Connection, Listener, NetError, NodeId, Transport};
+pub use transport::{serve, Connection, Listener, NetError, NodeId, Transport};

@@ -251,31 +251,27 @@ pub enum MailboxSendError<T> {
     Cancelled(T),
 }
 
-/// Blocking receive failed.
+/// What, besides an item arriving or the queue closing, ends a blocking
+/// receive ([`Mailbox::recv_until`], and every transport `recv*`/`accept*`
+/// above it).
+#[derive(Debug, Clone, Copy)]
+pub enum Wait<'a> {
+    /// Nothing else.
+    Forever,
+    /// This much time passing ([`MailboxRecvError::Timeout`]).
+    For(Duration),
+    /// The caller's own token firing — e.g. a component's cancel, distinct
+    /// from the token the queue is bound to
+    /// ([`MailboxRecvError::Cancelled`]).
+    Cancel(&'a CancelToken),
+}
+
+/// Receive failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MailboxRecvError {
-    /// The mailbox was closed and drained.
-    Closed,
-    /// A cancel token fired.
-    Cancelled,
-}
-
-/// Receive with a timeout failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MailboxRecvTimeoutError {
-    /// Nothing arrived before the deadline.
+    /// Nothing arrived before the [`Wait::For`] deadline (for
+    /// [`Mailbox::try_recv`]: nothing is queued right now).
     Timeout,
-    /// The mailbox was closed and drained.
-    Closed,
-    /// A cancel token fired.
-    Cancelled,
-}
-
-/// Non-blocking receive failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MailboxTryRecvError {
-    /// The mailbox is currently empty.
-    Empty,
     /// The mailbox was closed and drained.
     Closed,
     /// A cancel token fired.
@@ -305,6 +301,16 @@ struct MailboxShared<T> {
     state: Mutex<MailboxState<T>>,
     not_empty: Condvar,
     not_full: Condvar,
+}
+
+impl<T> MailboxShared<T> {
+    /// Wake every parked sender and receiver. Takes the state lock first so
+    /// a thread between its cancel check and its park cannot miss the notify.
+    fn wake_all(&self) {
+        drop(self.state.lock());
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+    }
 }
 
 struct MailboxObs {
@@ -407,13 +413,7 @@ impl<T: Send + 'static> Mailbox<T> {
             not_full: Condvar::new(),
         });
         let wake = shared.clone();
-        let waker = cancel.register_waker(move || {
-            // Take the state lock so a blocked thread between its cancel
-            // check and its park cannot miss the notify.
-            drop(wake.state.lock());
-            wake.not_empty.notify_all();
-            wake.not_full.notify_all();
-        });
+        let waker = cancel.register_waker(move || wake.wake_all());
         Self {
             inner: Arc::new(MailboxInner {
                 name,
@@ -427,28 +427,49 @@ impl<T: Send + 'static> Mailbox<T> {
         }
     }
 
-    /// Like [`Mailbox::recv`], additionally waking on `extra` (a caller's
-    /// own token, e.g. a per-connection cancel distinct from the queue's).
-    ///
-    /// Registers a waker on `extra` for the duration of the call.
-    pub fn recv_cancellable(&self, extra: &CancelToken) -> Result<T, MailboxRecvError> {
-        // Fast path: same token as the one bound at construction — its
-        // waker is already registered.
-        let _guard = if extra.same(&self.inner.cancel) {
-            None
-        } else {
-            let wake = self.inner.shared.clone();
-            Some(extra.register_waker(move || {
-                drop(wake.state.lock());
-                wake.not_empty.notify_all();
-                wake.not_full.notify_all();
-            }))
+    /// The one blocking receive: park until an item arrives, the mailbox
+    /// closes and drains, the bound token cancels, or `wait` ends.
+    /// [`Wait::Cancel`] registers a waker on the caller's token for the
+    /// duration of the call (the bound token's is registered for life).
+    pub fn recv_until(&self, wait: Wait<'_>) -> Result<T, MailboxRecvError> {
+        may_block("Mailbox::recv");
+        let (deadline, extra) = match wait {
+            Wait::Forever => (None, None),
+            Wait::For(d) => (Some(Instant::now() + d), None),
+            Wait::Cancel(c) => (None, Some(c)),
         };
-        match self.recv_inner(None, Some(extra)) {
-            Ok(v) => Ok(v),
-            Err(MailboxRecvTimeoutError::Closed) => Err(MailboxRecvError::Closed),
-            Err(_) => Err(MailboxRecvError::Cancelled),
+        let _guard = extra.filter(|c| !c.same(&self.inner.cancel)).map(|c| {
+            let wake = self.inner.shared.clone();
+            c.register_waker(move || wake.wake_all())
+        });
+        let sh = &self.inner.shared;
+        let mut s = sh.state.lock();
+        loop {
+            if let Some(r) = self.poll(&mut s, extra) {
+                return r;
+            }
+            match deadline {
+                None => sh.not_empty.wait(&mut s),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return Err(MailboxRecvError::Timeout);
+                    }
+                    sh.not_empty.wait_for(&mut s, d - now);
+                }
+            }
         }
+    }
+
+    /// [`Mailbox::recv_until`] with nothing else to wait for.
+    pub fn recv(&self) -> Result<T, MailboxRecvError> {
+        self.recv_until(Wait::Forever)
+    }
+
+    /// [`Mailbox::recv_until`] a timeout — under the name the
+    /// `no-poll-shutdown` lint looks for in shutdown loops (DESIGN.md §10).
+    pub fn recv_timeout(&self, d: Duration) -> Result<T, MailboxRecvError> {
+        self.recv_until(Wait::For(d))
     }
 }
 
@@ -534,71 +555,30 @@ impl<T> Mailbox<T> {
         }
     }
 
-    fn recv_inner(
+    /// One attempt under the state lock, never parking: cancel beats data,
+    /// data beats close; `None` when the caller would have to wait.
+    fn poll(
         &self,
-        deadline: Option<Instant>,
+        s: &mut MailboxState<T>,
         extra: Option<&CancelToken>,
-    ) -> Result<T, MailboxRecvTimeoutError> {
-        may_block("Mailbox::recv");
-        let sh = &self.inner.shared;
-        let mut s = sh.state.lock();
-        loop {
-            if self.inner.cancel.is_cancelled() || extra.is_some_and(|c| c.is_cancelled()) {
-                return Err(MailboxRecvTimeoutError::Cancelled);
-            }
-            if let Some(v) = s.queue.pop_front() {
-                self.note_depth(s.queue.len());
-                sh.not_full.notify_one();
-                return Ok(v);
-            }
-            if s.closed {
-                return Err(MailboxRecvTimeoutError::Closed);
-            }
-            match deadline {
-                None => sh.not_empty.wait(&mut s),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(MailboxRecvTimeoutError::Timeout);
-                    }
-                    sh.not_empty.wait_for(&mut s, d - now);
-                }
-            }
-        }
-    }
-
-    /// Block until an item arrives, the mailbox closes, or the bound
-    /// token cancels.
-    pub fn recv(&self) -> Result<T, MailboxRecvError> {
-        match self.recv_inner(None, None) {
-            Ok(v) => Ok(v),
-            Err(MailboxRecvTimeoutError::Closed) => Err(MailboxRecvError::Closed),
-            Err(_) => Err(MailboxRecvError::Cancelled),
-        }
-    }
-
-    /// Like [`Mailbox::recv`] with a timeout.
-    pub fn recv_timeout(&self, d: Duration) -> Result<T, MailboxRecvTimeoutError> {
-        self.recv_inner(Some(Instant::now() + d), None)
-    }
-
-    /// Dequeue without blocking.
-    pub fn try_recv(&self) -> Result<T, MailboxTryRecvError> {
-        let sh = &self.inner.shared;
-        let mut s = sh.state.lock();
-        if self.inner.cancel.is_cancelled() {
-            return Err(MailboxTryRecvError::Cancelled);
+    ) -> Option<Result<T, MailboxRecvError>> {
+        if self.inner.cancel.is_cancelled() || extra.is_some_and(|c| c.is_cancelled()) {
+            return Some(Err(MailboxRecvError::Cancelled));
         }
         if let Some(v) = s.queue.pop_front() {
             self.note_depth(s.queue.len());
-            sh.not_full.notify_one();
-            return Ok(v);
+            self.inner.shared.not_full.notify_one();
+            return Some(Ok(v));
         }
-        if s.closed {
-            Err(MailboxTryRecvError::Closed)
-        } else {
-            Err(MailboxTryRecvError::Empty)
-        }
+        s.closed.then_some(Err(MailboxRecvError::Closed))
+    }
+
+    /// Dequeue without blocking; an empty mailbox is
+    /// [`MailboxRecvError::Timeout`].
+    pub fn try_recv(&self) -> Result<T, MailboxRecvError> {
+        let mut s = self.inner.shared.state.lock();
+        self.poll(&mut s, None)
+            .unwrap_or(Err(MailboxRecvError::Timeout))
     }
 
     /// Close the mailbox: senders fail immediately; receivers drain the
@@ -653,37 +633,10 @@ impl<T> Mailbox<T> {
 // JoinScope
 // ---------------------------------------------------------------------------
 
-struct DoneFlag {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl DoneFlag {
-    fn set(&self) {
-        let mut g = self.done.lock();
-        *g = true;
-        self.cv.notify_all();
-    }
-
-    /// Wait until set or `deadline`; `true` when set.
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let mut g = self.done.lock();
-        loop {
-            if *g {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.cv.wait_for(&mut g, deadline - now);
-        }
-    }
-}
-
 struct ThreadSlot {
     name: String,
-    done: Arc<DoneFlag>,
+    /// Fired by the thread's last act; the joiner sleeps on it.
+    done: CancelToken,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -808,15 +761,31 @@ impl JoinScope {
         if self.cancel.is_cancelled() {
             return Ok(());
         }
-        let done = Arc::new(DoneFlag {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        });
+        // Runs when the thread ends, even by panic — and when the OS refuses
+        // the thread, because the refused closure is dropped with it: the
+        // gauge stays honest, and the done flag is set last so a joiner
+        // observing it sees final state.
+        struct Exit {
+            done: CancelToken,
+            gauge: Option<Arc<Gauge>>,
+        }
+        impl Drop for Exit {
+            fn drop(&mut self) {
+                if let Some(g) = &self.gauge {
+                    g.add(-1.0);
+                }
+                self.done.cancel();
+            }
+        }
+        let done = CancelToken::new();
         let gauge = self.obs.as_ref().map(|o| o.threads_active.clone());
         if let Some(g) = &gauge {
             g.add(1.0);
         }
-        let done2 = done.clone();
+        let exit = Exit {
+            done: done.clone(),
+            gauge,
+        };
         witness::spawned(&name);
         #[expect(
             clippy::disallowed_methods,
@@ -825,21 +794,7 @@ impl JoinScope {
         let handle = std::thread::Builder::new()
             .name(name.clone())
             .spawn(move || {
-                // Runs even when `f` panics: keep the gauge honest and set the
-                // done flag last, so a joiner observing it sees final state.
-                struct Exit {
-                    done: Arc<DoneFlag>,
-                    gauge: Option<Arc<Gauge>>,
-                }
-                impl Drop for Exit {
-                    fn drop(&mut self) {
-                        if let Some(g) = &self.gauge {
-                            g.add(-1.0);
-                        }
-                        self.done.set();
-                    }
-                }
-                let _exit = Exit { done: done2, gauge };
+                let _exit = exit;
                 f();
             })?;
         self.slots.lock().push(ThreadSlot { name, done, handle });
@@ -867,7 +822,10 @@ impl JoinScope {
                 // last task on a pool): it cannot join itself; detach.
                 continue;
             }
-            if slot.done.wait_until(deadline) {
+            if slot
+                .done
+                .wait_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
                 if let Err(p) = slot.handle.join() {
                     panics.push((slot.name, panic_message(p.as_ref())));
                 }
@@ -1431,7 +1389,7 @@ mod tests {
             clippy::disallowed_methods,
             reason = "test parks a receiver to time the foreign-token wakeup"
         )]
-        let h = std::thread::spawn(move || mb2.recv_cancellable(&c2));
+        let h = std::thread::spawn(move || mb2.recv_until(Wait::Cancel(&c2)));
         std::thread::sleep(Duration::from_millis(30));
         let t0 = Instant::now();
         conn_cancel.cancel();
@@ -1531,7 +1489,7 @@ mod tests {
         let tick = Duration::from_millis(1);
         {
             let _g = tolerant.lock();
-            assert_eq!(mb.recv_timeout(tick), Err(MailboxRecvTimeoutError::Timeout));
+            assert_eq!(mb.recv_timeout(tick), Err(MailboxRecvError::Timeout));
         }
         let _g = strict.lock();
         // Operations that never park are legal under any lock.

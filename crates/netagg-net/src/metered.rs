@@ -1,8 +1,7 @@
-//! A transport decorator that meters traffic into a
-//! [`MetricsRegistry`].
+//! Metering a transport into a [`MetricsRegistry`].
 //!
-//! [`MeteredTransport`] wraps any [`Transport`] and counts every frame and
-//! payload byte crossing it:
+//! [`MeteredTransport`] is the registry [`Interposed`] on any
+//! [`crate::Transport`]; it counts every frame and payload byte crossing it:
 //!
 //! * `net.frames_sent` / `net.bytes_sent` — global egress counters,
 //! * `net.frames_recv` / `net.bytes_recv` — global ingress counters,
@@ -14,159 +13,69 @@
 //! compose), so agg boxes, shims and detectors are metered without any
 //! change to their code.
 
-use crate::lifecycle::CancelToken;
-use crate::transport::{Connection, Listener, NetError, NodeId, Transport};
+use crate::interpose::{Interposed, Interposer};
+use crate::lifecycle::Wait;
+use crate::transport::{Connection, NetError, NodeId, Transport};
 use bytes::Bytes;
 use netagg_obs::{names, Counter, MetricsRegistry};
 use std::sync::Arc;
-use std::time::Duration;
 
-struct GlobalCounters {
-    frames_sent: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
-    frames_recv: Arc<Counter>,
-    bytes_recv: Arc<Counter>,
-}
-
-impl GlobalCounters {
-    fn new(obs: &MetricsRegistry) -> Self {
-        Self {
-            frames_sent: obs.counter(names::NET_FRAMES_SENT),
-            bytes_sent: obs.counter(names::NET_BYTES_SENT),
-            frames_recv: obs.counter(names::NET_FRAMES_RECV),
-            bytes_recv: obs.counter(names::NET_BYTES_RECV),
-        }
-    }
-}
-
-/// A [`Transport`] decorator that publishes `net.*` traffic metrics.
-pub struct MeteredTransport {
-    inner: Arc<dyn Transport>,
-    obs: MetricsRegistry,
-}
+/// A [`Transport`] that publishes `net.*` traffic metrics.
+pub type MeteredTransport = Interposed<MetricsRegistry>;
 
 impl MeteredTransport {
     /// Wrap `inner`, publishing traffic counters to `obs`.
     pub fn new(inner: Arc<dyn Transport>, obs: MetricsRegistry) -> Self {
-        Self { inner, obs }
+        Self::over(inner, obs)
     }
 
     /// The registry this transport publishes to.
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.obs
+        self.hook()
     }
 }
 
-impl Transport for MeteredTransport {
-    fn bind(&self, local: NodeId) -> Result<Box<dyn Listener>, NetError> {
-        let inner = self.inner.bind(local)?;
-        Ok(Box::new(MeteredListener {
-            inner,
-            local,
-            obs: self.obs.clone(),
-        }))
-    }
-
-    fn connect(&self, local: NodeId, peer: NodeId) -> Result<Box<dyn Connection>, NetError> {
-        let inner = self.inner.connect(local, peer)?;
-        Ok(Box::new(MeteredConnection::new(
-            inner, local, peer, &self.obs,
-        )))
-    }
-
-    fn attach_obs(&self, obs: &MetricsRegistry) {
-        self.inner.attach_obs(obs);
-    }
-}
-
-struct MeteredListener {
-    inner: Box<dyn Listener>,
-    local: NodeId,
-    obs: MetricsRegistry,
-}
-
-impl MeteredListener {
-    fn wrap(&self, conn: Box<dyn Connection>) -> Box<dyn Connection> {
-        let peer = conn.peer();
-        Box::new(MeteredConnection::new(conn, self.local, peer, &self.obs))
-    }
-}
-
-impl Listener for MeteredListener {
-    fn accept(&mut self) -> Result<Box<dyn Connection>, NetError> {
-        let conn = self.inner.accept()?;
-        Ok(self.wrap(conn))
-    }
-
-    fn accept_timeout(&mut self, timeout: Duration) -> Result<Box<dyn Connection>, NetError> {
-        let conn = self.inner.accept_timeout(timeout)?;
-        Ok(self.wrap(conn))
-    }
-
-    fn accept_cancellable(
-        &mut self,
-        cancel: &CancelToken,
-    ) -> Result<Box<dyn Connection>, NetError> {
-        let conn = self.inner.accept_cancellable(cancel)?;
-        Ok(self.wrap(conn))
-    }
-}
-
-struct MeteredConnection {
-    inner: Box<dyn Connection>,
-    global: GlobalCounters,
+/// One connection's counter handles.
+pub struct LinkCounters {
+    frames_sent: Arc<Counter>,
+    bytes_sent: Arc<Counter>,
+    frames_recv: Arc<Counter>,
+    bytes_recv: Arc<Counter>,
     /// `net.link.<local>-><peer>.frames` / `.bytes` (egress direction).
     link_frames: Arc<Counter>,
     link_bytes: Arc<Counter>,
 }
 
-impl MeteredConnection {
-    fn new(inner: Box<dyn Connection>, local: NodeId, peer: NodeId, obs: &MetricsRegistry) -> Self {
-        Self {
-            inner,
-            global: GlobalCounters::new(obs),
-            link_frames: obs.counter(&names::net_link_frames(local, peer)),
-            link_bytes: obs.counter(&names::net_link_bytes(local, peer)),
-        }
+impl Interposer for MetricsRegistry {
+    type Link = LinkCounters;
+
+    fn link(&self, local: NodeId, peer: NodeId) -> Result<LinkCounters, NetError> {
+        Ok(LinkCounters {
+            frames_sent: self.counter(names::NET_FRAMES_SENT),
+            bytes_sent: self.counter(names::NET_BYTES_SENT),
+            frames_recv: self.counter(names::NET_FRAMES_RECV),
+            bytes_recv: self.counter(names::NET_BYTES_RECV),
+            link_frames: self.counter(&names::net_link_frames(local, peer)),
+            link_bytes: self.counter(&names::net_link_bytes(local, peer)),
+        })
     }
 
-    fn count_recv(&self, frame: &Bytes) {
-        self.global.frames_recv.inc();
-        self.global.bytes_recv.add(frame.len() as u64);
-    }
-}
-
-impl Connection for MeteredConnection {
-    fn send(&mut self, payload: Bytes) -> Result<(), NetError> {
-        let len = payload.len() as u64;
-        self.inner.send(payload)?;
-        self.global.frames_sent.inc();
-        self.global.bytes_sent.add(len);
-        self.link_frames.inc();
-        self.link_bytes.add(len);
-        Ok(())
+    fn after_send(c: &mut LinkCounters, len: usize) {
+        c.frames_sent.inc();
+        c.bytes_sent.add(len as u64);
+        c.link_frames.inc();
+        c.link_bytes.add(len as u64);
     }
 
-    fn recv(&mut self) -> Result<Bytes, NetError> {
-        let frame = self.inner.recv()?;
-        self.count_recv(&frame);
+    fn recv(
+        c: &mut LinkCounters,
+        inner: &mut dyn Connection,
+        wait: Wait<'_>,
+    ) -> Result<Bytes, NetError> {
+        let frame = wait.recv(inner)?;
+        c.frames_recv.inc();
+        c.bytes_recv.add(frame.len() as u64);
         Ok(frame)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        let frame = self.inner.recv_timeout(timeout)?;
-        self.count_recv(&frame);
-        Ok(frame)
-    }
-
-    fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError> {
-        let frame = self.inner.recv_cancellable(cancel)?;
-        self.count_recv(&frame);
-        Ok(frame)
-    }
-
-    fn peer(&self) -> NodeId {
-        self.inner.peer()
     }
 }
 
@@ -174,6 +83,7 @@ impl Connection for MeteredConnection {
 mod tests {
     use super::*;
     use crate::channel::ChannelTransport;
+    use std::time::Duration;
 
     #[test]
     fn counts_frames_and_bytes_per_link() {

@@ -55,11 +55,11 @@
 use crate::flow::FlowWindow;
 use crate::framing::{FrameDecoder, MAX_FRAME};
 use crate::lifecycle::{
-    CancelToken, JoinScope, Mailbox, MailboxRecvError, MailboxRecvTimeoutError, MailboxSendError,
-    MailboxTryRecvError, OrderedMutex, OverflowPolicy, DEFAULT_JOIN_DEADLINE,
+    CancelToken, JoinScope, Mailbox, MailboxRecvError, MailboxSendError, OrderedMutex,
+    OverflowPolicy, Wait, DEFAULT_JOIN_DEADLINE,
 };
 use crate::lock_order;
-use crate::transport::{Connection, Listener, NetError, NodeId, Transport};
+use crate::transport::{recv_on, Connection, Listener, NetError, NodeId, Transport};
 use crate::units;
 use bytes::{BufMut, Bytes, BytesMut};
 use netagg_obs::{names, Counter, Gauge, MetricsRegistry};
@@ -653,7 +653,7 @@ impl ShardRunner {
             loop {
                 match self.shard.cmds.try_recv() {
                     Ok(cmd) => self.install(cmd, &mut sweeps_since_accept),
-                    Err(MailboxTryRecvError::Empty) => break,
+                    Err(MailboxRecvError::Timeout) => break,
                     Err(_) => return self.teardown(),
                 }
             }
@@ -762,7 +762,7 @@ impl ShardRunner {
                     self.obs.wakeup();
                     self.install(cmd, &mut sweeps_since_accept);
                 }
-                Err(MailboxRecvTimeoutError::Timeout) => {
+                Err(MailboxRecvError::Timeout) => {
                     self.obs.wakeup();
                     // A twin not yet in the directory cannot send read
                     // hints; a park tick re-arms every link so such data
@@ -1485,35 +1485,18 @@ struct TcpListenerWrapper {
 
 impl Listener for TcpListenerWrapper {
     fn accept(&mut self) -> Result<Box<dyn Connection>, NetError> {
-        match self.accept.recv() {
-            Ok(conn) => Ok(Box::new(conn)),
-            Err(_) => Err(NetError::Closed),
-        }
+        recv_on(&self.accept, Wait::Forever).map(|c| Box::new(c) as _)
     }
 
     fn accept_timeout(&mut self, timeout: Duration) -> Result<Box<dyn Connection>, NetError> {
-        match self.accept.recv_timeout(timeout) {
-            Ok(conn) => Ok(Box::new(conn)),
-            Err(MailboxRecvTimeoutError::Timeout) => Err(NetError::Timeout),
-            Err(_) => Err(NetError::Closed),
-        }
+        recv_on(&self.accept, Wait::For(timeout)).map(|c| Box::new(c) as _)
     }
 
     fn accept_cancellable(
         &mut self,
         cancel: &CancelToken,
     ) -> Result<Box<dyn Connection>, NetError> {
-        match self.accept.recv_cancellable(cancel) {
-            Ok(conn) => Ok(Box::new(conn)),
-            Err(MailboxRecvError::Closed) => Err(NetError::Closed),
-            Err(MailboxRecvError::Cancelled) => {
-                if cancel.is_cancelled() {
-                    Err(NetError::Cancelled)
-                } else {
-                    Err(NetError::Closed)
-                }
-            }
-        }
+        recv_on(&self.accept, Wait::Cancel(cancel)).map(|c| Box::new(c) as _)
     }
 }
 
@@ -1559,29 +1542,15 @@ impl Connection for TcpConnection {
     }
 
     fn recv(&mut self) -> Result<Bytes, NetError> {
-        self.chan.inbox.recv().map_err(|_| NetError::Closed)
+        recv_on(&self.chan.inbox, Wait::Forever)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        match self.chan.inbox.recv_timeout(timeout) {
-            Ok(b) => Ok(b),
-            Err(MailboxRecvTimeoutError::Timeout) => Err(NetError::Timeout),
-            Err(_) => Err(NetError::Closed),
-        }
+        recv_on(&self.chan.inbox, Wait::For(timeout))
     }
 
     fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError> {
-        match self.chan.inbox.recv_cancellable(cancel) {
-            Ok(b) => Ok(b),
-            Err(MailboxRecvError::Closed) => Err(NetError::Closed),
-            Err(MailboxRecvError::Cancelled) => {
-                if cancel.is_cancelled() {
-                    Err(NetError::Cancelled)
-                } else {
-                    Err(NetError::Closed)
-                }
-            }
-        }
+        recv_on(&self.chan.inbox, Wait::Cancel(cancel))
     }
 
     fn peer(&self) -> NodeId {
@@ -1791,31 +1760,5 @@ mod tests {
         let mut c = t.connect(2, 1).unwrap();
         let huge = Bytes::from(vec![0u8; MAX_FRAME + 1]);
         assert!(matches!(c.send(huge), Err(NetError::FrameTooLarge(_))));
-    }
-}
-
-#[cfg(test)]
-mod pingpong_bench {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn pingpong_latency() {
-        let t = TcpTransport::new();
-        let mut l = t.bind(2).unwrap();
-        let mut c = t.connect(1, 2).unwrap();
-        c.send(bytes::Bytes::from_static(b"warm")).unwrap();
-        let mut s = l.accept().unwrap();
-        s.recv().unwrap();
-        let n = 2000u32;
-        let t0 = std::time::Instant::now();
-        for _ in 0..n {
-            c.send(bytes::Bytes::from_static(b"ping")).unwrap();
-            s.recv().unwrap();
-            s.send(bytes::Bytes::from_static(b"pong")).unwrap();
-            c.recv().unwrap();
-        }
-        let rtt = t0.elapsed() / n;
-        eprintln!("[bench] rtt = {rtt:?} ({:?} per hop)", rtt / 2);
     }
 }

@@ -6,18 +6,12 @@
 //! in-process channel transport, the rate-limited emulated network, or real
 //! TCP loopback sockets.
 
-use crate::lifecycle::CancelToken;
+use crate::lifecycle::{CancelToken, JoinScope, Mailbox, MailboxRecvError, Wait};
 use bytes::Bytes;
 use netagg_obs::MetricsRegistry;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Poll granularity of the default `*_cancellable` implementations, for
-/// transports without a wakeable queue. Both built-in transports override
-/// it with a true wakeup: the channel transport blocks on mailboxes, and
-/// the TCP transport's reactor (DESIGN.md §12) delivers inbound frames
-/// into per-connection mailboxes, so its receives are wakeable too.
-pub const CANCEL_POLL: Duration = Duration::from_millis(20);
 
 /// Logical address of a node (server, agg box, client).
 pub type NodeId = u32;
@@ -85,21 +79,10 @@ pub trait Connection: Send {
     fn recv(&mut self) -> Result<Bytes, NetError>;
     /// Receive with a deadline; [`NetError::Timeout`] when it elapses.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, NetError>;
-    /// Receive, returning [`NetError::Cancelled`] promptly once `cancel`
-    /// fires. The default implementation polls at [`CANCEL_POLL`];
-    /// transports with wakeable queues override it with a true wakeup.
-    fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError> {
-        loop {
-            if cancel.is_cancelled() {
-                return Err(NetError::Cancelled);
-            }
-            // netagg-lint: allow(no-poll-shutdown) documented 20 ms fallback for transports without native wakeups (§9 invariant 1)
-            match self.recv_timeout(CANCEL_POLL) {
-                Err(NetError::Timeout) => continue,
-                other => return other,
-            }
-        }
-    }
+    /// Receive, returning [`NetError::Cancelled`] the moment `cancel` fires:
+    /// a wake-up, never a poll tick (DESIGN.md §9 invariant 1) — which is
+    /// why there is no default body.
+    fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError>;
     /// Address of the remote end.
     fn peer(&self) -> NodeId;
 }
@@ -110,23 +93,10 @@ pub trait Listener: Send {
     fn accept(&mut self) -> Result<Box<dyn Connection>, NetError>;
     /// Accept with a deadline; [`NetError::Timeout`] when it elapses.
     fn accept_timeout(&mut self, timeout: Duration) -> Result<Box<dyn Connection>, NetError>;
-    /// Accept, returning [`NetError::Cancelled`] promptly once `cancel`
-    /// fires. Default implementation polls at [`CANCEL_POLL`].
-    fn accept_cancellable(
-        &mut self,
-        cancel: &CancelToken,
-    ) -> Result<Box<dyn Connection>, NetError> {
-        loop {
-            if cancel.is_cancelled() {
-                return Err(NetError::Cancelled);
-            }
-            // netagg-lint: allow(no-poll-shutdown) documented 20 ms fallback for transports without native wakeups (§9 invariant 1)
-            match self.accept_timeout(CANCEL_POLL) {
-                Err(NetError::Timeout) => continue,
-                other => return other,
-            }
-        }
-    }
+    /// Accept, returning [`NetError::Cancelled`] the moment `cancel` fires
+    /// (a wake-up, like [`Connection::recv_cancellable`]).
+    fn accept_cancellable(&mut self, cancel: &CancelToken)
+        -> Result<Box<dyn Connection>, NetError>;
 }
 
 /// A factory for listeners and outbound connections.
@@ -159,6 +129,70 @@ impl<T: Transport + ?Sized> Transport for std::sync::Arc<T> {
     fn attach_obs(&self, obs: &MetricsRegistry) {
         (**self).attach_obs(obs)
     }
+}
+
+impl Wait<'_> {
+    /// The `recv*` of `conn` that waits this way.
+    pub fn recv(self, conn: &mut dyn Connection) -> Result<Bytes, NetError> {
+        match self {
+            Wait::Forever => conn.recv(),
+            Wait::For(d) => conn.recv_timeout(d),
+            Wait::Cancel(c) => conn.recv_cancellable(c),
+        }
+    }
+
+    /// The `accept*` of `listener` that waits this way.
+    pub fn accept(self, listener: &mut dyn Listener) -> Result<Box<dyn Connection>, NetError> {
+        match self {
+            Wait::Forever => listener.accept(),
+            Wait::For(d) => listener.accept_timeout(d),
+            Wait::Cancel(c) => listener.accept_cancellable(c),
+        }
+    }
+}
+
+/// [`Mailbox::recv_until`] as a transport reports it: the one body under
+/// every `recv*`/`accept*` of the channel and TCP transports.
+pub(crate) fn recv_on<T: Send + 'static>(mb: &Mailbox<T>, wait: Wait<'_>) -> Result<T, NetError> {
+    mb.recv_until(wait).map_err(|e| match (e, wait) {
+        (MailboxRecvError::Timeout, _) => NetError::Timeout,
+        (MailboxRecvError::Cancelled, Wait::Cancel(c)) if c.is_cancelled() => NetError::Cancelled,
+        // Closed — or cancelled by the token the mailbox is bound to rather
+        // than the caller's: the TCP reactor tearing down, a close to callers.
+        _ => NetError::Closed,
+    })
+}
+
+/// Run `listener` inside `scope`: a thread named `listen_name` accepts
+/// until the scope's token fires or the listener fails, and hands every
+/// connection to `body` on a thread of its own named `reader_name` (the
+/// two DESIGN.md §9 inventory names of a listening component).
+///
+/// The reader closure owns its connection, so a connection accepted while
+/// the scope shuts down (§9 invariant 5) and one the OS refuses a thread
+/// for are both dropped — the peer sees [`NetError::Closed`] — and the
+/// listener keeps accepting.
+pub fn serve(
+    scope: &Arc<JoinScope>,
+    mut listener: Box<dyn Listener>,
+    listen_name: String,
+    reader_name: String,
+    body: impl Fn(Box<dyn Connection>) + Send + Sync + 'static,
+) -> Result<(), NetError> {
+    let cancel = scope.cancel_token().clone();
+    let readers = scope.clone();
+    let body = Arc::new(body);
+    let listen = move || {
+        while let Ok(conn) = listener.accept_cancellable(&cancel) {
+            let body = body.clone();
+            if let Err(e) = readers.spawn(reader_name.clone(), move || body(conn)) {
+                eprintln!("lifecycle: no thread for '{reader_name}', connection dropped: {e}");
+            }
+        }
+    };
+    scope
+        .spawn(listen_name, listen)
+        .map_err(|e| NetError::Io(e.to_string()))
 }
 
 #[cfg(test)]
