@@ -1,0 +1,46 @@
+//! Unified lifecycle and backpressure runtime.
+//!
+//! Every threaded layer of the stack (scheduler pools, agg-box pumps, shim
+//! listeners, the failure detector) used to hand-roll the same three
+//! fragments: an `AtomicBool` shutdown flag, a 100 ms `recv_timeout` poll
+//! loop that noticed the flag eventually, and an unbounded or ad-hoc
+//! channel in between. This module replaces all three with one set of
+//! primitives (see DESIGN.md §9 for the system-wide inventory):
+//!
+//! * [`CancelToken`] — a cloneable cancellation flag whose [`cancel`]
+//!   *wakes* blocked waiters immediately (condition-variable notify plus
+//!   registered wakers) instead of being observed by polling.
+//! * [`Mailbox`] — a bounded MPMC queue with an explicit
+//!   [`OverflowPolicy`] (`Block`, `DropOldest`, `Reject`) and
+//!   shutdown-aware send/recv: a cancelled token or a closed queue turns
+//!   every blocked operation into a prompt, typed error.
+//! * [`JoinScope`] — an owner for named threads
+//!   (`std::thread::Builder`) that joins with a deadline and propagates
+//!   worker panics, so a hung thread becomes a loud error instead of a
+//!   silent futex park.
+//! * [`OrderedMutex`] — a mutex with a static rank in the one global
+//!   acquisition order. Its debug-build witness is the only enforcement
+//!   of DESIGN.md §15: it panics on a rank inversion, records every
+//!   `(held, acquired)` edge, and makes the blocking operations above
+//!   (and [`crate::FlowWindow::acquire`]) panic when entered under a lock
+//!   `lock_order.rs` does not declare blocking-tolerant.
+//!
+//! [`cancel`]: CancelToken::cancel
+//!
+//! One primitive a file: [`CancelToken`] in `cancel.rs`, [`Mailbox`] in
+//! `mailbox.rs`, [`JoinScope`] in `scope.rs`, [`OrderedMutex`] and its
+//! witness in `ordered.rs`.
+
+mod cancel;
+mod mailbox;
+mod ordered;
+mod scope;
+
+pub use cancel::{CancelToken, WakerGuard};
+pub use mailbox::{Mailbox, MailboxRecvError, MailboxSendError, OverflowPolicy, Wait};
+pub(crate) use ordered::may_block;
+pub use ordered::{
+    poisoned_locks, set_poison_sink, witness_edges, witness_reset, witness_thread_kinds,
+    OrderedMutex, OrderedMutexGuard,
+};
+pub use scope::{JoinScope, ScopeError, DEFAULT_JOIN_DEADLINE};
