@@ -22,15 +22,10 @@ const CHANNEL_DEPTH: usize = 256;
 /// Connections queued at a listener before connects are refused.
 const ACCEPT_DEPTH: usize = 1024;
 
-struct Pending {
-    peer: NodeId,
-    tx: Mailbox<Bytes>,
-    rx: Mailbox<Bytes>,
-}
-
 #[derive(Default)]
 struct Registry {
-    accept_queues: HashMap<NodeId, Mailbox<Pending>>,
+    /// Per listener, the listener-side ends of connections not yet accepted.
+    accept_queues: HashMap<NodeId, Mailbox<ChannelConnection>>,
 }
 
 /// In-process transport. Cheap to clone (shared registry).
@@ -94,7 +89,7 @@ impl Transport for ChannelTransport {
             OverflowPolicy::Block,
             CancelToken::new(),
         );
-        let pending = Pending {
+        let pending = ChannelConnection {
             peer: local,
             tx: b2a.clone(),
             rx: a2b.clone(),
@@ -113,31 +108,23 @@ impl Transport for ChannelTransport {
 }
 
 struct ChannelListener {
-    inbox: Mailbox<Pending>,
-}
-
-fn conn_from(p: Pending) -> Box<dyn Connection> {
-    Box::new(ChannelConnection {
-        peer: p.peer,
-        tx: p.tx,
-        rx: p.rx,
-    })
+    inbox: Mailbox<ChannelConnection>,
 }
 
 impl Listener for ChannelListener {
     fn accept(&mut self) -> Result<Box<dyn Connection>, NetError> {
-        recv_on(&self.inbox, Wait::Forever).map(conn_from)
+        recv_on(&self.inbox, Wait::Forever).map(|c| Box::new(c) as _)
     }
 
     fn accept_timeout(&mut self, timeout: Duration) -> Result<Box<dyn Connection>, NetError> {
-        recv_on(&self.inbox, Wait::For(timeout)).map(conn_from)
+        recv_on(&self.inbox, Wait::For(timeout)).map(|c| Box::new(c) as _)
     }
 
     fn accept_cancellable(
         &mut self,
         cancel: &CancelToken,
     ) -> Result<Box<dyn Connection>, NetError> {
-        recv_on(&self.inbox, Wait::Cancel(cancel)).map(conn_from)
+        recv_on(&self.inbox, Wait::Cancel(cancel)).map(|c| Box::new(c) as _)
     }
 }
 

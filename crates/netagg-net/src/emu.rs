@@ -10,7 +10,6 @@ use crate::channel::ChannelTransport;
 use crate::interpose::{Interposed, Interposer};
 use crate::ratelimit::TokenBucket;
 use crate::transport::{NetError, NodeId, Transport};
-use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +22,7 @@ struct Nic {
 
 /// Builder for [`EmuNet`].
 pub struct EmuNetBuilder {
-    endpoints: HashMap<NodeId, (f64, f64)>,
+    endpoints: HashMap<NodeId, f64>,
     scale: f64,
 }
 
@@ -52,7 +51,7 @@ impl EmuNetBuilder {
 
     /// Add an endpoint with symmetric link capacity in bytes/s.
     pub fn endpoint(mut self, node: NodeId, rate: f64) -> Self {
-        self.endpoints.insert(node, (rate, rate));
+        self.endpoints.insert(node, rate);
         self
     }
 
@@ -64,19 +63,12 @@ impl EmuNetBuilder {
     /// Materialise the emulated network over any inner transport (e.g.
     /// real TCP loopback sockets with emulated link capacities on top).
     pub fn build_over(self, inner: Arc<dyn Transport>) -> EmuNet {
-        let nics = self
-            .endpoints
-            .into_iter()
-            .map(|(node, (eg, ing))| {
-                (
-                    node,
-                    Nic {
-                        egress: Arc::new(TokenBucket::for_link(eg * self.scale)),
-                        ingress: Arc::new(TokenBucket::for_link(ing * self.scale)),
-                    },
-                )
-            })
-            .collect();
+        let bucket = |rate: f64| Arc::new(TokenBucket::for_link(rate * self.scale));
+        let nic = |rate| Nic {
+            egress: bucket(rate),
+            ingress: bucket(rate),
+        };
+        let nics = self.endpoints.iter().map(|(n, r)| (*n, nic(*r))).collect();
         EmuNet::over(inner, Nics(Arc::new(RwLock::new(nics))))
     }
 }
@@ -135,10 +127,9 @@ impl Interposer for Nics {
     /// Sending a message serialises it through the local egress link and
     /// the peer's ingress link; both charge before delivery, so
     /// many-to-one senders contend on the receiver's NIC (incast).
-    fn before_send(link: &mut EmuLink, payload: &Bytes) -> Result<(), NetError> {
-        let n = payload.len() as f64;
-        link.egress.acquire(n);
-        link.peer_ingress.acquire(n);
+    fn before_send(link: &mut EmuLink, len: usize) -> Result<(), NetError> {
+        link.egress.acquire(len as f64);
+        link.peer_ingress.acquire(len as f64);
         Ok(())
     }
 }
@@ -147,6 +138,7 @@ impl Interposer for Nics {
 mod tests {
     use super::*;
     use crate::transport::Listener;
+    use bytes::Bytes;
     use std::thread::{self, JoinHandle};
     use std::time::{Duration, Instant};
 

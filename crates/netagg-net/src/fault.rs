@@ -165,7 +165,7 @@ impl Interposer for FaultController {
     /// a kill that lands during the sleep fails the send instead of
     /// delivering to — and counting a frame for — a dead node. The check
     /// that ends the loop is the last thing before the send.
-    fn before_send(link: &mut FaultLink, _payload: &Bytes) -> Result<(), NetError> {
+    fn before_send(link: &mut FaultLink, _len: usize) -> Result<(), NetError> {
         let mut t0 = None;
         while let Some(d) = link.check()? {
             let elapsed = t0.get_or_insert_with(Instant::now).elapsed();

@@ -35,13 +35,13 @@ pub trait Interposer: Clone + Send + Sync + 'static {
     /// accepted at, `local`; an error drops the connection.
     fn link(&self, local: NodeId, peer: NodeId) -> Result<Self::Link, NetError>;
 
-    /// Before a payload reaches the inner connection; an error fails the
-    /// send without sending.
-    fn before_send(_link: &mut Self::Link, _payload: &Bytes) -> Result<(), NetError> {
+    /// Before a payload of `len` bytes reaches the inner connection; an
+    /// error fails the send without sending.
+    fn before_send(_link: &mut Self::Link, _len: usize) -> Result<(), NetError> {
         Ok(())
     }
 
-    /// After the inner connection took a payload of `len` bytes.
+    /// After the inner connection took the payload.
     fn after_send(_link: &mut Self::Link, _len: usize) {}
 
     /// Around a receive; the default is the inner connection's own.
@@ -134,7 +134,7 @@ struct InterposedConnection<H: Interposer> {
 impl<H: Interposer> Connection for InterposedConnection<H> {
     fn send(&mut self, payload: Bytes) -> Result<(), NetError> {
         let len = payload.len();
-        H::before_send(&mut self.link, &payload)?;
+        H::before_send(&mut self.link, len)?;
         self.inner.send(payload)?;
         H::after_send(&mut self.link, len);
         Ok(())

@@ -1,35 +1,26 @@
-//! Unified lifecycle and backpressure runtime.
+//! Unified lifecycle and backpressure runtime: the one set of primitives
+//! every threaded layer of the stack is built on, one a file (see
+//! DESIGN.md §9 for the system-wide inventory):
 //!
-//! Every threaded layer of the stack (scheduler pools, agg-box pumps, shim
-//! listeners, the failure detector) used to hand-roll the same three
-//! fragments: an `AtomicBool` shutdown flag, a 100 ms `recv_timeout` poll
-//! loop that noticed the flag eventually, and an unbounded or ad-hoc
-//! channel in between. This module replaces all three with one set of
-//! primitives (see DESIGN.md §9 for the system-wide inventory):
-//!
-//! * [`CancelToken`] — a cloneable cancellation flag whose [`cancel`]
+//! * [`CancelToken`] (`cancel.rs`) — a cloneable flag whose [`cancel`]
 //!   *wakes* blocked waiters immediately (condition-variable notify plus
 //!   registered wakers) instead of being observed by polling.
-//! * [`Mailbox`] — a bounded MPMC queue with an explicit
+//! * [`Mailbox`] (`mailbox.rs`) — a bounded MPMC queue with an explicit
 //!   [`OverflowPolicy`] (`Block`, `DropOldest`, `Reject`) and
 //!   shutdown-aware send/recv: a cancelled token or a closed queue turns
 //!   every blocked operation into a prompt, typed error.
-//! * [`JoinScope`] — an owner for named threads
+//! * [`JoinScope`] (`scope.rs`) — an owner for named threads
 //!   (`std::thread::Builder`) that joins with a deadline and propagates
 //!   worker panics, so a hung thread becomes a loud error instead of a
 //!   silent futex park.
-//! * [`OrderedMutex`] — a mutex with a static rank in the one global
-//!   acquisition order. Its debug-build witness is the only enforcement
-//!   of DESIGN.md §15: it panics on a rank inversion, records every
-//!   `(held, acquired)` edge, and makes the blocking operations above
-//!   (and [`crate::FlowWindow::acquire`]) panic when entered under a lock
-//!   `lock_order.rs` does not declare blocking-tolerant.
+//! * [`OrderedMutex`] (`ordered.rs`) — a mutex with a static rank in the
+//!   one global acquisition order. Its debug-build witness is the only
+//!   enforcement of DESIGN.md §15: it panics on a rank inversion, records
+//!   every `(held, acquired)` edge, and makes the blocking operations
+//!   above (and [`crate::FlowWindow::acquire`]) panic when entered under a
+//!   lock `lock_order.rs` does not declare blocking-tolerant.
 //!
 //! [`cancel`]: CancelToken::cancel
-//!
-//! One primitive a file: [`CancelToken`] in `cancel.rs`, [`Mailbox`] in
-//! `mailbox.rs`, [`JoinScope`] in `scope.rs`, [`OrderedMutex`] and its
-//! witness in `ordered.rs`.
 
 mod cancel;
 mod mailbox;

@@ -171,7 +171,8 @@ pub(crate) fn recv_on<T: Send + 'static>(mb: &Mailbox<T>, wait: Wait<'_>) -> Res
 /// The reader closure owns its connection, so a connection accepted while
 /// the scope shuts down (§9 invariant 5) and one the OS refuses a thread
 /// for are both dropped — the peer sees [`NetError::Closed`] — and the
-/// listener keeps accepting.
+/// listener keeps accepting. The listener thread holds the scope until it
+/// exits, so the owner ends it by cancelling, as every owner's `Drop` does.
 pub fn serve(
     scope: &Arc<JoinScope>,
     mut listener: Box<dyn Listener>,
