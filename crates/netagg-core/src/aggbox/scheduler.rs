@@ -14,12 +14,14 @@
 //! `w_i = s_i / t_i  (normalised)`, which equalises achieved CPU shares
 //! (Fig. 26).
 
-use crate::lifecycle::{CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE};
+use crate::lifecycle::{
+    CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, WakerGuard,
+    DEFAULT_JOIN_DEADLINE,
+};
 use crate::protocol::AppId;
 use netagg_net::lock_order;
 use netagg_obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
-use parking_lot::Condvar;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,16 +96,21 @@ impl SchedObs {
 }
 
 struct State {
-    apps: HashMap<AppId, AppQueue>,
+    /// Ordered, so the seeded pick walks the apps in a stable order.
+    apps: BTreeMap<AppId, AppQueue>,
     queued: usize,
     running: usize,
     rng: u64,
+    /// Pool threads parked on `work_cv`.
+    idle_workers: Parked,
+    /// `wait_idle` callers parked on `idle_cv`.
+    idle_waiters: Parked,
 }
 
 struct Inner {
     state: OrderedMutex<State>,
-    work_cv: Condvar,
-    idle_cv: Condvar,
+    work_cv: Parking,
+    idle_cv: Parking,
     cancel: CancelToken,
     cfg: SchedulerConfig,
     obs: SchedObs,
@@ -159,25 +166,27 @@ impl TaskScheduler {
             state: OrderedMutex::new(
                 lock_order::SCHED_STATE,
                 State {
-                    apps: HashMap::new(),
+                    apps: BTreeMap::new(),
                     queued: 0,
                     running: 0,
                     rng: cfg.seed | 1,
+                    idle_workers: Parked::default(),
+                    idle_waiters: Parked::default(),
                 },
             ),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
+            work_cv: Parking::new(),
+            idle_cv: Parking::new(),
             cancel,
             cfg: cfg.clone(),
             obs: SchedObs::new(obs),
         });
         let wake = inner.clone();
         let waker = inner.cancel.register_waker(move || {
-            // Lock-then-notify so a worker between its cancel check and its
+            // Under the lock, so a worker between its cancel check and its
             // park cannot miss the wakeup.
-            drop(wake.state.lock());
-            wake.work_cv.notify_all();
-            wake.idle_cv.notify_all();
+            let mut s = wake.state.lock();
+            wake.work_cv.wake_all(&mut s.idle_workers);
+            wake.idle_cv.wake_all(&mut s.idle_waiters);
         });
         for i in 0..cfg.threads {
             let inner = inner.clone();
@@ -222,37 +231,30 @@ impl TaskScheduler {
         q.queue.push_back(task);
         s.queued += 1;
         self.inner.obs.queue_depth.set(s.queued as f64);
-        drop(s);
-        self.inner.work_cv.notify_one();
+        self.inner.work_cv.wake_one(&mut s.idle_workers);
     }
 
     /// CPU accounting for all registered applications.
     pub fn cpu_times(&self) -> Vec<AppCpu> {
         let s = self.inner.state.lock();
-        let mut v: Vec<AppCpu> = s
-            .apps
-            .iter()
-            .map(|(app, q)| AppCpu {
-                app: *app,
-                cpu_seconds: q.cpu_time,
-                tasks_run: q.tasks_run,
-                tasks_panicked: q.tasks_panicked,
-            })
-            .collect();
-        v.sort_by_key(|a| a.app);
-        v
+        let cpu = |(app, q): (&AppId, &AppQueue)| AppCpu {
+            app: *app,
+            cpu_seconds: q.cpu_time,
+            tasks_run: q.tasks_run,
+            tasks_panicked: q.tasks_panicked,
+        };
+        s.apps.iter().map(cpu).collect()
     }
 
     /// Block until no task is queued or running (or the timeout elapses).
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = Deadline::after(timeout);
+        let idle = &self.inner.idle_cv;
         let mut s = self.inner.state.lock();
         while s.queued > 0 || s.running > 0 {
-            let now = Instant::now();
-            if now >= deadline {
+            if !idle.wait(s.inner(), |s| &mut s.idle_waiters, deadline) {
                 return false;
             }
-            self.inner.idle_cv.wait_for(s.inner(), deadline - now);
         }
         true
     }
@@ -320,35 +322,25 @@ fn worker_loop(inner: &Inner) {
                 if s.queued > 0 {
                     break;
                 }
-                inner.work_cv.wait(s.inner());
+                let work = &inner.work_cv;
+                work.wait(s.inner(), |s| &mut s.idle_workers, Deadline::NEVER);
             }
-            // Weighted random pick among apps with queued work.
-            let total: f64 = s
-                .apps
-                .values()
-                .filter(|q| !q.queue.is_empty())
-                .map(|q| weight(&inner.cfg, q))
-                .sum();
-            let mut pick = (xorshift(&mut s.rng) as f64 / u64::MAX as f64) * total;
-            let mut chosen: Option<AppId> = None;
-            // Iterate in a stable order for determinism given the seed.
-            let mut ids: Vec<AppId> = s
-                .apps
-                .iter()
-                .filter(|(_, q)| !q.queue.is_empty())
-                .map(|(a, _)| *a)
-                .collect();
-            ids.sort();
-            for a in &ids {
-                let w = weight(&inner.cfg, &s.apps[a]);
-                if pick < w {
-                    chosen = Some(*a);
-                    break;
+            // Weighted random pick among apps with queued work, in one
+            // pass: each candidate replaces the choice so far with
+            // probability `w / (total so far)`, which leaves every app
+            // chosen with probability `w_i / total`.
+            let State { apps, rng, .. } = &mut *s;
+            let mut total = 0.0;
+            let mut chosen = None;
+            for (app, q) in apps.iter_mut().filter(|(_, q)| !q.queue.is_empty()) {
+                let w = weight(&inner.cfg, q);
+                total += w;
+                let r = xorshift(rng) as f64 / u64::MAX as f64;
+                if chosen.is_none() || r * total < w {
+                    chosen = Some((*app, q));
                 }
-                pick -= w;
             }
-            let app = chosen.or(ids.last().copied()).expect("work exists");
-            let q = s.apps.get_mut(&app).unwrap();
+            let (app, q) = chosen.expect("work exists");
             let task = q.queue.pop_front().expect("non-empty queue");
             s.queued -= 1;
             s.running += 1;
@@ -382,9 +374,8 @@ fn worker_loop(inner: &Inner) {
             q.wfq_weight.set(weight(&inner.cfg, q));
         }
         if s.queued == 0 && s.running == 0 {
-            inner.idle_cv.notify_all();
+            inner.idle_cv.wake_all(&mut s.idle_waiters);
         }
-        drop(s);
     }
 }
 

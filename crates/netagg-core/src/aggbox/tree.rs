@@ -11,14 +11,15 @@
 //! task.
 
 use crate::aggbox::scheduler::TaskScheduler;
+use crate::lifecycle::{Deadline, Parked, Parking};
 use crate::protocol::AppId;
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_obs::names;
 use netagg_obs::trace::{self, TraceRecorder};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Callback invoked once with the reduction's final result.
 pub type CompletionHandler = Box<dyn FnOnce(Result<Bytes, AggError>) + Send>;
@@ -47,6 +48,8 @@ struct TreeState {
     done: Option<Result<Bytes, AggError>>,
     on_complete: Option<CompletionHandler>,
     trace: Option<TraceTarget>,
+    /// `wait_complete` callers parked on `cv`.
+    waiters: Parked,
 }
 
 /// A pipelined parallel reduction over serialised items.
@@ -54,7 +57,7 @@ pub struct LocalAggTree {
     agg: Arc<dyn DynAggregator>,
     fanin: usize,
     state: Mutex<TreeState>,
-    cv: Condvar,
+    cv: Parking,
 }
 
 impl LocalAggTree {
@@ -72,8 +75,9 @@ impl LocalAggTree {
                 done: None,
                 on_complete: None,
                 trace: None,
+                waiters: Parked::default(),
             }),
-            cv: Condvar::new(),
+            cv: Parking::new(),
         })
     }
 
@@ -121,17 +125,15 @@ impl LocalAggTree {
 
     /// Block until the final aggregate is available.
     pub fn wait_complete(&self, timeout: Duration) -> Result<Bytes, AggError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Deadline::after(timeout);
         let mut s = self.state.lock();
         loop {
             if let Some(done) = s.done.clone() {
                 return done;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if !self.cv.wait(&mut s, |s| &mut s.waiters, deadline) {
                 return Err(AggError::Timeout);
             }
-            self.cv.wait_for(&mut s, deadline - now);
         }
     }
 
@@ -296,7 +298,7 @@ impl LocalAggTree {
     /// can run it after releasing the state lock.
     fn finish(&self, s: &mut TreeState, out: Result<Bytes, AggError>) -> Option<CompletionCb> {
         s.done = Some(out.clone());
-        self.cv.notify_all();
+        self.cv.wake_all(&mut s.waiters);
         s.on_complete.take().map(|cb| (cb, out))
     }
 }
@@ -314,6 +316,7 @@ mod tests {
     use super::*;
     use crate::aggbox::scheduler::SchedulerConfig;
     use crate::{AggWrapper, AggregationFunction};
+    use std::time::Instant;
 
     struct Sum;
     impl AggregationFunction for Sum {

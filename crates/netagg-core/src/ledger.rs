@@ -25,7 +25,7 @@
 //!   than owed — their replays are duplicates of data the box already
 //!   folded in (duplicate suppression).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// What [`FanInLedger::accept_chunk`] decided about an incoming chunk.
@@ -68,125 +68,165 @@ pub enum RepointOutcome {
     NotOwed,
 }
 
+/// What the ledger knows about one contributor. A key it has never
+/// heard of is the same as one with every flag clear.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    owed: bool,
+    ended: bool,
+    seen: bool,
+    ignored: bool,
+    repointed: bool,
+    /// Highest sequence number accepted (0 is a legal one).
+    last_seq: Option<u32>,
+}
+
 /// Set-based accounting of which logical contributors a fan-in point
-/// (master shim or agg box) is still owed for one in-flight request.
+/// (master shim or agg box) is still owed for one in-flight request: one
+/// table from contributor to an entry of flags, sized once from the owed
+/// set, plus running counts of the owed and the owed-and-not-ended
+/// entries, so a chunk or an end costs one lookup and completion is a
+/// comparison.
 #[derive(Debug, Clone, Default)]
 pub struct FanInLedger<K: Eq + Hash + Copy> {
-    owed: HashSet<K>,
-    ended: HashSet<K>,
-    seen: HashSet<K>,
-    ignored: HashSet<K>,
-    last_seq: HashMap<K, u32>,
-    repointed: HashSet<K>,
+    entries: HashMap<K, Entry>,
+    /// Entries with `owed`.
+    owed: usize,
+    /// Entries with `owed && !ended`.
+    outstanding: usize,
 }
 
 impl<K: Eq + Hash + Copy> FanInLedger<K> {
     /// Create a ledger owing exactly the given contributors.
     pub fn new(owed: impl IntoIterator<Item = K>) -> Self {
-        FanInLedger {
-            owed: owed.into_iter().collect(),
-            ended: HashSet::new(),
-            seen: HashSet::new(),
-            ignored: HashSet::new(),
-            last_seq: HashMap::new(),
-            repointed: HashSet::new(),
+        let owed = owed.into_iter();
+        let mut ledger = FanInLedger {
+            entries: HashMap::with_capacity(owed.size_hint().0),
+            owed: 0,
+            outstanding: 0,
+        };
+        for k in owed {
+            ledger.owe(k);
         }
+        ledger
+    }
+
+    /// Make `key` owed unless it is ignored or owed already; whether it
+    /// became owed.
+    fn owe(&mut self, key: K) -> bool {
+        let e = self.entries.entry(key).or_default();
+        let newly = !e.ignored && !e.owed;
+        if newly {
+            e.owed = true;
+            self.owed += 1;
+            self.outstanding += usize::from(!e.ended);
+        }
+        newly
     }
 
     /// Replace the owed set (subset requests deliver the participating
     /// set after the ledger was provisioned from the full route).
     /// Keys already ignored by an earlier re-point stay ignored.
     pub fn set_requirement(&mut self, owed: impl IntoIterator<Item = K>) {
-        self.owed = owed
-            .into_iter()
-            .filter(|k| !self.ignored.contains(k))
-            .collect();
+        self.entries.values_mut().for_each(|e| e.owed = false);
+        (self.owed, self.outstanding) = (0, 0);
+        for k in owed {
+            self.owe(k);
+        }
     }
 
     /// Record an incoming chunk from `key` with per-source sequence
     /// number `seq` and classify it.
     pub fn accept_chunk(&mut self, key: K, seq: u32) -> ChunkDisposition {
-        if self.ignored.contains(&key) {
+        let e = self.entries.entry(key).or_default();
+        if e.ignored {
             return ChunkDisposition::Ignored;
         }
-        if let Some(&prev) = self.last_seq.get(&key) {
-            if seq <= prev {
-                return ChunkDisposition::Duplicate;
-            }
+        if e.last_seq.is_some_and(|prev| seq <= prev) {
+            return ChunkDisposition::Duplicate;
         }
-        self.last_seq.insert(key, seq);
-        let first = self.seen.insert(key);
+        e.last_seq = Some(seq);
+        let first = !std::mem::replace(&mut e.seen, true);
         ChunkDisposition::Fresh { first }
     }
 
     /// Record that `key` delivered its final chunk. Returns false if
     /// the key is ignored or had already ended (nothing changed).
     pub fn note_end(&mut self, key: K) -> bool {
-        if self.ignored.contains(&key) {
+        let e = self.entries.entry(key).or_default();
+        if e.ignored || e.ended {
             return false;
         }
-        self.ended.insert(key)
+        e.ended = true;
+        self.outstanding -= usize::from(e.owed);
+        true
     }
 
     /// Move a failed (or bypassed) box's obligations to its
     /// behind-sources. Idempotent; see [`RepointOutcome`].
     pub fn repoint(&mut self, box_key: K, behind: &[K]) -> RepointOutcome {
-        if !self.repointed.insert(box_key) {
+        let e = self.entries.entry(box_key).or_default();
+        if std::mem::replace(&mut e.repointed, true) {
             return RepointOutcome::AlreadyRepointed;
         }
-        if self.ended.contains(&box_key) {
+        if e.ended {
             // The box's combined partial is already in; replays from
             // its behind-sources would double-count.
             for b in behind {
-                if !self.ended.contains(b) {
-                    self.owed.remove(b);
-                    self.ignored.insert(*b);
+                let e = self.entries.entry(*b).or_default();
+                if !e.ended {
+                    e.ignored = true;
+                    if std::mem::take(&mut e.owed) {
+                        self.owed -= 1;
+                        self.outstanding -= 1;
+                    }
                 }
             }
             return RepointOutcome::DuplicateSuppressed;
         }
-        if !self.owed.remove(&box_key) {
+        if !std::mem::take(&mut e.owed) {
             return RepointOutcome::NotOwed;
         }
-        self.ignored.insert(box_key);
-        let mut added = 0;
-        for b in behind {
-            if !self.ignored.contains(b) && self.owed.insert(*b) {
-                added += 1;
-            }
-        }
+        e.ignored = true;
+        self.owed -= 1;
+        self.outstanding -= 1;
+        let added = behind.iter().filter(|b| self.owe(**b)).count();
         RepointOutcome::Moved { added }
     }
 
     /// True iff the owed set is non-empty and every owed contributor
     /// has ended.
     pub fn is_complete(&self) -> bool {
-        !self.owed.is_empty() && self.owed.iter().all(|k| self.ended.contains(k))
+        self.owed > 0 && self.outstanding == 0
     }
 
     /// Owed contributors that have not yet ended.
     pub fn outstanding(&self) -> usize {
-        self.owed.iter().filter(|k| !self.ended.contains(k)).count()
+        self.outstanding
     }
 
     /// Number of contributors currently owed.
     pub fn owed_len(&self) -> usize {
-        self.owed.len()
+        self.owed
+    }
+
+    fn flag(&self, key: &K, flag: impl Fn(&Entry) -> bool) -> bool {
+        self.entries.get(key).is_some_and(flag)
     }
 
     /// Whether `key` is currently owed.
     pub fn is_owed(&self, key: &K) -> bool {
-        self.owed.contains(key)
+        self.flag(key, |e| e.owed)
     }
 
     /// Whether chunks from `key` are being discarded.
     pub fn is_ignored(&self, key: &K) -> bool {
-        self.ignored.contains(key)
+        self.flag(key, |e| e.ignored)
     }
 
     /// Whether any chunk has been accepted from `key`.
     pub fn has_seen(&self, key: &K) -> bool {
-        self.seen.contains(key)
+        self.flag(key, |e| e.seen)
     }
 }
 

@@ -11,7 +11,8 @@
 //! cancellation invariants.
 
 pub use netagg_net::lifecycle::{
-    CancelToken, JoinScope, Mailbox, MailboxRecvError, MailboxSendError, OrderedMutex,
-    OrderedMutexGuard, OverflowPolicy, ScopeError, Wait, WakerGuard, DEFAULT_JOIN_DEADLINE,
+    CancelToken, Deadline, JoinScope, Mailbox, MailboxRecvError, MailboxSendError, OrderedMutex,
+    OrderedMutexGuard, OverflowPolicy, Parked, Parking, ScopeError, Wait, WakerGuard,
+    DEFAULT_JOIN_DEADLINE,
 };
 pub use netagg_net::serve;

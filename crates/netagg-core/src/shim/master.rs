@@ -9,7 +9,8 @@
 use crate::conn_cache::ConnCache;
 use crate::fanin::TraceAnchor;
 use crate::lifecycle::{
-    serve, CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE,
+    serve, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, WakerGuard,
+    DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::master_core::{MasterCore, MasterKey, Taken};
@@ -22,7 +23,6 @@ use netagg_net::lock_order;
 use netagg_net::{Connection, NetError, NodeId, Transport};
 use netagg_obs::trace;
 use netagg_obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
-use parking_lot::Condvar;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -165,14 +165,21 @@ impl MasterObs {
     }
 }
 
+/// What the `master.core` lock guards: the protocol state, and who is
+/// parked on `cv` waiting for it to change.
+struct Guarded {
+    core: MasterCore,
+    waiters: Parked,
+}
+
 struct Inner {
     app: AppId,
     addr: NodeId,
     agg: Arc<dyn DynAggregator>,
     cfg: MasterShimConfig,
     specs: Vec<TreeSpec>,
-    core: OrderedMutex<MasterCore>,
-    cv: Condvar,
+    state: OrderedMutex<Guarded>,
+    cv: Parking,
     cancel: CancelToken,
     /// Control-plane connections (RequestMeta, Broadcast, straggler
     /// redirects).
@@ -213,7 +220,10 @@ impl MasterShim {
             DEFAULT_JOIN_DEADLINE,
             Some(&cfg.obs),
         ));
-        let core = MasterCore::new(app, specs, cfg.selection);
+        let guarded = Guarded {
+            core: MasterCore::new(app, specs, cfg.selection),
+            waiters: Parked::default(),
+        };
         let inner = Arc::new(Inner {
             app,
             addr,
@@ -221,19 +231,18 @@ impl MasterShim {
             obs: MasterObs::new(cfg.obs.clone(), app),
             cfg,
             specs: specs.to_vec(),
-            core: OrderedMutex::new(lock_order::MASTER_CORE, core),
-            cv: Condvar::new(),
+            state: OrderedMutex::new(lock_order::MASTER_CORE, guarded),
+            cv: Parking::new(),
             cancel: cancel.clone(),
             ctrl: ConnCache::new(transport, addr),
         });
-        // Wake condvar waiters on cancellation (takes the core lock so a
-        // waiter between its cancel check and its park cannot miss the
-        // notify). Weak: a strong ref here would cycle through the token.
+        // Wake condvar waiters on cancellation (under the core lock, so a
+        // waiter between its cancel check and its park cannot miss it).
+        // Weak: a strong ref here would cycle through the token.
         let weak = Arc::downgrade(&inner);
         let cv_waker = cancel.register_waker(move || {
             if let Some(i) = weak.upgrade() {
-                drop(i.core.lock());
-                i.cv.notify_all();
+                i.cv.wake_all(&mut i.state.lock().waiters);
             }
         });
         let shim = Arc::new(Self {
@@ -279,12 +288,14 @@ impl MasterShim {
         inner.obs.requests_registered.inc();
         let (now, ttl) = (Instant::now(), inner.cfg.pending_ttl);
         let anchor = || inner.obs.anchor(inner.app, request);
-        let mut core = inner.core.lock();
-        if core.register(request, expected_workers, subset, now, ttl, anchor) {
+        let mut s = inner.state.lock();
+        if s.core
+            .register(request, expected_workers, subset, now, ttl, anchor)
+        {
             inner.obs.requests_completed.inc();
-            inner.cv.notify_all();
+            inner.cv.wake_all(&mut s.waiters);
         }
-        inner.obs.update_ledger_gauges(&core);
+        inner.obs.update_ledger_gauges(&s.core);
         PendingRequest {
             inner: inner.clone(),
             request,
@@ -303,7 +314,7 @@ impl MasterShim {
         // reference the master's root span (root span id == trace id).
         let meta_ctx = self.inner.obs.spans.root_ctx(self.inner.app, rid);
         let mut master_owed: Vec<MasterKey> = Vec::new();
-        let trees: Vec<TreeId> = self.inner.core.lock().trees_for(rid).collect();
+        let trees: Vec<TreeId> = self.inner.state.lock().core.trees_for(rid).collect();
         for tree_id in trees {
             let Some(spec) = self.inner.specs.iter().find(|s| s.tree == tree_id) else {
                 continue;
@@ -331,7 +342,7 @@ impl MasterShim {
             // already failed (dropped from the route's owed set) is
             // substituted by its participating children directly.
             {
-                let core = self.inner.core.lock();
+                let core = &self.inner.state.lock().core;
                 for (tb, sources) in roots.filter_map(|tb| Some((tb, part.get(&tb.box_id)?))) {
                     if core.still_owed(tree_id, SourceId::Box(tb.box_id)) {
                         master_owed.push((tree_id, SourceId::Box(tb.box_id)));
@@ -357,7 +368,7 @@ impl MasterShim {
     /// high-bandwidth links.
     pub fn broadcast(&self, request: u64, payload: Bytes) -> Result<(), AggError> {
         let rid = RequestId(request);
-        let trees: Vec<TreeId> = self.inner.core.lock().trees_for(rid).collect();
+        let trees: Vec<TreeId> = self.inner.state.lock().core.trees_for(rid).collect();
         for tree_id in trees {
             let Some(spec) = self.inner.specs.iter().find(|s| s.tree == tree_id) else {
                 continue;
@@ -394,11 +405,14 @@ impl MasterShim {
     pub fn on_child_box_failed(&self, tree: TreeId, failed_box: u32) {
         let o = &self.inner.obs;
         let repoint = {
-            let mut core = self.inner.core.lock();
-            let Some(r) = core.fanin.child_box_failed(tree, failed_box) else {
+            let mut s = self.inner.state.lock();
+            let Some(r) = s.core.fanin.child_box_failed(tree, failed_box) else {
                 return;
             };
-            o.update_ledger_gauges(&core);
+            o.update_ledger_gauges(&s.core);
+            if !r.closed.is_empty() {
+                self.inner.cv.wake_all(&mut s.waiters);
+            }
             r
         };
         let (repointed, completed) = (repoint.repointed.len(), repoint.closed.len());
@@ -415,9 +429,6 @@ impl MasterShim {
                 self.inner.app.0, failed_box, tree.0, repointed
             ),
         );
-        if completed > 0 {
-            self.inner.cv.notify_all();
-        }
     }
 
     /// The master shim's transport address.
@@ -436,8 +447,8 @@ impl MasterShim {
         // the trace would dangle. Close them start → now so partial traces
         // still form one connected tree (DESIGN.md §11). Completed entries
         // already recorded their root in `wait`.
-        let mut core = self.inner.core.lock();
-        let open = core.fanin.requests.drain().filter(|(_, q)| !q.closed);
+        let mut s = self.inner.state.lock();
+        let open = s.core.fanin.requests.drain().filter(|(_, q)| !q.closed);
         for (rid, t) in open.filter_map(|(r, q)| Some((r, q.trace?))) {
             self.inner.obs.root_span(rid, t);
         }
@@ -454,24 +465,22 @@ impl PendingRequest {
     /// Block until the fully aggregated result is available.
     pub fn wait(&self, timeout: Duration) -> Result<AggregatedResult, AggError> {
         let inner = &self.inner;
-        let deadline = Instant::now() + timeout;
-        let mut core = inner.core.lock();
+        let deadline = Deadline::after(timeout);
+        let mut s = inner.state.lock();
         let done = loop {
             if inner.cancel.is_cancelled() {
                 return Err(AggError::Shutdown);
             }
-            match core.take_completed(self.request) {
+            match s.core.take_completed(self.request) {
                 Taken::NotRegistered => return Err(AggError::Net("request not registered".into())),
                 Taken::Done(done) => break done,
                 Taken::Pending => {}
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if !inner.cv.wait(s.inner(), |s| &mut s.waiters, deadline) {
                 return Err(AggError::Timeout);
             }
-            inner.cv.wait_for(core.inner(), deadline - now);
         };
-        drop(core);
+        drop(s);
         // Registration → fully merged result, as the unmodified master
         // logic experiences it.
         let o = &inner.obs;
@@ -555,8 +564,8 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 // Stitch the final hop: sender stamp → arrival here.
                 let hop = o.spans.wire(ctx, request, sent_ns);
                 let anchor = || o.anchor(inner.app, request);
-                let mut core = inner.core.lock();
-                let accepted = core.accept_data(
+                let mut s = inner.state.lock();
+                let accepted = s.core.accept_data(
                     request,
                     tree,
                     source,
@@ -572,10 +581,10 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 };
                 if completed {
                     o.requests_completed.inc();
-                    inner.cv.notify_all();
+                    inner.cv.wake_all(&mut s.waiters);
                 }
-                o.update_ledger_gauges(&core);
-                drop(core);
+                o.update_ledger_gauges(&s.core);
+                drop(s);
                 o.spans.ingest(names::spans::MASTER_RECV, ctx, hop, request);
             }
             Message::Heartbeat { nonce, .. } => {
@@ -605,20 +614,19 @@ fn straggler_loop(inner: &Arc<Inner>) {
             return;
         }
         let scan = {
-            let mut core = inner.core.lock();
+            let mut s = inner.state.lock();
             // The root never escalates: declaring a root box dead for good
             // is the failure detector's call.
-            let scan = core
-                .fanin
-                .scan_stragglers(Instant::now(), threshold, u32::MAX);
-            o.update_ledger_gauges(&core);
+            let fanin = &mut s.core.fanin;
+            let scan = fanin.scan_stragglers(Instant::now(), threshold, u32::MAX);
+            o.update_ledger_gauges(&s.core);
+            // Bypass may complete requests whose other sources already ended.
+            if !scan.closed.is_empty() {
+                inner.cv.wake_all(&mut s.waiters);
+            }
             scan
         };
-        // Bypass may complete requests whose other sources already ended.
-        if !scan.closed.is_empty() {
-            o.requests_completed.add(scan.closed.len() as u64);
-            inner.cv.notify_all();
-        }
+        o.requests_completed.add(scan.closed.len() as u64);
         for b in scan.bypasses {
             o.master_bypasses.inc();
             o.registry.emit_for_request(

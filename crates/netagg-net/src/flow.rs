@@ -15,20 +15,22 @@
 //! frames make progress instead of deadlocking — the window bounds
 //! *queued* bytes, it does not reject frames.
 
-use crate::lifecycle::{may_block, CancelToken};
+use crate::lifecycle::{may_block, CancelToken, Deadline, Parked, Parking};
 use crate::transport::NetError;
 use crate::units::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 struct WindowState {
     in_flight: Bytes,
     closed: bool,
+    /// Acquirers parked on `cv`.
+    waiters: Parked,
 }
 
 struct WindowShared {
     state: Mutex<WindowState>,
-    cv: Condvar,
+    cv: Parking,
 }
 
 /// A byte-counted send window: [`acquire`](FlowWindow::acquire) blocks
@@ -50,8 +52,9 @@ impl FlowWindow {
                 state: Mutex::new(WindowState {
                     in_flight: Bytes::ZERO,
                     closed: false,
+                    waiters: Parked::default(),
                 }),
-                cv: Condvar::new(),
+                cv: Parking::new(),
             }),
         }
     }
@@ -62,14 +65,10 @@ impl FlowWindow {
     /// fires and [`NetError::Closed`] once the window is closed.
     pub fn acquire(&self, n: Bytes, cancel: &CancelToken) -> Result<(), NetError> {
         may_block("FlowWindow::acquire");
-        let wake = self.shared.clone();
-        let _guard = cancel.register_waker(move || {
-            // Take the lock so a waiter between its cancel check and its
-            // park cannot miss the notify (same pattern as Mailbox).
-            drop(wake.state.lock());
-            wake.cv.notify_all();
-        });
-        let mut s = self.shared.state.lock();
+        let sh = &self.shared;
+        // Declared before the guard: unregisters after the state lock drops.
+        let mut waker = None;
+        let mut s = sh.state.lock();
         loop {
             if cancel.is_cancelled() {
                 return Err(NetError::Cancelled);
@@ -81,22 +80,33 @@ impl FlowWindow {
                 s.in_flight += n;
                 return Ok(());
             }
-            self.shared.cv.wait(&mut s);
+            if waker.is_none() {
+                // Only an acquire that has to park registers on `cancel`, lock
+                // released: a cancelled token runs the waker on the spot.
+                drop(s);
+                let wake = sh.clone();
+                let wake = move || wake.cv.wake_all(&mut wake.state.lock().waiters);
+                waker = Some(cancel.register_waker(wake));
+                s = sh.state.lock();
+                continue;
+            }
+            sh.cv.wait(&mut s, |s| &mut s.waiters, Deadline::NEVER);
         }
     }
 
-    /// Return `n` reserved bytes (saturating) and wake blocked acquirers.
+    /// Return `n` reserved bytes (saturating) and wake blocked acquirers
+    /// (all of them: each re-checks its own size and token).
     pub fn release(&self, n: Bytes) {
         let mut s = self.shared.state.lock();
         s.in_flight = s.in_flight.saturating_sub(n);
-        drop(s);
-        self.shared.cv.notify_all();
+        self.shared.cv.wake_all(&mut s.waiters);
     }
 
     /// Fail current and future acquires with [`NetError::Closed`].
     pub fn close(&self) {
-        self.shared.state.lock().closed = true;
-        self.shared.cv.notify_all();
+        let mut s = self.shared.state.lock();
+        s.closed = true;
+        self.shared.cv.wake_all(&mut s.waiters);
     }
 
     /// Bytes currently reserved.

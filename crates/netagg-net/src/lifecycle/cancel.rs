@@ -12,12 +12,12 @@
 //! token — a mailbox queue may hold items that themselves own mailboxes
 //! (the TCP reactor's accept queue holds connections owning inboxes).
 
-use super::may_block;
-use parking_lot::{Condvar, Mutex};
+use super::{may_block, Deadline, Parked, Parking};
+use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 type Waker = Box<dyn Fn() + Send + Sync>;
 
@@ -30,11 +30,10 @@ struct WakerTable {
 struct TokenInner {
     cancelled: AtomicBool,
     table: Mutex<WakerTable>,
-    cv: Condvar,
-    // Dedicated mutex for `wait_timeout` (parking_lot condvars pair with a
-    // specific mutex; the waker table lock must not double as the wait
-    // lock, or a slow waker would stall waiters).
-    wait_lock: Mutex<()>,
+    cv: Parking,
+    // Dedicated mutex for `wait_timeout`: the waker table lock must not
+    // double as the wait lock, or a slow waker would stall waiters.
+    sleepers: Mutex<Parked>,
 }
 
 /// A cloneable cancellation token: one `cancel()` call wakes every blocked
@@ -67,8 +66,8 @@ impl CancelToken {
             inner: Arc::new(TokenInner {
                 cancelled: AtomicBool::new(false),
                 table: Mutex::new(WakerTable::default()),
-                cv: Condvar::new(),
-                wait_lock: Mutex::new(()),
+                cv: Parking::new(),
+                sleepers: Mutex::new(Parked::default()),
             }),
         }
     }
@@ -84,10 +83,9 @@ impl CancelToken {
         if self.inner.cancelled.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Take and release the wait lock so a waiter that checked the flag
-        // but has not yet parked cannot miss the notify.
-        drop(self.inner.wait_lock.lock());
-        self.inner.cv.notify_all();
+        // Under the wait lock, so a waiter that checked the flag but has
+        // not yet parked cannot miss it.
+        self.inner.cv.wake_all(&mut self.inner.sleepers.lock());
         let table = self.inner.table.lock();
         for (_, w) in table.wakers.iter() {
             w();
@@ -99,17 +97,15 @@ impl CancelToken {
     /// `if cancel.wait_timeout(tick) { return; }`).
     pub fn wait_timeout(&self, d: Duration) -> bool {
         may_block("CancelToken::wait_timeout");
-        let deadline = Instant::now() + d;
-        let mut g = self.inner.wait_lock.lock();
+        let deadline = Deadline::after(d);
+        let mut g = self.inner.sleepers.lock();
         loop {
             if self.is_cancelled() {
                 return true;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if !self.inner.cv.wait(&mut g, |p| p, deadline) {
                 return false;
             }
-            self.inner.cv.wait_for(&mut g, deadline - now);
         }
     }
 
@@ -180,6 +176,7 @@ impl fmt::Debug for WakerGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn wait_timeout_wakes_early_on_cancel() {

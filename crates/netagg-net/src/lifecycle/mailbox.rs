@@ -1,13 +1,13 @@
 //! [`Mailbox`]: the bounded queue with an explicit [`OverflowPolicy`], one
 //! blocking receive and shutdown-aware operations.
 
-use super::{may_block, CancelToken, WakerGuard};
+use super::{may_block, CancelToken, Deadline, Parked, Parking, WakerGuard};
 use netagg_obs::{names, Counter, Gauge, MetricsRegistry};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What a bounded [`Mailbox`] does when a send finds it full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +83,10 @@ struct MailboxState<T> {
     queue: VecDeque<T>,
     closed: bool,
     dropped: u64,
+    /// Parked on `not_empty`.
+    receivers: Parked,
+    /// Parked on `not_full`.
+    senders: Parked,
 }
 
 /// Condvar pair + state, split into its own `Arc` so the cancel waker can
@@ -90,17 +94,16 @@ struct MailboxState<T> {
 /// guard, and through that the token) alive in a cycle.
 struct MailboxShared<T> {
     state: Mutex<MailboxState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    not_empty: Parking,
+    not_full: Parking,
 }
 
 impl<T> MailboxShared<T> {
-    /// Wake every parked sender and receiver. Takes the state lock first so
-    /// a thread between its cancel check and its park cannot miss the notify.
-    fn wake_all(&self) {
-        drop(self.state.lock());
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
+    /// Wake every parked sender and receiver (cancel, close) under the state
+    /// lock: a thread between its cancel check and its park cannot miss it.
+    fn wake_all(&self, s: &mut MailboxState<T>) {
+        self.not_empty.wake_all(&mut s.receivers);
+        self.not_full.wake_all(&mut s.senders);
     }
 }
 
@@ -199,12 +202,14 @@ impl<T: Send + 'static> Mailbox<T> {
                 queue: VecDeque::new(),
                 closed: false,
                 dropped: 0,
+                receivers: Parked::default(),
+                senders: Parked::default(),
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            not_empty: Parking::new(),
+            not_full: Parking::new(),
         });
         let wake = shared.clone();
-        let waker = cancel.register_waker(move || wake.wake_all());
+        let waker = cancel.register_waker(move || wake.wake_all(&mut wake.state.lock()));
         Self {
             inner: Arc::new(MailboxInner {
                 name,
@@ -219,37 +224,42 @@ impl<T: Send + 'static> Mailbox<T> {
     }
 
     /// The one blocking receive: park until an item arrives, the mailbox
-    /// closes and drains, the bound token cancels, or `wait` ends.
-    /// [`Wait::Cancel`] registers a waker on the caller's token for the
-    /// duration of the call (the bound token's is registered for life).
+    /// closes and drains, the bound token cancels, or `wait` ends. Only a
+    /// receive that has to park registers a waker on the caller's
+    /// [`Wait::Cancel`] token, for the rest of the call (the bound token's
+    /// is registered for life); one that finds an item costs one lock.
     pub fn recv_until(&self, wait: Wait<'_>) -> Result<T, MailboxRecvError> {
         may_block("Mailbox::recv");
         let (deadline, extra) = match wait {
-            Wait::Forever => (None, None),
-            Wait::For(d) => (Some(Instant::now() + d), None),
-            Wait::Cancel(c) => (None, Some(c)),
+            Wait::Forever => (Deadline::NEVER, None),
+            Wait::For(d) => (Deadline::after(d), None),
+            Wait::Cancel(c) => (Deadline::NEVER, Some(c)),
         };
-        let _guard = extra.filter(|c| !c.same(&self.inner.cancel)).map(|c| {
-            let wake = self.inner.shared.clone();
-            c.register_waker(move || wake.wake_all())
-        });
         let sh = &self.inner.shared;
-        let mut s = sh.state.lock();
-        loop {
-            if let Some(r) = self.poll(&mut s, extra) {
-                return r;
-            }
-            match deadline {
-                None => sh.not_empty.wait(&mut s),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(MailboxRecvError::Timeout);
-                    }
-                    sh.not_empty.wait_for(&mut s, d - now);
-                }
-            }
+        if let Some(r) = self.poll(&mut sh.state.lock(), extra) {
+            return r;
         }
+        // Registered with the state lock released (a cancelled token runs
+        // the waker on the spot), unregistered after the guard below drops.
+        let _waker = extra.filter(|c| !c.same(&self.inner.cancel)).map(|c| {
+            let wake = sh.clone();
+            c.register_waker(move || wake.wake_all(&mut wake.state.lock()))
+        });
+        let mut s = sh.state.lock();
+        let r = loop {
+            if let Some(r) = self.poll(&mut s, extra) {
+                break r;
+            }
+            if !sh.not_empty.wait(&mut s, |s| &mut s.receivers, deadline) {
+                return Err(MailboxRecvError::Timeout);
+            }
+        };
+        // Cancelled by its own token, say: the wake-up this thread used
+        // may be the only one issued for the items it leaves behind.
+        if r.is_err() && !s.queue.is_empty() {
+            sh.not_empty.wake_one(&mut s.receivers);
+        }
+        r
     }
 
     /// [`Mailbox::recv_until`] with nothing else to wait for.
@@ -296,18 +306,21 @@ impl<T> Mailbox<T> {
             if s.queue.len() < self.inner.capacity {
                 s.queue.push_back(v);
                 self.note_depth(s.queue.len());
-                sh.not_empty.notify_one();
+                sh.not_empty.wake_one(&mut s.receivers);
                 return Ok(());
             }
             match self.inner.policy {
-                OverflowPolicy::Block => sh.not_full.wait(&mut s),
+                OverflowPolicy::Block => {
+                    sh.not_full
+                        .wait(&mut s, |s| &mut s.senders, Deadline::NEVER);
+                }
                 OverflowPolicy::DropOldest => {
                     s.queue.pop_front();
                     s.dropped += 1;
                     self.note_drop();
                     s.queue.push_back(v);
                     self.note_depth(s.queue.len());
-                    sh.not_empty.notify_one();
+                    sh.not_empty.wake_one(&mut s.receivers);
                     return Ok(());
                 }
                 OverflowPolicy::Reject => {
@@ -339,7 +352,7 @@ impl<T> Mailbox<T> {
         if s.queue.len() < self.inner.capacity {
             s.queue.push_back(v);
             self.note_depth(s.queue.len());
-            sh.not_empty.notify_one();
+            sh.not_empty.wake_one(&mut s.receivers);
             Ok(())
         } else {
             Err(MailboxSendError::Full(v))
@@ -358,7 +371,7 @@ impl<T> Mailbox<T> {
         }
         if let Some(v) = s.queue.pop_front() {
             self.note_depth(s.queue.len());
-            self.inner.shared.not_full.notify_one();
+            self.inner.shared.not_full.wake_one(&mut s.senders);
             return Some(Ok(v));
         }
         s.closed.then_some(Err(MailboxRecvError::Closed))
@@ -376,12 +389,9 @@ impl<T> Mailbox<T> {
     /// remaining items, then observe `Closed` (mpsc disconnect semantics).
     pub fn close(&self) {
         let sh = &self.inner.shared;
-        {
-            let mut s = sh.state.lock();
-            s.closed = true;
-        }
-        sh.not_empty.notify_all();
-        sh.not_full.notify_all();
+        let mut s = sh.state.lock();
+        s.closed = true;
+        sh.wake_all(&mut s);
     }
 
     /// Items currently queued.
@@ -409,6 +419,14 @@ impl<T> Mailbox<T> {
         self.inner.shared.state.lock().dropped
     }
 
+    /// Threads parked on the mailbox right now and wake-up syscalls it has
+    /// made so far, senders and receivers together.
+    pub fn parking(&self) -> (usize, u64) {
+        let s = self.inner.shared.state.lock();
+        let ((rp, rw), (sp, sw)) = (s.receivers.counts(), s.senders.counts());
+        (rp + sp, rw + sw)
+    }
+
     /// The mailbox's metric-key name.
     pub fn name(&self) -> &str {
         &self.inner.name
@@ -424,6 +442,7 @@ impl<T> Mailbox<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
 
     #[test]
     fn cancel_wakes_blocked_recv_immediately() {

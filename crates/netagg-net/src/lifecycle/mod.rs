@@ -9,6 +9,9 @@
 //!   [`OverflowPolicy`] (`Block`, `DropOldest`, `Reject`) and
 //!   shutdown-aware send/recv: a cancelled token or a closed queue turns
 //!   every blocked operation into a prompt, typed error.
+//! * [`Parking`] (`parking.rs`) — the condition variable under them all:
+//!   its sleeper counts ([`Parked`]) live in the state the caller's mutex
+//!   guards, so only a sleeping thread costs a wake-up syscall.
 //! * [`JoinScope`] (`scope.rs`) — an owner for named threads
 //!   (`std::thread::Builder`) that joins with a deadline and propagates
 //!   worker panics, so a hung thread becomes a loud error instead of a
@@ -25,6 +28,7 @@
 mod cancel;
 mod mailbox;
 mod ordered;
+mod parking;
 mod scope;
 
 pub use cancel::{CancelToken, WakerGuard};
@@ -34,4 +38,5 @@ pub use ordered::{
     poisoned_locks, set_poison_sink, witness_edges, witness_reset, witness_thread_kinds,
     OrderedMutex, OrderedMutexGuard,
 };
+pub use parking::{Deadline, Parked, Parking};
 pub use scope::{JoinScope, ScopeError, DEFAULT_JOIN_DEADLINE};
