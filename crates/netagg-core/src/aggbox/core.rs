@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Requests whose emitted output a box retains for resends.
+/// Requests per fan-in point whose emitted output a box retains for resends.
 const EMITTED_WINDOW: usize = 64;
 
 /// A box-side request: `(application, request, tree)`.
@@ -83,8 +83,10 @@ pub struct BoxCore<S> {
     parents: HashMap<Point, NodeId>,
     /// Per-request output redirections (a straggler bypass upstream).
     redirects: HashMap<ReqKey, NodeId>,
-    /// Recently emitted output chunks per request.
-    emitted: RecencyWindow<ReqKey, Vec<Bytes>>,
+    /// Recently emitted output chunks per request, a window per fan-in
+    /// point: one tenant's traffic must not evict what another's new
+    /// parent will need (redirects arrive per application and tree).
+    emitted: HashMap<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
 }
 
 impl<S: PartialSink> Default for BoxCore<S> {
@@ -94,7 +96,7 @@ impl<S: PartialSink> Default for BoxCore<S> {
             fanin: FanInCore::default(),
             parents: HashMap::new(),
             redirects: HashMap::new(),
-            emitted: RecencyWindow::new(EMITTED_WINDOW),
+            emitted: HashMap::new(),
         }
     }
 }
@@ -170,6 +172,12 @@ impl<S: PartialSink> BoxCore<S> {
         found.map(|q| q.ext.sink.clone()).collect()
     }
 
+    fn retain(&mut self, key: ReqKey, chunk: Bytes) {
+        let window = self.emitted.entry((key.0, key.2));
+        let window = window.or_insert_with(|| RecencyWindow::new(EMITTED_WINDOW));
+        window.entry(key).push(chunk);
+    }
+
     fn dest(&self, key: &ReqKey) -> Option<NodeId> {
         let redirected = self.redirects.get(key);
         redirected
@@ -185,7 +193,7 @@ impl<S: PartialSink> BoxCore<S> {
     /// fully recorded. Either way exactly one `last` reaches a live parent.
     pub fn complete(&mut self, key: ReqKey, payload: Bytes) -> Emit {
         let state = self.fanin.requests.remove(&key);
-        self.emitted.entry(key).push(payload);
+        self.retain(key, payload);
         let emit = Emit {
             key,
             seq: state.as_ref().map_or(0, |q| q.ext.out_seq),
@@ -219,7 +227,7 @@ impl<S: PartialSink> BoxCore<S> {
         }
         for (emit, chunk) in &mut out {
             emit.dest = self.dest(&emit.key);
-            self.emitted.entry(emit.key).push(chunk.clone());
+            self.retain(emit.key, chunk.clone());
         }
         out
     }
@@ -240,18 +248,19 @@ impl<S: PartialSink> BoxCore<S> {
         tree: TreeId,
         new_parent: NodeId,
     ) -> Vec<Resend> {
+        let window = self.emitted.get(&(app, tree));
         let keys: Vec<ReqKey> = if permanent {
             if let Some(parent) = self.parents.get_mut(&(app, tree)) {
                 *parent = new_parent;
             }
-            let window = self.emitted.iter().map(|(k, _)| *k);
-            window.filter(|k| k.0 == app && k.2 == tree).collect()
+            let retained = window.into_iter().flat_map(|w| w.iter());
+            retained.map(|(k, _)| *k).collect()
         } else {
             self.redirects.insert((app, request, tree), new_parent);
             vec![(app, request, tree)]
         };
         let resend = keys.iter().filter_map(|key| {
-            let chunks = self.emitted.get(key)?.clone();
+            let chunks = window?.get(key)?.clone();
             // Live state whose next sequence number covers the window has
             // only flushed so far; its final chunk is still to come.
             let open = self.fanin.requests.get(key);

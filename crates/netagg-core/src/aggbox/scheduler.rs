@@ -325,10 +325,9 @@ fn worker_loop(inner: &Inner) {
                 let work = &inner.work_cv;
                 work.wait(s.inner(), |s| &mut s.idle_workers, Deadline::NEVER);
             }
-            // Weighted random pick among apps with queued work, in one
-            // pass: each candidate replaces the choice so far with
-            // probability `w / (total so far)`, which leaves every app
-            // chosen with probability `w_i / total`.
+            // Weighted random pick among apps with queued work, in one pass:
+            // each candidate replaces the choice so far with probability
+            // `w / (total so far)`, so app `i` wins with `w_i / total`.
             let State { apps, rng, .. } = &mut *s;
             let mut total = 0.0;
             let mut chosen = None;

@@ -68,8 +68,7 @@ pub enum RepointOutcome {
     NotOwed,
 }
 
-/// What the ledger knows about one contributor. A key it has never
-/// heard of is the same as one with every flag clear.
+/// What the ledger knows about one contributor (unknown = all clear).
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     owed: bool,
@@ -83,9 +82,8 @@ struct Entry {
 
 /// Set-based accounting of which logical contributors a fan-in point
 /// (master shim or agg box) is still owed for one in-flight request: one
-/// table from contributor to an entry of flags, sized once from the owed
-/// set, plus running counts of the owed and the owed-and-not-ended
-/// entries, so a chunk or an end costs one lookup and completion is a
+/// table from contributor to its flags, sized once from the owed set, and
+/// running counts, so a chunk or an end is one lookup and completion a
 /// comparison.
 #[derive(Debug, Clone, Default)]
 pub struct FanInLedger<K: Eq + Hash + Copy> {
@@ -111,8 +109,7 @@ impl<K: Eq + Hash + Copy> FanInLedger<K> {
         ledger
     }
 
-    /// Make `key` owed unless it is ignored or owed already; whether it
-    /// became owed.
+    /// Make `key` owed unless ignored or owed already; whether it became so.
     fn owe(&mut self, key: K) -> bool {
         let e = self.entries.entry(key).or_default();
         let newly = !e.ignored && !e.owed;
@@ -210,23 +207,19 @@ impl<K: Eq + Hash + Copy> FanInLedger<K> {
         self.owed
     }
 
-    fn flag(&self, key: &K, flag: impl Fn(&Entry) -> bool) -> bool {
-        self.entries.get(key).is_some_and(flag)
-    }
-
     /// Whether `key` is currently owed.
     pub fn is_owed(&self, key: &K) -> bool {
-        self.flag(key, |e| e.owed)
+        self.entries.get(key).is_some_and(|e| e.owed)
     }
 
     /// Whether chunks from `key` are being discarded.
     pub fn is_ignored(&self, key: &K) -> bool {
-        self.flag(key, |e| e.ignored)
+        self.entries.get(key).is_some_and(|e| e.ignored)
     }
 
     /// Whether any chunk has been accepted from `key`.
     pub fn has_seen(&self, key: &K) -> bool {
-        self.flag(key, |e| e.seen)
+        self.entries.get(key).is_some_and(|e| e.seen)
     }
 }
 

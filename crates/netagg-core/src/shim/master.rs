@@ -165,8 +165,7 @@ impl MasterObs {
     }
 }
 
-/// What the `master.core` lock guards: the protocol state, and who is
-/// parked on `cv` waiting for it to change.
+/// What `master.core` guards: the protocol state and who is parked on `cv`.
 struct Guarded {
     core: MasterCore,
     waiters: Parked,
