@@ -9,8 +9,6 @@
 //!          ablate-trees ablate-placement ablate-arrivals
 //!          ablate-backpressure ablate-fanin ext-broadcast
 //!          quick (trace-friendly smoke drive)
-//!          sim-perf (10,240-server simulator scaling sweep; exits 1 if
-//!                    the incremental engine is < 10x the naive one)
 //!          soak (§7-contract scenario soak → BENCH_soak.json; --quick
 //!                runs the CI-sized section only → target/soak-quick.json)
 //!          sim (fig2..fig14)   testbed (fig15..fig26)   all
@@ -31,7 +29,6 @@ mod mr_figs;
 mod perf_figs;
 mod search_figs;
 mod sim_figs;
-mod sim_perf;
 mod soak;
 
 use netagg_bench::sim::SimScale;
@@ -166,7 +163,6 @@ fn main() {
         "fig25" => micro_figs::fig25(&opts),
         "fig26" => micro_figs::fig26(&opts),
         "quick" => perf_figs::quick(&opts),
-        "sim-perf" => sim_perf::sim_perf(&opts),
         "soak" => soak::soak(&opts),
         other => usage(&format!("unknown target {other}")),
     };
@@ -212,7 +208,7 @@ fn main() {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: repro <fig2..fig26|tab1|ablate-*|quick|sim-perf|soak|sim|testbed|all> [--quick|--paper] [--seeds N] [--drive-secs S] [--metrics] [--trace OUT.json]"
+        "usage: repro <fig2..fig26|tab1|ablate-*|quick|soak|sim|testbed|all> [--quick|--paper] [--seeds N] [--drive-secs S] [--metrics] [--trace OUT.json]"
     );
     std::process::exit(2);
 }

@@ -166,7 +166,7 @@ note: host has {cores} core(s); thread-scaling results are flat by construction"
 fn fairness(adaptive: bool, opts: &Options) {
     let quick = matches!(opts.scale, netagg_bench::sim::SimScale::Quick);
     let window = if quick { 1.2f64 } else { 4.0 };
-    let mut sched = TaskScheduler::new(SchedulerConfig {
+    let sched = TaskScheduler::new(SchedulerConfig {
         threads: 2,
         adaptive,
         ema_alpha: 0.2,

@@ -358,6 +358,10 @@ impl AggBox {
     pub fn shutdown(&self) {
         self.inner.cancel.cancel();
         self.scope.finish();
+        // Not left to the last `Arc<TaskScheduler>`: a pool thread can hold
+        // one transiently, and a pool joined from inside itself finishes
+        // after this returns.
+        self.inner.scheduler.shutdown();
         // Requests still open at teardown never reach `completed`, so
         // their box request span would never be recorded — and the
         // queue-wait / combine spans parented beneath it would be orphans.

@@ -266,8 +266,9 @@ impl TaskScheduler {
 
     /// Stop the pool, dropping queued tasks. Idempotent. If invoked from a
     /// pool thread (e.g. the last Arc dropping inside a task), that thread
-    /// is detached instead of joined.
-    pub fn shutdown(&mut self) {
+    /// is detached instead of joined — so an owner that must not outlive
+    /// its pool calls this itself instead of leaving it to the last `Arc`.
+    pub fn shutdown(&self) {
         self.inner.cancel.cancel();
         {
             // Account the tasks this shutdown abandons.
@@ -483,7 +484,7 @@ mod tests {
 
     #[test]
     fn unequal_shares_are_respected_adaptively() {
-        let mut s = TaskScheduler::new(cfg(2, true));
+        let s = TaskScheduler::new(cfg(2, true));
         let a = AppId(1);
         let b = AppId(2);
         s.register_app(a, 3.0);
@@ -510,7 +511,7 @@ mod tests {
 
     #[test]
     fn shutdown_drops_queue_and_joins() {
-        let mut s = TaskScheduler::new(cfg(1, true));
+        let s = TaskScheduler::new(cfg(1, true));
         s.register_app(AppId(1), 1.0);
         s.submit(
             AppId(1),
@@ -553,7 +554,7 @@ mod tests {
     #[test]
     fn obs_counts_tasks_and_weights() {
         let obs = netagg_obs::MetricsRegistry::new();
-        let mut s = TaskScheduler::new_with_obs(cfg(2, true), obs.clone());
+        let s = TaskScheduler::new_with_obs(cfg(2, true), obs.clone());
         s.register_app(AppId(3), 2.0);
         for _ in 0..10 {
             s.submit(

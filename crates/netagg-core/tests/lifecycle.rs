@@ -171,3 +171,41 @@ fn clean_teardown_mid_request_is_prompt() {
         "scoped threads survived a clean teardown"
     );
 }
+
+/// A pool thread can be the last holder of the box's `Arc<TaskScheduler>`
+/// (the combine task and the completion callback upgrade one transiently);
+/// a pool that is shut down by whoever drops the last `Arc` then finishes
+/// on that thread, detached, after the box's own teardown has returned.
+/// The box joins its pool itself: once `drop` returns, nothing is alive.
+#[test]
+fn a_box_joins_its_pool_even_when_a_task_holds_the_scheduler() {
+    use netagg_core::aggbox::{AggBox, AggBoxConfig};
+    use netagg_core::tree::box_addr;
+
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let mut cfg = AggBoxConfig::new(0, box_addr(0));
+    cfg.scheduler.threads = 2;
+    let obs = cfg.obs.clone();
+    let agg_box = AggBox::start(transport, cfg).unwrap();
+    agg_box.register_app(AppId(1), sum_agg(), 1.0);
+
+    let held = agg_box.scheduler().clone();
+    let running = Arc::new(std::sync::Barrier::new(2));
+    let task_running = running.clone();
+    agg_box.scheduler().submit(
+        AppId(1),
+        Box::new(move || {
+            task_running.wait();
+            // Outlast the box's own teardown (milliseconds) by a margin.
+            std::thread::sleep(Duration::from_millis(200));
+            drop(held);
+        }),
+    );
+    running.wait();
+    drop(agg_box);
+    assert_eq!(
+        obs.gauge("runtime.threads_active").get(),
+        0.0,
+        "scoped threads still alive after the box was dropped"
+    );
+}

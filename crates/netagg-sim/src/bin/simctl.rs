@@ -56,7 +56,8 @@ fn main() {
             "--alpha" => cfg.workload.alpha = parse(&value("--alpha")),
             "--oversub" => cfg.topology.oversub = parse(&value("--oversub")),
             "--flows" => cfg.workload.num_flows = parse::<f64>(&value("--flows")) as usize,
-            "--seed" => cfg.workload.seed = parse::<f64>(&value("--seed")) as u64,
+            // Exact: a seed copied from a failing log must reproduce it.
+            "--seed" => cfg.workload.seed = parse(&value("--seed")),
             "--frac" => cfg.workload.frac_aggregatable = parse(&value("--frac")),
             "--box-rate" => cfg.box_rate = parse::<f64>(&value("--box-rate")) * GBPS,
             "--stragglers" => cfg.workload.straggler_frac = parse(&value("--stragglers")),
@@ -159,23 +160,21 @@ fn main() {
         result.makespan * 1e3,
         result.records.len(),
     );
-    if stats.events() > 0 {
-        println!(
-            "engine: {} events ({} starts, {} completions) in {elapsed:.2?} = {:.0} events/s   \
-             re-solves {} (avg scope {:.1}, max {}, expansions {}, fallbacks {})   \
-             stale discards {}",
-            stats.events(),
-            stats.starts,
-            stats.completions,
-            stats.events() as f64 / elapsed.as_secs_f64().max(1e-9),
-            stats.resolves,
-            stats.resolved_flows as f64 / stats.resolves.max(1) as f64,
-            stats.max_scope,
-            stats.expansions,
-            stats.fallbacks,
-            stats.stale_discards,
-        );
-    }
+    println!(
+        "engine: {} events ({} starts, {} completions) in {elapsed:.2?} = {:.0} events/s   \
+         re-solves {} (avg scope {:.1}, max {}, expansions {}, fallbacks {})   \
+         stale discards {}",
+        stats.events(),
+        stats.starts,
+        stats.completions,
+        stats.events() as f64 / elapsed.as_secs_f64().max(1e-9),
+        stats.resolves,
+        stats.resolved_flows as f64 / stats.resolves.max(1) as f64,
+        stats.max_scope,
+        stats.expansions,
+        stats.fallbacks,
+        stats.stale_discards,
+    );
 
     if let Some(path) = csv_path {
         let mut out = String::from("kind,request,size_bytes,start_s,finish_s,fct_s\n");

@@ -1,11 +1,11 @@
-//! Run bookkeeping both fluid engines share: the resource table, the
-//! per-flow lifecycle with its completion cascade, the start order and the
-//! result assembly.
+//! Run bookkeeping of the fluid engine: the resource table, the per-flow
+//! lifecycle with its completion cascade, the start order and the result
+//! assembly.
 //!
-//! None of this decides a rate or an event time. Each engine keeps its own
-//! event loop, byte settlement and solver, so [`crate::EngineKind::Reference`]
-//! stays an independent second opinion on everything the parity suite
-//! compares (`tests/incremental_parity.rs`).
+//! None of this decides a rate or an event time, and both solvers of
+//! [`crate::incremental`]'s one loop run over it, so it is held to
+//! definitions rather than to their agreement: the closed forms in
+//! `engine.rs`, and `tests/maxmin.rs`, whose oracle has its own lifecycle.
 
 use crate::deployment::BoxPlacement;
 use crate::engine::{EngineError, FlowRecord, SimResult};

@@ -1,4 +1,6 @@
-//! Fluid (flow-level) discrete-event engine with TCP max-min fairness.
+//! The fluid (flow-level) model with TCP max-min fairness: what a run
+//! returns, why it may refuse to start, and the progressive-filling
+//! allocator. The event loop that drives them is [`crate::incremental`].
 //!
 //! Between events, every active flow transfers bytes at a constant rate
 //! determined by progressive-filling max-min fair allocation over all the
@@ -15,12 +17,11 @@
 //! it stops consuming bandwidth and completes the instant its last child
 //! does. This captures pipelined streaming aggregation end-to-end timing
 //! while keeping each event's rate allocation a pure max-min problem.
+//!
+//! The tests below pin that model to closed forms, for both solvers of
+//! the one loop.
 
-use crate::bookkeeping::{starts_descending, Lifecycle, ResourceTable, State};
-use crate::deployment::BoxPlacement;
-use crate::flow::{self, FlowSpec, SegmentKind};
-use crate::topology::Topology;
-use crate::ExperimentConfig;
+use crate::flow::SegmentKind;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -131,128 +132,6 @@ impl SimResult {
     }
 }
 
-/// The reference simulation engine: owns the resource capacity table.
-///
-/// This is the retained *global* solver: it recomputes progressive-filling
-/// max-min fairness over every active flow at every event. It is exact and
-/// simple but quadratic in the number of flows, so it tops out near the
-/// paper's 1,024-server scale. [`crate::incremental::IncrementalEngine`]
-/// is the production engine; this one is kept as the oracle the parity
-/// suite (`tests/incremental_parity.rs`) checks the incremental results
-/// against, and stays selectable via
-/// [`crate::EngineKind::Reference`].
-#[derive(Debug)]
-pub struct Engine {
-    table: ResourceTable,
-}
-
-impl Engine {
-    /// Build the resource capacity table for a topology and deployment.
-    ///
-    /// Panics if any resource capacity is non-positive or non-finite; use
-    /// [`Engine::try_new`] to handle that case as an error.
-    pub fn new(topo: &Topology, placement: &BoxPlacement, cfg: &ExperimentConfig) -> Self {
-        Self::try_new(topo, placement, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build the engine, rejecting zero/negative/non-finite capacities
-    /// (which would otherwise propagate NaN rates into the event queue).
-    pub fn try_new(
-        topo: &Topology,
-        placement: &BoxPlacement,
-        cfg: &ExperimentConfig,
-    ) -> Result<Self, EngineError> {
-        Ok(Self {
-            table: ResourceTable::try_new(topo, placement, cfg)?,
-        })
-    }
-
-    /// Run all flows to completion and return per-flow records plus link
-    /// traffic totals.
-    pub fn run(&mut self, flows: Vec<FlowSpec>) -> SimResult {
-        let n = flows.len();
-        let caps = &self.table.caps;
-        let res_lists = self.table.index_lists(&flows);
-        let mut life = Lifecycle::new(&flows);
-        let mut remaining: Vec<f64> = flows.iter().map(|f| f.size).collect();
-        let mut starts = starts_descending(&flows);
-
-        let mut t = 0.0f64;
-        let mut active: Vec<u32> = Vec::new();
-        let mut rates: Vec<f64> = vec![0.0; n];
-        let mut alloc = Allocator::new(caps.len());
-
-        while life.open > 0 {
-            // Admit flows starting now.
-            while let Some(&(s, i)) = starts.last() {
-                if s <= t + 1e-12 {
-                    starts.pop();
-                    let i = i as usize;
-                    debug_assert_eq!(life.state[i], State::Pending);
-                    if flow::delivered(remaining[i]) {
-                        // Zero-byte flow: treat as immediately drained.
-                        life.delivered(i as u32, t);
-                    } else {
-                        life.state[i] = State::Active;
-                        active.push(i as u32);
-                    }
-                } else {
-                    break;
-                }
-            }
-            if active.is_empty() {
-                match starts.last() {
-                    Some(&(s, _)) => {
-                        t = t.max(s);
-                        continue;
-                    }
-                    None => {
-                        // Only drained flows remain; their children are all
-                        // done (otherwise a child would be active/pending),
-                        // which the cascade would have completed. Nothing
-                        // left to do.
-                        debug_assert_eq!(life.open, 0, "drained flows stuck with open children");
-                        break;
-                    }
-                }
-            }
-
-            alloc.waterfill(&active, &res_lists, caps, &mut rates);
-
-            // Earliest event: a completion or the next start.
-            let mut dt = f64::INFINITY;
-            if let Some(&(s, _)) = starts.last() {
-                dt = dt.min(s - t);
-            }
-            for &fi in &active {
-                let f = fi as usize;
-                if rates[f] > 0.0 {
-                    dt = dt.min(remaining[f] / rates[f]);
-                }
-            }
-            assert!(
-                dt.is_finite() && dt >= 0.0,
-                "no progress possible at t={t}: {} active flows all stalled",
-                active.len()
-            );
-
-            t += dt;
-            for idx in (0..active.len()).rev() {
-                let fi = active[idx];
-                let f = fi as usize;
-                remaining[f] -= rates[f] * dt;
-                if flow::delivered(remaining[f]) {
-                    remaining[f] = 0.0;
-                    active.swap_remove(idx);
-                    life.delivered(fi, t);
-                }
-            }
-        }
-
-        self.table.result(&flows, &life.finish, t)
-    }
-}
-
 /// Heap entry for the progressive-filling allocator: the water level at
 /// which resource `res` saturates, with a version for lazy invalidation.
 struct Entry {
@@ -292,10 +171,10 @@ impl Ord for Entry {
 /// updated. Total cost per allocation is
 /// `O(sum of path lengths x log(resources))`.
 ///
-/// Shared with [`crate::incremental`]: the incremental engine re-solves a
-/// *suffix* of the allocation by seeding each touched resource's frozen
-/// sum with the bandwidth already committed to flows it keeps frozen
-/// ([`Allocator::waterfill_seeded`]).
+/// A solve covers the flows it is given and nothing else: each touched
+/// resource's frozen sum starts from the bandwidth committed to the flows
+/// left out ([`Allocator::waterfill_seeded`]), which is how
+/// [`crate::incremental`] re-rates a scope with everyone else frozen.
 pub(crate) struct Allocator {
     frozen_sum: Vec<f64>,
     live_count: Vec<u32>,
@@ -325,28 +204,17 @@ impl Allocator {
         (caps[r] - self.frozen_sum[r]).max(0.0) / self.live_count[r] as f64
     }
 
-    pub(crate) fn waterfill(
-        &mut self,
-        active: &[u32],
-        res_lists: &[Vec<u32>],
-        caps: &[f64],
-        rates: &mut [f64],
-    ) {
-        self.waterfill_seeded(active, res_lists, caps, rates, None)
-    }
-
-    /// Progressive filling over `active`, optionally seeding each touched
-    /// resource's frozen bandwidth. `frozen_base(r)` is the bandwidth of
-    /// flows using `r` that this solve treats as permanently frozen below
-    /// every level it will assign (the incremental engine's kept prefix);
-    /// `None` means no external frozen flows (a full global solve).
+    /// Progressive filling over `active`, seeding each touched resource's
+    /// frozen bandwidth: `seed[r]` is the bandwidth of flows using `r` that
+    /// are not in `active` and keep their rates (zero everywhere when
+    /// `active` is every active flow).
     pub(crate) fn waterfill_seeded(
         &mut self,
         active: &[u32],
         res_lists: &[Vec<u32>],
         caps: &[f64],
         rates: &mut [f64],
-        frozen_base: Option<&dyn Fn(usize) -> f64>,
+        seed: &[f64],
     ) {
         self.generation += 1;
         let generation = self.generation;
@@ -358,10 +226,7 @@ impl Allocator {
                 let r = r as usize;
                 if self.stamp[r] != generation {
                     self.stamp[r] = generation;
-                    self.frozen_sum[r] = match frozen_base {
-                        Some(base) => base(r),
-                        None => 0.0,
-                    };
+                    self.frozen_sum[r] = seed[r];
                     self.live_count[r] = 0;
                     self.version[r] = 0;
                     self.touched.push(r as u32);
@@ -438,12 +303,12 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::Deployment;
-    use crate::flow::FlowSpec;
+    use crate::deployment::{BoxPlacement, Deployment};
+    use crate::flow::{self, FlowSpec};
     use crate::metrics::FlowClass;
     use crate::topology::{Topology, TopologyConfig};
     use crate::workload::WorkloadConfig;
-    use crate::{Strategy, GBPS};
+    use crate::{EngineKind, EngineStats, ExperimentConfig, IncrementalEngine, Strategy, GBPS};
 
     /// No boxes deployed: flows cross links only.
     fn direct_cfg(topo: &Topology) -> ExperimentConfig {
@@ -458,20 +323,37 @@ mod tests {
         }
     }
 
-    /// Run `flows` through the oracle and through the production
-    /// `IncrementalEngine` (both built directly, so `cfg.engine` is not
-    /// consulted). The closed forms below are asserted on each result: the
-    /// parity suites compare the engines on random workloads, which cannot
-    /// catch a semantics bug the two share.
+    /// Run `flows` through the one loop under each solver, whatever
+    /// `cfg.engine` says. The closed forms below are asserted on each
+    /// result: the parity suites compare the solvers on random workloads,
+    /// which cannot catch a semantics bug the two share.
+    fn run_both_stats(
+        topo: &Topology,
+        cfg: &ExperimentConfig,
+        flows: Vec<FlowSpec>,
+    ) -> [(&'static str, SimResult, EngineStats); 2] {
+        let placement = BoxPlacement::new(topo, &cfg.deployment);
+        [
+            ("reference", EngineKind::Reference),
+            ("incremental", EngineKind::Incremental),
+        ]
+        .map(|(name, engine)| {
+            let cfg = ExperimentConfig {
+                engine,
+                ..cfg.clone()
+            };
+            let (res, stats) =
+                IncrementalEngine::new(topo, &placement, &cfg).run_stats(flows.clone());
+            (name, res, stats)
+        })
+    }
+
     fn run_both(
         topo: &Topology,
         cfg: &ExperimentConfig,
         flows: Vec<FlowSpec>,
     ) -> [(&'static str, SimResult); 2] {
-        let placement = BoxPlacement::new(topo, &cfg.deployment);
-        let reference = Engine::new(topo, &placement, cfg).run(flows.clone());
-        let incremental = crate::IncrementalEngine::new(topo, &placement, cfg).run(flows);
-        [("reference", reference), ("incremental", incremental)]
+        run_both_stats(topo, cfg, flows).map(|(name, res, _)| (name, res))
     }
 
     #[test]
@@ -481,12 +363,13 @@ mod tests {
         let size = 1e6;
         let flows = vec![FlowSpec::background(size, route.links, 0.0)];
         let expected = size / GBPS;
-        for (engine, res) in run_both(&topo, &direct_cfg(&topo), flows) {
+        for (engine, res, stats) in run_both_stats(&topo, &direct_cfg(&topo), flows) {
             let fct = res.records[0].fct();
             assert!(
                 (fct - expected).abs() < 1e-6 * expected.max(1.0) + 1e-9,
                 "{engine}: fct {fct} expected {expected}"
             );
+            assert_eq!((stats.starts, stats.completions), (1, 1), "{engine}");
         }
     }
 
@@ -715,13 +598,11 @@ mod tests {
             engine: crate::EngineKind::Reference,
         };
         let placement = BoxPlacement::new(&topo, &cfg.deployment);
-        let err = Engine::try_new(&topo, &placement, &cfg).unwrap_err();
+        let err = IncrementalEngine::try_new(&topo, &placement, &cfg).unwrap_err();
         assert!(matches!(
             err,
             EngineError::InvalidCapacity { capacity, .. } if capacity == 0.0
         ));
-        let err = crate::IncrementalEngine::try_new(&topo, &placement, &cfg).unwrap_err();
-        assert!(matches!(err, EngineError::InvalidCapacity { .. }));
         assert!(err.to_string().contains("invalid capacity"));
     }
 

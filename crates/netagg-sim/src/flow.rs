@@ -15,13 +15,11 @@ use crate::topology::LinkId;
 
 /// Byte slack below which a flow's residual is considered delivered.
 ///
-/// This is the *single* completion boundary shared by every engine
-/// (reference and incremental): admission of zero-byte flows, the
-/// completion check after advancing time, and the settle step of the
-/// incremental solver all call [`delivered`] so a residual landing exactly
-/// on the boundary is classified identically everywhere — it can neither
-/// be completed twice nor skipped (see `epsilon_boundary_*` regression
-/// tests in `engine.rs`).
+/// This is the *single* completion boundary of the engine: admission of
+/// zero-byte flows and the settle step at a projected completion both call
+/// [`delivered`], so a residual landing exactly on the boundary is
+/// classified identically everywhere — it can neither be completed twice
+/// nor skipped (see `epsilon_boundary_*` regression tests in `engine.rs`).
 pub const EPS_BYTES: f64 = 1e-3;
 
 /// Whether a residual byte count counts as fully delivered.
@@ -29,7 +27,8 @@ pub const EPS_BYTES: f64 = 1e-3;
 /// The boundary is inclusive: a residual of exactly [`EPS_BYTES`] is
 /// delivered. NaN residuals (which cannot arise once capacities are
 /// validated, see [`crate::engine::EngineError`]) compare `false` and are
-/// caught by the engines' progress asserts instead of silently completing.
+/// caught by the engine's degenerate-rate assert instead of silently
+/// completing.
 #[inline]
 pub fn delivered(remaining: f64) -> bool {
     remaining <= EPS_BYTES

@@ -1,11 +1,18 @@
-//! Incremental max-min fluid engine: event-driven, certificate-verified
-//! local repair.
+//! The fluid engine: one event loop, two rate solvers.
 //!
-//! [`crate::engine::Engine`] (the reference solver) recomputes the full
-//! progressive-filling allocation over *every* active flow at *every*
-//! event — quadratic work that tops out near the paper's 1,024-server
-//! scale. This engine reaches the 10,240-server fabric by doing three
-//! things differently:
+//! The loop is event-driven over a versioned calendar with lazily settled
+//! bytes; at each event a solver decides which flows are re-rated.
+//! `GlobalWaterfill` ([`EngineKind::Reference`]) re-rates *every* active
+//! flow at *every* event — exact by construction and quadratic, the oracle
+//! the parity suites compare against. `ScopedRepair`
+//! ([`EngineKind::Incremental`], production) re-rates the flows around the
+//! event and proves the rest may keep their rates; it reaches the
+//! 10,240-server fabric. The solver is a type parameter of the loop, so
+//! the two differ in the scope and in nothing else; what that sharing
+//! cannot witness is held to definitions instead (DESIGN.md §13 lists the
+//! evidence and the test behind each item).
+//!
+//! Three mechanisms keep per-event work proportional to what changes:
 //!
 //! 1. **Versioned calendar events** ([`crate::events`]): each active flow
 //!    has exactly one scheduled *projected completion*. When a re-solve
@@ -16,11 +23,12 @@
 //!    `(remaining, rate, settled_at)` and only folds elapsed time into
 //!    `remaining` when the flow enters a re-solve scope or completes.
 //!    Untouched flows cost nothing per event.
-//! 3. **Bottleneck-scoped re-solves**: on each event only the flows that
-//!    share a resource with the arriving/departing flows (the *scope*) are
-//!    re-solved, with every out-of-scope flow's bandwidth frozen. The
-//!    result is then checked against the max-min optimality certificate
-//!    below; only when a certificate fails does the scope expand.
+//! 3. **Bottleneck-scoped re-solves** (`ScopedRepair` only): on each event
+//!    only the flows that share a resource with the arriving/departing
+//!    flows (the *scope*) are re-solved, with every out-of-scope flow's
+//!    bandwidth frozen. The result is then checked against the max-min
+//!    optimality certificate below; only when a certificate fails does the
+//!    scope expand.
 //!
 //! # Why certificate verification makes the local repair exact
 //!
@@ -48,8 +56,8 @@
 //!   saturated resources (the flows pinning it), and the scope is
 //!   re-solved.
 //!
-//! If certificates keep failing after [`MAX_EXPANSIONS`] rounds the engine
-//! falls back to one global waterfill over all active flows, which is
+//! If certificates keep failing after [`MAX_EXPANSIONS`] rounds the solver
+//! falls back to `GlobalWaterfill`'s scope — every active flow — which is
 //! exact by construction. In practice (the benchmark's `sim.expansions`
 //! and `sim.fallbacks` ledger rows) the first scope — the bottleneck
 //! cohort of the event — verifies almost always,
@@ -64,13 +72,12 @@
 //! | `crossers[r]` lists exactly the `Active` flows using `r` | admission push / swap-remove on deactivation (slot fix-up) |
 //! | re-solve seeds are exact sums, not drifting accumulators | frozen bandwidth is re-scanned from `crossers[r]` per re-solve |
 //! | completion uses [`crate::flow::delivered`] | single shared epsilon boundary (see `flow.rs`) |
-//! | every committed allocation satisfies the max-min certificate | per-flow verification + scope expansion + global fallback |
+//! | every committed allocation satisfies the max-min certificate | per-flow verification + scope expansion + global fallback; asserted on the full rate vector in debug builds |
 //!
-//! Results match the reference engine within floating-point accumulation
-//! order (parity is pinned to 1e-6 relative by
-//! `tests/incremental_parity.rs`), and identical inputs give byte-identical
-//! [`SimResult`]s: the engine iterates only `Vec`s, never hash maps, in
-//! event order.
+//! The two solvers agree within floating-point accumulation order (parity
+//! is pinned to 1e-6 relative by `tests/incremental_parity.rs`), and
+//! identical inputs give byte-identical [`SimResult`]s: the engine
+//! iterates only `Vec`s, never hash maps, in event order.
 
 use crate::bookkeeping::{starts_descending, Lifecycle, ResourceTable, State};
 use crate::deployment::BoxPlacement;
@@ -78,7 +85,7 @@ use crate::engine::{Allocator, EngineError, SimResult};
 use crate::events::{CalendarQueue, Event};
 use crate::flow::{self, FlowSpec};
 use crate::topology::Topology;
-use crate::ExperimentConfig;
+use crate::{EngineKind, ExperimentConfig};
 
 /// Scope-expansion rounds before giving up and re-solving globally.
 pub const MAX_EXPANSIONS: u32 = 4;
@@ -238,215 +245,419 @@ fn certificate(f: u32, fl: &Flows, rt: &mut Resources, scope_id: u64) -> bool {
     })
 }
 
-fn add_to_scope(g: u32, t: f64, fl: &mut Flows, scope: &mut Vec<u32>, scope_id: u64) {
-    let gu = g as usize;
-    if fl.in_scope[gu] != scope_id {
-        fl.in_scope[gu] = scope_id;
-        fl.old_rate[gu] = fl.rate[gu];
-        fl.settle(gu, t);
-        scope.push(g);
+/// Which flows an event re-rates. The solvers share everything else — the
+/// loop, settlement, the seeded waterfill, the commit — so the oracle
+/// differs from production in the scope and in nothing besides.
+trait Solver {
+    /// Leave in `run.scope` the flows re-rated for an event at `t` that
+    /// changed the resources `seeds`, their `rate`s max-min fair given
+    /// every other flow's.
+    fn solve(run: &mut Run, t: f64, seeds: &[u32]);
+}
+
+/// [`EngineKind::Reference`]: every active flow, at every event. Exact by
+/// construction, nothing to verify, quadratic.
+struct GlobalWaterfill;
+
+impl Solver for GlobalWaterfill {
+    fn solve(run: &mut Run, t: f64, _seeds: &[u32]) {
+        run.scope_everyone(t);
+        if !run.scope.is_empty() {
+            run.waterfill();
+        }
     }
 }
 
-/// Re-solve the allocation around an event at time `t`.
-///
-/// `seeds` are the resources the event itself changed (the departed
-/// flow's path, or the union of newly admitted paths); the initial scope
-/// is their full crosser set. Solve locally (out-of-scope rates frozen),
-/// verify certificates, expand on failure, fall back to a global solve
-/// after [`MAX_EXPANSIONS`] rounds, then commit: bump versions and push
-/// fresh events for every flow whose rate changed bitwise.
-#[allow(clippy::too_many_arguments)]
-fn resolve(
-    t: f64,
-    seeds: &[u32],
-    fl: &mut Flows,
-    rt: &mut Resources,
-    scope: &mut Vec<u32>,
-    touched: &mut Vec<u32>,
-    flagged: &mut Vec<u32>,
-    failures: &mut Vec<u32>,
-    active_list: &[u32],
-    alloc: &mut Allocator,
-    queue: &mut Option<CalendarQueue>,
-    scope_id: &mut u64,
-    stats: &mut EngineStats,
-) {
-    *scope_id += 1;
-    let sid = *scope_id;
-    scope.clear();
-    for &r in seeds {
-        for i in 0..rt.crossers[r as usize].len() {
-            let (g, _) = rt.crossers[r as usize][i];
-            add_to_scope(g, t, fl, scope, sid);
+/// [`EngineKind::Incremental`]: the crossers of `seeds` (the departed
+/// flow's path, or the union of newly admitted paths). Solve locally
+/// (out-of-scope rates frozen), verify certificates, expand on failure,
+/// fall back to [`GlobalWaterfill`]'s scope after [`MAX_EXPANSIONS`]
+/// rounds.
+struct ScopedRepair;
+
+impl Solver for ScopedRepair {
+    fn solve(run: &mut Run, t: f64, seeds: &[u32]) {
+        for &r in seeds {
+            for i in 0..run.rt.crossers[r as usize].len() {
+                let (g, _) = run.rt.crossers[r as usize][i];
+                run.add_to_scope(g, t);
+            }
+        }
+        if run.scope.is_empty() {
+            return;
+        }
+        let sid = run.scope_id;
+        let mut round = 0u32;
+        loop {
+            run.waterfill();
+            if run.scope.len() == run.active_list.len() {
+                break; // Global solve: exact by construction, nothing to verify.
+            }
+            if round > MAX_EXPANSIONS {
+                run.stats.fallbacks += 1;
+                run.scope_everyone(t);
+                continue; // Next round is the global solve and breaks above.
+            }
+            let Run {
+                fl,
+                rt,
+                scope,
+                touched,
+                flagged,
+                failures,
+                ..
+            } = run;
+
+            // Verify pass. Flagged resources: the seeds themselves, plus any
+            // touched resource whose crosser-maximum rose or whose saturation
+            // was lost — the only two changes that can break a frozen flow's
+            // existing certificate.
+            rt.gen += 1;
+            flagged.clear();
+            for &r in seeds {
+                if rt.flag_stamp[r as usize] != rt.gen {
+                    rt.flag_stamp[r as usize] = rt.gen;
+                    flagged.push(r);
+                }
+            }
+            for &r in touched.iter() {
+                let r = r as usize;
+                if rt.flag_stamp[r] == rt.gen {
+                    continue;
+                }
+                rt.ensure(r, fl, sid);
+                if rt.max_new[r] > rt.max_old[r] || (rt.saturated_old(r) && !rt.saturated_new(r)) {
+                    rt.flag_stamp[r] = rt.gen;
+                    flagged.push(r as u32);
+                }
+            }
+            failures.clear();
+            for &f in scope.iter() {
+                if !certificate(f, fl, rt, sid) {
+                    failures.push(f);
+                }
+            }
+            for &r in flagged.iter() {
+                let r = r as usize;
+                for j in 0..rt.crossers[r].len() {
+                    let (g, _) = rt.crossers[r][j];
+                    let gu = g as usize;
+                    if fl.in_scope[gu] == sid || fl.checked[gu] == rt.gen {
+                        continue;
+                    }
+                    fl.checked[gu] = rt.gen;
+                    if !certificate(g, fl, rt, sid) {
+                        failures.push(g);
+                    }
+                }
+            }
+            if failures.is_empty() {
+                break;
+            }
+
+            // Expansion: each failing flow joins the scope along with the
+            // blockers pinning it — every crosser of its saturated resources.
+            run.stats.expansions += 1;
+            let before = run.scope.len();
+            for i in 0..run.failures.len() {
+                let f = run.failures[i];
+                run.add_to_scope(f, t);
+                for j in 0..run.fl.res[f as usize].len() {
+                    let r = run.fl.res[f as usize][j] as usize;
+                    run.rt.ensure(r, &run.fl, sid);
+                    if !run.rt.saturated_new(r) {
+                        continue;
+                    }
+                    for k in 0..run.rt.crossers[r].len() {
+                        let (g, _) = run.rt.crossers[r][k];
+                        run.add_to_scope(g, t);
+                    }
+                }
+            }
+            if run.scope.len() == before {
+                // Nothing new to add locally; only the global solve can fix it.
+                round = MAX_EXPANSIONS;
+            }
+            round += 1;
         }
     }
-    if scope.is_empty() {
-        return;
-    }
-    stats.resolves += 1;
+}
 
-    let mut round = 0u32;
-    loop {
+/// Rate state of one run: which flows are active, at what rate, with
+/// which projected completion. The event loop
+/// ([`IncrementalEngine::run_stats`]) owns the clock and the
+/// [`Lifecycle`]; everything a re-solve reads or writes is here.
+struct Run {
+    fl: Flows,
+    rt: Resources,
+    active_list: Vec<u32>,
+    /// Each active flow's position in `active_list` (`u32::MAX` otherwise).
+    active_pos: Vec<u32>,
+    alloc: Allocator,
+    queue: Option<CalendarQueue>,
+    /// Resources changed since the last re-solve: `admit` and `complete`
+    /// fill it, `resolve` consumes it.
+    seeds: Vec<u32>,
+    // Scratch reused across re-solves.
+    scope: Vec<u32>,
+    touched: Vec<u32>,
+    flagged: Vec<u32>,
+    failures: Vec<u32>,
+    scope_id: u64,
+    stats: EngineStats,
+}
+
+impl Run {
+    fn new(caps: Vec<f64>, res_lists: Vec<Vec<u32>>, flows: &[FlowSpec]) -> Self {
+        let n = flows.len();
+        Self {
+            fl: Flows {
+                slot: res_lists.iter().map(|l| vec![0; l.len()]).collect(),
+                res: res_lists,
+                remaining: flows.iter().map(|f| f.size).collect(),
+                settled_at: vec![0.0; n],
+                rate: vec![0.0; n],
+                old_rate: vec![0.0; n],
+                version: vec![0; n],
+                in_scope: vec![0; n],
+                checked: vec![0; n],
+            },
+            active_list: Vec::new(),
+            active_pos: vec![u32::MAX; n],
+            alloc: Allocator::new(caps.len()),
+            rt: Resources::new(caps),
+            queue: None,
+            seeds: Vec::new(),
+            scope: Vec::new(),
+            touched: Vec::new(),
+            flagged: Vec::new(),
+            failures: Vec::new(),
+            scope_id: 0,
+            stats: EngineStats::default(),
+        }
+    }
+
+    /// Flow `i` starts transferring. Its path is seeded, so the re-solve
+    /// that follows has it in scope: entering settles it (at rate 0, which
+    /// only stamps `settled_at`) before it is given a rate.
+    fn admit(&mut self, i: u32) {
+        let iu = i as usize;
+        for (j, &r) in self.fl.res[iu].iter().enumerate() {
+            self.fl.slot[iu][j] = self.rt.crossers[r as usize].len() as u32;
+            self.rt.crossers[r as usize].push((i, j as u32));
+        }
+        self.active_pos[iu] = self.active_list.len() as u32;
+        self.active_list.push(i);
+        self.seeds.extend_from_slice(&self.fl.res[iu]);
+    }
+
+    /// The projected completion `ev` fired at `t`. Returns whether the flow
+    /// pushed its last byte (and left the allocation) or was rescheduled.
+    fn complete(&mut self, ev: Event, t: f64) -> bool {
+        self.stats.completions += 1;
+        let (fl, rt) = (&mut self.fl, &mut self.rt);
+        let f = ev.flow as usize;
+        fl.settle(f, t);
+        if !flow::delivered(fl.remaining[f]) {
+            // Settlement rounding left residual bytes: reschedule.
+            self.stats.spurious_wakeups += 1;
+            fl.version[f] += 1;
+            self.queue
+                .as_mut()
+                .expect("queue produced an event")
+                .push(Event {
+                    time: t + fl.remaining[f] / fl.rate[f],
+                    flow: ev.flow,
+                    version: fl.version[f],
+                });
+            return false;
+        }
+        fl.remaining[f] = 0.0;
+        // Deactivate: release the flow's crosser slots and list entry.
+        for j in 0..fl.res[f].len() {
+            let r = fl.res[f][j] as usize;
+            let s = fl.slot[f][j] as usize;
+            rt.crossers[r].swap_remove(s);
+            if let Some(&(mf, mj)) = rt.crossers[r].get(s) {
+                fl.slot[mf as usize][mj as usize] = s as u32;
+            }
+        }
+        let pos = self.active_pos[f] as usize;
+        self.active_list.swap_remove(pos);
+        if let Some(&moved) = self.active_list.get(pos) {
+            self.active_pos[moved as usize] = pos as u32;
+        }
+        self.active_pos[f] = u32::MAX;
+        fl.rate[f] = 0.0;
+        fl.version[f] += 1;
+        // The freed capacity is on the departed flow's path.
+        self.seeds.extend_from_slice(&fl.res[f]);
+        true
+    }
+
+    fn add_to_scope(&mut self, g: u32, t: f64) {
+        let gu = g as usize;
+        if self.fl.in_scope[gu] != self.scope_id {
+            self.fl.in_scope[gu] = self.scope_id;
+            self.fl.old_rate[gu] = self.fl.rate[gu];
+            self.fl.settle(gu, t);
+            self.scope.push(g);
+        }
+    }
+
+    fn scope_everyone(&mut self, t: f64) {
+        for i in 0..self.active_list.len() {
+            self.add_to_scope(self.active_list[i], t);
+        }
+    }
+
+    /// Progressive filling over `scope` with every out-of-scope rate
+    /// frozen.
+    fn waterfill(&mut self) {
+        let (fl, rt, sid) = (&mut self.fl, &mut self.rt, self.scope_id);
         // Deterministic input order: the waterfill's FP accumulation (and
         // thus the byte-identical-result fence) must not depend on crosser
         // list history.
-        scope.sort_unstable();
-        stats.resolved_flows += scope.len() as u64;
-        stats.max_scope = stats.max_scope.max(scope.len() as u64);
+        self.scope.sort_unstable();
+        self.stats.resolved_flows += self.scope.len() as u64;
+        self.stats.max_scope = self.stats.max_scope.max(self.scope.len() as u64);
 
         // Seed pass: exact frozen-bandwidth re-scan per touched resource
         // (out-of-scope crossers keep their committed rates, so seeds never
-        // accumulate drift across re-solves).
+        // accumulate drift across re-solves). Nobody is out of a scope that
+        // is everyone: nothing to scan.
+        let everyone = self.scope.len() == self.active_list.len();
         rt.gen += 1;
-        touched.clear();
-        for &f in scope.iter() {
+        self.touched.clear();
+        for &f in self.scope.iter() {
             for &r in &fl.res[f as usize] {
                 let r = r as usize;
                 if rt.stamp[r] != rt.gen {
                     rt.stamp[r] = rt.gen;
-                    touched.push(r as u32);
+                    self.touched.push(r as u32);
                     let mut frozen = 0.0;
-                    for &(g, _) in &rt.crossers[r] {
-                        if fl.in_scope[g as usize] != sid {
-                            frozen += fl.rate[g as usize];
+                    if !everyone {
+                        for &(g, _) in &rt.crossers[r] {
+                            if fl.in_scope[g as usize] != sid {
+                                frozen += fl.rate[g as usize];
+                            }
                         }
                     }
                     rt.seed[r] = frozen;
                 }
             }
         }
-        {
-            let seed = &rt.seed;
-            let base = |r: usize| seed[r].max(0.0);
-            alloc.waterfill_seeded(scope, &fl.res, &rt.caps, &mut fl.rate, Some(&base));
-        }
-
-        if scope.len() == active_list.len() {
-            break; // Global solve: exact by construction, nothing to verify.
-        }
-        if round > MAX_EXPANSIONS {
-            stats.fallbacks += 1;
-            for &g in active_list {
-                add_to_scope(g, t, fl, scope, sid);
-            }
-            continue; // Next round is the global solve and breaks above.
-        }
-
-        // Verify pass. Flagged resources: the seeds themselves, plus any
-        // touched resource whose crosser-maximum rose or whose saturation
-        // was lost — the only two changes that can break a frozen flow's
-        // existing certificate.
-        rt.gen += 1;
-        flagged.clear();
-        for &r in seeds {
-            if rt.flag_stamp[r as usize] != rt.gen {
-                rt.flag_stamp[r as usize] = rt.gen;
-                flagged.push(r);
-            }
-        }
-        for &r in touched.iter() {
-            let r = r as usize;
-            if rt.flag_stamp[r] == rt.gen {
-                continue;
-            }
-            rt.ensure(r, fl, sid);
-            if rt.max_new[r] > rt.max_old[r] || (rt.saturated_old(r) && !rt.saturated_new(r)) {
-                rt.flag_stamp[r] = rt.gen;
-                flagged.push(r as u32);
-            }
-        }
-        failures.clear();
-        for &f in scope.iter() {
-            if !certificate(f, fl, rt, sid) {
-                failures.push(f);
-            }
-        }
-        for &r in flagged.iter() {
-            let r = r as usize;
-            for j in 0..rt.crossers[r].len() {
-                let (g, _) = rt.crossers[r][j];
-                let gu = g as usize;
-                if fl.in_scope[gu] == sid || fl.checked[gu] == rt.gen {
-                    continue;
-                }
-                fl.checked[gu] = rt.gen;
-                if !certificate(g, fl, rt, sid) {
-                    failures.push(g);
-                }
-            }
-        }
-        if failures.is_empty() {
-            break;
-        }
-
-        // Expansion: each failing flow joins the scope along with the
-        // blockers pinning it — every crosser of its saturated resources.
-        stats.expansions += 1;
-        let before = scope.len();
-        for &f in failures.iter() {
-            add_to_scope(f, t, fl, scope, sid);
-            for j in 0..fl.res[f as usize].len() {
-                let r = fl.res[f as usize][j] as usize;
-                rt.ensure(r, fl, sid);
-                if !rt.saturated_new(r) {
-                    continue;
-                }
-                for k in 0..rt.crossers[r].len() {
-                    let (g, _) = rt.crossers[r][k];
-                    add_to_scope(g, t, fl, scope, sid);
-                }
-            }
-        }
-        if scope.len() == before {
-            // Nothing new to add locally; only the global solve can fix it.
-            round = MAX_EXPANSIONS;
-        }
-        round += 1;
+        self.alloc
+            .waterfill_seeded(&self.scope, &fl.res, &rt.caps, &mut fl.rate, &rt.seed);
     }
 
-    // Commit: reschedule exactly the flows whose rate changed bitwise; an
-    // unchanged flow's scheduled event still fires at the right absolute
-    // time (linear drain), so it is kept.
-    for &f in scope.iter() {
-        let fu = f as usize;
-        let (old, new) = (fl.old_rate[fu], fl.rate[fu]);
-        if new.to_bits() == old.to_bits() {
-            continue;
+    /// Re-solve the allocation around the event at `t` that changed
+    /// `seeds`, then commit: bump versions and push fresh events for every
+    /// flow whose rate changed bitwise.
+    fn resolve<S: Solver>(&mut self, t: f64) {
+        self.scope_id += 1;
+        self.scope.clear();
+        let mut seeds = std::mem::take(&mut self.seeds);
+        S::solve(self, t, &seeds);
+        seeds.clear();
+        self.seeds = seeds;
+        if self.scope.is_empty() {
+            return;
         }
-        assert!(
-            new.is_finite() && new > 0.0,
-            "re-solve assigned degenerate rate {new} to flow {f} at t={t}"
-        );
-        fl.version[fu] += 1;
-        let ev = Event {
-            time: t + fl.remaining[fu] / new,
-            flow: f,
-            version: fl.version[fu],
-        };
-        let q = queue.get_or_insert_with(|| {
-            // First-ever schedule: size the calendar from this batch's
-            // projected completions. Mis-tuning degrades to linear bucket
-            // scans / cursor jumps, never wrong order.
-            let k = scope.len();
-            let mean_dt = scope
-                .iter()
-                .map(|&f| fl.remaining[f as usize] / fl.rate[f as usize].max(1e-30))
-                .sum::<f64>()
-                / k as f64;
-            let width = (mean_dt / 4.0).max(1e-9);
-            CalendarQueue::new((2 * k).clamp(64, 1 << 17), width)
-        });
-        q.push(ev);
+        self.stats.resolves += 1;
+        #[cfg(debug_assertions)]
+        self.assert_max_min(t);
+
+        // Reschedule exactly the flows whose rate changed bitwise; an
+        // unchanged flow's scheduled event still fires at the right absolute
+        // time (linear drain), so it is kept.
+        let (fl, scope) = (&mut self.fl, &self.scope);
+        for &f in scope.iter() {
+            let fu = f as usize;
+            let (old, new) = (fl.old_rate[fu], fl.rate[fu]);
+            if new.to_bits() == old.to_bits() {
+                continue;
+            }
+            assert!(
+                new.is_finite() && new > 0.0,
+                "re-solve assigned degenerate rate {new} to flow {f} at t={t}"
+            );
+            fl.version[fu] += 1;
+            let ev = Event {
+                time: t + fl.remaining[fu] / new,
+                flow: f,
+                version: fl.version[fu],
+            };
+            let q = self.queue.get_or_insert_with(|| {
+                // First-ever schedule: size the calendar from this batch's
+                // projected completions. Mis-tuning degrades to linear bucket
+                // scans / cursor jumps, never wrong order.
+                let k = scope.len();
+                let mean_dt = scope
+                    .iter()
+                    .map(|&f| fl.remaining[f as usize] / fl.rate[f as usize].max(1e-30))
+                    .sum::<f64>()
+                    / k as f64;
+                let width = (mean_dt / 4.0).max(1e-9);
+                CalendarQueue::new((2 * k).clamp(64, 1 << 17), width)
+            });
+            q.push(ev);
+        }
+    }
+
+    /// The definition of max-min fairness (Bertsekas & Gallager §6.5.2) on
+    /// the *whole* rate vector, after every committed re-solve of either
+    /// solver, debug builds only: no resource over capacity, and every
+    /// active flow crosses a saturated resource on which its rate is
+    /// maximal. Loads and maxima are rebuilt from the active flows' paths
+    /// (into `rt`'s memo columns, stale by now) — not by [`certificate`],
+    /// not from the crosser lists.
+    #[cfg(debug_assertions)]
+    fn assert_max_min(&mut self, t: f64) {
+        let (fl, rt) = (&self.fl, &mut self.rt);
+        rt.gen += 1;
+        for &f in &self.active_list {
+            for &r in &fl.res[f as usize] {
+                let r = r as usize;
+                if rt.stamp[r] != rt.gen {
+                    rt.stamp[r] = rt.gen;
+                    (rt.sum_new[r], rt.max_new[r]) = (0.0, 0.0);
+                }
+                rt.sum_new[r] += fl.rate[f as usize];
+                rt.max_new[r] = rt.max_new[r].max(fl.rate[f as usize]);
+            }
+        }
+        for &f in &self.active_list {
+            let x = fl.rate[f as usize];
+            let mut bottlenecked = false;
+            for &r in &fl.res[f as usize] {
+                let r = r as usize;
+                let (load, cap) = (rt.sum_new[r], rt.caps[r]);
+                assert!(
+                    load <= cap * (1.0 + CERT_TOL),
+                    "t={t}: resource {r} (crossed by flow {f}) carries {load} over capacity {cap}"
+                );
+                bottlenecked |=
+                    load >= cap * (1.0 - CERT_TOL) && x >= rt.max_new[r] * (1.0 - CERT_TOL);
+            }
+            assert!(
+                bottlenecked,
+                "t={t}: flow {f} at rate {x} has no bottleneck on its path {:?}",
+                fl.res[f as usize]
+            );
+        }
     }
 }
 
-/// The production engine: same fluid model and capacity table as
-/// [`crate::engine::Engine`], selectable via
-/// [`crate::EngineKind::Incremental`] (the default).
+/// The fluid engine: one event loop over the versioned calendar, with the
+/// rate solver chosen by [`ExperimentConfig::engine`] —
+/// [`EngineKind::Incremental`] (the default) repairs a scope,
+/// [`EngineKind::Reference`] re-solves every active flow at every event
+/// and is the oracle the parity suites compare against.
 #[derive(Debug)]
 pub struct IncrementalEngine {
     table: ResourceTable,
+    solver: EngineKind,
 }
 
 impl IncrementalEngine {
@@ -466,6 +677,7 @@ impl IncrementalEngine {
     ) -> Result<Self, EngineError> {
         Ok(Self {
             table: ResourceTable::try_new(topo, placement, cfg)?,
+            solver: cfg.engine,
         })
     }
 
@@ -476,91 +688,50 @@ impl IncrementalEngine {
 
     /// Run all flows to completion, also returning event/re-solve counters.
     pub fn run_stats(&mut self, flows: Vec<FlowSpec>) -> (SimResult, EngineStats) {
-        let n = flows.len();
-        let res_lists = self.table.index_lists(&flows);
+        match self.solver {
+            EngineKind::Incremental => self.run_with::<ScopedRepair>(flows),
+            EngineKind::Reference => self.run_with::<GlobalWaterfill>(flows),
+        }
+    }
+
+    fn run_with<S: Solver>(&self, flows: Vec<FlowSpec>) -> (SimResult, EngineStats) {
         let mut life = Lifecycle::new(&flows);
-
-        let mut fl = Flows {
-            slot: res_lists.iter().map(|l| vec![0; l.len()]).collect(),
-            res: res_lists,
-            remaining: flows.iter().map(|f| f.size).collect(),
-            settled_at: vec![0.0; n],
-            rate: vec![0.0; n],
-            old_rate: vec![0.0; n],
-            version: vec![0; n],
-            in_scope: vec![0; n],
-            checked: vec![0; n],
-        };
-        let mut rt = Resources::new(self.table.caps.clone());
-
-        let mut active_list: Vec<u32> = Vec::new();
-        let mut active_pos: Vec<u32> = vec![u32::MAX; n];
-        let mut alloc = Allocator::new(rt.caps.len());
-        let mut queue: Option<CalendarQueue> = None;
-
-        // Scratch buffers reused across re-solves.
-        let mut scope: Vec<u32> = Vec::new();
-        let mut touched: Vec<u32> = Vec::new();
-        let mut flagged: Vec<u32> = Vec::new();
-        let mut failures: Vec<u32> = Vec::new();
-        let mut seeds: Vec<u32> = Vec::new();
-        let mut scope_id = 0u64;
-
-        let mut stats = EngineStats::default();
-
         let mut starts = starts_descending(&flows);
+        let mut run = Run::new(
+            self.table.caps.clone(),
+            self.table.index_lists(&flows),
+            &flows,
+        );
 
         let mut t = 0.0f64;
         while life.open > 0 {
-            // Admit every flow starting now (same 1e-12 slack as the
-            // reference engine's event batching).
-            seeds.clear();
+            // Admit every flow starting now; 1e-12 of slack batches starts
+            // that differ by rounding only.
             while let Some(&(s, i)) = starts.last() {
                 if s > t + 1e-12 {
                     break;
                 }
                 starts.pop();
-                stats.starts += 1;
-                let iu = i as usize;
-                debug_assert_eq!(life.state[iu], State::Pending);
-                if flow::delivered(fl.remaining[iu]) {
+                run.stats.starts += 1;
+                debug_assert_eq!(life.state[i as usize], State::Pending);
+                if flow::delivered(flows[i as usize].size) {
                     // Zero-byte flow: immediately drained.
                     life.delivered(i, t);
                 } else {
-                    life.state[iu] = State::Active;
-                    fl.settled_at[iu] = t;
-                    for (j, &r) in fl.res[iu].iter().enumerate() {
-                        fl.slot[iu][j] = rt.crossers[r as usize].len() as u32;
-                        rt.crossers[r as usize].push((i, j as u32));
-                    }
-                    active_pos[iu] = active_list.len() as u32;
-                    active_list.push(i);
-                    seeds.extend_from_slice(&fl.res[iu]);
+                    life.state[i as usize] = State::Active;
+                    run.admit(i);
                 }
             }
-            if !seeds.is_empty() {
-                seeds.sort_unstable();
-                seeds.dedup();
-                resolve(
-                    t,
-                    &seeds,
-                    &mut fl,
-                    &mut rt,
-                    &mut scope,
-                    &mut touched,
-                    &mut flagged,
-                    &mut failures,
-                    &active_list,
-                    &mut alloc,
-                    &mut queue,
-                    &mut scope_id,
-                    &mut stats,
-                );
+            if !run.seeds.is_empty() {
+                // Admitted paths overlap: each seed resource once.
+                run.seeds.sort_unstable();
+                run.seeds.dedup();
+                run.resolve::<S>(t);
             }
 
             // Next event: earliest projected completion vs. next start.
             let next_start = starts.last().map(|&(s, _)| s);
-            let ev = queue.as_mut().and_then(|q| q.pop_min(&fl.version));
+            let ev = run.queue.as_mut().and_then(|q| q.pop_min(&run.fl.version));
             let ev = match (ev, next_start) {
                 (None, None) => {
                     // Only drained flows could remain, and the cascade has
@@ -575,169 +746,31 @@ impl IncrementalEngine {
                 (Some(e), Some(s)) if s < e.time => {
                     // The start comes first; the popped event is still
                     // valid, so put it back untouched.
-                    queue.as_mut().expect("queue produced an event").push(e);
+                    run.queue.as_mut().expect("queue produced an event").push(e);
                     t = t.max(s);
                     continue;
                 }
                 (Some(e), _) => e,
             };
 
-            stats.completions += 1;
             t = t.max(ev.time);
-            let f = ev.flow as usize;
-            debug_assert_eq!(life.state[f], State::Active);
-            fl.settle(f, t);
-            if !flow::delivered(fl.remaining[f]) {
-                // Settlement rounding left residual bytes: reschedule.
-                stats.spurious_wakeups += 1;
-                fl.version[f] += 1;
-                queue
-                    .as_mut()
-                    .expect("queue produced an event")
-                    .push(Event {
-                        time: t + fl.remaining[f] / fl.rate[f],
-                        flow: ev.flow,
-                        version: fl.version[f],
-                    });
-                continue;
+            debug_assert_eq!(life.state[ev.flow as usize], State::Active);
+            if run.complete(ev, t) {
+                life.delivered(ev.flow, t);
+                run.resolve::<S>(t);
             }
-            fl.remaining[f] = 0.0;
-            // Deactivate: release the flow's crosser slots and list entry.
-            for j in 0..fl.res[f].len() {
-                let r = fl.res[f][j] as usize;
-                let s = fl.slot[f][j] as usize;
-                rt.crossers[r].swap_remove(s);
-                if let Some(&(mf, mj)) = rt.crossers[r].get(s) {
-                    fl.slot[mf as usize][mj as usize] = s as u32;
-                }
-            }
-            let pos = active_pos[f] as usize;
-            active_list.swap_remove(pos);
-            if let Some(&moved) = active_list.get(pos) {
-                active_pos[moved as usize] = pos as u32;
-            }
-            active_pos[f] = u32::MAX;
-            fl.rate[f] = 0.0;
-            fl.version[f] += 1;
-            life.delivered(ev.flow, t);
-
-            // Re-solve around the freed capacity: the departed flow's path.
-            seeds.clear();
-            seeds.extend_from_slice(&fl.res[f]);
-            resolve(
-                t,
-                &seeds,
-                &mut fl,
-                &mut rt,
-                &mut scope,
-                &mut touched,
-                &mut flagged,
-                &mut failures,
-                &active_list,
-                &mut alloc,
-                &mut queue,
-                &mut scope_id,
-                &mut stats,
-            );
         }
-        if let Some(q) = &queue {
-            stats.stale_discards = q.stale_discards();
+        if let Some(q) = &run.queue {
+            run.stats.stale_discards = q.stale_discards();
         }
 
-        (self.table.result(&flows, &life.finish, t), stats)
+        (self.table.result(&flows, &life.finish, t), run.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::Deployment;
-    use crate::flow::{Resource, SegmentKind};
-    use crate::topology::TopologyConfig;
-    use crate::{EngineKind, Strategy, GBPS};
-
-    fn quick_cfg() -> (crate::Topology, ExperimentConfig) {
-        let topo = crate::Topology::build(&TopologyConfig::quick());
-        let cfg = ExperimentConfig {
-            topology: topo.config.clone(),
-            workload: crate::WorkloadConfig::default(),
-            strategy: Strategy::Direct,
-            deployment: Deployment::None,
-            box_rate: 9.2 * GBPS,
-            box_link: 10.0 * GBPS,
-            engine: EngineKind::Incremental,
-        };
-        (topo, cfg)
-    }
-
-    #[test]
-    fn single_flow_matches_closed_form() {
-        let (topo, cfg) = quick_cfg();
-        let placement = BoxPlacement::new(&topo, &cfg.deployment);
-        let mut eng = IncrementalEngine::new(&topo, &placement, &cfg);
-        let route = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
-        let size = 1e6;
-        let (res, stats) = eng.run_stats(vec![FlowSpec::background(size, route.links, 0.0)]);
-        let expected = size / GBPS;
-        let fct = res.records[0].fct();
-        assert!(
-            (fct - expected).abs() < 1e-6 * expected,
-            "fct {fct} expected {expected}"
-        );
-        assert_eq!(stats.starts, 1);
-        assert_eq!(stats.completions, 1);
-    }
-
-    #[test]
-    fn staggered_sharing_matches_reference_staircase() {
-        let (topo, cfg) = quick_cfg();
-        let placement = BoxPlacement::new(&topo, &cfg.deployment);
-        let mut eng = IncrementalEngine::new(&topo, &placement, &cfg);
-        let r1 = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
-        let r2 = crate::routing::server_route(&topo, topo.server(2), topo.server(1), 0);
-        let res = eng.run(vec![
-            FlowSpec::background(1e6, r1.links, 0.0),
-            FlowSpec::background(3e6, r2.links, 0.0),
-        ]);
-        let t_short = 2e6 / GBPS;
-        let t_long = 4e6 / GBPS;
-        assert!((res.records[0].fct() - t_short).abs() < 1e-6 * t_short);
-        assert!((res.records[1].fct() - t_long).abs() < 1e-6 * t_long);
-    }
-
-    #[test]
-    fn completion_gating_matches_reference() {
-        let (topo, cfg) = quick_cfg();
-        let placement = BoxPlacement::new(&topo, &cfg.deployment);
-        let mut eng = IncrementalEngine::new(&topo, &placement, &cfg);
-        let rin = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
-        let rout = crate::routing::server_route(&topo, topo.server(1), topo.server(2), 0);
-        let child = FlowSpec::leaf(
-            2e6,
-            rin.links.into_iter().map(Resource::Link).collect(),
-            0.0,
-            SegmentKind::WorkerPartial,
-            0,
-        );
-        let parent = FlowSpec {
-            size: 1e6,
-            resources: rout.links.into_iter().map(Resource::Link).collect(),
-            children: vec![0],
-            alpha: 0.5,
-            local_input: 0.0,
-            start: 0.0,
-            kind: SegmentKind::AggregatedOutput,
-            request: Some(0),
-        };
-        let res = eng.run(vec![child, parent]);
-        let t_child = 2e6 / GBPS;
-        assert!((res.records[0].fct() - t_child).abs() < 1e-6 * t_child);
-        assert!(
-            (res.records[1].finish - t_child).abs() < 1e-6 * t_child,
-            "parent finish {} expected {t_child}",
-            res.records[1].finish,
-        );
-    }
 
     /// The squeeze cascade: removing a flow can *lower* a third party's
     /// rate (max-min is not monotone under removal). A departure on one
@@ -747,23 +780,35 @@ mod tests {
     /// path.
     #[test]
     fn certificate_expansion_squeezes_third_party() {
-        let (topo, cfg) = quick_cfg();
+        let cfg = ExperimentConfig {
+            strategy: crate::Strategy::Direct,
+            deployment: crate::Deployment::None,
+            ..ExperimentConfig::quick()
+        };
+        let topo = Topology::build(&cfg.topology);
         let placement = BoxPlacement::new(&topo, &cfg.deployment);
         let ra = crate::routing::server_route(&topo, topo.server(0), topo.server(1), 0);
         let rb = crate::routing::server_route(&topo, topo.server(0), topo.server(2), 0);
         let rc = crate::routing::server_route(&topo, topo.server(3), topo.server(2), 0);
-        // C (small, into server 2) finishes first; its departure frees
-        // server 2's downlink, B rises to its server-0-uplink share and
-        // squeezes A, which shares only that uplink with B.
+        let rd = crate::routing::server_route(&topo, topo.server(4), topo.server(2), 0);
+        // B, C and D share server 2's downlink at 1/3 each, so A has 2/3 of
+        // server 0's uplink. C (small) finishes first; its departure frees
+        // a third of the downlink, B rises to half the uplink and squeezes
+        // A, which shares only that uplink with B.
         let specs = vec![
             FlowSpec::background(8e6, ra.links.clone(), 0.0),
             FlowSpec::background(8e6, rb.links.clone(), 0.0),
             FlowSpec::background(1e6, rc.links.clone(), 0.0),
+            FlowSpec::background(8e6, rd.links.clone(), 0.0),
         ];
         let mut inc = IncrementalEngine::new(&topo, &placement, &cfg);
-        let got = inc.run(specs.clone());
-        let mut reference = crate::engine::Engine::new(&topo, &placement, &cfg);
-        let want = reference.run(specs);
+        let (got, stats) = inc.run_stats(specs.clone());
+        assert!(stats.expansions > 0, "the scope had to grow: {stats:?}");
+        let global = ExperimentConfig {
+            engine: EngineKind::Reference,
+            ..cfg
+        };
+        let want = IncrementalEngine::new(&topo, &placement, &global).run(specs);
         for (i, (a, b)) in got.records.iter().zip(&want.records).enumerate() {
             assert!(
                 (a.finish - b.finish).abs() <= 1e-6 * b.finish.max(1e-9),

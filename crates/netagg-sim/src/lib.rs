@@ -38,7 +38,7 @@ pub mod workload;
 pub use aggregation::Strategy;
 pub use cost::{CostModel, UpgradeOption};
 pub use deployment::{BoxPlacement, Deployment};
-pub use engine::{Engine, EngineError, SimResult};
+pub use engine::{EngineError, SimResult};
 pub use flow::{FlowId, FlowSpec, SegmentKind};
 pub use incremental::{EngineStats, IncrementalEngine};
 pub use metrics::{FlowClass, Metrics};
@@ -49,20 +49,20 @@ pub use workload::{ArrivalProcess, Request, Workload, WorkloadConfig};
 /// network link capacities).
 pub const GBPS: f64 = 1e9 / 8.0;
 
-/// Which fluid solver runs the experiment.
+/// Which rate solver [`IncrementalEngine`]'s event loop runs.
 ///
-/// Both engines implement the same fluid max-min model and agree within
+/// Both compute the max-min fair allocation and agree within
 /// floating-point accumulation order (pinned to 1e-6 relative by
-/// `tests/incremental_parity.rs`); they differ only in asymptotics.
+/// `tests/incremental_parity.rs`); they differ in which flows an event
+/// re-rates, hence in asymptotics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum EngineKind {
-    /// Event-driven incremental solver with certificate-verified local
-    /// repair ([`IncrementalEngine`]): the production engine, scales to
-    /// the 10,240-server fabric.
+    /// Certificate-verified local repair of the flows around the event:
+    /// the production solver, scales to the 10,240-server fabric.
     #[default]
     Incremental,
-    /// Global per-event re-solve ([`Engine`]): simple and quadratic; kept
-    /// as the oracle for parity testing and small topologies.
+    /// Every active flow at every event: exact by construction and
+    /// quadratic; the oracle for parity testing and small topologies.
     Reference,
 }
 
@@ -81,7 +81,7 @@ pub struct ExperimentConfig {
     pub box_rate: f64,
     /// Capacity of the link attaching an agg box to its switch, bytes/s.
     pub box_link: f64,
-    /// Which fluid solver to run (incremental by default).
+    /// Which rate solver to run (incremental by default).
     pub engine: EngineKind,
 }
 
@@ -128,23 +128,13 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> SimResult {
 }
 
 /// Like [`run_experiment`], additionally returning the engine's event and
-/// re-solve counters (all zero for [`EngineKind::Reference`], which does
-/// not track them).
+/// re-solve counters.
 pub fn run_experiment_stats(cfg: &ExperimentConfig) -> (SimResult, EngineStats) {
     let topo = Topology::build(&cfg.topology);
     let placement = BoxPlacement::new(&topo, &cfg.deployment);
     let workload = Workload::generate(&topo, &cfg.workload);
     let flows = aggregation::expand(&topo, &placement, &workload, cfg);
-    match cfg.engine {
-        EngineKind::Incremental => {
-            let mut engine = IncrementalEngine::new(&topo, &placement, cfg);
-            engine.run_stats(flows)
-        }
-        EngineKind::Reference => {
-            let mut engine = Engine::new(&topo, &placement, cfg);
-            (engine.run(flows), EngineStats::default())
-        }
-    }
+    IncrementalEngine::new(&topo, &placement, cfg).run_stats(flows)
 }
 
 /// Like [`run_experiment`], but additionally publishing the run's outcome

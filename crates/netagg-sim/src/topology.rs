@@ -133,8 +133,8 @@ impl TopologyConfig {
 
     /// 10x the paper's server count: 10 240 servers
     /// (32 pods x 10 ToRs x 32 servers), same 1 Gbps edge and 1:4
-    /// over-subscription (ROADMAP item 2; the scale target of the
-    /// incremental engine and the `repro sim-perf` sweeps).
+    /// over-subscription (the scale target of the scoped solver and the
+    /// fabric of the benchmark's `sim-*` workloads).
     pub fn scale10x() -> Self {
         Self {
             pods: 32,

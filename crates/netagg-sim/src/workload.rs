@@ -96,7 +96,7 @@ impl WorkloadConfig {
     /// A workload whose flow count scales with the fabric: `edge_load` x
     /// [`Self::FLOWS_PER_SERVER`] flows per server, so `edge_load = 1.0`
     /// offers the same per-server demand as the default configuration on
-    /// any topology (the x-axis of the `repro sim-perf` edge-load sweep).
+    /// any topology (the benchmark's `sim-sparse` is 0.125, `sim-dense` 0.25).
     pub fn for_edge_load(topo: &crate::topology::TopologyConfig, edge_load: f64) -> Self {
         assert!(
             edge_load.is_finite() && edge_load > 0.0,
@@ -232,7 +232,6 @@ impl Workload {
 /// Locality-aware greedy placement (Section 4.1): workers are assigned to a
 /// consecutive run of servers starting at a random offset, which keeps a
 /// request as rack-local as its fan-in allows; the master sits adjacent.
-#[allow(clippy::too_many_arguments)]
 fn place_request(
     topo: &Topology,
     rng: &mut StdRng,

@@ -63,6 +63,26 @@ fn bad_arguments_exit_with_usage() {
 }
 
 #[test]
+fn seed_is_taken_exactly() {
+    // 2^53 + 1: the first integer an f64 cannot hold. `--flows` stays
+    // lenient (`1e2`), a seed does not.
+    let out = simctl(&["--quick", "--flows", "1e2", "--seed", "9007199254740993"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("flows 100  seed 9007199254740993\n"),
+        "{text}"
+    );
+    let out = simctl(&["--quick", "--seed", "1.5"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+}
+
+#[test]
 fn csv_dump_writes_every_flow() {
     let dir = std::env::temp_dir().join("simctl_csv_test");
     std::fs::create_dir_all(&dir).unwrap();

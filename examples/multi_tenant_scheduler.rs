@@ -10,7 +10,7 @@ use netagg_core::protocol::AppId;
 use std::time::{Duration, Instant};
 
 fn run(adaptive: bool) -> (f64, f64) {
-    let mut sched = TaskScheduler::new(SchedulerConfig {
+    let sched = TaskScheduler::new(SchedulerConfig {
         threads: 2,
         adaptive,
         ema_alpha: 0.2,
