@@ -3,7 +3,7 @@
 //! `Combiner.reduce(Key, List<Value>)` — plus the sequence-file
 //! serialiser; together the Hadoop-specific code of Table 1).
 
-use crate::job::{combine_records, Job};
+use crate::job::{combine_batches, Job};
 use crate::seqfile::Batch;
 use bytes::Bytes;
 use netagg_core::{AggError, AggregationFunction};
@@ -37,12 +37,7 @@ impl AggregationFunction for CombinerAgg {
     }
 
     fn aggregate(&self, items: Vec<Batch>) -> Batch {
-        let mut records = Vec::with_capacity(items.iter().map(Batch::len).sum());
-        for batch in &items {
-            records.extend(batch.iter());
-        }
-        let bytes = items.iter().map(|b| b.as_bytes().len()).sum();
-        combine_records(self.job.as_ref(), records, bytes)
+        combine_batches(self.job.as_ref(), &items)
     }
 
     fn empty(&self) -> Batch {

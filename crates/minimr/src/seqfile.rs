@@ -114,13 +114,9 @@ impl Batch {
         self.records == 0
     }
 
-    fn ranges(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+    /// Each record's key and value range in [`Batch::as_bytes`], in order.
+    pub(crate) fn ranges(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
         Records::new(&self.bytes).map_while(Result::ok)
-    }
-
-    /// Each record's key and value, in order, borrowed from the batch.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.ranges().map(|(k, v)| (&self.bytes[k], &self.bytes[v]))
     }
 
     /// The records as pairs sharing the batch's buffer.
@@ -233,11 +229,8 @@ mod tests {
         let batch = Batch::parse(encode(&pairs)).unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.pairs(), pairs);
-        let borrowed: Vec<_> = batch.iter().collect();
-        assert_eq!(
-            borrowed,
-            vec![(&b"a"[..], &b"1"[..]), (&b"bb"[..], &b""[..])]
-        );
+        let ranges: Vec<_> = batch.ranges().collect();
+        assert_eq!(ranges, vec![(4..5, 9..10), (14..16, 20..20)]);
         assert!(Batch::default().is_empty());
     }
 

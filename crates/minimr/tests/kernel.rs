@@ -106,21 +106,46 @@ fn value(bench: Benchmark) -> BoxedStrategy<Bytes> {
     }
 }
 
+/// What a kernel that orders on a fixed-size key prefix can get wrong: 25
+/// bytes cut anywhere, so that keys are proper prefixes of one another
+/// across the prefix boundary, and zero bytes where a padded prefix cannot
+/// tell `"a"` from `"a\0"` from `"a\0\0"`.
+const NESTED: &[u8; 25] = b"a\0\0bcdefghijk\0\0\0nopqr\0\0uv";
+
 fn key() -> impl Strategy<Value = Bytes> {
     prop_oneof![
         (0u8..12).prop_map(|k| Bytes::from(format!("word{k}"))),
         (0u8..12).prop_map(|k| Bytes::from(format!("word{k}"))),
         Just(Bytes::new()),
         proptest::collection::vec(any::<u8>(), 0..6).prop_map(Bytes::from),
+        (0usize..26).prop_map(|cut| Bytes::from_static(&NESTED[..cut])),
+        // Longer than any prefix and alike throughout it: only the tail,
+        // zeros and all, orders these.
+        proptest::collection::vec(proptest::sample::select(vec![0u8, 1, 0xff]), 0..4)
+            .prop_map(|tail| Bytes::from([&b"sixteen bytes in common"[..], &tail].concat())),
+        // Enough distinct keys to fill the buckets of a counting pass, in
+        // text (few byte columns vary) and in binary (all of them do).
+        (0u32..5_000).prop_map(|k| Bytes::from(format!("word{k:06}"))),
+        (0u64..3_000).prop_map(|k| {
+            Bytes::copy_from_slice(&k.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes())
+        }),
     ]
 }
 
-/// 1..8 inputs of 0..40 pairs each; some arrive sorted by key, as the
-/// output of a mapper-side combine or of another box would.
+/// 1..8 inputs of 0..40 pairs each — one in eight of up to 3 000, a box's
+/// worth — some sorted by key on arrival, as the output of a mapper-side
+/// combine or of another box would be.
 fn inputs(bench: Benchmark) -> BoxedStrategy<(Benchmark, Vec<Vec<Pair>>)> {
-    let pair = (key(), value(bench)).prop_map(|(key, value)| Pair { key, value });
-    let batch =
-        (proptest::collection::vec(pair, 0..40), any::<bool>()).prop_map(|(mut pairs, sorted)| {
+    let pairs = |sizes| {
+        let pair = (key(), value(bench)).prop_map(|(key, value)| Pair { key, value });
+        proptest::collection::vec(pair, sizes).boxed()
+    };
+    let sizes = std::iter::repeat_n(0..40, 7).chain(std::iter::once(0..3_000));
+    let batch = (
+        proptest::strategy::Union::new(sizes.map(pairs).collect()),
+        any::<bool>(),
+    )
+        .prop_map(|(mut pairs, sorted)| {
             if sorted {
                 pairs.sort_by(|a, b| a.key.cmp(&b.key));
             }
