@@ -229,11 +229,19 @@ fn speculative_duplicates_are_suppressed() {
         baseline.output, speculated.output,
         "duplicate backup output must not change counts"
     );
-    let dropped = dep.boxes()[0]
-        .stats()
-        .duplicates_dropped
-        .load(std::sync::atomic::Ordering::Relaxed);
-    assert!(dropped > 0, "the box should have suppressed duplicates");
+    // The box drops a backup's chunks when its receive loop reaches them,
+    // which can be after the result has reached the reducer: poll, bounded.
+    let dropped = || {
+        dep.boxes()[0]
+            .stats()
+            .duplicates_dropped
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while dropped() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(dropped() > 0, "the box should have suppressed duplicates");
     dep.shutdown();
 }
 

@@ -115,14 +115,22 @@ impl<S: PartialSink> BoxCore<S> {
     }
 
     /// The request's state, created on first use; `None` for an unknown
-    /// application or route.
+    /// application or route, and for a request that already completed
+    /// here (its final output is in the emitted window): every owed source
+    /// had ended, so whatever still arrives for it is a replay or a
+    /// speculative backup's copy, and a fresh ledger for it would never
+    /// close.
     fn open(
         &mut self,
         key: ReqKey,
         new: impl FnOnce(&Arc<dyn DynAggregator>) -> (S, Option<TraceAnchor>),
     ) -> Option<&mut Request<Point, BoxRequest<S>>> {
-        let apps = &self.apps;
+        let (apps, emitted) = (&self.apps, &self.emitted);
         self.fanin.open(key, [(key.0, key.2)], None, || {
+            let window = emitted.get(&(key.0, key.2));
+            if window.is_some_and(|w| w.contains(&key)) {
+                return None;
+            }
             let (sink, trace) = new(apps.get(&key.0)?);
             Some((BoxRequest { sink, out_seq: 0 }, trace))
         })

@@ -160,6 +160,32 @@ fn permanent_redirect_resends_the_retained_window() {
         .all(|r| r.finished && r.request != RequestId(3)));
 }
 
+/// (a') The same at a box: a speculative backup's copy (or a replay)
+/// arriving after the request completed and left is dropped and opens no
+/// second request, which nobody would ever close.
+#[test]
+fn a_copy_arriving_after_completion_does_not_resurrect_the_request_at_a_box() {
+    let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
+    let mut core = box_core(workers, HashMap::new());
+    let now = Instant::now();
+    let data =
+        |core: &mut _, worker| box_data(core, 4, SourceId::Worker(worker), (1, true), 0, now);
+    assert_eq!(data(&mut core, 0), Some(None));
+    assert!(data(&mut core, 1).flatten().is_some());
+    core.complete((APP, RequestId(4), TREE), Bytes::from_static(b"agg-4"));
+    assert_eq!(
+        data(&mut core, 0),
+        None,
+        "a completed request stays completed"
+    );
+    assert!(core.fanin.requests.is_empty(), "no resurrected entry");
+    // A later request is unaffected.
+    assert_eq!(
+        box_data(&mut core, 5, SourceId::Worker(0), (1, true), 0, now),
+        Some(None)
+    );
+}
+
 /// (d) Two readers deliver one request's chunks: the last chunk on one
 /// against earlier chunks on the other, in every interleaving. The sink
 /// handed out for closing always holds every accepted partial, and is

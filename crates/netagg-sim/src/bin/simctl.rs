@@ -163,7 +163,7 @@ fn main() {
     println!(
         "engine: {} events ({} starts, {} completions) in {elapsed:.2?} = {:.0} events/s   \
          re-solves {} (avg scope {:.1}, max {}, expansions {}, fallbacks {})   \
-         stale discards {}",
+         superseded projections {}",
         stats.events(),
         stats.starts,
         stats.completions,

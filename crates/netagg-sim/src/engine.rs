@@ -184,6 +184,9 @@ pub(crate) struct Allocator {
     users: Vec<Vec<u32>>,
     user_slot: Vec<u32>,
     touched: Vec<u32>,
+    // Per-call scratch, kept for its capacity.
+    heap: BinaryHeap<Entry>,
+    frozen: Vec<bool>,
 }
 
 impl Allocator {
@@ -197,6 +200,8 @@ impl Allocator {
             users: Vec::new(),
             user_slot: vec![u32::MAX; num_resources],
             touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            frozen: Vec::new(),
         }
     }
 
@@ -242,7 +247,8 @@ impl Allocator {
             }
         }
 
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(self.touched.len());
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.clear();
         for &r in &self.touched {
             let r = r as usize;
             heap.push(Entry {
@@ -252,7 +258,9 @@ impl Allocator {
             });
         }
 
-        let mut frozen: Vec<bool> = vec![false; active.len()];
+        let mut frozen = std::mem::take(&mut self.frozen);
+        frozen.clear();
+        frozen.resize(active.len(), false);
         let mut unfrozen = active.len();
 
         while unfrozen > 0 {
@@ -297,6 +305,7 @@ impl Allocator {
             self.users[slot] = users;
             self.live_count[r] = 0;
         }
+        (self.heap, self.frozen) = (heap, frozen);
     }
 }
 

@@ -1,7 +1,8 @@
 //! The fluid engine: one event loop, two rate solvers.
 //!
-//! The loop is event-driven over a versioned calendar with lazily settled
-//! bytes; at each event a solver decides which flows are re-rated.
+//! The loop is event-driven over a heap of projected completions with
+//! lazily settled bytes; at each event a solver decides which flows are
+//! re-rated.
 //! `GlobalWaterfill` ([`EngineKind::Reference`]) re-rates *every* active
 //! flow at *every* event — exact by construction and quadratic, the oracle
 //! the parity suites compare against. `ScopedRepair`
@@ -14,11 +15,11 @@
 //!
 //! Three mechanisms keep per-event work proportional to what changes:
 //!
-//! 1. **Versioned calendar events** ([`crate::events`]): each active flow
-//!    has exactly one scheduled *projected completion*. When a re-solve
-//!    changes the flow's rate, its version is bumped and a new event is
-//!    pushed; the stale one is discarded in O(1) when the queue walks over
-//!    it (minim's `version` trick, SNIPPETS.md §2).
+//! 1. **One projected completion per flow** ([`crate::events`]): an
+//!    indexed min-heap holds exactly one entry per active flow. When a
+//!    re-solve changes the flow's rate, pushing its new projection re-keys
+//!    that entry in place, so a superseded projection is never stored,
+//!    scanned or popped: the queue is as deep as the active set.
 //! 2. **Lazy byte settlement**: per flow the engine stores
 //!    `(remaining, rate, settled_at)` and only folds elapsed time into
 //!    `remaining` when the flow enters a re-solve scope or completes.
@@ -58,17 +59,21 @@
 //!
 //! If certificates keep failing after [`MAX_EXPANSIONS`] rounds the solver
 //! falls back to `GlobalWaterfill`'s scope — every active flow — which is
-//! exact by construction. In practice (the benchmark's `sim.expansions`
-//! and `sim.fallbacks` ledger rows) the first scope — the bottleneck
-//! cohort of the event — verifies almost always,
-//! so per-event work is proportional to the flows whose rates actually
-//! change, not to the number of active flows.
+//! exact by construction. How often the first scope — the bottleneck
+//! cohort of the event — verifies is a measured thing (the benchmark's
+//! `sim.expansions` and `sim.fallbacks` ledger rows): on `sim-sparse`
+//! there are 0.43 expansion rounds per re-solve (4 278 / 10 012, seed 1)
+//! and no fallback, and about half the flows filled are expansion
+//! re-fills (first-round scopes are 480 k of ≈ 920 k flows filled over
+//! four seeds); on `sim-dense` it is 0.81 rounds. Per-event work is still
+//! proportional to the flows around the event, not to the number of
+//! active flows.
 //!
 //! # Invariants
 //!
 //! | invariant | maintained by |
 //! |---|---|
-//! | every `Active` flow has exactly one valid scheduled event | version bump + push on every rate change / deactivation |
+//! | every `Active` flow has exactly one scheduled event | structural: the queue holds one entry per flow, `push` re-keys it; `queue.len() == active_list.len()` asserted after every commit in debug builds |
 //! | `crossers[r]` lists exactly the `Active` flows using `r` | admission push / swap-remove on deactivation (slot fix-up) |
 //! | re-solve seeds are exact sums, not drifting accumulators | frozen bandwidth is re-scanned from `crossers[r]` per re-solve |
 //! | completion uses [`crate::flow::delivered`] | single shared epsilon boundary (see `flow.rs`) |
@@ -82,7 +87,7 @@
 use crate::bookkeeping::{starts_descending, Lifecycle, ResourceTable, State};
 use crate::deployment::BoxPlacement;
 use crate::engine::{Allocator, EngineError, SimResult};
-use crate::events::{CalendarQueue, Event};
+use crate::events::{Event, EventQueue};
 use crate::flow::{self, FlowSpec};
 use crate::topology::Topology;
 use crate::{EngineKind, ExperimentConfig};
@@ -103,9 +108,10 @@ const CERT_TOL: f64 = 1e-9;
 pub struct EngineStats {
     /// Flow starts admitted.
     pub starts: u64,
-    /// Completion events popped from the calendar queue (incl. spurious).
+    /// Completion events popped from the event queue (incl. spurious).
     pub completions: u64,
-    /// Stale events discarded in O(1) by the version check.
+    /// Projections superseded before they fired: a flow re-rated while
+    /// scheduled, counted when its queue entry is re-keyed.
     pub stale_discards: u64,
     /// Wakeups whose flow had residual bytes left (FP drift); rescheduled.
     pub spurious_wakeups: u64,
@@ -140,6 +146,8 @@ struct Flows {
     rate: Vec<f64>,
     /// Rate at scope entry (valid while `in_scope` holds the current id).
     old_rate: Vec<f64>,
+    /// Stamp of the flow's latest projection (what the queue's entry for
+    /// the flow must carry to be popped).
     version: Vec<u32>,
     /// Scope-membership stamp (generation counter, never cleared).
     in_scope: Vec<u64>,
@@ -394,7 +402,7 @@ struct Run {
     /// Each active flow's position in `active_list` (`u32::MAX` otherwise).
     active_pos: Vec<u32>,
     alloc: Allocator,
-    queue: Option<CalendarQueue>,
+    queue: EventQueue,
     /// Resources changed since the last re-solve: `admit` and `complete`
     /// fill it, `resolve` consumes it.
     seeds: Vec<u32>,
@@ -426,7 +434,7 @@ impl Run {
             active_pos: vec![u32::MAX; n],
             alloc: Allocator::new(caps.len()),
             rt: Resources::new(caps),
-            queue: None,
+            queue: EventQueue::with_capacity(n),
             seeds: Vec::new(),
             scope: Vec::new(),
             touched: Vec::new(),
@@ -462,14 +470,11 @@ impl Run {
             // Settlement rounding left residual bytes: reschedule.
             self.stats.spurious_wakeups += 1;
             fl.version[f] += 1;
-            self.queue
-                .as_mut()
-                .expect("queue produced an event")
-                .push(Event {
-                    time: t + fl.remaining[f] / fl.rate[f],
-                    flow: ev.flow,
-                    version: fl.version[f],
-                });
+            self.queue.push(Event {
+                time: t + fl.remaining[f] / fl.rate[f],
+                flow: ev.flow,
+                version: fl.version[f],
+            });
             return false;
         }
         fl.remaining[f] = 0.0;
@@ -489,7 +494,6 @@ impl Run {
         }
         self.active_pos[f] = u32::MAX;
         fl.rate[f] = 0.0;
-        fl.version[f] += 1;
         // The freed capacity is on the departed flow's path.
         self.seeds.extend_from_slice(&fl.res[f]);
         true
@@ -552,8 +556,8 @@ impl Run {
     }
 
     /// Re-solve the allocation around the event at `t` that changed
-    /// `seeds`, then commit: bump versions and push fresh events for every
-    /// flow whose rate changed bitwise.
+    /// `seeds`, then commit: re-project the completion of every flow whose
+    /// rate changed bitwise.
     fn resolve<S: Solver>(&mut self, t: f64) {
         self.scope_id += 1;
         self.scope.clear();
@@ -571,8 +575,8 @@ impl Run {
         // Reschedule exactly the flows whose rate changed bitwise; an
         // unchanged flow's scheduled event still fires at the right absolute
         // time (linear drain), so it is kept.
-        let (fl, scope) = (&mut self.fl, &self.scope);
-        for &f in scope.iter() {
+        let fl = &mut self.fl;
+        for &f in self.scope.iter() {
             let fu = f as usize;
             let (old, new) = (fl.old_rate[fu], fl.rate[fu]);
             if new.to_bits() == old.to_bits() {
@@ -583,26 +587,14 @@ impl Run {
                 "re-solve assigned degenerate rate {new} to flow {f} at t={t}"
             );
             fl.version[fu] += 1;
-            let ev = Event {
+            self.queue.push(Event {
                 time: t + fl.remaining[fu] / new,
                 flow: f,
                 version: fl.version[fu],
-            };
-            let q = self.queue.get_or_insert_with(|| {
-                // First-ever schedule: size the calendar from this batch's
-                // projected completions. Mis-tuning degrades to linear bucket
-                // scans / cursor jumps, never wrong order.
-                let k = scope.len();
-                let mean_dt = scope
-                    .iter()
-                    .map(|&f| fl.remaining[f as usize] / fl.rate[f as usize].max(1e-30))
-                    .sum::<f64>()
-                    / k as f64;
-                let width = (mean_dt / 4.0).max(1e-9);
-                CalendarQueue::new((2 * k).clamp(64, 1 << 17), width)
             });
-            q.push(ev);
         }
+        // Each active flow has its one projection; nobody else has any.
+        debug_assert_eq!(self.queue.len(), self.active_list.len());
     }
 
     /// The definition of max-min fairness (Bertsekas & Gallager §6.5.2) on
@@ -649,7 +641,7 @@ impl Run {
     }
 }
 
-/// The fluid engine: one event loop over the versioned calendar, with the
+/// The fluid engine: one event loop over the completion heap, with the
 /// rate solver chosen by [`ExperimentConfig::engine`] —
 /// [`EngineKind::Incremental`] (the default) repairs a scope,
 /// [`EngineKind::Reference`] re-solves every active flow at every event
@@ -731,26 +723,16 @@ impl IncrementalEngine {
 
             // Next event: earliest projected completion vs. next start.
             let next_start = starts.last().map(|&(s, _)| s);
-            let ev = run.queue.as_mut().and_then(|q| q.pop_min(&run.fl.version));
-            let ev = match (ev, next_start) {
-                (None, None) => {
-                    // Only drained flows could remain, and the cascade has
-                    // already completed them (their children are all done).
-                    debug_assert_eq!(life.open, 0, "drained flows stuck with open children");
-                    break;
-                }
-                (None, Some(s)) => {
-                    t = t.max(s);
-                    continue;
-                }
-                (Some(e), Some(s)) if s < e.time => {
-                    // The start comes first; the popped event is still
-                    // valid, so put it back untouched.
-                    run.queue.as_mut().expect("queue produced an event").push(e);
-                    t = t.max(s);
-                    continue;
-                }
-                (Some(e), _) => e,
+            let next_done = run.queue.peek_min(&run.fl.version).map(|e| e.time);
+            if let Some(s) = next_start.filter(|&s| next_done.is_none_or(|d| s < d)) {
+                t = t.max(s);
+                continue;
+            }
+            let Some(ev) = run.queue.pop_min(&run.fl.version) else {
+                // Only drained flows could remain, and the cascade has
+                // already completed them (their children are all done).
+                debug_assert_eq!(life.open, 0, "drained flows stuck with open children");
+                break;
             };
 
             t = t.max(ev.time);
@@ -760,9 +742,7 @@ impl IncrementalEngine {
                 run.resolve::<S>(t);
             }
         }
-        if let Some(q) = &run.queue {
-            run.stats.stale_discards = q.stale_discards();
-        }
+        run.stats.stale_discards = run.queue.stale_discards();
 
         (self.table.result(&flows, &life.finish, t), run.stats)
     }
