@@ -162,8 +162,8 @@ fn main() {
     );
     println!(
         "engine: {} events ({} starts, {} completions) in {elapsed:.2?} = {:.0} events/s   \
-         re-solves {} (avg scope {:.1}, max {}, expansions {}, fallbacks {})   \
-         superseded projections {}",
+         re-solves {} (avg scope {:.1}, max {}, expansions {}, fallbacks {}, crossers read {}, \
+         frozen visited {} / re-checked {} / moved {})   superseded projections {}",
         stats.events(),
         stats.starts,
         stats.completions,
@@ -173,6 +173,10 @@ fn main() {
         stats.max_scope,
         stats.expansions,
         stats.fallbacks,
+        stats.crossers_read,
+        stats.frozen_visited,
+        stats.frozen_rechecked,
+        stats.bottleneck_moved,
         stats.stale_discards,
     );
 

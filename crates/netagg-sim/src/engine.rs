@@ -133,10 +133,11 @@ impl SimResult {
 }
 
 /// Heap entry for the progressive-filling allocator: the water level at
-/// which resource `res` saturates, with a version for lazy invalidation.
+/// which the resource in `slot` saturates, with a version for lazy
+/// invalidation.
 struct Entry {
     level: f64,
-    res: u32,
+    slot: u32,
     version: u32,
 }
 
@@ -153,12 +154,45 @@ impl PartialOrd for Entry {
 }
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on level. `total_cmp` gives a genuine total order even
-        // for degenerate levels, so the heap invariant can never be broken
-        // by an incomparable pair (the old `partial_cmp(..).unwrap_or`
-        // silently treated NaN as equal-to-everything, corrupting the
-        // heap instead of failing).
+        // Min-heap on level. `total_cmp` is a genuine total order even for
+        // degenerate levels: no incomparable pair can corrupt the heap.
         other.level.total_cmp(&self.level)
+    }
+}
+
+/// One resource a fill touches: its row of the per-fill table. The seed
+/// pass of [`crate::incremental`] writes it from one scan of the
+/// resource's crossers, the fill updates it, the verify pass reads it.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// The resource, and its capacity.
+    pub res: u32,
+    pub cap: f64,
+    /// Sum and maximum of its crossers' rates before the re-solve.
+    pub sum_old: f64,
+    pub max_old: f64,
+    /// The same under the fill: seeded with the crossers the fill leaves
+    /// out (they keep their rates), then each flow's level as it freezes.
+    /// Until the resource saturates this is the frozen sum its water level
+    /// is computed from; afterwards, its load.
+    pub sum_new: f64,
+    pub max_new: f64,
+    /// Flows of the fill crossing it that are not frozen yet.
+    pub live: u32,
+    version: u32,
+}
+
+impl Slot {
+    pub(crate) fn new(res: u32, cap: f64) -> Self {
+        Self {
+            res,
+            cap,
+            ..Self::default()
+        }
+    }
+
+    fn saturation_level(&self) -> f64 {
+        (self.cap - self.sum_new).max(0.0) / self.live as f64
     }
 }
 
@@ -171,141 +205,113 @@ impl Ord for Entry {
 /// updated. Total cost per allocation is
 /// `O(sum of path lengths x log(resources))`.
 ///
-/// A solve covers the flows it is given and nothing else: each touched
-/// resource's frozen sum starts from the bandwidth committed to the flows
-/// left out ([`Allocator::waterfill_seeded`]), which is how
-/// [`crate::incremental`] re-rates a scope with everyone else frozen.
+/// A solve covers the flows it is given and nothing else, and sees no
+/// resource-indexed state: the caller hands it the touched resources as a
+/// dense table (`slots`, each seeded with the bandwidth committed to the
+/// flows left out) and each flow's path as indices into it (`inc`), which
+/// is how [`crate::incremental`] re-rates a scope with everyone else
+/// frozen. It leaves every slot's new load and crosser-maximum behind.
+#[derive(Default)]
 pub(crate) struct Allocator {
-    frozen_sum: Vec<f64>,
-    live_count: Vec<u32>,
-    version: Vec<u32>,
-    stamp: Vec<u64>,
-    generation: u64,
-    users: Vec<Vec<u32>>,
-    user_slot: Vec<u32>,
-    touched: Vec<u32>,
+    pub slots: Vec<Slot>,
+    /// CSR: the path of the flow at position `p`, as slots, is
+    /// `inc[inc_off[p]..inc_off[p + 1]]`.
+    pub inc_off: Vec<u32>,
+    pub inc: Vec<u32>,
+    /// CSR, counted from `live`: the positions using slot `s`, ascending.
+    users_off: Vec<u32>,
+    users: Vec<u32>,
     // Per-call scratch, kept for its capacity.
     heap: BinaryHeap<Entry>,
     frozen: Vec<bool>,
 }
 
 impl Allocator {
-    pub(crate) fn new(num_resources: usize) -> Self {
-        Self {
-            frozen_sum: vec![0.0; num_resources],
-            live_count: vec![0; num_resources],
-            version: vec![0; num_resources],
-            stamp: vec![0; num_resources],
-            generation: 0,
-            users: Vec::new(),
-            user_slot: vec![u32::MAX; num_resources],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
-            frozen: Vec::new(),
+    /// The path of the flow at position `pos`, as slots.
+    pub(crate) fn path(&self, pos: usize) -> &[u32] {
+        &self.inc[self.inc_off[pos] as usize..self.inc_off[pos + 1] as usize]
+    }
+
+    /// Progressive filling over `active` (the flows `inc` describes, in
+    /// its order) on the table in `slots`, whose `live` counts the caller
+    /// has set to each slot's number of users.
+    pub(crate) fn waterfill(&mut self, active: &[u32], rates: &mut [f64]) {
+        // Users of each slot, counted then placed: `users_off[s + 1]` is
+        // the cursor of `s` while placing and the start of `s + 1` after.
+        self.users_off.clear();
+        self.users_off.push(0);
+        let mut total = 0u32;
+        for slot in &self.slots {
+            self.users_off.push(total);
+            total += slot.live;
         }
-    }
-
-    fn saturation_level(&self, r: usize, caps: &[f64]) -> f64 {
-        (caps[r] - self.frozen_sum[r]).max(0.0) / self.live_count[r] as f64
-    }
-
-    /// Progressive filling over `active`, seeding each touched resource's
-    /// frozen bandwidth: `seed[r]` is the bandwidth of flows using `r` that
-    /// are not in `active` and keep their rates (zero everywhere when
-    /// `active` is every active flow).
-    pub(crate) fn waterfill_seeded(
-        &mut self,
-        active: &[u32],
-        res_lists: &[Vec<u32>],
-        caps: &[f64],
-        rates: &mut [f64],
-        seed: &[f64],
-    ) {
-        self.generation += 1;
-        let generation = self.generation;
-        self.touched.clear();
-        let mut next_slot = 0usize;
-
-        for (pos, &fi) in active.iter().enumerate() {
-            for &r in &res_lists[fi as usize] {
-                let r = r as usize;
-                if self.stamp[r] != generation {
-                    self.stamp[r] = generation;
-                    self.frozen_sum[r] = seed[r];
-                    self.live_count[r] = 0;
-                    self.version[r] = 0;
-                    self.touched.push(r as u32);
-                    if next_slot >= self.users.len() {
-                        self.users.push(Vec::new());
-                    }
-                    self.users[next_slot].clear();
-                    self.user_slot[r] = next_slot as u32;
-                    next_slot += 1;
-                }
-                self.live_count[r] += 1;
-                self.users[self.user_slot[r] as usize].push(pos as u32);
+        self.users.clear();
+        self.users.resize(total as usize, 0);
+        for pos in 0..active.len() {
+            for &s in &self.inc[self.inc_off[pos] as usize..self.inc_off[pos + 1] as usize] {
+                let at = &mut self.users_off[s as usize + 1];
+                self.users[*at as usize] = pos as u32;
+                *at += 1;
             }
         }
 
-        let mut heap = std::mem::take(&mut self.heap);
+        let Self {
+            slots,
+            inc_off,
+            inc,
+            users_off,
+            users,
+            heap,
+            frozen,
+        } = self;
         heap.clear();
-        for &r in &self.touched {
-            let r = r as usize;
+        for (s, slot) in slots.iter().enumerate() {
             heap.push(Entry {
-                level: self.saturation_level(r, caps),
-                res: r as u32,
+                level: slot.saturation_level(),
+                slot: s as u32,
                 version: 0,
             });
         }
-
-        let mut frozen = std::mem::take(&mut self.frozen);
         frozen.clear();
         frozen.resize(active.len(), false);
         let mut unfrozen = active.len();
 
         while unfrozen > 0 {
             let e = heap.pop().expect("live flows imply live resources");
-            let r = e.res as usize;
-            if self.stamp[r] != generation
-                || e.version != self.version[r]
-                || self.live_count[r] == 0
-            {
+            let s = e.slot as usize;
+            if e.version != slots[s].version || slots[s].live == 0 {
                 continue; // stale entry
             }
             let level = e.level;
-            // Freeze every live flow using r at `level`.
-            let slot = self.user_slot[r] as usize;
-            let users = std::mem::take(&mut self.users[slot]);
-            for &pos in &users {
+            // Freeze every live flow using the slot at `level`.
+            for &pos in &users[users_off[s] as usize..users_off[s + 1] as usize] {
                 let pos = pos as usize;
                 if frozen[pos] {
                     continue;
                 }
                 frozen[pos] = true;
                 unfrozen -= 1;
-                let fi = active[pos] as usize;
-                rates[fi] = level;
-                for &r2 in &res_lists[fi] {
-                    let r2 = r2 as usize;
-                    if r2 == r {
+                rates[active[pos] as usize] = level;
+                for &s2 in &inc[inc_off[pos] as usize..inc_off[pos + 1] as usize] {
+                    let slot = &mut slots[s2 as usize];
+                    slot.sum_new += level;
+                    slot.max_new = slot.max_new.max(level);
+                    if s2 as usize == s {
                         continue;
                     }
-                    self.frozen_sum[r2] += level;
-                    self.live_count[r2] -= 1;
-                    self.version[r2] += 1;
-                    if self.live_count[r2] > 0 {
+                    slot.live -= 1;
+                    slot.version += 1;
+                    if slot.live > 0 {
                         heap.push(Entry {
-                            level: self.saturation_level(r2, caps).max(level),
-                            res: r2 as u32,
-                            version: self.version[r2],
+                            level: slot.saturation_level().max(level),
+                            slot: s2,
+                            version: slot.version,
                         });
                     }
                 }
             }
-            self.users[slot] = users;
-            self.live_count[r] = 0;
+            slots[s].live = 0;
         }
-        (self.heap, self.frozen) = (heap, frozen);
     }
 }
 

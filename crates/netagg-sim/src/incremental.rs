@@ -27,9 +27,12 @@
 //! 3. **Bottleneck-scoped re-solves** (`ScopedRepair` only): on each event
 //!    only the flows that share a resource with the arriving/departing
 //!    flows (the *scope*) are re-solved, with every out-of-scope flow's
-//!    bandwidth frozen. The result is then checked against the max-min
-//!    optimality certificate below; only when a certificate fails does the
-//!    scope expand.
+//!    bandwidth frozen, and each resource is read once: the seed pass
+//!    scans a touched resource's crossers into a row of a dense per-fill
+//!    table (`engine::Slot`) and writes each scope flow's path as rows;
+//!    the fill runs over rows and leaves each row's new load and maximum
+//!    behind; the max-min optimality certificate below is then read off
+//!    the same rows. Only when a certificate fails does the scope expand.
 //!
 //! # Why certificate verification makes the local repair exact
 //!
@@ -47,12 +50,19 @@
 //! argument applies). The engine therefore verifies certificates after
 //! each local solve:
 //!
-//! * every scope flow is checked directly;
+//! * every scope flow is checked on its rows of the table (no crosser is
+//!   read), and the resource it holds its certificate at is *recorded*
+//!   (`Flows::bneck`);
 //! * a frozen flow's certificate can only break at a resource whose
-//!   crosser-maximum rose or whose saturation was lost, so only frozen
-//!   crossers of such *flagged* resources (plus the seed resources the
-//!   event itself changed) are re-checked — every other flow keeps its old
-//!   certificate verbatim because nothing on its path changed;
+//!   crosser-maximum rose or whose saturation was lost (*flagged*: a row's
+//!   old against its new columns), so a frozen crosser of a flagged
+//!   resource is re-checked in full — the table where the scope touches
+//!   its path, a crosser scan on demand where not — only if its recorded
+//!   bottleneck is itself flagged; everyone else keeps the old certificate
+//!   verbatim. (The seeds need no flag: all their crossers are in the
+//!   scope.) A certificate found elsewhere is recorded once the round
+//!   commits: a record holds under *committed* rates, which is what the
+//!   flags are relative to;
 //! * any flow that fails joins the scope together with the crossers of its
 //!   saturated resources (the flows pinning it), and the scope is
 //!   re-solved.
@@ -75,7 +85,8 @@
 //! |---|---|
 //! | every `Active` flow has exactly one scheduled event | structural: the queue holds one entry per flow, `push` re-keys it; `queue.len() == active_list.len()` asserted after every commit in debug builds |
 //! | `crossers[r]` lists exactly the `Active` flows using `r` | admission push / swap-remove on deactivation (slot fix-up) |
-//! | re-solve seeds are exact sums, not drifting accumulators | frozen bandwidth is re-scanned from `crossers[r]` per re-solve |
+//! | re-solve seeds are exact sums, not drifting accumulators | frozen bandwidth is re-scanned from `crossers[r]` per re-solve, once, in the seed pass |
+//! | a recorded bottleneck is a certificate: on the flow's path, saturated, the flow fastest there | written where a verify pass (or a global fill) found it; moves of frozen flows applied at commit; asserted for every active flow after every commit in debug builds |
 //! | completion uses [`crate::flow::delivered`] | single shared epsilon boundary (see `flow.rs`) |
 //! | every committed allocation satisfies the max-min certificate | per-flow verification + scope expansion + global fallback; asserted on the full rate vector in debug builds |
 //!
@@ -86,7 +97,7 @@
 
 use crate::bookkeeping::{starts_descending, Lifecycle, ResourceTable, State};
 use crate::deployment::BoxPlacement;
-use crate::engine::{Allocator, EngineError, SimResult};
+use crate::engine::{Allocator, EngineError, SimResult, Slot};
 use crate::events::{Event, EventQueue};
 use crate::flow::{self, FlowSpec};
 use crate::topology::Topology;
@@ -125,6 +136,15 @@ pub struct EngineStats {
     pub expansions: u64,
     /// Re-solves that gave up on local repair and went global.
     pub fallbacks: u64,
+    /// Crosser-list entries read by seed passes and on-demand scans.
+    pub crossers_read: u64,
+    /// Out-of-scope crossers of flagged resources the verify passes met.
+    pub frozen_visited: u64,
+    /// Of those, the ones whose certificate was evaluated in full (their
+    /// recorded bottleneck was flagged, or they had none).
+    pub frozen_rechecked: u64,
+    /// Re-checks that found the certificate at another resource.
+    pub bottleneck_moved: u64,
 }
 
 impl EngineStats {
@@ -153,6 +173,10 @@ struct Flows {
     in_scope: Vec<u64>,
     /// Dedup stamp for frozen-flow certificate checks.
     checked: Vec<u64>,
+    /// The resource the flow holds its bottleneck certificate at under the
+    /// committed rates, recorded when it was last checked; `u32::MAX` =
+    /// none on record, always re-checked.
+    bneck: Vec<u32>,
 }
 
 impl Flows {
@@ -165,92 +189,78 @@ impl Flows {
     }
 }
 
-/// Per-resource state: capacity, the live crosser list, and memoised
-/// per-re-solve scan results (stamp-guarded, never cleared).
+/// What stays resource-indexed: one record per resource and its live
+/// crosser list. Everything a re-solve computes about a resource lives in
+/// the fill's dense table ([`Slot`]) while the scope touches it.
 struct Resources {
-    caps: Vec<f64>,
+    res: Vec<Res>,
     /// Active flows crossing each resource as `(flow, j)` where `j` is the
     /// resource's position in `res[flow]` (for O(1) swap-remove fix-up).
     crossers: Vec<Vec<(u32, u32)>>,
-    stamp: Vec<u64>,
-    flag_stamp: Vec<u64>,
+    /// Generation of the latest fill (stamps are never cleared).
     gen: u64,
-    /// Frozen (out-of-scope) bandwidth per resource, exact re-scan.
-    seed: Vec<f64>,
-    sum_old: Vec<f64>,
-    sum_new: Vec<f64>,
-    max_old: Vec<f64>,
-    max_new: Vec<f64>,
+}
+
+#[derive(Default)]
+struct Res {
+    cap: f64,
+    /// `== gen`: the latest fill touches the resource, at `slot`.
+    stamp: u64,
+    /// `== gen`: flagged by the latest verify pass.
+    flag_stamp: u64,
+    slot: u32,
 }
 
 impl Resources {
     fn new(caps: Vec<f64>) -> Self {
-        let nr = caps.len();
+        let rec = |cap| Res {
+            cap,
+            ..Res::default()
+        };
         Self {
-            caps,
-            crossers: vec![Vec::new(); nr],
-            stamp: vec![0; nr],
-            flag_stamp: vec![0; nr],
+            crossers: vec![Vec::new(); caps.len()],
+            res: caps.into_iter().map(rec).collect(),
             gen: 0,
-            seed: vec![0.0; nr],
-            sum_old: vec![0.0; nr],
-            sum_new: vec![0.0; nr],
-            max_old: vec![0.0; nr],
-            max_new: vec![0.0; nr],
         }
     }
 
-    /// Memoised exact scan of `r`'s crossers: old/new rate sums and maxima
-    /// ("old" = rate at scope entry for scope members, current otherwise).
-    fn ensure(&mut self, r: usize, fl: &Flows, scope_id: u64) {
-        if self.stamp[r] == self.gen {
-            return;
+    /// Load, crosser-maximum and capacity of `r` under the tentative
+    /// rates: read off the fill's table if the scope touches `r`, else —
+    /// every crosser is frozen — scanned on demand, counted in `read`.
+    fn load(&self, r: u32, slots: &[Slot], fl: &Flows, read: &mut u64) -> (f64, f64, f64) {
+        let rec = &self.res[r as usize];
+        if rec.stamp == self.gen {
+            let s = &slots[rec.slot as usize];
+            return (s.sum_new, s.max_new, s.cap);
         }
-        self.stamp[r] = self.gen;
-        let (mut so, mut sn, mut mo, mut mn) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for &(g, _) in &self.crossers[r] {
-            let g = g as usize;
-            let new = fl.rate[g];
-            let old = if fl.in_scope[g] == scope_id {
-                fl.old_rate[g]
-            } else {
-                new
-            };
-            so += old;
-            sn += new;
-            if old > mo {
-                mo = old;
-            }
-            if new > mn {
-                mn = new;
-            }
+        let list = &self.crossers[r as usize];
+        *read += list.len() as u64;
+        let (mut sum, mut max) = (0.0f64, 0.0f64);
+        for &(g, _) in list {
+            sum += fl.rate[g as usize];
+            max = max.max(fl.rate[g as usize]);
         }
-        self.sum_old[r] = so;
-        self.sum_new[r] = sn;
-        self.max_old[r] = mo;
-        self.max_new[r] = mn;
-    }
-
-    fn saturated_old(&self, r: usize) -> bool {
-        self.sum_old[r] >= self.caps[r] * (1.0 - CERT_TOL)
-    }
-
-    fn saturated_new(&self, r: usize) -> bool {
-        self.sum_new[r] >= self.caps[r] * (1.0 - CERT_TOL)
+        (sum, max, rec.cap)
     }
 }
 
-/// Does `f` hold a max-min bottleneck certificate under the current
-/// (tentative) rates: some saturated resource on its path where it is the
-/// fastest crosser?
-fn certificate(f: u32, fl: &Flows, rt: &mut Resources, scope_id: u64) -> bool {
-    let fu = f as usize;
-    let xf = fl.rate[fu];
-    fl.res[fu].iter().any(|&r| {
-        let r = r as usize;
-        rt.ensure(r, fl, scope_id);
-        rt.saturated_new(r) && xf >= rt.max_new[r] * (1.0 - CERT_TOL)
-    })
+fn saturated(load: f64, cap: f64) -> bool {
+    load >= cap * (1.0 - CERT_TOL)
+}
+
+/// The bottleneck condition: a flow at rate `x` holds its max-min
+/// certificate at a saturated resource where it is the fastest crosser.
+fn bottleneck(x: f64, load: f64, max: f64, cap: f64) -> bool {
+    saturated(load, cap) && x >= max * (1.0 - CERT_TOL)
+}
+
+/// The first resource on the path of the scope flow at `pos` at which it
+/// holds a certificate under the fill's rates (`u32::MAX`: none), read off
+/// the table.
+fn scope_certificate(al: &Allocator, pos: usize, x: f64) -> u32 {
+    let mut path = al.path(pos).iter().map(|&s| &al.slots[s as usize]);
+    path.find(|s| bottleneck(x, s.sum_new, s.max_new, s.cap))
+        .map_or(u32::MAX, |s| s.res)
 }
 
 /// Which flows an event re-rates. The solvers share everything else — the
@@ -294,7 +304,6 @@ impl Solver for ScopedRepair {
         if run.scope.is_empty() {
             return;
         }
-        let sid = run.scope_id;
         let mut round = 0u32;
         loop {
             run.waterfill();
@@ -306,60 +315,8 @@ impl Solver for ScopedRepair {
                 run.scope_everyone(t);
                 continue; // Next round is the global solve and breaks above.
             }
-            let Run {
-                fl,
-                rt,
-                scope,
-                touched,
-                flagged,
-                failures,
-                ..
-            } = run;
-
-            // Verify pass. Flagged resources: the seeds themselves, plus any
-            // touched resource whose crosser-maximum rose or whose saturation
-            // was lost — the only two changes that can break a frozen flow's
-            // existing certificate.
-            rt.gen += 1;
-            flagged.clear();
-            for &r in seeds {
-                if rt.flag_stamp[r as usize] != rt.gen {
-                    rt.flag_stamp[r as usize] = rt.gen;
-                    flagged.push(r);
-                }
-            }
-            for &r in touched.iter() {
-                let r = r as usize;
-                if rt.flag_stamp[r] == rt.gen {
-                    continue;
-                }
-                rt.ensure(r, fl, sid);
-                if rt.max_new[r] > rt.max_old[r] || (rt.saturated_old(r) && !rt.saturated_new(r)) {
-                    rt.flag_stamp[r] = rt.gen;
-                    flagged.push(r as u32);
-                }
-            }
-            failures.clear();
-            for &f in scope.iter() {
-                if !certificate(f, fl, rt, sid) {
-                    failures.push(f);
-                }
-            }
-            for &r in flagged.iter() {
-                let r = r as usize;
-                for j in 0..rt.crossers[r].len() {
-                    let (g, _) = rt.crossers[r][j];
-                    let gu = g as usize;
-                    if fl.in_scope[gu] == sid || fl.checked[gu] == rt.gen {
-                        continue;
-                    }
-                    fl.checked[gu] = rt.gen;
-                    if !certificate(g, fl, rt, sid) {
-                        failures.push(g);
-                    }
-                }
-            }
-            if failures.is_empty() {
+            run.verify();
+            if run.failures.is_empty() {
                 break;
             }
 
@@ -371,13 +328,14 @@ impl Solver for ScopedRepair {
                 let f = run.failures[i];
                 run.add_to_scope(f, t);
                 for j in 0..run.fl.res[f as usize].len() {
-                    let r = run.fl.res[f as usize][j] as usize;
-                    run.rt.ensure(r, &run.fl, sid);
-                    if !run.rt.saturated_new(r) {
+                    let r = run.fl.res[f as usize][j];
+                    let read = &mut run.stats.crossers_read;
+                    let (load, _, cap) = run.rt.load(r, &run.alloc.slots, &run.fl, read);
+                    if !saturated(load, cap) {
                         continue;
                     }
-                    for k in 0..run.rt.crossers[r].len() {
-                        let (g, _) = run.rt.crossers[r][k];
+                    for k in 0..run.rt.crossers[r as usize].len() {
+                        let (g, _) = run.rt.crossers[r as usize][k];
                         run.add_to_scope(g, t);
                     }
                 }
@@ -408,7 +366,6 @@ struct Run {
     seeds: Vec<u32>,
     // Scratch reused across re-solves.
     scope: Vec<u32>,
-    touched: Vec<u32>,
     flagged: Vec<u32>,
     failures: Vec<u32>,
     scope_id: u64,
@@ -429,15 +386,15 @@ impl Run {
                 version: vec![0; n],
                 in_scope: vec![0; n],
                 checked: vec![0; n],
+                bneck: vec![u32::MAX; n],
             },
             active_list: Vec::new(),
             active_pos: vec![u32::MAX; n],
-            alloc: Allocator::new(caps.len()),
+            alloc: Allocator::default(),
             rt: Resources::new(caps),
             queue: EventQueue::with_capacity(n),
             seeds: Vec::new(),
             scope: Vec::new(),
-            touched: Vec::new(),
             flagged: Vec::new(),
             failures: Vec::new(),
             scope_id: 0,
@@ -518,7 +475,8 @@ impl Run {
     /// Progressive filling over `scope` with every out-of-scope rate
     /// frozen.
     fn waterfill(&mut self) {
-        let (fl, rt, sid) = (&mut self.fl, &mut self.rt, self.scope_id);
+        let (fl, al, sid) = (&mut self.fl, &mut self.alloc, self.scope_id);
+        let Resources { res, crossers, gen } = &mut self.rt;
         // Deterministic input order: the waterfill's FP accumulation (and
         // thus the byte-identical-result fence) must not depend on crosser
         // list history.
@@ -526,33 +484,117 @@ impl Run {
         self.stats.resolved_flows += self.scope.len() as u64;
         self.stats.max_scope = self.stats.max_scope.max(self.scope.len() as u64);
 
-        // Seed pass: exact frozen-bandwidth re-scan per touched resource
-        // (out-of-scope crossers keep their committed rates, so seeds never
-        // accumulate drift across re-solves). Nobody is out of a scope that
-        // is everyone: nothing to scan.
+        // Seed pass: one scan of each touched resource's crossers into its
+        // slot of the fill's table — the exact frozen bandwidth and maximum
+        // of those out of scope (committed rates, so seeds never accumulate
+        // drift across re-solves), the old sum and maximum of them all —
+        // and each scope flow's path written once as slots. Nobody is out
+        // of a scope that is everyone: nothing to scan, nothing to verify.
         let everyone = self.scope.len() == self.active_list.len();
-        rt.gen += 1;
-        self.touched.clear();
+        *gen += 1;
+        al.slots.clear();
+        al.inc.clear();
+        al.inc_off.clear();
+        al.inc_off.push(0);
         for &f in self.scope.iter() {
             for &r in &fl.res[f as usize] {
-                let r = r as usize;
-                if rt.stamp[r] != rt.gen {
-                    rt.stamp[r] = rt.gen;
-                    self.touched.push(r as u32);
-                    let mut frozen = 0.0;
+                let rec = &mut res[r as usize];
+                if rec.stamp != *gen {
+                    (rec.stamp, rec.slot) = (*gen, al.slots.len() as u32);
+                    let mut s = Slot::new(r, rec.cap);
                     if !everyone {
-                        for &(g, _) in &rt.crossers[r] {
-                            if fl.in_scope[g as usize] != sid {
-                                frozen += fl.rate[g as usize];
+                        self.stats.crossers_read += crossers[r as usize].len() as u64;
+                        for &(g, _) in &crossers[r as usize] {
+                            let g = g as usize;
+                            let frozen = fl.in_scope[g] != sid;
+                            let old = if frozen { fl.rate[g] } else { fl.old_rate[g] };
+                            s.sum_old += old;
+                            s.max_old = s.max_old.max(old);
+                            if frozen {
+                                s.sum_new += old;
+                                s.max_new = s.max_new.max(old);
                             }
                         }
                     }
-                    rt.seed[r] = frozen;
+                    al.slots.push(s);
+                }
+                al.slots[rec.slot as usize].live += 1;
+                al.inc.push(rec.slot);
+            }
+            al.inc_off.push(al.inc.len() as u32);
+        }
+        al.waterfill(&self.scope, &mut fl.rate);
+        if everyone {
+            // Exact by construction: record the bottlenecks, verify nothing.
+            for (pos, &f) in self.scope.iter().enumerate() {
+                fl.bneck[f as usize] = scope_certificate(al, pos, fl.rate[f as usize]);
+            }
+        }
+    }
+
+    /// Verify the latest fill, off its table; leaves the flows holding no
+    /// certificate in `failures`. Flagged: any touched resource whose
+    /// crosser-maximum rose or whose saturation was lost — the only two
+    /// changes that can break a frozen flow's certificate. (The seeds need
+    /// no flag: all their crossers are in the scope.)
+    fn verify(&mut self) {
+        let (fl, rt, al, stats) = (&mut self.fl, &mut self.rt, &self.alloc, &mut self.stats);
+        let (sid, gen) = (self.scope_id, rt.gen);
+        self.flagged.clear();
+        for s in &al.slots {
+            if s.max_new > s.max_old
+                || (saturated(s.sum_old, s.cap) && !saturated(s.sum_new, s.cap))
+            {
+                rt.res[s.res as usize].flag_stamp = gen;
+                self.flagged.push(s.res);
+            }
+        }
+        self.failures.clear();
+        for (pos, &f) in self.scope.iter().enumerate() {
+            let fu = f as usize;
+            fl.bneck[fu] = scope_certificate(al, pos, fl.rate[fu]);
+            if fl.bneck[fu] == u32::MAX {
+                self.failures.push(f);
+            }
+        }
+        // A frozen crosser of a flagged resource keeps its certificate
+        // unless the resource it is recorded to hold it at is flagged too.
+        let mut moved = Vec::new();
+        for &r in &self.flagged {
+            for &(g, _) in &rt.crossers[r as usize] {
+                let gu = g as usize;
+                if fl.in_scope[gu] == sid || fl.checked[gu] == gen {
+                    continue;
+                }
+                fl.checked[gu] = gen;
+                stats.frozen_visited += 1;
+                let b = fl.bneck[gu];
+                if b != u32::MAX && rt.res[b as usize].flag_stamp != gen {
+                    continue;
+                }
+                // In full: at `b` if it still holds there, else along the path.
+                stats.frozen_rechecked += 1;
+                let mut holds_at = |r: u32| {
+                    let (load, max, cap) = rt.load(r, &al.slots, fl, &mut stats.crossers_read);
+                    bottleneck(fl.rate[gu], load, max, cap)
+                };
+                if b != u32::MAX && holds_at(b) {
+                    continue;
+                }
+                match fl.res[gu].iter().copied().find(|&r| holds_at(r)) {
+                    Some(at) => moved.push((gu, at)),
+                    None => self.failures.push(g),
                 }
             }
         }
-        self.alloc
-            .waterfill_seeded(&self.scope, &fl.res, &rt.caps, &mut fl.rate, &rt.seed);
+        if self.failures.is_empty() {
+            // The round commits: the tentative rates the moved certificates
+            // were found under are the committed rates now.
+            stats.bottleneck_moved += moved.len() as u64;
+            for (g, at) in moved {
+                fl.bneck[g] = at;
+            }
+        }
     }
 
     /// Re-solve the allocation around the event at `t` that changed
@@ -599,43 +641,51 @@ impl Run {
 
     /// The definition of max-min fairness (Bertsekas & Gallager §6.5.2) on
     /// the *whole* rate vector, after every committed re-solve of either
-    /// solver, debug builds only: no resource over capacity, and every
-    /// active flow crosses a saturated resource on which its rate is
-    /// maximal. Loads and maxima are rebuilt from the active flows' paths
-    /// (into `rt`'s memo columns, stale by now) — not by [`certificate`],
-    /// not from the crosser lists.
+    /// solver, debug builds only: no resource over capacity, every active
+    /// flow crosses a saturated resource on which its rate is maximal, and
+    /// a flow's recorded bottleneck is such a resource. Loads and maxima
+    /// are rebuilt from the active flows' paths (into the fill's table,
+    /// stale by now, as scratch) — not by the verify pass, not from the
+    /// crosser lists.
     #[cfg(debug_assertions)]
     fn assert_max_min(&mut self, t: f64) {
-        let (fl, rt) = (&self.fl, &mut self.rt);
+        let (fl, rt, slots) = (&self.fl, &mut self.rt, &mut self.alloc.slots);
         rt.gen += 1;
+        slots.clear();
         for &f in &self.active_list {
             for &r in &fl.res[f as usize] {
-                let r = r as usize;
-                if rt.stamp[r] != rt.gen {
-                    rt.stamp[r] = rt.gen;
-                    (rt.sum_new[r], rt.max_new[r]) = (0.0, 0.0);
+                let rec = &mut rt.res[r as usize];
+                if rec.stamp != rt.gen {
+                    (rec.stamp, rec.slot) = (rt.gen, slots.len() as u32);
+                    slots.push(Slot::new(r, rec.cap));
                 }
-                rt.sum_new[r] += fl.rate[f as usize];
-                rt.max_new[r] = rt.max_new[r].max(fl.rate[f as usize]);
+                let s = &mut slots[rec.slot as usize];
+                s.sum_new += fl.rate[f as usize];
+                s.max_new = s.max_new.max(fl.rate[f as usize]);
             }
         }
         for &f in &self.active_list {
-            let x = fl.rate[f as usize];
-            let mut bottlenecked = false;
+            let (x, b) = (fl.rate[f as usize], fl.bneck[f as usize]);
+            let (mut bottlenecked, mut recorded) = (false, b == u32::MAX);
             for &r in &fl.res[f as usize] {
-                let r = r as usize;
-                let (load, cap) = (rt.sum_new[r], rt.caps[r]);
+                let s = &slots[rt.res[r as usize].slot as usize];
+                let (load, cap) = (s.sum_new, s.cap);
                 assert!(
                     load <= cap * (1.0 + CERT_TOL),
                     "t={t}: resource {r} (crossed by flow {f}) carries {load} over capacity {cap}"
                 );
-                bottlenecked |=
-                    load >= cap * (1.0 - CERT_TOL) && x >= rt.max_new[r] * (1.0 - CERT_TOL);
+                let here = bottleneck(x, load, s.max_new, cap);
+                bottlenecked |= here;
+                recorded |= here && r == b;
             }
             assert!(
                 bottlenecked,
                 "t={t}: flow {f} at rate {x} has no bottleneck on its path {:?}",
                 fl.res[f as usize]
+            );
+            assert!(
+                recorded,
+                "t={t}: flow {f} at rate {x} holds no certificate at its recorded bottleneck {b}"
             );
         }
     }

@@ -4,8 +4,8 @@
 //! plus a determinism fence (same seed => byte-identical `SimResult`).
 
 use netagg_sim::{
-    run_experiment, ArrivalProcess, EngineKind, ExperimentConfig, Strategy, TopologyConfig,
-    WorkloadConfig,
+    run_experiment, run_experiment_stats, ArrivalProcess, EngineKind, EngineStats,
+    ExperimentConfig, Strategy, TopologyConfig, WorkloadConfig,
 };
 
 /// Relative tolerance on per-flow finish times and makespan. The two
@@ -13,12 +13,13 @@ use netagg_sim::{
 /// accumulation order differs.
 const REL_TOL: f64 = 1e-6;
 
-fn assert_parity(cfg: &ExperimentConfig, label: &str) {
+/// Returns the incremental run's counters.
+fn assert_parity(cfg: &ExperimentConfig, label: &str) -> EngineStats {
     let mut inc_cfg = cfg.clone();
     inc_cfg.engine = EngineKind::Incremental;
     let mut ref_cfg = cfg.clone();
     ref_cfg.engine = EngineKind::Reference;
-    let inc = run_experiment(&inc_cfg);
+    let (inc, stats) = run_experiment_stats(&inc_cfg);
     let refr = run_experiment(&ref_cfg);
 
     assert_eq!(inc.records.len(), refr.records.len(), "{label}: flow count");
@@ -43,6 +44,7 @@ fn assert_parity(cfg: &ExperimentConfig, label: &str) {
     );
     // Link traffic totals are byte counts of the same flows: identical.
     assert_eq!(inc.link_bytes, refr.link_bytes, "{label}: link bytes");
+    stats
 }
 
 /// Seeded, randomized small configuration `k`: topology size, strategy,
@@ -107,6 +109,26 @@ fn incremental_matches_reference_with_slow_boxes() {
     cfg.box_rate = 0.4 * netagg_sim::GBPS;
     cfg.workload.num_flows = 120;
     assert_parity(&cfg, "slow boxes");
+}
+
+#[test]
+fn recorded_bottlenecks_spare_re_checks_and_follow_moves() {
+    // A loaded 64-server fabric: verify passes meet frozen crossers of
+    // flagged resources by the thousand, most keep their certificate on
+    // the strength of their recorded bottleneck alone, and a few are found
+    // holding it at another resource. In a debug build every commit then
+    // asserts each record is a certificate, so a record left stale after
+    // such a move fails here — and so does a suite that no longer reaches
+    // one.
+    let mut cfg = ExperimentConfig::quick();
+    cfg.strategy = Strategy::NetAgg;
+    cfg.workload.num_flows = 400;
+    cfg.workload.seed = 9;
+    let stats = assert_parity(&cfg, "recorded bottlenecks");
+    assert!(stats.frozen_rechecked > 0, "{stats:?}");
+    assert!(stats.frozen_visited > stats.frozen_rechecked, "{stats:?}");
+    assert!(stats.bottleneck_moved > 0, "{stats:?}");
+    assert!(stats.crossers_read > 0, "{stats:?}");
 }
 
 /// Serialize every float of a `SimResult` as raw bits: two results encode
