@@ -67,17 +67,17 @@
 //!   saturated resources (the flows pinning it), and the scope is
 //!   re-solved.
 //!
-//! If certificates keep failing after [`MAX_EXPANSIONS`] rounds the solver
-//! falls back to `GlobalWaterfill`'s scope — every active flow — which is
-//! exact by construction. How often the first scope — the bottleneck
-//! cohort of the event — verifies is a measured thing (the benchmark's
-//! `sim.expansions` and `sim.fallbacks` ledger rows): on `sim-sparse`
-//! there are 0.43 expansion rounds per re-solve (4 278 / 10 012, seed 1)
-//! and no fallback, and about half the flows filled are expansion
-//! re-fills (first-round scopes are 480 k of ≈ 920 k flows filled over
-//! four seeds); on `sim-dense` it is 0.81 rounds. Per-event work is still
-//! proportional to the flows around the event, not to the number of
-//! active flows.
+//! A scope is expanded at most [`MAX_EXPANSIONS`] times: when the verify
+//! after the last expansion fails too — the fifth — or an expansion finds
+//! nothing new to add, the solver falls back to `GlobalWaterfill`'s scope,
+//! every active flow, which is exact by construction; the fallback is
+//! decided before anything more is filled. How often the first scope —
+//! the bottleneck cohort of the event — verifies is a measured thing (the
+//! benchmark's `sim.expansions` and `sim.fallbacks` ledger rows): on
+//! `sim-sparse` there are 0.43 expansions per re-solve (4 278 / 10 012,
+//! seed 1) and no fallback, and about half the flows filled are expansion
+//! re-fills; on `sim-dense` it is 0.81. Per-event work is still
+//! proportional to the flows around the event, not to the active flows.
 //!
 //! # Invariants
 //!
@@ -103,7 +103,7 @@ use crate::flow::{self, FlowSpec};
 use crate::topology::Topology;
 use crate::{EngineKind, ExperimentConfig};
 
-/// Scope-expansion rounds before giving up and re-solving globally.
+/// Expansions of one scope before giving up and re-solving globally.
 pub const MAX_EXPANSIONS: u32 = 4;
 
 /// Relative tolerance for the certificate checks (saturation and
@@ -140,10 +140,9 @@ pub struct EngineStats {
     pub crossers_read: u64,
     /// Out-of-scope crossers of flagged resources the verify passes met.
     pub frozen_visited: u64,
-    /// Of those, the ones whose certificate was evaluated in full (their
-    /// recorded bottleneck was flagged, or they had none).
+    /// Of those, the ones re-checked in full: recorded bottleneck flagged.
     pub frozen_rechecked: u64,
-    /// Re-checks that found the certificate at another resource.
+    /// Committed re-checks that found the certificate at another resource.
     pub bottleneck_moved: u64,
 }
 
@@ -190,8 +189,7 @@ impl Flows {
 }
 
 /// What stays resource-indexed: one record per resource and its live
-/// crosser list. Everything a re-solve computes about a resource lives in
-/// the fill's dense table ([`Slot`]) while the scope touches it.
+/// crosser list; what a re-solve computes about it is in the fill's [`Slot`].
 struct Resources {
     res: Vec<Res>,
     /// Active flows crossing each resource as `(flow, j)` where `j` is the
@@ -289,8 +287,8 @@ impl Solver for GlobalWaterfill {
 /// [`EngineKind::Incremental`]: the crossers of `seeds` (the departed
 /// flow's path, or the union of newly admitted paths). Solve locally
 /// (out-of-scope rates frozen), verify certificates, expand on failure,
-/// fall back to [`GlobalWaterfill`]'s scope after [`MAX_EXPANSIONS`]
-/// rounds.
+/// fall back to [`GlobalWaterfill`]'s scope when [`MAX_EXPANSIONS`]
+/// expansions were not enough or there is nothing to expand by.
 struct ScopedRepair;
 
 impl Solver for ScopedRepair {
@@ -304,26 +302,23 @@ impl Solver for ScopedRepair {
         if run.scope.is_empty() {
             return;
         }
-        let mut round = 0u32;
-        loop {
+        for round in 0u32.. {
             run.waterfill();
             if run.scope.len() == run.active_list.len() {
                 break; // Global solve: exact by construction, nothing to verify.
-            }
-            if round > MAX_EXPANSIONS {
-                run.stats.fallbacks += 1;
-                run.scope_everyone(t);
-                continue; // Next round is the global solve and breaks above.
             }
             run.verify();
             if run.failures.is_empty() {
                 break;
             }
 
-            // Expansion: each failing flow joins the scope along with the
-            // blockers pinning it — every crosser of its saturated resources.
-            run.stats.expansions += 1;
+            // Expansion, [`MAX_EXPANSIONS`] times at most: each failing flow
+            // joins the scope along with the blockers pinning it — every
+            // crosser of its saturated resources.
             let before = run.scope.len();
+            if round >= MAX_EXPANSIONS {
+                run.failures.clear();
+            }
             for i in 0..run.failures.len() {
                 let f = run.failures[i];
                 run.add_to_scope(f, t);
@@ -340,11 +335,14 @@ impl Solver for ScopedRepair {
                     }
                 }
             }
-            if run.scope.len() == before {
-                // Nothing new to add locally; only the global solve can fix it.
-                round = MAX_EXPANSIONS;
+            if run.scope.len() > before {
+                run.stats.expansions += 1;
+            } else {
+                // Out of rounds, or nothing new to add locally: only the
+                // global solve can fix it. Decided here, before filling.
+                run.stats.fallbacks += 1;
+                run.scope_everyone(t);
             }
-            round += 1;
         }
     }
 }
@@ -535,8 +533,7 @@ impl Run {
     /// Verify the latest fill, off its table; leaves the flows holding no
     /// certificate in `failures`. Flagged: any touched resource whose
     /// crosser-maximum rose or whose saturation was lost — the only two
-    /// changes that can break a frozen flow's certificate. (The seeds need
-    /// no flag: all their crossers are in the scope.)
+    /// changes that can break a frozen flow's certificate.
     fn verify(&mut self) {
         let (fl, rt, al, stats) = (&mut self.fl, &mut self.rt, &self.alloc, &mut self.stats);
         let (sid, gen) = (self.scope_id, rt.gen);

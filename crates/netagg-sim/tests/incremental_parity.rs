@@ -131,6 +131,18 @@ fn recorded_bottlenecks_spare_re_checks_and_follow_moves() {
     assert!(stats.crossers_read > 0, "{stats:?}");
 }
 
+#[test]
+fn a_scope_that_will_not_verify_falls_back_to_the_global_solve() {
+    // 256 servers, 872 flows: two re-solves exhaust their expansions and
+    // go global. No other suite reaches the fallback.
+    let mut cfg = ExperimentConfig::default_scale();
+    cfg.strategy = Strategy::NetAgg;
+    cfg.workload.num_flows = 800;
+    cfg.workload.seed = 12;
+    let stats = assert_parity(&cfg, "fallback");
+    assert!(stats.fallbacks > 0, "{stats:?}");
+}
+
 /// Serialize every float of a `SimResult` as raw bits: two results encode
 /// identically iff they are byte-identical (bit-exact f64s, same counts).
 fn result_bits(r: &netagg_sim::SimResult) -> Vec<u64> {
