@@ -236,25 +236,6 @@ impl Allocator {
     /// its order) on the table in `slots`, whose `live` counts the caller
     /// has set to each slot's number of users.
     pub(crate) fn waterfill(&mut self, active: &[u32], rates: &mut [f64]) {
-        // Users of each slot, counted then placed: `users_off[s + 1]` is
-        // the cursor of `s` while placing and the start of `s + 1` after.
-        self.users_off.clear();
-        self.users_off.push(0);
-        let mut total = 0u32;
-        for slot in &self.slots {
-            self.users_off.push(total);
-            total += slot.live;
-        }
-        self.users.clear();
-        self.users.resize(total as usize, 0);
-        for pos in 0..active.len() {
-            for &s in &self.inc[self.inc_off[pos] as usize..self.inc_off[pos + 1] as usize] {
-                let at = &mut self.users_off[s as usize + 1];
-                self.users[*at as usize] = pos as u32;
-                *at += 1;
-            }
-        }
-
         let Self {
             slots,
             inc_off,
@@ -264,6 +245,26 @@ impl Allocator {
             heap,
             frozen,
         } = self;
+        let path = |pos: usize| &inc[inc_off[pos] as usize..inc_off[pos + 1] as usize];
+        // Users of each slot, counted then placed: `users_off[s + 1]` is
+        // the cursor of `s` while placing and the start of `s + 1` after.
+        users_off.clear();
+        users_off.push(0);
+        let mut total = 0u32;
+        for slot in slots.iter() {
+            users_off.push(total);
+            total += slot.live;
+        }
+        users.clear();
+        users.resize(total as usize, 0);
+        for pos in 0..active.len() {
+            for &s in path(pos) {
+                let at = &mut users_off[s as usize + 1];
+                users[*at as usize] = pos as u32;
+                *at += 1;
+            }
+        }
+
         heap.clear();
         for (s, slot) in slots.iter().enumerate() {
             heap.push(Entry {
@@ -292,7 +293,7 @@ impl Allocator {
                 frozen[pos] = true;
                 unfrozen -= 1;
                 rates[active[pos] as usize] = level;
-                for &s2 in &inc[inc_off[pos] as usize..inc_off[pos + 1] as usize] {
+                for &s2 in path(pos) {
                     let slot = &mut slots[s2 as usize];
                     slot.sum_new += level;
                     slot.max_new = slot.max_new.max(level);

@@ -312,7 +312,7 @@ impl Solver for ScopedRepair {
                 break;
             }
 
-            // Expansion, [`MAX_EXPANSIONS`] times at most: each failing flow
+            // Expansion, `MAX_EXPANSIONS` times at most: each failing flow
             // joins the scope along with the blockers pinning it — every
             // crosser of its saturated resources.
             let before = run.scope.len();
