@@ -9,7 +9,7 @@
 //! *inside* the transition that accepted them, so a close decided by one
 //! reader can never overtake a partial still in another reader's hands.
 
-use crate::fanin::{FanInCore, Request, Route, TraceAnchor};
+use crate::fanin::{FanInCore, Fired, Request, Route, TraceAnchor};
 use crate::protocol::{AppId, RequestId, SourceId, TreeId};
 use crate::window::RecencyWindow;
 use crate::DynAggregator;
@@ -17,10 +17,13 @@ use bytes::Bytes;
 use netagg_net::NodeId;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Requests per fan-in point whose emitted output a box retains for resends.
 const EMITTED_WINDOW: usize = 64;
+
+/// How long after one streaming-flush pass the next is due.
+pub const FLUSH_TICK: Duration = Duration::from_millis(10);
 
 /// A box-side request: `(application, request, tree)`.
 pub type ReqKey = (AppId, RequestId, TreeId);
@@ -87,6 +90,8 @@ pub struct BoxCore<S> {
     /// point: one tenant's traffic must not evict what another's new
     /// parent will need (redirects arrive per application and tree).
     emitted: HashMap<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
+    /// When the next streaming-flush pass is due; `None` = never flushes.
+    pub flush_due: Option<Instant>,
 }
 
 impl<S: PartialSink> Default for BoxCore<S> {
@@ -97,6 +102,7 @@ impl<S: PartialSink> Default for BoxCore<S> {
             parents: HashMap::new(),
             redirects: HashMap::new(),
             emitted: HashMap::new(),
+            flush_due: None,
         }
     }
 }
@@ -238,6 +244,33 @@ impl<S: PartialSink> BoxCore<S> {
             self.retain(emit.key, chunk.clone());
         }
         out
+    }
+
+    /// When the box next has something to do unprompted: a flush pass
+    /// while it streams and a request is open, else what its fan-in half
+    /// is waiting for. `None` at an idle box.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        let open = || self.fanin.requests.values().any(|q| !q.closed);
+        let flush = self.flush_due.filter(|_| open());
+        [flush, self.fanin.next_deadline()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Run what is due at `now`: a [`BoxCore::flush`] pass one
+    /// [`FLUSH_TICK`] after the last, then the fan-in half's timers.
+    pub fn on_timer(
+        &mut self,
+        now: Instant,
+        take: impl FnMut(&mut S) -> Option<Bytes>,
+    ) -> (Vec<(Emit, Bytes)>, Fired<Point, ReqKey>) {
+        let mut flushed = Vec::new();
+        if self.flush_due.is_some_and(|t| t <= now) {
+            self.flush_due = Some(now + FLUSH_TICK);
+            flushed = self.flush(take);
+        }
+        (flushed, self.fanin.on_timer(now))
     }
 
     /// This box's output was redirected. Permanent (the detector's

@@ -8,15 +8,19 @@
 //! and perform what each transition returns after releasing the lock:
 //! closing a request's input, events, and sends, which a dedicated egress
 //! thread carries to the tree parent (next box or master) over persistent
-//! connections.
+//! connections. What the box does unprompted — streaming flushes, straggler
+//! bypasses, heartbeats to its child boxes — is the core's too: one timer
+//! thread sleeps until the core's next deadline and runs what is due.
 
 use crate::aggbox::core::{BoxCore, Emit, PartialSink, Point, ReqKey, Resend};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use crate::aggbox::tree::{LocalAggTree, TraceTarget};
 use crate::conn_cache::ConnCache;
-use crate::fanin::{Repoint, Route, TraceAnchor};
+use crate::failure::{self, DetectorConfig};
+use crate::fanin::{Repoint, Route, StragglerScan, TraceAnchor};
 use crate::lifecycle::{
-    serve, CancelToken, JoinScope, Mailbox, OrderedMutex, OverflowPolicy, DEFAULT_JOIN_DEADLINE,
+    serve, CancelToken, JoinScope, Mailbox, OrderedMutex, OverflowPolicy, Parking, TimerSlot,
+    WakerGuard, DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::spans::Spans;
@@ -29,7 +33,7 @@ use netagg_obs::trace;
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Depth of the egress mailbox. Completion callbacks run on scheduler pool
 /// threads, so the egress queue must never block them: overflow drops the
@@ -188,18 +192,28 @@ pub struct BoxSnapshot {
     pub buffered_bytes: usize,
     /// Aggregation tasks waiting for a pool thread right now.
     pub tasks_queued: usize,
+    /// Times the timer thread woke; an idle box adds none.
+    pub timer_wakeups: u64,
     /// Per-application CPU accounting.
     pub apps: Vec<crate::aggbox::scheduler::AppCpu>,
+}
+
+/// What `agg.core` guards: the protocol state and the timer thread's slot.
+struct Guarded {
+    core: BoxCore<TreeSink>,
+    timer: TimerSlot,
 }
 
 struct Inner {
     cfg: AggBoxConfig,
     scheduler: Arc<TaskScheduler>,
-    core: OrderedMutex<BoxCore<TreeSink>>,
+    state: OrderedMutex<Guarded>,
+    /// Where the timer thread sleeps until the core's next deadline.
+    timer: Parking,
     /// Bounded hand-off to the egress thread (`DropOldest`: completion
     /// callbacks run on scheduler threads and must never block here).
     egress: Mailbox<(NodeId, Message)>,
-    /// The egress thread's connections.
+    /// Outbound connections: egress sends, probes, redirects and acks.
     conns: ConnCache,
     cancel: CancelToken,
     stats: BoxStats,
@@ -210,10 +224,12 @@ struct Inner {
 pub struct AggBox {
     inner: Arc<Inner>,
     scope: Arc<JoinScope>,
+    /// Wakes the parked timer thread on cancellation.
+    _timer_waker: WakerGuard,
 }
 
 impl AggBox {
-    /// Bind the box's address and start its listener, egress and straggler
+    /// Bind the box's address and start its listener, egress and timer
     /// threads.
     pub fn start(transport: Arc<dyn Transport>, cfg: AggBoxConfig) -> Result<Arc<Self>, NetError> {
         let listener = transport.bind(cfg.addr)?;
@@ -233,19 +249,33 @@ impl AggBox {
             &cfg.obs,
         );
         let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), cfg.obs.clone());
+        let mut core = BoxCore::default();
+        core.fanin.straggler = cfg.straggler;
+        core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
+        let timer = TimerSlot::default();
         let inner = Arc::new(Inner {
             scheduler: Arc::new(scheduler),
-            core: OrderedMutex::new(lock_order::AGG_CORE, BoxCore::default()),
+            state: OrderedMutex::new(lock_order::AGG_CORE, Guarded { core, timer }),
+            timer: Parking::new(),
             egress,
             conns: ConnCache::new(transport, cfg.addr),
-            cancel,
+            cancel: cancel.clone(),
             stats: BoxStats::default(),
             obs: BoxObs::new(cfg.obs.clone(), box_id),
             cfg,
         });
+        // Under the core lock, so a timer thread between its cancel check
+        // and its park cannot miss it. Weak: a strong ref would be a cycle.
+        let weak = Arc::downgrade(&inner);
+        let timer_waker = cancel.register_waker(move || {
+            if let Some(i) = weak.upgrade() {
+                i.timer.wake_all(&mut i.state.lock().timer.parked);
+            }
+        });
         let boxed = Arc::new(Self {
             inner: inner.clone(),
             scope,
+            _timer_waker: timer_waker,
         });
         // Listener thread, and a reader thread per accepted connection.
         {
@@ -258,20 +288,14 @@ impl AggBox {
                 move |conn| reader_loop(&inner, conn),
             )?;
         }
-        // The egress thread, and the streaming flusher and straggler
-        // monitor when configured.
+        // The egress thread and the timer thread.
         let spawn = |name: String, body: fn(&Arc<Inner>)| {
             let inner = inner.clone();
             let spawned = boxed.scope.spawn(name, move || body(&inner));
             spawned.map_err(|e| NetError::Io(e.to_string()))
         };
         spawn(format!("aggbox-{box_id}-egress"), egress_loop)?;
-        if inner.cfg.flush_bytes.is_some() {
-            spawn(format!("aggbox-{box_id}-flush"), flush_loop)?;
-        }
-        if inner.cfg.straggler.is_some() {
-            spawn(format!("aggbox-{box_id}-straggler"), straggler_loop)?;
-        }
+        spawn(format!("aggbox-{box_id}-timer"), timer_loop)?;
         Ok(boxed)
     }
 
@@ -279,32 +303,24 @@ impl AggBox {
     /// resource share.
     pub fn register_app(&self, app: AppId, agg: Arc<dyn DynAggregator>, share: f64) {
         self.inner.scheduler.register_app(app, share);
-        self.inner.core.lock().add_app(app, agg);
+        self.inner.state.lock().core.add_app(app, agg);
     }
 
     /// Install routing for one (application, tree): where this box's
     /// output goes (next box or master shim address) and what it owes.
     pub fn install_route(&self, app: AppId, tree: TreeId, parent: NodeId, route: Route) {
-        self.inner.core.lock().add_route(app, tree, parent, route);
+        self.inner
+            .transition(|core| core.add_route(app, tree, parent, route));
     }
 
-    /// React to a confirmed failure of a child box: future requests expect
-    /// that box's children directly (the failure detector has already told
-    /// them to re-point here), and every in-flight request's ledger moves
-    /// the box's obligations onto its behind-sources. Idempotent under
-    /// repeated detector firings.
-    pub fn on_child_box_failed(&self, app: AppId, tree: TreeId, failed_box: u32) {
-        let inner = &self.inner;
-        let (repoint, close) = {
-            let mut core = inner.core.lock();
-            let Some(r) = core.fanin.child_box_failed((app, tree), failed_box) else {
-                return;
-            };
-            let close = core.sinks(&r.closed);
-            (r, close)
-        };
-        report_repoint(inner, (app, tree), failed_box, &repoint);
-        close.iter().for_each(TreeSink::end_input);
+    /// Start heartbeating the child boxes this box's routes name. One
+    /// that misses `cfg.misses` acks in a row is failed for good: future
+    /// requests expect its children directly, every in-flight ledger moves
+    /// the box's obligations onto them, and they are told to re-point here.
+    pub fn enable_failure_detection(&self, cfg: DetectorConfig) {
+        let now = Instant::now();
+        self.inner
+            .transition(|core| core.fanin.detector.enable(cfg, now));
     }
 
     /// Counters exposed for the harness and tests.
@@ -316,11 +332,12 @@ impl AggBox {
     /// state, scheduler accounting — what a production middlebox would
     /// export to its metrics endpoint.
     pub fn snapshot(&self) -> BoxSnapshot {
-        let (active_requests, buffered_bytes) = {
-            let core = self.inner.core.lock();
-            let open = core.fanin.requests.values();
+        let (active_requests, buffered_bytes, timer_wakeups) = {
+            let s = self.inner.state.lock();
+            let open = s.core.fanin.requests.values();
             let sizes = open.map(|q| q.ext.sink.tree.pending_bytes());
-            sizes.fold((0, 0), |(n, bytes), b| (n + 1, bytes + b))
+            let (n, bytes) = sizes.fold((0, 0), |(n, bytes), b| (n + 1, bytes + b));
+            (n, bytes, s.timer.wakeups)
         };
         BoxSnapshot {
             box_id: self.inner.cfg.box_id,
@@ -333,6 +350,7 @@ impl AggBox {
             active_requests,
             buffered_bytes,
             tasks_queued: self.inner.scheduler.queued(),
+            timer_wakeups,
             apps: self.inner.scheduler.cpu_times(),
         }
     }
@@ -367,8 +385,9 @@ impl AggBox {
         // queue-wait / combine spans parented beneath it would be orphans.
         // Close them start → now, so a box killed mid-request still leaves
         // one connected trace tree (DESIGN.md §11).
-        let mut core = self.inner.core.lock();
-        for (key, t) in core
+        let mut s = self.inner.state.lock();
+        for (key, t) in s
+            .core
             .fanin
             .requests
             .drain()
@@ -376,6 +395,18 @@ impl AggBox {
         {
             self.inner.obs.request_span(key.1, t);
         }
+    }
+}
+
+impl Inner {
+    /// Run one core transition, and wake the timer thread if it produced a
+    /// deadline earlier than the one it sleeps toward (first clock started).
+    fn transition<T>(&self, f: impl FnOnce(&mut BoxCore<TreeSink>) -> T) -> T {
+        let mut s = self.state.lock();
+        let out = f(&mut s.core);
+        let next = s.core.next_deadline();
+        s.timer.rearm(&self.timer, next);
+        out
     }
 }
 
@@ -415,9 +446,7 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
                 let now = Instant::now();
                 let accepted = inner
-                    .core
-                    .lock()
-                    .accept_data(key, source, seq, last, payload, now, new);
+                    .transition(|core| core.accept_data(key, source, seq, last, payload, now, new));
                 let Some(close) = accepted else {
                     // Unknown route, replayed sequence number, re-pointed-away source
                     // or already-closed request: the core dropped it.
@@ -443,7 +472,7 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
             } => {
                 let key = (app, request, tree);
                 let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
-                let close = inner.core.lock().request_meta(key, sources, new);
+                let close = inner.transition(|core| core.request_meta(key, sources, new));
                 close.iter().for_each(TreeSink::end_input);
             }
             Message::Redirect {
@@ -454,8 +483,9 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 new_parent,
             } => {
                 let resends = inner
-                    .core
+                    .state
                     .lock()
+                    .core
                     .redirect(app, permanent, request, tree, new_parent);
                 for r in resends {
                     resend(inner, app, tree, new_parent, r);
@@ -471,8 +501,8 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 // replication happens over the box's high-bandwidth link,
                 // which is the point of on-path distribution.
                 let children = {
-                    let core = inner.core.lock();
-                    let route = core.fanin.route(&(app, tree));
+                    let s = inner.state.lock();
+                    let route = s.core.fanin.route(&(app, tree));
                     route.map(|r| r.children_addrs.clone()).unwrap_or_default()
                 };
                 for child in children {
@@ -487,14 +517,18 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                     ));
                 }
             }
-            Message::Heartbeat { from: _, nonce } => {
+            Message::Heartbeat { from, nonce } => {
+                // Straight to the prober's listener: past the egress
+                // queue, whose backlog must not read as a dead box.
                 let ack = Message::HeartbeatAck {
                     from: inner.cfg.box_id,
                     nonce,
                 };
-                let _ = conn.send(ack.encode());
+                let _ = inner.conns.send_to(from, ack.encode());
             }
-            Message::HeartbeatAck { .. } => {}
+            Message::HeartbeatAck { from, nonce } => {
+                inner.state.lock().core.fanin.detector.ack(from, nonce);
+            }
         }
     }
 }
@@ -546,7 +580,7 @@ fn new_request(
 /// the aggregate, drops the request's state and resolves the destination;
 /// the final chunk then goes to the egress thread.
 fn completed(inner: &Arc<Inner>, key: ReqKey, payload: Bytes) {
-    let emit = inner.core.lock().complete(key, payload.clone());
+    let emit = inner.state.lock().core.complete(key, payload.clone());
     // Count the completion before handing the aggregate to the egress
     // thread: observers polling after the master saw the result must find
     // the counter already incremented.
@@ -655,80 +689,87 @@ fn egress_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Stream partial aggregates downstream for requests whose buffered bytes
-/// exceed the flush threshold (Section 3.2.1: the local aggregation tree
-/// executes in a pipelined fashion and "little data is buffered").
-fn flush_loop(inner: &Arc<Inner>) {
-    let threshold = inner.cfg.flush_bytes.expect("flusher enabled");
-    // Interruptible tick: cancellation ends the sleep (and the loop)
-    // immediately.
-    while !inner.cancel.wait_timeout(Duration::from_millis(10)) {
-        let flushed = inner.core.lock().flush(|sink| {
-            let due = sink.tree.pending_bytes() >= threshold;
+/// The box's one timer thread: run what the core says is due, then sleep
+/// until its next deadline, a transition that produced an earlier one, or
+/// cancellation; an idle box never wakes it. Due work is streaming partials
+/// upstream once a request buffers `flush_bytes` (Section 3.2.1: "little
+/// data is buffered"), bypassing straggling child boxes, and heartbeating
+/// child boxes and failing the silent ones (Section 3.1).
+fn timer_loop(inner: &Arc<Inner>) {
+    let flush_bytes = inner.cfg.flush_bytes.unwrap_or(usize::MAX);
+    let mut s = inner.state.lock();
+    while !inner.cancel.is_cancelled() {
+        let (flushed, fired) = s.core.on_timer(Instant::now(), |sink| {
+            let due = sink.tree.pending_bytes() >= flush_bytes;
             due.then(|| sink.tree.take_partial(&sink.sched, sink.app))?
         });
+        if flushed.is_empty() && fired.is_empty() {
+            let next = s.core.next_deadline();
+            TimerSlot::park(&inner.timer, &mut s, |s| &mut s.timer, next);
+            continue;
+        }
+        // A bypass or a failure may have completed requests (the owed set
+        // changed).
+        let close = s.core.sinks(&fired.closed());
+        drop(s);
         // Streamed partials are forward hops too: each gets its own
         // forward span under the box's request span.
         for (emit, chunk) in flushed {
             forward(inner, emit, chunk, false);
         }
+        let (o, here) = (&inner.obs.registry, inner.cfg.addr);
+        let unsent = failure::announce(&inner.conns, o, here, fired.probes, &fired.dead);
+        for (point, failed_box, repoint) in &fired.failed {
+            report_repoint(inner, *point, *failed_box, repoint);
+            failure::repoint_children(&inner.conns, o, *point, here, &repoint.children);
+        }
+        fired.scan.into_iter().for_each(|scan| bypass(inner, scan));
+        close.iter().for_each(TreeSink::end_input);
+        s = inner.state.lock();
+        s.core.fanin.detector.unsent(&unsent, Instant::now());
     }
 }
 
-/// Periodically bypass straggling child boxes: if a request has received
-/// data from some sources but a child box has contributed nothing within
-/// the threshold, instruct that box's children to send this request's data
-/// directly here, and stop expecting the box (Section 3.1, "Handling
-/// stragglers").
-fn straggler_loop(inner: &Arc<Inner>) {
-    let policy = inner.cfg.straggler.expect("monitor enabled");
+/// Announce one straggler scan's bypasses: a request had data from some
+/// sources but a child box contributed nothing within the threshold, so
+/// that box's children are told to send this request's data directly here.
+fn bypass(inner: &Inner, scan: StragglerScan<Point, ReqKey>) {
     let o = &inner.obs;
-    while !inner.cancel.wait_timeout(policy.threshold / 4) {
-        let (scan, close) = {
-            let mut core = inner.core.lock();
-            let (threshold, limit) = (policy.threshold, policy.repeat_limit);
-            let scan = core.fanin.scan_stragglers(Instant::now(), threshold, limit);
-            let close = core.sinks(&scan.closed);
-            (scan, close)
+    for b in scan.bypasses {
+        let (app, request, tree) = b.request;
+        inner
+            .stats
+            .straggler_redirects
+            .fetch_add(1, Ordering::Relaxed);
+        o.straggler_redirects.inc();
+        let note = if b.permanent {
+            // Repeated slowness across requests: the box is treated as
+            // permanently failed (Section 3.1) — its children re-point
+            // here and future requests no longer expect it.
+            o.straggler_escalations.inc();
+            " (escalated to permanent)"
+        } else {
+            ""
         };
-        for b in scan.bypasses {
-            let (app, request, tree) = b.request;
-            inner
-                .stats
-                .straggler_redirects
-                .fetch_add(1, Ordering::Relaxed);
-            o.straggler_redirects.inc();
-            let note = if b.permanent {
-                // Repeated slowness across requests: the box is treated as
-                // permanently failed (Section 3.1) — its children re-point
-                // here and future requests no longer expect it.
-                o.straggler_escalations.inc();
-                " (escalated to permanent)"
-            } else {
-                ""
-            };
-            o.registry.emit(
-                names::EVENT_STRAGGLER,
-                format!(
-                    "box {} bypassed child box {} for app {} request {} tree {}{note}",
-                    inner.cfg.box_id, b.box_id, app.0, request.0, tree.0,
-                ),
-            );
-            let msg = Message::Redirect {
-                app,
-                permanent: b.permanent,
-                request,
-                tree,
-                new_parent: inner.cfg.addr,
-            };
-            for child in b.children {
-                let _ = inner.egress.send((child, msg.clone()));
-            }
+        o.registry.emit(
+            names::EVENT_STRAGGLER,
+            format!(
+                "box {} bypassed child box {} for app {} request {} tree {}{note}",
+                inner.cfg.box_id, b.box_id, app.0, request.0, tree.0,
+            ),
+        );
+        let msg = Message::Redirect {
+            app,
+            permanent: b.permanent,
+            request,
+            tree,
+            new_parent: inner.cfg.addr,
+        };
+        for child in b.children {
+            let _ = inner.egress.send((child, msg.clone()));
         }
-        for (point, failed_box, repoint) in &scan.escalated {
-            report_repoint(inner, *point, *failed_box, repoint);
-        }
-        // The bypass may have completed requests (the owed set changed).
-        close.iter().for_each(TreeSink::end_input);
+    }
+    for (point, failed_box, repoint) in &scan.escalated {
+        report_repoint(inner, *point, *failed_box, repoint);
     }
 }

@@ -162,8 +162,8 @@ impl LocalAggTree {
             match s.pending.len() {
                 1 => return s.pending.pop(),
                 n if n >= 2 => {
-                    // Force a combine of everything buffered; the flusher's
-                    // next pass can then take the single result.
+                    // Force a combine of everything buffered; the next
+                    // flush pass can then take the single result.
                     let batch: Vec<Bytes> = s.pending.drain(..).collect();
                     s.outstanding += 1;
                     let trace = s.trace.clone();

@@ -1,5 +1,6 @@
 //! One connection cache for every sender in the platform: worker data
-//! plane, master control plane, box egress and failure detector.
+//! plane, master control plane (heartbeats and redirects included) and the
+//! box's egress, timer and heartbeat acks.
 //!
 //! Persistent connections keep traffic ordered per peer and avoid a dial
 //! per message. The policy is dial once, redial once on a stale cached
@@ -30,24 +31,12 @@ impl ConnCache {
         }
     }
 
-    /// Send `frame` to `dest` over the cached connection.
+    /// Send `frame` to `dest` over the cached connection. The cache lock
+    /// is held throughout (`conn.cache` is declared blocking-tolerant,
+    /// §15): racing dials end in one connection per destination, the first
+    /// send precedes any redial that would replace it, and concurrent
+    /// senders to one destination stay ordered.
     pub fn send_to(&self, dest: NodeId, frame: Bytes) -> Result<(), NetError> {
-        self.send_then(dest, frame, |_| Ok(()))
-    }
-
-    /// Send `frame` to `dest`, then run `then` on the connection it went
-    /// out on (a heartbeat waits for its ack there). The cache lock is
-    /// held throughout (`conn.cache` is declared blocking-tolerant, §15):
-    /// racing dials end in one connection per destination, the first send
-    /// precedes any redial that would replace it, and concurrent senders
-    /// to one destination stay ordered. An error from `then` evicts the
-    /// connection.
-    pub fn send_then<R>(
-        &self,
-        dest: NodeId,
-        frame: Bytes,
-        then: impl FnOnce(&mut dyn Connection) -> Result<R, NetError>,
-    ) -> Result<R, NetError> {
         let mut conns = self.conns.lock();
         let mut dialled = false;
         loop {
@@ -59,7 +48,7 @@ impl ConnCache {
                 }
             };
             match conn.send(frame.clone()) {
-                Ok(()) => break,
+                Ok(()) => return Ok(()),
                 Err(e) => {
                     conns.remove(&dest);
                     if dialled {
@@ -68,12 +57,6 @@ impl ConnCache {
                 }
             }
         }
-        let conn = conns.get_mut(&dest).expect("sent on it above");
-        let out = then(conn.as_mut());
-        if out.is_err() {
-            conns.remove(&dest);
-        }
-        out
     }
 }
 

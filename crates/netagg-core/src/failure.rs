@@ -1,22 +1,23 @@
-//! Failure detection and recovery (Section 3.1, "Handling failures").
+//! Failure detection (Section 3.1, "Handling failures"), as a pure core.
 //!
-//! A lightweight detector runs at every node that is the *parent* of agg
-//! boxes in a tree (other boxes and the master shim). It periodically
-//! heartbeats its child boxes; after `misses` consecutive unanswered
-//! probes a child is declared failed, its children (workers or further
-//! boxes) are told to redirect future partial results to the detecting
-//! node, and the owner is notified so it adjusts the sources it expects.
-//! Duplicate suppression at the new parent (sequence numbers per source)
-//! keeps resent results from being double-counted.
+//! Every node that is the *parent* of agg boxes in a tree (other boxes and
+//! the master shim) heartbeats the child boxes its routes name. A
+//! [`DetectorCore`] is that node's liveness bookkeeping and nothing else:
+//! a probe is a value it returns for the shell to send, the ack an input,
+//! a missed ack a deadline. After `misses` consecutive unanswered probes it
+//! names the box dead; the owning [`crate::fanin::FanInCore`] then moves
+//! the box's obligations and returns the permanent redirects in the same
+//! transition. It holds no thread, clock, socket or watch list of its own;
+//! the sends both owners' shells perform for it are the two functions at
+//! the end.
 
 use crate::conn_cache::ConnCache;
-use crate::lifecycle::{CancelToken, JoinScope, DEFAULT_JOIN_DEADLINE};
 use crate::protocol::{AppId, Message, RequestId, TreeId};
-use netagg_net::{NetError, NodeId, Transport};
+use crate::tree::box_addr;
+use netagg_net::NodeId;
 use netagg_obs::{names, MetricsRegistry};
-use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Detector timing parameters.
@@ -40,284 +41,139 @@ impl Default for DetectorConfig {
     }
 }
 
-/// A child box watched by the detector.
-#[derive(Debug, Clone)]
-pub struct WatchedChild {
-    /// Global id of the watched box.
+/// One heartbeat to send to child box `box_id`; its ack echoes `nonce`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    /// The probed box.
     pub box_id: u32,
-    /// Its transport address.
-    pub addr: NodeId,
-    /// Addresses of the box's children, to be re-pointed on failure.
-    pub children_addrs: Vec<NodeId>,
-    /// Trees (per application) the box serves under this parent.
-    pub apps_trees: Vec<(AppId, TreeId)>,
+    /// Correlates the ack with this probe.
+    pub nonce: u64,
 }
 
-/// A shared, mutable set of children one detector probes. Clones are
-/// cheap and refer to the same set, so recovery logic can *adopt* the
-/// children of a failed box into a running detector: after a re-point,
-/// the new watches make a later failure of an orphaned subtree box
-/// (double-kill chains) detectable too.
-#[derive(Clone, Default)]
-pub struct WatchSet {
-    children: Arc<Mutex<Vec<WatchedChild>>>,
+/// One node's liveness view of its child boxes; see the module docs.
+#[derive(Debug, Default)]
+pub struct DetectorCore {
+    /// The timing, and when the next probe round leaves; `None`: disabled.
+    round: Option<(DetectorConfig, Instant)>,
+    nonce: u64,
+    /// The unanswered probe per box: its nonce and when the ack is missed.
+    pending: HashMap<u32, (u64, Instant)>,
+    /// Consecutive missed acks per box.
+    misses: HashMap<u32, u32>,
 }
 
-impl WatchSet {
-    /// Add a watched child. Entries for an already-watched box merge
-    /// their (app, tree) pairs and child addresses instead of
-    /// duplicating: the detector tracks liveness per box id, and a
-    /// duplicate entry would stop being probed (and re-pointed) the
-    /// moment the first one fires.
-    pub fn add(&self, child: WatchedChild) {
-        let mut v = self.children.lock();
-        if let Some(e) = v.iter_mut().find(|e| e.box_id == child.box_id) {
-            for at in child.apps_trees {
-                if !e.apps_trees.contains(&at) {
-                    e.apps_trees.push(at);
-                }
-            }
-            for a in child.children_addrs {
-                if !e.children_addrs.contains(&a) {
-                    e.children_addrs.push(a);
-                }
-            }
-            return;
+impl DetectorCore {
+    /// Start probing: the first round leaves one interval after `now`.
+    pub fn enable(&mut self, cfg: DetectorConfig, now: Instant) {
+        let first = now + cfg.interval;
+        self.round = Some((cfg, first));
+    }
+
+    /// Box `from` answered probe `nonce`. An ack for anything but the
+    /// outstanding probe — an older nonce, or one that already timed out —
+    /// changes nothing.
+    pub fn ack(&mut self, from: u32, nonce: u64) {
+        if self.pending.get(&from).is_some_and(|(n, _)| *n == nonce) {
+            self.pending.remove(&from);
+            self.misses.remove(&from);
         }
-        v.push(child);
     }
 
-    /// Whether no children are watched.
-    pub fn is_empty(&self) -> bool {
-        self.children.lock().is_empty()
+    /// These probes could not be sent: their acks are missed already.
+    pub fn unsent(&mut self, probes: &[Probe], now: Instant) {
+        for p in probes {
+            let owed = self.pending.get_mut(&p.box_id);
+            if let Some((_, missed)) = owed.filter(|(n, _)| *n == p.nonce) {
+                *missed = now;
+            }
+        }
     }
 
-    fn snapshot(&self) -> Vec<WatchedChild> {
-        self.children.lock().clone()
-    }
-}
-
-/// A running failure detector.
-pub struct FailureDetector {
-    scope: JoinScope,
-}
-
-impl FailureDetector {
-    /// Start probing the live set `children` from `self_addr`; children
-    /// added to the set while the detector runs are picked up on the next
-    /// probe round (recovery logic uses this to adopt the children of a
-    /// failed box). On a confirmed failure, `on_failed(box_id)` is invoked
-    /// once so the owner can adjust its expected sources, then permanent
-    /// redirects point the failed box's children at `self_addr`.
-    /// `failure.detections` / `failure.repoints` metrics and `failure`
-    /// events go to `obs`.
-    pub fn start(
-        transport: Arc<dyn Transport>,
-        self_addr: NodeId,
-        children: WatchSet,
-        cfg: DetectorConfig,
-        on_failed: Box<dyn Fn(u32) + Send>,
-        obs: MetricsRegistry,
-    ) -> Self {
-        let cancel = CancelToken::new();
-        let scope = JoinScope::with_obs(
-            format!("failure-detector-{self_addr}"),
-            cancel.clone(),
-            DEFAULT_JOIN_DEADLINE,
-            Some(&obs),
-        );
-        scope
-            .spawn(format!("failure-detector-{self_addr}"), move || {
-                let conns = ConnCache::new(transport, self_addr);
-                detector_loop(&conns, self_addr, children, &cfg, on_failed, &cancel, &obs)
-            })
-            .expect("spawn failure detector");
-        Self { scope }
+    /// The earliest outstanding ack time-out, or the next probe round
+    /// while the owner is `watching` at least one child box.
+    pub fn next_deadline(&self, watching: impl FnOnce() -> bool) -> Option<Instant> {
+        let round = self.round.as_ref().map(|(_, t)| *t).filter(|_| watching());
+        self.pending.values().map(|(_, t)| *t).chain(round).min()
     }
 
-    /// Stop probing: cancel the token (ending the current inter-probe
-    /// sleep immediately) and join the detector thread. Idempotent.
-    pub fn stop(&mut self) {
-        self.scope.finish();
+    /// Run what is due at `now` against the child boxes currently routed.
+    /// Returns the probes of a round that is due — all of them together,
+    /// none to a box still owing an ack — and the boxes whose time-out
+    /// just completed `misses` in a row. A probe to a box no longer in
+    /// `boxes` (failed meanwhile by another path) lapses silently.
+    pub fn on_timer(&mut self, now: Instant, boxes: &[u32]) -> (Vec<Probe>, Vec<u32>) {
+        let (mut probes, mut dead) = (Vec::new(), Vec::new());
+        let Some((cfg, next_round)) = &mut self.round else {
+            return (probes, dead);
+        };
+        let missed = self.pending.iter().filter(|(_, (_, t))| *t <= now);
+        for b in missed.map(|(b, _)| *b).collect::<Vec<_>>() {
+            self.pending.remove(&b);
+            let count = self.misses.entry(b).or_insert(0);
+            *count += 1;
+            if *count >= cfg.misses {
+                self.misses.remove(&b);
+                dead.push(b);
+            }
+        }
+        dead.retain(|b| boxes.contains(b));
+        if *next_round <= now {
+            *next_round = now + cfg.interval;
+            for b in boxes.iter().filter(|b| !dead.contains(b)) {
+                if let Entry::Vacant(slot) = self.pending.entry(*b) {
+                    self.nonce += 1;
+                    slot.insert((self.nonce, now + cfg.timeout));
+                    let (box_id, nonce) = (*b, self.nonce);
+                    probes.push(Probe { box_id, nonce });
+                }
+            }
+        }
+        (probes, dead)
     }
 }
 
-impl Drop for FailureDetector {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn detector_loop(
+/// The detector's own share of a firing at the node `here`: send the
+/// round's heartbeats, returning those that could not be sent (for
+/// [`DetectorCore::unsent`]), and count and audit every box declared dead.
+pub fn announce(
     conns: &ConnCache,
-    self_addr: NodeId,
-    children: WatchSet,
-    cfg: &DetectorConfig,
-    on_failed: Box<dyn Fn(u32) + Send>,
-    cancel: &CancelToken,
     obs: &MetricsRegistry,
-) {
-    let mut miss_count: HashMap<u32, u32> = HashMap::new();
-    let mut failed: HashSet<u32> = HashSet::new();
-    let mut nonce = 0u64;
-    // Interruptible inter-probe sleep: stop() ends it immediately.
-    while !cancel.wait_timeout(cfg.interval) {
-        // Snapshot per round: `on_failed` may adopt the failed box's
-        // children into the set mid-round.
-        for child in children.snapshot() {
-            if failed.contains(&child.box_id) {
-                continue;
-            }
-            nonce += 1;
-            if probe(conns, self_addr, child.addr, nonce, cfg.timeout) {
-                miss_count.insert(child.box_id, 0);
-                continue;
-            }
-            let m = miss_count.entry(child.box_id).or_insert(0);
-            *m += 1;
-            if *m < cfg.misses {
-                continue;
-            }
-            // Declare failure. Accounting first, data movement second:
-            // `on_failed` re-points the owner's fan-in ledgers *before*
-            // the redirects trigger worker replays, so a replayed chunk
-            // can never race the expected-source update (the seed bug).
-            failed.insert(child.box_id);
-            obs.counter(names::FAILURE_DETECTIONS).inc();
-            obs.emit(
-                names::EVENT_FAILURE,
-                format!(
-                    "detector at {} declared box {} (addr {}) failed after {} missed probes",
-                    self_addr, child.box_id, child.addr, cfg.misses
-                ),
-            );
-            on_failed(child.box_id);
-            for &(app, tree) in &child.apps_trees {
-                let msg = Message::Redirect {
-                    app,
-                    permanent: true,
-                    request: RequestId(0),
-                    tree,
-                    new_parent: self_addr,
-                };
-                for &grandchild in &child.children_addrs {
-                    if conns.send_to(grandchild, msg.encode()).is_ok() {
-                        obs.counter(names::FAILURE_REPOINTS).inc();
-                    }
-                }
-            }
-        }
+    here: NodeId,
+    mut probes: Vec<Probe>,
+    dead: &[u32],
+) -> Vec<Probe> {
+    for box_id in dead {
+        obs.counter(names::FAILURE_DETECTIONS).inc();
+        let addr = box_addr(*box_id);
+        let detail = format!("detector at {here} declared box {box_id} (addr {addr}) failed");
+        obs.emit(names::EVENT_FAILURE, detail);
     }
-}
-
-/// One heartbeat round trip: send, then wait on the same connection for
-/// the matching ack (tolerating unrelated frames) until `timeout`. The
-/// cache is this thread's own, so holding it across the wait stalls nobody;
-/// any failure evicts the connection and the next probe redials.
-fn probe(conns: &ConnCache, from: NodeId, child: NodeId, nonce: u64, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    let hb = Message::Heartbeat { from, nonce }.encode();
-    let acked = conns.send_then(child, hb, |conn| loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(NetError::Timeout);
-        }
-        let frame = conn.recv_timeout(left)?;
-        if let Ok(Message::HeartbeatAck { nonce: n, .. }) = Message::decode(frame) {
-            if n == nonce {
-                return Ok(());
-            }
-        }
+    probes.retain(|&Probe { box_id, nonce }| {
+        let hb = Message::Heartbeat { from: here, nonce };
+        conns.send_to(box_addr(box_id), hb.encode()).is_err()
     });
-    acked.is_ok()
+    probes
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::aggbox::{AggBox, AggBoxConfig};
-    use netagg_net::{ChannelTransport, FaultController, FaultTransport};
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    /// A watch set holding box 0 at `addr`, with nothing behind it.
-    fn watching(addr: NodeId) -> WatchSet {
-        let set = WatchSet::default();
-        set.add(WatchedChild {
-            box_id: 0,
-            addr,
-            children_addrs: vec![],
-            apps_trees: vec![],
-        });
-        set
-    }
-
-    #[test]
-    fn healthy_child_is_not_declared_failed() {
-        let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
-        let b = AggBox::start(
-            transport.clone(),
-            AggBoxConfig::new(0, crate::tree::box_addr(0)),
-        )
-        .unwrap();
-        let failed = Arc::new(AtomicU32::new(0));
-        let f2 = failed.clone();
-        let mut det = FailureDetector::start(
-            transport,
-            999,
-            watching(b.addr()),
-            DetectorConfig {
-                interval: Duration::from_millis(20),
-                timeout: Duration::from_millis(100),
-                misses: 2,
-            },
-            Box::new(move |_| {
-                f2.fetch_add(1, Ordering::SeqCst);
-            }),
-            MetricsRegistry::new(),
-        );
-        std::thread::sleep(Duration::from_millis(300));
-        det.stop();
-        assert_eq!(failed.load(Ordering::SeqCst), 0);
-        b.shutdown();
-    }
-
-    #[test]
-    fn dead_child_triggers_failure_callback() {
-        let ctl = FaultController::new();
-        let transport: Arc<dyn Transport> =
-            Arc::new(FaultTransport::new(ChannelTransport::new(), ctl.clone()));
-        let b = AggBox::start(
-            transport.clone(),
-            AggBoxConfig::new(0, crate::tree::box_addr(0)),
-        )
-        .unwrap();
-        let failed = Arc::new(AtomicU32::new(0));
-        let f2 = failed.clone();
-        let mut det = FailureDetector::start(
-            transport,
-            999,
-            watching(b.addr()),
-            DetectorConfig {
-                interval: Duration::from_millis(20),
-                timeout: Duration::from_millis(60),
-                misses: 2,
-            },
-            Box::new(move |id| {
-                assert_eq!(id, 0);
-                f2.fetch_add(1, Ordering::SeqCst);
-            }),
-            MetricsRegistry::new(),
-        );
-        std::thread::sleep(Duration::from_millis(150));
-        ctl.kill(b.addr());
-        std::thread::sleep(Duration::from_millis(500));
-        det.stop();
-        assert_eq!(
-            failed.load(Ordering::SeqCst),
-            1,
-            "exactly one failure event"
-        );
-        ctl.revive(b.addr());
-        b.shutdown();
+/// Tell a failed box's `children` — permanently — to send `(app, tree)`
+/// data to `new_parent`, the node that has taken over its obligations.
+pub fn repoint_children(
+    conns: &ConnCache,
+    obs: &MetricsRegistry,
+    (app, tree): (AppId, TreeId),
+    new_parent: NodeId,
+    children: &[NodeId],
+) {
+    let msg = Message::Redirect {
+        app,
+        permanent: true,
+        request: RequestId(0),
+        tree,
+        new_parent,
+    };
+    for child in children {
+        if conns.send_to(*child, msg.encode()).is_ok() {
+            obs.counter(names::FAILURE_REPOINTS).inc();
+        }
     }
 }

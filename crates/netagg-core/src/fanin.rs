@@ -17,8 +17,10 @@
 //! request. Ledger keys are `(P, SourceId)`, so a chunk or a re-point for
 //! one point can never touch another point's obligations.
 
+use crate::failure::{DetectorCore, Probe};
 use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
 use crate::protocol::{AppId, SourceId};
+use crate::straggler::StragglerPolicy;
 use crate::tree::TreeSpec;
 use netagg_net::NodeId;
 use std::collections::hash_map::Entry;
@@ -123,7 +125,7 @@ impl<P: Copy + Eq + Hash, X> Request<P, X> {
     }
 }
 
-/// What a child-box failure changed.
+/// What a child-box failure changed, and who is to be told.
 #[derive(Debug)]
 pub struct Repoint<R> {
     /// Requests whose ledger changed — the box's obligations moved onto
@@ -135,6 +137,9 @@ pub struct Repoint<R> {
     pub moved: usize,
     /// Requests the transition completed.
     pub closed: Vec<R>,
+    /// The failed box's children, to be told — permanently — to send here:
+    /// no replay that triggers can reach a ledger that has not moved yet.
+    pub children: Vec<NodeId>,
 }
 
 /// One straggling child box bypassed for one request.
@@ -163,6 +168,34 @@ pub struct StragglerScan<P, R> {
     pub closed: Vec<R>,
 }
 
+/// What one timer firing did; empty when nothing was due.
+#[derive(Debug)]
+pub struct Fired<P, R> {
+    /// The straggler scan, at a node that runs one.
+    pub scan: Option<StragglerScan<P, R>>,
+    /// Heartbeats to send to child boxes.
+    pub probes: Vec<Probe>,
+    /// Boxes the detector declared dead.
+    pub dead: Vec<u32>,
+    /// Their failure at every point that routed through one.
+    pub failed: Vec<(P, u32, Repoint<R>)>,
+}
+
+impl<P, R: Copy> Fired<P, R> {
+    /// Whether the firing found nothing due.
+    pub fn is_empty(&self) -> bool {
+        let idle = |s: &StragglerScan<P, R>| s.bypasses.is_empty() && s.closed.is_empty();
+        self.scan.as_ref().is_none_or(idle) && self.probes.is_empty() && self.dead.is_empty()
+    }
+
+    /// Every request a bypass or a failure of this firing completed.
+    pub fn closed(&self) -> Vec<R> {
+        let failed = self.failed.iter().flat_map(|(_, _, r)| &r.closed);
+        let scanned = self.scan.iter().flat_map(|s| &s.closed);
+        failed.chain(scanned).copied().collect()
+    }
+}
+
 /// One node's half of the fan-in protocol; see the module docs.
 #[derive(Debug)]
 pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
@@ -173,6 +206,10 @@ pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
     pub requests: HashMap<R, Request<P, X>>,
     /// Straggler events per child box, across requests.
     straggles: HashMap<u32, u32>,
+    /// The bypass policy this node runs on its timer, constant once set.
+    pub straggler: Option<StragglerPolicy>,
+    /// Liveness of the child boxes the routes name.
+    pub detector: DetectorCore,
 }
 
 impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X> {
@@ -181,6 +218,8 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X>
             routes: HashMap::new(),
             requests: HashMap::new(),
             straggles: HashMap::new(),
+            straggler: None,
+            detector: DetectorCore::default(),
         }
     }
 }
@@ -275,6 +314,7 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> FanInCore<P, R, X> {
             repointed: Vec::new(),
             moved: 0,
             closed: Vec::new(),
+            children: info.children_addrs,
         };
         for (r, q) in self.requests.iter_mut().filter(|(_, q)| !q.closed) {
             let outcome = q
@@ -319,10 +359,10 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> FanInCore<P, R, X> {
         {
             for (point, route) in &self.routes {
                 for (box_id, info) in &route.child_boxes {
-                    let key = (*point, SourceId::Box(*box_id));
-                    if !q.ledger.is_owed(&key) || q.ledger.has_seen(&key) {
+                    if !Self::awaits(q, *point, *box_id) {
                         continue;
                     }
+                    let key = (*point, SourceId::Box(*box_id));
                     let behind: Vec<(P, SourceId)> =
                         info.owed.iter().map(|s| (*point, *s)).collect();
                     if let RepointOutcome::Moved { .. } = q.ledger.repoint(key, &behind) {
@@ -355,5 +395,53 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> FanInCore<P, R, X> {
             }
         }
         scan
+    }
+
+    /// Whether `q` still owes child box `box_id` of `point`, unheard from.
+    fn awaits(q: &Request<P, X>, point: P, box_id: u32) -> bool {
+        let key = (point, SourceId::Box(box_id));
+        q.ledger.is_owed(&key) && !q.ledger.has_seen(&key)
+    }
+
+    /// When this node next has something to do unprompted, read off its
+    /// state: the oldest open request that still has a child box to bypass
+    /// reaching the (constant) straggler threshold, the next probe round,
+    /// the earliest ack time-out. A firing that finds nothing due is a no-op.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        let boxes = || {
+            let routes = self.routes.iter();
+            routes.flat_map(|(p, r)| r.child_boxes.keys().map(move |b| (*p, *b)))
+        };
+        let straggler = self.straggler.and_then(|policy| {
+            let open = self.requests.values().filter(|q| !q.closed);
+            let waiting = open.filter(|q| boxes().any(|(p, b)| Self::awaits(q, p, b)));
+            Some(waiting.filter_map(|q| q.started).min()? + policy.threshold)
+        });
+        let detector = self.detector.next_deadline(|| boxes().next().is_some());
+        [straggler, detector].into_iter().flatten().min()
+    }
+
+    /// Run what is due at `now`: the straggler scan, ack time-outs, the next
+    /// probe round. A box declared dead is failed at every point routing
+    /// through it in this transition; the child boxes adopted from it are
+    /// probed from the next round on.
+    pub fn on_timer(&mut self, now: Instant) -> Fired<P, R> {
+        let policy = self.straggler;
+        let scan = policy.map(|p| self.scan_stragglers(now, p.threshold, p.repeat_limit));
+        let routed = self.routes.values().flat_map(|r| r.child_boxes.keys());
+        let boxes: Vec<u32> = routed.copied().collect();
+        let (probes, dead) = self.detector.on_timer(now, &boxes);
+        let points: Vec<P> = self.routes.keys().copied().collect();
+        let routed = dead
+            .iter()
+            .flat_map(|b| points.iter().map(move |p| (*p, *b)));
+        let failed = routed.filter_map(|(p, b)| Some((p, b, self.child_box_failed(p, b)?)));
+        let failed = failed.collect();
+        Fired {
+            scan,
+            probes,
+            dead,
+            failed,
+        }
     }
 }

@@ -4,11 +4,11 @@
 use crate::aggbox::scheduler::SchedulerConfig;
 use crate::aggbox::Route;
 use crate::aggbox::{AggBox, AggBoxConfig};
-use crate::failure::{DetectorConfig, FailureDetector, WatchSet, WatchedChild};
+use crate::failure::DetectorConfig;
 use crate::protocol::AppId;
 use crate::shim::{MasterShim, MasterShimConfig, TreeSelection, WorkerShim};
 use crate::straggler::StragglerPolicy;
-use crate::tree::{build_tree_specs, master_addr, ClusterSpec, Parent, TreeSpec};
+use crate::tree::{build_tree_specs, ClusterSpec, TreeSpec};
 use crate::{AggError, DynAggregator};
 use netagg_net::{MeteredTransport, Transport};
 use netagg_obs::{MetricsRegistry, MetricsSnapshot};
@@ -56,7 +56,6 @@ pub struct NetAggDeployment {
     boxes: Vec<Arc<AggBox>>,
     apps: Vec<AppRecord>,
     master_shims: HashMap<AppId, Arc<MasterShim>>,
-    detectors: Vec<FailureDetector>,
     next_app: u16,
     obs: MetricsRegistry,
 }
@@ -110,7 +109,6 @@ impl NetAggDeployment {
             boxes,
             apps: Vec::new(),
             master_shims: HashMap::new(),
-            detectors: Vec::new(),
             next_app: 0,
             obs,
         })
@@ -175,91 +173,16 @@ impl NetAggDeployment {
     }
 
     /// Arm failure detection: every parent of boxes (master shims and
-    /// boxes) probes its child boxes and re-routes around failures. Call
-    /// after registering all applications and creating master shims.
+    /// boxes) probes the child boxes its routes name and re-routes around
+    /// failures — the master is just the root. Call after registering all
+    /// applications and creating master shims.
     pub fn enable_failure_detection(&mut self, cfg: DetectorConfig) {
-        // The master is just the root: it watches the root boxes of its
-        // application's trees exactly as a box watches its child boxes.
-        for (app, shim) in self.master_shims.clone() {
-            let roots = |spec: &TreeSpec| {
-                let roots = spec.boxes.iter().filter(|b| b.parent == Parent::Master);
-                roots.map(|b| b.box_id).collect()
-            };
-            let failed = move |_, tree, box_id| shim.on_child_box_failed(tree, box_id);
-            self.arm_detector(&cfg, master_addr(app), vec![app], roots, failed);
+        for shim in self.master_shims.values() {
+            shim.enable_failure_detection(cfg.clone());
         }
-        // Box liveness is app-independent, so each box runs one detector
-        // covering all apps (the watch set merges per-app entries by box id).
-        let apps: Vec<AppId> = self.apps.iter().map(|a| a.id).collect();
-        for owner in self.boxes.clone() {
-            let id = owner.box_id();
-            let children = move |spec: &TreeSpec| {
-                let own = spec.tree_box(id);
-                own.map(|tb| tb.box_children.clone()).unwrap_or_default()
-            };
-            let addr = owner.addr();
-            let failed = move |app, tree, box_id| owner.on_child_box_failed(app, tree, box_id);
-            self.arm_detector(&cfg, addr, apps.clone(), children, failed);
+        for b in &self.boxes {
+            b.enable_failure_detection(cfg.clone());
         }
-    }
-
-    /// Start the detector of one parent of boxes at `addr`: it watches
-    /// `children(spec)` on every tree for `apps`, reports a failure through
-    /// `failed(app, tree, box)` and then adopts the failed box's own child
-    /// boxes — the parent is their parent now, so a chained failure below
-    /// is detected as well (double-kill chains).
-    fn arm_detector(
-        &mut self,
-        cfg: &DetectorConfig,
-        addr: netagg_net::NodeId,
-        apps: Vec<AppId>,
-        children: impl Fn(&TreeSpec) -> Vec<u32>,
-        failed: impl Fn(AppId, crate::protocol::TreeId, u32) + Send + 'static,
-    ) {
-        // A redirect must be issued per app; children_addrs are per app
-        // for workers.
-        fn watch(set: &WatchSet, spec: &TreeSpec, apps: &[AppId], box_id: u32) {
-            let Some(tb) = spec.tree_box(box_id) else {
-                return;
-            };
-            for &app in apps {
-                set.add(WatchedChild {
-                    box_id,
-                    addr: tb.addr,
-                    children_addrs: spec.children_addrs(app, box_id),
-                    apps_trees: vec![(app, spec.tree)],
-                });
-            }
-        }
-        let watched = WatchSet::default();
-        for spec in &self.specs {
-            for box_id in children(spec) {
-                watch(&watched, spec, &apps, box_id);
-            }
-        }
-        if watched.is_empty() {
-            return;
-        }
-        let (specs, adopt) = (self.specs.clone(), watched.clone());
-        let on_failed = move |box_id| {
-            for spec in &specs {
-                let Some(tb) = spec.tree_box(box_id) else {
-                    continue;
-                };
-                apps.iter().for_each(|app| failed(*app, spec.tree, box_id));
-                for c in &tb.box_children {
-                    watch(&adopt, spec, &apps, *c);
-                }
-            }
-        };
-        self.detectors.push(FailureDetector::start(
-            self.transport.clone(),
-            addr,
-            watched,
-            cfg.clone(),
-            Box::new(on_failed),
-            self.obs.clone(),
-        ));
     }
 
     /// The running agg boxes, indexed by global box id.
@@ -278,7 +201,7 @@ impl NetAggDeployment {
         &self.transport
     }
 
-    /// The deployment-wide metrics registry. Boxes, shims, detectors and
+    /// The deployment-wide metrics registry. Boxes, shims and
     /// the transport all publish into it; see DESIGN.md ("Observability")
     /// for the metric names.
     pub fn obs(&self) -> &MetricsRegistry {
@@ -292,11 +215,8 @@ impl NetAggDeployment {
         self.obs.snapshot()
     }
 
-    /// Stop detectors, shims and boxes.
+    /// Stop shims and boxes.
     pub fn shutdown(&mut self) {
-        for mut d in self.detectors.drain(..) {
-            d.stop();
-        }
         for (_, s) in self.master_shims.drain() {
             s.shutdown();
         }

@@ -4,18 +4,21 @@
 //! receives root aggregates (or raw partials from direct workers when no
 //! boxes are deployed), performs the final cross-tree merge and emulates
 //! empty per-worker results. It is also the parent of the root boxes, so
-//! it runs the same straggler bypass the boxes do.
+//! its one timer thread runs the same straggler bypass and failure
+//! detection the boxes do, off the same core deadlines.
 
 use crate::conn_cache::ConnCache;
-use crate::fanin::TraceAnchor;
+use crate::failure::{self, DetectorConfig};
+use crate::fanin::{Repoint, StragglerScan, TraceAnchor};
 use crate::lifecycle::{
-    serve, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, WakerGuard,
+    serve, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, TimerSlot, WakerGuard,
     DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::master_core::{MasterCore, MasterKey, Taken};
 use crate::shim::TreeSelection;
 use crate::spans::Spans;
+use crate::straggler::StragglerPolicy;
 use crate::tree::{master_addr, Parent, TreeSpec};
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
@@ -165,10 +168,12 @@ impl MasterObs {
     }
 }
 
-/// What `master.core` guards: the protocol state and who is parked on `cv`.
+/// What `master.core` guards: the protocol state, who is parked on `cv`
+/// and the timer thread's slot.
 struct Guarded {
     core: MasterCore,
     waiters: Parked,
+    timer: TimerSlot,
 }
 
 struct Inner {
@@ -179,9 +184,10 @@ struct Inner {
     specs: Vec<TreeSpec>,
     state: OrderedMutex<Guarded>,
     cv: Parking,
+    /// Where the timer thread sleeps until the core's next deadline.
+    timer: Parking,
     cancel: CancelToken,
-    /// Control-plane connections (RequestMeta, Broadcast, straggler
-    /// redirects).
+    /// Control-plane connections (RequestMeta, Broadcast, probes, redirects).
     ctrl: ConnCache,
     obs: MasterObs,
 }
@@ -196,13 +202,13 @@ pub struct PendingRequest {
 pub struct MasterShim {
     inner: Arc<Inner>,
     scope: Arc<JoinScope>,
-    /// Wakes `PendingRequest::wait` condvar sleepers on cancellation.
+    /// Wakes `PendingRequest::wait` sleepers and the timer on cancellation.
     _cv_waker: WakerGuard,
 }
 
 impl MasterShim {
-    /// Bind the master address and start the shim's listener (and, when
-    /// configured, its straggler monitor).
+    /// Bind the master address and start the shim's listener and timer
+    /// threads.
     pub fn start(
         transport: Arc<dyn Transport>,
         app: AppId,
@@ -219,9 +225,19 @@ impl MasterShim {
             DEFAULT_JOIN_DEADLINE,
             Some(&cfg.obs),
         ));
+        let mut core = MasterCore::new(app, specs, cfg.selection);
+        // Hierarchical thresholds: the master waits longer than the boxes
+        // so box-level bypass (closer to the data) resolves stragglers
+        // first. The root never escalates: declaring a root box dead for
+        // good is the failure detector's call.
+        core.fanin.straggler = cfg.straggler_threshold.map(|t| StragglerPolicy {
+            threshold: t * 4,
+            repeat_limit: u32::MAX,
+        });
         let guarded = Guarded {
-            core: MasterCore::new(app, specs, cfg.selection),
+            core,
             waiters: Parked::default(),
+            timer: TimerSlot::default(),
         };
         let inner = Arc::new(Inner {
             app,
@@ -232,16 +248,19 @@ impl MasterShim {
             specs: specs.to_vec(),
             state: OrderedMutex::new(lock_order::MASTER_CORE, guarded),
             cv: Parking::new(),
+            timer: Parking::new(),
             cancel: cancel.clone(),
             ctrl: ConnCache::new(transport, addr),
         });
-        // Wake condvar waiters on cancellation (under the core lock, so a
-        // waiter between its cancel check and its park cannot miss it).
-        // Weak: a strong ref here would cycle through the token.
+        // Wake condvar waiters and the timer thread on cancellation (under
+        // the core lock, so one between its cancel check and its park cannot
+        // miss it). Weak: a strong ref here would cycle through the token.
         let weak = Arc::downgrade(&inner);
         let cv_waker = cancel.register_waker(move || {
             if let Some(i) = weak.upgrade() {
-                i.cv.wake_all(&mut i.state.lock().waiters);
+                let mut s = i.state.lock();
+                i.cv.wake_all(&mut s.waiters);
+                i.timer.wake_all(&mut s.timer.parked);
             }
         });
         let shim = Arc::new(Self {
@@ -259,14 +278,11 @@ impl MasterShim {
                 move |conn| reader_loop(&inner, conn),
             )?;
         }
-        if inner.cfg.straggler_threshold.is_some() {
-            let inner = inner.clone();
-            shim.scope
-                .spawn(format!("master-shim-{}-straggler", app.0), move || {
-                    straggler_loop(&inner)
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
-        }
+        shim.scope
+            .spawn(format!("master-shim-{}-timer", app.0), move || {
+                timer_loop(&inner)
+            })
+            .map_err(|e| NetError::Io(e.to_string()))?;
         Ok(shim)
     }
 
@@ -295,6 +311,7 @@ impl MasterShim {
             inner.cv.wake_all(&mut s.waiters);
         }
         inner.obs.update_ledger_gauges(&s.core);
+        inner.rearm(&mut s);
         PendingRequest {
             inner: inner.clone(),
             request,
@@ -396,38 +413,30 @@ impl MasterShim {
         Ok(())
     }
 
-    /// React to a confirmed root-box failure (called by the failure
-    /// detector): *move* the box's behind-sources into direct-to-master
-    /// ledger entries, for the route (future requests) and every
-    /// in-flight request. Idempotent under repeated detector firings,
-    /// straggler redirects racing the detector, and replayed duplicates.
+    /// Start heartbeating the root boxes of this application's trees; one
+    /// missing `cfg.misses` acks in a row is failed as below.
+    pub fn enable_failure_detection(&self, cfg: DetectorConfig) {
+        let mut s = self.inner.state.lock();
+        s.core.fanin.detector.enable(cfg, Instant::now());
+        self.inner.rearm(&mut s);
+    }
+
+    /// Declare a root box failed (the detector's verdict, or an
+    /// operator's): *move* the box's behind-sources into direct-to-master
+    /// ledger entries, for the route (future requests) and every in-flight
+    /// request, then tell the box's children to send here. Idempotent
+    /// under repeated declarations, straggler redirects racing the
+    /// detector, and replayed duplicates.
     pub fn on_child_box_failed(&self, tree: TreeId, failed_box: u32) {
-        let o = &self.inner.obs;
         let repoint = {
             let mut s = self.inner.state.lock();
             let Some(r) = s.core.fanin.child_box_failed(tree, failed_box) else {
                 return;
             };
-            o.update_ledger_gauges(&s.core);
-            if !r.closed.is_empty() {
-                self.inner.cv.wake_all(&mut s.waiters);
-            }
+            self.inner.settle(&mut s, &r.closed);
             r
         };
-        let (repointed, completed) = (repoint.repointed.len(), repoint.closed.len());
-        o.repoint_spans(&repoint.repointed);
-        // Count the route transition even when no request was in flight,
-        // so the audit trail always records the failure.
-        o.repoints.add((repointed as u64).max(1));
-        o.requests_completed.add(completed as u64);
-        o.registry.emit(
-            names::EVENT_REPOINT,
-            format!(
-                "master shim (app {}) re-pointed failed box {} on tree {} \
-                 across {} in-flight requests",
-                self.inner.app.0, failed_box, tree.0, repointed
-            ),
-        );
+        self.inner.announce_failure(tree, failed_box, &repoint);
     }
 
     /// The master shim's transport address.
@@ -450,6 +459,72 @@ impl MasterShim {
         let open = s.core.fanin.requests.drain().filter(|(_, q)| !q.closed);
         for (rid, t) in open.filter_map(|(r, q)| Some((r, q.trace?))) {
             self.inner.obs.root_span(rid, t);
+        }
+    }
+}
+
+impl Inner {
+    /// A transition may have produced a deadline earlier than the one the
+    /// timer thread sleeps toward (a request registered, detector enabled).
+    fn rearm(&self, s: &mut Guarded) {
+        s.timer.rearm(&self.timer, s.core.fanin.next_deadline());
+    }
+
+    /// After a re-point or a bypass, still under the lock: refresh the
+    /// ledger gauges and hand the requests it completed to their waiters.
+    fn settle(&self, s: &mut Guarded, closed: &[RequestId]) {
+        self.obs.update_ledger_gauges(&s.core);
+        self.obs.requests_completed.add(closed.len() as u64);
+        if !closed.is_empty() {
+            self.cv.wake_all(&mut s.waiters);
+        }
+    }
+
+    /// The core has moved a failed root box's obligations: audit it, then
+    /// tell the box's children — permanently — to send here.
+    fn announce_failure(&self, tree: TreeId, failed_box: u32, repoint: &Repoint<RequestId>) {
+        let o = &self.obs;
+        let repointed = repoint.repointed.len();
+        o.repoint_spans(&repoint.repointed);
+        // Count the route transition even when no request was in flight,
+        // so the audit trail always records the failure.
+        o.repoints.add((repointed as u64).max(1));
+        o.registry.emit(
+            names::EVENT_REPOINT,
+            format!(
+                "master shim (app {}) re-pointed failed box {} on tree {} \
+                 across {} in-flight requests",
+                self.app.0, failed_box, tree.0, repointed
+            ),
+        );
+        let (point, to) = ((self.app, tree), self.addr);
+        failure::repoint_children(&self.ctrl, &o.registry, point, to, &repoint.children);
+    }
+
+    /// Announce one straggler scan's bypasses: a root box contributed
+    /// nothing to a request within the threshold, so its children are told
+    /// to send that request's data here.
+    fn bypass(&self, scan: StragglerScan<TreeId, RequestId>) {
+        for b in scan.bypasses {
+            self.obs.master_bypasses.inc();
+            self.obs.registry.emit_for_request(
+                names::EVENT_STRAGGLER,
+                format!(
+                    "master shim (app {}) bypassed a root box for request {} tree {}",
+                    self.app.0, b.request.0, b.point.0
+                ),
+                b.request.0,
+            );
+            let msg = Message::Redirect {
+                app: self.app,
+                permanent: false,
+                request: b.request,
+                tree: b.point,
+                new_parent: self.addr,
+            };
+            for child in b.children {
+                let _ = self.ctrl.send_to(child, msg.encode());
+            }
         }
     }
 }
@@ -583,69 +658,42 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                     inner.cv.wake_all(&mut s.waiters);
                 }
                 o.update_ledger_gauges(&s.core);
+                inner.rearm(&mut s);
                 drop(s);
                 o.spans.ingest(names::spans::MASTER_RECV, ctx, hop, request);
             }
-            Message::Heartbeat { nonce, .. } => {
-                let _ = conn.send(
-                    Message::HeartbeatAck {
-                        from: u32::MAX,
-                        nonce,
-                    }
-                    .encode(),
-                );
+            Message::HeartbeatAck { from, nonce } => {
+                inner.state.lock().core.fanin.detector.ack(from, nonce);
             }
             _ => {}
         }
     }
 }
 
-/// Straggler bypass at the master: a root box that contributed nothing
-/// within the threshold is bypassed for that request — the same scan the
-/// boxes run, on the root's routes.
-fn straggler_loop(inner: &Arc<Inner>) {
-    // Hierarchical thresholds: the master waits longer than the boxes so
-    // box-level bypass (closer to the data) resolves stragglers first.
-    let threshold = inner.cfg.straggler_threshold.expect("monitor enabled") * 4;
-    let o = &inner.obs;
-    loop {
-        if inner.cancel.wait_timeout(threshold / 4) {
-            return;
+/// The shim's one timer thread: run what the core says is due — the same
+/// straggler scan and failure detection the boxes run, on the root's
+/// routes — then sleep until its next deadline, a transition that produced
+/// an earlier one, or cancellation.
+fn timer_loop(inner: &Arc<Inner>) {
+    let mut s = inner.state.lock();
+    while !inner.cancel.is_cancelled() {
+        let fired = s.core.fanin.on_timer(Instant::now());
+        if fired.is_empty() {
+            let next = s.core.fanin.next_deadline();
+            TimerSlot::park(&inner.timer, &mut s, |s| &mut s.timer, next);
+            continue;
         }
-        let scan = {
-            let mut s = inner.state.lock();
-            // The root never escalates: declaring a root box dead for good
-            // is the failure detector's call.
-            let fanin = &mut s.core.fanin;
-            let scan = fanin.scan_stragglers(Instant::now(), threshold, u32::MAX);
-            o.update_ledger_gauges(&s.core);
-            // Bypass may complete requests whose other sources already ended.
-            if !scan.closed.is_empty() {
-                inner.cv.wake_all(&mut s.waiters);
-            }
-            scan
-        };
-        o.requests_completed.add(scan.closed.len() as u64);
-        for b in scan.bypasses {
-            o.master_bypasses.inc();
-            o.registry.emit_for_request(
-                names::EVENT_STRAGGLER,
-                format!(
-                    "master shim (app {}) bypassed a root box for request {} tree {}",
-                    inner.app.0, b.request.0, b.point.0
-                ),
-                b.request.0,
-            );
-            let msg = Message::Redirect {
-                app: inner.app,
-                permanent: false,
-                request: b.request,
-                tree: b.point,
-                new_parent: inner.addr,
-            };
-            for child in b.children {
-                let _ = inner.ctrl.send_to(child, msg.encode());
-            }
+        // A bypass or a failure may complete requests whose other sources
+        // already ended.
+        inner.settle(&mut s, &fired.closed());
+        drop(s);
+        let o = &inner.obs.registry;
+        let unsent = failure::announce(&inner.ctrl, o, inner.addr, fired.probes, &fired.dead);
+        for (tree, failed_box, repoint) in &fired.failed {
+            inner.announce_failure(*tree, *failed_box, repoint);
         }
+        fired.scan.into_iter().for_each(|scan| inner.bypass(scan));
+        s = inner.state.lock();
+        s.core.fanin.detector.unsent(&unsent, Instant::now());
     }
 }

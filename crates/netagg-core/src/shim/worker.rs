@@ -379,15 +379,6 @@ fn control_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                     inner.resend(new_parent, chunk);
                 }
             }
-            Message::Heartbeat { nonce, .. } => {
-                let _ = conn.send(
-                    Message::HeartbeatAck {
-                        from: inner.worker,
-                        nonce,
-                    }
-                    .encode(),
-                );
-            }
             Message::Broadcast {
                 app,
                 request,

@@ -3,15 +3,17 @@
 //! meets when a soak happens to schedule it.
 
 use bytes::Bytes;
-use netagg_core::aggbox::core::{BoxCore, PartialSink, ReqKey, Resend};
-use netagg_core::fanin::Route;
+use netagg_core::aggbox::core::{BoxCore, PartialSink, ReqKey, Resend, FLUSH_TICK};
+use netagg_core::failure::{DetectorConfig, DetectorCore, Probe};
+use netagg_core::fanin::{Fired, Route};
 use netagg_core::protocol::{AppId, RequestId, SourceId, TreeId};
 use netagg_core::shim::master_core::{MasterCore, Taken};
 use netagg_core::shim::worker_core::WorkerCore;
 use netagg_core::shim::TreeSelection;
+use netagg_core::straggler::StragglerPolicy;
 use netagg_core::tree::{build_tree_specs, ClusterSpec, RackSpec, TreeSpec};
 use netagg_core::{AggError, AggWrapper, AggregationFunction};
-use netagg_net::DetRng;
+use netagg_net::{DetRng, NodeId};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -400,5 +402,312 @@ fn recovery_events_in_any_order_move_obligations_once() {
             assert_eq!(want_moved.unwrap_or(moved), moved, "{events:?}");
             assert!(moved <= 1, "{events:?}");
         }
+    }
+}
+
+// --- (e): time is an input — deadlines and the detector through the cores ---
+
+const DETECTOR: DetectorConfig = DetectorConfig {
+    interval: Duration::from_millis(30),
+    timeout: Duration::from_millis(60),
+    misses: 2,
+};
+
+/// A two-level chain: box 0 (workers 0 and 1) is the root, box 1 (workers
+/// 2 and 3) its child. The node under test owes box 0 alone.
+fn chain() -> Vec<TreeSpec> {
+    build_tree_specs(&ClusterSpec::multi_rack(2, 2, 1))
+}
+
+/// A box core above [`chain`]'s box 0.
+fn box_above_chain(specs: &[TreeSpec]) -> BoxCore<Collect> {
+    let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
+    box_core(specs[0].master_sources(), child)
+}
+
+/// What one timer firing did, in the terms both fan-in cores share.
+struct Tick {
+    probes: Vec<Probe>,
+    /// Per box declared dead: its children named for re-pointing, and the
+    /// open requests whose ledger the same step re-pointed.
+    dead: Vec<(u32, Vec<NodeId>, usize)>,
+    bypasses: usize,
+    done: Option<Vec<Bytes>>,
+}
+
+impl Tick {
+    fn of<P, R>(fired: &Fired<P, R>, done: Option<Vec<Bytes>>) -> Self {
+        let declared = |b: &u32| {
+            let points = || fired.failed.iter().filter(|(_, failed, _)| failed == b);
+            let children = points().flat_map(|(_, _, r)| r.children.clone()).collect();
+            let repointed = points().map(|(_, _, r)| r.repointed.len());
+            (*b, children, repointed.sum())
+        };
+        Tick {
+            probes: fired.probes.clone(),
+            dead: fired.dead.iter().map(declared).collect(),
+            bypasses: fired.scan.as_ref().map_or(0, |s| s.bypasses.len()),
+            done,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.probes.is_empty() && self.dead.is_empty() && self.bypasses == 0
+    }
+}
+
+/// The timer face of a fan-in node: the same calls at a box core and at
+/// the master core.
+trait Timed: Node {
+    fn detector(&mut self) -> &mut DetectorCore;
+    fn deadline(&self) -> Option<Instant>;
+    fn tick(&mut self, now: Instant) -> Tick;
+    /// The node's one route: the child boxes it names and what it owes.
+    fn route(&self) -> &Route;
+    /// Whether the request is open here.
+    fn open(&self) -> bool;
+}
+
+impl Timed for BoxCore<Collect> {
+    fn detector(&mut self) -> &mut DetectorCore {
+        &mut self.fanin.detector
+    }
+    fn deadline(&self) -> Option<Instant> {
+        self.next_deadline()
+    }
+    fn tick(&mut self, now: Instant) -> Tick {
+        let (flushed, fired) = self.on_timer(now, |_| None);
+        assert!(flushed.is_empty());
+        let done = self.sinks(&fired.closed()).pop().map(|sink| sink.0);
+        Tick::of(&fired, done)
+    }
+    fn route(&self) -> &Route {
+        self.fanin.route(&(APP, TREE)).unwrap()
+    }
+    fn open(&self) -> bool {
+        let q = self.fanin.requests.get(&(APP, REQ, TREE));
+        q.is_some_and(|q| !q.closed)
+    }
+}
+
+impl Timed for MasterCore {
+    fn detector(&mut self) -> &mut DetectorCore {
+        &mut self.fanin.detector
+    }
+    fn deadline(&self) -> Option<Instant> {
+        self.fanin.next_deadline()
+    }
+    fn tick(&mut self, now: Instant) -> Tick {
+        let fired = self.fanin.on_timer(now);
+        let done = delivered(self, !fired.closed().is_empty());
+        Tick::of(&fired, done)
+    }
+    fn route(&self) -> &Route {
+        self.fanin.route(&TREE).unwrap()
+    }
+    fn open(&self) -> bool {
+        self.fanin.requests.get(&REQ).is_some_and(|q| !q.closed)
+    }
+}
+
+/// An idle node has no deadline whatever is configured: nothing to flush,
+/// nothing to bypass, and nobody to probe without a routed child box.
+#[test]
+fn an_idle_core_has_no_deadline() {
+    let now = Instant::now();
+    let mut leaf = box_core(vec![SourceId::Worker(0)], HashMap::new());
+    leaf.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
+    leaf.flush_due = Some(now);
+    leaf.fanin.detector.enable(DETECTOR, now);
+    assert_eq!(leaf.next_deadline(), None);
+    // An open request starts the flush tick, and only that: a leaf has no
+    // child box to bypass or probe.
+    assert_eq!(
+        box_data(&mut leaf, 1, SourceId::Worker(0), (1, false), 0, now),
+        Some(None)
+    );
+    assert_eq!(leaf.next_deadline(), Some(now));
+    let (flushed, fired) = leaf.on_timer(now, |_| None);
+    assert!(flushed.is_empty() && fired.is_empty());
+    assert_eq!(leaf.next_deadline(), Some(now + FLUSH_TICK));
+
+    let specs = build_tree_specs(&ClusterSpec::single_rack(2, 0));
+    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    master.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
+    master.fanin.detector.enable(DETECTOR, now);
+    master.register(REQ, 2, None, now, Duration::from_secs(600), || None);
+    assert_eq!(master.fanin.next_deadline(), None, "no box, no deadline");
+}
+
+/// The shape that would busy-loop a timer thread: a request past its
+/// threshold whose straggler has been bypassed keeps no deadline in the
+/// past; and a firing before the deadline changes nothing.
+#[test]
+fn a_request_with_nothing_left_to_bypass_yields_no_deadline() {
+    let specs = chain();
+    let t0 = Instant::now();
+    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    master.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
+    let mut aggbox = box_above_chain(&specs);
+    aggbox.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
+    let nodes: [&mut dyn Timed; 2] = [&mut aggbox, &mut master];
+    for node in nodes {
+        assert_eq!(node.deadline(), None, "no clock started");
+        // Worker 0's chunk (ahead of any redirect) starts the clock.
+        node.data(SourceId::Worker(0), 10, t0);
+        assert_eq!(node.deadline(), Some(t0 + THRESHOLD));
+        let early = node.tick(t0 + THRESHOLD - Duration::from_nanos(1));
+        assert!(early.is_empty() && early.done.is_none());
+        assert_eq!(node.deadline(), Some(t0 + THRESHOLD), "nothing changed");
+        let due = node.tick(t0 + THRESHOLD);
+        assert_eq!(due.bypasses, 1);
+        assert_eq!(node.deadline(), None, "bypassed: nothing left to wait for");
+        assert!(node.open(), "workers 1 to 3 are still owed");
+        assert!(node.tick(t0 + THRESHOLD * 9).is_empty());
+    }
+}
+
+/// What the drive below may deliver to the node next.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Input {
+    /// A box answers a probe, under the probe's nonce or an older one.
+    Ack(u32, u64),
+    /// A worker's replay, or a box's aggregate, reaches the node.
+    Data(SourceId),
+}
+
+/// Drive `node` — owing box 0 — through one seeded order of timer firings,
+/// acks and data, against a model of the detector kept here: the probe
+/// each box owes an ack for, and its consecutive time-outs. Box 0 never
+/// answers; box 1's answers (if `leaf_answers`) arrive whenever the order
+/// says, in time or not. Nodes send only what a redirect asked for: a
+/// worker replays here once its box was declared dead, box 1 delivers here
+/// once box 0 was.
+fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0: Instant) {
+    let value = |s| match s {
+        SourceId::Worker(w) => 10 + w as u8,
+        SourceId::Box(b) => [46, 25][b as usize],
+    };
+    let mut now = t0;
+    node.detector().enable(DETECTOR, now);
+    // Box 0's own aggregate may be in flight already: before the
+    // declaration it is the whole answer, after it it is ignored.
+    let mut pool = vec![Input::Data(SourceId::Box(0))];
+    let mut owing: HashMap<u32, (u64, Instant)> = HashMap::new();
+    let mut misses: HashMap<u32, u32> = HashMap::new();
+    let (mut declared, mut result, mut trace) = (Vec::new(), None, Vec::new());
+    let mut finish = |done: Option<Vec<Bytes>>, trace: &[Option<Input>]| {
+        let Some(inputs) = done else { return };
+        let sum = inputs.iter().map(|b| b[0] as u32).sum::<u32>();
+        assert!(result.replace(sum).is_none(), "{trace:?}: completed twice");
+    };
+    let in_flight = |pool: &[Input]| pool.iter().any(|i| matches!(i, Input::Data(_)));
+    // `None` in the trace is a timer firing. Run until box 0 is declared
+    // and the request done, then a little longer: nothing completes twice.
+    let mut overtime = 12;
+    while overtime > 0 {
+        let settled = declared.contains(&0) && !node.open() && !in_flight(&pool);
+        overtime -= usize::from(settled);
+        assert!(trace.len() < 400, "{trace:?}: no quiescence");
+        let pick = rng.gen_range(0, 2 * pool.len().max(1) as u64) as usize;
+        let input = (pick < pool.len()).then(|| pool.swap_remove(pick));
+        trace.push(input);
+        match input {
+            Some(Input::Data(source)) => {
+                finish(node.data(source, value(source), now).done, &trace);
+            }
+            Some(Input::Ack(from, nonce)) => {
+                node.detector().ack(from, nonce);
+                if owing.get(&from).is_some_and(|(n, _)| *n == nonce) {
+                    owing.remove(&from);
+                    misses.remove(&from);
+                }
+            }
+            None => {
+                let Some(deadline) = node.deadline() else {
+                    continue;
+                };
+                now = deadline;
+                let lapsed = owing
+                    .iter()
+                    .filter(|(_, (_, t))| *t + DETECTOR.timeout <= now);
+                let mut due = Vec::new();
+                for b in lapsed.map(|(b, _)| *b).collect::<Vec<_>>() {
+                    owing.remove(&b);
+                    let n = misses.entry(b).or_insert(0);
+                    *n += 1;
+                    due.extend((*n == DETECTOR.misses).then_some(b));
+                }
+                let watched: Vec<u32> = node.route().child_boxes.keys().copied().collect();
+                let open = node.open();
+                let tick = node.tick(now);
+                let mut dead: Vec<u32> = tick.dead.iter().map(|d| d.0).collect();
+                dead.sort_unstable();
+                due.sort_unstable();
+                assert_eq!(
+                    dead, due,
+                    "{trace:?}: `misses` time-outs in a row, no fewer"
+                );
+                for (b, children, repointed) in &tick.dead {
+                    assert!(!declared.contains(b), "{trace:?}: box {b} failed twice");
+                    declared.push(*b);
+                    // The ledger and the route moved in this very step.
+                    assert_eq!(*repointed, usize::from(open), "{trace:?}");
+                    assert!(!node.route().child_boxes.contains_key(b));
+                    let behind = &chain()[0].children_sources(*b);
+                    assert!(behind.iter().all(|s| node.route().owed.contains(s)));
+                    assert_eq!(children.len(), behind.len());
+                    pool.extend(behind.iter().map(|s| Input::Data(*s)));
+                }
+                // A round probes every routed box that owes no ack — the
+                // boxes adopted from a dead one from the next round on.
+                let mut probed: Vec<u32> = tick.probes.iter().map(|p| p.box_id).collect();
+                let idle = |b: &u32| !owing.contains_key(b) && !dead.contains(b);
+                let mut expect: Vec<u32> = watched.into_iter().filter(idle).collect();
+                probed.sort_unstable();
+                expect.sort_unstable();
+                assert!(probed.is_empty() || probed == expect, "{trace:?}");
+                finish(tick.done, &trace);
+                assert!(node.tick(now).is_empty(), "{trace:?}: a second firing");
+                for p in &tick.probes {
+                    owing.insert(p.box_id, (p.nonce, now));
+                    // An older nonce (ignored) races the real ack, if any.
+                    pool.push(Input::Ack(p.box_id, p.nonce - 1));
+                    if p.box_id == 1 && leaf_answers {
+                        pool.push(Input::Ack(p.box_id, p.nonce));
+                    } else if rng.gen_range(0, 2) == 0 {
+                        // The send failed outright: missed without waiting.
+                        node.detector().unsent(&[*p], now);
+                        owing.insert(p.box_id, (p.nonce, now - DETECTOR.timeout));
+                        assert_eq!(node.deadline(), Some(now), "{trace:?}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(declared.contains(&0), "{trace:?}");
+    assert_eq!(result, Some(46), "{trace:?}");
+}
+
+/// (e) Probe rounds, acks before and after their time-out, acks under an
+/// older nonce, replays and late aggregates in seeded orders: a silent box
+/// is failed exactly once, after exactly `misses` unanswered probes, with
+/// the ledger moved in the step that names who to redirect; the box it
+/// leaves behind is probed — and, if silent too, failed — with no watch
+/// list to update; the result is the reference fold, once.
+#[test]
+fn detector_inputs_in_any_order_fail_each_silent_box_exactly_once() {
+    let specs = chain();
+    let mut rng = DetRng::new(0xDE7E_C70A);
+    for round in 0..400 {
+        let t0 = Instant::now();
+        let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+        master.register(REQ, 4, None, t0, Duration::from_secs(600), || None);
+        let mut aggbox = box_above_chain(&specs);
+        let nodes: [&mut dyn Timed; 2] = [&mut aggbox, &mut master];
+        for node in nodes {
+            drive_detector(node, &mut rng, round % 2 == 0, t0);
+        }
+        assert!(master.fanin.route(&TREE).unwrap().failed.contains(&0));
     }
 }

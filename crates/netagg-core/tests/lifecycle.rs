@@ -209,3 +209,93 @@ fn a_box_joins_its_pool_even_when_a_task_holds_the_scheduler() {
         "scoped threads still alive after the box was dropped"
     );
 }
+
+/// A box with every timer source configured but nothing to do: its route
+/// names a child box, so the straggler policy has someone to bypass, and
+/// `flush_bytes` is set. Worker 0 and box 7 are owed; box 7's only child
+/// listens at `child`.
+fn timed_box(
+    transport: &Arc<dyn Transport>,
+    threshold: Duration,
+    child: netagg_net::NodeId,
+) -> Arc<netagg_core::aggbox::AggBox> {
+    use netagg_core::aggbox::{AggBox, AggBoxConfig, Route};
+    use netagg_core::protocol::{SourceId, TreeId};
+    use netagg_core::straggler::StragglerPolicy;
+    use netagg_core::tree::box_addr;
+
+    let mut cfg = AggBoxConfig::new(0, box_addr(0));
+    cfg.straggler = Some(StragglerPolicy::new(threshold));
+    cfg.flush_bytes = Some(1 << 20);
+    let agg_box = AggBox::start(transport.clone(), cfg).unwrap();
+    agg_box.register_app(AppId(1), sum_agg(), 1.0);
+    let behind = Route {
+        owed: [SourceId::Worker(1)].into(),
+        children_addrs: vec![child],
+        ..Route::default()
+    };
+    let route = Route {
+        owed: [SourceId::Worker(0), SourceId::Box(7)].into(),
+        child_boxes: [(7, behind)].into(),
+        ..Route::default()
+    };
+    agg_box.install_route(AppId(1), TreeId(0), 9_999, route);
+    agg_box
+}
+
+/// Time is an input: with no request open the core has no deadline, so the
+/// one timer thread stays parked — where the flusher used to tick 30 times
+/// in 300 ms and the straggler monitor every quarter threshold.
+#[test]
+fn an_idle_box_never_wakes_its_timer() {
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let agg_box = timed_box(&transport, Duration::from_millis(20), 9_998);
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(agg_box.snapshot().timer_wakeups, 0);
+}
+
+/// The timer thread of an idle box is parked with no deadline. The chunk
+/// that starts a request's straggler clock produces the first one and must
+/// wake it: the bypass of the silent child box leaves within the threshold
+/// (+ 50 ms of slack) of that chunk, not whenever something else fires.
+#[test]
+fn the_first_clock_wakes_a_timer_parked_without_a_deadline() {
+    use netagg_core::protocol::{Message, RequestId, SourceId, TreeId};
+
+    let threshold = Duration::from_millis(100);
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let child = 9_998;
+    let mut redirected = transport.bind(child).unwrap();
+    let agg_box = timed_box(&transport, threshold, child);
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(agg_box.snapshot().timer_wakeups, 0, "parked, no deadline");
+
+    let chunk = Message::Data {
+        app: AppId(1),
+        request: RequestId(1),
+        tree: TreeId(0),
+        source: SourceId::Worker(0),
+        seq: 1,
+        last: true,
+        ctx: netagg_obs::trace::TraceCtx::NONE,
+        sent_ns: 0,
+        payload: Bytes::from("5"),
+    };
+    let mut conn = transport.connect(9_997, agg_box.addr()).unwrap();
+    let t0 = Instant::now();
+    conn.send(chunk.encode()).unwrap();
+    let mut from_box = redirected
+        .accept_timeout(Duration::from_secs(5))
+        .expect("the silent child box is bypassed");
+    let frame = from_box.recv_timeout(Duration::from_secs(5)).unwrap();
+    let elapsed = t0.elapsed();
+    let redirect = Message::decode(frame).unwrap();
+    assert!(
+        matches!(redirect, Message::Redirect { permanent: false, request: RequestId(1), new_parent, .. } if new_parent == agg_box.addr()),
+        "{redirect:?}"
+    );
+    assert!(
+        elapsed >= threshold && elapsed < threshold + Duration::from_millis(50),
+        "bypass left {elapsed:?} after the chunk that started the clock"
+    );
+}
