@@ -295,7 +295,7 @@ pub fn tab1() {
 /// 1 Gbps egress serialises N copies under unicast; with on-path
 /// replication it sends one copy per root box and the 10 Gbps boxes fan
 /// out. (The emulator charges the receiver's ingress on the sender's
-/// thread, so the box's single egress thread under-states the tree's
+/// thread, so the box's single sending thread under-states the tree's
 /// speedup; the master-egress copy count shows the real saving.)
 pub fn ext_broadcast(opts: &Options) {
     use netagg_bench::emu::{build_emu, TestbedConfig};

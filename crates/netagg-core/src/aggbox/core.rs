@@ -3,12 +3,14 @@
 //! request's output goes, and a bounded window of what was already emitted
 //! so a new parent can be sent it again.
 //!
-//! Every transition is `&mut self` and returns what it puts on the wire
-//! as `(NodeId, Message)` pairs, output chunks numbered here; the threaded
+//! Every transition is `&mut self` and queues what it puts on the wire in
+//! the box's outbox — one FIFO, output chunks numbered here — so `Data`
+//! leaves in the order it was numbered whoever sends it; the threaded
 //! shell ([`crate::aggbox::runtime`]) keeps the struct behind the single
-//! `agg.core` lock. Payloads are handed to the request's [`PartialSink`]
-//! *inside* the transition that accepted them, so a close decided by one
-//! reader can never overtake a partial still in another reader's hands.
+//! `agg.core` lock and drains the outbox on its timer thread. Payloads are
+//! handed to the request's [`PartialSink`] *inside* the transition that
+//! accepted them, so a close decided by one reader can never overtake a
+//! partial still in another reader's hands.
 
 use crate::fanin::{FanInCore, Fired, Request, Route, TraceAnchor};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
@@ -17,7 +19,7 @@ use crate::DynAggregator;
 use bytes::Bytes;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,6 +28,10 @@ const EMITTED_WINDOW: usize = 64;
 
 /// How long after one streaming-flush pass the next is due.
 pub const FLUSH_TICK: Duration = Duration::from_millis(10);
+
+/// Outbox length past which the shell holds back incoming `Data`
+/// (backpressure, DESIGN.md §9) and ack time-outs are no misses.
+pub const OUTBOX_BOUND: usize = 4096;
 
 /// A box-side request: `(application, request, tree)`.
 pub type ReqKey = (AppId, RequestId, TreeId);
@@ -56,18 +62,24 @@ pub struct BoxRequest<S> {
     out_seq: u32,
 }
 
-/// One output chunk on its way upstream.
+/// One message a transition produced, queued for the shell to send.
 #[derive(Debug, Clone)]
 pub struct Emit {
-    /// `Data` from this box: numbered among the request's output chunks,
-    /// `last` on the final aggregate; no trace context yet.
+    /// Where it goes.
+    pub to: NodeId,
+    /// `Data` from this box is numbered among the request's output chunks,
+    /// `last` on the final aggregate, with no trace context yet.
     pub msg: Message,
-    /// Where it goes: the per-request redirect, else the tree parent.
-    pub to: Option<NodeId>,
-    /// When the request's first data arrived here.
-    pub started: Option<Instant>,
-    /// The request's trace anchor.
+    /// The request's trace anchor, on this box's own output (a resend has
+    /// none: it re-attaches at the trace root).
     pub trace: Option<TraceAnchor>,
+}
+
+impl From<(NodeId, Message)> for Emit {
+    fn from((to, msg): (NodeId, Message)) -> Self {
+        let trace = None;
+        Self { to, msg, trace }
+    }
 }
 
 /// The box's whole protocol state; see the module docs.
@@ -88,6 +100,12 @@ pub struct BoxCore<S> {
     emitted: HashMap<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
     /// When the next streaming-flush pass is due; `None` = never flushes.
     pub flush_due: Option<Instant>,
+    /// What transitions produced and the shell has not yet taken, oldest
+    /// first.
+    outbox: VecDeque<Emit>,
+    /// When the core was made: the deadline of a non-empty outbox, "due
+    /// now" and earlier than any other.
+    epoch: Instant,
 }
 
 impl<S: PartialSink> Default for BoxCore<S> {
@@ -100,6 +118,8 @@ impl<S: PartialSink> Default for BoxCore<S> {
             redirects: HashMap::new(),
             emitted: HashMap::new(),
             flush_due: None,
+            outbox: VecDeque::new(),
+            epoch: Instant::now(),
         }
     }
 }
@@ -155,11 +175,15 @@ impl<S: PartialSink> BoxCore<S> {
         new: impl FnOnce(&Arc<dyn DynAggregator>) -> (S, Option<TraceAnchor>),
     ) -> Option<Option<S>> {
         let q = self.open(key, new)?;
-        let (req, closes) = q.accept_chunk((key.0, key.2), source, seq, last, now)?;
+        let (req, closes, gap) = q.accept_chunk((key.0, key.2), source, seq, last, now)?;
         if !payload.is_empty() {
             req.sink.push(payload);
         }
-        Some(closes.then(|| req.sink.clone()))
+        let close = closes.then(|| req.sink.clone());
+        if gap {
+            self.fanin.gaps.push((key, source));
+        }
+        Some(close)
     }
 
     /// The master named the sources participating in a subset request.
@@ -222,24 +246,47 @@ impl<S: PartialSink> BoxCore<S> {
         self.fanin.requests.remove(&key)
     }
 
+    /// Queue messages behind everything queued before them. Liveness
+    /// messages (`Heartbeat`, `HeartbeatAck`) are returned instead, for the
+    /// shell to send at once: a backlog must not read as a dead box.
+    pub fn post(&mut self, sends: Vec<(NodeId, Message)>) -> Vec<Emit> {
+        let mut liveness = Vec::new();
+        for (to, msg) in sends {
+            if let Message::Heartbeat { .. } | Message::HeartbeatAck { .. } = msg {
+                liveness.push((to, msg).into());
+            } else {
+                self.outbox.push_back((to, msg).into());
+            }
+        }
+        liveness
+    }
+
+    /// Move everything queued, oldest first, to the back of `into`.
+    pub fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
+        into.append(&mut self.outbox);
+    }
+
+    /// Whether the outbox is over [`OUTBOX_BOUND`].
+    pub fn backlogged(&self) -> bool {
+        self.outbox.len() > OUTBOX_BOUND
+    }
+
     /// A request's local aggregation finished with `payload`: retain it
-    /// for resends, drop the request's state and number the final chunk
+    /// for resends, drop the request's state and queue the final chunk
     /// for its destination — one transition, so a re-point arriving before
     /// it sees live state (and leaves the final chunk to this path, which
     /// then reads the new parent) and one arriving after it finds the
     /// request fully recorded. Either way exactly one `last` reaches a live
-    /// parent.
-    pub fn complete(&mut self, key: ReqKey, payload: Bytes) -> Emit {
+    /// parent. Returns when the request's first data arrived here.
+    pub fn complete(&mut self, key: ReqKey, payload: Bytes) -> Option<Instant> {
         let to = self.dest(&key);
         let state = self.close(key);
         self.emitted(key).push(payload.clone());
-        let seq = state.as_ref().map_or(0, |q| q.ext.out_seq);
-        Emit {
-            msg: self.data(key, seq, true, payload),
-            to,
-            started: state.as_ref().and_then(|q| q.started),
-            trace: state.and_then(|q| q.trace),
-        }
+        let (seq, started, trace) =
+            state.map_or((0, None, None), |q| (q.ext.out_seq, q.started, q.trace));
+        let msg = self.data(key, seq, true, payload);
+        self.outbox.extend(to.map(|to| Emit { to, msg, trace }));
+        started
     }
 
     /// A request's local aggregation failed (a partial that does not
@@ -254,53 +301,52 @@ impl<S: PartialSink> BoxCore<S> {
     /// request's sink and returns the chunk to flush, if any. Taking
     /// inside the transition keeps a flushed chunk ordered before the
     /// request's completion.
-    pub fn flush(&mut self, mut take: impl FnMut(&mut S) -> Option<Bytes>) -> Vec<Emit> {
+    pub fn flush(&mut self, mut take: impl FnMut(&mut S) -> Option<Bytes>) {
         let mut taken = Vec::new();
         for (key, q) in self.fanin.requests.iter_mut().filter(|(_, q)| !q.closed) {
             let Some(chunk) = take(&mut q.ext.sink) else {
                 continue;
             };
-            taken.push((*key, q.ext.out_seq, q.started, q.trace, chunk));
+            taken.push((*key, q.ext.out_seq, q.trace, chunk));
             q.ext.out_seq += 1;
         }
-        let flushed = taken.into_iter().map(|(key, seq, started, trace, chunk)| {
+        for (key, seq, trace, chunk) in taken {
             self.emitted(key).push(chunk.clone());
-            let (msg, to) = (self.data(key, seq, false, chunk), self.dest(&key));
-            Emit {
-                msg,
-                to,
-                started,
-                trace,
-            }
-        });
-        flushed.collect()
+            let msg = self.data(key, seq, false, chunk);
+            let to = self.dest(&key);
+            self.outbox.extend(to.map(|to| Emit { to, msg, trace }));
+        }
     }
 
-    /// When the box next has something to do unprompted: a flush pass
-    /// while it streams and a request is open, else what its fan-in half
-    /// is waiting for. `None` at an idle box.
+    /// When the box next has something to do unprompted: now while its
+    /// outbox holds anything, a flush pass while it streams and a request
+    /// is open, else what its fan-in half is waiting for. `None` at an
+    /// idle box.
     pub fn next_deadline(&self) -> Option<Instant> {
+        let queued = (!self.outbox.is_empty()).then_some(self.epoch);
         let open = || self.fanin.requests.values().any(|q| !q.closed);
         let flush = self.flush_due.filter(|_| open());
-        [flush, self.fanin.next_deadline()]
-            .into_iter()
-            .flatten()
-            .min()
+        let deadlines = [queued, flush, self.fanin.next_deadline()];
+        deadlines.into_iter().flatten().min()
     }
 
     /// Run what is due at `now`: a [`BoxCore::flush`] pass one
-    /// [`FLUSH_TICK`] after the last, then the fan-in half's timers.
+    /// [`FLUSH_TICK`] after the last, then the fan-in half's timers — with
+    /// the ack time-outs due excused while the box is backlogged (its
+    /// readers, which read the acks, are held back).
     pub fn on_timer(
         &mut self,
         now: Instant,
         take: impl FnMut(&mut S) -> Option<Bytes>,
-    ) -> (Vec<Emit>, Fired<Point, ReqKey>) {
-        let mut flushed = Vec::new();
+    ) -> Fired<Point, ReqKey> {
+        if self.backlogged() {
+            self.fanin.detector.excuse(now);
+        }
         if self.flush_due.is_some_and(|t| t <= now) {
             self.flush_due = Some(now + FLUSH_TICK);
-            flushed = self.flush(take);
+            self.flush(take);
         }
-        (flushed, self.fanin.on_timer(now))
+        self.fanin.on_timer(now)
     }
 
     /// The answer to a probe from `prober`.
@@ -315,8 +361,8 @@ impl<S: PartialSink> BoxCore<S> {
     /// absorbed their partials): adopt the new parent and resend the whole
     /// retained window of that tree. Per request (a straggler bypass
     /// upstream): remember the override and resend that request's output
-    /// if it already left. Resent chunks keep their sequence numbers;
-    /// `last` only on a finished request's final one — for a still-open
+    /// if it already left. Resent chunks are queued under their sequence
+    /// numbers; `last` only on a finished request's final one — for a still-open
     /// request the real final chunk follows under the next number, and a
     /// premature `last` would close the source upstream. Upstream dedups
     /// overlap by per-source sequence numbers and the master's
@@ -328,7 +374,7 @@ impl<S: PartialSink> BoxCore<S> {
         request: RequestId,
         tree: TreeId,
         new_parent: NodeId,
-    ) -> Vec<(NodeId, Message)> {
+    ) {
         let keys: Vec<ReqKey> = if permanent {
             if let Some(parent) = self.parents.get_mut(&(app, tree)) {
                 *parent = new_parent;
@@ -339,7 +385,6 @@ impl<S: PartialSink> BoxCore<S> {
             self.redirects.insert((app, request, tree), new_parent);
             vec![(app, request, tree)]
         };
-        let mut out = Vec::new();
         for key in keys {
             let window = self.emitted.get(&(app, tree));
             let Some(chunks) = window.and_then(|w| w.get(&key)) else {
@@ -351,9 +396,9 @@ impl<S: PartialSink> BoxCore<S> {
             let finished = open.is_none_or(|q| chunks.len() as u32 > q.ext.out_seq);
             for (i, chunk) in chunks.iter().enumerate() {
                 let last = finished && i + 1 == chunks.len();
-                out.push((new_parent, self.data(key, i as u32, last, chunk.clone())));
+                let resend = self.data(key, i as u32, last, chunk.clone());
+                self.outbox.push_back((new_parent, resend).into());
             }
         }
-        out
     }
 }

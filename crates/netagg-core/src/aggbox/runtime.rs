@@ -4,14 +4,14 @@
 //! reader threads decode messages and feed them to the box's protocol
 //! state — one plain struct behind the single `agg.core` lock, which
 //! demultiplexes data per `(app, request, tree)` into a [`LocalAggTree`]
-//! whose combine tasks run on the box's cooperative [`TaskScheduler`] —
-//! and deliver what each transition returns: its messages join the egress
-//! queue before the lock is released — a dedicated egress thread carries
-//! them over persistent connections — and closing a request's input,
-//! events and spans follow after. What the box does unprompted — streaming
-//! flushes, straggler bypasses, heartbeats to its child boxes — is the
-//! core's too: one timer thread sleeps until the core's next deadline and
-//! runs what is due.
+//! whose combine tasks run on the box's cooperative [`TaskScheduler`].
+//! What a transition sends waits in the core's outbox; closing a request's
+//! input, events and spans follow once the lock is released. One timer
+//! thread sleeps until the core's next deadline — now, while the outbox
+//! holds anything — runs what is due (streaming flushes, straggler
+//! bypasses, heartbeats to child boxes) and carries the outbox over
+//! persistent connections. Readers hold incoming `Data` back while the
+//! outbox is over its bound: backpressure, not eviction (DESIGN.md §9).
 
 use crate::aggbox::core::{BoxCore, Emit, PartialSink, Point, ReqKey};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
@@ -20,8 +20,8 @@ use crate::conn_cache::ConnCache;
 use crate::failure::DetectorConfig;
 use crate::fanin::{Fired, Route, TraceAnchor};
 use crate::lifecycle::{
-    serve, CancelToken, JoinScope, Mailbox, OrderedMutex, OverflowPolicy, Parking, TimerSlot,
-    WakerGuard, DEFAULT_JOIN_DEADLINE,
+    serve, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, TimerSlot, WakerGuard,
+    DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::spans::Spans;
@@ -31,16 +31,12 @@ use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::lock_order;
 use netagg_net::{Connection, NetError, NodeId, Transport};
-use netagg_obs::trace;
+use netagg_obs::trace::{self, TraceCtx};
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Depth of the egress mailbox. Completion callbacks run on scheduler pool
-/// threads, so the egress queue must never block them: overflow drops the
-/// oldest message and the drop is metric-accounted (DESIGN.md §9).
-const EGRESS_DEPTH: usize = 4096;
 
 /// Configuration of one agg box.
 #[derive(Debug, Clone)]
@@ -159,7 +155,7 @@ pub struct BoxStats {
     pub duplicates_dropped: AtomicU64,
     /// Straggler bypasses issued for child boxes.
     pub straggler_redirects: AtomicU64,
-    /// Egress sends that failed after retry.
+    /// Outbox sends that failed after retry.
     pub send_errors: AtomicU64,
 }
 
@@ -178,7 +174,7 @@ pub struct BoxSnapshot {
     pub duplicates_dropped: u64,
     /// Straggler bypasses issued.
     pub straggler_redirects: u64,
-    /// Egress sends that failed after retry.
+    /// Outbox sends that failed after retry.
     pub send_errors: u64,
     /// Requests with open state right now.
     pub active_requests: usize,
@@ -192,10 +188,13 @@ pub struct BoxSnapshot {
     pub apps: Vec<crate::aggbox::scheduler::AppCpu>,
 }
 
-/// What `agg.core` guards: the protocol state and the timer thread's slot.
+/// What `agg.core` guards: the protocol state, the timer thread's slot and
+/// the readers held back by the outbox.
+#[derive(Default)]
 struct Guarded {
     core: BoxCore<TreeSink>,
     timer: TimerSlot,
+    readers: Parked,
 }
 
 struct Inner {
@@ -204,10 +203,9 @@ struct Inner {
     state: OrderedMutex<Guarded>,
     /// Where the timer thread sleeps until the core's next deadline.
     timer: Parking,
-    /// Bounded hand-off to the egress thread (`DropOldest`: it is fed
-    /// under `agg.core`, from scheduler threads too, and never parks).
-    egress: Mailbox<(NodeId, Message)>,
-    /// Outbound connections: the egress thread's, probes and acks.
+    /// Where readers wait for the timer thread to drain the outbox.
+    drained: Parking,
+    /// Outbound connections: the outbox's, probes and acks.
     conns: ConnCache,
     cancel: CancelToken,
     stats: BoxStats,
@@ -223,8 +221,7 @@ pub struct AggBox {
 }
 
 impl AggBox {
-    /// Bind the box's address and start its listener, egress and timer
-    /// threads.
+    /// Bind the box's address and start its listener and timer threads.
     pub fn start(transport: Arc<dyn Transport>, cfg: AggBoxConfig) -> Result<Arc<Self>, NetError> {
         let listener = transport.bind(cfg.addr)?;
         let cancel = CancelToken::new();
@@ -235,36 +232,31 @@ impl AggBox {
             DEFAULT_JOIN_DEADLINE,
             Some(&cfg.obs),
         ));
-        let egress = Mailbox::with_obs(
-            format!("aggbox{box_id}.egress"),
-            EGRESS_DEPTH,
-            OverflowPolicy::DropOldest,
-            cancel.clone(),
-            &cfg.obs,
-        );
         let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), cfg.obs.clone());
-        let mut core = BoxCore::default();
+        let mut guarded = Guarded::default();
+        let core = &mut guarded.core;
         (core.id, core.fanin.addr) = (box_id, cfg.addr);
         core.fanin.straggler = cfg.straggler;
         core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
-        let timer = TimerSlot::default();
         let inner = Arc::new(Inner {
             scheduler: Arc::new(scheduler),
-            state: OrderedMutex::new(lock_order::AGG_CORE, Guarded { core, timer }),
+            state: OrderedMutex::new(lock_order::AGG_CORE, guarded),
             timer: Parking::new(),
-            egress,
+            drained: Parking::new(),
             conns: ConnCache::new(transport, cfg.addr),
             cancel: cancel.clone(),
             stats: BoxStats::default(),
             obs: BoxObs::new(cfg.obs.clone(), box_id),
             cfg,
         });
-        // Under the core lock, so a timer thread between its cancel check
-        // and its park cannot miss it. Weak: a strong ref would be a cycle.
+        // Under the core lock, so a thread between its cancel check and
+        // its park cannot miss it. Weak: a strong ref would be a cycle.
         let weak = Arc::downgrade(&inner);
         let timer_waker = cancel.register_waker(move || {
             if let Some(i) = weak.upgrade() {
-                i.timer.wake_all(&mut i.state.lock().timer.parked);
+                let s = &mut *i.state.lock();
+                i.timer.wake_all(&mut s.timer.parked);
+                i.drained.wake_all(&mut s.readers);
             }
         });
         let boxed = Arc::new(Self {
@@ -283,14 +275,9 @@ impl AggBox {
                 move |conn| reader_loop(&inner, conn),
             )?;
         }
-        // The egress thread and the timer thread.
-        let spawn = |name: String, body: fn(&Arc<Inner>)| {
-            let inner = inner.clone();
-            let spawned = boxed.scope.spawn(name, move || body(&inner));
-            spawned.map_err(|e| NetError::Io(e.to_string()))
-        };
-        spawn(format!("aggbox-{box_id}-egress"), egress_loop)?;
-        spawn(format!("aggbox-{box_id}-timer"), timer_loop)?;
+        let timer = move || timer_loop(&inner);
+        let spawned = boxed.scope.spawn(format!("aggbox-{box_id}-timer"), timer);
+        spawned.map_err(|e| NetError::Io(e.to_string()))?;
         Ok(boxed)
     }
 
@@ -304,8 +291,8 @@ impl AggBox {
     /// Install routing for one (application, tree): where this box's
     /// output goes (next box or master shim address) and what it owes.
     pub fn install_route(&self, app: AppId, tree: TreeId, parent: NodeId, route: Route) {
-        self.inner
-            .transition(|core| core.add_route(app, tree, parent, route));
+        let add = |core: &mut BoxCore<_>| core.add_route(app, tree, parent, route);
+        self.inner.transition(false, add);
     }
 
     /// Start heartbeating the child boxes this box's routes name. One
@@ -314,8 +301,8 @@ impl AggBox {
     /// the box's obligations onto them, and they are told to re-point here.
     pub fn enable_failure_detection(&self, cfg: DetectorConfig) {
         let now = Instant::now();
-        self.inner
-            .transition(|core| core.fanin.detector.enable(cfg, now));
+        let enable = |core: &mut BoxCore<_>| core.fanin.detector.enable(cfg, now);
+        self.inner.transition(false, enable);
     }
 
     /// Counters exposed for the harness and tests.
@@ -366,7 +353,7 @@ impl AggBox {
     }
 
     /// Stop all threads: cancel the box's token (waking every blocked
-    /// accept, recv and egress dequeue immediately) and join the scope
+    /// accept, recv, timer sleep and held-back reader immediately) and join the scope
     /// under its deadline. Idempotent.
     pub fn shutdown(&self) {
         self.inner.cancel.cancel();
@@ -381,86 +368,84 @@ impl AggBox {
         // Close them start → now, so a box killed mid-request still leaves
         // one connected trace tree (DESIGN.md §11).
         let mut s = self.inner.state.lock();
-        for (key, t) in s
-            .core
-            .fanin
-            .requests
-            .drain()
-            .filter_map(|(k, q)| Some((k, q.trace?)))
-        {
-            self.inner.obs.request_span(key.1, t);
+        let open = s.core.fanin.requests.drain();
+        for ((_, request, _), t) in open.filter_map(|(k, q)| Some((k, q.trace?))) {
+            self.inner.obs.request_span(request, t);
         }
     }
 }
 
 impl Inner {
     /// Run one core transition, and wake the timer thread if it produced a
-    /// deadline earlier than the one it sleeps toward (first clock started).
-    fn transition<T>(&self, f: impl FnOnce(&mut BoxCore<TreeSink>) -> T) -> T {
+    /// deadline earlier than the one it sleeps toward (output queued, first
+    /// clock started). `hold` (a reader's `Data` only) first waits, with
+    /// `agg.core` released, while the outbox is over its bound: backpressure
+    /// on the connection's sender. Box-to-box `Data` flows upward only, so
+    /// the waits form the (acyclic) aggregation tree.
+    fn transition<T>(&self, hold: bool, f: impl FnOnce(&mut BoxCore<TreeSink>) -> T) -> T {
         let mut s = self.state.lock();
+        while hold && s.core.backlogged() && !self.cancel.is_cancelled() {
+            self.drained
+                .wait(s.inner(), |s| &mut s.readers, Deadline::NEVER);
+        }
         let out = f(&mut s.core);
         let next = s.core.next_deadline();
         s.timer.rearm(&self.timer, next);
         out
     }
 
-    /// The box's one path from a transition's output to the wire, taken
-    /// while `agg.core` is still held: every message joins the egress queue
-    /// here (`DropOldest` never parks), so `Data` leaves in the order the
-    /// core numbered it. Liveness messages are returned instead, for
-    /// [`Inner::send_now`] once the lock is released.
-    fn post(&self, sends: impl IntoIterator<Item = (NodeId, Message)>) -> Vec<(NodeId, Message)> {
-        let mut liveness = Vec::new();
-        for (to, msg) in sends {
-            if let Message::Heartbeat { .. } | Message::HeartbeatAck { .. } = msg {
-                liveness.push((to, msg));
-            } else {
-                let _ = self.egress.send((to, msg));
+    /// The box's one path to the wire, taken with `agg.core` released: the
+    /// timer thread's drain of the outbox, and liveness messages at once,
+    /// all through the box's `ConnCache`. A failed liveness send is a core
+    /// input (a probe counts as missed at once); any other is counted.
+    fn send(&self, out: impl IntoIterator<Item = Emit>) {
+        let (o, registry) = (&self.obs, &self.obs.registry);
+        for Emit { to, mut msg, trace } in out {
+            let forward = self.stamp(&mut msg, trace);
+            let sent = self.conns.send_to(to, msg.encode());
+            if let Some((ctx, parent, request, sent_ns)) = forward {
+                let name = names::spans::BOX_FORWARD;
+                o.spans.sent(name, ctx, parent, request, sent_ns);
+            }
+            match (sent, &msg) {
+                (Ok(()), Message::Redirect { permanent, .. }) if *permanent => {
+                    registry.counter(names::FAILURE_REPOINTS).inc();
+                }
+                (Ok(()), _) => {}
+                (Err(_), Message::Heartbeat { .. } | Message::HeartbeatAck { .. }) => {
+                    self.transition(false, |core| core.fanin.detector.send_failed(to, &msg));
+                }
+                (Err(_), _) => {
+                    self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
+                    registry.counter(names::AGGBOX_SEND_ERRORS).inc();
+                }
             }
         }
-        liveness
     }
 
-    /// Send liveness messages straight out through the box's `ConnCache`
-    /// — the connection its output already uses, past the egress queue,
-    /// whose backlog must not read as a dead box. A failed send is a core
-    /// input: a probe counts as missed at once.
-    fn send_now(&self, sends: impl IntoIterator<Item = (NodeId, Message)>) {
-        for (to, msg) in sends {
-            if self.conns.send_to(to, msg.encode()).is_err() {
-                self.transition(|core| core.fanin.detector.send_failed(to, &msg));
-            }
+    /// Stamp a sampled `Data` with its hop's trace context as it leaves:
+    /// this box's output under a fresh forward span (the final chunk closes
+    /// the box's request span), a resend at the trace root (deterministic
+    /// trace id: its original hop is gone). Returns the forward span to
+    /// close once the send returns.
+    fn stamp(
+        &self,
+        msg: &mut Message,
+        trace: Option<TraceAnchor>,
+    ) -> Option<(TraceCtx, u64, RequestId, u64)> {
+        let (o, last) = (&self.obs, matches!(msg, Message::Data { last: true, .. }));
+        let (app, request, ctx, sent_ns) = msg.trace_mut()?;
+        let Some(t) = trace else {
+            *ctx = o.spans.root_ctx(app, request);
+            *sent_ns = if ctx.is_active() { trace::now_ns() } else { 0 };
+            return None;
+        };
+        // The chunk's wire span parents to this box's forward span.
+        (*ctx, *sent_ns) = o.spans.outbound(Some(t.trace_id));
+        if last {
+            o.request_span(request, t);
         }
-    }
-
-    /// Stamp one output chunk — a streamed partial, or the final aggregate
-    /// when `last` — with its hop's trace context and record its forward
-    /// span under the box's request span.
-    fn forward(&self, emit: Emit, last: bool) -> Option<(NodeId, Message)> {
-        let (o, mut msg) = (&self.obs, emit.msg);
-        if let (Some((_, request, ctx, sent_ns)), Some(t)) = (msg.trace_mut(), emit.trace) {
-            // The chunk's wire span parents to this box's forward span.
-            (*ctx, *sent_ns) = o.spans.outbound(Some(t.trace_id));
-            if last {
-                o.request_span(request, t);
-            }
-            let name = names::spans::BOX_FORWARD;
-            o.spans.sent(name, *ctx, t.span_id, request, *sent_ns);
-        }
-        Some((emit.to?, msg))
-    }
-
-    /// Stamp resent output chunks: they re-attach at the trace root (the
-    /// deterministic trace id), and the adopting parent's wire/recv spans
-    /// hang off that fresh ctx.
-    fn replay(&self, mut resends: Vec<(NodeId, Message)>) -> Vec<(NodeId, Message)> {
-        for (_, msg) in &mut resends {
-            if let Some((app, request, ctx, sent_ns)) = msg.trace_mut() {
-                *ctx = self.obs.spans.root_ctx(app, request);
-                *sent_ns = if ctx.is_active() { trace::now_ns() } else { 0 };
-            }
-        }
-        resends
+        Some((*ctx, t.span_id, request, *sent_ns))
     }
 
     /// Audit one timer firing: every child box declared dead, every
@@ -514,9 +499,8 @@ impl Drop for AggBox {
 fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
     // Until cancelled, the peer closes, or the transport fails.
     while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
-        let msg = match Message::decode(frame) {
-            Ok(m) => m,
-            Err(_) => continue, // corrupt frame: drop
+        let Ok(msg) = Message::decode(frame) else {
+            continue; // corrupt frame: drop
         };
         match msg {
             Message::Data {
@@ -540,15 +524,16 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 let hop = o.spans.wire(ctx, request, sent_ns);
                 let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
                 let now = Instant::now();
-                let accepted = inner
-                    .transition(|core| core.accept_data(key, source, seq, last, payload, now, new));
+                let (accepted, gaps) = inner.transition(true, |core| {
+                    let accepted = core.accept_data(key, source, seq, last, payload, now, new);
+                    (accepted, std::mem::take(&mut core.fanin.gaps))
+                });
+                o.spans.gapped(&o.registry, gaps);
                 let Some(close) = accepted else {
                     // Unknown route, replayed sequence number, re-pointed-away source
                     // or already-closed request: the core dropped it.
-                    inner
-                        .stats
-                        .duplicates_dropped
-                        .fetch_add(1, Ordering::Relaxed);
+                    let stat = &inner.stats.duplicates_dropped;
+                    stat.fetch_add(1, Ordering::Relaxed);
                     o.duplicates_dropped.inc();
                     continue;
                 };
@@ -567,7 +552,7 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
             } => {
                 let key = (app, request, tree);
                 let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
-                let close = inner.transition(|core| core.request_meta(key, sources, new));
+                let close = inner.transition(false, |core| core.request_meta(key, sources, new));
                 close.iter().for_each(TreeSink::end_input);
             }
             Message::Redirect {
@@ -577,10 +562,10 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 tree,
                 new_parent,
             } => {
-                inner.transition(|core| {
-                    let resends = core.redirect(app, permanent, request, tree, new_parent);
-                    inner.post(inner.replay(resends))
-                });
+                let redirect = |core: &mut BoxCore<_>| {
+                    core.redirect(app, permanent, request, tree, new_parent)
+                };
+                inner.transition(false, redirect);
             }
             Message::Broadcast {
                 app,
@@ -591,11 +576,13 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 // Replicate down the tree over the box's high-bandwidth
                 // link, which is the point of on-path distribution.
                 let point = (app, tree);
-                inner.transition(|core| inner.post(core.fanin.broadcast(point, request, payload)));
+                inner.transition(false, |core| {
+                    core.post(core.fanin.broadcast(point, request, payload))
+                });
             }
             Message::Heartbeat { from, nonce } => {
                 let ack = inner.state.lock().core.heartbeat(from, nonce);
-                inner.send_now([ack]);
+                inner.send([ack.into()]);
             }
             Message::HeartbeatAck { from, nonce } => {
                 inner.state.lock().core.fanin.detector.ack(from, nonce);
@@ -648,19 +635,18 @@ fn new_request(
 }
 
 /// A request's local aggregation finished: one core transition retains
-/// the aggregate, drops the request's state and numbers the final chunk,
-/// which joins the egress queue before the lock is released — behind every
-/// chunk the core numbered before it. A failed aggregation (a partial that
-/// does not decode, a combine that panicked) drops the state alone, so no
-/// late chunk can re-open it; the parent times the request out.
+/// the aggregate, drops the request's state and queues the final chunk
+/// behind every chunk the core numbered before it — a transition like any
+/// other, so it wakes the timer thread to send it. A failed aggregation (a
+/// partial that does not decode, a combine that panicked) drops the state
+/// alone, so no late chunk can re-open it; the parent times the request
+/// out. Runs on a scheduler pool thread, and never waits for the outbox.
 fn completed(inner: &Arc<Inner>, key: ReqKey, result: Result<Bytes, AggError>) {
     let (o, (app, request, tree)) = (&inner.obs, key);
-    let mut s = inner.state.lock();
     let payload = match result {
         Ok(payload) => payload,
         Err(e) => {
-            let trace = s.core.abandon(key);
-            drop(s);
+            let trace = inner.transition(false, |core| core.abandon(key));
             trace.iter().for_each(|t| o.request_span(request, *t));
             o.registry.counter(names::AGGBOX_REQUESTS_FAILED).inc();
             let id = inner.cfg.box_id;
@@ -672,65 +658,48 @@ fn completed(inner: &Arc<Inner>, key: ReqKey, result: Result<Bytes, AggError>) {
             return;
         }
     };
-    let emit = s.core.complete(key, payload);
     // Count the completion before the aggregate is queued: observers
     // polling after the master saw the result must find the counter
     // already incremented.
     let stat = &inner.stats.requests_completed;
     stat.fetch_add(1, Ordering::Relaxed);
     o.requests_completed.inc();
-    let started = emit.started;
-    inner.post(inner.forward(emit, true));
-    drop(s);
-    if let Some(t0) = started {
-        // First data byte in → final aggregate out.
+    if let Some(t0) = inner.transition(false, |core| core.complete(key, payload)) {
+        // First data byte in → final aggregate queued.
         o.request_agg_us.record_duration(t0.elapsed());
     }
 }
 
-fn egress_loop(inner: &Arc<Inner>) {
-    // Blocks until a message arrives; cancellation wakes it immediately
-    // (the mailbox is bound to the box's token).
-    while let Ok((dest, msg)) = inner.egress.recv() {
-        let (sent, obs) = (inner.conns.send_to(dest, msg.encode()), &inner.obs.registry);
-        if sent.is_err() {
-            inner.stats.send_errors.fetch_add(1, Ordering::Relaxed);
-            obs.counter(names::AGGBOX_SEND_ERRORS).inc();
-        } else if matches!(msg, Message::Redirect { permanent, .. } if permanent) {
-            obs.counter(names::FAILURE_REPOINTS).inc();
-        }
-    }
-}
-
-/// The box's one timer thread: run what the core says is due, then sleep
-/// until its next deadline, a transition that produced an earlier one, or
-/// cancellation; an idle box never wakes it. Due work is streaming partials
-/// upstream once a request buffers `flush_bytes` (Section 3.2.1: "little
-/// data is buffered"), bypassing straggling child boxes, and heartbeating
-/// child boxes and failing the silent ones (Section 3.1).
+/// The box's one timer thread: run what the core says is due and send its
+/// outbox, then sleep until its next deadline, a transition that produced
+/// an earlier one (queued output is due at once), or cancellation; an idle
+/// box never wakes it. Due work is streaming partials upstream once a
+/// request buffers `flush_bytes` (Section 3.2.1: "little data is
+/// buffered"), bypassing straggling child boxes, and heartbeating child
+/// boxes and failing the silent ones (Section 3.1).
 fn timer_loop(inner: &Arc<Inner>) {
     let flush_bytes = inner.cfg.flush_bytes.unwrap_or(usize::MAX);
+    let mut out = VecDeque::new();
     let mut s = inner.state.lock();
     while !inner.cancel.is_cancelled() {
-        let (flushed, mut fired) = s.core.on_timer(Instant::now(), |sink| {
+        let mut fired = s.core.on_timer(Instant::now(), |sink| {
             let due = sink.tree.pending_bytes() >= flush_bytes;
             due.then(|| sink.tree.take_partial(&sink.sched, sink.app))?
         });
-        if flushed.is_empty() && fired.is_empty() {
+        let probes = s.core.post(fired.take_sends());
+        s.core.drain_outbox(&mut out);
+        if out.is_empty() && probes.is_empty() && fired.is_empty() {
             let next = s.core.next_deadline();
             TimerSlot::park(&inner.timer, &mut s, |s| &mut s.timer, next);
             continue;
         }
+        // The outbox is empty again: readers held back by it go on.
+        inner.drained.wake_all(&mut s.readers);
         // A bypass or a failure may have completed requests (the owed set
         // changed).
         let close = s.core.sinks(&fired.closed());
-        // Streamed partials are forward hops too: each gets its own
-        // forward span under the box's request span.
-        let flushed = flushed.into_iter().filter_map(|e| inner.forward(e, false));
-        inner.post(flushed);
-        let probes = inner.post(fired.take_sends());
         drop(s);
-        inner.send_now(probes);
+        inner.send(probes.into_iter().chain(out.drain(..)));
         inner.report(&fired);
         close.iter().for_each(TreeSink::end_input);
         s = inner.state.lock();

@@ -45,10 +45,9 @@ pub struct SchedulerConfig {
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
+        let threads = std::thread::available_parallelism().map_or(4, usize::from);
         Self {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads,
             adaptive: true,
             ema_alpha: 0.2,
             seed: 0x5eed,
@@ -190,9 +189,8 @@ impl TaskScheduler {
         });
         for i in 0..cfg.threads {
             let inner = inner.clone();
-            workers
-                .spawn(format!("aggbox-worker-{i}"), move || worker_loop(&inner))
-                .expect("spawn scheduler worker");
+            let spawned = workers.spawn(format!("aggbox-worker-{i}"), move || worker_loop(&inner));
+            spawned.expect("spawn scheduler worker");
         }
         Self {
             inner,
@@ -300,16 +298,8 @@ fn xorshift(x: &mut u64) -> u64 {
 /// fast tasks so it is picked promptly and measured — otherwise a measured
 /// app's inflated `s/t` weight would starve unmeasured ones forever.
 fn weight(cfg: &SchedulerConfig, q: &AppQueue) -> f64 {
-    if cfg.adaptive {
-        let t = if q.ema_task_time > 0.0 {
-            q.ema_task_time
-        } else {
-            1e-6
-        };
-        q.share / t
-    } else {
-        q.share
-    }
+    let t = Some(q.ema_task_time).filter(|t| *t > 0.0).unwrap_or(1e-6);
+    q.share / if cfg.adaptive { t } else { 1.0 }
 }
 
 fn worker_loop(inner: &Inner) {

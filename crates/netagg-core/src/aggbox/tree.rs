@@ -158,19 +158,14 @@ impl LocalAggTree {
         if s.ended || s.done.is_some() {
             return None;
         }
-        if s.outstanding == 0 {
-            match s.pending.len() {
-                1 => return s.pending.pop(),
-                n if n >= 2 => {
-                    // Force a combine of everything buffered; the next
-                    // flush pass can then take the single result.
-                    let batch: Vec<Bytes> = s.pending.drain(..).collect();
-                    s.outstanding += 1;
-                    let trace = s.trace.clone();
-                    self.spawn_combine(trace, sched, app, batch);
-                }
-                _ => {}
-            }
+        if s.outstanding == 0 && s.pending.len() == 1 {
+            return s.pending.pop();
+        }
+        if s.outstanding == 0 && s.pending.len() >= 2 {
+            // Force a combine of everything buffered; the next flush pass
+            // can then take the single result.
+            let all = s.pending.len();
+            self.spawn_combine(&mut s, sched, app, all);
         }
         None
     }
@@ -186,45 +181,44 @@ impl LocalAggTree {
                 return;
             }
             let take = s.pending.len().min(self.fanin);
-            let batch: Vec<Bytes> = s.pending.drain(..take).collect();
-            s.outstanding += 1;
-            let trace = s.trace.clone();
-            self.spawn_combine(trace, sched, app, batch);
+            self.spawn_combine(s, sched, app, take);
         }
     }
 
-    /// Submit one combine task, recording mailbox queue wait and execution
-    /// as spans when the request is traced.
+    /// Submit one combine task over the first `take` buffered items,
+    /// recording its queue wait and execution as spans when the request is
+    /// traced.
     fn spawn_combine(
         self: &Arc<Self>,
-        trace: Option<TraceTarget>,
+        s: &mut TreeState,
         sched: &Arc<TaskScheduler>,
         app: AppId,
-        batch: Vec<Bytes>,
+        take: usize,
     ) {
-        let tree = self.clone();
+        let batch: Vec<Bytes> = s.pending.drain(..take).collect();
+        s.outstanding += 1;
+        let (trace, tree) = (s.trace.clone(), self.clone());
         let agg = self.agg.clone();
         // Tasks hold only a weak scheduler reference: a strong one could
         // make the last Arc drop on a pool thread, whose Drop would then
         // try to join itself.
         let sched_weak = Arc::downgrade(sched);
         let enqueue_ns = trace.as_ref().map(|_| trace::now_ns());
+        let record = move |name, start, end| {
+            if let Some(t) = &trace {
+                let (tid, id, parent) = (t.trace_id, t.tracer.next_span_id(), t.parent_span_id);
+                let who = &t.component;
+                t.tracer
+                    .record_span(name, who, tid, id, parent, t.request, start, end);
+            }
+        };
         sched.submit(
             app,
             Box::new(move || {
-                let exec_start = trace.as_ref().map(|t| {
+                // Queue wait: submit → a pool thread picked the task up.
+                let exec_start = enqueue_ns.map(|t0| {
                     let start = trace::now_ns();
-                    // Queue wait: submit → a pool thread picked the task up.
-                    t.tracer.record_span(
-                        names::spans::BOX_QUEUE_WAIT,
-                        &t.component,
-                        t.trace_id,
-                        t.tracer.next_span_id(),
-                        t.parent_span_id,
-                        t.request,
-                        enqueue_ns.unwrap_or(start),
-                        start,
-                    );
+                    record(names::spans::BOX_QUEUE_WAIT, t0, start);
                     start
                 });
                 // Contain panics from faulty aggregation functions so the
@@ -234,17 +228,8 @@ impl LocalAggTree {
                     agg.aggregate_serialized(batch)
                 }))
                 .unwrap_or_else(|_| Err(AggError::Corrupt("aggregation function panicked".into())));
-                if let (Some(t), Some(start)) = (&trace, exec_start) {
-                    t.tracer.record_span(
-                        names::spans::BOX_COMBINE,
-                        &t.component,
-                        t.trace_id,
-                        t.tracer.next_span_id(),
-                        t.parent_span_id,
-                        t.request,
-                        start,
-                        trace::now_ns(),
-                    );
+                if let Some(start) = exec_start {
+                    record(names::spans::BOX_COMBINE, start, trace::now_ns());
                 }
                 if let Some(sched) = sched_weak.upgrade() {
                     tree.task_done(&sched, app, out);
@@ -263,20 +248,13 @@ impl LocalAggTree {
             let mut s = self.state.lock();
             s.outstanding -= 1;
             match out {
+                _ if s.done.is_some() => None,
                 Ok(bytes) => {
-                    if s.done.is_none() {
-                        s.pending.push(bytes);
-                        self.maybe_schedule(&mut s, sched, app);
-                    }
+                    s.pending.push(bytes);
+                    self.maybe_schedule(&mut s, sched, app);
                     self.maybe_finish(&mut s)
                 }
-                Err(e) => {
-                    if s.done.is_none() {
-                        self.finish(&mut s, Err(e))
-                    } else {
-                        None
-                    }
-                }
+                Err(e) => self.finish(&mut s, Err(e)),
             }
         };
         run_completion(cb);
@@ -284,11 +262,11 @@ impl LocalAggTree {
 
     fn maybe_finish(self: &Arc<Self>, s: &mut TreeState) -> Option<CompletionCb> {
         if s.done.is_none() && s.ended && s.outstanding == 0 && s.pending.len() <= 1 {
-            let out = match s.pending.pop() {
-                Some(b) => Ok(b),
-                None => Ok(self.agg.empty_serialized()),
-            };
-            self.finish(s, out)
+            let out = s
+                .pending
+                .pop()
+                .unwrap_or_else(|| self.agg.empty_serialized());
+            self.finish(s, Ok(out))
         } else {
             None
         }

@@ -81,6 +81,14 @@ impl DetectorCore {
         }
     }
 
+    /// The owner could not read acks until `now`: its readers were held
+    /// back by its own backlog (DESIGN.md §9), and acks share their
+    /// connections. A time-out due by then is no miss: the probe lapses
+    /// and the next round probes again.
+    pub fn excuse(&mut self, now: Instant) {
+        self.pending.retain(|_, (_, missed)| *missed > now);
+    }
+
     /// The earliest outstanding ack time-out, or the next probe round
     /// while the owner is `watching` at least one child box.
     pub fn next_deadline(&self, watching: impl FnOnce() -> bool) -> Option<Instant> {

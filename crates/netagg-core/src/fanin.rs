@@ -118,7 +118,9 @@ impl<P: Copy + Eq + Hash, X> Request<P, X> {
     /// Classify one data chunk. `None`: dropped (request already closed,
     /// replayed sequence number, re-pointed-away source). Otherwise the
     /// shell state to hand the payload to — inside the same critical
-    /// section — and whether this chunk completed the request.
+    /// section — whether this chunk completed the request, and whether it
+    /// came past a sequence gap (accepted; the owner records it in
+    /// [`FanInCore::gaps`]).
     pub fn accept_chunk(
         &mut self,
         point: P,
@@ -126,22 +128,22 @@ impl<P: Copy + Eq + Hash, X> Request<P, X> {
         seq: u32,
         last: bool,
         now: Instant,
-    ) -> Option<(&mut X, bool)> {
+    ) -> Option<(&mut X, bool, bool)> {
         let key = (point, source);
-        let fresh = !self.closed
-            && matches!(
-                self.ledger.accept_chunk(key, seq),
-                ChunkDisposition::Fresh { .. }
-            );
-        if !fresh {
+        if self.closed {
             return None;
         }
+        let gap = match self.ledger.accept_chunk(key, seq) {
+            ChunkDisposition::Fresh { .. } => false,
+            ChunkDisposition::Gap => true,
+            _ => return None,
+        };
         self.started.get_or_insert(now);
         if last {
             self.ledger.note_end(key);
             self.closed = self.ledger.is_complete();
         }
-        Some((&mut self.ext, self.closed))
+        Some((&mut self.ext, self.closed, gap))
     }
 }
 
@@ -244,6 +246,8 @@ pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
     pub addr: NodeId,
     /// The application of a point that names none (see [`Point`]).
     pub app: AppId,
+    /// Chunks accepted past a sequence gap, for the shell to report.
+    pub gaps: Vec<(R, SourceId)>,
 }
 
 impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X> {
@@ -256,6 +260,7 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X>
             detector: DetectorCore::default(),
             addr: 0,
             app: AppId(0),
+            gaps: Vec::new(),
         }
     }
 }
@@ -377,10 +382,8 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
         route.owed.extend(info.owed.iter().copied());
         route.failed.push(failed_box);
         for (id, grandchild) in &info.child_boxes {
-            route
-                .child_boxes
-                .entry(*id)
-                .or_insert_with(|| grandchild.clone());
+            let adopted = route.child_boxes.entry(*id);
+            adopted.or_insert_with(|| grandchild.clone());
         }
         route.children_addrs.retain(|a| *a != box_addr(failed_box));
         route.children_addrs.extend(&info.children_addrs);
@@ -393,9 +396,8 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             sends: children.map(|c| (c, redirect.clone())).collect(),
         };
         for (r, q) in self.requests.iter_mut().filter(|(_, q)| !q.closed) {
-            let outcome = q
-                .ledger
-                .repoint((point, SourceId::Box(failed_box)), &behind);
+            let failed = (point, SourceId::Box(failed_box));
+            let outcome = q.ledger.repoint(failed, &behind);
             out.moved += usize::from(matches!(outcome, RepointOutcome::Moved { .. }));
             if let RepointOutcome::Moved { .. } | RepointOutcome::DuplicateSuppressed = outcome {
                 out.repointed.push((*r, q.trace));
@@ -427,15 +429,9 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             sends: Vec::new(),
         };
         let mut found = Vec::new();
-        let due = |q: &Request<P, X>| {
-            q.started
-                .is_some_and(|t| now.duration_since(t) >= threshold)
-        };
-        for (r, q) in self
-            .requests
-            .iter_mut()
-            .filter(|(_, q)| !q.closed && due(q))
-        {
+        let due = |t: Instant| now.duration_since(t) >= threshold;
+        let open = self.requests.iter_mut().filter(|(_, q)| !q.closed);
+        for (r, q) in open.filter(|(_, q)| q.started.is_some_and(due)) {
             for (point, route) in &self.routes {
                 for (box_id, info) in &route.child_boxes {
                     if !Self::awaits(q, *point, *box_id) {

@@ -37,6 +37,10 @@ pub enum ChunkDisposition {
         /// True if this is the first chunk accepted from the source.
         first: bool,
     },
+    /// New data, but past a gap: sequence numbers between the last
+    /// accepted one and this never arrived — chunks lost on the way.
+    /// Accepted like `Fresh`, and reported (DESIGN.md §8).
+    Gap,
     /// Sequence number at or below the last accepted one — a replayed
     /// duplicate that must not be aggregated again.
     Duplicate,
@@ -133,7 +137,8 @@ impl<K: Eq + Hash + Copy> FanInLedger<K> {
     }
 
     /// Record an incoming chunk from `key` with per-source sequence
-    /// number `seq` and classify it.
+    /// number `seq` and classify it. The first chunk from a contributor is
+    /// never a gap: a source's retained window can start above 0.
     pub fn accept_chunk(&mut self, key: K, seq: u32) -> ChunkDisposition {
         let e = self.entries.entry(key).or_default();
         if e.ignored {
@@ -142,8 +147,11 @@ impl<K: Eq + Hash + Copy> FanInLedger<K> {
         if e.last_seq.is_some_and(|prev| seq <= prev) {
             return ChunkDisposition::Duplicate;
         }
-        e.last_seq = Some(seq);
+        let gap = e.last_seq.replace(seq).is_some_and(|prev| seq - prev > 1);
         let first = !std::mem::replace(&mut e.seen, true);
+        if gap {
+            return ChunkDisposition::Gap;
+        }
         ChunkDisposition::Fresh { first }
     }
 

@@ -547,6 +547,7 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                     Instant::now(),
                     anchor,
                 );
+                let gaps = std::mem::take(&mut s.core.fanin.gaps);
                 let Some(completed) = accepted else {
                     o.duplicates_dropped.inc();
                     continue;
@@ -558,6 +559,7 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 o.update_ledger_gauges(&s.core);
                 inner.rearm(&mut s);
                 drop(s);
+                o.spans.gapped(&o.registry, gaps);
                 o.spans.ingest(names::spans::MASTER_RECV, ctx, hop, request);
             }
             Message::HeartbeatAck { from, nonce } => {
@@ -595,10 +597,9 @@ fn timer_loop(inner: &Arc<Inner>) {
         for (tree, failed_box, repoint) in &fired.failed {
             inner.report_repoint(*tree, *failed_box, repoint);
         }
-        fired
-            .scan
-            .iter()
-            .for_each(|scan| inner.report_bypasses(scan));
+        if let Some(scan) = &fired.scan {
+            inner.report_bypasses(scan);
+        }
         inner.send(fired.take_sends());
         s = inner.state.lock();
     }

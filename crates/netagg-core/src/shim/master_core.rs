@@ -204,9 +204,12 @@ impl MasterCore {
         let trees = self.trees_for(request);
         let new = || Some((MasterRequest::default(), trace()));
         let q = self.fanin.open(request, trees, Some(now), new)?;
-        let (req, completes) = q.accept_chunk(tree, source, seq, last, now)?;
+        let (req, completes, gap) = q.accept_chunk(tree, source, seq, last, now)?;
         if !payload.is_empty() {
             req.inputs.push(((tree, source), payload));
+        }
+        if gap {
+            self.fanin.gaps.push((request, source));
         }
         Some(completes)
     }

@@ -224,10 +224,9 @@ impl WorkerShim {
     /// Close this worker's contribution on every tree (Keyed mode).
     pub fn finish_request(&self, request: u64) -> Result<(), AggError> {
         assert_eq!(self.inner.selection, TreeSelection::Keyed);
-        let request = RequestId(request);
-        for t in 0..self.inner.num_trees {
-            self.inner
-                .send_on_tree(request, TreeId(t), Bytes::new(), true)?;
+        let (inner, request) = (&self.inner, RequestId(request));
+        for t in 0..inner.num_trees {
+            inner.send_on_tree(request, TreeId(t), Bytes::new(), true)?;
         }
         Ok(())
     }
@@ -377,10 +376,8 @@ fn control_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
                 payload,
                 ..
             } if app == inner.app => {
-                inner
-                    .stats
-                    .broadcasts_received
-                    .fetch_add(1, Ordering::Relaxed);
+                let stat = &inner.stats.broadcasts_received;
+                stat.fetch_add(1, Ordering::Relaxed);
                 // DropOldest: never blocks; a non-consuming application
                 // keeps only the newest BROADCAST_DEPTH payloads.
                 let _ = inner.broadcasts.send((request.0, payload));

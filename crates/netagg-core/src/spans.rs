@@ -4,7 +4,7 @@
 //! the audit of a re-point.
 
 use crate::fanin::Repoint;
-use crate::protocol::{AppId, RequestId, TreeId};
+use crate::protocol::{AppId, RequestId, SourceId, TreeId};
 use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
 use netagg_obs::{names, MetricsRegistry};
 use std::sync::Arc;
@@ -49,15 +49,8 @@ impl Spans {
         (ctx.is_active() && self.tracer.enabled()).then(|| {
             let (name, now) = (names::spans::WIRE_TRANSFER, trace::now_ns());
             let (wire, parent) = (self.tracer.next_span_id(), ctx.parent_span_id);
-            self.record(
-                name,
-                ctx.trace_id,
-                wire,
-                parent,
-                request,
-                sent_ns.min(now),
-                now,
-            );
+            let start = sent_ns.min(now);
+            self.record(name, ctx.trace_id, wire, parent, request, start, now);
             (wire, now)
         })
     }
@@ -125,11 +118,11 @@ impl Spans {
         repoint: &Repoint<R>,
     ) {
         let (now, n) = (trace::now_ns(), repoint.repointed.len());
-        for (r, t) in repoint
+        let traced = repoint
             .repointed
             .iter()
-            .filter_map(|(r, t)| Some((*r, (*t)?)))
-        {
+            .filter_map(|(r, t)| Some((*r, (*t)?)));
+        for (r, t) in traced {
             let id = self.tracer.next_span_id();
             self.record(name, t.trace_id, id, t.span_id, r.into(), now, now);
         }
@@ -140,5 +133,16 @@ impl Spans {
              ({n} in-flight requests moved)"
         );
         obs.emit(names::EVENT_REPOINT, detail);
+    }
+
+    /// Audit chunks this node accepted past a sequence gap (§8): the ones
+    /// skipped were lost on the way.
+    pub fn gapped<R: Into<RequestId>>(&self, obs: &MetricsRegistry, gaps: Vec<(R, SourceId)>) {
+        for (r, source) in gaps {
+            obs.counter(names::FAILURE_SEQ_GAPS).inc();
+            let (who, r) = (&self.component, r.into().0);
+            let detail = format!("{who} took request {r} from {source:?} past a gap");
+            obs.emit(names::EVENT_FAILURE, detail);
+        }
     }
 }

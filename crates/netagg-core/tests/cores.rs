@@ -3,7 +3,7 @@
 //! meets when a soak happens to schedule it.
 
 use bytes::Bytes;
-use netagg_core::aggbox::core::{BoxCore, Emit, PartialSink, ReqKey, FLUSH_TICK};
+use netagg_core::aggbox::core::{BoxCore, Emit, PartialSink, ReqKey, FLUSH_TICK, OUTBOX_BOUND};
 use netagg_core::failure::{DetectorConfig, DetectorCore};
 use netagg_core::fanin::{Fired, Route};
 use netagg_core::protocol::{AppId, Message, RequestId, SourceId, TreeId};
@@ -16,7 +16,7 @@ use netagg_core::tree::{
 };
 use netagg_core::{AggError, AggWrapper, AggregationFunction};
 use netagg_net::{DetRng, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,8 +88,16 @@ fn chunk(msg: &Message) -> (u32, Bytes) {
 }
 
 /// An output chunk's sequence number and destination.
-fn seq_dest(emit: &Emit) -> (u32, Option<NodeId>) {
+fn seq_dest(emit: &Emit) -> (u32, NodeId) {
     (chunk(&emit.msg).0, emit.to)
+}
+
+/// Everything a box core queued since the last call, oldest first: what
+/// its timer thread would send next.
+fn sent(core: &mut BoxCore<Collect>) -> Vec<Emit> {
+    let mut out = VecDeque::new();
+    core.drain_outbox(&mut out);
+    out.into()
 }
 
 /// Retained output of one request, as resent after a redirect.
@@ -103,9 +111,9 @@ struct Resend {
 }
 
 /// The chunks a redirect resent to `to`, per request.
-fn resent(to: NodeId, sends: Vec<(NodeId, Message)>) -> Vec<Resend> {
+fn resent(to: NodeId, sends: Vec<Emit>) -> Vec<Resend> {
     let mut out: Vec<Resend> = Vec::new();
-    for (dest, msg) in sends {
+    for Emit { to: dest, msg, .. } in sends {
         let Message::Data {
             request,
             seq,
@@ -190,17 +198,22 @@ fn permanent_redirect_resends_the_retained_window() {
     let closed = data(&mut core, 1, 1).flatten();
     assert_eq!(closed.map(|sink| sink.0.len()), Some(2));
     let done = Bytes::from_static(b"agg-1");
-    let emit = core.complete((APP, RequestId(1), TREE), done.clone());
-    assert_eq!(seq_dest(&emit), (0, Some(100)));
+    core.complete((APP, RequestId(1), TREE), done.clone());
+    assert_eq!(
+        sent(&mut core).iter().map(seq_dest).collect::<Vec<_>>(),
+        [(0, 100)]
+    );
     // Request 2 is still open but has streamed one partial.
     assert_eq!(data(&mut core, 2, 0), Some(None));
-    let flushed = core.flush(|sink| sink.0.pop());
+    core.flush(|sink| sink.0.pop());
+    let flushed = sent(&mut core);
     assert_eq!(flushed.len(), 1);
-    assert_eq!(seq_dest(&flushed[0]), (0, Some(100)));
+    assert_eq!(seq_dest(&flushed[0]), (0, 100));
     // Request 3 is open and has emitted nothing: nothing to resend.
     assert_eq!(data(&mut core, 3, 0), Some(None));
 
-    let mut resends = resent(200, core.redirect(APP, true, RequestId(0), TREE, 200));
+    core.redirect(APP, true, RequestId(0), TREE, 200);
+    let mut resends = resent(200, sent(&mut core));
     resends.sort_by_key(|r| r.request);
     let want = |request, chunk: &Bytes, finished| Resend {
         request: RequestId(request),
@@ -215,9 +228,13 @@ fn permanent_redirect_resends_the_retained_window() {
     // The open request's final chunk follows under the next sequence
     // number, to the new parent; a repeated redirect changes nothing.
     assert!(data(&mut core, 2, 1).flatten().is_some());
-    let emit = core.complete((APP, RequestId(2), TREE), Bytes::from_static(b"agg-2"));
-    assert_eq!(seq_dest(&emit), (1, Some(200)));
-    let again = resent(200, core.redirect(APP, true, RequestId(0), TREE, 200));
+    core.complete((APP, RequestId(2), TREE), Bytes::from_static(b"agg-2"));
+    assert_eq!(
+        sent(&mut core).iter().map(seq_dest).collect::<Vec<_>>(),
+        [(1, 200)]
+    );
+    core.redirect(APP, true, RequestId(0), TREE, 200);
+    let again = resent(200, sent(&mut core));
     assert!(again
         .iter()
         .all(|r| r.finished && r.request != RequestId(3)));
@@ -567,8 +584,8 @@ impl Timed for BoxCore<Collect> {
         self.next_deadline()
     }
     fn tick(&mut self, now: Instant) -> Tick {
-        let (flushed, fired) = self.on_timer(now, |_| None);
-        assert!(flushed.is_empty());
+        let fired = self.on_timer(now, |_| None);
+        assert!(sent(self).is_empty());
         let done = self.sinks(&fired.closed()).pop().map(|sink| sink.0);
         Tick::of(&fired, done)
     }
@@ -618,8 +635,8 @@ fn an_idle_core_has_no_deadline() {
         Some(None)
     );
     assert_eq!(leaf.next_deadline(), Some(now));
-    let (flushed, fired) = leaf.on_timer(now, |_| None);
-    assert!(flushed.is_empty() && fired.is_empty());
+    let fired = leaf.on_timer(now, |_| None);
+    assert!(fired.is_empty() && sent(&mut leaf).is_empty());
     assert_eq!(leaf.next_deadline(), Some(now + FLUSH_TICK));
 
     let specs = build_tree_specs(&ClusterSpec::single_rack(2, 0));
@@ -894,4 +911,232 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
     assert_eq!(broadcast(&root), children(&[0, 1], &[1]));
     assert!(root.fanin.child_box_failed(point, 1).is_some());
     assert_eq!(broadcast(&root), children(&[0, 1, 2, 3], &[]));
+}
+
+/// A chunk past a sequence gap is still accepted, and recorded for the
+/// shell to report, at a box and at the master alike. A source's first
+/// chunk is never a gap, however high its number: a worker's retained
+/// window can start above 0.
+#[test]
+fn a_sequence_gap_is_accepted_and_reported() {
+    let (now, w) = (Instant::now(), SourceId::Worker(0));
+    let mut aggbox = box_core(vec![w], HashMap::new());
+    assert_eq!(box_data(&mut aggbox, 1, w, (3, false), 0, now), Some(None));
+    assert_eq!(box_data(&mut aggbox, 1, w, (4, false), 0, now), Some(None));
+    assert!(aggbox.fanin.gaps.is_empty(), "{:?}", aggbox.fanin.gaps);
+    let closed = box_data(&mut aggbox, 1, w, (6, true), 0, now).flatten();
+    assert_eq!(closed.map(|sink| sink.0.len()), Some(3), "accepted");
+    assert_eq!(aggbox.fanin.gaps, [((APP, RequestId(1), TREE), w)]);
+
+    let specs = build_tree_specs(&ClusterSpec::single_rack(1, 0));
+    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    master.register(REQ, 1, None, now, Duration::from_secs(600), || None);
+    let payload = Bytes::from_static(b"p");
+    let mut chunk = |seq, last| {
+        let payload = payload.clone();
+        master.accept_data(REQ, TREE, w, seq, last, payload, now, || None)
+    };
+    assert_eq!(chunk(1, false), Some(false));
+    assert_eq!(chunk(3, true), Some(true), "accepted");
+    assert_eq!(master.fanin.gaps, [(REQ, w)]);
+}
+
+// --- (f): the outbox — box output leaves in the order it was numbered ---
+
+/// One step of [`outbox_order_drive`].
+#[derive(Clone, Copy, Debug)]
+enum Step2 {
+    /// Worker 0 sends request `r` a chunk; its last one closes `r`.
+    Chunk(u64, bool),
+    /// A streaming-flush pass.
+    Flush,
+    /// A closed request's local aggregation finishes.
+    Complete(u64),
+    /// A straggler bypass upstream: `r`'s output goes elsewhere.
+    Bypass(u64),
+    /// The parent died: every request's output goes elsewhere.
+    Repoint,
+}
+
+/// Drive a box core through one seeded order of worker chunks, flush
+/// passes, completions, per-request redirects and permanent ones, with the
+/// timer thread's drain of the outbox at seeded points between steps.
+/// Returns the wire in send order and every request's worker bytes.
+fn outbox_order_drive(rng: &mut DetRng) -> (Vec<Emit>, HashMap<u64, Vec<u8>>) {
+    const REQUESTS: u64 = 4;
+    let mut core = box_core(vec![SourceId::Worker(0)], HashMap::new());
+    let now = Instant::now();
+    let (mut wire, mut next_node, mut trace) = (Vec::new(), 200, Vec::new());
+    let mut input: HashMap<u64, Vec<u8>> = HashMap::new();
+    let (mut closed, mut done) = (Vec::new(), Vec::new());
+    // Every pending partial, concatenated: what a flush or the final
+    // aggregate carries.
+    let take = |sink: &mut Collect| {
+        let bytes: Vec<u8> = sink.0.drain(..).flat_map(|b| b.to_vec()).collect();
+        (!bytes.is_empty()).then(|| Bytes::from(bytes))
+    };
+    while done.len() < REQUESTS as usize {
+        let r = rng.gen_range(0, REQUESTS);
+        let step = match rng.gen_range(0, 8) {
+            0..=2 if !closed.contains(&r) => Step2::Chunk(r, rng.gen_range(0, 4) == 0),
+            3 => Step2::Flush,
+            4 | 5 if closed.contains(&r) && !done.contains(&r) => Step2::Complete(r),
+            6 => Step2::Bypass(r),
+            7 if rng.gen_range(0, 4) == 0 => Step2::Repoint,
+            _ => continue,
+        };
+        trace.push(step);
+        match step {
+            Step2::Chunk(r, last) => {
+                let bytes = input.entry(r).or_default();
+                let seq = bytes.len() as u32 + 1;
+                bytes.push((r * 50) as u8 + seq as u8);
+                let sent = box_data(
+                    &mut core,
+                    r,
+                    SourceId::Worker(0),
+                    (seq, last),
+                    bytes[seq as usize - 1],
+                    now,
+                );
+                assert_eq!(sent.is_some_and(|close| close.is_some()), last, "{trace:?}");
+                closed.extend(last.then_some(r));
+            }
+            Step2::Flush => core.flush(take),
+            Step2::Complete(r) => {
+                let key = (APP, RequestId(r), TREE);
+                let mut sink = core.sinks(&[key]).pop().expect("closed, not completed");
+                core.complete(key, take(&mut sink).unwrap_or_default());
+                done.push(r);
+            }
+            Step2::Bypass(r) => core.redirect(APP, false, RequestId(r), TREE, next_node),
+            Step2::Repoint => core.redirect(APP, true, RequestId(0), TREE, next_node),
+        }
+        next_node += 1;
+        if rng.gen_range(0, 2) == 0 {
+            wire.extend(sent(&mut core));
+        }
+    }
+    wire.extend(sent(&mut core));
+    (wire, input)
+}
+
+/// (f) Flush passes, completions, a per-request redirect and a permanent
+/// one in seeded orders, the outbox drained at seeded points: every
+/// destination sees each request's output chunks in strictly increasing
+/// order, with at most one `last` and nothing after it; and some
+/// destination got all of them — every worker byte exactly once, one
+/// `last`, on the final chunk.
+#[test]
+fn box_output_leaves_each_destination_in_numbering_order() {
+    let mut rng = DetRng::new(0x0B0C_5EED);
+    for round in 0..400 {
+        let (wire, input) = outbox_order_drive(&mut rng);
+        let mut streams: HashMap<_, Vec<(u32, bool, Bytes)>> = HashMap::new();
+        for Emit { to, msg, .. } in &wire {
+            let Message::Data {
+                request,
+                seq,
+                last,
+                payload,
+                ..
+            } = msg
+            else {
+                panic!("round {round}: only data leaves here: {msg:?}");
+            };
+            let stream = streams.entry((*to, *request)).or_default();
+            if let Some((prev, ended, _)) = stream.last() {
+                assert!(
+                    !ended && *seq > *prev,
+                    "round {round}: {to} {request:?} {seq} after {prev}"
+                );
+            }
+            stream.push((*seq, *last, payload.clone()));
+        }
+        for (r, bytes) in &input {
+            let whole = streams
+                .iter()
+                .filter(|((_, req), _)| *req == RequestId(*r))
+                .any(|(_, s)| {
+                    let numbered = s.iter().enumerate().all(|(i, (seq, last, _))| {
+                        *seq as usize == i && *last == (i + 1 == s.len())
+                    });
+                    let joined: Vec<u8> = s.iter().flat_map(|(_, _, p)| p.to_vec()).collect();
+                    numbered && s.last().is_some_and(|c| c.1) && joined == *bytes
+                });
+            assert!(
+                whole,
+                "round {round}: request {r} never reached one parent whole: {streams:?}"
+            );
+        }
+    }
+}
+
+// --- (g): backpressure and the detector ---
+
+/// (g) A box over its outbox bound holds its readers back, and they read
+/// its children's acks: an ack time-out then is no miss, however long the
+/// backlog lasts. Once drained, a silent child is failed exactly once, on
+/// `misses` time-outs that fell after the drain.
+#[test]
+fn a_backlogged_box_fails_no_child_until_it_drains() {
+    let specs = chain();
+    let t0 = Instant::now();
+    let mut aggbox = box_above_chain(&specs);
+    aggbox.fanin.detector.enable(DETECTOR, t0);
+    let payload = Bytes::new();
+    let copy = (
+        box_addr(9),
+        Message::Broadcast {
+            app: APP,
+            request: REQ,
+            tree: TREE,
+            payload,
+        },
+    );
+    assert!(
+        aggbox.post(vec![copy; OUTBOX_BOUND + 1]).is_empty(),
+        "broadcasts are queued"
+    );
+    assert!(aggbox.backlogged());
+    assert!(
+        aggbox.next_deadline() <= Some(Instant::now()),
+        "queued output is due now"
+    );
+    let held = (DETECTOR.interval + DETECTOR.timeout) * DETECTOR.misses * 4;
+    let mut now = t0;
+    while now < t0 + held {
+        now += DETECTOR.interval / 2;
+        let fired = aggbox.on_timer(now, |_| None);
+        assert!(
+            fired.dead.is_empty(),
+            "declared at {:?} while held",
+            now - t0
+        );
+    }
+    let drained = now;
+    assert!(sent(&mut aggbox).len() > OUTBOX_BOUND);
+    let mut declared = Vec::new();
+    // Until the adopted box 1, silent too, has gone the same way.
+    while let Some(next) = aggbox.next_deadline().filter(|t| *t < drained + held) {
+        now = next;
+        let fired = aggbox.on_timer(now, |_| None);
+        declared.extend(fired.dead.iter().map(|b| (*b, now)));
+    }
+    let zero: Vec<_> = declared.iter().filter(|(b, _)| *b == 0).collect();
+    assert_eq!(zero.len(), 1, "{declared:?}");
+    // Its `misses` time-outs all fell after the drain, a round apart.
+    let misses_after = drained + DETECTOR.interval * (DETECTOR.misses - 1);
+    assert!(
+        zero[0].1 >= misses_after,
+        "failed on a time-out that fell while held"
+    );
+    let mut boxes: Vec<u32> = declared.iter().map(|(b, _)| *b).collect();
+    boxes.sort_unstable();
+    boxes.dedup();
+    assert_eq!(
+        boxes.len(),
+        declared.len(),
+        "a box failed twice: {declared:?}"
+    );
 }

@@ -30,8 +30,15 @@ impl SixSets {
         if self.last_seq.get(&key).is_some_and(|&prev| seq <= prev) {
             return ChunkDisposition::Duplicate;
         }
-        self.last_seq.insert(key, seq);
+        // A skipped number is a lost chunk; the first chunk never is one.
+        let gap = self
+            .last_seq
+            .insert(key, seq)
+            .is_some_and(|prev| seq > prev + 1);
         let first = self.seen.insert(key);
+        if gap {
+            return ChunkDisposition::Gap;
+        }
         ChunkDisposition::Fresh { first }
     }
 

@@ -62,8 +62,8 @@ fn fault_seed() -> u64 {
 
 /// Drop an entire deployment mid-request while a seeded fault schedule
 /// kills the rack box at an arbitrary protocol moment. Every scoped thread
-/// (box listeners/readers/egress/flush/straggler, scheduler pool, shim
-/// listeners/readers, failure detectors) must join inside the scope
+/// (box listeners/readers/timer, scheduler pool, shim
+/// listeners/readers/timers) must join inside the scope
 /// deadline; a hung thread panics `finish()`, a harvested worker panic
 /// re-panics, and the shared `runtime.threads_active` gauge must read
 /// exactly zero afterwards — so a clean return proves all three.

@@ -4,20 +4,21 @@
 //! `platform.rs`.
 
 use bytes::Bytes;
+use netagg_core::aggbox::core::OUTBOX_BOUND;
 use netagg_core::failure::DetectorConfig;
 use netagg_core::prelude::*;
 use netagg_core::protocol::{Message, SourceId, TreeId};
 use netagg_core::runtime::DeploymentConfig;
 use netagg_core::shim::{MasterShim, MasterShimConfig, TreeSelection};
 use netagg_core::straggler::StragglerPolicy;
-use netagg_core::tree::{build_tree_specs, master_addr, worker_addr};
+use netagg_core::tree::{box_addr, build_tree_specs, master_addr, worker_addr};
 use netagg_net::lifecycle::Wait;
 use netagg_net::{
     ChannelTransport, Connection, FaultController, FaultTransport, Interposed, Interposer,
     NetError, NodeId, Transport,
 };
-use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -444,5 +445,105 @@ fn a_replay_is_never_overtaken_by_the_next_chunk() {
     assert_eq!(*hook.seqs.lock(), vec![1, 2, 3, 4]);
     assert_eq!(parse(&result.combined), 4 + 10);
     ctl.revive(dep.boxes()[0].addr());
+    dep.shutdown();
+}
+
+/// Stalls the box's first frame to the master until the box has stopped
+/// taking its worker's chunks (its readers are held back) or has taken
+/// every one, and counts the chunks it took.
+#[derive(Clone)]
+struct StallUpstream {
+    aggbox: NodeId,
+    master: NodeId,
+    worker: NodeId,
+    taken: Arc<AtomicUsize>,
+    /// Chunks the box had taken when the stall ended; 0 while it lasts.
+    at_release: Arc<AtomicUsize>,
+}
+
+const STALLED_REQUESTS: u64 = 5000;
+
+impl Interposer for StallUpstream {
+    type Link = (NodeId, NodeId, StallUpstream);
+
+    fn link(&self, local: NodeId, peer: NodeId) -> Result<Self::Link, NetError> {
+        Ok((local, peer, self.clone()))
+    }
+
+    fn before_send((local, peer, hook): &mut Self::Link, _len: usize) -> Result<(), NetError> {
+        let upstream = (*local, *peer) == (hook.aggbox, hook.master);
+        if upstream && hook.at_release.load(Relaxed) == 0 {
+            let mut seen = usize::MAX;
+            while hook.taken.load(Relaxed) != seen {
+                seen = hook.taken.load(Relaxed);
+                if seen as u64 == STALLED_REQUESTS {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            hook.at_release.store(seen, Relaxed);
+        }
+        Ok(())
+    }
+
+    fn recv(
+        (local, peer, hook): &mut Self::Link,
+        inner: &mut dyn Connection,
+        wait: Wait<'_>,
+    ) -> Result<Bytes, NetError> {
+        let frame = wait.recv(inner)?;
+        if (*local, *peer) == (hook.aggbox, hook.worker) {
+            hook.taken.fetch_add(1, Relaxed);
+        }
+        Ok(frame)
+    }
+}
+
+/// Bugfix: a box whose parent stalls holds its children back instead of
+/// evicting numbered output. The box → master link is stalled while the
+/// box completes more requests than its outbox bound; then it is released.
+/// Every request's result must be the reference fold, and no mailbox may
+/// have dropped anything (a `DropOldest` queue before the wire loses the
+/// oldest chunks here, and the master waits for them forever).
+#[test]
+fn a_stalled_parent_holds_the_box_back_instead_of_losing_output() {
+    let app = netagg_core::protocol::AppId(0);
+    let hook = StallUpstream {
+        aggbox: box_addr(0),
+        master: master_addr(app),
+        worker: worker_addr(app, 0),
+        taken: Arc::default(),
+        at_release: Arc::default(),
+    };
+    let stalled = Interposed::over(ChannelTransport::new(), hook.clone());
+    let mut dep =
+        NetAggDeployment::launch(Arc::new(stalled), &ClusterSpec::single_rack(1, 1)).unwrap();
+    assert_eq!(dep.register_app("sum", sum_agg(), 1.0), app);
+    let (master, w0) = (dep.master_shim(app), dep.worker_shim(app, 0));
+    let pending: Vec<_> = (0..STALLED_REQUESTS)
+        .map(|r| master.register_request(r, 1))
+        .collect();
+    for r in 0..STALLED_REQUESTS {
+        w0.send_partial(r, Bytes::from(r.to_string())).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    for (r, p) in pending.iter().enumerate() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let result = p
+            .wait(left)
+            .unwrap_or_else(|e| panic!("request {r}: {e:?}"));
+        assert_eq!(parse(&result.combined), r as i64);
+    }
+    let at_release = hook.at_release.load(Relaxed);
+    assert!(
+        at_release > OUTBOX_BOUND,
+        "released after {at_release} chunks"
+    );
+    let snapshot = dep.snapshot();
+    let dropped = snapshot.counters.iter();
+    let dropped: Vec<_> = dropped
+        .filter(|(name, n)| name.starts_with("mailbox.dropped.") && *n > 0)
+        .collect();
+    assert!(dropped.is_empty(), "{dropped:?}");
     dep.shutdown();
 }

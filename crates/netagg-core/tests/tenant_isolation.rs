@@ -6,9 +6,9 @@
 //! time its redirect arrived — those requests then waited forever.
 
 use bytes::Bytes;
-use netagg_core::aggbox::core::{BoxCore, PartialSink};
+use netagg_core::aggbox::core::{BoxCore, Emit, PartialSink};
 use netagg_core::protocol::{AppId, Message, RequestId, TreeId};
-use netagg_net::NodeId;
+use std::collections::VecDeque;
 
 #[derive(Clone)]
 struct Discard;
@@ -24,9 +24,12 @@ struct Resend {
     finished: bool,
 }
 
-/// The single-chunk resends of a redirect.
-fn resent(sends: Vec<(NodeId, Message)>) -> Vec<Resend> {
-    let resend = |(_, msg)| {
+/// The single-chunk resends of a permanent redirect of `app`'s tree.
+fn resent(core: &mut BoxCore<Discard>, app: AppId, tree: TreeId) -> Vec<Resend> {
+    core.redirect(app, true, RequestId(0), tree, 200);
+    let mut sends = VecDeque::new();
+    core.drain_outbox(&mut sends);
+    let resend = |Emit { msg, .. }| {
         let Message::Data {
             request,
             seq: 0,
@@ -58,7 +61,7 @@ fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
     for r in 0..10_000 {
         core.complete((busy, RequestId(r), tree), out.clone());
     }
-    let resends = resent(core.redirect(slow, true, RequestId(0), tree, 200));
+    let resends = resent(&mut core, slow, tree);
     let want = Resend {
         request: RequestId(7),
         chunks: vec![out],
@@ -66,5 +69,5 @@ fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
     };
     assert_eq!(resends, vec![want]);
     // The busy tenant's own window is still bounded.
-    assert!(core.redirect(busy, true, RequestId(0), tree, 200).len() <= 64);
+    assert!(resent(&mut core, busy, tree).len() <= 64);
 }

@@ -95,7 +95,7 @@ MASTER_CORE = LockRank::new(20, "master.core");
 // --- connection caches (25–29) ---------------------------------------------
 
 /// A `ConnCache`'s destination → connection map (`netagg-core/src/conn_cache.rs`):
-/// worker data plane, master control plane and box egress each own one.
+/// worker data plane, master control plane and box output each own one.
 /// Held across a dial plus first send (the lock is what serializes racing
 /// dials to one connection per destination), and by the worker across
 /// the `worker.core` transition that numbers what it then sends — so it

@@ -58,7 +58,7 @@ AGGBOX_REQUESTS_FAILED = "aggbox.requests_failed";
 AGGBOX_REQUEST_AGG_US = "aggbox.request_agg_us";
 /// Chunks suppressed by per-source sequence tracking.
 AGGBOX_DUPLICATES_DROPPED = "aggbox.duplicates_dropped";
-/// Failed upstream sends from the egress loop.
+/// Failed sends from the box's outbox drain.
 AGGBOX_SEND_ERRORS = "aggbox.send_errors";
 /// A parent box adopting a failed child box's subtree.
 AGGBOX_REPOINTS = "aggbox.repoints";
@@ -126,6 +126,8 @@ MAILBOX_DROPPED_POLICY = "mailbox.dropped.<policy>";
 FAILURE_DETECTIONS = "failure.detections";
 /// Grandchildren re-pointed around a dead box.
 FAILURE_REPOINTS = "failure.repoints";
+/// Chunks a fan-in ledger accepted past a sequence gap (chunks lost).
+FAILURE_SEQ_GAPS = "failure.seq_gaps";
 
 // --- metered transport -----------------------------------------------------
 

@@ -31,9 +31,7 @@ use std::collections::HashMap;
 /// drift).
 pub fn mailbox_bound(name: &str) -> Option<f64> {
     // Family prefixes/suffixes as documented in the §9 inventory table.
-    if name.starts_with("aggbox") && name.ends_with(".egress") {
-        Some(4096.0)
-    } else if (name.starts_with("worker") && name.ends_with(".broadcast"))
+    if (name.starts_with("worker") && name.ends_with(".broadcast"))
         || name.starts_with("chan.data.")
     {
         Some(256.0)
@@ -146,7 +144,6 @@ mod tests {
 
     #[test]
     fn bounds_follow_the_section_9_table() {
-        assert_eq!(mailbox_bound("aggbox3.egress"), Some(4096.0));
         assert_eq!(mailbox_bound("worker0-2.broadcast"), Some(256.0));
         assert_eq!(mailbox_bound("chan.data.1001-10000"), Some(256.0));
         assert_eq!(mailbox_bound("chan.accept.10000"), Some(1024.0));
@@ -158,7 +155,7 @@ mod tests {
     #[test]
     fn depth_checker_flags_escapes_and_unknowns() {
         let mut maxes = HashMap::new();
-        maxes.insert("mailbox.depth.aggbox0.egress".to_string(), 4096.0);
+        maxes.insert("mailbox.depth.worker0-2.broadcast".to_string(), 256.0);
         maxes.insert("mailbox.depth.chan.data.5-9".to_string(), 300.0);
         maxes.insert("mailbox.depth.rogue".to_string(), 1.0);
         let v = depth_violations(&maxes);
