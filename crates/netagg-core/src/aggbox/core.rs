@@ -17,9 +17,10 @@ use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::window::RecencyWindow;
 use crate::DynAggregator;
 use bytes::Bytes;
+use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,17 +88,17 @@ pub struct BoxCore<S> {
     /// This box's global id: the source its output names, the `from` of
     /// its acks.
     pub id: u32,
-    apps: HashMap<AppId, Arc<dyn DynAggregator>>,
+    apps: Map<AppId, Arc<dyn DynAggregator>>,
     /// The downstream half: routes, per-request ledgers, the failure and
     /// straggler transitions. Shells call those directly.
     pub fanin: FanInCore<Point, ReqKey, BoxRequest<S>>,
-    parents: HashMap<Point, NodeId>,
+    parents: Map<Point, NodeId>,
     /// Per-request output redirections (a straggler bypass upstream).
-    redirects: HashMap<ReqKey, NodeId>,
+    redirects: Map<ReqKey, NodeId>,
     /// Recently emitted output chunks per request, a window per fan-in
     /// point: one tenant's traffic must not evict what another's new
     /// parent will need (redirects arrive per application and tree).
-    emitted: HashMap<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
+    emitted: Map<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
     /// When the next streaming-flush pass is due; `None` = never flushes.
     pub flush_due: Option<Instant>,
     /// What transitions produced and the shell has not yet taken, oldest
@@ -112,11 +113,11 @@ impl<S: PartialSink> Default for BoxCore<S> {
     fn default() -> Self {
         Self {
             id: 0,
-            apps: HashMap::new(),
+            apps: Map::default(),
             fanin: FanInCore::default(),
-            parents: HashMap::new(),
-            redirects: HashMap::new(),
-            emitted: HashMap::new(),
+            parents: Map::default(),
+            redirects: Map::default(),
+            emitted: Map::default(),
             flush_due: None,
             outbox: VecDeque::new(),
             epoch: Instant::now(),

@@ -8,23 +8,23 @@
 
 use crate::lifecycle::{OrderedMutex, OrderedMutexGuard};
 use bytes::Bytes;
+use netagg_net::hash::Map;
 use netagg_net::{lock_order, Connection, NetError, NodeId, Transport};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Cached connections from one local address, one per destination.
 pub struct ConnCache {
     transport: Arc<dyn Transport>,
     from: NodeId,
-    conns: OrderedMutex<HashMap<NodeId, Box<dyn Connection>>>,
+    conns: OrderedMutex<Map<NodeId, Box<dyn Connection>>>,
 }
 
 /// A [`ConnCache`] held by one sender: its sends leave in the order it
 /// makes them, with no other sender's in between.
 pub struct Held<'a>(
     &'a ConnCache,
-    OrderedMutexGuard<'a, HashMap<NodeId, Box<dyn Connection>>>,
+    OrderedMutexGuard<'a, Map<NodeId, Box<dyn Connection>>>,
 );
 
 impl ConnCache {
@@ -33,7 +33,7 @@ impl ConnCache {
         Self {
             transport,
             from,
-            conns: OrderedMutex::new(lock_order::CONN_CACHE, HashMap::new()),
+            conns: OrderedMutex::new(lock_order::CONN_CACHE, Map::default()),
         }
     }
 

@@ -23,6 +23,7 @@ use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::straggler::StragglerPolicy;
 use crate::tree::{box_addr, TreeSpec};
 use bytes::Bytes;
+use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -230,13 +231,13 @@ impl<P, R: Copy> Fired<P, R> {
 /// One node's half of the fan-in protocol; see the module docs.
 #[derive(Debug)]
 pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
-    routes: HashMap<P, Route>,
+    routes: Map<P, Route>,
     /// Every request with state here. Shells read it (snapshots, gauges),
     /// remove from it (completion hand-off, reaping) and drain it at
     /// teardown; the transitions below are what mutate ledgers.
-    pub requests: HashMap<R, Request<P, X>>,
+    pub requests: Map<R, Request<P, X>>,
     /// Straggler events per child box, across requests.
-    straggles: HashMap<u32, u32>,
+    straggles: Map<u32, u32>,
     /// The bypass policy this node runs on its timer, constant once set.
     pub straggler: Option<StragglerPolicy>,
     /// Liveness of the child boxes the routes name.
@@ -253,9 +254,9 @@ pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
 impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X> {
     fn default() -> Self {
         Self {
-            routes: HashMap::new(),
-            requests: HashMap::new(),
-            straggles: HashMap::new(),
+            routes: Map::default(),
+            requests: Map::default(),
+            straggles: Map::default(),
             straggler: None,
             detector: DetectorCore::default(),
             addr: 0,
@@ -303,8 +304,9 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             let boxes = r.failed.iter();
             boxes.map(move |b| (p, SourceId::Box(*b)))
         });
+        let sizes = routed.clone().map(|(_, r)| r.owed.len() + r.failed.len());
         let owed = routed.flat_map(|(p, r)| r.owed.iter().map(move |s| (p, *s)));
-        let mut ledger = FanInLedger::new(owed.chain(dead.clone()));
+        let mut ledger = FanInLedger::with_capacity(sizes.sum(), owed.chain(dead.clone()));
         for key in dead {
             ledger.repoint(key, &[]);
         }

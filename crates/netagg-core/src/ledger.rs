@@ -25,7 +25,7 @@
 //!   than owed — their replays are duplicates of data the box already
 //!   folded in (duplicate suppression).
 
-use std::collections::HashMap;
+use netagg_net::hash::Map;
 use std::hash::Hash;
 
 /// What [`FanInLedger::accept_chunk`] decided about an incoming chunk.
@@ -91,7 +91,7 @@ struct Entry {
 /// comparison.
 #[derive(Debug, Clone, Default)]
 pub struct FanInLedger<K: Eq + Hash + Copy> {
-    entries: HashMap<K, Entry>,
+    entries: Map<K, Entry>,
     /// Entries with `owed`.
     owed: usize,
     /// Entries with `owed && !ended`.
@@ -102,8 +102,14 @@ impl<K: Eq + Hash + Copy> FanInLedger<K> {
     /// Create a ledger owing exactly the given contributors.
     pub fn new(owed: impl IntoIterator<Item = K>) -> Self {
         let owed = owed.into_iter();
+        Self::with_capacity(owed.size_hint().0, owed)
+    }
+
+    /// Create a ledger owing exactly the given contributors, its table
+    /// sized once for `n` of them.
+    pub(crate) fn with_capacity(n: usize, owed: impl IntoIterator<Item = K>) -> Self {
         let mut ledger = FanInLedger {
-            entries: HashMap::with_capacity(owed.size_hint().0),
+            entries: Map::with_capacity_and_hasher(n, Default::default()),
             owed: 0,
             outstanding: 0,
         };

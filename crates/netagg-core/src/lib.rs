@@ -118,11 +118,8 @@ impl std::error::Error for AggError {}
 
 /// Deterministic 64-bit mix (splitmix64 finaliser) used to map requests to
 /// aggregation trees; master and worker shims must agree on it.
-pub fn protocol_hash(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+pub fn protocol_hash(x: u64) -> u64 {
+    netagg_obs::splitmix64(x)
 }
 
 impl From<netagg_net::NetError> for AggError {

@@ -11,6 +11,7 @@ use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::window::RecencyWindow;
 use crate::AggError;
 use bytes::Bytes;
+use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
 use std::collections::HashMap;
@@ -42,8 +43,8 @@ pub struct WorkerCore {
     /// The application and worker its chunks come from.
     source: (AppId, u32),
     /// Destination per tree: the worker's first on-path box, or the master.
-    assignments: HashMap<TreeId, NodeId>,
-    seqs: HashMap<RequestId, u32>,
+    assignments: Map<TreeId, NodeId>,
+    seqs: Map<RequestId, u32>,
     /// Sent chunks per request, each with the tree it travels on.
     replay: RecencyWindow<RequestId, Vec<(TreeId, Message)>>,
 }
@@ -54,8 +55,8 @@ impl WorkerCore {
     pub fn new(app: AppId, worker: u32, assignments: HashMap<TreeId, NodeId>) -> Self {
         Self {
             source: (app, worker),
-            assignments,
-            seqs: HashMap::new(),
+            assignments: assignments.into_iter().collect(),
+            seqs: Map::default(),
             replay: RecencyWindow::new(REPLAY_WINDOW),
         }
     }

@@ -7,14 +7,15 @@
 //! the recent past: a replay trails the failure it recovers from by at
 //! most the in-flight window. One type bounds all three.
 
-use std::collections::{HashMap, VecDeque};
+use netagg_net::hash::Map;
+use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// A map bounded to its `capacity` most recently first-inserted keys;
 /// inserting a new key beyond that evicts the oldest.
 #[derive(Debug, Clone)]
 pub struct RecencyWindow<K, V> {
-    map: HashMap<K, V>,
+    map: Map<K, V>,
     order: VecDeque<K>,
     capacity: usize,
 }
@@ -24,7 +25,7 @@ impl<K: Eq + Hash + Copy, V> RecencyWindow<K, V> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a window must retain at least one key");
         Self {
-            map: HashMap::new(),
+            map: Map::default(),
             order: VecDeque::new(),
             capacity,
         }

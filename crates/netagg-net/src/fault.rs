@@ -9,12 +9,12 @@
 //! recovery tests can reproduce precise kill timings from a seed instead
 //! of relying on sleeps.
 
+use crate::hash::{Map, Set};
 use crate::interpose::{Interposed, Interposer};
 use crate::lifecycle::Wait;
 use crate::transport::{Connection, NetError, NodeId, Transport};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,9 +42,9 @@ pub struct FaultStep {
 
 #[derive(Default)]
 struct FaultState {
-    dead: HashSet<NodeId>,
-    delay: HashMap<NodeId, Duration>,
-    frames: HashMap<NodeId, u64>,
+    dead: Set<NodeId>,
+    delay: Map<NodeId, Duration>,
+    frames: Map<NodeId, u64>,
     schedule: Vec<FaultStep>,
 }
 
@@ -236,11 +236,9 @@ impl DetRng {
 
     /// Next 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        let z = netagg_obs::splitmix64(self.0);
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z
     }
 
     /// Uniform-ish value in `[lo, hi)`. Panics if `lo >= hi`.

@@ -35,6 +35,7 @@
 //!   by the witness and checked against DESIGN.md by
 //!   `tests/design_contract.rs`.
 //! * [`wire`] — small binary (de)serialisation helpers over [`bytes`].
+//! * [`hash`] — the keyed hasher of every per-frame and per-request map.
 
 #![warn(missing_docs)]
 
@@ -43,6 +44,7 @@ pub mod emu;
 pub mod fault;
 pub mod flow;
 pub mod framing;
+pub mod hash;
 pub mod interpose;
 pub mod lifecycle;
 pub mod lock_order;

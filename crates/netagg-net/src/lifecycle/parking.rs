@@ -66,8 +66,8 @@ impl Parking {
         slot: impl Fn(&mut T) -> &mut Parked,
         deadline: Deadline,
     ) -> bool {
-        let now = Instant::now();
-        let left = deadline.0.map(|d| d.saturating_duration_since(now));
+        let Deadline(end) = deadline; // an untimed park reads no clock
+        let left = end.map(|d| d.saturating_duration_since(Instant::now()));
         if left == Some(Duration::ZERO) {
             return false;
         }

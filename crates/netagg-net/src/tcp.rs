@@ -54,6 +54,7 @@
 
 use crate::flow::FlowWindow;
 use crate::framing::{FrameDecoder, MAX_FRAME};
+use crate::hash::Map;
 use crate::lifecycle::{
     CancelToken, JoinScope, Mailbox, MailboxRecvError, MailboxSendError, OrderedMutex,
     OverflowPolicy, Wait, DEFAULT_JOIN_DEADLINE,
@@ -63,7 +64,7 @@ use crate::transport::{recv_on, Connection, Listener, NetError, NodeId, Transpor
 use crate::units;
 use bytes::{BufMut, Bytes, BytesMut};
 use netagg_obs::{names, Counter, Gauge, MetricsRegistry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -136,10 +137,10 @@ fn be_u32(b: &[u8]) -> u32 {
 /// registered yet gets no hints and is re-armed by the park tick instead.
 fn link_dir() -> &'static LinkDir {
     static DIR: OnceLock<LinkDir> = OnceLock::new();
-    DIR.get_or_init(|| OrderedMutex::new(lock_order::NET_LINK_DIR, HashMap::new()))
+    DIR.get_or_init(|| OrderedMutex::new(lock_order::NET_LINK_DIR, Map::default()))
 }
 
-type LinkDir = OrderedMutex<HashMap<(SocketAddr, SocketAddr), Weak<LinkState>>>;
+type LinkDir = OrderedMutex<Map<(SocketAddr, SocketAddr), Weak<LinkState>>>;
 
 fn dir_remove(key: Option<(SocketAddr, SocketAddr)>) {
     if let Some(k) = key {
@@ -302,7 +303,7 @@ struct ReadHalf {
     stream: TcpStream,
     decoder: FrameDecoder,
     /// Channels with inbound delivery on this link.
-    chans: HashMap<u32, Arc<ChanState>>,
+    chans: Map<u32, Arc<ChanState>>,
     /// Set on accepted sockets; `None` on dialled ones (which must never
     /// see an `OPEN`).
     inbound: Option<InboundCtx>,
@@ -415,7 +416,7 @@ impl LinkState {
                 ReadHalf {
                     stream,
                     decoder: FrameDecoder::with_max(MAX_FRAME + MUX_HEADROOM),
-                    chans: HashMap::new(),
+                    chans: Map::default(),
                     inbound,
                     stalled: None,
                     scratch: vec![0u8; READ_CHUNK],
@@ -1333,8 +1334,8 @@ impl LinkState {
 // --- public transport ------------------------------------------------------
 
 struct TcpShared {
-    registry: OrderedMutex<HashMap<NodeId, SocketAddr>>,
-    links: OrderedMutex<HashMap<SocketAddr, Arc<LinkState>>>,
+    registry: OrderedMutex<Map<NodeId, SocketAddr>>,
+    links: OrderedMutex<Map<SocketAddr, Arc<LinkState>>>,
     reactor: Reactor,
 }
 
@@ -1400,8 +1401,8 @@ impl TcpTransport {
     pub fn with_shards(shards: usize) -> Self {
         Self {
             inner: Arc::new(TcpShared {
-                registry: OrderedMutex::new(lock_order::NET_REGISTRY, HashMap::new()),
-                links: OrderedMutex::new(lock_order::NET_LINKS, HashMap::new()),
+                registry: OrderedMutex::new(lock_order::NET_REGISTRY, Map::default()),
+                links: OrderedMutex::new(lock_order::NET_LINKS, Map::default()),
                 reactor: Reactor::new(shards.max(1)),
             }),
         }

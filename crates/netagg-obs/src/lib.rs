@@ -59,3 +59,17 @@ pub use events::{Event, EventRing};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use snapshot::MetricsSnapshot;
+
+/// The splitmix64 output for state `x`: `x` advanced by the golden-ratio
+/// increment, then finalised. Tree choice, trace ids, ECMP choices and
+/// seeded fault schedules all mix with this one function.
+///
+/// ```
+/// assert_eq!(netagg_obs::splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// ```
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

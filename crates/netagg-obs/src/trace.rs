@@ -77,12 +77,7 @@ impl TraceCtx {
 /// hand them a context, so every component derives the same trace id
 /// independently, and the root span id is the trace id by convention.
 pub fn trace_id(app: u16, request: u64) -> u64 {
-    let mut z = request
-        .wrapping_add((app as u64) << 32)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) | TRACE_ID_BIT
+    crate::splitmix64(request.wrapping_add((app as u64) << 32)) | TRACE_ID_BIT
 }
 
 /// One recorded span: a named interval with explicit causal parentage.

@@ -35,11 +35,8 @@ impl Route {
 
 /// Deterministically mix a 64-bit hash (splitmix64 finaliser). Used to derive
 /// independent ECMP choices from one request identifier.
-pub fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
+pub fn mix(x: u64) -> u64 {
+    netagg_obs::splitmix64(x)
 }
 
 /// Compute the ECMP route between two (distinct or equal) servers.
