@@ -57,8 +57,6 @@ fn tree_rate_fanin(
     let sched = Arc::new(TaskScheduler::new(SchedulerConfig {
         threads,
         adaptive: true,
-        ema_alpha: 0.2,
-        seed: 1,
     }));
     sched.register_app(AppId(1), 1.0);
     let agg = wc_agg();
@@ -169,8 +167,6 @@ fn fairness(adaptive: bool, opts: &Options) {
     let sched = TaskScheduler::new(SchedulerConfig {
         threads: 2,
         adaptive,
-        ema_alpha: 0.2,
-        seed: 3,
     });
     // "Solr" tasks take ~3 ms, "Hadoop" tasks ~1 ms (Section 4.2.3), both
     // with equal 50 % target shares.

@@ -1,18 +1,11 @@
 //! Cooperative task scheduler with adaptive weighted fair queuing
 //! (Section 3.2.1 of the paper).
 //!
-//! Aggregation tasks are run to completion by a fixed-size thread pool.
-//! Each application has its own task queue; when a thread frees up it
-//! offers itself to application `i` with probability proportional to the
-//! application's weight `w_i`.
-//!
-//! With **fixed** weights (`adaptive = false`), `w_i` equals the target
-//! share `s_i`. Because tasks of different applications take different
-//! amounts of CPU time, this starves applications with short tasks
-//! (Fig. 25). The **adaptive** scheduler divides the weight by a moving
-//! average of the measured task execution time,
-//! `w_i = s_i / t_i  (normalised)`, which equalises achieved CPU shares
-//! (Fig. 26).
+//! Aggregation tasks are run to completion by a fixed-size thread pool; a
+//! freed thread serves the application [`FairQueue`] picks. With **fixed**
+//! weights (`adaptive = false`) a task costs 1, so the application with
+//! longer tasks hogs the CPU (Fig. 25). The **adaptive** scheduler charges
+//! measured execution time, which equalises CPU shares (Fig. 26).
 
 use crate::lifecycle::{
     CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, WakerGuard,
@@ -34,13 +27,8 @@ pub struct SchedulerConfig {
     /// Fixed thread-pool size (the paper's agg boxes use one thread per
     /// core).
     pub threads: usize,
-    /// Adapt weights by measured task execution time.
+    /// Charge a task its measured execution time instead of 1.
     pub adaptive: bool,
-    /// Smoothing factor of the execution-time moving average in `(0, 1]`;
-    /// higher reacts faster.
-    pub ema_alpha: f64,
-    /// Deterministic seed for the weighted random pick.
-    pub seed: u64,
 }
 
 impl Default for SchedulerConfig {
@@ -49,57 +37,116 @@ impl Default for SchedulerConfig {
         Self {
             threads,
             adaptive: true,
-            ema_alpha: 0.2,
-            seed: 0x5eed,
         }
     }
 }
 
-struct AppQueue {
-    queue: VecDeque<Task>,
-    /// Target resource share `s_i`.
+/// Start-time fair queuing (Goyal, Vin and Cheng, SIGCOMM 1996): the one
+/// place that decides which application runs next. No lock, thread or
+/// clock; cost is an input. Application `i` has a share `s_i` and a start
+/// tag `S_i`; virtual time `V`, the largest tag picked so far, never falls.
+/// - [`pick`](Self::pick) serves the application with queued work and the
+///   smallest `S_i`, ties to the lowest `AppId`.
+/// - [`charge`](Self::charge), once the task is done, adds `cost / s_i`.
+/// - An application that gets work with nothing queued or running (new,
+///   or back from idle) starts at `max(S_i, V)`: idle time is neither
+///   banked nor owed.
+///
+/// **Bound.** With `k` tasks in service at once and `c_i` the largest
+/// charge of `i`, two applications with queued work throughout an interval
+/// receive charged cost `W` with `|ΔW_i/s_i − ΔW_j/s_j| ≤ k·(c_i/s_i +
+/// c_j/s_j)`. While `i` has work `ΔW_i/s_i` is the advance of `S_i`, so
+/// this bounds how far two tags drift apart. Picks take the smallest tag,
+/// so a tag with queued work trails the others by at most the charges owed
+/// on it, and leads `V` by at most those taken since its last pick: each
+/// is at most the `k` tasks in service uncharged (`k = 1` is Goyal et
+/// al.'s Theorem 1). `tests/fair_queue.rs` checks it at every completion.
+pub struct FairQueue<T> {
+    apps: BTreeMap<AppId, Flow<T>>,
+    v: f64,
+}
+
+struct Flow<T> {
     share: f64,
-    /// Moving average of task execution time, seconds.
-    ema_task_time: f64,
-    /// Accumulated CPU time, seconds (for the fairness experiments).
-    cpu_time: f64,
-    tasks_run: u64,
-    /// Tasks that panicked (isolated; the pool thread survives).
-    tasks_panicked: u64,
-    /// Published effective WFQ weight (`aggbox.wfq_weight.app<N>`).
-    wfq_weight: Arc<Gauge>,
+    /// Start tag `S_i`.
+    tag: f64,
+    queue: VecDeque<T>,
+    running: usize,
 }
 
-/// Pre-resolved metric handles so the hot worker loop never does a name
-/// lookup.
-struct SchedObs {
-    tasks_executed: Arc<Counter>,
-    tasks_panicked: Arc<Counter>,
-    tasks_dropped: Arc<Counter>,
-    task_exec_us: Arc<Histogram>,
-    queue_depth: Arc<Gauge>,
-    registry: MetricsRegistry,
-}
-
-impl SchedObs {
-    fn new(registry: MetricsRegistry) -> Self {
+impl<T> Default for FairQueue<T> {
+    fn default() -> Self {
         Self {
-            tasks_executed: registry.counter(names::AGGBOX_TASKS_EXECUTED),
-            tasks_panicked: registry.counter(names::AGGBOX_TASKS_PANICKED),
-            tasks_dropped: registry.counter(names::AGGBOX_TASKS_DROPPED),
-            task_exec_us: registry.histogram(names::AGGBOX_TASK_EXEC_US),
-            queue_depth: registry.gauge(names::AGGBOX_QUEUE_DEPTH),
-            registry,
+            apps: BTreeMap::new(),
+            v: 0.0,
         }
     }
 }
 
+impl<T> FairQueue<T> {
+    /// Add an application with a target share (shares are relative; they
+    /// need not sum to 1). Registering a known application again is a
+    /// no-op.
+    pub fn register(&mut self, app: AppId, share: f64) {
+        assert!(share > 0.0);
+        let flow = || Flow {
+            share,
+            tag: 0.0,
+            queue: VecDeque::new(),
+            running: 0,
+        };
+        self.apps.entry(app).or_insert_with(flow);
+    }
+
+    /// Queue `item` for `app`. Panics if the app is unknown.
+    pub fn push(&mut self, app: AppId, item: T) {
+        let f = self.apps.get_mut(&app);
+        let f = f.unwrap_or_else(|| panic!("app {app:?} not registered"));
+        if f.queue.is_empty() && f.running == 0 {
+            f.tag = f.tag.max(self.v);
+        }
+        f.queue.push_back(item);
+    }
+
+    /// Take the next item to run, or `None` if nothing is queued.
+    pub fn pick(&mut self) -> Option<(AppId, T)> {
+        let backlogged = self.apps.iter_mut().filter(|(_, f)| !f.queue.is_empty());
+        let (&app, f) = backlogged.min_by(|(_, a), (_, b)| a.tag.total_cmp(&b.tag))?;
+        self.v = self.v.max(f.tag);
+        f.running += 1;
+        f.queue.pop_front().map(|item| (app, item))
+    }
+
+    /// Account a picked item of `app` as done, at `cost`.
+    pub fn charge(&mut self, app: AppId, cost: f64) {
+        if let Some(f) = self.apps.get_mut(&app) {
+            f.tag += cost / f.share;
+            f.running -= 1;
+        }
+    }
+
+    /// Drop every queued item; returns how many there were.
+    pub fn clear(&mut self) -> usize {
+        let queues = self.apps.values_mut().map(|f| &mut f.queue);
+        queues.map(|q| q.drain(..).count()).sum()
+    }
+
+    /// Items queued, not yet picked.
+    pub fn queued(&self) -> usize {
+        self.apps.values().map(|f| f.queue.len()).sum()
+    }
+
+    /// Nothing queued and nothing picked but not yet charged.
+    pub fn is_idle(&self) -> bool {
+        let mut flows = self.apps.values();
+        flows.all(|f| f.queue.is_empty() && f.running == 0)
+    }
+}
+
+#[derive(Default)]
 struct State {
-    /// Ordered, so the seeded pick walks the apps in a stable order.
-    apps: BTreeMap<AppId, AppQueue>,
-    queued: usize,
-    running: usize,
-    rng: u64,
+    fair: FairQueue<Task>,
+    cpu: BTreeMap<AppId, AppCpu>,
     /// Pool threads parked on `work_cv`.
     idle_workers: Parked,
     /// `wait_idle` callers parked on `idle_cv`.
@@ -111,8 +158,13 @@ struct Inner {
     work_cv: Parking,
     idle_cv: Parking,
     cancel: CancelToken,
-    cfg: SchedulerConfig,
-    obs: SchedObs,
+    adaptive: bool,
+    // Metric handles, resolved once so the worker loop never looks up a name.
+    tasks_executed: Arc<Counter>,
+    tasks_panicked: Arc<Counter>,
+    tasks_dropped: Arc<Counter>,
+    task_exec_us: Arc<Histogram>,
+    queue_depth: Arc<Gauge>,
 }
 
 /// Per-application CPU accounting snapshot.
@@ -149,11 +201,10 @@ impl TaskScheduler {
     }
 
     /// Like [`TaskScheduler::new`], but publishing the scheduler metrics
-    /// (`aggbox.tasks_*`, `aggbox.task_exec_us`, `aggbox.queue_depth`,
-    /// `aggbox.wfq_weight.app<N>`) to the caller's `obs`.
+    /// (`aggbox.tasks_*`, `aggbox.task_exec_us`, `aggbox.queue_depth`) to
+    /// the caller's `obs`.
     pub fn new_with_obs(cfg: SchedulerConfig, obs: MetricsRegistry) -> Self {
         assert!(cfg.threads > 0);
-        assert!(cfg.ema_alpha > 0.0 && cfg.ema_alpha <= 1.0);
         let cancel = CancelToken::new();
         let workers = JoinScope::with_obs(
             "aggbox-sched",
@@ -162,22 +213,16 @@ impl TaskScheduler {
             Some(&obs),
         );
         let inner = Arc::new(Inner {
-            state: OrderedMutex::new(
-                lock_order::SCHED_STATE,
-                State {
-                    apps: BTreeMap::new(),
-                    queued: 0,
-                    running: 0,
-                    rng: cfg.seed | 1,
-                    idle_workers: Parked::default(),
-                    idle_waiters: Parked::default(),
-                },
-            ),
+            state: OrderedMutex::new(lock_order::SCHED_STATE, State::default()),
             work_cv: Parking::new(),
             idle_cv: Parking::new(),
             cancel,
-            cfg: cfg.clone(),
-            obs: SchedObs::new(obs),
+            adaptive: cfg.adaptive,
+            tasks_executed: obs.counter(names::AGGBOX_TASKS_EXECUTED),
+            tasks_panicked: obs.counter(names::AGGBOX_TASKS_PANICKED),
+            tasks_dropped: obs.counter(names::AGGBOX_TASKS_DROPPED),
+            task_exec_us: obs.histogram(names::AGGBOX_TASK_EXEC_US),
+            queue_depth: obs.gauge(names::AGGBOX_QUEUE_DEPTH),
         });
         let wake = inner.clone();
         let waker = inner.cancel.register_waker(move || {
@@ -202,46 +247,27 @@ impl TaskScheduler {
     /// Register an application with its target resource share. Shares are
     /// relative (they need not sum to 1).
     pub fn register_app(&self, app: AppId, share: f64) {
-        assert!(share > 0.0);
-        let wfq_weight = self.inner.obs.registry.gauge(&names::wfq_weight(app.0));
-        // Before the first measurement the effective weight equals the
-        // configured share (see `weight`'s unmeasured-app handling).
-        wfq_weight.set(share);
         let mut s = self.inner.state.lock();
-        s.apps.entry(app).or_insert(AppQueue {
-            queue: VecDeque::new(),
-            share,
-            ema_task_time: 0.0,
-            cpu_time: 0.0,
+        s.fair.register(app, share);
+        s.cpu.entry(app).or_insert(AppCpu {
+            app,
+            cpu_seconds: 0.0,
             tasks_run: 0,
             tasks_panicked: 0,
-            wfq_weight,
         });
     }
 
     /// Submit a task for an application. Panics if the app is unknown.
     pub fn submit(&self, app: AppId, task: Task) {
         let mut s = self.inner.state.lock();
-        let q = s
-            .apps
-            .get_mut(&app)
-            .unwrap_or_else(|| panic!("app {app:?} not registered"));
-        q.queue.push_back(task);
-        s.queued += 1;
-        self.inner.obs.queue_depth.set(s.queued as f64);
+        s.fair.push(app, task);
+        self.inner.queue_depth.set(s.fair.queued() as f64);
         self.inner.work_cv.wake_one(&mut s.idle_workers);
     }
 
     /// CPU accounting for all registered applications.
     pub fn cpu_times(&self) -> Vec<AppCpu> {
-        let s = self.inner.state.lock();
-        let cpu = |(app, q): (&AppId, &AppQueue)| AppCpu {
-            app: *app,
-            cpu_seconds: q.cpu_time,
-            tasks_run: q.tasks_run,
-            tasks_panicked: q.tasks_panicked,
-        };
-        s.apps.iter().map(cpu).collect()
+        self.inner.state.lock().cpu.values().cloned().collect()
     }
 
     /// Block until no task is queued or running (or the timeout elapses).
@@ -249,7 +275,7 @@ impl TaskScheduler {
         let deadline = Deadline::after(timeout);
         let idle = &self.inner.idle_cv;
         let mut s = self.inner.state.lock();
-        while s.queued > 0 || s.running > 0 {
+        while !s.fair.is_idle() {
             if !idle.wait(s.inner(), |s| &mut s.idle_waiters, deadline) {
                 return false;
             }
@@ -259,7 +285,7 @@ impl TaskScheduler {
 
     /// Tasks currently queued (not yet running).
     pub fn queued(&self) -> usize {
-        self.inner.state.lock().queued
+        self.inner.state.lock().fair.queued()
     }
 
     /// Stop the pool, dropping queued tasks. Idempotent. If invoked from a
@@ -268,14 +294,10 @@ impl TaskScheduler {
     /// its pool calls this itself instead of leaving it to the last `Arc`.
     pub fn shutdown(&self) {
         self.inner.cancel.cancel();
-        {
-            // Account the tasks this shutdown abandons.
-            let mut s = self.inner.state.lock();
-            let dropped: usize = s.apps.values_mut().map(|q| q.queue.drain(..).count()).sum();
-            s.queued = 0;
-            self.inner.obs.tasks_dropped.add(dropped as u64);
-            self.inner.obs.queue_depth.set(0.0);
-        }
+        // Account the tasks this shutdown abandons.
+        let dropped = self.inner.state.lock().fair.clear();
+        self.inner.tasks_dropped.add(dropped as u64);
+        self.inner.queue_depth.set(0.0);
         self.workers.finish();
     }
 }
@@ -286,84 +308,43 @@ impl Drop for TaskScheduler {
     }
 }
 
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
-/// Current weight of an application: `s_i` (fixed) or `s_i / t_i`
-/// (adaptive). An app with no measurement yet is treated as having very
-/// fast tasks so it is picked promptly and measured — otherwise a measured
-/// app's inflated `s/t` weight would starve unmeasured ones forever.
-fn weight(cfg: &SchedulerConfig, q: &AppQueue) -> f64 {
-    let t = Some(q.ema_task_time).filter(|t| *t > 0.0).unwrap_or(1e-6);
-    q.share / if cfg.adaptive { t } else { 1.0 }
-}
-
 fn worker_loop(inner: &Inner) {
     loop {
-        let task = {
+        let (app, task) = {
             let mut s = inner.state.lock();
             loop {
                 if inner.cancel.is_cancelled() {
                     return;
                 }
-                if s.queued > 0 {
-                    break;
+                if let Some(picked) = s.fair.pick() {
+                    inner.queue_depth.set(s.fair.queued() as f64);
+                    break picked;
                 }
                 let work = &inner.work_cv;
                 work.wait(s.inner(), |s| &mut s.idle_workers, Deadline::NEVER);
             }
-            // Weighted random pick among apps with queued work, in one pass:
-            // each candidate replaces the choice so far with probability
-            // `w / (total so far)`, so app `i` wins with `w_i / total`.
-            let State { apps, rng, .. } = &mut *s;
-            let mut total = 0.0;
-            let mut chosen = None;
-            for (app, q) in apps.iter_mut().filter(|(_, q)| !q.queue.is_empty()) {
-                let w = weight(&inner.cfg, q);
-                total += w;
-                let r = xorshift(rng) as f64 / u64::MAX as f64;
-                if chosen.is_none() || r * total < w {
-                    chosen = Some((*app, q));
-                }
-            }
-            let (app, q) = chosen.expect("work exists");
-            let task = q.queue.pop_front().expect("non-empty queue");
-            s.queued -= 1;
-            s.running += 1;
-            inner.obs.queue_depth.set(s.queued as f64);
-            (app, task)
         };
-        let (app, task) = task;
         let t0 = Instant::now();
         // Isolate faulty aggregation functions: a panicking task must not
         // take down the pool thread or other applications (the paper lists
         // this isolation as future work; we provide the panic half of it).
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err();
         let elapsed = t0.elapsed();
-        let dt = elapsed.as_secs_f64();
-        inner.obs.tasks_executed.inc();
+        inner.tasks_executed.inc();
         if panicked {
-            inner.obs.tasks_panicked.inc();
+            inner.tasks_panicked.inc();
         }
-        inner.obs.task_exec_us.record_duration(elapsed);
+        inner.task_exec_us.record_duration(elapsed);
+        let ns = elapsed.as_nanos() as f64;
+        let cost = if inner.adaptive { ns } else { 1.0 };
         let mut s = inner.state.lock();
-        s.running -= 1;
-        if let Some(q) = s.apps.get_mut(&app) {
-            q.cpu_time += dt;
-            q.tasks_run += 1;
-            q.tasks_panicked += u64::from(panicked);
-            q.ema_task_time = if q.ema_task_time == 0.0 {
-                dt
-            } else {
-                (1.0 - inner.cfg.ema_alpha) * q.ema_task_time + inner.cfg.ema_alpha * dt
-            };
-            q.wfq_weight.set(weight(&inner.cfg, q));
+        s.fair.charge(app, cost);
+        if let Some(c) = s.cpu.get_mut(&app) {
+            c.cpu_seconds += elapsed.as_secs_f64();
+            c.tasks_run += 1;
+            c.tasks_panicked += u64::from(panicked);
         }
-        if s.queued == 0 && s.running == 0 {
+        if s.fair.is_idle() {
             inner.idle_cv.wake_all(&mut s.idle_waiters);
         }
     }
@@ -375,12 +356,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cfg(threads: usize, adaptive: bool) -> SchedulerConfig {
-        SchedulerConfig {
-            threads,
-            adaptive,
-            ema_alpha: 0.3,
-            seed: 7,
-        }
+        SchedulerConfig { threads, adaptive }
     }
 
     #[test]
@@ -473,33 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn unequal_shares_are_respected_adaptively() {
-        let s = TaskScheduler::new(cfg(2, true));
-        let a = AppId(1);
-        let b = AppId(2);
-        s.register_app(a, 3.0);
-        s.register_app(b, 1.0);
-        // Keep both queues saturated for the whole measurement window, then
-        // sample the achieved shares *during* contention.
-        for _ in 0..5000 {
-            s.submit(a, Box::new(|| std::thread::sleep(Duration::from_millis(1))));
-            s.submit(b, Box::new(|| std::thread::sleep(Duration::from_millis(1))));
-        }
-        std::thread::sleep(Duration::from_millis(500));
-        let cpu = s.cpu_times();
-        let ta = cpu.iter().find(|c| c.app == a).unwrap().cpu_seconds;
-        let tb = cpu.iter().find(|c| c.app == b).unwrap().cpu_seconds;
-        assert!(s.queued() > 0, "queues must still be contended");
-        s.shutdown();
-        let share_a = ta / (ta + tb);
-        // Target is 75 %; allow scheduling noise.
-        assert!(
-            (share_a - 0.75).abs() < 0.12,
-            "share_a {share_a}, expected ~0.75"
-        );
-    }
-
-    #[test]
     fn shutdown_drops_queue_and_joins() {
         let s = TaskScheduler::new(cfg(1, true));
         s.register_app(AppId(1), 1.0);
@@ -542,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_counts_tasks_and_weights() {
+    fn obs_counts_tasks_and_queue_depth() {
         let obs = netagg_obs::MetricsRegistry::new();
         let s = TaskScheduler::new_with_obs(cfg(2, true), obs.clone());
         s.register_app(AppId(3), 2.0);
@@ -565,8 +514,6 @@ mod tests {
         let h = snap.histogram("aggbox.task_exec_us").unwrap();
         assert_eq!(h.count, 10);
         assert!(h.p50 >= 200, "tasks sleep 200us, p50 was {}", h.p50);
-        let w = snap.gauge("aggbox.wfq_weight.app3").unwrap();
-        assert!(w > 0.0);
         assert_eq!(snap.gauge("aggbox.queue_depth"), Some(0.0));
     }
 

@@ -322,8 +322,6 @@ mod tests {
         let s = TaskScheduler::new(SchedulerConfig {
             threads,
             adaptive: true,
-            ema_alpha: 0.2,
-            seed: 1,
         });
         s.register_app(AppId(1), 1.0);
         Arc::new(s)

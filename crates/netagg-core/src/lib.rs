@@ -8,8 +8,8 @@
 //!   functions, decomposed into fine-grained *aggregation tasks* arranged
 //!   in a local aggregation tree and run to completion by a cooperative
 //!   [`aggbox::scheduler::TaskScheduler`] over a fixed thread pool.
-//!   Multiple applications share a box through adaptive weighted fair
-//!   queuing.
+//!   Multiple applications share a box through start-time fair queuing
+//!   ([`aggbox::scheduler::FairQueue`]).
 //! * **Shim layers** ([`shim`]) — interposed at edge servers. The worker
 //!   shim redirects partial results to the first on-path agg box; the
 //!   master shim tracks per-request state, receives the fully aggregated

@@ -39,8 +39,6 @@ fn scheduler(threads: usize) -> Arc<TaskScheduler> {
     let s = TaskScheduler::new(SchedulerConfig {
         threads,
         adaptive: true,
-        ema_alpha: 0.2,
-        seed: 1,
     });
     s.register_app(AppId(1), 1.0);
     Arc::new(s)
@@ -251,8 +249,6 @@ proptest! {
         let sched = TaskScheduler::new(SchedulerConfig {
             threads,
             adaptive: true,
-            ema_alpha: 0.3,
-            seed: 9,
         });
         for (i, &n) in counts.iter().enumerate() {
             let app = AppId(i as u16);

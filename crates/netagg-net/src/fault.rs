@@ -213,7 +213,9 @@ impl Interposer for FaultController {
             if matches!(wait, Wait::Cancel(c) if c.is_cancelled()) {
                 return Err(NetError::Cancelled);
             }
-            // netagg-lint: allow(no-poll-shutdown) a kill must interrupt a blocked recv even when the inner transport never wakes; documented carve-out of §9 invariant 1
+            // A timed poll on purpose: a kill must interrupt a blocked recv
+            // even when the inner transport never wakes (a documented
+            // carve-out of §9 invariant 1; a kill is not a cancel).
             match inner.recv_timeout(KILL_POLL) {
                 Err(NetError::Timeout) => continue,
                 other => return other,

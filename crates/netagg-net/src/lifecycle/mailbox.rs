@@ -267,8 +267,7 @@ impl<T: Send + 'static> Mailbox<T> {
         self.recv_until(Wait::Forever)
     }
 
-    /// [`Mailbox::recv_until`] a timeout — under the name the
-    /// `no-poll-shutdown` lint looks for in shutdown loops (DESIGN.md §10).
+    /// [`Mailbox::recv_until`] a timeout.
     pub fn recv_timeout(&self, d: Duration) -> Result<T, MailboxRecvError> {
         self.recv_until(Wait::For(d))
     }

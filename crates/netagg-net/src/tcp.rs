@@ -754,7 +754,8 @@ impl ShardRunner {
                 self.shard.parked.store(false, Ordering::SeqCst);
                 continue;
             }
-            // netagg-lint: allow(no-poll-shutdown) park backstop; shutdown is wakeup-driven via the cmd mailbox's bound cancel token (§12)
+            // A timed park is only a backstop; shutdown is wakeup-driven via
+            // the cmd mailbox's bound cancel token (§12).
             let woke = self.shard.cmds.recv_timeout(self.park_duration());
             self.shard.parked.store(false, Ordering::SeqCst);
             sweeps_since_accept = ACCEPT_EVERY;

@@ -1,8 +1,8 @@
 //! Runtime observability for the NetAgg stack.
 //!
 //! The paper's evaluation (Section 4) hinges on quantities the runtime must
-//! measure about itself: per-task execution time feeding adaptive WFQ
-//! weights, per-request completion latency at the master shim, and the
+//! measure about itself: per-task execution time feeding adaptive fair
+//! queuing, per-request completion latency at the master shim, and the
 //! failure/straggler re-routes taken on the data path. This crate provides
 //! the shared instrumentation layer those measurements are built on:
 //!

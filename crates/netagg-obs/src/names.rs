@@ -41,8 +41,6 @@ AGGBOX_TASKS_DROPPED = "aggbox.tasks_dropped";
 AGGBOX_TASK_EXEC_US = "aggbox.task_exec_us";
 /// Queued tasks across all applications.
 AGGBOX_QUEUE_DEPTH = "aggbox.queue_depth";
-/// Effective WFQ weight per application (template: `<N>` = app id).
-AGGBOX_WFQ_WEIGHT = "aggbox.wfq_weight.app<N>";
 
 // --- agg box: data path ----------------------------------------------------
 
@@ -293,11 +291,6 @@ pub fn matches(template: &str, name: &str) -> bool {
     rest.len() > last.len() && rest.ends_with(last)
 }
 
-/// Concrete `aggbox.wfq_weight.app<N>` name for one application.
-pub fn wfq_weight(app: impl Display) -> String {
-    expand(AGGBOX_WFQ_WEIGHT, &[&app.to_string()])
-}
-
 /// Concrete `mailbox.depth.<name>` name for one mailbox.
 pub fn mailbox_depth(name: &str) -> String {
     expand(MAILBOX_DEPTH, &[name])
@@ -331,7 +324,6 @@ mod tests {
     fn expand_substitutes_in_order() {
         assert_eq!(net_link_frames(3, 9), "net.link.3->9.frames");
         assert_eq!(net_link_bytes("a", "b"), "net.link.a->b.bytes");
-        assert_eq!(wfq_weight(4), "aggbox.wfq_weight.app4");
         assert_eq!(mailbox_depth("egress"), "mailbox.depth.egress");
         assert_eq!(mailbox_dropped("egress"), "mailbox.dropped.egress");
         assert_eq!(mailbox_dropped_policy("reject"), "mailbox.dropped.reject");
@@ -342,7 +334,6 @@ mod tests {
         assert!(matches(NET_LINK_FRAMES, &net_link_frames(3, 9)));
         assert!(!matches(NET_LINK_FRAMES, "net.link.3->9.bytes"));
         assert!(!matches(NET_LINK_FRAMES, "net.link.3.9.frames"));
-        assert!(matches(AGGBOX_WFQ_WEIGHT, "aggbox.wfq_weight.app4"));
         assert!(matches(MAILBOX_DEPTH, "mailbox.depth.chan.data.1-2"));
         assert!(!matches(MAILBOX_DEPTH, "mailbox.depth."));
         assert!(matches(AGGBOX_TASKS_EXECUTED, AGGBOX_TASKS_EXECUTED));

@@ -1,6 +1,6 @@
 //! Two applications — a latency-sensitive search engine and a
 //! throughput-oriented map/reduce job — sharing one agg box, with the
-//! adaptive weighted-fair scheduler balancing their CPU shares
+//! adaptive fair-queuing scheduler balancing their CPU shares
 //! (Section 4.2.3 / Figs. 25–26 of the paper).
 //!
 //! Run with: `cargo run --release --example multi_tenant_scheduler`
@@ -13,8 +13,6 @@ fn run(adaptive: bool) -> (f64, f64) {
     let sched = TaskScheduler::new(SchedulerConfig {
         threads: 2,
         adaptive,
-        ema_alpha: 0.2,
-        seed: 11,
     });
     let search = AppId(1); // ~3 ms aggregation tasks (ranked merges)
     let batch = AppId(2); // ~1 ms combiner tasks

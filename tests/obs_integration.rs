@@ -108,9 +108,6 @@ fn quick_example_flow_publishes_metrics() {
     assert!(snap.counter("net.bytes_sent").unwrap_or(0) > 0);
     assert!(snap.counter("net.frames_recv").unwrap_or(0) >= 5);
 
-    // The WFQ weight gauge exists for the registered app.
-    assert!(snap.gauge("aggbox.wfq_weight.app0").is_some());
-
     // Everything the flow published is a §7 contract name (§10): a name
     // spelled outside `netagg_obs::names` would show up here.
     let unlisted = netagg_scenarios::contract::name_violations(&snap);
