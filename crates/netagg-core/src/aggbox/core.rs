@@ -7,10 +7,10 @@
 //! the box's outbox — one FIFO, output chunks numbered here — so `Data`
 //! leaves in the order it was numbered whoever sends it; the threaded
 //! shell ([`crate::aggbox::runtime`]) keeps the struct behind the single
-//! `agg.core` lock and drains the outbox on its timer thread. Payloads are
-//! handed to the request's [`PartialSink`] *inside* the transition that
-//! accepted them, so a close decided by one reader can never overtake a
-//! partial still in another reader's hands.
+//! `agg.core` lock and has one thread at a time drain the outbox.
+//! Payloads are handed to the request's [`PartialSink`] *inside* the
+//! transition that accepted them, so a close decided there can never
+//! overtake a partial still on its way in.
 
 use crate::fanin::{FanInCore, Fired, Request, Route, TraceAnchor};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
@@ -253,7 +253,7 @@ impl<S: PartialSink> BoxCore<S> {
     pub fn post(&mut self, sends: Vec<(NodeId, Message)>) -> Vec<Emit> {
         let mut liveness = Vec::new();
         for (to, msg) in sends {
-            if let Message::Heartbeat { .. } | Message::HeartbeatAck { .. } = msg {
+            if msg.is_liveness() {
                 liveness.push((to, msg).into());
             } else {
                 self.outbox.push_back((to, msg).into());
@@ -324,11 +324,20 @@ impl<S: PartialSink> BoxCore<S> {
     /// is open, else what its fan-in half is waiting for. `None` at an
     /// idle box.
     pub fn next_deadline(&self) -> Option<Instant> {
-        let queued = (!self.outbox.is_empty()).then_some(self.epoch);
+        let queued = self.has_output().then_some(self.epoch);
+        queued.into_iter().chain(self.next_tick()).min()
+    }
+
+    /// [`BoxCore::next_deadline`] but the outbox: when timed work is due.
+    pub fn next_tick(&self) -> Option<Instant> {
         let open = || self.fanin.requests.values().any(|q| !q.closed);
         let flush = self.flush_due.filter(|_| open());
-        let deadlines = [queued, flush, self.fanin.next_deadline()];
-        deadlines.into_iter().flatten().min()
+        flush.into_iter().chain(self.fanin.next_deadline()).min()
+    }
+
+    /// Whether the outbox holds anything.
+    pub fn has_output(&self) -> bool {
+        !self.outbox.is_empty()
     }
 
     /// Run what is due at `now`: a [`BoxCore::flush`] pass one

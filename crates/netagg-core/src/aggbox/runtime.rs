@@ -1,27 +1,29 @@
 //! The agg box runtime: the threaded I/O shell around [`BoxCore`].
 //!
 //! One `AggBox` hosts the aggregation functions of many applications. Its
-//! reader threads decode messages and feed them to the box's protocol
-//! state — one plain struct behind the single `agg.core` lock, which
-//! demultiplexes data per `(app, request, tree)` into a [`LocalAggTree`]
-//! whose combine tasks run on the box's cooperative [`TaskScheduler`].
-//! What a transition sends waits in the core's outbox; closing a request's
-//! input, events and spans follow once the lock is released. One timer
-//! thread sleeps until the core's next deadline — now, while the outbox
-//! holds anything — runs what is due (streaming flushes, straggler
-//! bypasses, heartbeats to child boxes) and carries the outbox over
-//! persistent connections. Readers hold incoming `Data` back while the
-//! outbox is over its bound: backpressure, not eviction (DESIGN.md §9).
+//! one reader takes frames from every connection and feeds them to the
+//! box's protocol state — one plain struct behind the single `agg.core`
+//! lock, which demultiplexes data per `(app, request, tree)` into a
+//! [`LocalAggTree`] whose combine tasks run on the box's cooperative
+//! [`TaskScheduler`]. What a transition sends waits in the core's outbox;
+//! the thread that posted it drains it unless a drain is running — a pool
+//! thread sends the final chunk it produced, and the reader, which never
+//! sends, leaves its posts and acks to the timer thread. That thread runs
+//! what the core's deadlines make due (streaming flushes, straggler
+//! bypasses, heartbeats to child boxes); probes and acks never queue
+//! behind `Data`. While the outbox or the pool's queue is over its bound,
+//! the reader holds a connection's `Data` back: backpressure, not
+//! eviction (DESIGN.md §9).
 
-use crate::aggbox::core::{BoxCore, Emit, PartialSink, Point, ReqKey};
+use crate::aggbox::core::{BoxCore, Emit, PartialSink, Point, ReqKey, OUTBOX_BOUND};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use crate::aggbox::tree::{LocalAggTree, TraceTarget};
 use crate::conn_cache::ConnCache;
 use crate::failure::DetectorConfig;
 use crate::fanin::{Fired, Route, TraceAnchor};
 use crate::lifecycle::{
-    serve, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, TimerSlot, WakerGuard,
-    DEFAULT_JOIN_DEADLINE,
+    serve_ready, CancelToken, JoinScope, OrderedMutex, OrderedMutexGuard, Parking, Readiness,
+    TimerSlot, WakerGuard, DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::spans::Spans;
@@ -30,7 +32,7 @@ use crate::tree::box_addr;
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::lock_order;
-use netagg_net::{Connection, NetError, NodeId, Transport};
+use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::trace::{self, TraceCtx};
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
@@ -188,13 +190,16 @@ pub struct BoxSnapshot {
     pub apps: Vec<crate::aggbox::scheduler::AppCpu>,
 }
 
-/// What `agg.core` guards: the protocol state, the timer thread's slot and
-/// the readers held back by the outbox.
+/// What `agg.core` guards: the core, the timer's slot, the acks the reader
+/// left it, the drain (running?, buffer) and whether `Data` is held back.
 #[derive(Default)]
 struct Guarded {
     core: BoxCore<TreeSink>,
     timer: TimerSlot,
-    readers: Parked,
+    acks: Vec<Emit>,
+    draining: bool,
+    spare: VecDeque<Emit>,
+    held: bool,
 }
 
 struct Inner {
@@ -203,10 +208,11 @@ struct Inner {
     state: OrderedMutex<Guarded>,
     /// Where the timer thread sleeps until the core's next deadline.
     timer: Parking,
-    /// Where readers wait for the timer thread to drain the outbox.
-    drained: Parking,
-    /// Outbound connections: the outbox's, probes and acks.
+    /// The reader's; woken when `Data` it holds back may go on.
+    ready: Readiness,
+    /// Outbound connections of the outbox, and of probes and acks.
     conns: ConnCache,
+    liveness: ConnCache,
     cancel: CancelToken,
     stats: BoxStats,
     obs: BoxObs,
@@ -238,12 +244,14 @@ impl AggBox {
         (core.id, core.fanin.addr) = (box_id, cfg.addr);
         core.fanin.straggler = cfg.straggler;
         core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
+        let ready = Readiness::readiness();
         let inner = Arc::new(Inner {
             scheduler: Arc::new(scheduler),
             state: OrderedMutex::new(lock_order::AGG_CORE, guarded),
             timer: Parking::new(),
-            drained: Parking::new(),
-            conns: ConnCache::new(transport, cfg.addr),
+            ready: ready.clone(),
+            conns: ConnCache::new(transport.clone(), cfg.addr),
+            liveness: ConnCache::new(transport, cfg.addr),
             cancel: cancel.clone(),
             stats: BoxStats::default(),
             obs: BoxObs::new(cfg.obs.clone(), box_id),
@@ -254,9 +262,7 @@ impl AggBox {
         let weak = Arc::downgrade(&inner);
         let timer_waker = cancel.register_waker(move || {
             if let Some(i) = weak.upgrade() {
-                let s = &mut *i.state.lock();
-                i.timer.wake_all(&mut s.timer.parked);
-                i.drained.wake_all(&mut s.readers);
+                i.timer.wake_all(&mut i.state.lock().timer.parked);
             }
         });
         let boxed = Arc::new(Self {
@@ -264,15 +270,16 @@ impl AggBox {
             scope,
             _timer_waker: timer_waker,
         });
-        // Listener thread, and a reader thread per accepted connection.
+        // Listener thread, and one reader for every accepted connection.
         {
             let inner = inner.clone();
-            serve(
+            serve_ready(
                 &boxed.scope,
                 listener,
+                ready,
                 format!("aggbox-{box_id}-listen"),
                 format!("aggbox-{box_id}-reader"),
-                move |conn| reader_loop(&inner, conn),
+                move |frame| on_frame(&inner, frame),
             )?;
         }
         let timer = move || timer_loop(&inner);
@@ -292,7 +299,7 @@ impl AggBox {
     /// output goes (next box or master shim address) and what it owes.
     pub fn install_route(&self, app: AppId, tree: TreeId, parent: NodeId, route: Route) {
         let add = |core: &mut BoxCore<_>| core.add_route(app, tree, parent, route);
-        self.inner.transition(false, add);
+        self.inner.transition(add);
     }
 
     /// Start heartbeating the child boxes this box's routes name. One
@@ -302,7 +309,7 @@ impl AggBox {
     pub fn enable_failure_detection(&self, cfg: DetectorConfig) {
         let now = Instant::now();
         let enable = |core: &mut BoxCore<_>| core.fanin.detector.enable(cfg, now);
-        self.inner.transition(false, enable);
+        self.inner.transition(enable);
     }
 
     /// Counters exposed for the harness and tests.
@@ -352,9 +359,9 @@ impl AggBox {
         self.inner.cfg.box_id
     }
 
-    /// Stop all threads: cancel the box's token (waking every blocked
-    /// accept, recv, timer sleep and held-back reader immediately) and join the scope
-    /// under its deadline. Idempotent.
+    /// Stop all threads: cancel the box's token (waking the blocked accept,
+    /// the parked reader and the timer sleep immediately) and join the
+    /// scope under its deadline. Idempotent.
     pub fn shutdown(&self) {
         self.inner.cancel.cancel();
         self.scope.finish();
@@ -376,33 +383,59 @@ impl AggBox {
 }
 
 impl Inner {
-    /// Run one core transition, and wake the timer thread if it produced a
-    /// deadline earlier than the one it sleeps toward (output queued, first
-    /// clock started). `hold` (a reader's `Data` only) first waits, with
-    /// `agg.core` released, while the outbox is over its bound: backpressure
-    /// on the connection's sender. Box-to-box `Data` flows upward only, so
-    /// the waits form the (acyclic) aggregation tree.
-    fn transition<T>(&self, hold: bool, f: impl FnOnce(&mut BoxCore<TreeSink>) -> T) -> T {
+    /// Run one core transition on a thread that must not send (the reader,
+    /// the public API), or that drains afterwards anyway (the timer).
+    fn transition<T>(&self, f: impl FnOnce(&mut BoxCore<TreeSink>) -> T) -> T {
         let mut s = self.state.lock();
-        while hold && s.core.backlogged() && !self.cancel.is_cancelled() {
-            self.drained
-                .wait(s.inner(), |s| &mut s.readers, Deadline::NEVER);
-        }
         let out = f(&mut s.core);
-        let next = s.core.next_deadline();
-        s.timer.rearm(&self.timer, next);
+        self.rearm(&mut s);
         out
     }
 
-    /// The box's one path to the wire, taken with `agg.core` released: the
-    /// timer thread's drain of the outbox, and liveness messages at once,
-    /// all through the box's `ConnCache`. A failed liveness send is a core
-    /// input (a probe counts as missed at once); any other is counted.
+    /// Wake the timer thread for an earlier deadline, or for what it must
+    /// send: an ack, or output no drain takes.
+    fn rearm(&self, s: &mut Guarded) {
+        s.timer.rearm(&self.timer, s.core.next_tick());
+        if !s.acks.is_empty() || (s.core.has_output() && !s.draining) {
+            self.timer.wake_all(&mut s.timer.parked);
+        }
+    }
+
+    /// Send the outbox until it is empty, unless a drain already runs (and
+    /// sends this post too): `Data` leaves in numbering order. Taking the
+    /// outbox lets a held-back reader go on.
+    fn drain<'a>(&'a self, mut s: OrderedMutexGuard<'a, Guarded>) {
+        if s.draining {
+            return;
+        }
+        s.draining = true;
+        let mut out = std::mem::take(&mut s.spare);
+        loop {
+            s.core.drain_outbox(&mut out);
+            if out.is_empty() {
+                break;
+            }
+            if std::mem::take(&mut s.held) {
+                self.ready.wake();
+            }
+            drop(s);
+            self.send(out.drain(..));
+            s = self.state.lock();
+        }
+        (s.draining, s.spare) = (false, out);
+    }
+
+    /// The box's one path to the wire, taken with `agg.core` released:
+    /// probes and acks on connections of their own, the rest on the
+    /// outbox's. A failed liveness send is a core input (a probe counts as
+    /// missed at once); any other is counted.
     fn send(&self, out: impl IntoIterator<Item = Emit>) {
         let (o, registry) = (&self.obs, &self.obs.registry);
         for Emit { to, mut msg, trace } in out {
             let forward = self.stamp(&mut msg, trace);
-            let sent = self.conns.send_to(to, msg.encode());
+            let live = msg.is_liveness();
+            let conns = if live { &self.liveness } else { &self.conns };
+            let sent = conns.send_to(to, msg.encode());
             if let Some((ctx, parent, request, sent_ns)) = forward {
                 let name = names::spans::BOX_FORWARD;
                 o.spans.sent(name, ctx, parent, request, sent_ns);
@@ -412,8 +445,8 @@ impl Inner {
                     registry.counter(names::FAILURE_REPOINTS).inc();
                 }
                 (Ok(()), _) => {}
-                (Err(_), Message::Heartbeat { .. } | Message::HeartbeatAck { .. }) => {
-                    self.transition(false, |core| core.fanin.detector.send_failed(to, &msg));
+                (Err(_), _) if live => {
+                    self.transition(|core| core.fanin.detector.send_failed(to, &msg));
                 }
                 (Err(_), _) => {
                     self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
@@ -496,99 +529,106 @@ impl Drop for AggBox {
     }
 }
 
-fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
-    // Until cancelled, the peer closes, or the transport fails.
-    while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
-        let Ok(msg) = Message::decode(frame) else {
-            continue; // corrupt frame: drop
-        };
-        match msg {
-            Message::Data {
-                app,
-                request,
-                tree,
-                source,
-                seq,
-                last,
-                ctx,
-                sent_ns,
-                payload,
-            } => {
-                let (o, key) = (&inner.obs, (app, request, tree));
-                let bytes = payload.len() as u64;
-                inner.stats.messages_in.fetch_add(1, Ordering::Relaxed);
-                inner.stats.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-                o.messages_in.inc();
-                o.bytes_in.add(bytes);
-                // Stitch the hop; the ingest work below hangs off its wire span.
-                let hop = o.spans.wire(ctx, request, sent_ns);
-                let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
-                let now = Instant::now();
-                let (accepted, gaps) = inner.transition(true, |core| {
-                    let accepted = core.accept_data(key, source, seq, last, payload, now, new);
-                    (accepted, std::mem::take(&mut core.fanin.gaps))
-                });
-                o.spans.gapped(&o.registry, gaps);
-                let Some(close) = accepted else {
-                    // Unknown route, replayed sequence number, re-pointed-away source
-                    // or already-closed request: the core dropped it.
-                    let stat = &inner.stats.duplicates_dropped;
-                    stat.fetch_add(1, Ordering::Relaxed);
-                    o.duplicates_dropped.inc();
-                    continue;
-                };
-                close.iter().for_each(TreeSink::end_input);
-                o.spans.ingest(names::spans::BOX_RECV, ctx, hop, request);
+/// The reader's handling of one frame: `Some(frame)` holds it back (see
+/// [`serve_ready`]).
+fn on_frame(inner: &Arc<Inner>, frame: Bytes) -> Option<Bytes> {
+    let Ok(msg) = Message::decode(frame.clone()) else {
+        return None; // corrupt frame: drop
+    };
+    match msg {
+        Message::Data {
+            app,
+            request,
+            tree,
+            source,
+            seq,
+            last,
+            ctx,
+            sent_ns,
+            payload,
+        } => {
+            let (o, key) = (&inner.obs, (app, request, tree));
+            let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
+            let now = Instant::now();
+            let mut s = inner.state.lock();
+            // Backpressure: box-to-box `Data` flows upward only and both
+            // queues drain without the reader, so the holds are acyclic.
+            if s.core.backlogged() || inner.scheduler.over(OUTBOX_BOUND, &inner.ready) {
+                s.held = true;
+                return Some(frame);
             }
-            Message::RequestMeta {
-                app,
-                request,
-                tree,
-                // The master's root-span ctx rides along for completeness;
-                // box-side spans parent to the trace id directly because
-                // meta may arrive after the first data chunk (DESIGN.md §11).
-                ctx: _,
-                sources,
-            } => {
-                let key = (app, request, tree);
-                let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
-                let close = inner.transition(false, |core| core.request_meta(key, sources, new));
-                close.iter().for_each(TreeSink::end_input);
-            }
-            Message::Redirect {
-                app,
-                permanent,
-                request,
-                tree,
-                new_parent,
-            } => {
-                let redirect = |core: &mut BoxCore<_>| {
-                    core.redirect(app, permanent, request, tree, new_parent)
-                };
-                inner.transition(false, redirect);
-            }
-            Message::Broadcast {
-                app,
-                request,
-                tree,
-                payload,
-            } => {
-                // Replicate down the tree over the box's high-bandwidth
-                // link, which is the point of on-path distribution.
-                let point = (app, tree);
-                inner.transition(false, |core| {
-                    core.post(core.fanin.broadcast(point, request, payload))
-                });
-            }
-            Message::Heartbeat { from, nonce } => {
-                let ack = inner.state.lock().core.heartbeat(from, nonce);
-                inner.send([ack.into()]);
-            }
-            Message::HeartbeatAck { from, nonce } => {
-                inner.state.lock().core.fanin.detector.ack(from, nonce);
-            }
+            let bytes = payload.len() as u64;
+            inner.stats.messages_in.fetch_add(1, Ordering::Relaxed);
+            inner.stats.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+            o.messages_in.inc();
+            o.bytes_in.add(bytes);
+            // Stitch the hop; the ingest work below hangs off its wire span.
+            let hop = o.spans.wire(ctx, request, sent_ns);
+            let core = &mut s.core;
+            let accepted = core.accept_data(key, source, seq, last, payload, now, new);
+            let gaps = std::mem::take(&mut core.fanin.gaps);
+            inner.rearm(&mut s);
+            drop(s);
+            o.spans.gapped(&o.registry, gaps);
+            let Some(close) = accepted else {
+                // Unknown route, replayed sequence number, re-pointed-away source
+                // or already-closed request: the core dropped it.
+                let stat = &inner.stats.duplicates_dropped;
+                stat.fetch_add(1, Ordering::Relaxed);
+                o.duplicates_dropped.inc();
+                return None;
+            };
+            close.iter().for_each(TreeSink::end_input);
+            o.spans.ingest(names::spans::BOX_RECV, ctx, hop, request);
+        }
+        Message::RequestMeta {
+            app,
+            request,
+            tree,
+            // The master's root-span ctx rides along for completeness;
+            // box-side spans parent to the trace id directly because
+            // meta may arrive after the first data chunk (DESIGN.md §11).
+            ctx: _,
+            sources,
+        } => {
+            let key = (app, request, tree);
+            let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
+            let close = inner.transition(|core| core.request_meta(key, sources, new));
+            close.iter().for_each(TreeSink::end_input);
+        }
+        Message::Redirect {
+            app,
+            permanent,
+            request,
+            tree,
+            new_parent,
+        } => {
+            let redirect =
+                |core: &mut BoxCore<_>| core.redirect(app, permanent, request, tree, new_parent);
+            inner.transition(redirect);
+        }
+        Message::Broadcast {
+            app,
+            request,
+            tree,
+            payload,
+        } => {
+            // Replicate down the tree over the box's high-bandwidth
+            // link, which is the point of on-path distribution.
+            let point = (app, tree);
+            inner.transition(|core| core.post(core.fanin.broadcast(point, request, payload)));
+        }
+        Message::Heartbeat { from, nonce } => {
+            let mut s = inner.state.lock();
+            let ack = s.core.heartbeat(from, nonce).into();
+            s.acks.push(ack);
+            inner.rearm(&mut s);
+        }
+        Message::HeartbeatAck { from, nonce } => {
+            inner.state.lock().core.fanin.detector.ack(from, nonce);
         }
     }
+    None
 }
 
 /// Build a request's local aggregation tree and wire its completion to
@@ -621,9 +661,9 @@ fn new_request(
         t
     });
     let weak = Arc::downgrade(inner);
-    tree.on_complete(Box::new(move |result| {
+    tree.on_complete(Box::new(move |result, pooled| {
         if let Some(inner) = weak.upgrade() {
-            completed(&inner, key, result);
+            completed(&inner, key, result, pooled);
         }
     }));
     let sink = TreeSink {
@@ -636,17 +676,15 @@ fn new_request(
 
 /// A request's local aggregation finished: one core transition retains
 /// the aggregate, drops the request's state and queues the final chunk
-/// behind every chunk the core numbered before it — a transition like any
-/// other, so it wakes the timer thread to send it. A failed aggregation (a
-/// partial that does not decode, a combine that panicked) drops the state
-/// alone, so no late chunk can re-open it; the parent times the request
-/// out. Runs on a scheduler pool thread, and never waits for the outbox.
-fn completed(inner: &Arc<Inner>, key: ReqKey, result: Result<Bytes, AggError>) {
+/// behind every chunk numbered before it, for a pool thread to drain (or
+/// the timer, if the input's end finished it). A failed aggregation drops
+/// the state alone, so no late chunk re-opens it; the parent times out.
+fn completed(inner: &Arc<Inner>, key: ReqKey, result: Result<Bytes, AggError>, pooled: bool) {
     let (o, (app, request, tree)) = (&inner.obs, key);
     let payload = match result {
         Ok(payload) => payload,
         Err(e) => {
-            let trace = inner.transition(false, |core| core.abandon(key));
+            let trace = inner.transition(|core| core.abandon(key));
             trace.iter().for_each(|t| o.request_span(request, *t));
             o.registry.counter(names::AGGBOX_REQUESTS_FAILED).inc();
             let id = inner.cfg.box_id;
@@ -664,44 +702,54 @@ fn completed(inner: &Arc<Inner>, key: ReqKey, result: Result<Bytes, AggError>) {
     let stat = &inner.stats.requests_completed;
     stat.fetch_add(1, Ordering::Relaxed);
     o.requests_completed.inc();
-    if let Some(t0) = inner.transition(false, |core| core.complete(key, payload)) {
+    let mut s = inner.state.lock();
+    if let Some(t0) = s.core.complete(key, payload) {
         // First data byte in → final aggregate queued.
         o.request_agg_us.record_duration(t0.elapsed());
     }
+    if pooled {
+        inner.drain(s);
+    } else {
+        inner.rearm(&mut s);
+    }
 }
 
-/// The box's one timer thread: run what the core says is due and send its
-/// outbox, then sleep until its next deadline, a transition that produced
-/// an earlier one (queued output is due at once), or cancellation; an idle
-/// box never wakes it. Due work is streaming partials upstream once a
-/// request buffers `flush_bytes` (Section 3.2.1: "little data is
-/// buffered"), bypassing straggling child boxes, and heartbeating child
-/// boxes and failing the silent ones (Section 3.1).
+/// The box's one timer thread: run what the core says is due, send its
+/// probes and the reader's acks, drain what no other thread drains, and
+/// sleep until the next deadline or wake-up; an idle box never wakes it.
+/// Due work is streaming partials upstream once a request buffers
+/// `flush_bytes` (Section 3.2.1: "little data is buffered"), bypassing
+/// straggling child boxes, and heartbeating child boxes and failing the
+/// silent ones (Section 3.1).
 fn timer_loop(inner: &Arc<Inner>) {
     let flush_bytes = inner.cfg.flush_bytes.unwrap_or(usize::MAX);
-    let mut out = VecDeque::new();
     let mut s = inner.state.lock();
     while !inner.cancel.is_cancelled() {
-        let mut fired = s.core.on_timer(Instant::now(), |sink| {
+        let now = Instant::now();
+        if s.held {
+            // A child's ack may wait behind the `Data` held back.
+            s.core.fanin.detector.excuse(now);
+        }
+        let mut fired = s.core.on_timer(now, |sink| {
             let due = sink.tree.pending_bytes() >= flush_bytes;
             due.then(|| sink.tree.take_partial(&sink.sched, sink.app))?
         });
-        let probes = s.core.post(fired.take_sends());
-        s.core.drain_outbox(&mut out);
-        if out.is_empty() && probes.is_empty() && fired.is_empty() {
-            let next = s.core.next_deadline();
+        let mut liveness = s.core.post(fired.take_sends());
+        liveness.append(&mut s.acks);
+        let output = s.core.has_output() && !s.draining;
+        if liveness.is_empty() && fired.is_empty() && !output {
+            let next = s.core.next_tick();
             TimerSlot::park(&inner.timer, &mut s, |s| &mut s.timer, next);
             continue;
         }
-        // The outbox is empty again: readers held back by it go on.
-        inner.drained.wake_all(&mut s.readers);
         // A bypass or a failure may have completed requests (the owed set
         // changed).
         let close = s.core.sinks(&fired.closed());
         drop(s);
-        inner.send(probes.into_iter().chain(out.drain(..)));
+        inner.send(liveness);
         inner.report(&fired);
         close.iter().for_each(TreeSink::end_input);
+        inner.drain(inner.state.lock());
         s = inner.state.lock();
     }
 }

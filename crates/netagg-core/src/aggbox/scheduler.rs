@@ -8,7 +8,7 @@
 //! measured execution time, which equalises CPU shares (Fig. 26).
 
 use crate::lifecycle::{
-    CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, WakerGuard,
+    CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, Readiness, WakerGuard,
     DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::AppId;
@@ -151,6 +151,8 @@ struct State {
     idle_workers: Parked,
     /// `wait_idle` callers parked on `idle_cv`.
     idle_waiters: Parked,
+    /// Woken once the queue is back to the bound ([`TaskScheduler::over`]).
+    watch: Option<(usize, Readiness)>,
 }
 
 struct Inner {
@@ -283,6 +285,14 @@ impl TaskScheduler {
         true
     }
 
+    /// Whether more than `bound` tasks are queued. If so, `ready` is woken
+    /// once a pool thread has taken the queue back to `bound`.
+    pub fn over(&self, bound: usize, ready: &Readiness) -> bool {
+        let mut s = self.inner.state.lock();
+        s.watch = (s.fair.queued() > bound).then(|| (bound, ready.clone()));
+        s.watch.is_some()
+    }
+
     /// Tasks currently queued (not yet running).
     pub fn queued(&self) -> usize {
         self.inner.state.lock().fair.queued()
@@ -317,7 +327,11 @@ fn worker_loop(inner: &Inner) {
                     return;
                 }
                 if let Some(picked) = s.fair.pick() {
-                    inner.queue_depth.set(s.fair.queued() as f64);
+                    let queued = s.fair.queued();
+                    inner.queue_depth.set(queued as f64);
+                    if let Some((_, ready)) = s.watch.take_if(|(bound, _)| queued <= *bound) {
+                        ready.wake();
+                    }
                     break picked;
                 }
                 let work = &inner.work_cv;

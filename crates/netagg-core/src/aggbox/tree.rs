@@ -21,8 +21,9 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Callback invoked once with the reduction's final result.
-pub type CompletionHandler = Box<dyn FnOnce(Result<Bytes, AggError>) + Send>;
+/// Callback invoked once with the reduction's final result, and whether a
+/// pool task produced it (else the caller of `end_input` runs it).
+pub type CompletionHandler = Box<dyn FnOnce(Result<Bytes, AggError>, bool) + Send>;
 
 /// Where combine tasks record their queue-wait and execution spans
 /// (DESIGN.md §11). Installed by the agg box when the owning request is
@@ -88,14 +89,13 @@ impl LocalAggTree {
         self.state.lock().trace = Some(t);
     }
 
-    /// Register a callback fired exactly once with the final result. The
-    /// callback runs on whichever thread completes the reduction and must
-    /// not block for long.
+    /// Register a callback fired exactly once with the final result, on
+    /// whichever thread completes the reduction.
     pub fn on_complete(&self, cb: CompletionHandler) {
         let mut s = self.state.lock();
         if let Some(done) = s.done.clone() {
             drop(s);
-            cb(done);
+            cb(done, false);
         } else {
             assert!(s.on_complete.is_none(), "on_complete registered twice");
             s.on_complete = Some(cb);
@@ -120,7 +120,7 @@ impl LocalAggTree {
             self.maybe_schedule(&mut s, sched, app);
             self.maybe_finish(&mut s)
         };
-        run_completion(cb);
+        run_completion(cb, false);
     }
 
     /// Block until the final aggregate is available.
@@ -257,7 +257,7 @@ impl LocalAggTree {
                 Err(e) => self.finish(&mut s, Err(e)),
             }
         };
-        run_completion(cb);
+        run_completion(cb, true);
     }
 
     fn maybe_finish(self: &Arc<Self>, s: &mut TreeState) -> Option<CompletionCb> {
@@ -283,9 +283,9 @@ impl LocalAggTree {
 
 type CompletionCb = (CompletionHandler, Result<Bytes, AggError>);
 
-fn run_completion(cb: Option<CompletionCb>) {
+fn run_completion(cb: Option<CompletionCb>, pooled: bool) {
     if let Some((cb, out)) = cb {
-        cb(out);
+        cb(out, pooled);
     }
 }
 
@@ -401,7 +401,7 @@ mod tests {
         let tree = LocalAggTree::new(Arc::new(AggWrapper::new(Sum)), 2);
         let fired = Arc::new(AtomicUsize::new(0));
         let f2 = fired.clone();
-        tree.on_complete(Box::new(move |r| {
+        tree.on_complete(Box::new(move |r, _| {
             assert_eq!(dec(&r.unwrap()), 10);
             f2.fetch_add(1, Ordering::SeqCst);
         }));
@@ -423,7 +423,7 @@ mod tests {
         tree.end_input(&sched, AppId(1));
         tree.wait_complete(Duration::from_secs(5)).unwrap();
         let (tx, rx) = crossbeam::channel::bounded(1);
-        tree.on_complete(Box::new(move |r| {
+        tree.on_complete(Box::new(move |r, _| {
             tx.send(dec(&r.unwrap())).unwrap();
         }));
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 5);

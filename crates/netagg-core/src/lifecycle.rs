@@ -1,8 +1,8 @@
 //! The unified lifecycle & backpressure runtime every threaded layer of
 //! the platform is built on: cancellation tokens whose `cancel()` wakes
 //! blocked receivers immediately, deadline-joining named-thread scopes,
-//! bounded mailboxes with explicit overflow policies, and [`serve`], the
-//! one listener loop of every component that accepts connections.
+//! bounded mailboxes with explicit overflow policies, and [`serve_ready`],
+//! the listener loop of every node: one reader for all its connections.
 //!
 //! The implementation lives in [`netagg_net::lifecycle`] (the transport
 //! layer participates too — `recv_cancellable`/`accept_cancellable` need
@@ -14,10 +14,10 @@ use std::time::Instant;
 
 pub use netagg_net::lifecycle::{
     CancelToken, Deadline, JoinScope, Mailbox, MailboxRecvError, MailboxSendError, OrderedMutex,
-    OrderedMutexGuard, OverflowPolicy, Parked, Parking, ScopeError, Wait, WakerGuard,
+    OrderedMutexGuard, OverflowPolicy, Parked, Parking, Readiness, ScopeError, Wait, WakerGuard,
     DEFAULT_JOIN_DEADLINE,
 };
-pub use netagg_net::serve;
+pub use netagg_net::{serve, serve_ready};
 
 /// What a node's one timer thread keeps beside its core, under the core's
 /// lock: its sleeper counts on the timer's [`Parking`], the deadline it

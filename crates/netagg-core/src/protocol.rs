@@ -157,6 +157,14 @@ const TAG_HB_ACK: u8 = 5;
 const TAG_BCAST: u8 = 6;
 
 impl Message {
+    /// A probe or its ack: sent at once, past any backlog of output.
+    pub fn is_liveness(&self) -> bool {
+        matches!(
+            self,
+            Message::Heartbeat { .. } | Message::HeartbeatAck { .. }
+        )
+    }
+
     /// Serialise to the wire format.
     pub fn encode(&self) -> Bytes {
         // Every fixed header fits in 64 bytes (Data's is 53); the variable

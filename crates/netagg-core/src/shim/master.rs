@@ -11,8 +11,8 @@ use crate::conn_cache::ConnCache;
 use crate::failure::DetectorConfig;
 use crate::fanin::{Repoint, StragglerScan, TraceAnchor};
 use crate::lifecycle::{
-    serve, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, TimerSlot, WakerGuard,
-    DEFAULT_JOIN_DEADLINE,
+    serve_ready, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, Readiness,
+    TimerSlot, WakerGuard, DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::shim::master_core::{MasterCore, Taken};
@@ -23,7 +23,7 @@ use crate::tree::{box_addr, master_addr, TreeSpec};
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::lock_order;
-use netagg_net::{Connection, NetError, NodeId, Transport};
+use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::trace;
 use netagg_obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
@@ -165,6 +165,8 @@ struct Inner {
     app: AppId,
     addr: NodeId,
     agg: Arc<dyn DynAggregator>,
+    /// The serialised identity every result's emulated empties share.
+    empty: Bytes,
     cfg: MasterShimConfig,
     state: OrderedMutex<Guarded>,
     cv: Parking,
@@ -226,6 +228,7 @@ impl MasterShim {
         let inner = Arc::new(Inner {
             app,
             addr,
+            empty: agg.empty_serialized(),
             agg,
             obs: MasterObs::new(cfg.obs.clone(), app),
             cfg,
@@ -253,12 +256,16 @@ impl MasterShim {
         });
         {
             let inner = inner.clone();
-            serve(
+            serve_ready(
                 &shim.scope,
                 listener,
+                Readiness::readiness(),
                 format!("master-shim-{}", app.0),
                 format!("master-shim-{}-reader", app.0),
-                move |conn| reader_loop(&inner, conn),
+                move |frame| {
+                    on_frame(&inner, frame);
+                    None
+                },
             )?;
         }
         shim.scope
@@ -497,7 +504,7 @@ impl PendingRequest {
         Ok(AggregatedResult {
             combined,
             emulated_empty,
-            empty_payload: inner.agg.empty_serialized(),
+            empty_payload: inner.empty.clone(),
             master_inputs,
             master_input_bytes,
         })
@@ -509,64 +516,62 @@ impl PendingRequest {
     }
 }
 
-fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
+/// The reader's handling of one frame; it never sends.
+fn on_frame(inner: &Arc<Inner>, frame: Bytes) {
     let o = &inner.obs;
-    // Until cancelled, the peer closes, or the transport fails.
-    while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
-        let Ok(msg) = Message::decode(frame) else {
-            continue;
-        };
-        match msg {
-            Message::Data {
-                app,
+    let Ok(msg) = Message::decode(frame) else {
+        return;
+    };
+    match msg {
+        Message::Data {
+            app,
+            request,
+            tree,
+            source,
+            seq,
+            last,
+            ctx,
+            sent_ns,
+            payload,
+        } => {
+            if app != inner.app {
+                return;
+            }
+            o.messages_in.inc();
+            o.bytes_in.add(payload.len() as u64);
+            // Stitch the final hop: sender stamp → arrival here.
+            let hop = o.spans.wire(ctx, request, sent_ns);
+            let anchor = || o.anchor(inner.app, request);
+            let mut s = inner.state.lock();
+            let accepted = s.core.accept_data(
                 request,
                 tree,
                 source,
                 seq,
                 last,
-                ctx,
-                sent_ns,
                 payload,
-            } => {
-                if app != inner.app {
-                    continue;
-                }
-                o.messages_in.inc();
-                o.bytes_in.add(payload.len() as u64);
-                // Stitch the final hop: sender stamp → arrival here.
-                let hop = o.spans.wire(ctx, request, sent_ns);
-                let anchor = || o.anchor(inner.app, request);
-                let mut s = inner.state.lock();
-                let accepted = s.core.accept_data(
-                    request,
-                    tree,
-                    source,
-                    seq,
-                    last,
-                    payload,
-                    Instant::now(),
-                    anchor,
-                );
-                let gaps = std::mem::take(&mut s.core.fanin.gaps);
-                let Some(completed) = accepted else {
-                    o.duplicates_dropped.inc();
-                    continue;
-                };
-                if completed {
-                    o.requests_completed.inc();
-                    inner.cv.wake_all(&mut s.waiters);
-                }
-                o.update_ledger_gauges(&s.core);
-                inner.rearm(&mut s);
-                drop(s);
-                o.spans.gapped(&o.registry, gaps);
-                o.spans.ingest(names::spans::MASTER_RECV, ctx, hop, request);
+                Instant::now(),
+                anchor,
+            );
+            let gaps = std::mem::take(&mut s.core.fanin.gaps);
+            let Some(completed) = accepted else {
+                o.duplicates_dropped.inc();
+                return;
+            };
+            if completed {
+                o.requests_completed.inc();
+                inner.cv.wake_all(&mut s.waiters);
             }
-            Message::HeartbeatAck { from, nonce } => {
-                inner.state.lock().core.fanin.detector.ack(from, nonce);
-            }
-            _ => {}
+            o.update_ledger_gauges(&s.core);
+            inner.rearm(&mut s);
+            drop(s);
+            o.spans.gapped(&o.registry, gaps);
+            o.spans.ingest(names::spans::MASTER_RECV, ctx, hop, request);
         }
+        Message::HeartbeatAck { from, nonce } => {
+            inner.state.lock().core.fanin.detector.ack(from, nonce);
+        }
+        _ => {}
     }
 }
 

@@ -2,8 +2,8 @@
 
 use crate::conn_cache::{ConnCache, Held};
 use crate::lifecycle::{
-    serve, CancelToken, JoinScope, Mailbox, MailboxRecvError, OrderedMutex, OverflowPolicy,
-    DEFAULT_JOIN_DEADLINE,
+    serve_ready, CancelToken, JoinScope, Mailbox, MailboxRecvError, OrderedMutex, OverflowPolicy,
+    Readiness, DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::shim::worker_core::{per_request_tree, TreeSelection, WorkerCore};
@@ -12,7 +12,7 @@ use crate::tree::{box_addr, master_addr, worker_addr, TreeSpec};
 use crate::AggError;
 use bytes::Bytes;
 use netagg_net::lock_order;
-use netagg_net::{Connection, NetError, NodeId, Transport};
+use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::trace;
 use netagg_obs::{names, Counter, MetricsRegistry};
 use std::collections::HashMap;
@@ -145,12 +145,16 @@ impl WorkerShim {
         {
             // Control connections: redirects, heartbeats, broadcasts.
             let inner = inner.clone();
-            serve(
+            serve_ready(
                 &shim.scope,
                 listener,
+                Readiness::readiness(),
                 format!("worker-shim-{}-{}", app.0, worker),
                 format!("worker-shim-{}-{}-ctrl", app.0, worker),
-                move |conn| control_loop(&inner, conn),
+                move |frame| {
+                    on_control(&inner, frame);
+                    None
+                },
             )?;
         }
         Ok(shim)
@@ -344,45 +348,44 @@ impl Inner {
     }
 }
 
-fn control_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
-    // Until cancelled, the peer closes, or the transport fails.
-    while let Ok(frame) = conn.recv_cancellable(&inner.cancel) {
-        let Ok(msg) = Message::decode(frame) else {
-            continue;
-        };
-        match msg {
-            Message::Redirect {
-                app,
-                permanent,
-                request,
-                tree,
-                new_parent,
-            } => {
-                if app != inner.app {
-                    continue;
-                }
-                inner.stats.redirects.fetch_add(1, Ordering::Relaxed);
-                inner.obs.redirects_applied.inc();
-                let mut conns = inner.conns.hold();
-                let chunks = inner
-                    .core
-                    .lock()
-                    .redirect(permanent, request, tree, new_parent);
-                inner.resend(&mut conns, chunks);
+/// The control reader's handling of one frame; a redirect's replay may
+/// wait for the new parent, which never waits for a worker.
+fn on_control(inner: &Arc<Inner>, frame: Bytes) {
+    let Ok(msg) = Message::decode(frame) else {
+        return;
+    };
+    match msg {
+        Message::Redirect {
+            app,
+            permanent,
+            request,
+            tree,
+            new_parent,
+        } => {
+            if app != inner.app {
+                return;
             }
-            Message::Broadcast {
-                app,
-                request,
-                payload,
-                ..
-            } if app == inner.app => {
-                let stat = &inner.stats.broadcasts_received;
-                stat.fetch_add(1, Ordering::Relaxed);
-                // DropOldest: never blocks; a non-consuming application
-                // keeps only the newest BROADCAST_DEPTH payloads.
-                let _ = inner.broadcasts.send((request.0, payload));
-            }
-            _ => {}
+            inner.stats.redirects.fetch_add(1, Ordering::Relaxed);
+            inner.obs.redirects_applied.inc();
+            let mut conns = inner.conns.hold();
+            let chunks = inner
+                .core
+                .lock()
+                .redirect(permanent, request, tree, new_parent);
+            inner.resend(&mut conns, chunks);
         }
+        Message::Broadcast {
+            app,
+            request,
+            payload,
+            ..
+        } if app == inner.app => {
+            let stat = &inner.stats.broadcasts_received;
+            stat.fetch_add(1, Ordering::Relaxed);
+            // DropOldest: never blocks; a non-consuming application
+            // keeps only the newest BROADCAST_DEPTH payloads.
+            let _ = inner.broadcasts.send((request.0, payload));
+        }
+        _ => {}
     }
 }

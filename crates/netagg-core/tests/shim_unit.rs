@@ -547,3 +547,239 @@ fn a_stalled_parent_holds_the_box_back_instead_of_losing_output() {
     assert!(dropped.is_empty(), "{dropped:?}");
     dep.shutdown();
 }
+
+/// The same stall with four workers and one pool thread: the pool thread
+/// that drains is the one held up, so the combine tasks the reader's
+/// closes submit pile up in the pool's queue, not in the outbox. The
+/// reader holds `Data` back once that queue is over the bound too: it
+/// stays within it, and every result is the reference fold.
+#[test]
+fn a_stalled_pool_thread_holds_the_box_back_at_the_queue_bound() {
+    let app = netagg_core::protocol::AppId(0);
+    let hook = StallUpstream {
+        aggbox: box_addr(0),
+        master: master_addr(app),
+        worker: worker_addr(app, 0),
+        taken: Arc::default(),
+        at_release: Arc::default(),
+    };
+    let stalled = Interposed::over(ChannelTransport::new(), hook.clone());
+    let scheduler = SchedulerConfig {
+        threads: 1,
+        ..SchedulerConfig::default()
+    };
+    let cfg = DeploymentConfig {
+        scheduler,
+        ..DeploymentConfig::default()
+    };
+    let cluster = ClusterSpec::single_rack(4, 1);
+    let mut dep = NetAggDeployment::launch_with(Arc::new(stalled), &cluster, cfg).unwrap();
+    assert_eq!(dep.register_app("sum", sum_agg(), 1.0), app);
+    let master = dep.master_shim(app);
+    let workers: Vec<_> = (0..4).map(|w| dep.worker_shim(app, w)).collect();
+    let pending: Vec<_> = (0..STALLED_REQUESTS)
+        .map(|r| master.register_request(r, 4))
+        .collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    let most = Arc::new(AtomicUsize::new(0));
+    let pool = dep.boxes()[0].scheduler().clone();
+    let (done, high) = (stop.clone(), most.clone());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test samples the pool's queue while the test thread is blocked sending"
+    )]
+    let monitor = std::thread::spawn(move || {
+        while !done.load(Relaxed) {
+            high.fetch_max(pool.queued(), Relaxed);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    for r in 0..STALLED_REQUESTS {
+        for (w, shim) in workers.iter().enumerate() {
+            let partial = r as usize * 10 + w;
+            shim.send_partial(r, Bytes::from(partial.to_string()))
+                .unwrap();
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for (r, p) in pending.iter().enumerate() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let result = p
+            .wait(left)
+            .unwrap_or_else(|e| panic!("request {r}: {e:?}"));
+        assert_eq!(parse(&result.combined), r as i64 * 40 + 6);
+    }
+    stop.store(true, Relaxed);
+    monitor.join().unwrap();
+    let most = most.load(Relaxed);
+    assert!(
+        (OUTBOX_BOUND..=OUTBOX_BOUND + 1).contains(&most),
+        "the pool's queue peaked at {most} tasks"
+    );
+    assert!(hook.at_release.load(Relaxed) > 0, "the stall never ended");
+    dep.shutdown();
+}
+
+/// Holds every frame the box sends the master that is longer than a
+/// probe or an ack — its `Data` — until the test opens the gate, and
+/// counts the frames the box took from its worker.
+#[derive(Clone)]
+struct DataGate {
+    aggbox: NodeId,
+    master: NodeId,
+    worker: NodeId,
+    longer: usize,
+    open: Arc<AtomicBool>,
+    taken: Arc<AtomicUsize>,
+}
+
+impl Interposer for DataGate {
+    type Link = (NodeId, NodeId, DataGate);
+
+    fn link(&self, local: NodeId, peer: NodeId) -> Result<Self::Link, NetError> {
+        Ok((local, peer, self.clone()))
+    }
+
+    fn before_send((local, peer, gate): &mut Self::Link, len: usize) -> Result<(), NetError> {
+        if (*local, *peer) == (gate.aggbox, gate.master) && len > gate.longer {
+            while !gate.open.load(Relaxed) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(())
+    }
+
+    fn recv(
+        (local, peer, gate): &mut Self::Link,
+        inner: &mut dyn Connection,
+        wait: Wait<'_>,
+    ) -> Result<Bytes, NetError> {
+        let frame = wait.recv(inner)?;
+        if (*local, *peer) == (gate.aggbox, gate.worker) {
+            gate.taken.fetch_add(1, Relaxed);
+        }
+        Ok(frame)
+    }
+}
+
+/// Liveness while holding: the root box's `Data` to the master is held
+/// until the box has taken more than its outbox bound from its worker and
+/// takes no more — it holds back its children, worker 0 and box 1 with
+/// worker 1 behind it — and then two seconds longer, with failure
+/// detection on at the master and at both boxes and a tolerance of three
+/// 300 ms time-outs. The root box answers every probe the master sends
+/// meanwhile, and fails no child: nothing is declared failed, and every
+/// result is the reference fold.
+#[test]
+fn a_box_holding_data_back_answers_every_probe() {
+    let app = netagg_core::protocol::AppId(0);
+    let probe = Message::Heartbeat { from: 0, nonce: 0 }.encode().len();
+    let ack = Message::HeartbeatAck { from: 0, nonce: 0 }.encode().len();
+    let gate = DataGate {
+        aggbox: box_addr(0),
+        master: master_addr(app),
+        worker: worker_addr(app, 0),
+        longer: probe.max(ack),
+        open: Arc::default(),
+        taken: Arc::default(),
+    };
+    let held = Interposed::over(ChannelTransport::new(), gate.clone());
+    let cluster = ClusterSpec::multi_rack(2, 1, 1);
+    let mut dep = NetAggDeployment::launch(Arc::new(held), &cluster).unwrap();
+    assert_eq!(dep.register_app("sum", sum_agg(), 1.0), app);
+    let (master, w0, w1) = (
+        dep.master_shim(app),
+        dep.worker_shim(app, 0),
+        dep.worker_shim(app, 1),
+    );
+    dep.enable_failure_detection(DetectorConfig {
+        interval: Duration::from_millis(30),
+        timeout: Duration::from_millis(300),
+        misses: 3,
+    });
+    let pending: Vec<_> = (0..STALLED_REQUESTS)
+        .map(|r| master.register_request(r, 2))
+        .collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test sends from a thread of its own: the sends block while the box holds"
+    )]
+    let sender = std::thread::spawn(move || {
+        for r in 0..STALLED_REQUESTS {
+            w0.send_partial(r, Bytes::from(r.to_string())).unwrap();
+            w1.send_partial(r, Bytes::from_static(b"1")).unwrap();
+        }
+    });
+    let (mut seen, held_by) = (0, Instant::now() + Duration::from_secs(30));
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let taken = gate.taken.load(Relaxed);
+        if taken == seen && taken > OUTBOX_BOUND {
+            break;
+        }
+        seen = taken;
+        assert!(Instant::now() < held_by, "the box never held: {taken}");
+    }
+    std::thread::sleep(Duration::from_secs(2));
+    gate.open.store(true, Relaxed);
+    sender.join().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for (r, p) in pending.iter().enumerate() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let result = p
+            .wait(left)
+            .unwrap_or_else(|e| panic!("request {r}: {e:?}"));
+        assert_eq!(parse(&result.combined), r as i64 + 1);
+    }
+    let snapshot = dep.snapshot();
+    let failures = ["failure.detections", "failure.repoints"];
+    for name in failures {
+        assert_eq!(snapshot.counter(name).unwrap_or(0), 0, "{name}");
+    }
+    dep.shutdown();
+}
+
+/// One reader per node: the threads a deployment runs do not grow with
+/// its connections. `single_rack(4, 1)` runs per box a listener, a
+/// reader, a timer and its pool, per master a listener, a reader and a
+/// timer, and per worker a listener and a control reader — before any
+/// connection is open, and still once traffic with failure detection on
+/// has opened four worker connections and the master's control
+/// connection into the box, and the box's output and acks into the
+/// master.
+#[test]
+fn one_reader_serves_every_connection_of_a_node() {
+    let scheduler = SchedulerConfig {
+        threads: 2,
+        ..SchedulerConfig::default()
+    };
+    let cfg = DeploymentConfig {
+        scheduler,
+        ..DeploymentConfig::default()
+    };
+    let transport = Arc::new(ChannelTransport::new());
+    let cluster = ClusterSpec::single_rack(4, 1);
+    let mut dep = NetAggDeployment::launch_with(transport, &cluster, cfg).unwrap();
+    let app = dep.register_app("sum", sum_agg(), 1.0);
+    let master = dep.master_shim(app);
+    let workers: Vec<_> = (0..4).map(|w| dep.worker_shim(app, w)).collect();
+    let threads = |dep: &NetAggDeployment| dep.snapshot().gauge("runtime.threads_active");
+    let per_node = Some(f64::from((3 + 2) + 3 + 4 * 2));
+    assert_eq!(threads(&dep), per_node);
+    dep.enable_failure_detection(DetectorConfig {
+        interval: Duration::from_millis(5),
+        ..DetectorConfig::default()
+    });
+    for r in 0..50 {
+        let pending = master.register_request(r, 4);
+        for w in &workers {
+            w.send_partial(r, Bytes::from_static(b"1")).unwrap();
+        }
+        let result = pending.wait(Duration::from_secs(5)).unwrap();
+        assert_eq!(parse(&result.combined), 4);
+    }
+    // Several probe rounds, so the probe and ack connections are open.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(threads(&dep), per_node);
+    dep.shutdown();
+}

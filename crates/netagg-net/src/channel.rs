@@ -8,7 +8,7 @@
 //! mailboxes, `recv_cancellable`/`accept_cancellable` wake instantly on
 //! cancellation — no poll loop.
 
-use crate::lifecycle::{CancelToken, Mailbox, OverflowPolicy, Wait};
+use crate::lifecycle::{CancelToken, Mailbox, OverflowPolicy, Readiness, Wait};
 use crate::transport::{recv_on, Connection, Listener, NetError, NodeId, Transport};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -161,6 +161,11 @@ impl Connection for ChannelConnection {
 
     fn peer(&self) -> NodeId {
         self.peer
+    }
+
+    fn set_readiness(&mut self, ready: &Readiness, key: u64) -> bool {
+        self.rx.set_readiness(ready, key);
+        true
     }
 }
 

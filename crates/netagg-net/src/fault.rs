@@ -15,6 +15,7 @@ use crate::lifecycle::Wait;
 use crate::transport::{Connection, NetError, NodeId, Transport};
 use bytes::Bytes;
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,8 @@ pub struct FaultStep {
 struct FaultState {
     dead: Set<NodeId>,
     delay: Map<NodeId, Duration>,
-    frames: Map<NodeId, u64>,
+    /// Frames delivered per node; each link keeps its peer's counter.
+    frames: Map<NodeId, Arc<AtomicU64>>,
     schedule: Vec<FaultStep>,
 }
 
@@ -52,6 +54,8 @@ struct FaultState {
 #[derive(Clone, Default)]
 pub struct FaultController {
     state: Arc<RwLock<FaultState>>,
+    /// A kill, a delay or a step is armed: only then does a frame lock.
+    armed: Arc<AtomicBool>,
 }
 
 impl FaultController {
@@ -60,14 +64,22 @@ impl FaultController {
         Self::default()
     }
 
+    fn arm<T>(&self, f: impl FnOnce(&mut FaultState) -> T) -> T {
+        let mut s = self.state.write();
+        let out = f(&mut s);
+        let armed = !(s.dead.is_empty() && s.delay.is_empty() && s.schedule.is_empty());
+        self.armed.store(armed, Ordering::SeqCst);
+        out
+    }
+
     /// Kill a node: all of its present and future traffic fails.
     pub fn kill(&self, node: NodeId) {
-        self.state.write().dead.insert(node);
+        self.arm(|s| s.dead.insert(node));
     }
 
     /// Revive a previously killed node (new connections succeed again).
     pub fn revive(&self, node: NodeId) {
-        self.state.write().dead.remove(&node);
+        self.arm(|s| s.dead.remove(&node));
     }
 
     /// Whether `node` is currently killed.
@@ -77,28 +89,29 @@ impl FaultController {
 
     /// Add a fixed per-message send delay for a node (straggler injection).
     pub fn delay(&self, node: NodeId, d: Duration) {
-        self.state.write().delay.insert(node, d);
+        self.arm(|s| s.delay.insert(node, d));
     }
 
     /// Remove a node's send delay.
     pub fn clear_delay(&self, node: NodeId) {
-        self.state.write().delay.remove(&node);
+        self.arm(|s| s.delay.remove(&node));
     }
 
     /// Arm a deterministic fault step (see [`FaultStep`]). Steps are
     /// independent; several can watch the same node.
     pub fn schedule(&self, step: FaultStep) {
-        self.state.write().schedule.push(step);
+        self.arm(|s| s.schedule.push(step));
     }
 
     /// Drop all armed fault steps (delivered-frame counts are kept).
     pub fn clear_schedule(&self) {
-        self.state.write().schedule.clear();
+        self.arm(|s| s.schedule.clear());
     }
 
     /// Total frames successfully delivered to `node` so far.
     pub fn frames_delivered(&self, node: NodeId) -> u64 {
-        self.state.read().frames.get(&node).copied().unwrap_or(0)
+        let s = self.state.read();
+        s.frames.get(&node).map_or(0, |n| n.load(Ordering::SeqCst))
     }
 }
 
@@ -117,16 +130,20 @@ impl<T: Transport> FaultTransport<T> {
     }
 }
 
-/// One connection's endpoints and the controller that can kill them.
+/// One connection's endpoints, their controller and the peer's frame count.
 pub struct FaultLink {
     ctl: FaultController,
     local: NodeId,
     peer: NodeId,
+    delivered: Arc<AtomicU64>,
 }
 
 impl FaultLink {
     /// Fails once either endpoint is dead; else the local node's send delay.
     fn check(&self) -> Result<Option<Duration>, NetError> {
+        if !self.ctl.armed.load(Ordering::SeqCst) {
+            return Ok(None);
+        }
         let s = self.ctl.state.read();
         if s.dead.contains(&self.local) || s.dead.contains(&self.peer) {
             return Err(NetError::Injected("endpoint dead"));
@@ -155,8 +172,14 @@ impl Interposer for FaultController {
         if self.is_dead(local) {
             return Err(NetError::Injected("accept on dead node"));
         }
-        let ctl = self.clone();
-        Ok(FaultLink { ctl, local, peer })
+        let (ctl, mut s) = (self.clone(), self.state.write());
+        let delivered = s.frames.entry(peer).or_default().clone();
+        Ok(FaultLink {
+            ctl,
+            local,
+            peer,
+            delivered,
+        })
     }
 
     /// Sleep out the configured delay in slices, re-reading it and the
@@ -180,18 +203,20 @@ impl Interposer for FaultController {
     /// Record the delivery to the peer and fire the armed fault steps it
     /// satisfies.
     fn after_send(link: &mut FaultLink, _len: usize) {
+        let count = link.delivered.fetch_add(1, Ordering::SeqCst) + 1;
+        if !link.ctl.armed.load(Ordering::SeqCst) {
+            return;
+        }
         let peer = link.peer;
-        let mut s = link.ctl.state.write();
-        let s = &mut *s;
-        let count = s.frames.entry(peer).or_insert(0);
-        *count += 1;
-        let (count, dead) = (*count, &mut s.dead);
-        s.schedule.retain(|step| {
-            let fires = step.watch == peer && count >= step.after_frames;
-            if fires {
-                dead.insert(step.kill_target);
-            }
-            !fires
+        link.ctl.arm(|s| {
+            let dead = &mut s.dead;
+            s.schedule.retain(|step| {
+                let fires = step.watch == peer && count >= step.after_frames;
+                if fires {
+                    dead.insert(step.kill_target);
+                }
+                !fires
+            });
         });
     }
 

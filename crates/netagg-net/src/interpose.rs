@@ -11,7 +11,7 @@
 //! around a receive. Hooks stack by nesting (`Metered(Fault(base))`) and
 //! never learn of one another.
 
-use crate::lifecycle::{CancelToken, Wait};
+use crate::lifecycle::{CancelToken, Readiness, Wait};
 use crate::transport::{Connection, Listener, NetError, NodeId, Transport};
 use bytes::Bytes;
 use netagg_obs::MetricsRegistry;
@@ -154,5 +154,9 @@ impl<H: Interposer> Connection for InterposedConnection<H> {
 
     fn peer(&self) -> NodeId {
         self.inner.peer()
+    }
+
+    fn set_readiness(&mut self, ready: &Readiness, key: u64) -> bool {
+        self.inner.set_readiness(ready, key)
     }
 }

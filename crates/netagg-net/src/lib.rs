@@ -6,7 +6,8 @@
 //!
 //! * [`transport`] — blocking, message-oriented [`Transport`] /
 //!   [`Listener`] / [`Connection`] traits with logical node addresses, and
-//!   [`serve`]: the one listener-thread-plus-reader-per-connection loop.
+//!   [`serve_ready`] (one reader per node) and [`serve`] (one per
+//!   connection, for handlers that block).
 //! * [`channel`] — in-process transport over bounded [`Mailbox`]es (the
 //!   bound provides natural back-pressure, mirroring the paper's
 //!   back-pressure mechanism).
@@ -61,8 +62,8 @@ pub use fault::{DetRng, FaultController, FaultStep, FaultTransport};
 pub use flow::FlowWindow;
 pub use framing::{encode_frame, FrameDecoder, MAX_FRAME};
 pub use interpose::{Interposed, Interposer};
-pub use lifecycle::{CancelToken, JoinScope, Mailbox, OverflowPolicy};
+pub use lifecycle::{CancelToken, JoinScope, Mailbox, OverflowPolicy, Readiness};
 pub use metered::MeteredTransport;
 pub use ratelimit::TokenBucket;
 pub use tcp::TcpTransport;
-pub use transport::{serve, Connection, Listener, NetError, NodeId, Transport};
+pub use transport::{serve, serve_ready, Connection, Listener, NetError, NodeId, Transport};

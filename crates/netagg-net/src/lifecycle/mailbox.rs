@@ -87,6 +87,8 @@ struct MailboxState<T> {
     receivers: Parked,
     /// Parked on `not_full`.
     senders: Parked,
+    /// Given its key on every push, close and cancel.
+    ready: Option<(Readiness, u64)>,
 }
 
 /// Condvar pair + state, split into its own `Arc` so the cancel waker can
@@ -104,6 +106,39 @@ impl<T> MailboxShared<T> {
     fn wake_all(&self, s: &mut MailboxState<T>) {
         self.not_empty.wake_all(&mut s.receivers);
         self.not_full.wake_all(&mut s.senders);
+        s.ready
+            .iter()
+            .for_each(|(ready, key)| _ = ready.try_send(*key));
+    }
+
+    /// `v` joins the queue: wake a receiver.
+    fn push(&self, s: &mut MailboxState<T>, v: T) {
+        s.queue.push_back(v);
+        self.not_empty.wake_one(&mut s.receivers);
+        s.ready
+            .iter()
+            .for_each(|(ready, key)| _ = ready.try_send(*key));
+    }
+}
+
+/// What a node's one reader parks on: the keys of the queues told to
+/// signal it ([`Mailbox::set_readiness`]), one per item and per end that
+/// became receivable — bounded by those queues, its own bound nominal.
+pub type Readiness = Mailbox<u64>;
+
+impl Readiness {
+    /// The key [`Readiness::wake`] adds.
+    pub const WAKE: u64 = u64::MAX;
+
+    /// An empty readiness signal.
+    pub fn readiness() -> Self {
+        let policy = OverflowPolicy::Reject;
+        Self::new("ready", usize::MAX, policy, CancelToken::new())
+    }
+
+    /// Wake the reader with no queue ready.
+    pub fn wake(&self) {
+        let _ = self.try_send(Self::WAKE);
     }
 }
 
@@ -204,6 +239,7 @@ impl<T: Send + 'static> Mailbox<T> {
                 dropped: 0,
                 receivers: Parked::default(),
                 senders: Parked::default(),
+                ready: None,
             }),
             not_empty: Parking::new(),
             not_full: Parking::new(),
@@ -230,15 +266,20 @@ impl<T: Send + 'static> Mailbox<T> {
     /// is registered for life); one that finds an item costs one lock.
     pub fn recv_until(&self, wait: Wait<'_>) -> Result<T, MailboxRecvError> {
         may_block("Mailbox::recv");
-        let (deadline, extra) = match wait {
-            Wait::Forever => (Deadline::NEVER, None),
-            Wait::For(d) => (Deadline::after(d), None),
-            Wait::Cancel(c) => (Deadline::NEVER, Some(c)),
+        let extra = match wait {
+            Wait::Cancel(c) => Some(c),
+            _ => None,
         };
         let sh = &self.inner.shared;
         if let Some(r) = self.poll(&mut sh.state.lock(), extra) {
             return r;
         }
+        // Only a receive that has to park reads the clock.
+        let deadline = match wait {
+            Wait::For(d) if d.is_zero() => return Err(MailboxRecvError::Timeout),
+            Wait::For(d) => Deadline::after(d),
+            _ => Deadline::NEVER,
+        };
         // Registered with the state lock released (a cancelled token runs
         // the waker on the spot), unregistered after the guard below drops.
         let _waker = extra.filter(|c| !c.same(&self.inner.cancel)).map(|c| {
@@ -303,9 +344,8 @@ impl<T> Mailbox<T> {
                 return Err(MailboxSendError::Closed(v));
             }
             if s.queue.len() < self.inner.capacity {
-                s.queue.push_back(v);
+                sh.push(&mut s, v);
                 self.note_depth(s.queue.len());
-                sh.not_empty.wake_one(&mut s.receivers);
                 return Ok(());
             }
             match self.inner.policy {
@@ -317,9 +357,8 @@ impl<T> Mailbox<T> {
                     s.queue.pop_front();
                     s.dropped += 1;
                     self.note_drop();
-                    s.queue.push_back(v);
+                    sh.push(&mut s, v);
                     self.note_depth(s.queue.len());
-                    sh.not_empty.wake_one(&mut s.receivers);
                     return Ok(());
                 }
                 OverflowPolicy::Reject => {
@@ -349,9 +388,8 @@ impl<T> Mailbox<T> {
             return Err(MailboxSendError::Closed(v));
         }
         if s.queue.len() < self.inner.capacity {
-            s.queue.push_back(v);
+            sh.push(&mut s, v);
             self.note_depth(s.queue.len());
-            sh.not_empty.wake_one(&mut s.receivers);
             Ok(())
         } else {
             Err(MailboxSendError::Full(v))
@@ -382,6 +420,17 @@ impl<T> Mailbox<T> {
         let mut s = self.inner.shared.state.lock();
         self.poll(&mut s, None)
             .unwrap_or(Err(MailboxRecvError::Timeout))
+    }
+
+    /// Add `key` to `ready` on every push, close and cancel from now on,
+    /// and at once per item queued (and once if ended).
+    pub fn set_readiness(&self, ready: &Readiness, key: u64) {
+        let mut s = self.inner.shared.state.lock();
+        let ended = s.closed || self.inner.cancel.is_cancelled();
+        for _ in 0..s.queue.len() + usize::from(ended) {
+            let _ = ready.try_send(key);
+        }
+        s.ready = Some((ready.clone(), key));
     }
 
     /// Close the mailbox: senders fail immediately; receivers drain the

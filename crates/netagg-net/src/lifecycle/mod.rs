@@ -8,7 +8,8 @@
 //! * [`Mailbox`] (`mailbox.rs`) — a bounded MPMC queue with an explicit
 //!   [`OverflowPolicy`] (`Block`, `DropOldest`, `Reject`) and
 //!   shutdown-aware send/recv: a cancelled token or a closed queue turns
-//!   every blocked operation into a prompt, typed error.
+//!   every blocked operation into a prompt, typed error. [`Readiness`]:
+//!   a mailbox of keys many mailboxes signal, for one thread to serve.
 //! * [`Parking`] (`parking.rs`) — the condition variable under them all:
 //!   its sleeper counts ([`Parked`]) live in the state the caller's mutex
 //!   guards, so only a sleeping thread costs a wake-up syscall.
@@ -32,7 +33,7 @@ mod parking;
 mod scope;
 
 pub use cancel::{CancelToken, WakerGuard};
-pub use mailbox::{Mailbox, MailboxRecvError, MailboxSendError, OverflowPolicy, Wait};
+pub use mailbox::{Mailbox, MailboxRecvError, MailboxSendError, OverflowPolicy, Readiness, Wait};
 pub(crate) use ordered::may_block;
 pub use ordered::{
     poisoned_locks, set_poison_sink, witness_edges, witness_reset, witness_thread_kinds,

@@ -57,7 +57,7 @@ use crate::framing::{FrameDecoder, MAX_FRAME};
 use crate::hash::Map;
 use crate::lifecycle::{
     CancelToken, JoinScope, Mailbox, MailboxRecvError, MailboxSendError, OrderedMutex,
-    OverflowPolicy, Wait, DEFAULT_JOIN_DEADLINE,
+    OverflowPolicy, Readiness, Wait, DEFAULT_JOIN_DEADLINE,
 };
 use crate::lock_order;
 use crate::transport::{recv_on, Connection, Listener, NetError, NodeId, Transport};
@@ -1557,6 +1557,11 @@ impl Connection for TcpConnection {
 
     fn peer(&self) -> NodeId {
         self.chan.peer
+    }
+
+    fn set_readiness(&mut self, ready: &Readiness, key: u64) -> bool {
+        self.chan.inbox.set_readiness(ready, key);
+        true
     }
 }
 

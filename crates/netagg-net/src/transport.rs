@@ -6,7 +6,9 @@
 //! in-process channel transport, the rate-limited emulated network, or real
 //! TCP loopback sockets.
 
-use crate::lifecycle::{CancelToken, JoinScope, Mailbox, MailboxRecvError, Wait};
+use crate::hash::Map;
+use crate::lifecycle::{CancelToken, JoinScope, Mailbox, MailboxRecvError, Readiness, Wait};
+use crate::OverflowPolicy::Block;
 use bytes::Bytes;
 use netagg_obs::MetricsRegistry;
 use std::fmt;
@@ -85,6 +87,12 @@ pub trait Connection: Send {
     fn recv_cancellable(&mut self, cancel: &CancelToken) -> Result<Bytes, NetError>;
     /// Address of the remote end.
     fn peer(&self) -> NodeId;
+    /// Signal `ready` with `key` once per frame, and at the end, that
+    /// becomes receivable ([`Mailbox::set_readiness`]); `false` if it
+    /// cannot, and a thread must block on it instead.
+    fn set_readiness(&mut self, _ready: &Readiness, _key: u64) -> bool {
+        false
+    }
 }
 
 /// Accepts inbound connections at a bound address.
@@ -163,37 +171,152 @@ pub(crate) fn recv_on<T: Send + 'static>(mb: &Mailbox<T>, wait: Wait<'_>) -> Res
     })
 }
 
-/// Run `listener` inside `scope`: a thread named `listen_name` accepts
-/// until the scope's token fires or the listener fails, and hands every
-/// connection to `body` on a thread of its own named `reader_name` (the
-/// two DESIGN.md §9 inventory names of a listening component).
-///
-/// The reader closure owns its connection, so a connection accepted while
-/// the scope shuts down (§9 invariant 5) and one the OS refuses a thread
-/// for are both dropped — the peer sees [`NetError::Closed`] — and the
-/// listener keeps accepting. The listener thread holds the scope until it
-/// exits, so the owner ends it by cancelling, as every owner's `Drop` does.
+/// Accept on `listener` in a thread of `scope` named `name` until the
+/// scope is cancelled (as every owner's `Drop` does) or the listener
+/// fails, handing each connection to `take`. One `take` drops — accepted
+/// during teardown (§9 invariant 5) or refused a thread — sees `Closed`.
+fn listen(
+    scope: &JoinScope,
+    mut listener: Box<dyn Listener>,
+    name: String,
+    mut take: impl FnMut(Box<dyn Connection>) + Send + 'static,
+) -> Result<(), NetError> {
+    let cancel = scope.cancel_token().clone();
+    let accept = move || {
+        while let Ok(conn) = listener.accept_cancellable(&cancel) {
+            take(conn);
+        }
+    };
+    let spawned = scope.spawn(name, accept);
+    spawned.map_err(|e| NetError::Io(e.to_string()))
+}
+
+/// Run `listener` inside `scope` (as `listen` does) with a thread named
+/// `reader_name` for every connection it accepts, running `body` on it:
+/// the loop of handlers that block.
 pub fn serve(
     scope: &Arc<JoinScope>,
-    mut listener: Box<dyn Listener>,
+    listener: Box<dyn Listener>,
     listen_name: String,
     reader_name: String,
     body: impl Fn(Box<dyn Connection>) + Send + Sync + 'static,
 ) -> Result<(), NetError> {
+    let (readers, body) = (scope.clone(), Arc::new(body));
+    listen(scope, listener, listen_name, move |conn| {
+        let body = body.clone();
+        if let Err(e) = readers.spawn(reader_name.clone(), move || body(conn)) {
+            eprintln!("lifecycle: no thread for '{reader_name}', connection dropped: {e}");
+        }
+    })
+}
+
+/// The key of [`serve_ready`]'s hand-over queue, and its depth (a relayed
+/// connection's too).
+const ADOPT: u64 = Readiness::WAKE - 1;
+const HANDOVER_DEPTH: usize = 256;
+
+/// Run `listener` inside `scope` (as `listen` does) with **one** reader for
+/// every connection it accepts: a thread named `reader_name` parks on
+/// `ready` and takes frames from whichever connection has them, one
+/// zero-wait receive per signal. `body` returns `Some(frame)` to hold it
+/// back: its connection's later frames wait behind it, the others go on,
+/// and [`Readiness::wake`] offers it again. A connection that ends or
+/// fails is dropped; one that cannot signal readiness gets a relay
+/// thread, named `reader_name` too, that blocks on it for the reader.
+pub fn serve_ready(
+    scope: &Arc<JoinScope>,
+    listener: Box<dyn Listener>,
+    ready: Readiness,
+    listen_name: String,
+    reader_name: String,
+    body: impl FnMut(Bytes) -> Option<Bytes> + Send + 'static,
+) -> Result<(), NetError> {
     let cancel = scope.cancel_token().clone();
-    let readers = scope.clone();
-    let body = Arc::new(body);
-    let listen = move || {
-        while let Ok(conn) = listener.accept_cancellable(&cancel) {
-            let body = body.clone();
-            if let Err(e) = readers.spawn(reader_name.clone(), move || body(conn)) {
-                eprintln!("lifecycle: no thread for '{reader_name}', connection dropped: {e}");
+    let handover = Mailbox::new("serve.adopt", HANDOVER_DEPTH, Block, cancel);
+    handover.set_readiness(&ready, ADOPT);
+    let reader = Reader(scope.clone(), ready, handover.clone(), reader_name.clone());
+    let spawned = scope.spawn(reader_name, move || reader.run(body));
+    spawned.map_err(|e| NetError::Io(e.to_string()))?;
+    listen(scope, listener, listen_name, move |c| _ = handover.send(c))
+}
+
+/// A connection to [`serve_ready`]'s reader: a zero-wait receive, the
+/// frame held back and the signals that came meanwhile.
+struct Source {
+    recv: Box<dyn FnMut() -> Result<Bytes, NetError> + Send>,
+    held: Option<Bytes>,
+    owed: usize,
+}
+
+impl Source {
+    /// Offer the held frame again, then receive once per owed signal while
+    /// the body takes what comes; `false` once the connection has ended.
+    fn pump(&mut self, body: &mut impl FnMut(Bytes) -> Option<Bytes>) -> bool {
+        if let Some(frame) = self.held.take() {
+            self.held = body(frame);
+        }
+        while self.held.is_none() && self.owed > 0 {
+            self.owed -= 1;
+            match (self.recv)() {
+                Ok(frame) => self.held = body(frame),
+                Err(NetError::Timeout) => {}
+                Err(_) => return false,
             }
         }
-    };
-    scope
-        .spawn(listen_name, listen)
-        .map_err(|e| NetError::Io(e.to_string()))
+        true
+    }
+}
+
+type Handover = Mailbox<Box<dyn Connection>>;
+
+/// [`serve_ready`]'s reader: its scope, signal, hand-over queue and name.
+struct Reader(Arc<JoinScope>, Readiness, Handover, String);
+
+impl Reader {
+    fn run(self, mut body: impl FnMut(Bytes) -> Option<Bytes>) {
+        let (cancel, ready) = (self.0.cancel_token(), &self.1);
+        let wake = ready.clone();
+        let _waker = cancel.register_waker(move || wake.wake());
+        let (mut sources, mut next) = (Map::<u64, Source>::default(), 0);
+        while let (Ok(key), false) = (ready.recv(), cancel.is_cancelled()) {
+            if key == Readiness::WAKE {
+                sources.retain(|_, src| src.held.is_none() || src.pump(&mut body));
+            } else if key == ADOPT {
+                if let Some(src) = self.adopt(next) {
+                    sources.insert(next, src);
+                }
+                next += 1;
+            } else if let Some(src) = sources.get_mut(&key) {
+                src.owed += 1;
+                if src.held.is_none() && !src.pump(&mut body) {
+                    sources.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// Take over one handed-over connection, signalling under `key`.
+    fn adopt(&self, key: u64) -> Option<Source> {
+        let Reader(scope, ready, handover, name) = self;
+        let mut conn = handover.try_recv().ok()?;
+        let recv: Box<dyn FnMut() -> _ + Send> = if conn.set_readiness(ready, key) {
+            Box::new(move || conn.recv_timeout(Duration::ZERO))
+        } else {
+            let cancel = scope.cancel_token().clone();
+            let relayed = Mailbox::new("serve.relay", HANDOVER_DEPTH, Block, cancel.clone());
+            relayed.set_readiness(ready, key);
+            let tx = relayed.clone();
+            let relay = move || {
+                let mut frames = std::iter::from_fn(|| conn.recv_cancellable(&cancel).ok());
+                let _ = frames.try_for_each(|frame| tx.send(frame));
+                tx.close();
+            };
+            scope.spawn(name.clone(), relay).ok()?;
+            Box::new(move || recv_on(&relayed, Wait::For(Duration::ZERO)))
+        };
+        let (held, owed) = (None, 0);
+        Some(Source { recv, held, owed })
+    }
 }
 
 #[cfg(test)]
