@@ -4,15 +4,16 @@
 //! so a new parent can be sent it again.
 //!
 //! Every transition is `&mut self` and queues what it puts on the wire in
-//! the box's outbox — one FIFO, output chunks numbered here — so `Data`
-//! leaves in the order it was numbered whoever sends it; the threaded
-//! shell ([`crate::aggbox::runtime`]) keeps the struct behind the single
-//! `agg.core` lock and has one thread at a time drain the outbox.
-//! Payloads are handed to the request's [`PartialSink`] *inside* the
-//! transition that accepted them, so a close decided there can never
-//! overtake a partial still on its way in.
+//! the box's [`Outbox`], output chunks numbered here; the threaded shell
+//! ([`crate::aggbox::runtime`]) keeps the struct behind the single
+//! `agg.core` lock and drives it through [`Node`]. Payloads are handed to
+//! the request's [`PartialSink`] *inside* the transition that accepted
+//! them, so a close decided there can never overtake a partial still on
+//! its way in.
 
-use crate::fanin::{FanInCore, Fired, Request, Route, TraceAnchor};
+use crate::fanin::{FanInCore, Request, Route, TraceAnchor};
+pub use crate::node::{Emit, OUTBOX_BOUND};
+use crate::node::{Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::window::RecencyWindow;
 use crate::DynAggregator;
@@ -29,10 +30,6 @@ const EMITTED_WINDOW: usize = 64;
 
 /// How long after one streaming-flush pass the next is due.
 pub const FLUSH_TICK: Duration = Duration::from_millis(10);
-
-/// Outbox length past which the shell holds back incoming `Data`
-/// (backpressure, DESIGN.md §9) and ack time-outs are no misses.
-pub const OUTBOX_BOUND: usize = 4096;
 
 /// A box-side request: `(application, request, tree)`.
 pub type ReqKey = (AppId, RequestId, TreeId);
@@ -52,7 +49,13 @@ impl From<ReqKey> for RequestId {
 pub trait PartialSink: Clone {
     /// Take one accepted partial.
     fn push(&mut self, payload: Bytes);
+    /// The chunk a streaming-flush pass sends upstream now, if any.
+    fn take(&mut self) -> Option<Bytes>;
 }
+
+/// What builds a new request's sink and trace anchor; `None` declines it.
+pub type Sinks<S> =
+    Box<dyn FnMut(ReqKey, &Arc<dyn DynAggregator>) -> Option<(S, Option<TraceAnchor>)> + Send>;
 
 /// Shell state of one request: its sink and the next output sequence
 /// number (streaming flushes).
@@ -61,26 +64,6 @@ pub struct BoxRequest<S> {
     /// Where accepted partials go.
     pub sink: S,
     out_seq: u32,
-}
-
-/// One message a transition produced, queued for the shell to send.
-#[derive(Debug, Clone)]
-pub struct Emit {
-    /// Where it goes.
-    pub to: NodeId,
-    /// `Data` from this box is numbered among the request's output chunks,
-    /// `last` on the final aggregate, with no trace context yet.
-    pub msg: Message,
-    /// The request's trace anchor, on this box's own output (a resend has
-    /// none: it re-attaches at the trace root).
-    pub trace: Option<TraceAnchor>,
-}
-
-impl From<(NodeId, Message)> for Emit {
-    fn from((to, msg): (NodeId, Message)) -> Self {
-        let trace = None;
-        Self { to, msg, trace }
-    }
 }
 
 /// The box's whole protocol state; see the module docs.
@@ -101,16 +84,21 @@ pub struct BoxCore<S> {
     emitted: Map<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
     /// When the next streaming-flush pass is due; `None` = never flushes.
     pub flush_due: Option<Instant>,
-    /// What transitions produced and the shell has not yet taken, oldest
-    /// first.
-    outbox: VecDeque<Emit>,
-    /// When the core was made: the deadline of a non-empty outbox, "due
-    /// now" and earlier than any other.
-    epoch: Instant,
+    /// What transitions produced and the shell has not yet sent.
+    pub outbox: Outbox,
+    sinks: Sinks<S>,
 }
 
-impl<S: PartialSink> Default for BoxCore<S> {
+impl<S: PartialSink + Default> Default for BoxCore<S> {
     fn default() -> Self {
+        Self::new(Box::new(|_, _| Some((S::default(), None))))
+    }
+}
+
+impl<S: PartialSink> BoxCore<S> {
+    /// A box with no application or route yet, building each request's
+    /// sink with `sinks`.
+    pub fn new(sinks: Sinks<S>) -> Self {
         Self {
             id: 0,
             apps: Map::default(),
@@ -119,13 +107,11 @@ impl<S: PartialSink> Default for BoxCore<S> {
             redirects: Map::default(),
             emitted: Map::default(),
             flush_due: None,
-            outbox: VecDeque::new(),
-            epoch: Instant::now(),
+            outbox: Outbox::default(),
+            sinks,
         }
     }
-}
 
-impl<S: PartialSink> BoxCore<S> {
     /// Register an application's aggregation function.
     pub fn add_app(&mut self, app: AppId, agg: Arc<dyn DynAggregator>) {
         self.apps.insert(app, agg);
@@ -144,62 +130,16 @@ impl<S: PartialSink> BoxCore<S> {
     /// had ended, so whatever still arrives for it is a replay or a
     /// speculative backup's copy, and a fresh ledger for it would never
     /// close.
-    fn open(
-        &mut self,
-        key: ReqKey,
-        new: impl FnOnce(&Arc<dyn DynAggregator>) -> (S, Option<TraceAnchor>),
-    ) -> Option<&mut Request<Point, BoxRequest<S>>> {
-        let (apps, emitted) = (&self.apps, &self.emitted);
+    fn open(&mut self, key: ReqKey) -> Option<&mut Request<Point, BoxRequest<S>>> {
+        let (apps, emitted, sinks) = (&self.apps, &self.emitted, &mut self.sinks);
         self.fanin.open(key, [(key.0, key.2)], None, || {
             let window = emitted.get(&(key.0, key.2));
             if window.is_some_and(|w| w.contains(&key)) {
                 return None;
             }
-            let (sink, trace) = new(apps.get(&key.0)?);
+            let (sink, trace) = sinks(key, apps.get(&key.0)?)?;
             Some((BoxRequest { sink, out_seq: 0 }, trace))
         })
-    }
-
-    /// One data chunk arrived. `None`: dropped (unknown route, duplicate,
-    /// re-pointed-away source, request already closed). Otherwise the
-    /// payload is in the request's sink, and the inner value is the sink
-    /// to close the input on if this chunk completed the request.
-    #[allow(clippy::too_many_arguments)]
-    pub fn accept_data(
-        &mut self,
-        key: ReqKey,
-        source: SourceId,
-        seq: u32,
-        last: bool,
-        payload: Bytes,
-        now: Instant,
-        new: impl FnOnce(&Arc<dyn DynAggregator>) -> (S, Option<TraceAnchor>),
-    ) -> Option<Option<S>> {
-        let q = self.open(key, new)?;
-        let (req, closes, gap) = q.accept_chunk((key.0, key.2), source, seq, last, now)?;
-        if !payload.is_empty() {
-            req.sink.push(payload);
-        }
-        let close = closes.then(|| req.sink.clone());
-        if gap {
-            self.fanin.gaps.push((key, source));
-        }
-        Some(close)
-    }
-
-    /// The master named the sources participating in a subset request.
-    /// Returns the sink to close if that already completes it.
-    pub fn request_meta(
-        &mut self,
-        key: ReqKey,
-        sources: Vec<SourceId>,
-        new: impl FnOnce(&Arc<dyn DynAggregator>) -> (S, Option<TraceAnchor>),
-    ) -> Option<S> {
-        self.open(key, new)?;
-        let point = (key.0, key.2);
-        let owed = sources.into_iter().map(|s| (point, s));
-        let closes = self.fanin.set_requirement(&key, owed);
-        self.sinks(&[key]).pop().filter(|_| closes)
     }
 
     /// Sinks of the given (just closed) requests.
@@ -247,31 +187,6 @@ impl<S: PartialSink> BoxCore<S> {
         self.fanin.requests.remove(&key)
     }
 
-    /// Queue messages behind everything queued before them. Liveness
-    /// messages (`Heartbeat`, `HeartbeatAck`) are returned instead, for the
-    /// shell to send at once: a backlog must not read as a dead box.
-    pub fn post(&mut self, sends: Vec<(NodeId, Message)>) -> Vec<Emit> {
-        let mut liveness = Vec::new();
-        for (to, msg) in sends {
-            if msg.is_liveness() {
-                liveness.push((to, msg).into());
-            } else {
-                self.outbox.push_back((to, msg).into());
-            }
-        }
-        liveness
-    }
-
-    /// Move everything queued, oldest first, to the back of `into`.
-    pub fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
-        into.append(&mut self.outbox);
-    }
-
-    /// Whether the outbox is over [`OUTBOX_BOUND`].
-    pub fn backlogged(&self) -> bool {
-        self.outbox.len() > OUTBOX_BOUND
-    }
-
     /// A request's local aggregation finished with `payload`: retain it
     /// for resends, drop the request's state and queue the final chunk
     /// for its destination — one transition, so a re-point arriving before
@@ -286,7 +201,7 @@ impl<S: PartialSink> BoxCore<S> {
         let (seq, started, trace) =
             state.map_or((0, None, None), |q| (q.ext.out_seq, q.started, q.trace));
         let msg = self.data(key, seq, true, payload);
-        self.outbox.extend(to.map(|to| Emit { to, msg, trace }));
+        self.outbox.post(to.map(|to| Emit { to, msg, trace }));
         started
     }
 
@@ -298,14 +213,13 @@ impl<S: PartialSink> BoxCore<S> {
         self.close(key).and_then(|q| q.trace)
     }
 
-    /// Stream partial aggregates upstream: `take` is offered every open
-    /// request's sink and returns the chunk to flush, if any. Taking
-    /// inside the transition keeps a flushed chunk ordered before the
-    /// request's completion.
-    pub fn flush(&mut self, mut take: impl FnMut(&mut S) -> Option<Bytes>) {
+    /// Stream partial aggregates upstream: every open request's sink is
+    /// offered [`PartialSink::take`]. Taking inside the transition keeps a
+    /// flushed chunk ordered before the request's completion.
+    pub fn flush(&mut self) {
         let mut taken = Vec::new();
         for (key, q) in self.fanin.requests.iter_mut().filter(|(_, q)| !q.closed) {
-            let Some(chunk) = take(&mut q.ext.sink) else {
+            let Some(chunk) = q.ext.sink.take() else {
                 continue;
             };
             taken.push((*key, q.ext.out_seq, q.trace, chunk));
@@ -315,54 +229,8 @@ impl<S: PartialSink> BoxCore<S> {
             self.emitted(key).push(chunk.clone());
             let msg = self.data(key, seq, false, chunk);
             let to = self.dest(&key);
-            self.outbox.extend(to.map(|to| Emit { to, msg, trace }));
+            self.outbox.post(to.map(|to| Emit { to, msg, trace }));
         }
-    }
-
-    /// When the box next has something to do unprompted: now while its
-    /// outbox holds anything, a flush pass while it streams and a request
-    /// is open, else what its fan-in half is waiting for. `None` at an
-    /// idle box.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        let queued = self.has_output().then_some(self.epoch);
-        queued.into_iter().chain(self.next_tick()).min()
-    }
-
-    /// [`BoxCore::next_deadline`] but the outbox: when timed work is due.
-    pub fn next_tick(&self) -> Option<Instant> {
-        let open = || self.fanin.requests.values().any(|q| !q.closed);
-        let flush = self.flush_due.filter(|_| open());
-        flush.into_iter().chain(self.fanin.next_deadline()).min()
-    }
-
-    /// Whether the outbox holds anything.
-    pub fn has_output(&self) -> bool {
-        !self.outbox.is_empty()
-    }
-
-    /// Run what is due at `now`: a [`BoxCore::flush`] pass one
-    /// [`FLUSH_TICK`] after the last, then the fan-in half's timers — with
-    /// the ack time-outs due excused while the box is backlogged (its
-    /// readers, which read the acks, are held back).
-    pub fn on_timer(
-        &mut self,
-        now: Instant,
-        take: impl FnMut(&mut S) -> Option<Bytes>,
-    ) -> Fired<Point, ReqKey> {
-        if self.backlogged() {
-            self.fanin.detector.excuse(now);
-        }
-        if self.flush_due.is_some_and(|t| t <= now) {
-            self.flush_due = Some(now + FLUSH_TICK);
-            self.flush(take);
-        }
-        self.fanin.on_timer(now)
-    }
-
-    /// The answer to a probe from `prober`.
-    pub fn heartbeat(&self, prober: NodeId, nonce: u64) -> (NodeId, Message) {
-        let from = self.id;
-        (prober, Message::HeartbeatAck { from, nonce })
     }
 
     /// This box's output was redirected. Permanent (the detector's
@@ -407,8 +275,126 @@ impl<S: PartialSink> BoxCore<S> {
             for (i, chunk) in chunks.iter().enumerate() {
                 let last = finished && i + 1 == chunks.len();
                 let resend = self.data(key, i as u32, last, chunk.clone());
-                self.outbox.push_back((new_parent, resend).into());
+                self.outbox.post([(new_parent, resend)]);
             }
         }
+    }
+}
+
+impl<S: PartialSink> Node for BoxCore<S> {
+    type Report = Step<Point, ReqKey, S>;
+
+    /// Data goes to its request's sink (inside the transition: a close
+    /// decided here cannot overtake a partial on its way in), a probe is
+    /// answered, a redirect or a broadcast queues what it sends.
+    fn on_message(&mut self, msg: Message, now: Instant) -> Self::Report {
+        let mut step = Step::default();
+        match msg {
+            Message::Data {
+                app,
+                request,
+                tree,
+                source,
+                seq,
+                last,
+                payload,
+                ..
+            } => {
+                let key = (app, request, tree);
+                let q = self.open(key);
+                let took = q.and_then(|q| q.accept_chunk((app, tree), source, seq, last, now));
+                let Some((req, closes, gap)) = took else {
+                    // Unknown route, duplicate, re-pointed-away source,
+                    // request already closed.
+                    step.dropped = true;
+                    return step;
+                };
+                if !payload.is_empty() {
+                    req.sink.push(payload);
+                }
+                step.closed = closes.then(|| req.sink.clone());
+                if gap {
+                    step.gaps.push((key, source));
+                }
+            }
+            // The master named the sources of a subset request.
+            Message::RequestMeta {
+                app,
+                request,
+                tree,
+                sources,
+                ..
+            } => {
+                let key = (app, request, tree);
+                let owed = sources.into_iter().map(|s| ((app, tree), s));
+                if self.open(key).is_some() && self.fanin.set_requirement(&key, owed) {
+                    step.closed = self.sinks(&[key]).pop();
+                }
+            }
+            Message::Redirect {
+                app,
+                permanent,
+                request,
+                tree,
+                new_parent,
+            } => self.redirect(app, permanent, request, tree, new_parent),
+            Message::Broadcast {
+                app,
+                request,
+                tree,
+                payload,
+            } => {
+                // Replicated down the tree over the box's high-bandwidth
+                // link, which is the point of on-path distribution.
+                let copies = self.fanin.broadcast((app, tree), request, payload);
+                self.outbox.post(copies);
+            }
+            Message::Heartbeat { from, nonce } => {
+                let ack = Message::HeartbeatAck {
+                    from: self.id,
+                    nonce,
+                };
+                self.outbox.post([(from, ack)]);
+            }
+            Message::HeartbeatAck { from, nonce } => self.fanin.detector.ack(from, nonce),
+        }
+        step
+    }
+
+    /// A [`BoxCore::flush`] pass one [`FLUSH_TICK`] after the last, then
+    /// the fan-in half's timers — with the ack time-outs due excused while
+    /// the box is backlogged (its reader, which reads the acks, is held
+    /// back).
+    fn on_timer(&mut self, now: Instant) -> Self::Report {
+        if self.outbox.backlogged() {
+            self.fanin.detector.excuse(now);
+        }
+        if self.flush_due.is_some_and(|t| t <= now) {
+            self.flush_due = Some(now + FLUSH_TICK);
+            self.flush();
+        }
+        let mut fired = self.fanin.on_timer(now);
+        self.outbox.post(fired.take_sends());
+        let fired = Some(fired);
+        Step {
+            fired,
+            ..Step::default()
+        }
+    }
+
+    fn send_failed(&mut self, to: NodeId, msg: &Message) {
+        self.fanin.detector.send_failed(to, msg);
+    }
+
+    /// A flush pass while the box streams and a request is open, else what
+    /// its fan-in half is waiting for.
+    fn next_deadline(&self) -> Option<Instant> {
+        let open = || self.fanin.requests.values().any(|q| !q.closed);
+        let flush = self.flush_due.filter(|_| open());
+        flush.into_iter().chain(self.fanin.next_deadline()).min()
+    }
+
+    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
+        self.outbox.drain(into);
     }
 }

@@ -1,43 +1,38 @@
 //! The agg box runtime: the threaded I/O shell around [`BoxCore`].
 //!
 //! One `AggBox` hosts the aggregation functions of many applications. Its
-//! one reader takes frames from every connection and feeds them to the
-//! box's protocol state — one plain struct behind the single `agg.core`
-//! lock, which demultiplexes data per `(app, request, tree)` into a
-//! [`LocalAggTree`] whose combine tasks run on the box's cooperative
-//! [`TaskScheduler`]. What a transition sends waits in the core's outbox;
-//! the thread that posted it drains it unless a drain is running — a pool
-//! thread sends the final chunk it produced, and the reader, which never
-//! sends, leaves its posts and acks to the timer thread. That thread runs
-//! what the core's deadlines make due (streaming flushes, straggler
-//! bypasses, heartbeats to child boxes); probes and acks never queue
-//! behind `Data`. While the outbox or the pool's queue is over its bound,
-//! the reader holds a connection's `Data` back: backpressure, not
+//! one reader feeds every connection's frames to the core behind the
+//! single `agg.core` lock, which hands data per `(app, request, tree)` to
+//! a [`LocalAggTree`] on the box's cooperative [`TaskScheduler`]. What a
+//! transition sends goes out through the one [`Drain`]: a pool thread
+//! sends the final chunk it produced; the reader never sends, and leaves
+//! its posts and acks to the timer thread, which runs what the core's
+//! deadlines make due. While the outbox or the pool's queue is over its
+//! bound, the reader holds a connection's `Data` back: backpressure, not
 //! eviction (DESIGN.md §9).
 
-use crate::aggbox::core::{BoxCore, Emit, PartialSink, Point, ReqKey, OUTBOX_BOUND};
+use crate::aggbox::core::{BoxCore, PartialSink, Point, ReqKey, OUTBOX_BOUND};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use crate::aggbox::tree::{LocalAggTree, TraceTarget};
 use crate::conn_cache::ConnCache;
 use crate::failure::DetectorConfig;
 use crate::fanin::{Fired, Route, TraceAnchor};
 use crate::lifecycle::{
-    serve_ready, CancelToken, JoinScope, OrderedMutex, OrderedMutexGuard, Parking, Readiness,
-    TimerSlot, WakerGuard, DEFAULT_JOIN_DEADLINE,
+    self, serve_ready, CancelToken, Drain, JoinScope, OrderedMutex, OrderedMutexGuard, Outlet,
+    Parking, Readiness, TimerSlot, WakerGuard, DEFAULT_JOIN_DEADLINE,
 };
+use crate::node::{Emit, Node};
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::spans::Spans;
 use crate::straggler::StragglerPolicy;
-use crate::tree::box_addr;
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::lock_order;
 use netagg_net::{NetError, NodeId, Transport};
-use netagg_obs::trace::{self, TraceCtx};
+use netagg_obs::trace;
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Configuration of one agg box.
@@ -89,12 +84,19 @@ struct TreeSink {
     tree: Arc<LocalAggTree>,
     sched: Arc<TaskScheduler>,
     app: AppId,
+    /// Buffered bytes from which a flush pass streams a partial upstream.
+    flush_bytes: usize,
 }
 
 impl PartialSink for TreeSink {
     fn push(&mut self, payload: Bytes) {
         // LocalAggTree has its own fine-grained lock; push never blocks.
         self.tree.push(&self.sched, self.app, payload);
+    }
+
+    fn take(&mut self) -> Option<Bytes> {
+        let due = self.tree.pending_bytes() >= self.flush_bytes;
+        due.then(|| self.tree.take_partial(&self.sched, self.app))?
     }
 }
 
@@ -190,15 +192,12 @@ pub struct BoxSnapshot {
     pub apps: Vec<crate::aggbox::scheduler::AppCpu>,
 }
 
-/// What `agg.core` guards: the core, the timer's slot, the acks the reader
-/// left it, the drain (running?, buffer) and whether `Data` is held back.
-#[derive(Default)]
+/// What `agg.core` guards: the core, the timer's slot, the drain and
+/// whether `Data` is held back.
 struct Guarded {
     core: BoxCore<TreeSink>,
     timer: TimerSlot,
-    acks: Vec<Emit>,
-    draining: bool,
-    spare: VecDeque<Emit>,
+    drain: Drain,
     held: bool,
 }
 
@@ -239,23 +238,36 @@ impl AggBox {
             Some(&cfg.obs),
         ));
         let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), cfg.obs.clone());
-        let mut guarded = Guarded::default();
-        let core = &mut guarded.core;
-        (core.id, core.fanin.addr) = (box_id, cfg.addr);
-        core.fanin.straggler = cfg.straggler;
-        core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
         let ready = Readiness::readiness();
-        let inner = Arc::new(Inner {
-            scheduler: Arc::new(scheduler),
-            state: OrderedMutex::new(lock_order::AGG_CORE, guarded),
-            timer: Parking::new(),
-            ready: ready.clone(),
-            conns: ConnCache::new(transport.clone(), cfg.addr),
-            liveness: ConnCache::new(transport, cfg.addr),
-            cancel: cancel.clone(),
-            stats: BoxStats::default(),
-            obs: BoxObs::new(cfg.obs.clone(), box_id),
-            cfg,
+        let inner = Arc::new_cyclic(|weak: &Weak<Inner>| {
+            let weak = weak.clone();
+            let mut core = BoxCore::new(Box::new(move |key, agg| {
+                Some(new_request(&weak.upgrade()?, key, agg))
+            }));
+            (core.id, core.fanin.addr) = (box_id, cfg.addr);
+            core.fanin.straggler = cfg.straggler;
+            core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
+            let (timer, drain, held) = (TimerSlot::default(), Drain::default(), false);
+            Inner {
+                scheduler: Arc::new(scheduler),
+                state: OrderedMutex::new(
+                    lock_order::AGG_CORE,
+                    Guarded {
+                        core,
+                        timer,
+                        drain,
+                        held,
+                    },
+                ),
+                timer: Parking::new(),
+                ready: ready.clone(),
+                conns: ConnCache::new(transport.clone(), cfg.addr),
+                liveness: ConnCache::new(transport, cfg.addr),
+                cancel: cancel.clone(),
+                stats: BoxStats::default(),
+                obs: BoxObs::new(cfg.obs.clone(), box_id),
+                cfg,
+            }
         });
         // Under the core lock, so a thread between its cancel check and
         // its park cannot miss it. Weak: a strong ref would be a cycle.
@@ -395,111 +407,35 @@ impl Inner {
     /// Wake the timer thread for an earlier deadline, or for what it must
     /// send: an ack, or output no drain takes.
     fn rearm(&self, s: &mut Guarded) {
-        s.timer.rearm(&self.timer, s.core.next_tick());
-        if !s.acks.is_empty() || (s.core.has_output() && !s.draining) {
+        s.timer.rearm(&self.timer, s.core.next_deadline());
+        let undrained = !s.core.outbox.is_empty() && !s.drain.running();
+        if s.core.outbox.has_live() || undrained {
             self.timer.wake_all(&mut s.timer.parked);
         }
     }
 
-    /// Send the outbox until it is empty, unless a drain already runs (and
-    /// sends this post too): `Data` leaves in numbering order. Taking the
-    /// outbox lets a held-back reader go on.
-    fn drain<'a>(&'a self, mut s: OrderedMutexGuard<'a, Guarded>) {
-        if s.draining {
-            return;
-        }
-        s.draining = true;
-        let mut out = std::mem::take(&mut s.spare);
-        loop {
-            s.core.drain_outbox(&mut out);
-            if out.is_empty() {
-                break;
-            }
-            if std::mem::take(&mut s.held) {
+    /// Send the outbox under the drain rule. Taking it lets a held-back
+    /// reader go on.
+    fn drain<'a>(&'a self, s: OrderedMutexGuard<'a, Guarded>) {
+        let take = |s: &mut Guarded, out: &mut _| {
+            s.core.drain_outbox(out);
+            if !out.is_empty() && std::mem::take(&mut s.held) {
                 self.ready.wake();
             }
-            drop(s);
-            self.send(out.drain(..));
-            s = self.state.lock();
-        }
-        (s.draining, s.spare) = (false, out);
-    }
-
-    /// The box's one path to the wire, taken with `agg.core` released:
-    /// probes and acks on connections of their own, the rest on the
-    /// outbox's. A failed liveness send is a core input (a probe counts as
-    /// missed at once); any other is counted.
-    fn send(&self, out: impl IntoIterator<Item = Emit>) {
-        let (o, registry) = (&self.obs, &self.obs.registry);
-        for Emit { to, mut msg, trace } in out {
-            let forward = self.stamp(&mut msg, trace);
-            let live = msg.is_liveness();
-            let conns = if live { &self.liveness } else { &self.conns };
-            let sent = conns.send_to(to, msg.encode());
-            if let Some((ctx, parent, request, sent_ns)) = forward {
-                let name = names::spans::BOX_FORWARD;
-                o.spans.sent(name, ctx, parent, request, sent_ns);
-            }
-            match (sent, &msg) {
-                (Ok(()), Message::Redirect { permanent, .. }) if *permanent => {
-                    registry.counter(names::FAILURE_REPOINTS).inc();
-                }
-                (Ok(()), _) => {}
-                (Err(_), _) if live => {
-                    self.transition(|core| core.fanin.detector.send_failed(to, &msg));
-                }
-                (Err(_), _) => {
-                    self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
-                    registry.counter(names::AGGBOX_SEND_ERRORS).inc();
-                }
-            }
-        }
-    }
-
-    /// Stamp a sampled `Data` with its hop's trace context as it leaves:
-    /// this box's output under a fresh forward span (the final chunk closes
-    /// the box's request span), a resend at the trace root (deterministic
-    /// trace id: its original hop is gone). Returns the forward span to
-    /// close once the send returns.
-    fn stamp(
-        &self,
-        msg: &mut Message,
-        trace: Option<TraceAnchor>,
-    ) -> Option<(TraceCtx, u64, RequestId, u64)> {
-        let (o, last) = (&self.obs, matches!(msg, Message::Data { last: true, .. }));
-        let (app, request, ctx, sent_ns) = msg.trace_mut()?;
-        let Some(t) = trace else {
-            *ctx = o.spans.root_ctx(app, request);
-            *sent_ns = if ctx.is_active() { trace::now_ns() } else { 0 };
-            return None;
         };
-        // The chunk's wire span parents to this box's forward span.
-        (*ctx, *sent_ns) = o.spans.outbound(Some(t.trace_id));
-        if last {
-            o.request_span(request, t);
-        }
-        Some((*ctx, t.span_id, request, *sent_ns))
+        Drain::run(&self.state, s, |s| &mut s.drain, take, self);
     }
 
-    /// Audit one timer firing: every child box declared dead, every
-    /// re-point (marked inside each moved request's trace, so the stitched
-    /// tree shows where obligations moved) and every straggler bypass.
+    /// Audit one timer firing: the detector's verdicts and re-points
+    /// (marked inside each moved request's trace, so the stitched tree
+    /// shows where obligations moved), and every straggler bypass.
     fn report(&self, fired: &Fired<Point, ReqKey>) {
         let (o, id) = (&self.obs, self.cfg.box_id);
         let count = |name| o.registry.counter(name);
-        for b in &fired.dead {
-            count(names::FAILURE_DETECTIONS).inc();
-            let (here, addr) = (self.cfg.addr, box_addr(*b));
-            let detail = format!("detector at {here} declared box {b} (addr {addr}) failed");
-            o.registry.emit(names::EVENT_FAILURE, detail);
-        }
-        let escalated = fired.scan.iter().flat_map(|s| &s.escalated);
-        let names = (names::spans::BOX_REPOINT, names::AGGBOX_REPOINTS);
-        for (point, failed_box, repoint) in fired.failed.iter().chain(escalated) {
-            let who = format!("box {id}");
-            o.spans
-                .repointed(&o.registry, names, &who, *point, *failed_box, repoint);
-        }
+        let marks = (names::spans::BOX_REPOINT, names::AGGBOX_REPOINTS);
+        // A box's points name their application.
+        let who = (&*format!("box {id}"), self.cfg.addr, AppId(0));
+        o.spans.fired(&o.registry, marks, who, fired);
         // A request had data from some sources but a child box contributed
         // nothing within the threshold: its children were told to send this
         // request's data here — for good once the box straggled too often
@@ -523,6 +459,57 @@ impl Inner {
     }
 }
 
+/// The box's hook on the one drain: probes and acks on connections of
+/// their own, the rest on the outbox's.
+impl Outlet for Inner {
+    /// Stamp a sampled `Data` with its hop's trace context as it leaves:
+    /// this box's output under a fresh forward span (the final chunk closes
+    /// the box's request span), a resend at the trace root (deterministic
+    /// trace id: its original hop is gone).
+    fn stamp(&self, e: &mut Emit) -> &ConnCache {
+        let (o, last) = (&self.obs, matches!(e.msg, Message::Data { last: true, .. }));
+        if let Some((app, request, ctx, sent_ns)) = e.msg.trace_mut() {
+            if let Some(t) = e.trace {
+                // The chunk's wire span parents to this box's forward span.
+                (*ctx, *sent_ns) = o.spans.outbound(Some(t.trace_id));
+                if last {
+                    o.request_span(request, t);
+                }
+            } else {
+                *ctx = o.spans.root_ctx(app, request);
+                *sent_ns = if ctx.is_active() { trace::now_ns() } else { 0 };
+            }
+        }
+        match e.msg.is_liveness() {
+            true => &self.liveness,
+            false => &self.conns,
+        }
+    }
+
+    /// Close the forward span; a failed liveness send is a core input (a
+    /// probe counts as missed at once), any other is counted.
+    fn sent(&self, e: &mut Emit, ok: bool) {
+        let (o, registry) = (&self.obs, &self.obs.registry);
+        if let (Some(t), Some((_, request, ctx, sent_ns))) = (e.trace, e.msg.trace_mut()) {
+            let name = names::spans::BOX_FORWARD;
+            o.spans.sent(name, *ctx, t.span_id, request, *sent_ns);
+        }
+        match (ok, &e.msg) {
+            (true, Message::Redirect { permanent, .. }) if *permanent => {
+                registry.counter(names::FAILURE_REPOINTS).inc();
+            }
+            (true, _) => {}
+            (false, msg) if msg.is_liveness() => {
+                self.transition(|core| core.send_failed(e.to, msg));
+            }
+            (false, _) => {
+                self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
+                registry.counter(names::AGGBOX_SEND_ERRORS).inc();
+            }
+        }
+    }
+}
+
 impl Drop for AggBox {
     fn drop(&mut self) {
         self.shutdown();
@@ -535,99 +522,37 @@ fn on_frame(inner: &Arc<Inner>, frame: Bytes) -> Option<Bytes> {
     let Ok(msg) = Message::decode(frame.clone()) else {
         return None; // corrupt frame: drop
     };
-    match msg {
-        Message::Data {
-            app,
-            request,
-            tree,
-            source,
-            seq,
-            last,
-            ctx,
-            sent_ns,
-            payload,
-        } => {
-            let (o, key) = (&inner.obs, (app, request, tree));
-            let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
-            let now = Instant::now();
-            let mut s = inner.state.lock();
-            // Backpressure: box-to-box `Data` flows upward only and both
-            // queues drain without the reader, so the holds are acyclic.
-            if s.core.backlogged() || inner.scheduler.over(OUTBOX_BOUND, &inner.ready) {
-                s.held = true;
-                return Some(frame);
-            }
-            let bytes = payload.len() as u64;
-            inner.stats.messages_in.fetch_add(1, Ordering::Relaxed);
-            inner.stats.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-            o.messages_in.inc();
-            o.bytes_in.add(bytes);
-            // Stitch the hop; the ingest work below hangs off its wire span.
-            let hop = o.spans.wire(ctx, request, sent_ns);
-            let core = &mut s.core;
-            let accepted = core.accept_data(key, source, seq, last, payload, now, new);
-            let gaps = std::mem::take(&mut core.fanin.gaps);
-            inner.rearm(&mut s);
-            drop(s);
-            o.spans.gapped(&o.registry, gaps);
-            let Some(close) = accepted else {
-                // Unknown route, replayed sequence number, re-pointed-away source
-                // or already-closed request: the core dropped it.
-                let stat = &inner.stats.duplicates_dropped;
-                stat.fetch_add(1, Ordering::Relaxed);
-                o.duplicates_dropped.inc();
-                return None;
-            };
-            close.iter().for_each(TreeSink::end_input);
-            o.spans.ingest(names::spans::BOX_RECV, ctx, hop, request);
+    let (o, now) = (&inner.obs, Instant::now());
+    let mut s = inner.state.lock();
+    if let Message::Data { payload, .. } = &msg {
+        // Backpressure: box-to-box `Data` flows upward only and both
+        // queues drain without the reader, so the holds are acyclic.
+        if s.core.outbox.backlogged() || inner.scheduler.over(OUTBOX_BOUND, &inner.ready) {
+            s.held = true;
+            return Some(frame);
         }
-        Message::RequestMeta {
-            app,
-            request,
-            tree,
-            // The master's root-span ctx rides along for completeness;
-            // box-side spans parent to the trace id directly because
-            // meta may arrive after the first data chunk (DESIGN.md §11).
-            ctx: _,
-            sources,
-        } => {
-            let key = (app, request, tree);
-            let new = |agg: &Arc<dyn DynAggregator>| new_request(inner, key, agg);
-            let close = inner.transition(|core| core.request_meta(key, sources, new));
-            close.iter().for_each(TreeSink::end_input);
-        }
-        Message::Redirect {
-            app,
-            permanent,
-            request,
-            tree,
-            new_parent,
-        } => {
-            let redirect =
-                |core: &mut BoxCore<_>| core.redirect(app, permanent, request, tree, new_parent);
-            inner.transition(redirect);
-        }
-        Message::Broadcast {
-            app,
-            request,
-            tree,
-            payload,
-        } => {
-            // Replicate down the tree over the box's high-bandwidth
-            // link, which is the point of on-path distribution.
-            let point = (app, tree);
-            inner.transition(|core| core.post(core.fanin.broadcast(point, request, payload)));
-        }
-        Message::Heartbeat { from, nonce } => {
-            let mut s = inner.state.lock();
-            let ack = s.core.heartbeat(from, nonce).into();
-            s.acks.push(ack);
-            inner.rearm(&mut s);
-        }
-        Message::HeartbeatAck { from, nonce } => {
-            inner.state.lock().core.fanin.detector.ack(from, nonce);
-        }
+        let bytes = payload.len() as u64;
+        inner.stats.messages_in.fetch_add(1, Ordering::Relaxed);
+        inner.stats.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+        o.messages_in.inc();
+        o.bytes_in.add(bytes);
     }
+    // Stitch the hop; the ingest work below hangs off its wire span.
+    let hop = o.spans.wire(&msg);
+    let step = s.core.on_message(msg, now);
+    inner.rearm(&mut s);
+    drop(s);
+    o.spans.gapped(&o.registry, &step.gaps);
+    if step.dropped {
+        // Unknown route, replayed sequence number, re-pointed-away source
+        // or already-closed request: the core dropped it.
+        let stat = &inner.stats.duplicates_dropped;
+        stat.fetch_add(1, Ordering::Relaxed);
+        o.duplicates_dropped.inc();
+        return None;
+    }
+    step.closed.iter().for_each(TreeSink::end_input);
+    o.spans.ingest(names::spans::BOX_RECV, hop);
     None
 }
 
@@ -670,6 +595,7 @@ fn new_request(
         tree,
         sched: inner.scheduler.clone(),
         app,
+        flush_bytes: inner.cfg.flush_bytes.unwrap_or(usize::MAX),
     };
     (sink, anchor)
 }
@@ -714,15 +640,14 @@ fn completed(inner: &Arc<Inner>, key: ReqKey, result: Result<Bytes, AggError>, p
     }
 }
 
-/// The box's one timer thread: run what the core says is due, send its
-/// probes and the reader's acks, drain what no other thread drains, and
-/// sleep until the next deadline or wake-up; an idle box never wakes it.
-/// Due work is streaming partials upstream once a request buffers
+/// The box's one timer thread: run what the core says is due, send the
+/// probes and acks at once, drain what no other thread drains, and sleep
+/// until the next deadline or wake-up; an idle box never wakes it. Due
+/// work is streaming partials upstream once a request buffers
 /// `flush_bytes` (Section 3.2.1: "little data is buffered"), bypassing
 /// straggling child boxes, and heartbeating child boxes and failing the
 /// silent ones (Section 3.1).
 fn timer_loop(inner: &Arc<Inner>) {
-    let flush_bytes = inner.cfg.flush_bytes.unwrap_or(usize::MAX);
     let mut s = inner.state.lock();
     while !inner.cancel.is_cancelled() {
         let now = Instant::now();
@@ -730,24 +655,21 @@ fn timer_loop(inner: &Arc<Inner>) {
             // A child's ack may wait behind the `Data` held back.
             s.core.fanin.detector.excuse(now);
         }
-        let mut fired = s.core.on_timer(now, |sink| {
-            let due = sink.tree.pending_bytes() >= flush_bytes;
-            due.then(|| sink.tree.take_partial(&sink.sched, sink.app))?
-        });
-        let mut liveness = s.core.post(fired.take_sends());
-        liveness.append(&mut s.acks);
-        let output = s.core.has_output() && !s.draining;
-        if liveness.is_empty() && fired.is_empty() && !output {
-            let next = s.core.next_tick();
+        let fired = s.core.on_timer(now).fired.filter(|f| !f.is_empty());
+        let live = s.core.outbox.take_live();
+        let output = !s.core.outbox.is_empty() && !s.drain.running();
+        if live.is_empty() && fired.is_none() && !output {
+            let next = s.core.next_deadline();
             TimerSlot::park(&inner.timer, &mut s, |s| &mut s.timer, next);
             continue;
         }
         // A bypass or a failure may have completed requests (the owed set
         // changed).
-        let close = s.core.sinks(&fired.closed());
+        let closed = fired.as_ref().map(Fired::closed).unwrap_or_default();
+        let close = s.core.sinks(&closed);
         drop(s);
-        inner.send(liveness);
-        inner.report(&fired);
+        lifecycle::send(live, &**inner);
+        fired.iter().for_each(|f| inner.report(f));
         close.iter().for_each(TreeSink::end_input);
         inner.drain(inner.state.lock());
         s = inner.state.lock();

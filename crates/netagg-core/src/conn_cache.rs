@@ -6,7 +6,7 @@
 //! connection: a peer that restarted is reached on the second attempt, a
 //! peer that is down fails the send without further retries.
 
-use crate::lifecycle::{OrderedMutex, OrderedMutexGuard};
+use crate::lifecycle::OrderedMutex;
 use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::{lock_order, Connection, NetError, NodeId, Transport};
@@ -20,13 +20,6 @@ pub struct ConnCache {
     conns: OrderedMutex<Map<NodeId, Box<dyn Connection>>>,
 }
 
-/// A [`ConnCache`] held by one sender: its sends leave in the order it
-/// makes them, with no other sender's in between.
-pub struct Held<'a>(
-    &'a ConnCache,
-    OrderedMutexGuard<'a, Map<NodeId, Box<dyn Connection>>>,
-);
-
 impl ConnCache {
     /// An empty cache dialling from `from` over `transport`.
     pub fn new(transport: Arc<dyn Transport>, from: NodeId) -> Self {
@@ -37,31 +30,19 @@ impl ConnCache {
         }
     }
 
-    /// Take the cache for a run of sends (`conn.cache` is blocking-tolerant
-    /// and ranks before `worker.core`, §15).
-    pub fn hold(&self) -> Held<'_> {
-        Held(self, self.conns.lock())
-    }
-
-    /// Send `frame` to `dest`, holding the cache for that one send.
-    pub fn send_to(&self, dest: NodeId, frame: Bytes) -> Result<(), NetError> {
-        self.hold().send_to(dest, frame)
-    }
-}
-
-impl Held<'_> {
     /// Send `frame` to `dest` over the cached connection. The cache lock
-    /// is held throughout: racing dials end in one connection per
-    /// destination, the first send precedes any redial that would replace
-    /// it, and concurrent senders to one destination stay ordered.
-    pub fn send_to(&mut self, dest: NodeId, frame: Bytes) -> Result<(), NetError> {
-        let (Held(cache, conns), mut dialled) = (self, false);
+    /// (`conn.cache`, blocking-tolerant, §15) is held throughout: racing
+    /// dials end in one connection per destination, the first send
+    /// precedes any redial that would replace it, and concurrent senders to
+    /// one destination stay ordered.
+    pub fn send_to(&self, dest: NodeId, frame: Bytes) -> Result<(), NetError> {
+        let (mut conns, mut dialled) = (self.conns.lock(), false);
         loop {
             let conn = match conns.entry(dest) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(v) => {
                     dialled = true;
-                    v.insert(cache.transport.connect(cache.from, dest)?)
+                    v.insert(self.transport.connect(self.from, dest)?)
                 }
             };
             match conn.send(frame.clone()) {

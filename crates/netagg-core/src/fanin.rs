@@ -120,8 +120,7 @@ impl<P: Copy + Eq + Hash, X> Request<P, X> {
     /// replayed sequence number, re-pointed-away source). Otherwise the
     /// shell state to hand the payload to — inside the same critical
     /// section — whether this chunk completed the request, and whether it
-    /// came past a sequence gap (accepted; the owner records it in
-    /// [`FanInCore::gaps`]).
+    /// came past a sequence gap (accepted; the shell reports it).
     pub fn accept_chunk(
         &mut self,
         point: P,
@@ -247,8 +246,6 @@ pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
     pub addr: NodeId,
     /// The application of a point that names none (see [`Point`]).
     pub app: AppId,
-    /// Chunks accepted past a sequence gap, for the shell to report.
-    pub gaps: Vec<(R, SourceId)>,
 }
 
 impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X> {
@@ -261,7 +258,6 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X>
             detector: DetectorCore::default(),
             addr: 0,
             app: AppId(0),
-            gaps: Vec::new(),
         }
     }
 }

@@ -79,6 +79,7 @@ pub mod fanin;
 pub mod laws;
 pub mod ledger;
 pub mod lifecycle;
+pub mod node;
 pub mod protocol;
 pub mod runtime;
 pub mod shim;

@@ -1,8 +1,10 @@
 //! The unified lifecycle & backpressure runtime every threaded layer of
 //! the platform is built on: cancellation tokens whose `cancel()` wakes
 //! blocked receivers immediately, deadline-joining named-thread scopes,
-//! bounded mailboxes with explicit overflow policies, and [`serve_ready`],
-//! the listener loop of every node: one reader for all its connections.
+//! bounded mailboxes with explicit overflow policies, [`serve_ready`], the
+//! listener loop of every node (one reader for all its connections), and
+//! the two things every node shell keeps beside its core: the timer's
+//! [`TimerSlot`] and the [`Drain`] that is its one way to the wire.
 //!
 //! The implementation lives in [`netagg_net::lifecycle`] (the transport
 //! layer participates too — `recv_cancellable`/`accept_cancellable` need
@@ -10,6 +12,10 @@
 //! namespace. See DESIGN.md §9 for the thread inventory and the
 //! cancellation invariants.
 
+use crate::conn_cache::ConnCache;
+use crate::node::Emit;
+use crate::protocol::Message;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 pub use netagg_net::lifecycle::{
@@ -54,5 +60,79 @@ impl TimerSlot {
         let deadline = left.map_or(Deadline::NEVER, Deadline::after);
         cv.wait(guard.inner(), |state| &mut slot(state).parked, deadline);
         slot(guard).wakeups += 1;
+    }
+}
+
+/// What a shell adds to a message on its way to the wire, around the one
+/// send in [`send`].
+pub trait Outlet {
+    /// Stamp `e` as it leaves (its hop's trace context) and name the
+    /// connections it leaves on.
+    fn stamp(&self, e: &mut Emit) -> &ConnCache;
+    /// `e` left, or (`ok == false`) could not be sent: close its spans,
+    /// count it, feed a failure back to the core.
+    fn sent(&self, e: &mut Emit, ok: bool);
+}
+
+/// Send `out` in order, with no lock held: the platform's one path to the
+/// wire. Returns the messages that could not be sent.
+pub fn send(out: impl IntoIterator<Item = Emit>, outlet: &impl Outlet) -> Vec<Message> {
+    let mut failed = Vec::new();
+    for mut e in out {
+        let ok = outlet.stamp(&mut e).send_to(e.to, e.msg.encode()).is_ok();
+        outlet.sent(&mut e, ok);
+        if !ok {
+            failed.push(e.msg);
+        }
+    }
+    failed
+}
+
+/// The one drain rule of every node shell (DESIGN.md §9), kept beside its
+/// core under the core's lock: whoever posts to the core's outbox sends
+/// it, unless a drain is already running — which then sends that post too.
+/// So one thread at a time sends, and messages leave in the order the core
+/// queued them.
+#[derive(Debug, Default)]
+pub struct Drain {
+    running: bool,
+    /// The last drain's buffer, kept for its capacity.
+    spare: VecDeque<Emit>,
+}
+
+impl Drain {
+    /// Whether a drain is running.
+    pub fn running(&self) -> bool {
+        self.running
+    }
+
+    /// Until nothing is left, move what `take` finds queued out of the
+    /// guarded state and [`send`] it with `guard` released; `slot` finds
+    /// the `Drain` in that state. A no-op while a drain is running. Returns
+    /// the messages this drain could not send.
+    pub fn run<'a, T>(
+        lock: &'a OrderedMutex<T>,
+        mut guard: OrderedMutexGuard<'a, T>,
+        slot: impl Fn(&mut T) -> &mut Drain,
+        mut take: impl FnMut(&mut T, &mut VecDeque<Emit>),
+        outlet: &impl Outlet,
+    ) -> Vec<Message> {
+        let (drain, mut failed) = (slot(&mut guard), Vec::new());
+        if std::mem::replace(&mut drain.running, true) {
+            return failed;
+        }
+        let mut out = std::mem::take(&mut drain.spare);
+        loop {
+            take(&mut guard, &mut out);
+            if out.is_empty() {
+                break;
+            }
+            drop(guard);
+            failed.append(&mut send(out.drain(..), outlet));
+            guard = lock.lock();
+        }
+        let drain = slot(&mut guard);
+        (drain.running, drain.spare) = (false, out);
+        failed
     }
 }

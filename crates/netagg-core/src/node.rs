@@ -1,0 +1,139 @@
+//! The one interface of a node's protocol core (DESIGN.md §8):
+//! [`crate::aggbox::core::BoxCore`], [`crate::shim::master_core::MasterCore`]
+//! and [`crate::shim::worker_core::WorkerCore`] each take a decoded
+//! message, a timer firing or a failed send as an input, say when they next
+//! have something to do, and queue what they send in one ordered
+//! [`Outbox`]. A shell runs a transition under the core's lock, sends what
+//! the outbox holds through [`crate::lifecycle::Drain`] and acts on the
+//! transition's [`Node::Report`] once the lock is released.
+
+use crate::fanin::{Fired, TraceAnchor};
+use crate::protocol::{Message, SourceId};
+use netagg_net::NodeId;
+use std::collections::VecDeque;
+use std::time::Instant;
+
+/// Outbox length past which the box's shell holds back incoming `Data`
+/// (backpressure, DESIGN.md §9) and ack time-outs are no misses.
+pub const OUTBOX_BOUND: usize = 4096;
+
+/// A pure protocol core, driven by its inputs alone. A node without
+/// timers keeps the defaults.
+pub trait Node {
+    /// What a transition leaves the shell to act on after unlocking.
+    type Report: Default;
+    /// One decoded message arrived. Liveness messages name their sender;
+    /// nothing else needs one.
+    fn on_message(&mut self, msg: Message, now: Instant) -> Self::Report;
+    /// Move everything queued, in send order, to the back of `into`.
+    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>);
+    /// Run what is due at `now`; a firing before the deadline changes
+    /// nothing.
+    fn on_timer(&mut self, _now: Instant) -> Self::Report {
+        Self::Report::default()
+    }
+    /// `msg`, taken from the outbox, could not be sent to `to`.
+    fn send_failed(&mut self, _to: NodeId, _msg: &Message) {}
+    /// When the node next has something to do unprompted; `None` while
+    /// idle. What it queued is the shell's to drain, not a deadline.
+    fn next_deadline(&self) -> Option<Instant> {
+        None
+    }
+}
+
+/// What a fan-in core's transition leaves its shell to act on.
+#[derive(Debug)]
+pub struct Step<P, R, X> {
+    /// The message was dropped: an unknown route or application, a
+    /// replayed sequence number, a re-pointed-away source, a closed request.
+    pub dropped: bool,
+    /// Chunks accepted past a sequence gap (DESIGN.md §8).
+    pub gaps: Vec<(R, SourceId)>,
+    /// The request a message completed: its sink to end the input on at
+    /// a box, its id to hand to the waiter at the master.
+    pub closed: Option<X>,
+    /// A timer firing, for the shell to audit; [`Fired::closed`] names the
+    /// requests it completed.
+    pub fired: Option<Fired<P, R>>,
+}
+
+impl<P, R, X> Default for Step<P, R, X> {
+    fn default() -> Self {
+        let (dropped, gaps, closed, fired) = (false, Vec::new(), None, None);
+        Self {
+            dropped,
+            gaps,
+            closed,
+            fired,
+        }
+    }
+}
+
+/// One message a transition produced, queued for the shell to send.
+#[derive(Debug, Clone)]
+pub struct Emit {
+    /// Where it goes.
+    pub to: NodeId,
+    /// `Data` is numbered, `last` on a final chunk, with no trace context
+    /// yet: the shell stamps it as it leaves.
+    pub msg: Message,
+    /// The request's trace anchor, on the node's own output (a resend has
+    /// none).
+    pub trace: Option<TraceAnchor>,
+}
+
+impl From<(NodeId, Message)> for Emit {
+    fn from((to, msg): (NodeId, Message)) -> Self {
+        let trace = None;
+        Self { to, msg, trace }
+    }
+}
+
+/// What a node sends, in order: one FIFO queue, so `Data` leaves in the
+/// order its core numbered it whoever sends it, and its liveness messages
+/// beside the queue — a backlog must not read as a dead node.
+#[derive(Debug, Default)]
+pub struct Outbox {
+    queue: VecDeque<Emit>,
+    live: Vec<Emit>,
+}
+
+impl Outbox {
+    /// Queue messages behind everything queued before them; `Heartbeat`s
+    /// and `HeartbeatAck`s go beside the queue.
+    pub fn post<E: Into<Emit>>(&mut self, sends: impl IntoIterator<Item = E>) {
+        for e in sends.into_iter().map(Into::into) {
+            match e.msg.is_liveness() {
+                true => self.live.push(e),
+                false => self.queue.push_back(e),
+            }
+        }
+    }
+
+    /// Move everything to the back of `into`: liveness first, then the
+    /// queue, oldest first.
+    pub fn drain(&mut self, into: &mut VecDeque<Emit>) {
+        into.extend(self.live.drain(..));
+        into.append(&mut self.queue);
+    }
+
+    /// Take the liveness messages alone, to send at once.
+    pub fn take_live(&mut self) -> Vec<Emit> {
+        std::mem::take(&mut self.live)
+    }
+
+    /// Whether a liveness message waits.
+    pub fn has_live(&self) -> bool {
+        !self.live.is_empty()
+    }
+
+    /// Whether nothing waits.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty() && self.live.is_empty()
+    }
+
+    /// Whether the queue is over [`OUTBOX_BOUND`].
+    pub fn backlogged(&self) -> bool {
+        self.queue.len() > OUTBOX_BOUND
+    }
+}

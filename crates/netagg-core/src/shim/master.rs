@@ -5,21 +5,24 @@
 //! boxes are deployed), performs the final cross-tree merge and emulates
 //! empty per-worker results. It is also the parent of the root boxes, so
 //! its one timer thread runs the same straggler bypass and failure
-//! detection the boxes do, off the same core deadlines.
+//! detection the boxes do, off the same core deadlines. A thread whose
+//! transition queued something to send then drains the core's outbox
+//! ([`Drain`]).
 
 use crate::conn_cache::ConnCache;
 use crate::failure::DetectorConfig;
-use crate::fanin::{Repoint, StragglerScan, TraceAnchor};
+use crate::fanin::{Fired, TraceAnchor};
 use crate::lifecycle::{
-    serve_ready, CancelToken, Deadline, JoinScope, OrderedMutex, Parked, Parking, Readiness,
-    TimerSlot, WakerGuard, DEFAULT_JOIN_DEADLINE,
+    serve_ready, CancelToken, Deadline, Drain, JoinScope, OrderedMutex, OrderedMutexGuard, Outlet,
+    Parked, Parking, Readiness, TimerSlot, WakerGuard, DEFAULT_JOIN_DEADLINE,
 };
+use crate::node::{Emit, Node};
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::shim::master_core::{MasterCore, Taken};
 use crate::shim::TreeSelection;
 use crate::spans::Spans;
 use crate::straggler::StragglerPolicy;
-use crate::tree::{box_addr, master_addr, TreeSpec};
+use crate::tree::{master_addr, TreeSpec};
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::lock_order;
@@ -131,19 +134,6 @@ impl MasterObs {
         self.sources_outstanding.set(outstanding as f64);
     }
 
-    /// The trace anchor of a new request, if it is sampled: the root
-    /// span's id is the trace id itself (DESIGN.md §11).
-    fn anchor(&self, app: AppId, request: RequestId) -> Option<TraceAnchor> {
-        self.spans.tracer.sampled(request.0).then(|| {
-            let trace_id = trace::trace_id(app.0, request.0);
-            TraceAnchor {
-                trace_id,
-                span_id: trace_id,
-                start_ns: trace::now_ns(),
-            }
-        })
-    }
-
     /// Record a request's root span, start → now. Its span id is the
     /// trace id itself, so every hop recorded anywhere hangs below it.
     fn root_span(&self, request: RequestId, t: TraceAnchor) {
@@ -153,12 +143,13 @@ impl MasterObs {
     }
 }
 
-/// What `master.core` guards: the protocol state, who is parked on `cv`
-/// and the timer thread's slot.
+/// What `master.core` guards: the protocol state, who is parked on `cv`,
+/// the timer thread's slot and the drain.
 struct Guarded {
     core: MasterCore,
     waiters: Parked,
     timer: TimerSlot,
+    drain: Drain,
 }
 
 struct Inner {
@@ -211,7 +202,10 @@ impl MasterShim {
             DEFAULT_JOIN_DEADLINE,
             Some(&cfg.obs),
         ));
+        let obs = MasterObs::new(cfg.obs.clone(), app);
         let mut core = MasterCore::new(app, specs, cfg.selection);
+        let spans = Spans::new(&cfg.obs, format!("master-{}", app.0));
+        core.anchor = Box::new(move |request| spans.anchor(app, request, trace::now_ns));
         // Hierarchical thresholds: the master waits longer than the boxes
         // so box-level bypass (closer to the data) resolves stragglers
         // first. The root never escalates: declaring a root box dead for
@@ -224,13 +218,14 @@ impl MasterShim {
             core,
             waiters: Parked::default(),
             timer: TimerSlot::default(),
+            drain: Drain::default(),
         };
         let inner = Arc::new(Inner {
             app,
             addr,
             empty: agg.empty_serialized(),
             agg,
-            obs: MasterObs::new(cfg.obs.clone(), app),
+            obs,
             cfg,
             state: OrderedMutex::new(lock_order::MASTER_CORE, guarded),
             cv: Parking::new(),
@@ -292,19 +287,12 @@ impl MasterShim {
         let inner = &self.inner;
         inner.obs.requests_registered.inc();
         let (now, ttl) = (Instant::now(), inner.cfg.pending_ttl);
-        let anchor = || inner.obs.anchor(inner.app, request);
         let mut s = inner.state.lock();
-        let (subset, metas) = workers.map(|w| s.core.subset(request, w)).unzip();
-        if s.core
-            .register(request, expected_workers, subset, now, ttl, anchor)
-        {
-            inner.obs.requests_completed.inc();
-            inner.cv.wake_all(&mut s.waiters);
-        }
-        inner.obs.update_ledger_gauges(&s.core);
+        let subset = workers.map(|w| s.core.subset(request, w));
+        let done = s.core.register(request, expected_workers, subset, now, ttl);
+        inner.settle(&mut s, done.then_some(request).as_slice());
         inner.rearm(&mut s);
-        drop(s);
-        inner.send(metas.into_iter().flatten());
+        inner.drain(s);
         PendingRequest {
             inner: inner.clone(),
             request,
@@ -325,15 +313,17 @@ impl MasterShim {
     /// the master sends one copy per direct child — root box or direct
     /// worker, a failed root box's children in its place — and boxes
     /// replicate to theirs over their high-bandwidth links. Every copy is
-    /// attempted; `Err` says how many could not be sent.
+    /// attempted; `Err` says how many this call could not send. A drain
+    /// already running on another thread sends the copies instead: the
+    /// call then returns `Ok` without learning whether they left.
     pub fn broadcast(&self, request: u64, payload: Bytes) -> Result<(), AggError> {
-        let copies = self
-            .inner
-            .state
-            .lock()
-            .core
-            .broadcast(RequestId(request), payload);
-        match self.inner.send(copies) {
+        let (inner, request) = (&self.inner, RequestId(request));
+        let mut s = inner.state.lock();
+        s.core.broadcast(request, payload);
+        let failed = inner.drain(s).into_iter();
+        let copies =
+            |m: &Message| matches!(m, Message::Broadcast { request: r, .. } if *r == request);
+        match failed.filter(copies).count() {
             0 => Ok(()),
             n => Err(AggError::Net(format!("{n} broadcast copies not sent"))),
         }
@@ -354,16 +344,23 @@ impl MasterShim {
     /// under repeated declarations, straggler redirects racing the
     /// detector, and replayed duplicates.
     pub fn on_child_box_failed(&self, tree: TreeId, failed_box: u32) {
-        let repoint = {
-            let mut s = self.inner.state.lock();
-            let Some(r) = s.core.fanin.child_box_failed(tree, failed_box) else {
-                return;
-            };
-            self.inner.settle(&mut s, &r.closed);
-            r
+        let inner = &self.inner;
+        let mut s = inner.state.lock();
+        let Some(mut r) = s.core.fanin.child_box_failed(tree, failed_box) else {
+            return;
         };
-        self.inner.report_repoint(tree, failed_box, &repoint);
-        self.inner.send(repoint.sends);
+        s.core.outbox.post(std::mem::take(&mut r.sends));
+        inner.settle(&mut s, &r.closed);
+        drop(s);
+        let (scan, probes, dead) = (None, Vec::new(), Vec::new());
+        let failed = vec![(tree, failed_box, r)];
+        inner.audit(&Fired {
+            scan,
+            probes,
+            dead,
+            failed,
+        });
+        inner.drain(inner.state.lock());
     }
 
     /// The master shim's transport address.
@@ -394,69 +391,67 @@ impl Inner {
     /// A transition may have produced a deadline earlier than the one the
     /// timer thread sleeps toward (a request registered, detector enabled).
     fn rearm(&self, s: &mut Guarded) {
-        s.timer.rearm(&self.timer, s.core.fanin.next_deadline());
+        s.timer.rearm(&self.timer, s.core.next_deadline());
     }
 
-    /// After a re-point or a bypass, still under the lock: refresh the
-    /// ledger gauges and hand the requests it completed to their waiters.
+    /// Send the outbox under the drain rule; returns what this drain could
+    /// not send.
+    fn drain<'a>(&'a self, s: OrderedMutexGuard<'a, Guarded>) -> Vec<Message> {
+        let take = |s: &mut Guarded, out: &mut _| s.core.drain_outbox(out);
+        Drain::run(&self.state, s, |s| &mut s.drain, take, self)
+    }
+
+    /// After a transition, still under the lock: refresh the ledger gauges
+    /// and hand the requests it completed to their waiters.
     fn settle(&self, s: &mut Guarded, closed: &[RequestId]) {
         self.obs.update_ledger_gauges(&s.core);
-        self.obs.requests_completed.add(closed.len() as u64);
         if !closed.is_empty() {
+            self.obs.requests_completed.add(closed.len() as u64);
             self.cv.wake_all(&mut s.waiters);
         }
     }
 
-    /// Audit a failed root box's obligations moving (the span tree stays
-    /// connected across the failure: replayed chunks re-attach at the root).
-    fn report_repoint(&self, tree: TreeId, failed_box: u32, repoint: &Repoint<RequestId>) {
-        let (o, who) = (&self.obs, format!("master shim (app {})", self.app.0));
-        let names = (names::spans::MASTER_REPOINT, names::SHIM_MASTER_REPOINTS);
-        let point = (self.app, tree);
-        o.spans
-            .repointed(&o.registry, names, &who, point, failed_box, repoint);
-    }
-
-    /// Audit one straggler scan's bypasses: a root box contributed nothing
-    /// to a request within the threshold, so its children were told to
-    /// send that request's data here.
-    fn report_bypasses(&self, scan: &StragglerScan<TreeId, RequestId>) {
-        let o = &self.obs.registry;
-        for b in &scan.bypasses {
+    /// Audit a timer firing, or an operator's failure verdict: the span
+    /// tree stays connected across a failure (replayed chunks re-attach at
+    /// the root). A bypass: a root box contributed nothing to a request
+    /// within the threshold, so its children were told to send that
+    /// request's data here.
+    fn audit(&self, fired: &Fired<TreeId, RequestId>) {
+        let (o, app) = (&self.obs.registry, self.app);
+        let marks = (names::spans::MASTER_REPOINT, names::SHIM_MASTER_REPOINTS);
+        let who = format!("master shim (app {})", app.0);
+        self.obs
+            .spans
+            .fired(o, marks, (&who, self.addr, app), fired);
+        for b in fired.scan.iter().flat_map(|s| &s.bypasses) {
             o.counter(names::STRAGGLER_MASTER_BYPASSES).inc();
-            let (app, request, tree) = (self.app.0, b.request.0, b.point.0);
-            let detail = format!(
-                "master shim (app {app}) bypassed a root box for request {request} tree {tree}"
-            );
+            let (request, tree) = (b.request.0, b.point.0);
+            let detail = format!("{who} bypassed a root box for request {request} tree {tree}");
             o.emit_for_request(names::EVENT_STRAGGLER, detail, request);
         }
     }
+}
 
-    /// The master's one path from a transition's output to the wire, once
-    /// `master.core` is released: a `RequestMeta` carries the request's
-    /// root-span context (box-side views can reference it), a permanent
-    /// redirect that left is counted, and a failed send is a core input —
-    /// a probe counts as missed at once. Returns how many sends failed.
-    fn send(&self, sends: impl IntoIterator<Item = (NodeId, Message)>) -> usize {
-        let mut failed = Vec::new();
-        for (to, mut msg) in sends {
-            if let Message::RequestMeta { request, ctx, .. } = &mut msg {
-                *ctx = self.obs.spans.root_ctx(self.app, *request);
-            }
-            if self.ctrl.send_to(to, msg.encode()).is_err() {
-                failed.push((to, msg));
-            } else if matches!(msg, Message::Redirect { permanent, .. } if permanent) {
-                self.obs.registry.counter(names::FAILURE_REPOINTS).inc();
-            }
+/// The master's hook on the one drain: a `RequestMeta` carries the
+/// request's root-span context (box-side views can reference it), a
+/// permanent redirect that left is counted, and a failed send is a core
+/// input — a probe counts as missed at once.
+impl Outlet for Inner {
+    fn stamp(&self, e: &mut Emit) -> &ConnCache {
+        if let Message::RequestMeta { request, ctx, .. } = &mut e.msg {
+            *ctx = self.obs.spans.root_ctx(self.app, *request);
         }
-        if !failed.is_empty() {
+        &self.ctrl
+    }
+
+    fn sent(&self, e: &mut Emit, ok: bool) {
+        if !ok {
             let mut s = self.state.lock();
-            for (to, msg) in &failed {
-                s.core.fanin.detector.send_failed(*to, msg);
-            }
+            s.core.send_failed(e.to, &e.msg);
             self.rearm(&mut s);
+        } else if matches!(e.msg, Message::Redirect { permanent, .. } if permanent) {
+            self.obs.registry.counter(names::FAILURE_REPOINTS).inc();
         }
-        failed.len()
     }
 }
 
@@ -516,63 +511,33 @@ impl PendingRequest {
     }
 }
 
-/// The reader's handling of one frame; it never sends.
+/// The reader's handling of one frame: `Data` for this application and
+/// probe acks. Neither queues anything to send, so the reader never
+/// drains.
 fn on_frame(inner: &Arc<Inner>, frame: Bytes) {
     let o = &inner.obs;
     let Ok(msg) = Message::decode(frame) else {
         return;
     };
-    match msg {
-        Message::Data {
-            app,
-            request,
-            tree,
-            source,
-            seq,
-            last,
-            ctx,
-            sent_ns,
-            payload,
-        } => {
-            if app != inner.app {
-                return;
-            }
-            o.messages_in.inc();
-            o.bytes_in.add(payload.len() as u64);
-            // Stitch the final hop: sender stamp → arrival here.
-            let hop = o.spans.wire(ctx, request, sent_ns);
-            let anchor = || o.anchor(inner.app, request);
-            let mut s = inner.state.lock();
-            let accepted = s.core.accept_data(
-                request,
-                tree,
-                source,
-                seq,
-                last,
-                payload,
-                Instant::now(),
-                anchor,
-            );
-            let gaps = std::mem::take(&mut s.core.fanin.gaps);
-            let Some(completed) = accepted else {
-                o.duplicates_dropped.inc();
-                return;
-            };
-            if completed {
-                o.requests_completed.inc();
-                inner.cv.wake_all(&mut s.waiters);
-            }
-            o.update_ledger_gauges(&s.core);
-            inner.rearm(&mut s);
-            drop(s);
-            o.spans.gapped(&o.registry, gaps);
-            o.spans.ingest(names::spans::MASTER_RECV, ctx, hop, request);
-        }
-        Message::HeartbeatAck { from, nonce } => {
-            inner.state.lock().core.fanin.detector.ack(from, nonce);
-        }
-        _ => {}
+    if let Message::Data { payload, .. } = &msg {
+        o.messages_in.inc();
+        o.bytes_in.add(payload.len() as u64);
     }
+    // Stitch the final hop: sender stamp → arrival here.
+    let hop = o.spans.wire(&msg);
+    let mut s = inner.state.lock();
+    let step = s.core.on_message(msg, Instant::now());
+    if step.dropped {
+        o.duplicates_dropped.inc();
+        return;
+    }
+    if hop.is_some() {
+        inner.settle(&mut s, step.closed.as_slice());
+        inner.rearm(&mut s);
+    }
+    drop(s);
+    o.spans.gapped(&o.registry, &step.gaps);
+    o.spans.ingest(names::spans::MASTER_RECV, hop);
 }
 
 /// The shim's one timer thread: run what the core says is due — the same
@@ -582,30 +547,21 @@ fn on_frame(inner: &Arc<Inner>, frame: Bytes) {
 fn timer_loop(inner: &Arc<Inner>) {
     let mut s = inner.state.lock();
     while !inner.cancel.is_cancelled() {
-        let mut fired = s.core.fanin.on_timer(Instant::now());
-        if fired.is_empty() {
-            let next = s.core.fanin.next_deadline();
+        let step = s.core.on_timer(Instant::now());
+        let fired = step.fired.filter(|f| !f.is_empty());
+        let posted = !s.core.outbox.is_empty() && !s.drain.running();
+        if fired.is_none() && !posted {
+            let next = s.core.next_deadline();
             TimerSlot::park(&inner.timer, &mut s, |s| &mut s.timer, next);
             continue;
         }
         // A bypass or a failure may complete requests whose other sources
         // already ended.
-        inner.settle(&mut s, &fired.closed());
+        let closed = fired.as_ref().map(Fired::closed).unwrap_or_default();
+        inner.settle(&mut s, &closed);
         drop(s);
-        let o = &inner.obs.registry;
-        for b in &fired.dead {
-            o.counter(names::FAILURE_DETECTIONS).inc();
-            let (here, addr) = (inner.addr, box_addr(*b));
-            let detail = format!("detector at {here} declared box {b} (addr {addr}) failed");
-            o.emit(names::EVENT_FAILURE, detail);
-        }
-        for (tree, failed_box, repoint) in &fired.failed {
-            inner.report_repoint(*tree, *failed_box, repoint);
-        }
-        if let Some(scan) = &fired.scan {
-            inner.report_bypasses(scan);
-        }
-        inner.send(fired.take_sends());
+        fired.iter().for_each(|f| inner.audit(f));
+        inner.drain(inner.state.lock());
         s = inner.state.lock();
     }
 }

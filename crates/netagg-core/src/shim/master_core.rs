@@ -3,11 +3,12 @@
 //! inputs) plus the bounded memory of delivered request ids.
 //!
 //! Every transition is `&mut self`, takes the time as an argument and
-//! returns what it puts on the wire as `(NodeId, Message)` pairs; the
-//! threaded shell ([`crate::shim::MasterShim`]) keeps the struct behind
-//! the single `master.core` lock its condvar waits on.
+//! queues what it puts on the wire in the core's [`Outbox`]; the threaded
+//! shell ([`crate::shim::MasterShim`]) keeps the struct behind the single
+//! `master.core` lock its condvar waits on and drives it through [`Node`].
 
 use crate::fanin::{FanInCore, Request, Route, TraceAnchor};
+use crate::node::{Emit, Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::worker_core::{per_request_tree, TreeSelection};
 use crate::tree::{box_addr, master_addr, worker_addr, Parent, TreeSpec};
@@ -15,6 +16,7 @@ use crate::window::RecencyWindow;
 use bytes::Bytes;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// How many delivered request ids the shim remembers for duplicate
@@ -62,7 +64,6 @@ pub enum Taken {
 }
 
 /// The master shim's whole protocol state; see the module docs.
-#[derive(Debug)]
 pub struct MasterCore {
     /// The root's routes and per-request ledgers, with the failure and
     /// straggler transitions. Shells call those directly.
@@ -73,6 +74,10 @@ pub struct MasterCore {
     delivered: RecencyWindow<RequestId, ()>,
     selection: TreeSelection,
     num_trees: u32,
+    /// What transitions produced and the shell has not yet sent.
+    pub outbox: Outbox,
+    /// A new request's trace anchor, if it is sampled.
+    pub anchor: Box<dyn Fn(RequestId) -> Option<TraceAnchor> + Send>,
 }
 
 impl MasterCore {
@@ -102,6 +107,8 @@ impl MasterCore {
             delivered: RecencyWindow::new(DELIVERED_MEMORY),
             selection,
             num_trees: specs.len() as u32,
+            outbox: Outbox::default(),
+            anchor: Box::new(|_| None),
         }
     }
 
@@ -118,16 +125,12 @@ impl MasterCore {
     }
 
     /// A request only `workers` take part in (e.g. a search query routed
-    /// to some shards): the owed set to [`MasterCore::register`] it with,
-    /// and a `RequestMeta` telling every participating box exactly which
+    /// to some shards): the owed set to [`MasterCore::register`] it with.
+    /// Queues a `RequestMeta` telling every participating box exactly which
     /// sources to expect (the paper's shim-layer request tracking). Read
     /// off the routes, so a root box that already failed is substituted by
     /// its participating children.
-    pub fn subset(
-        &self,
-        request: RequestId,
-        workers: &[u32],
-    ) -> (Vec<MasterKey>, Vec<(NodeId, Message)>) {
+    pub fn subset(&mut self, request: RequestId, workers: &[u32]) -> Vec<MasterKey> {
         let (mut owed, mut metas) = (Vec::new(), Vec::new());
         for tree in self.trees_for(request) {
             let mut meta = |b: u32, sources: Vec<SourceId>| {
@@ -145,15 +148,18 @@ impl MasterCore {
             let sources = route.flat_map(|r| participating(r, workers, &mut meta));
             owed.extend(sources.map(|s| (tree, s)));
         }
-        (owed, metas)
+        self.outbox.post(metas);
+        owed
     }
 
-    /// One copy of a broadcast per direct child on each of the request's
-    /// trees: the live root boxes and the workers that send here directly.
-    pub fn broadcast(&self, request: RequestId, payload: Bytes) -> Vec<(NodeId, Message)> {
+    /// Queue one copy of a broadcast per direct child on each of the
+    /// request's trees: the live root boxes and the workers that send here
+    /// directly.
+    pub fn broadcast(&mut self, request: RequestId, payload: Bytes) {
         let trees = self.trees_for(request);
         let copies = trees.flat_map(|t| self.fanin.broadcast(t, request, payload.clone()));
-        copies.collect()
+        let copies: Vec<_> = copies.collect();
+        self.outbox.post(copies);
     }
 
     /// Register a request, first dropping state older than `ttl` that no
@@ -168,50 +174,16 @@ impl MasterCore {
         subset: Option<Vec<MasterKey>>,
         now: Instant,
         ttl: Duration,
-        trace: impl FnOnce() -> Option<TraceAnchor>,
     ) -> bool {
         let fresh = |q: &Request<_, _>| q.started.is_none_or(|t| now.duration_since(t) < ttl);
         self.fanin.requests.retain(|_, q| fresh(q));
         let trees = self.trees_for(request);
-        let new = || Some((MasterRequest::default(), trace()));
+        let new = || Some((MasterRequest::default(), (self.anchor)(request)));
         let Some(q) = self.fanin.open(request, trees, Some(now), new) else {
             return false;
         };
         q.ext.expected_workers = expected_workers;
         subset.is_some_and(|owed| self.fanin.set_requirement(&request, owed))
-    }
-
-    /// One data chunk arrived. `None`: dropped (the request was already
-    /// delivered or completed, replayed sequence number, re-pointed-away
-    /// source). Otherwise whether this chunk completed the request.
-    /// Unregistered requests are recorded: the data may arrive before
-    /// `register` on another thread.
-    #[allow(clippy::too_many_arguments)]
-    pub fn accept_data(
-        &mut self,
-        request: RequestId,
-        tree: TreeId,
-        source: SourceId,
-        seq: u32,
-        last: bool,
-        payload: Bytes,
-        now: Instant,
-        trace: impl FnOnce() -> Option<TraceAnchor>,
-    ) -> Option<bool> {
-        if self.delivered.contains(&request) {
-            return None;
-        }
-        let trees = self.trees_for(request);
-        let new = || Some((MasterRequest::default(), trace()));
-        let q = self.fanin.open(request, trees, Some(now), new)?;
-        let (req, completes, gap) = q.accept_chunk(tree, source, seq, last, now)?;
-        if !payload.is_empty() {
-            req.inputs.push(((tree, source), payload));
-        }
-        if gap {
-            self.fanin.gaps.push((request, source));
-        }
-        Some(completes)
     }
 
     /// Hand a completed request to its waiter: drop its state and remember
@@ -234,6 +206,77 @@ impl MasterCore {
             registered: q.started.expect("master requests start at registration"),
             trace: q.trace,
         })
+    }
+}
+
+impl Node for MasterCore {
+    type Report = Step<TreeId, RequestId, RequestId>;
+
+    /// This application's data goes to its request, an ack to the
+    /// detector.
+    fn on_message(&mut self, msg: Message, now: Instant) -> Self::Report {
+        let mut step = Step::default();
+        match msg {
+            // Dropped: another application's, already delivered or
+            // closed, a replayed sequence number, a re-pointed-away source.
+            // Recorded unregistered: data may arrive before `register`.
+            Message::Data {
+                app,
+                request,
+                tree,
+                source,
+                seq,
+                last,
+                payload,
+                ..
+            } => {
+                let ours = app == self.fanin.app && !self.delivered.contains(&request);
+                let (trees, anchor) = (self.trees_for(request), &self.anchor);
+                let new = || Some((MasterRequest::default(), anchor(request)));
+                let q = ours.then(|| self.fanin.open(request, trees, Some(now), new));
+                let took = q
+                    .flatten()
+                    .and_then(|q| q.accept_chunk(tree, source, seq, last, now));
+                let Some((req, completes, gap)) = took else {
+                    step.dropped = true;
+                    return step;
+                };
+                if !payload.is_empty() {
+                    req.inputs.push(((tree, source), payload));
+                }
+                step.closed = completes.then_some(request);
+                if gap {
+                    step.gaps.push((request, source));
+                }
+            }
+            Message::HeartbeatAck { from, nonce } => self.fanin.detector.ack(from, nonce),
+            _ => {}
+        }
+        step
+    }
+
+    /// The same straggler scan and failure detection the boxes run, on the
+    /// root's routes.
+    fn on_timer(&mut self, now: Instant) -> Self::Report {
+        let mut fired = self.fanin.on_timer(now);
+        self.outbox.post(fired.take_sends());
+        let fired = Some(fired);
+        Step {
+            fired,
+            ..Step::default()
+        }
+    }
+
+    fn send_failed(&mut self, to: NodeId, msg: &Message) {
+        self.fanin.detector.send_failed(to, msg);
+    }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        self.fanin.next_deadline()
+    }
+
+    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
+        self.outbox.drain(into);
     }
 }
 

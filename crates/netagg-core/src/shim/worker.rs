@@ -1,24 +1,27 @@
-//! Worker-side shim layer.
+//! Worker-side shim layer. The application's thread that numbers a chunk,
+//! and the control reader that applies a redirect, each drain the core's
+//! outbox ([`Drain`]): a replay cannot be overtaken by a fresher chunk its
+//! receiver would then count it a duplicate of.
 
-use crate::conn_cache::{ConnCache, Held};
+use crate::conn_cache::ConnCache;
 use crate::lifecycle::{
-    serve_ready, CancelToken, JoinScope, Mailbox, MailboxRecvError, OrderedMutex, OverflowPolicy,
-    Readiness, DEFAULT_JOIN_DEADLINE,
+    serve_ready, CancelToken, Drain, JoinScope, Mailbox, MailboxRecvError, OrderedMutex,
+    OrderedMutexGuard, Outlet, OverflowPolicy, Readiness, DEFAULT_JOIN_DEADLINE,
 };
+use crate::node::{Emit, Node};
 use crate::protocol::{AppId, Message, RequestId, TreeId};
-use crate::shim::worker_core::{per_request_tree, TreeSelection, WorkerCore};
+use crate::shim::worker_core::{per_request_tree, TreeSelection, WorkerCore, WorkerStep};
 use crate::spans::Spans;
 use crate::tree::{box_addr, master_addr, worker_addr, TreeSpec};
 use crate::AggError;
 use bytes::Bytes;
 use netagg_net::lock_order;
 use netagg_net::{NetError, NodeId, Transport};
-use netagg_obs::trace;
 use netagg_obs::{names, Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Depth of the broadcast delivery mailbox. An application that does not
 /// consume broadcasts keeps only the newest `BROADCAST_DEPTH` payloads
@@ -66,12 +69,18 @@ impl WorkerObs {
     }
 }
 
+/// What `worker.core` guards: the protocol state and the drain.
+struct Guarded {
+    core: WorkerCore,
+    drain: Drain,
+}
+
 struct Inner {
     app: AppId,
     worker: u32,
     selection: TreeSelection,
     num_trees: u32,
-    core: OrderedMutex<WorkerCore>,
+    state: OrderedMutex<Guarded>,
     conns: ConnCache,
     /// Broadcasts received down the tree, delivered to the application
     /// through a bounded `DropOldest` mailbox (a non-consuming application
@@ -126,12 +135,13 @@ impl WorkerShim {
             &obs,
         );
         let core = WorkerCore::new(app, worker, assignments);
+        let drain = Drain::default();
         let inner = Arc::new(Inner {
             app,
             worker,
             selection,
             num_trees: specs.len() as u32,
-            core: OrderedMutex::new(lock_order::WORKER_CORE, core),
+            state: OrderedMutex::new(lock_order::WORKER_CORE, Guarded { core, drain }),
             conns: ConnCache::new(transport, addr),
             broadcasts,
             stats: WorkerStats::default(),
@@ -237,18 +247,18 @@ impl WorkerShim {
 
     /// Drop replay and sequence state for a completed request.
     pub fn complete_request(&self, request: u64) {
-        self.inner.core.lock().forget(RequestId(request));
+        self.inner.state.lock().core.forget(RequestId(request));
     }
 
     /// Requests this shim still holds sequence state for (sent on, not
     /// yet completed).
     pub fn tracked_requests(&self) -> usize {
-        self.inner.core.lock().tracked()
+        self.inner.state.lock().core.tracked()
     }
 
     /// Current destination for a tree (exposed for tests).
     pub fn assignment(&self, tree: TreeId) -> Option<NodeId> {
-        self.inner.core.lock().dest(tree)
+        self.inner.state.lock().core.dest(tree)
     }
 
     /// Re-send a request's buffered chunks to the current assignments with
@@ -257,9 +267,11 @@ impl WorkerShim {
     /// per-source duplicate suppression drops the copies (Section 3.1,
     /// "Handling stragglers"/Hadoop speculative execution).
     pub fn resend_request(&self, request: u64) {
-        let mut conns = self.inner.conns.hold();
-        let chunks = self.inner.core.lock().retained(RequestId(request));
-        self.inner.resend(&mut conns, chunks);
+        let mut s = self.inner.state.lock();
+        let chunks = s.core.retained(RequestId(request));
+        self.inner.resent(chunks.len());
+        s.core.outbox.post(chunks);
+        self.inner.drain(s);
     }
 
     /// Receive the next broadcast distributed down the tree (the paper's
@@ -289,7 +301,8 @@ impl Drop for WorkerShim {
 
 impl Inner {
     /// Number, retain and send one chunk. `Err` means nothing was retained
-    /// (no assignment for the tree).
+    /// (no assignment for the tree); a failed send is counted and changes
+    /// nothing else (see [`WorkerCore`]'s `send_failed`).
     fn send_on_tree(
         &self,
         request: RequestId,
@@ -297,53 +310,60 @@ impl Inner {
         payload: Bytes,
         last: bool,
     ) -> Result<(), AggError> {
-        let (mut conns, bytes) = (self.conns.hold(), payload.len() as u64);
-        let chunk = self.core.lock().next_chunk(request, tree, payload, last)?;
+        // The worker's spans need no start: its root is the master's.
+        let anchor = self.obs.spans.anchor(self.app, request, || 0);
+        let bytes = payload.len() as u64;
+        let mut s = self.state.lock();
+        s.core.next_chunk((request, tree), payload, last, anchor)?;
         self.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
         self.stats.chunks_sent.fetch_add(1, Ordering::Relaxed);
         self.obs.bytes_sent.add(bytes);
         self.obs.chunks_sent.inc();
-        self.send(&mut conns, [chunk], names::spans::WORKER_SEND);
+        self.drain(s);
         Ok(())
     }
 
-    /// Put retained chunks on the wire again.
-    fn resend(&self, conns: &mut Held<'_>, chunks: Vec<(NodeId, Message)>) {
-        let n = chunks.len() as u64;
-        self.stats.chunks_resent.fetch_add(n, Ordering::Relaxed);
-        self.obs.chunks_resent.add(n);
-        self.send(conns, chunks, names::spans::WORKER_RESEND);
+    /// Count `n` retained chunks queued again.
+    fn resent(&self, n: usize) {
+        self.stats
+            .chunks_resent
+            .fetch_add(n as u64, Ordering::Relaxed);
+        self.obs.chunks_resent.add(n as u64);
     }
 
-    /// The worker's one path from the core's output to the wire, through a
-    /// cache taken *before* `worker.core`: chunks leave in the order the
-    /// core numbered them, so a replay cannot be overtaken by a fresher
-    /// chunk its receiver would then count it a duplicate of. A failed send
-    /// is counted and changes nothing else — the core retained the chunk
-    /// when it numbered it, and the detector's permanent `Redirect` replays
-    /// it to a live parent (§8) — so callers keep numbering the rest of
-    /// their stream instead of each deciding what a failed send means.
-    fn send(
-        &self,
-        conns: &mut Held<'_>,
-        sends: impl IntoIterator<Item = (NodeId, Message)>,
-        span: &'static str,
-    ) {
+    /// Send the outbox under the drain rule: chunks leave in the order the
+    /// core numbered them.
+    fn drain<'a>(&'a self, s: OrderedMutexGuard<'a, Guarded>) {
+        let take = |s: &mut Guarded, out: &mut _| s.core.drain_outbox(out);
+        Drain::run(&self.state, s, |s| &mut s.drain, take, self);
+    }
+}
+
+/// The worker's hook on the one drain: per-chunk trace context — the
+/// worker is the leaf of the causal tree, so the chunk's parent on the wire
+/// is its send span and the send span's own parent is the request root.
+impl Outlet for Inner {
+    fn stamp(&self, e: &mut Emit) -> &ConnCache {
         let spans = &self.obs.spans;
-        for (to, mut msg) in sends {
-            // Per-chunk trace context: the worker is the leaf of the causal
-            // tree, so the chunk's parent on the wire is this send span and
-            // the send span's own parent is the request root (trace id).
-            let Some((app, request, ctx, sent_ns)) = msg.trace_mut() else {
-                continue;
+        if let Some((app, request, ctx, sent_ns)) = e.msg.trace_mut() {
+            let tid = e.trace.or_else(|| spans.anchor(app, request, || 0));
+            (*ctx, *sent_ns) = spans.outbound(tid.map(|t| t.trace_id));
+        }
+        &self.conns
+    }
+
+    fn sent(&self, e: &mut Emit, ok: bool) {
+        if !ok {
+            self.obs.send_errors.inc();
+        }
+        if let Some((_, request, ctx, sent_ns)) = e.msg.trace_mut() {
+            let span = match e.trace {
+                Some(_) => names::spans::WORKER_SEND,
+                None => names::spans::WORKER_RESEND,
             };
-            let sampled = spans.tracer.sampled(request.0);
-            (*ctx, *sent_ns) = spans.outbound(sampled.then(|| trace::trace_id(app.0, request.0)));
-            let (ctx, sent_ns) = (*ctx, *sent_ns);
-            if conns.send_to(to, msg.encode()).is_err() {
-                self.obs.send_errors.inc();
-            }
-            spans.sent(span, ctx, ctx.trace_id, request, sent_ns);
+            self.obs
+                .spans
+                .sent(span, *ctx, ctx.trace_id, request, *sent_ns);
         }
     }
 }
@@ -354,38 +374,22 @@ fn on_control(inner: &Arc<Inner>, frame: Bytes) {
     let Ok(msg) = Message::decode(frame) else {
         return;
     };
-    match msg {
-        Message::Redirect {
-            app,
-            permanent,
-            request,
-            tree,
-            new_parent,
-        } => {
-            if app != inner.app {
-                return;
-            }
+    let mut s = inner.state.lock();
+    match s.core.on_message(msg, Instant::now()) {
+        WorkerStep::Redirected(n) => {
             inner.stats.redirects.fetch_add(1, Ordering::Relaxed);
             inner.obs.redirects_applied.inc();
-            let mut conns = inner.conns.hold();
-            let chunks = inner
-                .core
-                .lock()
-                .redirect(permanent, request, tree, new_parent);
-            inner.resend(&mut conns, chunks);
+            inner.resent(n);
+            inner.drain(s);
         }
-        Message::Broadcast {
-            app,
-            request,
-            payload,
-            ..
-        } if app == inner.app => {
+        WorkerStep::Broadcast(request, payload) => {
+            drop(s);
             let stat = &inner.stats.broadcasts_received;
             stat.fetch_add(1, Ordering::Relaxed);
             // DropOldest: never blocks; a non-consuming application
             // keeps only the newest BROADCAST_DEPTH payloads.
             let _ = inner.broadcasts.send((request.0, payload));
         }
-        _ => {}
+        WorkerStep::Idle => {}
     }
 }

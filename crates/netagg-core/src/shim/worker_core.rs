@@ -2,11 +2,13 @@
 //! partials go, the next sequence number per request, and a bounded replay
 //! window of sent chunks for straggler/failure resends.
 //!
-//! Every transition is `&mut self` and returns the `Data` it puts on the
-//! wire, numbered here; the threaded shell ([`crate::shim::WorkerShim`])
-//! keeps the struct behind the single `worker.core` lock and sends what
-//! it returns in that order.
+//! Every transition is `&mut self` and queues the `Data` it puts on the
+//! wire, numbered here, in the core's [`Outbox`]; the threaded shell
+//! ([`crate::shim::WorkerShim`]) keeps the struct behind the single
+//! `worker.core` lock and drives it through [`Node`].
 
+use crate::fanin::TraceAnchor;
+use crate::node::{Emit, Node, Outbox};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::window::RecencyWindow;
 use crate::AggError;
@@ -14,7 +16,8 @@ use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::time::Instant;
 
 /// Requests whose sent chunks a worker retains for resends.
 const REPLAY_WINDOW: usize = 64;
@@ -47,6 +50,20 @@ pub struct WorkerCore {
     seqs: Map<RequestId, u32>,
     /// Sent chunks per request, each with the tree it travels on.
     replay: RecencyWindow<RequestId, Vec<(TreeId, Message)>>,
+    /// What transitions produced and the shell has not yet sent.
+    pub outbox: Outbox,
+}
+
+/// What a worker's transition leaves its shell to act on.
+#[derive(Debug, Default, PartialEq)]
+pub enum WorkerStep {
+    /// Nothing: a message not for this worker.
+    #[default]
+    Idle,
+    /// A redirect queued this many retained chunks again.
+    Redirected(usize),
+    /// A broadcast to deliver to the application.
+    Broadcast(RequestId, Bytes),
 }
 
 impl WorkerCore {
@@ -58,6 +75,7 @@ impl WorkerCore {
             assignments: assignments.into_iter().collect(),
             seqs: Map::default(),
             replay: RecencyWindow::new(REPLAY_WINDOW),
+            outbox: Outbox::default(),
         }
     }
 
@@ -67,22 +85,23 @@ impl WorkerCore {
     }
 
     /// Number the next chunk of `request` (sequence numbers start at 1),
-    /// retain it for resends and say where it goes.
+    /// retain it for resends and queue it under the request's `trace`
+    /// anchor.
     pub fn next_chunk(
         &mut self,
-        request: RequestId,
-        tree: TreeId,
+        (request, tree): (RequestId, TreeId),
         payload: Bytes,
         last: bool,
-    ) -> Result<(NodeId, Message), AggError> {
-        let dest = self
+        trace: Option<TraceAnchor>,
+    ) -> Result<(), AggError> {
+        let to = self
             .dest(tree)
             .ok_or_else(|| AggError::Net(format!("no assignment for tree {}", tree.0)))?;
         let seq = self.seqs.entry(request).or_insert(0);
         *seq += 1;
         let (app, source) = (self.source.0, SourceId::Worker(self.source.1));
         let (seq, ctx, sent_ns) = (*seq, TraceCtx::NONE, 0);
-        let chunk = Message::Data {
+        let msg = Message::Data {
             app,
             request,
             tree,
@@ -93,30 +112,9 @@ impl WorkerCore {
             sent_ns,
             payload,
         };
-        self.replay.entry(request).push((tree, chunk.clone()));
-        Ok((dest, chunk))
-    }
-
-    /// This worker was redirected on `tree`. Permanent (the parent box
-    /// failed): re-point the tree and resend everything still retained on
-    /// it, so requests in flight at the failed box recover. Per request (a
-    /// straggler bypass): resend that request only. Chunks keep their
-    /// original sequence numbers; the receiver drops what it already has.
-    pub fn redirect(
-        &mut self,
-        permanent: bool,
-        request: RequestId,
-        tree: TreeId,
-        new_parent: NodeId,
-    ) -> Vec<(NodeId, Message)> {
-        if permanent {
-            self.assignments.insert(tree, new_parent);
-        }
-        let retained = self.replay.iter();
-        let wanted = retained.filter(|(r, _)| permanent || **r == request);
-        let chunks = wanted.flat_map(|(_, chunks)| chunks);
-        let on_tree = chunks.filter(|(t, _)| *t == tree);
-        on_tree.map(|(_, c)| (new_parent, c.clone())).collect()
+        self.replay.entry(request).push((tree, msg.clone()));
+        self.outbox.post([Emit { to, msg, trace }]);
+        Ok(())
     }
 
     /// A request's retained chunks with their current destinations (what a
@@ -126,6 +124,7 @@ impl WorkerCore {
         let routed = chunks.filter_map(|(t, c)| Some((self.dest(*t)?, c.clone())));
         routed.collect()
     }
+
     /// Drop sequence and replay state for a completed request.
     pub fn forget(&mut self, request: RequestId) {
         self.replay.remove(&request);
@@ -136,5 +135,53 @@ impl WorkerCore {
     /// completed.
     pub fn tracked(&self) -> usize {
         self.seqs.len()
+    }
+}
+
+impl Node for WorkerCore {
+    type Report = WorkerStep;
+
+    /// A redirect for this application on `tree`: permanent (the parent
+    /// box failed), re-point the tree and resend everything still retained
+    /// on it, so requests in flight at the failed box recover; per request
+    /// (a straggler bypass), resend that request only. Chunks keep their
+    /// sequence numbers; the receiver drops what it already has. A
+    /// broadcast is handed to the shell to deliver.
+    fn on_message(&mut self, msg: Message, _: Instant) -> WorkerStep {
+        match msg {
+            Message::Redirect {
+                app,
+                permanent,
+                request,
+                tree,
+                new_parent,
+            } if app == self.source.0 => {
+                if permanent {
+                    self.assignments.insert(tree, new_parent);
+                }
+                let retained = self.replay.iter();
+                let wanted = retained.filter(|(r, _)| permanent || **r == request);
+                let on_tree = wanted.flat_map(|(_, c)| c).filter(|(t, _)| *t == tree);
+                let resends: Vec<_> = on_tree.map(|(_, c)| (new_parent, c.clone())).collect();
+                let n = resends.len();
+                self.outbox.post(resends);
+                WorkerStep::Redirected(n)
+            }
+            Message::Broadcast {
+                app,
+                request,
+                payload,
+                ..
+            } if app == self.source.0 => WorkerStep::Broadcast(request, payload),
+            _ => WorkerStep::Idle,
+        }
+    }
+
+    /// Changes nothing: the chunk stayed retained when it was numbered, and
+    /// the detector's permanent `Redirect` replays it to a live parent (§8).
+    fn send_failed(&mut self, _: NodeId, _: &Message) {}
+
+    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
+        self.outbox.drain(into);
     }
 }

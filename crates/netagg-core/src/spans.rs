@@ -1,13 +1,18 @@
 //! Span-recording glue shared by the threaded shells (DESIGN.md §11): one
 //! component label per shell, the hop-stitching pair every receiver
 //! records, the root-attached context replayed chunks travel under, and
-//! the audit of a re-point.
+//! the audit of a re-point and of a timer firing.
 
-use crate::fanin::Repoint;
-use crate::protocol::{AppId, RequestId, SourceId, TreeId};
+use crate::fanin::{Fired, Point, TraceAnchor};
+use crate::protocol::{AppId, Message, RequestId, SourceId};
+use crate::tree::box_addr;
+use netagg_net::NodeId;
 use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
 use netagg_obs::{names, MetricsRegistry};
 use std::sync::Arc;
+
+/// An inbound hop: see [`Spans::wire`].
+pub type Hop = (TraceCtx, RequestId, Option<(u64, u64)>);
 
 /// A shell's handle on the deployment's span recorder.
 pub(crate) struct Spans {
@@ -42,23 +47,34 @@ impl Spans {
         );
     }
 
-    /// Stitch an inbound hop: the sender's ctx parents a wire-transfer
-    /// span (sender stamp → arrival). Returns that span's id and the
-    /// arrival time, for [`Spans::ingest`] to hang the receive work off.
-    pub fn wire(&self, ctx: TraceCtx, request: RequestId, sent_ns: u64) -> Option<(u64, u64)> {
-        (ctx.is_active() && self.tracer.enabled()).then(|| {
+    /// Stitch the hop of an inbound `Data` (`None` for any other
+    /// message): the sender's ctx parents a wire-transfer span (sender
+    /// stamp → arrival). Returns the ctx, the request and — traced — that
+    /// span's id and the arrival time, for [`Spans::ingest`].
+    pub fn wire(&self, msg: &Message) -> Option<Hop> {
+        let &Message::Data {
+            request,
+            ctx,
+            sent_ns,
+            ..
+        } = msg
+        else {
+            return None;
+        };
+        let traced = (ctx.is_active() && self.tracer.enabled()).then(|| {
             let (name, now) = (names::spans::WIRE_TRANSFER, trace::now_ns());
             let (wire, parent) = (self.tracer.next_span_id(), ctx.parent_span_id);
             let start = sent_ns.min(now);
             self.record(name, ctx.trace_id, wire, parent, request, start, now);
             (wire, now)
-        })
+        });
+        Some((ctx, request, traced))
     }
 
     /// The ingest span of an accepted chunk: arrival → hand-off done
     /// (dropped chunks keep only the wire-transfer span).
-    pub fn ingest(&self, name: &'static str, ctx: TraceCtx, hop: Option<(u64, u64)>, r: RequestId) {
-        if let Some((wire, start)) = hop {
+    pub fn ingest(&self, name: &'static str, hop: Option<Hop>) {
+        if let Some((ctx, r, Some((wire, start)))) = hop {
             let id = self.tracer.next_span_id();
             self.record(name, ctx.trace_id, id, wire, r, start, trace::now_ns());
         }
@@ -103,42 +119,73 @@ impl Spans {
         }
     }
 
-    /// Audit one child-box failure at the node `who`: mark the adoption
-    /// inside every moved request's trace with span `name` (the stitched
-    /// tree shows where obligations moved), count it in `counter` — once
-    /// even with no request in flight, so the trail always records the
-    /// failure — and emit the `repoint` event.
-    pub fn repointed<R: Copy + Into<RequestId>>(
+    /// The anchor of a sampled request at its root, whose span id is the
+    /// trace id itself (DESIGN.md §11): the master's request span, and the
+    /// parent of a worker's send spans. It starts at `start_ns()`.
+    pub fn anchor(
+        &self,
+        app: AppId,
+        request: RequestId,
+        start_ns: impl FnOnce() -> u64,
+    ) -> Option<TraceAnchor> {
+        self.tracer.sampled(request.0).then(|| {
+            let trace_id = trace::trace_id(app.0, request.0);
+            let (span_id, start_ns) = (trace_id, start_ns());
+            TraceAnchor {
+                trace_id,
+                span_id,
+                start_ns,
+            }
+        })
+    }
+
+    /// Audit one timer firing at the node `who` (address `here`, serving
+    /// `app` where a point names none): count every child box its detector
+    /// declared dead, and for every re-point — the detector's, a straggler
+    /// escalation's — mark the adoption with span `name` inside each moved
+    /// request's trace (the stitched tree shows where obligations moved),
+    /// count it in `counter` (once even with no request in flight, so the
+    /// trail always records the failure) and emit the `repoint` event.
+    /// Bypasses are the node's own to word.
+    pub fn fired<P: Point, R: Copy + Into<RequestId>>(
         &self,
         obs: &MetricsRegistry,
         (name, counter): (&'static str, &'static str),
-        who: &str,
-        (app, tree): (AppId, TreeId),
-        failed_box: u32,
-        repoint: &Repoint<R>,
+        (who, here, app): (&str, NodeId, AppId),
+        fired: &Fired<P, R>,
     ) {
-        let (now, n) = (trace::now_ns(), repoint.repointed.len());
-        let traced = repoint
-            .repointed
-            .iter()
-            .filter_map(|(r, t)| Some((*r, (*t)?)));
-        for (r, t) in traced {
-            let id = self.tracer.next_span_id();
-            self.record(name, t.trace_id, id, t.span_id, r.into(), now, now);
+        for b in &fired.dead {
+            obs.counter(names::FAILURE_DETECTIONS).inc();
+            let addr = box_addr(*b);
+            let detail = format!("detector at {here} declared box {b} (addr {addr}) failed");
+            obs.emit(names::EVENT_FAILURE, detail);
         }
-        obs.counter(counter).add((n as u64).max(1));
-        let (app, tree) = (app.0, tree.0);
-        let detail = format!(
-            "{who} re-pointed failed child box {failed_box} for app {app} tree {tree} \
-             ({n} in-flight requests moved)"
-        );
-        obs.emit(names::EVENT_REPOINT, detail);
+        let escalated = fired.scan.iter().flat_map(|s| &s.escalated);
+        for (point, failed_box, repoint) in fired.failed.iter().chain(escalated) {
+            let (now, n) = (trace::now_ns(), repoint.repointed.len());
+            let traced = repoint
+                .repointed
+                .iter()
+                .filter_map(|(r, t)| Some((*r, (*t)?)));
+            for (r, t) in traced {
+                let id = self.tracer.next_span_id();
+                self.record(name, t.trace_id, id, t.span_id, r.into(), now, now);
+            }
+            obs.counter(counter).add((n as u64).max(1));
+            let (app, tree) = point.ids(app);
+            let (app, tree) = (app.0, tree.0);
+            let detail = format!(
+                "{who} re-pointed failed child box {failed_box} for app {app} tree {tree} \
+                 ({n} in-flight requests moved)"
+            );
+            obs.emit(names::EVENT_REPOINT, detail);
+        }
     }
 
     /// Audit chunks this node accepted past a sequence gap (§8): the ones
     /// skipped were lost on the way.
-    pub fn gapped<R: Into<RequestId>>(&self, obs: &MetricsRegistry, gaps: Vec<(R, SourceId)>) {
-        for (r, source) in gaps {
+    pub fn gapped<R: Copy + Into<RequestId>>(&self, obs: &MetricsRegistry, gaps: &[(R, SourceId)]) {
+        for &(r, source) in gaps {
             obs.counter(names::FAILURE_SEQ_GAPS).inc();
             let (who, r) = (&self.component, r.into().0);
             let detail = format!("{who} took request {r} from {source:?} past a gap");

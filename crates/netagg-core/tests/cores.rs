@@ -3,19 +3,19 @@
 //! meets when a soak happens to schedule it.
 
 use bytes::Bytes;
-use netagg_core::aggbox::core::{BoxCore, Emit, PartialSink, ReqKey, FLUSH_TICK, OUTBOX_BOUND};
-use netagg_core::failure::{DetectorConfig, DetectorCore};
+use netagg_core::aggbox::core::{BoxCore, PartialSink, FLUSH_TICK, OUTBOX_BOUND};
+use netagg_core::failure::DetectorConfig;
 use netagg_core::fanin::{Fired, Route};
+use netagg_core::node::{Emit, Node};
 use netagg_core::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use netagg_core::shim::master_core::{MasterCore, Taken};
-use netagg_core::shim::worker_core::WorkerCore;
+use netagg_core::shim::worker_core::{WorkerCore, WorkerStep};
 use netagg_core::shim::TreeSelection;
 use netagg_core::straggler::StragglerPolicy;
-use netagg_core::tree::{
-    box_addr, build_tree_specs, master_addr, worker_addr, ClusterSpec, RackSpec, TreeSpec,
-};
-use netagg_core::{AggError, AggWrapper, AggregationFunction};
+use netagg_core::tree::{box_addr, build_tree_specs, worker_addr, ClusterSpec, RackSpec, TreeSpec};
+use netagg_core::{AggError, DynAggregator};
 use netagg_net::{DetRng, NodeId};
+use netagg_obs::trace::TraceCtx;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +24,8 @@ const APP: AppId = AppId(0);
 const TREE: TreeId = TreeId(0);
 const THRESHOLD: Duration = Duration::from_millis(50);
 
-/// The reference sink: a request's partials in arrival order.
+/// The reference sink: a request's partials in arrival order. A flush
+/// takes every pending partial, concatenated.
 #[derive(Clone, Default, Debug, PartialEq)]
 struct Collect(Vec<Bytes>);
 
@@ -32,29 +33,28 @@ impl PartialSink for Collect {
     fn push(&mut self, payload: Bytes) {
         self.0.push(payload);
     }
+
+    fn take(&mut self) -> Option<Bytes> {
+        let bytes: Vec<u8> = self.0.drain(..).flat_map(|b| b.to_vec()).collect();
+        (!bytes.is_empty()).then(|| Bytes::from(bytes))
+    }
 }
 
-struct Concat;
-impl AggregationFunction for Concat {
-    type Item = Vec<u8>;
-    fn deserialize(&self, b: &Bytes) -> Result<Vec<u8>, AggError> {
-        Ok(b.to_vec())
+/// The application a box core serves: the sink above does the work.
+struct Unused;
+impl DynAggregator for Unused {
+    fn aggregate_serialized(&self, _: Vec<Bytes>) -> Result<Bytes, AggError> {
+        unreachable!("a box core aggregates nothing itself")
     }
-    fn serialize(&self, v: &Vec<u8>) -> Bytes {
-        Bytes::from(v.clone())
-    }
-    fn aggregate(&self, items: Vec<Vec<u8>>) -> Vec<u8> {
-        items.concat()
-    }
-    fn empty(&self) -> Vec<u8> {
-        Vec::new()
+    fn empty_serialized(&self) -> Bytes {
+        Bytes::new()
     }
 }
 
 /// A box core forwarding to node 100 with the given route.
 fn box_core(owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>) -> BoxCore<Collect> {
     let mut core = BoxCore::default();
-    core.add_app(APP, Arc::new(AggWrapper::new(Concat)));
+    core.add_app(APP, Arc::new(Unused));
     let route = Route {
         owed: owed.into_iter().collect(),
         child_boxes,
@@ -64,19 +64,47 @@ fn box_core(owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>) -> BoxCore<Co
     core
 }
 
-/// Feed one chunk from `source` to a box core at time `now`.
+/// Chunk `seq` of `request` from `source`, valued `payload`.
+fn data_msg(request: u64, source: SourceId, (seq, last): (u32, bool), payload: u8) -> Message {
+    let (ctx, sent_ns, payload) = (TraceCtx::NONE, 0, Bytes::copy_from_slice(&[payload]));
+    let (app, request, tree) = (APP, RequestId(request), TREE);
+    Message::Data {
+        app,
+        request,
+        tree,
+        source,
+        seq,
+        last,
+        ctx,
+        sent_ns,
+        payload,
+    }
+}
+
+/// Feed one chunk from `source` to a box core at time `now`: `None` if it
+/// was dropped, else the sink to close if it completed the request.
 fn box_data(
     core: &mut BoxCore<Collect>,
     request: u64,
     source: SourceId,
-    (seq, last): (u32, bool),
+    seq_last: (u32, bool),
     payload: u8,
     now: Instant,
 ) -> Option<Option<Collect>> {
-    let key: ReqKey = (APP, RequestId(request), TREE);
-    let payload = Bytes::copy_from_slice(&[payload]);
-    let new = |_: &_| (Collect::default(), None);
-    core.accept_data(key, source, seq, last, payload, now, new)
+    let step = core.on_message(data_msg(request, source, seq_last, payload), now);
+    (!step.dropped).then_some(step.closed)
+}
+
+/// A permanent redirect of `app`'s [`TREE`] to `new_parent`.
+fn repoint(app: AppId, new_parent: NodeId) -> Message {
+    let (permanent, request, tree) = (true, RequestId(0), TREE);
+    Message::Redirect {
+        app,
+        permanent,
+        request,
+        tree,
+        new_parent,
+    }
 }
 
 /// A `Data` message's sequence number and payload.
@@ -87,14 +115,15 @@ fn chunk(msg: &Message) -> (u32, Bytes) {
     (*seq, payload.clone())
 }
 
-/// An output chunk's sequence number and destination.
-fn seq_dest(emit: &Emit) -> (u32, NodeId) {
-    (chunk(&emit.msg).0, emit.to)
+/// The sequence numbers and destinations of what a box core queued.
+fn dests(core: &mut BoxCore<Collect>) -> Vec<(u32, NodeId)> {
+    let out = sent(core);
+    out.iter().map(|e| (chunk(&e.msg).0, e.to)).collect()
 }
 
-/// Everything a box core queued since the last call, oldest first: what
-/// its timer thread would send next.
-fn sent(core: &mut BoxCore<Collect>) -> Vec<Emit> {
+/// Everything a core queued since the last call, in send order: what its
+/// shell's drain would send next.
+fn sent(core: &mut impl Node) -> Vec<Emit> {
     let mut out = VecDeque::new();
     core.drain_outbox(&mut out);
     out.into()
@@ -151,19 +180,10 @@ fn replay_after_delivery_does_not_resurrect_the_request() {
     let mut core = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
     let (req, now) = (RequestId(9), Instant::now());
     let chunk = |core: &mut MasterCore, w: u32| {
-        let payload = Bytes::from_static(b"p");
-        core.accept_data(
-            req,
-            TREE,
-            SourceId::Worker(w),
-            1,
-            true,
-            payload,
-            now,
-            || None,
-        )
+        let step = core.on_message(data_msg(req.0, SourceId::Worker(w), (1, true), 0), now);
+        (!step.dropped).then_some(step.closed.is_some())
     };
-    assert!(!core.register(req, 2, None, now, Duration::from_secs(600), || None));
+    assert!(!core.register(req, 2, None, now, Duration::from_secs(600)));
     assert_eq!(chunk(&mut core, 0), Some(false));
     assert!(matches!(core.take_completed(req), Taken::Pending));
     assert_eq!(chunk(&mut core, 1), Some(true));
@@ -199,16 +219,13 @@ fn permanent_redirect_resends_the_retained_window() {
     assert_eq!(closed.map(|sink| sink.0.len()), Some(2));
     let done = Bytes::from_static(b"agg-1");
     core.complete((APP, RequestId(1), TREE), done.clone());
-    assert_eq!(
-        sent(&mut core).iter().map(seq_dest).collect::<Vec<_>>(),
-        [(0, 100)]
-    );
+    assert_eq!(dests(&mut core), [(0, 100)]);
     // Request 2 is still open but has streamed one partial.
     assert_eq!(data(&mut core, 2, 0), Some(None));
-    core.flush(|sink| sink.0.pop());
+    core.flush();
     let flushed = sent(&mut core);
-    assert_eq!(flushed.len(), 1);
-    assert_eq!(seq_dest(&flushed[0]), (0, 100));
+    let (seq, _) = chunk(&flushed[0].msg);
+    assert_eq!((flushed.len(), seq, flushed[0].to), (1, 0, 100));
     // Request 3 is open and has emitted nothing: nothing to resend.
     assert_eq!(data(&mut core, 3, 0), Some(None));
 
@@ -229,15 +246,46 @@ fn permanent_redirect_resends_the_retained_window() {
     // number, to the new parent; a repeated redirect changes nothing.
     assert!(data(&mut core, 2, 1).flatten().is_some());
     core.complete((APP, RequestId(2), TREE), Bytes::from_static(b"agg-2"));
-    assert_eq!(
-        sent(&mut core).iter().map(seq_dest).collect::<Vec<_>>(),
-        [(1, 200)]
-    );
+    assert_eq!(dests(&mut core), [(1, 200)]);
     core.redirect(APP, true, RequestId(0), TREE, 200);
     let again = resent(200, sent(&mut core));
     assert!(again
         .iter()
         .all(|r| r.finished && r.request != RequestId(3)));
+}
+
+/// One application's traffic through a shared agg box must not cost
+/// another its recovery state. Found as a soak-style flake: the master
+/// shims detect a dead root box independently, the first application
+/// re-pointed resumes at full rate, and a box window shared across
+/// applications had forgotten the slower one's in-flight outputs by the
+/// time its redirect arrived — those requests then waited forever.
+#[test]
+fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
+    let (slow, busy, tree) = (AppId(0), AppId(1), TreeId(0));
+    let mut core: BoxCore<Collect> = BoxCore::default();
+    let out = Bytes::from_static(b"aggregate");
+    // The slow tenant's request left for a parent that then died…
+    core.complete((slow, RequestId(7), tree), out.clone());
+    // …and before its redirect arrives, the busy tenant (already
+    // re-pointed) completes far more requests than any window retains.
+    for r in 0..10_000 {
+        core.complete((busy, RequestId(r), tree), out.clone());
+    }
+    // The resends of a permanent redirect of `app`'s tree.
+    let resent = |core: &mut BoxCore<Collect>, app, tree| {
+        core.redirect(app, true, RequestId(0), tree, 200);
+        resent(200, sent(core))
+    };
+    let resends = resent(&mut core, slow, tree);
+    let want = Resend {
+        request: RequestId(7),
+        chunks: vec![out],
+        finished: true,
+    };
+    assert_eq!(resends, vec![want]);
+    // The busy tenant's own window is still bounded.
+    assert!(resent(&mut core, busy, tree).len() <= 64);
 }
 
 /// (a') The same at a box: a speculative backup's copy (or a replay)
@@ -300,14 +348,18 @@ fn a_close_never_overtakes_a_partial_on_another_reader() {
 fn completing_every_request_returns_the_tracked_count_to_zero() {
     let mut core = WorkerCore::new(APP, 0, HashMap::from([(TREE, 7)]));
     for r in 0..200 {
-        let sent = core.next_chunk(RequestId(r), TREE, Bytes::from_static(b"x"), true);
-        let (dest, msg) = sent.unwrap();
-        assert_eq!((dest, chunk(&msg).0), (7, 1));
+        let x = Bytes::from_static(b"x");
+        core.next_chunk((RequestId(r), TREE), x, true, None)
+            .unwrap();
+        let out = sent(&mut core);
+        assert_eq!((out[0].to, chunk(&out[0].msg).0), (7, 1));
     }
     assert_eq!(core.tracked(), 200);
     (0..200).for_each(|r| core.forget(RequestId(r)));
     assert_eq!(core.tracked(), 0);
-    assert!(core.redirect(true, RequestId(0), TREE, 9).is_empty());
+    let step = core.on_message(repoint(APP, 9), Instant::now());
+    assert_eq!(step, WorkerStep::Redirected(0));
+    assert!(sent(&mut core).is_empty());
     assert_eq!(core.dest(TREE), Some(9));
 }
 
@@ -315,45 +367,67 @@ fn completing_every_request_returns_the_tracked_count_to_zero() {
 
 const REQ: RequestId = RequestId(7);
 
-/// What a fan-in node did with one event.
-#[derive(Default)]
-struct Step {
-    /// `Moved` ledger transitions.
-    moved: usize,
-    /// The request completed; the payloads that reached the combiner.
-    done: Option<Vec<Bytes>>,
-}
+/// What the drives below ask of a fan-in node — a box core or the master
+/// core — through [`Node`] where it reaches: the node owes box 0 among its
+/// children, and the request is [`REQ`].
+trait Fan {
+    /// One input, a message or (`None`) a timer firing, and what it did;
+    /// `done` holds the inputs that reached the combiner if it completed
+    /// the request.
+    fn step(&mut self, input: Option<Message>, now: Instant) -> Tick;
+    /// Box 0 fails for good, as a detector declares it: the `Moved`
+    /// transitions, and the inputs if that completed the request.
+    fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>);
+    fn deadline(&self) -> Option<Instant>;
+    fn send_failed(&mut self, e: &Emit);
+    /// The node's one route: the child boxes it names and what it owes.
+    fn route(&self) -> &Route;
+    /// The node's address.
+    fn here(&self) -> NodeId;
+    /// Whether the request is open here.
+    fn open(&self) -> bool;
 
-/// A fan-in node owing `{Box(0), Worker(2)}`, with workers 0 and 1 behind
-/// box 0: a box core or the master core.
-trait Node {
-    fn data(&mut self, source: SourceId, payload: u8, now: Instant) -> Step;
-    fn detector_fires(&mut self) -> Step;
-    fn scan(&mut self, now: Instant) -> Step;
-}
-
-impl Node for BoxCore<Collect> {
-    fn data(&mut self, source: SourceId, payload: u8, now: Instant) -> Step {
-        let accepted = box_data(self, REQ.0, source, (1, true), payload, now);
-        Step {
-            moved: 0,
-            done: accepted.flatten().map(|sink| sink.0),
-        }
+    /// `source`'s final chunk arrives.
+    fn data(&mut self, source: SourceId, payload: u8, now: Instant) -> Option<Vec<Bytes>> {
+        let msg = data_msg(REQ.0, source, (1, true), payload);
+        self.step(Some(msg), now).done
     }
-    fn detector_fires(&mut self) -> Step {
-        let repoint = self.fanin.child_box_failed((APP, TREE), 0);
-        repoint.map_or_else(Step::default, |r| Step {
-            moved: r.moved,
-            done: self.sinks(&r.closed).pop().map(|sink| sink.0),
+    fn tick(&mut self, now: Instant) -> Tick {
+        self.step(None, now)
+    }
+}
+
+impl Fan for BoxCore<Collect> {
+    fn step(&mut self, input: Option<Message>, now: Instant) -> Tick {
+        let step = match input {
+            Some(msg) => self.on_message(msg, now),
+            None => self.on_timer(now),
+        };
+        let fired = step.fired.as_ref();
+        let closed = fired.map_or(step.closed, |f| self.sinks(&f.closed()).pop());
+        Tick::of(fired, sent(self), closed.map(|sink| sink.0))
+    }
+    fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>) {
+        let r = self.fanin.child_box_failed((APP, TREE), 0);
+        r.map_or((0, None), |r| {
+            (r.moved, self.sinks(&r.closed).pop().map(|s| s.0))
         })
     }
-    fn scan(&mut self, now: Instant) -> Step {
-        let scan = self.fanin.scan_stragglers(now, THRESHOLD, 1);
-        let escalated = scan.escalated.iter().map(|(_, _, r)| r.moved);
-        Step {
-            moved: scan.bypasses.len() + escalated.sum::<usize>(),
-            done: self.sinks(&scan.closed).pop().map(|sink| sink.0),
-        }
+    fn deadline(&self) -> Option<Instant> {
+        self.next_deadline()
+    }
+    fn send_failed(&mut self, e: &Emit) {
+        Node::send_failed(self, e.to, &e.msg);
+    }
+    fn route(&self) -> &Route {
+        self.fanin.route(&(APP, TREE)).unwrap()
+    }
+    fn here(&self) -> NodeId {
+        self.fanin.addr
+    }
+    fn open(&self) -> bool {
+        let q = self.fanin.requests.get(&(APP, REQ, TREE));
+        q.is_some_and(|q| !q.closed)
     }
 }
 
@@ -366,29 +440,98 @@ fn delivered(core: &mut MasterCore, completed: bool) -> Option<Vec<Bytes>> {
     Some(d.inputs)
 }
 
-impl Node for MasterCore {
-    fn data(&mut self, source: SourceId, payload: u8, now: Instant) -> Step {
-        let payload = Bytes::copy_from_slice(&[payload]);
-        let accepted = self.accept_data(REQ, TREE, source, 1, true, payload, now, || None);
-        Step {
-            moved: 0,
-            done: delivered(self, accepted == Some(true)),
-        }
+impl Fan for MasterCore {
+    fn step(&mut self, input: Option<Message>, now: Instant) -> Tick {
+        let step = match input {
+            Some(msg) => self.on_message(msg, now),
+            None => self.on_timer(now),
+        };
+        let fired = step.fired.as_ref();
+        let closed = fired.map_or(step.closed.is_some(), |f| !f.closed().is_empty());
+        let done = delivered(self, closed);
+        Tick::of(fired, sent(self), done)
     }
-    fn detector_fires(&mut self) -> Step {
-        let repoint = self.fanin.child_box_failed(TREE, 0);
-        repoint.map_or_else(Step::default, |r| Step {
-            moved: r.moved,
-            done: delivered(self, !r.closed.is_empty()),
+    fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>) {
+        let r = self.fanin.child_box_failed(TREE, 0);
+        r.map_or((0, None), |r| {
+            (r.moved, delivered(self, !r.closed.is_empty()))
         })
     }
-    fn scan(&mut self, now: Instant) -> Step {
-        let scan = self.fanin.scan_stragglers(now, THRESHOLD, 1);
-        let escalated = scan.escalated.iter().map(|(_, _, r)| r.moved);
-        Step {
-            moved: scan.bypasses.len() + escalated.sum::<usize>(),
-            done: delivered(self, !scan.closed.is_empty()),
+    fn deadline(&self) -> Option<Instant> {
+        self.next_deadline()
+    }
+    fn send_failed(&mut self, e: &Emit) {
+        Node::send_failed(self, e.to, &e.msg);
+    }
+    fn route(&self) -> &Route {
+        self.fanin.route(&TREE).unwrap()
+    }
+    fn here(&self) -> NodeId {
+        self.fanin.addr
+    }
+    fn open(&self) -> bool {
+        self.fanin.requests.get(&REQ).is_some_and(|q| !q.closed)
+    }
+}
+
+/// One probe a firing queued.
+#[derive(Clone, Debug)]
+struct Probe {
+    box_id: u32,
+    nonce: u64,
+    sent: Emit,
+}
+
+/// What one timer firing did, in the terms both fan-in cores share.
+struct Tick {
+    probes: Vec<Probe>,
+    /// Per box declared dead, the open requests the same step re-pointed.
+    dead: Vec<(u32, usize)>,
+    /// The children told to send here for good.
+    redirected: Vec<NodeId>,
+    bypasses: usize,
+    /// `Moved` ledger transitions: bypasses, escalations and failures.
+    moved: usize,
+    done: Option<Vec<Bytes>>,
+    /// Every message the firing queued.
+    sends: Vec<Emit>,
+}
+
+impl Tick {
+    fn of<P, R>(fired: Option<&Fired<P, R>>, sends: Vec<Emit>, done: Option<Vec<Bytes>>) -> Self {
+        let scan = fired.and_then(|f| f.scan.as_ref());
+        let escalated = scan.into_iter().flat_map(|s| &s.escalated);
+        let failed = fired.into_iter().flat_map(|f| &f.failed);
+        let repointed = |b: &u32| {
+            let points = failed.clone().filter(|(_, failed, _)| failed == b);
+            (*b, points.map(|(_, _, r)| r.repointed.len()).sum())
+        };
+        let probe = |e: &Emit| match e.msg {
+            Message::Heartbeat { nonce, .. } => Some(Probe {
+                box_id: e.to - box_addr(0),
+                nonce,
+                sent: e.clone(),
+            }),
+            _ => None,
+        };
+        let redirect =
+            |e: &&Emit| matches!(e.msg, Message::Redirect { permanent, .. } if permanent);
+        let bypasses = scan.map_or(0, |s| s.bypasses.len());
+        let moved: usize = failed.clone().chain(escalated).map(|f| f.2.moved).sum();
+        let dead = fired.into_iter().flat_map(|f| &f.dead);
+        Tick {
+            probes: sends.iter().filter_map(probe).collect(),
+            dead: dead.map(repointed).collect(),
+            redirected: sends.iter().filter(redirect).map(|e| e.to).collect(),
+            bypasses,
+            moved: bypasses + moved,
+            done,
+            sends,
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.probes.is_empty() && self.dead.is_empty() && self.bypasses == 0
     }
 }
 
@@ -418,18 +561,21 @@ enum Event {
 
 /// Drive `node` through `events`, check the result against the reference
 /// fold and return the total `Moved` transitions.
-fn drive(node: &mut dyn Node, events: &[Event], t0: Instant) -> usize {
+fn drive(node: &mut dyn Fan, events: &[Event], t0: Instant) -> usize {
     let late = t0 + THRESHOLD * 2;
     let (mut moved, mut result) = (0, None);
     for e in events {
-        let step = match e {
-            Event::Detector => node.detector_fires(),
-            Event::Scan => node.scan(late),
-            Event::Worker(w) => node.data(SourceId::Worker(*w), 10 + *w as u8, t0),
-            Event::BoxAggregate => node.data(SourceId::Box(0), 21, t0),
+        let (step, done) = match e {
+            Event::Detector => node.fail_box0(),
+            Event::Scan => {
+                let tick = node.tick(late);
+                (tick.moved, tick.done)
+            }
+            Event::Worker(w) => (0, node.data(SourceId::Worker(*w), 10 + *w as u8, t0)),
+            Event::BoxAggregate => (0, node.data(SourceId::Box(0), 21, t0)),
         };
-        moved += step.moved;
-        if let Some(inputs) = step.done {
+        moved += step;
+        if let Some(inputs) = done {
             assert!(result.is_none(), "{events:?}: completed twice");
             result = Some(inputs.iter().map(|b| b[0] as u32).sum::<u32>());
         }
@@ -471,10 +617,15 @@ fn recovery_events_in_any_order_move_obligations_once() {
         let events = [head, shuffled(tail)].concat();
         let t0 = Instant::now();
         let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-        master.register(REQ, 3, None, t0, Duration::from_secs(600), || None);
+        master.register(REQ, 3, None, t0, Duration::from_secs(600));
         let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
         let mut aggbox = box_core(specs[0].master_sources(), child);
-        let nodes: [&mut dyn Node; 2] = [&mut aggbox, &mut master];
+        let strike = Some(StragglerPolicy {
+            threshold: THRESHOLD,
+            repeat_limit: 1,
+        });
+        (aggbox.fanin.straggler, master.fanin.straggler) = (strike, strike);
+        let nodes: [&mut dyn Fan; 2] = [&mut aggbox, &mut master];
         for node in nodes {
             let moved = drive(node, &events, t0);
             assert_eq!(want_moved.unwrap_or(moved), moved, "{events:?}");
@@ -497,154 +648,25 @@ fn chain() -> Vec<TreeSpec> {
     build_tree_specs(&ClusterSpec::multi_rack(2, 2, 1))
 }
 
-/// A box core above [`chain`]'s box 0.
+/// A box core at address 555 above [`chain`]'s box 0.
 fn box_above_chain(specs: &[TreeSpec]) -> BoxCore<Collect> {
     let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
-    box_core(specs[0].master_sources(), child)
+    let mut core = box_core(specs[0].master_sources(), child);
+    core.fanin.addr = 555;
+    core
 }
 
-/// One probe a firing returned.
-#[derive(Clone, Debug)]
-struct Probe {
-    box_id: u32,
-    nonce: u64,
-    sent: (NodeId, Message),
-}
-
-/// What one timer firing did, in the terms both fan-in cores share.
-struct Tick {
-    probes: Vec<Probe>,
-    /// Per box declared dead: its children named for re-pointing, and the
-    /// open requests whose ledger the same step re-pointed.
-    dead: Vec<(u32, Vec<NodeId>, usize)>,
-    bypasses: usize,
-    done: Option<Vec<Bytes>>,
-    /// Every message the firing returned.
-    sends: Vec<(NodeId, Message)>,
-}
-
-impl Tick {
-    fn of<P, R>(fired: &Fired<P, R>, done: Option<Vec<Bytes>>) -> Self {
-        let declared = |b: &u32| {
-            let points = || fired.failed.iter().filter(|(_, failed, _)| failed == b);
-            let children = points().flat_map(|(_, _, r)| r.sends.iter().map(|(c, _)| *c));
-            let repointed = points().map(|(_, _, r)| r.repointed.len());
-            (*b, children.collect(), repointed.sum())
+/// Every message a fan-in core sends names the node itself: a `Redirect`'s
+/// `new_parent` and a `Heartbeat`'s `from` are its own address.
+fn names_the_node(node: &dyn Fan, sends: &[Emit]) {
+    for e in sends {
+        let named = match e.msg {
+            Message::Heartbeat { from, .. } => from,
+            Message::Redirect { new_parent, .. } => new_parent,
+            _ => continue,
         };
-        let probe = |(to, msg): &(NodeId, Message)| {
-            let Message::Heartbeat { nonce, .. } = msg else {
-                panic!("a probe is a heartbeat: {msg:?}");
-            };
-            let (box_id, nonce) = (to - box_addr(0), *nonce);
-            Probe {
-                box_id,
-                nonce,
-                sent: (*to, msg.clone()),
-            }
-        };
-        let failed = fired.failed.iter().flat_map(|(_, _, r)| &r.sends);
-        let scanned = fired.scan.iter().flat_map(|s| &s.sends);
-        Tick {
-            probes: fired.probes.iter().map(probe).collect(),
-            dead: fired.dead.iter().map(declared).collect(),
-            bypasses: fired.scan.as_ref().map_or(0, |s| s.bypasses.len()),
-            done,
-            sends: fired
-                .probes
-                .iter()
-                .chain(failed)
-                .chain(scanned)
-                .cloned()
-                .collect(),
-        }
+        assert_eq!(named, node.here(), "{e:?}");
     }
-
-    fn is_empty(&self) -> bool {
-        self.probes.is_empty() && self.dead.is_empty() && self.bypasses == 0
-    }
-}
-
-/// The timer face of a fan-in node: the same calls at a box core and at
-/// the master core.
-trait Timed: Node {
-    fn detector(&mut self) -> &mut DetectorCore;
-    fn deadline(&self) -> Option<Instant>;
-    fn tick(&mut self, now: Instant) -> Tick;
-    /// The node's one route: the child boxes it names and what it owes.
-    fn route(&self) -> &Route;
-    /// Whether the request is open here.
-    fn open(&self) -> bool;
-}
-
-impl Timed for BoxCore<Collect> {
-    fn detector(&mut self) -> &mut DetectorCore {
-        &mut self.fanin.detector
-    }
-    fn deadline(&self) -> Option<Instant> {
-        self.next_deadline()
-    }
-    fn tick(&mut self, now: Instant) -> Tick {
-        let fired = self.on_timer(now, |_| None);
-        assert!(sent(self).is_empty());
-        let done = self.sinks(&fired.closed()).pop().map(|sink| sink.0);
-        Tick::of(&fired, done)
-    }
-    fn route(&self) -> &Route {
-        self.fanin.route(&(APP, TREE)).unwrap()
-    }
-    fn open(&self) -> bool {
-        let q = self.fanin.requests.get(&(APP, REQ, TREE));
-        q.is_some_and(|q| !q.closed)
-    }
-}
-
-impl Timed for MasterCore {
-    fn detector(&mut self) -> &mut DetectorCore {
-        &mut self.fanin.detector
-    }
-    fn deadline(&self) -> Option<Instant> {
-        self.fanin.next_deadline()
-    }
-    fn tick(&mut self, now: Instant) -> Tick {
-        let fired = self.fanin.on_timer(now);
-        let done = delivered(self, !fired.closed().is_empty());
-        Tick::of(&fired, done)
-    }
-    fn route(&self) -> &Route {
-        self.fanin.route(&TREE).unwrap()
-    }
-    fn open(&self) -> bool {
-        self.fanin.requests.get(&REQ).is_some_and(|q| !q.closed)
-    }
-}
-
-/// An idle node has no deadline whatever is configured: nothing to flush,
-/// nothing to bypass, and nobody to probe without a routed child box.
-#[test]
-fn an_idle_core_has_no_deadline() {
-    let now = Instant::now();
-    let mut leaf = box_core(vec![SourceId::Worker(0)], HashMap::new());
-    leaf.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
-    leaf.flush_due = Some(now);
-    leaf.fanin.detector.enable(DETECTOR, now);
-    assert_eq!(leaf.next_deadline(), None);
-    // An open request starts the flush tick, and only that: a leaf has no
-    // child box to bypass or probe.
-    assert_eq!(
-        box_data(&mut leaf, 1, SourceId::Worker(0), (1, false), 0, now),
-        Some(None)
-    );
-    assert_eq!(leaf.next_deadline(), Some(now));
-    let fired = leaf.on_timer(now, |_| None);
-    assert!(fired.is_empty() && sent(&mut leaf).is_empty());
-    assert_eq!(leaf.next_deadline(), Some(now + FLUSH_TICK));
-
-    let specs = build_tree_specs(&ClusterSpec::single_rack(2, 0));
-    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-    master.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
-    master.fanin.detector.enable(DETECTOR, now);
-    master.register(REQ, 2, None, now, Duration::from_secs(600), || None);
-    assert_eq!(master.fanin.next_deadline(), None, "no box, no deadline");
 }
 
 /// The shape that would busy-loop a timer thread: a request past its
@@ -658,7 +680,7 @@ fn a_request_with_nothing_left_to_bypass_yields_no_deadline() {
     master.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
     let mut aggbox = box_above_chain(&specs);
     aggbox.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
-    let nodes: [&mut dyn Timed; 2] = [&mut aggbox, &mut master];
+    let nodes: [&mut dyn Fan; 2] = [&mut aggbox, &mut master];
     for node in nodes {
         assert_eq!(node.deadline(), None, "no clock started");
         // Worker 0's chunk (ahead of any redirect) starts the clock.
@@ -668,7 +690,12 @@ fn a_request_with_nothing_left_to_bypass_yields_no_deadline() {
         assert!(early.is_empty() && early.done.is_none());
         assert_eq!(node.deadline(), Some(t0 + THRESHOLD), "nothing changed");
         let due = node.tick(t0 + THRESHOLD);
-        assert_eq!(due.bypasses, 1);
+        assert_eq!(
+            (due.bypasses, due.sends.len()),
+            (1, 3),
+            "box 0's three children told"
+        );
+        names_the_node(node, &due.sends);
         assert_eq!(node.deadline(), None, "bypassed: nothing left to wait for");
         assert!(node.open(), "workers 1 to 3 are still owed");
         assert!(node.tick(t0 + THRESHOLD * 9).is_empty());
@@ -691,13 +718,12 @@ enum Input {
 /// says, in time or not. Nodes send only what a redirect asked for: a
 /// worker replays here once its box was declared dead, box 1 delivers here
 /// once box 0 was.
-fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0: Instant) {
+fn drive_detector(node: &mut dyn Fan, rng: &mut DetRng, leaf_answers: bool, t0: Instant) {
     let value = |s| match s {
         SourceId::Worker(w) => 10 + w as u8,
         SourceId::Box(b) => [46, 25][b as usize],
     };
     let mut now = t0;
-    node.detector().enable(DETECTOR, now);
     // Box 0's own aggregate may be in flight already: before the
     // declaration it is the whole answer, after it it is ignored.
     let mut pool = vec![Input::Data(SourceId::Box(0))];
@@ -722,10 +748,10 @@ fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0
         trace.push(input);
         match input {
             Some(Input::Data(source)) => {
-                finish(node.data(source, value(source), now).done, &trace);
+                finish(node.data(source, value(source), now), &trace);
             }
             Some(Input::Ack(from, nonce)) => {
-                node.detector().ack(from, nonce);
+                node.step(Some(Message::HeartbeatAck { from, nonce }), now);
                 if owing.get(&from).is_some_and(|(n, _)| *n == nonce) {
                     owing.remove(&from);
                     misses.remove(&from);
@@ -749,6 +775,7 @@ fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0
                 let watched: Vec<u32> = node.route().child_boxes.keys().copied().collect();
                 let open = node.open();
                 let tick = node.tick(now);
+                names_the_node(node, &tick.sends);
                 let mut dead: Vec<u32> = tick.dead.iter().map(|d| d.0).collect();
                 dead.sort_unstable();
                 due.sort_unstable();
@@ -756,7 +783,8 @@ fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0
                     dead, due,
                     "{trace:?}: `misses` time-outs in a row, no fewer"
                 );
-                for (b, children, repointed) in &tick.dead {
+                let mut children = 0;
+                for (b, repointed) in &tick.dead {
                     assert!(!declared.contains(b), "{trace:?}: box {b} failed twice");
                     declared.push(*b);
                     // The ledger and the route moved in this very step.
@@ -764,9 +792,10 @@ fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0
                     assert!(!node.route().child_boxes.contains_key(b));
                     let behind = &chain()[0].children_sources(*b);
                     assert!(behind.iter().all(|s| node.route().owed.contains(s)));
-                    assert_eq!(children.len(), behind.len());
+                    children += behind.len();
                     pool.extend(behind.iter().map(|s| Input::Data(*s)));
                 }
+                assert_eq!(tick.redirected.len(), children, "{trace:?}");
                 // A round probes every routed box that owes no ack — the
                 // boxes adopted from a dead one from the next round on.
                 let mut probed: Vec<u32> = tick.probes.iter().map(|p| p.box_id).collect();
@@ -785,7 +814,7 @@ fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0
                         pool.push(Input::Ack(p.box_id, p.nonce));
                     } else if rng.gen_range(0, 2) == 0 {
                         // The send failed outright: missed without waiting.
-                        node.detector().send_failed(p.sent.0, &p.sent.1);
+                        node.send_failed(&p.sent);
                         owing.insert(p.box_id, (p.nonce, now - DETECTOR.timeout));
                         assert_eq!(node.deadline(), Some(now), "{trace:?}");
                     }
@@ -798,11 +827,13 @@ fn drive_detector(node: &mut dyn Timed, rng: &mut DetRng, leaf_answers: bool, t0
 }
 
 /// (e) Probe rounds, acks before and after their time-out, acks under an
-/// older nonce, replays and late aggregates in seeded orders: a silent box
-/// is failed exactly once, after exactly `misses` unanswered probes, with
-/// the ledger moved in the step that names who to redirect; the box it
-/// leaves behind is probed — and, if silent too, failed — with no watch
-/// list to update; the result is the reference fold, once.
+/// older nonce, probes that could not be sent, replays and late aggregates
+/// in seeded orders: a silent box is failed exactly once, after exactly
+/// `misses` unanswered probes — an unsent one missed at once, before its
+/// time-out — with the ledger moved in the step that names who to
+/// redirect; the box it leaves behind is probed — and, if silent too,
+/// failed — with no watch list to update; every message names the node;
+/// the result is the reference fold, once.
 #[test]
 fn detector_inputs_in_any_order_fail_each_silent_box_exactly_once() {
     let specs = chain();
@@ -810,66 +841,15 @@ fn detector_inputs_in_any_order_fail_each_silent_box_exactly_once() {
     for round in 0..400 {
         let t0 = Instant::now();
         let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-        master.register(REQ, 4, None, t0, Duration::from_secs(600), || None);
+        master.register(REQ, 4, None, t0, Duration::from_secs(600));
         let mut aggbox = box_above_chain(&specs);
-        let nodes: [&mut dyn Timed; 2] = [&mut aggbox, &mut master];
+        master.fanin.detector.enable(DETECTOR, t0);
+        aggbox.fanin.detector.enable(DETECTOR, t0);
+        let nodes: [&mut dyn Fan; 2] = [&mut aggbox, &mut master];
         for node in nodes {
             drive_detector(node, &mut rng, round % 2 == 0, t0);
         }
         assert!(master.fanin.route(&TREE).unwrap().failed.contains(&0));
-    }
-}
-
-/// Every message a fan-in core returns names the node itself: a
-/// `Redirect`'s `new_parent` — a straggler bypass's and a failure's — and a
-/// `Heartbeat`'s `from` are its own address. A probe that could not be sent
-/// is a miss at once: the next firing counts it, and `misses` unsendable
-/// probes fail the box before a single ack time-out has run out.
-#[test]
-fn returned_messages_name_the_node_and_an_unsent_probe_is_a_miss_at_once() {
-    let specs = chain();
-    let t0 = Instant::now();
-    let policy = Some(StragglerPolicy::new(THRESHOLD));
-    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-    master.fanin.straggler = policy;
-    master.register(REQ, 4, None, t0, Duration::from_secs(600), || None);
-    let mut aggbox = box_above_chain(&specs);
-    (aggbox.fanin.straggler, aggbox.fanin.addr) = (policy, 555);
-    let nodes: [(&mut dyn Timed, NodeId); 2] =
-        [(&mut aggbox, 555), (&mut master, master_addr(APP))];
-    for (node, here) in nodes {
-        node.detector().enable(DETECTOR, t0);
-        node.data(SourceId::Worker(0), 10, t0);
-        let (mut sends, mut declared) = (Vec::new(), None);
-        while declared.is_none() {
-            let now = node
-                .deadline()
-                .expect("a probe round, a bypass or a miss is due");
-            let tick = node.tick(now);
-            for p in &tick.probes {
-                node.detector().send_failed(p.sent.0, &p.sent.1);
-                assert_eq!(node.deadline(), Some(now), "missed as it left");
-            }
-            declared = tick.dead.first().map(|_| now);
-            sends.extend(tick.sends);
-        }
-        assert!(declared < Some(t0 + DETECTOR.interval + DETECTOR.timeout));
-        let mut redirects = [false; 2];
-        for (_, msg) in &sends {
-            match msg {
-                Message::Redirect {
-                    new_parent,
-                    permanent,
-                    ..
-                } => {
-                    assert_eq!(*new_parent, here);
-                    redirects[usize::from(*permanent)] = true;
-                }
-                Message::Heartbeat { from, .. } => assert_eq!(*from, here),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(redirects, [true; 2], "a bypass and a failure: {sends:?}");
     }
 }
 
@@ -879,11 +859,11 @@ fn returned_messages_name_the_node_and_an_unsent_probe_is_a_miss_at_once() {
 #[test]
 fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
     let specs = chain();
-    let copies = |sends: Vec<(NodeId, Message)>| {
+    let copies = |sends: Vec<Emit>| {
         assert!(sends
             .iter()
-            .all(|(_, m)| matches!(m, Message::Broadcast { .. })));
-        let mut to: Vec<NodeId> = sends.into_iter().map(|(to, _)| to).collect();
+            .all(|e| matches!(e.msg, Message::Broadcast { .. })));
+        let mut to: Vec<NodeId> = sends.into_iter().map(|e| e.to).collect();
         to.sort_unstable();
         to
     };
@@ -895,22 +875,34 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
     };
     let payload = Bytes::from_static(b"params");
     let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-    let broadcast = |master: &MasterCore| copies(master.broadcast(REQ, payload.clone()));
-    assert_eq!(broadcast(&master), children(&[], &[0]));
+    let broadcast = |master: &mut MasterCore| {
+        master.broadcast(REQ, payload.clone());
+        copies(sent(master))
+    };
+    assert_eq!(broadcast(&mut master), children(&[], &[0]));
     assert!(master.fanin.child_box_failed(TREE, 0).is_some());
-    assert_eq!(broadcast(&master), children(&[0, 1], &[1]));
+    assert_eq!(broadcast(&mut master), children(&[0, 1], &[1]));
     assert!(master.fanin.child_box_failed(TREE, 1).is_some());
-    assert_eq!(broadcast(&master), children(&[0, 1, 2, 3], &[]));
+    assert_eq!(broadcast(&mut master), children(&[0, 1, 2, 3], &[]));
 
-    // Box 0 itself, replicating down to box 1 until box 1 fails.
+    // Box 0 itself, replicating what it is sent down to box 1 until box 1
+    // fails.
     let mut root: BoxCore<Collect> = BoxCore::default();
     root.add_route(APP, TREE, 100, Route::of_box(&specs[0], APP, 0));
-    let point = (APP, TREE);
-    let broadcast =
-        |root: &BoxCore<Collect>| copies(root.fanin.broadcast(point, REQ, payload.clone()));
-    assert_eq!(broadcast(&root), children(&[0, 1], &[1]));
-    assert!(root.fanin.child_box_failed(point, 1).is_some());
-    assert_eq!(broadcast(&root), children(&[0, 1, 2, 3], &[]));
+    let (app, request, tree) = (APP, REQ, TREE);
+    let msg = Message::Broadcast {
+        app,
+        request,
+        tree,
+        payload,
+    };
+    let broadcast = |root: &mut BoxCore<Collect>| {
+        root.on_message(msg.clone(), Instant::now());
+        copies(sent(root))
+    };
+    assert_eq!(broadcast(&mut root), children(&[0, 1], &[1]));
+    assert!(root.fanin.child_box_failed((APP, TREE), 1).is_some());
+    assert_eq!(broadcast(&mut root), children(&[0, 1, 2, 3], &[]));
 }
 
 /// A chunk past a sequence gap is still accepted, and recorded for the
@@ -921,24 +913,26 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
 fn a_sequence_gap_is_accepted_and_reported() {
     let (now, w) = (Instant::now(), SourceId::Worker(0));
     let mut aggbox = box_core(vec![w], HashMap::new());
-    assert_eq!(box_data(&mut aggbox, 1, w, (3, false), 0, now), Some(None));
-    assert_eq!(box_data(&mut aggbox, 1, w, (4, false), 0, now), Some(None));
-    assert!(aggbox.fanin.gaps.is_empty(), "{:?}", aggbox.fanin.gaps);
-    let closed = box_data(&mut aggbox, 1, w, (6, true), 0, now).flatten();
-    assert_eq!(closed.map(|sink| sink.0.len()), Some(3), "accepted");
-    assert_eq!(aggbox.fanin.gaps, [((APP, RequestId(1), TREE), w)]);
+    let mut gaps = Vec::new();
+    for (seq, last) in [(3, false), (4, false), (6, true)] {
+        let step = aggbox.on_message(data_msg(1, w, (seq, last), 0), now);
+        assert!(!step.dropped, "accepted");
+        gaps.push(step.gaps);
+    }
+    let key = (APP, RequestId(1), TREE);
+    assert_eq!(gaps, [vec![], vec![], vec![(key, w)]]);
 
     let specs = build_tree_specs(&ClusterSpec::single_rack(1, 0));
     let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-    master.register(REQ, 1, None, now, Duration::from_secs(600), || None);
-    let payload = Bytes::from_static(b"p");
-    let mut chunk = |seq, last| {
-        let payload = payload.clone();
-        master.accept_data(REQ, TREE, w, seq, last, payload, now, || None)
-    };
-    assert_eq!(chunk(1, false), Some(false));
-    assert_eq!(chunk(3, true), Some(true), "accepted");
-    assert_eq!(master.fanin.gaps, [(REQ, w)]);
+    master.register(REQ, 1, None, now, Duration::from_secs(600));
+    let mut chunk = |seq, last| master.on_message(data_msg(REQ.0, w, (seq, last), 0), now);
+    assert!(chunk(1, false).gaps.is_empty());
+    let step = chunk(3, true);
+    assert_eq!(
+        (step.closed, step.gaps),
+        (Some(REQ), vec![(REQ, w)]),
+        "accepted"
+    );
 }
 
 // --- (f): the outbox — box output leaves in the order it was numbered ---
@@ -969,12 +963,6 @@ fn outbox_order_drive(rng: &mut DetRng) -> (Vec<Emit>, HashMap<u64, Vec<u8>>) {
     let (mut wire, mut next_node, mut trace) = (Vec::new(), 200, Vec::new());
     let mut input: HashMap<u64, Vec<u8>> = HashMap::new();
     let (mut closed, mut done) = (Vec::new(), Vec::new());
-    // Every pending partial, concatenated: what a flush or the final
-    // aggregate carries.
-    let take = |sink: &mut Collect| {
-        let bytes: Vec<u8> = sink.0.drain(..).flat_map(|b| b.to_vec()).collect();
-        (!bytes.is_empty()).then(|| Bytes::from(bytes))
-    };
     while done.len() < REQUESTS as usize {
         let r = rng.gen_range(0, REQUESTS);
         let step = match rng.gen_range(0, 8) {
@@ -1002,11 +990,12 @@ fn outbox_order_drive(rng: &mut DetRng) -> (Vec<Emit>, HashMap<u64, Vec<u8>>) {
                 assert_eq!(sent.is_some_and(|close| close.is_some()), last, "{trace:?}");
                 closed.extend(last.then_some(r));
             }
-            Step2::Flush => core.flush(take),
+            Step2::Flush => core.flush(),
             Step2::Complete(r) => {
+                // The final aggregate carries every partial not flushed.
                 let key = (APP, RequestId(r), TREE);
                 let mut sink = core.sinks(&[key]).pop().expect("closed, not completed");
-                core.complete(key, take(&mut sink).unwrap_or_default());
+                core.complete(key, sink.take().unwrap_or_default());
                 done.push(r);
             }
             Step2::Bypass(r) => core.redirect(APP, false, RequestId(r), TREE, next_node),
@@ -1094,20 +1083,14 @@ fn a_backlogged_box_fails_no_child_until_it_drains() {
             payload,
         },
     );
-    assert!(
-        aggbox.post(vec![copy; OUTBOX_BOUND + 1]).is_empty(),
-        "broadcasts are queued"
-    );
-    assert!(aggbox.backlogged());
-    assert!(
-        aggbox.next_deadline() <= Some(Instant::now()),
-        "queued output is due now"
-    );
+    aggbox.outbox.post(vec![copy; OUTBOX_BOUND + 1]);
+    assert!(!aggbox.outbox.has_live(), "broadcasts are queued");
+    assert!(aggbox.outbox.backlogged());
     let held = (DETECTOR.interval + DETECTOR.timeout) * DETECTOR.misses * 4;
     let mut now = t0;
     while now < t0 + held {
         now += DETECTOR.interval / 2;
-        let fired = aggbox.on_timer(now, |_| None);
+        let fired = aggbox.on_timer(now).fired.unwrap();
         assert!(
             fired.dead.is_empty(),
             "declared at {:?} while held",
@@ -1120,7 +1103,7 @@ fn a_backlogged_box_fails_no_child_until_it_drains() {
     // Until the adopted box 1, silent too, has gone the same way.
     while let Some(next) = aggbox.next_deadline().filter(|t| *t < drained + held) {
         now = next;
-        let fired = aggbox.on_timer(now, |_| None);
+        let fired = aggbox.on_timer(now).fired.unwrap();
         declared.extend(fired.dead.iter().map(|b| (*b, now)));
     }
     let zero: Vec<_> = declared.iter().filter(|(b, _)| *b == 0).collect();
@@ -1138,5 +1121,110 @@ fn a_backlogged_box_fails_no_child_until_it_drains() {
         boxes.len(),
         declared.len(),
         "a box failed twice: {declared:?}"
+    );
+}
+
+// --- (h): one contract over every core ---
+
+/// The [`Node`] contract, one body for every core: an idle core has no
+/// deadline and an empty outbox, whatever it is configured to do; a
+/// message for another application, or of a kind the node never handles,
+/// queues nothing and opens no request state; once `arm` gave it something
+/// to do, a firing before the deadline changes nothing; and once the first
+/// message it then sends has failed, `failed` holds, given that deadline.
+fn conforms<N: Node>(
+    mut node: N,
+    open: impl Fn(&N) -> usize,
+    ignored: [Message; 2],
+    arm: impl FnOnce(&mut N, Instant),
+    failed: impl FnOnce(&N, &Emit, Option<Instant>),
+) {
+    let t0 = Instant::now();
+    assert_eq!(node.next_deadline(), None, "an idle core has no deadline");
+    assert!(sent(&mut node).is_empty(), "an idle core sends nothing");
+    for msg in ignored {
+        node.on_message(msg.clone(), t0);
+        assert!(sent(&mut node).is_empty(), "{msg:?} queued something");
+        assert_eq!(open(&node), 0, "{msg:?} opened request state");
+    }
+    arm(&mut node, t0);
+    let due = node.next_deadline();
+    if let Some(due) = due {
+        node.on_timer(due - Duration::from_nanos(1));
+        assert!(sent(&mut node).is_empty(), "fired early");
+        assert_eq!(node.next_deadline(), Some(due), "an early firing moved it");
+        node.on_timer(due);
+    }
+    let out = sent(&mut node);
+    let first = out.first().expect("armed: something to send");
+    node.send_failed(first.to, &first.msg);
+    failed(&node, first, due);
+}
+
+#[test]
+fn every_core_keeps_the_node_contract() {
+    let (specs, other, t) = (chain(), AppId(9), Instant::now());
+    let mut foreign = data_msg(REQ.0, SourceId::Worker(0), (1, true), 1);
+    if let Message::Data { app, .. } = &mut foreign {
+        *app = other;
+    }
+    let ack = Message::HeartbeatAck { from: 0, nonce: 9 };
+    let probe = Message::Heartbeat { from: 1, nonce: 1 };
+    let policy = Some(StragglerPolicy::new(THRESHOLD));
+    // A leaf box has nothing to bypass or probe: an open request starts
+    // the flush tick, and only that; a failed send of the partial the
+    // flush streams changes nothing.
+    let mut leaf = box_core(vec![SourceId::Worker(0)], HashMap::new());
+    (leaf.fanin.straggler, leaf.flush_due) = (policy, Some(t));
+    leaf.fanin.detector.enable(DETECTOR, t);
+    conforms(
+        leaf,
+        |b| b.fanin.requests.len(),
+        [foreign.clone(), ack.clone()],
+        |b, t0| {
+            let opened = box_data(b, 1, SourceId::Worker(0), (1, false), 0, t0);
+            assert_eq!((opened, b.next_deadline()), (Some(None), Some(t)));
+        },
+        |b, e, due| {
+            assert_eq!(chunk(&e.msg), (0, Bytes::from_static(&[0])));
+            assert_eq!(b.next_deadline(), due.map(|t| t + FLUSH_TICK));
+        },
+    );
+    // Above a child box, a probe that could not be sent is missed at once.
+    let missed = |next: Option<Instant>, e: &Emit, due| {
+        assert!(matches!(e.msg, Message::Heartbeat { .. }), "{e:?}");
+        assert_eq!(next, due, "missed as it left");
+    };
+    conforms(
+        box_above_chain(&specs),
+        |b| b.fanin.requests.len(),
+        [foreign.clone(), ack],
+        |b, t0| b.fanin.detector.enable(DETECTOR, t0),
+        |b, e, due| missed(b.next_deadline(), e, due),
+    );
+    conforms(
+        MasterCore::new(APP, &specs, TreeSelection::PerRequest),
+        |m| m.fanin.requests.len(),
+        [foreign, probe.clone()],
+        |m, t0| m.fanin.detector.enable(DETECTOR, t0),
+        |m, e, due| missed(m.next_deadline(), e, due),
+    );
+    // With no child box, the master has no deadline however configured.
+    let flat = build_tree_specs(&ClusterSpec::single_rack(2, 0));
+    let mut master = MasterCore::new(APP, &flat, TreeSelection::PerRequest);
+    master.fanin.straggler = policy;
+    master.fanin.detector.enable(DETECTOR, t);
+    master.register(REQ, 2, None, t, Duration::from_secs(600));
+    assert_eq!(master.next_deadline(), None, "no box, no deadline");
+    // A worker's chunk whose send failed stays retained (DESIGN.md §8).
+    conforms(
+        WorkerCore::new(APP, 0, HashMap::from([(TREE, 7)])),
+        WorkerCore::tracked,
+        [repoint(other, 9), probe],
+        |w, _| {
+            let x = Bytes::from_static(b"x");
+            w.next_chunk((REQ, TREE), x, true, None).unwrap();
+        },
+        |w, e, _| assert_eq!(w.retained(REQ), vec![(e.to, e.msg.clone())]),
     );
 }

@@ -96,10 +96,8 @@ MASTER_CORE = LockRank::new(20, "master.core");
 
 /// A `ConnCache`'s destination → connection map (`netagg-core/src/conn_cache.rs`):
 /// worker data plane, master control plane and box output each own one.
-/// Held across a dial plus first send (the lock is what serializes racing
-/// dials to one connection per destination), and by the worker across
-/// the `worker.core` transition that numbers what it then sends — so it
-/// ranks before `worker.core`; no protocol lock is held when it is taken.
+/// Held across a dial plus first send: the lock is what serializes racing
+/// dials to one connection per destination.
 CONN_CACHE = LockRank::new(25, "conn.cache").blocking_tolerant();
 
 // --- worker shim (30–39) ---------------------------------------------------
