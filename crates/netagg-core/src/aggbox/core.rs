@@ -6,7 +6,7 @@
 //! Every transition is `&mut self` and queues what it puts on the wire in
 //! the box's [`Outbox`], output chunks numbered here; the threaded shell
 //! ([`crate::aggbox::runtime`]) keeps the struct behind the single
-//! `agg.core` lock and drives it through [`Node`]. Payloads are handed to
+//! `node.core` lock and drives it through [`Node`]. Payloads are handed to
 //! the request's [`PartialSink`] *inside* the transition that accepted
 //! them, so a close decided there can never overtake a partial still on
 //! its way in.
@@ -21,7 +21,6 @@ use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -283,6 +282,7 @@ impl<S: PartialSink> BoxCore<S> {
 
 impl<S: PartialSink> Node for BoxCore<S> {
     type Report = Step<Point, ReqKey, S>;
+    const TIMER: bool = true;
 
     /// Data goes to its request's sink (inside the transition: a close
     /// decided here cannot overtake a partial on its way in), a probe is
@@ -394,7 +394,7 @@ impl<S: PartialSink> Node for BoxCore<S> {
         flush.into_iter().chain(self.fanin.next_deadline()).min()
     }
 
-    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
-        self.outbox.drain(into);
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
     }
 }

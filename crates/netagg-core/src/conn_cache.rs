@@ -1,5 +1,5 @@
-//! One connection cache for every sender in the platform: worker data
-//! plane, master control plane and the box's outbox and liveness messages.
+//! One connection cache for every sender in the platform: each node
+//! shell keeps one for its outbox and one for its liveness messages.
 //!
 //! Persistent connections keep traffic ordered per peer and avoid a dial
 //! per message. The policy is dial once, redial once on a stale cached

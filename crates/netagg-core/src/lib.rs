@@ -82,6 +82,7 @@ pub mod lifecycle;
 pub mod node;
 pub mod protocol;
 pub mod runtime;
+mod shell;
 pub mod shim;
 mod spans;
 pub mod straggler;

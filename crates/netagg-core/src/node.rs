@@ -3,9 +3,9 @@
 //! and [`crate::shim::worker_core::WorkerCore`] each take a decoded
 //! message, a timer firing or a failed send as an input, say when they next
 //! have something to do, and queue what they send in one ordered
-//! [`Outbox`]. A shell runs a transition under the core's lock, sends what
-//! the outbox holds through [`crate::lifecycle::Drain`] and acts on the
-//! transition's [`Node::Report`] once the lock is released.
+//! [`Outbox`]. The node's shell (`shell.rs`) runs a transition under the
+//! core's lock, sends what the outbox holds through its one drain and acts
+//! on the transition's [`Node::Report`] once the lock is released.
 
 use crate::fanin::{Fired, TraceAnchor};
 use crate::protocol::{Message, SourceId};
@@ -13,8 +13,9 @@ use netagg_net::NodeId;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// Outbox length past which the box's shell holds back incoming `Data`
-/// (backpressure, DESIGN.md §9) and ack time-outs are no misses.
+/// Outbox length past which the box's reader holds back incoming `Data`,
+/// an application thread waits for the drain (backpressure, DESIGN.md §9)
+/// and ack time-outs are no misses.
 pub const OUTBOX_BOUND: usize = 4096;
 
 /// A pure protocol core, driven by its inputs alone. A node without
@@ -22,11 +23,14 @@ pub const OUTBOX_BOUND: usize = 4096;
 pub trait Node {
     /// What a transition leaves the shell to act on after unlocking.
     type Report: Default;
+    /// Whether the node ever has a deadline: its shell runs a timer thread
+    /// only then.
+    const TIMER: bool = false;
     /// One decoded message arrived. Liveness messages name their sender;
     /// nothing else needs one.
     fn on_message(&mut self, msg: Message, now: Instant) -> Self::Report;
-    /// Move everything queued, in send order, to the back of `into`.
-    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>);
+    /// What the node queued to send, in send order.
+    fn outbox(&mut self) -> &mut Outbox;
     /// Run what is due at `now`; a firing before the deadline changes
     /// nothing.
     fn on_timer(&mut self, _now: Instant) -> Self::Report {

@@ -5,10 +5,10 @@
 //! Every transition is `&mut self`, takes the time as an argument and
 //! queues what it puts on the wire in the core's [`Outbox`]; the threaded
 //! shell ([`crate::shim::MasterShim`]) keeps the struct behind the single
-//! `master.core` lock its condvar waits on and drives it through [`Node`].
+//! `node.core` lock its waiters park on and drives it through [`Node`].
 
 use crate::fanin::{FanInCore, Request, Route, TraceAnchor};
-use crate::node::{Emit, Node, Outbox, Step};
+use crate::node::{Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::worker_core::{per_request_tree, TreeSelection};
 use crate::tree::{box_addr, master_addr, worker_addr, Parent, TreeSpec};
@@ -16,7 +16,6 @@ use crate::window::RecencyWindow;
 use bytes::Bytes;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// How many delivered request ids the shim remembers for duplicate
@@ -211,6 +210,7 @@ impl MasterCore {
 
 impl Node for MasterCore {
     type Report = Step<TreeId, RequestId, RequestId>;
+    const TIMER: bool = true;
 
     /// This application's data goes to its request, an ack to the
     /// detector.
@@ -275,8 +275,8 @@ impl Node for MasterCore {
         self.fanin.next_deadline()
     }
 
-    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
-        self.outbox.drain(into);
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
     }
 }
 

@@ -5,7 +5,7 @@
 //! Every transition is `&mut self` and queues the `Data` it puts on the
 //! wire, numbered here, in the core's [`Outbox`]; the threaded shell
 //! ([`crate::shim::WorkerShim`]) keeps the struct behind the single
-//! `worker.core` lock and drives it through [`Node`].
+//! `node.core` lock and drives it through [`Node`].
 
 use crate::fanin::TraceAnchor;
 use crate::node::{Emit, Node, Outbox};
@@ -16,7 +16,7 @@ use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Requests whose sent chunks a worker retains for resends.
@@ -181,7 +181,7 @@ impl Node for WorkerCore {
     /// the detector's permanent `Redirect` replays it to a live parent (§8).
     fn send_failed(&mut self, _: NodeId, _: &Message) {}
 
-    fn drain_outbox(&mut self, into: &mut VecDeque<Emit>) {
-        self.outbox.drain(into);
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
     }
 }

@@ -125,7 +125,7 @@ fn dests(core: &mut BoxCore<Collect>) -> Vec<(u32, NodeId)> {
 /// shell's drain would send next.
 fn sent(core: &mut impl Node) -> Vec<Emit> {
     let mut out = VecDeque::new();
-    core.drain_outbox(&mut out);
+    core.outbox().drain(&mut out);
     out.into()
 }
 

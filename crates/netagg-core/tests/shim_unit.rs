@@ -620,6 +620,109 @@ fn a_stalled_pool_thread_holds_the_box_back_at_the_queue_bound() {
     dep.shutdown();
 }
 
+/// Holds worker 0's first frame to the master — the first chunk of its
+/// replay after a permanent redirect — until the application's send count
+/// has stopped growing, and records that count.
+#[derive(Clone)]
+struct StallReplay {
+    worker: NodeId,
+    master: NodeId,
+    holding: Arc<AtomicBool>,
+    /// Chunks the application has sent.
+    sent: Arc<AtomicUsize>,
+    /// Chunks it had sent when the stall ended; 0 while it lasts.
+    at_release: Arc<AtomicUsize>,
+}
+
+impl Interposer for StallReplay {
+    type Link = (NodeId, NodeId, StallReplay);
+
+    fn link(&self, local: NodeId, peer: NodeId) -> Result<Self::Link, NetError> {
+        Ok((local, peer, self.clone()))
+    }
+
+    fn before_send((local, peer, hook): &mut Self::Link, _len: usize) -> Result<(), NetError> {
+        let replay = (*local, *peer) == (hook.worker, hook.master);
+        if replay && !hook.holding.swap(true, Relaxed) {
+            let (deadline, mut seen) = (Instant::now() + Duration::from_secs(20), usize::MAX);
+            while (seen == 0 || hook.sent.load(Relaxed) != seen) && Instant::now() < deadline {
+                seen = hook.sent.load(Relaxed);
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            hook.at_release.store(seen, Relaxed);
+        }
+        Ok(())
+    }
+}
+
+/// Bugfix: an application thread that finds its worker's outbox over the
+/// bound while another thread drains it waits for that drain, instead of
+/// queueing without limit. Worker 0's replay to its new parent is held
+/// while the application sends `OUTBOX_BOUND + 1 000` chunks from another
+/// thread, until the application's send count stops growing: it must have
+/// stopped at the bound, and the result must be the reference fold.
+#[test]
+fn an_application_thread_waits_for_the_drain_at_the_outbox_bound() {
+    let app = netagg_core::protocol::AppId(0);
+    let hook = StallReplay {
+        worker: worker_addr(app, 0),
+        master: master_addr(app),
+        holding: Arc::default(),
+        sent: Arc::default(),
+        at_release: Arc::default(),
+    };
+    let ctl = FaultController::new();
+    let stalled = Interposed::over(ChannelTransport::new(), hook.clone());
+    let transport: Arc<dyn Transport> = Arc::new(FaultTransport::new(stalled, ctl.clone()));
+    let cluster = ClusterSpec::single_rack(2, 1);
+    let mut dep = NetAggDeployment::launch(transport, &cluster).unwrap();
+    assert_eq!(dep.register_app("sum", sum_agg(), 1.0), app);
+    let master = dep.master_shim(app);
+    let (w0, w1) = (dep.worker_shim(app, 0), dep.worker_shim(app, 1));
+    dep.enable_failure_detection(DetectorConfig {
+        interval: Duration::from_millis(30),
+        timeout: Duration::from_millis(60),
+        misses: 2,
+    });
+
+    let pending = master.register_request(1, 2);
+    w0.send_chunk(1, Bytes::from_static(b"1"), false).unwrap();
+    ctl.kill(dep.boxes()[0].addr());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !hook.holding.load(Relaxed) {
+        assert!(Instant::now() < deadline, "worker 0 never replayed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let chunks = OUTBOX_BOUND + 1000;
+    let (shim, sent) = (w0.clone(), hook.sent.clone());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the application sends from a thread of its own while the test waits"
+    )]
+    let application = std::thread::spawn(move || {
+        for i in 0..chunks {
+            let last = i + 1 == chunks;
+            shim.send_chunk(1, Bytes::from_static(b"1"), last).unwrap();
+            sent.fetch_add(1, Relaxed);
+        }
+    });
+    while w1.assignment(TreeId(0)) != Some(master.addr()) {
+        assert!(Instant::now() < deadline, "worker 1 never re-pointed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    w1.send_partial(1, Bytes::from_static(b"10")).unwrap();
+    let result = pending.wait(Duration::from_secs(30)).unwrap();
+    application.join().unwrap();
+    let at_release = hook.at_release.load(Relaxed);
+    assert!(
+        (1..=OUTBOX_BOUND + 1).contains(&at_release),
+        "the application sent {at_release} chunks past a stalled drain"
+    );
+    assert_eq!(parse(&result.combined), 1 + chunks as i64 + 10);
+    ctl.revive(dep.boxes()[0].addr());
+    dep.shutdown();
+}
+
 /// Holds every frame the box sends the master that is longer than a
 /// probe or an ack — its `Data` — until the test opens the gate, and
 /// counts the frames the box took from its worker.

@@ -22,10 +22,8 @@
 //! Rank bands (gaps left for future locks):
 //!
 //! * 10–19 scenario engine (`netagg-scenarios/src/runner.rs`)
-//! * 20–24 master shim (`netagg-core/src/shim/master.rs`)
+//! * 20–24 node shells, one rank for all three (`netagg-core/src/shell.rs`)
 //! * 25–29 connection caches (`netagg-core/src/conn_cache.rs`)
-//! * 30–39 worker shim (`netagg-core/src/shim/worker.rs`)
-//! * 40–59 agg-box runtime (`netagg-core/src/aggbox/runtime.rs`)
 //! * 60–69 agg-box scheduler (`netagg-core/src/aggbox/scheduler.rs`)
 //! * 70–89 TCP reactor (`netagg-net/src/tcp.rs`)
 
@@ -85,36 +83,26 @@ lock_ranks! {
 /// back when it is done.
 SCN_ENGINE = LockRank::new(10, "scn.engine");
 
-// --- master shim (20–24) ---------------------------------------------------
+// --- node shells (20–24) --------------------------------------------------
 
-/// The master shim's whole protocol state (`MasterCore`: routes,
-/// per-request ledgers and inputs, delivered-id window); its condvar
-/// waits on this lock.
-MASTER_CORE = LockRank::new(20, "master.core");
+/// A node's whole protocol state, one lock per node — the box's
+/// `BoxCore`, the master's `MasterCore` or the worker's `WorkerCore` —
+/// and what its shell's threads share beside it. No node's lock is taken
+/// while another's is held: a nesting of two panics in the witness.
+NODE_CORE = LockRank::new(20, "node.core");
 
 // --- connection caches (25–29) ---------------------------------------------
 
 /// A `ConnCache`'s destination → connection map (`netagg-core/src/conn_cache.rs`):
-/// worker data plane, master control plane and box output each own one.
+/// every node shell owns two, for its outbox and for its probes and acks.
 /// Held across a dial plus first send: the lock is what serializes racing
 /// dials to one connection per destination.
 CONN_CACHE = LockRank::new(25, "conn.cache").blocking_tolerant();
 
-// --- worker shim (30–39) ---------------------------------------------------
-
-/// The worker shim's whole protocol state (`WorkerCore`: assignments,
-/// per-request sequence numbers, replay window).
-WORKER_CORE = LockRank::new(30, "worker.core");
-
-// --- agg-box runtime (40–59) -----------------------------------------------
-
-/// The agg box's whole protocol state (`BoxCore`: apps, routes,
-/// per-request ledgers and sinks, upstream redirects, emitted window).
-AGG_CORE = LockRank::new(40, "agg.core");
-
 // --- agg-box scheduler (60–69) ---------------------------------------------
 
-/// WFQ scheduler state (taken under `agg.core` by combine submission).
+/// WFQ scheduler state (taken under a box's `node.core` by combine
+/// submission).
 SCHED_STATE = LockRank::new(60, "sched.state");
 
 // --- TCP reactor (70–89) ---------------------------------------------------

@@ -23,7 +23,7 @@ fn killed_holder_poisons_without_cascading_and_the_scope_drains() {
 
     let cancel = CancelToken::new();
     let scope = JoinScope::with_obs("poison-test", cancel, Duration::from_secs(5), Some(&obs));
-    let state = Arc::new(OrderedMutex::new(lock_order::AGG_CORE, 0u32));
+    let state = Arc::new(OrderedMutex::new(lock_order::NODE_CORE, 0u32));
 
     let held = state.clone();
     scope
@@ -46,7 +46,7 @@ fn killed_holder_poisons_without_cascading_and_the_scope_drains() {
 
     if cfg!(debug_assertions) {
         assert!(
-            poisoned_locks().iter().any(|l| l == "agg.core"),
+            poisoned_locks().iter().any(|l| l == "node.core"),
             "poison log missed the dead holder: {:?}",
             poisoned_locks()
         );
@@ -56,7 +56,7 @@ fn killed_holder_poisons_without_cascading_and_the_scope_drains() {
             .filter(|e| e.kind == names::EVENT_LOCK_POISON)
             .collect();
         assert!(
-            poison.iter().any(|e| e.detail.contains("agg.core")),
+            poison.iter().any(|e| e.detail.contains("node.core")),
             "no lock_poison event named the lock: {events:?}"
         );
     }

@@ -56,7 +56,7 @@ fn witnessed_edges_and_thread_kinds_are_exactly_the_documented_tables() {
         .with_inflight(8);
     // Ten workers under one box: every request buffers the box's local
     // tree past its fan-in (8) inside `push`, so the combine is submitted
-    // to the scheduler within the core transition (`agg.core →
+    // to the scheduler within the core transition (`node.core →
     // sched.state`) — the mix's three-worker racks never get there.
     // A reader that dies on a witness panic strands its requests, so a
     // short wait turns that into a failed report instead of a long hang.
