@@ -1,22 +1,24 @@
 //! The agg box's protocol state as one plain struct: a [`FanInCore`] for
-//! the children it aggregates, plus the upstream half — where each
-//! request's output goes, and a bounded window of what was already emitted
-//! so a new parent can be sent it again.
+//! the children it aggregates, each request's local aggregation tree as a
+//! [`Reduction`], and the upstream half — where each request's output
+//! goes, and a bounded window of what was already emitted so a new parent
+//! can be sent it again.
 //!
-//! Every transition is `&mut self` and queues what it puts on the wire in
-//! the box's [`Outbox`], output chunks numbered here; the threaded shell
-//! ([`crate::aggbox::runtime`]) keeps the struct behind the single
-//! `node.core` lock and drives it through [`Node`]. Payloads are handed to
-//! the request's [`PartialSink`] *inside* the transition that accepted
-//! them, so a close decided there can never overtake a partial still on
-//! its way in.
+//! Every transition is `&mut self` and queues what it sends in the box's
+//! [`Outbox`]; the shell ([`crate::aggbox::runtime`]) runs it under the one
+//! `node.core` lock through [`Node`]. The transition that accepts a payload
+//! feeds it to the reduction and the one that closes the request ends it,
+//! so a close cannot overtake a partial. A transition returns the
+//! [`Combine`]s it made ready; their output re-enters as
+//! [`BoxCore::combined`], and the one that finishes queues the final chunk.
 
+use crate::aggbox::tree::{Next, Reduction};
 use crate::fanin::{FanInCore, Request, Route, TraceAnchor};
 pub use crate::node::{Emit, OUTBOX_BOUND};
 use crate::node::{Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::window::RecencyWindow;
-use crate::DynAggregator;
+use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::NodeId;
@@ -42,38 +44,52 @@ impl From<ReqKey> for RequestId {
     }
 }
 
-/// Where a request's accepted partials go (the shell's local aggregation
-/// tree). A clone is what the shell closes the input on once the lock is
-/// released.
-pub trait PartialSink: Clone {
-    /// Take one accepted partial.
-    fn push(&mut self, payload: Bytes);
-    /// The chunk a streaming-flush pass sends upstream now, if any.
-    fn take(&mut self) -> Option<Bytes>;
+/// One combine task: a batch of a request's items for a pool thread to
+/// merge; its output comes back as [`BoxCore::combined`].
+pub struct Combine {
+    /// The request.
+    pub key: ReqKey,
+    /// The application's aggregation function.
+    pub agg: Arc<dyn DynAggregator>,
+    /// The batch, in arrival order.
+    pub items: Vec<Bytes>,
+    /// The request's trace anchor, which the task's spans parent to.
+    pub trace: Option<TraceAnchor>,
 }
 
-/// What builds a new request's sink and trace anchor; `None` declines it.
-pub type Sinks<S> =
-    Box<dyn FnMut(ReqKey, &Arc<dyn DynAggregator>) -> Option<(S, Option<TraceAnchor>)> + Send>;
+/// What a box transition did to its requests' reductions.
+pub enum Work {
+    /// A combine to run on the pool.
+    Combine(Combine),
+    /// Completed, the final chunk queued: its payload, and when the
+    /// request's first data arrived.
+    Completed(ReqKey, Bytes, Option<Instant>),
+    /// A combine failed: the state is gone and nothing went upstream (the
+    /// parent times it out). Its trace anchor and the error.
+    Failed(ReqKey, Option<TraceAnchor>, AggError),
+}
 
-/// Shell state of one request: its sink and the next output sequence
-/// number (streaming flushes).
-#[derive(Debug)]
-pub struct BoxRequest<S> {
-    /// Where accepted partials go.
-    pub sink: S,
+/// What a box transition leaves its shell to act on.
+pub type BoxStep = Step<Point, ReqKey, Vec<Work>>;
+
+/// Box state of one request: its aggregation function, its reduction and
+/// the next output sequence number (streaming flushes).
+pub struct BoxRequest {
+    agg: Arc<dyn DynAggregator>,
+    /// The request's local aggregation tree.
+    pub reduction: Reduction,
     out_seq: u32,
 }
 
 /// The box's whole protocol state; see the module docs.
-pub struct BoxCore<S> {
+pub struct BoxCore {
     /// This box's global id: the source its output names, the `from` of
     /// its acks.
     pub id: u32,
     apps: Map<AppId, Arc<dyn DynAggregator>>,
     /// The downstream half: routes, per-request ledgers, the failure and
     /// straggler transitions. Shells call those directly.
-    pub fanin: FanInCore<Point, ReqKey, BoxRequest<S>>,
+    pub fanin: FanInCore<Point, ReqKey, BoxRequest>,
     parents: Map<Point, NodeId>,
     /// Per-request output redirections (a straggler bypass upstream).
     redirects: Map<ReqKey, NodeId>,
@@ -81,23 +97,24 @@ pub struct BoxCore<S> {
     /// point: one tenant's traffic must not evict what another's new
     /// parent will need (redirects arrive per application and tree).
     emitted: Map<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
+    /// Items one combine merges: the local tree's fan-in.
+    width: usize,
+    /// Buffered bytes from which a flush pass streams a request's partial.
+    flush_bytes: usize,
     /// When the next streaming-flush pass is due; `None` = never flushes.
     pub flush_due: Option<Instant>,
     /// What transitions produced and the shell has not yet sent.
     pub outbox: Outbox,
-    sinks: Sinks<S>,
+    /// A new request's trace anchor, if it is sampled.
+    pub anchor: Box<dyn Fn(ReqKey) -> Option<TraceAnchor> + Send>,
 }
 
-impl<S: PartialSink + Default> Default for BoxCore<S> {
-    fn default() -> Self {
-        Self::new(Box::new(|_, _| Some((S::default(), None))))
-    }
-}
-
-impl<S: PartialSink> BoxCore<S> {
-    /// A box with no application or route yet, building each request's
-    /// sink with `sinks`.
-    pub fn new(sinks: Sinks<S>) -> Self {
+impl BoxCore {
+    /// A box with no application or route yet, whose combines merge up to
+    /// `fanin` items, and whose flush passes stream a request's partial
+    /// once it buffers `flush_bytes` (`None`: never).
+    pub fn new(fanin: usize, flush_bytes: Option<usize>) -> Self {
+        assert!(fanin >= 2);
         Self {
             id: 0,
             apps: Map::default(),
@@ -105,9 +122,11 @@ impl<S: PartialSink> BoxCore<S> {
             parents: Map::default(),
             redirects: Map::default(),
             emitted: Map::default(),
+            width: fanin,
+            flush_bytes: flush_bytes.unwrap_or(usize::MAX),
             flush_due: None,
             outbox: Outbox::default(),
-            sinks,
+            anchor: Box::new(|_| None),
         }
     }
 
@@ -129,22 +148,87 @@ impl<S: PartialSink> BoxCore<S> {
     /// had ended, so whatever still arrives for it is a replay or a
     /// speculative backup's copy, and a fresh ledger for it would never
     /// close.
-    fn open(&mut self, key: ReqKey) -> Option<&mut Request<Point, BoxRequest<S>>> {
-        let (apps, emitted, sinks) = (&self.apps, &self.emitted, &mut self.sinks);
+    fn open(&mut self, key: ReqKey) -> Option<&mut Request<Point, BoxRequest>> {
+        let (apps, emitted, anchor) = (&self.apps, &self.emitted, &self.anchor);
         self.fanin.open(key, [(key.0, key.2)], None, || {
             let window = emitted.get(&(key.0, key.2));
             if window.is_some_and(|w| w.contains(&key)) {
                 return None;
             }
-            let (sink, trace) = sinks(key, apps.get(&key.0)?)?;
-            Some((BoxRequest { sink, out_seq: 0 }, trace))
+            let (agg, reduction, out_seq) = (apps.get(&key.0)?.clone(), Reduction::default(), 0);
+            let q = BoxRequest {
+                agg,
+                reduction,
+                out_seq,
+            };
+            Some((q, anchor(key)))
         })
     }
 
-    /// Sinks of the given (just closed) requests.
-    pub fn sinks(&self, keys: &[ReqKey]) -> Vec<S> {
-        let found = keys.iter().filter_map(|k| self.fanin.requests.get(k));
-        found.map(|q| q.ext.sink.clone()).collect()
+    /// Feed one input to a request's reduction and act on what it leaves:
+    /// the combine it made ready, the partial a flush pass took (numbered
+    /// and queued), or the request's completion. A request that is gone
+    /// (failed, or dropped at shutdown) takes nothing.
+    fn reduce(
+        &mut self,
+        key: ReqKey,
+        work: &mut Vec<Work>,
+        input: impl FnOnce(&mut Reduction, usize) -> Next,
+    ) {
+        let Some(q) = self.fanin.requests.get_mut(&key) else {
+            return;
+        };
+        match input(&mut q.ext.reduction, self.width) {
+            Next::Wait => {}
+            Next::Combine(items) => {
+                let (agg, trace) = (q.ext.agg.clone(), q.trace);
+                let c = Combine {
+                    key,
+                    agg,
+                    items,
+                    trace,
+                };
+                work.push(Work::Combine(c));
+            }
+            Next::Partial(chunk) => {
+                let (seq, trace) = (q.ext.out_seq, q.trace);
+                q.ext.out_seq += 1;
+                self.emitted(key).push(chunk.clone());
+                let (to, msg) = (self.dest(&key), self.data(key, seq, false, chunk));
+                self.outbox.post(to.map(|to| Emit { to, msg, trace }));
+            }
+            Next::Done(item) => {
+                let payload = item.unwrap_or_else(|| q.ext.agg.empty_serialized());
+                let started = self.complete(key, payload.clone());
+                work.push(Work::Completed(key, payload, started));
+            }
+        }
+    }
+
+    /// The input of requests just closed (every owed source ended) ends:
+    /// their last combines, or their completions.
+    pub fn end(&mut self, keys: impl IntoIterator<Item = ReqKey>) -> Vec<Work> {
+        let mut work = Vec::new();
+        for key in keys {
+            self.reduce(key, &mut work, Reduction::end);
+        }
+        work
+    }
+
+    /// A combine of `key` came back with `out`: the next combine, or the
+    /// request's completion. A failure (a partial that does not decode, a
+    /// function that panicked) drops the state as a completion would.
+    pub fn combined(&mut self, key: ReqKey, out: Result<Bytes, AggError>) -> BoxStep {
+        let mut step = BoxStep::default();
+        match out {
+            Ok(item) => self.reduce(key, &mut step.work, |r, fanin| r.combined(item, fanin)),
+            Err(e) if self.fanin.requests.contains_key(&key) => {
+                let trace = self.close(key).and_then(|q| q.trace);
+                step.work.push(Work::Failed(key, trace, e));
+            }
+            Err(_) => {}
+        }
+        step
     }
 
     /// The request's emitted chunks, recorded on first use.
@@ -180,7 +264,7 @@ impl<S: PartialSink> BoxCore<S> {
     /// Drop a request's state and its redirect, and record its key in the
     /// emitted window: whatever still arrives for it is a replay or a
     /// backup's copy, and cannot re-open it.
-    fn close(&mut self, key: ReqKey) -> Option<Request<Point, BoxRequest<S>>> {
+    fn close(&mut self, key: ReqKey) -> Option<Request<Point, BoxRequest>> {
         self.emitted(key);
         self.redirects.remove(&key);
         self.fanin.requests.remove(&key)
@@ -204,32 +288,19 @@ impl<S: PartialSink> BoxCore<S> {
         started
     }
 
-    /// A request's local aggregation failed (a partial that does not
-    /// decode, a combine that panicked): its state goes as on completion,
-    /// but nothing goes upstream — the parent times the request out.
-    /// Returns its trace anchor.
-    pub fn abandon(&mut self, key: ReqKey) -> Option<TraceAnchor> {
-        self.close(key).and_then(|q| q.trace)
-    }
-
-    /// Stream partial aggregates upstream: every open request's sink is
-    /// offered [`PartialSink::take`]. Taking inside the transition keeps a
-    /// flushed chunk ordered before the request's completion.
-    pub fn flush(&mut self) {
-        let mut taken = Vec::new();
-        for (key, q) in self.fanin.requests.iter_mut().filter(|(_, q)| !q.closed) {
-            let Some(chunk) = q.ext.sink.take() else {
-                continue;
-            };
-            taken.push((*key, q.ext.out_seq, q.trace, chunk));
-            q.ext.out_seq += 1;
+    /// Stream partial aggregates upstream: every open request buffering at
+    /// least `flush_bytes` gives up its reduction so far, or starts the
+    /// combine that lets a later pass take it. Taking inside the transition
+    /// keeps a flushed chunk ordered before the request's completion.
+    pub fn flush(&mut self) -> Vec<Work> {
+        let open = self.fanin.requests.iter().filter(|(_, q)| !q.closed);
+        let due = open.filter(|(_, q)| q.ext.reduction.bytes() >= self.flush_bytes);
+        let keys: Vec<ReqKey> = due.map(|(key, _)| *key).collect();
+        let mut work = Vec::new();
+        for key in keys {
+            self.reduce(key, &mut work, |r, _| r.take_partial());
         }
-        for (key, seq, trace, chunk) in taken {
-            self.emitted(key).push(chunk.clone());
-            let msg = self.data(key, seq, false, chunk);
-            let to = self.dest(&key);
-            self.outbox.post(to.map(|to| Emit { to, msg, trace }));
-        }
+        work
     }
 
     /// This box's output was redirected. Permanent (the detector's
@@ -280,13 +351,12 @@ impl<S: PartialSink> BoxCore<S> {
     }
 }
 
-impl<S: PartialSink> Node for BoxCore<S> {
-    type Report = Step<Point, ReqKey, S>;
+impl Node for BoxCore {
+    type Report = BoxStep;
     const TIMER: bool = true;
 
-    /// Data goes to its request's sink (inside the transition: a close
-    /// decided here cannot overtake a partial on its way in), a probe is
-    /// answered, a redirect or a broadcast queues what it sends.
+    /// Data enters its request's reduction, a probe is answered, a
+    /// redirect or a broadcast queues what it sends.
     fn on_message(&mut self, msg: Message, now: Instant) -> Self::Report {
         let mut step = Step::default();
         match msg {
@@ -303,16 +373,19 @@ impl<S: PartialSink> Node for BoxCore<S> {
                 let key = (app, request, tree);
                 let q = self.open(key);
                 let took = q.and_then(|q| q.accept_chunk((app, tree), source, seq, last, now));
-                let Some((req, closes, gap)) = took else {
+                let Some((_, closes, gap)) = took else {
                     // Unknown route, duplicate, re-pointed-away source,
                     // request already closed.
                     step.dropped = true;
                     return step;
                 };
                 if !payload.is_empty() {
-                    req.sink.push(payload);
+                    self.reduce(key, &mut step.work, |r, fanin| r.push(payload, fanin));
                 }
-                step.closed = closes.then(|| req.sink.clone());
+                if closes {
+                    step.closed = Some(key);
+                    self.reduce(key, &mut step.work, Reduction::end);
+                }
                 if gap {
                     step.gaps.push((key, source));
                 }
@@ -328,7 +401,8 @@ impl<S: PartialSink> Node for BoxCore<S> {
                 let key = (app, request, tree);
                 let owed = sources.into_iter().map(|s| ((app, tree), s));
                 if self.open(key).is_some() && self.fanin.set_requirement(&key, owed) {
-                    step.closed = self.sinks(&[key]).pop();
+                    step.closed = Some(key);
+                    self.reduce(key, &mut step.work, Reduction::end);
                 }
             }
             Message::Redirect {
@@ -364,20 +438,23 @@ impl<S: PartialSink> Node for BoxCore<S> {
     /// A [`BoxCore::flush`] pass one [`FLUSH_TICK`] after the last, then
     /// the fan-in half's timers — with the ack time-outs due excused while
     /// the box is backlogged (its reader, which reads the acks, is held
-    /// back).
+    /// back) — ending the input of the requests they closed.
     fn on_timer(&mut self, now: Instant) -> Self::Report {
         if self.outbox.backlogged() {
             self.fanin.detector.excuse(now);
         }
+        let mut work = Vec::new();
         if self.flush_due.is_some_and(|t| t <= now) {
             self.flush_due = Some(now + FLUSH_TICK);
-            self.flush();
+            work = self.flush();
         }
         let mut fired = self.fanin.on_timer(now);
         self.outbox.post(fired.take_sends());
+        work.extend(self.end(fired.closed()));
         let fired = Some(fired);
         Step {
             fired,
+            work,
             ..Step::default()
         }
     }

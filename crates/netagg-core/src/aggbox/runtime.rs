@@ -1,32 +1,31 @@
 //! The agg box runtime: [`BoxCore`] in the node `Shell` (`shell.rs`).
 //!
 //! One `AggBox` hosts the aggregation functions of many applications. Its
-//! one reader feeds every connection's frames to the core, which hands
-//! data per `(app, request, tree)` to a [`LocalAggTree`] on the box's
-//! cooperative [`TaskScheduler`]. A pool thread sends the final chunk it
-//! produced; the reader never sends, and leaves its posts and acks to the
-//! timer thread, which runs what the core's deadlines make due. While the
-//! outbox or the pool's queue is over its bound, the reader holds a
-//! connection's `Data` back: backpressure, not eviction (DESIGN.md §9).
+//! one reader feeds every connection's frames to the core; the combines a
+//! transition made ready go to the box's cooperative [`TaskScheduler`]
+//! once the lock is released. A pool thread merges, feeds the output back
+//! into the core and sends what that queued. The reader never sends: the
+//! timer thread sends its posts and acks, and runs what the core's
+//! deadlines make due. While the outbox or the pool's queue is over its
+//! bound, the reader holds a connection's `Data` back (DESIGN.md §9).
 
-use crate::aggbox::core::{BoxCore, PartialSink, Point, ReqKey, OUTBOX_BOUND};
+use crate::aggbox::core::{BoxCore, BoxStep, Combine, Point, ReqKey, Work, OUTBOX_BOUND};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
-use crate::aggbox::tree::{LocalAggTree, TraceTarget};
+use crate::aggbox::tree::combine;
 use crate::failure::DetectorConfig;
 use crate::fanin::{Fired, Route, TraceAnchor};
 use crate::lifecycle::Readiness;
-use crate::node::{Emit, Step};
+use crate::node::Emit;
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::shell::{Outlet, Shell, State};
 use crate::spans::{Hop, Spans};
 use crate::straggler::StragglerPolicy;
 use crate::{AggError, DynAggregator};
-use bytes::Bytes;
 use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::trace;
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Configuration of one agg box.
@@ -66,37 +65,6 @@ impl AggBoxConfig {
             flush_bytes: None,
             obs: MetricsRegistry::new(),
         }
-    }
-}
-
-/// A request's local aggregation tree as the core sees it: somewhere to
-/// push accepted partials, and (a clone of it) what the shell closes the
-/// input on after releasing the lock — completion may fire the forwarding
-/// callback, which re-locks the core.
-#[derive(Clone)]
-struct TreeSink {
-    tree: Arc<LocalAggTree>,
-    sched: Arc<TaskScheduler>,
-    app: AppId,
-    /// Buffered bytes from which a flush pass streams a partial upstream.
-    flush_bytes: usize,
-}
-
-impl PartialSink for TreeSink {
-    fn push(&mut self, payload: Bytes) {
-        // LocalAggTree has its own fine-grained lock; push never blocks.
-        self.tree.push(&self.sched, self.app, payload);
-    }
-
-    fn take(&mut self) -> Option<Bytes> {
-        let due = self.tree.pending_bytes() >= self.flush_bytes;
-        due.then(|| self.tree.take_partial(&self.sched, self.app))?
-    }
-}
-
-impl TreeSink {
-    fn end_input(&self) {
-        self.tree.end_input(&self.sched, self.app);
     }
 }
 
@@ -152,6 +120,8 @@ pub struct BoxSnapshot {
 struct BoxOutlet {
     cfg: AggBoxConfig,
     scheduler: Arc<TaskScheduler>,
+    /// What the pool's combines feed their output back into.
+    shell: Weak<BoxShell>,
     stats: BoxStats,
     messages_in: Arc<Counter>,
     bytes_in: Arc<Counter>,
@@ -160,12 +130,11 @@ struct BoxOutlet {
     request_agg_us: Arc<Histogram>,
     /// Box-side spans, under the component label `aggbox-<b>`.
     spans: Spans,
-    /// Component label for scheduler-task spans, e.g. `aggbox-2-sched`.
-    component_sched: Arc<str>,
+    /// Combine-task spans, under the label `aggbox-<b>-sched`.
+    task_spans: Spans,
 }
 
-type BoxShell = Shell<BoxCore<TreeSink>, BoxOutlet>;
-type BoxStep = Step<Point, ReqKey, TreeSink>;
+type BoxShell = Shell<BoxCore, BoxOutlet>;
 
 /// A running agg box.
 pub struct AggBox {
@@ -179,14 +148,23 @@ impl AggBox {
         let (box_id, addr, obs) = (cfg.box_id, cfg.addr, cfg.obs.clone());
         let (name, threads) = (format!("aggbox-{box_id}"), ["-listen", "-reader"]);
         let shell = Shell::start(transport, addr, name, threads, &obs, |weak, _| {
-            let weak = weak.clone();
-            let mut core = BoxCore::new(Box::new(move |key, agg| {
-                Some(new_request(&weak.upgrade()?, key, agg))
-            }));
+            let mut core = BoxCore::new(cfg.fanin, cfg.flush_bytes);
             (core.id, core.fanin.addr) = (box_id, addr);
             core.fanin.straggler = cfg.straggler;
             core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
-            (core, BoxOutlet::new(cfg))
+            let o = BoxOutlet::new(cfg, weak.clone());
+            // One `span.box.request` per sampled request, parented directly
+            // to the trace root (RequestMeta — and hence the master's root
+            // span id — may arrive after the first data).
+            let tracer = o.spans.tracer.clone();
+            core.anchor = Box::new(move |(app, request, _)| {
+                tracer.sampled(request.0).then(|| TraceAnchor {
+                    trace_id: trace::trace_id(app.0, request.0),
+                    span_id: tracer.next_span_id(),
+                    start_ns: trace::now_ns(),
+                })
+            });
+            (core, o)
         })?;
         Ok(Arc::new(Self { shell }))
     }
@@ -201,7 +179,7 @@ impl AggBox {
     /// Install routing for one (application, tree): where this box's
     /// output goes (next box or master shim address) and what it owes.
     pub fn install_route(&self, app: AppId, tree: TreeId, parent: NodeId, route: Route) {
-        let add = |core: &mut BoxCore<_>| core.add_route(app, tree, parent, route);
+        let add = |core: &mut BoxCore| core.add_route(app, tree, parent, route);
         self.shell.transition(add);
     }
 
@@ -211,7 +189,7 @@ impl AggBox {
     /// the box's obligations onto them, and they are told to re-point here.
     pub fn enable_failure_detection(&self, cfg: DetectorConfig) {
         let now = Instant::now();
-        let enable = |core: &mut BoxCore<_>| core.fanin.detector.enable(cfg, now);
+        let enable = |core: &mut BoxCore| core.fanin.detector.enable(cfg, now);
         self.shell.transition(enable);
     }
 
@@ -227,7 +205,7 @@ impl AggBox {
         let (active_requests, buffered_bytes, timer_wakeups) = {
             let s = self.shell.lock();
             let open = s.core.fanin.requests.values();
-            let sizes = open.map(|q| q.ext.sink.tree.pending_bytes());
+            let sizes = open.map(|q| q.ext.reduction.bytes());
             let (n, bytes) = sizes.fold((0, 0), |(n, bytes), b| (n + 1, bytes + b));
             (n, bytes, s.wakeups)
         };
@@ -273,8 +251,8 @@ impl AggBox {
         // one transiently, and a pool joined from inside itself finishes
         // after this returns.
         o.scheduler.shutdown();
-        // Requests still open at teardown never reach `completed`, so
-        // their box request span would never be recorded — and the
+        // Requests still open at teardown never complete, so their box
+        // request span would never be recorded — and the
         // queue-wait / combine spans parented beneath it would be orphans.
         // Close them start → now, so a box killed mid-request still leaves
         // one connected trace tree (DESIGN.md §11).
@@ -293,11 +271,12 @@ impl Drop for AggBox {
 }
 
 impl BoxOutlet {
-    fn new(cfg: AggBoxConfig) -> Self {
+    fn new(cfg: AggBoxConfig, shell: Weak<BoxShell>) -> Self {
         let (registry, id) = (&cfg.obs, cfg.box_id);
         let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), registry.clone());
         Self {
             scheduler: Arc::new(scheduler),
+            shell,
             stats: BoxStats::default(),
             messages_in: registry.counter(names::AGGBOX_MESSAGES_IN),
             bytes_in: registry.counter(names::AGGBOX_BYTES_IN),
@@ -305,7 +284,7 @@ impl BoxOutlet {
             duplicates_dropped: registry.counter(names::AGGBOX_DUPLICATES_DROPPED),
             request_agg_us: registry.histogram(names::AGGBOX_REQUEST_AGG_US),
             spans: Spans::new(registry, format!("aggbox-{id}")),
-            component_sched: format!("aggbox-{id}-sched").into(),
+            task_spans: Spans::new(registry, format!("aggbox-{id}-sched")),
             cfg,
         }
     }
@@ -317,6 +296,48 @@ impl BoxOutlet {
         let (tid, start) = (t.trace_id, t.start_ns);
         self.spans
             .record(name, tid, t.span_id, tid, request, start, now);
+    }
+
+    /// Run one combine on the pool: the pure merge, its queue-wait and
+    /// combine spans, then its output back into the core — a transition on
+    /// the pool thread, which sends the final chunk it queued and never
+    /// waits at the outbox bound.
+    fn submit(&self, c: Combine) {
+        let (shell, queued) = (self.shell.clone(), c.trace.map(|t| (t, trace::now_ns())));
+        let task = move || {
+            let Some(shell) = shell.upgrade() else {
+                return;
+            };
+            let start = queued.map(|_| trace::now_ns());
+            let out = combine(&*c.agg, c.items);
+            if let (Some((t, queued)), Some(start)) = (queued, start) {
+                let (wait, run) = (names::spans::BOX_QUEUE_WAIT, names::spans::BOX_COMBINE);
+                let spans = &shell.hook.task_spans;
+                for (name, from, to) in [(wait, queued, start), (run, start, trace::now_ns())] {
+                    let id = spans.tracer.next_span_id();
+                    spans.record(name, t.trace_id, id, t.span_id, c.key.1, from, to);
+                }
+            }
+            let mut s = shell.lock();
+            let step = s.core.combined(c.key, out);
+            // A completion sends its final chunk; other combines post nothing.
+            let done = step.work.iter().any(|w| matches!(w, Work::Completed(..)));
+            shell.act(s, step, None, done);
+        };
+        self.scheduler.submit(c.key.0, Box::new(task));
+    }
+
+    /// A request's combine failed and the core dropped it: close its span,
+    /// count it and say why. The parent times it out.
+    fn failed(&self, (app, request, tree): ReqKey, trace: Option<TraceAnchor>, e: AggError) {
+        trace.iter().for_each(|t| self.request_span(request, *t));
+        self.cfg.obs.counter(names::AGGBOX_REQUESTS_FAILED).inc();
+        let id = self.cfg.box_id;
+        let detail = format!(
+            "box {id} dropped request {} of app {} tree {}: {e}",
+            request.0, app.0, tree.0
+        );
+        self.cfg.obs.emit(names::EVENT_FAILURE, detail);
     }
 
     /// Audit one timer firing: the detector's verdicts and re-points
@@ -352,20 +373,20 @@ impl BoxOutlet {
     }
 }
 
-/// The box's hook: the pool-queue hold, trace context on its output, and
-/// the audit of what its reader and timer did.
-impl Outlet<BoxCore<TreeSink>> for BoxOutlet {
-    /// The sinks a timer firing closed.
-    type Then = Vec<TreeSink>;
+/// The box's hook: the pool-queue hold, the combines a transition made
+/// ready, trace context on its output, and the audit of what its reader,
+/// timer and pool did.
+impl Outlet<BoxCore> for BoxOutlet {
+    type Then = ();
 
     /// Backpressure: box-to-box `Data` flows upward only and both queues
     /// drain without the reader, so the holds are acyclic.
-    fn hold(&self, core: &BoxCore<TreeSink>, ready: &Readiness) -> bool {
+    fn hold(&self, core: &BoxCore, ready: &Readiness) -> bool {
         core.outbox.backlogged() || self.scheduler.over(OUTBOX_BOUND, ready)
     }
 
     /// A child's ack may wait behind the `Data` held back.
-    fn excuse(&self, core: &mut BoxCore<TreeSink>, now: Instant) {
+    fn excuse(&self, core: &mut BoxCore, now: Instant) {
         core.fanin.detector.excuse(now);
     }
 
@@ -382,17 +403,25 @@ impl Outlet<BoxCore<TreeSink>> for BoxOutlet {
         self.spans.wire(msg)
     }
 
-    /// A bypass or a failure may have completed requests (the owed set
-    /// changed): their sinks end after unlocking.
-    fn settle(&self, s: &mut State<BoxCore<TreeSink>>, step: &mut BoxStep) -> Option<Self::Then> {
-        if step.fired.as_ref().is_some_and(Fired::is_empty) {
-            return None;
+    /// Count each completion before its final chunk can leave: observers
+    /// polling after the master saw the result must find the counter
+    /// already incremented.
+    fn settle(&self, _: &mut State<BoxCore>, step: &mut BoxStep) -> Option<()> {
+        for w in &step.work {
+            if let Work::Completed(_, _, started) = w {
+                let stat = &self.stats.requests_completed;
+                stat.fetch_add(1, Ordering::Relaxed);
+                self.requests_completed.inc();
+                // First data byte in → final aggregate queued.
+                let agg_us = |t0: &Instant| self.request_agg_us.record_duration(t0.elapsed());
+                started.iter().for_each(agg_us);
+            }
         }
-        let closed = step.fired.as_ref().map(Fired::closed).unwrap_or_default();
-        Some(s.core.sinks(&closed))
+        let idle = step.fired.as_ref().is_some_and(Fired::is_empty);
+        (!idle || !step.work.is_empty()).then_some(())
     }
 
-    fn then(&self, hop: Option<Hop>, step: BoxStep, close: Self::Then) {
+    fn then(&self, hop: Option<Hop>, step: BoxStep, (): ()) {
         self.spans.gapped(&self.cfg.obs, &step.gaps);
         if step.dropped {
             // Unknown route, replayed sequence number, re-pointed-away
@@ -403,10 +432,13 @@ impl Outlet<BoxCore<TreeSink>> for BoxOutlet {
             return;
         }
         step.fired.iter().for_each(|f| self.report(f));
-        step.closed
-            .iter()
-            .chain(&close)
-            .for_each(TreeSink::end_input);
+        for w in step.work {
+            match w {
+                Work::Combine(c) => self.submit(c),
+                Work::Failed(key, trace, e) => self.failed(key, trace, e),
+                Work::Completed(..) => {}
+            }
+        }
         self.spans.ingest(names::spans::BOX_RECV, hop);
     }
 
@@ -449,84 +481,4 @@ impl Outlet<BoxCore<TreeSink>> for BoxOutlet {
             _ => {}
         }
     }
-}
-
-/// Build a request's local aggregation tree and wire its completion to
-/// [`completed`]. Runs inside the core transition that first sees the
-/// request.
-fn new_request(
-    shell: &Arc<BoxShell>,
-    key: ReqKey,
-    agg: &Arc<dyn DynAggregator>,
-) -> (TreeSink, Option<TraceAnchor>) {
-    let (o, (app, request, _)) = (&shell.hook, key);
-    let tree = LocalAggTree::new(agg.clone(), o.cfg.fanin);
-    // Trace anchor: one `span.box.request` per sampled request, parented
-    // directly to the trace root (RequestMeta — and hence the master's
-    // root span id — may arrive after the first data).
-    let tracer = &o.spans.tracer;
-    let anchor = tracer.sampled(request.0).then(|| {
-        let t = TraceAnchor {
-            trace_id: trace::trace_id(app.0, request.0),
-            span_id: tracer.next_span_id(),
-            start_ns: trace::now_ns(),
-        };
-        tree.set_trace(TraceTarget {
-            tracer: tracer.clone(),
-            trace_id: t.trace_id,
-            parent_span_id: t.span_id,
-            request: request.0,
-            component: o.component_sched.clone(),
-        });
-        t
-    });
-    let weak = Arc::downgrade(shell);
-    tree.on_complete(Box::new(move |result, pooled| {
-        if let Some(shell) = weak.upgrade() {
-            completed(&shell, key, result, pooled);
-        }
-    }));
-    let sink = TreeSink {
-        tree,
-        sched: o.scheduler.clone(),
-        app,
-        flush_bytes: o.cfg.flush_bytes.unwrap_or(usize::MAX),
-    };
-    (sink, anchor)
-}
-
-/// A request's local aggregation finished: one core transition retains
-/// the aggregate, drops the request's state and queues the final chunk
-/// behind every chunk numbered before it, for a pool thread to drain (or
-/// the timer, if the input's end finished it). A failed aggregation drops
-/// the state alone, so no late chunk re-opens it; the parent times out.
-fn completed(shell: &BoxShell, key: ReqKey, result: Result<Bytes, AggError>, pooled: bool) {
-    let (o, (app, request, tree)) = (&shell.hook, key);
-    let payload = match result {
-        Ok(payload) => payload,
-        Err(e) => {
-            let trace = shell.transition(|core| core.abandon(key));
-            trace.iter().for_each(|t| o.request_span(request, *t));
-            o.cfg.obs.counter(names::AGGBOX_REQUESTS_FAILED).inc();
-            let id = o.cfg.box_id;
-            let detail = format!(
-                "box {id} dropped request {} of app {} tree {}: {e}",
-                request.0, app.0, tree.0
-            );
-            o.cfg.obs.emit(names::EVENT_FAILURE, detail);
-            return;
-        }
-    };
-    // Count the completion before the aggregate is queued: observers
-    // polling after the master saw the result must find the counter
-    // already incremented.
-    let stat = &o.stats.requests_completed;
-    stat.fetch_add(1, Ordering::Relaxed);
-    o.requests_completed.inc();
-    let mut s = shell.lock();
-    if let Some(t0) = s.core.complete(key, payload) {
-        // First data byte in → final aggregate queued.
-        o.request_agg_us.record_duration(t0.elapsed());
-    }
-    shell.release(s, pooled);
 }

@@ -1,63 +1,121 @@
-//! The local aggregation tree: parallel, pipelined reduction of a stream of
-//! serialised partial results inside one agg box (Section 3.2.1).
-//!
-//! Incoming items are buffered; whenever `fanin` items are available (or
-//! the input has ended and at least two remain), a combine *task* is
-//! submitted to the box's cooperative scheduler. Task outputs are
-//! re-enqueued as new inputs, so the reduction unfolds as a tree whose
-//! interior nodes execute in parallel across CPU cores and whose shape
-//! adapts to arrival order (pipelining: aggregation overlaps with network
-//! receipt). Little data is buffered: at most `fanin` items per in-flight
-//! task.
+//! The local aggregation tree (Section 3.2.1) as a value: a [`Reduction`]
+//! per request in the box's core. The input that makes `fanin` items
+//! available (or, once the input ended, two) returns them as one batch,
+//! and a batch's output comes back as an input; so the reduction unfolds as
+//! a tree whose interior nodes run in parallel on the box's pool, shaped by
+//! arrival order (aggregation overlaps with network receipt). At most one
+//! batch is ready at a time: under `fanin` items stay buffered while the
+//! input is open, under two once it ended. [`combine`] is the pure step a
+//! pool thread runs; [`LocalAggTree`] drives a standalone reduction.
 
 use crate::aggbox::scheduler::TaskScheduler;
-use crate::lifecycle::{Deadline, Parked, Parking};
+use crate::lifecycle::{Deadline, OrderedMutex, Parked, Parking};
 use crate::protocol::AppId;
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
-use netagg_obs::names;
-use netagg_obs::trace::{self, TraceRecorder};
-use parking_lot::Mutex;
+use netagg_net::lock_order;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Callback invoked once with the reduction's final result, and whether a
-/// pool task produced it (else the caller of `end_input` runs it).
-pub type CompletionHandler = Box<dyn FnOnce(Result<Bytes, AggError>, bool) + Send>;
-
-/// Where combine tasks record their queue-wait and execution spans
-/// (DESIGN.md §11). Installed by the agg box when the owning request is
-/// sampled; without one, tasks record nothing.
-#[derive(Clone)]
-pub struct TraceTarget {
-    /// Shared span recorder (the box registry's tracer).
-    pub tracer: Arc<TraceRecorder>,
-    /// Trace the request belongs to.
-    pub trace_id: u64,
-    /// Parent for the task spans (the box's per-request span).
-    pub parent_span_id: u64,
-    /// Request id recorded on each span.
-    pub request: u64,
-    /// Component label, e.g. `aggbox-2-sched`.
-    pub component: Arc<str>,
+/// What an input to a [`Reduction`] leaves to do.
+#[derive(Debug)]
+pub enum Next {
+    /// Nothing until more input arrives or a combine comes back.
+    Wait,
+    /// Merge these items in one combine task; feed its output back with
+    /// [`Reduction::combined`].
+    Combine(Vec<Bytes>),
+    /// The input ended and this is the result (`None`: it was empty).
+    Done(Option<Bytes>),
+    /// The reduction so far, which [`Reduction::take_partial`] took.
+    Partial(Bytes),
 }
 
-struct TreeState {
+/// One request's reduction state: buffered items, combines in flight and
+/// whether the input ended. No lock, thread or clock.
+#[derive(Debug, Default)]
+pub struct Reduction {
     pending: Vec<Bytes>,
     outstanding: usize,
     ended: bool,
+}
+
+impl Reduction {
+    /// One more item.
+    pub fn push(&mut self, item: Bytes, fanin: usize) -> Next {
+        self.pending.push(item);
+        self.next(fanin)
+    }
+
+    /// The input ended: the last combines become ready.
+    pub fn end(&mut self, fanin: usize) -> Next {
+        self.ended = true;
+        self.next(fanin)
+    }
+
+    /// A combine came back with `item`.
+    pub fn combined(&mut self, item: Bytes, fanin: usize) -> Next {
+        self.outstanding -= 1;
+        self.push(item, fanin)
+    }
+
+    /// The reduction so far, for a streaming flush, while the input is
+    /// open: the one buffered item once no combine is in flight, else a
+    /// combine of everything buffered, so that a later call can take it.
+    pub fn take_partial(&mut self) -> Next {
+        match self.pending.len() {
+            n if n == 0 || self.ended || self.outstanding > 0 => Next::Wait,
+            1 => self.pending.pop().map_or(Next::Wait, Next::Partial),
+            all => self.batch(all),
+        }
+    }
+
+    /// Bytes buffered.
+    pub fn bytes(&self) -> usize {
+        self.pending.iter().map(Bytes::len).sum()
+    }
+
+    fn next(&mut self, fanin: usize) -> Next {
+        let ready = if self.ended { 2 } else { fanin };
+        if self.pending.len() >= ready {
+            self.batch(self.pending.len().min(fanin))
+        } else if self.ended && self.outstanding == 0 {
+            Next::Done(self.pending.pop())
+        } else {
+            Next::Wait
+        }
+    }
+
+    fn batch(&mut self, take: usize) -> Next {
+        self.outstanding += 1;
+        Next::Combine(self.pending.drain(..take).collect())
+    }
+}
+
+/// Merge one batch: the aggregation function, with a panic in it contained
+/// as a failed combine (a faulty function fails its request cleanly
+/// instead of hanging it on a combine that never returns).
+pub fn combine(agg: &dyn DynAggregator, items: Vec<Bytes>) -> Result<Bytes, AggError> {
+    let run = std::panic::AssertUnwindSafe(|| agg.aggregate_serialized(items));
+    std::panic::catch_unwind(run)
+        .unwrap_or_else(|_| Err(AggError::Corrupt("aggregation function panicked".into())))
+}
+
+#[derive(Default)]
+struct Standalone {
+    reduction: Reduction,
     done: Option<Result<Bytes, AggError>>,
-    on_complete: Option<CompletionHandler>,
-    trace: Option<TraceTarget>,
     /// `wait_complete` callers parked on `cv`.
     waiters: Parked,
 }
 
-/// A pipelined parallel reduction over serialised items.
+/// A standalone reduction on a [`TaskScheduler`]: a one-request core. Its
+/// lock takes the `node.core` rank, as it is never nested in a node's, and
+/// is released before a combine is submitted.
 pub struct LocalAggTree {
     agg: Arc<dyn DynAggregator>,
     fanin: usize,
-    state: Mutex<TreeState>,
+    state: OrderedMutex<Standalone>,
     cv: Parking,
 }
 
@@ -66,61 +124,24 @@ impl LocalAggTree {
     /// (2 = binary tree, as in the paper's Fig. 15 micro-benchmark).
     pub fn new(agg: Arc<dyn DynAggregator>, fanin: usize) -> Arc<Self> {
         assert!(fanin >= 2);
+        let state = OrderedMutex::new(lock_order::NODE_CORE, Standalone::default());
+        let cv = Parking::new();
         Arc::new(Self {
             agg,
             fanin,
-            state: Mutex::new(TreeState {
-                pending: Vec::new(),
-                outstanding: 0,
-                ended: false,
-                done: None,
-                on_complete: None,
-                trace: None,
-                waiters: Parked::default(),
-            }),
-            cv: Parking::new(),
+            state,
+            cv,
         })
-    }
-
-    /// Install the trace target subsequent combine tasks record their
-    /// `span.box.queue_wait` / `span.box.combine` spans against. Called at
-    /// request creation, before any data is pushed.
-    pub fn set_trace(&self, t: TraceTarget) {
-        self.state.lock().trace = Some(t);
-    }
-
-    /// Register a callback fired exactly once with the final result, on
-    /// whichever thread completes the reduction.
-    pub fn on_complete(&self, cb: CompletionHandler) {
-        let mut s = self.state.lock();
-        if let Some(done) = s.done.clone() {
-            drop(s);
-            cb(done, false);
-        } else {
-            assert!(s.on_complete.is_none(), "on_complete registered twice");
-            s.on_complete = Some(cb);
-        }
     }
 
     /// Feed one item; combine tasks are scheduled as batches fill.
     pub fn push(self: &Arc<Self>, sched: &Arc<TaskScheduler>, app: AppId, item: Bytes) {
-        let mut s = self.state.lock();
-        if s.done.is_some() {
-            return; // late data after an error/completion is dropped
-        }
-        s.pending.push(item);
-        self.maybe_schedule(&mut s, sched, app);
+        self.feed(sched, app, |r, fanin| r.push(item, fanin));
     }
 
     /// Declare the input stream finished; the final combines are scheduled.
     pub fn end_input(self: &Arc<Self>, sched: &Arc<TaskScheduler>, app: AppId) {
-        let cb = {
-            let mut s = self.state.lock();
-            s.ended = true;
-            self.maybe_schedule(&mut s, sched, app);
-            self.maybe_finish(&mut s)
-        };
-        run_completion(cb, false);
+        self.feed(sched, app, Reduction::end);
     }
 
     /// Block until the final aggregate is available.
@@ -131,7 +152,7 @@ impl LocalAggTree {
             if let Some(done) = s.done.clone() {
                 return done;
             }
-            if !self.cv.wait(&mut s, |s| &mut s.waiters, deadline) {
+            if !self.cv.wait(s.inner(), |s| &mut s.waiters, deadline) {
                 return Err(AggError::Timeout);
             }
         }
@@ -140,152 +161,54 @@ impl LocalAggTree {
     /// Items buffered and tasks in flight (for back-pressure decisions).
     pub fn load(&self) -> (usize, usize) {
         let s = self.state.lock();
-        (s.pending.len(), s.outstanding)
+        (s.reduction.pending.len(), s.reduction.outstanding)
     }
 
-    /// Total bytes currently buffered.
-    pub fn pending_bytes(&self) -> usize {
-        self.state.lock().pending.iter().map(Bytes::len).sum()
-    }
-
-    /// Take the fully combined partial aggregate accumulated so far, if the
-    /// reduction has quiesced (no tasks in flight, one item buffered). When
-    /// several items are buffered, a combine is scheduled so a later call
-    /// can succeed. Used for streaming flushes: the box forwards partial
-    /// aggregates downstream instead of buffering a whole request.
-    pub fn take_partial(self: &Arc<Self>, sched: &Arc<TaskScheduler>, app: AppId) -> Option<Bytes> {
-        let mut s = self.state.lock();
-        if s.ended || s.done.is_some() {
-            return None;
-        }
-        if s.outstanding == 0 && s.pending.len() == 1 {
-            return s.pending.pop();
-        }
-        if s.outstanding == 0 && s.pending.len() >= 2 {
-            // Force a combine of everything buffered; the next flush pass
-            // can then take the single result.
-            let all = s.pending.len();
-            self.spawn_combine(&mut s, sched, app, all);
-        }
-        None
-    }
-
-    fn maybe_schedule(self: &Arc<Self>, s: &mut TreeState, sched: &Arc<TaskScheduler>, app: AppId) {
-        loop {
-            let ready = if s.ended {
-                s.pending.len() >= 2
-            } else {
-                s.pending.len() >= self.fanin
-            };
-            if !ready || s.done.is_some() {
-                return;
-            }
-            let take = s.pending.len().min(self.fanin);
-            self.spawn_combine(s, sched, app, take);
-        }
-    }
-
-    /// Submit one combine task over the first `take` buffered items,
-    /// recording its queue wait and execution as spans when the request is
-    /// traced.
-    fn spawn_combine(
+    /// Run one input under the lock; submit the combine it made ready
+    /// after releasing it. Input after the result (late data after an
+    /// error) is dropped.
+    fn feed(
         self: &Arc<Self>,
-        s: &mut TreeState,
         sched: &Arc<TaskScheduler>,
         app: AppId,
-        take: usize,
+        input: impl FnOnce(&mut Reduction, usize) -> Next,
     ) {
-        let batch: Vec<Bytes> = s.pending.drain(..take).collect();
-        s.outstanding += 1;
-        let (trace, tree) = (s.trace.clone(), self.clone());
-        let agg = self.agg.clone();
+        let items = {
+            let mut s = self.state.lock();
+            if s.done.is_some() {
+                return;
+            }
+            match input(&mut s.reduction, self.fanin) {
+                Next::Combine(items) => items,
+                Next::Done(item) => {
+                    let out = item.unwrap_or_else(|| self.agg.empty_serialized());
+                    return self.finish(&mut s, Ok(out));
+                }
+                _ => return,
+            }
+        };
+        self.submit(sched, app, items);
+    }
+
+    /// Combine `items` on the pool and feed the output back.
+    fn submit(self: &Arc<Self>, sched: &Arc<TaskScheduler>, app: AppId, items: Vec<Bytes>) {
         // Tasks hold only a weak scheduler reference: a strong one could
         // make the last Arc drop on a pool thread, whose Drop would then
         // try to join itself.
-        let sched_weak = Arc::downgrade(sched);
-        let enqueue_ns = trace.as_ref().map(|_| trace::now_ns());
-        let record = move |name, start, end| {
-            if let Some(t) = &trace {
-                let (tid, id, parent) = (t.trace_id, t.tracer.next_span_id(), t.parent_span_id);
-                let who = &t.component;
-                t.tracer
-                    .record_span(name, who, tid, id, parent, t.request, start, end);
-            }
-        };
+        let (tree, weak) = (self.clone(), Arc::downgrade(sched));
         sched.submit(
             app,
-            Box::new(move || {
-                // Queue wait: submit → a pool thread picked the task up.
-                let exec_start = enqueue_ns.map(|t0| {
-                    let start = trace::now_ns();
-                    record(names::spans::BOX_QUEUE_WAIT, t0, start);
-                    start
-                });
-                // Contain panics from faulty aggregation functions so the
-                // reduction fails cleanly instead of hanging with a
-                // permanently outstanding task.
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    agg.aggregate_serialized(batch)
-                }))
-                .unwrap_or_else(|_| Err(AggError::Corrupt("aggregation function panicked".into())));
-                if let Some(start) = exec_start {
-                    record(names::spans::BOX_COMBINE, start, trace::now_ns());
-                }
-                if let Some(sched) = sched_weak.upgrade() {
-                    tree.task_done(&sched, app, out);
-                }
+            Box::new(move || match (combine(&*tree.agg, items), weak.upgrade()) {
+                (Ok(item), Some(sched)) => tree.feed(&sched, app, |r, f| r.combined(item, f)),
+                (Ok(_), None) => {}
+                (Err(e), _) => tree.finish(&mut tree.state.lock(), Err(e)),
             }),
         );
     }
 
-    fn task_done(
-        self: &Arc<Self>,
-        sched: &Arc<TaskScheduler>,
-        app: AppId,
-        out: Result<Bytes, AggError>,
-    ) {
-        let cb = {
-            let mut s = self.state.lock();
-            s.outstanding -= 1;
-            match out {
-                _ if s.done.is_some() => None,
-                Ok(bytes) => {
-                    s.pending.push(bytes);
-                    self.maybe_schedule(&mut s, sched, app);
-                    self.maybe_finish(&mut s)
-                }
-                Err(e) => self.finish(&mut s, Err(e)),
-            }
-        };
-        run_completion(cb, true);
-    }
-
-    fn maybe_finish(self: &Arc<Self>, s: &mut TreeState) -> Option<CompletionCb> {
-        if s.done.is_none() && s.ended && s.outstanding == 0 && s.pending.len() <= 1 {
-            let out = s
-                .pending
-                .pop()
-                .unwrap_or_else(|| self.agg.empty_serialized());
-            self.finish(s, Ok(out))
-        } else {
-            None
-        }
-    }
-
-    /// Record the result and detach the completion callback so the caller
-    /// can run it after releasing the state lock.
-    fn finish(&self, s: &mut TreeState, out: Result<Bytes, AggError>) -> Option<CompletionCb> {
-        s.done = Some(out.clone());
+    fn finish(&self, s: &mut Standalone, out: Result<Bytes, AggError>) {
+        s.done = Some(out);
         self.cv.wake_all(&mut s.waiters);
-        s.on_complete.take().map(|cb| (cb, out))
-    }
-}
-
-type CompletionCb = (CompletionHandler, Result<Bytes, AggError>);
-
-fn run_completion(cb: Option<CompletionCb>, pooled: bool) {
-    if let Some((cb, out)) = cb {
-        cb(out, pooled);
     }
 }
 
@@ -392,41 +315,6 @@ mod tests {
             tree.wait_complete(Duration::from_secs(5)),
             Err(AggError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn completion_callback_fires_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let sched = scheduler(4);
-        let tree = LocalAggTree::new(Arc::new(AggWrapper::new(Sum)), 2);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f2 = fired.clone();
-        tree.on_complete(Box::new(move |r, _| {
-            assert_eq!(dec(&r.unwrap()), 10);
-            f2.fetch_add(1, Ordering::SeqCst);
-        }));
-        for v in [1u64, 2, 3, 4] {
-            tree.push(&sched, AppId(1), enc(v));
-        }
-        tree.end_input(&sched, AppId(1));
-        tree.wait_complete(Duration::from_secs(5)).unwrap();
-        // Give the callback (fired on a worker thread) a moment.
-        sched.wait_idle(Duration::from_secs(5));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn callback_after_completion_fires_immediately() {
-        let sched = scheduler(2);
-        let tree = LocalAggTree::new(Arc::new(AggWrapper::new(Sum)), 2);
-        tree.push(&sched, AppId(1), enc(5));
-        tree.end_input(&sched, AppId(1));
-        tree.wait_complete(Duration::from_secs(5)).unwrap();
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        tree.on_complete(Box::new(move |r, _| {
-            tx.send(dec(&r.unwrap())).unwrap();
-        }));
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 5);
     }
 
     #[test]

@@ -47,21 +47,23 @@ pub trait Node {
 
 /// What a fan-in core's transition leaves its shell to act on.
 #[derive(Debug)]
-pub struct Step<P, R, X> {
+pub struct Step<P, R, W = ()> {
     /// The message was dropped: an unknown route or application, a
     /// replayed sequence number, a re-pointed-away source, a closed request.
     pub dropped: bool,
     /// Chunks accepted past a sequence gap (DESIGN.md §8).
     pub gaps: Vec<(R, SourceId)>,
-    /// The request a message completed: its sink to end the input on at
-    /// a box, its id to hand to the waiter at the master.
-    pub closed: Option<X>,
+    /// The request a message closed: every owed source ended.
+    pub closed: Option<R>,
     /// A timer firing, for the shell to audit; [`Fired::closed`] names the
-    /// requests it completed.
+    /// requests it closed.
     pub fired: Option<Fired<P, R>>,
+    /// What else the shell runs once the lock is released (a box's
+    /// combines and finished reductions).
+    pub work: W,
 }
 
-impl<P, R, X> Default for Step<P, R, X> {
+impl<P, R, W: Default> Default for Step<P, R, W> {
     fn default() -> Self {
         let (dropped, gaps, closed, fired) = (false, Vec::new(), None, None);
         Self {
@@ -69,6 +71,7 @@ impl<P, R, X> Default for Step<P, R, X> {
             gaps,
             closed,
             fired,
+            work: W::default(),
         }
     }
 }

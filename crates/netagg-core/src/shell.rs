@@ -42,7 +42,7 @@ pub(crate) trait Outlet<N: Node>: Send + Sync + 'static {
     /// nothing.
     fn settle(&self, s: &mut State<N>, report: &mut N::Report) -> Option<Self::Then>;
     /// Once the lock is released: audit, and hand on what the transition
-    /// closed. `hop` is the arriving message's.
+    /// left (a box's combines). `hop` is the arriving message's.
     fn then(&self, hop: Option<Hop>, report: N::Report, then: Self::Then);
     /// Stamp `e`'s trace context as it leaves.
     fn stamp(&self, e: &mut Emit);
@@ -223,7 +223,7 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
 
     /// Settle `report` under the lock, release it — draining if `drain` —
     /// and hand the rest to the hook.
-    fn act(
+    pub fn act(
         &self,
         mut s: Guard<'_, N>,
         mut report: N::Report,

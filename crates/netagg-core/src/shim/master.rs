@@ -107,7 +107,7 @@ struct MasterOutlet {
 }
 
 type MasterShell = Shell<MasterCore, MasterOutlet>;
-type MasterStep = Step<TreeId, RequestId, RequestId>;
+type MasterStep = Step<TreeId, RequestId>;
 
 /// A handle to one registered request.
 pub struct PendingRequest {

@@ -209,7 +209,7 @@ impl MasterCore {
 }
 
 impl Node for MasterCore {
-    type Report = Step<TreeId, RequestId, RequestId>;
+    type Report = Step<TreeId, RequestId>;
     const TIMER: bool = true;
 
     /// This application's data goes to its request, an ack to the

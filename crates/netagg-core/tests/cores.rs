@@ -3,7 +3,8 @@
 //! meets when a soak happens to schedule it.
 
 use bytes::Bytes;
-use netagg_core::aggbox::core::{BoxCore, PartialSink, FLUSH_TICK, OUTBOX_BOUND};
+use netagg_core::aggbox::core::{BoxCore, Work, FLUSH_TICK, OUTBOX_BOUND};
+use netagg_core::aggbox::tree::combine;
 use netagg_core::failure::DetectorConfig;
 use netagg_core::fanin::{Fired, Route};
 use netagg_core::node::{Emit, Node};
@@ -24,37 +25,24 @@ const APP: AppId = AppId(0);
 const TREE: TreeId = TreeId(0);
 const THRESHOLD: Duration = Duration::from_millis(50);
 
-/// The reference sink: a request's partials in arrival order. A flush
-/// takes every pending partial, concatenated.
-#[derive(Clone, Default, Debug, PartialEq)]
-struct Collect(Vec<Bytes>);
-
-impl PartialSink for Collect {
-    fn push(&mut self, payload: Bytes) {
-        self.0.push(payload);
-    }
-
-    fn take(&mut self) -> Option<Bytes> {
-        let bytes: Vec<u8> = self.0.drain(..).flat_map(|b| b.to_vec()).collect();
-        (!bytes.is_empty()).then(|| Bytes::from(bytes))
-    }
-}
-
-/// The application a box core serves: the sink above does the work.
-struct Unused;
-impl DynAggregator for Unused {
-    fn aggregate_serialized(&self, _: Vec<Bytes>) -> Result<Bytes, AggError> {
-        unreachable!("a box core aggregates nothing itself")
+/// The application a box core serves: a combine concatenates its items
+/// in order, so a final chunk holds every partial that reached it.
+struct Concat;
+impl DynAggregator for Concat {
+    fn aggregate_serialized(&self, items: Vec<Bytes>) -> Result<Bytes, AggError> {
+        let bytes: Vec<u8> = items.iter().flat_map(|b| b.to_vec()).collect();
+        Ok(bytes.into())
     }
     fn empty_serialized(&self) -> Bytes {
         Bytes::new()
     }
 }
 
-/// A box core forwarding to node 100 with the given route.
-fn box_core(owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>) -> BoxCore<Collect> {
-    let mut core = BoxCore::default();
-    core.add_app(APP, Arc::new(Unused));
+/// A box core forwarding to node 100 with the given route, its combines
+/// merging up to `fanin` items, its flush passes taking any buffered byte.
+fn box_core(fanin: usize, owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>) -> BoxCore {
+    let mut core = BoxCore::new(fanin, Some(1));
+    core.add_app(APP, Arc::new(Concat));
     let route = Route {
         owed: owed.into_iter().collect(),
         child_boxes,
@@ -62,6 +50,21 @@ fn box_core(owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>) -> BoxCore<Co
     };
     core.add_route(APP, TREE, 100, route);
     core
+}
+
+/// Run a box transition's combines inline, each output fed back as the
+/// core input it is, until none is left: the payload of the final chunk,
+/// if a request completed.
+fn run(core: &mut BoxCore, mut work: Vec<Work>) -> Option<Bytes> {
+    let mut done = None;
+    while let Some(w) = work.pop() {
+        match w {
+            Work::Combine(c) => work.extend(core.combined(c.key, combine(&*c.agg, c.items)).work),
+            Work::Completed(_, payload, _) => done = Some(payload),
+            Work::Failed(..) => {}
+        }
+    }
+    done
 }
 
 /// Chunk `seq` of `request` from `source`, valued `payload`.
@@ -81,18 +84,19 @@ fn data_msg(request: u64, source: SourceId, (seq, last): (u32, bool), payload: u
     }
 }
 
-/// Feed one chunk from `source` to a box core at time `now`: `None` if it
-/// was dropped, else the sink to close if it completed the request.
+/// Feed one chunk from `source` to a box core at time `now`, its combines
+/// run inline: `None` if it was dropped, else the final chunk's payload if
+/// it completed the request.
 fn box_data(
-    core: &mut BoxCore<Collect>,
+    core: &mut BoxCore,
     request: u64,
     source: SourceId,
     seq_last: (u32, bool),
     payload: u8,
     now: Instant,
-) -> Option<Option<Collect>> {
+) -> Option<Option<Bytes>> {
     let step = core.on_message(data_msg(request, source, seq_last, payload), now);
-    (!step.dropped).then_some(step.closed)
+    (!step.dropped).then(|| run(core, step.work))
 }
 
 /// A permanent redirect of `app`'s [`TREE`] to `new_parent`.
@@ -116,7 +120,7 @@ fn chunk(msg: &Message) -> (u32, Bytes) {
 }
 
 /// The sequence numbers and destinations of what a box core queued.
-fn dests(core: &mut BoxCore<Collect>) -> Vec<(u32, NodeId)> {
+fn dests(core: &mut BoxCore) -> Vec<(u32, NodeId)> {
     let out = sent(core);
     out.iter().map(|e| (chunk(&e.msg).0, e.to)).collect()
 }
@@ -208,7 +212,7 @@ fn replay_after_delivery_does_not_resurrect_the_request() {
 #[test]
 fn permanent_redirect_resends_the_retained_window() {
     let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
-    let mut core = box_core(workers, HashMap::new());
+    let mut core = box_core(2, workers, HashMap::new());
     let now = Instant::now();
     let data = |core: &mut _, request, worker| {
         box_data(core, request, SourceId::Worker(worker), (1, true), 0, now)
@@ -216,9 +220,8 @@ fn permanent_redirect_resends_the_retained_window() {
     // Request 1 runs to completion and leaves for node 100.
     assert_eq!(data(&mut core, 1, 0), Some(None));
     let closed = data(&mut core, 1, 1).flatten();
-    assert_eq!(closed.map(|sink| sink.0.len()), Some(2));
-    let done = Bytes::from_static(b"agg-1");
-    core.complete((APP, RequestId(1), TREE), done.clone());
+    assert_eq!(closed.as_ref().map(Bytes::len), Some(2));
+    let done = closed.unwrap_or_default();
     assert_eq!(dests(&mut core), [(0, 100)]);
     // Request 2 is still open but has streamed one partial.
     assert_eq!(data(&mut core, 2, 0), Some(None));
@@ -245,7 +248,6 @@ fn permanent_redirect_resends_the_retained_window() {
     // The open request's final chunk follows under the next sequence
     // number, to the new parent; a repeated redirect changes nothing.
     assert!(data(&mut core, 2, 1).flatten().is_some());
-    core.complete((APP, RequestId(2), TREE), Bytes::from_static(b"agg-2"));
     assert_eq!(dests(&mut core), [(1, 200)]);
     core.redirect(APP, true, RequestId(0), TREE, 200);
     let again = resent(200, sent(&mut core));
@@ -263,7 +265,7 @@ fn permanent_redirect_resends_the_retained_window() {
 #[test]
 fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
     let (slow, busy, tree) = (AppId(0), AppId(1), TreeId(0));
-    let mut core: BoxCore<Collect> = BoxCore::default();
+    let mut core = BoxCore::new(2, None);
     let out = Bytes::from_static(b"aggregate");
     // The slow tenant's request left for a parent that then died…
     core.complete((slow, RequestId(7), tree), out.clone());
@@ -273,7 +275,7 @@ fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
         core.complete((busy, RequestId(r), tree), out.clone());
     }
     // The resends of a permanent redirect of `app`'s tree.
-    let resent = |core: &mut BoxCore<Collect>, app, tree| {
+    let resent = |core: &mut BoxCore, app, tree| {
         core.redirect(app, true, RequestId(0), tree, 200);
         resent(200, sent(core))
     };
@@ -294,13 +296,12 @@ fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
 #[test]
 fn a_copy_arriving_after_completion_does_not_resurrect_the_request_at_a_box() {
     let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
-    let mut core = box_core(workers, HashMap::new());
+    let mut core = box_core(2, workers, HashMap::new());
     let now = Instant::now();
     let data =
         |core: &mut _, worker| box_data(core, 4, SourceId::Worker(worker), (1, true), 0, now);
     assert_eq!(data(&mut core, 0), Some(None));
     assert!(data(&mut core, 1).flatten().is_some());
-    core.complete((APP, RequestId(4), TREE), Bytes::from_static(b"agg-4"));
     assert_eq!(
         data(&mut core, 0),
         None,
@@ -314,10 +315,80 @@ fn a_copy_arriving_after_completion_does_not_resurrect_the_request_at_a_box() {
     );
 }
 
+/// A combine that fails abandons its request: nothing goes upstream, a
+/// replayed chunk for it is dropped and the report names the failure. A
+/// combine coming back for a request that is gone — failed, or dropped at
+/// shutdown — changes nothing.
+#[test]
+fn a_failed_combine_abandons_its_request() {
+    let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
+    let mut core = box_core(2, workers, HashMap::new());
+    let now = Instant::now();
+    let key = |r| (APP, RequestId(r), TREE);
+    let data = |core: &mut BoxCore, r, w| {
+        core.on_message(data_msg(r, SourceId::Worker(w), (1, true), 0), now)
+    };
+    assert!(data(&mut core, 1, 0).work.is_empty());
+    let closing = data(&mut core, 1, 1);
+    assert!(matches!(&closing.work[..], [Work::Combine(c)] if c.key == key(1)));
+    let bad = AggError::Corrupt("bad partial".into());
+    let step = core.combined(key(1), Err(bad));
+    let failed =
+        |k| matches!(&step.work[..], [Work::Failed(f, None, AggError::Corrupt(_))] if *f == k);
+    assert!(failed(key(1)), "the report names the failure");
+    assert!(sent(&mut core).is_empty(), "nothing goes upstream");
+    assert!(core.fanin.requests.is_empty());
+    assert!(data(&mut core, 1, 1).dropped, "a replayed chunk is dropped");
+    // Request 2 is open when its state goes, as at shutdown.
+    assert!(data(&mut core, 2, 0).work.is_empty());
+    core.fanin.requests.drain().for_each(drop);
+    for r in [1, 2] {
+        let late = core.combined(key(r), Ok(Bytes::from_static(&[0, 0])));
+        assert!(late.work.is_empty(), "request {r}");
+        assert!(core
+            .combined(key(r), Err(AggError::Timeout))
+            .work
+            .is_empty());
+    }
+    assert!(sent(&mut core).is_empty() && core.fanin.requests.is_empty());
+}
+
+/// With streaming flushes, a pass while a combine is in flight sends
+/// nothing, though an item waits beside it; once the combine is back, the
+/// next pass sends the one partial, numbered before the final chunk.
+#[test]
+fn a_flush_pass_waits_for_the_combine_in_flight() {
+    let mut core = box_core(2, vec![SourceId::Worker(0)], HashMap::new());
+    let now = Instant::now();
+    let data = |core: &mut BoxCore, seq, last| {
+        core.on_message(
+            data_msg(1, SourceId::Worker(0), (seq, last), seq as u8),
+            now,
+        )
+    };
+    assert!(data(&mut core, 1, false).work.is_empty());
+    let in_flight = data(&mut core, 2, false).work;
+    assert!(matches!(&in_flight[..], [Work::Combine(c)] if c.items.len() == 2));
+    assert!(data(&mut core, 3, false).work.is_empty());
+    assert!(core.flush().is_empty());
+    assert!(
+        sent(&mut core).is_empty(),
+        "a pass while a combine is in flight"
+    );
+    assert_eq!(run(&mut core, in_flight), None);
+    assert!(core.flush().is_empty());
+    let flushed: Vec<_> = sent(&mut core).iter().map(|e| chunk(&e.msg)).collect();
+    assert_eq!(flushed, [(0, Bytes::from_static(&[3, 1, 2]))]);
+    let step = data(&mut core, 4, true);
+    assert_eq!(run(&mut core, step.work), Some(Bytes::from_static(&[4])));
+    let last: Vec<_> = sent(&mut core).iter().map(|e| chunk(&e.msg).0).collect();
+    assert_eq!(last, [1], "the final chunk follows the partial");
+}
+
 /// (d) Two readers deliver one request's chunks: the last chunk on one
-/// against earlier chunks on the other, in every interleaving. The sink
-/// handed out for closing always holds every accepted partial, and is
-/// handed out exactly once.
+/// against earlier chunks on the other, in every interleaving. The final
+/// chunk always holds every accepted partial, and is produced exactly
+/// once.
 #[test]
 fn a_close_never_overtakes_a_partial_on_another_reader() {
     // Reader A carries worker 0's only chunk; reader B worker 1's three.
@@ -327,17 +398,17 @@ fn a_close_never_overtakes_a_partial_on_another_reader() {
         let mut chunks = b.to_vec();
         chunks.insert(a_at, (0, 1, true));
         let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
-        let mut core = box_core(workers, HashMap::new());
+        let mut core = box_core(2, workers, HashMap::new());
         let mut closed = None;
         for (i, (worker, seq, last)) in chunks.iter().enumerate() {
             let source = SourceId::Worker(*worker);
             let close = box_data(&mut core, 5, source, (*seq, *last), 0, now).expect("fresh");
-            if let Some(sink) = close {
-                assert!(closed.replace(sink).is_none(), "closed twice");
+            if let Some(chunk) = close {
+                assert!(closed.replace(chunk).is_none(), "closed twice");
                 assert_eq!(i + 1, chunks.len(), "closed before the last arrival");
             }
         }
-        assert_eq!(closed.map(|sink| sink.0.len()), Some(chunks.len()));
+        assert_eq!(closed.map(|chunk| chunk.len()), Some(chunks.len()));
         let replay = box_data(&mut core, 5, SourceId::Worker(1), (3, true), 0, now);
         assert_eq!(replay, None, "closed: replays drop");
     }
@@ -397,20 +468,25 @@ trait Fan {
     }
 }
 
-impl Fan for BoxCore<Collect> {
+/// The inputs a box's final chunk folded, one byte each.
+fn folded(chunk: Bytes) -> Vec<Bytes> {
+    (0..chunk.len()).map(|i| chunk.slice(i..i + 1)).collect()
+}
+
+impl Fan for BoxCore {
     fn step(&mut self, input: Option<Message>, now: Instant) -> Tick {
         let step = match input {
             Some(msg) => self.on_message(msg, now),
             None => self.on_timer(now),
         };
-        let fired = step.fired.as_ref();
-        let closed = fired.map_or(step.closed, |f| self.sinks(&f.closed()).pop());
-        Tick::of(fired, sent(self), closed.map(|sink| sink.0))
+        let done = run(self, step.work);
+        Tick::of(step.fired.as_ref(), sent(self), done.map(folded))
     }
     fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>) {
         let r = self.fanin.child_box_failed((APP, TREE), 0);
         r.map_or((0, None), |r| {
-            (r.moved, self.sinks(&r.closed).pop().map(|s| s.0))
+            let work = self.end(r.closed);
+            (r.moved, run(self, work).map(folded))
         })
     }
     fn deadline(&self) -> Option<Instant> {
@@ -619,7 +695,7 @@ fn recovery_events_in_any_order_move_obligations_once() {
         let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
         master.register(REQ, 3, None, t0, Duration::from_secs(600));
         let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
-        let mut aggbox = box_core(specs[0].master_sources(), child);
+        let mut aggbox = box_core(2, specs[0].master_sources(), child);
         let strike = Some(StragglerPolicy {
             threshold: THRESHOLD,
             repeat_limit: 1,
@@ -649,9 +725,9 @@ fn chain() -> Vec<TreeSpec> {
 }
 
 /// A box core at address 555 above [`chain`]'s box 0.
-fn box_above_chain(specs: &[TreeSpec]) -> BoxCore<Collect> {
+fn box_above_chain(specs: &[TreeSpec]) -> BoxCore {
     let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
-    let mut core = box_core(specs[0].master_sources(), child);
+    let mut core = box_core(2, specs[0].master_sources(), child);
     core.fanin.addr = 555;
     core
 }
@@ -887,7 +963,7 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
 
     // Box 0 itself, replicating what it is sent down to box 1 until box 1
     // fails.
-    let mut root: BoxCore<Collect> = BoxCore::default();
+    let mut root = BoxCore::new(2, None);
     root.add_route(APP, TREE, 100, Route::of_box(&specs[0], APP, 0));
     let (app, request, tree) = (APP, REQ, TREE);
     let msg = Message::Broadcast {
@@ -896,7 +972,7 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
         tree,
         payload,
     };
-    let broadcast = |root: &mut BoxCore<Collect>| {
+    let broadcast = |root: &mut BoxCore| {
         root.on_message(msg.clone(), Instant::now());
         copies(sent(root))
     };
@@ -912,7 +988,7 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
 #[test]
 fn a_sequence_gap_is_accepted_and_reported() {
     let (now, w) = (Instant::now(), SourceId::Worker(0));
-    let mut aggbox = box_core(vec![w], HashMap::new());
+    let mut aggbox = box_core(2, vec![w], HashMap::new());
     let mut gaps = Vec::new();
     for (seq, last) in [(3, false), (4, false), (6, true)] {
         let step = aggbox.on_message(data_msg(1, w, (seq, last), 0), now);
@@ -955,14 +1031,16 @@ enum Step2 {
 /// Drive a box core through one seeded order of worker chunks, flush
 /// passes, completions, per-request redirects and permanent ones, with the
 /// timer thread's drain of the outbox at seeded points between steps.
-/// Returns the wire in send order and every request's worker bytes.
+/// Combines run as they are made ready, but a closing chunk's wait for the
+/// request's `Complete` step. Returns the wire in send order and every
+/// request's worker bytes.
 fn outbox_order_drive(rng: &mut DetRng) -> (Vec<Emit>, HashMap<u64, Vec<u8>>) {
     const REQUESTS: u64 = 4;
-    let mut core = box_core(vec![SourceId::Worker(0)], HashMap::new());
+    let mut core = box_core(3, vec![SourceId::Worker(0)], HashMap::new());
     let now = Instant::now();
     let (mut wire, mut next_node, mut trace) = (Vec::new(), 200, Vec::new());
     let mut input: HashMap<u64, Vec<u8>> = HashMap::new();
-    let (mut closed, mut done) = (Vec::new(), Vec::new());
+    let (mut closed, mut done, mut held) = (Vec::new(), Vec::new(), HashMap::new());
     while done.len() < REQUESTS as usize {
         let r = rng.gen_range(0, REQUESTS);
         let step = match rng.gen_range(0, 8) {
@@ -979,23 +1057,25 @@ fn outbox_order_drive(rng: &mut DetRng) -> (Vec<Emit>, HashMap<u64, Vec<u8>>) {
                 let bytes = input.entry(r).or_default();
                 let seq = bytes.len() as u32 + 1;
                 bytes.push((r * 50) as u8 + seq as u8);
-                let sent = box_data(
-                    &mut core,
-                    r,
-                    SourceId::Worker(0),
-                    (seq, last),
-                    bytes[seq as usize - 1],
-                    now,
-                );
+                let msg = data_msg(r, SourceId::Worker(0), (seq, last), bytes[seq as usize - 1]);
+                let step = core.on_message(msg, now);
+                let sent = (!step.dropped).then_some(step.closed);
                 assert_eq!(sent.is_some_and(|close| close.is_some()), last, "{trace:?}");
+                if last {
+                    held.insert(r, step.work);
+                } else {
+                    run(&mut core, step.work);
+                }
                 closed.extend(last.then_some(r));
             }
-            Step2::Flush => core.flush(),
+            Step2::Flush => {
+                let work = core.flush();
+                run(&mut core, work);
+            }
             Step2::Complete(r) => {
                 // The final aggregate carries every partial not flushed.
-                let key = (APP, RequestId(r), TREE);
-                let mut sink = core.sinks(&[key]).pop().expect("closed, not completed");
-                core.complete(key, sink.take().unwrap_or_default());
+                let work = held.remove(&r).expect("closed, not completed");
+                run(&mut core, work);
                 done.push(r);
             }
             Step2::Bypass(r) => core.redirect(APP, false, RequestId(r), TREE, next_node),
@@ -1174,7 +1254,7 @@ fn every_core_keeps_the_node_contract() {
     // A leaf box has nothing to bypass or probe: an open request starts
     // the flush tick, and only that; a failed send of the partial the
     // flush streams changes nothing.
-    let mut leaf = box_core(vec![SourceId::Worker(0)], HashMap::new());
+    let mut leaf = box_core(2, vec![SourceId::Worker(0)], HashMap::new());
     (leaf.fanin.straggler, leaf.flush_due) = (policy, Some(t));
     leaf.fanin.detector.enable(DETECTOR, t);
     conforms(
