@@ -158,12 +158,7 @@ fn keyed_trees_partition_the_shuffle() {
     assert_eq!(keyed.output, single.output);
     // Both scale-out boxes served chunks.
     for b in dep.boxes() {
-        assert!(
-            b.stats()
-                .messages_in
-                .load(std::sync::atomic::Ordering::Relaxed)
-                > 0
-        );
+        assert!(b.stats().messages_in.get() > 0);
     }
     dep.shutdown();
     dep2.shutdown();
@@ -231,12 +226,7 @@ fn speculative_duplicates_are_suppressed() {
     );
     // The box drops a backup's chunks when its receive loop reaches them,
     // which can be after the result has reached the reducer: poll, bounded.
-    let dropped = || {
-        dep.boxes()[0]
-            .stats()
-            .duplicates_dropped
-            .load(std::sync::atomic::Ordering::Relaxed)
-    };
+    let dropped = || dep.boxes()[0].stats().duplicates_dropped.get();
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     while dropped() == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));

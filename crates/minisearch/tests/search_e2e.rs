@@ -57,10 +57,7 @@ fn plain_and_netagg_topk_agree() {
         assert!(a.results.docs.len() <= 10);
     }
     // On-path aggregation must have exercised the box.
-    let processed = dep_net.boxes()[0]
-        .stats()
-        .requests_completed
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let processed = dep_net.boxes()[0].stats().requests_completed.get();
     assert!(processed >= 10, "box processed {processed}");
     plain.shutdown();
     net.shutdown();
@@ -224,9 +221,8 @@ fn scale_out_boxes_serve_search_traffic() {
             .unwrap();
         assert!(!out.results.docs.is_empty());
     }
-    use std::sync::atomic::Ordering::Relaxed;
-    let c0 = dep.boxes()[0].stats().requests_completed.load(Relaxed);
-    let c1 = dep.boxes()[1].stats().requests_completed.load(Relaxed);
+    let c0 = dep.boxes()[0].stats().requests_completed.get();
+    let c1 = dep.boxes()[1].stats().requests_completed.get();
     assert_eq!(c0 + c1, 20);
     assert!(
         c0 > 0 && c1 > 0,

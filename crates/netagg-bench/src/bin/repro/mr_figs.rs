@@ -8,7 +8,6 @@ use minimr::jobs::{wordcount_input, Benchmark, WordCount};
 use netagg_bench::emu::{mr_deployment, TestbedConfig};
 use netagg_bench::table::{f, rate, Table};
 use netagg_core::shim::TreeSelection;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,11 +37,7 @@ fn run_job_on(
     let cfg = testbed_cfg(boxes, opts);
     let (mut dep, _transport) = mr_deployment(&cfg);
     let cluster = MRCluster::launch(&mut dep, job, TreeSelection::PerRequest, 1.0);
-    let before: u64 = dep
-        .boxes()
-        .iter()
-        .map(|b| b.stats().bytes_in.load(Ordering::Relaxed))
-        .sum();
+    let before: u64 = dep.boxes().iter().map(|b| b.stats().bytes_in.get()).sum();
     let result = cluster
         .run(
             inputs,
@@ -53,11 +48,7 @@ fn run_job_on(
             },
         )
         .expect("job runs");
-    let after: u64 = dep
-        .boxes()
-        .iter()
-        .map(|b| b.stats().bytes_in.load(Ordering::Relaxed))
-        .sum();
+    let after: u64 = dep.boxes().iter().map(|b| b.stats().bytes_in.get()).sum();
     let box_rate =
         (after - before) as f64 / result.shuffle_reduce_time.as_secs_f64().max(1e-9) / cfg.bw_scale;
     let out = MrRun {

@@ -8,6 +8,8 @@
 //! timer thread sends its posts and acks, and runs what the core's
 //! deadlines make due. While the outbox or the pool's queue is over its
 //! bound, the reader holds a connection's `Data` back (DESIGN.md §9).
+//! The box counts each event once, into its [`BoxStats`] part of the
+//! registry's total; its shutdown closes the spans of requests left open.
 
 use crate::aggbox::core::{BoxCore, BoxStep, Combine, Point, ReqKey, Work, OUTBOX_BOUND};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
@@ -24,7 +26,6 @@ use crate::{AggError, DynAggregator};
 use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::trace;
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -68,40 +69,44 @@ impl AggBoxConfig {
     }
 }
 
-/// Counters exposed for the evaluation harness.
-#[derive(Debug, Default)]
+/// The box's own counters, each its part of the registry counter named
+/// beside it: the box reads its events, the registry their sum over boxes.
+#[derive(Debug)]
 pub struct BoxStats {
-    /// Payload bytes received.
-    pub bytes_in: AtomicU64,
-    /// Protocol messages received.
-    pub messages_in: AtomicU64,
-    /// Requests whose final aggregate was forwarded.
-    pub requests_completed: AtomicU64,
-    /// Data chunks dropped by duplicate suppression.
-    pub duplicates_dropped: AtomicU64,
-    /// Straggler bypasses issued for child boxes.
-    pub straggler_redirects: AtomicU64,
-    /// Outbox sends that failed after retry.
-    pub send_errors: AtomicU64,
+    /// Payload bytes received (`aggbox.bytes_in`).
+    pub bytes_in: Arc<Counter>,
+    /// `Data` messages received (`aggbox.messages_in`).
+    pub messages_in: Arc<Counter>,
+    /// Requests whose final aggregate was forwarded (`aggbox.requests_completed`).
+    pub requests_completed: Arc<Counter>,
+    /// `Data` the core dropped: unknown route, replayed sequence number,
+    /// re-pointed-away source or closed request (`aggbox.duplicates_dropped`).
+    pub duplicates_dropped: Arc<Counter>,
+    /// Straggler bypasses issued for child boxes (`straggler.redirects`).
+    pub straggler_redirects: Arc<Counter>,
+    /// Outbox sends that failed (`aggbox.send_errors`).
+    pub send_errors: Arc<Counter>,
 }
 
-/// Point-in-time view of one agg box (see [`AggBox::snapshot`]).
+impl BoxStats {
+    fn new(obs: &MetricsRegistry) -> Self {
+        Self {
+            bytes_in: obs.counter_part(names::AGGBOX_BYTES_IN),
+            messages_in: obs.counter_part(names::AGGBOX_MESSAGES_IN),
+            requests_completed: obs.counter_part(names::AGGBOX_REQUESTS_COMPLETED),
+            duplicates_dropped: obs.counter_part(names::AGGBOX_DUPLICATES_DROPPED),
+            straggler_redirects: obs.counter_part(names::STRAGGLER_REDIRECTS),
+            send_errors: obs.counter_part(names::AGGBOX_SEND_ERRORS),
+        }
+    }
+}
+
+/// Point-in-time view of one agg box's live state (see
+/// [`AggBox::snapshot`]; its counters are [`AggBox::stats`]).
 #[derive(Debug, Clone)]
 pub struct BoxSnapshot {
     /// Global logical id of the box.
     pub box_id: u32,
-    /// Payload bytes received so far.
-    pub bytes_in: u64,
-    /// Protocol messages received so far.
-    pub messages_in: u64,
-    /// Requests whose final aggregate was forwarded.
-    pub requests_completed: u64,
-    /// Chunks dropped by duplicate suppression.
-    pub duplicates_dropped: u64,
-    /// Straggler bypasses issued.
-    pub straggler_redirects: u64,
-    /// Outbox sends that failed after retry.
-    pub send_errors: u64,
     /// Requests with open state right now.
     pub active_requests: usize,
     /// Bytes buffered across all local aggregation trees right now.
@@ -115,7 +120,7 @@ pub struct BoxSnapshot {
 }
 
 /// The box's part of its shell: configuration, pool, counters and spans
-/// (rare paths — failures, bypasses, send errors — look their metrics up
+/// (rare paths — failures, escalations, re-points — look their metrics up
 /// in the registry).
 struct BoxOutlet {
     cfg: AggBoxConfig,
@@ -123,10 +128,6 @@ struct BoxOutlet {
     /// What the pool's combines feed their output back into.
     shell: Weak<BoxShell>,
     stats: BoxStats,
-    messages_in: Arc<Counter>,
-    bytes_in: Arc<Counter>,
-    requests_completed: Arc<Counter>,
-    duplicates_dropped: Arc<Counter>,
     request_agg_us: Arc<Histogram>,
     /// Box-side spans, under the component label `aggbox-<b>`.
     spans: Spans,
@@ -193,14 +194,14 @@ impl AggBox {
         self.shell.transition(enable);
     }
 
-    /// Counters exposed for the harness and tests.
+    /// This box's counters: its parts of the registry's totals.
     pub fn stats(&self) -> &BoxStats {
         &self.shell.hook.stats
     }
 
-    /// A point-in-time observability snapshot: counters, live request
-    /// state, scheduler accounting — what a production middlebox would
-    /// export to its metrics endpoint.
+    /// A point-in-time snapshot of live request state and scheduler
+    /// accounting — what a production middlebox would export beside its
+    /// [`AggBox::stats`].
     pub fn snapshot(&self) -> BoxSnapshot {
         let (active_requests, buffered_bytes, timer_wakeups) = {
             let s = self.shell.lock();
@@ -209,15 +210,9 @@ impl AggBox {
             let (n, bytes) = sizes.fold((0, 0), |(n, bytes), b| (n + 1, bytes + b));
             (n, bytes, s.wakeups)
         };
-        let (o, stats) = (&self.shell.hook, &self.shell.hook.stats);
+        let o = &self.shell.hook;
         BoxSnapshot {
             box_id: o.cfg.box_id,
-            bytes_in: stats.bytes_in.load(Ordering::Relaxed),
-            messages_in: stats.messages_in.load(Ordering::Relaxed),
-            requests_completed: stats.requests_completed.load(Ordering::Relaxed),
-            duplicates_dropped: stats.duplicates_dropped.load(Ordering::Relaxed),
-            straggler_redirects: stats.straggler_redirects.load(Ordering::Relaxed),
-            send_errors: stats.send_errors.load(Ordering::Relaxed),
             active_requests,
             buffered_bytes,
             tasks_queued: o.scheduler.queued(),
@@ -242,25 +237,15 @@ impl AggBox {
     }
 
     /// Stop all threads: cancel the box's token (waking the blocked accept,
-    /// the parked reader and the timer sleep immediately) and join the
-    /// scope under its deadline. Idempotent.
+    /// the parked reader and the timer sleep immediately), join the scope
+    /// under its deadline and close open requests' spans. Idempotent.
     pub fn shutdown(&self) {
-        let o = &self.shell.hook;
         self.shell.shutdown();
         // Not left to the last `Arc<TaskScheduler>`: a pool thread can hold
         // one transiently, and a pool joined from inside itself finishes
-        // after this returns.
-        o.scheduler.shutdown();
-        // Requests still open at teardown never complete, so their box
-        // request span would never be recorded — and the
-        // queue-wait / combine spans parented beneath it would be orphans.
-        // Close them start → now, so a box killed mid-request still leaves
-        // one connected trace tree (DESIGN.md §11).
-        let mut s = self.shell.lock();
-        let open = s.core.fanin.requests.drain();
-        for ((_, request, _), t) in open.filter_map(|(k, q)| Some((k, q.trace?))) {
-            o.request_span(request, t);
-        }
+        // after this returns. A combine that ends after the teardown finds
+        // its request gone, which `BoxCore::combined` ignores.
+        self.shell.hook.scheduler.shutdown();
     }
 }
 
@@ -277,11 +262,7 @@ impl BoxOutlet {
         Self {
             scheduler: Arc::new(scheduler),
             shell,
-            stats: BoxStats::default(),
-            messages_in: registry.counter(names::AGGBOX_MESSAGES_IN),
-            bytes_in: registry.counter(names::AGGBOX_BYTES_IN),
-            requests_completed: registry.counter(names::AGGBOX_REQUESTS_COMPLETED),
-            duplicates_dropped: registry.counter(names::AGGBOX_DUPLICATES_DROPPED),
+            stats: BoxStats::new(registry),
             request_agg_us: registry.histogram(names::AGGBOX_REQUEST_AGG_US),
             spans: Spans::new(registry, format!("aggbox-{id}")),
             task_spans: Spans::new(registry, format!("aggbox-{id}-sched")),
@@ -345,7 +326,6 @@ impl BoxOutlet {
     /// shows where obligations moved), and every straggler bypass.
     fn report(&self, fired: &Fired<Point, ReqKey>) {
         let (registry, id) = (&self.cfg.obs, self.cfg.box_id);
-        let count = |name| registry.counter(name);
         let marks = (names::spans::BOX_REPOINT, names::AGGBOX_REPOINTS);
         // A box's points name their application.
         let who = (&*format!("box {id}"), self.cfg.addr, AppId(0));
@@ -356,12 +336,10 @@ impl BoxOutlet {
         // (Section 3.1), and future requests no longer expect it.
         for b in fired.scan.iter().flat_map(|s| &s.bypasses) {
             let (app, request, tree) = b.request;
-            let stat = &self.stats.straggler_redirects;
-            stat.fetch_add(1, Ordering::Relaxed);
-            count(names::STRAGGLER_REDIRECTS).inc();
+            self.stats.straggler_redirects.inc();
             let mut note = "";
             if b.permanent {
-                count(names::STRAGGLER_ESCALATIONS).inc();
+                registry.counter(names::STRAGGLER_ESCALATIONS).inc();
                 note = " (escalated to permanent)";
             }
             let detail = format!(
@@ -377,8 +355,6 @@ impl BoxOutlet {
 /// ready, trace context on its output, and the audit of what its reader,
 /// timer and pool did.
 impl Outlet<BoxCore> for BoxOutlet {
-    type Then = ();
-
     /// Backpressure: box-to-box `Data` flows upward only and both queues
     /// drain without the reader, so the holds are acyclic.
     fn hold(&self, core: &BoxCore, ready: &Readiness) -> bool {
@@ -394,11 +370,8 @@ impl Outlet<BoxCore> for BoxOutlet {
     /// wire span.
     fn admit(&self, msg: &Message) -> Option<Hop> {
         if let Message::Data { payload, .. } = msg {
-            let bytes = payload.len() as u64;
-            self.stats.messages_in.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-            self.messages_in.inc();
-            self.bytes_in.add(bytes);
+            self.stats.messages_in.inc();
+            self.stats.bytes_in.add(payload.len() as u64);
         }
         self.spans.wire(msg)
     }
@@ -406,29 +379,23 @@ impl Outlet<BoxCore> for BoxOutlet {
     /// Count each completion before its final chunk can leave: observers
     /// polling after the master saw the result must find the counter
     /// already incremented.
-    fn settle(&self, _: &mut State<BoxCore>, step: &mut BoxStep) -> Option<()> {
+    fn settle(&self, _: &mut State<BoxCore>, step: &mut BoxStep) -> bool {
         for w in &step.work {
             if let Work::Completed(_, _, started) = w {
-                let stat = &self.stats.requests_completed;
-                stat.fetch_add(1, Ordering::Relaxed);
-                self.requests_completed.inc();
+                self.stats.requests_completed.inc();
                 // First data byte in → final aggregate queued.
                 let agg_us = |t0: &Instant| self.request_agg_us.record_duration(t0.elapsed());
                 started.iter().for_each(agg_us);
             }
         }
         let idle = step.fired.as_ref().is_some_and(Fired::is_empty);
-        (!idle || !step.work.is_empty()).then_some(())
+        !idle || !step.work.is_empty()
     }
 
-    fn then(&self, hop: Option<Hop>, step: BoxStep, (): ()) {
+    fn then(&self, hop: Option<Hop>, step: BoxStep) {
         self.spans.gapped(&self.cfg.obs, &step.gaps);
         if step.dropped {
-            // Unknown route, replayed sequence number, re-pointed-away
-            // source or already-closed request: the core dropped it.
-            let stat = &self.stats.duplicates_dropped;
-            stat.fetch_add(1, Ordering::Relaxed);
-            self.duplicates_dropped.inc();
+            self.stats.duplicates_dropped.inc();
             return;
         }
         step.fired.iter().for_each(|f| self.report(f));
@@ -465,20 +432,28 @@ impl Outlet<BoxCore> for BoxOutlet {
     /// Close the forward span; count a permanent re-point that left, and
     /// a send that failed (a failed probe the core counts as missed).
     fn sent(&self, e: &mut Emit, ok: bool) {
-        let registry = &self.cfg.obs;
         if let (Some(t), Some((_, request, ctx, sent_ns))) = (e.trace, e.msg.trace_mut()) {
             let name = names::spans::BOX_FORWARD;
             self.spans.sent(name, *ctx, t.span_id, request, *sent_ns);
         }
         match (ok, &e.msg) {
             (true, Message::Redirect { permanent, .. }) if *permanent => {
-                registry.counter(names::FAILURE_REPOINTS).inc();
+                self.cfg.obs.counter(names::FAILURE_REPOINTS).inc();
             }
-            (false, msg) if !msg.is_liveness() => {
-                self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
-                registry.counter(names::AGGBOX_SEND_ERRORS).inc();
-            }
+            (false, msg) if !msg.is_liveness() => self.stats.send_errors.inc(),
             _ => {}
+        }
+    }
+
+    /// Requests still open at teardown never complete, so their box
+    /// request span would never be recorded — and the queue-wait / combine
+    /// spans parented beneath it would be orphans. Close them start → now,
+    /// so a box killed mid-request still leaves one connected trace tree
+    /// (DESIGN.md §11).
+    fn teardown(&self, core: &mut BoxCore) {
+        let open = core.fanin.requests.drain();
+        for ((_, request, _), t) in open.filter_map(|(k, q)| Some((k, q.trace?))) {
+            self.request_span(request, t);
         }
     }
 }

@@ -2,7 +2,8 @@
 //! the master and the worker are each a [`Shell`] over their [`Node`] plus
 //! an [`Outlet`], the hook that carries what differs between them. One
 //! reader, one timer thread (for a core type with deadlines), one drain,
-//! behind one `node.core` lock.
+//! behind one `node.core` lock. The hook counts into the node's registry
+//! parts and closes what a shutdown leaves open ([`Outlet::teardown`]).
 
 use crate::conn_cache::ConnCache;
 use crate::lifecycle::{
@@ -22,9 +23,6 @@ use std::time::Instant;
 /// What a node adds to its shell: spans, counters, events and the rules
 /// that are one node's alone.
 pub(crate) trait Outlet<N: Node>: Send + Sync + 'static {
-    /// What [`Outlet::settle`] leaves for [`Outlet::then`] beside the
-    /// report.
-    type Then;
     /// Whether the reader holds back an arriving `Data`; `ready` is its
     /// signal, to wake once it may go on.
     fn hold(&self, _core: &N, _ready: &Readiness) -> bool {
@@ -37,18 +35,21 @@ pub(crate) trait Outlet<N: Node>: Send + Sync + 'static {
         None
     }
     /// Under the lock, after a transition: what its report changes beside
-    /// the core ([`State::wake`] wakes the shell's waiters); `None` when
+    /// the core ([`State::wake`] wakes the shell's waiters); `false` when
     /// nothing is left for [`Outlet::then`], as after a firing that found
     /// nothing.
-    fn settle(&self, s: &mut State<N>, report: &mut N::Report) -> Option<Self::Then>;
+    fn settle(&self, s: &mut State<N>, report: &mut N::Report) -> bool;
     /// Once the lock is released: audit, and hand on what the transition
     /// left (a box's combines). `hop` is the arriving message's.
-    fn then(&self, hop: Option<Hop>, report: N::Report, then: Self::Then);
+    fn then(&self, hop: Option<Hop>, report: N::Report);
     /// Stamp `e`'s trace context as it leaves.
     fn stamp(&self, e: &mut Emit);
     /// `e` left, or (`ok == false`) could not be sent: close its spans and
     /// count it.
     fn sent(&self, e: &mut Emit, ok: bool);
+    /// Once the node's threads are joined: close the spans of what is
+    /// still open. Drains what it closes, so a second call finds nothing.
+    fn teardown(&self, _core: &mut N) {}
 }
 
 /// What `node.core` guards.
@@ -214,11 +215,13 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
         self.cancel.is_cancelled()
     }
 
-    /// Cancel the node's token, waking every thread of it at once, and
-    /// join its threads under the scope's deadline. Idempotent.
+    /// Cancel the node's token, waking every thread of it at once, join
+    /// its threads under the scope's deadline, and run the hook's
+    /// teardown. Idempotent.
     pub fn shutdown(&self) {
         self.cancel.cancel();
         self.scope.finish();
+        self.hook.teardown(&mut self.state.lock().core);
     }
 
     /// Settle `report` under the lock, release it — draining if `drain` —
@@ -232,13 +235,13 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
     ) -> Vec<Message> {
         let then = self.settle(&mut s, &mut report);
         let failed = self.release(s, drain);
-        if let Some(then) = then {
-            self.hook.then(hop, report, then);
+        if then {
+            self.hook.then(hop, report);
         }
         failed
     }
 
-    fn settle(&self, s: &mut State<N>, report: &mut N::Report) -> Option<H::Then> {
+    fn settle(&self, s: &mut State<N>, report: &mut N::Report) -> bool {
         let then = self.hook.settle(s, report);
         if std::mem::take(&mut s.wake) {
             self.waiters.wake_all(&mut s.waiters);
@@ -342,7 +345,7 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
             let then = self.settle(&mut s, &mut report);
             let live = s.core.outbox().take_live();
             let undrained = !s.draining && !s.core.outbox().is_empty();
-            if then.is_none() && live.is_empty() && !undrained {
+            if !then && live.is_empty() && !undrained {
                 s.armed = s.core.next_deadline();
                 let left = s.armed.map(|t| t.saturating_duration_since(Instant::now()));
                 let deadline = left.map_or(Deadline::NEVER, Deadline::after);
@@ -352,8 +355,8 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
             }
             drop(s);
             self.send(live);
-            if let Some(then) = then {
-                self.hook.then(None, report, then);
+            if then {
+                self.hook.then(None, report);
             }
             self.drain(self.state.lock());
             s = self.state.lock();

@@ -250,20 +250,10 @@ impl MasterShim {
     }
 
     /// Stop all shim threads: cancel the token (waking blocked accepts,
-    /// reads and `wait` condvar sleepers immediately) and join the scope
-    /// under its deadline. Idempotent.
+    /// reads and `wait` condvar sleepers immediately), join the scope
+    /// under its deadline and close open requests' root spans. Idempotent.
     pub fn shutdown(&self) {
         self.shell.shutdown();
-        // Requests abandoned mid-flight never reach the `wait` success
-        // path, so their root span would be missing and every hop span of
-        // the trace would dangle. Close them start → now so partial traces
-        // still form one connected tree (DESIGN.md §11). Completed entries
-        // already recorded their root in `wait`.
-        let mut s = self.shell.lock();
-        let open = s.core.fanin.requests.drain().filter(|(_, q)| !q.closed);
-        for (rid, t) in open.filter_map(|(r, q)| Some((r, q.trace?))) {
-            self.shell.hook.root_span(rid, t);
-        }
     }
 }
 
@@ -326,8 +316,6 @@ impl MasterOutlet {
 /// that carries the request's root-span context (box-side views can
 /// reference it), and the audit of what its reader and timer did.
 impl Outlet<MasterCore> for MasterOutlet {
-    type Then = ();
-
     /// Count `Data` for this application, and stitch its final hop:
     /// sender stamp → arrival here.
     fn admit(&self, msg: &Message) -> Option<Hop> {
@@ -341,9 +329,9 @@ impl Outlet<MasterCore> for MasterOutlet {
     /// Refresh the per-request ledger gauges and hand the requests the
     /// transition completed — a bypass or a failure may complete requests
     /// whose other sources already ended — to their waiters.
-    fn settle(&self, s: &mut State<MasterCore>, step: &mut MasterStep) -> Option<()> {
+    fn settle(&self, s: &mut State<MasterCore>, step: &mut MasterStep) -> bool {
         if step.fired.as_ref().is_some_and(Fired::is_empty) {
-            return None;
+            return false;
         }
         if !step.dropped {
             let open = s.core.fanin.requests.values().filter(|q| !q.closed);
@@ -359,10 +347,10 @@ impl Outlet<MasterCore> for MasterOutlet {
                 s.wake();
             }
         }
-        Some(())
+        true
     }
 
-    fn then(&self, hop: Option<Hop>, step: MasterStep, (): ()) {
+    fn then(&self, hop: Option<Hop>, step: MasterStep) {
         if step.dropped {
             self.duplicates_dropped.inc();
             return;
@@ -383,6 +371,18 @@ impl Outlet<MasterCore> for MasterOutlet {
     fn sent(&self, e: &mut Emit, ok: bool) {
         if ok && matches!(e.msg, Message::Redirect { permanent, .. } if permanent) {
             self.cfg.obs.counter(names::FAILURE_REPOINTS).inc();
+        }
+    }
+
+    /// Requests abandoned mid-flight never reach the `wait` success path,
+    /// so their root span would be missing and every hop span of the trace
+    /// would dangle. Close them start → now so partial traces still form
+    /// one connected tree (DESIGN.md §11). Completed entries already
+    /// recorded their root in `wait`.
+    fn teardown(&self, core: &mut MasterCore) {
+        let open = core.fanin.requests.drain().filter(|(_, q)| !q.closed);
+        for (rid, t) in open.filter_map(|(r, q)| Some((r, q.trace?))) {
+            self.root_span(rid, t);
         }
     }
 }

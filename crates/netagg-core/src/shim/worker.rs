@@ -16,7 +16,6 @@ use bytes::Bytes;
 use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::{names, Counter, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,25 +24,27 @@ use std::time::Duration;
 /// (`DropOldest`); delivery never blocks the control reader.
 const BROADCAST_DEPTH: usize = 256;
 
-/// Worker-shim counters.
-#[derive(Debug, Default)]
+/// The worker shim's own counters, each its part of the registry counter
+/// named beside it: the shim reads its events, the registry their sum.
+#[derive(Debug)]
 pub struct WorkerStats {
-    /// Payload bytes sent (excluding protocol framing).
-    pub bytes_sent: AtomicU64,
-    /// Data chunks sent.
-    pub chunks_sent: AtomicU64,
-    /// Chunks resent after redirects (failure/straggler recovery).
-    pub chunks_resent: AtomicU64,
-    /// Redirect messages received.
-    pub redirects: AtomicU64,
-    /// Broadcast messages received off the wire (counted before the
-    /// bounded delivery mailbox applies its drop policy, so tests can wait
-    /// for arrival independently of eviction).
-    pub broadcasts_received: AtomicU64,
+    /// Payload bytes sent, excluding framing (`shim.worker.bytes_sent`).
+    pub bytes_sent: Arc<Counter>,
+    /// Data chunks sent (`shim.worker.chunks_sent`).
+    pub chunks_sent: Arc<Counter>,
+    /// Chunks replayed after a redirect (`shim.worker.chunks_resent`).
+    pub chunks_resent: Arc<Counter>,
+    /// Redirect messages applied (`shim.worker.redirects_applied`).
+    pub redirects: Arc<Counter>,
+    /// Broadcasts received off the wire, before the delivery mailbox drops
+    /// any, so tests can wait for arrival (`shim.worker.broadcasts_received`).
+    pub broadcasts_received: Arc<Counter>,
+    /// Failed sends of a retained chunk (`shim.worker.send_errors`).
+    pub send_errors: Arc<Counter>,
 }
 
 /// The worker's part of its shell: tree selection, broadcast delivery,
-/// counters and the pre-resolved `shim.worker.*` metric handles.
+/// counters and spans.
 struct WorkerOutlet {
     app: AppId,
     worker: u32,
@@ -54,11 +55,6 @@ struct WorkerOutlet {
     /// keeps the newest [`BROADCAST_DEPTH`] payloads).
     broadcasts: Mailbox<(u64, Bytes)>,
     stats: WorkerStats,
-    chunks_sent: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
-    chunks_resent: Arc<Counter>,
-    redirects_applied: Arc<Counter>,
-    send_errors: Arc<Counter>,
     /// Send spans, under the component label `worker-<a>-<w>`.
     spans: Spans,
 }
@@ -109,12 +105,14 @@ impl WorkerShim {
                 selection,
                 num_trees: specs.len() as u32,
                 broadcasts,
-                stats: WorkerStats::default(),
-                chunks_sent: obs.counter(names::SHIM_WORKER_CHUNKS_SENT),
-                bytes_sent: obs.counter(names::SHIM_WORKER_BYTES_SENT),
-                chunks_resent: obs.counter(names::SHIM_WORKER_CHUNKS_RESENT),
-                redirects_applied: obs.counter(names::SHIM_WORKER_REDIRECTS_APPLIED),
-                send_errors: obs.counter(names::SHIM_WORKER_SEND_ERRORS),
+                stats: WorkerStats {
+                    bytes_sent: obs.counter_part(names::SHIM_WORKER_BYTES_SENT),
+                    chunks_sent: obs.counter_part(names::SHIM_WORKER_CHUNKS_SENT),
+                    chunks_resent: obs.counter_part(names::SHIM_WORKER_CHUNKS_RESENT),
+                    redirects: obs.counter_part(names::SHIM_WORKER_REDIRECTS_APPLIED),
+                    broadcasts_received: obs.counter_part(names::SHIM_WORKER_BROADCASTS_RECEIVED),
+                    send_errors: obs.counter_part(names::SHIM_WORKER_SEND_ERRORS),
+                },
                 spans: Spans::new(&obs, format!("worker-{}-{}", app.0, worker)),
             };
             (WorkerCore::new(app, worker, assignments), hook)
@@ -127,7 +125,7 @@ impl WorkerShim {
         self.shell.hook.worker
     }
 
-    /// Counters exposed for the harness and tests.
+    /// This shim's counters: its parts of the registry's totals.
     pub fn stats(&self) -> &WorkerStats {
         &self.shell.hook.stats
     }
@@ -222,7 +220,7 @@ impl WorkerShim {
         let o = &self.shell.hook;
         self.shell.post(|core| {
             let chunks = core.retained(RequestId(request));
-            o.resent(chunks.len());
+            o.stats.chunks_resent.add(chunks.len() as u64);
             core.outbox.post(chunks);
             WorkerStep::Idle
         });
@@ -263,10 +261,8 @@ impl WorkerShim {
         self.shell.post(|core| {
             numbered = core.next_chunk((request, tree), payload, last, anchor);
             if numbered.is_ok() {
-                o.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                o.stats.chunks_sent.fetch_add(1, Ordering::Relaxed);
-                o.bytes_sent.add(bytes);
-                o.chunks_sent.inc();
+                o.stats.bytes_sent.add(bytes);
+                o.stats.chunks_sent.inc();
             }
             WorkerStep::Idle
         });
@@ -280,45 +276,27 @@ impl Drop for WorkerShim {
     }
 }
 
-impl WorkerOutlet {
-    /// Count `n` retained chunks queued again.
-    fn resent(&self, n: usize) {
-        self.stats
-            .chunks_resent
-            .fetch_add(n as u64, Ordering::Relaxed);
-        self.chunks_resent.add(n as u64);
-    }
-}
-
 /// The worker's hook: per-chunk trace context — the worker is the leaf of
 /// the causal tree, so the chunk's parent on the wire is its send span and
 /// the send span's own parent is the request root — and the delivery of
 /// broadcasts.
 impl Outlet<WorkerCore> for WorkerOutlet {
-    type Then = ();
-
     /// A redirect's replay is queued: count it. Its send may wait for the
     /// new parent, which never waits for a worker.
-    fn settle(&self, _: &mut State<WorkerCore>, step: &mut WorkerStep) -> Option<()> {
-        match *step {
-            WorkerStep::Redirected(n) => {
-                self.stats.redirects.fetch_add(1, Ordering::Relaxed);
-                self.redirects_applied.inc();
-                self.resent(n);
-                None
-            }
-            // A broadcast to deliver.
-            WorkerStep::Broadcast(..) => Some(()),
-            WorkerStep::Idle => None,
+    fn settle(&self, _: &mut State<WorkerCore>, step: &mut WorkerStep) -> bool {
+        if let WorkerStep::Redirected(n) = *step {
+            self.stats.redirects.inc();
+            self.stats.chunks_resent.add(n as u64);
         }
+        // A broadcast to deliver.
+        matches!(step, WorkerStep::Broadcast(..))
     }
 
-    fn then(&self, _: Option<Hop>, step: WorkerStep, (): ()) {
+    fn then(&self, _: Option<Hop>, step: WorkerStep) {
         let WorkerStep::Broadcast(request, payload) = step else {
             return;
         };
-        let stat = &self.stats.broadcasts_received;
-        stat.fetch_add(1, Ordering::Relaxed);
+        self.stats.broadcasts_received.inc();
         // DropOldest: never blocks; a non-consuming application keeps
         // only the newest BROADCAST_DEPTH payloads.
         let _ = self.broadcasts.send((request.0, payload));
@@ -334,7 +312,7 @@ impl Outlet<WorkerCore> for WorkerOutlet {
 
     fn sent(&self, e: &mut Emit, ok: bool) {
         if !ok {
-            self.send_errors.inc();
+            self.stats.send_errors.inc();
         }
         if let Some((_, request, ctx, sent_ns)) = e.msg.trace_mut() {
             let span = match e.trace {

@@ -3,6 +3,7 @@
 //! keyed selection, scale-out, failure recovery and straggler bypass.
 
 use bytes::Bytes;
+use netagg_core::aggbox::BoxStats;
 use netagg_core::failure::DetectorConfig;
 use netagg_core::prelude::*;
 use netagg_core::runtime::DeploymentConfig;
@@ -69,12 +70,7 @@ fn two_rack_deployment_aggregates_across_boxes() {
     }
     // The upstream rack box and the root box both processed requests.
     for b in dep.boxes() {
-        assert!(
-            b.stats()
-                .requests_completed
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 5
-        );
+        assert!(b.stats().requests_completed.get() >= 5);
     }
     dep.shutdown();
 }
@@ -116,19 +112,32 @@ fn multiple_trees_spread_requests_over_scale_out_boxes() {
         assert_eq!(parse(&result.combined), 4);
     }
     // Both boxes served some requests (request hashing spreads trees).
-    let c0 = dep.boxes()[0]
-        .stats()
-        .requests_completed
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let c1 = dep.boxes()[1]
-        .stats()
-        .requests_completed
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let c0 = dep.boxes()[0].stats().requests_completed.get();
+    let c1 = dep.boxes()[1].stats().requests_completed.get();
     assert_eq!(c0 + c1, 20);
     assert!(
         c0 > 0 && c1 > 0,
         "both boxes should serve requests: {c0}/{c1}"
     );
+    // Each box's stats are its parts of the deployment's totals.
+    let snap = dep.snapshot();
+    type Field = fn(&BoxStats) -> u64;
+    let fields: [(&str, Field); 6] = [
+        (names::AGGBOX_BYTES_IN, |s| s.bytes_in.get()),
+        (names::AGGBOX_MESSAGES_IN, |s| s.messages_in.get()),
+        (names::AGGBOX_REQUESTS_COMPLETED, |s| {
+            s.requests_completed.get()
+        }),
+        (names::AGGBOX_DUPLICATES_DROPPED, |s| {
+            s.duplicates_dropped.get()
+        }),
+        (names::STRAGGLER_REDIRECTS, |s| s.straggler_redirects.get()),
+        (names::AGGBOX_SEND_ERRORS, |s| s.send_errors.get()),
+    ];
+    for (name, field) in fields {
+        let parts: u64 = dep.boxes().iter().map(|b| field(b.stats())).sum();
+        assert_eq!(snap.counter(name), Some(parts), "{name}");
+    }
     dep.shutdown();
 }
 
@@ -267,10 +276,7 @@ fn straggling_box_is_bypassed_per_request() {
     }
     let result = p.wait(Duration::from_secs(8)).unwrap();
     assert_eq!(parse(&result.combined), 12);
-    let redirects = dep.boxes()[0]
-        .stats()
-        .straggler_redirects
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let redirects = dep.boxes()[0].stats().straggler_redirects.get();
     assert!(
         redirects >= 1,
         "root box should have bypassed the straggler"
@@ -606,7 +612,8 @@ fn box_snapshot_reflects_activity() {
     let workers: Vec<_> = (0..3).map(|w| dep.worker_shim(app, w)).collect();
 
     let before = dep.boxes()[0].snapshot();
-    assert_eq!(before.requests_completed, 0);
+    let stats = dep.boxes()[0].stats();
+    assert_eq!(stats.requests_completed.get(), 0);
     assert_eq!(before.active_requests, 0);
 
     let p = master.register_request(1, 3);
@@ -621,7 +628,7 @@ fn box_snapshot_reflects_activity() {
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     let after = loop {
         let s = dep.boxes()[0].snapshot();
-        let settled = s.requests_completed == 1
+        let settled = stats.requests_completed.get() == 1
             && s.active_requests == 0
             && s.apps.first().is_some_and(|a| a.tasks_run > 0);
         if settled || std::time::Instant::now() > deadline {
@@ -630,13 +637,13 @@ fn box_snapshot_reflects_activity() {
         std::thread::sleep(Duration::from_millis(5));
     };
     assert_eq!(after.box_id, 0);
-    assert_eq!(after.requests_completed, 1);
+    assert_eq!(stats.requests_completed.get(), 1);
     assert_eq!(
         after.active_requests, 0,
         "state cleaned up after completion"
     );
-    assert!(after.bytes_in >= 3);
-    assert!(after.messages_in >= 3);
+    assert!(stats.bytes_in.get() >= 3);
+    assert!(stats.messages_in.get() >= 3);
     assert_eq!(after.apps.len(), 1);
     assert!(after.apps[0].tasks_run > 0);
     dep.shutdown();
@@ -709,16 +716,15 @@ fn worker_stats_count_sends_and_resends() {
     w0.send_partial(1, Bytes::from("4")).unwrap();
     w1.send_partial(1, Bytes::from("6")).unwrap();
     p.wait(Duration::from_secs(5)).unwrap();
-    use std::sync::atomic::Ordering::Relaxed;
-    assert_eq!(w0.stats().chunks_sent.load(Relaxed), 1);
-    assert_eq!(w0.stats().bytes_sent.load(Relaxed), 1);
-    assert_eq!(w0.stats().chunks_resent.load(Relaxed), 0);
+    assert_eq!(w0.stats().chunks_sent.get(), 1);
+    assert_eq!(w0.stats().bytes_sent.get(), 1);
+    assert_eq!(w0.stats().chunks_resent.get(), 0);
 
     // Kill the box: the redirect triggers a resend from the replay buffer.
     ctl.kill(dep.boxes()[0].addr());
     std::thread::sleep(Duration::from_millis(400));
-    assert!(w0.stats().redirects.load(Relaxed) >= 1);
-    assert!(w0.stats().chunks_resent.load(Relaxed) >= 1);
+    assert!(w0.stats().redirects.get() >= 1);
+    assert!(w0.stats().chunks_resent.get() >= 1);
     ctl.revive(dep.boxes()[0].addr());
     dep.shutdown();
 }

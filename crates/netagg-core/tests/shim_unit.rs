@@ -67,8 +67,8 @@ fn send_partial_chunked_splits_into_expected_chunks() {
     w1.send_partial(1, Bytes::from_static(b"10")).unwrap();
     let result = pending.wait(Duration::from_secs(5)).unwrap();
     assert_eq!(parse(&result.combined), 15);
-    assert_eq!(w0.stats().chunks_sent.load(Relaxed), 5);
-    assert_eq!(w0.stats().bytes_sent.load(Relaxed), 5);
+    assert_eq!(w0.stats().chunks_sent.get(), 5);
+    assert_eq!(w0.stats().bytes_sent.get(), 5);
 
     // Payload smaller than the chunk size goes out whole.
     let pending = master.register_request(2, 2);
@@ -79,7 +79,7 @@ fn send_partial_chunked_splits_into_expected_chunks() {
         parse(&pending.wait(Duration::from_secs(5)).unwrap().combined),
         9
     );
-    assert_eq!(w0.stats().chunks_sent.load(Relaxed), 6);
+    assert_eq!(w0.stats().chunks_sent.get(), 6);
     dep.shutdown();
 }
 
@@ -107,9 +107,9 @@ fn duplicate_resends_are_suppressed_at_the_box() {
         10,
         "duplicate 7 must not be re-added"
     );
-    assert!(w0.stats().chunks_resent.load(Relaxed) >= 1);
+    assert!(w0.stats().chunks_resent.get() >= 1);
     assert!(
-        dep.boxes()[0].stats().duplicates_dropped.load(Relaxed) >= 1,
+        dep.boxes()[0].stats().duplicates_dropped.get() >= 1,
         "box should have dropped the duplicate"
     );
     dep.shutdown();
@@ -132,12 +132,12 @@ fn complete_request_clears_replay_state() {
 
     // Before the app acknowledges completion the chunks are replayable...
     w0.resend_request(1);
-    let resent = w0.stats().chunks_resent.load(Relaxed);
+    let resent = w0.stats().chunks_resent.get();
     assert!(resent >= 1);
     // ...and afterwards they are gone.
     w0.complete_request(1);
     w0.resend_request(1);
-    assert_eq!(w0.stats().chunks_resent.load(Relaxed), resent);
+    assert_eq!(w0.stats().chunks_resent.get(), resent);
     dep.shutdown();
 }
 
@@ -149,7 +149,7 @@ fn resend_with_nothing_buffered_is_a_noop() {
     let app = dep.register_app("sum", sum_agg(), 1.0);
     let w0 = dep.worker_shim(app, 0);
     w0.resend_request(42);
-    assert_eq!(w0.stats().chunks_resent.load(Relaxed), 0);
+    assert_eq!(w0.stats().chunks_resent.get(), 0);
     dep.shutdown();
 }
 
@@ -168,9 +168,9 @@ fn replay_buffer_evicts_oldest_requests() {
         w0.send_partial(req, Bytes::from_static(b"1")).unwrap();
     }
     w0.resend_request(0); // evicted
-    assert_eq!(w0.stats().chunks_resent.load(Relaxed), 0);
+    assert_eq!(w0.stats().chunks_resent.get(), 0);
     w0.resend_request(69); // still buffered
-    assert_eq!(w0.stats().chunks_resent.load(Relaxed), 1);
+    assert_eq!(w0.stats().chunks_resent.get(), 1);
     dep.shutdown();
 }
 
@@ -253,7 +253,7 @@ fn master_bypasses_a_straggling_root_box() {
         result.master_inputs, 2,
         "both partials should arrive via the bypass"
     );
-    assert!(w0.stats().redirects.load(Relaxed) >= 1);
+    assert!(w0.stats().redirects.get() >= 1);
     ctl.clear_delay(dep.boxes()[0].addr());
     dep.shutdown();
 }
@@ -296,11 +296,11 @@ fn broadcast_flood_never_blocks_the_master() {
     // increments before the mailbox applies its drop policy), so draining
     // below races nothing.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while w0.stats().broadcasts_received.load(Relaxed) < 400 {
+    while w0.stats().broadcasts_received.get() < 400 {
         assert!(
             std::time::Instant::now() < deadline,
             "only {} of 400 broadcasts arrived",
-            w0.stats().broadcasts_received.load(Relaxed)
+            w0.stats().broadcasts_received.get()
         );
         std::thread::sleep(Duration::from_millis(5));
     }

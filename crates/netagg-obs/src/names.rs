@@ -103,6 +103,8 @@ SHIM_WORKER_BYTES_SENT = "shim.worker.bytes_sent";
 SHIM_WORKER_CHUNKS_RESENT = "shim.worker.chunks_resent";
 /// Redirect commands accepted by the control loop.
 SHIM_WORKER_REDIRECTS_APPLIED = "shim.worker.redirects_applied";
+/// Broadcasts received off the wire, before the delivery mailbox's drops.
+SHIM_WORKER_BROADCASTS_RECEIVED = "shim.worker.broadcasts_received";
 /// Sends that failed on the wire after the chunk was retained for replay.
 SHIM_WORKER_SEND_ERRORS = "shim.worker.send_errors";
 

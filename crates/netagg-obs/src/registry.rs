@@ -12,7 +12,8 @@ use std::sync::Arc;
 /// Default capacity of the structured-event ring.
 const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// A monotonically increasing atomic counter.
+/// A monotonically increasing atomic counter, and the total it is a part
+/// of ([`MetricsRegistry::counter_part`]), which each `add` counts into too.
 ///
 /// ```
 /// use netagg_obs::Counter;
@@ -23,7 +24,7 @@ const DEFAULT_EVENT_CAPACITY: usize = 1024;
 /// assert_eq!(c.get(), 5);
 /// ```
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter(AtomicU64, Option<Arc<Counter>>);
 
 impl Counter {
     /// Create a counter at zero.
@@ -39,6 +40,9 @@ impl Counter {
     /// Increment by `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
+        if let Some(total) = &self.1 {
+            total.add(n);
+        }
     }
 
     /// Current value.
@@ -165,6 +169,13 @@ impl MetricsRegistry {
         get_or_create(&self.inner.counters, name)
     }
 
+    /// A fresh counter that is one node's part of the counter `name`:
+    /// each `add` counts into both, so the part reads the node's own
+    /// events and `counter(name)` their sum over every part.
+    pub fn counter_part(&self, name: &str) -> Arc<Counter> {
+        Arc::new(Counter(AtomicU64::new(0), Some(self.counter(name))))
+    }
+
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         get_or_create(&self.inner.gauges, name)
@@ -247,6 +258,21 @@ mod tests {
         a.inc();
         assert_eq!(b.get(), 1);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn a_part_moves_with_its_total() {
+        let obs = MetricsRegistry::new();
+        let (a, b) = (obs.counter_part("c"), obs.counter_part("c"));
+        assert_eq!((a.get(), obs.snapshot().counter("c")), (0, Some(0)));
+        a.add(3);
+        assert_eq!((a.get(), obs.counter("c").get()), (3, 3));
+        b.inc();
+        assert_eq!((a.get(), b.get()), (3, 1));
+        assert_eq!(obs.snapshot().counter("c"), Some(4));
+        // A plain handle to the total counts into the total alone.
+        obs.counter("c").inc();
+        assert_eq!((a.get(), b.get(), obs.counter("c").get()), (3, 1, 5));
     }
 
     #[test]

@@ -8,6 +8,8 @@ use bytes::Bytes;
 use netagg_net::{ChannelTransport, Transport};
 use netagg_repro::netagg_core::prelude::*;
 use netagg_repro::netagg_core::runtime::NetAggDeployment;
+use netagg_repro::netagg_core::shim::WorkerStats;
+use netagg_repro::netagg_obs::names;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -101,6 +103,22 @@ fn quick_example_flow_publishes_metrics() {
     // Worker shims: each of the four workers sent one redirected chunk.
     assert_eq!(snap.counter("shim.worker.chunks_sent"), Some(4));
     assert!(snap.counter("shim.worker.bytes_sent").unwrap_or(0) >= 8);
+    // Each shim's stats are its parts of the deployment's totals.
+    type Field = fn(&WorkerStats) -> u64;
+    let fields: [(&str, Field); 6] = [
+        (names::SHIM_WORKER_BYTES_SENT, |s| s.bytes_sent.get()),
+        (names::SHIM_WORKER_CHUNKS_SENT, |s| s.chunks_sent.get()),
+        (names::SHIM_WORKER_CHUNKS_RESENT, |s| s.chunks_resent.get()),
+        (names::SHIM_WORKER_REDIRECTS_APPLIED, |s| s.redirects.get()),
+        (names::SHIM_WORKER_BROADCASTS_RECEIVED, |s| {
+            s.broadcasts_received.get()
+        }),
+        (names::SHIM_WORKER_SEND_ERRORS, |s| s.send_errors.get()),
+    ];
+    for (name, field) in fields {
+        let parts: u64 = workers.iter().map(|w| field(w.stats())).sum();
+        assert_eq!(snap.counter(name), Some(parts), "{name}");
+    }
 
     // Transport: the metered deployment transport carried the traffic —
     // four worker partials plus the box's final aggregate to the master.
