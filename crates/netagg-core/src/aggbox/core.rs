@@ -13,7 +13,7 @@
 //! [`BoxCore::combined`], and the one that finishes queues the final chunk.
 
 use crate::aggbox::tree::{Next, Reduction};
-use crate::fanin::{FanInCore, Request, Route, TraceAnchor};
+use crate::fanin::{Anchors, FanInCore, Request, Route, TraceAnchor};
 pub use crate::node::{Emit, OUTBOX_BOUND};
 use crate::node::{Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
@@ -57,20 +57,17 @@ pub struct Combine {
     pub trace: Option<TraceAnchor>,
 }
 
-/// What a box transition did to its requests' reductions.
+/// What a box transition hands on beside its completions.
 pub enum Work {
     /// A combine to run on the pool.
     Combine(Combine),
-    /// Completed, the final chunk queued: its payload, and when the
-    /// request's first data arrived.
-    Completed(ReqKey, Bytes, Option<Instant>),
     /// A combine failed: the state is gone and nothing went upstream (the
     /// parent times it out). Its trace anchor and the error.
     Failed(ReqKey, Option<TraceAnchor>, AggError),
 }
 
 /// What a box transition leaves its shell to act on.
-pub type BoxStep = Step<Point, ReqKey, Vec<Work>>;
+pub type BoxStep = Step<Point, ReqKey>;
 
 /// Box state of one request: its aggregation function, its reduction and
 /// the next output sequence number (streaming flushes).
@@ -106,7 +103,7 @@ pub struct BoxCore {
     /// What transitions produced and the shell has not yet sent.
     pub outbox: Outbox,
     /// A new request's trace anchor, if it is sampled.
-    pub anchor: Box<dyn Fn(ReqKey) -> Option<TraceAnchor> + Send>,
+    pub anchor: Anchors,
 }
 
 impl BoxCore {
@@ -126,7 +123,7 @@ impl BoxCore {
             flush_bytes: flush_bytes.unwrap_or(usize::MAX),
             flush_due: None,
             outbox: Outbox::default(),
-            anchor: Box::new(|_| None),
+            anchor: Box::new(|_, _| None),
         }
     }
 
@@ -161,18 +158,19 @@ impl BoxCore {
                 reduction,
                 out_seq,
             };
-            Some((q, anchor(key)))
+            Some((q, anchor(key.0, key.1)))
         })
     }
 
     /// Feed one input to a request's reduction and act on what it leaves:
     /// the combine it made ready, the partial a flush pass took (numbered
-    /// and queued), or the request's completion. A request that is gone
-    /// (failed, or dropped at shutdown) takes nothing.
+    /// and queued), or the request's completion (reported with its start).
+    /// A request that is gone (failed, or dropped at shutdown) takes
+    /// nothing.
     fn reduce(
         &mut self,
         key: ReqKey,
-        work: &mut Vec<Work>,
+        step: &mut BoxStep,
         input: impl FnOnce(&mut Reduction, usize) -> Next,
     ) {
         let Some(q) = self.fanin.requests.get_mut(&key) else {
@@ -188,7 +186,7 @@ impl BoxCore {
                     items,
                     trace,
                 };
-                work.push(Work::Combine(c));
+                step.work.push(Work::Combine(c));
             }
             Next::Partial(chunk) => {
                 let (seq, trace) = (q.ext.out_seq, q.trace);
@@ -199,20 +197,20 @@ impl BoxCore {
             }
             Next::Done(item) => {
                 let payload = item.unwrap_or_else(|| q.ext.agg.empty_serialized());
-                let started = self.complete(key, payload.clone());
-                work.push(Work::Completed(key, payload, started));
+                let started = self.complete(key, payload);
+                step.completed.push((key, started));
             }
         }
     }
 
     /// The input of requests just closed (every owed source ended) ends:
     /// their last combines, or their completions.
-    pub fn end(&mut self, keys: impl IntoIterator<Item = ReqKey>) -> Vec<Work> {
-        let mut work = Vec::new();
+    pub fn end(&mut self, keys: impl IntoIterator<Item = ReqKey>) -> BoxStep {
+        let mut step = BoxStep::default();
         for key in keys {
-            self.reduce(key, &mut work, Reduction::end);
+            self.reduce(key, &mut step, Reduction::end);
         }
-        work
+        step
     }
 
     /// A combine of `key` came back with `out`: the next combine, or the
@@ -221,7 +219,7 @@ impl BoxCore {
     pub fn combined(&mut self, key: ReqKey, out: Result<Bytes, AggError>) -> BoxStep {
         let mut step = BoxStep::default();
         match out {
-            Ok(item) => self.reduce(key, &mut step.work, |r, fanin| r.combined(item, fanin)),
+            Ok(item) => self.reduce(key, &mut step, |r, fanin| r.combined(item, fanin)),
             Err(e) if self.fanin.requests.contains_key(&key) => {
                 let trace = self.close(key).and_then(|q| q.trace);
                 step.work.push(Work::Failed(key, trace, e));
@@ -296,11 +294,11 @@ impl BoxCore {
         let open = self.fanin.requests.iter().filter(|(_, q)| !q.closed);
         let due = open.filter(|(_, q)| q.ext.reduction.bytes() >= self.flush_bytes);
         let keys: Vec<ReqKey> = due.map(|(key, _)| *key).collect();
-        let mut work = Vec::new();
+        let mut step = BoxStep::default();
         for key in keys {
-            self.reduce(key, &mut work, |r, _| r.take_partial());
+            self.reduce(key, &mut step, |r, _| r.take_partial());
         }
-        work
+        step.work
     }
 
     /// This box's output was redirected. Permanent (the detector's
@@ -380,11 +378,11 @@ impl Node for BoxCore {
                     return step;
                 };
                 if !payload.is_empty() {
-                    self.reduce(key, &mut step.work, |r, fanin| r.push(payload, fanin));
+                    self.reduce(key, &mut step, |r, fanin| r.push(payload, fanin));
                 }
                 if closes {
                     step.closed = Some(key);
-                    self.reduce(key, &mut step.work, Reduction::end);
+                    self.reduce(key, &mut step, Reduction::end);
                 }
                 if gap {
                     step.gaps.push((key, source));
@@ -402,7 +400,7 @@ impl Node for BoxCore {
                 let owed = sources.into_iter().map(|s| ((app, tree), s));
                 if self.open(key).is_some() && self.fanin.set_requirement(&key, owed) {
                     step.closed = Some(key);
-                    self.reduce(key, &mut step.work, Reduction::end);
+                    self.reduce(key, &mut step, Reduction::end);
                 }
             }
             Message::Redirect {
@@ -443,20 +441,18 @@ impl Node for BoxCore {
         if self.outbox.backlogged() {
             self.fanin.detector.excuse(now);
         }
-        let mut work = Vec::new();
+        let mut step = BoxStep::default();
         if self.flush_due.is_some_and(|t| t <= now) {
             self.flush_due = Some(now + FLUSH_TICK);
-            work = self.flush();
+            step.work = self.flush();
         }
         let mut fired = self.fanin.on_timer(now);
         self.outbox.post(fired.take_sends());
-        work.extend(self.end(fired.closed()));
-        let fired = Some(fired);
-        Step {
-            fired,
-            work,
-            ..Step::default()
+        for key in fired.closed() {
+            self.reduce(key, &mut step, Reduction::end);
         }
+        step.fired = Some(fired);
+        step
     }
 
     fn send_failed(&mut self, to: NodeId, msg: &Message) {
@@ -473,5 +469,12 @@ impl Node for BoxCore {
 
     fn outbox(&mut self) -> &mut Outbox {
         &mut self.outbox
+    }
+
+    /// Every request still open, combining or not, never completes.
+    fn teardown(&mut self) -> Vec<(RequestId, TraceAnchor)> {
+        let open = self.fanin.requests.drain();
+        open.filter_map(|((_, r, _), q)| Some((r, q.trace?)))
+            .collect()
     }
 }

@@ -8,24 +8,24 @@
 //! timer thread sends its posts and acks, and runs what the core's
 //! deadlines make due. While the outbox or the pool's queue is over its
 //! bound, the reader holds a connection's `Data` back (DESIGN.md §9).
-//! The box counts each event once, into its [`BoxStats`] part of the
-//! registry's total; its shutdown closes the spans of requests left open.
+//! The box's hook is that behaviour alone: the hold, the excuse and the
+//! combine submit. Who records: the shell's recorder (`spans.rs`, under
+//! its `BOX` names) records every span, counter and event of the box; its
+//! counter parts are the box's [`BoxStats`].
 
-use crate::aggbox::core::{BoxCore, BoxStep, Combine, Point, ReqKey, Work, OUTBOX_BOUND};
+use crate::aggbox::core::{BoxCore, BoxStep, Combine, Work, OUTBOX_BOUND};
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use crate::aggbox::tree::combine;
 use crate::failure::DetectorConfig;
-use crate::fanin::{Fired, Route, TraceAnchor};
+use crate::fanin::Route;
 use crate::lifecycle::Readiness;
-use crate::node::Emit;
-use crate::protocol::{AppId, Message, RequestId, TreeId};
-use crate::shell::{Outlet, Shell, State};
-use crate::spans::{Hop, Spans};
+use crate::protocol::{AppId, TreeId};
+use crate::shell::{Outlet, Shell};
+use crate::spans::{self, Names, Recorder};
 use crate::straggler::StragglerPolicy;
-use crate::{AggError, DynAggregator};
+use crate::DynAggregator;
 use netagg_net::{NetError, NodeId, Transport};
-use netagg_obs::trace;
-use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
+use netagg_obs::{Counter, MetricsRegistry};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -88,19 +88,6 @@ pub struct BoxStats {
     pub send_errors: Arc<Counter>,
 }
 
-impl BoxStats {
-    fn new(obs: &MetricsRegistry) -> Self {
-        Self {
-            bytes_in: obs.counter_part(names::AGGBOX_BYTES_IN),
-            messages_in: obs.counter_part(names::AGGBOX_MESSAGES_IN),
-            requests_completed: obs.counter_part(names::AGGBOX_REQUESTS_COMPLETED),
-            duplicates_dropped: obs.counter_part(names::AGGBOX_DUPLICATES_DROPPED),
-            straggler_redirects: obs.counter_part(names::STRAGGLER_REDIRECTS),
-            send_errors: obs.counter_part(names::AGGBOX_SEND_ERRORS),
-        }
-    }
-}
-
 /// Point-in-time view of one agg box's live state (see
 /// [`AggBox::snapshot`]; its counters are [`AggBox::stats`]).
 #[derive(Debug, Clone)]
@@ -119,20 +106,13 @@ pub struct BoxSnapshot {
     pub apps: Vec<crate::aggbox::scheduler::AppCpu>,
 }
 
-/// The box's part of its shell: configuration, pool, counters and spans
-/// (rare paths — failures, escalations, re-points — look their metrics up
-/// in the registry).
+/// The box's part of its shell: configuration, pool and counters.
 struct BoxOutlet {
     cfg: AggBoxConfig,
     scheduler: Arc<TaskScheduler>,
     /// What the pool's combines feed their output back into.
     shell: Weak<BoxShell>,
     stats: BoxStats,
-    request_agg_us: Arc<Histogram>,
-    /// Box-side spans, under the component label `aggbox-<b>`.
-    spans: Spans,
-    /// Combine-task spans, under the label `aggbox-<b>-sched`.
-    task_spans: Spans,
 }
 
 type BoxShell = Shell<BoxCore, BoxOutlet>;
@@ -147,24 +127,33 @@ impl AggBox {
     /// threads.
     pub fn start(transport: Arc<dyn Transport>, cfg: AggBoxConfig) -> Result<Arc<Self>, NetError> {
         let (box_id, addr, obs) = (cfg.box_id, cfg.addr, cfg.obs.clone());
-        let (name, threads) = (format!("aggbox-{box_id}"), ["-listen", "-reader"]);
-        let shell = Shell::start(transport, addr, name, threads, &obs, |weak, _| {
+        let name = (format!("aggbox-{box_id}"), ["-listen", "-reader"]);
+        let at = (addr, AppId(0), &[box_id][..]);
+        let shell = Shell::start(transport, at, name, &obs, |weak, _, rec| {
             let mut core = BoxCore::new(cfg.fanin, cfg.flush_bytes);
             (core.id, core.fanin.addr) = (box_id, addr);
             core.fanin.straggler = cfg.straggler;
             core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
-            let o = BoxOutlet::new(cfg, weak.clone());
             // One `span.box.request` per sampled request, parented directly
             // to the trace root (RequestMeta — and hence the master's root
             // span id — may arrive after the first data).
-            let tracer = o.spans.tracer.clone();
-            core.anchor = Box::new(move |(app, request, _)| {
-                tracer.sampled(request.0).then(|| TraceAnchor {
-                    trace_id: trace::trace_id(app.0, request.0),
-                    span_id: tracer.next_span_id(),
-                    start_ns: trace::now_ns(),
-                })
-            });
+            core.anchor = Box::new(rec.anchors());
+            let stats = BoxStats {
+                bytes_in: rec.bytes_in.clone(),
+                messages_in: rec.data_in.clone(),
+                requests_completed: rec.completed.clone(),
+                duplicates_dropped: rec.dropped.clone(),
+                straggler_redirects: rec.bypasses.clone(),
+                send_errors: rec.send_errors.clone(),
+            };
+            let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), obs.clone());
+            let (scheduler, shell) = (Arc::new(scheduler), weak.clone());
+            let o = BoxOutlet {
+                cfg,
+                scheduler,
+                shell,
+                stats,
+            };
             (core, o)
         })?;
         Ok(Arc::new(Self { shell }))
@@ -256,105 +245,34 @@ impl Drop for AggBox {
 }
 
 impl BoxOutlet {
-    fn new(cfg: AggBoxConfig, shell: Weak<BoxShell>) -> Self {
-        let (registry, id) = (&cfg.obs, cfg.box_id);
-        let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), registry.clone());
-        Self {
-            scheduler: Arc::new(scheduler),
-            shell,
-            stats: BoxStats::new(registry),
-            request_agg_us: registry.histogram(names::AGGBOX_REQUEST_AGG_US),
-            spans: Spans::new(registry, format!("aggbox-{id}")),
-            task_spans: Spans::new(registry, format!("aggbox-{id}-sched")),
-            cfg,
-        }
-    }
-
-    /// The box's whole residency for a request: first data in → now. Every
-    /// local span (queue wait, combine, forward, repoint) parents to it.
-    fn request_span(&self, request: RequestId, t: TraceAnchor) {
-        let (name, now) = (names::spans::BOX_REQUEST, trace::now_ns());
-        let (tid, start) = (t.trace_id, t.start_ns);
-        self.spans
-            .record(name, tid, t.span_id, tid, request, start, now);
-    }
-
-    /// Run one combine on the pool: the pure merge, its queue-wait and
-    /// combine spans, then its output back into the core — a transition on
-    /// the pool thread, which sends the final chunk it queued and never
-    /// waits at the outbox bound.
-    fn submit(&self, c: Combine) {
-        let (shell, queued) = (self.shell.clone(), c.trace.map(|t| (t, trace::now_ns())));
+    /// Run one combine on the pool: the pure merge under its queue-wait
+    /// and combine spans, then its output back into the core — a
+    /// transition on the pool thread, which sends the final chunk it
+    /// queued and never waits at the outbox bound.
+    fn submit(&self, rec: &Recorder, c: Combine) {
+        let (shell, queued) = (self.shell.clone(), rec.queued(c.trace));
         let task = move || {
             let Some(shell) = shell.upgrade() else {
                 return;
             };
-            let start = queued.map(|_| trace::now_ns());
-            let out = combine(&*c.agg, c.items);
-            if let (Some((t, queued)), Some(start)) = (queued, start) {
-                let (wait, run) = (names::spans::BOX_QUEUE_WAIT, names::spans::BOX_COMBINE);
-                let spans = &shell.hook.task_spans;
-                for (name, from, to) in [(wait, queued, start), (run, start, trace::now_ns())] {
-                    let id = spans.tracer.next_span_id();
-                    spans.record(name, t.trace_id, id, t.span_id, c.key.1, from, to);
-                }
-            }
+            let out = shell
+                .rec
+                .combine(queued, c.key.1, || combine(&*c.agg, c.items));
             let mut s = shell.lock();
             let step = s.core.combined(c.key, out);
             // A completion sends its final chunk; other combines post nothing.
-            let done = step.work.iter().any(|w| matches!(w, Work::Completed(..)));
+            let done = !step.completed.is_empty();
             shell.act(s, step, None, done);
         };
         self.scheduler.submit(c.key.0, Box::new(task));
     }
-
-    /// A request's combine failed and the core dropped it: close its span,
-    /// count it and say why. The parent times it out.
-    fn failed(&self, (app, request, tree): ReqKey, trace: Option<TraceAnchor>, e: AggError) {
-        trace.iter().for_each(|t| self.request_span(request, *t));
-        self.cfg.obs.counter(names::AGGBOX_REQUESTS_FAILED).inc();
-        let id = self.cfg.box_id;
-        let detail = format!(
-            "box {id} dropped request {} of app {} tree {}: {e}",
-            request.0, app.0, tree.0
-        );
-        self.cfg.obs.emit(names::EVENT_FAILURE, detail);
-    }
-
-    /// Audit one timer firing: the detector's verdicts and re-points
-    /// (marked inside each moved request's trace, so the stitched tree
-    /// shows where obligations moved), and every straggler bypass.
-    fn report(&self, fired: &Fired<Point, ReqKey>) {
-        let (registry, id) = (&self.cfg.obs, self.cfg.box_id);
-        let marks = (names::spans::BOX_REPOINT, names::AGGBOX_REPOINTS);
-        // A box's points name their application.
-        let who = (&*format!("box {id}"), self.cfg.addr, AppId(0));
-        self.spans.fired(registry, marks, who, fired);
-        // A request had data from some sources but a child box contributed
-        // nothing within the threshold: its children were told to send this
-        // request's data here — for good once the box straggled too often
-        // (Section 3.1), and future requests no longer expect it.
-        for b in fired.scan.iter().flat_map(|s| &s.bypasses) {
-            let (app, request, tree) = b.request;
-            self.stats.straggler_redirects.inc();
-            let mut note = "";
-            if b.permanent {
-                registry.counter(names::STRAGGLER_ESCALATIONS).inc();
-                note = " (escalated to permanent)";
-            }
-            let detail = format!(
-                "box {id} bypassed child box {} for app {} request {} tree {}{note}",
-                b.box_id, app.0, request.0, tree.0,
-            );
-            registry.emit(names::EVENT_STRAGGLER, detail);
-        }
-    }
 }
 
-/// The box's hook: the pool-queue hold, the combines a transition made
-/// ready, trace context on its output, and the audit of what its reader,
-/// timer and pool did.
+/// The box's hook: the pool-queue hold, the excuse of a held-back reader
+/// and the combines a transition made ready.
 impl Outlet<BoxCore> for BoxOutlet {
+    const NAMES: &'static Names = &spans::BOX;
+
     /// Backpressure: box-to-box `Data` flows upward only and both queues
     /// drain without the reader, so the holds are acyclic.
     fn hold(&self, core: &BoxCore, ready: &Readiness) -> bool {
@@ -366,94 +284,11 @@ impl Outlet<BoxCore> for BoxOutlet {
         core.fanin.detector.excuse(now);
     }
 
-    /// Count `Data`, and stitch its hop: the ingest work hangs off its
-    /// wire span.
-    fn admit(&self, msg: &Message) -> Option<Hop> {
-        if let Message::Data { payload, .. } = msg {
-            self.stats.messages_in.inc();
-            self.stats.bytes_in.add(payload.len() as u64);
-        }
-        self.spans.wire(msg)
-    }
-
-    /// Count each completion before its final chunk can leave: observers
-    /// polling after the master saw the result must find the counter
-    /// already incremented.
-    fn settle(&self, _: &mut State<BoxCore>, step: &mut BoxStep) -> bool {
-        for w in &step.work {
-            if let Work::Completed(_, _, started) = w {
-                self.stats.requests_completed.inc();
-                // First data byte in → final aggregate queued.
-                let agg_us = |t0: &Instant| self.request_agg_us.record_duration(t0.elapsed());
-                started.iter().for_each(agg_us);
-            }
-        }
-        let idle = step.fired.as_ref().is_some_and(Fired::is_empty);
-        !idle || !step.work.is_empty()
-    }
-
-    fn then(&self, hop: Option<Hop>, step: BoxStep) {
-        self.spans.gapped(&self.cfg.obs, &step.gaps);
-        if step.dropped {
-            self.stats.duplicates_dropped.inc();
-            return;
-        }
-        step.fired.iter().for_each(|f| self.report(f));
+    fn then(&self, rec: &Recorder, step: BoxStep) {
         for w in step.work {
-            match w {
-                Work::Combine(c) => self.submit(c),
-                Work::Failed(key, trace, e) => self.failed(key, trace, e),
-                Work::Completed(..) => {}
+            if let Work::Combine(c) = w {
+                self.submit(rec, c);
             }
-        }
-        self.spans.ingest(names::spans::BOX_RECV, hop);
-    }
-
-    /// Stamp a sampled `Data` with its hop's trace context as it leaves:
-    /// this box's output under a fresh forward span (the final chunk closes
-    /// the box's request span), a resend at the trace root (deterministic
-    /// trace id: its original hop is gone).
-    fn stamp(&self, e: &mut Emit) {
-        let last = matches!(e.msg, Message::Data { last: true, .. });
-        if let Some((app, request, ctx, sent_ns)) = e.msg.trace_mut() {
-            if let Some(t) = e.trace {
-                // The chunk's wire span parents to this box's forward span.
-                (*ctx, *sent_ns) = self.spans.outbound(Some(t.trace_id));
-                if last {
-                    self.request_span(request, t);
-                }
-            } else {
-                *ctx = self.spans.root_ctx(app, request);
-                *sent_ns = if ctx.is_active() { trace::now_ns() } else { 0 };
-            }
-        }
-    }
-
-    /// Close the forward span; count a permanent re-point that left, and
-    /// a send that failed (a failed probe the core counts as missed).
-    fn sent(&self, e: &mut Emit, ok: bool) {
-        if let (Some(t), Some((_, request, ctx, sent_ns))) = (e.trace, e.msg.trace_mut()) {
-            let name = names::spans::BOX_FORWARD;
-            self.spans.sent(name, *ctx, t.span_id, request, *sent_ns);
-        }
-        match (ok, &e.msg) {
-            (true, Message::Redirect { permanent, .. }) if *permanent => {
-                self.cfg.obs.counter(names::FAILURE_REPOINTS).inc();
-            }
-            (false, msg) if !msg.is_liveness() => self.stats.send_errors.inc(),
-            _ => {}
-        }
-    }
-
-    /// Requests still open at teardown never complete, so their box
-    /// request span would never be recorded — and the queue-wait / combine
-    /// spans parented beneath it would be orphans. Close them start → now,
-    /// so a box killed mid-request still leaves one connected trace tree
-    /// (DESIGN.md §11).
-    fn teardown(&self, core: &mut BoxCore) {
-        let open = core.fanin.requests.drain();
-        for ((_, request, _), t) in open.filter_map(|(k, q)| Some((k, q.trace?))) {
-            self.request_span(request, t);
         }
     }
 }

@@ -99,6 +99,9 @@ pub struct TraceAnchor {
     pub start_ns: u64,
 }
 
+/// A new request's trace anchor at a node, if it is sampled.
+pub type Anchors = Box<dyn Fn(AppId, RequestId) -> Option<TraceAnchor> + Send>;
+
 /// One in-flight request at a fan-in point.
 #[derive(Debug)]
 pub struct Request<P: Copy + Eq + Hash, X> {
@@ -205,10 +208,12 @@ pub struct Fired<P, R> {
 }
 
 impl<P, R: Copy> Fired<P, R> {
-    /// Whether the firing found nothing due.
+    /// Whether the firing found nothing due (an operator's failure
+    /// verdict, with nothing dead and nothing probed, is not nothing).
     pub fn is_empty(&self) -> bool {
         let idle = |s: &StragglerScan<P, R>| s.bypasses.is_empty() && s.closed.is_empty();
-        self.scan.as_ref().is_none_or(idle) && self.probes.is_empty() && self.dead.is_empty()
+        let quiet = self.probes.is_empty() && self.dead.is_empty() && self.failed.is_empty();
+        self.scan.as_ref().is_none_or(idle) && quiet
     }
 
     /// Every request a bypass or a failure of this firing completed.

@@ -4,11 +4,13 @@
 //! message, a timer firing or a failed send as an input, say when they next
 //! have something to do, and queue what they send in one ordered
 //! [`Outbox`]. The node's shell (`shell.rs`) runs a transition under the
-//! core's lock, sends what the outbox holds through its one drain and acts
-//! on the transition's [`Node::Report`] once the lock is released.
+//! core's lock, sends what the outbox holds through its one drain, and
+//! hands the transition's [`Node::Report`] to its recorder (`spans.rs`),
+//! which reads every span, counter and event off it.
 
+use crate::aggbox::core::Work;
 use crate::fanin::{Fired, TraceAnchor};
-use crate::protocol::{Message, SourceId};
+use crate::protocol::{Message, RequestId, SourceId};
 use netagg_net::NodeId;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -43,11 +45,15 @@ pub trait Node {
     fn next_deadline(&self) -> Option<Instant> {
         None
     }
+    /// The node shuts down: drop what is still open, and name the sampled
+    /// requests among it, whose spans the shell's recorder then closes.
+    fn teardown(&mut self) -> Vec<(RequestId, TraceAnchor)> {
+        Vec::new()
+    }
 }
 
 /// What a fan-in core's transition leaves its shell to act on.
-#[derive(Debug)]
-pub struct Step<P, R, W = ()> {
+pub struct Step<P, R> {
     /// The message was dropped: an unknown route or application, a
     /// replayed sequence number, a re-pointed-away source, a closed request.
     pub dropped: bool,
@@ -55,24 +61,68 @@ pub struct Step<P, R, W = ()> {
     pub gaps: Vec<(R, SourceId)>,
     /// The request a message closed: every owed source ended.
     pub closed: Option<R>,
+    /// The requests the transition completed — a box's final chunk queued,
+    /// the master's request closed — with when each started.
+    pub completed: Completed<R>,
     /// A timer firing, for the shell to audit; [`Fired::closed`] names the
     /// requests it closed.
     pub fired: Option<Fired<P, R>>,
-    /// What else the shell runs once the lock is released (a box's
-    /// combines and finished reductions).
-    pub work: W,
+    /// What else the shell runs once the lock is released: a box's
+    /// combines, and its requests whose combine failed.
+    pub work: Vec<Work>,
 }
 
-impl<P, R, W: Default> Default for Step<P, R, W> {
+impl<P, R> Default for Step<P, R> {
     fn default() -> Self {
         let (dropped, gaps, closed, fired) = (false, Vec::new(), None, None);
         Self {
             dropped,
             gaps,
             closed,
+            completed: Completed::default(),
             fired,
-            work: W::default(),
+            work: Vec::new(),
         }
+    }
+}
+
+/// Requests a transition completed, with when each started. The first is
+/// kept inline: a message or a combine completes at most one, and only a
+/// timer firing more, so the common report allocates nothing.
+#[derive(Debug)]
+pub struct Completed<R>(Option<(R, Option<Instant>)>, Vec<(R, Option<Instant>)>);
+
+impl<R> Default for Completed<R> {
+    fn default() -> Self {
+        Self(None, Vec::new())
+    }
+}
+
+impl<R> Completed<R> {
+    /// Add one.
+    pub fn push(&mut self, done: (R, Option<Instant>)) {
+        match self.0 {
+            None => self.0 = Some(done),
+            Some(_) => self.1.push(done),
+        }
+    }
+
+    /// Every one, in completion order.
+    pub fn iter(&self) -> impl Iterator<Item = &(R, Option<Instant>)> {
+        self.0.iter().chain(&self.1)
+    }
+
+    /// Whether none completed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+}
+
+impl<R> FromIterator<(R, Option<Instant>)> for Completed<R> {
+    fn from_iter<I: IntoIterator<Item = (R, Option<Instant>)>>(done: I) -> Self {
+        let mut all = Self::default();
+        done.into_iter().for_each(|d| all.push(d));
+        all
     }
 }
 

@@ -1,9 +1,11 @@
 //! The one threaded shell around a node's core (DESIGN.md §9): the box,
 //! the master and the worker are each a [`Shell`] over their [`Node`] plus
-//! an [`Outlet`], the hook that carries what differs between them. One
-//! reader, one timer thread (for a core type with deadlines), one drain,
-//! behind one `node.core` lock. The hook counts into the node's registry
-//! parts and closes what a shutdown leaves open ([`Outlet::teardown`]).
+//! an [`Outlet`], the hook that carries the behaviour that differs between
+//! them. One reader, one timer thread (for a core type with deadlines), one
+//! drain, behind one `node.core` lock. The shell records nothing itself and
+//! the hook records nothing at all: the shell hands its node's [`Recorder`]
+//! each admitted message, each transition's report, each message leaving,
+//! each send's outcome and, at shutdown, what the core left open.
 
 use crate::conn_cache::ConnCache;
 use crate::lifecycle::{
@@ -11,8 +13,8 @@ use crate::lifecycle::{
     Parking, Readiness, WakerGuard, DEFAULT_JOIN_DEADLINE,
 };
 use crate::node::{Emit, Node};
-use crate::protocol::Message;
-use crate::spans::Hop;
+use crate::protocol::{AppId, Message};
+use crate::spans::{Hop, Names, Recorder, Report};
 use bytes::Bytes;
 use netagg_net::{lock_order, NetError, NodeId, Transport};
 use netagg_obs::MetricsRegistry;
@@ -20,9 +22,11 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// What a node adds to its shell: spans, counters, events and the rules
-/// that are one node's alone.
+/// The behaviour a node adds to its shell: the rules that are one node's
+/// alone. It records nothing; its kind's names are the recorder's.
 pub(crate) trait Outlet<N: Node>: Send + Sync + 'static {
+    /// The names the node's recorder records under.
+    const NAMES: &'static Names;
     /// Whether the reader holds back an arriving `Data`; `ready` is its
     /// signal, to wake once it may go on.
     fn hold(&self, _core: &N, _ready: &Readiness) -> bool {
@@ -30,26 +34,12 @@ pub(crate) trait Outlet<N: Node>: Send + Sync + 'static {
     }
     /// The timer found the reader holding a frame back at `now`.
     fn excuse(&self, _core: &mut N, _now: Instant) {}
-    /// The reader takes `msg`: count it and stitch its hop.
-    fn admit(&self, _msg: &Message) -> Option<Hop> {
-        None
-    }
     /// Under the lock, after a transition: what its report changes beside
-    /// the core ([`State::wake`] wakes the shell's waiters); `false` when
-    /// nothing is left for [`Outlet::then`], as after a firing that found
-    /// nothing.
-    fn settle(&self, s: &mut State<N>, report: &mut N::Report) -> bool;
-    /// Once the lock is released: audit, and hand on what the transition
-    /// left (a box's combines). `hop` is the arriving message's.
-    fn then(&self, hop: Option<Hop>, report: N::Report);
-    /// Stamp `e`'s trace context as it leaves.
-    fn stamp(&self, e: &mut Emit);
-    /// `e` left, or (`ok == false`) could not be sent: close its spans and
-    /// count it.
-    fn sent(&self, e: &mut Emit, ok: bool);
-    /// Once the node's threads are joined: close the spans of what is
-    /// still open. Drains what it closes, so a second call finds nothing.
-    fn teardown(&self, _core: &mut N) {}
+    /// the core ([`State::wake`] wakes the shell's waiters).
+    fn settle(&self, _s: &mut State<N>, _report: &N::Report) {}
+    /// Once the lock is released and the report recorded: hand on what the
+    /// transition left (a box's combines, a worker's broadcast).
+    fn then(&self, _rec: &Recorder, _report: N::Report) {}
 }
 
 /// What `node.core` guards.
@@ -96,29 +86,36 @@ pub(crate) struct Shell<N: Node, H: Outlet<N>> {
     cancel: CancelToken,
     scope: Arc<JoinScope>,
     _waker: WakerGuard,
-    /// The node's own part.
+    /// The node's own behaviour.
     pub hook: H,
+    /// What records every span, counter and event of the node.
+    pub rec: Recorder,
 }
 
-impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
+impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H>
+where
+    N::Report: Report,
+{
     /// Bind `addr` and start the node `name`: its listener and reader
     /// (`name` plus the suffixes in `threads`) and, for a core with
-    /// deadlines, its timer (`<name>-timer`). `make` builds the core and
-    /// the hook, given the shell to come and its cancellation token.
+    /// deadlines, its timer (`<name>-timer`). Its recorder publishes to
+    /// `obs` under the kind's names, labelled by `ids` (serving `app` where
+    /// a point names none). `make` builds the core and the hook, given the
+    /// shell to come, its cancellation token and the recorder.
     pub fn start(
         transport: Arc<dyn Transport>,
-        addr: NodeId,
-        name: String,
-        threads: [&str; 2],
+        (addr, app, ids): (NodeId, AppId, &[u32]),
+        (name, threads): (String, [&str; 2]),
         obs: &MetricsRegistry,
-        make: impl FnOnce(&Weak<Self>, &CancelToken) -> (N, H),
+        make: impl FnOnce(&Weak<Self>, &CancelToken, &Recorder) -> (N, H),
     ) -> Result<Arc<Self>, NetError> {
         let (listener, cancel) = (transport.bind(addr)?, CancelToken::new());
         let deadline = DEFAULT_JOIN_DEADLINE;
         let scope = JoinScope::with_obs(name.clone(), cancel.clone(), deadline, Some(obs));
         let ready = Readiness::readiness();
+        let rec = Recorder::new(H::NAMES, obs, ids, (addr, app));
         let shell = Arc::new_cyclic(|weak: &Weak<Self>| {
-            let (core, hook) = make(weak, &cancel);
+            let (core, hook) = make(weak, &cancel, &rec);
             let weak = weak.clone();
             // Under the core lock, so a thread between its cancel check
             // and its park cannot miss it. Weak: no cycle through the token.
@@ -151,6 +148,7 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
                 scope: Arc::new(scope),
                 _waker: waker,
                 hook,
+                rec,
             }
         });
         let [listen, reader] = threads.map(|suffix| format!("{name}{suffix}"));
@@ -216,37 +214,49 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
     }
 
     /// Cancel the node's token, waking every thread of it at once, join
-    /// its threads under the scope's deadline, and run the hook's
-    /// teardown. Idempotent.
+    /// its threads under the scope's deadline, and close the spans of what
+    /// the core left open. Idempotent: the core drains what it names.
     pub fn shutdown(&self) {
         self.cancel.cancel();
         self.scope.finish();
-        self.hook.teardown(&mut self.state.lock().core);
+        let open = self.state.lock().core.teardown();
+        self.rec.teardown(open);
     }
 
     /// Settle `report` under the lock, release it — draining if `drain` —
-    /// and hand the rest to the hook.
+    /// then record it and hand the rest to the hook.
     pub fn act(
         &self,
         mut s: Guard<'_, N>,
-        mut report: N::Report,
+        report: N::Report,
         hop: Option<Hop>,
         drain: bool,
     ) -> Vec<Message> {
-        let then = self.settle(&mut s, &mut report);
+        let idle = self.settle(&mut s, &report);
         let failed = self.release(s, drain);
-        if then {
-            self.hook.then(hop, report);
+        if !idle {
+            self.then(hop, report);
         }
         failed
     }
 
-    fn settle(&self, s: &mut State<N>, report: &mut N::Report) -> bool {
-        let then = self.hook.settle(s, report);
+    /// Under the lock: count what must be counted before anything leaves
+    /// or a waiter wakes, and let the hook settle. Whether it was idle.
+    fn settle(&self, s: &mut State<N>, report: &N::Report) -> bool {
+        report.settled(&self.rec);
+        self.hook.settle(s, report);
         if std::mem::take(&mut s.wake) {
             self.waiters.wake_all(&mut s.waiters);
         }
-        then
+        report.idle()
+    }
+
+    /// Once the lock is released: record the report, hand the rest on,
+    /// and close the arriving hop's ingest span once it is handed on.
+    fn then(&self, hop: Option<Hop>, report: N::Report) {
+        let hop = report.record(&self.rec, hop);
+        self.hook.then(&self.rec, report);
+        self.rec.ingest(hop);
     }
 
     /// Wake the timer for an earlier deadline, or for what it must send:
@@ -298,13 +308,13 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
     fn send(&self, out: impl IntoIterator<Item = Emit>) -> Vec<Message> {
         let mut failed = Vec::new();
         for mut e in out {
-            self.hook.stamp(&mut e);
+            self.rec.stamp(&mut e);
             let conns = match e.msg.is_liveness() {
                 true => &self.liveness,
                 false => &self.conns,
             };
             let ok = conns.send_to(e.to, e.msg.encode()).is_ok();
-            self.hook.sent(&mut e, ok);
+            self.rec.sent(&mut e, ok);
             if !ok {
                 self.transition(|core| core.send_failed(e.to, &e.msg));
                 failed.push(e.msg);
@@ -325,7 +335,7 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
             s.held = true;
             return Some(frame);
         }
-        let hop = self.hook.admit(&msg);
+        let hop = self.rec.admit(&msg);
         let report = s.core.on_message(msg, Instant::now());
         self.act(s, report, hop, !N::TIMER);
         None
@@ -341,11 +351,11 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
             if s.held {
                 self.hook.excuse(&mut s.core, now);
             }
-            let mut report = s.core.on_timer(now);
-            let then = self.settle(&mut s, &mut report);
+            let report = s.core.on_timer(now);
+            let idle = self.settle(&mut s, &report);
             let live = s.core.outbox().take_live();
             let undrained = !s.draining && !s.core.outbox().is_empty();
-            if !then && live.is_empty() && !undrained {
+            if idle && live.is_empty() && !undrained {
                 s.armed = s.core.next_deadline();
                 let left = s.armed.map(|t| t.saturating_duration_since(Instant::now()));
                 let deadline = left.map_or(Deadline::NEVER, Deadline::after);
@@ -355,8 +365,8 @@ impl<N: Node + Send + 'static, H: Outlet<N>> Shell<N, H> {
             }
             drop(s);
             self.send(live);
-            if then {
-                self.hook.then(None, report);
+            if !idle {
+                self.then(None, report);
             }
             self.drain(self.state.lock());
             s = self.state.lock();

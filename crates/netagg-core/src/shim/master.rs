@@ -6,23 +6,27 @@
 //! empty per-worker results. It is also the parent of the root boxes, so
 //! its timer thread runs the same straggler bypass and failure detection
 //! the boxes do, off the same core deadlines. An application thread whose
-//! transition queued something to send drains the core's outbox.
+//! transition queued something to send drains the core's outbox. The
+//! master's hook is its waiters' wake (with the ledger gauges it reads
+//! off the locked core). Who records: the shell's recorder (`spans.rs`,
+//! under its `MASTER` names) records every span, counter and event of the
+//! master's reader, timer and sends; `wait` closes the root span through
+//! it, and counts the wait and the emulated empties.
 
 use crate::failure::DetectorConfig;
-use crate::fanin::{Fired, TraceAnchor};
+use crate::fanin::Fired;
 use crate::lifecycle::Deadline;
-use crate::node::{Emit, Step};
+use crate::node::Step;
 use crate::protocol::{AppId, Message, RequestId, TreeId};
 use crate::shell::{Outlet, Shell, State};
-use crate::shim::master_core::{MasterCore, Taken};
+use crate::shim::master_core::{MasterCore, MasterStep, Taken};
 use crate::shim::TreeSelection;
-use crate::spans::{Hop, Spans};
+use crate::spans::{self, Names};
 use crate::straggler::StragglerPolicy;
 use crate::tree::{master_addr, TreeSpec};
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
 use netagg_net::{NetError, NodeId, Transport};
-use netagg_obs::trace;
 use netagg_obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,9 +88,9 @@ impl Default for MasterShimConfig {
     }
 }
 
-/// The master's part of its shell: the final merge, and the pre-resolved
-/// `shim.master.*` metric handles (rare paths — re-points, bypasses — look
-/// theirs up in the registry).
+/// The master's part of its shell: the final merge, and the metrics its
+/// application calls count (registration, the wait, emulated empties) and
+/// its settle sets.
 struct MasterOutlet {
     app: AppId,
     agg: Arc<dyn DynAggregator>,
@@ -94,20 +98,13 @@ struct MasterOutlet {
     empty: Bytes,
     cfg: MasterShimConfig,
     requests_registered: Arc<Counter>,
-    requests_completed: Arc<Counter>,
-    messages_in: Arc<Counter>,
-    bytes_in: Arc<Counter>,
     emulated_empties: Arc<Counter>,
-    duplicates_dropped: Arc<Counter>,
     requests_inflight: Arc<Gauge>,
     sources_outstanding: Arc<Gauge>,
     request_wait_us: Arc<Histogram>,
-    /// Master-side spans, under the component label `master-<a>`.
-    spans: Spans,
 }
 
 type MasterShell = Shell<MasterCore, MasterOutlet>;
-type MasterStep = Step<TreeId, RequestId>;
 
 /// A handle to one registered request.
 pub struct PendingRequest {
@@ -131,11 +128,10 @@ impl MasterShim {
         cfg: MasterShimConfig,
     ) -> Result<Arc<Self>, NetError> {
         let (name, obs) = (format!("master-shim-{}", app.0), cfg.obs.clone());
-        let addr = master_addr(app);
-        let shell = Shell::start(transport, addr, name, ["", "-reader"], &obs, |_, _| {
+        let at = (master_addr(app), app, &[app.0 as u32][..]);
+        let shell = Shell::start(transport, at, (name, ["", "-reader"]), &obs, |_, _, rec| {
             let mut core = MasterCore::new(app, specs, cfg.selection);
-            let spans = Spans::new(&cfg.obs, format!("master-{}", app.0));
-            core.anchor = Box::new(move |request| spans.anchor(app, request, trace::now_ns));
+            core.anchor = Box::new(rec.anchors());
             // Hierarchical thresholds: the master waits longer than the boxes
             // so box-level bypass (closer to the data) resolves stragglers
             // first. The root never escalates: declaring a root box dead for
@@ -168,9 +164,9 @@ impl MasterShim {
         self.shell.post(|core| {
             let subset = workers.map(|w| core.subset(request, w));
             let done = core.register(request, expected_workers, subset, now, ttl);
-            let closed = done.then_some(request);
+            let completed = core.completions(done.then_some(request));
             Step {
-                closed,
+                completed,
                 ..Step::default()
             }
         });
@@ -224,24 +220,7 @@ impl MasterShim {
     /// under repeated declarations, straggler redirects racing the
     /// detector, and replayed duplicates.
     pub fn on_child_box_failed(&self, tree: TreeId, failed_box: u32) {
-        self.shell.post(|core| {
-            let Some(mut r) = core.fanin.child_box_failed(tree, failed_box) else {
-                return Step::default();
-            };
-            core.outbox.post(std::mem::take(&mut r.sends));
-            let (scan, probes, dead) = (None, Vec::new(), Vec::new());
-            let failed = vec![(tree, failed_box, r)];
-            let fired = Some(Fired {
-                scan,
-                probes,
-                dead,
-                failed,
-            });
-            Step {
-                fired,
-                ..Step::default()
-            }
-        });
+        self.shell.post(|core| core.fail_box(tree, failed_box));
     }
 
     /// The master shim's transport address.
@@ -270,119 +249,35 @@ impl MasterOutlet {
             app,
             empty: agg.empty_serialized(),
             agg,
-            requests_registered: registry.counter(names::SHIM_MASTER_REQUESTS_REGISTERED),
-            requests_completed: registry.counter(names::SHIM_MASTER_REQUESTS_COMPLETED),
-            messages_in: registry.counter(names::SHIM_MASTER_MESSAGES_IN),
-            bytes_in: registry.counter(names::SHIM_MASTER_BYTES_IN),
-            emulated_empties: registry.counter(names::SHIM_MASTER_EMULATED_EMPTIES),
-            duplicates_dropped: registry.counter(names::SHIM_MASTER_DUPLICATES_DROPPED),
+            requests_registered: registry.counter_part(names::SHIM_MASTER_REQUESTS_REGISTERED),
+            emulated_empties: registry.counter_part(names::SHIM_MASTER_EMULATED_EMPTIES),
             requests_inflight: registry.gauge(names::SHIM_MASTER_REQUESTS_INFLIGHT),
             sources_outstanding: registry.gauge(names::SHIM_MASTER_SOURCES_OUTSTANDING),
             request_wait_us: registry.histogram(names::SHIM_MASTER_REQUEST_WAIT_US),
-            spans: Spans::new(registry, format!("master-{}", app.0)),
             cfg,
-        }
-    }
-
-    /// Record a request's root span, start → now. Its span id is the
-    /// trace id itself, so every hop recorded anywhere hangs below it.
-    fn root_span(&self, request: RequestId, t: TraceAnchor) {
-        let (name, now) = (names::spans::MASTER_REQUEST, trace::now_ns());
-        self.spans
-            .record(name, t.trace_id, t.trace_id, 0, request, t.start_ns, now);
-    }
-
-    /// Audit a timer firing, or an operator's failure verdict: the span
-    /// tree stays connected across a failure (replayed chunks re-attach at
-    /// the root). A bypass: a root box contributed nothing to a request
-    /// within the threshold, so its children were told to send that
-    /// request's data here.
-    fn audit(&self, fired: &Fired<TreeId, RequestId>) {
-        let (o, app) = (&self.cfg.obs, self.app);
-        let marks = (names::spans::MASTER_REPOINT, names::SHIM_MASTER_REPOINTS);
-        let who = format!("master shim (app {})", app.0);
-        self.spans
-            .fired(o, marks, (&who, master_addr(app), app), fired);
-        for b in fired.scan.iter().flat_map(|s| &s.bypasses) {
-            o.counter(names::STRAGGLER_MASTER_BYPASSES).inc();
-            let (request, tree) = (b.request.0, b.point.0);
-            let detail = format!("{who} bypassed a root box for request {request} tree {tree}");
-            o.emit_for_request(names::EVENT_STRAGGLER, detail, request);
         }
     }
 }
 
-/// The master's hook: settle-and-wake of its `wait`ers, a `RequestMeta`
-/// that carries the request's root-span context (box-side views can
-/// reference it), and the audit of what its reader and timer did.
+/// The master's hook: the wake of its `wait`ers.
 impl Outlet<MasterCore> for MasterOutlet {
-    /// Count `Data` for this application, and stitch its final hop:
-    /// sender stamp → arrival here.
-    fn admit(&self, msg: &Message) -> Option<Hop> {
-        if let Message::Data { payload, .. } = msg {
-            self.messages_in.inc();
-            self.bytes_in.add(payload.len() as u64);
-        }
-        self.spans.wire(msg)
-    }
+    const NAMES: &'static Names = &spans::MASTER;
 
     /// Refresh the per-request ledger gauges and hand the requests the
     /// transition completed — a bypass or a failure may complete requests
     /// whose other sources already ended — to their waiters.
-    fn settle(&self, s: &mut State<MasterCore>, step: &mut MasterStep) -> bool {
-        if step.fired.as_ref().is_some_and(Fired::is_empty) {
-            return false;
-        }
-        if !step.dropped {
-            let open = s.core.fanin.requests.values().filter(|q| !q.closed);
-            let (inflight, outstanding) = open.fold((0, 0), |(n, owed), q| {
-                (n + 1, owed + q.ledger.outstanding())
-            });
-            self.requests_inflight.set(inflight as f64);
-            self.sources_outstanding.set(outstanding as f64);
-            let fired = step.fired.as_ref().map_or(0, |f| f.closed().len());
-            let closed = fired + step.closed.iter().len();
-            if closed > 0 {
-                self.requests_completed.add(closed as u64);
-                s.wake();
-            }
-        }
-        true
-    }
-
-    fn then(&self, hop: Option<Hop>, step: MasterStep) {
-        if step.dropped {
-            self.duplicates_dropped.inc();
+    fn settle(&self, s: &mut State<MasterCore>, step: &MasterStep) {
+        if step.dropped || step.fired.as_ref().is_some_and(Fired::is_empty) {
             return;
         }
-        self.spans.gapped(&self.cfg.obs, &step.gaps);
-        self.spans.ingest(names::spans::MASTER_RECV, hop);
-        step.fired.iter().for_each(|f| self.audit(f));
-    }
-
-    fn stamp(&self, e: &mut Emit) {
-        if let Message::RequestMeta { request, ctx, .. } = &mut e.msg {
-            *ctx = self.spans.root_ctx(self.app, *request);
-        }
-    }
-
-    /// Count a permanent re-point that left (a failed probe the core
-    /// counts as missed).
-    fn sent(&self, e: &mut Emit, ok: bool) {
-        if ok && matches!(e.msg, Message::Redirect { permanent, .. } if permanent) {
-            self.cfg.obs.counter(names::FAILURE_REPOINTS).inc();
-        }
-    }
-
-    /// Requests abandoned mid-flight never reach the `wait` success path,
-    /// so their root span would be missing and every hop span of the trace
-    /// would dangle. Close them start → now so partial traces still form
-    /// one connected tree (DESIGN.md §11). Completed entries already
-    /// recorded their root in `wait`.
-    fn teardown(&self, core: &mut MasterCore) {
-        let open = core.fanin.requests.drain().filter(|(_, q)| !q.closed);
-        for (rid, t) in open.filter_map(|(r, q)| Some((r, q.trace?))) {
-            self.root_span(rid, t);
+        let open = s.core.fanin.requests.values().filter(|q| !q.closed);
+        let (inflight, outstanding) = open.fold((0, 0), |(n, owed), q| {
+            (n + 1, owed + q.ledger.outstanding())
+        });
+        self.requests_inflight.set(inflight as f64);
+        self.sources_outstanding.set(outstanding as f64);
+        if !step.completed.is_empty() {
+            s.wake();
         }
     }
 }
@@ -419,7 +314,7 @@ impl PendingRequest {
         let master_input_bytes = done.inputs.iter().map(Bytes::len).sum();
         let combined = o.agg.aggregate_serialized(done.inputs)?;
         if let Some(t) = done.trace {
-            o.root_span(self.request, t);
+            shell.rec.close(self.request, t);
         }
         Ok(AggregatedResult {
             combined,

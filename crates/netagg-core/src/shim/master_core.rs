@@ -7,8 +7,8 @@
 //! shell ([`crate::shim::MasterShim`]) keeps the struct behind the single
 //! `node.core` lock its waiters park on and drives it through [`Node`].
 
-use crate::fanin::{FanInCore, Request, Route, TraceAnchor};
-use crate::node::{Node, Outbox, Step};
+use crate::fanin::{Anchors, FanInCore, Fired, Request, Route, TraceAnchor};
+use crate::node::{Completed, Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::worker_core::{per_request_tree, TreeSelection};
 use crate::tree::{box_addr, master_addr, worker_addr, Parent, TreeSpec};
@@ -26,6 +26,9 @@ const DELIVERED_MEMORY: usize = 4096;
 
 /// A ledger key at the master: a contributor on one tree.
 pub type MasterKey = (TreeId, SourceId);
+
+/// What a master transition leaves its shell to act on.
+pub type MasterStep = Step<TreeId, RequestId>;
 
 /// Shell state of one pending request.
 #[derive(Debug, Default)]
@@ -76,7 +79,7 @@ pub struct MasterCore {
     /// What transitions produced and the shell has not yet sent.
     pub outbox: Outbox,
     /// A new request's trace anchor, if it is sampled.
-    pub anchor: Box<dyn Fn(RequestId) -> Option<TraceAnchor> + Send>,
+    pub anchor: Anchors,
 }
 
 impl MasterCore {
@@ -107,7 +110,7 @@ impl MasterCore {
             selection,
             num_trees: specs.len() as u32,
             outbox: Outbox::default(),
-            anchor: Box::new(|_| None),
+            anchor: Box::new(|_, _| None),
         }
     }
 
@@ -176,13 +179,43 @@ impl MasterCore {
     ) -> bool {
         let fresh = |q: &Request<_, _>| q.started.is_none_or(|t| now.duration_since(t) < ttl);
         self.fanin.requests.retain(|_, q| fresh(q));
-        let trees = self.trees_for(request);
-        let new = || Some((MasterRequest::default(), (self.anchor)(request)));
+        let (trees, app, anchor) = (self.trees_for(request), self.fanin.app, &self.anchor);
+        let new = || Some((MasterRequest::default(), anchor(app, request)));
         let Some(q) = self.fanin.open(request, trees, Some(now), new) else {
             return false;
         };
         q.ext.expected_workers = expected_workers;
         subset.is_some_and(|owed| self.fanin.set_requirement(&request, owed))
+    }
+
+    /// The requests `closed` completed, with when each started.
+    pub fn completions(&self, closed: impl IntoIterator<Item = RequestId>) -> Completed<RequestId> {
+        let started = |r| (r, self.fanin.requests.get(&r).and_then(|q| q.started));
+        closed.into_iter().map(started).collect()
+    }
+
+    /// Declare a root box failed for good on `tree` (the detector's
+    /// verdict, or an operator's) and queue its re-points: a firing of
+    /// that one failure, and the requests it completed.
+    pub fn fail_box(&mut self, tree: TreeId, failed_box: u32) -> MasterStep {
+        let Some(mut r) = self.fanin.child_box_failed(tree, failed_box) else {
+            return Step::default();
+        };
+        self.outbox.post(std::mem::take(&mut r.sends));
+        let completed = self.completions(r.closed.iter().copied());
+        let (scan, probes, dead, failed) =
+            (None, Vec::new(), Vec::new(), vec![(tree, failed_box, r)]);
+        let fired = Some(Fired {
+            scan,
+            probes,
+            dead,
+            failed,
+        });
+        Step {
+            completed,
+            fired,
+            ..Step::default()
+        }
     }
 
     /// Hand a completed request to its waiter: drop its state and remember
@@ -209,7 +242,7 @@ impl MasterCore {
 }
 
 impl Node for MasterCore {
-    type Report = Step<TreeId, RequestId>;
+    type Report = MasterStep;
     const TIMER: bool = true;
 
     /// This application's data goes to its request, an ack to the
@@ -232,7 +265,7 @@ impl Node for MasterCore {
             } => {
                 let ours = app == self.fanin.app && !self.delivered.contains(&request);
                 let (trees, anchor) = (self.trees_for(request), &self.anchor);
-                let new = || Some((MasterRequest::default(), anchor(request)));
+                let new = || Some((MasterRequest::default(), anchor(app, request)));
                 let q = ours.then(|| self.fanin.open(request, trees, Some(now), new));
                 let took = q
                     .flatten()
@@ -244,9 +277,12 @@ impl Node for MasterCore {
                 if !payload.is_empty() {
                     req.inputs.push(((tree, source), payload));
                 }
-                step.closed = completes.then_some(request);
                 if gap {
                     step.gaps.push((request, source));
+                }
+                if completes {
+                    step.closed = Some(request);
+                    step.completed = self.completions([request]);
                 }
             }
             Message::HeartbeatAck { from, nonce } => self.fanin.detector.ack(from, nonce),
@@ -260,8 +296,10 @@ impl Node for MasterCore {
     fn on_timer(&mut self, now: Instant) -> Self::Report {
         let mut fired = self.fanin.on_timer(now);
         self.outbox.post(fired.take_sends());
+        let completed = self.completions(fired.closed());
         let fired = Some(fired);
         Step {
+            completed,
             fired,
             ..Step::default()
         }
@@ -277,6 +315,13 @@ impl Node for MasterCore {
 
     fn outbox(&mut self) -> &mut Outbox {
         &mut self.outbox
+    }
+
+    /// A request still open never reaches its waiter; one already closed
+    /// is the waiter's to record.
+    fn teardown(&mut self) -> Vec<(RequestId, TraceAnchor)> {
+        let open = self.fanin.requests.drain().filter(|(_, q)| !q.closed);
+        open.filter_map(|(r, q)| Some((r, q.trace?))).collect()
     }
 }
 

@@ -2,14 +2,16 @@
 //! The application's thread that numbers a chunk, and the control reader
 //! that applies a redirect, each drain the core's outbox: a replay cannot
 //! be overtaken by a fresher chunk its receiver would then count it a
-//! duplicate of.
+//! duplicate of. The worker's hook is its broadcast delivery. Who records:
+//! the shell's recorder (`spans.rs`, under its `WORKER` names) records the
+//! send spans and what the control reader and the sends count; numbering
+//! a chunk counts it sent.
 
 use crate::lifecycle::{Mailbox, MailboxRecvError, OverflowPolicy};
-use crate::node::Emit;
 use crate::protocol::{AppId, RequestId, TreeId};
-use crate::shell::{Outlet, Shell, State};
+use crate::shell::{Outlet, Shell};
 use crate::shim::worker_core::{per_request_tree, TreeSelection, WorkerCore, WorkerStep};
-use crate::spans::{Hop, Spans};
+use crate::spans::{self, Names, Recorder};
 use crate::tree::{box_addr, master_addr, worker_addr, TreeSpec};
 use crate::AggError;
 use bytes::Bytes;
@@ -43,8 +45,8 @@ pub struct WorkerStats {
     pub send_errors: Arc<Counter>,
 }
 
-/// The worker's part of its shell: tree selection, broadcast delivery,
-/// counters and spans.
+/// The worker's part of its shell: tree selection, broadcast delivery and
+/// counters.
 struct WorkerOutlet {
     app: AppId,
     worker: u32,
@@ -55,8 +57,6 @@ struct WorkerOutlet {
     /// keeps the newest [`BROADCAST_DEPTH`] payloads).
     broadcasts: Mailbox<(u64, Bytes)>,
     stats: WorkerStats,
-    /// Send spans, under the component label `worker-<a>-<w>`.
-    spans: Spans,
 }
 
 /// The worker-side shim: intercepts outgoing partial results and redirects
@@ -85,13 +85,11 @@ impl WorkerShim {
             };
             assignments.insert(spec.tree, dest);
         }
-        let (addr, name) = (
-            worker_addr(app, worker),
-            format!("worker-shim-{}-{}", app.0, worker),
-        );
+        let at = (worker_addr(app, worker), app, &[app.0 as u32, worker][..]);
+        let name = (format!("worker-shim-{}-{}", app.0, worker), ["", "-ctrl"]);
         // Its reader takes the control connections: redirects, heartbeats,
         // broadcasts.
-        let shell = Shell::start(transport, addr, name, ["", "-ctrl"], &obs, |_, cancel| {
+        let shell = Shell::start(transport, at, name, &obs, |_, cancel, rec| {
             let broadcasts = Mailbox::with_obs(
                 format!("worker{}-{}.broadcast", app.0, worker),
                 BROADCAST_DEPTH,
@@ -108,12 +106,11 @@ impl WorkerShim {
                 stats: WorkerStats {
                     bytes_sent: obs.counter_part(names::SHIM_WORKER_BYTES_SENT),
                     chunks_sent: obs.counter_part(names::SHIM_WORKER_CHUNKS_SENT),
-                    chunks_resent: obs.counter_part(names::SHIM_WORKER_CHUNKS_RESENT),
-                    redirects: obs.counter_part(names::SHIM_WORKER_REDIRECTS_APPLIED),
-                    broadcasts_received: obs.counter_part(names::SHIM_WORKER_BROADCASTS_RECEIVED),
-                    send_errors: obs.counter_part(names::SHIM_WORKER_SEND_ERRORS),
+                    chunks_resent: rec.resent.clone(),
+                    redirects: rec.redirects.clone(),
+                    broadcasts_received: rec.broadcasts.clone(),
+                    send_errors: rec.send_errors.clone(),
                 },
-                spans: Spans::new(&obs, format!("worker-{}-{}", app.0, worker)),
             };
             (WorkerCore::new(app, worker, assignments), hook)
         })?;
@@ -254,8 +251,7 @@ impl WorkerShim {
         last: bool,
     ) -> Result<(), AggError> {
         let o = &self.shell.hook;
-        // The worker's spans need no start: its root is the master's.
-        let anchor = o.spans.anchor(o.app, request, || 0);
+        let anchor = self.shell.rec.anchor(o.app, request);
         let bytes = payload.len() as u64;
         let mut numbered = Ok(());
         self.shell.post(|core| {
@@ -276,50 +272,15 @@ impl Drop for WorkerShim {
     }
 }
 
-/// The worker's hook: per-chunk trace context — the worker is the leaf of
-/// the causal tree, so the chunk's parent on the wire is its send span and
-/// the send span's own parent is the request root — and the delivery of
-/// broadcasts.
+/// The worker's hook: the delivery of broadcasts.
 impl Outlet<WorkerCore> for WorkerOutlet {
-    /// A redirect's replay is queued: count it. Its send may wait for the
-    /// new parent, which never waits for a worker.
-    fn settle(&self, _: &mut State<WorkerCore>, step: &mut WorkerStep) -> bool {
-        if let WorkerStep::Redirected(n) = *step {
-            self.stats.redirects.inc();
-            self.stats.chunks_resent.add(n as u64);
-        }
-        // A broadcast to deliver.
-        matches!(step, WorkerStep::Broadcast(..))
-    }
+    const NAMES: &'static Names = &spans::WORKER;
 
-    fn then(&self, _: Option<Hop>, step: WorkerStep) {
-        let WorkerStep::Broadcast(request, payload) = step else {
-            return;
-        };
-        self.stats.broadcasts_received.inc();
-        // DropOldest: never blocks; a non-consuming application keeps
-        // only the newest BROADCAST_DEPTH payloads.
-        let _ = self.broadcasts.send((request.0, payload));
-    }
-
-    fn stamp(&self, e: &mut Emit) {
-        let spans = &self.spans;
-        if let Some((app, request, ctx, sent_ns)) = e.msg.trace_mut() {
-            let tid = e.trace.or_else(|| spans.anchor(app, request, || 0));
-            (*ctx, *sent_ns) = spans.outbound(tid.map(|t| t.trace_id));
-        }
-    }
-
-    fn sent(&self, e: &mut Emit, ok: bool) {
-        if !ok {
-            self.stats.send_errors.inc();
-        }
-        if let Some((_, request, ctx, sent_ns)) = e.msg.trace_mut() {
-            let span = match e.trace {
-                Some(_) => names::spans::WORKER_SEND,
-                None => names::spans::WORKER_RESEND,
-            };
-            self.spans.sent(span, *ctx, ctx.trace_id, request, *sent_ns);
+    fn then(&self, _: &Recorder, step: WorkerStep) {
+        if let WorkerStep::Broadcast(request, payload) = step {
+            // DropOldest: never blocks; a non-consuming application keeps
+            // only the newest BROADCAST_DEPTH payloads.
+            let _ = self.broadcasts.send((request.0, payload));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! meets when a soak happens to schedule it.
 
 use bytes::Bytes;
-use netagg_core::aggbox::core::{BoxCore, Work, FLUSH_TICK, OUTBOX_BOUND};
+use netagg_core::aggbox::core::{BoxCore, BoxStep, Work, FLUSH_TICK, OUTBOX_BOUND};
 use netagg_core::aggbox::tree::combine;
 use netagg_core::failure::DetectorConfig;
 use netagg_core::fanin::{Fired, Route};
@@ -52,19 +52,50 @@ fn box_core(fanin: usize, owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>)
     core
 }
 
+/// What [`run`] takes: a box transition's report, or its work alone.
+trait Ran {
+    fn split(self) -> (Vec<Work>, bool);
+}
+impl Ran for Vec<Work> {
+    fn split(self) -> (Vec<Work>, bool) {
+        (self, false)
+    }
+}
+impl Ran for BoxStep {
+    fn split(self) -> (Vec<Work>, bool) {
+        (self.work, !self.completed.is_empty())
+    }
+}
+
 /// Run a box transition's combines inline, each output fed back as the
 /// core input it is, until none is left: the payload of the final chunk,
 /// if a request completed.
-fn run(core: &mut BoxCore, mut work: Vec<Work>) -> Option<Bytes> {
-    let mut done = None;
+fn run(core: &mut BoxCore, step: impl Ran) -> Option<Bytes> {
+    let (mut work, mut done) = step.split();
     while let Some(w) = work.pop() {
-        match w {
-            Work::Combine(c) => work.extend(core.combined(c.key, combine(&*c.agg, c.items)).work),
-            Work::Completed(_, payload, _) => done = Some(payload),
-            Work::Failed(..) => {}
+        if let Work::Combine(c) = w {
+            let step = core.combined(c.key, combine(&*c.agg, c.items));
+            done |= !step.completed.is_empty();
+            work.extend(step.work);
         }
     }
-    done
+    done.then(|| final_chunk(core))
+}
+
+/// The payload of the newest final chunk in a box's outbox, left queued.
+fn final_chunk(core: &mut BoxCore) -> Bytes {
+    let mut queued = VecDeque::new();
+    core.outbox.drain(&mut queued);
+    let last = queued.iter().rev().find_map(|e| match &e.msg {
+        Message::Data {
+            last: true,
+            payload,
+            ..
+        } => Some(payload.clone()),
+        _ => None,
+    });
+    core.outbox.post(queued);
+    last.expect("a completion queues its final chunk")
 }
 
 /// Chunk `seq` of `request` from `source`, valued `payload`.
@@ -96,7 +127,7 @@ fn box_data(
     now: Instant,
 ) -> Option<Option<Bytes>> {
     let step = core.on_message(data_msg(request, source, seq_last, payload), now);
-    (!step.dropped).then(|| run(core, step.work))
+    (!step.dropped).then(|| run(core, step))
 }
 
 /// A permanent redirect of `app`'s [`TREE`] to `new_parent`.
@@ -380,7 +411,7 @@ fn a_flush_pass_waits_for_the_combine_in_flight() {
     let flushed: Vec<_> = sent(&mut core).iter().map(|e| chunk(&e.msg)).collect();
     assert_eq!(flushed, [(0, Bytes::from_static(&[3, 1, 2]))]);
     let step = data(&mut core, 4, true);
-    assert_eq!(run(&mut core, step.work), Some(Bytes::from_static(&[4])));
+    assert_eq!(run(&mut core, step), Some(Bytes::from_static(&[4])));
     let last: Vec<_> = sent(&mut core).iter().map(|e| chunk(&e.msg).0).collect();
     assert_eq!(last, [1], "the final chunk follows the partial");
 }
@@ -475,12 +506,13 @@ fn folded(chunk: Bytes) -> Vec<Bytes> {
 
 impl Fan for BoxCore {
     fn step(&mut self, input: Option<Message>, now: Instant) -> Tick {
-        let step = match input {
+        let mut step = match input {
             Some(msg) => self.on_message(msg, now),
             None => self.on_timer(now),
         };
-        let done = run(self, step.work);
-        Tick::of(step.fired.as_ref(), sent(self), done.map(folded))
+        let fired = step.fired.take();
+        let done = run(self, step);
+        Tick::of(fired.as_ref(), sent(self), done.map(folded))
     }
     fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>) {
         let r = self.fanin.child_box_failed((APP, TREE), 0);

@@ -776,6 +776,30 @@ fn broadcast_reaches_every_worker_after_a_root_box_failure() {
     dep.shutdown();
 }
 
+/// A broadcast copy the master could not send is counted: with the root
+/// box down and not yet failed, the `Err` names as many unsent copies as
+/// `shim.master.send_errors` reads.
+#[test]
+fn a_broadcast_copy_the_master_cannot_send_is_counted() {
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let cluster = ClusterSpec::multi_rack(2, 2, 1);
+    let mut dep = NetAggDeployment::launch(transport, &cluster).unwrap();
+    let app = dep.register_app("sum", sum_agg(), 1.0);
+    let master = dep.master_shim(app);
+    let workers = cluster.all_workers().into_iter();
+    let _workers: Vec<_> = workers.map(|w| dep.worker_shim(app, w)).collect();
+    // Box 0 is the root, in the master's rack.
+    dep.boxes()[0].shutdown();
+    let Err(AggError::Net(e)) = master.broadcast(3, Bytes::from_static(b"lost")) else {
+        panic!("a copy to the root box cannot be sent");
+    };
+    let unsent: u64 = e.split(' ').next().unwrap().parse().unwrap();
+    assert!(unsent >= 1, "{e}");
+    let counted = dep.snapshot().counter(names::SHIM_MASTER_SEND_ERRORS);
+    assert_eq!(counted, Some(unsent), "{e}");
+    dep.shutdown();
+}
+
 /// A request whose local aggregation fails — here a partial that does not
 /// decode — is dropped at the box, not leaked: its state goes (and a
 /// replay cannot re-open it), the failure is counted, and the master's

@@ -17,6 +17,7 @@ use netagg_net::{
     ChannelTransport, Connection, FaultController, FaultTransport, Interposed, Interposer,
     NetError, NodeId, Transport,
 };
+use netagg_obs::names;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
@@ -112,6 +113,56 @@ fn duplicate_resends_are_suppressed_at_the_box() {
         dep.boxes()[0].stats().duplicates_dropped.get() >= 1,
         "box should have dropped the duplicate"
     );
+    dep.shutdown();
+}
+
+/// A chunk replayed after its request was delivered is dropped at the
+/// master: counted once in `shim.master.duplicates_dropped`, and it keeps
+/// only its wire span — no `span.master.recv`.
+#[test]
+fn a_replay_after_delivery_is_dropped_at_the_master() {
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let cluster = ClusterSpec::single_rack(1, 0);
+    let mut dep = NetAggDeployment::launch(transport, &cluster).unwrap();
+    dep.obs().tracer().enable(1);
+    let app = dep.register_app("sum", sum_agg(), 1.0);
+    let (master, w0) = (dep.master_shim(app), dep.worker_shim(app, 0));
+    let pending = master.register_request(1, 1);
+    w0.send_partial(1, Bytes::from_static(b"4")).unwrap();
+    assert_eq!(
+        parse(&pending.wait(Duration::from_secs(5)).unwrap().combined),
+        4
+    );
+    let tracer = dep.obs().tracer();
+    let recv = || {
+        let spans = tracer.spans().into_iter();
+        spans
+            .filter(|s| s.name == names::spans::MASTER_RECV)
+            .count()
+    };
+    let dropped = || {
+        dep.snapshot()
+            .counter(names::SHIM_MASTER_DUPLICATES_DROPPED)
+            .unwrap_or(0)
+    };
+    // Spans and counters publish after the reader releases the lock: poll.
+    let until = |done: &dyn Fn() -> bool, what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    until(&|| recv() == 1, "the delivered chunk's recv span");
+    let dropped_before = dropped();
+    w0.resend_request(1);
+    until(
+        &|| dropped() == dropped_before + 1,
+        "the replay was never dropped",
+    );
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(dropped(), dropped_before + 1);
+    assert_eq!(recv(), 1, "a dropped chunk records no recv span");
     dep.shutdown();
 }
 

@@ -92,6 +92,8 @@ SHIM_MASTER_REPOINTS = "shim.master.repoints";
 SHIM_MASTER_REQUESTS_INFLIGHT = "shim.master.requests_inflight";
 /// Sum of ledger entries still owed across in-flight requests (§8).
 SHIM_MASTER_SOURCES_OUTSTANDING = "shim.master.sources_outstanding";
+/// Outbox sends that failed (liveness excepted).
+SHIM_MASTER_SEND_ERRORS = "shim.master.send_errors";
 
 // --- worker shim -----------------------------------------------------------
 
