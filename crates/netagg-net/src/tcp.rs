@@ -16,9 +16,10 @@
 //!   twin's read half on the same thread. A loopback hop therefore costs
 //!   zero scheduler handoffs — identical to the channel transport —
 //!   and once the directory proves both ends live in this process, the
-//!   writer hands encoded chunks straight to the twin's decoder through
-//!   a gated inject queue, skipping the kernel round trip entirely (the
-//!   gate orders any socket-written prefix ahead of injected bytes).
+//!   writer holds the twin and hands encoded chunks straight to its
+//!   decoder through a gated inject queue (the gate orders any
+//!   socket-written prefix ahead of injected bytes): from then on a hop
+//!   makes no system call and takes no process-wide lock.
 //! * **Sharded reactor backstop.** Nonblocking sockets are also swept by
 //!   N reactor threads (`net-reactor-<i>`, spawned through [`JoinScope`]
 //!   so the lifecycle and lint contracts hold). The build is offline and
@@ -28,7 +29,8 @@
 //!   and edge-triggered. The reactor owns accepts, write-backlog and
 //!   stall retries, and reads on links whose twin is not in the directory
 //!   yet (re-armed by a short park tick); the data path only falls back
-//!   to it when a read half is busy. Every peer lives in this process:
+//!   to it when a read half is busy, and a direct link's EOF is read only
+//!   there. Every peer lives in this process:
 //!   addresses resolve through the transport's own `NodeId → SocketAddr`
 //!   registry of listeners bound on `127.0.0.1:0`, so there is no way to
 //!   name a socket another process owns.
@@ -109,12 +111,6 @@ const PARK_STALLED: Duration = Duration::from_micros(200);
 const PARK_TICK: Duration = Duration::from_millis(5);
 /// Park timeout with nothing registered.
 const PARK_IDLE: Duration = Duration::from_millis(50);
-/// Yield-spins after an idle sweep before parking on the mailbox. While
-/// spinning the shard stays runnable (senders skip the kick futex and the
-/// shard skips the park/unpark round trip), which keeps a hot closed loop
-/// entirely futex-free on the reactor side; `yield_now` cedes the CPU to
-/// whoever has actual work, so the spin costs only slack cycles.
-const SPIN_YIELDS: u32 = 256;
 /// Run the accept sweep every Nth socket sweep (plus immediately before
 /// parking and on every park wake). Accepts are setup-path events; probing
 /// every listener with an `accept(2)` syscall on every sweep would dwarf
@@ -128,10 +124,11 @@ fn be_u32(b: &[u8]) -> u32 {
 // --- read-hint directory (§12 wakeup protocol) -----------------------------
 
 /// Process-wide map from a socket's `(local, peer)` address pair to the
-/// link that owns it. After a successful write, the reactor looks up the
-/// *reversed* pair to find the in-process twin of the socket it just fed
-/// and marks that link readable — so the read sweep touches exactly the
-/// links with data instead of `read(2)`-polling every socket. The map is
+/// link that owns it. Until a writer holds its twin (the direct switch),
+/// it looks up the *reversed* pair to find the in-process twin of the
+/// socket it just fed and pumps or hints that link — so the read sweep
+/// touches exactly the links with data instead of `read(2)`-polling every
+/// socket. A dying link hints its twin the same way. The map is
 /// global, not per transport, so both ends of a loopback pair find each
 /// other whichever handle touched them first; a socket whose twin has not
 /// registered yet gets no hints and is re-armed by the park tick instead.
@@ -148,19 +145,26 @@ fn dir_remove(key: Option<(SocketAddr, SocketAddr)>) {
     }
 }
 
-/// Writer-side hint: bytes just went out on the socket registered under
-/// `key`, so its in-process twin (the socket with the reversed address
-/// pair) now has data to read. Mark that link readable and kick its shard.
+/// The live in-process twin of the socket registered under `key` (the
+/// socket with the reversed address pair), if it has registered; a stale
+/// entry is dropped on the way.
+fn dir_twin(key: Option<(SocketAddr, SocketAddr)>) -> Option<Arc<LinkState>> {
+    let (local, peer) = key?;
+    let mut dir = link_dir().lock();
+    let twin = dir.get(&(peer, local))?.upgrade();
+    if twin.is_none() {
+        dir.remove(&(peer, local));
+    }
+    twin
+}
+
+/// Writer-side hint: bytes (or a FIN) just went out on the socket
+/// registered under `key`, so its twin now has something to read. Mark
+/// that link readable and kick its shard.
 fn dir_mark_twin(key: Option<(SocketAddr, SocketAddr)>) {
-    let Some((local, peer)) = key else { return };
-    let twin = link_dir().lock().get(&(peer, local)).cloned();
-    if let Some(w) = twin {
-        if let Some(l) = w.upgrade() {
-            l.readable.store(true, Ordering::SeqCst);
-            l.kick();
-        } else {
-            link_dir().lock().remove(&(peer, local));
-        }
+    if let Some(l) = dir_twin(key) {
+        l.readable.store(true, Ordering::SeqCst);
+        l.kick();
     }
 }
 
@@ -261,7 +265,8 @@ struct OutBuf {
     sock_bytes: u64,
     /// In-process twin, resolved once from the directory. While `direct`
     /// is set, freshly encoded chunks go to its inject queue instead of
-    /// the kernel (§12 in-process short-circuit).
+    /// the kernel (§12 in-process short-circuit), and the writer pumps
+    /// this twin without a directory lookup.
     twin: Option<Weak<LinkState>>,
     direct: bool,
     /// Chunks encoded in direct mode, awaiting the inject handoff.
@@ -319,14 +324,16 @@ struct ReadHalf {
 }
 
 /// Result of one flush pass over a link's write half.
-#[derive(Default, Clone, Copy)]
+#[derive(Default)]
 struct FlushOutcome {
-    /// At least one successful socket write happened.
+    /// At least one successful socket write or inject hand-off happened.
     wrote: bool,
     /// Nothing is left queued (records, staging or wire chunks).
     clean: bool,
     /// The socket failed; the caller must kill the link.
     fatal: bool,
+    /// The twin held since the direct switch (`None` before it).
+    twin: Option<Arc<LinkState>>,
 }
 
 /// One physical socket and everything on it: the write half (`out`),
@@ -345,10 +352,11 @@ struct LinkState {
     dead: AtomicBool,
     next_ch: AtomicU32,
     /// Read hint (§12): set by whoever wrote to this socket's in-process
-    /// twin (when the twin's read half was busy), by the park tick
-    /// (backstop for a twin not yet in the directory), and at install;
-    /// cleared by the reactor
-    /// right before it reads the socket.
+    /// twin (when the twin's read half was busy), by the twin's death
+    /// (its FIN is read only here, never by an inline pump past the
+    /// prefix gate), by the park tick (backstop for a twin not yet in the
+    /// directory), and at install; cleared by the reactor right before it
+    /// reads the socket.
     readable: AtomicBool,
     /// Mirrors `ReadHalf::stalled` for lock-free park decisions.
     stalled_flag: AtomicBool,
@@ -686,7 +694,7 @@ impl ShardRunner {
                 }
                 if f.wrote {
                     progress = true;
-                    l.read_twin();
+                    l.read_twin(f.twin);
                 }
                 // Backstop read, gated by the §12 read hint.
                 if l.stalled_flag.load(Ordering::SeqCst)
@@ -694,7 +702,7 @@ impl ShardRunner {
                     || l.readable.swap(false, Ordering::SeqCst)
                 {
                     if let Some(mut r) = l.rin.try_lock() {
-                        if l.pump_in_locked(&mut r) {
+                        if l.pump_in_locked(&mut r, false) {
                             progress = true;
                         }
                     } else {
@@ -713,31 +721,9 @@ impl ShardRunner {
             if self.shard.work.swap(false, Ordering::SeqCst) {
                 continue;
             }
-            // Spin phase: yield instead of parking, so a hot closed loop
-            // never pays the park/unpark futex round trip — senders see
-            // `parked == false` and skip the kick entirely. `yield_now`
-            // hands the CPU to whichever thread has real work; a stalled
-            // link skips the spin so its short park retries delivery.
-            if !self
-                .links
-                .iter()
-                .any(|l| l.link.stalled_flag.load(Ordering::SeqCst))
-            {
-                let mut woke = false;
-                for _ in 0..SPIN_YIELDS {
-                    std::thread::yield_now();
-                    if self.shard.work.swap(false, Ordering::SeqCst) || self.cancel.is_cancelled() {
-                        woke = true;
-                        break;
-                    }
-                }
-                if woke {
-                    continue; // cancellation lands in the loop-top check
-                }
-            }
             // About to sleep: catch connects that arrived during the
-            // throttled sweeps so dial latency is bounded by the spin,
-            // not the park tick.
+            // throttled sweeps so dial latency is not bounded by the park
+            // tick.
             let mut late = false;
             sweeps_since_accept = 0;
             self.accept_sweep(&mut late);
@@ -889,30 +875,24 @@ impl LinkState {
         // kernel. Everything encoded so far stays on the socket path; the
         // published prefix length keeps those bytes ordered first.
         if !b.direct {
-            if let Some((local, peer)) = self.key {
-                let found = { link_dir().lock().get(&(peer, local)).cloned() };
-                if let Some(t) = found.as_ref().and_then(Weak::upgrade) {
-                    b.flush_staging();
-                    t.inj_gate
-                        .store(b.sock_bytes + b.wq_bytes as u64, Ordering::SeqCst);
-                    b.twin = found;
-                    b.direct = true;
-                }
+            if let Some(t) = dir_twin(self.key) {
+                b.flush_staging();
+                t.inj_gate
+                    .store(b.sock_bytes + b.wq_bytes as u64, Ordering::SeqCst);
+                b.twin = Some(Arc::downgrade(&t));
+                b.direct = true;
             }
         }
-        let twin = if b.direct {
-            match b.twin.as_ref().and_then(Weak::upgrade) {
-                Some(t) => Some(t),
-                None => {
-                    // The in-process peer is gone; the link is dead.
-                    out.fatal = true;
-                    return out;
-                }
+        if b.direct {
+            out.twin = b.twin.as_ref().and_then(Weak::upgrade);
+            if out.twin.is_none() {
+                // The in-process peer is gone; the link is dead.
+                out.fatal = true;
+                return out;
             }
-        } else {
-            None
-        };
-        let twin_backlog = twin
+        }
+        let twin_backlog = out
+            .twin
             .as_ref()
             .map_or(0, |t| t.inj_bytes.load(Ordering::SeqCst));
         if b.wq_bytes + b.staging.len() + twin_backlog < WRITE_BACKLOG_HIGH && !b.q.is_empty() {
@@ -925,7 +905,7 @@ impl LinkState {
             }
         }
         b.flush_staging();
-        if let Some(t) = &twin {
+        if let Some(t) = &out.twin {
             if !b.pending_inj.is_empty() {
                 let mut q = t.inj.lock();
                 for c in b.pending_inj.drain(..) {
@@ -979,10 +959,16 @@ impl LinkState {
             }
             OutRec::Data { chan, payload } => {
                 chan.window.release(units::Bytes::of_len(payload.len()));
+                let coalesce = payload.len() <= COALESCE_MAX;
+                if coalesce {
+                    // The whole record at once: a fresh staging buffer
+                    // would otherwise grow 8 → 16 → 32 bytes.
+                    b.staging.reserve(9 + payload.len());
+                }
                 b.staging.put_u32((5 + payload.len()) as u32);
                 b.staging.put_u8(REC_DATA);
                 b.staging.put_u32(chan.id);
-                if payload.len() <= COALESCE_MAX {
+                if coalesce {
                     b.staging.put_slice(&payload);
                 } else {
                     // Big payload: its own chunk, no copy.
@@ -1010,7 +996,7 @@ impl LinkState {
             return self.fail();
         }
         if f.wrote {
-            self.read_twin();
+            self.read_twin(f.twin);
         }
         if !f.clean {
             self.kick();
@@ -1048,22 +1034,18 @@ impl LinkState {
         self.after_flush_nested(f)
     }
 
-    /// Writer-side fast path: this thread just fed the link's socket, so
-    /// its in-process twin has bytes. Pump the twin on this thread if its
-    /// read half is free — a loopback hop then runs to completion without
-    /// ever waking the reactor — otherwise hint the twin's shard.
-    fn read_twin(&self) {
-        let Some((local, peer)) = self.key else {
-            return;
-        };
-        let twin = { link_dir().lock().get(&(peer, local)).cloned() };
-        let Some(w) = twin else { return };
-        let Some(t) = w.upgrade() else {
-            link_dir().lock().remove(&(peer, local));
+    /// Writer-side fast path: this thread just fed the link's socket or
+    /// its twin's inject queue, so the twin has bytes. Pump the twin on
+    /// this thread if its read half is free — a loopback hop then runs to
+    /// completion without ever waking the reactor — otherwise hint the
+    /// twin's shard. `held` is the twin the writer holds since the direct
+    /// switch; only before it is the twin looked up in the directory.
+    fn read_twin(&self, held: Option<Arc<LinkState>>) {
+        let Some(t) = held.or_else(|| dir_twin(self.key)) else {
             return;
         };
         if let Some(mut r) = t.rin.try_lock() {
-            t.pump_in_locked(&mut r);
+            t.pump_in_locked(&mut r, true);
         } else {
             // Busy read half: its current owner may already be past the
             // read syscall, so arm the hint and let the reactor re-check.
@@ -1084,10 +1066,11 @@ impl LinkState {
         }
     }
 
-    /// Read and dispatch everything available on the socket. Callable
-    /// from the reactor shard or inline from whichever thread wrote to
-    /// the twin socket. Returns true if anything was consumed.
-    fn pump_in_locked(self: &Arc<Self>, r: &mut ReadHalf) -> bool {
+    /// Read and dispatch everything available on the socket, then the
+    /// inject queue. Callable from the reactor shard or `inline` from
+    /// whichever thread wrote to the twin. Returns true if anything was
+    /// consumed.
+    fn pump_in_locked(self: &Arc<Self>, r: &mut ReadHalf, inline: bool) -> bool {
         if r.done {
             return false;
         }
@@ -1103,7 +1086,12 @@ impl LinkState {
                 return progress;
             }
         }
-        loop {
+        let gate = self.inj_gate.load(Ordering::SeqCst);
+        // Past the prefix gate the twin writes no socket bytes, so a read
+        // could only say EAGAIN or EOF: an inline pump skips it. The EOF
+        // reaches the reactor's hinted read (the twin's `die_locked` marks
+        // this link readable, as does the park tick).
+        while !(inline && r.sock_consumed >= gate) {
             match r.stream.read(&mut r.scratch) {
                 Ok(0) => {
                     self.die_locked(r);
@@ -1134,7 +1122,6 @@ impl LinkState {
         // Injected phase: chunks the twin's writer handed over directly.
         // Held back until every socket-prefix byte has been decoded, so
         // the byte stream order matches a pure-socket link exactly.
-        let gate = self.inj_gate.load(Ordering::SeqCst);
         if gate != u64::MAX && r.sock_consumed >= gate {
             loop {
                 let chunk = { self.inj.lock().pop_front() };
@@ -1758,6 +1745,29 @@ mod tests {
         drop(l);
         drop(t); // joins the reactor; the blocked recv must wake
         assert_eq!(h.join().unwrap(), Err(NetError::Closed));
+    }
+
+    #[test]
+    fn a_direct_link_still_sees_its_peer_die() {
+        let t = TcpTransport::new();
+        let mut l = t.bind(1).unwrap();
+        let mut c = t.connect(2, 1).unwrap();
+        let mut server = l.accept().unwrap();
+        // One frame each way: both writers switch to direct delivery, so
+        // no inline pump reads either socket from here on.
+        c.send(Bytes::from_static(b"ping")).unwrap();
+        assert_eq!(server.recv().unwrap().as_ref(), b"ping");
+        server.send(Bytes::from_static(b"pong")).unwrap();
+        assert_eq!(c.recv().unwrap().as_ref(), b"pong");
+        let dialled = t.inner.links.lock().values().next().unwrap().clone();
+        let accepted = dialled.out.lock().twin.as_ref().and_then(Weak::upgrade);
+        assert!(accepted.is_some_and(|a| a.out.lock().direct));
+        dialled.fail();
+        // The FIN is on the accepted socket only; the reactor must read it.
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(1)),
+            Err(NetError::Closed)
+        );
     }
 
     #[test]

@@ -25,12 +25,12 @@ fn scope() -> JoinScope {
     JoinScope::new("parking-test", CancelToken::new(), DEFAULT_JOIN_DEADLINE)
 }
 
-/// Spin until `n` threads are parked on `mb`.
+/// Poll until `n` threads are parked on `mb`.
 fn await_parked(mb: &Mailbox<u64>, n: usize) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while mb.parking().0 != n {
         assert!(Instant::now() < deadline, "never saw {n} parked threads");
-        std::thread::yield_now();
+        std::thread::sleep(Duration::from_micros(50));
     }
 }
 
@@ -92,7 +92,7 @@ fn parked_receivers_cost_one_wake_per_item_or_per_sleeper_whichever_is_fewer() {
                 "items stranded: {:?}",
                 mb.parking()
             );
-            std::thread::yield_now();
+            std::thread::sleep(Duration::from_micros(50));
         }
         assert_eq!(
             sum.load(SeqCst),

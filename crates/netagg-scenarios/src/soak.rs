@@ -73,7 +73,7 @@ fn soak_spec(name: &str, synthetic_requests: u64, queries: u64, jobs: u64) -> Sc
         // not the pipeline; the 30 s default is ~1000x that, but a starved
         // single-CPU host (CI under a noisy neighbour) has pushed one
         // straggling request over it. The soak asserts *correctness*, not
-        // latency — the throughput gate covers speed — so give it slack.
+        // latency (speed is measured in `benchmark/`), so give it slack.
         .with_wait_timeout(std::time::Duration::from_secs(120))
 }
 
