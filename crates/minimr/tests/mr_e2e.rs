@@ -156,10 +156,12 @@ fn keyed_trees_partition_the_shuffle() {
         cluster2.run(single_inputs, &JobConfig::default()).unwrap()
     };
     assert_eq!(keyed.output, single.output);
-    // Both scale-out boxes served chunks.
+    // Both scale-out boxes served chunks, each tree's numbered on its own.
     for b in dep.boxes() {
         assert!(b.stats().messages_in.get() > 0);
     }
+    let gaps = dep.snapshot().counter("failure.seq_gaps");
+    assert_eq!(gaps.unwrap_or(0), 0, "a clean run reports no sequence gap");
     dep.shutdown();
     dep2.shutdown();
 }

@@ -69,13 +69,14 @@ pub enum Work {
 /// What a box transition leaves its shell to act on.
 pub type BoxStep = Step<Point, ReqKey>;
 
-/// Box state of one request: its aggregation function, its reduction and
-/// the next output sequence number (streaming flushes).
+/// Box state of one request: its aggregation function, its reduction, the next
+/// output sequence number (streaming flushes) and its redirect (a bypass upstream).
 pub struct BoxRequest {
     agg: Arc<dyn DynAggregator>,
     /// The request's local aggregation tree.
     pub reduction: Reduction,
     out_seq: u32,
+    redirect: Option<NodeId>,
 }
 
 /// The box's whole protocol state; see the module docs.
@@ -88,8 +89,6 @@ pub struct BoxCore {
     /// straggler transitions. Shells call those directly.
     pub fanin: FanInCore<Point, ReqKey, BoxRequest>,
     parents: Map<Point, NodeId>,
-    /// Per-request output redirections (a straggler bypass upstream).
-    redirects: Map<ReqKey, NodeId>,
     /// Recently emitted output chunks per request, a window per fan-in
     /// point: one tenant's traffic must not evict what another's new
     /// parent will need (redirects arrive per application and tree).
@@ -117,7 +116,6 @@ impl BoxCore {
             apps: Map::default(),
             fanin: FanInCore::default(),
             parents: Map::default(),
-            redirects: Map::default(),
             emitted: Map::default(),
             width: fanin,
             flush_bytes: flush_bytes.unwrap_or(usize::MAX),
@@ -139,15 +137,15 @@ impl BoxCore {
         self.fanin.install_route((app, tree), route);
     }
 
-    /// The request's state, created on first use; `None` for an unknown
+    /// The request's state, created `now` on first use; `None` for an unknown
     /// application or route, and for a request that already completed
     /// here (its final output is in the emitted window): every owed source
     /// had ended, so whatever still arrives for it is a replay or a
     /// speculative backup's copy, and a fresh ledger for it would never
     /// close.
-    fn open(&mut self, key: ReqKey) -> Option<&mut Request<Point, BoxRequest>> {
+    fn open(&mut self, key: ReqKey, now: Instant) -> Option<&mut Request<Point, BoxRequest>> {
         let (apps, emitted, anchor) = (&self.apps, &self.emitted, &self.anchor);
-        self.fanin.open(key, [(key.0, key.2)], None, || {
+        self.fanin.open(key, [(key.0, key.2)], now, || {
             let window = emitted.get(&(key.0, key.2));
             if window.is_some_and(|w| w.contains(&key)) {
                 return None;
@@ -157,6 +155,7 @@ impl BoxCore {
                 agg,
                 reduction,
                 out_seq,
+                redirect: None,
             };
             Some((q, anchor(key.0, key.1)))
         })
@@ -221,7 +220,7 @@ impl BoxCore {
         match out {
             Ok(item) => self.reduce(key, &mut step, |r, fanin| r.combined(item, fanin)),
             Err(e) if self.fanin.requests.contains_key(&key) => {
-                let trace = self.close(key).and_then(|q| q.trace);
+                let trace = self.abandon(key).and_then(|q| q.trace);
                 step.work.push(Work::Failed(key, trace, e));
             }
             Err(_) => {}
@@ -237,10 +236,8 @@ impl BoxCore {
     }
 
     fn dest(&self, key: &ReqKey) -> Option<NodeId> {
-        let redirected = self.redirects.get(key);
-        redirected
-            .or_else(|| self.parents.get(&(key.0, key.2)))
-            .copied()
+        let redirected = self.fanin.requests.get(key).and_then(|q| q.ext.redirect);
+        redirected.or_else(|| self.parents.get(&(key.0, key.2)).copied())
     }
 
     /// Output chunk `seq` of a request, as this box sends it.
@@ -259,12 +256,12 @@ impl BoxCore {
         }
     }
 
-    /// Drop a request's state and its redirect, and record its key in the
-    /// emitted window: whatever still arrives for it is a replay or a
-    /// backup's copy, and cannot re-open it.
-    fn close(&mut self, key: ReqKey) -> Option<Request<Point, BoxRequest>> {
-        self.emitted(key);
-        self.redirects.remove(&key);
+    /// Drop an unfinished request's state (its combine failed, or it was
+    /// reaped) and record its key in the emitted window, with no output:
+    /// whatever still arrives for it cannot re-open it, and a partial it
+    /// streamed is never resent as its final chunk.
+    fn abandon(&mut self, key: ReqKey) -> Option<Request<Point, BoxRequest>> {
+        self.emitted(key).clear();
         self.fanin.requests.remove(&key)
     }
 
@@ -277,7 +274,7 @@ impl BoxCore {
     /// parent. Returns when the request's first data arrived here.
     pub fn complete(&mut self, key: ReqKey, payload: Bytes) -> Option<Instant> {
         let to = self.dest(&key);
-        let state = self.close(key);
+        let state = self.fanin.requests.remove(&key);
         self.emitted(key).push(payload.clone());
         let (seq, started, trace) =
             state.map_or((0, None, None), |q| (q.ext.out_seq, q.started, q.trace));
@@ -306,13 +303,13 @@ impl BoxCore {
     /// with it — the workers behind this box will not replay it, the box
     /// absorbed their partials): adopt the new parent and resend the whole
     /// retained window of that tree. Per request (a straggler bypass
-    /// upstream): remember the override and resend that request's output
-    /// if it already left. Resent chunks are queued under their sequence
-    /// numbers; `last` only on a finished request's final one — for a still-open
-    /// request the real final chunk follows under the next number, and a
-    /// premature `last` would close the source upstream. Upstream dedups
-    /// overlap by per-source sequence numbers and the master's
-    /// delivered-id memory.
+    /// upstream): the request, opened `now` if new here, keeps the override;
+    /// resend its output if it already left. Resent chunks are queued under
+    /// their sequence numbers; `last` only on a finished request's final one
+    /// — for a still-open request the real final chunk follows under the next
+    /// number, and a premature `last` would close the source upstream.
+    /// Upstream dedups overlap by per-source sequence numbers and the
+    /// master's delivered-id memory.
     pub fn redirect(
         &mut self,
         app: AppId,
@@ -320,6 +317,7 @@ impl BoxCore {
         request: RequestId,
         tree: TreeId,
         new_parent: NodeId,
+        now: Instant,
     ) {
         let keys: Vec<ReqKey> = if permanent {
             if let Some(parent) = self.parents.get_mut(&(app, tree)) {
@@ -328,7 +326,9 @@ impl BoxCore {
             let retained = self.emitted.get(&(app, tree)).into_iter();
             retained.flat_map(|w| w.iter()).map(|(k, _)| *k).collect()
         } else {
-            self.redirects.insert((app, request, tree), new_parent);
+            if let Some(q) = self.open((app, request, tree), now) {
+                q.ext.redirect = Some(new_parent);
+            }
             vec![(app, request, tree)]
         };
         for key in keys {
@@ -369,7 +369,7 @@ impl Node for BoxCore {
                 ..
             } => {
                 let key = (app, request, tree);
-                let q = self.open(key);
+                let q = self.open(key, now);
                 let took = q.and_then(|q| q.accept_chunk((app, tree), source, seq, last, now));
                 let Some((_, closes, gap)) = took else {
                     // Unknown route, duplicate, re-pointed-away source,
@@ -398,7 +398,7 @@ impl Node for BoxCore {
             } => {
                 let key = (app, request, tree);
                 let owed = sources.into_iter().map(|s| ((app, tree), s));
-                if self.open(key).is_some() && self.fanin.set_requirement(&key, owed) {
+                if self.open(key, now).is_some() && self.fanin.set_requirement(&key, owed) {
                     step.closed = Some(key);
                     self.reduce(key, &mut step, Reduction::end);
                 }
@@ -409,7 +409,7 @@ impl Node for BoxCore {
                 request,
                 tree,
                 new_parent,
-            } => self.redirect(app, permanent, request, tree, new_parent),
+            } => self.redirect(app, permanent, request, tree, new_parent, now),
             Message::Broadcast {
                 app,
                 request,
@@ -448,6 +448,9 @@ impl Node for BoxCore {
         }
         let mut fired = self.fanin.on_timer(now);
         self.outbox.post(fired.take_sends());
+        for (key, _) in &fired.reaped {
+            self.abandon(*key);
+        }
         for key in fired.closed() {
             self.reduce(key, &mut step, Reduction::end);
         }

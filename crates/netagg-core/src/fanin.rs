@@ -30,6 +30,10 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::time::{Duration, Instant};
 
+/// How long a request may stay at a fan-in point: the core's timer drops it,
+/// finished or not, one to two `REQUEST_TTL`s after it opened.
+pub const REQUEST_TTL: Duration = Duration::from_secs(600);
+
 /// A fan-in point as messages name it: `app` is the node's own, for a
 /// point that names none (the master serves one application).
 pub trait Point: Copy + Eq + Hash {
@@ -110,6 +114,8 @@ pub struct Request<P: Copy + Eq + Hash, X> {
     /// When the straggler clock started: the first accepted chunk at a
     /// box, registration at the master.
     pub started: Option<Instant>,
+    /// When the request opened here: the reap's clock.
+    pub opened: Instant,
     /// Every owed contributor has ended; later chunks are dropped.
     pub closed: bool,
     /// `Some` when the request is trace-sampled.
@@ -205,6 +211,8 @@ pub struct Fired<P, R> {
     pub dead: Vec<u32>,
     /// Their failure at every point that routed through one.
     pub failed: Vec<(P, u32, Repoint<R>)>,
+    /// Requests dropped at [`REQUEST_TTL`], with their trace anchors.
+    pub reaped: Vec<(R, Option<TraceAnchor>)>,
 }
 
 impl<P, R: Copy> Fired<P, R> {
@@ -213,7 +221,7 @@ impl<P, R: Copy> Fired<P, R> {
     pub fn is_empty(&self) -> bool {
         let idle = |s: &StragglerScan<P, R>| s.bypasses.is_empty() && s.closed.is_empty();
         let quiet = self.probes.is_empty() && self.dead.is_empty() && self.failed.is_empty();
-        self.scan.as_ref().is_none_or(idle) && quiet
+        self.scan.as_ref().is_none_or(idle) && quiet && self.reaped.is_empty()
     }
 
     /// Every request a bypass or a failure of this firing completed.
@@ -237,8 +245,8 @@ impl<P, R: Copy> Fired<P, R> {
 pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
     routes: Map<P, Route>,
     /// Every request with state here. Shells read it (snapshots, gauges),
-    /// remove from it (completion hand-off, reaping) and drain it at
-    /// teardown; the transitions below are what mutate ledgers.
+    /// remove from it (completion hand-off) and drain it at teardown; the
+    /// transitions below mutate ledgers, and `on_timer` reaps.
     pub requests: Map<R, Request<P, X>>,
     /// Straggler events per child box, across requests.
     straggles: Map<u32, u32>,
@@ -251,6 +259,9 @@ pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
     pub addr: NodeId,
     /// The application of a point that names none (see [`Point`]).
     pub app: AppId,
+    /// When the next reap is due, while any request is open: armed by the
+    /// first request, re-armed by each reap.
+    sweep: Option<Instant>,
 }
 
 impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X> {
@@ -263,6 +274,7 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X>
             detector: DetectorCore::default(),
             addr: 0,
             app: AppId(0),
+            sweep: None,
         }
     }
 }
@@ -278,15 +290,15 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
         self.routes.get(point)
     }
 
-    /// The request's state, created on first use with a ledger seeded
-    /// from the *current* owed sets of `points` (a box that already
+    /// The request's state, created `now` on first use with a ledger
+    /// seeded from the *current* owed sets of `points` (a box that already
     /// failed permanently is no longer owed; its children are). `None`,
     /// and nothing created, when no point is routed here or `new` declines.
     pub fn open<I: IntoIterator<Item = P>>(
         &mut self,
         request: R,
         points: I,
-        started: Option<Instant>,
+        now: Instant,
         new: impl FnOnce() -> Option<(X, Option<TraceAnchor>)>,
     ) -> Option<&mut Request<P, X>>
     where
@@ -312,9 +324,11 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             ledger.repoint(key, &[]);
         }
         let (ext, trace) = new()?;
+        self.sweep.get_or_insert(now + REQUEST_TTL);
         Some(slot.insert(Request {
             ledger,
-            started,
+            started: None,
+            opened: now,
             closed: false,
             trace,
             ext,
@@ -482,10 +496,10 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
         q.ledger.is_owed(&key) && !q.ledger.has_seen(&key)
     }
 
-    /// When this node next has something to do unprompted, read off its
-    /// state: the oldest open request that still has a child box to bypass
-    /// reaching the (constant) straggler threshold, the next probe round,
-    /// the earliest ack time-out. A firing that finds nothing due is a no-op.
+    /// When this node next has something to do unprompted, read off its state:
+    /// the oldest open request that still has a child box to bypass reaching the
+    /// (constant) straggler threshold, the next probe round, the earliest ack
+    /// time-out, the next reap. A firing that finds nothing due is a no-op.
     pub fn next_deadline(&self) -> Option<Instant> {
         let boxes = || {
             let routes = self.routes.iter();
@@ -497,14 +511,21 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             Some(waiting.filter_map(|q| q.started).min()? + policy.threshold)
         });
         let detector = self.detector.next_deadline(|| boxes().next().is_some());
-        [straggler, detector].into_iter().flatten().min()
+        let reap = self.sweep.filter(|_| !self.requests.is_empty());
+        [straggler, detector, reap].into_iter().flatten().min()
     }
 
-    /// Run what is due at `now`: the straggler scan, ack time-outs, the next
-    /// probe round. A box declared dead is failed at every point routing
-    /// through it in this transition; the child boxes adopted from it are
-    /// probed from the next round on.
+    /// Run what is due at `now`: the reap, the straggler scan, ack
+    /// time-outs, the next probe round. A box declared dead is failed at
+    /// every point routing through it in this transition; the child boxes
+    /// adopted from it are probed from the next round on.
     pub fn on_timer(&mut self, now: Instant) -> Fired<P, R> {
+        let mut reaped = Vec::new();
+        if self.sweep.is_some_and(|t| t <= now) {
+            self.sweep = Some(now + REQUEST_TTL);
+            let old = |_: &R, q: &mut Request<P, X>| now.duration_since(q.opened) >= REQUEST_TTL;
+            reaped.extend(self.requests.extract_if(old).map(|(r, q)| (r, q.trace)));
+        }
         let policy = self.straggler;
         let scan = policy.map(|p| self.scan_stragglers(now, p.threshold, p.repeat_limit));
         let routed = self.routes.values().flat_map(|r| r.child_boxes.keys());
@@ -521,6 +542,7 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             probes,
             dead,
             failed,
+            reaped,
         }
     }
 }

@@ -151,7 +151,6 @@ impl NetAggDeployment {
             selection: self.cfg.selection,
             straggler_threshold: self.cfg.straggler.map(|p| p.threshold),
             obs: self.obs.clone(),
-            ..MasterShimConfig::default()
         };
         let shim = MasterShim::start(self.transport.clone(), app, agg, &self.specs, cfg)
             .expect("start master shim");

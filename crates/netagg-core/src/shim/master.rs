@@ -4,14 +4,14 @@
 //! receives root aggregates (or raw partials from direct workers when no
 //! boxes are deployed), performs the final cross-tree merge and emulates
 //! empty per-worker results. It is also the parent of the root boxes, so
-//! its timer thread runs the same straggler bypass and failure detection
-//! the boxes do, off the same core deadlines. An application thread whose
-//! transition queued something to send drains the core's outbox. The
-//! master's hook is its waiters' wake (with the ledger gauges it reads
-//! off the locked core). Who records: the shell's recorder (`spans.rs`,
-//! under its `MASTER` names) records every span, counter and event of the
-//! master's reader, timer and sends; `wait` closes the root span through
-//! it, and counts the wait and the emulated empties.
+//! its timer thread runs the same reap, straggler bypass and failure
+//! detection the boxes do, off the same core deadlines. An application
+//! thread whose transition queued something to send drains the core's
+//! outbox. The master's hook is its waiters' wake (with the ledger gauges
+//! it reads off the locked core). Who records: the shell's recorder
+//! (`spans.rs`, under its `MASTER` names) records every span, counter and
+//! event of the master's reader, timer and sends; `wait` closes the root
+//! span through it, and counts the wait and the emulated empties.
 
 use crate::failure::DetectorConfig;
 use crate::fanin::Fired;
@@ -62,30 +62,16 @@ impl AggregatedResult {
 }
 
 /// Master shim configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MasterShimConfig {
     /// How requests map onto aggregation trees.
     pub selection: TreeSelection,
     /// Per-request straggler bypass threshold for root boxes.
     pub straggler_threshold: Option<Duration>,
-    /// Drop per-request state not claimed by a waiter within this age
-    /// (abandoned requests would otherwise accumulate forever).
-    pub pending_ttl: Duration,
     /// Metrics registry the shim publishes to (`shim.master.*`,
     /// `straggler.master_bypasses`); a private one unless the deployment
     /// hands in its own.
     pub obs: MetricsRegistry,
-}
-
-impl Default for MasterShimConfig {
-    fn default() -> Self {
-        Self {
-            selection: TreeSelection::PerRequest,
-            straggler_threshold: None,
-            pending_ttl: Duration::from_secs(600),
-            obs: MetricsRegistry::new(),
-        }
-    }
 }
 
 /// The master's part of its shell: the final merge, and the metrics its
@@ -96,7 +82,6 @@ struct MasterOutlet {
     agg: Arc<dyn DynAggregator>,
     /// The serialised identity every result's emulated empties share.
     empty: Bytes,
-    cfg: MasterShimConfig,
     requests_registered: Arc<Counter>,
     emulated_empties: Arc<Counter>,
     requests_inflight: Arc<Gauge>,
@@ -140,7 +125,7 @@ impl MasterShim {
                 threshold: t * 4,
                 repeat_limit: u32::MAX,
             });
-            (core, MasterOutlet::new(app, agg, cfg))
+            (core, MasterOutlet::new(app, agg, &cfg.obs))
         })?;
         Ok(Arc::new(Self { shell }))
     }
@@ -160,10 +145,10 @@ impl MasterShim {
     ) -> PendingRequest {
         let o = &self.shell.hook;
         o.requests_registered.inc();
-        let (now, ttl) = (Instant::now(), o.cfg.pending_ttl);
+        let now = Instant::now();
         self.shell.post(|core| {
             let subset = workers.map(|w| core.subset(request, w));
-            let done = core.register(request, expected_workers, subset, now, ttl);
+            let done = core.register(request, expected_workers, subset, now);
             let completed = core.completions(done.then_some(request));
             Step {
                 completed,
@@ -243,8 +228,7 @@ impl Drop for MasterShim {
 }
 
 impl MasterOutlet {
-    fn new(app: AppId, agg: Arc<dyn DynAggregator>, cfg: MasterShimConfig) -> Self {
-        let registry = &cfg.obs;
+    fn new(app: AppId, agg: Arc<dyn DynAggregator>, registry: &MetricsRegistry) -> Self {
         Self {
             app,
             empty: agg.empty_serialized(),
@@ -254,7 +238,6 @@ impl MasterOutlet {
             requests_inflight: registry.gauge(names::SHIM_MASTER_REQUESTS_INFLIGHT),
             sources_outstanding: registry.gauge(names::SHIM_MASTER_SOURCES_OUTSTANDING),
             request_wait_us: registry.histogram(names::SHIM_MASTER_REQUEST_WAIT_US),
-            cfg,
         }
     }
 }
@@ -276,7 +259,9 @@ impl Outlet<MasterCore> for MasterOutlet {
         });
         self.requests_inflight.set(inflight as f64);
         self.sources_outstanding.set(outstanding as f64);
-        if !step.completed.is_empty() {
+        // A reaped request's waiter finds it gone at once, not at its deadline.
+        let reaped = step.fired.as_ref().is_some_and(|f| !f.reaped.is_empty());
+        if !step.completed.is_empty() || reaped {
             s.wake();
         }
     }

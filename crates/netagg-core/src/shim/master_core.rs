@@ -7,7 +7,7 @@
 //! shell ([`crate::shim::MasterShim`]) keeps the struct behind the single
 //! `node.core` lock its waiters park on and drives it through [`Node`].
 
-use crate::fanin::{Anchors, FanInCore, Fired, Request, Route, TraceAnchor};
+use crate::fanin::{Anchors, FanInCore, Fired, Route, TraceAnchor};
 use crate::node::{Completed, Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::worker_core::{per_request_tree, TreeSelection};
@@ -16,7 +16,7 @@ use crate::window::RecencyWindow;
 use bytes::Bytes;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How many delivered request ids the shim remembers for duplicate
 /// suppression of late replays. Replays trail the failure they recover
@@ -57,7 +57,7 @@ pub struct Delivery {
 /// What [`MasterCore::take_completed`] found.
 #[derive(Debug)]
 pub enum Taken {
-    /// No state for the request (never registered, or reaped by the TTL).
+    /// No state for the request: never registered, taken, or reaped.
     NotRegistered,
     /// Contributors are still owed.
     Pending,
@@ -70,9 +70,9 @@ pub struct MasterCore {
     /// The root's routes and per-request ledgers, with the failure and
     /// straggler transitions. Shells call those directly.
     pub fanin: FanInCore<TreeId, RequestId, MasterRequest>,
-    /// Recently delivered request ids. Late replayed chunks for these are
-    /// duplicates and must not resurrect a fresh ledger entry — that would
-    /// complete the request a second time and leak the resurrected entry.
+    /// Recently delivered (or reaped) request ids. Late replayed chunks for
+    /// these are duplicates and must not resurrect a fresh ledger entry —
+    /// that would complete the request a second time and leak the entry.
     delivered: RecencyWindow<RequestId, ()>,
     selection: TreeSelection,
     num_trees: u32,
@@ -164,26 +164,23 @@ impl MasterCore {
         self.outbox.post(copies);
     }
 
-    /// Register a request, first dropping state older than `ttl` that no
-    /// waiter claimed (abandoned requests would otherwise accumulate).
-    /// `subset` replaces the owed set for a request only some workers take
-    /// part in. Returns whether data that arrived before the registration
-    /// already completes it.
+    /// Register a request, whose straggler clock starts now unless its
+    /// data already did. `subset` replaces the owed set for a request only
+    /// some workers take part in. Returns whether data that arrived before
+    /// the registration already completes it.
     pub fn register(
         &mut self,
         request: RequestId,
         expected_workers: usize,
         subset: Option<Vec<MasterKey>>,
         now: Instant,
-        ttl: Duration,
     ) -> bool {
-        let fresh = |q: &Request<_, _>| q.started.is_none_or(|t| now.duration_since(t) < ttl);
-        self.fanin.requests.retain(|_, q| fresh(q));
         let (trees, app, anchor) = (self.trees_for(request), self.fanin.app, &self.anchor);
         let new = || Some((MasterRequest::default(), anchor(app, request)));
-        let Some(q) = self.fanin.open(request, trees, Some(now), new) else {
+        let Some(q) = self.fanin.open(request, trees, now, new) else {
             return false;
         };
+        q.started.get_or_insert(now);
         q.ext.expected_workers = expected_workers;
         subset.is_some_and(|owed| self.fanin.set_requirement(&request, owed))
     }
@@ -203,13 +200,14 @@ impl MasterCore {
         };
         self.outbox.post(std::mem::take(&mut r.sends));
         let completed = self.completions(r.closed.iter().copied());
-        let (scan, probes, dead, failed) =
-            (None, Vec::new(), Vec::new(), vec![(tree, failed_box, r)]);
+        let (scan, probes, dead, reaped) = (None, Vec::new(), Vec::new(), Vec::new());
+        let failed = vec![(tree, failed_box, r)];
         let fired = Some(Fired {
             scan,
             probes,
             dead,
             failed,
+            reaped,
         });
         Step {
             completed,
@@ -266,7 +264,7 @@ impl Node for MasterCore {
                 let ours = app == self.fanin.app && !self.delivered.contains(&request);
                 let (trees, anchor) = (self.trees_for(request), &self.anchor);
                 let new = || Some((MasterRequest::default(), anchor(app, request)));
-                let q = ours.then(|| self.fanin.open(request, trees, Some(now), new));
+                let q = ours.then(|| self.fanin.open(request, trees, now, new));
                 let took = q
                     .flatten()
                     .and_then(|q| q.accept_chunk(tree, source, seq, last, now));
@@ -291,10 +289,13 @@ impl Node for MasterCore {
         step
     }
 
-    /// The same straggler scan and failure detection the boxes run, on the
-    /// root's routes.
+    /// The same reap, straggler scan and failure detection the boxes run,
+    /// on the root's routes; a reaped id is remembered as delivered.
     fn on_timer(&mut self, now: Instant) -> Self::Report {
         let mut fired = self.fanin.on_timer(now);
+        for (r, _) in &fired.reaped {
+            self.delivered.entry(*r);
+        }
         self.outbox.post(fired.take_sends());
         let completed = self.completions(fired.closed());
         let fired = Some(fired);

@@ -197,8 +197,8 @@ impl WorkerShim {
         self.shell.lock().core.forget(RequestId(request));
     }
 
-    /// Requests this shim still holds sequence state for (sent on, not
-    /// yet completed).
+    /// Requests this shim still retains replay for (sent on, not yet
+    /// completed, not yet evicted).
     pub fn tracked_requests(&self) -> usize {
         self.shell.lock().core.tracked()
     }

@@ -1,6 +1,6 @@
 //! The worker shim's protocol state as one plain struct: where each tree's
-//! partials go, the next sequence number per request, and a bounded replay
-//! window of sent chunks for straggler/failure resends.
+//! partials go, the next sequence number per request and tree, and a
+//! bounded replay window of sent chunks for straggler/failure resends.
 //!
 //! Every transition is `&mut self` and queues the `Data` it puts on the
 //! wire, numbered here, in the core's [`Outbox`]; the threaded shell
@@ -24,10 +24,11 @@ const REPLAY_WINDOW: usize = 64;
 
 /// How partial results are spread over multiple aggregation trees
 /// (Section 3.1, "Multiple aggregation trees per application").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TreeSelection {
     /// The whole request uses one tree chosen by hashing the request id
     /// (online services such as search).
+    #[default]
     PerRequest,
     /// Each chunk picks its tree from a caller-provided key hash (batch
     /// applications partition by key); `finish_request` closes every tree.
@@ -47,7 +48,8 @@ pub struct WorkerCore {
     source: (AppId, u32),
     /// Destination per tree: the worker's first on-path box, or the master.
     assignments: Map<TreeId, NodeId>,
-    seqs: Map<RequestId, u32>,
+    /// The last sequence number per stream (a request on a tree) until its `last`.
+    seqs: Map<(RequestId, TreeId), u32>,
     /// Sent chunks per request, each with the tree it travels on.
     replay: RecencyWindow<RequestId, Vec<(TreeId, Message)>>,
     /// What transitions produced and the shell has not yet sent.
@@ -84,9 +86,9 @@ impl WorkerCore {
         self.assignments.get(&tree).copied()
     }
 
-    /// Number the next chunk of `request` (sequence numbers start at 1),
-    /// retain it for resends and queue it under the request's `trace`
-    /// anchor.
+    /// Number the next chunk of `request` on `tree` (sequence numbers
+    /// start at 1 per tree), retain it for resends and queue it under the
+    /// request's `trace` anchor.
     pub fn next_chunk(
         &mut self,
         (request, tree): (RequestId, TreeId),
@@ -97,10 +99,10 @@ impl WorkerCore {
         let to = self
             .dest(tree)
             .ok_or_else(|| AggError::Net(format!("no assignment for tree {}", tree.0)))?;
-        let seq = self.seqs.entry(request).or_insert(0);
-        *seq += 1;
+        let seq = self.seqs.remove(&(request, tree)).unwrap_or(0) + 1;
+        self.seqs.extend((!last).then_some(((request, tree), seq)));
         let (app, source) = (self.source.0, SourceId::Worker(self.source.1));
-        let (seq, ctx, sent_ns) = (*seq, TraceCtx::NONE, 0);
+        let (ctx, sent_ns) = (TraceCtx::NONE, 0);
         let msg = Message::Data {
             app,
             request,
@@ -128,13 +130,12 @@ impl WorkerCore {
     /// Drop sequence and replay state for a completed request.
     pub fn forget(&mut self, request: RequestId) {
         self.replay.remove(&request);
-        self.seqs.remove(&request);
+        self.seqs.retain(|(r, _), _| *r != request);
     }
 
-    /// Requests with sequence state: every request sent on and not yet
-    /// completed.
+    /// Requests with retained replay: what [`WorkerCore::forget`] drops.
     pub fn tracked(&self) -> usize {
-        self.seqs.len()
+        self.replay.iter().count()
     }
 }
 

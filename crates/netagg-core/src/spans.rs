@@ -37,14 +37,15 @@ type In = Option<Hop>;
 pub(crate) struct Names {
     /// The label of its spans and events, before the node's ids.
     pub component: &'static str,
-    /// Counters: `Data` in, its bytes, `Data` dropped, requests completed
-    /// and failed, failed sends; a worker's redirects, replayed chunks and
-    /// broadcasts. A completion's first data in → final chunk queued.
+    /// Counters: `Data` in, its bytes, `Data` dropped, requests completed,
+    /// failed and reaped, failed sends; a worker's redirects, replayed chunks
+    /// and broadcasts. A completion's first data in → final chunk queued.
     pub data_in: Name,
     pub bytes_in: Name,
     pub dropped: Name,
     pub completed: Name,
     pub failed: Name,
+    pub reaped: Name,
     pub send_errors: Name,
     pub redirects: Name,
     pub resent: Name,
@@ -72,6 +73,7 @@ const NONE: Names = Names {
     dropped: None,
     completed: None,
     failed: None,
+    reaped: None,
     send_errors: None,
     redirects: None,
     resent: None,
@@ -94,6 +96,7 @@ pub(crate) const BOX: Names = Names {
     dropped: Some(names::AGGBOX_DUPLICATES_DROPPED),
     completed: Some(names::AGGBOX_REQUESTS_COMPLETED),
     failed: Some(names::AGGBOX_REQUESTS_FAILED),
+    reaped: Some(names::AGGBOX_REQUESTS_REAPED),
     send_errors: Some(names::AGGBOX_SEND_ERRORS),
     completed_us: Some(names::AGGBOX_REQUEST_AGG_US),
     recv: Some(spans::BOX_RECV),
@@ -112,6 +115,7 @@ pub(crate) const MASTER: Names = Names {
     bytes_in: Some(names::SHIM_MASTER_BYTES_IN),
     dropped: Some(names::SHIM_MASTER_DUPLICATES_DROPPED),
     completed: Some(names::SHIM_MASTER_REQUESTS_COMPLETED),
+    reaped: Some(names::SHIM_MASTER_REQUESTS_REAPED),
     send_errors: Some(names::SHIM_MASTER_SEND_ERRORS),
     recv: Some(spans::MASTER_RECV),
     request: Some(spans::MASTER_REQUEST),
@@ -380,14 +384,19 @@ impl Recorder {
         hop
     }
 
-    /// Audit one timer firing: count every child box its detector declared
-    /// dead; for every re-point — the detector's, a straggler escalation's
-    /// — mark the adoption inside each moved request's trace (the stitched
-    /// tree shows where obligations moved), count it (once even with no
-    /// request in flight, so the trail always records the failure) and
-    /// emit the `repoint` event; count and tell every bypass.
+    /// Audit one timer firing: count the requests it reaped, closing their
+    /// spans as teardown does, and every child box its detector declared dead;
+    /// for every re-point — the detector's, a straggler escalation's — mark
+    /// the adoption inside each moved request's trace (the stitched tree
+    /// shows where obligations moved), count it (once even with no request
+    /// in flight, so the trail always records the failure) and emit the
+    /// `repoint` event; count and tell every bypass.
     fn fired<P: Point, R: Copy + Into<RequestId>>(&self, fired: &Fired<P, R>) {
         let (obs, who, (here, app)) = (&self.obs, &self.label, self.at);
+        for (r, t) in &fired.reaped {
+            self.names.reaped.iter().for_each(|c| obs.counter(c).inc());
+            t.iter().for_each(|t| self.close((*r).into(), *t));
+        }
         for b in &fired.dead {
             obs.counter(names::FAILURE_DETECTIONS).inc();
             let addr = box_addr(*b);

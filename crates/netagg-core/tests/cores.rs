@@ -6,7 +6,7 @@ use bytes::Bytes;
 use netagg_core::aggbox::core::{BoxCore, BoxStep, Work, FLUSH_TICK, OUTBOX_BOUND};
 use netagg_core::aggbox::tree::combine;
 use netagg_core::failure::DetectorConfig;
-use netagg_core::fanin::{Fired, Route};
+use netagg_core::fanin::{Fired, Route, REQUEST_TTL};
 use netagg_core::node::{Emit, Node};
 use netagg_core::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use netagg_core::shim::master_core::{MasterCore, Taken};
@@ -218,7 +218,7 @@ fn replay_after_delivery_does_not_resurrect_the_request() {
         let step = core.on_message(data_msg(req.0, SourceId::Worker(w), (1, true), 0), now);
         (!step.dropped).then_some(step.closed.is_some())
     };
-    assert!(!core.register(req, 2, None, now, Duration::from_secs(600)));
+    assert!(!core.register(req, 2, None, now));
     assert_eq!(chunk(&mut core, 0), Some(false));
     assert!(matches!(core.take_completed(req), Taken::Pending));
     assert_eq!(chunk(&mut core, 1), Some(true));
@@ -263,7 +263,7 @@ fn permanent_redirect_resends_the_retained_window() {
     // Request 3 is open and has emitted nothing: nothing to resend.
     assert_eq!(data(&mut core, 3, 0), Some(None));
 
-    core.redirect(APP, true, RequestId(0), TREE, 200);
+    core.redirect(APP, true, RequestId(0), TREE, 200, now);
     let mut resends = resent(200, sent(&mut core));
     resends.sort_by_key(|r| r.request);
     let want = |request, chunk: &Bytes, finished| Resend {
@@ -280,7 +280,7 @@ fn permanent_redirect_resends_the_retained_window() {
     // number, to the new parent; a repeated redirect changes nothing.
     assert!(data(&mut core, 2, 1).flatten().is_some());
     assert_eq!(dests(&mut core), [(1, 200)]);
-    core.redirect(APP, true, RequestId(0), TREE, 200);
+    core.redirect(APP, true, RequestId(0), TREE, 200, now);
     let again = resent(200, sent(&mut core));
     assert!(again
         .iter()
@@ -307,7 +307,7 @@ fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
     }
     // The resends of a permanent redirect of `app`'s tree.
     let resent = |core: &mut BoxCore, app, tree| {
-        core.redirect(app, true, RequestId(0), tree, 200);
+        core.redirect(app, true, RequestId(0), tree, 200, Instant::now());
         resent(200, sent(core))
     };
     let resends = resent(&mut core, slow, tree);
@@ -456,7 +456,7 @@ fn completing_every_request_returns_the_tracked_count_to_zero() {
         let out = sent(&mut core);
         assert_eq!((out[0].to, chunk(&out[0].msg).0), (7, 1));
     }
-    assert_eq!(core.tracked(), 200);
+    assert_eq!(core.tracked(), 64, "the replay window's bound");
     (0..200).for_each(|r| core.forget(RequestId(r)));
     assert_eq!(core.tracked(), 0);
     let step = core.on_message(repoint(APP, 9), Instant::now());
@@ -600,6 +600,8 @@ struct Tick {
     bypasses: usize,
     /// `Moved` ledger transitions: bypasses, escalations and failures.
     moved: usize,
+    /// Requests the firing reaped.
+    reaped: usize,
     done: Option<Vec<Bytes>>,
     /// Every message the firing queued.
     sends: Vec<Emit>,
@@ -633,13 +635,14 @@ impl Tick {
             redirected: sends.iter().filter(redirect).map(|e| e.to).collect(),
             bypasses,
             moved: bypasses + moved,
+            reaped: fired.map_or(0, |f| f.reaped.len()),
             done,
             sends,
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.probes.is_empty() && self.dead.is_empty() && self.bypasses == 0
+        self.probes.is_empty() && self.dead.is_empty() && self.bypasses == 0 && self.reaped == 0
     }
 }
 
@@ -725,7 +728,7 @@ fn recovery_events_in_any_order_move_obligations_once() {
         let events = [head, shuffled(tail)].concat();
         let t0 = Instant::now();
         let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-        master.register(REQ, 3, None, t0, Duration::from_secs(600));
+        master.register(REQ, 3, None, t0);
         let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
         let mut aggbox = box_core(2, specs[0].master_sources(), child);
         let strike = Some(StragglerPolicy {
@@ -779,7 +782,8 @@ fn names_the_node(node: &dyn Fan, sends: &[Emit]) {
 
 /// The shape that would busy-loop a timer thread: a request past its
 /// threshold whose straggler has been bypassed keeps no deadline in the
-/// past; and a firing before the deadline changes nothing.
+/// past — only its reap's; and a firing before the deadline changes
+/// nothing.
 #[test]
 fn a_request_with_nothing_left_to_bypass_yields_no_deadline() {
     let specs = chain();
@@ -804,7 +808,8 @@ fn a_request_with_nothing_left_to_bypass_yields_no_deadline() {
             "box 0's three children told"
         );
         names_the_node(node, &due.sends);
-        assert_eq!(node.deadline(), None, "bypassed: nothing left to wait for");
+        let reap = Some(t0 + REQUEST_TTL);
+        assert_eq!(node.deadline(), reap, "bypassed: nothing left to wait for");
         assert!(node.open(), "workers 1 to 3 are still owed");
         assert!(node.tick(t0 + THRESHOLD * 9).is_empty());
     }
@@ -866,7 +871,8 @@ fn drive_detector(node: &mut dyn Fan, rng: &mut DetRng, leaf_answers: bool, t0: 
                 }
             }
             None => {
-                let Some(deadline) = node.deadline() else {
+                // Every input arrives long before a request's reap is due.
+                let Some(deadline) = node.deadline().filter(|d| *d < t0 + REQUEST_TTL) else {
                     continue;
                 };
                 now = deadline;
@@ -949,7 +955,7 @@ fn detector_inputs_in_any_order_fail_each_silent_box_exactly_once() {
     for round in 0..400 {
         let t0 = Instant::now();
         let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-        master.register(REQ, 4, None, t0, Duration::from_secs(600));
+        master.register(REQ, 4, None, t0);
         let mut aggbox = box_above_chain(&specs);
         master.fanin.detector.enable(DETECTOR, t0);
         aggbox.fanin.detector.enable(DETECTOR, t0);
@@ -1032,7 +1038,7 @@ fn a_sequence_gap_is_accepted_and_reported() {
 
     let specs = build_tree_specs(&ClusterSpec::single_rack(1, 0));
     let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
-    master.register(REQ, 1, None, now, Duration::from_secs(600));
+    master.register(REQ, 1, None, now);
     let mut chunk = |seq, last| master.on_message(data_msg(REQ.0, w, (seq, last), 0), now);
     assert!(chunk(1, false).gaps.is_empty());
     let step = chunk(3, true);
@@ -1110,8 +1116,8 @@ fn outbox_order_drive(rng: &mut DetRng) -> (Vec<Emit>, HashMap<u64, Vec<u8>>) {
                 run(&mut core, work);
                 done.push(r);
             }
-            Step2::Bypass(r) => core.redirect(APP, false, RequestId(r), TREE, next_node),
-            Step2::Repoint => core.redirect(APP, true, RequestId(0), TREE, next_node),
+            Step2::Bypass(r) => core.redirect(APP, false, RequestId(r), TREE, next_node, now),
+            Step2::Repoint => core.redirect(APP, true, RequestId(0), TREE, next_node, now),
         }
         next_node += 1;
         if rng.gen_range(0, 2) == 0 {
@@ -1326,8 +1332,9 @@ fn every_core_keeps_the_node_contract() {
     let mut master = MasterCore::new(APP, &flat, TreeSelection::PerRequest);
     master.fanin.straggler = policy;
     master.fanin.detector.enable(DETECTOR, t);
-    master.register(REQ, 2, None, t, Duration::from_secs(600));
-    assert_eq!(master.next_deadline(), None, "no box, no deadline");
+    master.register(REQ, 2, None, t);
+    let reap = Some(t + REQUEST_TTL);
+    assert_eq!(master.next_deadline(), reap, "no box: the reap alone");
     // A worker's chunk whose send failed stays retained (DESIGN.md §8).
     conforms(
         WorkerCore::new(APP, 0, HashMap::from([(TREE, 7)])),
@@ -1339,4 +1346,258 @@ fn every_core_keeps_the_node_contract() {
         },
         |w, e, _| assert_eq!(w.retained(REQ), vec![(e.to, e.msg.clone())]),
     );
+}
+
+// --- (h): every request ends — completed, failed or reaped ---
+
+/// Fire a box core's timer at `now`: the keys it reaped, its combines run.
+fn reap(core: &mut BoxCore, now: Instant) -> Vec<(AppId, RequestId, TreeId)> {
+    let mut step = core.on_timer(now);
+    let fired = step.fired.take().expect("a box firing reports");
+    assert_eq!(run(core, step), None, "a firing completes nothing here");
+    fired.reaped.iter().map(|(key, _)| *key).collect()
+}
+
+/// A box request one source never ends is reaped by the box's own timer
+/// one [`REQUEST_TTL`] after it opened: no deadline earlier, nothing sent
+/// upstream, no deadline after; the silent source's late final chunk is
+/// dropped and opens nothing.
+#[test]
+fn a_box_reaps_a_request_whose_source_went_silent() {
+    let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
+    let mut core = box_core(2, workers, HashMap::new());
+    let (t0, key) = (Instant::now(), (APP, RequestId(1), TREE));
+    assert_eq!(
+        box_data(&mut core, 1, SourceId::Worker(0), (1, true), 7, t0),
+        Some(None)
+    );
+    let due = t0 + REQUEST_TTL;
+    assert_eq!(core.next_deadline(), Some(due));
+    assert!(reap(&mut core, due - Duration::from_nanos(1)).is_empty());
+    assert_eq!(reap(&mut core, due), [key]);
+    assert!(core.fanin.requests.is_empty() && sent(&mut core).is_empty());
+    assert_eq!(core.next_deadline(), None, "nothing open, nothing due");
+    let late = box_data(&mut core, 1, SourceId::Worker(1), (1, true), 8, due);
+    assert_eq!(late, None, "a late chunk is dropped");
+    assert!(core.fanin.requests.is_empty(), "and re-opens nothing");
+}
+
+/// A request a `RequestMeta` opened has no straggler clock, and ends
+/// too; one opened half a TTL later survives that reap and ends at the
+/// next — between one and two TTLs after it opened.
+#[test]
+fn a_box_reaps_a_request_only_its_metadata_opened() {
+    let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
+    let mut core = box_core(2, workers.clone(), HashMap::new());
+    let t0 = Instant::now();
+    let (app, tree, ctx) = (APP, TREE, TraceCtx::NONE);
+    let meta = |request, sources| Message::RequestMeta {
+        app,
+        request,
+        tree,
+        sources,
+        ctx,
+    };
+    assert!(core
+        .on_message(meta(RequestId(2), workers), t0)
+        .closed
+        .is_none());
+    assert_eq!(
+        core.fanin.requests[&(APP, RequestId(2), TREE)].started,
+        None
+    );
+    let later = t0 + REQUEST_TTL / 2;
+    assert_eq!(
+        box_data(&mut core, 3, SourceId::Worker(0), (1, true), 1, later),
+        Some(None)
+    );
+    assert_eq!(
+        reap(&mut core, t0 + REQUEST_TTL),
+        [(APP, RequestId(2), TREE)]
+    );
+    let next = t0 + REQUEST_TTL * 2;
+    assert_eq!(
+        core.next_deadline(),
+        Some(next),
+        "re-armed while one is open"
+    );
+    assert_eq!(reap(&mut core, next), [(APP, RequestId(3), TREE)]);
+    assert_eq!(core.next_deadline(), None);
+    let late = core.on_message(meta(RequestId(2), vec![SourceId::Worker(0)]), next);
+    assert!(late.closed.is_none() && core.fanin.requests.is_empty());
+}
+
+/// A combine still in flight when its request is reaped comes back to
+/// nothing: no completion, no next combine, nothing sent.
+#[test]
+fn a_combine_in_flight_at_the_reap_is_harmless() {
+    let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
+    let mut core = box_core(2, workers, HashMap::new());
+    let (t0, key) = (Instant::now(), (APP, RequestId(4), TREE));
+    let data = |core: &mut BoxCore, seq| {
+        let msg = data_msg(4, SourceId::Worker(0), (seq, false), seq as u8);
+        core.on_message(msg, t0).work
+    };
+    assert!(data(&mut core, 1).is_empty());
+    let in_flight = data(&mut core, 2);
+    assert!(matches!(&in_flight[..], [Work::Combine(c)] if c.key == key));
+    assert_eq!(reap(&mut core, t0 + REQUEST_TTL), [key]);
+    for out in [Ok(Bytes::from_static(&[1, 2])), Err(AggError::Timeout)] {
+        let step = core.combined(key, out);
+        assert!(step.work.is_empty() && step.completed.is_empty());
+    }
+    assert_eq!(run(&mut core, in_flight), None);
+    assert!(sent(&mut core).is_empty() && core.fanin.requests.is_empty());
+}
+
+/// A request that ends unfinished — reaped, or its combine failed —
+/// leaves its key in the emitted window but no output: a permanent
+/// redirect resends none of the partials it streamed, least of all as the
+/// final chunk a new parent would close the box's entry on.
+#[test]
+fn an_abandoned_request_resends_no_partial_as_final() {
+    let workers = vec![SourceId::Worker(0), SourceId::Worker(1)];
+    let mut core = box_core(2, workers, HashMap::new());
+    let t0 = Instant::now();
+    let data = |core: &mut BoxCore, r, seq| {
+        let msg = data_msg(r, SourceId::Worker(0), (seq, false), seq as u8);
+        core.on_message(msg, t0).work
+    };
+    for r in [1, 2] {
+        assert!(data(&mut core, r, 1).is_empty());
+        let work = core.flush();
+        assert_eq!(run(&mut core, work), None);
+    }
+    assert_eq!(sent(&mut core).len(), 2, "each streamed a partial");
+    assert!(data(&mut core, 2, 2).is_empty());
+    let in_flight = data(&mut core, 2, 3);
+    let [Work::Combine(c)] = &in_flight[..] else {
+        panic!("a combine of request 2");
+    };
+    let failed = core.combined(c.key, Err(AggError::Corrupt("bad partial".into())));
+    assert!(matches!(&failed.work[..], [Work::Failed(..)]));
+    assert_eq!(
+        reap(&mut core, t0 + REQUEST_TTL),
+        [(APP, RequestId(1), TREE)]
+    );
+    core.redirect(APP, true, RequestId(0), TREE, 200, t0 + REQUEST_TTL);
+    assert!(sent(&mut core).is_empty(), "nothing resent");
+}
+
+/// A master request never waited on ends by the same rule, open or
+/// complete: `take_completed` then finds nothing, and a late chunk is
+/// dropped as a delivered one is.
+#[test]
+fn the_master_reaps_a_request_never_waited_on() {
+    let specs = build_tree_specs(&ClusterSpec::single_rack(2, 0));
+    let mut core = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let t0 = Instant::now();
+    let chunk = |core: &mut MasterCore, r, w, now| {
+        let step = core.on_message(data_msg(r, SourceId::Worker(w), (1, true), 0), now);
+        (!step.dropped).then_some(step.closed.is_some())
+    };
+    assert!(!core.register(RequestId(1), 2, None, t0));
+    assert!(!core.register(RequestId(2), 2, None, t0));
+    assert_eq!(chunk(&mut core, 2, 0, t0), Some(false));
+    assert_eq!(
+        chunk(&mut core, 2, 1, t0),
+        Some(true),
+        "complete, never taken"
+    );
+    assert_eq!(core.next_deadline(), Some(t0 + REQUEST_TTL));
+    let fired = core.on_timer(t0 + REQUEST_TTL).fired.expect("a firing");
+    let mut reaped: Vec<_> = fired.reaped.iter().map(|(r, _)| r.0).collect();
+    reaped.sort_unstable();
+    assert_eq!(reaped, [1, 2]);
+    assert_eq!(core.next_deadline(), None);
+    for r in [1, 2] {
+        assert!(matches!(
+            core.take_completed(RequestId(r)),
+            Taken::NotRegistered
+        ));
+        assert_eq!(chunk(&mut core, r, 1, t0 + REQUEST_TTL), None, "{r}");
+    }
+    assert!(core.fanin.requests.is_empty(), "no resurrected entry");
+}
+
+/// Down [`chain`]: worker 3 never ends, so box 1 never ends, so box 0
+/// never does, and the master never completes. Each node reaps the request
+/// on its own timer, and each drops the late chunk that follows.
+#[test]
+fn every_node_of_a_chain_reaps_a_request_below_a_dead_worker() {
+    let specs = chain();
+    let t0 = Instant::now();
+    let chain_box = |b: u32| {
+        let mut core = BoxCore::new(2, None);
+        core.add_app(APP, Arc::new(Concat));
+        core.add_route(APP, TREE, 100, Route::of_box(&specs[0], APP, b));
+        core.id = b;
+        core
+    };
+    let (mut box1, mut box0) = (chain_box(1), chain_box(0));
+    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    master.register(REQ, 4, None, t0);
+    assert_eq!(box1.data(SourceId::Worker(2), 12, t0), None);
+    assert_eq!(box0.data(SourceId::Worker(0), 10, t0), None);
+    assert_eq!(box0.data(SourceId::Worker(1), 11, t0), None);
+    let late = [SourceId::Worker(3), SourceId::Box(1), SourceId::Box(0)];
+    let nodes: [&mut dyn Fan; 3] = [&mut box1, &mut box0, &mut master];
+    for (node, late) in nodes.into_iter().zip(late) {
+        assert!(node.open());
+        assert_eq!(node.deadline(), Some(t0 + REQUEST_TTL));
+        let tick = node.tick(t0 + REQUEST_TTL);
+        assert_eq!((tick.reaped, tick.done, tick.sends.len()), (1, None, 0));
+        assert_eq!((node.open(), node.deadline()), (false, None));
+        assert_eq!(node.data(late, 1, t0 + REQUEST_TTL), None, "{late:?}");
+        assert_eq!((node.open(), node.deadline()), (false, None), "{late:?}");
+    }
+}
+
+/// A per-request redirect is the request's own state: one arriving before
+/// the request's first data still routes its output, and one arriving
+/// after it finished only resends, leaving nothing behind.
+#[test]
+fn a_bypass_redirect_lives_and_ends_with_its_request() {
+    let mut core = box_core(2, vec![SourceId::Worker(0)], HashMap::new());
+    let now = Instant::now();
+    let bypass = |core: &mut BoxCore, r| core.redirect(APP, false, RequestId(r), TREE, 300, now);
+    let data = |core: &mut BoxCore, r| box_data(core, r, SourceId::Worker(0), (1, true), 5, now);
+    bypass(&mut core, 1);
+    assert!(sent(&mut core).is_empty(), "nothing to resend yet");
+    assert!(data(&mut core, 1).flatten().is_some());
+    assert_eq!(dests(&mut core), [(0, 300)], "the final chunk follows it");
+    assert!(data(&mut core, 2).flatten().is_some());
+    assert_eq!(dests(&mut core), [(0, 100)], "the next request does not");
+    bypass(&mut core, 2);
+    assert_eq!(resent(300, sent(&mut core)).len(), 1, "resent");
+    assert!(
+        core.fanin.requests.is_empty(),
+        "no state outlives the request"
+    );
+}
+
+/// A worker numbers each tree's chunks of a request on their own, as each
+/// receiver's ledger keys them: chunks interleaved over two trees arrive
+/// consecutive on each. A stream's counter ends at its `last`.
+#[test]
+fn a_workers_chunks_are_consecutive_on_each_tree() {
+    let trees = HashMap::from([(TreeId(0), 7), (TreeId(1), 8)]);
+    let mut core = WorkerCore::new(APP, 0, trees);
+    for (tree, last) in [
+        (0, false),
+        (1, false),
+        (1, false),
+        (0, false),
+        (0, true),
+        (1, true),
+    ] {
+        core.next_chunk((REQ, TreeId(tree)), Bytes::new(), last, None)
+            .unwrap();
+    }
+    let out = sent(&mut core);
+    let numbered: Vec<_> = out.iter().map(|e| (e.to, chunk(&e.msg).0)).collect();
+    assert_eq!(numbered, [(7, 1), (8, 1), (8, 2), (7, 2), (7, 3), (8, 3)]);
+    core.next_chunk((REQ, TreeId(0)), Bytes::new(), true, None)
+        .unwrap();
+    assert_eq!(chunk(&sent(&mut core)[0].msg).0, 1, "a new stream");
 }

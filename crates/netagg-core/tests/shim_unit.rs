@@ -1,7 +1,7 @@
 //! Focused shim-layer tests: chunking, replay-buffer lifecycle, duplicate
-//! suppression, pending-state GC, master-level straggler bypass and the
-//! broadcast backpressure path. Complements the end-to-end scenarios in
-//! `platform.rs`.
+//! suppression, the end of a delivered request, master-level straggler
+//! bypass and the broadcast backpressure path. Complements the end-to-end
+//! scenarios in `platform.rs`.
 
 use bytes::Bytes;
 use netagg_core::aggbox::core::OUTBOX_BOUND;
@@ -238,32 +238,30 @@ fn assignment_is_master_when_no_boxes_deployed() {
     dep.shutdown();
 }
 
+/// A request's state ends with its delivery: a second `wait` on the same
+/// handle finds nothing, and says so. (A request never waited on ends by
+/// the fan-in core's reap; `cores.rs` drives that on virtual time.)
 #[test]
-fn abandoned_requests_are_garbage_collected_after_ttl() {
+fn a_second_wait_after_delivery_reports_the_request_not_registered() {
     let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
     let cluster = ClusterSpec::single_rack(2, 0);
-    let specs = build_tree_specs(&cluster);
-    let master = MasterShim::start(
-        transport,
-        netagg_core::protocol::AppId(0),
-        sum_agg(),
-        &specs,
-        MasterShimConfig {
-            pending_ttl: Duration::from_millis(50),
-            ..MasterShimConfig::default()
-        },
-    )
-    .unwrap();
-
-    let abandoned = master.register_request(1, 2);
-    std::thread::sleep(Duration::from_millis(80));
-    // Registering any other request runs the opportunistic GC.
-    let _fresh = master.register_request(2, 2);
-    match abandoned.wait(Duration::from_millis(200)) {
+    let mut dep = NetAggDeployment::launch(transport, &cluster).unwrap();
+    let app = dep.register_app("sum", sum_agg(), 1.0);
+    let (master, w0, w1) = (
+        dep.master_shim(app),
+        dep.worker_shim(app, 0),
+        dep.worker_shim(app, 1),
+    );
+    let pending = master.register_request(1, 2);
+    w0.send_partial(1, Bytes::from_static(b"2")).unwrap();
+    w1.send_partial(1, Bytes::from_static(b"3")).unwrap();
+    let result = pending.wait(Duration::from_secs(5)).unwrap();
+    assert_eq!(parse(&result.combined), 5);
+    match pending.wait(Duration::from_millis(200)) {
         Err(AggError::Net(msg)) => assert!(msg.contains("not registered"), "{msg}"),
-        other => panic!("expected GC'd request error, got {other:?}"),
+        other => panic!("expected a not-registered error, got {other:?}"),
     }
-    master.shutdown();
+    dep.shutdown();
 }
 
 #[test]

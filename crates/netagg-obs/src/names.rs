@@ -52,6 +52,8 @@ AGGBOX_BYTES_IN = "aggbox.bytes_in";
 AGGBOX_REQUESTS_COMPLETED = "aggbox.requests_completed";
 /// Requests dropped because their local aggregation failed.
 AGGBOX_REQUESTS_FAILED = "aggbox.requests_failed";
+/// Requests dropped unfinished by the box's reap (`REQUEST_TTL`, §8).
+AGGBOX_REQUESTS_REAPED = "aggbox.requests_reaped";
 /// First data byte in → final aggregate out, per request (µs).
 AGGBOX_REQUEST_AGG_US = "aggbox.request_agg_us";
 /// Chunks suppressed by per-source sequence tracking.
@@ -88,6 +90,8 @@ SHIM_MASTER_REQUEST_WAIT_US = "shim.master.request_wait_us";
 SHIM_MASTER_DUPLICATES_DROPPED = "shim.master.duplicates_dropped";
 /// Failed-box re-points applied by the master shim.
 SHIM_MASTER_REPOINTS = "shim.master.repoints";
+/// Requests dropped unclaimed by the master's reap (`REQUEST_TTL`, §8).
+SHIM_MASTER_REQUESTS_REAPED = "shim.master.requests_reaped";
 /// Non-complete entries in the pending table.
 SHIM_MASTER_REQUESTS_INFLIGHT = "shim.master.requests_inflight";
 /// Sum of ledger entries still owed across in-flight requests (§8).
