@@ -4,6 +4,7 @@
 use crate::seqfile::{Batch, BatchWriter};
 use crate::types::Pair;
 use bytes::Bytes;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// A map/reduce job. The `combine` function must be associative and
@@ -86,73 +87,117 @@ impl<R> Entry<R> {
     fn long_key(&self) -> bool {
         usize::from(self.order as u8) > PREFIX
     }
+
+    /// Key order: the words, then — where long keys share one — the keys.
+    fn cmp_key<'k>(&self, other: &Self, key: impl Fn(&R) -> &'k [u8]) -> Ordering {
+        let words = self.order.cmp(&other.order);
+        if words.is_eq() && self.long_key() {
+            return key(&self.record).cmp(key(&other.record));
+        }
+        words
+    }
 }
 
-/// The ordering every grouping path shares: `entries` arrive in record
-/// order and are yielded as equal-key runs, keys ascending, each run still
-/// in arrival order — which is what keeps float sums byte-identical from
-/// run to run.
+/// The one sort every grouping path shares: `entries` arrive in record
+/// order and leave keys ascending, equal keys still in arrival order —
+/// which is what keeps float sums byte-identical from run to run. `copy`
+/// holds the same entries and is the other buffer of each pass.
 ///
 /// The words are ordered without reading a key: one stable counting pass
 /// per byte column that varies across the input, least significant first
-/// (`word00dddd` keys vary in 4 columns of 16). Long keys that share a word
-/// are then stable-sorted by the whole key, run by run.
-fn runs_by_key<'e, 'k, R: Copy>(
-    entries: &'e mut Vec<Entry<R>>,
-    key: impl Fn(&R) -> &'k [u8] + Copy + 'e,
-) -> impl Iterator<Item = &'e [Entry<R>]> {
+/// (`word00dddd` keys vary in 4 columns of 16), starting from whichever
+/// buffer makes the last pass end in `entries`. Long keys that share a
+/// word are then stable-sorted by the whole key, run by run.
+fn runs_by_key<'k, R: Copy>(
+    entries: &mut [Entry<R>],
+    copy: &mut [Entry<R>],
+    key: impl Fn(&R) -> &'k [u8],
+) {
     let first = entries.first().map_or(0, |e| e.order);
     let varying = entries.iter().fold(0, |v, e| v | (e.order ^ first));
-    let mut scratch = if varying == 0 {
-        Vec::new()
-    } else {
-        entries.clone()
+    let shifts = (0..u128::BITS)
+        .step_by(8)
+        .filter(|s| (varying >> s) as u8 != 0);
+    let (mut from, mut to) = match shifts.clone().count() % 2 {
+        0 => (&mut *entries, &mut *copy),
+        _ => (&mut *copy, &mut *entries),
     };
-    for shift in (0..u128::BITS).step_by(8) {
-        if (varying >> shift) as u8 == 0 {
-            continue;
-        }
+    for shift in shifts {
         let column = |e: &Entry<R>| usize::from((e.order >> shift) as u8);
         let mut next = [0usize; 256];
-        for e in entries.iter() {
+        for e in from.iter() {
             next[column(e)] += 1;
         }
         let mut placed = 0;
         for slot in &mut next {
             placed += std::mem::replace(slot, placed);
         }
-        for e in entries.iter() {
+        for e in from.iter() {
             let slot = &mut next[column(e)];
-            scratch[*slot] = *e;
+            to[*slot] = *e;
             *slot += 1;
         }
-        std::mem::swap(entries, &mut scratch);
+        std::mem::swap(&mut from, &mut to);
     }
     for run in entries.chunk_by_mut(|a, b| a.order == b.order) {
         if run.len() > 1 && run[0].long_key() {
             run.sort_by(|a, b| key(&a.record).cmp(key(&b.record)));
         }
     }
-    entries.chunk_by(move |a, b| {
-        a.order == b.order && (!a.long_key() || key(&a.record) == key(&b.record))
-    })
 }
 
-/// The grouping kernel: combine records into one encoded batch — keys
-/// ascending, each key's values folded in the order given. `key` and
-/// `value` read a record; `out_bytes` sizes the output buffer.
+/// Merge the key-ascending `runs` that tile `entries` into one, pairwise,
+/// round by round, through `other`, on (key, batch): a tie stays in the
+/// earlier batch.
+fn merge_runs<'k>(
+    mut entries: Vec<Entry<Loc>>,
+    mut other: Vec<Entry<Loc>>,
+    mut runs: Vec<Range<usize>>,
+    key: impl Fn(&Loc) -> &'k [u8] + Copy,
+) -> Vec<Entry<Loc>> {
+    let later = |a: &Entry<Loc>, b: &Entry<Loc>| {
+        (a.cmp_key(b, key).then(a.record.batch.cmp(&b.record.batch))).is_gt()
+    };
+    while runs.len() > 1 {
+        other.clear();
+        other.reserve_exact(entries.len());
+        for pair in runs.chunks(2) {
+            let (mid, end) = (pair[0].end, pair[pair.len() - 1].end);
+            let (mut a, mut b) = (&entries[pair[0].start..mid], &entries[mid..end]);
+            while let (Some(x), Some(y)) = (a.first(), b.first()) {
+                if later(x, y) {
+                    other.push(*y);
+                    b = &b[1..];
+                } else {
+                    other.push(*x);
+                    a = &a[1..];
+                }
+            }
+            other.extend_from_slice(a);
+            other.extend_from_slice(b);
+        }
+        for i in 0..runs.len().div_ceil(2) {
+            runs[i] = runs[2 * i].start..runs[(2 * i + 1).min(runs.len() - 1)].end;
+        }
+        runs.truncate(runs.len().div_ceil(2));
+        std::mem::swap(&mut entries, &mut other);
+    }
+    entries
+}
+
+/// The grouping kernel: combine key-ordered records into one encoded
+/// batch, each key's values folded in the order given. `key` and `value`
+/// read a record; `out_bytes` sizes the output buffer.
 fn combine_records<'a, R: Copy>(
     job: &dyn Job,
-    mut entries: Vec<Entry<R>>,
+    ordered: &[Entry<R>],
     key: impl Fn(&R) -> &'a [u8] + Copy,
     value: impl Fn(&R) -> &'a [u8],
     out_bytes: usize,
 ) -> Batch {
-    // The output is reserved once the ordering's scratch is gone.
-    let runs = runs_by_key(&mut entries, key);
     let mut out = BatchWriter::with_capacity(out_bytes);
     let mut values: Vec<&[u8]> = Vec::new();
-    for run in runs {
+    for run in ordered.chunk_by(|a, b| a.cmp_key(b, key).is_eq()) {
         let key = key(&run[0].record);
         values.clear();
         values.extend(run.iter().map(|e| value(&e.record)));
@@ -172,16 +217,25 @@ struct Loc {
     end: u32,
 }
 
-/// Combine checked batches, reading each peer's bytes in place: one walk
-/// builds the entries, the kernel does the rest.
+/// Combine checked batches, reading each peer's bytes in place. A walk
+/// builds each batch's entries, and a batch whose keys ascend — a
+/// combine's output always does — is a run as it stands. The rest are
+/// sorted together into one more run; then the runs are merged on
+/// (key, batch), so equal keys keep input order, as one stable sort of
+/// every input would.
 pub(crate) fn combine_batches(job: &dyn Job, batches: &[Batch]) -> Batch {
     // Frames end at 64 MiB, and a merge writes no more than it read.
     let at = |n: usize| u32::try_from(n).expect("a batch is under 4 GiB");
     // Resolved once: `Bytes` is two hops from its bytes, and the kernel
     // reads a key or value per record.
     let bufs: Vec<&[u8]> = batches.iter().map(|b| &b.as_bytes()[..]).collect();
+    let key = |r: &Loc| &bufs[r.batch as usize][r.key as usize..r.value as usize - 4];
+    let value = |r: &Loc| &bufs[r.batch as usize][r.value as usize..r.end as usize];
     let mut entries = Vec::with_capacity(batches.iter().map(Batch::len).sum());
+    // The batches that ascend: each a run as it stands.
+    let mut runs = Vec::with_capacity(batches.len() + 1);
     for (batch, b) in batches.iter().enumerate() {
+        let start = entries.len();
         entries.extend(b.ranges().map(|(k, v)| {
             let loc = Loc {
                 batch: at(batch),
@@ -191,21 +245,52 @@ pub(crate) fn combine_batches(job: &dyn Job, batches: &[Batch]) -> Batch {
             };
             Entry::new(bufs[batch], k, loc)
         }));
+        let run = &entries[start..];
+        if !run.is_empty() && run.windows(2).all(|w| w[1].cmp_key(&w[0], key).is_ge()) {
+            runs.push(start..entries.len());
+        }
     }
-    let key = |r: &Loc| &bufs[r.batch as usize][r.key as usize..r.value as usize - 4];
-    let value = |r: &Loc| &bufs[r.batch as usize][r.value as usize..r.end as usize];
+    // The rest are gathered into `other` and go in front of the runs, which
+    // move back: one more run once sorted. Both buffers then hold those
+    // entries, as the sort wants; the merge writes to `other`.
+    let loose = entries.len() - runs.iter().map(Range::len).sum::<usize>();
+    let mut other = Vec::with_capacity(if loose > 0 { entries.len() } else { 0 });
+    let mut from = 0;
+    for run in runs.iter().chain([&(entries.len()..entries.len())]) {
+        other.extend_from_slice(&entries[from..run.start]);
+        from = run.end;
+    }
+    if runs.first().is_some_and(|run| run.start != loose) {
+        let mut end = entries.len();
+        for run in runs.iter_mut().rev() {
+            entries.copy_within(run.clone(), end - run.len());
+            (*run, end) = (end - run.len()..end, end - run.len());
+        }
+        entries[..loose].copy_from_slice(&other);
+    }
+    runs_by_key(&mut entries[..loose], &mut other, key);
+    if loose > 0 {
+        runs.insert(0, 0..loose);
+    }
+    let ordered = merge_runs(entries, other, runs, key);
     let bytes = bufs.iter().map(|b| b.len()).sum();
-    combine_records(job, entries, key, value, bytes)
+    combine_records(job, &ordered, key, value, bytes)
 }
 
+/// The pairs' entries in key order.
 fn pair_entries(pairs: &[Pair]) -> Vec<Entry<usize>> {
     let entry = |(i, p): (usize, &Pair)| Entry::new(&p.key, 0..p.key.len(), i);
-    pairs.iter().enumerate().map(entry).collect()
+    let mut entries: Vec<_> = pairs.iter().enumerate().map(entry).collect();
+    let mut copy = entries.clone();
+    runs_by_key(&mut entries, &mut copy, |i| &pairs[*i].key[..]);
+    entries
 }
 
 /// Group a flat pair list by key (sorted), preserving per-key value order.
 pub fn group_by_key(pairs: Vec<Pair>) -> Vec<(Bytes, Vec<Bytes>)> {
-    runs_by_key(&mut pair_entries(&pairs), |i| &pairs[*i].key)
+    let key = |i: &usize| &pairs[*i].key[..];
+    pair_entries(&pairs)
+        .chunk_by(|a, b| a.cmp_key(b, key).is_eq())
         .map(|run| {
             let values = run.iter().map(|e| pairs[e.record].value.clone()).collect();
             (pairs[run[0].record].key.clone(), values)
@@ -221,7 +306,7 @@ pub fn combine_pairs(job: &dyn Job, pairs: Vec<Pair>) -> Vec<Pair> {
     let key = |i: &usize| &pairs[*i].key[..];
     let value = |i: &usize| &pairs[*i].value[..];
     let bytes = pairs.iter().map(Pair::wire_size).sum();
-    combine_records(job, pair_entries(&pairs), key, value, bytes).pairs()
+    combine_records(job, &pair_entries(&pairs), key, value, bytes).pairs()
 }
 
 #[cfg(test)]

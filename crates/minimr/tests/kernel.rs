@@ -156,6 +156,44 @@ fn inputs(bench: Benchmark) -> BoxedStrategy<(Benchmark, Vec<Vec<Pair>>)> {
         .boxed()
 }
 
+/// Keys of 16 and 17 bytes alike in their first 15: one order word for all
+/// of them, so only the whole key orders them, within a run and across.
+fn shared_word_key() -> impl Strategy<Value = Bytes> {
+    proptest::collection::vec(proptest::sample::select(vec![0u8, b'a', b'z', 0xff]), 1..3)
+        .prop_map(|tail| Bytes::from([&b"fifteen bytes, "[..], &tail].concat()))
+}
+
+/// 1..8 inputs as a box above the leaves or the master sees them: earlier
+/// combine outputs (keys ascending; TeraSort's repeated) among raw and
+/// sorted batches, in any position — some keyed only by long keys that
+/// share a word, where a batch may descend with every word in order.
+fn merge_inputs(bench: Benchmark) -> BoxedStrategy<(Benchmark, Vec<Vec<Pair>>)> {
+    let pairs = |key: BoxedStrategy<Bytes>| {
+        let pair = (key, value(bench)).prop_map(|(key, value)| Pair { key, value });
+        proptest::collection::vec(pair, 0..40)
+    };
+    let batch = (
+        pairs(key().boxed()),
+        pairs(shared_word_key().boxed()),
+        any::<bool>(),
+        0u8..3,
+    )
+        .prop_map(move |(plain, shared, pick, kind)| {
+            let mut pairs = if pick { shared } else { plain };
+            match kind {
+                0 => pairs,
+                1 => {
+                    pairs.sort_by(|a, b| a.key.cmp(&b.key));
+                    pairs
+                }
+                _ => combine_pairs(bench.job().as_ref(), pairs),
+            }
+        });
+    proptest::collection::vec(batch, 1..9)
+        .prop_map(move |batches| (bench, batches))
+        .boxed()
+}
+
 fn any_job_inputs() -> impl Strategy<Value = (Benchmark, Vec<Vec<Pair>>)> {
     prop_oneof![
         inputs(Benchmark::WC),
@@ -163,6 +201,9 @@ fn any_job_inputs() -> impl Strategy<Value = (Benchmark, Vec<Vec<Pair>>)> {
         inputs(Benchmark::PR),
         inputs(Benchmark::UV),
         inputs(Benchmark::TS),
+        merge_inputs(Benchmark::WC),
+        merge_inputs(Benchmark::PR),
+        merge_inputs(Benchmark::TS),
     ]
 }
 
@@ -383,6 +424,41 @@ fn a_merge_allocates_a_small_constant() {
                     })
                     .collect();
                 seqfile::encode(&pairs)
+            })
+            .collect();
+        let (allocs, out) = counting(|| agg.aggregate_serialized(inputs).unwrap());
+        let total: u64 = seqfile::decode(&out)
+            .unwrap()
+            .iter()
+            .map(|p| parse_u64(&p.value).unwrap())
+            .sum();
+        assert_eq!(total, 8 * 2_048);
+        assert!(
+            allocs <= 32,
+            "vocabulary {vocabulary}: {allocs} allocations"
+        );
+    }
+}
+
+/// (c) The same budget when every input is an earlier combine output, as
+/// at the master: the runs are merged, not sorted again.
+#[test]
+fn a_merge_of_sorted_runs_allocates_a_small_constant() {
+    let agg = wrapper(Benchmark::WC);
+    for vocabulary in [1u64, 64, 4_096, u64::MAX] {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let inputs: Vec<Bytes> = (0..8)
+            .map(|_| {
+                let pairs: Vec<Pair> = (0..2_048)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        Pair::new(format!("word{:020}", x % vocabulary), u64_value(1))
+                    })
+                    .collect();
+                agg.aggregate_serialized(vec![seqfile::encode(&pairs)])
+                    .unwrap()
             })
             .collect();
         let (allocs, out) = counting(|| agg.aggregate_serialized(inputs).unwrap());

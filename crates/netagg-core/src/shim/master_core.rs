@@ -57,7 +57,8 @@ pub struct Delivery {
 /// What [`MasterCore::take_completed`] found.
 #[derive(Debug)]
 pub enum Taken {
-    /// No state for the request: never registered, taken, or reaped.
+    /// No state for the request: never registered, taken, reaped, or
+    /// refused (registered again while still remembered as delivered).
     NotRegistered,
     /// Contributors are still owed.
     Pending,
@@ -167,7 +168,9 @@ impl MasterCore {
     /// Register a request, whose straggler clock starts now unless its
     /// data already did. `subset` replaces the owed set for a request only
     /// some workers take part in. Returns whether data that arrived before
-    /// the registration already completes it.
+    /// the registration already completes it. An id still in the
+    /// `delivered` window is refused: every chunk for it would be dropped,
+    /// so no state opens and its waiter finds it not registered at once.
     pub fn register(
         &mut self,
         request: RequestId,
@@ -175,6 +178,9 @@ impl MasterCore {
         subset: Option<Vec<MasterKey>>,
         now: Instant,
     ) -> bool {
+        if self.delivered.contains(&request) {
+            return false;
+        }
         let (trees, app, anchor) = (self.trees_for(request), self.fanin.app, &self.anchor);
         let new = || Some((MasterRequest::default(), anchor(app, request)));
         let Some(q) = self.fanin.open(request, trees, now, new) else {

@@ -236,6 +236,24 @@ fn replay_after_delivery_does_not_resurrect_the_request() {
     assert!(matches!(core.take_completed(req), Taken::NotRegistered));
 }
 
+/// (a) Registering an id again while it is remembered as delivered opens
+/// no state: every chunk for it would be dropped, so its waiter would
+/// otherwise wait for the reap. It finds the id not registered at once.
+#[test]
+fn registering_a_delivered_id_again_is_refused() {
+    let specs = build_tree_specs(&ClusterSpec::single_rack(1, 0)); // one direct worker
+    let mut core = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let (req, now) = (RequestId(4), Instant::now());
+    assert!(!core.register(req, 1, None, now));
+    let step = core.on_message(data_msg(req.0, SourceId::Worker(0), (1, true), 0), now);
+    assert_eq!(step.closed, Some(req));
+    assert!(matches!(core.take_completed(req), Taken::Done(_)));
+    assert!(!core.register(req, 1, None, now), "nothing completes it");
+    assert!(core.fanin.requests.is_empty(), "no state opened");
+    assert_eq!(core.next_deadline(), None, "nothing left to reap");
+    assert!(matches!(core.take_completed(req), Taken::NotRegistered));
+}
+
 /// (b) A box that emitted its aggregate, then learns its parent died,
 /// resends exactly its retained window with the original sequence numbers
 /// — `last` only on a finished request — and sends the open request's

@@ -10,11 +10,14 @@
 //! chunk without copying, and a frame that lies wholly inside one chunk is
 //! returned as a [`Bytes::slice`] window of it — the common case for the
 //! TCP reactor (§12), which reads many coalesced frames per syscall into
-//! one chunk and hands each out as a view. Only frames spanning a chunk
-//! boundary are reassembled by copying.
+//! one chunk and hands each out as a view. [`FrameDecoder::next_split`]
+//! copies a frame's fixed-size head out and takes the body on its own, so
+//! a body that arrived as a chunk of its own is that chunk, whatever chunk
+//! its head came in. Only a body spanning a chunk boundary is reassembled
+//! by copying.
 
 use crate::transport::NetError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
 
 /// Maximum payload size of one frame (64 MiB). Larger application payloads
@@ -87,6 +90,14 @@ impl FrameDecoder {
 
     /// Pop the next complete frame, if any.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, NetError> {
+        Ok(self.next_split::<0>()?.map(|([], body)| body))
+    }
+
+    /// Pop the next complete frame as its first `H` bytes, copied out,
+    /// and the body after them, taken apart from the head: a body that
+    /// arrived as a chunk of its own comes back as that chunk. A frame
+    /// shorter than `H` is corrupt.
+    pub fn next_split<const H: usize>(&mut self) -> Result<Option<([u8; H], Bytes)>, NetError> {
         if self.buffered < 4 {
             return Ok(None);
         }
@@ -96,6 +107,11 @@ impl FrameDecoder {
         if len > self.max_frame {
             return Err(NetError::FrameTooLarge(len));
         }
+        if len < H {
+            return Err(NetError::Corrupt(format!(
+                "{len}-byte frame under its {H}-byte head"
+            )));
+        }
         // The guard `discard` and `take` rely on: with `buffered` the sum
         // of `chunks` (private, kept by `feed_bytes` and those two), the
         // bytes they walk are present, so no length a peer writes reaches
@@ -104,7 +120,10 @@ impl FrameDecoder {
             return Ok(None);
         }
         self.discard(4);
-        Ok(Some(self.take(len)))
+        let mut head = [0u8; H];
+        self.peek(&mut head);
+        self.discard(H);
+        Ok(Some((head, self.take(len - H))))
     }
 
     /// Copy the first `out.len()` buffered bytes into `out` without
@@ -128,7 +147,7 @@ impl FrameDecoder {
         while n > 0 {
             let front = self.chunks.front_mut().expect("discard past buffer");
             if front.len() > n {
-                let _ = front.split_to(n);
+                front.advance(n);
                 return;
             }
             n -= front.len();
@@ -136,34 +155,28 @@ impl FrameDecoder {
         }
     }
 
-    /// Consume `n` buffered bytes as one frame. Zero-copy when the frame
-    /// lies inside the front chunk; reassembled otherwise.
+    /// Consume `n` buffered bytes as one frame. Zero-copy when they lie
+    /// inside the front chunk (the chunk itself when they fill it);
+    /// reassembled otherwise.
     fn take(&mut self, n: usize) -> Bytes {
-        if n == 0 {
-            return Bytes::new();
-        }
-        self.buffered -= n;
-        let front = self.chunks.front_mut().expect("take past buffer");
-        if front.len() >= n {
-            let out = front.split_to(n);
-            if front.is_empty() {
-                self.chunks.pop_front();
+        match self.chunks.front_mut() {
+            _ if n == 0 => return Bytes::new(),
+            Some(front) if front.len() > n => {
+                self.buffered -= n;
+                return front.split_to(n);
             }
-            return out;
+            Some(front) if front.len() == n => {
+                self.buffered -= n;
+                return self.chunks.pop_front().unwrap_or_default();
+            }
+            _ => {}
         }
         // Spans chunks: reassemble by copying.
         let mut buf = BytesMut::with_capacity(n);
-        let mut need = n;
-        while need > 0 {
-            let front = self.chunks.front_mut().expect("take past buffer");
-            if front.len() > need {
-                buf.extend_from_slice(&front.split_to(need));
-                need = 0;
-            } else {
-                need -= front.len();
-                buf.extend_from_slice(front);
-                self.chunks.pop_front();
-            }
+        while let Some(front) = self.chunks.front().filter(|_| buf.len() < n) {
+            let part = (n - buf.len()).min(front.len());
+            buf.extend_from_slice(&front[..part]);
+            self.discard(part);
         }
         buf.freeze()
     }
@@ -274,6 +287,43 @@ mod tests {
             inside(&f1) && inside(&f2),
             "frames must share the fed chunk"
         );
+    }
+
+    #[test]
+    fn a_body_that_arrived_as_its_own_chunk_is_that_chunk() {
+        // The head ends one chunk, the body is the next: as a TCP writer
+        // stages `[len][type][chan]` behind smaller records and pushes a
+        // large payload after it.
+        let body = Bytes::from(vec![7u8; 1000]);
+        let mut staging = BytesMut::new();
+        encode_frame(b"small", &mut staging).unwrap();
+        staging.put_u32(5 + 1000);
+        staging.put_slice(&[2, 0, 0, 0, 9]);
+        let mut dec = FrameDecoder::new();
+        dec.feed_bytes(staging.freeze());
+        dec.feed_bytes(body.clone());
+        assert_eq!(dec.next_frame().unwrap().unwrap().as_ref(), b"small");
+        let (rec, got) = dec.next_split::<5>().unwrap().unwrap();
+        assert_eq!(rec, [2, 0, 0, 0, 9]);
+        assert_eq!(got, body);
+        assert_eq!(got.as_ptr(), body.as_ptr(), "the body was copied");
+        assert_eq!(dec.pending(), 0);
+    }
+
+    #[test]
+    fn a_body_spanning_chunks_decodes_and_a_short_record_is_corrupt() {
+        let mut buf = BytesMut::new();
+        let payload: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        encode_frame(&payload, &mut buf).unwrap();
+        encode_frame(b"abc", &mut buf).unwrap();
+        let whole = buf.freeze();
+        let mut dec = FrameDecoder::new();
+        for cut in [(0, 2), (2, 7), (7, 150), (150, whole.len())] {
+            dec.feed_bytes(whole.slice(cut.0..cut.1));
+        }
+        let (head, body) = dec.next_split::<5>().unwrap().unwrap();
+        assert_eq!((&head[..], &body[..]), (&payload[..5], &payload[5..]));
+        assert!(matches!(dec.next_split::<5>(), Err(NetError::Corrupt(_))));
     }
 
     #[test]

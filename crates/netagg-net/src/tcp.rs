@@ -37,8 +37,10 @@
 //! * **Zero-copy batching.** Outbound records from every connection on a
 //!   link coalesce into one staging buffer per flush (large payloads are
 //!   appended as their own [`Bytes`] chunk without copying); inbound
-//!   bytes decode through the chunk-based [`FrameDecoder`], handing each
-//!   `DATA` payload out as a shared slice of the read buffer.
+//!   bytes decode through the chunk-based [`FrameDecoder`], a record's
+//!   mux head apart from its payload, so each `DATA` payload goes out as
+//!   a shared slice of the read buffer — or, handed over by a twin, as
+//!   the sender's own chunk.
 //!
 //! Backpressure is two-levelled: every virtual connection owns a
 //! [`FlowWindow`] bounding its queued-but-unwritten bytes, and a full
@@ -82,6 +84,9 @@ const REC_DATA: u8 = 2;
 /// `[CLOSE][channel u32]` — either side retires a channel.
 const REC_CLOSE: u8 = 3;
 
+/// A mux record's head, `[type u8][channel u32]`: the decoder hands it out
+/// apart from the bytes after it.
+const MUX_HEAD: usize = 5;
 /// Header bytes a mux record may add on top of an application payload;
 /// the link decoder allows `MAX_FRAME + MUX_HEADROOM` so a maximum-size
 /// payload still fits its record.
@@ -111,11 +116,6 @@ const PARK_STALLED: Duration = Duration::from_micros(200);
 const PARK_TICK: Duration = Duration::from_millis(5);
 /// Park timeout with nothing registered.
 const PARK_IDLE: Duration = Duration::from_millis(50);
-/// Run the accept sweep every Nth socket sweep (plus immediately before
-/// parking and on every park wake). Accepts are setup-path events; probing
-/// every listener with an `accept(2)` syscall on every sweep would dwarf
-/// the data-path syscall budget.
-const ACCEPT_EVERY: u32 = 64;
 
 fn be_u32(b: &[u8]) -> u32 {
     u32::from_be_bytes([b[0], b[1], b[2], b[3]])
@@ -531,6 +531,10 @@ struct Shard {
     cmds: Mailbox<Cmd>,
     parked: AtomicBool,
     work: AtomicBool,
+    /// A dial to one of this shard's listeners is waiting: sweep them.
+    /// Accepts are setup-path events, so the listeners are probed on this
+    /// notice and on the park tick only, never on a data-path sweep.
+    accept_due: AtomicBool,
 }
 
 impl Shard {
@@ -573,6 +577,7 @@ impl Reactor {
                     ),
                     parked: AtomicBool::new(false),
                     work: AtomicBool::new(false),
+                    accept_due: AtomicBool::new(false),
                 })
             })
             .collect();
@@ -657,11 +662,10 @@ impl ShardRunner {
     }
 
     fn run(mut self) {
-        let mut sweeps_since_accept = ACCEPT_EVERY;
         loop {
             loop {
                 match self.shard.cmds.try_recv() {
-                    Ok(cmd) => self.install(cmd, &mut sweeps_since_accept),
+                    Ok(cmd) => self.install(cmd),
                     Err(MailboxRecvError::Timeout) => break,
                     Err(_) => return self.teardown(),
                 }
@@ -670,9 +674,7 @@ impl ShardRunner {
                 return self.teardown();
             }
             let mut progress = false;
-            sweeps_since_accept += 1;
-            if sweeps_since_accept >= ACCEPT_EVERY {
-                sweeps_since_accept = 0;
+            if self.shard.accept_due.swap(false, Ordering::SeqCst) {
                 self.accept_sweep(&mut progress);
             }
             for io in &self.links {
@@ -721,15 +723,6 @@ impl ShardRunner {
             if self.shard.work.swap(false, Ordering::SeqCst) {
                 continue;
             }
-            // About to sleep: catch connects that arrived during the
-            // throttled sweeps so dial latency is not bounded by the park
-            // tick.
-            let mut late = false;
-            sweeps_since_accept = 0;
-            self.accept_sweep(&mut late);
-            if late {
-                continue;
-            }
             // Park protocol: publish `parked`, re-check `work`, then wait
             // on the command mailbox. A sender either saw `parked == true`
             // and kicked the mailbox, or stored `work` before our swap —
@@ -744,17 +737,19 @@ impl ShardRunner {
             // the cmd mailbox's bound cancel token (§12).
             let woke = self.shard.cmds.recv_timeout(self.park_duration());
             self.shard.parked.store(false, Ordering::SeqCst);
-            sweeps_since_accept = ACCEPT_EVERY;
             match woke {
                 Ok(cmd) => {
                     self.obs.wakeup();
-                    self.install(cmd, &mut sweeps_since_accept);
+                    self.install(cmd);
                 }
                 Err(MailboxRecvError::Timeout) => {
                     self.obs.wakeup();
                     // A twin not yet in the directory cannot send read
-                    // hints; a park tick re-arms every link so such data
-                    // is picked up on the next sweep (§12 backstop).
+                    // hints, nor can a dial that gave no notice: a park
+                    // tick sweeps the listeners and re-arms every link, so
+                    // such data is picked up on the next sweep (§12
+                    // backstop).
+                    self.shard.accept_due.store(true, Ordering::SeqCst);
                     for io in &self.links {
                         io.link.readable.store(true, Ordering::SeqCst);
                     }
@@ -778,7 +773,7 @@ impl ShardRunner {
         }
     }
 
-    fn install(&mut self, cmd: Cmd, sweeps_since_accept: &mut u32) {
+    fn install(&mut self, cmd: Cmd) {
         match cmd {
             Cmd::Kick => {}
             Cmd::AddLink { link } => {
@@ -790,9 +785,9 @@ impl ShardRunner {
                 accept,
                 ctl,
             } => {
-                // A fresh listener may already have a backlog: sweep it on
-                // the next iteration rather than a throttle period later.
-                *sweeps_since_accept = ACCEPT_EVERY;
+                // A dial may have beaten the listener here: sweep it on
+                // the next iteration rather than a park tick later.
+                self.shard.accept_due.store(true, Ordering::SeqCst);
                 self.listeners.push(ListenerIo {
                     listener,
                     local,
@@ -965,13 +960,14 @@ impl LinkState {
                     // would otherwise grow 8 → 16 → 32 bytes.
                     b.staging.reserve(9 + payload.len());
                 }
-                b.staging.put_u32((5 + payload.len()) as u32);
+                b.staging.put_u32((MUX_HEAD + payload.len()) as u32);
                 b.staging.put_u8(REC_DATA);
                 b.staging.put_u32(chan.id);
                 if coalesce {
                     b.staging.put_slice(&payload);
                 } else {
-                    // Big payload: its own chunk, no copy.
+                    // Big payload: its own chunk, no copy. Handed to the
+                    // twin, the same chunk is what its reader delivers.
                     b.flush_staging();
                     b.push_chunk(payload);
                 }
@@ -1154,10 +1150,10 @@ impl LinkState {
     /// delivery stalled (remaining bytes stay buffered).
     fn drain_frames(self: &Arc<Self>, r: &mut ReadHalf) -> bool {
         loop {
-            match r.decoder.next_frame() {
+            match r.decoder.next_split::<MUX_HEAD>() {
                 Ok(None) => return true,
-                Ok(Some(f)) => {
-                    if !self.dispatch(r, f) {
+                Ok(Some((head, body))) => {
+                    if !self.dispatch(r, head, body) {
                         return false;
                     }
                 }
@@ -1179,17 +1175,14 @@ impl LinkState {
         r.chans.get(&ch).cloned()
     }
 
-    fn dispatch(self: &Arc<Self>, r: &mut ReadHalf, f: Bytes) -> bool {
-        let Some(&kind) = f.first() else {
-            self.die_locked(r);
-            return false;
-        };
-        match kind {
-            REC_DATA if f.len() >= 5 => {
-                let ch = be_u32(&f[1..5]);
-                let payload = f.slice(5..);
+    /// Route one record: its mux head, then what follows it (a `DATA`
+    /// payload, an `OPEN`'s two addresses, nothing for a `CLOSE`).
+    fn dispatch(self: &Arc<Self>, r: &mut ReadHalf, head: [u8; MUX_HEAD], body: Bytes) -> bool {
+        let ch = be_u32(&head[1..]);
+        match head[0] {
+            REC_DATA => {
                 if let Some(chan) = self.chan_for(r, ch) {
-                    match chan.inbox.try_send(payload) {
+                    match chan.inbox.try_send(body) {
                         Ok(()) => {}
                         Err(MailboxSendError::Full(p)) => {
                             r.stalled = Some((ch, p));
@@ -1204,12 +1197,11 @@ impl LinkState {
                 // Unknown channel: data raced a local close; drop.
                 true
             }
-            REC_OPEN if f.len() == 13 => {
-                self.handle_open(r, &f);
+            REC_OPEN if body.len() == 8 => {
+                self.handle_open(r, ch, be_u32(&body[..4]), be_u32(&body[4..]));
                 !r.done
             }
-            REC_CLOSE if f.len() == 5 => {
-                let ch = be_u32(&f[1..5]);
+            REC_CLOSE if body.is_empty() => {
                 if let Some(chan) = self.chan_for(r, ch) {
                     r.chans.remove(&ch);
                     if chan.retire() {
@@ -1225,10 +1217,7 @@ impl LinkState {
         }
     }
 
-    fn handle_open(self: &Arc<Self>, r: &mut ReadHalf, f: &Bytes) {
-        let ch = be_u32(&f[1..5]);
-        let src = be_u32(&f[5..9]);
-        let dst = be_u32(&f[9..13]);
+    fn handle_open(self: &Arc<Self>, r: &mut ReadHalf, ch: u32, src: NodeId, dst: NodeId) {
         let Some(ctx) = &r.inbound else {
             // OPEN on a link we dialled: the peer never opens channels on
             // an inbound socket (§12 link asymmetry). Protocol violation.
@@ -1322,7 +1311,8 @@ impl LinkState {
 // --- public transport ------------------------------------------------------
 
 struct TcpShared {
-    registry: OrderedMutex<Map<NodeId, SocketAddr>>,
+    /// Each bound node's address and the shard that accepts on it.
+    registry: OrderedMutex<Map<NodeId, (SocketAddr, Arc<Shard>)>>,
     links: OrderedMutex<Map<SocketAddr, Arc<LinkState>>>,
     reactor: Reactor,
 }
@@ -1332,7 +1322,7 @@ impl TcpShared {
     /// held across the dial and the `AddLink` hand-off (it is declared
     /// blocking-tolerant, §15), so racing dials end in one link per address
     /// and no second dial can observe a link its reactor has not seen.
-    fn link_to(&self, addr: SocketAddr) -> Result<Arc<LinkState>, NetError> {
+    fn link_to(&self, addr: SocketAddr, acceptor: &Shard) -> Result<Arc<LinkState>, NetError> {
         let mut links = self.links.lock();
         if let Some(l) = links.get(&addr) {
             if !l.dead.load(Ordering::SeqCst) {
@@ -1340,6 +1330,8 @@ impl TcpShared {
             }
         }
         let stream = TcpStream::connect(addr)?;
+        acceptor.accept_due.store(true, Ordering::SeqCst);
+        acceptor.notify();
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
         let shard = self.reactor.pick_shard();
@@ -1404,6 +1396,7 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn bind(&self, local: NodeId) -> Result<Box<dyn Listener>, NetError> {
+        let shard = self.inner.reactor.pick_shard();
         let listener = {
             let mut reg = self.inner.registry.lock();
             if reg.contains_key(&local) {
@@ -1411,7 +1404,7 @@ impl Transport for TcpTransport {
             }
             let l = TcpListener::bind(("127.0.0.1", 0))?;
             l.set_nonblocking(true)?;
-            reg.insert(local, l.local_addr()?);
+            reg.insert(local, (l.local_addr()?, shard.clone()));
             l
         };
         self.inner.reactor.ensure_started();
@@ -1423,7 +1416,6 @@ impl Transport for TcpTransport {
             OverflowPolicy::Block,
             cancel,
         );
-        let shard = self.inner.reactor.pick_shard();
         shard
             .cmds
             .send(Cmd::AddListener {
@@ -1442,14 +1434,15 @@ impl Transport for TcpTransport {
     }
 
     fn connect(&self, local: NodeId, peer: NodeId) -> Result<Box<dyn Connection>, NetError> {
-        let addr = *self
+        let (addr, acceptor) = self
             .inner
             .registry
             .lock()
             .get(&peer)
+            .cloned()
             .ok_or(NetError::NotFound(peer))?;
         self.inner.reactor.ensure_started();
-        let link = self.inner.link_to(addr)?;
+        let link = self.inner.link_to(addr, &acceptor)?;
         let ch = link.next_ch.fetch_add(1, Ordering::SeqCst);
         let cancel = self.inner.reactor.cancel.clone();
         let chan = Arc::new(ChanState::new(ch, peer, link.clone(), &cancel));
@@ -1767,6 +1760,71 @@ mod tests {
         assert_eq!(
             server.recv_timeout(Duration::from_secs(1)),
             Err(NetError::Closed)
+        );
+    }
+
+    #[test]
+    fn a_large_payload_on_the_twin_path_arrives_as_the_senders_buffer() {
+        let t = TcpTransport::new();
+        let mut l = t.bind(1).unwrap();
+        let mut c = t.connect(2, 1).unwrap();
+        let mut server = l.accept().unwrap();
+        // The accepted link is in the directory now: the next flush
+        // switches the dialled writer to direct delivery.
+        c.send(Bytes::from_static(b"switch")).unwrap();
+        assert_eq!(server.recv().unwrap().as_ref(), b"switch");
+        let big = Bytes::from(vec![0xCD; 4 * COALESCE_MAX]);
+        let at = big.as_ptr();
+        c.send(big.clone()).unwrap();
+        let got = server.recv().unwrap();
+        assert_eq!(got, big);
+        assert_eq!(got.as_ptr(), at, "the payload was copied on its way");
+    }
+
+    #[test]
+    fn a_record_shorter_than_its_mux_head_kills_the_link() {
+        let t = TcpTransport::new();
+        let mut l = t.bind(1).unwrap();
+        let addr = t.inner.registry.lock()[&1].0;
+        // A dial from outside the transport gives no notice: the park
+        // tick's sweep accepts it.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut open = vec![0, 0, 0, 13, REC_OPEN];
+        for word in [0u32, 9, 1] {
+            open.extend_from_slice(&word.to_be_bytes());
+        }
+        raw.write_all(&open).unwrap();
+        let mut server = l.accept_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(server.peer(), 9);
+        raw.write_all(&[0, 0, 0, 3, REC_DATA, 0, 0]).unwrap();
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(5)),
+            Err(NetError::Closed)
+        );
+    }
+
+    #[test]
+    fn a_dial_to_a_parked_shard_is_accepted_before_the_park_tick() {
+        // Two shards: each listener's shard is not the one its dialled
+        // link joins, so only the dialler's notice wakes the acceptor.
+        let t = TcpTransport::with_shards(2);
+        let mut waits: Vec<Duration> = (0..15)
+            .map(|n| {
+                let mut l = t.bind(n).unwrap();
+                // The acceptor parks; its tick is due half a tick after
+                // the dial, as a bind's wake set its phase.
+                thread::sleep(PARK_TICK * 5 / 2);
+                let started = std::time::Instant::now();
+                let _c = t.connect(100 + n, n).unwrap();
+                l.accept_timeout(Duration::from_secs(5)).unwrap();
+                started.elapsed()
+            })
+            .collect();
+        waits.sort_unstable();
+        assert!(
+            waits[waits.len() / 2] < PARK_TICK / 5,
+            "median accept {:?} of {waits:?}",
+            waits[waits.len() / 2]
         );
     }
 
