@@ -123,7 +123,16 @@ fn runs_by_key<'k, R: Copy>(
         _ => (&mut *copy, &mut *entries),
     };
     for shift in shifts {
-        let column = |e: &Entry<R>| usize::from((e.order >> shift) as u8);
+        // The byte from its `u64` half: cheaper than a variable `u128` shift.
+        let (high, shift) = (shift >= 64, shift % 64);
+        let column = |e: &Entry<R>| {
+            let half = if high {
+                (e.order >> 64) as u64
+            } else {
+                e.order as u64
+            };
+            usize::from((half >> shift) as u8)
+        };
         let mut next = [0usize; 256];
         for e in from.iter() {
             next[column(e)] += 1;
@@ -139,9 +148,12 @@ fn runs_by_key<'k, R: Copy>(
         }
         std::mem::swap(&mut from, &mut to);
     }
-    for run in entries.chunk_by_mut(|a, b| a.order == b.order) {
-        if run.len() > 1 && run[0].long_key() {
-            run.sort_by(|a, b| key(&a.record).cmp(key(&b.record)));
+    // Every word's OR, `varying | first`, has a long length byte or none.
+    if usize::from((varying | first) as u8) > PREFIX {
+        for run in entries.chunk_by_mut(|a, b| a.order == b.order) {
+            if run.len() > 1 && run[0].long_key() {
+                run.sort_by(|a, b| key(&a.record).cmp(key(&b.record)));
+            }
         }
     }
 }
@@ -200,7 +212,8 @@ fn combine_records<'a, R: Copy>(
     for run in ordered.chunk_by(|a, b| a.cmp_key(b, key).is_eq()) {
         let key = key(&run[0].record);
         values.clear();
-        values.extend(run.iter().map(|e| value(&e.record)));
+        values.reserve(run.len());
+        run.iter().for_each(|e| values.push(value(&e.record)));
         job.combine(key, &values, &mut Emit { key, out: &mut out });
     }
     out.finish()
@@ -224,50 +237,40 @@ struct Loc {
 /// (key, batch), so equal keys keep input order, as one stable sort of
 /// every input would.
 pub(crate) fn combine_batches(job: &dyn Job, batches: &[Batch]) -> Batch {
-    // Frames end at 64 MiB, and a merge writes no more than it read.
-    let at = |n: usize| u32::try_from(n).expect("a batch is under 4 GiB");
     // Resolved once: `Bytes` is two hops from its bytes, and the kernel
     // reads a key or value per record.
     let bufs: Vec<&[u8]> = batches.iter().map(|b| &b.as_bytes()[..]).collect();
     let key = |r: &Loc| &bufs[r.batch as usize][r.key as usize..r.value as usize - 4];
     let value = |r: &Loc| &bufs[r.batch as usize][r.value as usize..r.end as usize];
     let mut entries = Vec::with_capacity(batches.iter().map(Batch::len).sum());
-    // The batches that ascend: each a run as it stands.
-    let mut runs = Vec::with_capacity(batches.len() + 1);
+    // Batches that do not ascend gather in front of the runs, in order.
+    let (mut runs, mut loose) = (Vec::with_capacity(batches.len() + 1), 0);
     for (batch, b) in batches.iter().enumerate() {
+        // Frames end at 64 MiB: every offset in a batch is a `u32`.
+        assert!(bufs[batch].len() <= u32::MAX as usize, "a 4 GiB batch");
         let start = entries.len();
         entries.extend(b.ranges().map(|(k, v)| {
             let loc = Loc {
-                batch: at(batch),
-                key: at(k.start),
-                value: at(v.start),
-                end: at(v.end),
+                batch: batch as u32,
+                key: k.start as u32,
+                value: v.start as u32,
+                end: v.end as u32,
             };
             Entry::new(bufs[batch], k, loc)
         }));
         let run = &entries[start..];
         if !run.is_empty() && run.windows(2).all(|w| w[1].cmp_key(&w[0], key).is_ge()) {
             runs.push(start..entries.len());
+        } else {
+            let n = entries.len() - start;
+            entries[loose..].rotate_right(n);
+            loose += n;
+            runs.iter_mut().for_each(|r| *r = r.start + n..r.end + n);
         }
     }
-    // The rest are gathered into `other` and go in front of the runs, which
-    // move back: one more run once sorted. Both buffers then hold those
-    // entries, as the sort wants; the merge writes to `other`.
-    let loose = entries.len() - runs.iter().map(Range::len).sum::<usize>();
+    // The sort wants the loose entries in both buffers.
     let mut other = Vec::with_capacity(if loose > 0 { entries.len() } else { 0 });
-    let mut from = 0;
-    for run in runs.iter().chain([&(entries.len()..entries.len())]) {
-        other.extend_from_slice(&entries[from..run.start]);
-        from = run.end;
-    }
-    if runs.first().is_some_and(|run| run.start != loose) {
-        let mut end = entries.len();
-        for run in runs.iter_mut().rev() {
-            entries.copy_within(run.clone(), end - run.len());
-            (*run, end) = (end - run.len()..end, end - run.len());
-        }
-        entries[..loose].copy_from_slice(&other);
-    }
+    other.extend_from_slice(&entries[..loose]);
     runs_by_key(&mut entries[..loose], &mut other, key);
     if loose > 0 {
         runs.insert(0, 0..loose);

@@ -8,16 +8,9 @@
 //! allocated for.
 
 use crate::types::Pair;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use netagg_core::AggError;
 use std::ops::Range;
-
-fn put_record(dst: &mut impl BufMut, key: &[u8], value: &[u8]) {
-    dst.put_u32(key.len() as u32);
-    dst.put_slice(key);
-    dst.put_u32(value.len() as u32);
-    dst.put_slice(value);
-}
 
 /// Serialise a batch of pairs.
 pub fn encode(pairs: &[Pair]) -> Bytes {
@@ -48,17 +41,19 @@ impl<'a> Records<'a> {
         Self { buf, pos: 0 }
     }
 
-    /// One length-prefixed field starting at `pos`.
-    fn field(&mut self, what: &str) -> Result<Range<usize>, AggError> {
-        let rest = &self.buf[self.pos..];
-        let len = rest
-            .first_chunk::<4>()
-            .map(|len| u32::from_be_bytes(*len) as usize)
-            .filter(|len| *len <= rest.len() - 4)
-            .ok_or_else(|| AggError::Corrupt(format!("truncated {what} at byte {}", self.pos)))?;
-        let start = self.pos + 4;
-        self.pos = start + len;
-        Ok(start..self.pos)
+    /// The next whole record's key and value ranges, each length field
+    /// checked against the bytes that remain; `None` at the end, or where
+    /// the bytes end inside a record (the reader then stays at its start).
+    fn step(&mut self) -> Option<(Range<usize>, Range<usize>)> {
+        let (len, rest) = self.buf[self.pos..].split_first_chunk::<4>()?;
+        let key = self.pos + 4..self.pos + 4 + u32::from_be_bytes(*len) as usize;
+        let (len, rest) = rest.get(key.len()..)?.split_first_chunk::<4>()?;
+        let value = key.end + 4..key.end + 4 + u32::from_be_bytes(*len) as usize;
+        if value.len() > rest.len() {
+            return None;
+        }
+        self.pos = value.end;
+        Some((key, value))
     }
 }
 
@@ -66,16 +61,18 @@ impl Iterator for Records<'_> {
     type Item = Result<(Range<usize>, Range<usize>), AggError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.pos == self.buf.len() {
-            return None;
+        if let Some(record) = self.step() {
+            return Some(Ok(record));
         }
-        let record = self
-            .field("key")
-            .and_then(|key| Ok((key, self.field("value")?)));
-        if record.is_err() {
-            self.pos = self.buf.len();
-        }
-        Some(record)
+        // Cut short: the key's length field, or the value's where the key fits.
+        let at = std::mem::replace(&mut self.pos, self.buf.len());
+        let rest = &self.buf[at..];
+        let (what, at) = match rest.first_chunk().map(|n| u32::from_be_bytes(*n) as usize) {
+            Some(len) if 4 + len <= rest.len() => ("value", at + 4 + len),
+            _ => ("key", at),
+        };
+        let corrupt = || Err(AggError::Corrupt(format!("truncated {what} at byte {at}")));
+        (!rest.is_empty()).then(corrupt)
     }
 }
 
@@ -91,12 +88,12 @@ pub struct Batch {
 impl Batch {
     /// Check `bytes` record by record.
     pub fn parse(bytes: Bytes) -> Result<Self, AggError> {
-        let mut records = 0;
-        for record in Records::new(&bytes) {
-            record?;
-            records += 1;
+        let mut reader = Records::new(&bytes);
+        let records = std::iter::from_fn(|| reader.step()).count();
+        match reader.next() {
+            Some(Err(cut)) => Err(cut),
+            _ => Ok(Self { bytes, records }),
         }
-        Ok(Self { bytes, records })
     }
 
     /// The encoded form.
@@ -116,17 +113,18 @@ impl Batch {
 
     /// Each record's key and value range in [`Batch::as_bytes`], in order.
     pub(crate) fn ranges(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
-        Records::new(&self.bytes).map_while(Result::ok)
+        let mut reader = Records::new(&self.bytes);
+        (0..self.records).map(move |_| reader.step().expect("a batch holds whole records"))
     }
 
     /// The records as pairs sharing the batch's buffer.
     pub fn pairs(&self) -> Vec<Pair> {
-        let mut pairs = Vec::with_capacity(self.records);
-        pairs.extend(self.ranges().map(|(k, v)| Pair {
-            key: self.bytes.slice(k),
-            value: self.bytes.slice(v),
-        }));
-        pairs
+        self.ranges()
+            .map(|(k, v)| Pair {
+                key: self.bytes.slice(k),
+                value: self.bytes.slice(v),
+            })
+            .collect()
     }
 }
 
@@ -146,9 +144,14 @@ impl BatchWriter {
         }
     }
 
-    /// Append one record.
+    /// Append one record: one reservation, then the four parts.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
-        put_record(&mut self.buf, key, value);
+        let buf = &mut self.buf;
+        buf.reserve(8 + key.len() + value.len());
+        buf.extend_from_slice(&(key.len() as u32).to_be_bytes());
+        buf.extend_from_slice(key);
+        buf.extend_from_slice(&(value.len() as u32).to_be_bytes());
+        buf.extend_from_slice(value);
         self.records += 1;
     }
 
@@ -167,16 +170,16 @@ impl BatchWriter {
 /// Split a batch of pairs into chunks of at most `target` serialised bytes,
 /// always cutting at record boundaries (what the worker shims ship).
 pub fn chunk_pairs(pairs: &[Pair], target: usize) -> Vec<Bytes> {
-    let mut chunks = Vec::new();
-    let mut current = BytesMut::new();
-    for p in pairs {
-        if !current.is_empty() && current.len() + p.wire_size() > target {
-            chunks.push(current.split().freeze());
+    let (mut chunks, mut start, mut bytes) = (Vec::new(), 0, 0);
+    for (i, p) in pairs.iter().enumerate() {
+        if bytes > 0 && bytes + p.wire_size() > target {
+            chunks.push(encode(&pairs[start..i]));
+            (start, bytes) = (i, 0);
         }
-        put_record(&mut current, &p.key, &p.value);
+        bytes += p.wire_size();
     }
-    if !current.is_empty() {
-        chunks.push(current.freeze());
+    if bytes > 0 {
+        chunks.push(encode(&pairs[start..]));
     }
     chunks
 }

@@ -9,7 +9,7 @@ use bytes::Bytes;
 use minimr::job::{combine_pairs, group_by_key};
 use minimr::jobs::Benchmark;
 use minimr::netagg::CombinerAgg;
-use minimr::seqfile::{self, Batch, Records};
+use minimr::seqfile::{self, Batch, BatchWriter, Records};
 use minimr::types::{f64_value, parse_f64, parse_u64, u64_value, Pair};
 use netagg_core::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use netagg_core::aggbox::tree::LocalAggTree;
@@ -20,6 +20,7 @@ use proptest::strategy::BoxedStrategy;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -472,5 +473,181 @@ fn a_merge_of_sorted_runs_allocates_a_small_constant() {
             allocs <= 32,
             "vocabulary {vocabulary}: {allocs} allocations"
         );
+    }
+}
+
+// ------------------------------------------------------ record grammar
+
+/// A record's key and value ranges in its batch.
+type Ranges = (Range<usize>, Range<usize>);
+
+/// The record grammar read independently: each whole record's ranges,
+/// then — if the bytes end inside a record — the field whose length runs
+/// past them and the byte that field starts at.
+fn reference_records(bytes: &[u8]) -> (Vec<Ranges>, Option<(&'static str, usize)>) {
+    // The end of the length-prefixed field at `at`, if it fits.
+    let field = |at: usize| {
+        let len = u32::from_be_bytes(bytes.get(at..at + 4)?.try_into().unwrap()) as usize;
+        (at + 4 + len <= bytes.len()).then_some(at + 4 + len)
+    };
+    let (mut records, mut at) = (Vec::new(), 0);
+    while at < bytes.len() {
+        let Some(key_end) = field(at) else {
+            return (records, Some(("key", at)));
+        };
+        let Some(end) = field(key_end) else {
+            return (records, Some(("value", key_end)));
+        };
+        records.push((at + 4..key_end, key_end + 4..end));
+        at = end;
+    }
+    (records, None)
+}
+
+/// The record grammar written independently, lengths spelled out.
+fn reference_encode(pairs: &[Pair]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for p in pairs {
+        out.extend_from_slice(&(p.key.len() as u32).to_be_bytes());
+        out.extend_from_slice(&p.key);
+        out.extend_from_slice(&(p.value.len() as u32).to_be_bytes());
+        out.extend_from_slice(&p.value);
+    }
+    out
+}
+
+/// Record-boundary chunking written independently: a chunk closes before
+/// the record that would take it past `target`, unless it is empty.
+fn reference_chunks(pairs: &[Pair], target: usize) -> Vec<Vec<u8>> {
+    let mut chunks = vec![Vec::new()];
+    for p in pairs {
+        let current = chunks.last().unwrap();
+        if !current.is_empty() && current.len() + p.wire_size() > target {
+            chunks.push(Vec::new());
+        }
+        let record = reference_encode(std::slice::from_ref(p));
+        chunks.last_mut().unwrap().extend(record);
+    }
+    chunks.retain(|c| !c.is_empty());
+    chunks
+}
+
+/// A valid batch with up to three length bytes changed — mostly the low
+/// byte by a little, so that a field ends a few bytes early or late — and
+/// then kept whole, cut at any byte, cut by 0..6 bytes at its end, or cut
+/// in or just before a length field.
+fn damaged_batch() -> impl Strategy<Value = Vec<u8>> {
+    let pair = (key(), value(Benchmark::TS)).prop_map(|(key, value)| Pair { key, value });
+    let flip = (
+        any::<usize>(),
+        prop_oneof![Just(3usize), 0usize..4],
+        prop_oneof![1u8..4, any::<u8>()],
+    );
+    (
+        proptest::collection::vec(pair, 0..12),
+        proptest::collection::vec(flip, 0..4),
+        0u8..4,
+        any::<usize>(),
+    )
+        .prop_map(|(pairs, flips, how, cut)| {
+            let mut bytes = seqfile::encode(&pairs).to_vec();
+            let mut fields = Vec::new();
+            let mut at = 0;
+            for p in &pairs {
+                fields.extend([at, at + 4 + p.key.len()]);
+                at += p.wire_size();
+            }
+            for (field, byte, flip) in flips {
+                if let Some(&field) = fields.get(field % fields.len().max(1)) {
+                    bytes[field + byte] ^= flip;
+                }
+            }
+            let len = bytes.len();
+            bytes.truncate(match how {
+                0 => len,
+                1 => cut % (len + 1),
+                2 => len - (cut % 6).min(len),
+                _ => fields
+                    .get(cut % fields.len().max(1))
+                    .map_or(len, |field| (field + (cut >> 16) % 5).min(len)),
+            });
+            bytes
+        })
+}
+
+fn arbitrary_pairs() -> impl Strategy<Value = Vec<Pair>> {
+    let bytes = |len| proptest::collection::vec(any::<u8>(), len).prop_map(Bytes::from);
+    proptest::collection::vec((bytes(0..20), bytes(0..40)), 0..30).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(|(key, value)| Pair { key, value })
+            .collect()
+    })
+}
+
+proptest! {
+    /// (e) The reader accepts, counts, ranges and rejects exactly what the
+    /// grammar read independently does; a rejection is `Corrupt` and names
+    /// the field and the byte the record was cut in.
+    #[test]
+    fn the_reader_matches_an_independent_parser(bytes in damaged_batch()) {
+        let (want, cut) = reference_records(&bytes);
+        let bytes = Bytes::from(bytes);
+        let named = |(what, at): (&str, usize)| format!("truncated {what} at byte {at}");
+        let mut read = Records::new(&bytes);
+        for ranges in &want {
+            prop_assert_eq!(read.next().unwrap().unwrap(), ranges.clone());
+        }
+        match (read.next(), cut) {
+            (None, None) => {}
+            (Some(Err(AggError::Corrupt(msg))), Some(cut)) => prop_assert_eq!(msg, named(cut)),
+            (got, cut) => prop_assert!(false, "reader {:?}, reference {:?}", got, cut),
+        }
+        prop_assert!(read.next().is_none());
+        match (Batch::parse(bytes.clone()), cut) {
+            (Ok(batch), None) => {
+                prop_assert_eq!(batch.len(), want.len());
+                let pairs: Vec<Pair> = want
+                    .iter()
+                    .map(|(k, v)| Pair { key: bytes.slice(k.clone()), value: bytes.slice(v.clone()) })
+                    .collect();
+                prop_assert_eq!(batch.pairs(), pairs);
+            }
+            (Err(AggError::Corrupt(msg)), Some(cut)) => prop_assert_eq!(msg, named(cut)),
+            (got, cut) => prop_assert!(false, "parse {:?}, reference {:?}", got, cut),
+        }
+    }
+
+    /// (e) The writer's bytes are the grammar written independently, from
+    /// any starting reservation — with an empty key, an empty value and a
+    /// 64 KiB value that outgrows it among the pairs — and chunking still
+    /// cuts where it did.
+    #[test]
+    fn the_writer_matches_an_independent_encoder(
+        mut pairs in arbitrary_pairs(),
+        reserved in 0usize..64,
+        at in any::<usize>(),
+        target in 1usize..200,
+    ) {
+        let at = at % (pairs.len() + 1);
+        pairs.splice(at..at, [
+            Pair::new(Bytes::new(), "value"),
+            Pair::new("key", Bytes::new()),
+            Pair::new("large", vec![0xa5; 64 << 10]),
+        ]);
+        let mut writer = BatchWriter::with_capacity(reserved);
+        for p in &pairs {
+            writer.push(&p.key, &p.value);
+        }
+        let batch = writer.finish();
+        let want = reference_encode(&pairs);
+        prop_assert_eq!(&batch.as_bytes()[..], &want[..]);
+        prop_assert_eq!(batch.len(), pairs.len());
+        prop_assert_eq!(&seqfile::encode(&pairs)[..], &want[..]);
+        let chunks: Vec<Vec<u8>> = seqfile::chunk_pairs(&pairs, target)
+            .iter()
+            .map(|c| c.to_vec())
+            .collect();
+        prop_assert_eq!(chunks, reference_chunks(&pairs, target));
     }
 }
