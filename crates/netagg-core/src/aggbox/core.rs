@@ -17,6 +17,8 @@ use crate::fanin::{Anchors, FanInCore, Request, Route, TraceAnchor};
 pub use crate::node::{Emit, OUTBOX_BOUND};
 use crate::node::{Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
+use crate::runtime::DeploymentConfig;
+use crate::tree::{box_addr, Parent, TreeSpec};
 use crate::window::RecencyWindow;
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
@@ -82,8 +84,8 @@ pub struct BoxRequest {
 /// The box's whole protocol state; see the module docs.
 pub struct BoxCore {
     /// This box's global id: the source its output names, the `from` of
-    /// its acks.
-    pub id: u32,
+    /// its acks. Set by the constructor alone, as is `fanin.addr`.
+    id: u32,
     apps: Map<AppId, Arc<dyn DynAggregator>>,
     /// The downstream half: routes, per-request ledgers, the failure and
     /// straggler transitions. Shells call those directly.
@@ -106,28 +108,36 @@ pub struct BoxCore {
 }
 
 impl BoxCore {
-    /// A box with no application or route yet, whose combines merge up to
-    /// `fanin` items, and whose flush passes stream a request's partial
-    /// once it buffers `flush_bytes` (`None`: never).
-    pub fn new(fanin: usize, flush_bytes: Option<usize>) -> Self {
-        assert!(fanin >= 2);
+    /// Box `id` of a deployment under `cfg`, with no application yet: its
+    /// address, straggler policy, combine width and — when it streams —
+    /// the first flush pass, due `now`.
+    pub fn new(id: u32, cfg: &DeploymentConfig, now: Instant) -> Self {
+        assert!(cfg.fanin >= 2);
+        let mut fanin = FanInCore::default();
+        (fanin.addr, fanin.straggler) = (box_addr(id), cfg.straggler);
         Self {
-            id: 0,
+            id,
             apps: Map::default(),
-            fanin: FanInCore::default(),
+            fanin,
             parents: Map::default(),
             emitted: Map::default(),
-            width: fanin,
-            flush_bytes: flush_bytes.unwrap_or(usize::MAX),
-            flush_due: None,
+            width: cfg.fanin,
+            flush_bytes: cfg.flush_bytes.unwrap_or(usize::MAX),
+            flush_due: cfg.flush_bytes.map(|_| now),
             outbox: Outbox::default(),
             anchor: Box::new(|_, _| None),
         }
     }
 
-    /// Register an application's aggregation function.
-    pub fn add_app(&mut self, app: AppId, agg: Arc<dyn DynAggregator>) {
+    /// Register an application's aggregation function, and its route and
+    /// parent on every tree of `specs` this box is in.
+    pub fn add_app(&mut self, app: AppId, agg: Arc<dyn DynAggregator>, specs: &[TreeSpec]) {
+        let id = self.id;
         self.apps.insert(app, agg);
+        for spec in specs.iter().filter(|s| s.tree_box(id).is_some()) {
+            let route = Route::of(spec, app, Parent::Box(id));
+            self.add_route(app, spec.tree, spec.parent_addr(app, id), route);
+        }
     }
 
     /// Install routing for one (application, tree): where this box's

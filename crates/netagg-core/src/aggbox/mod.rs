@@ -7,4 +7,4 @@ pub mod scheduler;
 pub mod tree;
 
 pub use crate::fanin::Route;
-pub use runtime::{AggBox, AggBoxConfig, BoxSnapshot, BoxStats};
+pub use runtime::{AggBox, BoxSnapshot, BoxStats};

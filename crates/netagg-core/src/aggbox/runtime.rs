@@ -14,60 +14,20 @@
 //! counter parts are the box's [`BoxStats`].
 
 use crate::aggbox::core::{BoxCore, BoxStep, Combine, Work, OUTBOX_BOUND};
-use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
+use crate::aggbox::scheduler::TaskScheduler;
 use crate::aggbox::tree::combine;
 use crate::failure::DetectorConfig;
-use crate::fanin::Route;
 use crate::lifecycle::Readiness;
-use crate::protocol::{AppId, TreeId};
+use crate::protocol::AppId;
+use crate::runtime::DeploymentConfig;
 use crate::shell::{Outlet, Shell};
 use crate::spans::{self, Names, Recorder};
-use crate::straggler::StragglerPolicy;
+use crate::tree::{box_addr, TreeSpec};
 use crate::DynAggregator;
 use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::{Counter, MetricsRegistry};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
-
-/// Configuration of one agg box.
-#[derive(Debug, Clone)]
-pub struct AggBoxConfig {
-    /// Global logical id (must match the tree specs).
-    pub box_id: u32,
-    /// Transport address to bind.
-    pub addr: NodeId,
-    /// Cooperative task scheduler options.
-    pub scheduler: SchedulerConfig,
-    /// Local aggregation tree fan-in.
-    pub fanin: usize,
-    /// Bypass a child box that contributes nothing to a request within the
-    /// policy's threshold of its first data, and treat it as failed after
-    /// `repeat_limit` such events (straggler handling). `None` disables.
-    pub straggler: Option<StragglerPolicy>,
-    /// Stream partial aggregates downstream once a request has buffered
-    /// this many bytes, instead of holding the whole request in memory
-    /// (`None` = emit only the final aggregate).
-    pub flush_bytes: Option<usize>,
-    /// Metrics registry the box (and its scheduler) publishes to
-    /// (`aggbox.*`, `straggler.*`); a private one unless the deployment
-    /// hands in its own.
-    pub obs: MetricsRegistry,
-}
-
-impl AggBoxConfig {
-    /// Default configuration for a box with the given id and address.
-    pub fn new(box_id: u32, addr: NodeId) -> Self {
-        Self {
-            box_id,
-            addr,
-            scheduler: SchedulerConfig::default(),
-            fanin: 8,
-            straggler: None,
-            flush_bytes: None,
-            obs: MetricsRegistry::new(),
-        }
-    }
-}
 
 /// The box's own counters, each its part of the registry counter named
 /// beside it: the box reads its events, the registry their sum over boxes.
@@ -106,9 +66,9 @@ pub struct BoxSnapshot {
     pub apps: Vec<crate::aggbox::scheduler::AppCpu>,
 }
 
-/// The box's part of its shell: configuration, pool and counters.
+/// The box's part of its shell: its id, pool and counters.
 struct BoxOutlet {
-    cfg: AggBoxConfig,
+    box_id: u32,
     scheduler: Arc<TaskScheduler>,
     /// What the pool's combines feed their output back into.
     shell: Weak<BoxShell>,
@@ -123,17 +83,18 @@ pub struct AggBox {
 }
 
 impl AggBox {
-    /// Bind the box's address and start its listener, reader and timer
-    /// threads.
-    pub fn start(transport: Arc<dyn Transport>, cfg: AggBoxConfig) -> Result<Arc<Self>, NetError> {
-        let (box_id, addr, obs) = (cfg.box_id, cfg.addr, cfg.obs.clone());
+    /// Bind box `box_id`'s address and start its listener, reader and
+    /// timer threads; it publishes `aggbox.*` and `straggler.*` to `obs`.
+    pub fn start(
+        transport: Arc<dyn Transport>,
+        box_id: u32,
+        cfg: &DeploymentConfig,
+        obs: &MetricsRegistry,
+    ) -> Result<Arc<Self>, NetError> {
         let name = (format!("aggbox-{box_id}"), ["-listen", "-reader"]);
-        let at = (addr, AppId(0), &[box_id][..]);
-        let shell = Shell::start(transport, at, name, &obs, |weak, _, rec| {
-            let mut core = BoxCore::new(cfg.fanin, cfg.flush_bytes);
-            (core.id, core.fanin.addr) = (box_id, addr);
-            core.fanin.straggler = cfg.straggler;
-            core.flush_due = cfg.flush_bytes.map(|_| Instant::now());
+        let at = (box_addr(box_id), AppId(0), &[box_id][..]);
+        let shell = Shell::start(transport, at, name, obs, |weak, _, rec| {
+            let mut core = BoxCore::new(box_id, cfg, Instant::now());
             // One `span.box.request` per sampled request, parented directly
             // to the trace root (RequestMeta — and hence the master's root
             // span id — may arrive after the first data).
@@ -149,7 +110,7 @@ impl AggBox {
             let scheduler = TaskScheduler::new_with_obs(cfg.scheduler.clone(), obs.clone());
             let (scheduler, shell) = (Arc::new(scheduler), weak.clone());
             let o = BoxOutlet {
-                cfg,
+                box_id,
                 scheduler,
                 shell,
                 stats,
@@ -160,17 +121,17 @@ impl AggBox {
     }
 
     /// Register an application's aggregation function with a target
-    /// resource share.
-    pub fn register_app(&self, app: AppId, agg: Arc<dyn DynAggregator>, share: f64) {
+    /// resource share, and its routes on the trees of `specs` this box is
+    /// in.
+    pub fn register_app(
+        &self,
+        app: AppId,
+        agg: Arc<dyn DynAggregator>,
+        share: f64,
+        specs: &[TreeSpec],
+    ) {
         self.shell.hook.scheduler.register_app(app, share);
-        self.shell.transition(|core| core.add_app(app, agg));
-    }
-
-    /// Install routing for one (application, tree): where this box's
-    /// output goes (next box or master shim address) and what it owes.
-    pub fn install_route(&self, app: AppId, tree: TreeId, parent: NodeId, route: Route) {
-        let add = |core: &mut BoxCore| core.add_route(app, tree, parent, route);
-        self.shell.transition(add);
+        self.shell.transition(|core| core.add_app(app, agg, specs));
     }
 
     /// Start heartbeating the child boxes this box's routes name. One
@@ -201,7 +162,7 @@ impl AggBox {
         };
         let o = &self.shell.hook;
         BoxSnapshot {
-            box_id: o.cfg.box_id,
+            box_id: o.box_id,
             active_requests,
             buffered_bytes,
             tasks_queued: o.scheduler.queued(),
@@ -217,12 +178,12 @@ impl AggBox {
 
     /// Transport address the box is bound to.
     pub fn addr(&self) -> NodeId {
-        self.shell.hook.cfg.addr
+        box_addr(self.shell.hook.box_id)
     }
 
     /// Global logical id of the box.
     pub fn box_id(&self) -> u32 {
-        self.shell.hook.cfg.box_id
+        self.shell.hook.box_id
     }
 
     /// Stop all threads: cancel the box's token (waking the blocked accept,

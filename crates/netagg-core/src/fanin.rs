@@ -21,7 +21,7 @@ use crate::failure::DetectorCore;
 use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::straggler::StragglerPolicy;
-use crate::tree::{box_addr, TreeSpec};
+use crate::tree::{box_addr, worker_addr, Parent, TreeSpec};
 use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::NodeId;
@@ -75,17 +75,23 @@ pub struct Route {
 }
 
 impl Route {
-    /// The route of box `box_id` within `spec`, resolving worker addresses
-    /// for one application.
-    pub fn of_box(spec: &TreeSpec, app: AppId, box_id: u32) -> Self {
-        let children = spec.tree_box(box_id).map(|tb| tb.box_children.iter());
-        let children = children.into_iter().flatten();
+    /// The route of the node at `at` within `spec` — a box, or the master
+    /// above the root boxes — resolving worker addresses for one
+    /// application.
+    pub fn of(spec: &TreeSpec, app: AppId, at: Parent) -> Self {
+        let children = spec.children(at);
+        let boxes = children.iter().filter_map(|s| match *s {
+            SourceId::Box(b) => Some((b, Route::of(spec, app, Parent::Box(b)))),
+            SourceId::Worker(_) => None,
+        });
+        let addr = |s: &SourceId| match *s {
+            SourceId::Box(b) => box_addr(b),
+            SourceId::Worker(w) => worker_addr(app, w),
+        };
         Self {
-            owed: spec.children_sources(box_id).into_iter().collect(),
-            child_boxes: children
-                .map(|c| (*c, Route::of_box(spec, app, *c)))
-                .collect(),
-            children_addrs: spec.children_addrs(app, box_id),
+            child_boxes: boxes.collect(),
+            children_addrs: children.iter().map(addr).collect(),
+            owed: children.into_iter().collect(),
             failed: Vec::new(),
         }
     }

@@ -2,11 +2,10 @@
 //! applications, hand out shims, and (optionally) arm failure detection.
 
 use crate::aggbox::scheduler::SchedulerConfig;
-use crate::aggbox::Route;
-use crate::aggbox::{AggBox, AggBoxConfig};
+use crate::aggbox::AggBox;
 use crate::failure::DetectorConfig;
 use crate::protocol::AppId;
-use crate::shim::{MasterShim, MasterShimConfig, TreeSelection, WorkerShim};
+use crate::shim::{MasterShim, TreeSelection, WorkerShim};
 use crate::straggler::StragglerPolicy;
 use crate::tree::{build_tree_specs, ClusterSpec, TreeSpec};
 use crate::{AggError, DynAggregator};
@@ -92,16 +91,9 @@ impl NetAggDeployment {
         // metered decorator so `net.*` traffic counters come for free.
         transport.attach_obs(&obs);
         let transport: Arc<dyn Transport> = Arc::new(MeteredTransport::new(transport, obs.clone()));
-        let mut boxes = Vec::new();
-        for b in 0..cluster.total_boxes() {
-            let mut bc = AggBoxConfig::new(b, crate::tree::box_addr(b));
-            bc.scheduler = cfg.scheduler.clone();
-            bc.fanin = cfg.fanin;
-            bc.straggler = cfg.straggler;
-            bc.flush_bytes = cfg.flush_bytes;
-            bc.obs = obs.clone();
-            boxes.push(AggBox::start(transport.clone(), bc)?);
-        }
+        let start = |b| AggBox::start(transport.clone(), b, &cfg, &obs);
+        let boxes = (0..cluster.total_boxes()).map(start);
+        let boxes = boxes.collect::<Result<_, _>>()?;
         Ok(Self {
             transport,
             cfg,
@@ -114,22 +106,13 @@ impl NetAggDeployment {
         })
     }
 
-    /// Register an application: installs its aggregation function and the
+    /// Register an application: installs its aggregation function and its
     /// per-tree routes on every box. Returns the application id.
     pub fn register_app(&mut self, _name: &str, agg: Arc<dyn DynAggregator>, share: f64) -> AppId {
         let app = AppId(self.next_app);
         self.next_app += 1;
         for b in &self.boxes {
-            b.register_app(app, agg.clone(), share);
-        }
-        for spec in &self.specs {
-            for tb in &spec.boxes {
-                let Some(aggbox) = self.boxes.iter().find(|b| b.box_id() == tb.box_id) else {
-                    continue;
-                };
-                let route = Route::of_box(spec, app, tb.box_id);
-                aggbox.install_route(app, spec.tree, spec.parent_addr(app, tb.box_id), route);
-            }
+            b.register_app(app, agg.clone(), share, &self.specs);
         }
         self.apps.push(AppRecord { id: app, agg });
         app
@@ -147,12 +130,8 @@ impl NetAggDeployment {
             .expect("app registered")
             .agg
             .clone();
-        let cfg = MasterShimConfig {
-            selection: self.cfg.selection,
-            straggler_threshold: self.cfg.straggler.map(|p| p.threshold),
-            obs: self.obs.clone(),
-        };
-        let shim = MasterShim::start(self.transport.clone(), app, agg, &self.specs, cfg)
+        let (transport, specs) = (self.transport.clone(), &self.specs);
+        let shim = MasterShim::start(transport, app, agg, specs, &self.cfg, &self.obs)
             .expect("start master shim");
         self.master_shims.insert(app, shim.clone());
         shim
@@ -160,15 +139,9 @@ impl NetAggDeployment {
 
     /// A worker shim for one application worker.
     pub fn worker_shim(&mut self, app: AppId, worker: u32) -> Arc<WorkerShim> {
-        WorkerShim::start(
-            self.transport.clone(),
-            app,
-            worker,
-            &self.specs,
-            self.cfg.selection,
-            self.obs.clone(),
-        )
-        .expect("start worker shim")
+        let (transport, specs) = (self.transport.clone(), &self.specs);
+        WorkerShim::start(transport, app, worker, specs, &self.cfg, &self.obs)
+            .expect("start worker shim")
     }
 
     /// Arm failure detection: every parent of boxes (master shims and

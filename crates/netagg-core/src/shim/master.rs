@@ -18,11 +18,10 @@ use crate::fanin::Fired;
 use crate::lifecycle::Deadline;
 use crate::node::Step;
 use crate::protocol::{AppId, Message, RequestId, TreeId};
+use crate::runtime::DeploymentConfig;
 use crate::shell::{Outlet, Shell, State};
 use crate::shim::master_core::{MasterCore, MasterStep, Taken};
-use crate::shim::TreeSelection;
 use crate::spans::{self, Names};
-use crate::straggler::StragglerPolicy;
 use crate::tree::{master_addr, TreeSpec};
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
@@ -61,19 +60,6 @@ impl AggregatedResult {
     }
 }
 
-/// Master shim configuration.
-#[derive(Debug, Clone, Default)]
-pub struct MasterShimConfig {
-    /// How requests map onto aggregation trees.
-    pub selection: TreeSelection,
-    /// Per-request straggler bypass threshold for root boxes.
-    pub straggler_threshold: Option<Duration>,
-    /// Metrics registry the shim publishes to (`shim.master.*`,
-    /// `straggler.master_bypasses`); a private one unless the deployment
-    /// hands in its own.
-    pub obs: MetricsRegistry,
-}
-
 /// The master's part of its shell: the final merge, and the metrics its
 /// application calls count (registration, the wait, emulated empties) and
 /// its settle sets.
@@ -103,29 +89,23 @@ pub struct MasterShim {
 }
 
 impl MasterShim {
-    /// Bind the master address and start the shim's listener, reader and
-    /// timer threads.
+    /// Bind `app`'s master address and start the shim's listener, reader
+    /// and timer threads; it publishes `shim.master.*` and
+    /// `straggler.master_bypasses` to `obs`.
     pub fn start(
         transport: Arc<dyn Transport>,
         app: AppId,
         agg: Arc<dyn DynAggregator>,
         specs: &[TreeSpec],
-        cfg: MasterShimConfig,
+        cfg: &DeploymentConfig,
+        obs: &MetricsRegistry,
     ) -> Result<Arc<Self>, NetError> {
-        let (name, obs) = (format!("master-shim-{}", app.0), cfg.obs.clone());
+        let name = format!("master-shim-{}", app.0);
         let at = (master_addr(app), app, &[app.0 as u32][..]);
-        let shell = Shell::start(transport, at, (name, ["", "-reader"]), &obs, |_, _, rec| {
-            let mut core = MasterCore::new(app, specs, cfg.selection);
+        let shell = Shell::start(transport, at, (name, ["", "-reader"]), obs, |_, _, rec| {
+            let mut core = MasterCore::new(app, specs, cfg);
             core.anchor = Box::new(rec.anchors());
-            // Hierarchical thresholds: the master waits longer than the boxes
-            // so box-level bypass (closer to the data) resolves stragglers
-            // first. The root never escalates: declaring a root box dead for
-            // good is the failure detector's call.
-            core.fanin.straggler = cfg.straggler_threshold.map(|t| StragglerPolicy {
-                threshold: t * 4,
-                repeat_limit: u32::MAX,
-            });
-            (core, MasterOutlet::new(app, agg, &cfg.obs))
+            (core, MasterOutlet::new(app, agg, obs))
         })?;
         Ok(Arc::new(Self { shell }))
     }

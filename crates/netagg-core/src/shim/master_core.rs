@@ -10,8 +10,10 @@
 use crate::fanin::{Anchors, FanInCore, Fired, Route, TraceAnchor};
 use crate::node::{Completed, Node, Outbox, Step};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
+use crate::runtime::DeploymentConfig;
 use crate::shim::worker_core::{per_request_tree, TreeSelection};
-use crate::tree::{box_addr, master_addr, worker_addr, Parent, TreeSpec};
+use crate::straggler::StragglerPolicy;
+use crate::tree::{box_addr, master_addr, Parent, TreeSpec};
 use crate::window::RecencyWindow;
 use bytes::Bytes;
 use netagg_net::NodeId;
@@ -84,31 +86,28 @@ pub struct MasterCore {
 }
 
 impl MasterCore {
-    /// The root's routes for `app`: per tree, the root boxes and direct
-    /// workers it owes and broadcasts to, and the root boxes' recursive
-    /// child info.
-    pub fn new(app: AppId, specs: &[TreeSpec], selection: TreeSelection) -> Self {
+    /// The master of `app` in a deployment under `cfg`: per tree, the
+    /// root's route — the root boxes and direct workers it owes and
+    /// broadcasts to, the root boxes' routes below — and its straggler
+    /// policy.
+    pub fn new(app: AppId, specs: &[TreeSpec], cfg: &DeploymentConfig) -> Self {
         let mut fanin = FanInCore::default();
         (fanin.addr, fanin.app) = (master_addr(app), app);
+        // Hierarchical thresholds: the master waits longer than the boxes
+        // so box-level bypass (closer to the data) resolves stragglers
+        // first. The root never escalates: declaring a root box dead for
+        // good is the failure detector's call.
+        fanin.straggler = cfg.straggler.map(|p| StragglerPolicy {
+            threshold: p.threshold * 4,
+            repeat_limit: u32::MAX,
+        });
         for spec in specs {
-            let roots = spec.boxes.iter();
-            let roots = roots.filter(|b| b.parent == Parent::Master && b.expected_sources() > 0);
-            let direct = spec.direct_workers.iter().map(|w| worker_addr(app, *w));
-            let route = Route {
-                owed: spec.master_sources().into_iter().collect(),
-                child_boxes: roots
-                    .clone()
-                    .map(|b| (b.box_id, Route::of_box(spec, app, b.box_id)))
-                    .collect(),
-                children_addrs: roots.map(|b| b.addr).chain(direct).collect(),
-                ..Route::default()
-            };
-            fanin.install_route(spec.tree, route);
+            fanin.install_route(spec.tree, Route::of(spec, app, Parent::Master));
         }
         Self {
             fanin,
             delivered: RecencyWindow::new(DELIVERED_MEMORY),
-            selection,
+            selection: cfg.selection,
             num_trees: specs.len() as u32,
             outbox: Outbox::default(),
             anchor: Box::new(|_, _| None),

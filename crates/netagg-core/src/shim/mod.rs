@@ -15,6 +15,6 @@ pub mod master_core;
 mod worker;
 pub mod worker_core;
 
-pub use master::{AggregatedResult, MasterShim, MasterShimConfig, PendingRequest};
+pub use master::{AggregatedResult, MasterShim, PendingRequest};
 pub use worker::{WorkerShim, WorkerStats};
 pub use worker_core::TreeSelection;

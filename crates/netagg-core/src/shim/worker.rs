@@ -9,15 +9,15 @@
 
 use crate::lifecycle::{Mailbox, MailboxRecvError, OverflowPolicy};
 use crate::protocol::{AppId, RequestId, TreeId};
+use crate::runtime::DeploymentConfig;
 use crate::shell::{Outlet, Shell};
-use crate::shim::worker_core::{per_request_tree, TreeSelection, WorkerCore, WorkerStep};
+use crate::shim::worker_core::{WorkerCore, WorkerStep};
 use crate::spans::{self, Names, Recorder};
-use crate::tree::{box_addr, master_addr, worker_addr, TreeSpec};
+use crate::tree::{worker_addr, TreeSpec};
 use crate::AggError;
 use bytes::Bytes;
 use netagg_net::{NetError, NodeId, Transport};
 use netagg_obs::{names, Counter, MetricsRegistry};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,13 +45,10 @@ pub struct WorkerStats {
     pub send_errors: Arc<Counter>,
 }
 
-/// The worker's part of its shell: tree selection, broadcast delivery and
-/// counters.
+/// The worker's part of its shell: broadcast delivery and counters.
 struct WorkerOutlet {
     app: AppId,
     worker: u32,
-    selection: TreeSelection,
-    num_trees: u32,
     /// Broadcasts received down the tree, delivered to the application
     /// through a bounded `DropOldest` mailbox (a non-consuming application
     /// keeps the newest [`BROADCAST_DEPTH`] payloads).
@@ -74,34 +71,24 @@ impl WorkerShim {
         app: AppId,
         worker: u32,
         specs: &[TreeSpec],
-        selection: TreeSelection,
-        obs: MetricsRegistry,
+        cfg: &DeploymentConfig,
+        obs: &MetricsRegistry,
     ) -> Result<Arc<Self>, NetError> {
-        let mut assignments = HashMap::new();
-        for spec in specs {
-            let dest = match spec.worker_assignment.get(&worker) {
-                Some(b) => box_addr(*b),
-                None => master_addr(app),
-            };
-            assignments.insert(spec.tree, dest);
-        }
         let at = (worker_addr(app, worker), app, &[app.0 as u32, worker][..]);
         let name = (format!("worker-shim-{}-{}", app.0, worker), ["", "-ctrl"]);
         // Its reader takes the control connections: redirects, heartbeats,
         // broadcasts.
-        let shell = Shell::start(transport, at, name, &obs, |_, cancel, rec| {
+        let shell = Shell::start(transport, at, name, obs, |_, cancel, rec| {
             let broadcasts = Mailbox::with_obs(
                 format!("worker{}-{}.broadcast", app.0, worker),
                 BROADCAST_DEPTH,
                 OverflowPolicy::DropOldest,
                 cancel.clone(),
-                &obs,
+                obs,
             );
             let hook = WorkerOutlet {
                 app,
                 worker,
-                selection,
-                num_trees: specs.len() as u32,
                 broadcasts,
                 stats: WorkerStats {
                     bytes_sent: obs.counter_part(names::SHIM_WORKER_BYTES_SENT),
@@ -112,7 +99,7 @@ impl WorkerShim {
                     send_errors: rec.send_errors.clone(),
                 },
             };
-            (WorkerCore::new(app, worker, assignments), hook)
+            (WorkerCore::new(app, worker, specs, cfg.selection), hook)
         })?;
         Ok(Arc::new(Self { shell }))
     }
@@ -157,16 +144,10 @@ impl WorkerShim {
     }
 
     /// Send one chunk; `last` closes this worker's contribution on the
-    /// request's tree. Only valid under [`TreeSelection::PerRequest`].
+    /// request's tree. Only valid under
+    /// [`TreeSelection::PerRequest`](crate::shim::TreeSelection::PerRequest).
     pub fn send_chunk(&self, request: u64, payload: Bytes, last: bool) -> Result<(), AggError> {
-        assert_eq!(
-            self.shell.hook.selection,
-            TreeSelection::PerRequest,
-            "use send_chunk_keyed / finish_request under Keyed selection"
-        );
-        let request = RequestId(request);
-        let tree = per_request_tree(request, self.shell.hook.num_trees);
-        self.send_on_tree(request, tree, payload, last)
+        self.send_on(RequestId(request), None, payload, last)
     }
 
     /// Send one chunk on the tree selected by `key_hash` (Keyed mode).
@@ -176,20 +157,14 @@ impl WorkerShim {
         key_hash: u64,
         payload: Bytes,
     ) -> Result<(), AggError> {
-        assert_eq!(self.shell.hook.selection, TreeSelection::Keyed);
-        let request = RequestId(request);
-        let tree = TreeId((key_hash % self.shell.hook.num_trees as u64) as u32);
-        self.send_on_tree(request, tree, payload, false)
+        self.send_on(RequestId(request), Some(key_hash), payload, false)
     }
 
     /// Close this worker's contribution on every tree (Keyed mode).
     pub fn finish_request(&self, request: u64) -> Result<(), AggError> {
-        assert_eq!(self.shell.hook.selection, TreeSelection::Keyed);
-        let request = RequestId(request);
-        for t in 0..self.shell.hook.num_trees {
-            self.send_on_tree(request, TreeId(t), Bytes::new(), true)?;
-        }
-        Ok(())
+        let trees = self.shell.lock().core.trees() as u64;
+        let close = |t| self.send_on(RequestId(request), Some(t), Bytes::new(), true);
+        (0..trees).try_for_each(close)
     }
 
     /// Drop replay and sequence state for a completed request.
@@ -240,13 +215,14 @@ impl WorkerShim {
         self.shell.shutdown();
     }
 
-    /// Number, retain and send one chunk. `Err` means nothing was retained
-    /// (no assignment for the tree); a failed send is counted and changes
+    /// Number, retain and send one chunk on the tree the core picks for it
+    /// ([`WorkerCore::tree`]). `Err` means nothing was retained (no
+    /// assignment for the tree); a failed send is counted and changes
     /// nothing else (see [`WorkerCore`]'s `send_failed`).
-    fn send_on_tree(
+    fn send_on(
         &self,
         request: RequestId,
-        tree: TreeId,
+        key_hash: Option<u64>,
         payload: Bytes,
         last: bool,
     ) -> Result<(), AggError> {
@@ -255,6 +231,7 @@ impl WorkerShim {
         let bytes = payload.len() as u64;
         let mut numbered = Ok(());
         self.shell.post(|core| {
+            let tree = core.tree(request, key_hash);
             numbered = core.next_chunk((request, tree), payload, last, anchor);
             if numbered.is_ok() {
                 o.stats.bytes_sent.add(bytes);

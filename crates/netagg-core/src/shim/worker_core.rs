@@ -10,13 +10,13 @@
 use crate::fanin::TraceAnchor;
 use crate::node::{Emit, Node, Outbox};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
+use crate::tree::{box_addr, master_addr, TreeSpec};
 use crate::window::RecencyWindow;
 use crate::AggError;
 use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Requests whose sent chunks a worker retains for resends.
@@ -48,6 +48,9 @@ pub struct WorkerCore {
     source: (AppId, u32),
     /// Destination per tree: the worker's first on-path box, or the master.
     assignments: Map<TreeId, NodeId>,
+    /// How the worker's chunks spread over its `trees` trees.
+    selection: TreeSelection,
+    trees: u32,
     /// The last sequence number per stream (a request on a tree) until its `last`.
     seqs: Map<(RequestId, TreeId), u32>,
     /// Sent chunks per request, each with the tree it travels on.
@@ -69,16 +72,43 @@ pub enum WorkerStep {
 }
 
 impl WorkerCore {
-    /// State for worker `worker` of `app` with the given per-tree
-    /// destinations.
-    pub fn new(app: AppId, worker: u32, assignments: HashMap<TreeId, NodeId>) -> Self {
+    /// Worker `worker` of `app`, sending each tree's partials to its
+    /// first on-path box in `specs` (the master if it has none), spread
+    /// over the trees by `selection`.
+    pub fn new(app: AppId, worker: u32, specs: &[TreeSpec], selection: TreeSelection) -> Self {
+        let dest = |s: &TreeSpec| s.worker_assignment.get(&worker).map(|b| box_addr(*b));
+        let dest = |s: &TreeSpec| (s.tree, dest(s).unwrap_or(master_addr(app)));
         Self {
             source: (app, worker),
-            assignments: assignments.into_iter().collect(),
+            assignments: specs.iter().map(dest).collect(),
+            selection,
+            trees: specs.len() as u32,
             seqs: Map::default(),
             replay: RecencyWindow::new(REPLAY_WINDOW),
             outbox: Outbox::default(),
         }
+    }
+
+    /// The tree a chunk of `request` travels on: the one the request id
+    /// hashes to, or — under keyed selection — the one `key_hash` picks.
+    ///
+    /// # Panics
+    /// If `key_hash` is given under per-request selection, or missing
+    /// under keyed selection.
+    pub fn tree(&self, request: RequestId, key_hash: Option<u64>) -> TreeId {
+        match (self.selection, key_hash) {
+            (TreeSelection::PerRequest, None) => per_request_tree(request, self.trees),
+            (TreeSelection::Keyed, Some(key)) => TreeId((key % self.trees as u64) as u32),
+            (selection, _) => panic!(
+                "under {selection:?} selection use send_chunk (PerRequest) or \
+                 send_chunk_keyed / finish_request (Keyed)"
+            ),
+        }
+    }
+
+    /// How many trees the worker's chunks spread over.
+    pub fn trees(&self) -> u32 {
+        self.trees
     }
 
     /// Current destination for a tree.

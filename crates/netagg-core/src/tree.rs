@@ -13,7 +13,7 @@
 //! sending partial results directly to the master — the "plain
 //! application" baseline of the testbed evaluation.
 
-use crate::protocol::{AppId, TreeId};
+use crate::protocol::{AppId, SourceId, TreeId};
 use netagg_net::NodeId;
 use std::collections::HashMap;
 
@@ -138,7 +138,8 @@ impl ClusterSpec {
     }
 }
 
-/// Parent of a box within a tree.
+/// Parent of a box within a tree: another box or the master — the nodes
+/// a route is derived for ([`TreeSpec::children`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parent {
     /// Another box, by global id.
@@ -152,8 +153,6 @@ pub enum Parent {
 pub struct TreeBox {
     /// Global box id.
     pub box_id: u32,
-    /// Transport address of the box.
-    pub addr: NodeId,
     /// Where this box's output goes.
     pub parent: Parent,
     /// Workers sending their partial results here.
@@ -190,54 +189,17 @@ impl TreeSpec {
         self.boxes.iter().find(|b| b.box_id == box_id)
     }
 
-    /// Number of sources the master sees per request on this tree: root
-    /// boxes plus direct workers.
-    pub fn expected_master_sources(&self) -> usize {
-        self.boxes
-            .iter()
-            .filter(|b| b.parent == Parent::Master && b.expected_sources() > 0)
-            .count()
-            + self.direct_workers.len()
-    }
-
-    /// Logical source identities the master sees per request on this tree:
-    /// root boxes plus direct workers. This is the master's fan-in ledger
-    /// seed (see `crate::ledger`).
-    pub fn master_sources(&self) -> Vec<crate::protocol::SourceId> {
-        use crate::protocol::SourceId;
-        self.boxes
-            .iter()
-            .filter(|b| b.parent == Parent::Master && b.expected_sources() > 0)
-            .map(|b| SourceId::Box(b.box_id))
-            .chain(self.direct_workers.iter().map(|w| SourceId::Worker(*w)))
-            .collect()
-    }
-
-    /// Logical source identities of the children of `box_id` (workers and
-    /// boxes): the contributors its parent inherits when the box fails.
-    pub fn children_sources(&self, box_id: u32) -> Vec<crate::protocol::SourceId> {
-        use crate::protocol::SourceId;
-        let Some(b) = self.tree_box(box_id) else {
-            return Vec::new();
+    /// The sources feeding the node at `at` — a box, or the master above
+    /// the root boxes: its workers, then the boxes whose parent it is.
+    pub fn children(&self, at: Parent) -> Vec<SourceId> {
+        let workers = match at {
+            Parent::Box(b) => self.tree_box(b).map_or(&[][..], |b| &b.worker_children),
+            Parent::Master => &self.direct_workers,
         };
-        b.worker_children
-            .iter()
-            .map(|w| SourceId::Worker(*w))
-            .chain(b.box_children.iter().map(|c| SourceId::Box(*c)))
-            .collect()
-    }
-
-    /// Addresses of the children (workers and boxes) of `box_id` for one
-    /// application, used by failure recovery to re-point them at the failed
-    /// box's parent.
-    pub fn children_addrs(&self, app: AppId, box_id: u32) -> Vec<NodeId> {
-        let Some(b) = self.tree_box(box_id) else {
-            return Vec::new();
-        };
-        b.worker_children
-            .iter()
-            .map(|w| worker_addr(app, *w))
-            .chain(b.box_children.iter().map(|c| box_addr(*c)))
+        let workers = workers.iter().map(|w| SourceId::Worker(*w));
+        let boxes = self.boxes.iter().filter(|b| b.parent == at);
+        workers
+            .chain(boxes.map(|b| SourceId::Box(b.box_id)))
             .collect()
     }
 
@@ -270,13 +232,15 @@ pub fn build_tree_specs(cluster: &ClusterSpec) -> Vec<TreeSpec> {
         if let Some(root) = mroot {
             boxes.push(TreeBox {
                 box_id: root,
-                addr: box_addr(root),
                 parent: Parent::Master,
                 worker_children: Vec::new(),
                 box_children: Vec::new(),
             });
         }
-        for (r, rack) in cluster.racks.iter().enumerate() {
+        // A rack without workers adds no box: a box of its own would be
+        // linked under the root and then dropped, leaving the root owing it.
+        let racks = cluster.racks.iter().enumerate();
+        for (r, rack) in racks.filter(|(_, rack)| !rack.workers.is_empty()) {
             let rack_box = if rack.boxes > 0 {
                 Some(cluster.box_id(r, t % rack.boxes))
             } else {
@@ -298,7 +262,6 @@ pub fn build_tree_specs(cluster: &ClusterSpec) -> Vec<TreeSpec> {
                         };
                         boxes.push(TreeBox {
                             box_id: bid,
-                            addr: box_addr(bid),
                             parent,
                             worker_children: Vec::new(),
                             box_children: Vec::new(),
@@ -352,7 +315,7 @@ mod tests {
         assert_eq!(s.boxes.len(), 1);
         assert_eq!(s.boxes[0].parent, Parent::Master);
         assert_eq!(s.boxes[0].worker_children.len(), 4);
-        assert_eq!(s.expected_master_sources(), 1);
+        assert_eq!(s.children(Parent::Master).len(), 1);
         assert!(s.direct_workers.is_empty());
         assert_eq!(
             s.parent_addr(AppId(2), s.boxes[0].box_id),
@@ -367,7 +330,7 @@ mod tests {
         let s = &specs[0];
         assert!(s.boxes.is_empty());
         assert_eq!(s.direct_workers.len(), 5);
-        assert_eq!(s.expected_master_sources(), 5);
+        assert_eq!(s.children(Parent::Master).len(), 5);
     }
 
     #[test]
@@ -382,9 +345,9 @@ mod tests {
         let leafbox = s.tree_box(1).unwrap();
         assert_eq!(leafbox.parent, Parent::Box(0));
         assert_eq!(leafbox.worker_children.len(), 3);
-        assert_eq!(s.expected_master_sources(), 1);
+        assert_eq!(s.children(Parent::Master).len(), 1);
         // Children addresses used by failure recovery.
-        let kids = s.children_addrs(AppId(1), 0);
+        let kids = crate::fanin::Route::of(s, AppId(1), Parent::Box(0)).children_addrs;
         assert!(kids.contains(&box_addr(1)));
         assert_eq!(s.parent_addr(AppId(1), 1), box_addr(0));
     }
@@ -397,6 +360,21 @@ mod tests {
         let s = &specs[0];
         assert_eq!(s.boxes.len(), 1);
         assert_eq!(s.boxes[0].worker_children.len(), 4);
+    }
+
+    #[test]
+    fn a_rack_without_workers_leaves_no_phantom_child_box() {
+        let rack = |workers, boxes| RackSpec { workers, boxes };
+        let c = ClusterSpec {
+            racks: vec![rack(vec![0, 1], 1), rack(vec![], 1)],
+            master_rack: 0,
+            num_trees: 1,
+        };
+        let s = &build_tree_specs(&c)[0];
+        for b in &s.boxes {
+            let phantom = b.box_children.iter().find(|c| s.tree_box(**c).is_none());
+            assert_eq!(phantom, None, "box {} owes a box not in the spec", b.box_id);
+        }
     }
 
     #[test]

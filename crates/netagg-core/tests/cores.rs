@@ -9,11 +9,14 @@ use netagg_core::failure::DetectorConfig;
 use netagg_core::fanin::{Fired, Route, REQUEST_TTL};
 use netagg_core::node::{Emit, Node};
 use netagg_core::protocol::{AppId, Message, RequestId, SourceId, TreeId};
+use netagg_core::runtime::DeploymentConfig;
 use netagg_core::shim::master_core::{MasterCore, Taken};
 use netagg_core::shim::worker_core::{WorkerCore, WorkerStep};
 use netagg_core::shim::TreeSelection;
 use netagg_core::straggler::StragglerPolicy;
-use netagg_core::tree::{box_addr, build_tree_specs, worker_addr, ClusterSpec, RackSpec, TreeSpec};
+use netagg_core::tree::{
+    box_addr, build_tree_specs, master_addr, worker_addr, ClusterSpec, Parent, RackSpec, TreeSpec,
+};
 use netagg_core::{AggError, DynAggregator};
 use netagg_net::{DetRng, NodeId};
 use netagg_obs::trace::TraceCtx;
@@ -38,17 +41,50 @@ impl DynAggregator for Concat {
     }
 }
 
-/// A box core forwarding to node 100 with the given route, its combines
-/// merging up to `fanin` items, its flush passes taking any buffered byte.
+/// Box `id` forwarding to node 100 on `route`, its combines merging up to
+/// `fanin` items, its flush passes — run by hand — taking any buffered byte.
+fn routed_box(id: u32, fanin: usize, route: Route) -> BoxCore {
+    let flush_bytes = Some(1);
+    let cfg = DeploymentConfig {
+        fanin,
+        flush_bytes,
+        ..DeploymentConfig::default()
+    };
+    let mut core = BoxCore::new(id, &cfg, Instant::now());
+    core.flush_due = None;
+    core.add_app(APP, Arc::new(Concat), &[]);
+    core.add_route(APP, TREE, 100, route);
+    core
+}
+
+/// Box 0 forwarding to node 100 with the given route (see [`routed_box`]).
 fn box_core(fanin: usize, owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>) -> BoxCore {
-    let mut core = BoxCore::new(fanin, Some(1));
-    core.add_app(APP, Arc::new(Concat));
     let route = Route {
         owed: owed.into_iter().collect(),
         child_boxes,
         ..Route::default()
     };
-    core.add_route(APP, TREE, 100, route);
+    routed_box(0, fanin, route)
+}
+
+/// Worker 0 of a deployment without boxes, each of its trees re-pointed
+/// to the node `dests` names for it, with nothing yet to resend.
+fn worker_core(dests: &[NodeId]) -> WorkerCore {
+    let cluster = ClusterSpec::single_rack(1, 0).with_trees(dests.len() as u32);
+    let specs = build_tree_specs(&cluster);
+    let mut core = WorkerCore::new(APP, 0, &specs, TreeSelection::PerRequest);
+    for (t, new_parent) in dests.iter().enumerate() {
+        let (app, permanent, request, tree) = (APP, true, RequestId(0), TreeId(t as u32));
+        let redirect = Message::Redirect {
+            app,
+            permanent,
+            request,
+            tree,
+            new_parent: *new_parent,
+        };
+        let step = core.on_message(redirect, Instant::now());
+        assert_eq!(step, WorkerStep::Redirected(0));
+    }
     core
 }
 
@@ -212,7 +248,7 @@ fn resent(to: NodeId, sends: Vec<Emit>) -> Vec<Resend> {
 #[test]
 fn replay_after_delivery_does_not_resurrect_the_request() {
     let specs = build_tree_specs(&ClusterSpec::single_rack(2, 0)); // workers send directly
-    let mut core = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let mut core = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     let (req, now) = (RequestId(9), Instant::now());
     let chunk = |core: &mut MasterCore, w: u32| {
         let step = core.on_message(data_msg(req.0, SourceId::Worker(w), (1, true), 0), now);
@@ -242,7 +278,7 @@ fn replay_after_delivery_does_not_resurrect_the_request() {
 #[test]
 fn registering_a_delivered_id_again_is_refused() {
     let specs = build_tree_specs(&ClusterSpec::single_rack(1, 0)); // one direct worker
-    let mut core = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let mut core = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     let (req, now) = (RequestId(4), Instant::now());
     assert!(!core.register(req, 1, None, now));
     let step = core.on_message(data_msg(req.0, SourceId::Worker(0), (1, true), 0), now);
@@ -314,7 +350,7 @@ fn permanent_redirect_resends_the_retained_window() {
 #[test]
 fn a_busy_tenant_cannot_evict_another_tenants_retained_output() {
     let (slow, busy, tree) = (AppId(0), AppId(1), TreeId(0));
-    let mut core = BoxCore::new(2, None);
+    let mut core = BoxCore::new(0, &DeploymentConfig::default(), Instant::now());
     let out = Bytes::from_static(b"aggregate");
     // The slow tenant's request left for a parent that then died…
     core.complete((slow, RequestId(7), tree), out.clone());
@@ -466,7 +502,7 @@ fn a_close_never_overtakes_a_partial_on_another_reader() {
 /// A worker that completes every request it sent on tracks none.
 #[test]
 fn completing_every_request_returns_the_tracked_count_to_zero() {
-    let mut core = WorkerCore::new(APP, 0, HashMap::from([(TREE, 7)]));
+    let mut core = worker_core(&[7]);
     for r in 0..200 {
         let x = Bytes::from_static(b"x");
         core.next_chunk((RequestId(r), TREE), x, true, None)
@@ -745,10 +781,10 @@ fn recovery_events_in_any_order_move_obligations_once() {
         };
         let events = [head, shuffled(tail)].concat();
         let t0 = Instant::now();
-        let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+        let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
         master.register(REQ, 3, None, t0);
-        let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
-        let mut aggbox = box_core(2, specs[0].master_sources(), child);
+        let child = HashMap::from([(0, Route::of(&specs[0], APP, Parent::Box(0)))]);
+        let mut aggbox = box_core(2, specs[0].children(Parent::Master), child);
         let strike = Some(StragglerPolicy {
             threshold: THRESHOLD,
             repeat_limit: 1,
@@ -777,12 +813,9 @@ fn chain() -> Vec<TreeSpec> {
     build_tree_specs(&ClusterSpec::multi_rack(2, 2, 1))
 }
 
-/// A box core at address 555 above [`chain`]'s box 0.
+/// Box 2 above [`chain`]'s box 0: the master's route, at a box.
 fn box_above_chain(specs: &[TreeSpec]) -> BoxCore {
-    let child = HashMap::from([(0, Route::of_box(&specs[0], APP, 0))]);
-    let mut core = box_core(2, specs[0].master_sources(), child);
-    core.fanin.addr = 555;
-    core
+    routed_box(2, 2, Route::of(&specs[0], APP, Parent::Master))
 }
 
 /// Every message a fan-in core sends names the node itself: a `Redirect`'s
@@ -806,7 +839,7 @@ fn names_the_node(node: &dyn Fan, sends: &[Emit]) {
 fn a_request_with_nothing_left_to_bypass_yields_no_deadline() {
     let specs = chain();
     let t0 = Instant::now();
-    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     master.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
     let mut aggbox = box_above_chain(&specs);
     aggbox.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
@@ -922,7 +955,7 @@ fn drive_detector(node: &mut dyn Fan, rng: &mut DetRng, leaf_answers: bool, t0: 
                     // The ledger and the route moved in this very step.
                     assert_eq!(*repointed, usize::from(open), "{trace:?}");
                     assert!(!node.route().child_boxes.contains_key(b));
-                    let behind = &chain()[0].children_sources(*b);
+                    let behind = &chain()[0].children(Parent::Box(*b));
                     assert!(behind.iter().all(|s| node.route().owed.contains(s)));
                     children += behind.len();
                     pool.extend(behind.iter().map(|s| Input::Data(*s)));
@@ -972,7 +1005,7 @@ fn detector_inputs_in_any_order_fail_each_silent_box_exactly_once() {
     let mut rng = DetRng::new(0xDE7E_C70A);
     for round in 0..400 {
         let t0 = Instant::now();
-        let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+        let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
         master.register(REQ, 4, None, t0);
         let mut aggbox = box_above_chain(&specs);
         master.fanin.detector.enable(DETECTOR, t0);
@@ -1006,7 +1039,7 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
         to
     };
     let payload = Bytes::from_static(b"params");
-    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     let broadcast = |master: &mut MasterCore| {
         master.broadcast(REQ, payload.clone());
         copies(sent(master))
@@ -1019,8 +1052,8 @@ fn a_broadcast_reaches_a_failed_child_boxs_children_in_its_place() {
 
     // Box 0 itself, replicating what it is sent down to box 1 until box 1
     // fails.
-    let mut root = BoxCore::new(2, None);
-    root.add_route(APP, TREE, 100, Route::of_box(&specs[0], APP, 0));
+    let mut root = BoxCore::new(0, &DeploymentConfig::default(), Instant::now());
+    root.add_app(APP, Arc::new(Concat), &specs);
     let (app, request, tree) = (APP, REQ, TREE);
     let msg = Message::Broadcast {
         app,
@@ -1055,7 +1088,7 @@ fn a_sequence_gap_is_accepted_and_reported() {
     assert_eq!(gaps, [vec![], vec![], vec![(key, w)]]);
 
     let specs = build_tree_specs(&ClusterSpec::single_rack(1, 0));
-    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     master.register(REQ, 1, None, now);
     let mut chunk = |seq, last| master.on_message(data_msg(REQ.0, w, (seq, last), 0), now);
     assert!(chunk(1, false).gaps.is_empty());
@@ -1339,7 +1372,7 @@ fn every_core_keeps_the_node_contract() {
         |b, e, due| missed(b.next_deadline(), e, due),
     );
     conforms(
-        MasterCore::new(APP, &specs, TreeSelection::PerRequest),
+        MasterCore::new(APP, &specs, &DeploymentConfig::default()),
         |m| m.fanin.requests.len(),
         [foreign, probe.clone()],
         |m, t0| m.fanin.detector.enable(DETECTOR, t0),
@@ -1347,7 +1380,7 @@ fn every_core_keeps_the_node_contract() {
     );
     // With no child box, the master has no deadline however configured.
     let flat = build_tree_specs(&ClusterSpec::single_rack(2, 0));
-    let mut master = MasterCore::new(APP, &flat, TreeSelection::PerRequest);
+    let mut master = MasterCore::new(APP, &flat, &DeploymentConfig::default());
     master.fanin.straggler = policy;
     master.fanin.detector.enable(DETECTOR, t);
     master.register(REQ, 2, None, t);
@@ -1355,7 +1388,7 @@ fn every_core_keeps_the_node_contract() {
     assert_eq!(master.next_deadline(), reap, "no box: the reap alone");
     // A worker's chunk whose send failed stays retained (DESIGN.md §8).
     conforms(
-        WorkerCore::new(APP, 0, HashMap::from([(TREE, 7)])),
+        worker_core(&[7]),
         WorkerCore::tracked,
         [repoint(other, 9), probe],
         |w, _| {
@@ -1508,7 +1541,7 @@ fn an_abandoned_request_resends_no_partial_as_final() {
 #[test]
 fn the_master_reaps_a_request_never_waited_on() {
     let specs = build_tree_specs(&ClusterSpec::single_rack(2, 0));
-    let mut core = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let mut core = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     let t0 = Instant::now();
     let chunk = |core: &mut MasterCore, r, w, now| {
         let step = core.on_message(data_msg(r, SourceId::Worker(w), (1, true), 0), now);
@@ -1546,14 +1579,12 @@ fn every_node_of_a_chain_reaps_a_request_below_a_dead_worker() {
     let specs = chain();
     let t0 = Instant::now();
     let chain_box = |b: u32| {
-        let mut core = BoxCore::new(2, None);
-        core.add_app(APP, Arc::new(Concat));
-        core.add_route(APP, TREE, 100, Route::of_box(&specs[0], APP, b));
-        core.id = b;
+        let mut core = BoxCore::new(b, &DeploymentConfig::default(), t0);
+        core.add_app(APP, Arc::new(Concat), &specs);
         core
     };
     let (mut box1, mut box0) = (chain_box(1), chain_box(0));
-    let mut master = MasterCore::new(APP, &specs, TreeSelection::PerRequest);
+    let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     master.register(REQ, 4, None, t0);
     assert_eq!(box1.data(SourceId::Worker(2), 12, t0), None);
     assert_eq!(box0.data(SourceId::Worker(0), 10, t0), None);
@@ -1599,8 +1630,7 @@ fn a_bypass_redirect_lives_and_ends_with_its_request() {
 /// consecutive on each. A stream's counter ends at its `last`.
 #[test]
 fn a_workers_chunks_are_consecutive_on_each_tree() {
-    let trees = HashMap::from([(TreeId(0), 7), (TreeId(1), 8)]);
-    let mut core = WorkerCore::new(APP, 0, trees);
+    let mut core = worker_core(&[7, 8]);
     for (tree, last) in [
         (0, false),
         (1, false),
@@ -1618,4 +1648,270 @@ fn a_workers_chunks_are_consecutive_on_each_tree() {
     core.next_chunk((REQ, TreeId(0)), Bytes::new(), true, None)
         .unwrap();
     assert_eq!(chunk(&sent(&mut core)[0].msg).0, 1, "a new stream");
+}
+
+// --- (i): one deployment of cores, wired by their constructors alone ---
+
+/// A sum of little-endian integers: the reference fold is plain addition.
+struct Sum;
+impl DynAggregator for Sum {
+    fn aggregate_serialized(&self, items: Vec<Bytes>) -> Result<Bytes, AggError> {
+        let sum: u64 = items.iter().map(value).sum();
+        Ok(Bytes::copy_from_slice(&sum.to_le_bytes()))
+    }
+    fn empty_serialized(&self) -> Bytes {
+        Bytes::new()
+    }
+}
+
+/// A [`Sum`] item's value; an empty item is 0.
+fn value(item: &Bytes) -> u64 {
+    item.iter().rev().fold(0, |n, b| n << 8 | u64::from(*b))
+}
+
+/// Two applications share the boxes.
+const APPS: [AppId; 2] = [AppId(0), AppId(1)];
+
+/// A core of a [`World`].
+enum Core {
+    Box(BoxCore),
+    Master(MasterCore),
+    Worker(WorkerCore),
+}
+
+/// Every core of a deployment, each built by its constructor from the
+/// specs and one [`DeploymentConfig`] and placed at the address the tree
+/// module gives it, with the messages in flight between them: one FIFO, in
+/// send order. A message to a dead node is lost.
+struct World {
+    nodes: Vec<(NodeId, Core)>,
+    wire: VecDeque<Emit>,
+    dead: Vec<NodeId>,
+    now: Instant,
+    keyed: bool,
+}
+
+/// One input to a core: a message, or (`None`) a timer firing.
+fn input<N: Node>(node: &mut N, msg: Option<Message>, now: Instant) -> N::Report {
+    match msg {
+        Some(msg) => node.on_message(msg, now),
+        None => node.on_timer(now),
+    }
+}
+
+impl World {
+    fn new(cluster: &ClusterSpec, cfg: &DeploymentConfig, now: Instant) -> Self {
+        let specs = build_tree_specs(cluster);
+        let mut nodes = Vec::new();
+        for b in 0..cluster.total_boxes() {
+            let mut core = BoxCore::new(b, cfg, now);
+            for app in APPS {
+                core.add_app(app, Arc::new(Sum), &specs);
+            }
+            nodes.push((box_addr(b), Core::Box(core)));
+        }
+        for app in APPS {
+            let master = MasterCore::new(app, &specs, cfg);
+            nodes.push((master_addr(app), Core::Master(master)));
+            for w in cluster.all_workers() {
+                let worker = WorkerCore::new(app, w, &specs, cfg.selection);
+                nodes.push((worker_addr(app, w), Core::Worker(worker)));
+            }
+        }
+        let (wire, dead) = (VecDeque::new(), Vec::new());
+        let keyed = cfg.selection == TreeSelection::Keyed;
+        Self {
+            nodes,
+            wire,
+            dead,
+            now,
+            keyed,
+        }
+    }
+
+    fn core(&mut self, at: NodeId) -> &mut Core {
+        let node = self.nodes.iter_mut().find(|(a, _)| *a == at);
+        &mut node.expect("a core at every address").1
+    }
+
+    fn master(&mut self, app: AppId) -> &mut MasterCore {
+        let Core::Master(m) = self.core(master_addr(app)) else {
+            unreachable!()
+        };
+        m
+    }
+
+    /// Run one input through the live core at `at`, its combines inline,
+    /// and put what it sent on the wire. Whatever names its sender names
+    /// this one.
+    fn step(&mut self, at: NodeId, msg: Option<Message>) {
+        if self.dead.contains(&at) {
+            return;
+        }
+        let now = self.now;
+        let out = match self.core(at) {
+            Core::Box(b) => {
+                let step = input(b, msg, now);
+                run(b, step);
+                sent(b)
+            }
+            Core::Master(m) => {
+                input(m, msg, now);
+                sent(m)
+            }
+            Core::Worker(w) => {
+                input(w, msg, now);
+                sent(w)
+            }
+        };
+        for e in &out {
+            let named = match e.msg {
+                Message::Heartbeat { from, .. } => from,
+                Message::HeartbeatAck { from, .. } => box_addr(from),
+                Message::Redirect { new_parent, .. } => new_parent,
+                _ => continue,
+            };
+            assert_eq!(named, at, "{e:?}");
+        }
+        self.wire.extend(out);
+    }
+
+    /// Deliver everything in flight, each message to the core at its `to`.
+    fn settle(&mut self) {
+        while let Some(e) = self.wire.pop_front() {
+            self.step(e.to, Some(e.msg));
+        }
+    }
+
+    /// Fire the live core whose deadline is earliest, if it is before
+    /// `reap`: whether one was.
+    fn tick(&mut self, reap: Instant) -> bool {
+        let deadline = |core: &Core| match core {
+            Core::Box(b) => b.next_deadline(),
+            Core::Master(m) => m.next_deadline(),
+            Core::Worker(w) => w.next_deadline(),
+        };
+        let live = self.nodes.iter().filter(|(a, _)| !self.dead.contains(a));
+        let due = live.filter_map(|(a, core)| Some((deadline(core)?, *a)));
+        let Some((t, at)) = due.filter(|(t, _)| *t < reap).min() else {
+            return false;
+        };
+        self.now = t;
+        self.step(at, None);
+        true
+    }
+
+    /// Request `r` of every application: registered at its master, then
+    /// every worker's contribution sent — one chunk, or under keyed
+    /// selection one per tree and a close on each. The reference fold per
+    /// application.
+    fn request(&mut self, r: RequestId, workers: &[u32]) -> Vec<u64> {
+        let (now, keyed) = (self.now, self.keyed);
+        let mut folds = Vec::new();
+        for (a, app) in APPS.into_iter().enumerate() {
+            self.master(app).register(r, workers.len(), None, now);
+            let mut fold = 0;
+            for w in workers {
+                let Core::Worker(core) = self.core(worker_addr(app, *w)) else {
+                    unreachable!()
+                };
+                let v = (a as u64 + 1) * 1000 + r.0 * 10 + u64::from(*w);
+                let keys: Vec<_> = match keyed {
+                    true => (0..u64::from(core.trees())).map(Some).collect(),
+                    false => vec![None],
+                };
+                let mut send = |key, v: u64, last| {
+                    let payload = Bytes::copy_from_slice(&v.to_le_bytes());
+                    let payload = if v == 0 { Bytes::new() } else { payload };
+                    let tree = core.tree(r, key);
+                    core.next_chunk((r, tree), payload, last, None).unwrap();
+                    fold += v;
+                };
+                keys.iter().for_each(|k| send(*k, v, !keyed));
+                if keyed {
+                    keys.iter().for_each(|k| send(*k, 0, true));
+                }
+                let out = sent(core);
+                self.wire.extend(out);
+            }
+            folds.push(fold);
+        }
+        folds
+    }
+}
+
+/// (i) `multi_rack(2, 3, 1)` on two trees, two applications sharing its
+/// boxes, under both selections: every core built by its constructor from
+/// the specs and one config, every message delivered to the core at its
+/// `to`. Every result is the reference fold. Then every node probes, the
+/// root box dies and the masters' detectors fail it: every redirect, probe
+/// and ack names its sender, the request retried around the box is exact,
+/// and no request state is left anywhere.
+#[test]
+fn a_deployment_wired_by_its_constructors_alone_is_exact() {
+    let cluster = ClusterSpec::multi_rack(2, 3, 1).with_trees(2);
+    let workers = cluster.all_workers();
+    let results = |world: &mut World, r| {
+        let fold = |app| match world.master(app).take_completed(r) {
+            Taken::Done(d) => Some(value(&Sum.aggregate_serialized(d.inputs).ok()?)),
+            _ => None,
+        };
+        APPS.map(fold).to_vec()
+    };
+    for selection in [TreeSelection::PerRequest, TreeSelection::Keyed] {
+        let cfg = DeploymentConfig {
+            selection,
+            ..DeploymentConfig::default()
+        };
+        let mut world = World::new(&cluster, &cfg, Instant::now());
+        for r in (1..=4).map(RequestId) {
+            let folds = world.request(r, &workers).into_iter().map(Some);
+            world.settle();
+            assert_eq!(results(&mut world, r), folds.collect::<Vec<_>>(), "{r:?}");
+        }
+
+        // A few probe rounds with every node live; then the root box dies.
+        let (now, retried) = (world.now, RequestId(5));
+        for (_, core) in &mut world.nodes {
+            match core {
+                Core::Box(b) => b.fanin.detector.enable(DETECTOR, now),
+                Core::Master(m) => m.fanin.detector.enable(DETECTOR, now),
+                Core::Worker(_) => {}
+            }
+        }
+        let reap = now + REQUEST_TTL;
+        while world.now < now + DETECTOR.interval * 3 {
+            world.settle();
+            assert!(world.tick(reap));
+        }
+        world.dead.push(box_addr(0));
+        let folds = world.request(retried, &workers).into_iter().map(Some);
+        let open = |world: &mut World, app| {
+            let q = world.master(app).fanin.requests.get(&retried);
+            q.is_some_and(|q| !q.closed)
+        };
+        for firing in 0.. {
+            world.settle();
+            if !APPS.iter().any(|app| open(&mut world, *app)) {
+                break;
+            }
+            assert!(
+                firing < 100 && world.tick(reap),
+                "{selection:?}: never completes"
+            );
+        }
+        for app in APPS {
+            let route = world.master(app).fanin.route(&TREE);
+            assert_eq!(route.map(|r| r.failed.clone()), Some(vec![0]));
+        }
+        assert_eq!(results(&mut world, retried), folds.collect::<Vec<_>>());
+        for (at, core) in &world.nodes {
+            let open = match core {
+                Core::Box(b) => b.fanin.requests.len(),
+                Core::Master(m) => m.fanin.requests.len(),
+                Core::Worker(_) => 0,
+            };
+            assert_eq!(open, 0, "{selection:?}: request state left at {at}");
+        }
+    }
 }

@@ -179,15 +179,15 @@ fn clean_teardown_mid_request_is_prompt() {
 /// The box joins its pool itself: once `drop` returns, nothing is alive.
 #[test]
 fn a_box_joins_its_pool_even_when_a_task_holds_the_scheduler() {
-    use netagg_core::aggbox::{AggBox, AggBoxConfig};
-    use netagg_core::tree::box_addr;
+    use netagg_core::aggbox::AggBox;
+    use netagg_core::runtime::DeploymentConfig;
 
     let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
-    let mut cfg = AggBoxConfig::new(0, box_addr(0));
+    let mut cfg = DeploymentConfig::default();
     cfg.scheduler.threads = 2;
-    let obs = cfg.obs.clone();
-    let agg_box = AggBox::start(transport, cfg).unwrap();
-    agg_box.register_app(AppId(1), sum_agg(), 1.0);
+    let obs = netagg_obs::MetricsRegistry::new();
+    let agg_box = AggBox::start(transport, 0, &cfg, &obs).unwrap();
+    agg_box.register_app(AppId(1), sum_agg(), 1.0, &[]);
 
     let held = agg_box.scheduler().clone();
     let running = Arc::new(std::sync::Barrier::new(2));
@@ -212,34 +212,26 @@ fn a_box_joins_its_pool_even_when_a_task_holds_the_scheduler() {
 
 /// A box with every timer source configured but nothing to do: its route
 /// names a child box, so the straggler policy has someone to bypass, and
-/// `flush_bytes` is set. Worker 0 and box 7 are owed; box 7's only child
-/// listens at `child`.
+/// `flush_bytes` is set. It is the root box of `multi_rack(2, 1, 1)`:
+/// worker 0 and box 1 are owed; box 1's only child is worker 1.
 fn timed_box(
     transport: &Arc<dyn Transport>,
     threshold: Duration,
-    child: netagg_net::NodeId,
 ) -> Arc<netagg_core::aggbox::AggBox> {
-    use netagg_core::aggbox::{AggBox, AggBoxConfig, Route};
-    use netagg_core::protocol::{SourceId, TreeId};
+    use netagg_core::aggbox::AggBox;
+    use netagg_core::runtime::DeploymentConfig;
     use netagg_core::straggler::StragglerPolicy;
-    use netagg_core::tree::box_addr;
+    use netagg_core::tree::build_tree_specs;
 
-    let mut cfg = AggBoxConfig::new(0, box_addr(0));
-    cfg.straggler = Some(StragglerPolicy::new(threshold));
-    cfg.flush_bytes = Some(1 << 20);
-    let agg_box = AggBox::start(transport.clone(), cfg).unwrap();
-    agg_box.register_app(AppId(1), sum_agg(), 1.0);
-    let behind = Route {
-        owed: [SourceId::Worker(1)].into(),
-        children_addrs: vec![child],
-        ..Route::default()
+    let specs = build_tree_specs(&ClusterSpec::multi_rack(2, 1, 1));
+    let cfg = DeploymentConfig {
+        straggler: Some(StragglerPolicy::new(threshold)),
+        flush_bytes: Some(1 << 20),
+        ..DeploymentConfig::default()
     };
-    let route = Route {
-        owed: [SourceId::Worker(0), SourceId::Box(7)].into(),
-        child_boxes: [(7, behind)].into(),
-        ..Route::default()
-    };
-    agg_box.install_route(AppId(1), TreeId(0), 9_999, route);
+    let obs = netagg_obs::MetricsRegistry::new();
+    let agg_box = AggBox::start(transport.clone(), 0, &cfg, &obs).unwrap();
+    agg_box.register_app(AppId(1), sum_agg(), 1.0, &specs);
     agg_box
 }
 
@@ -249,7 +241,7 @@ fn timed_box(
 #[test]
 fn an_idle_box_never_wakes_its_timer() {
     let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
-    let agg_box = timed_box(&transport, Duration::from_millis(20), 9_998);
+    let agg_box = timed_box(&transport, Duration::from_millis(20));
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(agg_box.snapshot().timer_wakeups, 0);
 }
@@ -264,9 +256,9 @@ fn the_first_clock_wakes_a_timer_parked_without_a_deadline() {
 
     let threshold = Duration::from_millis(100);
     let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
-    let child = 9_998;
+    let child = netagg_core::tree::worker_addr(AppId(1), 1);
     let mut redirected = transport.bind(child).unwrap();
-    let agg_box = timed_box(&transport, threshold, child);
+    let agg_box = timed_box(&transport, threshold);
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(agg_box.snapshot().timer_wakeups, 0, "parked, no deadline");
 

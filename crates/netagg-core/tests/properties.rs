@@ -184,9 +184,13 @@ proptest! {
                     }
                 }
                 prop_assert!(tb.expected_sources() > 0);
+                // Every child box it owes is a box of the spec.
+                for c in &tb.box_children {
+                    prop_assert!(spec.tree_box(*c).is_some(), "box {} owes missing box {}", tb.box_id, c);
+                }
             }
             // Master sees at least one source when there are workers.
-            prop_assert!(spec.expected_master_sources() > 0);
+            prop_assert!(!spec.children(netagg_core::tree::Parent::Master).is_empty());
         }
     }
 

@@ -9,7 +9,7 @@ use netagg_core::failure::DetectorConfig;
 use netagg_core::prelude::*;
 use netagg_core::protocol::{Message, SourceId, TreeId};
 use netagg_core::runtime::DeploymentConfig;
-use netagg_core::shim::{MasterShim, MasterShimConfig, TreeSelection};
+use netagg_core::shim::{MasterShim, TreeSelection};
 use netagg_core::straggler::StragglerPolicy;
 use netagg_core::tree::{box_addr, build_tree_specs, master_addr, worker_addr};
 use netagg_net::lifecycle::Wait;
@@ -379,7 +379,8 @@ fn wait_after_shutdown_reports_shutdown() {
         netagg_core::protocol::AppId(0),
         sum_agg(),
         &specs,
-        MasterShimConfig::default(),
+        &DeploymentConfig::default(),
+        &netagg_obs::MetricsRegistry::new(),
     )
     .unwrap();
     let pending = master.register_request(1, 2);
