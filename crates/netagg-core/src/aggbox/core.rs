@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Requests per fan-in point whose emitted output a box retains for resends.
-const EMITTED_WINDOW: usize = 64;
+pub const EMITTED_WINDOW: usize = 64;
 
 /// How long after one streaming-flush pass the next is due.
 pub const FLUSH_TICK: Duration = Duration::from_millis(10);
@@ -94,7 +94,7 @@ pub struct BoxCore {
     /// Recently emitted output chunks per request, a window per fan-in
     /// point: one tenant's traffic must not evict what another's new
     /// parent will need (redirects arrive per application and tree).
-    emitted: Map<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
+    pub emitted: Map<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
     /// Items one combine merges: the local tree's fan-in.
     width: usize,
     /// Buffered bytes from which a flush pass streams a request's partial.

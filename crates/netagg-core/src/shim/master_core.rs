@@ -24,7 +24,7 @@ use std::time::Instant;
 /// suppression of late replays. Replays trail the failure they recover
 /// from by at most the in-flight window, so a few thousand ids is far
 /// more history than any redelivery can span.
-const DELIVERED_MEMORY: usize = 4096;
+pub const DELIVERED_MEMORY: usize = 4096;
 
 /// A ledger key at the master: a contributor on one tree.
 pub type MasterKey = (TreeId, SourceId);
@@ -76,7 +76,7 @@ pub struct MasterCore {
     /// Recently delivered (or reaped) request ids. Late replayed chunks for
     /// these are duplicates and must not resurrect a fresh ledger entry —
     /// that would complete the request a second time and leak the entry.
-    delivered: RecencyWindow<RequestId, ()>,
+    pub delivered: RecencyWindow<RequestId, ()>,
     selection: TreeSelection,
     num_trees: u32,
     /// What transitions produced and the shell has not yet sent.

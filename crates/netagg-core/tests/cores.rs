@@ -6,21 +6,20 @@ use bytes::Bytes;
 use netagg_core::aggbox::core::{BoxCore, BoxStep, Work, FLUSH_TICK, OUTBOX_BOUND};
 use netagg_core::aggbox::tree::combine;
 use netagg_core::failure::DetectorConfig;
-use netagg_core::fanin::{Fired, Route, REQUEST_TTL};
-use netagg_core::node::{Emit, Node};
+use netagg_core::fanin::{Fired, Request, Route, REQUEST_TTL};
+use netagg_core::node::{Emit, Node, Step};
 use netagg_core::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use netagg_core::runtime::DeploymentConfig;
 use netagg_core::shim::master_core::{MasterCore, Taken};
 use netagg_core::shim::worker_core::{WorkerCore, WorkerStep};
 use netagg_core::shim::TreeSelection;
 use netagg_core::straggler::StragglerPolicy;
-use netagg_core::tree::{
-    box_addr, build_tree_specs, master_addr, worker_addr, ClusterSpec, Parent, RackSpec, TreeSpec,
-};
+use netagg_core::tree::{box_addr, build_tree_specs, worker_addr, ClusterSpec, Parent, TreeSpec};
 use netagg_core::{AggError, DynAggregator};
-use netagg_net::{DetRng, NodeId};
+use netagg_net::NodeId;
 use netagg_obs::trace::TraceCtx;
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -519,287 +518,9 @@ fn completing_every_request_returns_the_tracked_count_to_zero() {
     assert_eq!(core.dest(TREE), Some(9));
 }
 
-// --- (c): the same event sequences through a box core and the master core ---
+// --- (e): time is an input — deadlines through the cores ---
 
 const REQ: RequestId = RequestId(7);
-
-/// What the drives below ask of a fan-in node — a box core or the master
-/// core — through [`Node`] where it reaches: the node owes box 0 among its
-/// children, and the request is [`REQ`].
-trait Fan {
-    /// One input, a message or (`None`) a timer firing, and what it did;
-    /// `done` holds the inputs that reached the combiner if it completed
-    /// the request.
-    fn step(&mut self, input: Option<Message>, now: Instant) -> Tick;
-    /// Box 0 fails for good, as a detector declares it: the `Moved`
-    /// transitions, and the inputs if that completed the request.
-    fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>);
-    fn deadline(&self) -> Option<Instant>;
-    fn send_failed(&mut self, e: &Emit);
-    /// The node's one route: the child boxes it names and what it owes.
-    fn route(&self) -> &Route;
-    /// The node's address.
-    fn here(&self) -> NodeId;
-    /// Whether the request is open here.
-    fn open(&self) -> bool;
-
-    /// `source`'s final chunk arrives.
-    fn data(&mut self, source: SourceId, payload: u8, now: Instant) -> Option<Vec<Bytes>> {
-        let msg = data_msg(REQ.0, source, (1, true), payload);
-        self.step(Some(msg), now).done
-    }
-    fn tick(&mut self, now: Instant) -> Tick {
-        self.step(None, now)
-    }
-}
-
-/// The inputs a box's final chunk folded, one byte each.
-fn folded(chunk: Bytes) -> Vec<Bytes> {
-    (0..chunk.len()).map(|i| chunk.slice(i..i + 1)).collect()
-}
-
-impl Fan for BoxCore {
-    fn step(&mut self, input: Option<Message>, now: Instant) -> Tick {
-        let mut step = match input {
-            Some(msg) => self.on_message(msg, now),
-            None => self.on_timer(now),
-        };
-        let fired = step.fired.take();
-        let done = run(self, step);
-        Tick::of(fired.as_ref(), sent(self), done.map(folded))
-    }
-    fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>) {
-        let r = self.fanin.child_box_failed((APP, TREE), 0);
-        r.map_or((0, None), |r| {
-            let work = self.end(r.closed);
-            (r.moved, run(self, work).map(folded))
-        })
-    }
-    fn deadline(&self) -> Option<Instant> {
-        self.next_deadline()
-    }
-    fn send_failed(&mut self, e: &Emit) {
-        Node::send_failed(self, e.to, &e.msg);
-    }
-    fn route(&self) -> &Route {
-        self.fanin.route(&(APP, TREE)).unwrap()
-    }
-    fn here(&self) -> NodeId {
-        self.fanin.addr
-    }
-    fn open(&self) -> bool {
-        let q = self.fanin.requests.get(&(APP, REQ, TREE));
-        q.is_some_and(|q| !q.closed)
-    }
-}
-
-/// The master's result once a transition reported the request complete.
-fn delivered(core: &mut MasterCore, completed: bool) -> Option<Vec<Bytes>> {
-    let Taken::Done(d) = core.take_completed(REQ) else {
-        assert!(!completed);
-        return None;
-    };
-    Some(d.inputs)
-}
-
-impl Fan for MasterCore {
-    fn step(&mut self, input: Option<Message>, now: Instant) -> Tick {
-        let step = match input {
-            Some(msg) => self.on_message(msg, now),
-            None => self.on_timer(now),
-        };
-        let fired = step.fired.as_ref();
-        let closed = fired.map_or(step.closed.is_some(), |f| !f.closed().is_empty());
-        let done = delivered(self, closed);
-        Tick::of(fired, sent(self), done)
-    }
-    fn fail_box0(&mut self) -> (usize, Option<Vec<Bytes>>) {
-        let r = self.fanin.child_box_failed(TREE, 0);
-        r.map_or((0, None), |r| {
-            (r.moved, delivered(self, !r.closed.is_empty()))
-        })
-    }
-    fn deadline(&self) -> Option<Instant> {
-        self.next_deadline()
-    }
-    fn send_failed(&mut self, e: &Emit) {
-        Node::send_failed(self, e.to, &e.msg);
-    }
-    fn route(&self) -> &Route {
-        self.fanin.route(&TREE).unwrap()
-    }
-    fn here(&self) -> NodeId {
-        self.fanin.addr
-    }
-    fn open(&self) -> bool {
-        self.fanin.requests.get(&REQ).is_some_and(|q| !q.closed)
-    }
-}
-
-/// One probe a firing queued.
-#[derive(Clone, Debug)]
-struct Probe {
-    box_id: u32,
-    nonce: u64,
-    sent: Emit,
-}
-
-/// What one timer firing did, in the terms both fan-in cores share.
-struct Tick {
-    probes: Vec<Probe>,
-    /// Per box declared dead, the open requests the same step re-pointed.
-    dead: Vec<(u32, usize)>,
-    /// The children told to send here for good.
-    redirected: Vec<NodeId>,
-    bypasses: usize,
-    /// `Moved` ledger transitions: bypasses, escalations and failures.
-    moved: usize,
-    /// Requests the firing reaped.
-    reaped: usize,
-    done: Option<Vec<Bytes>>,
-    /// Every message the firing queued.
-    sends: Vec<Emit>,
-}
-
-impl Tick {
-    fn of<P, R>(fired: Option<&Fired<P, R>>, sends: Vec<Emit>, done: Option<Vec<Bytes>>) -> Self {
-        let scan = fired.and_then(|f| f.scan.as_ref());
-        let escalated = scan.into_iter().flat_map(|s| &s.escalated);
-        let failed = fired.into_iter().flat_map(|f| &f.failed);
-        let repointed = |b: &u32| {
-            let points = failed.clone().filter(|(_, failed, _)| failed == b);
-            (*b, points.map(|(_, _, r)| r.repointed.len()).sum())
-        };
-        let probe = |e: &Emit| match e.msg {
-            Message::Heartbeat { nonce, .. } => Some(Probe {
-                box_id: e.to - box_addr(0),
-                nonce,
-                sent: e.clone(),
-            }),
-            _ => None,
-        };
-        let redirect =
-            |e: &&Emit| matches!(e.msg, Message::Redirect { permanent, .. } if permanent);
-        let bypasses = scan.map_or(0, |s| s.bypasses.len());
-        let moved: usize = failed.clone().chain(escalated).map(|f| f.2.moved).sum();
-        let dead = fired.into_iter().flat_map(|f| &f.dead);
-        Tick {
-            probes: sends.iter().filter_map(probe).collect(),
-            dead: dead.map(repointed).collect(),
-            redirected: sends.iter().filter(redirect).map(|e| e.to).collect(),
-            bypasses,
-            moved: bypasses + moved,
-            reaped: fired.map_or(0, |f| f.reaped.len()),
-            done,
-            sends,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.probes.is_empty() && self.dead.is_empty() && self.bypasses == 0 && self.reaped == 0
-    }
-}
-
-/// Rack 0 hosts the master and worker 2 (no box, so it sends directly);
-/// rack 1 hosts workers 0 and 1 behind box 0.
-fn cluster() -> Vec<TreeSpec> {
-    let rack = |workers, boxes| RackSpec { workers, boxes };
-    build_tree_specs(&ClusterSpec {
-        racks: vec![rack(vec![2], 0), rack(vec![0, 1], 1)],
-        master_rack: 0,
-        num_trees: 1,
-    })
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Event {
-    /// The failure detector declares box 0 dead.
-    Detector,
-    /// A straggler scan past the threshold; one strike escalates.
-    Scan,
-    /// Worker `w` sends (2) or replays (0, 1) its final chunk straight to
-    /// this node.
-    Worker(u32),
-    /// Box 0's own aggregate (workers 0 and 1 folded) arrives.
-    BoxAggregate,
-}
-
-/// Drive `node` through `events`, check the result against the reference
-/// fold and return the total `Moved` transitions.
-fn drive(node: &mut dyn Fan, events: &[Event], t0: Instant) -> usize {
-    let late = t0 + THRESHOLD * 2;
-    let (mut moved, mut result) = (0, None);
-    for e in events {
-        let (step, done) = match e {
-            Event::Detector => node.fail_box0(),
-            Event::Scan => {
-                let tick = node.tick(late);
-                (tick.moved, tick.done)
-            }
-            Event::Worker(w) => (0, node.data(SourceId::Worker(*w), 10 + *w as u8, t0)),
-            Event::BoxAggregate => (0, node.data(SourceId::Box(0), 21, t0)),
-        };
-        moved += step;
-        if let Some(inputs) = done {
-            assert!(result.is_none(), "{events:?}: completed twice");
-            result = Some(inputs.iter().map(|b| b[0] as u32).sum::<u32>());
-        }
-    }
-    // Reference fold: workers 0, 1 and 2 contribute 10, 11 and 12, once each.
-    assert_eq!(result, Some(33), "{events:?}");
-    moved
-}
-
-/// (c) Detector firing, straggler escalation and replayed `last` chunks in
-/// every order: the same single `Moved` transition and the same exact
-/// result at a box and at the master.
-#[test]
-fn recovery_events_in_any_order_move_obligations_once() {
-    use Event::*;
-    let specs = cluster();
-    let mut rng = DetRng::new(0xFA17);
-    let mut shuffled = |mut events: Vec<Event>| {
-        for i in (1..events.len()).rev() {
-            events.swap(i, rng.gen_range(0, i as u64 + 1) as usize);
-        }
-        events
-    };
-    for round in 0..400 {
-        // Worker 2's chunk opens the request (and starts the box-side
-        // straggler clock) unless the detector beats it. Box 0 either
-        // never delivers, delivers before it is declared dead (replays are
-        // then duplicates of what it folded in), or its aggregate arrives
-        // after the declaration (ignored) — even at a node that first
-        // hears of the request after it.
-        let recovery = vec![Detector, Scan, Worker(0), Worker(1)];
-        let late_box = vec![BoxAggregate, Scan, Worker(0), Worker(1)];
-        let (head, tail, want_moved) = match round % 4 {
-            0 => (vec![Worker(2)], recovery, Some(1)),
-            1 => (vec![Worker(2), BoxAggregate], recovery, Some(0)),
-            2 => (vec![Worker(2), Detector], late_box, Some(1)),
-            _ => (vec![Detector, Worker(2)], late_box, None),
-        };
-        let events = [head, shuffled(tail)].concat();
-        let t0 = Instant::now();
-        let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
-        master.register(REQ, 3, None, t0);
-        let child = HashMap::from([(0, Route::of(&specs[0], APP, Parent::Box(0)))]);
-        let mut aggbox = box_core(2, specs[0].children(Parent::Master), child);
-        let strike = Some(StragglerPolicy {
-            threshold: THRESHOLD,
-            repeat_limit: 1,
-        });
-        (aggbox.fanin.straggler, master.fanin.straggler) = (strike, strike);
-        let nodes: [&mut dyn Fan; 2] = [&mut aggbox, &mut master];
-        for node in nodes {
-            let moved = drive(node, &events, t0);
-            assert_eq!(want_moved.unwrap_or(moved), moved, "{events:?}");
-            assert!(moved <= 1, "{events:?}");
-        }
-    }
-}
-
-// --- (e): time is an input — deadlines and the detector through the cores ---
 
 const DETECTOR: DetectorConfig = DetectorConfig {
     interval: Duration::from_millis(30),
@@ -818,204 +539,88 @@ fn box_above_chain(specs: &[TreeSpec]) -> BoxCore {
     routed_box(2, 2, Route::of(&specs[0], APP, Parent::Master))
 }
 
-/// Every message a fan-in core sends names the node itself: a `Redirect`'s
-/// `new_parent` and a `Heartbeat`'s `from` are its own address.
-fn names_the_node(node: &dyn Fan, sends: &[Emit]) {
-    for e in sends {
-        let named = match e.msg {
-            Message::Heartbeat { from, .. } => from,
-            Message::Redirect { new_parent, .. } => new_parent,
-            _ => continue,
-        };
-        assert_eq!(named, node.here(), "{e:?}");
-    }
+/// `source`'s final chunk of [`REQ`] reaches a fan-in core — a box core or
+/// the master core — at `now`: whether it was taken. It completes nothing.
+fn take<N: Node<Report = Step<P, R>>, P, R>(node: &mut N, source: SourceId, now: Instant) -> bool {
+    let step = node.on_message(data_msg(REQ.0, source, (1, true), 1), now);
+    assert!(step.work.is_empty() && step.completed.is_empty());
+    !step.dropped
+}
+
+/// A fan-in core's timer fires at `now`: what the firing reports, and
+/// everything it queued. It completes nothing.
+fn fire<N: Node<Report = Step<P, R>>, P, R>(
+    node: &mut N,
+    now: Instant,
+) -> (Fired<P, R>, Vec<Emit>) {
+    let step = node.on_timer(now);
+    assert!(step.work.is_empty() && step.completed.is_empty());
+    (step.fired.expect("a fan-in firing reports"), sent(node))
+}
+
+/// Whether a fan-in request has state and is still open.
+fn open<P: Copy + Eq + Hash, X>(q: Option<&Request<P, X>>) -> bool {
+    q.is_some_and(|q| !q.closed)
 }
 
 /// The shape that would busy-loop a timer thread: a request past its
 /// threshold whose straggler has been bypassed keeps no deadline in the
 /// past — only its reap's; and a firing before the deadline changes
-/// nothing.
+/// nothing. At a box and at the master alike; every message a firing sends
+/// names the node.
+fn nothing_left_to_bypass<N, P, R: Copy>(mut node: N, at: NodeId, open: impl Fn(&N) -> bool)
+where
+    N: Node<Report = Step<P, R>>,
+{
+    let t0 = Instant::now();
+    assert_eq!(node.next_deadline(), None, "no clock started");
+    // Worker 0's chunk (ahead of any redirect) starts the clock.
+    assert!(take(&mut node, SourceId::Worker(0), t0));
+    assert_eq!(node.next_deadline(), Some(t0 + THRESHOLD));
+    let (early, sends) = fire(&mut node, t0 + THRESHOLD - Duration::from_nanos(1));
+    assert!(early.is_empty() && sends.is_empty());
+    assert_eq!(
+        node.next_deadline(),
+        Some(t0 + THRESHOLD),
+        "nothing changed"
+    );
+    let (due, sends) = fire(&mut node, t0 + THRESHOLD);
+    let bypasses = due.scan.map_or(0, |s| s.bypasses.len());
+    assert_eq!(
+        (bypasses, sends.len()),
+        (1, 3),
+        "box 0's three children told"
+    );
+    for e in &sends {
+        let Message::Redirect { new_parent, .. } = e.msg else {
+            panic!("a bypass sends redirects: {e:?}");
+        };
+        assert_eq!(new_parent, at, "{e:?}");
+    }
+    let reap = Some(t0 + REQUEST_TTL);
+    assert_eq!(
+        node.next_deadline(),
+        reap,
+        "bypassed: nothing left to wait for"
+    );
+    assert!(open(&node), "workers 1 to 3 are still owed");
+    let (late, sends) = fire(&mut node, t0 + THRESHOLD * 9);
+    assert!(late.is_empty() && sends.is_empty());
+}
+
 #[test]
 fn a_request_with_nothing_left_to_bypass_yields_no_deadline() {
     let specs = chain();
-    let t0 = Instant::now();
     let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     master.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
     let mut aggbox = box_above_chain(&specs);
     aggbox.fanin.straggler = Some(StragglerPolicy::new(THRESHOLD));
-    let nodes: [&mut dyn Fan; 2] = [&mut aggbox, &mut master];
-    for node in nodes {
-        assert_eq!(node.deadline(), None, "no clock started");
-        // Worker 0's chunk (ahead of any redirect) starts the clock.
-        node.data(SourceId::Worker(0), 10, t0);
-        assert_eq!(node.deadline(), Some(t0 + THRESHOLD));
-        let early = node.tick(t0 + THRESHOLD - Duration::from_nanos(1));
-        assert!(early.is_empty() && early.done.is_none());
-        assert_eq!(node.deadline(), Some(t0 + THRESHOLD), "nothing changed");
-        let due = node.tick(t0 + THRESHOLD);
-        assert_eq!(
-            (due.bypasses, due.sends.len()),
-            (1, 3),
-            "box 0's three children told"
-        );
-        names_the_node(node, &due.sends);
-        let reap = Some(t0 + REQUEST_TTL);
-        assert_eq!(node.deadline(), reap, "bypassed: nothing left to wait for");
-        assert!(node.open(), "workers 1 to 3 are still owed");
-        assert!(node.tick(t0 + THRESHOLD * 9).is_empty());
-    }
-}
-
-/// What the drive below may deliver to the node next.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Input {
-    /// A box answers a probe, under the probe's nonce or an older one.
-    Ack(u32, u64),
-    /// A worker's replay, or a box's aggregate, reaches the node.
-    Data(SourceId),
-}
-
-/// Drive `node` — owing box 0 — through one seeded order of timer firings,
-/// acks and data, against a model of the detector kept here: the probe
-/// each box owes an ack for, and its consecutive time-outs. Box 0 never
-/// answers; box 1's answers (if `leaf_answers`) arrive whenever the order
-/// says, in time or not. Nodes send only what a redirect asked for: a
-/// worker replays here once its box was declared dead, box 1 delivers here
-/// once box 0 was.
-fn drive_detector(node: &mut dyn Fan, rng: &mut DetRng, leaf_answers: bool, t0: Instant) {
-    let value = |s| match s {
-        SourceId::Worker(w) => 10 + w as u8,
-        SourceId::Box(b) => [46, 25][b as usize],
-    };
-    let mut now = t0;
-    // Box 0's own aggregate may be in flight already: before the
-    // declaration it is the whole answer, after it it is ignored.
-    let mut pool = vec![Input::Data(SourceId::Box(0))];
-    let mut owing: HashMap<u32, (u64, Instant)> = HashMap::new();
-    let mut misses: HashMap<u32, u32> = HashMap::new();
-    let (mut declared, mut result, mut trace) = (Vec::new(), None, Vec::new());
-    let mut finish = |done: Option<Vec<Bytes>>, trace: &[Option<Input>]| {
-        let Some(inputs) = done else { return };
-        let sum = inputs.iter().map(|b| b[0] as u32).sum::<u32>();
-        assert!(result.replace(sum).is_none(), "{trace:?}: completed twice");
-    };
-    let in_flight = |pool: &[Input]| pool.iter().any(|i| matches!(i, Input::Data(_)));
-    // `None` in the trace is a timer firing. Run until box 0 is declared
-    // and the request done, then a little longer: nothing completes twice.
-    let mut overtime = 12;
-    while overtime > 0 {
-        let settled = declared.contains(&0) && !node.open() && !in_flight(&pool);
-        overtime -= usize::from(settled);
-        assert!(trace.len() < 400, "{trace:?}: no quiescence");
-        let pick = rng.gen_range(0, 2 * pool.len().max(1) as u64) as usize;
-        let input = (pick < pool.len()).then(|| pool.swap_remove(pick));
-        trace.push(input);
-        match input {
-            Some(Input::Data(source)) => {
-                finish(node.data(source, value(source), now), &trace);
-            }
-            Some(Input::Ack(from, nonce)) => {
-                node.step(Some(Message::HeartbeatAck { from, nonce }), now);
-                if owing.get(&from).is_some_and(|(n, _)| *n == nonce) {
-                    owing.remove(&from);
-                    misses.remove(&from);
-                }
-            }
-            None => {
-                // Every input arrives long before a request's reap is due.
-                let Some(deadline) = node.deadline().filter(|d| *d < t0 + REQUEST_TTL) else {
-                    continue;
-                };
-                now = deadline;
-                let lapsed = owing
-                    .iter()
-                    .filter(|(_, (_, t))| *t + DETECTOR.timeout <= now);
-                let mut due = Vec::new();
-                for b in lapsed.map(|(b, _)| *b).collect::<Vec<_>>() {
-                    owing.remove(&b);
-                    let n = misses.entry(b).or_insert(0);
-                    *n += 1;
-                    due.extend((*n == DETECTOR.misses).then_some(b));
-                }
-                let watched: Vec<u32> = node.route().child_boxes.keys().copied().collect();
-                let open = node.open();
-                let tick = node.tick(now);
-                names_the_node(node, &tick.sends);
-                let mut dead: Vec<u32> = tick.dead.iter().map(|d| d.0).collect();
-                dead.sort_unstable();
-                due.sort_unstable();
-                assert_eq!(
-                    dead, due,
-                    "{trace:?}: `misses` time-outs in a row, no fewer"
-                );
-                let mut children = 0;
-                for (b, repointed) in &tick.dead {
-                    assert!(!declared.contains(b), "{trace:?}: box {b} failed twice");
-                    declared.push(*b);
-                    // The ledger and the route moved in this very step.
-                    assert_eq!(*repointed, usize::from(open), "{trace:?}");
-                    assert!(!node.route().child_boxes.contains_key(b));
-                    let behind = &chain()[0].children(Parent::Box(*b));
-                    assert!(behind.iter().all(|s| node.route().owed.contains(s)));
-                    children += behind.len();
-                    pool.extend(behind.iter().map(|s| Input::Data(*s)));
-                }
-                assert_eq!(tick.redirected.len(), children, "{trace:?}");
-                // A round probes every routed box that owes no ack — the
-                // boxes adopted from a dead one from the next round on.
-                let mut probed: Vec<u32> = tick.probes.iter().map(|p| p.box_id).collect();
-                let idle = |b: &u32| !owing.contains_key(b) && !dead.contains(b);
-                let mut expect: Vec<u32> = watched.into_iter().filter(idle).collect();
-                probed.sort_unstable();
-                expect.sort_unstable();
-                assert!(probed.is_empty() || probed == expect, "{trace:?}");
-                finish(tick.done, &trace);
-                assert!(node.tick(now).is_empty(), "{trace:?}: a second firing");
-                for p in tick.probes.iter().cloned() {
-                    owing.insert(p.box_id, (p.nonce, now));
-                    // An older nonce (ignored) races the real ack, if any.
-                    pool.push(Input::Ack(p.box_id, p.nonce - 1));
-                    if p.box_id == 1 && leaf_answers {
-                        pool.push(Input::Ack(p.box_id, p.nonce));
-                    } else if rng.gen_range(0, 2) == 0 {
-                        // The send failed outright: missed without waiting.
-                        node.send_failed(&p.sent);
-                        owing.insert(p.box_id, (p.nonce, now - DETECTOR.timeout));
-                        assert_eq!(node.deadline(), Some(now), "{trace:?}");
-                    }
-                }
-            }
-        }
-    }
-    assert!(declared.contains(&0), "{trace:?}");
-    assert_eq!(result, Some(46), "{trace:?}");
-}
-
-/// (e) Probe rounds, acks before and after their time-out, acks under an
-/// older nonce, probes that could not be sent, replays and late aggregates
-/// in seeded orders: a silent box is failed exactly once, after exactly
-/// `misses` unanswered probes — an unsent one missed at once, before its
-/// time-out — with the ledger moved in the step that names who to
-/// redirect; the box it leaves behind is probed — and, if silent too,
-/// failed — with no watch list to update; every message names the node;
-/// the result is the reference fold, once.
-#[test]
-fn detector_inputs_in_any_order_fail_each_silent_box_exactly_once() {
-    let specs = chain();
-    let mut rng = DetRng::new(0xDE7E_C70A);
-    for round in 0..400 {
-        let t0 = Instant::now();
-        let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
-        master.register(REQ, 4, None, t0);
-        let mut aggbox = box_above_chain(&specs);
-        master.fanin.detector.enable(DETECTOR, t0);
-        aggbox.fanin.detector.enable(DETECTOR, t0);
-        let nodes: [&mut dyn Fan; 2] = [&mut aggbox, &mut master];
-        for node in nodes {
-            drive_detector(node, &mut rng, round % 2 == 0, t0);
-        }
-        assert!(master.fanin.route(&TREE).unwrap().failed.contains(&0));
-    }
+    let at = aggbox.fanin.addr;
+    nothing_left_to_bypass(aggbox, at, |b| {
+        open(b.fanin.requests.get(&(APP, REQ, TREE)))
+    });
+    let at = master.fanin.addr;
+    nothing_left_to_bypass(master, at, |m| open(m.fanin.requests.get(&REQ)));
 }
 
 /// A broadcast follows the routes, at the master and at a box alike: one
@@ -1098,136 +703,6 @@ fn a_sequence_gap_is_accepted_and_reported() {
         (Some(REQ), vec![(REQ, w)]),
         "accepted"
     );
-}
-
-// --- (f): the outbox — box output leaves in the order it was numbered ---
-
-/// One step of [`outbox_order_drive`].
-#[derive(Clone, Copy, Debug)]
-enum Step2 {
-    /// Worker 0 sends request `r` a chunk; its last one closes `r`.
-    Chunk(u64, bool),
-    /// A streaming-flush pass.
-    Flush,
-    /// A closed request's local aggregation finishes.
-    Complete(u64),
-    /// A straggler bypass upstream: `r`'s output goes elsewhere.
-    Bypass(u64),
-    /// The parent died: every request's output goes elsewhere.
-    Repoint,
-}
-
-/// Drive a box core through one seeded order of worker chunks, flush
-/// passes, completions, per-request redirects and permanent ones, with the
-/// timer thread's drain of the outbox at seeded points between steps.
-/// Combines run as they are made ready, but a closing chunk's wait for the
-/// request's `Complete` step. Returns the wire in send order and every
-/// request's worker bytes.
-fn outbox_order_drive(rng: &mut DetRng) -> (Vec<Emit>, HashMap<u64, Vec<u8>>) {
-    const REQUESTS: u64 = 4;
-    let mut core = box_core(3, vec![SourceId::Worker(0)], HashMap::new());
-    let now = Instant::now();
-    let (mut wire, mut next_node, mut trace) = (Vec::new(), 200, Vec::new());
-    let mut input: HashMap<u64, Vec<u8>> = HashMap::new();
-    let (mut closed, mut done, mut held) = (Vec::new(), Vec::new(), HashMap::new());
-    while done.len() < REQUESTS as usize {
-        let r = rng.gen_range(0, REQUESTS);
-        let step = match rng.gen_range(0, 8) {
-            0..=2 if !closed.contains(&r) => Step2::Chunk(r, rng.gen_range(0, 4) == 0),
-            3 => Step2::Flush,
-            4 | 5 if closed.contains(&r) && !done.contains(&r) => Step2::Complete(r),
-            6 => Step2::Bypass(r),
-            7 if rng.gen_range(0, 4) == 0 => Step2::Repoint,
-            _ => continue,
-        };
-        trace.push(step);
-        match step {
-            Step2::Chunk(r, last) => {
-                let bytes = input.entry(r).or_default();
-                let seq = bytes.len() as u32 + 1;
-                bytes.push((r * 50) as u8 + seq as u8);
-                let msg = data_msg(r, SourceId::Worker(0), (seq, last), bytes[seq as usize - 1]);
-                let step = core.on_message(msg, now);
-                let sent = (!step.dropped).then_some(step.closed);
-                assert_eq!(sent.is_some_and(|close| close.is_some()), last, "{trace:?}");
-                if last {
-                    held.insert(r, step.work);
-                } else {
-                    run(&mut core, step.work);
-                }
-                closed.extend(last.then_some(r));
-            }
-            Step2::Flush => {
-                let work = core.flush();
-                run(&mut core, work);
-            }
-            Step2::Complete(r) => {
-                // The final aggregate carries every partial not flushed.
-                let work = held.remove(&r).expect("closed, not completed");
-                run(&mut core, work);
-                done.push(r);
-            }
-            Step2::Bypass(r) => core.redirect(APP, false, RequestId(r), TREE, next_node, now),
-            Step2::Repoint => core.redirect(APP, true, RequestId(0), TREE, next_node, now),
-        }
-        next_node += 1;
-        if rng.gen_range(0, 2) == 0 {
-            wire.extend(sent(&mut core));
-        }
-    }
-    wire.extend(sent(&mut core));
-    (wire, input)
-}
-
-/// (f) Flush passes, completions, a per-request redirect and a permanent
-/// one in seeded orders, the outbox drained at seeded points: every
-/// destination sees each request's output chunks in strictly increasing
-/// order, with at most one `last` and nothing after it; and some
-/// destination got all of them — every worker byte exactly once, one
-/// `last`, on the final chunk.
-#[test]
-fn box_output_leaves_each_destination_in_numbering_order() {
-    let mut rng = DetRng::new(0x0B0C_5EED);
-    for round in 0..400 {
-        let (wire, input) = outbox_order_drive(&mut rng);
-        let mut streams: HashMap<_, Vec<(u32, bool, Bytes)>> = HashMap::new();
-        for Emit { to, msg, .. } in &wire {
-            let Message::Data {
-                request,
-                seq,
-                last,
-                payload,
-                ..
-            } = msg
-            else {
-                panic!("round {round}: only data leaves here: {msg:?}");
-            };
-            let stream = streams.entry((*to, *request)).or_default();
-            if let Some((prev, ended, _)) = stream.last() {
-                assert!(
-                    !ended && *seq > *prev,
-                    "round {round}: {to} {request:?} {seq} after {prev}"
-                );
-            }
-            stream.push((*seq, *last, payload.clone()));
-        }
-        for (r, bytes) in &input {
-            let whole = streams
-                .iter()
-                .filter(|((_, req), _)| *req == RequestId(*r))
-                .any(|(_, s)| {
-                    let numbered = s.iter().enumerate().all(|(i, (seq, last, _))| {
-                        *seq as usize == i && *last == (i + 1 == s.len())
-                    });
-                    let joined: Vec<u8> = s.iter().flat_map(|(_, _, p)| p.to_vec()).collect();
-                    numbered && s.last().is_some_and(|c| c.1) && joined == *bytes
-                });
-            assert!(
-                whole,
-                "round {round}: request {r} never reached one parent whole: {streams:?}"
-            );
-        }
-    }
 }
 
 // --- (g): backpressure and the detector ---
@@ -1574,6 +1049,9 @@ fn the_master_reaps_a_request_never_waited_on() {
 /// Down [`chain`]: worker 3 never ends, so box 1 never ends, so box 0
 /// never does, and the master never completes. Each node reaps the request
 /// on its own timer, and each drops the late chunk that follows.
+/// Down [`chain`]: worker 3 never ends, so box 1 never ends, so box 0
+/// never does, and the master never completes. Each node reaps the request
+/// on its own timer, and each drops the late chunk that follows.
 #[test]
 fn every_node_of_a_chain_reaps_a_request_below_a_dead_worker() {
     let specs = chain();
@@ -1586,20 +1064,38 @@ fn every_node_of_a_chain_reaps_a_request_below_a_dead_worker() {
     let (mut box1, mut box0) = (chain_box(1), chain_box(0));
     let mut master = MasterCore::new(APP, &specs, &DeploymentConfig::default());
     master.register(REQ, 4, None, t0);
-    assert_eq!(box1.data(SourceId::Worker(2), 12, t0), None);
-    assert_eq!(box0.data(SourceId::Worker(0), 10, t0), None);
-    assert_eq!(box0.data(SourceId::Worker(1), 11, t0), None);
-    let late = [SourceId::Worker(3), SourceId::Box(1), SourceId::Box(0)];
-    let nodes: [&mut dyn Fan; 3] = [&mut box1, &mut box0, &mut master];
-    for (node, late) in nodes.into_iter().zip(late) {
-        assert!(node.open());
-        assert_eq!(node.deadline(), Some(t0 + REQUEST_TTL));
-        let tick = node.tick(t0 + REQUEST_TTL);
-        assert_eq!((tick.reaped, tick.done, tick.sends.len()), (1, None, 0));
-        assert_eq!((node.open(), node.deadline()), (false, None));
-        assert_eq!(node.data(late, 1, t0 + REQUEST_TTL), None, "{late:?}");
-        assert_eq!((node.open(), node.deadline()), (false, None), "{late:?}");
-    }
+    assert!(take(&mut box1, SourceId::Worker(2), t0));
+    assert!(take(&mut box0, SourceId::Worker(0), t0));
+    assert!(take(&mut box0, SourceId::Worker(1), t0));
+    let at_box = |b: &BoxCore| open(b.fanin.requests.get(&(APP, REQ, TREE)));
+    reaps_once(&mut box1, at_box, SourceId::Worker(3), t0);
+    reaps_once(&mut box0, at_box, SourceId::Box(1), t0);
+    reaps_once(
+        &mut master,
+        |m| open(m.fanin.requests.get(&REQ)),
+        SourceId::Box(0),
+        t0,
+    );
+}
+
+/// One node of [`every_node_of_a_chain_reaps_a_request_below_a_dead_worker`]:
+/// open, due at the reap, reaped by it with nothing sent, and a `late`
+/// chunk after it dropped.
+fn reaps_once<N, P, R: Copy>(node: &mut N, open: impl Fn(&N) -> bool, late: SourceId, t0: Instant)
+where
+    N: Node<Report = Step<P, R>>,
+{
+    assert!(open(node));
+    assert_eq!(node.next_deadline(), Some(t0 + REQUEST_TTL));
+    let (fired, sends) = fire(node, t0 + REQUEST_TTL);
+    assert_eq!((fired.reaped.len(), sends.len()), (1, 0));
+    assert_eq!((open(node), node.next_deadline()), (false, None));
+    assert!(!take(node, late, t0 + REQUEST_TTL), "{late:?}");
+    assert_eq!(
+        (open(node), node.next_deadline()),
+        (false, None),
+        "{late:?}"
+    );
 }
 
 /// A per-request redirect is the request's own state: one arriving before
@@ -1648,270 +1144,4 @@ fn a_workers_chunks_are_consecutive_on_each_tree() {
     core.next_chunk((REQ, TreeId(0)), Bytes::new(), true, None)
         .unwrap();
     assert_eq!(chunk(&sent(&mut core)[0].msg).0, 1, "a new stream");
-}
-
-// --- (i): one deployment of cores, wired by their constructors alone ---
-
-/// A sum of little-endian integers: the reference fold is plain addition.
-struct Sum;
-impl DynAggregator for Sum {
-    fn aggregate_serialized(&self, items: Vec<Bytes>) -> Result<Bytes, AggError> {
-        let sum: u64 = items.iter().map(value).sum();
-        Ok(Bytes::copy_from_slice(&sum.to_le_bytes()))
-    }
-    fn empty_serialized(&self) -> Bytes {
-        Bytes::new()
-    }
-}
-
-/// A [`Sum`] item's value; an empty item is 0.
-fn value(item: &Bytes) -> u64 {
-    item.iter().rev().fold(0, |n, b| n << 8 | u64::from(*b))
-}
-
-/// Two applications share the boxes.
-const APPS: [AppId; 2] = [AppId(0), AppId(1)];
-
-/// A core of a [`World`].
-enum Core {
-    Box(BoxCore),
-    Master(MasterCore),
-    Worker(WorkerCore),
-}
-
-/// Every core of a deployment, each built by its constructor from the
-/// specs and one [`DeploymentConfig`] and placed at the address the tree
-/// module gives it, with the messages in flight between them: one FIFO, in
-/// send order. A message to a dead node is lost.
-struct World {
-    nodes: Vec<(NodeId, Core)>,
-    wire: VecDeque<Emit>,
-    dead: Vec<NodeId>,
-    now: Instant,
-    keyed: bool,
-}
-
-/// One input to a core: a message, or (`None`) a timer firing.
-fn input<N: Node>(node: &mut N, msg: Option<Message>, now: Instant) -> N::Report {
-    match msg {
-        Some(msg) => node.on_message(msg, now),
-        None => node.on_timer(now),
-    }
-}
-
-impl World {
-    fn new(cluster: &ClusterSpec, cfg: &DeploymentConfig, now: Instant) -> Self {
-        let specs = build_tree_specs(cluster);
-        let mut nodes = Vec::new();
-        for b in 0..cluster.total_boxes() {
-            let mut core = BoxCore::new(b, cfg, now);
-            for app in APPS {
-                core.add_app(app, Arc::new(Sum), &specs);
-            }
-            nodes.push((box_addr(b), Core::Box(core)));
-        }
-        for app in APPS {
-            let master = MasterCore::new(app, &specs, cfg);
-            nodes.push((master_addr(app), Core::Master(master)));
-            for w in cluster.all_workers() {
-                let worker = WorkerCore::new(app, w, &specs, cfg.selection);
-                nodes.push((worker_addr(app, w), Core::Worker(worker)));
-            }
-        }
-        let (wire, dead) = (VecDeque::new(), Vec::new());
-        let keyed = cfg.selection == TreeSelection::Keyed;
-        Self {
-            nodes,
-            wire,
-            dead,
-            now,
-            keyed,
-        }
-    }
-
-    fn core(&mut self, at: NodeId) -> &mut Core {
-        let node = self.nodes.iter_mut().find(|(a, _)| *a == at);
-        &mut node.expect("a core at every address").1
-    }
-
-    fn master(&mut self, app: AppId) -> &mut MasterCore {
-        let Core::Master(m) = self.core(master_addr(app)) else {
-            unreachable!()
-        };
-        m
-    }
-
-    /// Run one input through the live core at `at`, its combines inline,
-    /// and put what it sent on the wire. Whatever names its sender names
-    /// this one.
-    fn step(&mut self, at: NodeId, msg: Option<Message>) {
-        if self.dead.contains(&at) {
-            return;
-        }
-        let now = self.now;
-        let out = match self.core(at) {
-            Core::Box(b) => {
-                let step = input(b, msg, now);
-                run(b, step);
-                sent(b)
-            }
-            Core::Master(m) => {
-                input(m, msg, now);
-                sent(m)
-            }
-            Core::Worker(w) => {
-                input(w, msg, now);
-                sent(w)
-            }
-        };
-        for e in &out {
-            let named = match e.msg {
-                Message::Heartbeat { from, .. } => from,
-                Message::HeartbeatAck { from, .. } => box_addr(from),
-                Message::Redirect { new_parent, .. } => new_parent,
-                _ => continue,
-            };
-            assert_eq!(named, at, "{e:?}");
-        }
-        self.wire.extend(out);
-    }
-
-    /// Deliver everything in flight, each message to the core at its `to`.
-    fn settle(&mut self) {
-        while let Some(e) = self.wire.pop_front() {
-            self.step(e.to, Some(e.msg));
-        }
-    }
-
-    /// Fire the live core whose deadline is earliest, if it is before
-    /// `reap`: whether one was.
-    fn tick(&mut self, reap: Instant) -> bool {
-        let deadline = |core: &Core| match core {
-            Core::Box(b) => b.next_deadline(),
-            Core::Master(m) => m.next_deadline(),
-            Core::Worker(w) => w.next_deadline(),
-        };
-        let live = self.nodes.iter().filter(|(a, _)| !self.dead.contains(a));
-        let due = live.filter_map(|(a, core)| Some((deadline(core)?, *a)));
-        let Some((t, at)) = due.filter(|(t, _)| *t < reap).min() else {
-            return false;
-        };
-        self.now = t;
-        self.step(at, None);
-        true
-    }
-
-    /// Request `r` of every application: registered at its master, then
-    /// every worker's contribution sent — one chunk, or under keyed
-    /// selection one per tree and a close on each. The reference fold per
-    /// application.
-    fn request(&mut self, r: RequestId, workers: &[u32]) -> Vec<u64> {
-        let (now, keyed) = (self.now, self.keyed);
-        let mut folds = Vec::new();
-        for (a, app) in APPS.into_iter().enumerate() {
-            self.master(app).register(r, workers.len(), None, now);
-            let mut fold = 0;
-            for w in workers {
-                let Core::Worker(core) = self.core(worker_addr(app, *w)) else {
-                    unreachable!()
-                };
-                let v = (a as u64 + 1) * 1000 + r.0 * 10 + u64::from(*w);
-                let keys: Vec<_> = match keyed {
-                    true => (0..u64::from(core.trees())).map(Some).collect(),
-                    false => vec![None],
-                };
-                let mut send = |key, v: u64, last| {
-                    let payload = Bytes::copy_from_slice(&v.to_le_bytes());
-                    let payload = if v == 0 { Bytes::new() } else { payload };
-                    let tree = core.tree(r, key);
-                    core.next_chunk((r, tree), payload, last, None).unwrap();
-                    fold += v;
-                };
-                keys.iter().for_each(|k| send(*k, v, !keyed));
-                if keyed {
-                    keys.iter().for_each(|k| send(*k, 0, true));
-                }
-                let out = sent(core);
-                self.wire.extend(out);
-            }
-            folds.push(fold);
-        }
-        folds
-    }
-}
-
-/// (i) `multi_rack(2, 3, 1)` on two trees, two applications sharing its
-/// boxes, under both selections: every core built by its constructor from
-/// the specs and one config, every message delivered to the core at its
-/// `to`. Every result is the reference fold. Then every node probes, the
-/// root box dies and the masters' detectors fail it: every redirect, probe
-/// and ack names its sender, the request retried around the box is exact,
-/// and no request state is left anywhere.
-#[test]
-fn a_deployment_wired_by_its_constructors_alone_is_exact() {
-    let cluster = ClusterSpec::multi_rack(2, 3, 1).with_trees(2);
-    let workers = cluster.all_workers();
-    let results = |world: &mut World, r| {
-        let fold = |app| match world.master(app).take_completed(r) {
-            Taken::Done(d) => Some(value(&Sum.aggregate_serialized(d.inputs).ok()?)),
-            _ => None,
-        };
-        APPS.map(fold).to_vec()
-    };
-    for selection in [TreeSelection::PerRequest, TreeSelection::Keyed] {
-        let cfg = DeploymentConfig {
-            selection,
-            ..DeploymentConfig::default()
-        };
-        let mut world = World::new(&cluster, &cfg, Instant::now());
-        for r in (1..=4).map(RequestId) {
-            let folds = world.request(r, &workers).into_iter().map(Some);
-            world.settle();
-            assert_eq!(results(&mut world, r), folds.collect::<Vec<_>>(), "{r:?}");
-        }
-
-        // A few probe rounds with every node live; then the root box dies.
-        let (now, retried) = (world.now, RequestId(5));
-        for (_, core) in &mut world.nodes {
-            match core {
-                Core::Box(b) => b.fanin.detector.enable(DETECTOR, now),
-                Core::Master(m) => m.fanin.detector.enable(DETECTOR, now),
-                Core::Worker(_) => {}
-            }
-        }
-        let reap = now + REQUEST_TTL;
-        while world.now < now + DETECTOR.interval * 3 {
-            world.settle();
-            assert!(world.tick(reap));
-        }
-        world.dead.push(box_addr(0));
-        let folds = world.request(retried, &workers).into_iter().map(Some);
-        let open = |world: &mut World, app| {
-            let q = world.master(app).fanin.requests.get(&retried);
-            q.is_some_and(|q| !q.closed)
-        };
-        for firing in 0.. {
-            world.settle();
-            if !APPS.iter().any(|app| open(&mut world, *app)) {
-                break;
-            }
-            assert!(
-                firing < 100 && world.tick(reap),
-                "{selection:?}: never completes"
-            );
-        }
-        for app in APPS {
-            let route = world.master(app).fanin.route(&TREE);
-            assert_eq!(route.map(|r| r.failed.clone()), Some(vec![0]));
-        }
-        assert_eq!(results(&mut world, retried), folds.collect::<Vec<_>>());
-        for (at, core) in &world.nodes {
-            let open = match core {
-                Core::Box(b) => b.fanin.requests.len(),
-                Core::Master(m) => m.fanin.requests.len(),
-                Core::Worker(_) => 0,
-            };
-            assert_eq!(open, 0, "{selection:?}: request state left at {at}");
-        }
-    }
 }

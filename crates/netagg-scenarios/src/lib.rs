@@ -29,8 +29,10 @@ pub mod provider;
 pub mod runner;
 pub mod soak;
 pub mod spec;
+pub mod world;
 
 pub use provider::{builtin_providers, ChannelProvider, TcpProvider, TransportProvider};
 pub use runner::{run_scenario, AppStats, ScenarioHarness, ScenarioReport};
 pub use soak::{full_soak_spec, quick_soak_spec, run_soak};
 pub use spec::{AppSpec, Impairment, ScenarioSpec, SyntheticKind, TopologySpec, Workload};
+pub use world::{explore, Event, Failure, Refused, World, WorldReport};

@@ -132,8 +132,23 @@ impl AggregationFunction for TopKAgg {
     }
 }
 
+/// The aggregation function of a synthetic workload.
+pub(crate) fn aggregator(kind: SyntheticKind) -> Arc<dyn DynAggregator> {
+    match kind {
+        SyntheticKind::Sum => Arc::new(AggWrapper::new(IntAgg { max: false })),
+        SyntheticKind::Max => Arc::new(AggWrapper::new(IntAgg { max: true })),
+        SyntheticKind::TopK { k } => Arc::new(AggWrapper::new(TopKAgg { k })),
+    }
+}
+
+/// The payload seed and first request id of the spec's app `idx`.
+pub(crate) fn app_stream(spec: &ScenarioSpec, idx: usize) -> (u64, u64) {
+    let seed = spec.seed.wrapping_add(idx as u64);
+    (seed, spec.request_base + (idx as u64 + 1) * (1 << 32))
+}
+
 /// The exact expected wire result for synthetic request `rid`.
-fn expected_result(kind: SyntheticKind, seed: u64, rid: u64, workers: u32) -> Bytes {
+pub(crate) fn expected_result(kind: SyntheticKind, seed: u64, rid: u64, workers: u32) -> Bytes {
     match kind {
         SyntheticKind::Sum => {
             let total: u64 = (0..workers).map(|w| worker_value(seed, rid, w)).sum();
@@ -158,7 +173,13 @@ fn expected_result(kind: SyntheticKind, seed: u64, rid: u64, workers: u32) -> By
 }
 
 /// The payload worker `w` sends for synthetic request `rid`.
-fn worker_payload(kind: SyntheticKind, seed: u64, rid: u64, w: u32, workers: u32) -> Bytes {
+pub(crate) fn worker_payload(
+    kind: SyntheticKind,
+    seed: u64,
+    rid: u64,
+    w: u32,
+    workers: u32,
+) -> Bytes {
     match kind {
         SyntheticKind::Sum => IntAgg { max: false }.serialize(&worker_value(seed, rid, w)),
         SyntheticKind::Max => IntAgg { max: true }.serialize(&worker_value(seed, rid, w)),
@@ -432,11 +453,7 @@ impl ScenarioHarness {
         for app_spec in &spec.apps {
             match &app_spec.workload {
                 Workload::Synthetic { kind, requests } => {
-                    let agg: Arc<dyn DynAggregator> = match kind {
-                        SyntheticKind::Sum => Arc::new(AggWrapper::new(IntAgg { max: false })),
-                        SyntheticKind::Max => Arc::new(AggWrapper::new(IntAgg { max: true })),
-                        SyntheticKind::TopK { k } => Arc::new(AggWrapper::new(TopKAgg { k: *k })),
-                    };
+                    let agg = aggregator(*kind);
                     let app = deployment.register_app(&app_spec.name, agg, app_spec.share);
                     let master = deployment.master_shim(app);
                     let workers = (0..total_workers)
@@ -689,8 +706,7 @@ impl ScenarioHarness {
                     let workers = workers.clone();
                     let engine = self.engine.clone();
                     let stat = fresh[idx].clone();
-                    let seed = self.spec.seed.wrapping_add(idx as u64);
-                    let base = self.spec.request_base + (idx as u64 + 1) * (1 << 32);
+                    let (seed, base) = app_stream(&self.spec, idx);
                     let inflight = self.spec.inflight;
                     let timeout = self.spec.wait_timeout;
                     scope

@@ -1,11 +1,11 @@
 //! Provider parity: one [`ScenarioSpec`] with a seeded kill schedule must
-//! produce the same recovery outcome on the channel transport and on the
-//! TCP sharded reactor, differing only in timing. This is the fence on
-//! the [`TransportProvider`] contract: scenarios describe behaviour, not
-//! transports.
+//! produce the same recovery outcome on the channel transport, on the TCP
+//! sharded reactor and on the thread-free `World`, differing only in
+//! timing. This is the fence on the [`TransportProvider`] contract:
+//! scenarios describe behaviour, not transports.
 
 use netagg_scenarios::{
-    builtin_providers, run_scenario, Impairment, ScenarioSpec, SyntheticKind, TopologySpec,
+    builtin_providers, explore, run_scenario, Impairment, ScenarioSpec, SyntheticKind, TopologySpec,
 };
 
 fn seeded_kill_spec() -> ScenarioSpec {
@@ -71,4 +71,24 @@ fn seeded_kill_schedule_recovers_identically_on_both_transports() {
         armed[0], armed[1],
         "channel and tcp drew different seeded kill points"
     );
+    // A third back-end: the `World` runs the cores alone under seeded
+    // schedules, and kills the box after the same seeded frame draw.
+    for seed in 0..8 {
+        let world = explore(&spec, seed, &[]).unwrap_or_else(|f| panic!("world: {f}"));
+        let r = world.report();
+        assert_eq!(
+            r.delivered,
+            spec.total_requests(),
+            "world seed {seed}: {r:?}"
+        );
+        assert!(
+            r.detections >= 1 && r.repoints >= 1,
+            "world seed {seed}: {r:?}"
+        );
+        let seeded = r
+            .impairments_applied
+            .iter()
+            .find(|l| l.contains("seeded kill"));
+        assert_eq!(seeded, Some(armed[0]), "world seed {seed}");
+    }
 }
