@@ -94,7 +94,7 @@ pub struct BoxCore {
     /// Recently emitted output chunks per request, a window per fan-in
     /// point: one tenant's traffic must not evict what another's new
     /// parent will need (redirects arrive per application and tree).
-    pub emitted: Map<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
+    emitted: Map<Point, RecencyWindow<ReqKey, Vec<Bytes>>>,
     /// Items one combine merges: the local tree's fan-in.
     width: usize,
     /// Buffered bytes from which a flush pass streams a request's partial.
@@ -127,6 +127,12 @@ impl BoxCore {
             outbox: Outbox::default(),
             anchor: Box::new(|_, _| None),
         }
+    }
+
+    /// Requests whose emitted output the box retains, over every fan-in
+    /// point.
+    pub fn emitted_len(&self) -> usize {
+        self.emitted.values().map(|w| w.iter().count()).sum()
     }
 
     /// Register an application's aggregation function, and its route and

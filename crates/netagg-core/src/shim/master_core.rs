@@ -76,7 +76,7 @@ pub struct MasterCore {
     /// Recently delivered (or reaped) request ids. Late replayed chunks for
     /// these are duplicates and must not resurrect a fresh ledger entry —
     /// that would complete the request a second time and leak the entry.
-    pub delivered: RecencyWindow<RequestId, ()>,
+    delivered: RecencyWindow<RequestId, ()>,
     selection: TreeSelection,
     num_trees: u32,
     /// What transitions produced and the shell has not yet sent.
@@ -124,6 +124,11 @@ impl MasterCore {
             TreeSelection::Keyed => 0..self.num_trees,
         };
         trees.map(TreeId)
+    }
+
+    /// Delivered (or reaped) ids the master remembers.
+    pub fn delivered_len(&self) -> usize {
+        self.delivered.iter().count()
     }
 
     /// A request only `workers` take part in (e.g. a search query routed

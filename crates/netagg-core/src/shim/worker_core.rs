@@ -20,7 +20,7 @@ use netagg_obs::trace::TraceCtx;
 use std::time::Instant;
 
 /// Requests whose sent chunks a worker retains for resends.
-pub const REPLAY_WINDOW: usize = 64;
+const REPLAY_WINDOW: usize = 64;
 
 /// How partial results are spread over multiple aggregation trees
 /// (Section 3.1, "Multiple aggregation trees per application").
@@ -52,7 +52,7 @@ pub struct WorkerCore {
     selection: TreeSelection,
     trees: u32,
     /// The last sequence number per stream (a request on a tree) until its `last`.
-    pub seqs: Map<(RequestId, TreeId), u32>,
+    seqs: Map<(RequestId, TreeId), u32>,
     /// Sent chunks per request, each with the tree it travels on.
     replay: RecencyWindow<RequestId, Vec<(TreeId, Message)>>,
     /// What transitions produced and the shell has not yet sent.
@@ -166,6 +166,11 @@ impl WorkerCore {
     /// Requests with retained replay: what [`WorkerCore::forget`] drops.
     pub fn tracked(&self) -> usize {
         self.replay.iter().count()
+    }
+
+    /// Sequence streams not yet ended by their `last` chunk.
+    pub fn open_streams(&self) -> usize {
+        self.seqs.len()
     }
 }
 

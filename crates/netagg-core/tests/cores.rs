@@ -1049,9 +1049,6 @@ fn the_master_reaps_a_request_never_waited_on() {
 /// Down [`chain`]: worker 3 never ends, so box 1 never ends, so box 0
 /// never does, and the master never completes. Each node reaps the request
 /// on its own timer, and each drops the late chunk that follows.
-/// Down [`chain`]: worker 3 never ends, so box 1 never ends, so box 0
-/// never does, and the master never completes. Each node reaps the request
-/// on its own timer, and each drops the late chunk that follows.
 #[test]
 fn every_node_of_a_chain_reaps_a_request_below_a_dead_worker() {
     let specs = chain();

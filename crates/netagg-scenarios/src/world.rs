@@ -4,16 +4,17 @@
 //! [`World::new`] builds every core of a [`ScenarioSpec`]'s topology with
 //! its own constructor — the boxes, and per application a master and its
 //! workers — from the tree specs and the spec's one `DeploymentConfig`, as
-//! a deployment does. Each link is a FIFO queue, filled from its sender's
-//! outbox. A seeded [`DetRng`] picks every step among what can move: a
-//! delivery, a combine (run by `tree::combine` and fed back through
-//! `BoxCore::combined`), a due timer, an application event — uniformly,
-//! or the node the seed ranks highest — and the faults: a send to a dead
-//! node that fails (rather than being lost) and, on odd seeds, a delay
-//! (the clock jumps to the next deadline with messages in flight). The
-//! spec's impairments kill, revive and slow nodes. Otherwise the clock
-//! jumps to the earliest deadline only when nothing can move, and never
-//! while an application event is pending.
+//! a deployment does. Each link is a FIFO queue. A seeded [`DetRng`] picks
+//! every step, uniformly, among what can move: a delivery; the drain of a
+//! node's outbox into its links, so that an outbox holds the output of any
+//! number of transitions, as a shell's does; a combine, run by
+//! `tree::combine` and fed back through `BoxCore::combined`; a due timer,
+//! which drains as a shell's timer does; an application event. And the
+//! faults: the spec's box kills, a send to a dead node that fails rather
+//! than being lost, and on odd seeds a delay (the clock jumps to the next
+//! deadline with messages in flight). Otherwise the clock jumps to the
+//! earliest deadline only when nothing can move, and never while an
+//! application event is pending.
 //!
 //! Each step is checked (see [`World::apply`]). A run is its list of
 //! [`Event`]s: [`explore`] reports a failing seed with a greedily
@@ -41,8 +42,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The longest jump a delay makes: far short of a waiter's patience or a
-/// reap, so a delay slows a request down but cannot end it.
+/// The longest jump a seeded delay makes: far short of a waiter's patience
+/// or a reap, so a delay slows a request down but cannot end it.
 const MAX_DELAY: Duration = Duration::from_secs(1);
 
 /// A request at a node, `(application, request, tree)`; at a master the
@@ -59,22 +60,24 @@ pub enum Event {
     Issue(usize, bool),
     /// Worker `w` of app `a` sends its part of request `r`.
     Send(usize, u64, u32),
-    /// The head of the link `from → to` arrives, once it is due.
+    /// The head of the link `from → to` arrives.
     Deliver(NodeId, NodeId),
-    /// The probe at the head of the link `from → to` could not be sent.
+    /// The message at the head of the link `from → to`, to a dead node,
+    /// could not be sent.
     FailSend(NodeId, NodeId),
+    /// A node's outbox leaves for its links, in the order it drains.
+    Drain(NodeId),
     /// The oldest combine of a request comes back to its box.
     Combine(NodeId, ReqKey),
-    /// A node's timer fires, the clock moved to its deadline if later.
+    /// A node's timer fires, the clock moved to its deadline if later, and
+    /// its outbox drains.
     Timer(NodeId),
     /// App `a`'s oldest waiter gives up, at its deadline.
     GiveUp(usize),
+    /// The clock jumps ahead with everything in flight left in flight.
+    Delay(Duration),
     /// A node dies: it steps no more, and what is sent to it is lost.
     Kill(NodeId),
-    /// A node comes back, its state as it was.
-    Revive(NodeId),
-    /// What a node sends is held back this long from now on.
-    Slow(NodeId, Duration),
 }
 
 /// Why [`World::new`] refuses a spec.
@@ -82,6 +85,9 @@ pub enum Event {
 pub enum Refused {
     /// This application is a search or map-reduce workload: no closed form.
     Workload(String),
+    /// A partition or a straggler storm: the World's faults are kills,
+    /// delays and failed sends.
+    Impairment(String),
     /// The spec kills boxes but arms no failure detector.
     NoDetector,
 }
@@ -93,20 +99,21 @@ pub struct WorldReport {
     pub issued: u64,
     /// Requests delivered, each exact and once.
     pub delivered: u64,
-    /// Requests given up on: a worker they need was killed or held back.
+    /// Requests given up on because a worker they need was killed, or a
+    /// delay outlasted their waiter.
     pub failures: u64,
-    /// Requests given up on that a known limit of the protocol strands: a
-    /// box failed while alive (re-points are one-way), a box came back
-    /// before anyone failed it (what was lost to it is never replayed), or
-    /// a straggler bypass moved the request onto a box below the bypassed
-    /// one that then died. Any other request given up on is a violation.
+    /// Requests given up on that a known limit of the protocol strands,
+    /// each by what happened to it: a straggler bypass moved it onto a box
+    /// below the bypassed one, which nobody probes, or its obligation moved
+    /// off a box failed while alive (re-points are one-way). Any other
+    /// request given up on is a violation.
     pub stranded: u64,
     /// Requests the boxes and masters reaped.
     pub reaped: u64,
     /// Boxes declared dead, once per declaring node.
     pub detections: u64,
-    /// Boxes a node failed for good while they were alive: verdicts of a
-    /// delayed detector, escalations of a straggler.
+    /// Boxes a node failed for good while they were alive: escalations of
+    /// a straggler, verdicts of a detector a delay made late.
     pub live_verdicts: u64,
     /// Permanent redirects sent.
     pub repoints: u64,
@@ -148,11 +155,22 @@ enum Core {
     Worker(WorkerCore),
 }
 
-/// What a core's transition reported.
+/// `$e` with `$c` bound to whichever core `$core` holds: what every
+/// [`Node`] has in common.
+macro_rules! each {
+    ($core:expr, $c:ident => $e:expr) => {
+        match $core {
+            Core::Box($c) => $e,
+            Core::Master($c) => $e,
+            Core::Worker($c) => $e,
+        }
+    };
+}
+
+/// What a fan-in core's transition reported.
 enum Report {
     Box(BoxStep),
     Master(MasterStep),
-    Worker,
 }
 
 /// What a node's detector should conclude: per probed box, the open
@@ -164,19 +182,19 @@ struct Watch {
     declared: Set<u32>,
 }
 
+#[derive(Default)]
 struct Slot {
     at: NodeId,
-    core: Core,
     dead: bool,
-    /// Killed, or held back past a waiter's patience: a request it takes
-    /// part in may go unanswered.
-    impaired: bool,
-    slow: Duration,
     /// `next_deadline()`, read after each of its steps.
     due: Option<Instant>,
     /// Messages delivered to it, which a seeded kill counts.
     frames: u64,
-    prio: u64,
+    /// `Redirect`s it took. What its outbox held at each is set aside,
+    /// tagged with the count before it, so that a stream a redirect
+    /// restarted is told from one that left out of order.
+    epoch: u32,
+    held: Vec<(u32, Emit)>,
     /// Requests that ended here.
     ended: Set<Key>,
     watch: Watch,
@@ -206,9 +224,10 @@ struct App {
 pub struct World {
     /// The boxes, then per application its master and its workers.
     slots: Vec<Slot>,
+    cores: Vec<Core>,
     ix: Map<NodeId, usize>,
     /// The link from slot `i` to slot `j`, at `i * slots + j`.
-    links: Vec<VecDeque<(Instant, Message)>>,
+    links: Vec<VecDeque<Message>>,
     /// The links with a message on them, in order.
     busy: Vec<usize>,
     combines: BTreeMap<(usize, ReqKey), VecDeque<Combine>>,
@@ -223,17 +242,18 @@ pub struct World {
     detector: Option<(Duration, u32)>,
     /// No straggler policy: a probe round probes every box it may.
     strict: bool,
-    /// Requests a straggler bypass moved somewhere.
-    bypassed: Set<(AppId, RequestId)>,
-    /// A dead node came back.
-    revived: bool,
-    /// Per box output stream: its last number and whether it ended.
-    streams: Map<(usize, NodeId, Key), (u32, bool)>,
+    /// Requests a known limit may strand ([`WorldReport::stranded`]).
+    excused: Set<(AppId, RequestId)>,
+    /// Requests a delay left waiting past their waiter's patience.
+    outlasted: Set<(AppId, RequestId)>,
+    /// Per box output stream: the redirects its box had taken, its last
+    /// number and whether it ended.
+    streams: Map<(usize, NodeId, Key), (u32, u32, bool)>,
     /// Seeded kills not yet due: box slot and frames.
     armed: Vec<(usize, u64)>,
-    /// Request-indexed impairments not yet due.
-    timeline: VecDeque<(u64, String, Vec<Event>)>,
-    /// The spec's impairments apply themselves (not in a replay).
+    /// Box kills not yet due: requests issued, and box.
+    kills: VecDeque<(u64, usize)>,
+    /// A seeded run: the spec's kills apply themselves (not in a replay).
     auto: bool,
     /// The clock may jump with messages in flight (odd seeds).
     delays: bool,
@@ -243,8 +263,9 @@ pub struct World {
     busy_at: Instant,
     trace: Option<Vec<Event>>,
     /// Buffers kept between steps.
-    choices: Vec<(Event, usize)>,
+    choices: Vec<Event>,
     spare: VecDeque<Emit>,
+    sending: Vec<(u32, Emit)>,
     report: WorldReport,
 }
 
@@ -299,29 +320,25 @@ impl World {
                 cores.push((worker_addr(a.id, w), Core::Worker(core)));
             }
         }
-        let slot = |(at, core): (NodeId, Core)| {
-            let (dead, impaired, slow, due, frames, prio) =
-                (false, false, Duration::ZERO, deadline(&core), 0, 0);
-            let (ended, watch, moved) = (Set::default(), Watch::default(), Set::default());
-            Slot {
-                at,
-                core,
-                dead,
-                impaired,
-                slow,
-                due,
-                frames,
-                prio,
-                ended,
-                watch,
-                moved,
-            }
-        };
-        let slots: Vec<Slot> = cores.into_iter().map(slot).collect();
+        let (slots, cores): (Vec<Slot>, Vec<Core>) = cores
+            .into_iter()
+            .map(|(at, core)| {
+                let due = each!(&core, c => c.next_deadline());
+                (
+                    Slot {
+                        at,
+                        due,
+                        ..Slot::default()
+                    },
+                    core,
+                )
+            })
+            .unzip();
         let n = slots.len();
         let mut world = World {
             ix: slots.iter().enumerate().map(|(i, s)| (s.at, i)).collect(),
             slots,
+            cores,
             links: (0..n * n).map(|_| VecDeque::new()).collect(),
             busy: Vec::new(),
             combines: BTreeMap::new(),
@@ -334,11 +351,11 @@ impl World {
             patience: spec.wait_timeout,
             detector: spec.detector.as_ref().map(|d| (d.timeout, d.misses)),
             strict: cfg.straggler.is_none(),
-            bypassed: Set::default(),
-            revived: false,
+            excused: Set::default(),
+            outlasted: Set::default(),
             streams: Map::default(),
             armed: Vec::new(),
-            timeline: VecDeque::new(),
+            kills: VecDeque::new(),
             auto: false,
             delays: false,
             t0,
@@ -347,18 +364,17 @@ impl World {
             trace: None,
             choices: Vec::new(),
             spare: VecDeque::new(),
+            sending: Vec::new(),
             report: WorldReport::default(),
         };
-        world.arm(spec);
+        world.arm(spec)?;
         Ok(world)
     }
 
-    /// Compile the impairments: the seeded frame draws as the scenario
-    /// runner makes them, the request-indexed ones as events.
-    fn arm(&mut self, spec: &ScenarioSpec) {
+    /// Compile the impairments: a seeded kill's frame draw as the scenario
+    /// runner makes it, a box kill at its request count.
+    fn arm(&mut self, spec: &ScenarioSpec) -> Result<(), Refused> {
         let mut rng = DetRng::new(spec.seed ^ 0x5EED_FA17);
-        let mut line = Vec::new();
-        let ids: Vec<AppId> = self.apps.iter().map(|a| a.id).collect();
         for imp in &spec.impairments {
             match imp {
                 Impairment::SeededBoxKill {
@@ -374,57 +390,18 @@ impl World {
                 Impairment::BoxKill {
                     slot,
                     after_requests,
-                } => {
-                    let kill = vec![Event::Kill(box_addr(*slot as u32))];
-                    line.push((*after_requests, format!("kill box {slot}"), kill));
-                }
-                Impairment::Partition {
-                    slots,
-                    at_requests: at,
-                    heal_after_requests: heal,
-                } => {
-                    let each = |e: fn(NodeId) -> Event| {
-                        slots.iter().map(|s| e(box_addr(*s as u32))).collect()
-                    };
-                    line.push((*at, format!("partition boxes {slots:?}"), each(Event::Kill)));
-                    line.push((
-                        at + heal,
-                        format!("heal partition of boxes {slots:?}"),
-                        each(Event::Revive),
-                    ));
-                }
-                Impairment::StragglerStorm {
-                    workers,
-                    delay_ms,
-                    from_requests,
-                    until_requests,
-                } => {
-                    let slow = |d| {
-                        let at = ids
-                            .iter()
-                            .flat_map(|a| workers.iter().map(|w| worker_addr(*a, *w)));
-                        at.map(|x| Event::Slow(x, d)).collect()
-                    };
-                    let storm = format!("straggler storm on workers {workers:?} (+{delay_ms} ms)");
-                    line.push((
-                        *from_requests,
-                        storm,
-                        slow(Duration::from_millis(*delay_ms)),
-                    ));
-                    let clears = format!("straggler storm on workers {workers:?} clears");
-                    line.push((*until_requests, clears, slow(Duration::ZERO)));
-                }
+                } => self.kills.push_back((*after_requests, *slot)),
+                other => return Err(Refused::Impairment(format!("{other:?}"))),
             }
         }
-        line.sort_by_key(|t| t.0);
-        self.timeline = line.into();
+        self.kills.make_contiguous().sort_unstable();
+        Ok(())
     }
 
     /// Run to the end under `seed`: every request delivered or given up,
     /// nothing in flight, no request state left at a live box or master.
     pub fn run(&mut self, seed: u64) -> Checked<WorldReport> {
         let mut rng = DetRng::new(seed);
-        self.slots.iter_mut().for_each(|s| s.prio = rng.next_u64());
         (self.auto, self.delays) = (true, seed % 2 == 1);
         self.finish(Some(&mut rng))
     }
@@ -457,7 +434,7 @@ impl World {
 
     /// The master of the spec's app `a`.
     pub fn master(&self, a: usize) -> &MasterCore {
-        match &self.slots[self.node(a, None)].core {
+        match &self.cores[self.node(a, None)] {
             Core::Master(m) => m,
             _ => unreachable!("a master at every master slot"),
         }
@@ -465,7 +442,7 @@ impl World {
 
     /// Every box, by id.
     pub fn boxes(&self) -> impl Iterator<Item = &BoxCore> {
-        self.slots.iter().filter_map(|s| match &s.core {
+        self.cores.iter().filter_map(|c| match c {
             Core::Box(b) => Some(b),
             _ => None,
         })
@@ -476,76 +453,68 @@ impl World {
         self.boxes + a * (1 + self.workers as usize) + w.map_or(0, |w| 1 + w as usize)
     }
 
-    /// What can move now, one picked: by the seed — uniformly, or the
-    /// highest-priority node's; a probe sometimes failing, the clock
-    /// sometimes jumping ahead — or, without one, the first.
+    /// What can move now, one picked: uniformly by the seed, a send to a
+    /// dead node sometimes failing, the clock sometimes jumping ahead — or,
+    /// without one, the first.
     fn choose(&mut self, mut rng: Option<&mut DetRng>) -> Option<Event> {
         let (now, mut c) = (self.now, std::mem::take(&mut self.choices));
         c.clear();
         for (a, app) in self.apps.iter().enumerate() {
             let free = app.issued < app.requests && app.waiting.len() < self.inflight;
-            c.extend(free.then(|| (Event::Issue(a, false), self.node(a, None))));
-            c.extend(
-                app.sends
-                    .iter()
-                    .map(|&(r, w)| (Event::Send(a, r, w), self.node(a, Some(w)))),
-            );
+            c.extend(free.then_some(Event::Issue(a, false)));
+            c.extend(app.sends.iter().map(|&(r, w)| Event::Send(a, r, w)));
         }
         let calm = c.is_empty();
         let n = self.slots.len();
         for &l in &self.busy {
-            let ((i, j), (t, _)) = ((l / n, l % n), &self.links[l][0]);
-            let dead = self.slots[j].dead;
-            let fail = dead && rng.as_mut().is_some_and(|r| r.next_u64() & 1 == 0);
-            let (from, to) = (self.slots[i].at, self.slots[j].at);
-            let e = if fail {
-                Event::FailSend(from, to)
-            } else {
-                Event::Deliver(from, to)
-            };
-            c.extend((*t <= now).then_some((e, j)));
+            let (from, to) = (self.slots[l / n].at, &self.slots[l % n]);
+            let fail = to.dead && rng.as_mut().is_some_and(|r| r.next_u64() & 1 == 0);
+            c.push(match fail {
+                true => Event::FailSend(from, to.at),
+                false => Event::Deliver(from, to.at),
+            });
         }
-        let combines = self
-            .combines
-            .keys()
-            .map(|&(i, key)| (Event::Combine(self.slots[i].at, key), i));
-        c.extend(combines);
-        let due = |s: &(usize, &Slot)| !s.1.dead && s.1.due.is_some_and(|t| t <= now);
-        c.extend(
-            self.slots
-                .iter()
-                .enumerate()
-                .filter(due)
-                .map(|(i, s)| (Event::Timer(s.at), i)),
-        );
+        let live = self.slots.iter().zip(&self.cores).filter(|s| !s.0.dead);
+        for (s, core) in live {
+            let queued = !s.held.is_empty() || !each!(core, c => c.outbox.is_empty());
+            c.extend(queued.then_some(Event::Drain(s.at)));
+            c.extend(s.due.filter(|t| *t <= now).map(|_| Event::Timer(s.at)));
+        }
+        let combines = self.combines.keys();
+        c.extend(combines.map(|&(i, key)| Event::Combine(self.slots[i].at, key)));
         let pick = match rng {
-            None => c.first().map(|e| e.0),
+            None => c.first().copied(),
             Some(rng) => {
                 let delay =
                     self.delays && calm && !self.busy.is_empty() && rng.next_u64() % 32 == 0;
                 let live = self.slots.iter().filter(|s| delay && !s.dead);
                 let soon = live
-                    .filter_map(|s| Some((s.due?, s.at)))
-                    .filter(|d| d.0 > now)
+                    .clone()
+                    .filter_map(|s| s.due)
+                    .filter(|t| *t > now)
                     .min();
-                match soon.filter(|d| d.0 < now + MAX_DELAY) {
-                    Some((_, at)) => Some(Event::Timer(at)),
+                // Short of any probe's lapse that would fail a live box: a
+                // verdict on a live box strands what follows (re-points are
+                // one-way), and a delay only slows requests down.
+                let misses = self.detector.map_or(u32::MAX, |d| d.1);
+                let fatal = live.flat_map(|s| {
+                    let w = &s.watch;
+                    let last = |b: &u32| w.missed.get(b).copied().unwrap_or(0) + 1 >= misses;
+                    let owing = w.owing.iter().filter(move |p| last(p.0));
+                    owing
+                        .filter(|p| !self.slots[*p.0 as usize].dead)
+                        .map(|p| p.1 .1)
+                });
+                let limit = fatal.min().unwrap_or(now + MAX_DELAY).min(now + MAX_DELAY);
+                match soon.filter(|t| *t < limit) {
+                    Some(t) => Some(Event::Delay(t - now)),
                     None if c.is_empty() => None,
-                    None if rng.next_u64() & 1 == 0 => {
-                        Some(c[rng.gen_range(0, c.len() as u64) as usize].0)
-                    }
-                    None => c.iter().max_by_key(|e| self.slots[e.1].prio).map(|e| e.0),
+                    None => Some(c[rng.gen_range(0, c.len() as u64) as usize]),
                 }
             }
         };
         self.choices = c;
         pick
-    }
-
-    /// Whether an application event can happen.
-    fn pending(&self) -> bool {
-        let free = |a: &App| a.issued < a.requests && a.waiting.len() < self.inflight;
-        self.apps.iter().any(|a| free(a) || !a.sends.is_empty())
     }
 
     /// Done: nothing to issue, send, deliver or combine, and no live box or
@@ -556,94 +525,58 @@ impl World {
             .iter()
             .all(|a| a.issued == a.requests && a.waiting.is_empty());
         let quiet = self.busy.is_empty() && self.combines.is_empty();
-        apps && quiet && !self.slots.iter().any(|s| !s.dead && open(&s.core) > 0)
+        let live = self.slots.iter().zip(&self.cores).filter(|s| !s.0.dead);
+        apps && quiet && live.map(|s| open(s.1)).sum::<usize>() == 0
     }
 
     /// Nothing can move now: the earliest of what is due later — a timer,
-    /// a held-back message, a waiter's patience.
+    /// a waiter's patience.
     fn jump(&self) -> Checked<Event> {
         let late = self.now > self.busy_at + REQUEST_TTL * 2 + MAX_DELAY;
-        if let Some(s) = self
-            .slots
-            .iter()
-            .find(|s| late && !s.dead && open(&s.core) > 0)
-        {
+        let live = || self.slots.iter().zip(&self.cores).filter(|s| !s.0.dead);
+        if let Some((s, _)) = live().find(|s| late && open(s.1) > 0) {
             return Err(format!("held: node {} keeps a request past its reap", s.at));
         }
-        let live = self.slots.iter().filter(|s| !s.dead);
-        let timers = live.filter_map(|s| Some((s.due?, Event::Timer(s.at))));
-        let at = |i: usize| self.slots[i].at;
-        let n = self.slots.len();
-        let heads = self.busy.iter();
-        let heads = heads.map(|l| (self.links[*l][0].0, Event::Deliver(at(l / n), at(l % n))));
+        let timers = live().filter_map(|(s, _)| Some((s.due?, Event::Timer(s.at))));
         let waits = self.apps.iter().enumerate();
         let waits = waits.filter_map(|(a, app)| Some((app.waiting.front()?.1, Event::GiveUp(a))));
-        let next = timers.chain(heads).chain(waits).min_by_key(|e| e.0);
+        let next = timers.chain(waits).min_by_key(|e| e.0);
         next.map(|e| e.1)
             .ok_or_else(|| "stuck: nothing can move and nothing is due".into())
     }
 
     /// Apply one event, and check what it did: every `Heartbeat`,
     /// `HeartbeatAck` and `Redirect` names its sender; a box's output
-    /// leaves for each destination in numbering order (a redirect restarts
-    /// it); no node accepts a chunk of a request it ended; a delivered
+    /// leaves for each destination in numbering order, nothing after a
+    /// `last`, until a redirect restarts it; no node accepts a chunk of a request it ended; a delivered
     /// request is delivered once and is the closed-form fold; a waiter
-    /// gives up only on a request a killed or held-back worker takes part
-    /// in, or one a known limit strands ([`WorldReport::stranded`]); an
-    /// idle firing leaves no deadline due, and one that leaves none due is
-    /// followed by a second at the same instant that changes nothing; a box
-    /// is declared dead exactly when its `misses`-th probe in a row goes
-    /// unanswered, once, and no request there waits on it after; a round
-    /// probes every box that owes no ack; a child box's obligation moves at
-    /// most once per request.
+    /// gives up only on a request a killed worker takes part in, one a
+    /// delay outlasted, or one a known limit strands
+    /// ([`WorldReport::stranded`]); an idle firing leaves no deadline due,
+    /// and one that leaves none due is followed by a second at the same
+    /// instant that changes nothing; a box is declared dead exactly when
+    /// its `misses`-th probe in a row goes unanswered, once, and no request
+    /// there waits on it after; a round probes every box that owes no ack;
+    /// a child box's obligation moves at most once per request.
     pub fn apply(&mut self, e: Event) -> Checked {
         if let Some(t) = &mut self.trace {
             t.push(e);
         }
         self.report.steps += 1;
         let slot = |at: NodeId| self.ix.get(&at).copied();
-        // A replayed list keeps the rule a seeded run keeps: no clock jump
-        // while an application event is pending.
-        let head = |(i, j): (usize, usize)| Some(self.links[i * self.slots.len() + j].front()?.0);
-        let later = match e {
-            _ if self.auto => None,
-            Event::Timer(at) => slot(at).and_then(|i| self.slots[i].due),
-            Event::Deliver(from, to) => slot(from).zip(slot(to)).and_then(head),
-            Event::GiveUp(a) => self.apps.get(a).and_then(|x| Some(x.waiting.front()?.1)),
-            _ => None,
-        };
-        if later.is_some_and(|t| t > self.now) && self.pending() {
-            return Ok(());
-        }
         match e {
             Event::Issue(a, solo) => self.issue(a, solo),
             Event::Send(a, r, w) => self.send(a, r, w),
-            Event::Deliver(from, to) => match (slot(from), slot(to)) {
-                (Some(i), Some(j)) => self.deliver(i, j),
-                _ => Ok(()),
-            },
-            Event::FailSend(from, to) => {
+            Event::Deliver(from, to) | Event::FailSend(from, to) => {
                 let (Some(i), Some(j)) = (slot(from), slot(to)) else {
                     return Ok(());
                 };
-                let timeout = self.detector.map_or(Duration::ZERO, |d| d.0);
-                let dead = self.slots[j].dead;
-                let Some((_, msg)) = dead.then(|| self.pop(i, j)).flatten() else {
-                    return Ok(());
-                };
-                let s = &mut self.slots[i];
-                if let Message::Heartbeat { nonce, .. } = msg {
-                    let owed = s
-                        .watch
-                        .owing
-                        .get_mut(&(to - box_addr(0)))
-                        .filter(|p| p.0 == nonce);
-                    owed.into_iter().for_each(|p| p.1 -= timeout);
+                match e {
+                    Event::Deliver(..) => self.deliver(i, j),
+                    _ => self.fail_send(i, j),
                 }
-                send_failed(&mut s.core, to, &msg);
-                s.due = deadline(&s.core);
-                Ok(())
             }
+            Event::Drain(at) => slot(at).map_or(Ok(()), |i| self.drain(i)),
             Event::Combine(at, key) => {
                 let Some(i) = slot(at) else { return Ok(()) };
                 let Some(q) = self.combines.get_mut(&(i, key)) else {
@@ -653,28 +586,25 @@ impl World {
                 if q.is_empty() {
                     self.combines.remove(&(i, key));
                 }
-                let Core::Box(core) = &mut self.slots[i].core else {
+                let Core::Box(core) = &mut self.cores[i] else {
                     return Ok(());
                 };
                 let step = core.combined(key, combine(&*c.agg, c.items));
-                let mut out = std::mem::take(&mut self.spare);
-                core.outbox.drain(&mut out);
-                self.after(i, Report::Box(step), out).map(|_| ())
+                self.after(i, Report::Box(step)).map(|_| ())
             }
             Event::Timer(at) => slot(at).map_or(Ok(()), |i| self.fire(i)),
             Event::GiveUp(a) => self.give_up(a),
-            Event::Kill(at) | Event::Revive(at) | Event::Slow(at, _) => {
-                let (Some(i), patience) = (slot(at), self.patience) else {
-                    return Ok(());
-                };
-                let s = &mut self.slots[i];
-                match e {
-                    Event::Kill(_) => (s.dead, s.impaired) = (true, true),
-                    Event::Revive(_) => (s.dead, self.revived) = (false, true),
-                    Event::Slow(_, d) => (s.slow, s.impaired) = (d, s.impaired || d >= patience),
-                    _ => unreachable!(),
+            Event::Delay(d) => {
+                self.now += d;
+                for app in self.apps.iter().filter(|_| d >= self.patience) {
+                    let waiting = app.waiting.iter().map(|w| (app.id, RequestId(w.0)));
+                    self.outlasted.extend(waiting);
                 }
-                if s.dead {
+                Ok(())
+            }
+            Event::Kill(at) => {
+                if let Some(i) = slot(at) {
+                    self.slots[i].dead = true;
                     self.combines.retain(|k, _| k.0 != i);
                 }
                 Ok(())
@@ -696,25 +626,23 @@ impl World {
         app.waiting.push_back((r, now + self.patience));
         app.parts.insert(r, n);
         app.sends.extend((0..n).map(|w| (r, w)));
-        let Core::Master(core) = &mut self.slots[m].core else {
+        let Core::Master(core) = &mut self.cores[m] else {
             unreachable!()
         };
         let owed = solo.then(|| core.subset(RequestId(r), &[0]));
         core.register(RequestId(r), n as usize, owed, now);
-        let mut out = std::mem::take(&mut self.spare);
-        core.outbox.drain(&mut out);
-        self.flush(m, out)?;
+        self.settle(m);
         self.report.issued += 1;
         while self.auto
             && self
-                .timeline
+                .kills
                 .front()
-                .is_some_and(|t| t.0 <= self.report.issued)
+                .is_some_and(|k| k.0 <= self.report.issued)
         {
-            let (_, label, events) = self.timeline.pop_front().expect("just seen");
-            let at = format!("{label} (at request {})", self.report.issued);
+            let (_, b) = self.kills.pop_front().expect("just seen");
+            let at = format!("kill box {b} (at request {})", self.report.issued);
             self.report.impairments_applied.push(at);
-            events.into_iter().try_for_each(|e| self.apply(e))?;
+            self.apply(Event::Kill(box_addr(b as u32)))?;
         }
         Ok(())
     }
@@ -730,11 +658,10 @@ impl World {
         app.sends.remove(p);
         let n = app.parts.get(&r).copied().unwrap_or(self.workers);
         let payload = worker_payload(app.kind, app.seed, r, w, n);
-        let (mut out, slot) = (std::mem::take(&mut self.spare), &mut self.slots[i]);
-        let Core::Worker(core) = &mut slot.core else {
+        let Core::Worker(core) = &mut self.cores[i] else {
             unreachable!()
         };
-        if slot.dead {
+        if self.slots[i].dead {
             return Ok(());
         }
         let sent = match keyed {
@@ -749,23 +676,22 @@ impl World {
             }),
         };
         sent.map_err(|e| format!("unsent: worker {w} of app {a}: {e}"))?;
-        core.outbox.drain(&mut out);
-        self.flush(i, out).map(|_| ())
+        self.settle(i);
+        Ok(())
     }
 
-    /// The head of link `i → j`, the clock moved to when it is due.
-    fn pop(&mut self, i: usize, j: usize) -> Option<(Instant, Message)> {
+    /// The head of link `i → j`.
+    fn pop(&mut self, i: usize, j: usize) -> Option<Message> {
         let l = i * self.slots.len() + j;
         let head = self.links[l].pop_front()?;
         if self.links[l].is_empty() {
             self.busy.retain(|b| *b != l);
         }
-        self.now = self.now.max(head.0);
         Some(head)
     }
 
     fn deliver(&mut self, i: usize, j: usize) -> Checked {
-        let Some((_, msg)) = self.pop(i, j) else {
+        let Some(msg) = self.pop(i, j) else {
             return Ok(());
         };
         if self.slots[j].dead {
@@ -778,6 +704,26 @@ impl World {
             self.armed.retain(|k| k.0 != j);
             self.apply(Event::Kill(self.slots[j].at))?;
         }
+        Ok(())
+    }
+
+    /// The head of link `i → j`, to a dead node, could not be sent: node
+    /// `i` hears so, and a probe's miss is due at once.
+    fn fail_send(&mut self, i: usize, j: usize) -> Checked {
+        let timeout = self.detector.map_or(Duration::ZERO, |d| d.0);
+        let (to, dead) = (self.slots[j].at, self.slots[j].dead);
+        let Some(msg) = dead.then(|| self.pop(i, j)).flatten() else {
+            return Ok(());
+        };
+        if let Message::Heartbeat { nonce, .. } = msg {
+            let owing = self.slots[i].watch.owing.get_mut(&(to - box_addr(0)));
+            owing
+                .filter(|p| p.0 == nonce)
+                .into_iter()
+                .for_each(|p| p.1 -= timeout);
+        }
+        each!(&mut self.cores[i], c => c.send_failed(to, &msg));
+        self.settle(i);
         Ok(())
     }
 
@@ -834,15 +780,11 @@ impl World {
             return Ok(());
         };
         self.now = self.now.max(deadline);
-        let (id, n) = (
-            self.apps[a].id,
-            self.apps[a].parts.get(&r).copied().unwrap_or(0),
-        );
-        let bypassed = self.bypassed.contains(&(id, RequestId(r)));
-        let stranded = self.report.live_verdicts > 0 || self.revived || bypassed;
-        if (0..n).any(|w| self.slots[self.node(a, Some(w))].impaired) {
+        let key = (self.apps[a].id, RequestId(r));
+        let n = self.apps[a].parts.get(&r).copied().unwrap_or(0);
+        if (0..n).any(|w| self.slots[self.node(a, Some(w))].dead) || self.outlasted.contains(&key) {
             self.report.failures += 1;
-        } else if stranded {
+        } else if self.excused.contains(&key) {
             self.report.stranded += 1;
         } else {
             return Err(format!("undelivered: app {a} request {r}"));
@@ -852,8 +794,8 @@ impl World {
     }
 
     /// Run one input through the core at `i` — a message, or (`None`) a
-    /// timer firing — then act on its report and send what it queued: the
-    /// boxes it declared dead and those it probed.
+    /// timer firing, which then drains — and act on its report: the boxes
+    /// it declared dead and those it probed.
     fn step(&mut self, i: usize, msg: Option<Message>) -> Checked<(Vec<u32>, Vec<u32>)> {
         let (now, at) = (self.now, self.slots[i].at);
         let data = match &msg {
@@ -869,7 +811,10 @@ impl World {
                 None
             }
             Some(Message::Redirect { .. }) => {
-                self.streams.retain(|k, _| k.0 != i);
+                let (s, spare) = (&mut self.slots[i], &mut self.spare);
+                each!(&mut self.cores[i], c => c.outbox.drain(spare));
+                s.held.extend(spare.drain(..).map(|e| (s.epoch, e)));
+                s.epoch += 1;
                 None
             }
             _ => None,
@@ -877,37 +822,43 @@ impl World {
         if msg.as_ref().is_some_and(|m| !m.is_liveness()) {
             self.busy_at = now;
         }
-        let mut out = std::mem::take(&mut self.spare);
-        let ran = match &mut self.slots[i].core {
-            Core::Box(c) => input(c, msg, now, &mut out).map(|s| (s.dropped, Report::Box(s))),
-            Core::Master(c) => input(c, msg, now, &mut out).map(|s| (s.dropped, Report::Master(s))),
+        let (timer, mut out) = (msg.is_none(), std::mem::take(&mut self.spare));
+        let ran = match &mut self.cores[i] {
+            Core::Box(c) => input(c, msg, now, &mut out).map(|s| (s.dropped, Some(Report::Box(s)))),
+            Core::Master(c) => {
+                input(c, msg, now, &mut out).map(|s| (s.dropped, Some(Report::Master(s))))
+            }
             Core::Worker(c) => {
                 if let Some(m) = msg {
                     c.on_message(m, now);
                 }
-                c.outbox.drain(&mut out);
-                Ok((true, Report::Worker))
+                Ok((true, None))
             }
         };
         let (dropped, report) = ran.map_err(|e| format!("{e}: node {at}"))?;
         if let Some((app, r, tree)) = data.filter(|_| !dropped) {
-            let at_box = matches!(report, Report::Box(_));
+            let at_box = matches!(report, Some(Report::Box(_)));
             let key = (app, r, if at_box { tree } else { TreeId(0) });
             if self.slots[i].ended.contains(&key) {
                 return Err(format!("reopened: {key:?} at node {at}"));
             }
         }
-        self.after(i, report, out)
+        let dead = match report {
+            Some(report) => self.after(i, report)?,
+            None => Vec::new(),
+        };
+        if !timer {
+            self.spare = out;
+            return Ok((dead, Vec::new()));
+        }
+        let probed = self.emit(i, out)?;
+        Ok((dead, probed))
     }
 
-    /// Act on a transition's report and send what the
-    /// transition queued.
-    fn after(
-        &mut self,
-        i: usize,
-        report: Report,
-        out: VecDeque<Emit>,
-    ) -> Checked<(Vec<u32>, Vec<u32>)> {
+    /// Act on a fan-in core's report: queue its combines, note what ended,
+    /// audit its firing, deliver what the master completed. The boxes it
+    /// declared dead.
+    fn after(&mut self, i: usize, report: Report) -> Checked<Vec<u32>> {
         let mut dead = Vec::new();
         match report {
             Report::Box(step) => {
@@ -929,7 +880,7 @@ impl World {
                 }
             }
             Report::Master(step) => {
-                let Core::Master(m) = &self.slots[i].core else {
+                let Core::Master(m) = &self.cores[i] else {
                     unreachable!()
                 };
                 let app = m.fanin.app;
@@ -940,15 +891,15 @@ impl World {
                     self.delivered(i, usize::from(app.0), *r)?;
                 }
             }
-            Report::Worker => {}
         }
-        let probed = self.flush(i, out)?;
-        Ok((dead, probed))
+        self.settle(i);
+        Ok(dead)
     }
 
     /// Account for a firing at `i`: reaps end their requests; no box is
     /// declared twice; each obligation moves once; none stays with a box
-    /// that failed. The boxes declared dead.
+    /// that failed; what a bypass or a verdict on a live box moved is
+    /// excused. The boxes declared dead.
     fn audit<P: Copy, R: Copy>(
         &mut self,
         i: usize,
@@ -957,25 +908,36 @@ impl World {
         point: impl Fn(P) -> (AppId, TreeId),
     ) -> Checked<Vec<u32>> {
         let escalated = f.scan.iter().flat_map(|s| &s.escalated).map(|e| e.1);
-        let live = escalated
-            .chain(f.dead.iter().copied())
-            .filter(|b| !self.slots[*b as usize].dead);
+        let live = escalated.chain(f.dead.iter().copied());
+        let live = live.filter(|b| !self.slots[*b as usize].dead);
         self.report.live_verdicts += live.count() as u64;
-        let (at, s) = (self.slots[i].at, &mut self.slots[i]);
-        self.report.reaped += f.reaped.len() as u64;
-        self.report.detections += f.dead.len() as u64;
-        s.ended.extend(f.reaped.iter().map(|(r, _)| key(*r)));
         let on = |r, p| (point(p).0, key(r).1, point(p).1);
         let scan = f.scan.iter();
-        let bypasses = scan.clone().flat_map(|s| &s.bypasses);
-        let bypassed = bypasses.map(|b| (on(b.request, b.point), b.box_id));
-        self.bypassed
-            .extend(bypassed.clone().map(|((a, r, _), _)| (a, r)));
+        let bypassed = scan.clone().flat_map(|s| &s.bypasses);
+        let bypassed = bypassed.map(|b| (on(b.request, b.point), b.box_id));
         let failed = scan.flat_map(|s| &s.escalated).chain(&f.failed);
         let repointed = failed.clone().flat_map(|(p, b, r)| {
             let moved = r.repointed.iter().map(|q| (on(q.0, *p), *b));
             moved.collect::<Vec<_>>()
         });
+        // Moved onto a box below the bypassed one, which nobody probes, or
+        // off a box that is alive: re-points are one-way.
+        let nested = bypassed.clone().filter(|((a, _, t), b)| {
+            let route = match &self.cores[i] {
+                Core::Box(c) => c.fanin.route(&(*a, *t)),
+                Core::Master(c) => c.fanin.route(t),
+                Core::Worker(_) => None,
+            };
+            let below = route.and_then(|r| r.child_boxes.get(b));
+            below.is_some_and(|r| !r.child_boxes.is_empty())
+        });
+        let live = repointed.clone().filter(|m| !self.slots[m.1 as usize].dead);
+        let excused: Vec<_> = nested.chain(live).map(|((a, r, _), _)| (a, r)).collect();
+        self.excused.extend(excused);
+        let (at, s) = (self.slots[i].at, &mut self.slots[i]);
+        self.report.reaped += f.reaped.len() as u64;
+        self.report.detections += f.dead.len() as u64;
+        s.ended.extend(f.reaped.iter().map(|(r, _)| key(*r)));
         if let Some(m) = bypassed.chain(repointed).find(|m| !s.moved.insert(*m)) {
             return Err(format!("moved twice: {m:?} at node {at}"));
         }
@@ -985,7 +947,7 @@ impl World {
         for (p, b) in failed.map(|f| (point(f.0), SourceId::Box(f.1))) {
             // Still owed and unheard from at the point: the obligation did
             // not move.
-            let unmoved = match &s.core {
+            let unmoved = match &self.cores[i] {
                 Core::Box(c) => c.fanin.requests.iter().any(|(k, q)| {
                     let k = ((k.0, k.2), b);
                     k.0 == p && !q.closed && q.ledger.is_owed(&k) && !q.ledger.has_seen(&k)
@@ -1005,16 +967,31 @@ impl World {
         Ok(f.dead.clone())
     }
 
-    /// Send what node `i` queued: a send to a dead node fails. The boxes
-    /// it probed.
-    fn flush(&mut self, i: usize, mut out: VecDeque<Emit>) -> Checked<Vec<u32>> {
+    /// Node `i`'s next deadline, after a transition.
+    fn settle(&mut self, i: usize) {
+        self.slots[i].due = each!(&self.cores[i], c => c.next_deadline());
+    }
+
+    /// Drain node `i`'s outbox into its links.
+    fn drain(&mut self, i: usize) -> Checked {
+        let mut out = std::mem::take(&mut self.spare);
+        each!(&mut self.cores[i], c => c.outbox.drain(&mut out));
+        self.emit(i, out).map(|_| ())
+    }
+
+    /// Put what node `i` drained on its links, after what it set aside,
+    /// checking what leaves. The boxes it probed.
+    fn emit(&mut self, i: usize, mut out: VecDeque<Emit>) -> Checked<Vec<u32>> {
         let (at, now, mut probed) = (self.slots[i].at, self.now, Vec::new());
-        // What one transition queued for one node, in request order: a
-        // core's map order is its process's hash seed's, and a schedule
-        // should not hang on it.
-        let order = |e: &Emit| (e.to, !e.msg.is_liveness(), request(&e.msg));
-        out.make_contiguous().sort_by_key(order);
-        for e in out.drain(..) {
+        let (s, mut sending) = (&mut self.slots[i], std::mem::take(&mut self.sending));
+        sending.append(&mut s.held);
+        sending.extend(out.drain(..).map(|e| (s.epoch, e)));
+        self.spare = out;
+        // What one drain takes for one node, in request order: a core's map
+        // order is its process's hash seed's, and a schedule should not
+        // hang on it. One request's messages keep their order.
+        sending.sort_by_key(|(_, e)| (e.to, !e.msg.is_liveness(), request(&e.msg)));
+        for (epoch, e) in sending.drain(..) {
             let named = match e.msg {
                 Message::Heartbeat { from, .. } => Some(from),
                 Message::HeartbeatAck { from, .. } => Some(box_addr(from)),
@@ -1035,8 +1012,9 @@ impl World {
             } = e.msg
             {
                 let stream = (i, e.to, (app, request, tree));
-                let prev = self.streams.insert(stream, (seq, last));
-                if let Some(prev) = prev.filter(|p| p.1 || p.0 >= seq) {
+                let prev = self.streams.insert(stream, (epoch, seq, last));
+                let behind = |p: &(u32, u32, bool)| p.0 == epoch && (p.2 || p.1 >= seq);
+                if let Some(prev) = prev.filter(|p| p.0 > epoch || behind(p)) {
                     return Err(format!("misordered: {stream:?} chunk {seq} after {prev:?}"));
                 }
             }
@@ -1051,7 +1029,7 @@ impl World {
                 probed.push(b);
             }
             let Some(j) = to else {
-                send_failed(&mut self.slots[i].core, e.to, &e.msg);
+                each!(&mut self.cores[i], c => c.send_failed(e.to, &e.msg));
                 continue;
             };
             let repoint = matches!(
@@ -1062,14 +1040,14 @@ impl World {
                 }
             );
             self.report.repoints += u64::from(repoint);
-            let ready = now + self.slots[i].slow;
             let l = i * self.slots.len() + j;
             if let (true, Err(at)) = (self.links[l].is_empty(), self.busy.binary_search(&l)) {
                 self.busy.insert(at, l);
             }
-            self.links[l].push_back((ready, e.msg));
+            self.links[l].push_back(e.msg);
         }
-        (self.spare, self.slots[i].due) = (out, deadline(&self.slots[i].core));
+        self.sending = sending;
+        self.settle(i);
         probed.sort_unstable();
         Ok(probed)
     }
@@ -1077,7 +1055,7 @@ impl World {
     /// The child boxes node `i` routes, at any point.
     fn watched(&self, i: usize) -> Vec<u32> {
         let trees = (0..self.trees).map(TreeId);
-        let routes: Vec<_> = match &self.slots[i].core {
+        let routes: Vec<_> = match &self.cores[i] {
             Core::Box(c) => {
                 let points = self
                     .apps
@@ -1100,7 +1078,7 @@ impl World {
     /// The master at `m` completed request `r` of app `a`: its waiter takes
     /// it, once, and it is the closed-form fold.
     fn delivered(&mut self, m: usize, a: usize, r: RequestId) -> Checked {
-        let Core::Master(core) = &mut self.slots[m].core else {
+        let Core::Master(core) = &mut self.cores[m] else {
             unreachable!()
         };
         let Taken::Done(d) = core.take_completed(r) else {
@@ -1126,14 +1104,10 @@ impl World {
         self.report.delivered += 1;
         self.forget(a, r.0);
         let (workers, p) = (m + 1..=m + self.workers as usize, &mut self.report.peak);
-        p[0] = self
-            .slots
-            .iter()
-            .map(|s| open(&s.core))
-            .fold(p[0], usize::max);
-        for s in &self.slots[workers] {
-            if let Core::Worker(w) = &s.core {
-                (p[1], p[2]) = (p[1].max(w.tracked()), p[2].max(w.seqs.len()));
+        p[0] = self.cores.iter().map(open).fold(p[0], usize::max);
+        for core in &self.cores[workers] {
+            if let Core::Worker(w) = core {
+                (p[1], p[2]) = (p[1].max(w.tracked()), p[2].max(w.open_streams()));
             }
         }
         Ok(())
@@ -1143,18 +1117,21 @@ impl World {
     /// runner's driver has them do once it settled.
     fn forget(&mut self, a: usize, r: u64) {
         let first = self.node(a, Some(0));
-        for s in &mut self.slots[first..first + self.workers as usize] {
-            if let (Core::Worker(core), false) = (&mut s.core, s.dead) {
+        let range = first..first + self.workers as usize;
+        for (s, core) in self.slots[range.clone()].iter().zip(&mut self.cores[range]) {
+            if let (Core::Worker(core), false) = (core, s.dead) {
                 core.forget(RequestId(r));
             }
         }
     }
 }
 
-/// One input to a fan-in core, a message or (`None`) a timer firing, and
-/// what it queued. A firing that did nothing must leave no deadline due —
-/// a timer thread would spin on it — and one that leaves none due must
-/// be followed by a second at the same instant that changes nothing.
+/// One input to a fan-in core, a message or (`None`) a timer firing, which
+/// then drains into `out` as a shell's timer does. A firing that did
+/// nothing must leave no deadline due — a timer thread would spin on it —
+/// and one that leaves none due must be followed by a second at the same
+/// instant that changes nothing. What earlier transitions left queued is
+/// no sign of either.
 fn input<N, P, R: Copy>(
     core: &mut N,
     msg: Option<Message>,
@@ -1164,44 +1141,28 @@ fn input<N, P, R: Copy>(
 where
     N: Node<Report = Step<P, R>>,
 {
-    let quiet = |s: &Step<P, R>, core: &mut N| {
+    let quiet = |s: &Step<P, R>, core: &mut N, queued: bool| {
         let fired = s.fired.as_ref().is_none_or(Fired::is_empty);
-        fired && s.work.is_empty() && s.completed.is_empty() && core.outbox().is_empty()
+        let posted = !queued && !core.outbox().is_empty();
+        fired && s.work.is_empty() && s.completed.is_empty() && !posted
     };
     let Some(msg) = msg else {
+        let queued = !core.outbox().is_empty();
         let step = core.on_timer(now);
-        let idle = quiet(&step, core);
+        let idle = quiet(&step, core, queued);
         core.outbox().drain(out);
         return match core.next_deadline() {
             Some(t) if t <= now && idle => {
                 Err("spins: an idle firing leaves its deadline due".into())
             }
             Some(t) if t <= now => Ok(step),
-            _ if !quiet(&core.on_timer(now), core) => {
+            _ if !quiet(&core.on_timer(now), core, false) => {
                 Err("refired: a second firing did something".into())
             }
             _ => Ok(step),
         };
     };
-    let step = core.on_message(msg, now);
-    core.outbox().drain(out);
-    Ok(step)
-}
-
-fn deadline(core: &Core) -> Option<Instant> {
-    match core {
-        Core::Box(c) => c.next_deadline(),
-        Core::Master(c) => c.next_deadline(),
-        Core::Worker(c) => c.next_deadline(),
-    }
-}
-
-fn send_failed(core: &mut Core, to: NodeId, msg: &Message) {
-    match core {
-        Core::Box(c) => c.send_failed(to, msg),
-        Core::Master(c) => c.send_failed(to, msg),
-        Core::Worker(c) => c.send_failed(to, msg),
-    }
+    Ok(core.on_message(msg, now))
 }
 
 /// The request a message is about; 0 for liveness.
