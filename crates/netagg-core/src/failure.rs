@@ -12,9 +12,8 @@
 
 use crate::protocol::Message;
 use crate::tree::box_addr;
-use netagg_net::hash::Map;
 use netagg_net::NodeId;
-use std::collections::hash_map::Entry;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::{Duration, Instant};
 
 /// Detector timing parameters.
@@ -45,9 +44,9 @@ pub struct DetectorCore {
     round: Option<(DetectorConfig, Instant)>,
     nonce: u64,
     /// The unanswered probe per box: its nonce and when the ack is missed.
-    pending: Map<u32, (u64, Instant)>,
+    pending: BTreeMap<u32, (u64, Instant)>,
     /// Consecutive missed acks per box.
-    misses: Map<u32, u32>,
+    misses: BTreeMap<u32, u32>,
 }
 
 impl DetectorCore {

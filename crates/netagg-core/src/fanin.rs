@@ -16,6 +16,10 @@
 //! master), `R` a request at this node, `X` what the shell keeps per
 //! request. Ledger keys are `(P, SourceId)`, so a chunk or a re-point for
 //! one point can never touch another point's obligations.
+//!
+//! A transition's outcome and output order are functions of its inputs:
+//! maps keyed by topology are `BTree*`, and a timer pass over the requests
+//! (a [`Map`]: a peer picks their ids) acts on them in key order.
 
 use crate::failure::DetectorCore;
 use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
@@ -26,7 +30,7 @@ use bytes::Bytes;
 use netagg_net::hash::Map;
 use netagg_net::NodeId;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 use std::time::{Duration, Instant};
 
@@ -36,7 +40,7 @@ pub const REQUEST_TTL: Duration = Duration::from_secs(600);
 
 /// A fan-in point as messages name it: `app` is the node's own, for a
 /// point that names none (the master serves one application).
-pub trait Point: Copy + Eq + Hash {
+pub trait Point: Copy + Ord + Hash {
     /// The `(app, tree)` a message about this point carries.
     fn ids(self, app: AppId) -> (AppId, TreeId);
 }
@@ -62,9 +66,9 @@ impl Point for (AppId, TreeId) {
 pub struct Route {
     /// The distinct sources owed per request (workers and child boxes);
     /// new requests seed their ledger from it.
-    pub owed: HashSet<SourceId>,
+    pub owed: BTreeSet<SourceId>,
     /// Child boxes by global box id, with their own routes.
-    pub child_boxes: HashMap<u32, Route>,
+    pub child_boxes: BTreeMap<u32, Route>,
     /// Addresses of the direct children (workers and boxes): broadcast
     /// replication, and who to redirect when this node is bypassed.
     pub children_addrs: Vec<NodeId>,
@@ -249,13 +253,13 @@ impl<P, R: Copy> Fired<P, R> {
 /// One node's half of the fan-in protocol; see the module docs.
 #[derive(Debug)]
 pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
-    routes: Map<P, Route>,
+    routes: BTreeMap<P, Route>,
     /// Every request with state here. Shells read it (snapshots, gauges),
     /// remove from it (completion hand-off) and drain it at teardown; the
     /// transitions below mutate ledgers, and `on_timer` reaps.
     pub requests: Map<R, Request<P, X>>,
     /// Straggler events per child box, across requests.
-    straggles: Map<u32, u32>,
+    straggles: BTreeMap<u32, u32>,
     /// The bypass policy this node runs on its timer, constant once set.
     pub straggler: Option<StragglerPolicy>,
     /// Liveness of the child boxes the routes name.
@@ -273,9 +277,9 @@ pub struct FanInCore<P: Copy + Eq + Hash, R, X> {
 impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X> {
     fn default() -> Self {
         Self {
-            routes: Map::default(),
+            routes: BTreeMap::new(),
             requests: Map::default(),
-            straggles: Map::default(),
+            straggles: BTreeMap::new(),
             straggler: None,
             detector: DetectorCore::default(),
             addr: 0,
@@ -285,7 +289,7 @@ impl<P: Copy + Eq + Hash, R: Copy + Eq + Hash, X> Default for FanInCore<P, R, X>
     }
 }
 
-impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
+impl<P: Point, R: Copy + Ord + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
     /// Install (or replace) the route of one fan-in point.
     pub fn install_route(&mut self, point: P, route: Route) {
         self.routes.insert(point, route);
@@ -294,6 +298,18 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
     /// The current route of `point`.
     pub fn route(&self, point: &P) -> Option<&Route> {
         self.routes.get(point)
+    }
+
+    /// Every point's route, in point order.
+    pub fn routes(&self) -> impl Iterator<Item = (&P, &Route)> {
+        self.routes.iter()
+    }
+
+    /// The open ones of `requests`, in key order.
+    fn in_order(requests: &mut Map<R, Request<P, X>>) -> Vec<(&R, &mut Request<P, X>)> {
+        let mut open: Vec<_> = requests.iter_mut().filter(|q| !q.1.closed).collect();
+        open.sort_unstable_by_key(|q| *q.0);
+        open
     }
 
     /// The request's state, created `now` on first use with a ledger
@@ -418,7 +434,7 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             closed: Vec::new(),
             sends: children.map(|c| (c, redirect.clone())).collect(),
         };
-        for (r, q) in self.requests.iter_mut().filter(|(_, q)| !q.closed) {
+        for (r, q) in Self::in_order(&mut self.requests) {
             let failed = (point, SourceId::Box(failed_box));
             let outcome = q.ledger.repoint(failed, &behind);
             out.moved += usize::from(matches!(outcome, RepointOutcome::Moved { .. }));
@@ -453,9 +469,10 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
         };
         let mut found = Vec::new();
         let due = |t: Instant| now.duration_since(t) >= threshold;
-        let open = self.requests.iter_mut().filter(|(_, q)| !q.closed);
-        for (r, q) in open.filter(|(_, q)| q.started.is_some_and(due)) {
-            for (point, route) in &self.routes {
+        let routes = &self.routes;
+        let open = Self::in_order(&mut self.requests);
+        for (r, q) in open.into_iter().filter(|(_, q)| q.started.is_some_and(due)) {
+            for (point, route) in routes {
                 for (box_id, info) in &route.child_boxes {
                     if !Self::awaits(q, *point, *box_id) {
                         continue;
@@ -531,6 +548,7 @@ impl<P: Point, R: Copy + Eq + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
             self.sweep = Some(now + REQUEST_TTL);
             let old = |_: &R, q: &mut Request<P, X>| now.duration_since(q.opened) >= REQUEST_TTL;
             reaped.extend(self.requests.extract_if(old).map(|(r, q)| (r, q.trace)));
+            reaped.sort_unstable_by_key(|q| q.0);
         }
         let policy = self.straggler;
         let scan = policy.map(|p| self.scan_stragglers(now, p.threshold, p.repeat_limit));

@@ -60,7 +60,7 @@ fn routed_box(id: u32, fanin: usize, route: Route) -> BoxCore {
 fn box_core(fanin: usize, owed: Vec<SourceId>, child_boxes: HashMap<u32, Route>) -> BoxCore {
     let route = Route {
         owed: owed.into_iter().collect(),
-        child_boxes,
+        child_boxes: child_boxes.into_iter().collect(),
         ..Route::default()
     };
     routed_box(0, fanin, route)

@@ -21,7 +21,7 @@ use netagg_core::shim::TreeSelection;
 use netagg_core::tree::worker_addr;
 use netagg_net::lifecycle::{CancelToken, JoinScope, OrderedMutex};
 use netagg_net::lock_order;
-use netagg_net::{DetRng, FaultController, FaultStep, FaultTransport, NodeId, Transport};
+use netagg_net::{FaultController, FaultStep, FaultTransport, NodeId, Transport};
 use netagg_obs::{names, MetricsRegistry, MetricsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -644,27 +644,14 @@ impl ScenarioHarness {
         // Seeded frame-indexed kills arm against the frame counters as
         // they stand right now, so warm-up traffic (detector probes,
         // corpus shuffles) does not consume the draw.
-        let mut rng = DetRng::new(self.spec.seed ^ 0x5EED_FA17);
-        for imp in &self.spec.impairments {
-            if let Impairment::SeededBoxKill {
-                slot,
-                frames_lo,
-                frames_hi,
-            } = imp
-            {
-                let addr = self.deployment().boxes()[*slot].addr();
-                let draw = rng.gen_range(*frames_lo, *frames_hi);
-                self.fault.schedule(FaultStep {
-                    watch: addr,
-                    after_frames: self.fault.frames_delivered(addr) + draw,
-                    kill_target: addr,
-                });
-                self.engine
-                    .state
-                    .lock()
-                    .applied
-                    .push(format!("seeded kill of box {slot} armed +{draw} frames"));
-            }
+        for (slot, draw, armed) in self.spec.seeded_kills() {
+            let addr = self.deployment().boxes()[slot].addr();
+            self.fault.schedule(FaultStep {
+                watch: addr,
+                after_frames: self.fault.frames_delivered(addr) + draw,
+                kill_target: addr,
+            });
+            self.engine.state.lock().applied.push(armed);
         }
 
         let total_workers = self.spec.topology.total_workers();

@@ -10,6 +10,7 @@ use minisearch::corpus::CorpusConfig;
 use netagg_core::failure::DetectorConfig;
 use netagg_core::runtime::DeploymentConfig;
 use netagg_core::tree::ClusterSpec;
+use netagg_net::DetRng;
 use std::time::Duration;
 
 /// Physical topology, in the paper's two-tier shape (racks of workers,
@@ -344,6 +345,30 @@ impl ScenarioSpec {
     /// Total requests across the workload mix.
     pub fn total_requests(&self) -> u64 {
         self.apps.iter().map(|a| a.workload.requests()).sum()
+    }
+
+    /// The seeded box kills, in schedule order: each one's box slot, the
+    /// frames drawn for it from the spec's seed, and the label every
+    /// driver reports it under.
+    pub fn seeded_kills(&self) -> Vec<(usize, u64, String)> {
+        let mut rng = DetRng::new(self.seed ^ 0x5EED_FA17);
+        let kills = self.impairments.iter().filter_map(|i| match *i {
+            Impairment::SeededBoxKill {
+                slot,
+                frames_lo,
+                frames_hi,
+            } => Some((slot, frames_lo, frames_hi)),
+            _ => None,
+        });
+        let draw = |(slot, lo, hi)| {
+            let draw = rng.gen_range(lo, hi);
+            (
+                slot,
+                draw,
+                format!("seeded kill of box {slot} armed +{draw} frames"),
+            )
+        };
+        kills.map(draw).collect()
     }
 
     /// Whether any impairment kills a box (and thus requires a detector).

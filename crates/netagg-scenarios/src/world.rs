@@ -18,27 +18,27 @@
 //!
 //! Each step is checked (see [`World::apply`]). A run is its list of
 //! [`Event`]s: [`explore`] reports a failing seed with a greedily
-//! minimised list, which [`World::replay`] runs again. A seed repeats its
-//! schedule in any process unless a transition's outcome hangs on a core's
-//! map order (which bypass of a straggler reaches its repeat limit); the
-//! list repeats it in the process that found it.
+//! minimised list, which [`World::replay`] runs again. The cores act in
+//! key order and the World sends in outbox order, so a seed alone repeats
+//! a run in any process.
 
 use crate::runner::{aggregator, app_stream, expected_result, worker_payload};
 use crate::spec::{Impairment, ScenarioSpec, SyntheticKind, Workload};
 use bytes::Bytes;
-use netagg_core::aggbox::core::{BoxCore, BoxStep, Combine, ReqKey, Work};
+use netagg_core::aggbox::core::{BoxCore, BoxRequest, BoxStep, Combine, ReqKey, Work};
 use netagg_core::aggbox::tree::combine;
-use netagg_core::fanin::{Fired, REQUEST_TTL};
+use netagg_core::failure::DetectorCore;
+use netagg_core::fanin::{FanInCore, Fired, Point, REQUEST_TTL};
 use netagg_core::node::{Emit, Node, Step};
 use netagg_core::protocol::{AppId, Message, RequestId, SourceId, TreeId};
-use netagg_core::shim::master_core::{MasterCore, MasterStep, Taken};
+use netagg_core::shim::master_core::{MasterCore, MasterRequest, MasterStep, Taken};
 use netagg_core::shim::worker_core::WorkerCore;
 use netagg_core::shim::TreeSelection;
 use netagg_core::tree::{box_addr, build_tree_specs, master_addr, worker_addr};
 use netagg_core::DynAggregator;
 use netagg_net::hash::{Map, Set};
 use netagg_net::{DetRng, NodeId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,7 +54,7 @@ type Key = (AppId, RequestId, TreeId);
 type Checked<T = ()> = Result<T, String>;
 
 /// One step of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
     /// App `a` issues its next request, answered by worker 0 alone if set.
     Issue(usize, bool),
@@ -119,8 +119,6 @@ pub struct WorldReport {
     pub repoints: u64,
     /// The impairments applied, worded as the scenario runner words them.
     pub impairments_applied: Vec<String>,
-    /// Events applied.
-    pub steps: u64,
     /// The most per-request state one core held, read at every delivery:
     /// requests open at a box or master, requests a worker retains replay
     /// for just after one was delivered, and a worker's open sequence streams.
@@ -167,10 +165,85 @@ macro_rules! each {
     };
 }
 
-/// What a fan-in core's transition reported.
-enum Report {
-    Box(BoxStep),
-    Master(MasterStep),
+/// A box or a master: a core with a fan-in half, which the World runs
+/// and audits alike. What differs by kind is what a step leaves behind
+/// ([`FanIn::took`]).
+trait FanIn: Node<Report = Step<Self::P, Self::R>> + Sized {
+    type P: Point;
+    type R: Copy + Ord + std::hash::Hash + Into<RequestId> + From<ReqKey>;
+    type X;
+    fn of(core: &Core) -> Option<&Self>;
+    fn of_mut(core: &mut Core) -> Option<&mut Self>;
+    fn fanin(&self) -> &FanInCore<Self::P, Self::R, Self::X>;
+    /// The key of request `r` of `app` here.
+    fn key(app: AppId, r: Self::R) -> Key;
+    /// Act on what a step at slot `i` leaves by kind: a box's combines and
+    /// completions, a master's deliveries.
+    fn took(world: &mut World, i: usize, step: Step<Self::P, Self::R>) -> Checked;
+}
+
+impl FanIn for BoxCore {
+    type P = (AppId, TreeId);
+    type R = ReqKey;
+    type X = BoxRequest;
+    fn of(core: &Core) -> Option<&Self> {
+        match core {
+            Core::Box(c) => Some(c),
+            _ => None,
+        }
+    }
+    fn of_mut(core: &mut Core) -> Option<&mut Self> {
+        match core {
+            Core::Box(c) => Some(c),
+            _ => None,
+        }
+    }
+    fn fanin(&self) -> &FanInCore<Self::P, ReqKey, BoxRequest> {
+        &self.fanin
+    }
+    fn key(_: AppId, r: ReqKey) -> Key {
+        r
+    }
+    fn took(world: &mut World, i: usize, step: BoxStep) -> Checked {
+        let ended = &mut world.slots[i].ended;
+        ended.extend(step.completed.iter().map(|c| c.0));
+        for w in step.work {
+            match w {
+                Work::Combine(c) => world.combines.entry((i, c.key)).or_default().push_back(c),
+                Work::Failed(key, ..) => drop(ended.insert(key)),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A master's requests are keyed on tree 0.
+impl FanIn for MasterCore {
+    type P = TreeId;
+    type R = RequestId;
+    type X = MasterRequest;
+    fn of(core: &Core) -> Option<&Self> {
+        match core {
+            Core::Master(c) => Some(c),
+            _ => None,
+        }
+    }
+    fn of_mut(core: &mut Core) -> Option<&mut Self> {
+        match core {
+            Core::Master(c) => Some(c),
+            _ => None,
+        }
+    }
+    fn fanin(&self) -> &FanInCore<TreeId, RequestId, MasterRequest> {
+        &self.fanin
+    }
+    fn key(app: AppId, r: RequestId) -> Key {
+        (app, r, TreeId(0))
+    }
+    fn took(world: &mut World, i: usize, step: MasterStep) -> Checked {
+        let done = step.completed.iter();
+        done.map(|c| c.0).try_for_each(|r| world.delivered(i, r))
+    }
 }
 
 /// What a node's detector should conclude: per probed box, the open
@@ -216,7 +289,6 @@ struct App {
     sends: Vec<(u64, u32)>,
     /// Workers taking part, per request not yet delivered.
     parts: Map<u64, u32>,
-    delivered: Set<u64>,
 }
 
 /// Every core of a deployment and the messages between them; see the
@@ -226,20 +298,18 @@ pub struct World {
     slots: Vec<Slot>,
     cores: Vec<Core>,
     ix: Map<NodeId, usize>,
-    /// The link from slot `i` to slot `j`, at `i * slots + j`.
-    links: Vec<VecDeque<Message>>,
-    /// The links with a message on them, in order.
-    busy: Vec<usize>,
+    /// The links with a message on them, from slot `i` to slot `j` at
+    /// `(i, j)`: each a FIFO queue.
+    links: BTreeMap<(usize, usize), VecDeque<Message>>,
     combines: BTreeMap<(usize, ReqKey), VecDeque<Combine>>,
     apps: Vec<App>,
     boxes: usize,
     workers: u32,
-    trees: u32,
     keyed: bool,
     inflight: usize,
     patience: Duration,
-    /// The detector's time-out and misses, when one is armed.
-    detector: Option<(Duration, u32)>,
+    /// The detector's time-out and misses; none and never, unarmed.
+    detector: (Duration, u32),
     /// No straggler policy: a probe round probes every box it may.
     strict: bool,
     /// Requests a known limit may strand ([`WorldReport::stranded`]).
@@ -261,11 +331,10 @@ pub struct World {
     now: Instant,
     /// When a node last took a message that may open a request.
     busy_at: Instant,
-    trace: Option<Vec<Event>>,
-    /// Buffers kept between steps.
-    choices: Vec<Event>,
+    /// Every event applied, in order.
+    trace: Vec<Event>,
+    /// What a node's outbox drained, on its way to its links.
     spare: VecDeque<Emit>,
-    sending: Vec<(u32, Emit)>,
     report: WorldReport,
 }
 
@@ -279,7 +348,7 @@ impl World {
             };
             let ((seed, base), id, agg) = (app_stream(spec, a), AppId(a as u16), aggregator(kind));
             let (issued, waiting, sends) = (0, VecDeque::new(), Vec::new());
-            let (parts, delivered) = (Map::default(), Set::default());
+            let parts = Map::default();
             apps.push(App {
                 id,
                 kind,
@@ -291,130 +360,103 @@ impl World {
                 waiting,
                 sends,
                 parts,
-                delivered,
             });
         }
         if spec.kills_boxes() && spec.detector.is_none() {
             return Err(Refused::NoDetector);
         }
+        let mut kills = VecDeque::new();
+        for imp in &spec.impairments {
+            match *imp {
+                Impairment::SeededBoxKill { .. } => {}
+                Impairment::BoxKill {
+                    slot,
+                    after_requests,
+                } => kills.push_back((after_requests, slot)),
+                ref other => return Err(Refused::Impairment(format!("{other:?}"))),
+            }
+        }
+        kills.make_contiguous().sort_unstable();
         let (cluster, cfg, t0) = (spec.topology.cluster(), &spec.tuning, Instant::now());
         let specs = build_tree_specs(&cluster);
+        let probe =
+            |d: &mut DetectorCore| spec.detector.iter().for_each(|c| d.enable(c.clone(), t0));
         let mut cores = Vec::new();
         for b in 0..cluster.total_boxes() {
             let mut core = BoxCore::new(b, cfg, t0);
             apps.iter()
                 .for_each(|a| core.add_app(a.id, a.agg.clone(), &specs));
-            spec.detector
-                .iter()
-                .for_each(|d| core.fanin.detector.enable(d.clone(), t0));
+            probe(&mut core.fanin.detector);
             cores.push((box_addr(b), Core::Box(core)));
         }
         for a in &apps {
             let mut core = MasterCore::new(a.id, &specs, cfg);
-            spec.detector
-                .iter()
-                .for_each(|d| core.fanin.detector.enable(d.clone(), t0));
+            probe(&mut core.fanin.detector);
             cores.push((master_addr(a.id), Core::Master(core)));
             for w in cluster.all_workers() {
                 let core = WorkerCore::new(a.id, w, &specs, cfg.selection);
                 cores.push((worker_addr(a.id, w), Core::Worker(core)));
             }
         }
-        let (slots, cores): (Vec<Slot>, Vec<Core>) = cores
-            .into_iter()
-            .map(|(at, core)| {
-                let due = each!(&core, c => c.next_deadline());
-                (
-                    Slot {
-                        at,
-                        due,
-                        ..Slot::default()
-                    },
-                    core,
-                )
-            })
-            .unzip();
-        let n = slots.len();
+        let at = |(at, _): &(NodeId, Core)| Slot {
+            at: *at,
+            ..Slot::default()
+        };
+        let (n, slots) = (cores.len(), cores.iter().map(at).collect::<Vec<_>>());
         let mut world = World {
             ix: slots.iter().enumerate().map(|(i, s)| (s.at, i)).collect(),
             slots,
-            cores,
-            links: (0..n * n).map(|_| VecDeque::new()).collect(),
-            busy: Vec::new(),
+            cores: cores.into_iter().map(|c| c.1).collect(),
+            links: BTreeMap::new(),
             combines: BTreeMap::new(),
             apps,
             boxes: cluster.total_boxes() as usize,
             workers: spec.topology.total_workers(),
-            trees: spec.topology.trees,
             keyed: cfg.selection == TreeSelection::Keyed,
             inflight: spec.inflight,
             patience: spec.wait_timeout,
-            detector: spec.detector.as_ref().map(|d| (d.timeout, d.misses)),
+            detector: (spec.detector.as_ref())
+                .map_or((Duration::ZERO, u32::MAX), |d| (d.timeout, d.misses)),
             strict: cfg.straggler.is_none(),
             excused: Set::default(),
             outlasted: Set::default(),
             streams: Map::default(),
             armed: Vec::new(),
-            kills: VecDeque::new(),
+            kills,
             auto: false,
             delays: false,
             t0,
             now: t0,
             busy_at: t0,
-            trace: None,
-            choices: Vec::new(),
+            trace: Vec::new(),
             spare: VecDeque::new(),
-            sending: Vec::new(),
             report: WorldReport::default(),
         };
-        world.arm(spec)?;
-        Ok(world)
-    }
-
-    /// Compile the impairments: a seeded kill's frame draw as the scenario
-    /// runner makes it, a box kill at its request count.
-    fn arm(&mut self, spec: &ScenarioSpec) -> Result<(), Refused> {
-        let mut rng = DetRng::new(spec.seed ^ 0x5EED_FA17);
-        for imp in &spec.impairments {
-            match imp {
-                Impairment::SeededBoxKill {
-                    slot,
-                    frames_lo,
-                    frames_hi,
-                } => {
-                    let draw = rng.gen_range(*frames_lo, *frames_hi);
-                    self.armed.push((*slot, draw));
-                    let armed = format!("seeded kill of box {slot} armed +{draw} frames");
-                    self.report.impairments_applied.push(armed);
-                }
-                Impairment::BoxKill {
-                    slot,
-                    after_requests,
-                } => self.kills.push_back((*after_requests, *slot)),
-                other => return Err(Refused::Impairment(format!("{other:?}"))),
-            }
+        (0..n).for_each(|i| world.settle(i));
+        // The seeded kills' frame draws, as every driver makes them.
+        for (slot, draw, armed) in spec.seeded_kills() {
+            world.armed.push((slot, draw));
+            world.report.impairments_applied.push(armed);
         }
-        self.kills.make_contiguous().sort_unstable();
-        Ok(())
+        Ok(world)
     }
 
     /// Run to the end under `seed`: every request delivered or given up,
     /// nothing in flight, no request state left at a live box or master.
-    pub fn run(&mut self, seed: u64) -> Checked<WorldReport> {
-        let mut rng = DetRng::new(seed);
+    pub fn run(&mut self, seed: u64) -> Checked {
         (self.auto, self.delays) = (true, seed % 2 == 1);
-        self.finish(Some(&mut rng))
+        self.finish(Some(&mut DetRng::new(seed)))
     }
 
     /// Apply `events` to a new World of `spec`, then run to the end taking
     /// the first of what can move, with no fault of its own.
-    pub fn replay(spec: &ScenarioSpec, events: &[Event]) -> Checked<WorldReport> {
+    pub fn replay(spec: &ScenarioSpec, events: &[Event]) -> Checked<World> {
         let mut world = World::new(spec).map_err(|r| format!("refused: {r:?}"))?;
         events.iter().try_for_each(|e| world.apply(*e))?;
-        world.finish(None)
+        world.finish(None).map(|()| world)
     }
 
-    fn finish(&mut self, mut rng: Option<&mut DetRng>) -> Checked<WorldReport> {
+    fn finish(&mut self, mut rng: Option<&mut DetRng>) -> Checked {
         loop {
             let next = match self.choose(rng.as_deref_mut()) {
                 Some(e) => e,
@@ -424,7 +466,7 @@ impl World {
             self.apply(next)?;
         }
         self.report.elapsed = self.now - self.t0;
-        Ok(self.report.clone())
+        Ok(())
     }
 
     /// The counts so far.
@@ -432,20 +474,20 @@ impl World {
         &self.report
     }
 
+    /// Every event applied so far, in order: a run's whole reproducer.
+    pub fn events(&self) -> &[Event] {
+        &self.trace
+    }
+
     /// The master of the spec's app `a`.
     pub fn master(&self, a: usize) -> &MasterCore {
-        match &self.cores[self.node(a, None)] {
-            Core::Master(m) => m,
-            _ => unreachable!("a master at every master slot"),
-        }
+        let master = MasterCore::of(&self.cores[self.node(a, None)]);
+        master.expect("a master at every master slot")
     }
 
     /// Every box, by id.
     pub fn boxes(&self) -> impl Iterator<Item = &BoxCore> {
-        self.cores.iter().filter_map(|c| match c {
-            Core::Box(b) => Some(b),
-            _ => None,
-        })
+        self.cores.iter().filter_map(BoxCore::of)
     }
 
     /// The slot of app `a`'s master, or of its worker `w`.
@@ -457,17 +499,15 @@ impl World {
     /// dead node sometimes failing, the clock sometimes jumping ahead — or,
     /// without one, the first.
     fn choose(&mut self, mut rng: Option<&mut DetRng>) -> Option<Event> {
-        let (now, mut c) = (self.now, std::mem::take(&mut self.choices));
-        c.clear();
+        let (now, mut c) = (self.now, Vec::new());
         for (a, app) in self.apps.iter().enumerate() {
             let free = app.issued < app.requests && app.waiting.len() < self.inflight;
             c.extend(free.then_some(Event::Issue(a, false)));
             c.extend(app.sends.iter().map(|&(r, w)| Event::Send(a, r, w)));
         }
         let calm = c.is_empty();
-        let n = self.slots.len();
-        for &l in &self.busy {
-            let (from, to) = (self.slots[l / n].at, &self.slots[l % n]);
+        for &(i, j) in self.links.keys() {
+            let (from, to) = (self.slots[i].at, &self.slots[j]);
             let fail = to.dead && rng.as_mut().is_some_and(|r| r.next_u64() & 1 == 0);
             c.push(match fail {
                 true => Event::FailSend(from, to.at),
@@ -482,21 +522,20 @@ impl World {
         }
         let combines = self.combines.keys();
         c.extend(combines.map(|&(i, key)| Event::Combine(self.slots[i].at, key)));
-        let pick = match rng {
+        match rng {
             None => c.first().copied(),
             Some(rng) => {
                 let delay =
-                    self.delays && calm && !self.busy.is_empty() && rng.next_u64() % 32 == 0;
+                    self.delays && calm && !self.links.is_empty() && rng.next_u64() % 32 == 0;
                 let live = self.slots.iter().filter(|s| delay && !s.dead);
                 let soon = live
                     .clone()
-                    .filter_map(|s| s.due)
-                    .filter(|t| *t > now)
+                    .filter_map(|s| s.due.filter(|t| *t > now))
                     .min();
                 // Short of any probe's lapse that would fail a live box: a
                 // verdict on a live box strands what follows (re-points are
                 // one-way), and a delay only slows requests down.
-                let misses = self.detector.map_or(u32::MAX, |d| d.1);
+                let misses = self.detector.1;
                 let fatal = live.flat_map(|s| {
                     let w = &s.watch;
                     let last = |b: &u32| w.missed.get(b).copied().unwrap_or(0) + 1 >= misses;
@@ -512,9 +551,7 @@ impl World {
                     None => Some(c[rng.gen_range(0, c.len() as u64) as usize]),
                 }
             }
-        };
-        self.choices = c;
-        pick
+        }
     }
 
     /// Done: nothing to issue, send, deliver or combine, and no live box or
@@ -524,7 +561,7 @@ impl World {
             .apps
             .iter()
             .all(|a| a.issued == a.requests && a.waiting.is_empty());
-        let quiet = self.busy.is_empty() && self.combines.is_empty();
+        let quiet = self.links.is_empty() && self.combines.is_empty();
         let live = self.slots.iter().zip(&self.cores).filter(|s| !s.0.dead);
         apps && quiet && live.map(|s| open(s.1)).sum::<usize>() == 0
     }
@@ -559,10 +596,7 @@ impl World {
     /// there waits on it after; a round probes every box that owes no ack;
     /// a child box's obligation moves at most once per request.
     pub fn apply(&mut self, e: Event) -> Checked {
-        if let Some(t) = &mut self.trace {
-            t.push(e);
-        }
-        self.report.steps += 1;
+        self.trace.push(e);
         let slot = |at: NodeId| self.ix.get(&at).copied();
         match e {
             Event::Issue(a, solo) => self.issue(a, solo),
@@ -578,21 +612,17 @@ impl World {
             }
             Event::Drain(at) => slot(at).map_or(Ok(()), |i| self.drain(i)),
             Event::Combine(at, key) => {
-                let Some(i) = slot(at) else { return Ok(()) };
-                let Some(q) = self.combines.get_mut(&(i, key)) else {
-                    return Ok(());
-                };
-                let c = q.pop_front().expect("no empty queue is kept");
-                if q.is_empty() {
-                    self.combines.remove(&(i, key));
-                }
-                let Core::Box(core) = &mut self.cores[i] else {
-                    return Ok(());
-                };
+                let c = slot(at).and_then(|i| Some((i, pop(&mut self.combines, (i, key))?)));
+                let Some((i, c)) = c else { return Ok(()) };
+                let core = BoxCore::of_mut(&mut self.cores[i]).expect("a combine is a box's");
                 let step = core.combined(key, combine(&*c.agg, c.items));
-                self.after(i, Report::Box(step)).map(|_| ())
+                self.after::<BoxCore>(i, step).map(drop)
             }
-            Event::Timer(at) => slot(at).map_or(Ok(()), |i| self.fire(i)),
+            Event::Timer(at) => match slot(at).map(|i| (i, &self.cores[i])) {
+                Some((i, Core::Box(_))) => self.fire::<BoxCore>(i),
+                Some((i, Core::Master(_))) => self.fire::<MasterCore>(i),
+                _ => Ok(()),
+            },
             Event::GiveUp(a) => self.give_up(a),
             Event::Delay(d) => {
                 self.now += d;
@@ -626,21 +656,15 @@ impl World {
         app.waiting.push_back((r, now + self.patience));
         app.parts.insert(r, n);
         app.sends.extend((0..n).map(|w| (r, w)));
-        let Core::Master(core) = &mut self.cores[m] else {
-            unreachable!()
-        };
+        let core = MasterCore::of_mut(&mut self.cores[m]).expect("a master");
         let owed = solo.then(|| core.subset(RequestId(r), &[0]));
         core.register(RequestId(r), n as usize, owed, now);
         self.settle(m);
         self.report.issued += 1;
-        while self.auto
-            && self
-                .kills
-                .front()
-                .is_some_and(|k| k.0 <= self.report.issued)
-        {
-            let (_, b) = self.kills.pop_front().expect("just seen");
-            let at = format!("kill box {b} (at request {})", self.report.issued);
+        let (auto, issued) = (self.auto, self.report.issued);
+        while let Some(&(_, b)) = self.kills.front().filter(|k| auto && k.0 <= issued) {
+            self.kills.pop_front();
+            let at = format!("kill box {b} (at request {issued})");
             self.report.impairments_applied.push(at);
             self.apply(Event::Kill(box_addr(b as u32)))?;
         }
@@ -658,12 +682,9 @@ impl World {
         app.sends.remove(p);
         let n = app.parts.get(&r).copied().unwrap_or(self.workers);
         let payload = worker_payload(app.kind, app.seed, r, w, n);
-        let Core::Worker(core) = &mut self.cores[i] else {
-            unreachable!()
-        };
-        if self.slots[i].dead {
+        let (Core::Worker(core), false) = (&mut self.cores[i], self.slots[i].dead) else {
             return Ok(());
-        }
+        };
         let sent = match keyed {
             false => core.next_chunk((rid, core.tree(rid, None)), payload, true, None),
             true => (0..core.trees()).try_for_each(|t| {
@@ -680,25 +701,37 @@ impl World {
         Ok(())
     }
 
-    /// The head of link `i → j`.
-    fn pop(&mut self, i: usize, j: usize) -> Option<Message> {
-        let l = i * self.slots.len() + j;
-        let head = self.links[l].pop_front()?;
-        if self.links[l].is_empty() {
-            self.busy.retain(|b| *b != l);
-        }
-        Some(head)
-    }
-
     fn deliver(&mut self, i: usize, j: usize) -> Checked {
-        let Some(msg) = self.pop(i, j) else {
+        let head = pop(&mut self.links, (i, j));
+        let Some(msg) = head.filter(|_| !self.slots[j].dead) else {
             return Ok(());
         };
-        if self.slots[j].dead {
-            return Ok(());
-        }
         self.slots[j].frames += 1;
-        self.step(j, Some(msg))?;
+        match &msg {
+            Message::HeartbeatAck { from, nonce } => {
+                let w = &mut self.slots[j].watch;
+                if w.owing.get(from).is_some_and(|p| p.0 == *nonce) {
+                    w.owing.remove(from);
+                    w.missed.remove(from);
+                }
+            }
+            Message::Redirect { .. } => {
+                let (s, spare) = (&mut self.slots[j], &mut self.spare);
+                each!(&mut self.cores[j], c => c.outbox.drain(spare));
+                s.held.extend(spare.drain(..).map(|e| (s.epoch, e)));
+                s.epoch += 1;
+            }
+            _ => {}
+        }
+        if !msg.is_liveness() {
+            self.busy_at = self.now;
+        }
+        let now = self.now;
+        match &mut self.cores[j] {
+            Core::Box(_) => self.take::<BoxCore>(j, msg)?,
+            Core::Master(_) => self.take::<MasterCore>(j, msg)?,
+            Core::Worker(c) => drop(c.on_message(msg, now)),
+        }
         let frames = self.slots[j].frames;
         if self.auto && self.armed.iter().any(|k| k.0 == j && frames >= k.1) {
             self.armed.retain(|k| k.0 != j);
@@ -710,52 +743,61 @@ impl World {
     /// The head of link `i → j`, to a dead node, could not be sent: node
     /// `i` hears so, and a probe's miss is due at once.
     fn fail_send(&mut self, i: usize, j: usize) -> Checked {
-        let timeout = self.detector.map_or(Duration::ZERO, |d| d.0);
-        let (to, dead) = (self.slots[j].at, self.slots[j].dead);
-        let Some(msg) = dead.then(|| self.pop(i, j)).flatten() else {
+        let (to, dead, timeout) = (self.slots[j].at, self.slots[j].dead, self.detector.0);
+        let Some(msg) = dead.then(|| pop(&mut self.links, (i, j))).flatten() else {
             return Ok(());
         };
         if let Message::Heartbeat { nonce, .. } = msg {
             let owing = self.slots[i].watch.owing.get_mut(&(to - box_addr(0)));
-            owing
-                .filter(|p| p.0 == nonce)
-                .into_iter()
-                .for_each(|p| p.1 -= timeout);
+            if let Some(p) = owing.filter(|p| p.0 == nonce) {
+                p.1 -= timeout;
+            }
         }
         each!(&mut self.cores[i], c => c.send_failed(to, &msg));
         self.settle(i);
         Ok(())
     }
 
-    /// Fire node `i`'s timer, checking its detector's verdicts and probes
-    /// against the [`Watch`] kept beside it.
-    fn fire(&mut self, i: usize) -> Checked {
-        let (at, misses) = (self.slots[i].at, self.detector.map_or(u32::MAX, |d| d.1));
+    /// Fire the timer of the fan-in core at `i`, which then drains as a
+    /// shell's timer does, checking its detector's verdicts and probes
+    /// against the [`Watch`] kept beside it. A firing that did nothing must
+    /// leave no deadline due — a timer thread would spin on it — and one
+    /// that leaves none due must be followed by a second at the same
+    /// instant that changes nothing. What earlier transitions left queued
+    /// is no sign of either.
+    fn fire<N: FanIn>(&mut self, i: usize) -> Checked {
+        let (at, misses) = (self.slots[i].at, self.detector.1);
         let Some(t) = self.slots[i].due.filter(|_| !self.slots[i].dead) else {
             return Ok(());
         };
         self.now = self.now.max(t);
         let (now, w) = (self.now, &mut self.slots[i].watch);
-        let lapsed: Vec<u32> = w
-            .owing
-            .iter()
-            .filter(|p| p.1 .1 <= now)
-            .map(|p| *p.0)
-            .collect();
-        let mut due = Vec::new();
-        for b in lapsed {
-            w.owing.remove(&b);
-            let n = w.missed.entry(b).or_insert(0);
+        let lapsed = w.owing.extract_if(|_, p| p.1 <= now).map(|p| p.0);
+        let mut miss = |b: &u32| {
+            let n = w.missed.entry(*b).or_insert(0);
             *n += 1;
-            if *n >= misses {
-                w.missed.remove(&b);
-                due.push(b);
-            }
-        }
+            *n >= misses
+        };
+        let due: Vec<u32> = lapsed.filter(|b| miss(b)).collect();
+        w.missed.retain(|b, _| !due.contains(b));
         let owing: Vec<u32> = w.owing.keys().copied().collect();
-        let before = self.watched(i);
-        let (dead, probed) = self.step(i, None)?;
-        let after = self.watched(i);
+        let before = self.watched::<N>(i);
+        let core = N::of_mut(&mut self.cores[i]).expect("a core of its kind");
+        let queued = !core.outbox().is_empty();
+        let step = core.on_timer(now);
+        let idle = quiet(&step, core, queued);
+        core.outbox().drain(&mut self.spare);
+        let fault = match core.next_deadline() {
+            Some(t) if t <= now => idle.then_some("spins: an idle firing leaves its deadline due"),
+            _ => (!quiet(&core.on_timer(now), core, false))
+                .then_some("refired: a second firing did something"),
+        };
+        if let Some(f) = fault {
+            return Err(format!("{f}: node {at}"));
+        }
+        let dead = self.after::<N>(i, step)?;
+        let probed = self.emit(i)?;
+        let after = self.watched::<N>(i);
         if dead.iter().any(|b| !due.contains(b)) || due.iter().any(|b| after.contains(b)) {
             return Err(format!(
                 "verdict: boxes {dead:?} declared, {due:?} due at node {at}"
@@ -793,105 +835,31 @@ impl World {
         Ok(())
     }
 
-    /// Run one input through the core at `i` — a message, or (`None`) a
-    /// timer firing, which then drains — and act on its report: the boxes
-    /// it declared dead and those it probed.
-    fn step(&mut self, i: usize, msg: Option<Message>) -> Checked<(Vec<u32>, Vec<u32>)> {
+    /// Deliver `msg` to the fan-in core at `i`, and act on its step: no
+    /// chunk it accepts is of a request it ended.
+    fn take<N: FanIn>(&mut self, i: usize, msg: Message) -> Checked {
         let (now, at) = (self.now, self.slots[i].at);
-        let data = match &msg {
-            Some(Message::Data {
+        let chunk = match msg {
+            Message::Data {
                 app, request, tree, ..
-            }) => Some((*app, *request, *tree)),
-            Some(Message::HeartbeatAck { from, nonce }) => {
-                let w = &mut self.slots[i].watch;
-                if w.owing.get(from).is_some_and(|p| p.0 == *nonce) {
-                    w.owing.remove(from);
-                    w.missed.remove(from);
-                }
-                None
-            }
-            Some(Message::Redirect { .. }) => {
-                let (s, spare) = (&mut self.slots[i], &mut self.spare);
-                each!(&mut self.cores[i], c => c.outbox.drain(spare));
-                s.held.extend(spare.drain(..).map(|e| (s.epoch, e)));
-                s.epoch += 1;
-                None
-            }
+            } => Some(N::key(app, N::R::from((app, request, tree)))),
             _ => None,
         };
-        if msg.as_ref().is_some_and(|m| !m.is_liveness()) {
-            self.busy_at = now;
+        let step = N::of_mut(&mut self.cores[i])
+            .expect("a core of its kind")
+            .on_message(msg, now);
+        if let Some(key) = chunk.filter(|k| !step.dropped && self.slots[i].ended.contains(k)) {
+            return Err(format!("reopened: {key:?} at node {at}"));
         }
-        let (timer, mut out) = (msg.is_none(), std::mem::take(&mut self.spare));
-        let ran = match &mut self.cores[i] {
-            Core::Box(c) => input(c, msg, now, &mut out).map(|s| (s.dropped, Some(Report::Box(s)))),
-            Core::Master(c) => {
-                input(c, msg, now, &mut out).map(|s| (s.dropped, Some(Report::Master(s))))
-            }
-            Core::Worker(c) => {
-                if let Some(m) = msg {
-                    c.on_message(m, now);
-                }
-                Ok((true, None))
-            }
-        };
-        let (dropped, report) = ran.map_err(|e| format!("{e}: node {at}"))?;
-        if let Some((app, r, tree)) = data.filter(|_| !dropped) {
-            let at_box = matches!(report, Some(Report::Box(_)));
-            let key = (app, r, if at_box { tree } else { TreeId(0) });
-            if self.slots[i].ended.contains(&key) {
-                return Err(format!("reopened: {key:?} at node {at}"));
-            }
-        }
-        let dead = match report {
-            Some(report) => self.after(i, report)?,
-            None => Vec::new(),
-        };
-        if !timer {
-            self.spare = out;
-            return Ok((dead, Vec::new()));
-        }
-        let probed = self.emit(i, out)?;
-        Ok((dead, probed))
+        self.after::<N>(i, step).map(drop)
     }
 
-    /// Act on a fan-in core's report: queue its combines, note what ended,
-    /// audit its firing, deliver what the master completed. The boxes it
-    /// declared dead.
-    fn after(&mut self, i: usize, report: Report) -> Checked<Vec<u32>> {
-        let mut dead = Vec::new();
-        match report {
-            Report::Box(step) => {
-                for w in step.work {
-                    match w {
-                        Work::Combine(c) => {
-                            self.combines.entry((i, c.key)).or_default().push_back(c)
-                        }
-                        Work::Failed(key, ..) => {
-                            self.slots[i].ended.insert(key);
-                        }
-                    }
-                }
-                self.slots[i]
-                    .ended
-                    .extend(step.completed.iter().map(|c| c.0));
-                if let Some(f) = &step.fired {
-                    dead = self.audit(i, f, |r| r, |p| p)?;
-                }
-            }
-            Report::Master(step) => {
-                let Core::Master(m) = &self.cores[i] else {
-                    unreachable!()
-                };
-                let app = m.fanin.app;
-                if let Some(f) = &step.fired {
-                    dead = self.audit(i, f, |r| (app, r, TreeId(0)), |t| (app, t))?;
-                }
-                for (r, _) in step.completed.iter() {
-                    self.delivered(i, usize::from(app.0), *r)?;
-                }
-            }
-        }
+    /// Act on a fan-in core's step at `i`: audit its firing, then what it
+    /// leaves by kind. The boxes it declared dead.
+    fn after<N: FanIn>(&mut self, i: usize, step: Step<N::P, N::R>) -> Checked<Vec<u32>> {
+        let fired = step.fired.as_ref();
+        let dead = fired.map_or(Ok(Vec::new()), |f| self.audit::<N>(i, f))?;
+        N::took(self, i, step)?;
         self.settle(i);
         Ok(dead)
     }
@@ -900,69 +868,59 @@ impl World {
     /// declared twice; each obligation moves once; none stays with a box
     /// that failed; what a bypass or a verdict on a live box moved is
     /// excused. The boxes declared dead.
-    fn audit<P: Copy, R: Copy>(
-        &mut self,
-        i: usize,
-        f: &Fired<P, R>,
-        key: impl Fn(R) -> Key,
-        point: impl Fn(P) -> (AppId, TreeId),
-    ) -> Checked<Vec<u32>> {
-        let escalated = f.scan.iter().flat_map(|s| &s.escalated).map(|e| e.1);
-        let live = escalated.chain(f.dead.iter().copied());
-        let live = live.filter(|b| !self.slots[*b as usize].dead);
-        self.report.live_verdicts += live.count() as u64;
-        let on = |r, p| (point(p).0, key(r).1, point(p).1);
-        let scan = f.scan.iter();
-        let bypassed = scan.clone().flat_map(|s| &s.bypasses);
-        let bypassed = bypassed.map(|b| (on(b.request, b.point), b.box_id));
-        let failed = scan.flat_map(|s| &s.escalated).chain(&f.failed);
+    fn audit<N: FanIn>(&mut self, i: usize, f: &Fired<N::P, N::R>) -> Checked<Vec<u32>> {
+        let fanin = N::of(&self.cores[i]).expect("a core of its kind").fanin();
+        let (app, at, alive) = (fanin.app, self.slots[i].at, |b: &u32| {
+            !self.slots[*b as usize].dead
+        });
+        let on = |r: N::R, p: N::P| (p.ids(app).0, r.into(), p.ids(app).1);
+        let escalated = f.scan.iter().flat_map(|s| &s.escalated);
+        let live = escalated.clone().map(|e| e.1).chain(f.dead.iter().copied());
+        self.report.live_verdicts += live.filter(alive).count() as u64;
+        // Each move, and whether it may strand its request: onto a box
+        // below the bypassed one, which nobody probes, or off a box that is
+        // alive (re-points are one-way).
+        let bypassed = f.scan.iter().flat_map(|s| &s.bypasses).map(|b| {
+            let below = fanin
+                .route(&b.point)
+                .and_then(|r| r.child_boxes.get(&b.box_id));
+            let nested = below.is_some_and(|r| !r.child_boxes.is_empty());
+            (on(b.request, b.point), b.box_id, nested)
+        });
+        let failed = escalated.chain(&f.failed);
         let repointed = failed.clone().flat_map(|(p, b, r)| {
-            let moved = r.repointed.iter().map(|q| (on(q.0, *p), *b));
-            moved.collect::<Vec<_>>()
+            let live = alive(b);
+            r.repointed.iter().map(move |q| (on(q.0, *p), *b, live))
         });
-        // Moved onto a box below the bypassed one, which nobody probes, or
-        // off a box that is alive: re-points are one-way.
-        let nested = bypassed.clone().filter(|((a, _, t), b)| {
-            let route = match &self.cores[i] {
-                Core::Box(c) => c.fanin.route(&(*a, *t)),
-                Core::Master(c) => c.fanin.route(t),
-                Core::Worker(_) => None,
-            };
-            let below = route.and_then(|r| r.child_boxes.get(b));
-            below.is_some_and(|r| !r.child_boxes.is_empty())
-        });
-        let live = repointed.clone().filter(|m| !self.slots[m.1 as usize].dead);
-        let excused: Vec<_> = nested.chain(live).map(|((a, r, _), _)| (a, r)).collect();
-        self.excused.extend(excused);
-        let (at, s) = (self.slots[i].at, &mut self.slots[i]);
+        let moves: Vec<_> = bypassed.chain(repointed).collect();
+        let s = &mut self.slots[i];
+        for (key, b, strands) in moves {
+            if !s.moved.insert((key, b)) {
+                return Err(format!("moved twice: {:?} at node {at}", (key, b)));
+            }
+            self.excused.extend(strands.then_some((key.0, key.1)));
+        }
         self.report.reaped += f.reaped.len() as u64;
         self.report.detections += f.dead.len() as u64;
-        s.ended.extend(f.reaped.iter().map(|(r, _)| key(*r)));
-        if let Some(m) = bypassed.chain(repointed).find(|m| !s.moved.insert(*m)) {
-            return Err(format!("moved twice: {m:?} at node {at}"));
-        }
+        s.ended
+            .extend(f.reaped.iter().map(|(r, _)| N::key(app, *r)));
         if let Some(b) = f.dead.iter().find(|b| !s.watch.declared.insert(**b)) {
             return Err(format!("declared twice: box {b} at node {at}"));
         }
-        for (p, b) in failed.map(|f| (point(f.0), SourceId::Box(f.1))) {
-            // Still owed and unheard from at the point: the obligation did
-            // not move.
-            let unmoved = match &self.cores[i] {
-                Core::Box(c) => c.fanin.requests.iter().any(|(k, q)| {
-                    let k = ((k.0, k.2), b);
-                    k.0 == p && !q.closed && q.ledger.is_owed(&k) && !q.ledger.has_seen(&k)
-                }),
-                Core::Master(c) => c.fanin.requests.values().any(|q| {
-                    let k = (p.1, b);
-                    !q.closed && q.ledger.is_owed(&k) && !q.ledger.has_seen(&k)
-                }),
-                Core::Worker(_) => false,
-            };
-            if unmoved {
-                return Err(format!(
-                    "unmoved: a request at node {at} still waits on {b:?}"
-                ));
-            }
+        // Still owed and unheard from at the point: the obligation did not
+        // move.
+        let open = fanin.requests.values().filter(|q| !q.closed);
+        let waits = |k| {
+            open.clone()
+                .any(|q| q.ledger.is_owed(&k) && !q.ledger.has_seen(&k))
+        };
+        if let Some((_, b)) = failed
+            .map(|f| (f.0, SourceId::Box(f.1)))
+            .find(|k| waits(*k))
+        {
+            return Err(format!(
+                "unmoved: a request at node {at} still waits on {b:?}"
+            ));
         }
         Ok(f.dead.clone())
     }
@@ -974,24 +932,19 @@ impl World {
 
     /// Drain node `i`'s outbox into its links.
     fn drain(&mut self, i: usize) -> Checked {
-        let mut out = std::mem::take(&mut self.spare);
-        each!(&mut self.cores[i], c => c.outbox.drain(&mut out));
-        self.emit(i, out).map(|_| ())
+        each!(&mut self.cores[i], c => c.outbox.drain(&mut self.spare));
+        self.emit(i).map(|_| ())
     }
 
-    /// Put what node `i` drained on its links, after what it set aside,
-    /// checking what leaves. The boxes it probed.
-    fn emit(&mut self, i: usize, mut out: VecDeque<Emit>) -> Checked<Vec<u32>> {
+    /// Put what node `i` drained into `spare` on its links, in outbox
+    /// order, after what it set aside, checking what leaves. The boxes it
+    /// probed.
+    fn emit(&mut self, i: usize) -> Checked<Vec<u32>> {
         let (at, now, mut probed) = (self.slots[i].at, self.now, Vec::new());
-        let (s, mut sending) = (&mut self.slots[i], std::mem::take(&mut self.sending));
-        sending.append(&mut s.held);
-        sending.extend(out.drain(..).map(|e| (s.epoch, e)));
-        self.spare = out;
-        // What one drain takes for one node, in request order: a core's map
-        // order is its process's hash seed's, and a schedule should not
-        // hang on it. One request's messages keep their order.
-        sending.sort_by_key(|(_, e)| (e.to, !e.msg.is_liveness(), request(&e.msg)));
-        for (epoch, e) in sending.drain(..) {
+        let s = &mut self.slots[i];
+        let mut sending = std::mem::take(&mut s.held);
+        sending.extend(self.spare.drain(..).map(|e| (s.epoch, e)));
+        for (epoch, e) in sending {
             let named = match e.msg {
                 Message::Heartbeat { from, .. } => Some(from),
                 Message::HeartbeatAck { from, .. } => Some(box_addr(from)),
@@ -1020,11 +973,12 @@ impl World {
             }
             let to = self.ix.get(&e.to).copied();
             if let Message::Heartbeat { nonce, .. } = e.msg {
-                let (b, timeout) = (
-                    e.to - box_addr(0),
-                    self.detector.map_or(Duration::ZERO, |d| d.0),
-                );
-                let lapses = if to.is_some() { now + timeout } else { now };
+                let b = e.to - box_addr(0);
+                let lapses = if to.is_some() {
+                    now + self.detector.0
+                } else {
+                    now
+                };
                 self.slots[i].watch.owing.insert(b, (nonce, lapses));
                 probed.push(b);
             }
@@ -1032,72 +986,41 @@ impl World {
                 each!(&mut self.cores[i], c => c.send_failed(e.to, &e.msg));
                 continue;
             };
-            let repoint = matches!(
-                e.msg,
-                Message::Redirect {
-                    permanent: true,
-                    ..
-                }
-            );
-            self.report.repoints += u64::from(repoint);
-            let l = i * self.slots.len() + j;
-            if let (true, Err(at)) = (self.links[l].is_empty(), self.busy.binary_search(&l)) {
-                self.busy.insert(at, l);
+            if let Message::Redirect {
+                permanent: true, ..
+            } = e.msg
+            {
+                self.report.repoints += 1;
             }
-            self.links[l].push_back(e.msg);
+            self.links.entry((i, j)).or_default().push_back(e.msg);
         }
-        self.sending = sending;
         self.settle(i);
         probed.sort_unstable();
         Ok(probed)
     }
 
-    /// The child boxes node `i` routes, at any point.
-    fn watched(&self, i: usize) -> Vec<u32> {
-        let trees = (0..self.trees).map(TreeId);
-        let routes: Vec<_> = match &self.cores[i] {
-            Core::Box(c) => {
-                let points = self
-                    .apps
-                    .iter()
-                    .flat_map(|a| trees.clone().map(move |t| (a.id, t)));
-                points.filter_map(|p| c.fanin.route(&p)).collect()
-            }
-            Core::Master(c) => trees.filter_map(|t| c.fanin.route(&t)).collect(),
-            Core::Worker(_) => Vec::new(),
-        };
-        let mut boxes: Vec<u32> = routes
-            .iter()
-            .flat_map(|r| r.child_boxes.keys().copied())
-            .collect();
-        boxes.sort_unstable();
-        boxes.dedup();
-        boxes
+    /// The child boxes the fan-in core at `i` routes, at any point.
+    fn watched<N: FanIn>(&self, i: usize) -> BTreeSet<u32> {
+        let fanin = N::of(&self.cores[i]).expect("a core of its kind").fanin();
+        let routes = fanin.routes().map(|r| r.1);
+        routes.flat_map(|r| r.child_boxes.keys().copied()).collect()
     }
 
-    /// The master at `m` completed request `r` of app `a`: its waiter takes
-    /// it, once, and it is the closed-form fold.
-    fn delivered(&mut self, m: usize, a: usize, r: RequestId) -> Checked {
-        let Core::Master(core) = &mut self.cores[m] else {
-            unreachable!()
-        };
+    /// The master at `m` completed request `r`: its application's waiter
+    /// takes it, once, and it is the closed-form fold.
+    fn delivered(&mut self, m: usize, r: RequestId) -> Checked {
+        let core = MasterCore::of_mut(&mut self.cores[m]).expect("a master");
+        let a = usize::from(core.fanin.app.0);
         let Taken::Done(d) = core.take_completed(r) else {
             return Err(format!("lost: app {a} {r:?} completed but not taken"));
         };
         self.slots[m].ended.insert((AppId(a as u16), r, TreeId(0)));
         let app = &mut self.apps[a];
-        if !app.delivered.insert(r.0) {
+        let Some(n) = app.parts.remove(&r.0) else {
             return Err(format!("twice: app {a} request {} delivered again", r.0));
-        }
-        let n = app
-            .parts
-            .remove(&r.0)
-            .ok_or_else(|| format!("unissued: app {a} {r:?}"))?;
-        let got = app
-            .agg
-            .aggregate_serialized(d.inputs)
-            .map_err(|e| format!("inexact: {e}"))?;
-        if got != expected_result(app.kind, app.seed, r.0, n) {
+        };
+        let got = app.agg.aggregate_serialized(d.inputs);
+        if got.as_ref().ok() != Some(&expected_result(app.kind, app.seed, r.0, n)) {
             return Err(format!("inexact: app {a} request {} came to {got:?}", r.0));
         }
         app.waiting.retain(|q| q.0 != r.0);
@@ -1117,98 +1040,56 @@ impl World {
     /// runner's driver has them do once it settled.
     fn forget(&mut self, a: usize, r: u64) {
         let first = self.node(a, Some(0));
-        let range = first..first + self.workers as usize;
-        for (s, core) in self.slots[range.clone()].iter().zip(&mut self.cores[range]) {
-            if let (Core::Worker(core), false) = (core, s.dead) {
+        for i in first..first + self.workers as usize {
+            if let (Core::Worker(core), false) = (&mut self.cores[i], self.slots[i].dead) {
                 core.forget(RequestId(r));
             }
         }
     }
 }
 
-/// One input to a fan-in core, a message or (`None`) a timer firing, which
-/// then drains into `out` as a shell's timer does. A firing that did
-/// nothing must leave no deadline due — a timer thread would spin on it —
-/// and one that leaves none due must be followed by a second at the same
-/// instant that changes nothing. What earlier transitions left queued is
-/// no sign of either.
-fn input<N, P, R: Copy>(
-    core: &mut N,
-    msg: Option<Message>,
-    now: Instant,
-    out: &mut VecDeque<Emit>,
-) -> Checked<Step<P, R>>
-where
-    N: Node<Report = Step<P, R>>,
-{
-    let quiet = |s: &Step<P, R>, core: &mut N, queued: bool| {
-        let fired = s.fired.as_ref().is_none_or(Fired::is_empty);
-        let posted = !queued && !core.outbox().is_empty();
-        fired && s.work.is_empty() && s.completed.is_empty() && !posted
-    };
-    let Some(msg) = msg else {
-        let queued = !core.outbox().is_empty();
-        let step = core.on_timer(now);
-        let idle = quiet(&step, core, queued);
-        core.outbox().drain(out);
-        return match core.next_deadline() {
-            Some(t) if t <= now && idle => {
-                Err("spins: an idle firing leaves its deadline due".into())
-            }
-            Some(t) if t <= now => Ok(step),
-            _ if !quiet(&core.on_timer(now), core, false) => {
-                Err("refired: a second firing did something".into())
-            }
-            _ => Ok(step),
-        };
-    };
-    Ok(core.on_message(msg, now))
+/// Whether a firing's step did nothing: no work, completion or firing,
+/// and nothing posted unless something already was (`queued`).
+fn quiet<N: FanIn>(step: &Step<N::P, N::R>, core: &mut N, queued: bool) -> bool {
+    let fired = step.fired.as_ref().is_none_or(Fired::is_empty);
+    let posted = !queued && !core.outbox().is_empty();
+    fired && step.work.is_empty() && step.completed.is_empty() && !posted
 }
 
-/// The request a message is about; 0 for liveness.
-fn request(msg: &Message) -> u64 {
-    match msg {
-        Message::Data { request, .. }
-        | Message::RequestMeta { request, .. }
-        | Message::Redirect { request, .. }
-        | Message::Broadcast { request, .. } => request.0,
-        Message::Heartbeat { .. } | Message::HeartbeatAck { .. } => 0,
+/// The head of the queue at `k`; a queue left empty goes.
+fn pop<K: Ord, V>(queues: &mut BTreeMap<K, VecDeque<V>>, k: K) -> Option<V> {
+    let q = queues.get_mut(&k)?;
+    let head = q.pop_front();
+    if q.is_empty() {
+        queues.remove(&k);
     }
+    head
 }
 
 /// Requests open at a box or master.
 fn open(core: &Core) -> usize {
-    match core {
-        Core::Box(c) => c.fanin.requests.len(),
-        Core::Master(c) => c.fanin.requests.len(),
-        Core::Worker(_) => 0,
+    fn at<N: FanIn>(core: &Core) -> usize {
+        N::of(core).map_or(0, |c| c.fanin().requests.len())
     }
+    at::<BoxCore>(core) + at::<MasterCore>(core)
 }
 
 /// Run `spec` under `seed` after the `script`ed events. A violation comes
 /// back with the seed and a greedily minimised list of events.
 pub fn explore(spec: &ScenarioSpec, seed: u64, script: &[Event]) -> Result<World, Failure> {
-    let attempt = |record: bool| -> Result<World, (String, Vec<Event>)> {
-        let mut world = World::new(spec).map_err(|r| (format!("refused: {r:?}"), Vec::new()))?;
-        world.trace = record.then(Vec::new);
-        let ran = script.iter().try_for_each(|e| world.apply(*e));
-        match ran.and_then(|()| world.run(seed)) {
-            Ok(_) => Ok(world),
-            Err(v) => Err((v, world.trace.take().unwrap_or_default())),
-        }
-    };
-    let violation = match attempt(false) {
-        Ok(world) => return Ok(world),
-        Err((violation, _)) => violation,
-    };
-    let trace = attempt(true).err().map_or_else(Vec::new, |e| e.1);
-    let kind = violation.split(':').next().unwrap_or_default();
-    let trace = minimise(spec, trace, kind);
-    Err(Failure {
+    let fail = |violation, trace| Failure {
         seed,
         violation,
         trace,
-    })
+    };
+    let mut world = World::new(spec).map_err(|r| fail(format!("refused: {r:?}"), Vec::new()))?;
+    let ran = script.iter().try_for_each(|e| world.apply(*e));
+    let Err(violation) = ran.and_then(|()| world.run(seed)) else {
+        return Ok(world);
+    };
+    let kind = violation.split(':').next().unwrap_or_default();
+    let trace = minimise(spec, std::mem::take(&mut world.trace), kind);
+    Err(fail(violation, trace))
 }
 
 /// Drop events from a failing list while it still fails the same way:

@@ -14,7 +14,10 @@ use netagg_scenarios::{
     explore, Event, Impairment, Refused, ScenarioSpec, SyntheticKind, TopologySpec, World,
     WorldReport,
 };
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 /// Two applications, `sum` and `topk`, sharing the boxes of `topology`.
@@ -384,5 +387,72 @@ fn core_state_stays_bounded_over_a_hundred_thousand_requests() {
     assert_eq!(emitted, [2 * EMITTED_WINDOW], "one window per application");
     for a in 0..2 {
         assert_eq!(world.master(a).delivered_len(), DELIVERED_MEMORY);
+    }
+}
+
+/// Per seed, a digest of the whole event list of two blocks: one-strike
+/// straggler escalation with a box killed at a seeded frame, where which
+/// bypass reaches the repeat limit decides the run, and streaming with
+/// bypasses and a kill, where flush passes and resends meet in outboxes.
+fn digests() -> Vec<String> {
+    let escalation = |seed| {
+        two_apps(TopologySpec::multi_rack(2, 3, 1), 4)
+            .with_tuning(straggling(20, 2, DeploymentConfig::default()))
+            .impair(seeded_kill((seed % 2) as usize, 40))
+            .with_seed(seed)
+    };
+    let streaming = |seed| {
+        let narrow = DeploymentConfig {
+            fanin: 3,
+            flush_bytes: Some(1),
+            ..DeploymentConfig::default()
+        };
+        two_apps(TopologySpec::multi_rack(2, 3, 1), 4)
+            .with_tuning(straggling(20, 4, narrow))
+            .impair(seeded_kill(0, 80))
+            .with_seed(seed)
+    };
+    let blocks: [(&str, &dyn Fn(u64) -> ScenarioSpec); 2] =
+        [("escalation", &escalation), ("streaming", &streaming)];
+    let mut out = Vec::new();
+    for (name, spec) in blocks {
+        for seed in 0..30 {
+            let world = explore(&spec(seed), seed, &[]).unwrap_or_else(|f| panic!("{name}: {f}"));
+            let mut h = DefaultHasher::new();
+            world.events().hash(&mut h);
+            out.push(format!("{name} {seed} {:016x}", h.finish()));
+        }
+    }
+    out
+}
+
+/// Prints [`digests`] for [`a_seed_repeats_its_run_in_any_process`].
+#[test]
+#[ignore = "a child process of a_seed_repeats_its_run_in_any_process"]
+fn print_digests() {
+    digests().iter().for_each(|d| println!("digest {d}"));
+}
+
+/// A seed alone reproduces a run: two fresh processes of this test binary,
+/// each with its own hash seeds, apply the same events as this one.
+#[test]
+fn a_seed_repeats_its_run_in_any_process() {
+    let here = digests();
+    let exe = std::env::current_exe().expect("the test binary");
+    for child in 0..2 {
+        let args = ["print_digests", "--ignored", "--exact", "--nocapture"];
+        let out = Command::new(&exe).args(args).output().expect("a child run");
+        assert!(out.status.success(), "child {child}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let there: Vec<&str> = stdout
+            .lines()
+            .filter_map(|l| l.split_once("digest "))
+            .map(|d| d.1)
+            .collect();
+        let diff = here.iter().zip(&there).find(|(a, b)| a != b);
+        assert!(
+            there.len() == here.len() && diff.is_none(),
+            "child {child}: {diff:?}"
+        );
     }
 }
