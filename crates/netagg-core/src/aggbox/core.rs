@@ -301,9 +301,8 @@ impl BoxCore {
 
     /// Stream partial aggregates upstream: every open request buffering at
     /// least `flush_bytes` gives up its reduction so far, or starts the
-    /// combine that lets a later pass take it, in key order. Taking inside
-    /// the transition keeps a flushed chunk ordered before the request's
-    /// completion.
+    /// combine that lets a later pass take it. Taking inside the transition
+    /// keeps a flushed chunk ordered before the request's completion.
     pub fn flush(&mut self) -> Vec<Work> {
         let open = self.fanin.requests.iter().filter(|(_, q)| !q.closed);
         let due = open.filter(|(_, q)| q.ext.reduction.bytes() >= self.flush_bytes);

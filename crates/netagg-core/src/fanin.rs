@@ -15,11 +15,9 @@
 //! `P` names a fan-in point (`(app, tree)` at a box, `tree` at the
 //! master), `R` a request at this node, `X` what the shell keeps per
 //! request. Ledger keys are `(P, SourceId)`, so a chunk or a re-point for
-//! one point can never touch another point's obligations.
-//!
-//! A transition's outcome and output order are functions of its inputs:
-//! maps keyed by topology are `BTree*`, and a timer pass over the requests
-//! (a [`Map`]: a peer picks their ids) acts on them in key order.
+//! one point can never touch another point's obligations. Topology maps
+//! are `BTree*`; a timer pass over requests (a [`Map`], whose ids a peer
+//! picks) acts in key order: no output hangs on a hash seed.
 
 use crate::failure::DetectorCore;
 use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
@@ -469,10 +467,9 @@ impl<P: Point, R: Copy + Ord + Hash + Into<RequestId>, X> FanInCore<P, R, X> {
         };
         let mut found = Vec::new();
         let due = |t: Instant| now.duration_since(t) >= threshold;
-        let routes = &self.routes;
         let open = Self::in_order(&mut self.requests);
         for (r, q) in open.into_iter().filter(|(_, q)| q.started.is_some_and(due)) {
-            for (point, route) in routes {
+            for (point, route) in &self.routes {
                 for (box_id, info) in &route.child_boxes {
                     if !Self::awaits(q, *point, *box_id) {
                         continue;

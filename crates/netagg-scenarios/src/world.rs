@@ -198,7 +198,7 @@ impl FanIn for BoxCore {
             _ => None,
         }
     }
-    fn fanin(&self) -> &FanInCore<Self::P, ReqKey, BoxRequest> {
+    fn fanin(&self) -> &FanInCore<(AppId, TreeId), ReqKey, BoxRequest> {
         &self.fanin
     }
     fn key(_: AppId, r: ReqKey) -> Key {

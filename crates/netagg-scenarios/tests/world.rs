@@ -52,6 +52,21 @@ fn straggling(threshold_ms: u64, repeat_limit: u32, tuning: DeploymentConfig) ->
     }
 }
 
+/// Streaming flushes (every buffered byte), combines three items wide,
+/// straggler bypasses (per-request redirects) and a seeded kill of the
+/// root box (permanent ones).
+fn streaming(seed: u64) -> ScenarioSpec {
+    let narrow = DeploymentConfig {
+        fanin: 3,
+        flush_bytes: Some(1),
+        ..DeploymentConfig::default()
+    };
+    two_apps(TopologySpec::multi_rack(2, 3, 1), 4)
+        .with_tuning(straggling(20, 4, narrow))
+        .impair(seeded_kill(0, 80))
+        .with_seed(seed)
+}
+
 /// Every request was delivered but those the World reports stranded.
 fn finished(r: &WorldReport) -> bool {
     r.delivered + r.stranded == r.issued && r.failures == 0
@@ -171,17 +186,7 @@ fn detector_inputs_in_any_order_fail_each_silent_box_exactly_once() {
 /// result exact, once.
 #[test]
 fn box_output_leaves_each_destination_in_numbering_order() {
-    let reports = block("streaming", 0..300, |seed| {
-        let narrow = DeploymentConfig {
-            fanin: 3,
-            flush_bytes: Some(1),
-            ..DeploymentConfig::default()
-        };
-        two_apps(TopologySpec::multi_rack(2, 3, 1), 4)
-            .with_tuning(straggling(20, 4, narrow))
-            .impair(seeded_kill(0, 80))
-            .with_seed(seed)
-    });
+    let reports = block("streaming", 0..300, streaming);
     assert!(reports.iter().all(exact));
 }
 
@@ -399,17 +404,6 @@ fn digests() -> Vec<String> {
         two_apps(TopologySpec::multi_rack(2, 3, 1), 4)
             .with_tuning(straggling(20, 2, DeploymentConfig::default()))
             .impair(seeded_kill((seed % 2) as usize, 40))
-            .with_seed(seed)
-    };
-    let streaming = |seed| {
-        let narrow = DeploymentConfig {
-            fanin: 3,
-            flush_bytes: Some(1),
-            ..DeploymentConfig::default()
-        };
-        two_apps(TopologySpec::multi_rack(2, 3, 1), 4)
-            .with_tuning(straggling(20, 4, narrow))
-            .impair(seeded_kill(0, 80))
             .with_seed(seed)
     };
     let blocks: [(&str, &dyn Fn(u64) -> ScenarioSpec); 2] =
