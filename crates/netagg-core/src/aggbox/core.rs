@@ -395,7 +395,8 @@ impl Node for BoxCore {
                     return step;
                 };
                 if !payload.is_empty() {
-                    self.reduce(key, &mut step, |r, fanin| r.push(payload, fanin));
+                    let raw = !source.folded(seq, last);
+                    self.reduce(key, &mut step, |r, fanin| r.push(payload, raw, fanin));
                 }
                 if closes {
                     step.closed = Some(key);

@@ -31,18 +31,21 @@ pub enum Next {
     Partial(Bytes),
 }
 
-/// One request's reduction state: buffered items, combines in flight and
-/// whether the input ended. No lock, thread or clock.
+/// One request's reduction state: buffered items, whether the newest is raw
+/// (a lone raw one left at the end is combined alone), combines in flight
+/// and whether the input ended. No lock, thread or clock.
 #[derive(Debug, Default)]
 pub struct Reduction {
     pending: Vec<Bytes>,
+    raw: bool,
     outstanding: usize,
     ended: bool,
 }
 
 impl Reduction {
-    /// One more item.
-    pub fn push(&mut self, item: Bytes, fanin: usize) -> Next {
+    /// One more item, `raw` unless a fold ([`crate::protocol::SourceId::folded`]).
+    pub fn push(&mut self, item: Bytes, raw: bool, fanin: usize) -> Next {
+        self.raw = raw;
         self.pending.push(item);
         self.next(fanin)
     }
@@ -56,7 +59,7 @@ impl Reduction {
     /// A combine came back with `item`.
     pub fn combined(&mut self, item: Bytes, fanin: usize) -> Next {
         self.outstanding -= 1;
-        self.push(item, fanin)
+        self.push(item, false, fanin)
     }
 
     /// The reduction so far, for a streaming flush, while the input is
@@ -77,9 +80,10 @@ impl Reduction {
 
     fn next(&mut self, fanin: usize) -> Next {
         let ready = if self.ended { 2 } else { fanin };
-        if self.pending.len() >= ready {
+        let settled = self.ended && self.outstanding == 0;
+        if self.pending.len() >= ready || settled && self.raw && self.pending.len() == 1 {
             self.batch(self.pending.len().min(fanin))
-        } else if self.ended && self.outstanding == 0 {
+        } else if settled {
             Next::Done(self.pending.pop())
         } else {
             Next::Wait
@@ -134,9 +138,9 @@ impl LocalAggTree {
         })
     }
 
-    /// Feed one item; combine tasks are scheduled as batches fill.
+    /// Feed one raw item; combine tasks are scheduled as batches fill.
     pub fn push(self: &Arc<Self>, sched: &Arc<TaskScheduler>, app: AppId, item: Bytes) {
-        self.feed(sched, app, |r, fanin| r.push(item, fanin));
+        self.feed(sched, app, |r, fanin| r.push(item, true, fanin));
     }
 
     /// Declare the input stream finished; the final combines are scheduled.

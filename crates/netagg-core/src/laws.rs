@@ -151,33 +151,36 @@ pub fn check_roundtrip<F: AggregationFunction>(
     })
 }
 
+/// Idempotence: a fold folded alone is itself (a lone root aggregate is the result).
+pub fn check_idempotent<F: AggregationFunction>(
+    f: &F,
+    payloads: &[Bytes],
+) -> Result<LawCheck, AggError> {
+    let expected = tier(f, payloads.to_vec())?;
+    let actual = tier(f, vec![expected.clone()])?;
+    Ok(LawCheck {
+        law: "idempotence",
+        expected,
+        actual,
+    })
+}
+
 /// Run every law against the payloads (merge consistency at every split
 /// point) and return the first violation, if any.
 pub fn check_laws<F: AggregationFunction>(
     f: &F,
     payloads: &[Bytes],
 ) -> Result<Option<LawCheck>, AggError> {
-    for split in 1..payloads.len().max(1) {
-        let c = check_merge(f, payloads, split)?;
-        if !c.holds() {
-            return Ok(Some(c));
-        }
-    }
-    for c in [
-        check_commutative(f, payloads)?,
-        check_identity(f, payloads)?,
-    ] {
-        if !c.holds() {
-            return Ok(Some(c));
-        }
-    }
-    for p in payloads {
-        let c = check_roundtrip(f, p)?;
-        if !c.holds() {
-            return Ok(Some(c));
-        }
-    }
-    Ok(None)
+    let once = |law: fn(&F, &[Bytes]) -> Result<LawCheck, AggError>| {
+        std::iter::once_with(move || law(f, payloads))
+    };
+    (1..payloads.len().max(1))
+        .map(|split| check_merge(f, payloads, split))
+        .chain(once(check_commutative).chain(once(check_identity)))
+        .chain(payloads.iter().map(|p| check_roundtrip(f, p)))
+        .chain(once(check_idempotent))
+        .find(|c| !c.as_ref().is_ok_and(LawCheck::holds))
+        .transpose()
 }
 
 /// Panic with a diagnostic if any law fails on the payloads. Intended for
@@ -315,6 +318,41 @@ mod tests {
             .unwrap()
             .expect("bad identity must be flagged");
         assert_eq!(v.law, "identity");
+    }
+
+    #[test]
+    fn a_fold_that_changes_when_folded_alone_fails_idempotence() {
+        // Remembers whether its last call merged more than one item: every
+        // other law holds on two or more payloads, but a lone fold loses it.
+        struct MergedFlag;
+        impl AggregationFunction for MergedFlag {
+            type Item = (i64, bool);
+            fn deserialize(&self, b: &Bytes) -> Result<(i64, bool), AggError> {
+                let merged = b.ends_with(b"+");
+                let v = Sum.deserialize(&b.slice(..b.len() - usize::from(merged)))?;
+                Ok((v, merged))
+            }
+            fn serialize(&self, (v, merged): &(i64, bool)) -> Bytes {
+                Bytes::from(format!("{v}{}", if *merged { "+" } else { "" }))
+            }
+            fn aggregate(&self, items: Vec<(i64, bool)>) -> (i64, bool) {
+                (items.iter().map(|i| i.0).sum(), items.len() > 1)
+            }
+            fn empty(&self) -> (i64, bool) {
+                (0, false)
+            }
+        }
+        let v = check_laws(&MergedFlag, &payloads(&["1", "2", "3"]))
+            .unwrap()
+            .expect("a lone fold that differs must be flagged");
+        assert_eq!(v.law, "idempotence");
+        assert_eq!(
+            (v.expected.as_ref(), v.actual.as_ref()),
+            (&b"6+"[..], &b"6"[..])
+        );
+        assert!(check_idempotent(&Sum, &payloads(&["3", "4"]))
+            .unwrap()
+            .holds());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   ([`aggbox::scheduler::FairQueue`]).
 //! * **Shim layers** ([`shim`]) — interposed at edge servers. The worker
 //!   shim redirects partial results to the first on-path agg box; the
-//!   master shim tracks per-request state, receives the fully aggregated
-//!   result and emulates the empty per-worker results the unmodified
-//!   master logic expects.
+//!   master shim tracks per-request state, folds across trees and direct
+//!   workers only (a lone root box's output is the result) and emulates
+//!   the empty per-worker results the unmodified master logic expects.
 //!
 //! Boxes cooperate along per-application *aggregation trees*
 //! ([`tree::TreeSpec`]); multiple trees per application exploit path
@@ -138,7 +138,8 @@ impl From<netagg_net::NetError> for AggError {
 /// typed interface the paper's *aggregation wrapper* adapts (Section 3.2.1).
 ///
 /// The function must be **associative and commutative**: the platform
-/// aggregates partial results in arbitrary order and grouping.
+/// aggregates partial results in arbitrary order and grouping; and
+/// **idempotent**, as a lone root aggregate is the result ([`laws`]).
 pub trait AggregationFunction: Send + Sync + 'static {
     /// The deserialised partial-result type the function merges.
     type Item: Send + 'static;

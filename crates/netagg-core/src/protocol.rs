@@ -35,6 +35,11 @@ impl SourceId {
     /// Bytes one source takes on the wire: a tag and a `u32` id.
     const WIRE_LEN: usize = 5;
 
+    /// Whether chunk `seq` (`last` or not) is a fold: a box's whole output.
+    pub fn folded(self, seq: u32, last: bool) -> bool {
+        matches!(self, SourceId::Box(_)) && seq == 0 && last
+    }
+
     fn encode(&self, dst: &mut BytesMut) {
         match self {
             SourceId::Worker(w) => {

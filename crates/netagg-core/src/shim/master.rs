@@ -272,13 +272,12 @@ impl PendingRequest {
         o.request_wait_us.record_duration(done.registered.elapsed());
         let emulated_empty = done.expected_workers.saturating_sub(1);
         o.emulated_empties.add(emulated_empty as u64);
-        // Final aggregation step across tree roots / direct workers
-        // (Section 3.1: with multiple trees the master merges the roots'
-        // results).
+        // Section 3.1: the master merges across tree roots and direct
+        // workers; a lone root box's output is the result.
         let master_inputs = done.inputs.len();
         let master_input_bytes = done.inputs.iter().map(Bytes::len).sum();
-        let combined = o.agg.aggregate_serialized(done.inputs)?;
-        if let Some(t) = done.trace {
+        let (trace, combined) = (done.trace, done.result(&*o.agg)?);
+        if let Some(t) = trace {
             shell.rec.close(self.request, t);
         }
         Ok(AggregatedResult {

@@ -36,10 +36,10 @@ pub type MasterStep = Step<TreeId, RequestId>;
 #[derive(Debug, Default)]
 pub struct MasterRequest {
     expected_workers: usize,
-    /// Received chunks tagged by contributor, so the final merge can drop
-    /// everything from contributors the ledger ignored (exact duplicate
-    /// suppression when a box streamed partial chunks and then failed).
-    inputs: Vec<(MasterKey, Bytes)>,
+    /// Received chunks tagged by contributor (the final merge drops what the
+    /// ledger ignored: a box that streamed partials, then failed) and by
+    /// whether each is a fold ([`SourceId::folded`]).
+    inputs: Vec<(MasterKey, Bytes, bool)>,
 }
 
 /// A completed request handed to its waiter.
@@ -48,12 +48,24 @@ pub struct Delivery {
     /// The chunks to merge: everything received, minus contributors the
     /// ledger ignored.
     pub inputs: Vec<Bytes>,
+    /// The one input is a box's whole output, a fold: the result as it is.
+    pub folded: bool,
     /// Workers the application expects results from.
     pub expected_workers: usize,
     /// When the request was registered (or its first data arrived).
     pub registered: Instant,
     /// The request's trace anchor.
     pub trace: Option<TraceAnchor>,
+}
+
+impl Delivery {
+    /// The result: the one chunk if folded, else the fold of every input.
+    pub fn result(self, agg: &dyn crate::DynAggregator) -> Result<Bytes, crate::AggError> {
+        match (self.folded, &self.inputs[..]) {
+            (true, [chunk]) => Ok(chunk.clone()),
+            _ => agg.aggregate_serialized(self.inputs),
+        }
+    }
 }
 
 /// What [`MasterCore::take_completed`] found.
@@ -236,12 +248,11 @@ impl MasterCore {
         }
         let q = self.fanin.requests.remove(&request).expect("checked above");
         self.delivered.entry(request);
-        let kept = q.ext.inputs.into_iter();
+        let mut kept = q.ext.inputs;
+        kept.retain(|(k, ..)| !q.ledger.is_ignored(k));
         Taken::Done(Delivery {
-            inputs: kept
-                .filter(|(k, _)| !q.ledger.is_ignored(k))
-                .map(|(_, b)| b)
-                .collect(),
+            folded: matches!(kept[..], [(.., true)]),
+            inputs: kept.into_iter().map(|(_, b, _)| b).collect(),
             expected_workers: q.ext.expected_workers,
             registered: q.started.expect("master requests start at registration"),
             trace: q.trace,
@@ -283,7 +294,8 @@ impl Node for MasterCore {
                     return step;
                 };
                 if !payload.is_empty() {
-                    req.inputs.push(((tree, source), payload));
+                    let folded = source.folded(seq, last);
+                    req.inputs.push(((tree, source), payload, folded));
                 }
                 if gap {
                     step.gaps.push((request, source));

@@ -1019,7 +1019,7 @@ impl World {
         let Some(n) = app.parts.remove(&r.0) else {
             return Err(format!("twice: app {a} request {} delivered again", r.0));
         };
-        let got = app.agg.aggregate_serialized(d.inputs);
+        let got = d.result(&*app.agg);
         if got.as_ref().ok() != Some(&expected_result(app.kind, app.seed, r.0, n)) {
             return Err(format!("inexact: app {a} request {} came to {got:?}", r.0));
         }
